@@ -19,7 +19,8 @@ fn store_churn(c: &mut Criterion) {
     });
     group.bench_function("scan_ordered_after_churn_10k", |b| {
         let store = store_churn_cycle(10_000);
-        b.iter(|| store.scan_ordered("flow").len())
+        let flow = store.pred_id("flow").expect("the cycle populated `flow`");
+        b.iter(|| store.scan_ordered_rows(flow).count())
     });
     group.finish();
 }

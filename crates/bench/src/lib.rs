@@ -9,6 +9,7 @@
 
 use pasn::prelude::*;
 use pasn::workload;
+use std::sync::Arc;
 
 /// Builds a ready-to-run Best-Path deployment for one (N, variant) point of
 /// the evaluation sweep.
@@ -220,18 +221,16 @@ pub fn sustained_expiry_churn(rows: u32, generations: u32) -> ExpiryChurnReport 
         origin: Value::Addr(0),
         asserted_by: None,
     };
-    let flow = |generation: i64, i: u32| {
-        Tuple::new(
-            "flow",
-            vec![
-                Value::Addr(i % 1024),
-                Value::Int(i as i64),
-                Value::Int(generation),
-            ],
-        )
+    let flow = |generation: i64, i: u32| -> Arc<[Value]> {
+        Arc::from([
+            Value::Addr(i % 1024),
+            Value::Int(i as i64),
+            Value::Int(generation),
+        ])
     };
     let mut store = NodeStore::new();
-    store.register_index("flow", &[0]);
+    let pred = store.intern("flow");
+    store.register_index_id(pred, &[0]);
     let mut report = ExpiryChurnReport {
         store: NodeStore::new(),
         inserted: 0,
@@ -243,7 +242,7 @@ pub fn sustained_expiry_churn(rows: u32, generations: u32) -> ExpiryChurnReport 
     for g in 0..generations {
         let deadline = (g as u64 + 1) * 1_000;
         for i in 0..rows {
-            store.insert(&flow(g as i64, i), meta(deadline), |a, _| a.clone());
+            store.insert_row(pred, flow(g as i64, i), meta(deadline), |a, _| a.clone());
         }
         report.inserted += rows as u64;
         report.peak_store_bytes = report.peak_store_bytes.max(store.store_bytes() as u64);
@@ -349,21 +348,19 @@ pub fn store_churn_cycle(rows: u32) -> pasn_engine::NodeStore {
         origin: Value::Addr(0),
         asserted_by: None,
     };
-    let flow = |gen: i64, i: u32| {
-        Tuple::new(
-            "flow",
-            vec![Value::Addr(i % 64), Value::Int(i as i64), Value::Int(gen)],
-        )
+    let flow = |gen: i64, i: u32| -> Arc<[Value]> {
+        Arc::from([Value::Addr(i % 64), Value::Int(i as i64), Value::Int(gen)])
     };
     let mut store = NodeStore::new();
-    store.register_index("flow", &[0]);
+    let pred = store.intern("flow");
+    store.register_index_id(pred, &[0]);
     for i in 0..rows {
-        store.insert(&flow(0, i), meta(Some(100)), |a, _| a.clone());
+        store.insert_row(pred, flow(0, i), meta(Some(100)), |a, _| a.clone());
     }
     let expired = store.expire(SimTime::from_micros(100));
     assert_eq!(expired.len(), rows as usize);
     for i in 0..rows {
-        store.insert(&flow(1, i), meta(None), |a, _| a.clone());
+        store.insert_row(pred, flow(1, i), meta(None), |a, _| a.clone());
     }
     store
 }
@@ -378,9 +375,10 @@ mod tests {
         assert_eq!(store.total_tuples(), 256);
         store.check_index_consistency().unwrap();
         // Post-churn scans stay in insertion order of the second generation.
-        let rows = store.scan_ordered("flow");
+        let pred = store.pred_id("flow").unwrap();
+        let rows: Vec<_> = store.scan_ordered_rows(pred).collect();
         assert_eq!(rows.len(), 256);
-        assert_eq!(rows[0].0.values[1], Value::Int(0));
+        assert_eq!(rows[0].0[1], Value::Int(0));
         assert!(store.total_tuple_bytes() > 0);
     }
 
@@ -474,10 +472,10 @@ mod tests {
         assert_eq!(metrics.tuples_stored, baseline.tuples_stored);
         assert_eq!(metrics.frames, baseline.frames);
         assert_eq!(metrics.completion, baseline.completion);
-        assert_eq!(parallel.worker_threads(), 4);
-        assert_eq!(parallel.partitions(), 4);
-        assert!(parallel.cross_partition_frames() > 0);
-        assert!(parallel.max_partition_queue() > 0);
+        assert_eq!(parallel.metrics().worker_threads, 4);
+        assert_eq!(parallel.metrics().partitions, 4);
+        assert!(parallel.metrics().cross_partition_frames > 0);
+        assert!(parallel.metrics().max_partition_queue > 0);
     }
 
     #[test]

@@ -305,151 +305,12 @@ impl SecureNetwork {
         self.engine.index_bytes()
     }
 
-    /// Multi-tuple shipment frames sent so far (also reported at fixpoint
-    /// as `RunMetrics::frames`).  Each frame is signed and verified once,
-    /// however many tuples it carries; with `batch_window = 0` every frame
-    /// holds exactly one tuple.
-    pub fn frames(&self) -> u64 {
-        self.engine.metrics().frames
-    }
-
-    /// Tuples shipped inside frames so far, after in-frame deduplication
-    /// (also reported at fixpoint as `RunMetrics::batched_tuples`).
-    pub fn batched_tuples(&self) -> u64 {
-        self.engine.metrics().batched_tuples
-    }
-
-    /// Mean shipment-frame occupancy so far: tuples per signed frame — how
-    /// far each message header, signature and verification is amortised.
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        self.engine.metrics().mean_batch_occupancy()
-    }
-
-    /// RSA private-key exponentiations so far (also reported at fixpoint as
-    /// `RunMetrics::rsa_sign_ops`): one per frame at the `Rsa` `says` level,
-    /// one per key-establishment handshake at the `Session` level.
-    pub fn rsa_sign_ops(&self) -> u64 {
-        self.engine.metrics().rsa_sign_ops
-    }
-
-    /// RSA public-key exponentiations so far (also reported at fixpoint as
-    /// `RunMetrics::rsa_verify_ops`).
-    pub fn rsa_verify_ops(&self) -> u64 {
-        self.engine.metrics().rsa_verify_ops
-    }
-
-    /// HMAC-SHA-256 computations so far (also reported at fixpoint as
-    /// `RunMetrics::hmac_ops`): frame MACs and verifications at the `Hmac`
-    /// and `Session` levels plus per-handshake session-key derivations.
-    pub fn hmac_ops(&self) -> u64 {
-        self.engine.metrics().hmac_ops
-    }
-
-    /// Session-channel handshakes performed so far (also reported at
-    /// fixpoint as `RunMetrics::handshakes`): one per live directed link,
-    /// plus rebinds after channel expiry.
-    pub fn handshakes(&self) -> u64 {
-        self.engine.metrics().handshakes
-    }
-
-    /// Coalesced handshake-verification windows dispatched at receivers
-    /// (also reported at fixpoint as `RunMetrics::handshake_batches`):
-    /// same-instant handshakes to one node share a single CPU charge, so
-    /// this is at most [`SecureNetwork::handshakes`].
-    pub fn handshake_batches(&self) -> u64 {
-        self.engine.metrics().handshake_batches
-    }
-
-    /// Scripted churn events processed so far (also reported at fixpoint
-    /// as `RunMetrics::churn_events`).
-    pub fn churn_events(&self) -> u64 {
-        self.engine.metrics().churn_events
-    }
-
-    /// Frames the fault plan dropped so far, counting every failed attempt
-    /// (also reported at fixpoint as `RunMetrics::frames_dropped`).  Zero
-    /// on reliable runs.
-    pub fn frames_dropped(&self) -> u64 {
-        self.engine.metrics().frames_dropped
-    }
-
-    /// Frames the fault plan delivered twice so far (also reported at
-    /// fixpoint as `RunMetrics::frames_duplicated`); the receiver's
-    /// sequence cursor deduplicates them before evaluation.
-    pub fn frames_duplicated(&self) -> u64 {
-        self.engine.metrics().frames_duplicated
-    }
-
-    /// Retransmission timer firings so far (also reported at fixpoint as
-    /// `RunMetrics::retransmits`): each re-offers one unacknowledged frame
-    /// to the fault plan at the next attempt number.
-    pub fn retransmits(&self) -> u64 {
-        self.engine.metrics().retransmits
-    }
-
-    /// Cumulative acknowledgement frames sent so far (also reported at
-    /// fixpoint as `RunMetrics::acks`); coalesced per link, charged on the
-    /// wire dst → src.
-    pub fn acks(&self) -> u64 {
-        self.engine.metrics().acks
-    }
-
-    /// Exponential-backoff escalations so far — retransmission attempts
-    /// beyond a frame's first (also reported at fixpoint as
-    /// `RunMetrics::backoff_events`).
-    pub fn backoff_events(&self) -> u64 {
-        self.engine.metrics().backoff_events
-    }
-
-    /// Worst per-frame retransmission count observed (also reported at
-    /// fixpoint as `RunMetrics::max_retransmit_per_frame`); bounded by the
-    /// engine's retry budget.
-    pub fn max_retransmit_per_frame(&self) -> u64 {
-        self.engine.metrics().max_retransmit_per_frame
-    }
-
-    /// Tuples removed by provenance-guided deletion so far — retraction
-    /// cascades, scheduled TTL expiry, node failures and the well-founded
-    /// sweep (also reported at fixpoint as `RunMetrics::retractions`).
-    pub fn retractions(&self) -> u64 {
-        self.engine.metrics().retractions
-    }
-
-    /// Fresh re-derivations of previously retracted tuples so far (also
-    /// reported at fixpoint as `RunMetrics::rederivations`).
-    pub fn rederivations(&self) -> u64 {
-        self.engine.metrics().rederivations
-    }
-
-    /// Tombstone (retraction) frames shipped between nodes so far (also
-    /// reported at fixpoint as `RunMetrics::tombstone_frames`).
-    pub fn tombstone_frames(&self) -> u64 {
-        self.engine.metrics().tombstone_frames
-    }
-
-    /// Size of the evaluation worker pool the last run was configured with
-    /// (1 = the sequential schedule; also `RunMetrics::worker_threads`).
-    pub fn worker_threads(&self) -> u64 {
-        self.engine.metrics().worker_threads
-    }
-
-    /// Node partitions the worker pool sharded the deployment into (also
-    /// reported at fixpoint as `RunMetrics::partitions`).
-    pub fn partitions(&self) -> u64 {
-        self.engine.metrics().partitions
-    }
-
-    /// Shipment frames whose sender and receiver lived on different
-    /// partitions — the pool's mailbox traffic (also reported at fixpoint
-    /// as `RunMetrics::cross_partition_frames`).
-    pub fn cross_partition_frames(&self) -> u64 {
-        self.engine.metrics().cross_partition_frames
-    }
-
-    /// Largest same-instant work slice any single partition drained (also
-    /// reported at fixpoint as `RunMetrics::max_partition_queue`).
-    pub fn max_partition_queue(&self) -> u64 {
-        self.engine.metrics().max_partition_queue
+    /// Every counter and gauge collected so far (the value
+    /// [`SecureNetwork::run`] returns at fixpoint): frames and batch
+    /// occupancy, crypto operations, churn and retraction counts, transport
+    /// faults, worker-pool layout.
+    pub fn metrics(&self) -> &RunMetrics {
+        self.engine.metrics()
     }
 }
 
@@ -488,11 +349,10 @@ mod tests {
         assert_eq!(metrics.index_bytes, net.index_bytes());
         // Frame gauges: per-tuple mode ships one-tuple frames, one per
         // message, and the facade mirrors the fixpoint counters.
-        assert_eq!(net.frames(), metrics.messages);
-        assert_eq!(net.batched_tuples(), metrics.messages);
-        assert_eq!(net.mean_batch_occupancy(), 1.0);
-        assert_eq!(metrics.frames, net.frames());
-        assert_eq!(metrics.batched_tuples, net.batched_tuples());
+        assert_eq!(metrics.frames, metrics.messages);
+        assert_eq!(metrics.batched_tuples, metrics.messages);
+        assert_eq!(metrics.mean_batch_occupancy(), 1.0);
+        assert_eq!(net.metrics(), &metrics);
     }
 
     #[test]
@@ -514,7 +374,7 @@ mod tests {
         assert_eq!(metrics.signatures, metrics.frames);
         assert_eq!(metrics.verifications, metrics.frames);
         assert!(metrics.frames < baseline.messages);
-        assert!(batched.mean_batch_occupancy() > 1.0);
+        assert!(metrics.mean_batch_occupancy() > 1.0);
         // The fixpoint is unchanged: same reachability closure everywhere.
         for loc in batched.engine().locations().to_vec() {
             assert_eq!(batched.query(&loc, "reachable").len(), 6);
@@ -540,22 +400,18 @@ mod tests {
         // RSA collapses to one sign/verify per live directed link (a 6-ring
         // ships over 12: each link carries data and reply-direction
         // exports); every frame rides an HMAC instead.
-        assert_eq!(session.handshakes(), 12);
-        assert_eq!(session.rsa_sign_ops(), session.handshakes());
-        assert_eq!(session.rsa_verify_ops(), session.handshakes());
-        assert!(session.rsa_sign_ops() < baseline.rsa_sign_ops);
-        assert!(session.hmac_ops() > 0);
+        assert_eq!(m.handshakes, 12);
+        assert_eq!(m.rsa_sign_ops, m.handshakes);
+        assert_eq!(m.rsa_verify_ops, m.handshakes);
+        assert!(m.rsa_sign_ops < baseline.rsa_sign_ops);
+        assert!(m.hmac_ops > 0);
         assert_eq!(baseline.hmac_ops, 0);
         // The facade mirrors the fixpoint metrics.
-        assert_eq!(m.rsa_sign_ops, session.rsa_sign_ops());
-        assert_eq!(m.rsa_verify_ops, session.rsa_verify_ops());
-        assert_eq!(m.hmac_ops, session.hmac_ops());
-        assert_eq!(m.handshakes, session.handshakes());
+        assert_eq!(session.metrics(), &m);
         // Same-instant handshake deliveries coalesce into shared CPU
         // windows at the receivers — never more windows than handshakes.
-        assert_eq!(m.handshake_batches, session.handshake_batches());
-        assert!(session.handshake_batches() >= 1);
-        assert!(session.handshake_batches() <= session.handshakes());
+        assert!(m.handshake_batches >= 1);
+        assert!(m.handshake_batches <= m.handshakes);
         // The frame stream and fixpoint are the Rsa level's, bit for bit.
         assert_eq!(m.frames, baseline.frames);
         assert_eq!(m.batched_tuples, baseline.batched_tuples);
@@ -589,14 +445,11 @@ mod tests {
             assert_eq!(churned.query(&loc, "reachable").len(), 5);
         }
         // The facade mirrors the dynamics counters.
-        assert_eq!(churned.churn_events(), 2);
-        assert_eq!(metrics.churn_events, churned.churn_events());
-        assert!(churned.retractions() > 0);
-        assert!(churned.rederivations() > 0);
-        assert!(churned.tombstone_frames() > 0);
-        assert_eq!(metrics.retractions, churned.retractions());
-        assert_eq!(metrics.rederivations, churned.rederivations());
-        assert_eq!(metrics.tombstone_frames, churned.tombstone_frames());
+        assert_eq!(churned.metrics(), &metrics);
+        assert_eq!(metrics.churn_events, 2);
+        assert!(metrics.retractions > 0);
+        assert!(metrics.rederivations > 0);
+        assert!(metrics.tombstone_frames > 0);
         assert_eq!(metrics.verification_failures, 0);
     }
 

@@ -62,16 +62,15 @@ pub const DEFAULT_MAX_BATCH_TUPLES: usize = 64;
 /// single frames.
 pub const DEFAULT_BATCH_WINDOW_US: u64 = 1_000;
 
-/// Default retry budget of the reliability layer: how many delivery
-/// attempts one frame gets before the engine gives up and reconciles it
-/// like a cut-link casualty.  Kept above every sane
-/// [`FaultPlan::max_consecutive_drops`] so the budget is unreachable on a
-/// live link.
+/// Retry budget of the reliability layer: how many delivery attempts one
+/// frame gets before the engine gives up and reconciles it like a cut-link
+/// casualty.  Kept above every sane [`FaultPlan::max_consecutive_drops`],
+/// so only a plan whose loss bursts outlast it exhausts the budget.
 pub const DEFAULT_RETRY_BUDGET: u32 = 8;
 
-/// Default base retransmission timeout (µs of simulated time) — roughly a
-/// round trip of the paper's cost model; doubled on every further attempt
-/// for the same frame (exponential backoff).
+/// Base retransmission timeout of the reliability layer (µs of simulated
+/// time) — roughly a round trip of the paper's cost model; attempt `n`
+/// waits `rto << min(n, 6)` (exponential backoff).
 pub const DEFAULT_RETRANSMIT_RTO_US: u64 = 20_000;
 
 /// Full engine configuration.
@@ -160,13 +159,6 @@ pub struct EngineConfig {
     /// exponential backoff — and the network-dynamics machinery.  `None`
     /// (the default) is today's reliable in-order transport, byte for byte.
     pub fault_plan: Option<FaultPlan>,
-    /// Delivery attempts one frame gets before the reliability layer stops
-    /// retransmitting and reconciles it like a cut-link casualty (only
-    /// meaningful with a [`EngineConfig::fault_plan`]).
-    pub retry_budget: u32,
-    /// Base retransmission timeout in µs of simulated time; attempt `n`
-    /// waits `rto << min(n, 6)` (exponential backoff).
-    pub retransmit_rto_us: u64,
     /// Worker threads for parallel sharded evaluation.  Nodes are partitioned
     /// `node_id % workers`; same-instant waves of independent deliveries are
     /// fanned out to the pool and their effects merged back in deterministic
@@ -212,8 +204,6 @@ impl EngineConfig {
             channel_rebind_frames: pasn_crypto::channel::DEFAULT_REBIND_AFTER_FRAMES,
             dynamics: false,
             fault_plan: None,
-            retry_budget: DEFAULT_RETRY_BUDGET,
-            retransmit_rto_us: DEFAULT_RETRANSMIT_RTO_US,
             workers: env_workers().unwrap_or(1),
             trace: None,
         }
@@ -314,20 +304,6 @@ impl EngineConfig {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan.with_env_seed());
         self.dynamics = true;
-        self
-    }
-
-    /// Builder: sets the reliability layer's per-frame retry budget
-    /// (clamped to at least one attempt).
-    pub fn with_retry_budget(mut self, budget: u32) -> Self {
-        self.retry_budget = budget.max(1);
-        self
-    }
-
-    /// Builder: sets the base retransmission timeout in µs of simulated
-    /// time (clamped to at least 1 µs).
-    pub fn with_retransmit_rto_us(mut self, rto_us: u64) -> Self {
-        self.retransmit_rto_us = rto_us.max(1);
         self
     }
 
@@ -503,15 +479,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_builder_arms_dynamics_and_clamps_knobs() {
+    fn fault_plan_builder_arms_dynamics() {
         let cfg = EngineConfig::sendlog_session().with_fault_plan(FaultPlan::new(7));
         assert!(cfg.dynamics, "reconciliation needs the deletion ledger");
         assert!(cfg.fault_plan.is_some());
-        assert_eq!(cfg.retry_budget, DEFAULT_RETRY_BUDGET);
-        assert_eq!(cfg.retransmit_rto_us, DEFAULT_RETRANSMIT_RTO_US);
-        let cfg = cfg.with_retry_budget(0).with_retransmit_rto_us(0);
-        assert_eq!(cfg.retry_budget, 1);
-        assert_eq!(cfg.retransmit_rto_us, 1);
     }
 
     #[test]

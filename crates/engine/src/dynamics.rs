@@ -33,7 +33,7 @@
 
 use crate::tuple::Tuple;
 use pasn_datalog::{AggFunc, PredId, Value};
-use pasn_net::SimTime;
+use pasn_net::{NodeId, SimTime};
 use pasn_provenance::ProvTag;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -220,7 +220,7 @@ impl ChurnScript {
 pub(crate) type Contribution = (bool, ProvTag);
 
 /// Identity of a firing's head tuple: `(destination, predicate, row)`.
-pub(crate) type HeadKey = (Value, PredId, Arc<[Value]>);
+pub(crate) type HeadKey = (NodeId, PredId, Arc<[Value]>);
 
 /// A base-asserted row: predicate plus shared values.
 pub(crate) type BaseRow = (PredId, Arc<[Value]>);
@@ -252,8 +252,8 @@ pub(crate) struct SupportEntry {
 /// the stale-best-on-deletion limitation.
 #[derive(Clone, Debug)]
 pub(crate) struct AggFiring {
-    /// Rule label — first component of the group key.
-    pub label: String,
+    /// Engine-interned rule id — first component of the group key.
+    pub rule: u32,
     /// Grouping columns (the head row minus the aggregated column).
     pub group: Vec<Value>,
     /// The candidate's aggregate value.
@@ -274,7 +274,7 @@ pub(crate) struct FiringRecord {
     /// withdrawn — exactly once, however many of its antecedents die).
     pub alive: bool,
     /// Node the head tuple was routed to.
-    pub dest: Value,
+    pub dest: NodeId,
     /// Head predicate.
     pub pred: PredId,
     /// Head row.

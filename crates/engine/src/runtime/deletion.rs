@@ -1,0 +1,711 @@
+//! Network dynamics and provenance-guided deletion: scripted churn,
+//! scheduled TTL expiry, retraction cascades through the per-node ledgers,
+//! aggregate re-election and the well-founded reconciliation sweep.
+//!
+//! Dynamics work stays on the engine: it is inherently engine-global (it
+//! walks multiple nodes, reschedules queue work and raises the sweep flag)
+//! and never enters a parallel wave.
+
+use super::queue::{BatchRow, Polarity, QueuedWork};
+use super::{ix, node_ids, principal_of, DistributedEngine, EngineError};
+use crate::config::GraphMode;
+use crate::dynamics::{BaseRow, ChurnEvent, HeadKey};
+use crate::tuple::{self, Tuple};
+use pasn_datalog::{AggFunc, PredId, Value};
+use pasn_net::{NodeId, SimTime};
+use pasn_provenance::{ProvTag, ProvenanceKind};
+use pasn_trace::TraceEventKind;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
+
+/// Engine-global dynamics state (the per-node part is each node's ledger).
+#[derive(Default)]
+pub(super) struct DeletionState {
+    /// Distinct `(node, instant)` expiry sweeps already scheduled.
+    scheduled_expiries: HashSet<(NodeId, u64)>,
+    /// Base tuples withdrawn by node failures and crashes, kept for rejoin.
+    failed_nodes: HashMap<NodeId, Vec<BaseRow>>,
+    /// Set when any row was removed; cleared by the well-founded sweep that
+    /// runs when the queue drains (recursive self-support cleanup).
+    needs_sweep: bool,
+}
+
+impl DistributedEngine {
+    /// Schedules one TTL expiry sweep of `node` at `at` (deduplicated per
+    /// distinct instant, so a thousand tuples expiring together cost one
+    /// queue entry).
+    pub(super) fn schedule_expiry(&mut self, node: NodeId, at: SimTime) {
+        if self
+            .deletion
+            .scheduled_expiries
+            .insert((node, at.as_micros()))
+        {
+            self.queue.push(at, QueuedWork::Expire { node });
+        }
+    }
+
+    /// Scheduled TTL expiry: every row at `loc` whose lifetime has passed
+    /// dies *now*, mid-run — removed from the store and cascaded through
+    /// the deletion ledger exactly like a retraction (rows whose TTL was
+    /// refreshed since scheduling are naturally skipped).
+    pub(super) fn process_expiry(&mut self, at: SimTime, loc: NodeId) {
+        self.deletion
+            .scheduled_expiries
+            .remove(&(loc, at.as_micros()));
+        let expired = self.nodes[ix(loc)].store.take_expired(at);
+        if expired.is_empty() {
+            return;
+        }
+        let rows = expired.len() as u32;
+        self.trace_event(at, TraceEventKind::Expiry { node: loc.0, rows });
+        let cost = expired.len() as u64 * self.shared.config.cost_model.tuple_process_us;
+        let done = self.charge(loc, at, cost);
+        for (pred, seq, values, meta) in expired {
+            // Expiry wipes the row outright (force): upstream contributions
+            // die with it rather than decrementing one by one.
+            self.settle_removed(
+                loc,
+                pred,
+                seq,
+                values,
+                meta.created_at,
+                "expired",
+                done,
+                true,
+                None,
+            );
+        }
+    }
+
+    /// Applies one scripted churn event at its scheduled time.  Location
+    /// values are resolved here, once, at the boundary.
+    pub(super) fn process_churn(
+        &mut self,
+        at: SimTime,
+        event: ChurnEvent,
+    ) -> Result<(), EngineError> {
+        self.metrics.churn_events += 1;
+        if self.recorder.is_some() {
+            let (kind, subject) = match &event {
+                ChurnEvent::LinkUp { src, dst, .. } => ("link-up", format!("{src}->{dst}")),
+                ChurnEvent::LinkDown { src, dst } => ("link-down", format!("{src}->{dst}")),
+                ChurnEvent::LinkCut { src, dst } => ("link-cut", format!("{src}->{dst}")),
+                ChurnEvent::NodeCrash { node } => ("node-crash", node.to_string()),
+                ChurnEvent::NodeFail { node } => ("node-fail", node.to_string()),
+                ChurnEvent::NodeRejoin { node } => ("node-rejoin", node.to_string()),
+                ChurnEvent::Insert { location, tuple } => {
+                    ("insert", format!("{location} {}", tuple.predicate))
+                }
+                ChurnEvent::Retract { location, tuple } => {
+                    ("retract", format!("{location} {}", tuple.predicate))
+                }
+                ChurnEvent::Refresh { location, tuple } => {
+                    ("refresh", format!("{location} {}", tuple.predicate))
+                }
+            };
+            let kind = kind.to_string();
+            self.trace_event(at, TraceEventKind::Churn { kind, subject });
+        }
+        match event {
+            ChurnEvent::Insert { location, tuple } => {
+                self.insert_fact_at(location, tuple, at)?;
+            }
+            ChurnEvent::LinkUp { src, dst, cost } => {
+                let mut values = vec![src.clone(), dst];
+                values.extend(cost.map(Value::Int));
+                self.insert_fact_at(src, Tuple::new("link", values), at)?;
+            }
+            ChurnEvent::LinkDown { src, dst } => {
+                let src_id = self.resolve(&src)?;
+                // Channel teardown is scheduled (graceful): it lands after
+                // the link's in-flight frames — including this retraction's
+                // own tombstones — have drained.
+                if let Some(&dst_id) = self.shared.directory.get(&dst) {
+                    self.schedule_channel_eviction(at, src_id, dst_id);
+                }
+                self.retract_links(src_id, &src, &dst, "retracted", at);
+            }
+            ChurnEvent::LinkCut { src, dst } => {
+                let src_id = self.resolve(&src)?;
+                // Crash-style cut: in-flight frames die *now* (reconciled
+                // against the ledger) and the channel is evicted without
+                // drain — unlike LinkDown's graceful teardown above.
+                if let Some(&dst_id) = self.shared.directory.get(&dst) {
+                    self.cut_link_transport(at, src_id, dst_id);
+                }
+                self.retract_links(src_id, &src, &dst, "link-cut", at);
+            }
+            ChurnEvent::NodeFail { node } => {
+                let id = self.resolve(&node)?;
+                let base = self.remember_base_rows(id);
+                for peer in node_ids(self.nodes.len()).filter(|&peer| peer != id) {
+                    self.schedule_channel_eviction(at, id, peer);
+                    self.schedule_channel_eviction(at, peer, id);
+                }
+                for (pred, values) in base {
+                    self.retract_row(id, pred, &values, None, true, "node-failed", at);
+                }
+            }
+            ChurnEvent::NodeCrash { node } => {
+                let id = self.resolve(&node)?;
+                // Crash without drain: every frame in the air to or from the
+                // node dies and is reconciled, every adjacent channel is
+                // evicted immediately, then the node's base tuples are
+                // force-retracted exactly like NodeFail (so NodeRejoin can
+                // restore them).
+                for peer in node_ids(self.nodes.len()).filter(|&peer| peer != id) {
+                    self.cut_link_transport(at, id, peer);
+                    self.cut_link_transport(at, peer, id);
+                }
+                for (pred, values) in self.remember_base_rows(id) {
+                    self.retract_row(id, pred, &values, None, true, "node-crashed", at);
+                }
+            }
+            ChurnEvent::NodeRejoin { node } => {
+                let id = self.resolve(&node)?;
+                for (pred, values) in self.deletion.failed_nodes.remove(&id).unwrap_or_default() {
+                    let location_index = values.iter().position(|v| *v == node);
+                    let row =
+                        BatchRow::base(values, node.clone(), principal_of(id), location_index);
+                    self.enqueue_local(at, id, pred, row, Polarity::Assert);
+                }
+            }
+            ChurnEvent::Retract { location, tuple } => {
+                let id = self.resolve(&location)?;
+                let pred = self.shared.symbols.intern(&tuple.predicate);
+                let values: Arc<[Value]> = Arc::from(tuple.values);
+                self.retract_row(id, pred, &values, None, false, "retracted", at);
+            }
+            ChurnEvent::Refresh { location, tuple } => {
+                let id = self.resolve(&location)?;
+                if let Some(ttl) = self.shared.config.default_ttl_us {
+                    let expires = SimTime::from_micros(at.as_micros() + ttl);
+                    let store = &mut self.nodes[ix(id)].store;
+                    let refreshed = store.pred_id(&tuple.predicate).is_some_and(|pred| {
+                        store.refresh_row_ttl(pred, &tuple.values, Some(expires))
+                    });
+                    if refreshed {
+                        self.schedule_expiry(id, expires);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Retracts every `link(src, dst, ...)` base tuple stored at `src`.
+    fn retract_links(
+        &mut self,
+        at_node: NodeId,
+        src: &Value,
+        dst: &Value,
+        reason: &str,
+        at: SimTime,
+    ) {
+        let store = &self.nodes[ix(at_node)].store;
+        let Some(pred) = store.pred_id("link") else {
+            return;
+        };
+        let victims: Vec<Arc<[Value]>> = store
+            .scan_ordered_rows(pred)
+            .filter(|(v, _)| v.first() == Some(src) && v.get(1) == Some(dst))
+            .map(|(v, _)| v.clone())
+            .collect();
+        for values in victims {
+            self.retract_row(at_node, pred, &values, None, false, reason, at);
+        }
+    }
+
+    /// A failing node's base rows in insertion order, remembered for its
+    /// rejoin.
+    fn remember_base_rows(&mut self, id: NodeId) -> Vec<BaseRow> {
+        let mut base: Vec<(u64, BaseRow)> = self.nodes[ix(id)]
+            .ledger
+            .base_rows
+            .iter()
+            .map(|(seq, row)| (*seq, row.clone()))
+            .collect();
+        base.sort_unstable_by_key(|(seq, _)| *seq);
+        let base: Vec<BaseRow> = base.into_iter().map(|(_, row)| row).collect();
+        self.deletion.failed_nodes.insert(id, base.clone());
+        base
+    }
+
+    /// Takes the pending sweep request raised by row removals since the
+    /// last sweep.
+    pub(super) fn take_sweep_request(&mut self) -> bool {
+        std::mem::take(&mut self.deletion.needs_sweep)
+    }
+
+    /// Silences the sender-side firing that produced one row of a dead
+    /// assert frame (preferring an exact tag match among the alive firings
+    /// of that head).  Dynamics runs never dedup shipment rows, so rows and
+    /// firings correspond one to one.  A dead aggregate candidate
+    /// additionally leaves its group's competition and triggers a
+    /// re-election — the surviving topology's best must still reach the
+    /// destination.
+    pub(super) fn silence_dead_row(
+        &mut self,
+        src: NodeId,
+        dest: NodeId,
+        pred: PredId,
+        values: &Arc<[Value]>,
+        tag: &ProvTag,
+        now: SimTime,
+    ) {
+        let ledger = &mut self.nodes[ix(src)].ledger;
+        let Some(ids) = ledger.by_head.get(&(dest, pred, values.clone())) else {
+            return;
+        };
+        let alive = |exact: bool| {
+            ids.iter().copied().find(|&i| {
+                let f = &ledger.firings[i as usize];
+                f.alive && (!exact || f.tag == *tag)
+            })
+        };
+        let Some(idx) = alive(true).or_else(|| alive(false)) else {
+            return;
+        };
+        ledger.firings[idx as usize].alive = false;
+        if ledger.firings[idx as usize].agg.is_some() {
+            self.settle_agg_kill(src, idx, now, false, true, None);
+        }
+    }
+
+    /// Withdraws one contribution of the row holding `values` at `loc` (or,
+    /// with `force`, wipes the row outright).  A tuple with remaining
+    /// alternative derivations survives with its tag recomputed as the
+    /// semiring sum of the surviving contributions; an unsupported tuple is
+    /// removed and its recorded firings cascade as deletions.  A retraction
+    /// whose row is absent is a no-op: per-link FIFO delivery plus the
+    /// queue's polarity rank guarantee a tombstone never precedes its
+    /// assertion, so an absent row was force-killed (expiry, node failure,
+    /// sweep) and the withdrawn contribution already died with it.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn retract_row(
+        &mut self,
+        loc: NodeId,
+        pred: PredId,
+        values: &Arc<[Value]>,
+        tag: Option<&ProvTag>,
+        force: bool,
+        reason: &str,
+        now: SimTime,
+    ) {
+        let node = &mut self.nodes[ix(loc)];
+        let Some(seq) = node.store.seq_of(pred, values) else {
+            return;
+        };
+        let entry = node
+            .ledger
+            .supports
+            .get_mut(&seq)
+            .expect("dynamics records every live row");
+        if !force && entry.count > 1 {
+            // Alternative derivations survive: consume the withdrawn
+            // contribution and recompute the tag from the remainder —
+            // exactly what the semiring sum of the surviving derivation
+            // events yields (a DerivationCount tag literally decrements).
+            // A tombstone (tag supplied) always withdraws a *firing*
+            // contribution, never a base assertion — matching the tag
+            // alone could hit a base entry with an equal tag (all tags are
+            // `ProvTag::None` without semiring provenance) and silently
+            // destroy base support.  Tag-less (scripted) retractions
+            // conversely prefer base contributions.
+            entry.count -= 1;
+            let pos = match tag {
+                Some(tag) => entry
+                    .tags
+                    .iter()
+                    .position(|(is_base, t)| !*is_base && t == tag)
+                    .or_else(|| entry.tags.iter().rposition(|(is_base, _)| !*is_base))
+                    .unwrap_or(entry.tags.len() - 1),
+                None => entry
+                    .tags
+                    .iter()
+                    .position(|(is_base, _)| *is_base)
+                    .unwrap_or(entry.tags.len() - 1),
+            };
+            let (was_base, _) = entry.tags.remove(pos);
+            if was_base {
+                entry.base_count -= 1;
+                if entry.base_count == 0 {
+                    node.ledger.base_rows.remove(&seq);
+                }
+                // Withdrawing base support without removing the row can
+                // strand a recursion island (the tuple now rests purely on
+                // firings that may form a cycle): the well-founded sweep
+                // must check once the wave drains.
+                self.deletion.needs_sweep = true;
+            }
+            if self.shared.config.provenance != ProvenanceKind::None && !entry.tags.is_empty() {
+                let mut merged = entry.tags[0].1.clone();
+                for (_, t) in &entry.tags[1..] {
+                    merged = merged.plus(t, &mut self.var_table);
+                    self.metrics.provenance_ops += 1;
+                }
+                node.store.set_tag(pred, seq, merged);
+            }
+            return;
+        }
+        let Some((values, meta)) = node.store.remove_by_seq(pred, seq) else {
+            return;
+        };
+        self.settle_removed(
+            loc,
+            pred,
+            seq,
+            values,
+            meta.created_at,
+            reason,
+            now,
+            force,
+            None,
+        );
+    }
+
+    /// Bookkeeping shared by every removal path (retraction, expiry, node
+    /// failure, sweep): settle the ledger, prune the online provenance
+    /// graph, stamp the offline archive, and withdraw the dead row's
+    /// recorded firings — locally or as tombstone frames.  `suppress` drops
+    /// routes into heads the caller is deleting itself (the sweep's
+    /// zombie-to-zombie edges).
+    #[allow(clippy::too_many_arguments)]
+    fn settle_removed(
+        &mut self,
+        loc: NodeId,
+        pred: PredId,
+        seq: u64,
+        values: Arc<[Value]>,
+        created_at: SimTime,
+        reason: &str,
+        now: SimTime,
+        force: bool,
+        suppress: Option<&HashSet<HeadKey>>,
+    ) {
+        let graph_mode = self.shared.config.graph_mode;
+        let archive_offline = self.shared.config.archive_offline;
+        let pred_name = self.shared.symbols.name(pred).unwrap_or("?").to_string();
+        if self.recorder.is_some() {
+            let retraction = TraceEventKind::Retraction {
+                node: loc.0,
+                pred: pred_name.clone(),
+                reason: reason.to_string(),
+            };
+            self.trace_event(now, retraction);
+        }
+        let mut routes = Vec::new();
+        let mut agg_kills: Vec<u32> = Vec::new();
+        {
+            let node = &mut self.nodes[ix(loc)];
+            let entry = node.ledger.supports.remove(&seq);
+            node.ledger.base_rows.remove(&seq);
+            node.ledger.retracted.insert((pred, values.clone()));
+            if graph_mode != GraphMode::None || archive_offline {
+                let loc_idx = entry.as_ref().and_then(|e| e.location_index);
+                let key = tuple::render_located_parts(&pred_name, &values, loc_idx);
+                if graph_mode != GraphMode::None {
+                    node.local_prov.graph_mut().retract(&key);
+                }
+                if archive_offline {
+                    node.archive.record_expiry(
+                        &key,
+                        &self.shared.locations[ix(loc)].to_string(),
+                        reason,
+                        created_at.as_micros(),
+                        now.as_micros(),
+                    );
+                }
+            }
+            if let Some(firing_ids) = node.ledger.by_antecedent.remove(&seq) {
+                for idx in firing_ids {
+                    let firing = &mut node.ledger.firings[idx as usize];
+                    if firing.alive {
+                        firing.alive = false;
+                        if firing.agg.is_some() {
+                            // Aggregate candidates withdraw through group
+                            // re-election, not directly: only the emitted
+                            // best was ever visible downstream.
+                            agg_kills.push(idx);
+                        } else {
+                            routes.push((
+                                (firing.dest, firing.pred, firing.values.clone()),
+                                firing.tag.clone(),
+                                firing.location_index,
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        self.metrics.retractions += 1;
+        self.deletion.needs_sweep = true;
+        self.charge_compaction(loc, now);
+        if force {
+            // The row was wiped, not decremented to zero: alive upstream
+            // firings whose contribution died with it must fall silent, or
+            // their own later death would send a tombstone cancelling a
+            // future legitimate re-derivation.
+            self.silence_upstream(loc, pred, &values, now);
+        }
+        for idx in agg_kills {
+            self.settle_agg_kill(loc, idx, now, true, true, suppress);
+        }
+        for (head, rtag, ridx) in routes {
+            if !suppress.is_some_and(|s| s.contains(&head)) {
+                self.route_row(loc, head, rtag, ridx, Polarity::Retract, now);
+            }
+        }
+    }
+
+    /// Charges any lazy-compaction debt the node's store accumulated while
+    /// removing rows to the *owning node's* CPU lane (not the global
+    /// clock): the walked seq-list entries are that node's housekeeping,
+    /// and on parallel runs they must delay only its own partition.
+    fn charge_compaction(&mut self, loc: NodeId, now: SimTime) {
+        let walked = self.nodes[ix(loc)].store.take_compaction_debt();
+        if walked == 0 {
+            return;
+        }
+        self.metrics.compaction_walked += walked;
+        let cost = (walked as f64 * self.shared.config.cost_model.compact_entry_us).round() as u64;
+        if cost > 0 {
+            self.charge(loc, now, cost);
+        }
+    }
+
+    /// Marks every alive firing (at any node) whose head is the force-killed
+    /// row as dead, without withdrawing anything — its contribution was
+    /// wiped together with the row.  Dead aggregate candidates still leave
+    /// their group's competition (no withdrawal, no re-election: the head
+    /// was wiped with its store, and a later re-derivation re-opens the
+    /// group from scratch).
+    fn silence_upstream(
+        &mut self,
+        dest: NodeId,
+        pred: PredId,
+        values: &Arc<[Value]>,
+        now: SimTime,
+    ) {
+        let key = (dest, pred, values.clone());
+        for loc in node_ids(self.nodes.len()) {
+            let mut agg_kills: Vec<u32> = Vec::new();
+            let ledger = &mut self.nodes[ix(loc)].ledger;
+            if let Some(ids) = ledger.by_head.remove(&key) {
+                for idx in ids {
+                    let firing = &mut ledger.firings[idx as usize];
+                    if firing.alive && firing.agg.is_some() {
+                        agg_kills.push(idx);
+                    }
+                    firing.alive = false;
+                }
+            }
+            for idx in agg_kills {
+                self.settle_agg_kill(loc, idx, now, false, false, None);
+            }
+        }
+    }
+
+    /// Settles the death of one aggregate-candidate firing at `loc`: the
+    /// candidate leaves its group's multiset, and — only if it was the
+    /// emitted best, with no tied twin left defending the value — the stale
+    /// best is withdrawn downstream (`route_withdrawal`) and the surviving
+    /// next-best, if any, is re-elected and re-emitted (`reelect`).  This
+    /// is the fix for the stale-best-on-deletion bug: retracting the tuple
+    /// that carried the current `a_MIN`/`a_MAX` winner now converges to the
+    /// surviving candidates' best instead of freezing the dead one.
+    /// `suppress` drops the withdrawal into heads the caller is deleting
+    /// itself (the sweep's zombie-to-zombie edges).
+    fn settle_agg_kill(
+        &mut self,
+        loc: NodeId,
+        idx: u32,
+        now: SimTime,
+        route_withdrawal: bool,
+        reelect: bool,
+        suppress: Option<&HashSet<HeadKey>>,
+    ) {
+        let node = &mut self.nodes[ix(loc)];
+        let firing = &node.ledger.firings[idx as usize];
+        let (dest, pred, location_index) = (firing.dest, firing.pred, firing.location_index);
+        let agg = firing.agg.clone().expect("aggregate firing");
+        let key = (agg.rule, agg.group);
+        let Some(group) = node.aggs.get_mut(&key) else {
+            return;
+        };
+        let mut value_emptied = false;
+        if let Some(tags) = group.candidates.get_mut(&agg.value) {
+            match tags.iter().position(|t| *t == firing.tag) {
+                Some(pos) => drop(tags.remove(pos)),
+                None => drop(tags.pop()),
+            }
+            if tags.is_empty() {
+                group.candidates.remove(&agg.value);
+                value_emptied = true;
+            }
+        }
+        let emitted = match &group.emitted {
+            // The emitted best died with no tied twin left defending it.
+            Some((value, _)) if *value == agg.value && value_emptied => group.emitted.take(),
+            // A losing candidate died, or a tied twin of the emitted best
+            // still defends the value: the visible row stands.
+            _ => None,
+        };
+        let Some((emitted_value, emitted_tag)) = emitted else {
+            if group.candidates.is_empty() && group.emitted.is_none() {
+                node.aggs.remove(&key);
+            }
+            return;
+        };
+        let next_best = match agg.func {
+            AggFunc::Min => group.candidates.first_key_value(),
+            AggFunc::Max => group.candidates.last_key_value(),
+            AggFunc::Count | AggFunc::Sum => {
+                unreachable!("only Min/Max enter candidate competitions")
+            }
+        }
+        .map(|(value, tags)| (*value, tags[0].clone()))
+        .filter(|_| reelect);
+        group.best = next_best.as_ref().map(|(value, _)| *value);
+        group.emitted = next_best.clone();
+        if next_best.is_none() && group.candidates.is_empty() {
+            node.aggs.remove(&key);
+        }
+        let with_value = |value: i64| -> Arc<[Value]> {
+            let mut values = firing.values.to_vec();
+            values[agg.agg_index] = Value::Int(value);
+            Arc::from(values)
+        };
+        let withdrawn = (dest, pred, with_value(emitted_value));
+        let elected = next_best.map(|(value, tag)| ((dest, pred, with_value(value)), tag));
+        if route_withdrawal && !suppress.is_some_and(|s| s.contains(&withdrawn)) {
+            self.route_row(
+                loc,
+                withdrawn,
+                emitted_tag,
+                location_index,
+                Polarity::Retract,
+                now,
+            );
+        }
+        if let Some((head, tag)) = elected {
+            self.route_row(loc, head, tag, location_index, Polarity::Assert, now);
+        }
+    }
+
+    /// Routes one row derived at `src` — a withdrawn firing's deletion or a
+    /// re-elected aggregate best — to its head's node: appended to the open
+    /// local batch, or to the open shipment (tombstone) frame for remote
+    /// heads (signed once per frame over polarity-marked payloads, honest
+    /// wire accounting).
+    fn route_row(
+        &mut self,
+        src: NodeId,
+        (dest, pred, values): HeadKey,
+        tag: ProvTag,
+        location_index: Option<usize>,
+        polarity: Polarity,
+        now: SimTime,
+    ) {
+        let origin = self.shared.locations[ix(src)].clone();
+        let row = BatchRow::derived(values, tag, origin, principal_of(src), location_index);
+        if dest == src {
+            self.enqueue_local(now, dest, pred, row, polarity);
+        } else {
+            self.buffer_ship(now, src, dest, pred, row, polarity);
+        }
+    }
+
+    /// The reconciliation pass that closes support counting's recursion
+    /// hole: two tuples can keep each other alive through a cycle of
+    /// firings with no base support left (the classic counting-algorithm
+    /// limitation; cf. log-based reconciliation of replicated state).  Once
+    /// a retraction wave drains the queue, mark every row reachable from
+    /// base support through alive firings; unsupported survivors are
+    /// garbage-collected, with their alive firings' contributions withdrawn
+    /// from supported heads (zombie-to-zombie edges die silently, since
+    /// both ends are deleted here).
+    pub(super) fn well_founded_sweep(&mut self, now: SimTime) {
+        // Mark: seed with live rows holding base support, then propagate
+        // through alive firings whose antecedents are all supported.
+        let mut supported: Vec<HashSet<u64>> = vec![HashSet::new(); self.nodes.len()];
+        let mut work: VecDeque<(usize, u64)> = VecDeque::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let mut seeds: Vec<u64> = node
+                .ledger
+                .supports
+                .iter()
+                .filter(|(seq, entry)| {
+                    entry.base_count > 0 && node.store.row_by_seq(entry.pred, **seq).is_some()
+                })
+                .map(|(seq, _)| *seq)
+                .collect();
+            seeds.sort_unstable();
+            for seq in seeds {
+                supported[i].insert(seq);
+                work.push_back((i, seq));
+            }
+        }
+        while let Some((i, seq)) = work.pop_front() {
+            let ledger = &self.nodes[i].ledger;
+            let Some(ids) = ledger.by_antecedent.get(&seq) else {
+                continue;
+            };
+            for &idx in ids {
+                let firing = &ledger.firings[idx as usize];
+                if !firing.alive {
+                    continue;
+                }
+                if !firing.antecedents.iter().all(|a| supported[i].contains(a)) {
+                    continue;
+                }
+                let j = ix(firing.dest);
+                if let Some(head_seq) = self.nodes[j].store.seq_of(firing.pred, &firing.values) {
+                    if supported[j].insert(head_seq) {
+                        work.push_back((j, head_seq));
+                    }
+                }
+            }
+        }
+        // Sweep: collect the unsupported survivors, deterministically.
+        // One zombie: (node, seq, pred, values, created_at).
+        type Zombie = (NodeId, u64, PredId, Arc<[Value]>, SimTime);
+        let mut zombies: Vec<Zombie> = Vec::new();
+        let mut zombie_heads: HashSet<HeadKey> = HashSet::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let loc = NodeId(i as u32);
+            let mut dead: Vec<u64> = node
+                .ledger
+                .supports
+                .keys()
+                .copied()
+                .filter(|seq| !supported[i].contains(seq))
+                .collect();
+            dead.sort_unstable();
+            for seq in dead {
+                let entry = &node.ledger.supports[&seq];
+                if let Some((values, meta)) = node.store.row_by_seq(entry.pred, seq) {
+                    zombies.push((loc, seq, entry.pred, values.clone(), meta.created_at));
+                    zombie_heads.insert((loc, entry.pred, values.clone()));
+                }
+            }
+        }
+        for (loc, seq, pred, values, created_at) in zombies {
+            let done = self.charge(loc, now, self.shared.config.cost_model.tuple_process_us);
+            if self.nodes[ix(loc)].store.remove_by_seq(pred, seq).is_none() {
+                continue;
+            }
+            self.settle_removed(
+                loc,
+                pred,
+                seq,
+                values,
+                created_at,
+                "unsupported",
+                done,
+                false,
+                Some(&zombie_heads),
+            );
+        }
+    }
+}

@@ -1,0 +1,1169 @@
+//! The distributed SeNDlog evaluator.
+//!
+//! [`DistributedEngine`] runs a compiled NDlog / SeNDlog program over a set
+//! of simulated nodes.  Every node owns a soft-state store and evaluates the
+//! per-rule delta plans produced by `pasn-datalog`; tuples whose destination
+//! differs from the deriving node are serialised, optionally signed with the
+//! deriving principal's `says` mechanism, charged to the bandwidth meter and
+//! delivered through the discrete-event transport of `pasn-net`.  The engine
+//! reaches the *distributed fixpoint* (the paper's completion criterion) when
+//! no work items remain.
+//!
+//! Provenance hooks fire on every rule evaluation: semiring tags are combined
+//! per the configured [`ProvenanceKind`], and derivation graphs / pointer
+//! records / offline archive entries are maintained per the configured
+//! [`GraphMode`] and maintenance policy.
+//!
+//! The module tree follows a delta batch's life, each layer owning its
+//! state: `queue` (the simulated-time work queue and open batches),
+//! `eval` (batch processing, rule firing, head emission at one node),
+//! `ship` (frame sealing and session channels), `transport` (the
+//! unreliable-link reliability layer), `deletion` (churn, expiry,
+//! retraction cascades, the well-founded sweep) and `wave` (sharding a
+//! wave across the worker pool).  Inside the runtime a node is addressed by
+//! its [`NodeId`] only — the index of its `NodeRuntime`; location values
+//! are resolved through the directory once, at the public boundary.
+
+mod deletion;
+mod eval;
+mod queue;
+mod ship;
+#[cfg(test)]
+mod tests;
+mod transport;
+mod wave;
+
+use crate::config::{EngineConfig, GraphMode};
+use crate::dynamics::{ChurnEvent, ChurnScript, Ledger};
+use crate::metrics::RunMetrics;
+use crate::store::{NodeStore, TupleMeta};
+use crate::tuple::Tuple;
+use deletion::DeletionState;
+use eval::{record_provenance_graphs, DeferredDerivation, Effect, EvalShared, PartitionCtx};
+use pasn_crypto::channel::{ReceiverChannel, SenderChannel};
+use pasn_crypto::says::Authenticator;
+use pasn_crypto::{KeyAuthority, Principal, PrincipalId};
+use pasn_datalog::plan::CompiledProgram;
+use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
+use pasn_net::{FaultEvent, Message, NetworkSim, NodeId, SimTime};
+use pasn_provenance::{
+    ArchiveStore, DerivationGraph, DistributedStore, LocalStore, ProvTag, ProvenanceKind, VarTable,
+};
+use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
+use queue::{BatchKey, BatchRow, Bound, Polarity, QueuedWork, WorkQueue};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use transport::LinkTransport;
+
+/// Errors raised while constructing or driving the engine.
+#[derive(Debug)]
+pub enum EngineError {
+    /// The program failed compilation (validation, localization or planning).
+    Compile(PlanError),
+    /// Key provisioning failed.
+    Crypto(pasn_crypto::rsa::RsaError),
+    /// A tuple referenced a location that is not part of the deployment.
+    UnknownLocation(Value),
+    /// A tuple was supplied with a different arity than the compiled program
+    /// declares for its predicate.
+    ArityMismatch {
+        /// The predicate being inserted or joined.
+        predicate: String,
+        /// Arity declared by the program.
+        expected: usize,
+        /// Arity of the offending tuple.
+        got: usize,
+    },
+    /// A rule evaluation error (unbound variable, type mismatch, ...).
+    Eval(String),
+}
+
+impl fmt::Display for EngineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EngineError::Compile(e) => write!(f, "compilation failed: {e}"),
+            EngineError::Crypto(e) => write!(f, "key provisioning failed: {e}"),
+            EngineError::UnknownLocation(v) => write!(f, "unknown location {v}"),
+            EngineError::ArityMismatch {
+                predicate,
+                expected,
+                got,
+            } => write!(
+                f,
+                "arity mismatch: predicate `{predicate}` declares {expected} arguments, tuple has {got}"
+            ),
+            EngineError::Eval(msg) => write!(f, "evaluation error: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
+impl From<PlanError> for EngineError {
+    fn from(e: PlanError) -> Self {
+        EngineError::Compile(e)
+    }
+}
+
+impl From<pasn_crypto::rsa::RsaError> for EngineError {
+    fn from(e: pasn_crypto::rsa::RsaError) -> Self {
+        EngineError::Crypto(e)
+    }
+}
+
+/// Position of a node's runtime in the engine's node vector.
+fn ix(id: NodeId) -> usize {
+    id.0 as usize
+}
+
+/// Every node id of an `n`-node deployment, ascending.
+fn node_ids(n: usize) -> impl Iterator<Item = NodeId> {
+    (0..n as u32).map(NodeId)
+}
+
+/// The security principal of a node: nodes double as principals, and
+/// `NodeId(i)` is `PrincipalId(i)` by construction (see
+/// [`DistributedEngine::new`]).
+fn principal_of(id: NodeId) -> PrincipalId {
+    PrincipalId(id.0)
+}
+
+/// State of one aggregate group — `(rule id, grouping columns)` — at the
+/// deriving node.
+#[derive(Default)]
+struct AggGroup {
+    /// Best value so far (`a_MIN`/`a_MAX`) or the running total
+    /// (`a_COUNT`/`a_SUM`).
+    best: Option<i64>,
+    /// `a_MIN`/`a_MAX` candidate multiset (dynamics only): candidate value →
+    /// one provenance tag per alive candidate firing.  The deletion
+    /// ledger's re-election pool: when the emitted best dies, the next-best
+    /// surviving candidate takes over.
+    candidates: BTreeMap<i64, Vec<ProvTag>>,
+    /// The currently emitted best (dynamics only): exactly what the head's
+    /// node stores, so deletion withdraws precisely that row.
+    emitted: Option<(i64, ProvTag)>,
+}
+
+/// Per-node runtime state, stored at the index of the node's [`NodeId`].
+struct NodeRuntime {
+    store: NodeStore,
+    /// Aggregate groups by `(rule id, group key)`.
+    aggs: HashMap<(u32, Vec<Value>), AggGroup>,
+    local_prov: LocalStore,
+    dist_prov: DistributedStore,
+    archive: ArchiveStore,
+    deferred: Vec<DeferredDerivation>,
+    authenticator: Option<Authenticator>,
+    /// Session-channel cache, sender side: one open channel per destination
+    /// principal this node ships to (`SaysLevel::Session` only).
+    send_channels: HashMap<PrincipalId, SenderChannel>,
+    /// Session-channel cache, receiver side: one established channel per
+    /// source principal whose handshake this node accepted.
+    recv_channels: HashMap<PrincipalId, ReceiverChannel>,
+    /// Sender-side epoch floor per peer: a channel evicted by churn (link
+    /// down, node failure) forces the next binding of the link to a fresh
+    /// epoch instead of restarting at 0 under a reused key stream.
+    send_epoch_floor: HashMap<PrincipalId, u32>,
+    /// Receiver-side epoch floor per peer: a replayed pre-eviction
+    /// handshake (validly signed forever) must not reinstall a retired
+    /// channel and resurrect its captured frames.
+    recv_epoch_floor: HashMap<PrincipalId, u32>,
+    /// Deletion ledger: supports per stored row and the firing log.
+    /// Populated only while dynamics are enabled.
+    ledger: Ledger,
+    /// This node's simulated CPU lane: busy until this instant.  Owned by
+    /// the node (not a global schedule) so a partition can advance its
+    /// nodes' clocks without touching any other partition's state.
+    busy_until: SimTime,
+    /// Total simulated CPU this node has executed — the modeled work the
+    /// host must schedule somewhere.  Summed per partition per wave to
+    /// compute the modeled parallel critical path.
+    cpu_spent: SimTime,
+    /// Latest delivery time per outbound link, keyed by destination node id
+    /// (`SaysLevel::Session` and dynamics runs): a session channel's
+    /// monotonic frame counter requires in-order delivery per link — as the
+    /// real session transport it stands in for would provide — and
+    /// retraction streams likewise assume FIFO links (a tombstone must
+    /// never overtake the assertion it withdraws).  Keyed by destination
+    /// only because this node is always the source, which is what lets a
+    /// partition clamp its own outbound links without global state.
+    link_horizon: HashMap<u32, SimTime>,
+}
+
+impl NodeRuntime {
+    /// Runs `work` microseconds of CPU on this node's lane starting no
+    /// earlier than `now`; returns (and remembers) when the lane is free
+    /// again.
+    fn run_cpu(&mut self, now: SimTime, work: SimTime) -> SimTime {
+        let done = self.busy_until.max(now) + work;
+        self.busy_until = done;
+        self.cpu_spent += work;
+        done
+    }
+
+    /// Clamps `deliver_at` to this node's previous delivery on the link to
+    /// `dst` and advances the horizon.  Ties at one timestamp resolve by
+    /// work-queue seq, which is send order.
+    fn link_deliver(&mut self, dst: NodeId, deliver_at: SimTime) -> SimTime {
+        let horizon = self.link_horizon.entry(dst.0).or_insert(SimTime::ZERO);
+        let at = deliver_at.max(*horizon);
+        *horizon = at;
+        at
+    }
+
+    /// The link's current delivery horizon towards `dst` (ZERO when the
+    /// link never delivered).
+    fn link_horizon_to(&self, dst: NodeId) -> SimTime {
+        self.link_horizon
+            .get(&dst.0)
+            .copied()
+            .unwrap_or(SimTime::ZERO)
+    }
+}
+
+/// The distributed evaluator.
+pub struct DistributedEngine {
+    /// Configuration, compiled program, interner and directory: everything
+    /// evaluation reads but never writes.
+    shared: EvalShared,
+    /// One runtime per node, indexed by [`NodeId`].
+    nodes: Vec<NodeRuntime>,
+    var_table: VarTable,
+    net: NetworkSim<u64>,
+    queue: WorkQueue,
+    transport: LinkTransport,
+    deletion: DeletionState,
+    /// Simulated CPU banked by wave parallelism: for every wave, the sum of
+    /// all partitions' executed CPU minus the slowest partition's — work the
+    /// pool absorbed off the critical path.  Subtracted from the nodes'
+    /// total executed CPU to report [`RunMetrics::parallel_wall`].
+    cpu_saved: SimTime,
+    metrics: RunMetrics,
+    completion: SimTime,
+    /// True once evaluation has processed any work — dynamics can no longer
+    /// be armed retroactively (the ledger would be missing history).
+    started: bool,
+    /// The flight recorder, present only when `EngineConfig::trace` is set.
+    /// Every hook is behind an `is_some()` check, so disabled tracing costs
+    /// one branch and never allocates or perturbs a counter.
+    recorder: Option<TraceRecorder>,
+}
+
+impl DistributedEngine {
+    /// Compiles `program` and deploys it over `locations` (one node per
+    /// location value).  Facts embedded in the program are scheduled for
+    /// insertion at time zero.
+    pub fn new(
+        program: &Program,
+        mut config: EngineConfig,
+        locations: &[Value],
+    ) -> Result<Self, EngineError> {
+        let compiled = compile_program(program)?;
+
+        // Key material: one principal per location, provisioned up front
+        // (outside the measured run, as in the paper's setup).
+        let mut authenticators: Vec<Option<Authenticator>> = vec![None; locations.len()];
+        if let Some(level) = config.says_level {
+            let principals: Vec<Principal> = locations
+                .iter()
+                .enumerate()
+                .map(|(i, loc)| {
+                    let level = config
+                        .security_levels
+                        .get(&(i as u32))
+                        .copied()
+                        .unwrap_or(1);
+                    Principal::new(i as u32, loc.to_string()).with_security_level(level)
+                })
+                .collect();
+            let authority = KeyAuthority::provision_with_modulus(
+                &principals,
+                config.key_seed,
+                config.rsa_modulus_bits,
+            )?;
+            for (i, slot) in authenticators.iter_mut().enumerate() {
+                let keyring = authority
+                    .keyring_for(PrincipalId(i as u32))
+                    .expect("principal was provisioned");
+                *slot = Some(Authenticator::new(keyring, level));
+            }
+        }
+
+        // Secondary indexes: one per (predicate, key columns) spec inferred
+        // by the planner, installed on every node's store up front so they
+        // are maintained incrementally from the first insert on.  With
+        // indexing disabled nothing is registered and every probe falls
+        // back to the ordered scan path.
+        let index_specs = if config.use_secondary_indexes {
+            compiled.index_specs()
+        } else {
+            Vec::new()
+        };
+
+        let symbols = compiled.symbols.clone();
+        let nodes = locations
+            .iter()
+            .zip(authenticators)
+            .map(|(loc, authenticator)| {
+                let mut store = NodeStore::new();
+                // Mirror the compiled interner so plan-time PredIds address
+                // the store directly, then register the planner's index
+                // specs by id.
+                store.sync_symbols(&symbols);
+                for spec in &index_specs {
+                    store.register_index_id(spec.pred, &spec.key_columns);
+                }
+                NodeRuntime {
+                    store,
+                    aggs: HashMap::new(),
+                    local_prov: LocalStore::new(),
+                    dist_prov: DistributedStore::new(loc.to_string()),
+                    archive: ArchiveStore::new(),
+                    deferred: Vec::new(),
+                    authenticator,
+                    send_channels: HashMap::new(),
+                    recv_channels: HashMap::new(),
+                    send_epoch_floor: HashMap::new(),
+                    recv_epoch_floor: HashMap::new(),
+                    ledger: Ledger::default(),
+                    busy_until: SimTime::ZERO,
+                    cpu_spent: SimTime::ZERO,
+                    link_horizon: HashMap::new(),
+                }
+            })
+            .collect();
+
+        // Aggregate-group rule ids: each distinct rule label interned once.
+        let mut labels: HashMap<&str, u32> = HashMap::new();
+        let mut rule_ids = Vec::with_capacity(compiled.plans.len());
+        for plan in &compiled.plans {
+            let next = labels.len() as u32;
+            rule_ids.push(*labels.entry(plan.rule.label.as_str()).or_insert(next));
+        }
+
+        // A fault plan honors the `PASN_FAULT_SEED` override even when set
+        // directly on the config — not via `with_fault_plan` (re-applying
+        // it is idempotent) — and fault runs always arm dynamics, since
+        // reconciling dead frames needs the deletion ledger.
+        if let Some(plan) = config.fault_plan.take() {
+            config.fault_plan = Some(plan.with_env_seed());
+            config.dynamics = true;
+        }
+        let recorder = config
+            .trace
+            .clone()
+            .map(|t| TraceRecorder::new(t, locations.iter().map(|l| l.to_string()).collect()));
+        let mut engine = DistributedEngine {
+            nodes,
+            var_table: VarTable::new(),
+            net: NetworkSim::new(config.cost_model),
+            queue: WorkQueue::new(config.batch_window_us, config.max_batch_tuples),
+            transport: LinkTransport::default(),
+            deletion: DeletionState::default(),
+            cpu_saved: SimTime::ZERO,
+            metrics: RunMetrics::default(),
+            completion: SimTime::ZERO,
+            started: false,
+            recorder,
+            shared: EvalShared {
+                config,
+                symbols,
+                locations: locations.to_vec(),
+                directory: node_ids(locations.len())
+                    .map(|id| (locations[ix(id)].clone(), id))
+                    .collect(),
+                rule_ids,
+                compiled,
+            },
+        };
+
+        // Program facts: inserted at their home node at time zero.
+        let facts: Vec<(Value, Tuple, Option<usize>)> = engine
+            .shared
+            .compiled
+            .program
+            .facts
+            .iter()
+            .map(|fact| {
+                let values: Vec<Value> = fact
+                    .atom
+                    .args
+                    .iter()
+                    .map(|t| match t {
+                        Term::Constant(c) => c.clone(),
+                        _ => unreachable!("facts are ground"),
+                    })
+                    .collect();
+                let loc_idx = fact.atom.location.unwrap_or(0);
+                let loc = values.get(loc_idx).cloned().unwrap_or(Value::Int(0));
+                (
+                    loc,
+                    Tuple::new(fact.atom.predicate.clone(), values),
+                    Some(loc_idx),
+                )
+            })
+            .collect();
+        for (loc, tuple, loc_idx) in facts {
+            engine.insert_fact_located(loc, tuple, loc_idx, SimTime::ZERO)?;
+        }
+
+        // A fault plan's scheduled crash events become churn work up front.
+        let events = engine
+            .shared
+            .config
+            .fault_plan
+            .as_ref()
+            .map_or(Vec::new(), |plan| plan.events.clone());
+        for (at_us, event) in events {
+            let location = |node: u32| locations.get(node as usize).cloned();
+            let churn = match event {
+                FaultEvent::LinkCut { src, dst } => location(src)
+                    .zip(location(dst))
+                    .map(|(src, dst)| ChurnEvent::LinkCut { src, dst }),
+                FaultEvent::NodeCrash { node } => {
+                    location(node).map(|node| ChurnEvent::NodeCrash { node })
+                }
+            };
+            if let Some(churn) = churn {
+                engine
+                    .queue
+                    .push(SimTime::from_micros(at_us), QueuedWork::Churn(churn));
+            }
+        }
+        Ok(engine)
+    }
+
+    /// The engine configuration.
+    pub fn config(&self) -> &EngineConfig {
+        &self.shared.config
+    }
+
+    /// The compiled (localized) program being executed.
+    pub fn compiled(&self) -> &CompiledProgram {
+        &self.shared.compiled
+    }
+
+    /// The shared provenance variable table (for rendering condensed tags).
+    pub fn var_table(&self) -> &VarTable {
+        &self.var_table
+    }
+
+    /// Locations participating in the deployment.
+    pub fn locations(&self) -> &[Value] {
+        &self.shared.locations
+    }
+
+    /// Security principal of a location.
+    pub fn principal_of(&self, location: &Value) -> Option<PrincipalId> {
+        self.shared
+            .directory
+            .get(location)
+            .map(|&id| principal_of(id))
+    }
+
+    /// Resolves a location value supplied through the public API.
+    fn resolve(&self, location: &Value) -> Result<NodeId, EngineError> {
+        match self.shared.directory.get(location) {
+            Some(&id) => Ok(id),
+            None => Err(EngineError::UnknownLocation(location.clone())),
+        }
+    }
+
+    /// The runtime of the node at `location`, if deployed.
+    fn node_at(&self, location: &Value) -> Option<&NodeRuntime> {
+        self.shared
+            .directory
+            .get(location)
+            .map(|&id| &self.nodes[ix(id)])
+    }
+
+    /// Inserts an externally supplied base fact (e.g. a `link` tuple from the
+    /// topology) at `location`, scheduled at time zero.
+    pub fn insert_fact(&mut self, location: Value, tuple: Tuple) -> Result<(), EngineError> {
+        self.insert_fact_at(location, tuple, SimTime::ZERO)
+    }
+
+    /// Inserts an externally supplied base fact at a given simulated time
+    /// (used by the streaming / diagnostics workloads).
+    pub fn insert_fact_at(
+        &mut self,
+        location: Value,
+        tuple: Tuple,
+        at: SimTime,
+    ) -> Result<(), EngineError> {
+        let loc_idx = tuple.values.iter().position(|v| *v == location);
+        self.insert_fact_located(location, tuple, loc_idx, at)
+    }
+
+    fn insert_fact_located(
+        &mut self,
+        location: Value,
+        tuple: Tuple,
+        location_index: Option<usize>,
+        at: SimTime,
+    ) -> Result<(), EngineError> {
+        let id = self.resolve(&location)?;
+        // Predicates the program knows about must arrive with the declared
+        // arity; a mismatch would otherwise silently fail to join anywhere.
+        // (Program predicates resolve to ids below the compiled table's
+        // length; ids interned here for unknown predicates fall outside it
+        // and are unconstrained, as before.)
+        let pred = self.shared.symbols.intern(&tuple.predicate);
+        if let Some(expected) = self.shared.compiled.arity_of_pred(pred) {
+            if expected != tuple.arity() {
+                return Err(EngineError::ArityMismatch {
+                    predicate: tuple.predicate.clone(),
+                    expected,
+                    got: tuple.arity(),
+                });
+            }
+        }
+        let values = Arc::from(tuple.values);
+        let row = BatchRow::base(values, location, principal_of(id), location_index);
+        self.enqueue_local(at, id, pred, row, Polarity::Assert);
+        Ok(())
+    }
+
+    /// Schedules the withdrawal of one assertion of a base fact at `at`
+    /// (simulated time).  Requires dynamics: the retraction is applied
+    /// through the deletion ledger and cascades through everything the
+    /// fact's derivations supported.
+    pub fn retract_fact_at(
+        &mut self,
+        location: Value,
+        tuple: Tuple,
+        at: SimTime,
+    ) -> Result<(), EngineError> {
+        self.resolve(&location)?;
+        if !self.shared.config.dynamics {
+            return Err(EngineError::Eval(
+                "retractions need the dynamics machinery: build with \
+                 EngineConfig::with_dynamics() or use run_scenario"
+                    .to_string(),
+            ));
+        }
+        let retract = ChurnEvent::Retract { location, tuple };
+        self.queue.push(at, QueuedWork::Churn(retract));
+        Ok(())
+    }
+
+    /// Routes a tuple to its destination node's delta queue (see
+    /// [`WorkQueue::enqueue`]).
+    fn enqueue_local(
+        &mut self,
+        at: SimTime,
+        destination: NodeId,
+        pred: PredId,
+        row: BatchRow,
+        polarity: Polarity,
+    ) {
+        let key = BatchKey::Local {
+            destination,
+            pred,
+            polarity,
+        };
+        self.queue.enqueue(at, key, row);
+    }
+
+    /// Routes a head tuple bound for another node: appended to the open
+    /// shipment frame, or sealed and shipped immediately when batching is
+    /// off.
+    fn buffer_ship(
+        &mut self,
+        at: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        pred: PredId,
+        row: BatchRow,
+        polarity: Polarity,
+    ) {
+        let key = BatchKey::Ship {
+            src,
+            dst,
+            pred,
+            polarity,
+        };
+        if let Some(frame) = self.queue.enqueue(at, key, row) {
+            self.seal_and_ship_now(at, frame);
+        }
+    }
+
+    /// Marks the run started, records the worker-pool layout, and reports
+    /// whether same-instant waves run on the pool.
+    fn begin_run(&mut self) -> bool {
+        self.started = true;
+        let workers = self.shared.config.workers.max(1);
+        self.metrics.worker_threads = workers as u64;
+        self.metrics.partitions = if workers > 1 {
+            workers.min(self.nodes.len().max(1)) as u64
+        } else {
+            1
+        };
+        workers > 1 && self.wave_parallel_eligible()
+    }
+
+    /// Arms the dynamics machinery for `entry_point` (a no-op when the
+    /// config already did): the deletion ledger records every support and
+    /// firing, TTL expiry is scheduled as simulator work, and links deliver
+    /// in order.
+    fn arm_dynamics(&mut self, entry_point: &str) -> Result<(), EngineError> {
+        if !self.shared.config.dynamics && self.started {
+            return Err(EngineError::Eval(format!(
+                "dynamics must be armed before the first evaluation: build with \
+                 EngineConfig::with_dynamics() or call {entry_point} on a fresh engine"
+            )));
+        }
+        self.shared.config.dynamics = true;
+        Ok(())
+    }
+
+    /// Runs until no work items remain (the distributed fixpoint) and returns
+    /// the run metrics.  On dynamics runs, a retraction wave that drains the
+    /// queue is followed by the well-founded reconciliation sweep (recursive
+    /// self-support cleanup); the fixpoint is reached when both the queue
+    /// and the sweep are quiescent.
+    pub fn run_to_fixpoint(&mut self) -> Result<RunMetrics, EngineError> {
+        let started = Instant::now();
+        let parallel = self.begin_run();
+        let mut last_at = SimTime::ZERO;
+        loop {
+            self.drain_queue(None, parallel, &mut last_at)?;
+            if self.shared.config.dynamics && self.take_sweep_request() {
+                self.well_founded_sweep(last_at);
+                if !self.queue.is_empty() {
+                    continue;
+                }
+            }
+            break;
+        }
+        self.metrics.wall_clock = started.elapsed();
+        let cpu_total: u64 = self.nodes.iter().map(|n| n.cpu_spent.as_micros()).sum();
+        self.metrics.parallel_wall = Duration::from_micros(cpu_total - self.cpu_saved.as_micros());
+        self.metrics.completion = self.completion;
+        self.metrics.messages = self.net.stats().messages;
+        self.metrics.bytes = self.net.stats().bytes;
+        // The fixpoint footprint is itself a peak sample, so plain runs
+        // report honest (final) peaks and streaming runs keep their
+        // mid-run high-water marks.
+        let (store_bytes, index_bytes, tuples_stored) = self.sample_memory_peak();
+        self.metrics.store_bytes = store_bytes;
+        self.metrics.index_bytes = index_bytes;
+        self.metrics.tuples_stored = tuples_stored;
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.finish();
+        }
+        Ok(self.metrics.clone())
+    }
+
+    /// The flight recorder, when tracing was enabled via
+    /// [`EngineConfig::with_tracing`].  Read it after a run for the event
+    /// stream, the hot-rule profile, per-link frame lifecycles, and the
+    /// Chrome/Perfetto export.
+    pub fn trace(&self) -> Option<&TraceRecorder> {
+        self.recorder.as_ref()
+    }
+
+    /// Record one engine-side trace event (no-op when tracing is off).
+    fn trace_event(&mut self, at: SimTime, kind: TraceEventKind) {
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.push(TraceEvent {
+                at_us: at.as_micros(),
+                kind,
+            });
+        }
+    }
+
+    /// Emit any due gauge samples before the queue head is processed.  The
+    /// head instant is the same whatever the worker count (all earlier work
+    /// has fully drained by the time the head crosses a sample boundary),
+    /// so the samples — and the queue/store state they observe — are
+    /// deterministic.
+    fn trace_sample_gauges(&mut self) {
+        let Some(head_at) = self.queue.head_time() else {
+            return;
+        };
+        while let Some(due) = self
+            .recorder
+            .as_ref()
+            .and_then(|r| r.pending_gauge(head_at.as_micros()))
+        {
+            let gauge = TraceEventKind::Gauge {
+                queue_depth: self.queue.len() as u64,
+                inflight_frames: self.transport.inflight_frames(),
+                store_bytes: self.store_bytes(),
+                index_bytes: self.index_bytes(),
+            };
+            let rec = self
+                .recorder
+                .as_mut()
+                .expect("pending gauge implies recorder");
+            rec.flush_wave();
+            rec.push(TraceEvent {
+                at_us: due,
+                kind: gauge,
+            });
+            rec.advance_gauge();
+        }
+    }
+
+    /// Drains queued work in `(time, rank, seq)` order until the queue is
+    /// empty or its head reaches `bound` — the streaming driver's exclusive
+    /// cut.  Wave-safe work pops a whole same-instant wave at a time: the
+    /// pool shards it, the sequential schedule evaluates it in seq order
+    /// (the two are the same schedule by construction).  Engine-global
+    /// work runs one item at a time.  `last_at` tracks the latest instant
+    /// processed (the well-founded sweep's reference point).  Open-batch
+    /// boundary buckets are released as the clock passes them.
+    fn drain_queue(
+        &mut self,
+        bound: Bound,
+        parallel: bool,
+        last_at: &mut SimTime,
+    ) -> Result<(), EngineError> {
+        loop {
+            if self.recorder.is_some() {
+                self.trace_sample_gauges();
+            }
+            if let Some(wave) = self.queue.pop_wave(bound) {
+                let wave_at = wave[0].0;
+                *last_at = (*last_at).max(wave_at);
+                self.queue.release_flushed(wave_at);
+                if parallel {
+                    self.process_wave(wave)?;
+                } else {
+                    for (at, _, work) in wave {
+                        self.eval_event(at, work)?;
+                    }
+                }
+                continue;
+            }
+            let Some((at, _, work)) = self.queue.pop_next(bound) else {
+                return Ok(());
+            };
+            *last_at = (*last_at).max(at);
+            self.queue.release_flushed(at);
+            self.dispatch_global(at, work)?;
+        }
+    }
+
+    /// Folds the current `(store bytes, index bytes, tuples)` footprint into
+    /// the run's high-water marks and returns it.  The streaming driver
+    /// samples at quiescence points between events; plain runs sample once
+    /// at fixpoint.
+    fn sample_memory_peak(&mut self) -> (u64, u64, u64) {
+        let tuples = self.nodes.iter().map(|n| n.store.total_tuples() as u64);
+        let (store, index, tuples) = (self.store_bytes(), self.index_bytes(), tuples.sum());
+        self.metrics.peak_store_bytes = self.metrics.peak_store_bytes.max(store);
+        self.metrics.peak_index_bytes = self.metrics.peak_index_bytes.max(index);
+        self.metrics.peak_tuples = self.metrics.peak_tuples.max(tuples);
+        (store, index, tuples)
+    }
+
+    /// Whether this configuration can run same-instant waves on the worker
+    /// pool at all.  The shared provenance variable table is the one piece
+    /// of order-sensitive cross-node mutable state, so any configuration
+    /// that writes it (semiring tags, derivation graphs, offline archives)
+    /// stays on the sequential path; dynamics work items (churn, expiry,
+    /// eviction, retraction) are engine-global and are kept sequential by
+    /// the wave-safety check itself.
+    ///
+    /// Unbatched runs (`batch_window_us == 0`) also stay sequential: without
+    /// a window, shipment frames seal *inline* while effects apply
+    /// (`seal_and_ship_now`), charging the sender's CPU lane at replay time
+    /// — but the sequential schedule interleaves those seals between events,
+    /// so replaying them after the wave would order a node's lane
+    /// differently and shift every downstream send time.  With a window the
+    /// hazard is gone by construction: ship effects only buffer rows, and
+    /// sealing is first-class queued work owned by the sender, processed in
+    /// queue-seq order like everything else.
+    fn wave_parallel_eligible(&self) -> bool {
+        let config = &self.shared.config;
+        config.provenance == ProvenanceKind::None
+            && config.graph_mode == GraphMode::None
+            && !config.archive_offline
+            && config.batch_window_us > 0
+    }
+
+    /// Dispatches one popped wave-unsafe work item.  Retraction batches and
+    /// tombstone frames evaluate at their owning node like their assertion
+    /// twins — just never inside a wave; everything else is engine-global.
+    fn dispatch_global(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
+        if matches!(work, QueuedWork::Deliver(_) | QueuedWork::Ship(_)) {
+            return self.eval_event(at, work);
+        }
+        // Engine-global work can never join a wave: close any open wave
+        // span before its events interleave into the trace.
+        if let Some(rec) = self.recorder.as_mut() {
+            rec.flush_wave();
+        }
+        match work {
+            QueuedWork::Churn(event) => return self.process_churn(at, event),
+            QueuedWork::Evict {
+                src,
+                dst,
+                send_epoch,
+                recv_epoch,
+            } => self.process_eviction(at, src, dst, send_epoch, recv_epoch),
+            QueuedWork::Expire { node } => self.process_expiry(at, node),
+            QueuedWork::FrameArrival {
+                src,
+                dst,
+                frame_seq,
+            } => return self.process_frame_arrival(at, (src, dst), frame_seq),
+            QueuedWork::Retransmit {
+                src,
+                dst,
+                frame_seq,
+            } => self.process_retransmit(at, (src, dst), frame_seq),
+            QueuedWork::AckFrame { src, dst } => self.process_ack(at, (src, dst)),
+            QueuedWork::Deliver(_)
+            | QueuedWork::Ship(_)
+            | QueuedWork::Handshake { .. }
+            | QueuedWork::HandshakeBatch { .. } => {
+                unreachable!("node-evaluated work runs through eval_event")
+            }
+        }
+        Ok(())
+    }
+
+    /// The sequential path's evaluation context for one event owned by
+    /// `owner`: the engine's real variable table and metrics, the caller's
+    /// effect and trace logs.
+    fn ctx<'a>(
+        &'a mut self,
+        owner: NodeId,
+        effects: &'a mut Vec<Effect>,
+        trace: &'a mut Vec<TraceEvent>,
+    ) -> PartitionCtx<'a> {
+        PartitionCtx {
+            shared: &self.shared,
+            id: owner,
+            node: &mut self.nodes[ix(owner)],
+            var_table: &mut self.var_table,
+            metrics: &mut self.metrics,
+            completion: &mut self.completion,
+            effects,
+            trace,
+        }
+    }
+
+    /// Runs one Deliver/Ship/Handshake event through an evaluation context
+    /// on the calling thread and applies its effects immediately — this IS
+    /// the sequential schedule, byte for byte: the context machinery is the
+    /// same one the worker pool uses, but with the engine's real variable
+    /// table and metrics, and with effects applied in emission order.
+    fn eval_event(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
+        let owner = work.owner();
+        // Wave-span feed info.  `owner: None` (wave-unsafe work, e.g. a
+        // retraction batch) closes the open span, exactly as the parallel
+        // driver's wave boundary would.
+        let feed = (
+            at.as_micros(),
+            work.rank(),
+            work.wave_safe().then_some(owner.0),
+        );
+        let mut effects = Vec::new();
+        let mut trace = Vec::new();
+        let result = self.ctx(owner, &mut effects, &mut trace).run(at, work);
+        self.replay_event(Some(feed), effects, trace);
+        result
+    }
+
+    /// Charges `micros` of CPU to node `id`'s lane and folds the finish
+    /// time into the run's completion.
+    fn charge(&mut self, id: NodeId, at: SimTime, micros: u64) -> SimTime {
+        let done = self.nodes[ix(id)].run_cpu(at, SimTime::from_micros(micros));
+        self.completion = self.completion.max(done);
+        done
+    }
+
+    /// Replays one evaluated event against the engine-global state: its
+    /// wave-span `feed` `(instant µs, rank, owner)` and buffered trace
+    /// events go to the recorder, then its effects apply — to the work
+    /// queue (seq assignment), open-batch buffers, the traffic meter,
+    /// scheduled expiries and retraction entry points.  Replaying events
+    /// as they finish (sequential path) or in queue-seq order across a
+    /// wave (parallel path) yields the identical queue and trace.
+    fn replay_event(
+        &mut self,
+        feed: Option<(u64, u8, Option<u32>)>,
+        effects: Vec<Effect>,
+        trace: Vec<TraceEvent>,
+    ) {
+        if let Some(rec) = self.recorder.as_mut() {
+            if let Some((at_us, rank, owner)) = feed {
+                rec.feed_item(at_us, rank, owner, effects.len() as u32);
+            }
+            for event in trace {
+                rec.push(event);
+            }
+        }
+        for effect in effects {
+            match effect {
+                Effect::Local {
+                    at,
+                    destination,
+                    pred,
+                    row,
+                    polarity,
+                } => self.enqueue_local(at, destination, pred, row, polarity),
+                Effect::Ship {
+                    at,
+                    src,
+                    dst,
+                    pred,
+                    row,
+                    polarity,
+                } => self.buffer_ship(at, src, dst, pred, row, polarity),
+                Effect::Queue { at, work } => self.queue_transport(at, work),
+                Effect::NetSend {
+                    at,
+                    src,
+                    dst,
+                    wire_bytes,
+                } => {
+                    let message = Message {
+                        src,
+                        dst,
+                        payload: 0,
+                        wire_bytes,
+                    };
+                    self.net.send(at, message);
+                }
+                Effect::Expiry { node, at } => self.schedule_expiry(node, at),
+                Effect::Retract {
+                    loc,
+                    pred,
+                    values,
+                    tag,
+                    now,
+                } => self.retract_row(loc, pred, &values, Some(&tag), false, "retracted", now),
+            }
+        }
+    }
+
+    /// Runs a churn scenario to its post-churn fixpoint: arms the dynamics
+    /// machinery (deletion ledger, scheduled TTL expiry, FIFO links),
+    /// schedules every scripted event through the discrete-event simulator
+    /// as first-class work, and drives evaluation until queue and
+    /// reconciliation sweep are both quiescent.
+    ///
+    /// Must be called before any evaluation has run (or on an engine built
+    /// with [`EngineConfig::with_dynamics`]): the ledger has to observe
+    /// every derivation event from time zero for deletion to be
+    /// provenance-exact.
+    pub fn run_scenario(&mut self, script: &ChurnScript) -> Result<RunMetrics, EngineError> {
+        self.arm_dynamics("run_scenario")?;
+        for (at, event) in script.events() {
+            self.queue.push(*at, QueuedWork::Churn(event.clone()));
+        }
+        self.run_to_fixpoint()
+    }
+
+    /// Runs a churn workload in streaming mode: events are pulled from the
+    /// iterator one at a time (never materialised in the work queue), the
+    /// queue is drained to quiescence-before-the-event between consecutive
+    /// events, and the store/index footprint is sampled at those quiescence
+    /// points into `peak_store_bytes` / `peak_index_bytes`.
+    ///
+    /// The schedule — and therefore every counter — is bit-identical to
+    /// [`DistributedEngine::run_scenario`] on the same event sequence: a
+    /// scenario's scripted events occupy the seq block right below any work
+    /// created during the run, so injecting event `i` once the queue head
+    /// reaches the cut `(eventᵢ time, rank 0, pre-run seq horizon)`
+    /// dispatches it at exactly the position its queue item would have
+    /// popped.  What changes is memory: the driver holds O(in-flight work)
+    /// instead of O(script), which lets generational workloads whose
+    /// soft-state TTLs retire old state mid-run keep a bounded footprint at
+    /// 10k nodes.
+    ///
+    /// Events must arrive in nondecreasing time order.  Like
+    /// `run_scenario`, this must be the first evaluation on the engine
+    /// unless dynamics were armed at construction.
+    pub fn run_streaming<I>(&mut self, events: I) -> Result<RunMetrics, EngineError>
+    where
+        I: IntoIterator<Item = (SimTime, ChurnEvent)>,
+    {
+        let started = Instant::now();
+        self.arm_dynamics("run_streaming")?;
+        let parallel = self.begin_run();
+        let horizon_seq = self.queue.next_seq();
+        let mut last_at = SimTime::ZERO;
+        let mut last_event = SimTime::ZERO;
+        // Footprint sampling is O(stored rows), so rate-limit it to a few
+        // simulated windows; the sampling cadence only affects the peak
+        // gauges, never the schedule or any counter.
+        let sample_gap_us = self.shared.config.batch_window_us.max(250) * 4;
+        let mut next_sample_us = 0u64;
+        for (at, event) in events {
+            if at < last_event {
+                return Err(EngineError::Eval(format!(
+                    "streaming events must be time-ordered: got {}µs after {}µs",
+                    at.as_micros(),
+                    last_event.as_micros()
+                )));
+            }
+            last_event = at;
+            self.drain_queue(Some((at, horizon_seq)), parallel, &mut last_at)?;
+            if at.as_micros() >= next_sample_us {
+                self.sample_memory_peak();
+                next_sample_us = at.as_micros() + sample_gap_us;
+            }
+            self.queue.release_flushed(at);
+            last_at = last_at.max(at);
+            self.process_churn(at, event)?;
+        }
+        let mut metrics = self.run_to_fixpoint()?;
+        self.metrics.wall_clock = started.elapsed();
+        metrics.wall_clock = self.metrics.wall_clock;
+        Ok(metrics)
+    }
+
+    /// Bytes of tuple data currently stored across all nodes (rows charged
+    /// once plus seq-list overhead; see `NodeStore::store_bytes`).
+    pub fn store_bytes(&self) -> u64 {
+        self.nodes
+            .iter()
+            .map(|n| n.store.store_bytes() as u64)
+            .sum()
+    }
+
+    /// Bytes of secondary-index overhead currently held across all nodes
+    /// (bucket keys plus seq ids; see `NodeStore::index_bytes`).
+    pub fn index_bytes(&self) -> u64 {
+        self.nodes
+            .iter()
+            .map(|n| n.store.index_bytes() as u64)
+            .sum()
+    }
+
+    /// Metrics collected so far.
+    pub fn metrics(&self) -> &RunMetrics {
+        &self.metrics
+    }
+
+    /// All tuples of `predicate` stored at `location`.
+    pub fn query(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
+        self.query_rows(location, predicate, false)
+    }
+
+    /// All tuples of `predicate` stored at `location`, in insertion order —
+    /// the deterministic ordering tests use to compare evaluation modes
+    /// ([`DistributedEngine::query`] iterates in arbitrary hash order).
+    pub fn query_ordered(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
+        self.query_rows(location, predicate, true)
+    }
+
+    /// Resolves `(location, predicate)` once and materialises the stored
+    /// rows as tuples.
+    fn query_rows(
+        &self,
+        location: &Value,
+        predicate: &str,
+        ordered: bool,
+    ) -> Vec<(Tuple, TupleMeta)> {
+        let Some(store) = self.node_at(location).map(|n| &n.store) else {
+            return Vec::new();
+        };
+        let Some(pred) = store.pred_id(predicate) else {
+            return Vec::new();
+        };
+        let tuple_of = |(values, meta): (&Arc<[Value]>, &TupleMeta)| {
+            (Tuple::new(predicate, values.to_vec()), meta.clone())
+        };
+        if ordered {
+            store.scan_ordered_rows(pred).map(tuple_of).collect()
+        } else {
+            store.scan_rows(pred).map(tuple_of).collect()
+        }
+    }
+
+    /// All tuples of `predicate` across every node, with their storage
+    /// location.
+    pub fn query_all(&self, predicate: &str) -> Vec<(Value, Tuple, TupleMeta)> {
+        let mut out = Vec::new();
+        for loc in &self.shared.locations {
+            for (t, m) in self.query(loc, predicate) {
+                out.push((loc.clone(), t, m));
+            }
+        }
+        out
+    }
+
+    /// The provenance graph maintained at `location` (graph modes only).
+    pub fn provenance_graph(&self, location: &Value) -> Option<&DerivationGraph> {
+        self.node_at(location).map(|n| n.local_prov.graph())
+    }
+
+    /// The per-node distributed provenance stores, keyed by location name
+    /// (ready to feed [`pasn_provenance::traceback`]).
+    pub fn distributed_stores(&self) -> HashMap<String, DistributedStore> {
+        let nodes = self.shared.locations.iter().zip(&self.nodes);
+        nodes
+            .map(|(loc, n)| (loc.to_string(), n.dist_prov.clone()))
+            .collect()
+    }
+
+    /// The offline provenance archive of `location`.
+    pub fn archive(&self, location: &Value) -> Option<&ArchiveStore> {
+        self.node_at(location).map(|n| &n.archive)
+    }
+
+    /// Bytes sent by each node so far, keyed by location — the raw material
+    /// for per-principal accountability reports (the PlanetFlow use case of
+    /// Section 3).
+    pub fn bytes_sent_per_node(&self) -> HashMap<Value, u64> {
+        let per_id = &self.net.stats().bytes_per_node;
+        let sent = |i: usize| per_id.get(&(i as u32)).copied().unwrap_or(0);
+        let locations = self.shared.locations.iter().enumerate();
+        locations.map(|(i, loc)| (loc.clone(), sent(i))).collect()
+    }
+
+    /// Renders the condensed / semiring provenance annotation of an exact
+    /// tuple stored at `location`.
+    pub fn render_provenance(&self, location: &Value, tuple: &Tuple) -> Option<String> {
+        let store = &self.node_at(location)?.store;
+        let meta = store.meta_of(store.pred_id(&tuple.predicate)?, &tuple.values)?;
+        Some(meta.tag.render(&self.var_table))
+    }
+
+    /// Expires soft-state tuples and online provenance older than `now` on
+    /// every node; returns the number of tuples dropped.
+    pub fn expire_all(&mut self, now: SimTime) -> usize {
+        let mut dropped = 0;
+        for node in &mut self.nodes {
+            dropped += node.store.expire(now).len();
+            node.local_prov.expire(now.as_micros());
+        }
+        dropped
+    }
+
+    /// Reactive maintenance: materialises all deferred provenance records
+    /// into the per-node graph / pointer / archive stores.  Returns how many
+    /// records were materialised.
+    pub fn materialize_provenance(&mut self) -> usize {
+        let mut total = 0;
+        for (node, loc) in self.nodes.iter_mut().zip(&self.shared.locations) {
+            let deferred = std::mem::take(&mut node.deferred);
+            total += deferred.len();
+            for record in deferred {
+                record_provenance_graphs(
+                    &self.shared.config,
+                    node,
+                    loc,
+                    &record.head_key,
+                    &record.head_location,
+                    &record.rule,
+                    &record.rule_location,
+                    &record.antecedents,
+                    record.asserted_by,
+                    record.at,
+                );
+            }
+        }
+        total
+    }
+}

@@ -1,0 +1,531 @@
+//! The simulated-time work queue: what the engine schedules, the order it
+//! pops in, the open batches same-window tuples append to, and the single
+//! [`WorkQueue::pop_wave`] both the sequential and the pooled schedule
+//! consume.
+
+use crate::dynamics::ChurnEvent;
+use pasn_crypto::channel::ChannelHandshake;
+use pasn_crypto::says::SaysAssertion;
+use pasn_crypto::PrincipalId;
+use pasn_datalog::{PredId, Value};
+use pasn_net::{NodeId, SimTime};
+use pasn_provenance::{DerivationGraph, ProvTag};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::sync::Arc;
+
+/// One tuple riding in a delta batch or a pending shipment frame.  The row
+/// is an `Arc`-shared slice; frame-level facts (destination, predicate,
+/// signature) live on the containing [`DeltaBatch`] / [`ShipFrame`].
+pub(super) struct BatchRow {
+    pub values: Arc<[Value]>,
+    pub tag: ProvTag,
+    pub origin: Value,
+    pub asserted_by: Option<PrincipalId>,
+    pub shipped_graph: Option<DerivationGraph>,
+    pub is_base: bool,
+    pub location_index: Option<usize>,
+}
+
+impl BatchRow {
+    /// A base assertion; its tag is minted when the batch is processed.
+    pub(super) fn base(
+        values: Arc<[Value]>,
+        origin: Value,
+        principal: PrincipalId,
+        location_index: Option<usize>,
+    ) -> Self {
+        BatchRow {
+            is_base: true,
+            ..Self::derived(values, ProvTag::None, origin, principal, location_index)
+        }
+    }
+
+    /// A rule-derived row (or the withdrawal of one) asserted by `principal`.
+    pub(super) fn derived(
+        values: Arc<[Value]>,
+        tag: ProvTag,
+        origin: Value,
+        principal: PrincipalId,
+        location_index: Option<usize>,
+    ) -> Self {
+        BatchRow {
+            values,
+            tag,
+            origin,
+            asserted_by: Some(principal),
+            shipped_graph: None,
+            is_base: false,
+            location_index,
+        }
+    }
+}
+
+/// Whether a batch/frame asserts its rows or withdraws them.  Retraction
+/// batches are processed through the deletion ledger instead of the
+/// insert-and-fire path, and retraction frames are signed over
+/// polarity-marked payloads so a data frame can never be replayed as a
+/// deletion (see `pasn_crypto::says::tombstone_payloads`).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(super) enum Polarity {
+    Assert,
+    Retract,
+}
+
+/// A unit of work at a destination node: a batch of delta tuples of one
+/// predicate (base insertions, local derivations, or a delivered shipment
+/// frame).  With `batch_window = 0` every batch holds exactly one tuple,
+/// reproducing per-tuple evaluation bit for bit.
+pub(super) struct DeltaBatch {
+    pub destination: NodeId,
+    pub pred: PredId,
+    pub rows: Vec<BatchRow>,
+    /// The frame signature covering every row, produced once per shipped
+    /// frame over the canonical concatenated payload (remote frames of
+    /// authenticated runs only).
+    pub assertion: Option<SaysAssertion>,
+    /// The sending node of a delivered shipment frame; `None` for local
+    /// deltas and base insertions.
+    pub from: Option<NodeId>,
+    pub polarity: Polarity,
+}
+
+/// A pending shipment frame accumulating head tuples at the sender until
+/// its flush time: one `(source, destination, predicate, due, polarity)`
+/// frame is deduplicated (assertions only), signed once and charged one
+/// message header when sealed.
+pub(super) struct ShipFrame {
+    pub src: NodeId,
+    pub dst: NodeId,
+    pub pred: PredId,
+    pub rows: Vec<BatchRow>,
+    pub polarity: Polarity,
+}
+
+/// What the simulated-time work queue holds.
+pub(super) enum QueuedWork {
+    /// Deliver a delta batch to its destination node.
+    Deliver(DeltaBatch),
+    /// Seal a pending shipment frame at the sender: dedup, sign once, ship.
+    Ship(ShipFrame),
+    /// Deliver a session-channel key-establishment handshake to its
+    /// receiver, who verifies the RSA-signed transcript and installs the
+    /// channel (`SaysLevel::Session` only).
+    Handshake {
+        destination: NodeId,
+        handshake: ChannelHandshake,
+    },
+    /// A coalesced run of same-instant handshake deliveries to one
+    /// receiver, processed as a single scheduling event charging one
+    /// contiguous CPU window of `k × rsa_verify_us` on the receiver's lane.
+    /// Never pushed onto the queue: built by [`WorkQueue::pop_wave`] from
+    /// the [`QueuedWork::Handshake`] items of one wave, so every counter —
+    /// including `handshake_batches` — is worker-count invariant.
+    HandshakeBatch {
+        destination: NodeId,
+        handshakes: Vec<ChannelHandshake>,
+    },
+    /// Apply one scripted network-dynamics event (dynamics runs only).
+    Churn(ChurnEvent),
+    /// Graceful session-channel teardown for a churned link: executes once
+    /// the link's in-flight frames have drained (re-scheduling itself while
+    /// the delivery horizon keeps advancing), and only if the channel still
+    /// carries the epoch captured at teardown time — a link that already
+    /// rebound keeps its fresh channel.
+    Evict {
+        src: NodeId,
+        dst: NodeId,
+        send_epoch: Option<u32>,
+        recv_epoch: Option<u32>,
+    },
+    /// Sweep a node's store for rows whose TTL has passed and cascade the
+    /// deletions through the ledger (dynamics runs only; scheduled at each
+    /// distinct expiry instant).
+    Expire { node: NodeId },
+    /// One sequenced frame reaching the far end of a faulty link
+    /// (fault-plan runs only): resolves to the buffered in-flight payload,
+    /// deduplicates replays, and releases the link's in-order prefix
+    /// through normal evaluation.
+    FrameArrival {
+        /// Sending node id.
+        src: u32,
+        /// Receiving node id.
+        dst: u32,
+        /// Per-link frame sequence number.
+        frame_seq: u64,
+    },
+    /// Retransmission timer for one unacknowledged frame on a faulty link:
+    /// re-rolls the fault plan with an incremented attempt and exponential
+    /// backoff until the frame lands or the retry budget is exhausted.
+    Retransmit {
+        /// Sending node id.
+        src: u32,
+        /// Receiving node id.
+        dst: u32,
+        /// Per-link frame sequence number.
+        frame_seq: u64,
+    },
+    /// A delayed, coalesced cumulative acknowledgement travelling `dst →
+    /// src`: prunes every in-flight frame below the receiver's in-order
+    /// cursor and charges the ack's wire bytes.
+    AckFrame {
+        /// The acked link's sending node id (the ack's receiver).
+        src: u32,
+        /// The acked link's receiving node id (the ack's sender).
+        dst: u32,
+    },
+}
+
+impl QueuedWork {
+    /// Same-instant ordering rank: retraction work runs after assertion
+    /// work so a tombstone is never applied before the assertion it
+    /// withdraws (see [`WorkQueue`]), and channel evictions run last of all
+    /// so a frame delivered at exactly the teardown horizon is still
+    /// verified against the channel it was MAC'd under.
+    pub(super) fn rank(&self) -> u8 {
+        match self {
+            QueuedWork::Deliver(batch) if batch.polarity == Polarity::Retract => 1,
+            QueuedWork::Ship(frame) if frame.polarity == Polarity::Retract => 1,
+            QueuedWork::Evict { .. } => 2,
+            _ => 0,
+        }
+    }
+
+    /// Whether the item may join a wave: assertion deliveries, assertion
+    /// frame sealings and handshakes each touch exactly one node's runtime.
+    /// Retractions, churn, eviction, expiry and transport work are
+    /// engine-global: their effects must surface in strict sequential
+    /// order.
+    pub(super) fn wave_safe(&self) -> bool {
+        match self {
+            QueuedWork::Deliver(batch) => batch.polarity == Polarity::Assert,
+            QueuedWork::Ship(frame) => frame.polarity == Polarity::Assert,
+            QueuedWork::Handshake { .. } | QueuedWork::HandshakeBatch { .. } => true,
+            _ => false,
+        }
+    }
+
+    /// The node whose runtime evaluates the item: deliveries and handshakes
+    /// run at their destination, frame sealing at the sender (signing/MAC
+    /// cost lands on the sender's CPU lane).
+    pub(super) fn owner(&self) -> NodeId {
+        match self {
+            QueuedWork::Deliver(batch) => batch.destination,
+            QueuedWork::Ship(frame) => frame.src,
+            QueuedWork::Handshake { destination, .. }
+            | QueuedWork::HandshakeBatch { destination, .. } => *destination,
+            _ => unreachable!("only deliveries, ships and handshakes evaluate at a node"),
+        }
+    }
+
+    fn rows_mut(&mut self) -> &mut Vec<BatchRow> {
+        match self {
+            QueuedWork::Deliver(batch) => &mut batch.rows,
+            QueuedWork::Ship(frame) => &mut frame.rows,
+            _ => unreachable!("open-batch keys point at delta batches and shipment frames"),
+        }
+    }
+}
+
+/// Identity of an open (still appendable) batch *within one flush
+/// boundary*: local delta batches are keyed by `(node, predicate,
+/// polarity)`, shipment frames additionally by their source.  The flush
+/// boundary itself is the bucket key of the queue's open-batch map, so
+/// sealed history never lingers — a whole boundary's key map is dropped
+/// (and pooled) the moment the clock reaches it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(super) enum BatchKey {
+    Local {
+        destination: NodeId,
+        pred: PredId,
+        polarity: Polarity,
+    },
+    Ship {
+        src: NodeId,
+        dst: NodeId,
+        pred: PredId,
+        polarity: Polarity,
+    },
+}
+
+impl BatchKey {
+    /// The work item a fresh batch under this key starts as.
+    fn open(self, rows: Vec<BatchRow>) -> QueuedWork {
+        match self {
+            BatchKey::Local {
+                destination,
+                pred,
+                polarity,
+            } => QueuedWork::Deliver(DeltaBatch {
+                destination,
+                pred,
+                rows,
+                assertion: None,
+                from: None,
+                polarity,
+            }),
+            BatchKey::Ship {
+                src,
+                dst,
+                pred,
+                polarity,
+            } => QueuedWork::Ship(ShipFrame {
+                src,
+                dst,
+                pred,
+                rows,
+                polarity,
+            }),
+        }
+    }
+}
+
+/// One popped work item: its due time, queue seq and payload.
+pub(super) type WaveItem = (SimTime, u64, QueuedWork);
+
+/// The streaming driver's exclusive cut `(event time, pre-run seq
+/// horizon)`: exactly where a scripted event's own queue item would sort.
+pub(super) type Bound = Option<(SimTime, u64)>;
+
+/// Work ordered by `(time, polarity rank, seq)`: at one instant,
+/// retraction batches/frames run after every assertion.  Together with
+/// per-link in-order delivery this makes "a tombstone never precedes the
+/// assertion it withdraws" a hard invariant, so a tombstone whose row is
+/// absent always means the row was force-killed already (expiry, node
+/// failure, sweep) and is safely dropped.
+pub(super) struct WorkQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u8, u64)>>,
+    items: HashMap<u64, QueuedWork>,
+    /// Open (still appendable) batches, bucketed by flush boundary:
+    /// `due µs → batch key → queue seq`.  Only populated while
+    /// `window_us > 0`.  The flush boundary is strictly in the future, so
+    /// no tuple can ever append to a boundary the clock has reached —
+    /// which makes the whole bucket droppable the moment work at `due`
+    /// pops, keeping steady-state memory O(open boundaries × open keys)
+    /// instead of O(batch history).
+    open_batches: BTreeMap<u64, HashMap<BatchKey, u64>>,
+    /// Key maps recycled from flushed boundaries, so sustained batching
+    /// reuses a few allocations instead of growing fresh tables per window.
+    batch_map_pool: Vec<HashMap<BatchKey, u64>>,
+    next_seq: u64,
+    /// `EngineConfig::batch_window_us`.
+    window_us: u64,
+    /// `EngineConfig::max_batch_tuples`, clamped to at least one.
+    max_batch_tuples: usize,
+}
+
+impl WorkQueue {
+    pub(super) fn new(window_us: u64, max_batch_tuples: usize) -> Self {
+        WorkQueue {
+            heap: BinaryHeap::new(),
+            items: HashMap::new(),
+            open_batches: BTreeMap::new(),
+            batch_map_pool: Vec::new(),
+            next_seq: 0,
+            window_us,
+            max_batch_tuples: max_batch_tuples.max(1),
+        }
+    }
+
+    /// Schedules `work` at `at`; returns its queue seq.
+    pub(super) fn push(&mut self, at: SimTime, work: QueuedWork) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, work.rank(), seq)));
+        self.items.insert(seq, work);
+        seq
+    }
+
+    /// The seq the next pushed item will get.
+    pub(super) fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    pub(super) fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Queued items (the trace gauge's queue depth).
+    pub(super) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Due time of the queue head.
+    pub(super) fn head_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|&Reverse((at, _, _))| at)
+    }
+
+    /// Routes one row to the batch `key` names.  With batching off a local
+    /// delta is queued at `at` as its own one-row batch, and a shipment row
+    /// comes straight back as a one-row frame for the caller to seal now.
+    /// Otherwise the row appends to the window's open batch under `key`,
+    /// opening (and scheduling at the window's flush boundary — the first
+    /// boundary strictly after `at`) a new one if absent.  A batch that
+    /// reaches `max_batch_tuples` — whether on creation or on append — is
+    /// sealed: it leaves the open-batch map, and later tuples of the same
+    /// window start a fresh batch flushed at the same boundary (after the
+    /// full one, by queue seq).
+    pub(super) fn enqueue(
+        &mut self,
+        at: SimTime,
+        key: BatchKey,
+        row: BatchRow,
+    ) -> Option<ShipFrame> {
+        if self.window_us == 0 {
+            return match key.open(vec![row]) {
+                QueuedWork::Ship(frame) => Some(frame),
+                work => {
+                    self.push(at, work);
+                    None
+                }
+            };
+        }
+        let due = (at.as_micros() / self.window_us + 1) * self.window_us;
+        if let Some(&seq) = self.open_batches.get(&due).and_then(|b| b.get(&key)) {
+            let rows = self
+                .items
+                .get_mut(&seq)
+                .expect("open-batch key points at queued work")
+                .rows_mut();
+            rows.push(row);
+            if rows.len() >= self.max_batch_tuples {
+                self.open_batches
+                    .get_mut(&due)
+                    .expect("bucket holds the key")
+                    .remove(&key);
+            }
+        } else {
+            let seq = self.push(SimTime::from_micros(due), key.open(vec![row]));
+            // A cap of 1 is already met on creation: never left open, so
+            // no batch ever exceeds the cap.
+            if self.max_batch_tuples > 1 {
+                let pool = &mut self.batch_map_pool;
+                self.open_batches
+                    .entry(due)
+                    .or_insert_with(|| pool.pop().unwrap_or_default())
+                    .insert(key, seq);
+            }
+        }
+        None
+    }
+
+    /// Drops every open-batch bucket whose flush boundary the clock has
+    /// reached: their queue items are popping (or have popped), and no
+    /// future tuple can append to them.  Emptied key maps are recycled
+    /// through a small pool.
+    pub(super) fn release_flushed(&mut self, now: SimTime) {
+        let now_us = now.as_micros();
+        while self
+            .open_batches
+            .first_key_value()
+            .is_some_and(|(&due, _)| due <= now_us)
+        {
+            let (_, mut bucket) = self.open_batches.pop_first().expect("peeked boundary");
+            bucket.clear();
+            if self.batch_map_pool.len() < 8 {
+                self.batch_map_pool.push(bucket);
+            }
+        }
+    }
+
+    /// True when a queue triple sorts strictly below the streaming cut.
+    fn within(at: SimTime, rank: u8, seq: u64, bound: Bound) -> bool {
+        bound.is_none_or(|(cut_at, cut_seq)| (at, rank, seq) < (cut_at, 0, cut_seq))
+    }
+
+    /// Pops the queue head if it sorts below `bound`.
+    pub(super) fn pop_next(&mut self, bound: Bound) -> Option<WaveItem> {
+        let &Reverse((at, rank, seq)) = self.heap.peek()?;
+        if !Self::within(at, rank, seq, bound) {
+            return None;
+        }
+        self.heap.pop();
+        Some((
+            at,
+            seq,
+            self.items.remove(&seq).expect("queued item exists"),
+        ))
+    }
+
+    /// Pops the maximal prefix of same-instant, same-rank wave-safe work
+    /// (see [`QueuedWork::wave_safe`]) in seq order, with every handshake
+    /// delivery in it coalesced into per-receiver batches.  Returns `None`
+    /// when the queue is empty, bounded out, or its head is engine-global
+    /// work, which [`WorkQueue::pop_next`] hands out one item at a time.
+    /// The conservative lookahead is the wave boundary itself: everything
+    /// inside a wave is due at one simulated instant, and per-link delivery
+    /// horizons guarantee nothing queued later can be due earlier.  Both
+    /// schedules consume this one function — the sequential loop evaluates
+    /// the wave in order, the pool shards it — so wave (and handshake
+    /// batch) composition never depends on the worker count.
+    pub(super) fn pop_wave(&mut self, bound: Bound) -> Option<Vec<WaveItem>> {
+        let &Reverse((wave_at, wave_rank, _)) = self.heap.peek()?;
+        let mut wave = Vec::new();
+        let mut handshakes = false;
+        while let Some(&Reverse((at, rank, seq))) = self.heap.peek() {
+            if at != wave_at || rank != wave_rank || !Self::within(at, rank, seq, bound) {
+                break;
+            }
+            let work = self.items.get(&seq).expect("queued item exists");
+            if !work.wave_safe() {
+                break;
+            }
+            handshakes |= matches!(work, QueuedWork::Handshake { .. });
+            self.heap.pop();
+            wave.push((
+                at,
+                seq,
+                self.items.remove(&seq).expect("queued item exists"),
+            ));
+        }
+        if wave.is_empty() {
+            return None;
+        }
+        Some(if handshakes {
+            coalesce_handshakes(wave)
+        } else {
+            wave
+        })
+    }
+}
+
+/// Folds a seq-ordered wave's handshake deliveries into one
+/// [`QueuedWork::HandshakeBatch`] per receiver, preserving arrival order
+/// within each receiver; a batch takes its first member's place (and seq),
+/// so a frame delivery queued between two handshakes for one receiver
+/// still charges that receiver's lane *after* the batch.  Handshake
+/// processing emits no effects and different receivers charge disjoint
+/// CPU lanes, so the coalescing leaves every simulated time and counter
+/// untouched — only the number of scheduling events shrinks.
+fn coalesce_handshakes(wave: Vec<WaveItem>) -> Vec<WaveItem> {
+    let mut out: Vec<WaveItem> = Vec::with_capacity(wave.len());
+    let mut batch_of: Vec<(NodeId, usize)> = Vec::new();
+    for (at, seq, work) in wave {
+        let QueuedWork::Handshake {
+            destination,
+            handshake,
+        } = work
+        else {
+            out.push((at, seq, work));
+            continue;
+        };
+        match batch_of.iter().find(|(dst, _)| *dst == destination) {
+            Some(&(_, slot)) => match &mut out[slot].2 {
+                QueuedWork::HandshakeBatch { handshakes, .. } => handshakes.push(handshake),
+                _ => unreachable!("batch slots hold handshake batches"),
+            },
+            None => {
+                batch_of.push((destination, out.len()));
+                out.push((
+                    at,
+                    seq,
+                    QueuedWork::HandshakeBatch {
+                        destination,
+                        handshakes: vec![handshake],
+                    },
+                ));
+            }
+        }
+    }
+    out
+}

@@ -1,0 +1,477 @@
+//! The unreliable-link transport (fault-plan runs): per-link sequencing,
+//! the sender's in-flight buffer, receiver-side in-order holdback,
+//! coalesced cumulative acks, and timeout retransmission with exponential
+//! backoff under a bounded retry budget.  Reliable runs bypass all of it.
+
+use super::queue::{Polarity, QueuedWork};
+use super::{DistributedEngine, EngineError};
+use crate::config::{DEFAULT_RETRANSMIT_RTO_US, DEFAULT_RETRY_BUDGET};
+use pasn_net::wire::{Frame, MESSAGE_HEADER_BYTES};
+use pasn_net::{Message, NodeId, SimTime};
+use pasn_trace::TraceEventKind;
+use std::collections::{BTreeMap, HashMap};
+
+/// One frame in flight on a faulty link: the queued payload (taken when the
+/// frame is first delivered, so `None` marks delivered-but-unacked) and how
+/// many retransmission attempts it has consumed.
+struct InFlightFrame {
+    work: Option<QueuedWork>,
+    attempt: u8,
+}
+
+/// Reliability state of one directed link.
+#[derive(Default)]
+struct LinkState {
+    /// Next frame sequence number to assign; frames are released to
+    /// evaluation strictly in this order at the receiver.
+    next_seq: u64,
+    /// Frames sent but not yet cumulatively acked.
+    inflight: BTreeMap<u64, InFlightFrame>,
+    /// The receiver's next in-order sequence number.  Everything below it
+    /// has been released to evaluation exactly once.
+    next_expected: u64,
+    /// Out-of-order frames parked at the receiver until the gap fills.
+    holdback: BTreeMap<u64, QueuedWork>,
+    /// A cumulative ack is already scheduled: acks are delayed and
+    /// coalesced, one covers every delivery up to its fire instant.
+    ack_pending: bool,
+    /// Trace-only ship ordinal for reliable (no fault plan) runs, where the
+    /// transport assigns no sequence numbers.  Only advanced while tracing.
+    trace_seq: u64,
+}
+
+/// What became of a frame arriving at the far end of its link.
+enum Arrival {
+    /// A duplicate (or a retransmission that raced its own ack) of a frame
+    /// already released.
+    Replay,
+    /// The twin of a duplicated frame already parked in holdback, or a
+    /// frame whose link was cut while it flew: nothing to deliver.
+    Gone,
+    /// Parked in the link's holdback buffer.
+    Parked,
+}
+
+/// The reliability layer's state: one [`LinkState`] per directed link
+/// `(src node id, dst node id)`, created on first use.
+#[derive(Default)]
+pub(super) struct LinkTransport {
+    links: HashMap<(u32, u32), LinkState>,
+}
+
+impl LinkTransport {
+    fn link(&mut self, link: (u32, u32)) -> &mut LinkState {
+        self.links.entry(link).or_default()
+    }
+
+    /// Frames sent and not yet cumulatively acked, across all links (the
+    /// trace gauge).
+    pub(super) fn inflight_frames(&self) -> u64 {
+        self.links.values().map(|l| l.inflight.len() as u64).sum()
+    }
+
+    /// Whether a sequenced frame on `src → dst` is still undelivered.
+    pub(super) fn has_undelivered(&self, src: NodeId, dst: NodeId) -> bool {
+        self.links
+            .get(&(src.0, dst.0))
+            .is_some_and(|l| l.inflight.values().any(|f| f.work.is_some()))
+    }
+
+    /// The next trace-only ship ordinal of a reliable link.
+    fn next_trace_seq(&mut self, link: (u32, u32)) -> u64 {
+        let state = self.link(link);
+        let seq = state.trace_seq;
+        state.trace_seq += 1;
+        seq
+    }
+
+    /// The sequence number the link's next frame will get.
+    fn peek_seq(&self, link: (u32, u32)) -> u64 {
+        self.links.get(&link).map_or(0, |l| l.next_seq)
+    }
+
+    /// Assigns the link's next sequence number to `work` and parks it in
+    /// the send buffer.
+    fn send(&mut self, link: (u32, u32), work: QueuedWork) {
+        let state = self.link(link);
+        let frame = InFlightFrame {
+            work: Some(work),
+            attempt: 0,
+        };
+        state.inflight.insert(state.next_seq, frame);
+        state.next_seq += 1;
+    }
+
+    /// Lands frame `seq` at the receiver: replays of released sequence
+    /// numbers are recognised, a fresh payload moves from the send buffer
+    /// into holdback.
+    fn arrive(&mut self, link: (u32, u32), seq: u64) -> Arrival {
+        let state = self.link(link);
+        if seq < state.next_expected {
+            return Arrival::Replay;
+        }
+        match state.inflight.get_mut(&seq).and_then(|f| f.work.take()) {
+            Some(work) => {
+                state.holdback.insert(seq, work);
+                Arrival::Parked
+            }
+            None => Arrival::Gone,
+        }
+    }
+
+    /// Releases the next in-order frame from holdback, advancing the
+    /// receive cursor.
+    fn release_next(&mut self, link: (u32, u32)) -> Option<(u64, QueuedWork)> {
+        let state = self.link(link);
+        let seq = state.next_expected;
+        let work = state.holdback.remove(&seq)?;
+        state.next_expected += 1;
+        Some((seq, work))
+    }
+
+    /// Marks a cumulative ack pending; false when one already is.
+    fn claim_ack(&mut self, link: (u32, u32)) -> bool {
+        !std::mem::replace(&mut self.link(link).ack_pending, true)
+    }
+
+    /// Fires the pending ack: prunes every in-flight frame below the
+    /// receive cursor (their retransmission timers fire into nothing) and
+    /// returns the cursor.
+    fn ack(&mut self, link: (u32, u32)) -> u64 {
+        let state = self.link(link);
+        state.ack_pending = false;
+        let upto = state.next_expected;
+        state.inflight = state.inflight.split_off(&upto);
+        upto
+    }
+
+    /// Consumes one retransmission attempt of frame `seq`; `None` when the
+    /// frame was acked, died with a cut link, or was delivered and only
+    /// awaits its cumulative ack.
+    fn retry(&mut self, link: (u32, u32), seq: u64) -> Option<u8> {
+        let frame = self.link(link).inflight.get_mut(&seq)?;
+        frame.work.as_ref()?;
+        frame.attempt = frame.attempt.saturating_add(1);
+        Some(frame.attempt)
+    }
+
+    /// Gives up on frame `seq`, handing back its undelivered payload.
+    fn abandon(&mut self, link: (u32, u32), seq: u64) -> Option<QueuedWork> {
+        self.link(link).inflight.remove(&seq)?.work
+    }
+
+    /// Crash-style cut: every frame in the air (sent but undelivered, or
+    /// parked out of order in holdback) dies, in send order, and the
+    /// receive cursor fast-forwards so late replays and retransmission
+    /// timers of the dead frames fall into the duplicate path.
+    fn cut(&mut self, link: (u32, u32)) -> Vec<(u64, QueuedWork)> {
+        let state = self.link(link);
+        let mut dead: Vec<(u64, QueuedWork)> = std::mem::take(&mut state.inflight)
+            .into_iter()
+            .filter_map(|(seq, frame)| Some((seq, frame.work?)))
+            .chain(std::mem::take(&mut state.holdback))
+            .collect();
+        dead.sort_unstable_by_key(|&(seq, _)| seq);
+        state.next_expected = state.next_seq;
+        dead
+    }
+}
+
+impl DistributedEngine {
+    /// Routes finalized queue work (a sealed remote frame, a scheduled
+    /// handshake) through the unreliable transport when a fault plan is
+    /// installed.  Reliable runs — and work that never crosses a link —
+    /// push straight onto the queue, so the fault machinery costs nothing
+    /// when disabled.
+    pub(super) fn queue_transport(&mut self, at: SimTime, work: QueuedWork) {
+        let link = match &work {
+            QueuedWork::Deliver(batch) => batch.from.map(|src| (src.0, batch.destination.0)),
+            // Node ids and principal ids share one index by construction
+            // (see `principal_of`).
+            QueuedWork::Handshake {
+                destination,
+                handshake,
+            } => Some((handshake.transcript.src.0, destination.0)),
+            _ => None,
+        };
+        let frame_tuples = match &work {
+            QueuedWork::Deliver(batch) => Some(batch.rows.len() as u32),
+            _ => None,
+        };
+        let plan = self.shared.config.fault_plan.as_ref();
+        let (Some((src, dst)), Some(plan)) = (link, plan) else {
+            // On the reliable transport no per-link sequence numbers exist:
+            // the trace records a remote frame's ship event under a
+            // trace-only per-link ordinal.  Delivery is implicit (reliable,
+            // in order), so no matching deliver event is emitted;
+            // handshakes are covered by their own handshake event.
+            if let (Some((src, dst)), Some(tuples), true) =
+                (link, frame_tuples, self.recorder.is_some())
+            {
+                let seq = self.transport.next_trace_seq((src, dst));
+                let shipped = TraceEventKind::FrameShipped {
+                    src,
+                    dst,
+                    seq,
+                    tuples,
+                };
+                self.trace_event(at, shipped);
+            }
+            self.queue.push(at, work);
+            return;
+        };
+        // The plan's rolls are pure functions of (seed, link, seq, attempt):
+        // read them all before the transport state is touched.
+        let seq = self.transport.peek_seq((src, dst));
+        let deliver_at = at + SimTime::from_micros(plan.extra_delay_us(src, dst, seq));
+        let (dropped, duplicated) = (plan.drops(src, dst, seq, 0), plan.duplicates(src, dst, seq));
+        self.transport.send((src, dst), work);
+        let arrival = || QueuedWork::FrameArrival {
+            src,
+            dst,
+            frame_seq: seq,
+        };
+        let Some(tuples) = frame_tuples else {
+            // Handshakes are sequenced with the data frames they key (they
+            // must neither overtake nor be overtaken on the link) but
+            // modeled reliable: channel setup is the control plane, and a
+            // lost handshake would only re-run the identical signed
+            // transcript below the simulation's cost granularity.
+            self.queue.push(at, arrival());
+            return;
+        };
+        let shipped = TraceEventKind::FrameShipped {
+            src,
+            dst,
+            seq,
+            tuples,
+        };
+        self.trace_event(at, shipped);
+        if dropped {
+            self.metrics.frames_dropped += 1;
+            let dropped = TraceEventKind::FrameDropped {
+                src,
+                dst,
+                seq,
+                attempt: 0,
+            };
+            self.trace_event(deliver_at, dropped);
+            self.queue.push(
+                deliver_at + SimTime::from_micros(DEFAULT_RETRANSMIT_RTO_US),
+                QueuedWork::Retransmit {
+                    src,
+                    dst,
+                    frame_seq: seq,
+                },
+            );
+            return;
+        }
+        if duplicated {
+            self.metrics.frames_duplicated += 1;
+            self.trace_event(
+                deliver_at,
+                TraceEventKind::FrameDuplicated { src, dst, seq },
+            );
+            self.queue.push(deliver_at, arrival());
+        }
+        self.queue.push(deliver_at, arrival());
+    }
+
+    /// Lands one frame at the receiving end of a faulty link: replays of
+    /// already-released sequence numbers are deduplicated (and re-acked, so
+    /// the sender stops retransmitting), fresh frames park in the link's
+    /// holdback buffer, and the in-order prefix is released through normal
+    /// evaluation — which is what keeps session-channel replay counters
+    /// strictly monotonic even though the transport reorders, drops and
+    /// duplicates frames underneath them.
+    pub(super) fn process_frame_arrival(
+        &mut self,
+        at: SimTime,
+        link: (u32, u32),
+        frame_seq: u64,
+    ) -> Result<(), EngineError> {
+        match self.transport.arrive(link, frame_seq) {
+            Arrival::Replay => self.schedule_ack(at, link),
+            Arrival::Gone => {}
+            Arrival::Parked => {
+                let (src, dst) = link;
+                let mut progressed = false;
+                while let Some((seq, work)) = self.transport.release_next(link) {
+                    progressed = true;
+                    if matches!(work, QueuedWork::Deliver(_)) {
+                        self.trace_event(at, TraceEventKind::FrameDelivered { src, dst, seq });
+                    }
+                    // Released frames evaluate at the arrival instant that
+                    // filled the gap — the earliest an in-order transport
+                    // could have delivered them.
+                    self.eval_event(at, work)?;
+                }
+                if progressed {
+                    self.schedule_ack(at, link);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Schedules one delayed cumulative ack from the receiving end of
+    /// `link` back to its sender, coalescing: while an ack is pending on
+    /// the link, further deliveries ride the same one (its cumulative
+    /// cursor is read when it fires).
+    fn schedule_ack(&mut self, at: SimTime, link: (u32, u32)) {
+        if !self.transport.claim_ack(link) {
+            return;
+        }
+        let latency = self
+            .shared
+            .config
+            .cost_model
+            .message_latency(Frame::ack().wire_bytes());
+        self.queue.push(
+            at + latency,
+            QueuedWork::AckFrame {
+                src: link.0,
+                dst: link.1,
+            },
+        );
+    }
+
+    /// Fires one cumulative ack: every in-flight frame below the
+    /// receiver's in-order cursor is settled (its retransmission timers
+    /// die with it), and the ack's own wire bytes are charged dst → src.
+    pub(super) fn process_ack(&mut self, at: SimTime, (src, dst): (u32, u32)) {
+        self.metrics.acks += 1;
+        self.net.send(
+            at,
+            Message {
+                src: NodeId(dst),
+                dst: NodeId(src),
+                payload: 0,
+                wire_bytes: Frame::ack().wire_bytes(),
+            },
+        );
+        let upto = self.transport.ack((src, dst));
+        self.trace_event(at, TraceEventKind::FrameAcked { src, dst, upto });
+    }
+
+    /// Fires one retransmission timer: if the frame is still undelivered
+    /// and unacknowledged, re-roll the fault plan with the next attempt
+    /// number and either deliver it or back off exponentially.  The retry
+    /// budget is a hard stop (reached only when the plan's loss-burst bound
+    /// exceeds it): an exhausted frame is reconciled exactly like one that
+    /// died with a cut link.
+    pub(super) fn process_retransmit(&mut self, at: SimTime, link: (u32, u32), seq: u64) {
+        let Some(attempt) = self.transport.retry(link, seq) else {
+            return;
+        };
+        let (src, dst) = link;
+        let plan = self.shared.config.fault_plan.as_ref();
+        let dropped = plan.is_some_and(|plan| plan.drops(src, dst, seq, attempt));
+        self.metrics.retransmits += 1;
+        let retransmit = TraceEventKind::FrameRetransmit {
+            src,
+            dst,
+            seq,
+            attempt: u32::from(attempt),
+        };
+        self.trace_event(at, retransmit);
+        if attempt > 1 {
+            self.metrics.backoff_events += 1;
+        }
+        self.metrics.max_retransmit_per_frame = self
+            .metrics
+            .max_retransmit_per_frame
+            .max(u64::from(attempt));
+        if u32::from(attempt) >= DEFAULT_RETRY_BUDGET {
+            if let Some(work) = self.transport.abandon(link, seq) {
+                self.trace_event(at, TraceEventKind::FrameDead { src, dst, seq });
+                self.reconcile_dead_frame(at, work);
+            }
+            return;
+        }
+        if dropped {
+            self.metrics.frames_dropped += 1;
+            let dropped = TraceEventKind::FrameDropped {
+                src,
+                dst,
+                seq,
+                attempt: u32::from(attempt),
+            };
+            self.trace_event(at, dropped);
+            let backoff = DEFAULT_RETRANSMIT_RTO_US << attempt.min(6);
+            self.queue.push(
+                at + SimTime::from_micros(backoff),
+                QueuedWork::Retransmit {
+                    src,
+                    dst,
+                    frame_seq: seq,
+                },
+            );
+            return;
+        }
+        // The retransmitted copy lands after one header-sized transport
+        // hop.  Its payload bytes were charged when the original sealed;
+        // retransmission bandwidth rides outside the paper's figures (which
+        // measure a reliable transport) and is tracked by the
+        // `retransmits` counter instead.
+        let latency = self
+            .shared
+            .config
+            .cost_model
+            .message_latency(MESSAGE_HEADER_BYTES);
+        self.queue.push(
+            at + latency,
+            QueuedWork::FrameArrival {
+                src,
+                dst,
+                frame_seq: seq,
+            },
+        );
+    }
+
+    /// Crash-without-drain teardown of the directed transport `src → dst`:
+    /// every in-flight frame dies on the spot and is reconciled in send
+    /// order (see [`LinkTransport::cut`]), and the link's session channel
+    /// is evicted immediately.  Future sends on the pair still work — only
+    /// what was in the air is lost — which is what lets the cut's own
+    /// retraction cascade ship its tombstones.
+    pub(super) fn cut_link_transport(&mut self, at: SimTime, src: NodeId, dst: NodeId) {
+        for (seq, work) in self.transport.cut((src.0, dst.0)) {
+            let dead = TraceEventKind::FrameDead {
+                src: src.0,
+                dst: dst.0,
+                seq,
+            };
+            self.trace_event(at, dead);
+            self.reconcile_dead_frame(at, work);
+        }
+        self.evict_channel(at, src, dst, |_| true, |_| true);
+    }
+
+    /// Ledger reconciliation for one frame that died with a cut link (or an
+    /// exhausted retry budget): an assert frame's rows never created their
+    /// supports, so the sender-side firings are silenced — their later
+    /// death must not withdraw what never arrived.  A tombstone frame's
+    /// withdrawals are applied directly at the destination: the fixpoint
+    /// would otherwise wait forever for a retraction the link already ate.
+    fn reconcile_dead_frame(&mut self, at: SimTime, work: QueuedWork) {
+        // A dead handshake needs no ledger work: the sender rebinds at a
+        // fresh epoch on its next shipment.
+        let QueuedWork::Deliver(batch) = work else {
+            return;
+        };
+        let src = batch.from.expect("sequenced frames are remote");
+        let (dest, pred) = (batch.destination, batch.pred);
+        for row in &batch.rows {
+            match batch.polarity {
+                Polarity::Assert => {
+                    self.silence_dead_row(src, dest, pred, &row.values, &row.tag, at)
+                }
+                Polarity::Retract => {
+                    let tag = Some(&row.tag);
+                    self.retract_row(dest, pred, &row.values, tag, false, "reconciled", at)
+                }
+            }
+        }
+    }
+}

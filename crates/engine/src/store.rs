@@ -358,22 +358,10 @@ impl NodeStore {
         table.indexes.insert(key_columns.to_vec(), buckets);
     }
 
-    /// Name shim over [`NodeStore::register_index_id`].
-    pub fn register_index(&mut self, predicate: &str, key_columns: &[usize]) {
-        let pred = self.intern(predicate);
-        self.register_index_id(pred, key_columns);
-    }
-
     /// True if an index over `(pred, key_columns)` is installed.
     pub fn has_index_id(&self, pred: PredId, key_columns: &[usize]) -> bool {
         self.table(pred)
             .is_some_and(|t| t.indexes.contains_key(key_columns))
-    }
-
-    /// Name shim over [`NodeStore::has_index_id`].
-    pub fn has_index(&self, predicate: &str, key_columns: &[usize]) -> bool {
-        self.pred_id(predicate)
-            .is_some_and(|pred| self.has_index_id(pred, key_columns))
     }
 
     /// Probes the secondary index of `pred` keyed on `key_columns` for rows
@@ -411,20 +399,6 @@ impl NodeStore {
                 .into_iter()
                 .flatten()
                 .filter_map(move |seq| rows.get(seq).map(|row| (*seq, &row.values, &row.meta))),
-        )
-    }
-
-    /// Name shim over [`NodeStore::probe_id`], materialising [`Tuple`]s.
-    pub fn probe<'a>(
-        &'a self,
-        predicate: &'a str,
-        key_columns: &[usize],
-        key: &[Value],
-    ) -> Option<impl Iterator<Item = (Tuple, &'a TupleMeta)> + 'a> {
-        let pred = self.pred_id(predicate)?;
-        Some(
-            self.probe_id(pred, key_columns, key)?
-                .map(move |(values, meta)| (Tuple::new(predicate, values.to_vec()), meta)),
         )
     }
 
@@ -495,15 +469,6 @@ impl NodeStore {
                 (outcome, seq)
             })
             .collect()
-    }
-
-    /// Name shim over [`NodeStore::insert_row`].
-    pub fn insert<F>(&mut self, tuple: &Tuple, meta: TupleMeta, combine: F) -> InsertOutcome
-    where
-        F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
-    {
-        let pred = self.intern(&tuple.predicate);
-        self.insert_row(pred, Arc::from(tuple.values.as_slice()), meta, combine)
     }
 
     /// Looks up the metadata of an exact row.
@@ -603,26 +568,10 @@ impl NodeStore {
         true
     }
 
-    /// Name shim over [`NodeStore::meta_of`].
-    pub fn get(&self, tuple: &Tuple) -> Option<&TupleMeta> {
-        self.meta_of(self.pred_id(&tuple.predicate)?, &tuple.values)
-    }
-
-    /// True if the exact tuple is stored.
-    pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.get(tuple).is_some()
-    }
-
     /// Removes an exact row, returning its metadata.  Secondary indexes and
     /// the dedup map stay consistent; the seq list is compacted lazily.
     pub fn remove_row(&mut self, pred: PredId, values: &[Value]) -> Option<TupleMeta> {
         self.tables.get_mut(pred.index())?.remove_by_values(values)
-    }
-
-    /// Name shim over [`NodeStore::remove_row`].
-    pub fn remove(&mut self, tuple: &Tuple) -> Option<TupleMeta> {
-        let pred = self.pred_id(&tuple.predicate)?;
-        self.remove_row(pred, &tuple.values)
     }
 
     // ---- scans -----------------------------------------------------------
@@ -636,17 +585,6 @@ impl NodeStore {
         self.table(pred)
             .into_iter()
             .flat_map(|table| table.rows.values().map(|row| (&row.values, &row.meta)))
-    }
-
-    /// Name shim over [`NodeStore::scan_rows`], materialising [`Tuple`]s.
-    pub fn scan<'a>(
-        &'a self,
-        predicate: &'a str,
-    ) -> impl Iterator<Item = (Tuple, &'a TupleMeta)> + 'a {
-        self.pred_id(predicate)
-            .into_iter()
-            .flat_map(move |pred| self.scan_rows(pred))
-            .map(move |(values, meta)| (Tuple::new(predicate, values.to_vec()), meta))
     }
 
     /// All rows of an interned predicate in insertion order — the
@@ -671,17 +609,6 @@ impl NodeStore {
             .flat_map(Table::iter_ordered_seq)
     }
 
-    /// Name shim over [`NodeStore::scan_ordered_rows`], materialising
-    /// [`Tuple`]s.
-    pub fn scan_ordered<'a>(&'a self, predicate: &str) -> Vec<(Tuple, &'a TupleMeta)> {
-        let Some(pred) = self.pred_id(predicate) else {
-            return Vec::new();
-        };
-        self.scan_ordered_rows(pred)
-            .map(|(values, meta)| (Tuple::new(predicate, values.to_vec()), meta))
-            .collect()
-    }
-
     /// All predicates with at least one stored tuple.
     pub fn predicates(&self) -> impl Iterator<Item = &str> {
         self.tables
@@ -694,11 +621,6 @@ impl NodeStore {
     /// Number of tuples of an interned predicate.
     pub fn count_id(&self, pred: PredId) -> usize {
         self.table(pred).map_or(0, |t| t.rows.len())
-    }
-
-    /// Name shim over [`NodeStore::count_id`].
-    pub fn count(&self, predicate: &str) -> usize {
-        self.pred_id(predicate).map_or(0, |p| self.count_id(p))
     }
 
     /// Total number of stored tuples across relations.
@@ -952,23 +874,57 @@ mod tests {
         Tuple::new("link", vec![Value::Addr(a), Value::Addr(b)])
     }
 
+    // Tuple-level adapters over the id API, for readable assertions.
+    fn insert<F>(store: &mut NodeStore, t: &Tuple, meta: TupleMeta, combine: F) -> InsertOutcome
+    where
+        F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
+    {
+        let pred = store.intern(&t.predicate);
+        store.insert_row(pred, Arc::from(t.values.as_slice()), meta, combine)
+    }
+
+    /// Inserts `t` untagged with an optional TTL, keeping the stored tag on
+    /// duplicates.
+    fn put(store: &mut NodeStore, t: &Tuple, ttl: Option<u64>) -> InsertOutcome {
+        insert(store, t, meta(ProvTag::None, ttl), |a, _| a.clone())
+    }
+
+    fn get<'a>(store: &'a NodeStore, t: &Tuple) -> Option<&'a TupleMeta> {
+        store.meta_of(store.pred_id(&t.predicate)?, &t.values)
+    }
+
+    fn remove(store: &mut NodeStore, t: &Tuple) -> Option<TupleMeta> {
+        store.remove_row(store.pred_id(&t.predicate)?, &t.values)
+    }
+
+    fn ordered(store: &NodeStore, predicate: &str) -> Vec<Tuple> {
+        let rows = store.pred_id(predicate).map(|p| store.scan_ordered_rows(p));
+        let tuple_of = |(values, _): (&Arc<[Value]>, _)| Tuple::new(predicate, values.to_vec());
+        rows.into_iter().flatten().map(tuple_of).collect()
+    }
+
+    fn probe(store: &NodeStore, name: &str, cols: &[usize], key: &[Value]) -> Option<Vec<Tuple>> {
+        let hits = store.probe_id(store.pred_id(name)?, cols, key)?;
+        Some(hits.map(|(v, _)| Tuple::new(name, v.to_vec())).collect())
+    }
+
+    fn index(store: &mut NodeStore, name: &str, cols: &[usize]) {
+        let pred = store.intern(name);
+        store.register_index_id(pred, cols);
+    }
+
     #[test]
     fn insert_scan_and_counts() {
         let mut store = NodeStore::new();
-        assert_eq!(
-            store.insert(&link(0, 1), meta(ProvTag::None, None), |a, _| a.clone()),
-            InsertOutcome::New
-        );
-        assert_eq!(
-            store.insert(&link(0, 2), meta(ProvTag::None, None), |a, _| a.clone()),
-            InsertOutcome::New
-        );
-        assert_eq!(store.count("link"), 2);
+        assert_eq!(put(&mut store, &link(0, 1), None), InsertOutcome::New);
+        assert_eq!(put(&mut store, &link(0, 2), None), InsertOutcome::New);
+        let pred = store.pred_id("link").unwrap();
+        assert_eq!(store.count_id(pred), 2);
         assert_eq!(store.total_tuples(), 2);
-        assert!(store.contains(&link(0, 1)));
-        assert!(!store.contains(&link(1, 0)));
-        assert_eq!(store.scan("link").count(), 2);
-        assert_eq!(store.scan("reachable").count(), 0);
+        assert!(get(&store, &link(0, 1)).is_some());
+        assert!(get(&store, &link(1, 0)).is_none());
+        assert_eq!(store.scan_rows(pred).count(), 2);
+        assert_eq!(store.pred_id("reachable"), None);
         assert_eq!(store.predicates().collect::<Vec<_>>(), vec!["link"]);
         assert!(store.total_tuple_bytes() > 0);
     }
@@ -985,20 +941,35 @@ mod tests {
             }
         };
         assert_eq!(
-            store.insert(&t, meta(ProvTag::Trust(TrustLevel(1)), None), combine),
+            insert(
+                &mut store,
+                &t,
+                meta(ProvTag::Trust(TrustLevel(1)), None),
+                combine
+            ),
             InsertOutcome::New
         );
         // Same tuple, higher trust: tag merges.
         assert_eq!(
-            store.insert(&t, meta(ProvTag::Trust(TrustLevel(3)), None), combine),
+            insert(
+                &mut store,
+                &t,
+                meta(ProvTag::Trust(TrustLevel(3)), None),
+                combine
+            ),
             InsertOutcome::MergedTag
         );
         // Same tuple, lower trust: nothing changes.
         assert_eq!(
-            store.insert(&t, meta(ProvTag::Trust(TrustLevel(2)), None), combine),
+            insert(
+                &mut store,
+                &t,
+                meta(ProvTag::Trust(TrustLevel(2)), None),
+                combine
+            ),
             InsertOutcome::Duplicate
         );
-        assert_eq!(store.get(&t).unwrap().tag, ProvTag::Trust(TrustLevel(3)));
+        assert_eq!(get(&store, &t).unwrap().tag, ProvTag::Trust(TrustLevel(3)));
         assert_eq!(store.total_tuples(), 1);
     }
 
@@ -1057,15 +1028,13 @@ mod tests {
         );
         assert_eq!(batched.total_tuples(), serial.total_tuples());
         assert_eq!(
-            batched.get(&link(0, 1)).unwrap().tag,
+            get(&batched, &link(0, 1)).unwrap().tag,
             ProvTag::Trust(TrustLevel(3))
         );
-        let ordered: Vec<Tuple> = batched
-            .scan_ordered("link")
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(ordered, vec![link(0, 1), link(0, 2), link(1, 2)]);
+        assert_eq!(
+            ordered(&batched, "link"),
+            vec![link(0, 1), link(0, 2), link(1, 2)]
+        );
         batched.check_index_consistency().unwrap();
         serial.check_index_consistency().unwrap();
     }
@@ -1073,13 +1042,9 @@ mod tests {
     #[test]
     fn soft_state_expiry() {
         let mut store = NodeStore::new();
-        store.insert(&link(0, 1), meta(ProvTag::None, Some(100)), |a, _| {
-            a.clone()
-        });
-        store.insert(&link(0, 2), meta(ProvTag::None, None), |a, _| a.clone());
-        store.insert(&link(0, 3), meta(ProvTag::None, Some(500)), |a, _| {
-            a.clone()
-        });
+        put(&mut store, &link(0, 1), Some(100));
+        put(&mut store, &link(0, 2), None);
+        put(&mut store, &link(0, 3), Some(500));
         let removed = store.expire(SimTime::from_micros(200));
         assert_eq!(removed, vec![link(0, 1)]);
         assert_eq!(store.total_tuples(), 2);
@@ -1097,7 +1062,7 @@ mod tests {
             .map(|i| Tuple::new(["zeta", "alpha", "mid"][i % 3], vec![Value::Int(i as i64)]))
             .collect();
         for t in &tuples {
-            store.insert(t, meta(ProvTag::None, Some(10)), |a, _| a.clone());
+            put(&mut store, t, Some(10));
         }
         let removed = store.expire(SimTime::from_micros(10));
         assert_eq!(removed, tuples, "expirations follow insertion seq order");
@@ -1108,15 +1073,15 @@ mod tests {
     fn re_derivation_refreshes_ttl() {
         let mut store = NodeStore::new();
         let t = link(0, 1);
-        store.insert(&t, meta(ProvTag::None, Some(100)), |a, _| a.clone());
-        store.insert(&t, meta(ProvTag::None, Some(300)), |a, _| a.clone());
+        put(&mut store, &t, Some(100));
+        put(&mut store, &t, Some(300));
         assert_eq!(
-            store.get(&t).unwrap().expires_at,
+            get(&store, &t).unwrap().expires_at,
             Some(SimTime::from_micros(300))
         );
         // A hard-state re-derivation clears the TTL entirely.
-        store.insert(&t, meta(ProvTag::None, None), |a, _| a.clone());
-        assert_eq!(store.get(&t).unwrap().expires_at, None);
+        put(&mut store, &t, None);
+        assert_eq!(get(&store, &t).unwrap().expires_at, None);
         assert!(store.expire(SimTime::from_micros(10_000)).is_empty());
     }
 
@@ -1125,31 +1090,30 @@ mod tests {
         let mut store = NodeStore::new();
         let pred = store.intern("link");
         store.register_index_id(pred, &[0]);
-        store.insert(
+        insert(
+            &mut store,
             &link(0, 1),
             meta(ProvTag::Trust(TrustLevel(2)), None),
             |a, _| a.clone(),
         );
-        store.insert(&link(0, 2), meta(ProvTag::None, Some(100)), |a, _| {
-            a.clone()
-        });
+        put(&mut store, &link(0, 2), Some(100));
         let seq = store.seq_of(pred, &link(0, 1).values).unwrap();
         assert_eq!(store.seq_of(pred, &link(9, 9).values), None);
         // Tag replacement targets the live row.
         assert!(store.set_tag(pred, seq, ProvTag::Trust(TrustLevel(1))));
         assert_eq!(
-            store.get(&link(0, 1)).unwrap().tag,
+            get(&store, &link(0, 1)).unwrap().tag,
             ProvTag::Trust(TrustLevel(1))
         );
         // TTL refresh extends but never shortens.
         assert!(store.refresh_row_ttl(pred, &link(0, 2).values, Some(SimTime::from_micros(50))));
         assert_eq!(
-            store.get(&link(0, 2)).unwrap().expires_at,
+            get(&store, &link(0, 2)).unwrap().expires_at,
             Some(SimTime::from_micros(100))
         );
         assert!(store.refresh_row_ttl(pred, &link(0, 2).values, Some(SimTime::from_micros(400))));
         assert_eq!(
-            store.get(&link(0, 2)).unwrap().expires_at,
+            get(&store, &link(0, 2)).unwrap().expires_at,
             Some(SimTime::from_micros(400))
         );
         assert!(!store.refresh_row_ttl(pred, &link(9, 9).values, None));
@@ -1171,9 +1135,9 @@ mod tests {
     #[test]
     fn remove_returns_metadata() {
         let mut store = NodeStore::new();
-        store.insert(&link(0, 1), meta(ProvTag::None, None), |a, _| a.clone());
-        assert!(store.remove(&link(0, 1)).is_some());
-        assert!(store.remove(&link(0, 1)).is_none());
+        put(&mut store, &link(0, 1), None);
+        assert!(remove(&mut store, &link(0, 1)).is_some());
+        assert!(remove(&mut store, &link(0, 1)).is_none());
         assert_eq!(store.total_tuples(), 0);
     }
 
@@ -1182,26 +1146,21 @@ mod tests {
     #[test]
     fn probe_answers_only_the_matching_bucket() {
         let mut store = NodeStore::new();
-        store.register_index("link", &[0]);
+        index(&mut store, "link", &[0]);
         for (a, b) in [(0, 1), (0, 2), (1, 2), (2, 0)] {
-            store.insert(&link(a, b), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(a, b), None);
         }
-        let hits: Vec<Tuple> = store
-            .probe("link", &[0], &[Value::Addr(0)])
-            .unwrap()
-            .map(|(t, _)| t)
-            .collect();
+        let hits: Vec<Tuple> = probe(&store, "link", &[0], &[Value::Addr(0)]).unwrap();
         assert_eq!(hits, vec![link(0, 1), link(0, 2)], "insertion order");
         assert_eq!(
-            store
-                .probe("link", &[0], &[Value::Addr(9)])
+            probe(&store, "link", &[0], &[Value::Addr(9)])
                 .unwrap()
-                .count(),
+                .len(),
             0
         );
         // Probing an unregistered index reports None (fall back to scan).
-        assert!(store.probe("link", &[1], &[Value::Addr(2)]).is_none());
-        assert!(store.probe("other", &[0], &[Value::Addr(0)]).is_none());
+        assert!(probe(&store, "link", &[1], &[Value::Addr(2)]).is_none());
+        assert!(probe(&store, "other", &[0], &[Value::Addr(0)]).is_none());
         store.check_index_consistency().unwrap();
     }
 
@@ -1209,16 +1168,12 @@ mod tests {
     fn register_index_backfills_existing_rows_in_insertion_order() {
         let mut store = NodeStore::new();
         for (a, b) in [(5, 1), (5, 9), (3, 1), (5, 4)] {
-            store.insert(&link(a, b), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(a, b), None);
         }
-        store.register_index("link", &[0]);
+        index(&mut store, "link", &[0]);
         // Idempotent re-registration.
-        store.register_index("link", &[0]);
-        let hits: Vec<Tuple> = store
-            .probe("link", &[0], &[Value::Addr(5)])
-            .unwrap()
-            .map(|(t, _)| t)
-            .collect();
+        index(&mut store, "link", &[0]);
+        let hits: Vec<Tuple> = probe(&store, "link", &[0], &[Value::Addr(5)]).unwrap();
         assert_eq!(hits, vec![link(5, 1), link(5, 9), link(5, 4)]);
         store.check_index_consistency().unwrap();
     }
@@ -1226,23 +1181,19 @@ mod tests {
     #[test]
     fn indexes_survive_interleaved_insert_remove_expire() {
         let mut store = NodeStore::new();
-        store.register_index("link", &[0]);
-        store.register_index("link", &[0, 1]);
+        index(&mut store, "link", &[0]);
+        index(&mut store, "link", &[0, 1]);
 
         // Interleave: inserts with mixed TTLs, removes, expiry, re-inserts.
-        store.insert(&link(0, 1), meta(ProvTag::None, Some(100)), |a, _| {
-            a.clone()
-        });
-        store.insert(&link(0, 2), meta(ProvTag::None, None), |a, _| a.clone());
+        put(&mut store, &link(0, 1), Some(100));
+        put(&mut store, &link(0, 2), None);
         store.check_index_consistency().unwrap();
 
-        store.remove(&link(0, 1));
+        remove(&mut store, &link(0, 1));
         store.check_index_consistency().unwrap();
 
-        store.insert(&link(0, 1), meta(ProvTag::None, Some(200)), |a, _| {
-            a.clone()
-        });
-        store.insert(&link(1, 2), meta(ProvTag::None, Some(50)), |a, _| a.clone());
+        put(&mut store, &link(0, 1), Some(200));
+        put(&mut store, &link(1, 2), Some(50));
         store.check_index_consistency().unwrap();
 
         // Expire drops link(1,2) (TTL 50) and link(0,1) (TTL 200).
@@ -1254,50 +1205,39 @@ mod tests {
         store.check_index_consistency().unwrap();
 
         // The stale keys are really gone from the probe path.
-        let hits: Vec<Tuple> = store
-            .probe("link", &[0], &[Value::Addr(0)])
-            .unwrap()
-            .map(|(t, _)| t)
-            .collect();
+        let hits: Vec<Tuple> = probe(&store, "link", &[0], &[Value::Addr(0)]).unwrap();
         assert_eq!(hits, vec![link(0, 2)]);
         assert_eq!(
-            store
-                .probe("link", &[0, 1], &[Value::Addr(0), Value::Addr(1)])
+            probe(&store, "link", &[0, 1], &[Value::Addr(0), Value::Addr(1)])
                 .unwrap()
-                .count(),
+                .len(),
             0
         );
 
         // Re-insertion after expiry shows up again.
-        store.insert(&link(0, 1), meta(ProvTag::None, None), |a, _| a.clone());
+        put(&mut store, &link(0, 1), None);
         store.check_index_consistency().unwrap();
         assert_eq!(
-            store
-                .probe("link", &[0, 1], &[Value::Addr(0), Value::Addr(1)])
+            probe(&store, "link", &[0, 1], &[Value::Addr(0), Value::Addr(1)])
                 .unwrap()
-                .count(),
+                .len(),
             1
         );
         // Insertion order in the shared bucket reflects the re-insert.
-        let hits: Vec<Tuple> = store
-            .probe("link", &[0], &[Value::Addr(0)])
-            .unwrap()
-            .map(|(t, _)| t)
-            .collect();
+        let hits: Vec<Tuple> = probe(&store, "link", &[0], &[Value::Addr(0)]).unwrap();
         assert_eq!(hits, vec![link(0, 2), link(0, 1)]);
     }
 
     #[test]
     fn duplicate_insert_does_not_duplicate_index_entries() {
         let mut store = NodeStore::new();
-        store.register_index("link", &[1]);
-        store.insert(&link(0, 7), meta(ProvTag::None, None), |a, _| a.clone());
-        store.insert(&link(0, 7), meta(ProvTag::None, None), |a, _| a.clone());
+        index(&mut store, "link", &[1]);
+        put(&mut store, &link(0, 7), None);
+        put(&mut store, &link(0, 7), None);
         assert_eq!(
-            store
-                .probe("link", &[1], &[Value::Addr(7)])
+            probe(&store, "link", &[1], &[Value::Addr(7)])
                 .unwrap()
-                .count(),
+                .len(),
             1
         );
         store.check_index_consistency().unwrap();
@@ -1308,42 +1248,30 @@ mod tests {
         let mut store = NodeStore::new();
         let inserted = [(4, 0), (2, 9), (7, 7), (0, 0), (3, 3)];
         for (a, b) in inserted {
-            store.insert(&link(a, b), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(a, b), None);
         }
-        let got: Vec<Tuple> = store
-            .scan_ordered("link")
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
+        let got: Vec<Tuple> = ordered(&store, "link");
         let expected: Vec<Tuple> = inserted.iter().map(|&(a, b)| link(a, b)).collect();
         assert_eq!(got, expected);
         // Removal keeps relative order of the survivors.
-        store.remove(&link(7, 7));
-        let got: Vec<Tuple> = store
-            .scan_ordered("link")
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
+        remove(&mut store, &link(7, 7));
+        let got: Vec<Tuple> = ordered(&store, "link");
         assert_eq!(got, vec![link(4, 0), link(2, 9), link(0, 0), link(3, 3)]);
-        assert!(store.scan_ordered("nope").is_empty());
+        assert!(ordered(&store, "nope").is_empty());
     }
 
     #[test]
     fn seq_list_compacts_after_heavy_churn() {
         let mut store = NodeStore::new();
         for i in 0..100u32 {
-            store.insert(&link(i, i), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(i, i), None);
         }
         // Remove 90 of 100: compaction must have kicked in (dead ≤ half).
         for i in 0..90u32 {
-            store.remove(&link(i, i));
+            remove(&mut store, &link(i, i));
             store.check_index_consistency().unwrap();
         }
-        let got: Vec<Tuple> = store
-            .scan_ordered("link")
-            .into_iter()
-            .map(|(t, _)| t)
-            .collect();
+        let got: Vec<Tuple> = ordered(&store, "link");
         let expected: Vec<Tuple> = (90..100).map(|i| link(i, i)).collect();
         assert_eq!(got, expected, "survivors keep insertion order");
     }
@@ -1352,11 +1280,11 @@ mod tests {
     fn compaction_debt_is_metered_and_drained() {
         let mut store = NodeStore::new();
         for i in 0..100u32 {
-            store.insert(&link(i, i), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(i, i), None);
         }
         assert_eq!(store.take_compaction_debt(), 0, "inserts never compact");
         for i in 0..90u32 {
-            store.remove(&link(i, i));
+            remove(&mut store, &link(i, i));
         }
         // 90 removals force several rebuilds; each walks the then-current
         // seq list, so the drained debt must cover at least one full rebuild
@@ -1373,11 +1301,11 @@ mod tests {
         // not another full copy of every row.
         let mut store = NodeStore::new();
         for i in 0..50u32 {
-            store.insert(&link(i % 5, i), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(i % 5, i), None);
         }
         let rows_only = store.store_bytes();
         assert_eq!(store.index_bytes(), 0);
-        store.register_index("link", &[0]);
+        index(&mut store, "link", &[0]);
         let one_index = store.index_bytes();
         assert!(one_index > 0);
         assert!(
@@ -1427,16 +1355,12 @@ mod tests {
     fn take_expired_honours_ttl_extensions_and_hardening() {
         let mut store = NodeStore::new();
         let pred = store.intern("link");
-        store.insert(&link(0, 1), meta(ProvTag::None, Some(100)), |a, _| {
-            a.clone()
-        });
-        store.insert(&link(0, 2), meta(ProvTag::None, Some(100)), |a, _| {
-            a.clone()
-        });
+        put(&mut store, &link(0, 1), Some(100));
+        put(&mut store, &link(0, 2), Some(100));
         // Extend one row, harden the other: the stale heap entries at t=100
         // must not expire either of them.
         assert!(store.refresh_row_ttl(pred, &link(0, 1).values, Some(SimTime::from_micros(300))));
-        store.insert(&link(0, 2), meta(ProvTag::None, None), |a, _| a.clone());
+        put(&mut store, &link(0, 2), None);
         assert!(store.take_expired(SimTime::from_micros(150)).is_empty());
         assert_eq!(store.total_tuples(), 2);
         let expired = store.take_expired(SimTime::from_micros(300));
@@ -1453,10 +1377,10 @@ mod tests {
     fn small_tables_never_pay_compaction_debt() {
         let mut store = NodeStore::new();
         for i in 0..50u32 {
-            store.insert(&link(i, i), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(i, i), None);
         }
         for i in 0..50u32 {
-            store.remove(&link(i, i));
+            remove(&mut store, &link(i, i));
             store.check_index_consistency().unwrap();
         }
         assert_eq!(
@@ -1464,15 +1388,15 @@ mod tests {
             0,
             "lists under the compaction threshold are never rebuilt"
         );
-        assert!(store.scan_ordered("link").is_empty());
+        assert!(ordered(&store, "link").is_empty());
         // A fully emptied table clears its seq list outright (a clear, not
         // a charged rebuild): no dead residue survives the generation.
         let empty_bytes = store.store_bytes();
         for i in 0..50u32 {
-            store.insert(&link(i, i), meta(ProvTag::None, None), |a, _| a.clone());
+            put(&mut store, &link(i, i), None);
         }
         for i in 0..50u32 {
-            store.remove(&link(i, i));
+            remove(&mut store, &link(i, i));
         }
         assert_eq!(store.store_bytes(), empty_bytes);
         assert_eq!(store.take_compaction_debt(), 0);
@@ -1481,9 +1405,10 @@ mod tests {
     #[test]
     fn has_index_reflects_registration() {
         let mut store = NodeStore::new();
-        assert!(!store.has_index("link", &[0]));
-        store.register_index("link", &[0]);
-        assert!(store.has_index("link", &[0]));
-        assert!(!store.has_index("link", &[1]));
+        let pred = store.intern("link");
+        assert!(!store.has_index_id(pred, &[0]));
+        store.register_index_id(pred, &[0]);
+        assert!(store.has_index_id(pred, &[0]));
+        assert!(!store.has_index_id(pred, &[1]));
     }
 }

@@ -10,7 +10,11 @@
 //!    bit-identical fault counters (drops, duplicates, retransmits, acks,
 //!    backoffs), because every transport decision is a pure function of
 //!    `(seed, link, frame seq, attempt)`.
-//! 3. **Aggregate re-election** — retracting the tuple that carried the
+//! 3. **Retry-budget exhaustion** — under sustained total loss with bursts
+//!    longer than the retry budget, every data frame exhausts its budget,
+//!    is reconciled as a cut-link casualty, and the run terminates with no
+//!    row anywhere that only a lost frame could have delivered.
+//! 4. **Aggregate re-election** — retracting the tuple that carried the
 //!    current `a_MIN` best under churn converges to the surviving
 //!    candidates' best (the stale-best-on-deletion regression).
 
@@ -170,6 +174,76 @@ fn node_crash_without_drain_reconverges() {
             "says {says}"
         );
         assert_eq!(metrics.verification_failures, 0);
+    }
+}
+
+/// The transport edge bounded loss bursts never reach: a plan that drops
+/// *every* attempt of every data frame, with bursts allowed to outlast the
+/// retry budget.  Each frame must burn exactly its budget of
+/// retransmissions, die, and be reconciled like a cut-link casualty — the
+/// run terminates instead of livelocking, and each node ends up holding
+/// only what it derived itself (nothing rests on a frame that never
+/// arrived).  Identical at workers 1 and 4, at the `Session` and `Rsa`
+/// levels.
+#[test]
+fn sustained_loss_exhausts_the_retry_budget_and_terminates() {
+    let budget = u64::from(pasn_engine::DEFAULT_RETRY_BUDGET);
+    let links: Vec<(usize, usize)> = vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)];
+    for base in [EngineConfig::sendlog_session, EngineConfig::sendlog] {
+        let run = |workers: usize| {
+            let mut plan = FaultPlan::lossless(7).with_drop_per_mille(1000);
+            plan.max_consecutive_drops = u8::MAX;
+            let config = base().with_batching().with_workers(workers);
+            let mut engine = reach_engine(config.with_fault_plan(plan), &links);
+            let metrics = engine.run_to_fixpoint().unwrap();
+            (engine, metrics)
+        };
+        let (engine, m) = run(1);
+
+        // Every data frame was offered `budget` times (the original send
+        // plus budget − 1 re-rolls, all dropped) and abandoned when its
+        // budget-th timer fired; none was ever delivered, so the only acks
+        // answer the (reliable, control-plane) channel handshakes.
+        assert!(m.frames > 0, "the topology must ship frames");
+        assert_eq!(m.max_retransmit_per_frame, budget);
+        assert_eq!(m.retransmits, m.frames * budget);
+        assert_eq!(m.frames_dropped, m.frames * budget);
+        assert_eq!(m.backoff_events, m.frames * (budget - 1));
+        assert_eq!(m.verifications, 0);
+        assert!(m.acks <= m.handshakes, "{} acks", m.acks);
+        assert_eq!(m.verification_failures, 0);
+
+        // No row anywhere was delivered by a frame: every stored tuple
+        // originates at the node storing it, and reachability is exactly
+        // each node's own links.
+        let predicates: Vec<String> = engine
+            .compiled()
+            .symbols
+            .iter()
+            .map(|(_, name)| name.to_string())
+            .collect();
+        for (i, loc) in locations().iter().enumerate() {
+            for pred in &predicates {
+                for (tuple, meta) in engine.query(loc, pred) {
+                    assert_eq!(meta.origin, *loc, "{tuple} at {loc} rode a dead frame");
+                }
+            }
+            let own_links = links.iter().filter(|(src, _)| *src == i).count();
+            assert_eq!(engine.query(loc, "link").len(), own_links);
+            assert_eq!(engine.query(loc, "reachable").len(), own_links);
+        }
+
+        // The pool reproduces the sequential run bit for bit.
+        let (pooled, pm) = run(4);
+        assert_eq!(fault_counters(&pm), fault_counters(&m));
+        assert_eq!(
+            (pm.frames, pm.derivations, pm.tuples_stored, pm.handshakes),
+            (m.frames, m.derivations, m.tuples_stored, m.handshakes)
+        );
+        assert_eq!((pm.completion, pm.bytes), (m.completion, m.bytes));
+        for pred in ["link", "reachable"] {
+            assert_eq!(fixpoint_of(&pooled, pred), fixpoint_of(&engine, pred));
+        }
     }
 }
 

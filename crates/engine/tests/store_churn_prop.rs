@@ -11,6 +11,7 @@ use pasn_engine::{NodeStore, Tuple, TupleMeta};
 use pasn_net::SimTime;
 use pasn_provenance::ProvTag;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const PREDICATES: [&str; 2] = ["p", "q"];
 
@@ -22,6 +23,24 @@ fn meta(expires: Option<u64>) -> TupleMeta {
         origin: Value::Addr(0),
         asserted_by: None,
     }
+}
+
+/// Inserts `t` through the id API, keeping the stored tag on duplicates.
+fn insert(store: &mut NodeStore, t: &Tuple, ttl: Option<u64>) {
+    let pred = store.intern(&t.predicate);
+    let row = Arc::from(t.values.as_slice());
+    store.insert_row(pred, row, meta(ttl), |x, _| x.clone());
+}
+
+/// Removes `t` through the id API; a never-interned predicate is a miss.
+fn remove(store: &mut NodeStore, t: &Tuple) -> bool {
+    let pred = store.pred_id(&t.predicate);
+    pred.is_some_and(|pred| store.remove_row(pred, &t.values).is_some())
+}
+
+fn register_index(store: &mut NodeStore, predicate: &str, cols: &[usize]) {
+    let pred = store.intern(predicate);
+    store.register_index_id(pred, cols);
 }
 
 fn tuple(pred_sel: u32, a: u32, b: u32) -> Tuple {
@@ -76,10 +95,11 @@ fn assert_matches_model(store: &NodeStore, model: &Model) {
         .check_index_consistency()
         .expect("seq/index invariants hold after every op");
     for pred in PREDICATES {
-        let got: Vec<Tuple> = store
-            .scan_ordered(pred)
+        let rows = store.pred_id(pred).map(|id| store.scan_ordered_rows(id));
+        let got: Vec<Tuple> = rows
             .into_iter()
-            .map(|(t, _)| t)
+            .flatten()
+            .map(|(values, _)| Tuple::new(pred, values.to_vec()))
             .collect();
         assert_eq!(got, model.scan_ordered(pred), "scan_ordered({pred})");
     }
@@ -114,20 +134,20 @@ proptest! {
                 // Hard-state insert.
                 0 | 1 => {
                     let tup = tuple(pred_sel, a, b);
-                    store.insert(&tup, meta(None), |x, _| x.clone());
+                    insert(&mut store, &tup, None);
                     model.insert(&tup, None);
                 }
                 // Soft-state insert (TTL in the same window as expiry times,
                 // so expiry actually bites).
                 2 => {
                     let tup = tuple(pred_sel, a, b);
-                    store.insert(&tup, meta(Some(t)), |x, _| x.clone());
+                    insert(&mut store, &tup, Some(t));
                     model.insert(&tup, Some(t));
                 }
                 // Remove (often a miss — must be a clean no-op).
                 3 => {
                     let tup = tuple(pred_sel, a, b);
-                    let got = store.remove(&tup).is_some();
+                    let got = remove(&mut store, &tup);
                     let expected = model.rows.iter().any(|(row, _)| *row == tup);
                     prop_assert!(got == expected, "remove hit/miss diverged");
                     model.remove(&tup);
@@ -144,7 +164,7 @@ proptest! {
                         1 => &[1],
                         _ => &[0, 1],
                     };
-                    store.register_index(PREDICATES[(pred_sel % 2) as usize], cols);
+                    register_index(&mut store, PREDICATES[(pred_sel % 2) as usize], cols);
                 }
             }
             assert_matches_model(&store, &model);
@@ -160,18 +180,18 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 30..120),
     ) {
         let mut store = NodeStore::new();
-        store.register_index("p", &[0]);
-        store.register_index("q", &[0, 1]);
+        register_index(&mut store, "p", &[0]);
+        register_index(&mut store, "q", &[0, 1]);
         let mut model = Model::default();
         for (i, word) in keys.iter().enumerate() {
             let (_, pred_sel, a, b, _) = decode_op(*word);
             let ttl = (i % 3 == 1).then_some(10u64);
             let tup = tuple(pred_sel, a + b, b);
-            store.insert(&tup, meta(ttl), |x, _| x.clone());
+            insert(&mut store, &tup, ttl);
             model.insert(&tup, ttl);
             // Remove every third survivor immediately after inserting it.
             if i % 3 == 2 {
-                store.remove(&tup);
+                remove(&mut store, &tup);
                 model.remove(&tup);
             }
         }

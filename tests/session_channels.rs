@@ -93,11 +93,11 @@ fn session_preset_and_counters_round_trip_through_the_facade() {
     let mut net = reachability_30(EngineConfig::sendlog_session().with_batching());
     assert_eq!(net.engine().config().says_level, Some(SaysLevel::Session));
     let m = net.run().unwrap();
-    assert_eq!(net.rsa_sign_ops(), m.rsa_sign_ops);
-    assert_eq!(net.rsa_verify_ops(), m.rsa_verify_ops);
-    assert_eq!(net.hmac_ops(), m.hmac_ops);
-    assert_eq!(net.handshakes(), m.handshakes);
-    assert_eq!(net.frames(), m.frames);
+    assert_eq!(net.metrics().rsa_sign_ops, m.rsa_sign_ops);
+    assert_eq!(net.metrics().rsa_verify_ops, m.rsa_verify_ops);
+    assert_eq!(net.metrics().hmac_ops, m.hmac_ops);
+    assert_eq!(net.metrics().handshakes, m.handshakes);
+    assert_eq!(net.metrics().frames, m.frames);
 }
 
 /// Forcing rebinds (tiny channel lifetime) degenerates to per-frame RSA
