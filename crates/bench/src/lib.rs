@@ -218,7 +218,7 @@ pub fn sustained_expiry_churn(rows: u32, generations: u32) -> ExpiryChurnReport 
         tag: ProvTag::None,
         created_at: SimTime::ZERO,
         expires_at: Some(SimTime::from_micros(expires)),
-        origin: Value::Addr(0),
+        origin: NodeId(0),
         asserted_by: None,
     };
     let flow = |generation: i64, i: u32| -> Arc<[Value]> {
@@ -345,7 +345,7 @@ pub fn store_churn_cycle(rows: u32) -> pasn_engine::NodeStore {
         tag: ProvTag::None,
         created_at: SimTime::ZERO,
         expires_at: expires.map(SimTime::from_micros),
-        origin: Value::Addr(0),
+        origin: NodeId(0),
         asserted_by: None,
     };
     let flow = |gen: i64, i: u32| -> Arc<[Value]> {

@@ -58,8 +58,8 @@ pub fn archived_activity(
     to: Option<u64>,
 ) -> Vec<(Value, ArchivedEntry)> {
     let mut out = Vec::new();
-    for loc in network.engine().locations().to_vec() {
-        if let Some(archive) = network.archive(&loc) {
+    for loc in network.engine().locations() {
+        if let Some(archive) = network.archive(loc) {
             for entry in archive.query(key_prefix, from, to) {
                 out.push((loc.clone(), entry.clone()));
             }

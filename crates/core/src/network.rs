@@ -266,7 +266,7 @@ impl SecureNetwork {
 
     /// Per-node distributed provenance stores, ready for
     /// [`pasn_provenance::traceback`].
-    pub fn distributed_stores(&self) -> HashMap<String, DistributedStore> {
+    pub fn distributed_stores(&self) -> HashMap<String, &DistributedStore> {
         self.engine.distributed_stores()
     }
 

@@ -48,8 +48,8 @@ pub mod value;
 pub use ast::{AggFunc, Atom, BinOp, BodyLiteral, Expr, Fact, Program, Rule, Term};
 pub use parser::{parse_program, parse_rule, ParseError};
 pub use plan::{
-    compile_program, CompiledProgram, DeltaPlan, IndexSpec, JoinStep, PlanError, PlanStep,
-    RulePlan, SlotTerm, VarSlots,
+    compile_program, Builtin, CompiledProgram, DeltaPlan, HeadPlan, IndexSpec, JoinStep, PlanError,
+    PlanStep, RulePlan, SlotExpr, SlotTerm,
 };
 pub use symbols::{PredId, Symbols};
 pub use value::{Address, Value};

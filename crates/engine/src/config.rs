@@ -79,9 +79,6 @@ pub struct EngineConfig {
     /// Authentication level for inter-node tuples; `None` disables
     /// authentication entirely (plain NDlog).
     pub says_level: Option<SaysLevel>,
-    /// Verify `says` proofs on import (on by default whenever authentication
-    /// is enabled).
-    pub verify_imports: bool,
     /// Which semiring annotation to maintain per tuple.
     pub provenance: ProvenanceKind,
     /// Whether and where derivation graphs are recorded.
@@ -186,7 +183,6 @@ impl EngineConfig {
     pub fn ndlog() -> Self {
         EngineConfig {
             says_level: None,
-            verify_imports: false,
             provenance: ProvenanceKind::None,
             graph_mode: GraphMode::None,
             maintenance: MaintenanceMode::Proactive,
@@ -235,7 +231,6 @@ impl EngineConfig {
     pub fn sendlog() -> Self {
         EngineConfig {
             says_level: Some(SaysLevel::Rsa),
-            verify_imports: true,
             ..EngineConfig::ndlog()
         }
     }
@@ -249,10 +244,9 @@ impl EngineConfig {
         }
     }
 
-    /// Builder: sets the `says` level (and enables import verification).
+    /// Builder: sets the `says` level (imports are then verified).
     pub fn with_says(mut self, level: SaysLevel) -> Self {
         self.says_level = Some(level);
-        self.verify_imports = true;
         self
     }
 
@@ -416,7 +410,6 @@ mod tests {
         assert!(se.authenticated());
         assert_eq!(se.says_level, Some(SaysLevel::Rsa));
         assert!(!se.tracks_provenance());
-        assert!(se.verify_imports);
 
         let sp = SystemVariant::SeNDLogProv.config();
         assert!(sp.authenticated());
@@ -436,7 +429,6 @@ mod tests {
             .with_default_ttl_us(5_000_000)
             .with_security_level(3, 4);
         assert_eq!(cfg.says_level, Some(SaysLevel::Hmac));
-        assert!(cfg.verify_imports);
         assert_eq!(cfg.provenance, ProvenanceKind::Vote);
         assert_eq!(cfg.graph_mode, GraphMode::Distributed);
         assert_eq!(cfg.default_ttl_us, Some(5_000_000));
@@ -489,7 +481,6 @@ mod tests {
     fn session_preset_amortises_rsa_over_the_channel() {
         let cfg = EngineConfig::sendlog_session();
         assert!(cfg.authenticated());
-        assert!(cfg.verify_imports);
         assert_eq!(cfg.says_level, Some(SaysLevel::Session));
         assert_eq!(
             cfg.channel_rebind_frames,

@@ -317,6 +317,18 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
+    /// Appends one firing to the log and indexes it by every antecedent seq
+    /// and by its head.
+    pub fn record_firing(&mut self, firing: FiringRecord) {
+        let idx = self.firings.len() as u32;
+        for seq in &firing.antecedents {
+            self.by_antecedent.entry(*seq).or_default().push(idx);
+        }
+        let head = (firing.dest, firing.pred, firing.values.clone());
+        self.by_head.entry(head).or_default().push(idx);
+        self.firings.push(firing);
+    }
+
     /// Records one arriving contribution for the row at `seq`.
     pub fn record_arrival(
         &mut self,

@@ -1,56 +1,27 @@
-//! Expression evaluation, unification, and NDlog built-in functions.
+//! Expression evaluation, unification, and NDlog built-in functions, over
+//! the planner's compiled forms only: [`Bindings`] is a flat slot frame, and
+//! every variable is read through the dense slot `pasn_datalog::plan`
+//! assigned it — there is no by-name path.
 
-use pasn_datalog::plan::{SlotTerm, VarSlots};
-use pasn_datalog::{BinOp, Expr, Term, Value};
+use pasn_datalog::plan::{Builtin, SlotExpr, SlotTerm};
+use pasn_datalog::{BinOp, Value};
 use std::fmt;
-use std::sync::Arc;
 
-/// Variable bindings accumulated while evaluating a rule body.
-///
-/// Bindings are stored in a flat `Vec<Option<Value>>` indexed by the dense
-/// slot ids the planner assigns to every rule variable ([`VarSlots`]), so
-/// cloning a binding set while branching through a join is a plain vector
-/// copy instead of a string-keyed map rebuild.  The historical name-based
-/// accessors ([`Bindings::get`], [`Bindings::bind`], unification over AST
-/// [`Term`]s) remain as a thin shim that resolves names through the shared
-/// slot table — they are used where the AST still speaks in names (filters,
-/// assignments, head construction) and by unit tests.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Variable bindings accumulated while evaluating a rule body: one
+/// `Option<Value>` per dense slot of the rule's plan
+/// ([`pasn_datalog::RulePlan::slot_count`]), so branching through a join is a
+/// plain vector copy.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Bindings {
-    table: Arc<VarSlots>,
     slots: Vec<Option<Value>>,
 }
 
 impl Bindings {
-    /// Creates an empty binding set with its own growable slot table (the
-    /// shim path used by tests and ad-hoc evaluation).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a binding set over a rule's planner-assigned slot table.
-    pub fn with_slots(table: Arc<VarSlots>) -> Self {
-        let slots = vec![None; table.len()];
-        Bindings { table, slots }
-    }
-
-    /// The slot of `var`, allocating one in a private copy of the table if
-    /// the planner did not assign it (only happens on the shim path).
-    fn ensure_slot(&mut self, var: &str) -> usize {
-        if let Some(slot) = self.table.slot(var) {
-            return slot;
+    /// Creates an empty frame of `slot_count` slots.
+    pub fn with_slots(slot_count: usize) -> Self {
+        Bindings {
+            slots: vec![None; slot_count],
         }
-        let slot = Arc::make_mut(&mut self.table).get_or_insert(var);
-        self.slots.resize(self.table.len(), None);
-        slot
-    }
-
-    /// Looks up a variable by name.
-    pub fn get(&self, var: &str) -> Option<&Value> {
-        self.table
-            .slot(var)
-            .and_then(|slot| self.slots.get(slot))
-            .and_then(Option::as_ref)
     }
 
     /// Looks up a variable by its dense slot.
@@ -58,108 +29,53 @@ impl Bindings {
         self.slots.get(slot).and_then(Option::as_ref)
     }
 
-    /// Binds a variable by name (overwrites silently; callers check
-    /// consistency via [`Bindings::unify_term`]).
-    pub fn bind(&mut self, var: impl Into<String>, value: Value) {
-        let slot = self.ensure_slot(&var.into());
-        self.slots[slot] = Some(value);
-    }
-
     /// Binds a variable by its dense slot (overwrites silently).
     pub fn bind_slot(&mut self, slot: usize, value: Value) {
-        if slot >= self.slots.len() {
-            self.slots.resize(slot + 1, None);
-        }
         self.slots[slot] = Some(value);
     }
 
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// True if nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
+    /// The value `term` denotes under the current bindings (`None` for a
+    /// wildcard or an unbound slot).
+    pub(crate) fn value_of<'a>(&'a self, term: &'a SlotTerm) -> Option<&'a Value> {
+        match term {
+            SlotTerm::Const(value) => Some(value),
+            SlotTerm::Slot(slot) => self.get_slot(*slot),
+            SlotTerm::Wildcard => None,
+        }
     }
 
     /// Attempts to unify `term` with `value`: constants must match, variables
     /// either bind or must agree with their existing binding, wildcards always
     /// match.  Returns false (leaving bindings possibly extended for fresh
     /// variables) when unification fails.
-    pub fn unify_term(&mut self, term: &Term, value: &Value) -> bool {
-        match term {
-            Term::Wildcard => true,
-            Term::Constant(c) => c == value,
-            Term::Variable(v) => {
-                let slot = self.ensure_slot(v);
-                self.unify_slot(slot, value)
-            }
-            // Aggregates never appear in body atoms (the parser rejects them).
-            Term::Aggregate(..) => false,
-        }
-    }
-
-    /// Attempts to unify a planner-compiled [`SlotTerm`] with `value` — the
-    /// fast path used by delta and join evaluation.
     pub fn unify_slot_term(&mut self, term: &SlotTerm, value: &Value) -> bool {
         match term {
             SlotTerm::Wildcard => true,
             SlotTerm::Const(c) => c == value,
-            SlotTerm::Slot(slot) => self.unify_slot(*slot, value),
-        }
-    }
-
-    fn unify_slot(&mut self, slot: usize, value: &Value) -> bool {
-        if slot >= self.slots.len() {
-            self.slots.resize(slot + 1, None);
-        }
-        match &self.slots[slot] {
-            Some(existing) => existing == value,
-            None => {
-                self.slots[slot] = Some(value.clone());
-                true
-            }
-        }
-    }
-
-    /// Resolves a term to a value under the current bindings.
-    pub fn resolve_term(&self, term: &Term) -> Result<Value, EvalError> {
-        match term {
-            Term::Constant(c) => Ok(c.clone()),
-            Term::Variable(v) | Term::Aggregate(_, v) => self
-                .get(v)
-                .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(v.clone())),
-            Term::Wildcard => Err(EvalError::WildcardInExpression),
+            SlotTerm::Slot(slot) => match &self.slots[*slot] {
+                Some(existing) => existing == value,
+                None => {
+                    self.slots[*slot] = Some(value.clone());
+                    true
+                }
+            },
         }
     }
 }
 
-/// Errors raised while evaluating expressions.
+/// Errors raised while evaluating expressions.  Unknown functions, wrong
+/// argument counts and never-bound variables are not among them: the planner
+/// rejects those before evaluation starts.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EvalError {
-    /// A variable had no binding.
-    UnboundVariable(String),
-    /// A wildcard appeared where a value is required.
-    WildcardInExpression,
+    /// A slot had no binding (a frame not produced by the rule's plan).
+    UnboundSlot(usize),
     /// Operand types did not match the operator.
     TypeMismatch {
         /// The operation being evaluated.
         operation: String,
         /// Description of the offending operands.
         operands: String,
-    },
-    /// An unknown built-in function was called.
-    UnknownFunction(String),
-    /// A built-in was called with the wrong number of arguments.
-    Arity {
-        /// Function name.
-        function: String,
-        /// Expected argument count.
-        expected: usize,
-        /// Provided argument count.
-        got: usize,
     },
     /// Division or remainder by zero.
     DivisionByZero,
@@ -168,21 +84,12 @@ pub enum EvalError {
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EvalError::UnboundVariable(v) => write!(f, "variable `{v}` is unbound"),
-            EvalError::WildcardInExpression => write!(f, "wildcard `_` used in an expression"),
+            EvalError::UnboundSlot(slot) => write!(f, "variable slot {slot} is unbound"),
             EvalError::TypeMismatch {
                 operation,
                 operands,
             } => {
                 write!(f, "type mismatch in {operation}: {operands}")
-            }
-            EvalError::UnknownFunction(name) => write!(f, "unknown function `{name}`"),
-            EvalError::Arity {
-                function,
-                expected,
-                got,
-            } => {
-                write!(f, "`{function}` expects {expected} arguments, got {got}")
             }
             EvalError::DivisionByZero => write!(f, "division by zero"),
         }
@@ -191,25 +98,29 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluates an expression under the given bindings.
-pub fn eval_expr(expr: &Expr, bindings: &Bindings) -> Result<Value, EvalError> {
+/// Evaluates a compiled expression under the given bindings.
+pub fn eval_expr(expr: &SlotExpr, bindings: &Bindings) -> Result<Value, EvalError> {
     match expr {
-        Expr::Term(t) => bindings.resolve_term(t),
-        Expr::BinOp(op, lhs, rhs) => {
+        SlotExpr::Const(value) => Ok(value.clone()),
+        SlotExpr::Slot(slot) => bindings
+            .get_slot(*slot)
+            .cloned()
+            .ok_or(EvalError::UnboundSlot(*slot)),
+        SlotExpr::BinOp(op, lhs, rhs) => {
             let l = eval_expr(lhs, bindings)?;
             let r = eval_expr(rhs, bindings)?;
             eval_binop(*op, &l, &r)
         }
-        Expr::Call(name, args) => {
+        SlotExpr::Call(builtin, args) => {
             let values: Result<Vec<Value>, EvalError> =
                 args.iter().map(|a| eval_expr(a, bindings)).collect();
-            eval_builtin(name, &values?)
+            eval_builtin(*builtin, &values?)
         }
     }
 }
 
-/// Evaluates a filter expression to a boolean.
-pub fn eval_filter(expr: &Expr, bindings: &Bindings) -> Result<bool, EvalError> {
+/// Evaluates a compiled filter expression to a boolean.
+pub fn eval_filter(expr: &SlotExpr, bindings: &Bindings) -> Result<bool, EvalError> {
     match eval_expr(expr, bindings)? {
         Value::Bool(b) => Ok(b),
         other => Err(EvalError::TypeMismatch {
@@ -280,102 +191,51 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     }
 }
 
-/// NDlog built-in functions (the `f_*` family used by the Best-Path query and
-/// the use-case programs).
-fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
-    let arity = |expected: usize| {
-        if args.len() == expected {
-            Ok(())
-        } else {
-            Err(EvalError::Arity {
-                function: name.to_string(),
-                expected,
-                got: args.len(),
-            })
-        }
+/// NDlog built-in functions.  Argument counts were checked by the planner.
+fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
+    let mismatch = |operands: String| EvalError::TypeMismatch {
+        operation: builtin.name().into(),
+        operands,
     };
-    match name {
-        // f_init(S, D): the initial path vector [S, D].
-        "f_init" => {
-            arity(2)?;
-            Ok(Value::List(vec![args[0].clone(), args[1].clone()]))
-        }
-        // f_concat(X, P): prepend X to path vector P.
-        "f_concat" => {
-            arity(2)?;
-            let list = args[1].as_list().ok_or_else(|| EvalError::TypeMismatch {
-                operation: "f_concat".into(),
-                operands: format!("second argument must be a list, got {}", args[1]),
-            })?;
-            let mut out = Vec::with_capacity(list.len() + 1);
+    let list = |i: usize, which: &str| {
+        let found = &args[i];
+        let describe = || mismatch(format!("{which} must be a list, got {found}"));
+        found.as_list().ok_or_else(describe)
+    };
+    match builtin {
+        Builtin::Init => Ok(Value::List(vec![args[0].clone(), args[1].clone()])),
+        Builtin::Concat => {
+            let tail = list(1, "second argument")?;
+            let mut out = Vec::with_capacity(tail.len() + 1);
             out.push(args[0].clone());
-            out.extend_from_slice(list);
+            out.extend_from_slice(tail);
             Ok(Value::List(out))
         }
-        // f_append(P, X): append X to path vector P.
-        "f_append" => {
-            arity(2)?;
-            let list = args[0].as_list().ok_or_else(|| EvalError::TypeMismatch {
-                operation: "f_append".into(),
-                operands: format!("first argument must be a list, got {}", args[0]),
-            })?;
-            let mut out = list.to_vec();
+        Builtin::Append => {
+            let mut out = list(0, "first argument")?.to_vec();
             out.push(args[1].clone());
             Ok(Value::List(out))
         }
-        // f_member(P, X): true if X occurs in P.
-        "f_member" => {
-            arity(2)?;
-            let list = args[0].as_list().ok_or_else(|| EvalError::TypeMismatch {
-                operation: "f_member".into(),
-                operands: format!("first argument must be a list, got {}", args[0]),
-            })?;
-            Ok(Value::Bool(list.contains(&args[1])))
-        }
-        // f_size(P): number of elements in P.
-        "f_size" => {
-            arity(1)?;
-            let list = args[0].as_list().ok_or_else(|| EvalError::TypeMismatch {
-                operation: "f_size".into(),
-                operands: format!("argument must be a list, got {}", args[0]),
-            })?;
-            Ok(Value::Int(list.len() as i64))
-        }
-        // f_first(P) / f_last(P): endpoints of a path vector.
-        "f_first" | "f_last" => {
-            arity(1)?;
-            let list = args[0].as_list().ok_or_else(|| EvalError::TypeMismatch {
-                operation: name.into(),
-                operands: format!("argument must be a list, got {}", args[0]),
-            })?;
-            let item = if name == "f_first" {
-                list.first()
+        Builtin::Member => Ok(Value::Bool(list(0, "first argument")?.contains(&args[1]))),
+        Builtin::Size => Ok(Value::Int(list(0, "argument")?.len() as i64)),
+        Builtin::First | Builtin::Last => {
+            let items = list(0, "argument")?;
+            let item = if builtin == Builtin::First {
+                items.first()
             } else {
-                list.last()
+                items.last()
             };
-            item.cloned().ok_or_else(|| EvalError::TypeMismatch {
-                operation: name.into(),
-                operands: "empty list".into(),
-            })
+            item.cloned().ok_or_else(|| mismatch("empty list".into()))
         }
-        // f_list(...): build a list from the arguments.
-        "f_list" => Ok(Value::List(args.to_vec())),
-        // f_min(a, b) / f_max(a, b) on integers.
-        "f_min" | "f_max" => {
-            arity(2)?;
-            match (&args[0], &args[1]) {
-                (Value::Int(a), Value::Int(b)) => Ok(Value::Int(if name == "f_min" {
-                    *a.min(b)
-                } else {
-                    *a.max(b)
-                })),
-                _ => Err(EvalError::TypeMismatch {
-                    operation: name.into(),
-                    operands: format!("{} and {}", args[0], args[1]),
-                }),
-            }
-        }
-        other => Err(EvalError::UnknownFunction(other.to_string())),
+        Builtin::List => Ok(Value::List(args.to_vec())),
+        Builtin::Min | Builtin::Max => match (&args[0], &args[1]) {
+            (Value::Int(a), Value::Int(b)) => Ok(Value::Int(if builtin == Builtin::Min {
+                *a.min(b)
+            } else {
+                *a.max(b)
+            })),
+            _ => Err(mismatch(format!("{} and {}", args[0], args[1]))),
+        },
     }
 }
 
@@ -383,214 +243,162 @@ fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
 mod tests {
     use super::*;
     use pasn_datalog::parse_rule;
-    use pasn_datalog::BodyLiteral;
+    use pasn_datalog::plan::{PlanStep, RulePlan};
 
-    fn bindings(pairs: &[(&str, Value)]) -> Bindings {
-        let mut b = Bindings::new();
-        for (k, v) in pairs {
-            b.bind(*k, v.clone());
+    /// Fires the single-atom rule `source` on one delta `row` through the
+    /// production path — `parse_rule` → `RulePlan::for_rule` → the delta
+    /// plan's filters and assignments — and returns the head row (`None`
+    /// when a filter rejects the row).
+    fn fire(source: &str, row: &[Value]) -> Result<Option<Vec<Value>>, EvalError> {
+        let plan = RulePlan::for_rule(&parse_rule(source).unwrap()).unwrap();
+        let delta = &plan.deltas[0];
+        let mut bindings = Bindings::with_slots(plan.slot_count);
+        for (term, value) in delta.delta_args.iter().zip(row) {
+            assert!(bindings.unify_slot_term(term, value));
         }
-        b
+        for step in &delta.steps {
+            match step {
+                PlanStep::Filter(expr) => {
+                    if !eval_filter(expr, &bindings)? {
+                        return Ok(None);
+                    }
+                }
+                PlanStep::Assign { slot, expr } => {
+                    let value = eval_expr(expr, &bindings)?;
+                    bindings.bind_slot(*slot, value);
+                }
+                PlanStep::Join(_) => unreachable!("single-atom rules have no joins"),
+            }
+        }
+        let head = plan.head.args.iter();
+        Ok(Some(
+            head.map(|t| bindings.value_of(t).unwrap().clone())
+                .collect(),
+        ))
+    }
+
+    /// The value `X := <expr>` assigns over the row `q(@S, A, B)`.
+    fn eval(expr: &str, a: Value, b: Value) -> Result<Value, EvalError> {
+        let source = format!("r p(@S,X) :- q(@S,A,B), X := {expr}.");
+        let head = fire(&source, &[Value::Addr(0), a, b])?;
+        Ok(head.expect("no filter")[1].clone())
     }
 
     #[test]
-    fn unify_constants_variables_and_wildcards() {
-        let mut b = Bindings::new();
-        assert!(b.unify_term(&Term::Wildcard, &Value::Int(1)));
-        assert!(b.unify_term(&Term::constant(5i64), &Value::Int(5)));
-        assert!(!b.unify_term(&Term::constant(5i64), &Value::Int(6)));
-        assert!(b.unify_term(&Term::var("X"), &Value::Addr(3)));
+    fn slot_frames_unify_constants_variables_and_wildcards() {
+        let mut b = Bindings::with_slots(2);
+        assert_eq!(b.get_slot(0), None);
+        assert!(b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(1)));
+        assert_eq!(b.get_slot(0), Some(&Value::Addr(1)));
+        assert_eq!(b.get_slot(1), None);
         // Rebinding to the same value succeeds, to a different one fails.
-        assert!(b.unify_term(&Term::var("X"), &Value::Addr(3)));
-        assert!(!b.unify_term(&Term::var("X"), &Value::Addr(4)));
-        assert_eq!(b.len(), 1);
-        assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn slot_bindings_follow_the_planner_assignment() {
-        use pasn_datalog::plan::{SlotTerm, VarSlots};
-        use std::sync::Arc;
-
-        let mut table = VarSlots::new();
-        let s = table.get_or_insert("S");
-        let d = table.get_or_insert("D");
-        let mut b = Bindings::with_slots(Arc::new(table));
-        assert!(b.is_empty());
-
-        // Slot and name views agree.
-        assert!(b.unify_slot_term(&SlotTerm::Slot(s), &Value::Addr(1)));
-        assert_eq!(b.get("S"), Some(&Value::Addr(1)));
-        assert_eq!(b.get_slot(s), Some(&Value::Addr(1)));
-        assert_eq!(b.get_slot(d), None);
-
-        // Rebinding through the slot path obeys unification.
-        assert!(b.unify_slot_term(&SlotTerm::Slot(s), &Value::Addr(1)));
-        assert!(!b.unify_slot_term(&SlotTerm::Slot(s), &Value::Addr(2)));
+        assert!(b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(1)));
+        assert!(!b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(2)));
         assert!(b.unify_slot_term(&SlotTerm::Const(Value::Int(3)), &Value::Int(3)));
         assert!(!b.unify_slot_term(&SlotTerm::Const(Value::Int(3)), &Value::Int(4)));
         assert!(b.unify_slot_term(&SlotTerm::Wildcard, &Value::Int(9)));
-
-        // bind_slot overwrites; len counts bound slots only.
-        b.bind_slot(d, Value::Addr(7));
-        assert_eq!(b.len(), 2);
-
-        // Names unknown to the planner still work through the shim.
-        b.bind("Fresh", Value::Int(1));
-        assert_eq!(b.get("Fresh"), Some(&Value::Int(1)));
-        assert_eq!(b.len(), 3);
+        // bind_slot overwrites.
+        b.bind_slot(1, Value::Addr(7));
+        b.bind_slot(1, Value::Addr(8));
+        assert_eq!(b.value_of(&SlotTerm::Slot(1)), Some(&Value::Addr(8)));
+        assert_eq!(b.value_of(&SlotTerm::Wildcard), None);
+        // An empty slot is an error, not a panic.
+        let empty = Bindings::with_slots(1);
+        assert_eq!(
+            eval_expr(&SlotExpr::Slot(0), &empty),
+            Err(EvalError::UnboundSlot(0))
+        );
     }
 
     #[test]
     fn arithmetic_and_comparison() {
-        let b = bindings(&[("C1", Value::Int(2)), ("C2", Value::Int(5))]);
-        let rule = parse_rule("r p(@S,C) :- q(@S,C1,C2), C := C1 + C2 * 3.").unwrap();
-        let assign = rule
-            .body
-            .iter()
-            .find_map(|l| match l {
-                BodyLiteral::Assign { expr, .. } => Some(expr.clone()),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(eval_expr(&assign, &b).unwrap(), Value::Int(17));
-
-        let filter_rule = parse_rule("r p(@S) :- q(@S,C1,C2), C1 < C2, C1 != 3.").unwrap();
-        for lit in &filter_rule.body {
-            if let BodyLiteral::Filter(e) = lit {
-                assert_eq!(eval_filter(e, &b), Ok(true));
-            }
-        }
+        assert_eq!(
+            eval("A + B * 3", Value::Int(2), Value::Int(5)),
+            Ok(Value::Int(17))
+        );
+        let row = [Value::Addr(0), Value::Int(2), Value::Int(5)];
+        let kept = fire("r p(@S) :- q(@S,C1,C2), C1 < C2, C1 != 3.", &row);
+        assert_eq!(kept, Ok(Some(vec![Value::Addr(0)])));
+        let dropped = fire("r p(@S) :- q(@S,C1,C2), C1 < C2, C1 != 2.", &row);
+        assert_eq!(dropped, Ok(None));
     }
 
     #[test]
     fn comparison_type_errors_and_division_by_zero() {
-        let b = bindings(&[("X", Value::Int(1)), ("S", Value::Str("a".into()))]);
-        let bad = Expr::BinOp(
-            BinOp::Lt,
-            Box::new(Expr::var("X")),
-            Box::new(Expr::var("S")),
-        );
-        assert!(matches!(
-            eval_expr(&bad, &b),
-            Err(EvalError::TypeMismatch { .. })
-        ));
-
-        let div = Expr::BinOp(
-            BinOp::Div,
-            Box::new(Expr::var("X")),
-            Box::new(Expr::constant(0i64)),
-        );
-        assert_eq!(eval_expr(&div, &b), Err(EvalError::DivisionByZero));
-
-        let unbound = Expr::var("Nope");
-        assert_eq!(
-            eval_expr(&unbound, &b),
-            Err(EvalError::UnboundVariable("Nope".into()))
-        );
+        let bad = eval("A < B", Value::Int(1), Value::Str("a".into()));
+        assert!(matches!(bad, Err(EvalError::TypeMismatch { .. })));
+        let div = eval("A / 0", Value::Int(1), Value::Int(0));
+        assert_eq!(div, Err(EvalError::DivisionByZero));
+        let rem = eval("A % B", Value::Int(1), Value::Int(0));
+        assert_eq!(rem, Err(EvalError::DivisionByZero));
     }
 
     #[test]
     fn path_builtins_cover_best_path_usage() {
-        let b = bindings(&[
-            ("S", Value::Addr(0)),
-            ("D", Value::Addr(3)),
-            ("P2", Value::List(vec![Value::Addr(1), Value::Addr(3)])),
-        ]);
-        // f_init(S,D) = [S,D]
-        let init = Expr::Call("f_init".into(), vec![Expr::var("S"), Expr::var("D")]);
+        let path = || Value::List(vec![Value::Addr(1), Value::Addr(3)]);
+        let eval = |expr: &str| eval(expr, Value::Addr(3), path()).unwrap();
+        // Row: S = n0, A = n3, B = [n1, n3].
+        // f_init(S,A) = [S,A]
         assert_eq!(
-            eval_expr(&init, &b).unwrap(),
+            eval("f_init(S,A)"),
             Value::List(vec![Value::Addr(0), Value::Addr(3)])
         );
-        // f_concat(S, P2) = [S | P2]
-        let concat = Expr::Call("f_concat".into(), vec![Expr::var("S"), Expr::var("P2")]);
+        // f_concat(S, B) = [S | B]
         assert_eq!(
-            eval_expr(&concat, &b).unwrap(),
+            eval("f_concat(S,B)"),
             Value::List(vec![Value::Addr(0), Value::Addr(1), Value::Addr(3)])
         );
-        // f_member(P2, S) = false, f_member(P2, D) = true
-        let member_s = Expr::Call("f_member".into(), vec![Expr::var("P2"), Expr::var("S")]);
-        let member_d = Expr::Call("f_member".into(), vec![Expr::var("P2"), Expr::var("D")]);
-        assert_eq!(eval_expr(&member_s, &b).unwrap(), Value::Bool(false));
-        assert_eq!(eval_expr(&member_d, &b).unwrap(), Value::Bool(true));
+        // f_member(B, S) = false, f_member(B, A) = true
+        assert_eq!(eval("f_member(B,S)"), Value::Bool(false));
+        assert_eq!(eval("f_member(B,A)"), Value::Bool(true));
         // f_size, f_first, f_last, f_append, f_list, f_min, f_max
-        let size = Expr::Call("f_size".into(), vec![Expr::var("P2")]);
-        assert_eq!(eval_expr(&size, &b).unwrap(), Value::Int(2));
-        let first = Expr::Call("f_first".into(), vec![Expr::var("P2")]);
-        assert_eq!(eval_expr(&first, &b).unwrap(), Value::Addr(1));
-        let last = Expr::Call("f_last".into(), vec![Expr::var("P2")]);
-        assert_eq!(eval_expr(&last, &b).unwrap(), Value::Addr(3));
-        let append = Expr::Call("f_append".into(), vec![Expr::var("P2"), Expr::var("S")]);
+        assert_eq!(eval("f_size(B)"), Value::Int(2));
+        assert_eq!(eval("f_first(B)"), Value::Addr(1));
+        assert_eq!(eval("f_last(B)"), Value::Addr(3));
         assert_eq!(
-            eval_expr(&append, &b).unwrap(),
+            eval("f_append(B,S)"),
             Value::List(vec![Value::Addr(1), Value::Addr(3), Value::Addr(0)])
         );
-        let fmin = Expr::Call(
-            "f_min".into(),
-            vec![Expr::constant(4i64), Expr::constant(9i64)],
-        );
-        assert_eq!(eval_expr(&fmin, &b).unwrap(), Value::Int(4));
-        let fmax = Expr::Call(
-            "f_max".into(),
-            vec![Expr::constant(4i64), Expr::constant(9i64)],
-        );
-        assert_eq!(eval_expr(&fmax, &b).unwrap(), Value::Int(9));
+        assert_eq!(eval("f_list(S,A)"), eval("f_init(S,A)"));
+        assert_eq!(eval("f_min(4,9)"), Value::Int(4));
+        assert_eq!(eval("f_max(4,9)"), Value::Int(9));
     }
 
     #[test]
     fn builtin_error_cases() {
-        let b = Bindings::new();
-        let wrong_arity = Expr::Call("f_init".into(), vec![Expr::constant(1i64)]);
-        assert!(matches!(
-            eval_expr(&wrong_arity, &b),
-            Err(EvalError::Arity {
-                expected: 2,
-                got: 1,
-                ..
-            })
-        ));
-        let unknown = Expr::Call("f_frobnicate".into(), vec![]);
-        assert_eq!(
-            eval_expr(&unknown, &b),
-            Err(EvalError::UnknownFunction("f_frobnicate".into()))
-        );
-        let not_a_list = Expr::Call(
-            "f_member".into(),
-            vec![Expr::constant(1i64), Expr::constant(1i64)],
-        );
-        assert!(matches!(
-            eval_expr(&not_a_list, &b),
-            Err(EvalError::TypeMismatch { .. })
-        ));
-        let empty_first = Expr::Call("f_first".into(), vec![Expr::Call("f_list".into(), vec![])]);
-        assert!(matches!(
-            eval_expr(&empty_first, &b),
-            Err(EvalError::TypeMismatch { .. })
-        ));
+        let not_a_list = eval("f_member(1,1)", Value::Int(0), Value::Int(0));
+        assert!(matches!(not_a_list, Err(EvalError::TypeMismatch { .. })));
+        let empty_first = eval("f_first(f_list())", Value::Int(0), Value::Int(0));
+        assert!(matches!(empty_first, Err(EvalError::TypeMismatch { .. })));
+        let mixed_min = eval("f_min(A,B)", Value::Int(0), Value::Addr(0));
+        assert!(matches!(mixed_min, Err(EvalError::TypeMismatch { .. })));
+        // Unknown functions and wrong argument counts never reach evaluation.
+        for source in [
+            "r p(@S,X) :- q(@S,A), X := f_init(A).",
+            "r p(@S,X) :- q(@S,A), X := f_frobnicate(A).",
+        ] {
+            assert!(RulePlan::for_rule(&parse_rule(source).unwrap()).is_err());
+        }
         // Errors render as human-readable strings.
         assert!(EvalError::DivisionByZero.to_string().contains("zero"));
-        assert!(EvalError::UnboundVariable("X".into())
-            .to_string()
-            .contains("X"));
+        assert!(EvalError::UnboundSlot(4).to_string().contains('4'));
     }
 
     #[test]
     fn boolean_connectives() {
-        let b = bindings(&[("A", Value::Bool(true)), ("B", Value::Bool(false))]);
-        let and = Expr::BinOp(
-            BinOp::And,
-            Box::new(Expr::var("A")),
-            Box::new(Expr::var("B")),
+        let row = [Value::Addr(0), Value::Bool(true), Value::Bool(false)];
+        assert_eq!(fire("r p(@S) :- q(@S,A,B), A && B.", &row), Ok(None));
+        let kept = fire("r p(@S) :- q(@S,A,B), A || B.", &row);
+        assert_eq!(kept, Ok(Some(vec![Value::Addr(0)])));
+        assert_eq!(
+            eval("A && B", Value::Bool(true), Value::Bool(false)),
+            Ok(Value::Bool(false))
         );
-        let or = Expr::BinOp(
-            BinOp::Or,
-            Box::new(Expr::var("A")),
-            Box::new(Expr::var("B")),
+        assert_eq!(
+            eval("A || B", Value::Bool(true), Value::Bool(false)),
+            Ok(Value::Bool(true))
         );
-        assert_eq!(eval_expr(&and, &b).unwrap(), Value::Bool(false));
-        assert_eq!(eval_expr(&or, &b).unwrap(), Value::Bool(true));
-        let non_bool_filter = Expr::constant(3i64);
-        assert!(eval_filter(&non_bool_filter, &b).is_err());
+        // A filter must evaluate to a boolean.
+        assert!(fire("r p(@S) :- q(@S,A,B), 3.", &row).is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! and never enters a parallel wave.
 
 use super::queue::{BatchRow, Polarity, QueuedWork};
-use super::{ix, node_ids, principal_of, DistributedEngine, EngineError};
+use super::{ix, node_ids, DistributedEngine, EngineError};
 use crate::config::GraphMode;
 use crate::dynamics::{BaseRow, ChurnEvent, HeadKey};
 use crate::tuple::{self, Tuple};
@@ -17,6 +17,44 @@ use pasn_provenance::{ProvTag, ProvenanceKind};
 use pasn_trace::TraceEventKind;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+
+/// One row leaving a node's store: where it lives, what it holds and why it
+/// goes.
+pub(super) struct Removal {
+    loc: NodeId,
+    pred: PredId,
+    values: Arc<[Value]>,
+    reason: &'static str,
+    /// Wipe the row outright instead of withdrawing one contribution.
+    force: bool,
+}
+
+impl Removal {
+    /// Withdraws one contribution of the row; it survives while others
+    /// remain.
+    pub(super) fn withdraw(
+        loc: NodeId,
+        pred: PredId,
+        values: Arc<[Value]>,
+        reason: &'static str,
+    ) -> Self {
+        Removal {
+            loc,
+            pred,
+            values,
+            reason,
+            force: false,
+        }
+    }
+
+    /// Wipes the row outright, however many contributions support it.
+    fn wipe(loc: NodeId, pred: PredId, values: Arc<[Value]>, reason: &'static str) -> Self {
+        Removal {
+            force: true,
+            ..Self::withdraw(loc, pred, values, reason)
+        }
+    }
+}
 
 /// Engine-global dynamics state (the per-node part is each node's ledger).
 #[derive(Default)]
@@ -63,17 +101,8 @@ impl DistributedEngine {
         for (pred, seq, values, meta) in expired {
             // Expiry wipes the row outright (force): upstream contributions
             // die with it rather than decrementing one by one.
-            self.settle_removed(
-                loc,
-                pred,
-                seq,
-                values,
-                meta.created_at,
-                "expired",
-                done,
-                true,
-                None,
-            );
+            let removal = Removal::wipe(loc, pred, values, "expired");
+            self.settle_removed(removal, seq, meta.created_at, done, None);
         }
     }
 
@@ -143,7 +172,7 @@ impl DistributedEngine {
                     self.schedule_channel_eviction(at, peer, id);
                 }
                 for (pred, values) in base {
-                    self.retract_row(id, pred, &values, None, true, "node-failed", at);
+                    self.retract_row(Removal::wipe(id, pred, values, "node-failed"), None, at);
                 }
             }
             ChurnEvent::NodeCrash { node } => {
@@ -158,15 +187,14 @@ impl DistributedEngine {
                     self.cut_link_transport(at, peer, id);
                 }
                 for (pred, values) in self.remember_base_rows(id) {
-                    self.retract_row(id, pred, &values, None, true, "node-crashed", at);
+                    self.retract_row(Removal::wipe(id, pred, values, "node-crashed"), None, at);
                 }
             }
             ChurnEvent::NodeRejoin { node } => {
                 let id = self.resolve(&node)?;
                 for (pred, values) in self.deletion.failed_nodes.remove(&id).unwrap_or_default() {
                     let location_index = values.iter().position(|v| *v == node);
-                    let row =
-                        BatchRow::base(values, node.clone(), principal_of(id), location_index);
+                    let row = BatchRow::base(values, id, location_index);
                     self.enqueue_local(at, id, pred, row, Polarity::Assert);
                 }
             }
@@ -174,7 +202,7 @@ impl DistributedEngine {
                 let id = self.resolve(&location)?;
                 let pred = self.shared.symbols.intern(&tuple.predicate);
                 let values: Arc<[Value]> = Arc::from(tuple.values);
-                self.retract_row(id, pred, &values, None, false, "retracted", at);
+                self.retract_row(Removal::withdraw(id, pred, values, "retracted"), None, at);
             }
             ChurnEvent::Refresh { location, tuple } => {
                 let id = self.resolve(&location)?;
@@ -199,7 +227,7 @@ impl DistributedEngine {
         at_node: NodeId,
         src: &Value,
         dst: &Value,
-        reason: &str,
+        reason: &'static str,
         at: SimTime,
     ) {
         let store = &self.nodes[ix(at_node)].store;
@@ -212,7 +240,7 @@ impl DistributedEngine {
             .map(|(v, _)| v.clone())
             .collect();
         for values in victims {
-            self.retract_row(at_node, pred, &values, None, false, reason, at);
+            self.retract_row(Removal::withdraw(at_node, pred, values, reason), None, at);
         }
     }
 
@@ -281,19 +309,10 @@ impl DistributedEngine {
     /// queue's polarity rank guarantee a tombstone never precedes its
     /// assertion, so an absent row was force-killed (expiry, node failure,
     /// sweep) and the withdrawn contribution already died with it.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn retract_row(
-        &mut self,
-        loc: NodeId,
-        pred: PredId,
-        values: &Arc<[Value]>,
-        tag: Option<&ProvTag>,
-        force: bool,
-        reason: &str,
-        now: SimTime,
-    ) {
-        let node = &mut self.nodes[ix(loc)];
-        let Some(seq) = node.store.seq_of(pred, values) else {
+    pub(super) fn retract_row(&mut self, removal: Removal, tag: Option<&ProvTag>, now: SimTime) {
+        let (pred, force) = (removal.pred, removal.force);
+        let node = &mut self.nodes[ix(removal.loc)];
+        let Some(seq) = node.store.seq_of(pred, &removal.values) else {
             return;
         };
         let entry = node
@@ -348,20 +367,10 @@ impl DistributedEngine {
             }
             return;
         }
-        let Some((values, meta)) = node.store.remove_by_seq(pred, seq) else {
+        let Some((_, meta)) = node.store.remove_by_seq(pred, seq) else {
             return;
         };
-        self.settle_removed(
-            loc,
-            pred,
-            seq,
-            values,
-            meta.created_at,
-            reason,
-            now,
-            force,
-            None,
-        );
+        self.settle_removed(removal, seq, meta.created_at, now, None);
     }
 
     /// Bookkeeping shared by every removal path (retraction, expiry, node
@@ -370,19 +379,21 @@ impl DistributedEngine {
     /// recorded firings — locally or as tombstone frames.  `suppress` drops
     /// routes into heads the caller is deleting itself (the sweep's
     /// zombie-to-zombie edges).
-    #[allow(clippy::too_many_arguments)]
     fn settle_removed(
         &mut self,
-        loc: NodeId,
-        pred: PredId,
+        removal: Removal,
         seq: u64,
-        values: Arc<[Value]>,
         created_at: SimTime,
-        reason: &str,
         now: SimTime,
-        force: bool,
         suppress: Option<&HashSet<HeadKey>>,
     ) {
+        let Removal {
+            loc,
+            pred,
+            values,
+            reason,
+            force,
+        } = removal;
         let graph_mode = self.shared.config.graph_mode;
         let archive_offline = self.shared.config.archive_offline;
         let pred_name = self.shared.symbols.name(pred).unwrap_or("?").to_string();
@@ -607,8 +618,7 @@ impl DistributedEngine {
         polarity: Polarity,
         now: SimTime,
     ) {
-        let origin = self.shared.locations[ix(src)].clone();
-        let row = BatchRow::derived(values, tag, origin, principal_of(src), location_index);
+        let row = BatchRow::derived(values, tag, src, location_index);
         if dest == src {
             self.enqueue_local(now, dest, pred, row, polarity);
         } else {
@@ -695,17 +705,8 @@ impl DistributedEngine {
             if self.nodes[ix(loc)].store.remove_by_seq(pred, seq).is_none() {
                 continue;
             }
-            self.settle_removed(
-                loc,
-                pred,
-                seq,
-                values,
-                created_at,
-                "unsupported",
-                done,
-                false,
-                Some(&zombie_heads),
-            );
+            let removal = Removal::withdraw(loc, pred, values, "unsupported");
+            self.settle_removed(removal, seq, created_at, done, Some(&zombie_heads));
         }
     }
 }

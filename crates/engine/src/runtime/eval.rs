@@ -18,8 +18,8 @@ use crate::store::{InsertOutcome, TupleMeta};
 use crate::tuple;
 use pasn_crypto::says::{tombstone_payloads, SaysLevel, SaysProof};
 use pasn_crypto::PrincipalId;
-use pasn_datalog::plan::{CompiledProgram, DeltaPlan, PlanStep, RulePlan, SlotTerm};
-use pasn_datalog::{AggFunc, PredId, Symbols, Term, Value};
+use pasn_datalog::plan::{CompiledProgram, DeltaPlan, JoinStep, PlanStep, RulePlan, SlotTerm};
+use pasn_datalog::{AggFunc, PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{
     AntecedentRef, ArchivedEntry, BaseTupleId, MaintenanceMode, PointerDerivation, ProvTag,
@@ -29,14 +29,17 @@ use pasn_trace::{TraceEvent, TraceEventKind};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A deferred provenance record, used in reactive maintenance mode.
+/// One derivation as the provenance stores record it: built once per
+/// recorded head, written immediately in proactive maintenance mode and
+/// queued on the node until materialisation in reactive mode.  The rule's
+/// location is the recording node.
 #[derive(Clone, Debug)]
-pub(super) struct DeferredDerivation {
+pub(super) struct DerivationRecord {
     pub head_key: String,
     pub head_location: String,
     pub rule: String,
-    pub rule_location: String,
-    pub antecedents: Vec<(String, Value)>,
+    /// Rendered antecedent keys with the node each one lives at.
+    pub antecedents: Vec<(String, NodeId)>,
     pub asserted_by: Option<PrincipalId>,
     pub at: SimTime,
 }
@@ -51,7 +54,7 @@ struct Contrib {
     values: Arc<[Value]>,
     location: Option<usize>,
     tag: ProvTag,
-    origin: Value,
+    origin: NodeId,
     /// Store insertion seq of the contributing row — the identity the
     /// deletion ledger records firings under.
     seq: u64,
@@ -84,7 +87,7 @@ struct NewDelta {
     seq: u64,
     values: Arc<[Value]>,
     tag: ProvTag,
-    origin: Value,
+    origin: NodeId,
 }
 
 /// An engine-global side effect recorded by a [`PartitionCtx`] while it
@@ -264,7 +267,7 @@ impl<'a> PartitionCtx<'a> {
         // canonical concatenated payload covers every tuple in the frame.
         let mut cpu_cost = rows.len() as u64 * cost_model.tuple_process_us;
         if from.is_some() {
-            if let (Some(assertion), true) = (&assertion, shared.config.verify_imports) {
+            if let (Some(assertion), true) = (&assertion, shared.config.authenticated()) {
                 let verifier = self
                     .node
                     .authenticator
@@ -384,7 +387,7 @@ impl<'a> PartitionCtx<'a> {
                         tag: tag.clone(),
                         created_at: done,
                         expires_at: if row.is_base { None } else { expires_at },
-                        origin: row.origin.clone(),
+                        origin: row.origin,
                         asserted_by: row.asserted_by.map(|p| p.0),
                     },
                 )
@@ -451,17 +454,16 @@ impl<'a> PartitionCtx<'a> {
             if from.is_some()
                 && !row.is_base
                 && shared.config.graph_mode == GraphMode::Distributed
-                && row.origin != *local
+                && row.origin != self.id
             {
                 let tuple_key =
                     tuple::render_located_parts(&pred_name, &row.values, row.location_index);
                 if shared.config.maintenance == MaintenanceMode::Reactive {
-                    self.node.deferred.push(DeferredDerivation {
+                    self.node.deferred.push(DerivationRecord {
                         head_key: tuple_key.clone(),
                         head_location: local.to_string(),
                         rule: "recv".to_string(),
-                        rule_location: local.to_string(),
-                        antecedents: vec![(tuple_key, row.origin.clone())],
+                        antecedents: vec![(tuple_key, row.origin)],
                         asserted_by: row.asserted_by,
                         at: done,
                     });
@@ -469,7 +471,7 @@ impl<'a> PartitionCtx<'a> {
                     let pointer = PointerDerivation {
                         rule: "recv".to_string(),
                         antecedents: vec![AntecedentRef::Remote {
-                            location: row.origin.to_string(),
+                            location: shared.locations[ix(row.origin)].to_string(),
                             key: tuple_key.clone(),
                         }],
                     };
@@ -498,33 +500,38 @@ impl<'a> PartitionCtx<'a> {
         }
         for (rule_plan, &rule_id) in shared.compiled.plans.iter().zip(&shared.rule_ids) {
             for delta_plan in rule_plan.deltas.iter().filter(|d| d.delta_pred == pred) {
-                self.fire_rule(rule_id, rule_plan, delta_plan, pred, &new_deltas, done)?;
+                self.fire_rule(rule_id, rule_plan, delta_plan, &new_deltas, done)?;
             }
         }
         Ok(())
     }
 
+    /// An arity conflict between a compiled atom and a row of `pred`.  Arity
+    /// conflicts are caught at validate time and on fact insertion, so a
+    /// mismatch during evaluation is an engine invariant violation, not a
+    /// tuple to skip silently.
+    fn arity_mismatch(&self, pred: PredId, expected: usize, got: usize) -> EngineError {
+        let name = self.shared.symbols.name(pred);
+        EngineError::ArityMismatch {
+            predicate: name.expect("interned predicate").to_string(),
+            expected,
+            got,
+        }
+    }
+
     /// Evaluates one delta plan against a batch of arriving tuples and emits
-    /// head tuples.  Plan dispatch, the slot-table template and the
-    /// unindexed scan cache are set up once per `(rule, batch)`; each row
-    /// contributes its own seed branch.
-    ///
-    /// Joins with bound key columns render the key from the current bindings
-    /// and probe the store's secondary index; only unifying tuples have their
-    /// provenance tags and origins cloned.  Joins with no bound columns fall
-    /// back to a full scan in insertion order.
+    /// head tuples.  Plan dispatch and the slot-frame template are set up
+    /// once per `(rule, batch)`; each row contributes its own seed branch.
     fn fire_rule(
         &mut self,
         rule_id: u32,
         rule_plan: &RulePlan,
         delta_plan: &DeltaPlan,
-        pred: PredId,
         deltas: &[NewDelta],
         now: SimTime,
     ) -> Result<(), EngineError> {
-        // The slot template is built once per (rule, batch) and cloned per
-        // row.
-        let mut template = Bindings::with_slots(rule_plan.slots.clone());
+        let shared = self.shared;
+        let mut template = Bindings::with_slots(rule_plan.slot_count);
         if let Some(slot) = rule_plan.context_slot {
             template.bind_slot(slot, self.location().clone());
         }
@@ -542,51 +549,32 @@ impl<'a> PartitionCtx<'a> {
         // the same final value), and a joined row's semiring tag is read
         // after any in-batch duplicate merges (set semantics never
         // re-propagates merged tags in either mode — see the crate docs).
-        // Arity conflicts are caught at validate time and on fact
-        // insertion, so a mismatch here is an engine invariant violation,
-        // not a tuple to skip silently.
+        let (pred, args) = (delta_plan.delta_pred, &delta_plan.delta_args);
         let mut branches: Vec<Branch> = Vec::new();
         for delta in deltas {
-            if delta_plan.delta_args.len() != delta.values.len() {
-                return Err(EngineError::ArityMismatch {
-                    predicate: self
-                        .shared
-                        .symbols
-                        .name(pred)
-                        .expect("interned predicate")
-                        .to_string(),
-                    expected: delta_plan.delta_args.len(),
-                    got: delta.values.len(),
-                });
+            if args.len() != delta.values.len() {
+                return Err(self.arity_mismatch(pred, args.len(), delta.values.len()));
             }
             let mut bindings = template.clone();
-            let mut ok = true;
-            for (term, value) in delta_plan.delta_args.iter().zip(delta.values.iter()) {
-                if !bindings.unify_slot_term(term, value) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                if let Some(says) = &delta_plan.delta_says {
-                    ok = bindings.unify_slot_term(says, &delta.origin);
-                }
-            }
-            if !ok {
+            let origin = &shared.locations[ix(delta.origin)];
+            if !unify_row(
+                &mut bindings,
+                args,
+                &delta_plan.delta_says,
+                &delta.values,
+                origin,
+            ) {
                 continue;
             }
-            branches.push((
-                bindings,
-                vec![Contrib {
-                    pred,
-                    values: delta.values.clone(),
-                    location: delta_plan.delta.location,
-                    tag: delta.tag.clone(),
-                    origin: delta.origin.clone(),
-                    seq: delta.seq,
-                }],
-                delta.seq,
-            ));
+            let seed = Contrib {
+                pred,
+                values: delta.values.clone(),
+                location: delta_plan.location,
+                tag: delta.tag.clone(),
+                origin: delta.origin,
+                seq: delta.seq,
+            };
+            branches.push((bindings, vec![seed], delta.seq));
         }
         if branches.is_empty() {
             return Ok(());
@@ -597,132 +585,25 @@ impl<'a> PartitionCtx<'a> {
         let mut probes = 0usize;
 
         for step in &delta_plan.steps {
-            let mut next: Vec<Branch> = Vec::new();
-            match step {
-                PlanStep::Join(join) => {
-                    let store = &self.node.store;
-                    // Unindexed fallback, shared across branches: all stored
-                    // rows in insertion order (the seq list — no sorting,
-                    // and only `Arc` clones, never value copies).
-                    let mut scan_cache: Option<Vec<CandidateRow>> = None;
-                    let mut index_probes = 0u64;
-                    let mut index_hits = 0u64;
-                    let mut scan_probes = 0u64;
-                    for (bind, contribs, delta_seq) in &branches {
-                        // Render the key from the bound columns.  The planner
-                        // guarantees they are bound; an unexpectedly missing
-                        // slot degrades to the scan path.
-                        let key: Option<Vec<Value>> = if join.key_columns.is_empty() {
-                            None
-                        } else {
-                            join.key_columns
-                                .iter()
-                                .map(|&c| match &join.args[c] {
-                                    SlotTerm::Const(v) => Some(v.clone()),
-                                    SlotTerm::Slot(s) => bind.get_slot(*s).cloned(),
-                                    SlotTerm::Wildcard => None,
-                                })
-                                .collect()
-                        };
-                        let probed: Vec<CandidateRow>;
-                        let (candidates, used_index): (&[CandidateRow], bool) = match key.map(|k| {
-                            store
-                                .probe_seq_id(join.pred, &join.key_columns, &k)
-                                .map(|it| it.collect())
-                        }) {
-                            Some(Some(rows)) => {
-                                index_probes += 1;
-                                probed = rows;
-                                (&probed, true)
-                            }
-                            // No key columns, or (defensively) no index.
-                            _ => {
-                                let cache = scan_cache.get_or_insert_with(|| {
-                                    store.scan_ordered_seq_rows(join.pred).collect()
-                                });
-                                (cache.as_slice(), false)
-                            }
-                        };
-                        // Rows inserted after this branch's delta (batch
-                        // siblings) are invisible to it, exactly as they
-                        // were under per-tuple processing — and uncounted,
-                        // so the probe/hit/scan counters stay identical too.
-                        let mut examined = 0usize;
-                        for (stored_seq, stored_values, meta) in candidates {
-                            if *stored_seq > *delta_seq {
-                                continue;
-                            }
-                            examined += 1;
-                            if stored_values.len() != join.args.len() {
-                                return Err(EngineError::ArityMismatch {
-                                    predicate: join.atom.predicate.clone(),
-                                    expected: join.args.len(),
-                                    got: stored_values.len(),
-                                });
-                            }
-                            let mut candidate = bind.clone();
-                            let mut ok = true;
-                            for (term, value) in join.args.iter().zip(stored_values.iter()) {
-                                if !candidate.unify_slot_term(term, value) {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            if ok {
-                                if let Some(says) = &join.says {
-                                    ok = candidate.unify_slot_term(says, &meta.origin);
-                                }
-                            }
-                            if ok {
-                                // Tags and origins are cloned only for rows
-                                // that actually unified; the row itself is
-                                // an `Arc` clone of the stored copy.
-                                let mut contribs = contribs.clone();
-                                contribs.push(Contrib {
-                                    pred: join.pred,
-                                    values: Arc::clone(stored_values),
-                                    location: join.atom.location,
-                                    tag: meta.tag.clone(),
-                                    origin: meta.origin.clone(),
-                                    seq: *stored_seq,
-                                });
-                                next.push((candidate, contribs, *delta_seq));
-                            }
-                        }
-                        if used_index {
-                            index_hits += examined as u64;
-                        } else {
-                            scan_probes += examined as u64;
-                        }
-                        probes += examined.max(1);
-                    }
-                    self.metrics.index_probes += index_probes;
-                    self.metrics.index_hits += index_hits;
-                    self.metrics.scan_probes += scan_probes;
-                }
+            branches = match step {
+                PlanStep::Join(join) => self.join_step(join, &branches, &mut probes)?,
                 PlanStep::Filter(expr) => {
-                    for (bind, contribs, delta_seq) in branches.into_iter() {
-                        match eval_filter(expr, &bind) {
-                            Ok(true) => next.push((bind, contribs, delta_seq)),
-                            Ok(false) => {}
-                            Err(e) => return Err(EngineError::Eval(e.to_string())),
+                    let mut kept = Vec::with_capacity(branches.len());
+                    for branch in branches {
+                        if eval_filter(expr, &branch.0)? {
+                            kept.push(branch);
                         }
                     }
-                    branches = next;
-                    continue;
+                    kept
                 }
-                PlanStep::Assign { slot, expr, .. } => {
-                    for (mut bind, contribs, delta_seq) in branches.into_iter() {
-                        let value =
-                            eval_expr(expr, &bind).map_err(|e| EngineError::Eval(e.to_string()))?;
+                PlanStep::Assign { slot, expr } => {
+                    for (bind, ..) in &mut branches {
+                        let value = eval_expr(expr, bind)?;
                         bind.bind_slot(*slot, value);
-                        next.push((bind, contribs, delta_seq));
                     }
-                    branches = next;
-                    continue;
+                    branches
                 }
-            }
-            branches = next;
+            };
             if branches.is_empty() {
                 break;
             }
@@ -730,20 +611,19 @@ impl<'a> PartitionCtx<'a> {
 
         // Charge the join-probing work to this node's CPU, then emit heads at
         // the resulting completion time.
-        let probe_cost =
-            (probes as f64 * self.shared.config.cost_model.join_probe_us).round() as u64;
+        let probe_cost = (probes as f64 * shared.config.cost_model.join_probe_us).round() as u64;
         let now = if probe_cost > 0 {
             self.charge(now, probe_cost)
         } else {
             now
         };
 
-        if self.shared.tracing() {
+        if shared.tracing() {
             self.trace.push(TraceEvent {
                 at_us: now.as_micros(),
                 kind: TraceEventKind::RuleFire {
                     node: self.id.0,
-                    rule: rule_plan.rule.label.clone(),
+                    rule: rule_plan.label.clone(),
                     cpu_us: probe_cost,
                     derived: branches.len() as u32,
                 },
@@ -754,6 +634,140 @@ impl<'a> PartitionCtx<'a> {
             self.emit_head(rule_id, rule_plan, &bind, &contribs, now)?;
         }
         Ok(())
+    }
+
+    /// Extends every branch with each stored row of the joined predicate
+    /// that unifies with it — branch order, then insertion order.
+    ///
+    /// Joins with bound key columns render the key from the branch's
+    /// bindings and probe the store's secondary index; only unifying tuples
+    /// have their provenance tags cloned.  Joins with no bound columns fall
+    /// back to a full scan in insertion order.  `probes` grows by the
+    /// candidates examined (at least one per branch).
+    fn join_step(
+        &mut self,
+        join: &JoinStep,
+        branches: &[Branch],
+        probes: &mut usize,
+    ) -> Result<Vec<Branch>, EngineError> {
+        let shared = self.shared;
+        let store = &self.node.store;
+        let mut next: Vec<Branch> = Vec::new();
+        // Unindexed fallback, shared across branches: all stored rows in
+        // insertion order (the seq list — no sorting, and only `Arc`
+        // clones, never value copies).
+        let mut scan_cache: Option<Vec<CandidateRow>> = None;
+        let (mut index_probes, mut index_hits, mut scan_probes) = (0u64, 0u64, 0u64);
+        for (bind, contribs, delta_seq) in branches {
+            // Render the key from the bound columns.  The planner
+            // guarantees they are bound; an unexpectedly missing slot
+            // degrades to the scan path.
+            let key: Option<Vec<Value>> = if join.key_columns.is_empty() {
+                None
+            } else {
+                let columns = join.key_columns.iter();
+                columns
+                    .map(|&c| bind.value_of(&join.args[c]).cloned())
+                    .collect()
+            };
+            let probed: Vec<CandidateRow>;
+            let (candidates, used_index): (&[CandidateRow], bool) = match key.map(|k| {
+                store
+                    .probe_seq_id(join.pred, &join.key_columns, &k)
+                    .map(|it| it.collect())
+            }) {
+                Some(Some(rows)) => {
+                    index_probes += 1;
+                    probed = rows;
+                    (&probed, true)
+                }
+                // No key columns, or (defensively) no index.
+                _ => {
+                    let cache = scan_cache
+                        .get_or_insert_with(|| store.scan_ordered_seq_rows(join.pred).collect());
+                    (cache.as_slice(), false)
+                }
+            };
+            // Rows inserted after this branch's delta (batch siblings) are
+            // invisible to it, exactly as they were under per-tuple
+            // processing — and uncounted, so the probe/hit/scan counters
+            // stay identical too.
+            let mut examined = 0usize;
+            for (stored_seq, stored_values, meta) in candidates {
+                if *stored_seq > *delta_seq {
+                    continue;
+                }
+                examined += 1;
+                if stored_values.len() != join.args.len() {
+                    let (expected, got) = (join.args.len(), stored_values.len());
+                    return Err(self.arity_mismatch(join.pred, expected, got));
+                }
+                let mut candidate = bind.clone();
+                let origin = &shared.locations[ix(meta.origin)];
+                if unify_row(
+                    &mut candidate,
+                    &join.args,
+                    &join.says,
+                    stored_values,
+                    origin,
+                ) {
+                    // Tags are cloned only for rows that actually unified;
+                    // the row itself is an `Arc` clone of the stored copy.
+                    let mut contribs = contribs.clone();
+                    contribs.push(Contrib {
+                        pred: join.pred,
+                        values: Arc::clone(stored_values),
+                        location: join.location,
+                        tag: meta.tag.clone(),
+                        origin: meta.origin,
+                        seq: *stored_seq,
+                    });
+                    next.push((candidate, contribs, *delta_seq));
+                }
+            }
+            if used_index {
+                index_hits += examined as u64;
+            } else {
+                scan_probes += examined as u64;
+            }
+            *probes += examined.max(1);
+        }
+        self.metrics.index_probes += index_probes;
+        self.metrics.index_hits += index_hits;
+        self.metrics.scan_probes += scan_probes;
+        Ok(next)
+    }
+
+    /// Pipelined aggregate state without dynamics (and the running
+    /// Count/Sum totals under either): folds `value` into its group and
+    /// returns the group's new value, or `None` when an `a_MIN`/`a_MAX`
+    /// value does not improve on the best so far — only an improvement
+    /// emits, and nothing is ever withdrawn.
+    fn fold_aggregate(&mut self, func: AggFunc, key: (u32, Vec<Value>), value: i64) -> Option<i64> {
+        let entry = self.node.aggs.get(&key).and_then(|g| g.best);
+        let new_value = match (func, entry) {
+            (AggFunc::Min, Some(best)) if value >= best => return None,
+            (AggFunc::Max, Some(best)) if value <= best => return None,
+            (AggFunc::Min | AggFunc::Max, _) => value,
+            (AggFunc::Count, _) => entry.unwrap_or(0) + 1,
+            (AggFunc::Sum, _) => entry.unwrap_or(0) + value,
+        };
+        self.node.aggs.entry(key).or_default().best = Some(new_value);
+        Some(new_value)
+    }
+
+    /// Provenance tag of a head: the product of the contributing tuples' tags.
+    fn tag_product(&mut self, contribs: &[Contrib]) -> ProvTag {
+        let kind = self.shared.config.provenance;
+        if kind == ProvenanceKind::None {
+            return ProvTag::None;
+        }
+        let mut acc = ProvTag::one(kind, &mut *self.var_table);
+        for c in contribs {
+            acc = acc.times(&c.tag, &mut *self.var_table);
+            self.metrics.provenance_ops += 1;
+        }
+        acc
     }
 
     /// Builds and routes the head tuple for one satisfied rule body.
@@ -767,46 +781,30 @@ impl<'a> PartitionCtx<'a> {
     ) -> Result<(), EngineError> {
         let shared = self.shared;
         let local = self.location();
-        let rule = &rule_plan.rule;
+        let head = &rule_plan.head;
         self.metrics.derivations += 1;
 
-        // Resolve head arguments; handle at most one aggregate.
-        let mut values = Vec::with_capacity(rule.head.args.len());
-        let mut aggregate: Option<(AggFunc, usize, i64)> = None;
-        for (i, arg) in rule.head.args.iter().enumerate() {
-            match arg {
-                Term::Aggregate(func, var) => {
-                    let value = bindings.get(var).and_then(Value::as_int).ok_or_else(|| {
-                        EngineError::Eval(format!("aggregate variable `{var}` is not an integer"))
-                    })?;
-                    aggregate = Some((*func, i, value));
-                    values.push(Value::Int(value));
-                }
-                other => {
-                    let v = bindings
-                        .resolve_term(other)
-                        .map_err(|e| EngineError::Eval(e.to_string()))?;
-                    values.push(v);
-                }
-            }
-        }
+        let resolve = |term| bindings.value_of(term).cloned();
+        let values: Option<Vec<Value>> = head.args.iter().map(resolve).collect();
+        let mut values = values.expect("the planner binds every head slot");
 
-        // Aggregate handling.  Without dynamics (and for the running
-        // Count/Sum totals) only an improvement emits, and nothing is ever
-        // withdrawn.  With dynamics, `a_MIN`/`a_MAX` become a candidate
-        // competition instead: *every* candidate is recorded in the ledger
-        // (with its own value in the head row), and the election below
-        // decides what the destination actually stores — so deleting the
-        // current best re-elects the next-best survivor instead of leaving
-        // a stale winner behind.
+        // Aggregate handling.  With dynamics, `a_MIN`/`a_MAX` become a
+        // candidate competition instead of a running best: *every*
+        // candidate is recorded in the ledger (with its own value in the
+        // head row), and the election below decides what the destination
+        // actually stores — so deleting the current best re-elects the
+        // next-best survivor instead of leaving a stale winner behind.
         let mut agg_candidate: Option<AggFiring> = None;
-        if let Some((func, agg_index, value)) = aggregate {
-            let group: Vec<Value> = values
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != agg_index)
-                .map(|(_, v)| v.clone())
-                .collect();
+        if let Some((func, agg_index, slot)) = head.aggregate {
+            let value = bindings.get_slot(slot).and_then(Value::as_int);
+            let value = value.ok_or_else(|| {
+                let label = &rule_plan.label;
+                EngineError::Eval(format!(
+                    "aggregated variable of rule {label} is not an integer"
+                ))
+            })?;
+            let mut group = values.clone();
+            group.remove(agg_index);
             if shared.config.dynamics && matches!(func, AggFunc::Min | AggFunc::Max) {
                 agg_candidate = Some(AggFiring {
                     rule: rule_id,
@@ -816,64 +814,34 @@ impl<'a> PartitionCtx<'a> {
                     func,
                 });
             } else {
-                let key = (rule_id, group);
-                let entry = self.node.aggs.get(&key).and_then(|g| g.best);
-                let improved = match (func, entry) {
-                    (AggFunc::Min, Some(best)) => value < best,
-                    (AggFunc::Max, Some(best)) => value > best,
-                    (AggFunc::Min | AggFunc::Max, None) => true,
-                    (AggFunc::Count | AggFunc::Sum, _) => true,
-                };
-                if !improved {
-                    return Ok(());
+                match self.fold_aggregate(func, (rule_id, group), value) {
+                    Some(new_value) => values[agg_index] = Value::Int(new_value),
+                    None => return Ok(()),
                 }
-                let new_value = match func {
-                    AggFunc::Min | AggFunc::Max => value,
-                    AggFunc::Count => entry.unwrap_or(0) + 1,
-                    AggFunc::Sum => entry.unwrap_or(0) + value,
-                };
-                self.node.aggs.entry(key).or_default().best = Some(new_value);
-                values[agg_index] = Value::Int(new_value);
             }
         }
 
         // Materialise the head row once, as the shared representation every
         // consumer (store, provenance, wire) will reference.
-        let head_pred = rule_plan.head_pred;
         let head_values: Arc<[Value]> = Arc::from(values);
 
-        // Provenance tag: product of the contributing tuples' tags.
-        let tag = if shared.config.provenance == ProvenanceKind::None {
-            ProvTag::None
-        } else {
-            let mut acc = ProvTag::one(shared.config.provenance, &mut *self.var_table);
-            for c in contribs {
-                acc = acc.times(&c.tag, &mut *self.var_table);
-                self.metrics.provenance_ops += 1;
-            }
-            acc
-        };
+        let tag = self.tag_product(contribs);
 
         // Destination: the one place evaluation resolves a location value.
         // The head's display location is kept for provenance records.
-        let destination = if let Some(term) = &rule.head.export_to {
-            bindings
-                .resolve_term(term)
-                .map_err(|e| EngineError::Eval(e.to_string()))?
-        } else if let Some(idx) = rule.head.location {
-            head_values[idx].clone()
-        } else {
-            local.clone()
+        let destination = match (&head.export_to, head.location) {
+            (Some(term), _) => bindings.value_of(term).expect("the planner binds it"),
+            (None, Some(column)) => &head_values[column],
+            (None, None) => local,
         };
-        let dest_id = if destination == *local {
+        let dest_id = if destination == local {
             self.id
         } else {
-            match shared.directory.get(&destination) {
+            match shared.directory.get(destination) {
                 Some(&id) => id,
-                None => return Err(EngineError::UnknownLocation(destination)),
+                None => return Err(EngineError::UnknownLocation(destination.clone())),
             }
         };
-        let principal = principal_of(self.id);
 
         // Deletion ledger: record the firing — the head it produced, the
         // tag it contributed, and the antecedent rows by seq — so deletion
@@ -882,26 +850,16 @@ impl<'a> PartitionCtx<'a> {
         // the aggregate identity attached), so killing one feeds the
         // group's re-election instead of routing a withdrawal.
         if shared.config.dynamics {
-            let ledger = &mut self.node.ledger;
-            let idx = ledger.firings.len() as u32;
-            ledger.firings.push(FiringRecord {
+            self.node.ledger.record_firing(FiringRecord {
                 alive: true,
                 dest: dest_id,
-                pred: head_pred,
+                pred: head.pred,
                 values: head_values.clone(),
                 tag: tag.clone(),
-                location_index: rule.head.location,
+                location_index: head.location,
                 antecedents: contribs.iter().map(|c| c.seq).collect(),
                 agg: agg_candidate.clone(),
             });
-            for c in contribs {
-                ledger.by_antecedent.entry(c.seq).or_default().push(idx);
-            }
-            ledger
-                .by_head
-                .entry((dest_id, head_pred, head_values.clone()))
-                .or_default()
-                .push(idx);
         }
 
         // `a_MIN`/`a_MAX` candidates under dynamics: the ledger record
@@ -910,14 +868,8 @@ impl<'a> PartitionCtx<'a> {
         // candidate firings — graph-recording configs run the non-dynamics
         // aggregate path.)
         if let Some(agg) = agg_candidate {
-            let row = BatchRow::derived(
-                head_values,
-                tag,
-                local.clone(),
-                principal,
-                rule.head.location,
-            );
-            self.elect_aggregate(dest_id, head_pred, row, agg, now);
+            let row = BatchRow::derived(head_values, tag, self.id, head.location);
+            self.elect_aggregate(dest_id, head.pred, row, agg, now);
             return Ok(());
         }
 
@@ -926,67 +878,42 @@ impl<'a> PartitionCtx<'a> {
         // when something will actually be recorded.
         let records_graphs =
             shared.config.graph_mode != GraphMode::None || shared.config.archive_offline;
-        let head_name = shared
-            .symbols
-            .name(head_pred)
-            .expect("head predicate interned at plan time");
+        let head_name = shared.symbols.name(head.pred);
+        let head_name = head_name.expect("head predicate interned at plan time");
         if records_graphs {
-            if shared
-                .config
-                .sampling
-                .records(tuple::key_hash_parts(head_name, &head_values))
-            {
-                let head_key =
-                    tuple::render_located_parts(head_name, &head_values, rule.head.location);
-                let antecedents: Vec<(String, Value)> = contribs
-                    .iter()
-                    .map(|c| (c.render_key(&shared.symbols), c.origin.clone()))
-                    .collect();
+            let sampled = tuple::key_hash_parts(head_name, &head_values);
+            if shared.config.sampling.records(sampled) {
+                let record = DerivationRecord {
+                    head_key: tuple::render_located_parts(head_name, &head_values, head.location),
+                    head_location: destination.to_string(),
+                    rule: rule_plan.label.clone(),
+                    antecedents: contribs
+                        .iter()
+                        .map(|c| (c.render_key(&shared.symbols), c.origin))
+                        .collect(),
+                    asserted_by: Some(principal_of(self.id)),
+                    at: now,
+                };
                 if shared.config.maintenance == MaintenanceMode::Reactive {
-                    self.node.deferred.push(DeferredDerivation {
-                        head_key,
-                        head_location: destination.to_string(),
-                        rule: rule.label.clone(),
-                        rule_location: local.to_string(),
-                        antecedents,
-                        asserted_by: Some(principal),
-                        at: now,
-                    });
+                    self.node.deferred.push(record);
                 } else {
-                    record_provenance_graphs(
-                        &shared.config,
-                        self.node,
-                        local,
-                        &head_key,
-                        &destination.to_string(),
-                        &rule.label,
-                        &local.to_string(),
-                        &antecedents,
-                        Some(principal),
-                        now,
-                    );
+                    record_provenance_graphs(shared, self.id, self.node, &record);
                 }
             } else {
                 self.metrics.sampled_out += 1;
             }
         }
 
-        let mut row = BatchRow::derived(
-            head_values,
-            tag,
-            local.clone(),
-            principal,
-            rule.head.location,
-        );
+        let mut row = BatchRow::derived(head_values, tag, self.id, head.location);
         // Local-provenance mode piggybacks the derivation subtree as it
         // exists at emission time; its wire bytes are charged when the frame
         // seals.
         if dest_id != self.id && shared.config.graph_mode == GraphMode::Local {
-            let head_key = tuple::render_located_parts(head_name, &row.values, rule.head.location);
+            let head_key = tuple::render_located_parts(head_name, &row.values, head.location);
             let graph = self.node.local_prov.graph();
             row.shipped_graph = graph.find(&head_key).map(|root| graph.subtree(root));
         }
-        self.route_row(now, dest_id, head_pred, row, Polarity::Assert);
+        self.route_row(now, dest_id, head.pred, row, Polarity::Assert);
         Ok(())
     }
 
@@ -1059,8 +986,7 @@ impl<'a> PartitionCtx<'a> {
             let old = BatchRow::derived(
                 Arc::from(old_values),
                 old_tag,
-                row.origin.clone(),
-                principal_of(self.id),
+                row.origin,
                 row.location_index,
             );
             self.route_row(now, destination, pred, old, Polarity::Retract);
@@ -1069,68 +995,74 @@ impl<'a> PartitionCtx<'a> {
     }
 }
 
-/// Writes one derivation into the node's graph / pointer / archive stores.
-/// A free function so both the evaluation context and the engine's
-/// deferred-materialization pass share it.
-#[allow(clippy::too_many_arguments)]
+/// Unifies one row with an atom's compiled argument patterns and, for a
+/// `says`-qualified atom, the location of the node that asserted the row
+/// with the principal term.
+fn unify_row(
+    bindings: &mut Bindings,
+    args: &[SlotTerm],
+    says: &Option<SlotTerm>,
+    values: &[Value],
+    origin: &Value,
+) -> bool {
+    let mut pairs = args.iter().zip(values);
+    pairs.all(|(term, value)| bindings.unify_slot_term(term, value))
+        && says
+            .as_ref()
+            .is_none_or(|principal| bindings.unify_slot_term(principal, origin))
+}
+
+/// Writes one derivation, recorded at node `id`, into that node's graph /
+/// pointer / archive stores.  A free function so both the evaluation context
+/// and the engine's deferred-materialization pass share it.
 pub(super) fn record_provenance_graphs(
-    config: &EngineConfig,
+    shared: &EvalShared,
+    id: NodeId,
     node: &mut NodeRuntime,
-    local: &Value,
-    head_key: &str,
-    head_location: &str,
-    rule: &str,
-    rule_location: &str,
-    antecedents: &[(String, Value)],
-    asserted_by: Option<PrincipalId>,
-    at: SimTime,
+    record: &DerivationRecord,
 ) {
-    let local_str = local.to_string();
-    let antecedent_keys: Vec<String> = antecedents.iter().map(|(k, _)| k.clone()).collect();
-    match config.graph_mode {
+    let local = shared.locations[ix(id)].to_string();
+    let at = record.at.as_micros();
+    match shared.config.graph_mode {
         GraphMode::None => {}
         GraphMode::Local => {
+            let keys: Vec<String> = record.antecedents.iter().map(|(k, _)| k.clone()).collect();
             node.local_prov.graph_mut().add_derivation(
-                head_key,
-                head_location,
-                rule,
-                rule_location,
-                &antecedent_keys,
-                asserted_by,
+                &record.head_key,
+                &record.head_location,
+                &record.rule,
+                &local,
+                &keys,
+                record.asserted_by,
                 None,
-                at.as_micros(),
+                at,
                 None,
             );
         }
         GraphMode::Distributed => {
-            let refs: Vec<AntecedentRef> = antecedents
-                .iter()
-                .map(|(key, origin)| {
-                    if *origin == *local {
-                        AntecedentRef::Local(key.clone())
-                    } else {
-                        AntecedentRef::Remote {
-                            location: origin.to_string(),
-                            key: key.clone(),
-                        }
-                    }
-                })
-                .collect();
-            node.dist_prov.record_derivation(
-                head_key,
-                PointerDerivation {
-                    rule: rule.to_string(),
-                    antecedents: refs,
-                },
-            );
+            let pointer = |(key, origin): &(String, NodeId)| {
+                let key = key.clone();
+                if *origin == id {
+                    AntecedentRef::Local(key)
+                } else {
+                    let location = shared.locations[ix(*origin)].to_string();
+                    AntecedentRef::Remote { location, key }
+                }
+            };
+            let derivation = PointerDerivation {
+                rule: record.rule.clone(),
+                antecedents: record.antecedents.iter().map(pointer).collect(),
+            };
+            node.dist_prov
+                .record_derivation(&record.head_key, derivation);
         }
     }
-    if config.archive_offline {
+    if shared.config.archive_offline {
         node.archive.record(ArchivedEntry {
-            key: head_key.to_string(),
-            location: local_str,
-            annotation: format!("{rule}@{rule_location}"),
-            derived_at: at.as_micros(),
+            key: record.head_key.clone(),
+            annotation: format!("{}@{local}", record.rule),
+            location: local,
+            derived_at: at,
             expired_at: None,
             pinned: false,
         });

@@ -35,11 +35,12 @@ mod wave;
 
 use crate::config::{EngineConfig, GraphMode};
 use crate::dynamics::{ChurnEvent, ChurnScript, Ledger};
+use crate::eval::EvalError;
 use crate::metrics::RunMetrics;
 use crate::store::{NodeStore, TupleMeta};
 use crate::tuple::Tuple;
-use deletion::DeletionState;
-use eval::{record_provenance_graphs, DeferredDerivation, Effect, EvalShared, PartitionCtx};
+use deletion::{DeletionState, Removal};
+use eval::{record_provenance_graphs, DerivationRecord, Effect, EvalShared, PartitionCtx};
 use pasn_crypto::channel::{ReceiverChannel, SenderChannel};
 use pasn_crypto::says::Authenticator;
 use pasn_crypto::{KeyAuthority, Principal, PrincipalId};
@@ -107,6 +108,12 @@ impl From<PlanError> for EngineError {
     }
 }
 
+impl From<EvalError> for EngineError {
+    fn from(e: EvalError) -> Self {
+        EngineError::Eval(e.to_string())
+    }
+}
+
 impl From<pasn_crypto::rsa::RsaError> for EngineError {
     fn from(e: pasn_crypto::rsa::RsaError) -> Self {
         EngineError::Crypto(e)
@@ -155,7 +162,7 @@ struct NodeRuntime {
     local_prov: LocalStore,
     dist_prov: DistributedStore,
     archive: ArchiveStore,
-    deferred: Vec<DeferredDerivation>,
+    deferred: Vec<DerivationRecord>,
     authenticator: Option<Authenticator>,
     /// Session-channel cache, sender side: one open channel per destination
     /// principal this node ships to (`SaysLevel::Session` only).
@@ -341,7 +348,7 @@ impl DistributedEngine {
         let mut rule_ids = Vec::with_capacity(compiled.plans.len());
         for plan in &compiled.plans {
             let next = labels.len() as u32;
-            rule_ids.push(*labels.entry(plan.rule.label.as_str()).or_insert(next));
+            rule_ids.push(*labels.entry(plan.label.as_str()).or_insert(next));
         }
 
         // A fault plan honors the `PASN_FAULT_SEED` override even when set
@@ -522,7 +529,7 @@ impl DistributedEngine {
             }
         }
         let values = Arc::from(tuple.values);
-        let row = BatchRow::base(values, location, principal_of(id), location_index);
+        let row = BatchRow::base(values, id, location_index);
         self.enqueue_local(at, id, pred, row, Polarity::Assert);
         Ok(())
     }
@@ -940,7 +947,10 @@ impl DistributedEngine {
                     values,
                     tag,
                     now,
-                } => self.retract_row(loc, pred, &values, Some(&tag), false, "retracted", now),
+                } => {
+                    let removal = Removal::withdraw(loc, pred, values, "retracted");
+                    self.retract_row(removal, Some(&tag), now)
+                }
             }
         }
     }
@@ -1100,10 +1110,10 @@ impl DistributedEngine {
 
     /// The per-node distributed provenance stores, keyed by location name
     /// (ready to feed [`pasn_provenance::traceback`]).
-    pub fn distributed_stores(&self) -> HashMap<String, DistributedStore> {
+    pub fn distributed_stores(&self) -> HashMap<String, &DistributedStore> {
         let nodes = self.shared.locations.iter().zip(&self.nodes);
         nodes
-            .map(|(loc, n)| (loc.to_string(), n.dist_prov.clone()))
+            .map(|(loc, n)| (loc.to_string(), &n.dist_prov))
             .collect()
     }
 
@@ -1146,22 +1156,11 @@ impl DistributedEngine {
     /// records were materialised.
     pub fn materialize_provenance(&mut self) -> usize {
         let mut total = 0;
-        for (node, loc) in self.nodes.iter_mut().zip(&self.shared.locations) {
+        for (id, node) in node_ids(self.nodes.len()).zip(&mut self.nodes) {
             let deferred = std::mem::take(&mut node.deferred);
             total += deferred.len();
-            for record in deferred {
-                record_provenance_graphs(
-                    &self.shared.config,
-                    node,
-                    loc,
-                    &record.head_key,
-                    &record.head_location,
-                    &record.rule,
-                    &record.rule_location,
-                    &record.antecedents,
-                    record.asserted_by,
-                    record.at,
-                );
+            for record in &deferred {
+                record_provenance_graphs(&self.shared, id, node, record);
             }
         }
         total

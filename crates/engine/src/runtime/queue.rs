@@ -20,7 +20,8 @@ use std::sync::Arc;
 pub(super) struct BatchRow {
     pub values: Arc<[Value]>,
     pub tag: ProvTag,
-    pub origin: Value,
+    /// The node that derived / asserted the row.
+    pub origin: NodeId,
     pub asserted_by: Option<PrincipalId>,
     pub shipped_graph: Option<DerivationGraph>,
     pub is_base: bool,
@@ -31,29 +32,28 @@ impl BatchRow {
     /// A base assertion; its tag is minted when the batch is processed.
     pub(super) fn base(
         values: Arc<[Value]>,
-        origin: Value,
-        principal: PrincipalId,
+        origin: NodeId,
         location_index: Option<usize>,
     ) -> Self {
         BatchRow {
             is_base: true,
-            ..Self::derived(values, ProvTag::None, origin, principal, location_index)
+            ..Self::derived(values, ProvTag::None, origin, location_index)
         }
     }
 
-    /// A rule-derived row (or the withdrawal of one) asserted by `principal`.
+    /// A row derived at node `origin` (or the withdrawal of one), asserted
+    /// by that node's principal.
     pub(super) fn derived(
         values: Arc<[Value]>,
         tag: ProvTag,
-        origin: Value,
-        principal: PrincipalId,
+        origin: NodeId,
         location_index: Option<usize>,
     ) -> Self {
         BatchRow {
             values,
             tag,
             origin,
-            asserted_by: Some(principal),
+            asserted_by: Some(super::principal_of(origin)),
             shipped_graph: None,
             is_base: false,
             location_index,

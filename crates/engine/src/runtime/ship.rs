@@ -263,7 +263,7 @@ impl<'a> PartitionCtx<'a> {
         at: SimTime,
         handshakes: Vec<ChannelHandshake>,
     ) {
-        if !self.shared.config.verify_imports {
+        if !self.shared.config.authenticated() {
             // The receiver checks no proofs, so it needs no channel state.
             return;
         }

@@ -4,7 +4,7 @@
 //! backoff under a bounded retry budget.  Reliable runs bypass all of it.
 
 use super::queue::{Polarity, QueuedWork};
-use super::{DistributedEngine, EngineError};
+use super::{DistributedEngine, EngineError, Removal};
 use crate::config::{DEFAULT_RETRANSMIT_RTO_US, DEFAULT_RETRY_BUDGET};
 use pasn_net::wire::{Frame, MESSAGE_HEADER_BYTES};
 use pasn_net::{Message, NodeId, SimTime};
@@ -468,8 +468,8 @@ impl DistributedEngine {
                     self.silence_dead_row(src, dest, pred, &row.values, &row.tag, at)
                 }
                 Polarity::Retract => {
-                    let tag = Some(&row.tag);
-                    self.retract_row(dest, pred, &row.values, tag, false, "reconciled", at)
+                    let removal = Removal::withdraw(dest, pred, row.values.clone(), "reconciled");
+                    self.retract_row(removal, Some(&row.tag), at)
                 }
             }
         }

@@ -33,7 +33,7 @@
 
 use crate::tuple::{self, Tuple};
 use pasn_datalog::{PredId, Symbols, Value};
-use pasn_net::SimTime;
+use pasn_net::{NodeId, SimTime};
 use pasn_provenance::ProvTag;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -56,10 +56,10 @@ pub struct TupleMeta {
     pub created_at: SimTime,
     /// Expiry time for soft-state tuples, `None` for hard state.
     pub expires_at: Option<SimTime>,
-    /// Location value of the node that derived / asserted the tuple (equal to
-    /// the local location for local derivations and base facts).  Distributed
-    /// provenance uses it as the pointer target for traceback.
-    pub origin: Value,
+    /// The node that derived / asserted the tuple (the storing node itself
+    /// for local derivations and base facts).  `says` unification and the
+    /// distributed-provenance pointers resolve it to its location value.
+    pub origin: NodeId,
     /// Principal id of the asserting node (`None` when authentication is
     /// disabled).
     pub asserted_by: Option<u32>,
@@ -865,7 +865,7 @@ mod tests {
             tag,
             created_at: SimTime::ZERO,
             expires_at: expires.map(SimTime::from_micros),
-            origin: Value::Addr(0),
+            origin: NodeId(0),
             asserted_by: Some(0),
         }
     }

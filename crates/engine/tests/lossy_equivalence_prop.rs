@@ -20,7 +20,7 @@
 
 use pasn_datalog::Value;
 use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, RunMetrics, Tuple};
-use pasn_net::{CostModel, FaultPlan};
+use pasn_net::{CostModel, FaultPlan, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -225,7 +225,8 @@ fn sustained_loss_exhausts_the_retry_budget_and_terminates() {
         for (i, loc) in locations().iter().enumerate() {
             for pred in &predicates {
                 for (tuple, meta) in engine.query(loc, pred) {
-                    assert_eq!(meta.origin, *loc, "{tuple} at {loc} rode a dead frame");
+                    let here = NodeId(i as u32);
+                    assert_eq!(meta.origin, here, "{tuple} at {loc} rode a dead frame");
                 }
             }
             let own_links = links.iter().filter(|(src, _)| *src == i).count();

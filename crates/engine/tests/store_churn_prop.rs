@@ -8,7 +8,7 @@
 
 use pasn_datalog::Value;
 use pasn_engine::{NodeStore, Tuple, TupleMeta};
-use pasn_net::SimTime;
+use pasn_net::{NodeId, SimTime};
 use pasn_provenance::ProvTag;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -20,7 +20,7 @@ fn meta(expires: Option<u64>) -> TupleMeta {
         tag: ProvTag::None,
         created_at: SimTime::ZERO,
         expires_at: expires.map(SimTime::from_micros),
-        origin: Value::Addr(0),
+        origin: NodeId(0),
         asserted_by: None,
     }
 }

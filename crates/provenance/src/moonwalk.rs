@@ -20,6 +20,7 @@
 
 use crate::semiring::BaseTupleId;
 use crate::store::{AntecedentRef, DistributedStore};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration of a moonwalk sampling run.
@@ -162,8 +163,8 @@ impl SplitMix64 {
 /// the remote store when the antecedent is a
 /// [`AntecedentRef::Remote`] pointer, until it reaches a base tuple, an
 /// unresolved key, or the depth limit.
-pub fn moonwalk(
-    stores: &HashMap<String, DistributedStore>,
+pub fn moonwalk<S: Borrow<DistributedStore>>(
+    stores: &HashMap<String, S>,
     start_node: &str,
     key: &str,
     config: &MoonwalkConfig,
@@ -182,7 +183,7 @@ pub fn moonwalk(
         *result.visit_frequency.entry(current.clone()).or_default() += 1;
 
         for _ in 0..config.max_depth {
-            let Some(store) = stores.get(&node) else {
+            let Some(store) = stores.get(&node).map(Borrow::borrow) else {
                 break;
             };
             result.records_read += 1;

@@ -13,6 +13,7 @@
 use crate::graph::DerivationGraph;
 use crate::key::ProvKey;
 use crate::semiring::BaseTupleId;
+use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// An *online, local* provenance store: one derivation graph per node,
@@ -146,8 +147,8 @@ pub struct TracebackResult {
 ///
 /// In a deployment each remote hop is a network round trip; the simulator
 /// charges them through the returned [`TracebackResult::remote_hops`].
-pub fn traceback(
-    stores: &HashMap<String, DistributedStore>,
+pub fn traceback<S: Borrow<DistributedStore>>(
+    stores: &HashMap<String, S>,
     start_node: &str,
     key: &str,
 ) -> TracebackResult {
@@ -159,7 +160,7 @@ pub fn traceback(
 
     while let Some((node, key)) = queue.pop_front() {
         result.visited.push(key.clone());
-        let Some(store) = stores.get(&node) else {
+        let Some(store) = stores.get(&node).map(Borrow::borrow) else {
             result.unresolved.push(key);
             continue;
         };
