@@ -11,23 +11,21 @@
 //! relative overheads).  Results are also appended to
 //! `target/repro_results.md` so they can be pasted into EXPERIMENTS.md.
 //!
-//! Every run additionally writes `BENCH_engine.json`: fixpoint wall-times,
-//! index hit/probe counters, storage gauges, shipment-frame counters
-//! (`messages`/`signatures`/`frames`/`batched_tuples`/`mean_batch_occupancy`),
-//! per-mechanism crypto operation counts
-//! (`rsa_sign_ops`/`rsa_verify_ops`/`hmac_ops`/`handshakes`/
-//! `handshake_batches`) and the
-//! network-dynamics counters
-//! (`churn_events`/`retractions`/`rederivations`/`tombstone_frames`), the
-//! worker-pool layout counters
-//! (`worker_threads`/`partitions`/`cross_partition_frames`/`max_partition_queue`)
-//! and the scale gauges
-//! (`tuples_per_sec`/`bytes_per_tuple`/`peak_store_bytes`/`peak_index_bytes`/
-//! `peak_tuples`/`compaction_walked`)
-//! for the engine's join, batching, session-channel, churn, parallel and
-//! order-of-magnitude scale workloads (streaming 10k-node generational
-//! reachability, sustained expiry churn, 1k-member Chord under churn),
-//! giving future changes a perf trajectory to compare against.
+//! Every run additionally writes `BENCH_engine.json`, the engine's perf
+//! trajectory: one point per join, batching, session-channel, lossy, churn,
+//! parallel and order-of-magnitude scale workload.  A point carries every
+//! row of the `RunMetrics` table (`pasn_engine::RunMetrics::COUNTERS` — the
+//! writer loops over it, so the key inventory lives in
+//! `crates/engine/src/metrics.rs` and nowhere else; times are `*_us`, so the
+//! modeled critical path of the partitioned schedule is `parallel_wall_us`)
+//! plus `fixpoint_wall_ms` (host wall clock, on every point), the derived
+//! gauges `host_tuples_per_sec` (`derivations` / host wall),
+//! `tuples_per_sec` (against simulated completion time), `bytes_per_tuple`
+//! and `mean_batch_occupancy`.  The document's `mode` is `"quick"` or
+//! `"full"`, as run.  Before the file is written, `check_points` asserts
+//! the cross-point invariants (seed pins, re-convergence, w1 ≡ w4, memory
+//! and retry budgets) on the typed metrics; a failed assert fails the
+//! process, which is what CI relies on.
 //!
 //! With `--trace PATH`, the lossy session workload is re-run under the
 //! deterministic flight recorder and its Chrome/Perfetto `trace.json` is
@@ -42,26 +40,46 @@ use pasn::experiment::{
     render_figure, render_summary, run_sweep, summarize, FigureMetric, SweepConfig,
 };
 use pasn::prelude::*;
-use std::io::Write;
-use std::time::Instant;
+use pasn_engine::Scope;
+use std::fmt::Write as _;
+use std::io::Write as _;
+use std::time::{Duration, Instant};
+
+const USAGE: &str =
+    "usage: repro [fig3|fig4|summary|all|trace] [--quick] [--runs K] [--max-n N] [--trace PATH]";
+
+/// Rejects a malformed command line before any work runs.
+fn usage_error(problem: String) -> ! {
+    eprintln!("repro: {problem}\n{USAGE}");
+    std::process::exit(2)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The subcommand is the first bare word that is not the value of a
-    // value-taking flag (`--runs 3`, `--trace out.json`, ...).
-    let value_flags = ["--runs", "--max-n", "--trace"];
-    let what = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| {
-            !a.starts_with("--") && (*i == 0 || !value_flags.contains(&args[i - 1].as_str()))
-        })
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "all".to_string());
-    let quick = args.iter().any(|a| a == "--quick");
-    let runs = arg_value(&args, "--runs").unwrap_or(if quick { 1 } else { 2 });
-    let max_n = arg_value(&args, "--max-n").unwrap_or(if quick { 30 } else { 100 });
-    let trace_path = arg_str(&args, "--trace");
+    let mut what: Option<String> = None;
+    let (mut quick, mut runs, mut max_n, mut trace_path) = (false, None, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || match args.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage_error(format!("{arg} needs a value")),
+        };
+        let mut number = || {
+            let v = value();
+            v.parse::<u32>()
+                .unwrap_or_else(|_| usage_error(format!("{arg} needs a number, got `{v}`")))
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--runs" => runs = Some(number()),
+            "--max-n" => max_n = Some(number()),
+            "--trace" => trace_path = Some(value()),
+            "fig3" | "fig4" | "summary" | "all" | "trace" if what.is_none() => what = Some(arg),
+            _ => usage_error(format!("unknown argument `{arg}`")),
+        }
+    }
+    let what = what.unwrap_or_else(|| "all".to_string());
+    let runs = runs.unwrap_or(if quick { 1 } else { 2 });
+    let max_n = max_n.unwrap_or(if quick { 30 } else { 100 });
 
     if what == "trace" {
         let out = trace_path.unwrap_or_else(|| "trace.json".to_string());
@@ -83,7 +101,7 @@ fn main() {
         "running Best-Path sweep: sizes {:?}, {} run(s) per point, 3 variants ...",
         config.sizes, config.runs_per_point
     );
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let points = run_sweep(&config).expect("sweep completes");
     eprintln!("sweep finished in {:.1}s", started.elapsed().as_secs_f64());
 
@@ -117,14 +135,16 @@ fn main() {
         eprintln!("written to target/repro_results.md");
     }
 
-    let engine_json = engine_bench_json(
+    let points = engine_points(
         if quick { 400 } else { 1_200 },
         quick,
         trace_path.as_deref(),
     );
-    // A failed write must be fatal: CI validates this file, and exiting 0
-    // without writing would let a stale committed copy pass the check.
-    std::fs::write("BENCH_engine.json", engine_json.as_bytes()).expect("write BENCH_engine.json");
+    check_points(&points);
+    // A failed write must be fatal: exiting 0 without writing would leave a
+    // stale committed copy standing in for this run.
+    std::fs::write("BENCH_engine.json", bench_json(&points, quick))
+        .expect("write BENCH_engine.json");
     eprintln!("written to BENCH_engine.json");
 }
 
@@ -158,95 +178,56 @@ fn record_scale_trace(quick: bool, out: &str) {
     eprintln!("written to {out}");
 }
 
-/// One measurement point: wall-clock, the join-path counters, the storage
-/// gauges of the shared-row layout, the shipment-frame counters of the
-/// batched evaluation path, and the per-mechanism crypto operation counts
-/// of the `says` layer.
-fn point_json(name: &str, wall: std::time::Duration, metrics: &RunMetrics) -> String {
+/// One measurement point of `BENCH_engine.json`.
+struct Point {
+    name: String,
+    /// Minimum host wall clock of the fixpoint across repetitions.
+    host_wall: Duration,
+    metrics: RunMetrics,
+}
+
+/// Renders one point: host wall, the derived gauges, then every row of the
+/// `RunMetrics` table under its table name.
+fn point_json(point: &Point) -> String {
+    let m = &point.metrics;
+    let secs = point.host_wall.as_secs_f64();
+    let host_rate = if secs == 0.0 {
+        0.0
+    } else {
+        m.derivations as f64 / secs
+    };
+    let mut out = format!("    {{\n      \"workload\": \"{}\"", point.name);
+    for (key, gauge) in [
+        ("fixpoint_wall_ms", secs * 1_000.0),
+        ("host_tuples_per_sec", host_rate),
+        ("tuples_per_sec", m.tuples_per_sec()),
+        ("bytes_per_tuple", m.bytes_per_tuple()),
+        ("mean_batch_occupancy", m.mean_batch_occupancy()),
+    ] {
+        write!(out, ",\n      \"{key}\": {gauge:.3}").expect("write to String");
+    }
+    for counter in RunMetrics::COUNTERS {
+        let value = (counter.get)(m);
+        write!(out, ",\n      \"{}\": {value}", counter.name).expect("write to String");
+    }
+    out + "\n    }"
+}
+
+/// Renders the `BENCH_engine.json` document.
+fn bench_json(points: &[Point], quick: bool) -> String {
+    let points: Vec<String> = points.iter().map(point_json).collect();
     format!(
-        concat!(
-            "    {{\n",
-            "      \"workload\": \"{}\",\n",
-            "      \"fixpoint_wall_ms\": {:.3},\n",
-            "      \"derivations\": {},\n",
-            "      \"tuples_stored\": {},\n",
-            "      \"tuples_per_sec\": {:.3},\n",
-            "      \"bytes_per_tuple\": {:.3},\n",
-            "      \"index_probes\": {},\n",
-            "      \"index_hits\": {},\n",
-            "      \"scan_probes\": {},\n",
-            "      \"store_bytes\": {},\n",
-            "      \"index_bytes\": {},\n",
-            "      \"peak_store_bytes\": {},\n",
-            "      \"peak_index_bytes\": {},\n",
-            "      \"peak_tuples\": {},\n",
-            "      \"compaction_walked\": {},\n",
-            "      \"messages\": {},\n",
-            "      \"signatures\": {},\n",
-            "      \"frames\": {},\n",
-            "      \"batched_tuples\": {},\n",
-            "      \"mean_batch_occupancy\": {:.3},\n",
-            "      \"rsa_sign_ops\": {},\n",
-            "      \"rsa_verify_ops\": {},\n",
-            "      \"hmac_ops\": {},\n",
-            "      \"handshakes\": {},\n",
-            "      \"handshake_batches\": {},\n",
-            "      \"churn_events\": {},\n",
-            "      \"retractions\": {},\n",
-            "      \"rederivations\": {},\n",
-            "      \"tombstone_frames\": {},\n",
-            "      \"frames_dropped\": {},\n",
-            "      \"frames_duplicated\": {},\n",
-            "      \"retransmits\": {},\n",
-            "      \"acks\": {},\n",
-            "      \"backoff_events\": {},\n",
-            "      \"max_retransmit_per_frame\": {},\n",
-            "      \"worker_threads\": {},\n",
-            "      \"partitions\": {},\n",
-            "      \"cross_partition_frames\": {},\n",
-            "      \"max_partition_queue\": {}\n",
-            "    }}"
-        ),
-        name,
-        wall.as_secs_f64() * 1_000.0,
-        metrics.derivations,
-        metrics.tuples_stored,
-        metrics.tuples_per_sec(),
-        metrics.bytes_per_tuple(),
-        metrics.index_probes,
-        metrics.index_hits,
-        metrics.scan_probes,
-        metrics.store_bytes,
-        metrics.index_bytes,
-        metrics.peak_store_bytes.max(metrics.store_bytes),
-        metrics.peak_index_bytes.max(metrics.index_bytes),
-        metrics.peak_tuples.max(metrics.tuples_stored),
-        metrics.compaction_walked,
-        metrics.messages,
-        metrics.signatures,
-        metrics.frames,
-        metrics.batched_tuples,
-        metrics.mean_batch_occupancy(),
-        metrics.rsa_sign_ops,
-        metrics.rsa_verify_ops,
-        metrics.hmac_ops,
-        metrics.handshakes,
-        metrics.handshake_batches,
-        metrics.churn_events,
-        metrics.retractions,
-        metrics.rederivations,
-        metrics.tombstone_frames,
-        metrics.frames_dropped,
-        metrics.frames_duplicated,
-        metrics.retransmits,
-        metrics.acks,
-        metrics.backoff_events,
-        metrics.max_retransmit_per_frame,
-        metrics.worker_threads,
-        metrics.partitions,
-        metrics.cross_partition_frames,
-        metrics.max_partition_queue,
+        "{{\n  \"bench\": \"engine_fixpoint\",\n  \"mode\": \"{}\",\n  \"points\": [\n{}\n  ]\n}}\n",
+        if quick { "quick" } else { "full" },
+        points.join(",\n")
     )
+}
+
+/// Panics, naming the counters that moved, unless `a` and `b` agree on every
+/// table row of scope `up_to` or narrower.
+fn assert_same(a: &RunMetrics, b: &RunMetrics, up_to: Scope, what: &str) {
+    let moved = a.diff(b, up_to);
+    assert!(moved.is_empty(), "{what}: {moved:?}");
 }
 
 /// Number of times each host-wall-measured workload is rebuilt and rerun;
@@ -257,43 +238,46 @@ fn point_json(name: &str, wall: std::time::Duration, metrics: &RunMetrics) -> St
 /// cross-workload ratios stay honest.
 const WALL_REPS: u32 = 5;
 
-/// Builds and runs one workload [`WALL_REPS`] times, returning the minimum
-/// wall time and the metrics — which double as a determinism oracle: every
-/// repetition must produce bit-identical counters.  Construction (topology
-/// build, key provisioning) happens outside the timed span; only `run` is
-/// measured.
-fn measured<T, B, R>(build: B, run: R) -> (std::time::Duration, RunMetrics)
+/// Builds and runs one workload [`WALL_REPS`] times, returning the point:
+/// the minimum wall time and the metrics — which double as a determinism
+/// oracle: every repetition must produce bit-identical counters.
+/// Construction (topology build, key provisioning) happens outside the
+/// timed span; only `run` is measured.
+fn measured<T, B, R>(name: &str, build: B, run: R) -> Point
 where
     B: FnMut() -> T,
     R: FnMut(&mut T) -> RunMetrics,
 {
-    measured_reps(WALL_REPS, build, run)
+    measured_reps(name, WALL_REPS, build, run)
 }
 
 /// [`measured`] with an explicit repetition count: the order-of-magnitude
 /// scale workloads run seconds per repetition, so they trade estimator
 /// quality for total runtime (two repetitions still exercise the
 /// determinism oracle).
-fn measured_reps<T, B, R>(reps: u32, mut build: B, mut run: R) -> (std::time::Duration, RunMetrics)
+fn measured_reps<T, B, R>(name: &str, reps: u32, mut build: B, mut run: R) -> Point
 where
     B: FnMut() -> T,
     R: FnMut(&mut T) -> RunMetrics,
 {
-    let mut best: Option<(std::time::Duration, RunMetrics)> = None;
+    let mut best: Option<Point> = None;
     for _ in 0..reps.max(1) {
         let mut subject = build();
         let started = Instant::now();
         let metrics = run(&mut subject);
-        let wall = started.elapsed();
-        if let Some((best_wall, best_metrics)) = &mut best {
-            // `wall_clock` is the run's own host-time measurement and is
-            // expected to jitter; every evaluation counter must not.
-            let mut comparable = metrics;
-            comparable.wall_clock = best_metrics.wall_clock;
-            assert_eq!(*best_metrics, comparable, "nondeterministic workload run");
-            *best_wall = (*best_wall).min(wall);
+        let host_wall = started.elapsed();
+        if let Some(best) = &mut best {
+            // Host time is expected to jitter; nothing else may.
+            let what = "nondeterministic workload run";
+            assert_same(&metrics, &best.metrics, Scope::Layout, what);
+            best.host_wall = best.host_wall.min(host_wall);
         } else {
-            best = Some((wall, metrics));
+            let name = name.to_string();
+            best = Some(Point {
+                name,
+                host_wall,
+                metrics,
+            });
         }
     }
     best.expect("at least one repetition")
@@ -303,72 +287,42 @@ where
 /// `rows` tuples per relation, plus the N=30 reachability deployment) and
 /// the order-of-magnitude scale workloads (streaming generational
 /// reachability, sustained expiry churn, Chord under churn — downscaled
-/// when `quick`), and renders the `BENCH_engine.json` document.  When
-/// `trace_path` is set, the lossy session workload is additionally re-run
-/// under the flight recorder and its Perfetto export written there.
-fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String {
+/// when `quick`), one [`Point`] each.  When `trace_path` is set, the lossy
+/// session workload is additionally re-run under the flight recorder and
+/// its Perfetto export written there.
+fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point> {
     let mut points = Vec::new();
 
-    let (wall, metrics) = measured(
-        || {
-            let config = EngineConfig::ndlog().with_cost_model(CostModel::zero_cpu());
-            pasn_bench::equijoin_engine(rows, config)
-        },
-        |engine| engine.run_to_fixpoint().expect("fixpoint"),
-    );
-    points.push(point_json(
-        &format!("equijoin_indexed_{rows}"),
-        wall,
-        &metrics,
-    ));
+    // The equijoin three ways: through the secondary index, scan-forced,
+    // and indexed with local delta batching — plan dispatch, slot setup and
+    // rule-clone overhead amortise over each batch, so the fixpoint wall
+    // time drops below `equijoin_indexed` while derivations and stored
+    // tuples stay identical.
+    let ndlog = || EngineConfig::ndlog().with_cost_model(CostModel::zero_cpu());
+    for (path, config) in [
+        ("indexed", ndlog()),
+        ("scan", ndlog().without_secondary_indexes()),
+        ("batched", ndlog().with_batching()),
+    ] {
+        points.push(measured(
+            &format!("equijoin_{path}_{rows}"),
+            || pasn_bench::equijoin_engine(rows, config.clone()),
+            |engine| engine.run_to_fixpoint().expect("fixpoint"),
+        ));
+    }
 
-    let (wall, metrics) = measured(
-        || {
-            let config = EngineConfig::ndlog()
-                .with_cost_model(CostModel::zero_cpu())
-                .without_secondary_indexes();
-            pasn_bench::equijoin_engine(rows, config)
-        },
-        |engine| engine.run_to_fixpoint().expect("fixpoint"),
-    );
-    points.push(point_json(&format!("equijoin_scan_{rows}"), wall, &metrics));
-
-    // The indexed equijoin with local delta batching: plan dispatch, slot
-    // setup and rule-clone overhead amortise over each batch, so the
-    // fixpoint wall time drops below `equijoin_indexed` while derivations
-    // and stored tuples stay identical.
-    let (wall, metrics) = measured(
-        || {
-            let config = EngineConfig::ndlog()
-                .with_cost_model(CostModel::zero_cpu())
-                .with_batching();
-            pasn_bench::equijoin_engine(rows, config)
-        },
-        |engine| engine.run_to_fixpoint().expect("fixpoint"),
-    );
-    points.push(point_json(
-        &format!("equijoin_batched_{rows}"),
-        wall,
-        &metrics,
-    ));
-
-    let (wall, metrics) = measured(
-        || {
-            pasn_bench::reachability_network(
-                30,
-                EngineConfig::ndlog().with_cost_model(CostModel::zero_cpu()),
-                7,
-            )
-        },
+    points.push(measured(
+        "reachability_30",
+        || pasn_bench::reachability_network(30, ndlog(), 7),
         |net| net.run().expect("fixpoint"),
-    );
-    points.push(point_json("reachability_30", wall, &metrics));
+    ));
 
     // The same reachability deployment, authenticated and batched: one RSA
     // signature per multi-tuple frame instead of one per shipped tuple, so
     // `signatures == frames` and both undercut the per-tuple message count
     // above while `derivations`/`tuples_stored` stay identical.
-    let (wall, metrics) = measured(
+    points.push(measured(
+        "batched_reachability_30",
         || {
             pasn_bench::reachability_network(
                 30,
@@ -379,8 +333,7 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
             )
         },
         |net| net.run().expect("fixpoint"),
-    );
-    points.push(point_json("batched_reachability_30", wall, &metrics));
+    ));
 
     // The same deployment again over session-keyed channels: RSA collapses
     // from one sign per frame to one key-establishment handshake per live
@@ -389,49 +342,34 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
     // `tuples_stored`, `frames` and `batched_tuples` stay bit-identical to
     // `batched_reachability_30` and the fixpoint wall time drops with the
     // per-frame bignum exponentiations.
-    let (session_wall, session_metrics) = measured(
-        || {
-            pasn_bench::reachability_network(
-                30,
-                EngineConfig::sendlog_session()
-                    .with_cost_model(CostModel::zero_cpu())
-                    .with_batching(),
-                7,
-            )
-        },
+    let session_config = || {
+        EngineConfig::sendlog_session()
+            .with_cost_model(CostModel::zero_cpu())
+            .with_batching()
+    };
+    let session = measured(
+        "session_reachability_30",
+        || pasn_bench::reachability_network(30, session_config(), 7),
         |net| net.run().expect("fixpoint"),
     );
-    points.push(point_json(
-        "session_reachability_30",
-        session_wall,
-        &session_metrics,
-    ));
 
     // trace_overhead: the flight recorder is observation only.  The traced
     // session run must reproduce every counter bit for bit, and its wall
     // time must stay within 1.3x of the untraced run (plus a small absolute
     // allowance — these runs are a few milliseconds, so a fixed floor keeps
     // scheduler jitter from failing the ratio on an otherwise healthy run).
-    let (traced_wall, traced_metrics) = measured(
+    let traced = measured(
+        "trace_overhead",
         || {
-            pasn_bench::reachability_network(
-                30,
-                EngineConfig::sendlog_session()
-                    .with_cost_model(CostModel::zero_cpu())
-                    .with_batching()
-                    .with_tracing(TraceConfig::new()),
-                7,
-            )
+            let config = session_config().with_tracing(TraceConfig::new());
+            pasn_bench::reachability_network(30, config, 7)
         },
         |net| net.run().expect("fixpoint"),
     );
-    let mut traced_cmp = traced_metrics.clone();
-    traced_cmp.wall_clock = session_metrics.wall_clock;
-    assert_eq!(
-        traced_cmp, session_metrics,
-        "trace_overhead: tracing perturbed session_reachability_30"
-    );
-    let budget = session_wall.mul_f64(1.3) + std::time::Duration::from_millis(2);
+    let what = "trace_overhead: tracing perturbed session_reachability_30";
+    assert_same(&traced.metrics, &session.metrics, Scope::Layout, what);
+    let (session_wall, traced_wall) = (session.host_wall, traced.host_wall);
+    let budget = session_wall.mul_f64(1.3) + Duration::from_millis(2);
     assert!(
         traced_wall <= budget,
         "trace_overhead: traced run took {traced_wall:?}, budget {budget:?} \
@@ -443,6 +381,7 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
         traced_wall.as_secs_f64() * 1_000.0,
         budget.as_secs_f64() * 1_000.0
     );
+    points.push(session);
 
     // The session deployment again over lossy links: a seeded fault plan
     // drops, duplicates and delays frames while the reliability layer
@@ -453,42 +392,23 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
     // budget per frame.  The fault counters must be bit-identical across
     // repetitions (the determinism oracle in `measured` enforces it): every
     // transport decision is a pure function of `(seed, link, seq, attempt)`.
-    let (wall, metrics) = measured(
-        || {
-            pasn_bench::reachability_network(
-                30,
-                EngineConfig::sendlog_session()
-                    .with_cost_model(CostModel::zero_cpu())
-                    .with_batching()
-                    .with_fault_plan(FaultPlan::new(41)),
-                7,
-            )
-        },
+    let lossy_config = || session_config().with_fault_plan(FaultPlan::new(41));
+    let lossy = measured(
+        "lossy_reachability_30",
+        || pasn_bench::reachability_network(30, lossy_config(), 7),
         |net| net.run().expect("post-loss fixpoint"),
     );
-    points.push(point_json("lossy_reachability_30", wall, &metrics));
 
     // `--trace PATH`: export the lossy run's flight-recorder trace — the
     // acceptance bar of the recorder.  Before writing, assert that the
     // frame-lifecycle events reconstruct the transport counters exactly and
     // that tracing left the measured point's counters untouched.
     if let Some(path) = trace_path {
-        let mut net = pasn_bench::reachability_network(
-            30,
-            EngineConfig::sendlog_session()
-                .with_cost_model(CostModel::zero_cpu())
-                .with_batching()
-                .with_fault_plan(FaultPlan::new(41))
-                .with_tracing(TraceConfig::new()),
-            7,
-        );
+        let config = lossy_config().with_tracing(TraceConfig::new());
+        let mut net = pasn_bench::reachability_network(30, config, 7);
         let traced = net.run().expect("post-loss fixpoint");
-        let mut traced_cmp = traced.clone();
-        traced_cmp.wall_clock = metrics.wall_clock;
-        assert_eq!(
-            traced_cmp, metrics,
-            "tracing perturbed lossy_reachability_30"
-        );
+        let what = "tracing perturbed lossy_reachability_30";
+        assert_same(&traced, &lossy.metrics, Scope::Layout, what);
         let trace = net.trace().expect("tracing enabled");
         let cycles = trace.link_lifecycles();
         let total = |f: fn(&pasn_engine::LinkLifecycle) -> u64| cycles.iter().map(f).sum::<u64>();
@@ -515,6 +435,7 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
             trace.len()
         );
     }
+    points.push(lossy);
 
     // The session deployment once more, under network dynamics: one
     // topology link flaps down (provenance-guided deletion withdraws
@@ -524,15 +445,10 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
     // `session_reachability_30`'s `tuples_stored` exactly; `derivations`
     // exceeds it by the re-derivation work, which the churn counters
     // itemise.
-    let (wall, metrics) = measured(
+    points.push(measured(
+        "churn_reachability_30",
         || {
-            let net = pasn_bench::reachability_network(
-                30,
-                EngineConfig::sendlog_session()
-                    .with_cost_model(CostModel::zero_cpu())
-                    .with_batching(),
-                7,
-            );
+            let net = pasn_bench::reachability_network(30, session_config(), 7);
             let flap = net.topology().expect("topology-built deployment").links()[0];
             let (src, dst) = (Value::Addr(flap.src.0), Value::Addr(flap.dst.0));
             let script = ChurnScript::new()
@@ -541,29 +457,23 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
             (net, script)
         },
         |(net, script)| net.run_scenario(script).expect("post-churn fixpoint"),
-    );
-    points.push(point_json("churn_reachability_30", wall, &metrics));
+    ));
 
     // Parallel sharded evaluation: 50 disjoint 20-node reachability
     // clusters (1000 nodes) evaluated sequentially and on a four-worker
-    // pool, under the paper's CPU cost model.  The counters must match bit
-    // for bit — the pool is a pure execution strategy — while
-    // `fixpoint_wall_ms` records the modeled critical path of the
-    // partitioned schedule (`RunMetrics::parallel_wall`: total charged CPU
-    // minus the work the waves executed off the critical path), which is
-    // what shrinks with workers.  CI asserts both the counter equality and
-    // the speedup.
+    // pool, under the paper's CPU cost model.  The schedule counters must
+    // match bit for bit — the pool is a pure execution strategy — while
+    // `parallel_wall_us` records the modeled critical path of the
+    // partitioned schedule (total charged CPU minus the work the waves
+    // executed off the critical path), which is what shrinks with workers.
     for workers in [1usize, 4] {
-        let mut net = pasn_bench::clustered_reachability_network(
-            50,
-            20,
-            EngineConfig::ndlog().with_batching().with_workers(workers),
-        );
-        let metrics = net.run().expect("fixpoint");
-        points.push(point_json(
+        points.push(measured(
             &format!("par_reachability_1k_w{workers}"),
-            metrics.parallel_wall,
-            &metrics,
+            || {
+                let config = EngineConfig::ndlog().with_batching().with_workers(workers);
+                pasn_bench::clustered_reachability_network(50, 20, config)
+            },
+            |net| net.run().expect("fixpoint"),
         ));
     }
 
@@ -571,22 +481,26 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
     // seq-ordered expiry, lazy compaction, index maintenance — that the join
     // workloads above never stress.
     let churn_rows = 10_000u32;
-    let (wall, metrics) = measured(
+    points.push(measured(
+        &format!("store_churn_{churn_rows}"),
         || (),
         |()| {
             let store = pasn_bench::store_churn_cycle(churn_rows);
+            let (tuples, bytes, index) = (
+                store.total_tuples() as u64,
+                store.store_bytes() as u64,
+                store.index_bytes() as u64,
+            );
             RunMetrics {
-                tuples_stored: store.total_tuples() as u64,
-                store_bytes: store.store_bytes() as u64,
-                index_bytes: store.index_bytes() as u64,
+                tuples_stored: tuples,
+                store_bytes: bytes,
+                index_bytes: index,
+                peak_tuples: tuples,
+                peak_store_bytes: bytes,
+                peak_index_bytes: index,
                 ..RunMetrics::default()
             }
         },
-    );
-    points.push(point_json(
-        &format!("store_churn_{churn_rows}"),
-        wall,
-        &metrics,
     ));
 
     // Sustained expiry churn: eight full soft-state generations through one
@@ -594,7 +508,8 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
     // `compaction_walked` gauge) and that the peak footprint stays O(one
     // generation) rather than O(history).
     let churn_generations = 8u32;
-    let (wall, metrics) = measured_reps(
+    points.push(measured_reps(
+        &format!("sustained_expiry_churn_{churn_rows}x{churn_generations}"),
         2,
         || (),
         |()| {
@@ -611,11 +526,6 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
                 ..RunMetrics::default()
             }
         },
-    );
-    points.push(point_json(
-        &format!("sustained_expiry_churn_{churn_rows}x{churn_generations}"),
-        wall,
-        &metrics,
     ));
 
     // Order-of-magnitude scale: the streaming generational reachability
@@ -623,11 +533,12 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
     // retiring as a time-ordered event stream, derived soft state killed
     // mid-run by scheduled TTL expiry.  Peak memory stays O(live
     // generations) no matter how many generations the run visits, and the
-    // counters are bit-identical between the sequential and four-worker
-    // schedules — both pinned by CI.
+    // schedule counters are bit-identical between the sequential and
+    // four-worker schedules — both pinned by `check_points`.
     let scale_clusters = if quick { 50 } else { 500 };
     for workers in [1usize, 4] {
-        let (wall, metrics) = measured_reps(
+        points.push(measured_reps(
+            &format!("reachability_10k_w{workers}"),
             2,
             || {
                 pasn_bench::generational_reachability_workload(
@@ -640,11 +551,6 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
                 net.run_streaming(events.clone())
                     .expect("streaming fixpoint")
             },
-        );
-        points.push(point_json(
-            &format!("reachability_10k_w{workers}"),
-            wall,
-            &metrics,
         ));
     }
 
@@ -654,7 +560,8 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
     // map hops to messages/derivations and hop verifications to
     // `verifications`; determinism across repetitions is the oracle.
     let chord_nodes = if quick { 128 } else { 1_000 };
-    let (wall, metrics) = measured_reps(
+    points.push(measured_reps(
+        "chord_churn_1k",
         2,
         || (),
         |()| {
@@ -666,27 +573,236 @@ fn engine_bench_json(rows: u32, quick: bool, trace_path: Option<&str>) -> String
                 hmac_ops: report.hops + report.verified_hops,
                 churn_events: report.churn_events,
                 tuples_stored: report.members,
+                peak_tuples: report.members,
                 worker_threads: 1,
                 partitions: 1,
                 ..RunMetrics::default()
             }
         },
+    ));
+
+    points
+}
+
+/// The point whose name starts with `prefix`.
+fn find<'a>(points: &'a [Point], prefix: &str) -> &'a RunMetrics {
+    let point = points.iter().find(|p| p.name.starts_with(prefix));
+    &point
+        .unwrap_or_else(|| panic!("no `{prefix}*` point"))
+        .metrics
+}
+
+/// The cross-point invariants of the perf trajectory, asserted on the typed
+/// metrics before `BENCH_engine.json` is written.
+fn check_points(points: &[Point]) {
+    use Scope::Schedule;
+    let stores = |p: &Point| p.metrics.store_bytes > 0 && p.metrics.index_bytes > 0;
+    assert!(points.iter().any(stores), "storage gauges are all zero");
+
+    let baseline = find(points, "reachability_30");
+    let batched = find(points, "batched_reachability_30");
+    assert_eq!(
+        batched.signatures, batched.frames,
+        "frames must be signed once each"
     );
-    points.push(point_json("chord_churn_1k", wall, &metrics));
+    assert!(
+        batched.frames < baseline.messages,
+        "batching must undercut the per-tuple message count"
+    );
+    assert!(
+        batched.mean_batch_occupancy() > 1.0,
+        "batched frames must carry more than one tuple on average"
+    );
+    let fixpoint = |m: &RunMetrics| (m.derivations, m.tuples_stored);
+    assert_eq!(
+        fixpoint(batched),
+        fixpoint(baseline),
+        "batching must not change the derivation or fixpoint tuple count"
+    );
+    assert_eq!(
+        batched.rsa_sign_ops, batched.frames,
+        "the Rsa level pays one RSA sign per frame"
+    );
 
-    format!(
-        "{{\n  \"bench\": \"engine_fixpoint\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        points.join(",\n")
-    )
+    let session = find(points, "session_reachability_30");
+    assert!(
+        session.handshakes > 0 && session.rsa_sign_ops == session.handshakes,
+        "session channels pay RSA once per handshake (one per link)"
+    );
+    assert!(
+        session.rsa_sign_ops < session.frames,
+        "session handshakes must undercut the per-frame RSA count"
+    );
+    assert!(
+        session.hmac_ops > 0,
+        "session frames must be HMAC-authenticated"
+    );
+    assert!(
+        0 < session.handshake_batches && session.handshake_batches <= session.handshakes,
+        "same-instant handshakes must coalesce into shared windows"
+    );
+    let shipped = |m: &RunMetrics| (m.derivations, m.tuples_stored, m.frames, m.batched_tuples);
+    assert_eq!(
+        shipped(session),
+        shipped(batched),
+        "session channels must not change what is derived, stored or shipped"
+    );
+    // Seed-pinned evaluation counters: the CRT/window/batching work may
+    // only move wall time and CPU-charge accounting, never what gets
+    // derived, stored or shipped.
+    assert_eq!(
+        shipped(session),
+        (2880, 1080, 553, 2790),
+        "session derivations / tuple count / frame count / batched-tuple count moved"
+    );
+
+    let lossy = find(points, "lossy_reachability_30");
+    assert!(
+        lossy.frames_dropped > 0,
+        "the seeded fault plan must actually drop frames"
+    );
+    assert!(
+        lossy.retransmits > 0,
+        "dropped frames must be retransmitted"
+    );
+    assert!(
+        lossy.acks > 0,
+        "the reliability layer must send cumulative acks"
+    );
+    // No frame may need more attempts than the retry budget, and the total
+    // retransmission volume stays a small multiple of the loss.
+    let retry_budget = u64::from(pasn_engine::DEFAULT_RETRY_BUDGET);
+    assert!(
+        lossy.max_retransmit_per_frame < retry_budget,
+        "per-frame retransmits must stay under the retry budget"
+    );
+    assert!(
+        lossy.retransmits <= retry_budget * lossy.frames_dropped,
+        "retransmission volume must be bounded by the retry budget"
+    );
+    assert_eq!(
+        fixpoint(lossy),
+        fixpoint(session),
+        "the lossy run must re-converge to the reliable fixpoint, deriving the same"
+    );
+
+    let churn = find(points, "churn_reachability_30");
+    assert!(churn.churn_events > 0, "the flap script must run");
+    assert!(
+        churn.retractions > 0,
+        "provenance-guided deletion must withdraw tuples"
+    );
+    assert!(
+        churn.rederivations > 0,
+        "the restored link must re-derive withdrawn tuples"
+    );
+    assert!(
+        churn.tombstone_frames > 0,
+        "remote retractions must ship as tombstone frames"
+    );
+    assert_eq!(
+        churn.tuples_stored, session.tuples_stored,
+        "the churned run must re-converge to the static fixpoint"
+    );
+    assert!(
+        churn.derivations >= session.derivations,
+        "re-derivation work can only add rule firings"
+    );
+    assert!(
+        churn.rsa_sign_ops == churn.handshakes && churn.handshakes > session.handshakes,
+        "the flapped link rebinds its channel at a fresh epoch"
+    );
+
+    // The worker pool is a pure execution strategy: every schedule counter
+    // must be bit-identical to the sequential run.
+    let par1 = find(points, "par_reachability_1k_w1");
+    let par4 = find(points, "par_reachability_1k_w4");
+    let what = "the worker pool must not change a schedule counter";
+    assert_same(par4, par1, Schedule, what);
+    assert_eq!((par1.worker_threads, par1.partitions), (1, 1));
+    assert_eq!(
+        par1.cross_partition_frames, 0,
+        "a single partition has no cross-partition traffic"
+    );
+    assert_eq!((par4.worker_threads, par4.partitions), (4, 4));
+    assert!(
+        par4.cross_partition_frames > 0,
+        "interleaved clusters must ship across partitions"
+    );
+    assert!(
+        par4.max_partition_queue > 0,
+        "waves must actually dispatch to the pool"
+    );
+    // parallel_wall is modeled in simulated CPU terms, so the speedup is
+    // deterministic and safe to pin even on a one-core runner.
+    assert!(
+        par4.parallel_wall <= par1.parallel_wall.mul_f64(0.6),
+        "four workers must cut the modeled critical path to <= 0.6x"
+    );
+
+    // Order-of-magnitude scale points (streaming driver): sharding the
+    // streaming run must stay bit-identical to the sequential schedule.
+    let scale1 = find(points, "reachability_10k_w1");
+    let scale4 = find(points, "reachability_10k_w4");
+    let what = "the worker pool must not change a schedule counter at scale";
+    assert_same(scale4, scale1, Schedule, what);
+    for p in [scale1, scale4] {
+        assert!(p.churn_events > 0, "generations must churn");
+        assert!(
+            p.retractions > 0,
+            "soft-state TTL must evict old generations mid-run"
+        );
+        assert!(p.tuples_per_sec() > 0.0, "throughput gauge must be live");
+        assert!(p.bytes_per_tuple() > 0.0, "footprint gauge must be live");
+        assert!(
+            p.peak_tuples > p.tuples_stored,
+            "the peak must be sampled mid-run, not at the drained end"
+        );
+        // Pinned memory budget: peak residency is O(live generations), not
+        // O(total nodes).  Measured 55,200 B (store+index) at both 50 and
+        // 500 clusters; 150 kB leaves headroom without letting an O(N)
+        // residue regression slip through.
+        assert!(
+            p.peak_store_bytes + p.peak_index_bytes < 150_000,
+            "streaming peak memory must stay within the pinned budget"
+        );
+    }
+
+    let expiry = find(points, "sustained_expiry_churn");
+    assert!(expiry.retractions > 0, "expiry churn must evict rows");
+    assert!(
+        expiry.compaction_walked <= 4 * expiry.retractions,
+        "lazy compaction must amortise to O(1) walked per eviction"
+    );
+    assert!(
+        expiry.peak_store_bytes < 2 * expiry.store_bytes,
+        "peak residency must stay within 2x the live set"
+    );
+
+    let chord = find(points, "chord_churn");
+    assert!(chord.churn_events > 0, "chord nodes must leave and rejoin");
+    assert!(chord.derivations > 0, "chord lookups must route");
+    assert!(
+        chord.hmac_ops > 0,
+        "chord hops must be authenticated and verified"
+    );
+    eprintln!("BENCH_engine.json checks ok: {} points", points.len());
 }
 
-fn arg_value(args: &[String], key: &str) -> Option<u32> {
-    arg_str(args, key).and_then(|v| v.parse().ok())
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn arg_str(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    #[test]
+    fn the_writer_emits_every_table_row_exactly_once() {
+        let json = point_json(&Point {
+            name: "p".into(),
+            host_wall: Duration::from_millis(2),
+            metrics: RunMetrics::default(),
+        });
+        for counter in RunMetrics::COUNTERS {
+            let key = format!("\"{}\":", counter.name);
+            assert_eq!(json.matches(&key).count(), 1, "{key}");
+        }
+    }
 }

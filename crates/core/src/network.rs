@@ -201,9 +201,7 @@ impl SecureNetwork {
     /// of being materialised in the work queue, so driver memory stays
     /// O(in-flight work) rather than O(script) — the mode large
     /// generational workloads use.  The schedule, and every counter, is
-    /// bit-identical to [`SecureNetwork::run_scenario`] on the same events;
-    /// peak footprint is additionally sampled into
-    /// `RunMetrics::peak_store_bytes` / `peak_index_bytes`.
+    /// bit-identical to [`SecureNetwork::run_scenario`] on the same events.
     pub fn run_streaming<I>(&mut self, events: I) -> Result<RunMetrics, NetworkError>
     where
         I: IntoIterator<Item = (SimTime, ChurnEvent)>,

@@ -205,16 +205,6 @@ impl EngineConfig {
         }
     }
 
-    /// Builder: re-applies the `PASN_WORKERS` environment override (presets
-    /// already honour it; this restores it after an explicit
-    /// [`EngineConfig::with_workers`] or on a config built elsewhere).
-    pub fn from_env(mut self) -> Self {
-        if let Some(n) = env_workers() {
-            self.workers = n;
-        }
-        self
-    }
-
     /// SeNDLog over session-keyed channels: RSA amortised to one
     /// key-establishment handshake per directed link, every frame HMAC'd
     /// under the link's session key ([`SaysLevel::Session`]).  Same
@@ -464,10 +454,6 @@ mod tests {
         assert_eq!(cfg.workers, 4);
         let cfg = EngineConfig::ndlog().with_workers(0);
         assert_eq!(cfg.workers, 1, "a pool needs at least one worker");
-        // from_env keeps an explicit choice when no override is exported.
-        if std::env::var("PASN_WORKERS").is_err() {
-            assert_eq!(EngineConfig::ndlog().with_workers(3).from_env().workers, 3);
-        }
     }
 
     #[test]

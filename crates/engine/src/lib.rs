@@ -67,7 +67,7 @@ pub use config::{
 };
 pub use dynamics::{ChurnEvent, ChurnScript};
 pub use eval::{eval_expr, eval_filter, Bindings, EvalError};
-pub use metrics::RunMetrics;
+pub use metrics::{Counter, Merge, RunMetrics, Scope};
 pub use pasn_trace::{
     LinkLifecycle, RuleProfile, TraceConfig, TraceEvent, TraceEventKind, TraceQuery, TraceRecorder,
 };

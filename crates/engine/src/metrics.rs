@@ -1,160 +1,282 @@
 //! Run metrics: everything the evaluation section of the paper reports.
+//!
+//! Every [`RunMetrics`] field is declared exactly once, as a row of the
+//! `run_metrics!` table below: *doc comment · name · type · merge rule ·
+//! scope*.  The table generates the struct, [`RunMetrics::absorb`] (the
+//! shard merge), [`RunMetrics::COUNTERS`] (the read-only view the `repro`
+//! writer serialises) and [`RunMetrics::diff`] (the one comparison every
+//! equivalence oracle uses).  Adding a counter is one row plus its increment
+//! site (`metrics.my_counter += 1`): it is then merged across partitions,
+//! written to `BENCH_engine.json` and compared by the w1 ≡ w4, batch ≡
+//! stream, same-seed and traced ≡ untraced oracles with no other edit.
 
 use pasn_net::SimTime;
 use std::fmt;
 use std::time::Duration;
 
-/// Metrics collected while running a program to its distributed fixpoint.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RunMetrics {
+/// How a partition shard's value folds into the run total in
+/// [`RunMetrics::absorb`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// Event counts: shards sum.
+    Add,
+    /// High-water marks: the larger value wins.
+    Max,
+    /// Engine-owned: written by the run driver for the whole run (clocks,
+    /// pool layout, network and store totals), never taken from a shard.
+    Engine,
+}
+
+/// What a counter's value may depend on, narrowest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Scope {
+    /// A pure function of program + input + config: bit-identical across
+    /// worker counts, repetitions and tracing.
+    Schedule,
+    /// Also depends on the worker-pool layout: legitimately differs between
+    /// a one-worker and a four-worker run of the same schedule.
+    Layout,
+    /// Host time: differs between any two runs.
+    Host,
+}
+
+/// One row of the metrics table, as data.
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// The field name; `SimTime` / `Duration` fields carry a `_us` suffix.
+    pub name: &'static str,
+    /// How shards fold into the total.
+    pub merge: Merge,
+    /// What the value may depend on.
+    pub scope: Scope,
+    /// Reads the field (times rendered as whole microseconds).
+    pub get: fn(&RunMetrics) -> u64,
+}
+
+macro_rules! counter_name {
+    ($name:ident, u64) => {
+        stringify!($name)
+    };
+    ($name:ident, $time:ident) => {
+        concat!(stringify!($name), "_us")
+    };
+}
+
+macro_rules! micros {
+    ($value:expr, u64) => {
+        $value
+    };
+    ($value:expr, SimTime) => {
+        $value.as_micros()
+    };
+    ($value:expr, Duration) => {
+        $value.as_micros() as u64
+    };
+}
+
+#[cfg(test)]
+macro_rules! from_micros {
+    ($value:expr, u64) => {
+        $value
+    };
+    ($value:expr, $time:ident) => {
+        $time::from_micros($value)
+    };
+}
+
+macro_rules! fold {
+    (Add, $total:expr, $shard:expr) => {
+        $total += $shard
+    };
+    (Max, $total:expr, $shard:expr) => {
+        $total = $total.max($shard)
+    };
+    (Engine, $total:expr, $shard:expr) => {};
+}
+
+macro_rules! run_metrics {
+    ($($(#[$doc:meta])* $name:ident: $ty:tt, $merge:ident, $scope:ident;)+) => {
+        /// Metrics collected while running a program to its distributed fixpoint.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct RunMetrics {
+            $($(#[$doc])* pub $name: $ty,)+
+        }
+
+        impl RunMetrics {
+            /// Every field, in declaration order.
+            pub const COUNTERS: &'static [Counter] = &[$(Counter {
+                name: counter_name!($name, $ty),
+                merge: Merge::$merge,
+                scope: Scope::$scope,
+                get: |m| micros!(m.$name, $ty),
+            },)+];
+
+            /// Folds a partition's metrics shard into the run totals at wave
+            /// merge time, each field by its [`Merge`] rule.
+            pub fn absorb(&mut self, shard: &RunMetrics) {
+                $(fold!($merge, self.$name, shard.$name);)+
+            }
+
+            /// Test fixture: row `i` (1-based) holds `value(i)`.
+            #[cfg(test)]
+            fn from_rows(value: impl Fn(u64) -> u64) -> RunMetrics {
+                let mut row = 0;
+                $(row += 1; let $name = from_micros!(value(row), $ty);)+
+                RunMetrics { $($name,)+ }
+            }
+        }
+    };
+}
+
+run_metrics! {
     /// Simulated time at which the distributed fixpoint was reached — the
     /// "query completion time" of Figure 3.
-    pub completion: SimTime,
+    completion: SimTime, Engine, Schedule;
     /// Wall-clock time the in-process run took (all nodes share one thread,
     /// so this measures total work rather than parallel completion).
-    pub wall_clock: Duration,
+    wall_clock: Duration, Engine, Host;
     /// Number of inter-node messages sent.
-    pub messages: u64,
+    messages: u64, Engine, Schedule;
     /// Total bytes across all messages — the "bandwidth utilization" of
     /// Figure 4.
-    pub bytes: u64,
+    bytes: u64, Engine, Schedule;
     /// Bytes attributable to `says` proofs (signatures / MACs).
-    pub auth_bytes: u64,
+    auth_bytes: u64, Add, Schedule;
     /// Bytes attributable to shipped provenance annotations.
-    pub provenance_bytes: u64,
+    provenance_bytes: u64, Add, Schedule;
     /// Number of rule firings (derivations), including duplicates that were
     /// absorbed by set semantics.
-    pub derivations: u64,
+    derivations: u64, Add, Schedule;
     /// Number of distinct tuples stored across all nodes at fixpoint.
-    pub tuples_stored: u64,
+    tuples_stored: u64, Engine, Schedule;
     /// Signatures / MACs generated.
-    pub signatures: u64,
+    signatures: u64, Add, Schedule;
     /// Signatures / MACs verified.
-    pub verifications: u64,
+    verifications: u64, Add, Schedule;
     /// Tuples rejected because their proof failed verification.
-    pub verification_failures: u64,
+    verification_failures: u64, Add, Schedule;
     /// Provenance tag operations performed (semiring `+` / `*`).
-    pub provenance_ops: u64,
+    provenance_ops: u64, Add, Schedule;
     /// Tuples dropped by the sampling policy (provenance not recorded).
-    pub sampled_out: u64,
+    sampled_out: u64, Add, Schedule;
     /// Join probes answered through a secondary index (one per rendered
     /// key lookup).
-    pub index_probes: u64,
+    index_probes: u64, Add, Schedule;
     /// Tuples yielded by index probes (candidates actually examined on the
     /// index path; the join's true work, versus scanning the relation).
-    pub index_hits: u64,
+    index_hits: u64, Add, Schedule;
     /// Tuples examined through full-relation scans (joins with no bound key
     /// columns, or predicates without a registered index).
-    pub scan_probes: u64,
+    scan_probes: u64, Add, Schedule;
     /// Bytes of tuple data stored across all nodes at fixpoint (canonical
     /// row encodings plus insertion-order seq lists; rows are charged once —
     /// secondary indexes share them by reference).
-    pub store_bytes: u64,
+    store_bytes: u64, Engine, Schedule;
     /// Bytes of secondary-index overhead across all nodes at fixpoint
     /// (bucket keys plus one 8-byte seq id per indexed row).
-    pub index_bytes: u64,
+    index_bytes: u64, Engine, Schedule;
     /// High-water mark of [`RunMetrics::store_bytes`] observed during the
-    /// run.  Plain fixpoint runs sample only at completion (peak == final);
-    /// the streaming driver samples at every quiescence point between
-    /// scripted events, making this the honest bounded-memory gauge for
-    /// generational workloads whose final store is far smaller than their
-    /// transient working set.
-    pub peak_store_bytes: u64,
+    /// run, sampled ahead of scripted churn events (rate-limited, the same
+    /// instants under the scenario and the streaming driver) and at
+    /// fixpoint — so a run without scripted events reports peak == final.
+    /// The honest bounded-memory gauge for generational workloads whose
+    /// final store is far smaller than their transient working set.
+    peak_store_bytes: u64, Max, Schedule;
     /// High-water mark of [`RunMetrics::index_bytes`], sampled alongside
     /// [`RunMetrics::peak_store_bytes`].
-    pub peak_index_bytes: u64,
+    peak_index_bytes: u64, Max, Schedule;
     /// High-water mark of live stored tuples across all nodes, sampled
     /// alongside [`RunMetrics::peak_store_bytes`] — the denominator of
     /// [`RunMetrics::bytes_per_tuple`] on generational workloads whose
     /// final store is empty.
-    pub peak_tuples: u64,
+    peak_tuples: u64, Max, Schedule;
     /// Seq-list entries walked by lazy store-compaction rebuilds across all
     /// nodes — the total deferred-maintenance work the run paid for (charged
     /// to node CPU lanes at `compact_entry_us` per entry).  Under sustained
     /// expiry churn this must stay within a small constant factor of the
     /// rows actually removed, or compaction is thrashing.
-    pub compaction_walked: u64,
+    compaction_walked: u64, Add, Schedule;
     /// Multi-tuple shipment frames sent between nodes.  Every inter-node
     /// message is one frame; each frame is signed and verified once,
     /// regardless of how many tuples it carries, so `signatures` and
     /// `verifications` scale with this counter rather than with shipped
     /// tuples.  With `batch_window = 0` every frame holds exactly one tuple
     /// and `frames == messages == batched_tuples`.
-    pub frames: u64,
+    frames: u64, Add, Schedule;
     /// Tuples shipped inside frames, after in-frame deduplication (the raw
     /// material of [`RunMetrics::mean_batch_occupancy`]).
-    pub batched_tuples: u64,
+    batched_tuples: u64, Add, Schedule;
     /// RSA private-key exponentiations performed: one per shipped frame at
     /// the `Rsa` `says` level, one per key-establishment handshake at the
     /// `Session` level — so a session run performs exactly
     /// [`RunMetrics::handshakes`] RSA signs, however many frames it ships.
-    pub rsa_sign_ops: u64,
+    rsa_sign_ops: u64, Add, Schedule;
     /// RSA public-key exponentiations performed (frame verifications at the
     /// `Rsa` level, handshake verifications at the `Session` level).
-    pub rsa_verify_ops: u64,
+    rsa_verify_ops: u64, Add, Schedule;
     /// HMAC-SHA-256 computations performed: frame MACs and verifications at
     /// the `Hmac` and `Session` levels, plus the two per-handshake session
     /// key derivations.
-    pub hmac_ops: u64,
+    hmac_ops: u64, Add, Schedule;
     /// Session-channel key-establishment handshakes initiated: one per live
     /// directed link, plus one per rebind after
     /// `EngineConfig::channel_rebind_frames` frames.
-    pub handshakes: u64,
+    handshakes: u64, Add, Schedule;
     /// Coalesced handshake-verification windows dispatched at the receiver:
     /// every contiguous run of same-instant handshake deliveries to one
     /// node is charged as a single CPU window of `k × rsa_verify_us`
     /// instead of `k` separate scheduling round-trips.  Always
     /// `<=` [`RunMetrics::handshakes`]; the gap measures how much
     /// establishment work arrived coalesced.
-    pub handshake_batches: u64,
+    handshake_batches: u64, Add, Schedule;
     /// Scripted network-dynamics events processed (link flaps, node
     /// failures/rejoins, scripted base-tuple inserts/retracts/refreshes).
-    pub churn_events: u64,
+    churn_events: u64, Add, Schedule;
     /// Tuples removed by provenance-guided deletion: support exhausted by a
     /// retraction cascade, killed by scheduled TTL expiry or a node
     /// failure, or garbage-collected by the well-founded reconciliation
     /// sweep.
-    pub retractions: u64,
+    retractions: u64, Add, Schedule;
     /// Fresh insertions of a tuple previously retracted at the same node —
     /// the re-derivation work churn causes.
-    pub rederivations: u64,
+    rederivations: u64, Add, Schedule;
     /// Retraction shipment frames (tombstones) sent between nodes; each is
     /// also counted in [`RunMetrics::frames`] and proved once like a data
     /// frame.
-    pub tombstone_frames: u64,
+    tombstone_frames: u64, Add, Schedule;
     /// Worker threads the run was configured with
     /// ([`EngineConfig::with_workers`]); `1` is the sequential path.
-    pub worker_threads: u64,
+    worker_threads: u64, Engine, Layout;
     /// Node partitions evaluation was sharded into: `min(workers, nodes)`
     /// when a worker pool is configured, otherwise `1`.
-    pub partitions: u64,
+    partitions: u64, Engine, Layout;
     /// Shipment frames whose source and destination nodes live in different
     /// partitions — the frames that cross a partition mailbox instead of
     /// staying worker-local.  Always `0` on single-partition runs.
-    pub cross_partition_frames: u64,
+    cross_partition_frames: u64, Add, Layout;
     /// High-water mark of events assigned to a single partition within one
     /// same-instant wave — the load-balance indicator for the shard layout.
     /// `0` when no wave was ever dispatched to the pool.
-    pub max_partition_queue: u64,
+    max_partition_queue: u64, Max, Layout;
     /// Frames the installed [`pasn_net::FaultPlan`] dropped on the wire —
     /// every drop decision, original sends and retransmissions alike.
     /// Always `0` without a fault plan.
-    pub frames_dropped: u64,
+    frames_dropped: u64, Add, Schedule;
     /// Duplicate deliveries the fault plan injected (the receiver dedups
     /// them by per-link sequence number before MAC verification).
-    pub frames_duplicated: u64,
+    frames_duplicated: u64, Add, Schedule;
     /// Retransmission attempts the sender-side reliability layer made for
     /// frames whose ack timer expired.
-    pub retransmits: u64,
+    retransmits: u64, Add, Schedule;
     /// Standalone cumulative-ack frames processed (acks are only emitted
     /// when a fault plan is installed).
-    pub acks: u64,
+    acks: u64, Add, Schedule;
     /// Retransmission attempts beyond the first for one frame — each such
     /// attempt doubled its retransmission timeout (exponential backoff).
-    pub backoff_events: u64,
+    backoff_events: u64, Add, Schedule;
     /// Most delivery attempts any single frame needed (0 when every frame
     /// arrived on its original send).  Bounded by the retry budget.
-    pub max_retransmit_per_frame: u64,
+    max_retransmit_per_frame: u64, Max, Schedule;
     /// Modeled host wall-clock of the run at the configured worker count,
     /// in simulated CPU terms: the total CPU the cost model charged to the
     /// nodes, minus the work that parallel waves executed off the critical
@@ -163,10 +285,22 @@ pub struct RunMetrics {
     /// `parallel_wall(n) / parallel_wall(1)` is a deterministic,
     /// machine-independent speedup estimate even on a single-core host.
     /// Zero under `CostModel::zero_cpu`.
-    pub parallel_wall: Duration,
+    parallel_wall: Duration, Engine, Layout;
 }
 
 impl RunMetrics {
+    /// The counters of scope `up_to` or narrower on which `self` and `other`
+    /// disagree, as `(name, self's value, other's value)` — empty when the
+    /// two runs are equivalent at that scope.
+    pub fn diff(&self, other: &RunMetrics, up_to: Scope) -> Vec<(&'static str, u64, u64)> {
+        Self::COUNTERS
+            .iter()
+            .filter(|c| c.scope <= up_to)
+            .map(|c| (c.name, (c.get)(self), (c.get)(other)))
+            .filter(|(_, mine, theirs)| mine != theirs)
+            .collect()
+    }
+
     /// Bandwidth in megabytes (the unit of Figure 4).
     pub fn megabytes(&self) -> f64 {
         self.bytes as f64 / 1_000_000.0
@@ -216,56 +350,6 @@ impl RunMetrics {
         let peak = (self.peak_store_bytes + self.peak_index_bytes)
             .max(self.store_bytes + self.index_bytes);
         peak as f64 / tuples as f64
-    }
-
-    /// Folds a partition's metrics shard into the run totals at wave merge
-    /// time: counters add, watermarks (`completion`, `max_partition_queue`)
-    /// take the maximum, and configuration facts (`worker_threads`,
-    /// `partitions`) plus host timings are left to the engine, which owns
-    /// them for the whole run.
-    pub fn absorb(&mut self, shard: &RunMetrics) {
-        self.completion = self.completion.max(shard.completion);
-        self.messages += shard.messages;
-        self.bytes += shard.bytes;
-        self.auth_bytes += shard.auth_bytes;
-        self.provenance_bytes += shard.provenance_bytes;
-        self.derivations += shard.derivations;
-        self.tuples_stored += shard.tuples_stored;
-        self.signatures += shard.signatures;
-        self.verifications += shard.verifications;
-        self.verification_failures += shard.verification_failures;
-        self.provenance_ops += shard.provenance_ops;
-        self.sampled_out += shard.sampled_out;
-        self.index_probes += shard.index_probes;
-        self.index_hits += shard.index_hits;
-        self.scan_probes += shard.scan_probes;
-        self.store_bytes += shard.store_bytes;
-        self.index_bytes += shard.index_bytes;
-        self.peak_store_bytes = self.peak_store_bytes.max(shard.peak_store_bytes);
-        self.peak_index_bytes = self.peak_index_bytes.max(shard.peak_index_bytes);
-        self.peak_tuples = self.peak_tuples.max(shard.peak_tuples);
-        self.compaction_walked += shard.compaction_walked;
-        self.frames += shard.frames;
-        self.batched_tuples += shard.batched_tuples;
-        self.rsa_sign_ops += shard.rsa_sign_ops;
-        self.rsa_verify_ops += shard.rsa_verify_ops;
-        self.hmac_ops += shard.hmac_ops;
-        self.handshakes += shard.handshakes;
-        self.handshake_batches += shard.handshake_batches;
-        self.churn_events += shard.churn_events;
-        self.retractions += shard.retractions;
-        self.rederivations += shard.rederivations;
-        self.tombstone_frames += shard.tombstone_frames;
-        self.cross_partition_frames += shard.cross_partition_frames;
-        self.max_partition_queue = self.max_partition_queue.max(shard.max_partition_queue);
-        self.frames_dropped += shard.frames_dropped;
-        self.frames_duplicated += shard.frames_duplicated;
-        self.retransmits += shard.retransmits;
-        self.acks += shard.acks;
-        self.backoff_events += shard.backoff_events;
-        self.max_retransmit_per_frame = self
-            .max_retransmit_per_frame
-            .max(shard.max_retransmit_per_frame);
     }
 
     /// Relative overhead of this run against a baseline, as fractions
@@ -331,139 +415,53 @@ impl fmt::Display for RunMetrics {
 mod tests {
     use super::*;
 
-    /// Absorbing worker metric shards must be lossless: every counter adds,
-    /// every peak gauge max-merges, and the engine-owned fields are left
-    /// alone.  The shard constructor is a full struct literal on purpose —
-    /// adding a `RunMetrics` field breaks this test at compile time until
-    /// both `absorb` and this inventory classify it.
+    /// The table test: for every row, two asymmetric shards absorbed into a
+    /// default total obey the row's merge rule.  Shard `a` grows with the
+    /// row index and `b` shrinks, so each wins some `Max` rows and a max that
+    /// silently added (or an add that silently maxed) cannot cancel out.
     #[test]
-    fn absorbing_shards_is_lossless_for_every_counter() {
-        fn shard(base: u64, peak: u64) -> RunMetrics {
-            RunMetrics {
-                completion: SimTime::from_micros(peak),
-                wall_clock: Duration::from_micros(base),
-                messages: base + 1,
-                bytes: base + 2,
-                auth_bytes: base + 3,
-                provenance_bytes: base + 4,
-                derivations: base + 5,
-                tuples_stored: base + 6,
-                signatures: base + 7,
-                verifications: base + 8,
-                verification_failures: base + 9,
-                provenance_ops: base + 10,
-                sampled_out: base + 11,
-                index_probes: base + 12,
-                index_hits: base + 13,
-                scan_probes: base + 14,
-                store_bytes: base + 15,
-                index_bytes: base + 16,
-                peak_store_bytes: peak,
-                peak_index_bytes: peak + 1,
-                peak_tuples: peak + 2,
-                compaction_walked: base + 17,
-                frames: base + 18,
-                batched_tuples: base + 19,
-                rsa_sign_ops: base + 20,
-                rsa_verify_ops: base + 21,
-                hmac_ops: base + 22,
-                handshakes: base + 23,
-                handshake_batches: base + 24,
-                churn_events: base + 25,
-                retractions: base + 26,
-                rederivations: base + 27,
-                tombstone_frames: base + 28,
-                worker_threads: 9_999,
-                partitions: 9_999,
-                cross_partition_frames: base + 29,
-                max_partition_queue: peak + 3,
-                frames_dropped: base + 30,
-                frames_duplicated: base + 31,
-                retransmits: base + 32,
-                acks: base + 33,
-                backoff_events: base + 34,
-                max_retransmit_per_frame: peak + 4,
-                parallel_wall: Duration::from_micros(base),
-            }
-        }
-        // Asymmetric shards: shard `a` wins some watermarks, `b` the rest,
-        // so a max that silently added (or an add that silently maxed)
-        // cannot cancel out.
-        let a = shard(100, 1_000);
-        let b = shard(2_000, 500);
+    fn every_row_obeys_its_merge_rule() {
+        let rows = RunMetrics::COUNTERS.len() as u64;
+        let a = RunMetrics::from_rows(|row| 1_000 + 10 * row);
+        let b = RunMetrics::from_rows(|row| 1_005 + 10 * (rows - row));
         let mut total = RunMetrics::default();
         total.absorb(&a);
         total.absorb(&b);
+        let mut max_wins = [0, 0];
+        for (i, c) in RunMetrics::COUNTERS.iter().enumerate() {
+            let earlier = &RunMetrics::COUNTERS[..i];
+            assert!(earlier.iter().all(|e| e.name != c.name), "{}", c.name);
+            let (in_a, in_b) = ((c.get)(&a), (c.get)(&b));
+            assert_ne!(in_a, in_b, "shards must be asymmetric on `{}`", c.name);
+            let want = match c.merge {
+                Merge::Add => in_a + in_b,
+                Merge::Max => {
+                    max_wins[usize::from(in_a < in_b)] += 1;
+                    in_a.max(in_b)
+                }
+                Merge::Engine => 0,
+            };
+            assert_eq!((c.get)(&total), want, "`{}` is {:?}", c.name, c.merge);
+        }
+        assert!(max_wins[0] > 0 && max_wins[1] > 0, "{max_wins:?}");
+    }
 
-        macro_rules! assert_adds {
-            ($($field:ident),+ $(,)?) => {
-                $(assert_eq!(
-                    total.$field,
-                    a.$field + b.$field,
-                    "counter `{}` must add losslessly",
-                    stringify!($field)
-                );)+
-            };
-        }
-        macro_rules! assert_maxes {
-            ($($field:ident),+ $(,)?) => {
-                $(assert_eq!(
-                    total.$field,
-                    a.$field.max(b.$field),
-                    "gauge `{}` must max-merge",
-                    stringify!($field)
-                );)+
-            };
-        }
-        assert_adds!(
-            messages,
-            bytes,
-            auth_bytes,
-            provenance_bytes,
-            derivations,
-            tuples_stored,
-            signatures,
-            verifications,
-            verification_failures,
-            provenance_ops,
-            sampled_out,
-            index_probes,
-            index_hits,
-            scan_probes,
-            store_bytes,
-            index_bytes,
-            compaction_walked,
-            frames,
-            batched_tuples,
-            rsa_sign_ops,
-            rsa_verify_ops,
-            hmac_ops,
-            handshakes,
-            handshake_batches,
-            churn_events,
-            retractions,
-            rederivations,
-            tombstone_frames,
-            cross_partition_frames,
-            frames_dropped,
-            frames_duplicated,
-            retransmits,
-            acks,
-            backoff_events,
+    #[test]
+    fn diff_names_the_diverging_counters_up_to_a_scope() {
+        let a = RunMetrics::default();
+        let b = RunMetrics {
+            derivations: 3,
+            partitions: 4,
+            wall_clock: Duration::from_micros(7),
+            ..RunMetrics::default()
+        };
+        assert_eq!(a.diff(&b, Scope::Schedule), [("derivations", 0, 3)]);
+        assert_eq!(
+            b.diff(&a, Scope::Layout),
+            [("derivations", 3, 0), ("partitions", 4, 0)]
         );
-        assert_maxes!(
-            completion,
-            peak_store_bytes,
-            peak_index_bytes,
-            peak_tuples,
-            max_partition_queue,
-            max_retransmit_per_frame,
-        );
-        // Engine-owned fields never come from shards.
-        assert_eq!(total.wall_clock, Duration::default());
-        assert_eq!(total.parallel_wall, Duration::default());
-        assert_eq!(total.worker_threads, 0);
-        assert_eq!(total.partitions, 0);
+        assert_eq!(a.diff(&b, Scope::Host)[0], ("wall_clock_us", 0, 7));
+        assert!(a.diff(&a, Scope::Host).is_empty());
     }
 
     #[test]
@@ -518,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_are_reported_and_absorbed() {
+    fn fault_counters_are_reported() {
         let m = RunMetrics {
             frames_dropped: 5,
             frames_duplicated: 2,
@@ -531,17 +529,6 @@ mod tests {
         assert!(m.to_string().contains(
             "faults: 5 dropped / 2 duplicated / 6 retransmits (1 backoffs, max 3/frame) / 11 acks"
         ));
-        let mut total = RunMetrics {
-            frames_dropped: 1,
-            max_retransmit_per_frame: 4,
-            ..RunMetrics::default()
-        };
-        total.absorb(&m);
-        assert_eq!(total.frames_dropped, 6);
-        assert_eq!(total.retransmits, 6);
-        assert_eq!(total.acks, 11);
-        // Per-frame maxima max-merge instead of adding.
-        assert_eq!(total.max_retransmit_per_frame, 4);
     }
 
     #[test]
@@ -578,18 +565,6 @@ mod tests {
         assert!((flat.bytes_per_tuple() - 50.0).abs() < 1e-9);
         assert_eq!(RunMetrics::default().tuples_per_sec(), 0.0);
         assert_eq!(RunMetrics::default().bytes_per_tuple(), 0.0);
-        // Peaks max-merge across shards; walked-entry debt adds.
-        let mut total = RunMetrics {
-            peak_store_bytes: 5_000,
-            compaction_walked: 7,
-            ..RunMetrics::default()
-        };
-        total.absorb(&m);
-        total.absorb(&evicting);
-        assert_eq!(total.peak_store_bytes, 9_000);
-        assert_eq!(total.peak_index_bytes, 1_000);
-        assert_eq!(total.peak_tuples, 200);
-        assert_eq!(total.compaction_walked, 7);
     }
 
     #[test]

@@ -113,6 +113,14 @@ impl DistributedEngine {
         at: SimTime,
         event: ChurnEvent,
     ) -> Result<(), EngineError> {
+        // Everything earlier has drained under either driver: sample the
+        // footprint here.  Sampling is O(stored rows), so rate-limit it to a
+        // few simulated windows; the cadence only affects the peak gauges.
+        if at.as_micros() >= self.next_peak_sample_us {
+            self.sample_memory_peak();
+            let gap_us = self.shared.config.batch_window_us.max(250) * 4;
+            self.next_peak_sample_us = at.as_micros() + gap_us;
+        }
         self.metrics.churn_events += 1;
         if self.recorder.is_some() {
             let (kind, subject) = match &event {

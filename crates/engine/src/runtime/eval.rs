@@ -22,8 +22,8 @@ use pasn_datalog::plan::{CompiledProgram, DeltaPlan, JoinStep, PlanStep, RulePla
 use pasn_datalog::{AggFunc, PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{
-    AntecedentRef, ArchivedEntry, BaseTupleId, MaintenanceMode, PointerDerivation, ProvTag,
-    ProvenanceKind, VarTable,
+    AntecedentRef, ArchivedEntry, BaseTupleId, MaintenanceMode, NewDerivation, PointerDerivation,
+    ProvTag, ProvenanceKind, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind};
 use std::collections::HashMap;
@@ -1027,17 +1027,17 @@ pub(super) fn record_provenance_graphs(
         GraphMode::None => {}
         GraphMode::Local => {
             let keys: Vec<String> = record.antecedents.iter().map(|(k, _)| k.clone()).collect();
-            node.local_prov.graph_mut().add_derivation(
-                &record.head_key,
-                &record.head_location,
-                &record.rule,
-                &local,
-                &keys,
-                record.asserted_by,
-                None,
-                at,
-                None,
-            );
+            node.local_prov.graph_mut().add_derivation(NewDerivation {
+                head: &record.head_key,
+                head_location: &record.head_location,
+                rule: &record.rule,
+                rule_location: &local,
+                antecedents: &keys,
+                asserted_by: record.asserted_by,
+                assertion: None,
+                created_at: at,
+                expires_at: None,
+            });
         }
         GraphMode::Distributed => {
             let pointer = |(key, origin): &(String, NodeId)| {

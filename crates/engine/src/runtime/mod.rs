@@ -249,6 +249,9 @@ pub struct DistributedEngine {
     /// total executed CPU to report [`RunMetrics::parallel_wall`].
     cpu_saved: SimTime,
     metrics: RunMetrics,
+    /// Earliest simulated instant at which the next scripted churn event
+    /// samples the memory footprint into the peak gauges.
+    next_peak_sample_us: u64,
     completion: SimTime,
     /// True once evaluation has processed any work — dynamics can no longer
     /// be armed retroactively (the ledger would be missing history).
@@ -372,6 +375,7 @@ impl DistributedEngine {
             deletion: DeletionState::default(),
             cpu_saved: SimTime::ZERO,
             metrics: RunMetrics::default(),
+            next_peak_sample_us: 0,
             completion: SimTime::ZERO,
             started: false,
             recorder,
@@ -652,9 +656,9 @@ impl DistributedEngine {
         self.metrics.completion = self.completion;
         self.metrics.messages = self.net.stats().messages;
         self.metrics.bytes = self.net.stats().bytes;
-        // The fixpoint footprint is itself a peak sample, so plain runs
-        // report honest (final) peaks and streaming runs keep their
-        // mid-run high-water marks.
+        // The fixpoint footprint is itself a peak sample: runs without
+        // scripted events report honest (final) peaks, churned runs keep
+        // their mid-run high-water marks.
         let (store_bytes, index_bytes, tuples_stored) = self.sample_memory_peak();
         self.metrics.store_bytes = store_bytes;
         self.metrics.index_bytes = index_bytes;
@@ -757,9 +761,8 @@ impl DistributedEngine {
     }
 
     /// Folds the current `(store bytes, index bytes, tuples)` footprint into
-    /// the run's high-water marks and returns it.  The streaming driver
-    /// samples at quiescence points between events; plain runs sample once
-    /// at fixpoint.
+    /// the run's high-water marks and returns it.  Sampled ahead of scripted
+    /// churn events (`process_churn`) and once at fixpoint.
     fn sample_memory_peak(&mut self) -> (u64, u64, u64) {
         let tuples = self.nodes.iter().map(|n| n.store.total_tuples() as u64);
         let (store, index, tuples) = (self.store_bytes(), self.index_bytes(), tuples.sum());
@@ -974,12 +977,12 @@ impl DistributedEngine {
     }
 
     /// Runs a churn workload in streaming mode: events are pulled from the
-    /// iterator one at a time (never materialised in the work queue), the
-    /// queue is drained to quiescence-before-the-event between consecutive
-    /// events, and the store/index footprint is sampled at those quiescence
-    /// points into `peak_store_bytes` / `peak_index_bytes`.
+    /// iterator one at a time (never materialised in the work queue), and
+    /// the queue is drained to quiescence-before-the-event between
+    /// consecutive events.
     ///
-    /// The schedule — and therefore every counter — is bit-identical to
+    /// The schedule — and therefore every counter, the sampled peak gauges
+    /// included — is bit-identical to
     /// [`DistributedEngine::run_scenario`] on the same event sequence: a
     /// scenario's scripted events occupy the seq block right below any work
     /// created during the run, so injecting event `i` once the queue head
@@ -1003,11 +1006,6 @@ impl DistributedEngine {
         let horizon_seq = self.queue.next_seq();
         let mut last_at = SimTime::ZERO;
         let mut last_event = SimTime::ZERO;
-        // Footprint sampling is O(stored rows), so rate-limit it to a few
-        // simulated windows; the sampling cadence only affects the peak
-        // gauges, never the schedule or any counter.
-        let sample_gap_us = self.shared.config.batch_window_us.max(250) * 4;
-        let mut next_sample_us = 0u64;
         for (at, event) in events {
             if at < last_event {
                 return Err(EngineError::Eval(format!(
@@ -1018,10 +1016,6 @@ impl DistributedEngine {
             }
             last_event = at;
             self.drain_queue(Some((at, horizon_seq)), parallel, &mut last_at)?;
-            if at.as_micros() >= next_sample_us {
-                self.sample_memory_peak();
-                next_sample_us = at.as_micros() + sample_gap_us;
-            }
             self.queue.release_flushed(at);
             last_at = last_at.max(at);
             self.process_churn(at, event)?;

@@ -19,7 +19,7 @@
 //!    candidates' best (the stale-best-on-deletion regression).
 
 use pasn_datalog::Value;
-use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, RunMetrics, Tuple};
+use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, RunMetrics, Scope, Tuple};
 use pasn_net::{CostModel, FaultPlan, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -84,18 +84,6 @@ fn reach_engine(config: EngineConfig, links: &[(usize, usize)]) -> DistributedEn
     engine
 }
 
-/// The fault counters that must be bit-identical across same-seed runs.
-fn fault_counters(m: &RunMetrics) -> (u64, u64, u64, u64, u64, u64) {
-    (
-        m.frames_dropped,
-        m.frames_duplicated,
-        m.retransmits,
-        m.acks,
-        m.backoff_events,
-        m.max_retransmit_per_frame,
-    )
-}
-
 /// Runs one lossy scenario and its reliable from-scratch counterpart and
 /// asserts the fixpoints agree; returns the lossy metrics.
 fn assert_lossy_matches_reliable(
@@ -144,8 +132,8 @@ fn seeded_fault_plan_reconverges_bit_identically() {
             // The retry budget bounds the worst per-frame retransmit count.
             assert!(first.max_retransmit_per_frame < u64::from(pasn_engine::DEFAULT_RETRY_BUDGET));
             assert_eq!(
-                fault_counters(&first),
-                fault_counters(&second),
+                first.diff(&second, Scope::Layout),
+                vec![],
                 "same-seed counters diverged (says {says} workers {workers})"
             );
         }
@@ -236,12 +224,7 @@ fn sustained_loss_exhausts_the_retry_budget_and_terminates() {
 
         // The pool reproduces the sequential run bit for bit.
         let (pooled, pm) = run(4);
-        assert_eq!(fault_counters(&pm), fault_counters(&m));
-        assert_eq!(
-            (pm.frames, pm.derivations, pm.tuples_stored, pm.handshakes),
-            (m.frames, m.derivations, m.tuples_stored, m.handshakes)
-        );
-        assert_eq!((pm.completion, pm.bytes), (m.completion, m.bytes));
+        assert_eq!(pm.diff(&m, Scope::Schedule), vec![]);
         for pred in ["link", "reachable"] {
             assert_eq!(fixpoint_of(&pooled, pred), fixpoint_of(&engine, pred));
         }
@@ -318,7 +301,7 @@ proptest! {
         // Same seed, same decisions: counters are bit-identical.
         let mut again = reach_engine(config().with_fault_plan(plan()), &initial);
         let again_metrics = again.run_to_fixpoint().unwrap();
-        prop_assert_eq!(fault_counters(&metrics), fault_counters(&again_metrics));
+        prop_assert_eq!(metrics.diff(&again_metrics, Scope::Layout), vec![]);
     }
 }
 

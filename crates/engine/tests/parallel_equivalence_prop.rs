@@ -7,16 +7,14 @@
 //! observable: not the fixpoint, not the derivation count, not a byte on
 //! the wire, not even the simulated completion instant.  These properties
 //! drive random topologies × batch knobs × `says` levels × cost models ×
-//! churn scripts through worker counts {2, 4, 8} and demand equality with
-//! the `workers = 1` baseline on every meaningful counter.
-//!
-//! Worker-layout telemetry (`worker_threads`, `partitions`,
-//! `cross_partition_frames`, `max_partition_queue`) and host wall clocks
-//! are deliberately excluded — they describe *how* the run was executed,
-//! which is exactly what is allowed to differ.
+//! churn scripts through worker counts {2, 4, 8} and demand an empty
+//! `RunMetrics::diff` against the `workers = 1` baseline at
+//! `Scope::Schedule` — every counter of the metrics table except the
+//! `Layout` rows (worker-pool telemetry) and host time, which describe *how*
+//! the run was executed and are exactly what is allowed to differ.
 
 use pasn_datalog::Value;
-use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, RunMetrics, Tuple};
+use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, RunMetrics, Scope, Tuple};
 use pasn_net::{CostModel, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -56,40 +54,6 @@ fn says_config(pick: u64) -> EngineConfig {
         1 => EngineConfig::sendlog(),
         _ => EngineConfig::sendlog_session(),
     }
-}
-
-/// Every counter the parallel path must reproduce bit for bit.  Names ride
-/// along so a proptest failure says *which* counter diverged.
-fn counters(m: &RunMetrics) -> Vec<(&'static str, u64)> {
-    vec![
-        ("completion_us", m.completion.as_micros()),
-        ("messages", m.messages),
-        ("bytes", m.bytes),
-        ("auth_bytes", m.auth_bytes),
-        ("provenance_bytes", m.provenance_bytes),
-        ("derivations", m.derivations),
-        ("tuples_stored", m.tuples_stored),
-        ("signatures", m.signatures),
-        ("verifications", m.verifications),
-        ("verification_failures", m.verification_failures),
-        ("provenance_ops", m.provenance_ops),
-        ("index_probes", m.index_probes),
-        ("index_hits", m.index_hits),
-        ("scan_probes", m.scan_probes),
-        ("store_bytes", m.store_bytes),
-        ("index_bytes", m.index_bytes),
-        ("frames", m.frames),
-        ("batched_tuples", m.batched_tuples),
-        ("rsa_sign_ops", m.rsa_sign_ops),
-        ("rsa_verify_ops", m.rsa_verify_ops),
-        ("hmac_ops", m.hmac_ops),
-        ("handshakes", m.handshakes),
-        ("handshake_batches", m.handshake_batches),
-        ("churn_events", m.churn_events),
-        ("retractions", m.retractions),
-        ("rederivations", m.rederivations),
-        ("tombstone_frames", m.tombstone_frames),
-    ]
 }
 
 /// Per-node canonically ordered `(values, tag)` renderings of `pred`.
@@ -178,7 +142,6 @@ proptest! {
 
         let (sequential, baseline) = run(&facts, config(), 1);
         let want_ordered = ordered_fixpoint_of(&sequential, "reachable");
-        let want_counters = counters(&baseline);
         prop_assert_eq!(baseline.worker_threads, 1);
         prop_assert_eq!(baseline.partitions, 1);
         prop_assert_eq!(baseline.cross_partition_frames, 0);
@@ -192,8 +155,8 @@ proptest! {
                 workers, window, cap
             );
             prop_assert_eq!(
-                counters(&metrics),
-                want_counters.clone(),
+                metrics.diff(&baseline, Scope::Schedule),
+                vec![],
                 "counters diverged at {} workers (window {}, cap {})",
                 workers, window, cap
             );
@@ -265,7 +228,6 @@ proptest! {
         let (sequential, baseline) = build(1);
         let want_link = fixpoint_of(&sequential, "link");
         let want_reach = fixpoint_of(&sequential, "reachable");
-        let want_counters = counters(&baseline);
 
         for workers in [2usize, 4, 8] {
             let (parallel, metrics) = build(workers);
@@ -277,8 +239,8 @@ proptest! {
                 workers, window
             );
             prop_assert_eq!(
-                counters(&metrics),
-                want_counters.clone(),
+                metrics.diff(&baseline, Scope::Schedule),
+                vec![],
                 "churned counters diverged at {} workers (window {})",
                 workers, window
             );

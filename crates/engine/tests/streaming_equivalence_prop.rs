@@ -5,13 +5,13 @@
 //! scenario cut, instead of materialising the whole script in the work
 //! queue up front.  The claim is not merely that both drivers converge to
 //! equivalent fixpoints — it is that they execute the *same schedule*:
-//! identical insertion-ordered stores at every node, and bit-identical
-//! counters (`derivations`, `tuples_stored`, `frames`, `batched_tuples`,
-//! retraction/expiry totals), across says levels × worker counts × batch
-//! knobs × churn scripts × soft-state TTLs.
+//! identical insertion-ordered stores at every node, and an empty
+//! `RunMetrics::diff` at `Scope::Schedule` (every schedule counter of the
+//! metrics table), across says levels × worker counts × batch knobs × churn
+//! scripts × soft-state TTLs.
 
 use pasn_datalog::Value;
-use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, Tuple};
+use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, Scope, Tuple};
 use pasn_net::CostModel;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -157,15 +157,9 @@ proptest! {
                 ttl
             );
         }
-        prop_assert_eq!(streaming_metrics.derivations, batch_metrics.derivations);
-        prop_assert_eq!(streaming_metrics.tuples_stored, batch_metrics.tuples_stored);
-        prop_assert_eq!(streaming_metrics.frames, batch_metrics.frames);
-        prop_assert_eq!(streaming_metrics.batched_tuples, batch_metrics.batched_tuples);
-        prop_assert_eq!(streaming_metrics.retractions, batch_metrics.retractions);
-        prop_assert_eq!(streaming_metrics.rederivations, batch_metrics.rederivations);
+        prop_assert_eq!(streaming_metrics.diff(&batch_metrics, Scope::Schedule), vec![]);
         prop_assert_eq!(streaming_metrics.churn_events, script.len() as u64);
-        // The streaming driver samples peaks; they must dominate the final
-        // footprint.
+        // The sampled peaks must dominate the final footprint.
         prop_assert!(
             streaming_metrics.peak_store_bytes >= streaming_metrics.store_bytes
         );

@@ -22,7 +22,7 @@
 
 use crate::id::{ChordId, IdSpace};
 use pasn_crypto::{Authenticator, KeyAuthority, Principal, PrincipalId, SaysAssertion, SaysLevel};
-use pasn_provenance::{BaseTupleId, DerivationGraph, VoteSet};
+use pasn_provenance::{BaseTupleId, DerivationGraph, NewDerivation, VoteSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -325,17 +325,17 @@ impl LookupTrace {
             }
             let payload = derivation_payload(&step_key, "ch_forward", &location, &antecedents);
             let assertion = sign(hop.node, &payload);
-            graph.add_derivation(
-                &step_key,
-                &location,
-                "ch_forward",
-                &location,
-                &antecedents,
-                Some(hop.principal),
+            graph.add_derivation(NewDerivation {
+                head: &step_key,
+                head_location: &location,
+                rule: "ch_forward",
+                rule_location: &location,
+                antecedents: &antecedents,
+                asserted_by: Some(hop.principal),
                 assertion,
-                i as u64,
-                None,
-            );
+                created_at: i as u64,
+                expires_at: None,
+            });
             previous = Some(step_key);
         }
         let owner_location = format!("{:#x}", self.owner.0);
@@ -356,17 +356,17 @@ impl LookupTrace {
         let result_key = format!("lookupResult({key},{:#x})", self.owner.0);
         let payload = derivation_payload(&result_key, "ch_result", &origin_location, &antecedents);
         let assertion = sign(self.owner, &payload);
-        graph.add_derivation(
-            &result_key,
-            &origin_location,
-            "ch_result",
-            &origin_location,
-            &antecedents,
-            Some(owner_principal),
+        graph.add_derivation(NewDerivation {
+            head: &result_key,
+            head_location: &origin_location,
+            rule: "ch_result",
+            rule_location: &origin_location,
+            antecedents: &antecedents,
+            asserted_by: Some(owner_principal),
             assertion,
-            self.hops.len() as u64,
-            None,
-        );
+            created_at: self.hops.len() as u64,
+            expires_at: None,
+        });
         graph
     }
 }

@@ -20,7 +20,7 @@
 use pasn_crypto::sha256::{to_hex, Digest};
 use pasn_crypto::{Authenticator, SaysError};
 use pasn_crypto::{KeyAuthority, Principal, PrincipalId, RsaPublicKey, SaysAssertion, SaysLevel};
-use pasn_provenance::{BaseTupleId, DerivationGraph, VoteSet};
+use pasn_provenance::{BaseTupleId, DerivationGraph, NewDerivation, VoteSet};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
@@ -599,21 +599,21 @@ impl Resolution {
             } else {
                 format!("validatedZone({})", step.record.owner)
             };
-            graph.add_derivation(
-                &derived_key,
-                &step.zone,
-                if i + 1 == self.chain.len() {
+            graph.add_derivation(NewDerivation {
+                head: &derived_key,
+                head_location: &step.zone,
+                rule: if i + 1 == self.chain.len() {
                     "dns_answer"
                 } else {
                     "dns_delegate"
                 },
-                &step.zone,
-                &[previous.clone(), record_key],
-                Some(step.principal),
-                None,
-                i as u64,
-                None,
-            );
+                rule_location: &step.zone,
+                antecedents: &[previous.clone(), record_key],
+                asserted_by: Some(step.principal),
+                assertion: None,
+                created_at: i as u64,
+                expires_at: None,
+            });
             previous = derived_key;
         }
         graph

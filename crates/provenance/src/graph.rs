@@ -54,6 +54,29 @@ pub struct TupleNode {
     pub derivations: Vec<Derivation>,
 }
 
+/// One derivation to record with [`DerivationGraph::add_derivation`].
+#[derive(Clone, Debug)]
+pub struct NewDerivation<'a> {
+    /// Rendered head tuple.
+    pub head: &'a str,
+    /// Location storing the head (and any placeholder antecedents).
+    pub head_location: &'a str,
+    /// Label of the rule that fired.
+    pub rule: &'a str,
+    /// Location (or SeNDlog context) where the rule executed.
+    pub rule_location: &'a str,
+    /// Rendered antecedent tuples, in body order.
+    pub antecedents: &'a [String],
+    /// The principal that derived the head.
+    pub asserted_by: Option<PrincipalId>,
+    /// `says` assertion over [`derivation_payload`], when authenticated.
+    pub assertion: Option<SaysAssertion>,
+    /// Creation timestamp (simulated microseconds).
+    pub created_at: u64,
+    /// Expiry timestamp for soft-state heads, `None` for hard state.
+    pub expires_at: Option<u64>,
+}
+
 impl TupleNode {
     /// True if this node is an extensional (base) tuple.
     pub fn is_base(&self) -> bool {
@@ -183,40 +206,28 @@ impl DerivationGraph {
         id
     }
 
-    /// Adds a derivation of `head` via `rule` at `location` from
-    /// `antecedents` (each identified by its rendered key; unknown
-    /// antecedents are created as placeholder nodes).
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_derivation(
-        &mut self,
-        head: &str,
-        head_location: &str,
-        rule: &str,
-        rule_location: &str,
-        antecedents: &[String],
-        asserted_by: Option<PrincipalId>,
-        assertion: Option<SaysAssertion>,
-        created_at: u64,
-        expires_at: Option<u64>,
-    ) -> ProvNodeId {
-        let antecedent_ids: Vec<ProvNodeId> = antecedents
+    /// Adds a derivation (unknown antecedents are created as placeholder
+    /// nodes).
+    pub fn add_derivation(&mut self, d: NewDerivation<'_>) -> ProvNodeId {
+        let antecedent_ids: Vec<ProvNodeId> = d
+            .antecedents
             .iter()
-            .map(|a| self.intern(a, head_location, created_at))
+            .map(|a| self.intern(a, d.head_location, d.created_at))
             .collect();
-        let head_id = self.intern(head, head_location, created_at);
+        let head_id = self.intern(d.head, d.head_location, d.created_at);
         for a in &antecedent_ids {
             self.used_in.entry(*a).or_default().insert(head_id);
         }
         let node = &mut self.nodes[head_id.0 as usize];
         if node.asserted_by.is_none() {
-            node.asserted_by = asserted_by;
+            node.asserted_by = d.asserted_by;
         }
-        node.expires_at = expires_at;
+        node.expires_at = d.expires_at;
         let derivation = Derivation {
-            rule: rule.to_string(),
-            location: rule_location.to_string(),
+            rule: d.rule.to_string(),
+            location: d.rule_location.to_string(),
             antecedents: antecedent_ids,
-            assertion,
+            assertion: d.assertion,
         };
         if !node.derivations.contains(&derivation) {
             node.derivations.push(derivation);
@@ -391,17 +402,17 @@ impl DerivationGraph {
                     .iter()
                     .map(|a| self.node(*a).key.clone())
                     .collect();
-                out.add_derivation(
-                    &node.key,
-                    &node.location,
-                    &d.rule,
-                    &d.location,
-                    &antecedent_keys,
-                    node.asserted_by,
-                    d.assertion.clone(),
-                    node.created_at,
-                    node.expires_at,
-                );
+                out.add_derivation(NewDerivation {
+                    head: &node.key,
+                    head_location: &node.location,
+                    rule: &d.rule,
+                    rule_location: &d.location,
+                    antecedents: &antecedent_keys,
+                    asserted_by: node.asserted_by,
+                    assertion: d.assertion.clone(),
+                    created_at: node.created_at,
+                    expires_at: node.expires_at,
+                });
                 stack.extend(d.antecedents.iter().copied());
             }
         }
@@ -434,17 +445,17 @@ impl DerivationGraph {
                     .iter()
                     .map(|a| other.node(*a).key.clone())
                     .collect();
-                self.add_derivation(
-                    &node.key,
-                    &node.location,
-                    &d.rule,
-                    &d.location,
-                    &antecedent_keys,
-                    node.asserted_by,
-                    d.assertion.clone(),
-                    node.created_at,
-                    node.expires_at,
-                );
+                self.add_derivation(NewDerivation {
+                    head: &node.key,
+                    head_location: &node.location,
+                    rule: &d.rule,
+                    rule_location: &d.location,
+                    antecedents: &antecedent_keys,
+                    asserted_by: node.asserted_by,
+                    assertion: d.assertion.clone(),
+                    created_at: node.created_at,
+                    expires_at: node.expires_at,
+                });
             }
         }
     }
@@ -558,6 +569,26 @@ fn child_prefix(prefix: &str, is_last: bool, is_root: bool) -> String {
 mod tests {
     use super::*;
 
+    /// `head` derived at `at` via `rule` — unasserted, created at 0, hard state.
+    fn derived<'a>(
+        head: &'a str,
+        at: &'a str,
+        rule: &'a str,
+        antecedents: &'a [String],
+    ) -> NewDerivation<'a> {
+        NewDerivation {
+            head,
+            head_location: at,
+            rule,
+            rule_location: at,
+            antecedents,
+            asserted_by: None,
+            assertion: None,
+            created_at: 0,
+            expires_at: None,
+        }
+    }
+
     /// Builds the Figure 1 derivation graph for reachable(@a,c):
     ///   r1: reachable(@a,c) :- link(@a,c)
     ///   r2: reachable(@a,c) :- link(@a,b), reachable(@b,c)
@@ -588,39 +619,26 @@ mod tests {
             0,
             None,
         );
-        g.add_derivation(
-            "reachable(@b,c)",
-            "b",
-            "r1",
-            "b",
-            &["link(@b,c)".into()],
-            Some(PrincipalId(1)),
-            None,
-            1,
-            None,
-        );
-        g.add_derivation(
-            "reachable(@a,c)",
-            "a",
-            "r1",
-            "a",
-            &["link(@a,c)".into()],
-            Some(PrincipalId(0)),
-            None,
-            1,
-            None,
-        );
-        let root = g.add_derivation(
-            "reachable(@a,c)",
-            "a",
-            "r2",
-            "a",
-            &["link(@a,b)".into(), "reachable(@b,c)".into()],
-            Some(PrincipalId(0)),
-            None,
-            2,
-            None,
-        );
+        g.add_derivation(NewDerivation {
+            asserted_by: Some(PrincipalId(1)),
+            created_at: 1,
+            ..derived("reachable(@b,c)", "b", "r1", &["link(@b,c)".into()])
+        });
+        g.add_derivation(NewDerivation {
+            asserted_by: Some(PrincipalId(0)),
+            created_at: 1,
+            ..derived("reachable(@a,c)", "a", "r1", &["link(@a,c)".into()])
+        });
+        let root = g.add_derivation(NewDerivation {
+            asserted_by: Some(PrincipalId(0)),
+            created_at: 2,
+            ..derived(
+                "reachable(@a,c)",
+                "a",
+                "r2",
+                &["link(@a,b)".into(), "reachable(@b,c)".into()],
+            )
+        });
         (g, root)
     }
 
@@ -664,28 +682,13 @@ mod tests {
         let mut g = DerivationGraph::new();
         g.add_base("link(@a,b)", "a", BaseTupleId(1), None, 0, None);
         // Mutual recursion: p depends on q, q depends on p (plus a base).
-        g.add_derivation(
-            "p(a)",
-            "a",
-            "r1",
-            "a",
-            &["q(a)".into()],
-            None,
-            None,
-            0,
-            None,
-        );
-        g.add_derivation(
+        g.add_derivation(derived("p(a)", "a", "r1", &["q(a)".into()]));
+        g.add_derivation(derived(
             "q(a)",
             "a",
             "r2",
-            "a",
             &["p(a)".into(), "link(@a,b)".into()],
-            None,
-            None,
-            0,
-            None,
-        );
+        ));
         let p = g.find("p(a)").unwrap();
         let why = g.why_provenance(p);
         // No derivation grounded purely in base tuples exists for p.
@@ -700,17 +703,12 @@ mod tests {
         let mut g = DerivationGraph::new();
         g.add_base("link(@a,b)", "a", BaseTupleId(1), None, 0, None);
         for _ in 0..3 {
-            g.add_derivation(
+            g.add_derivation(derived(
                 "reachable(@a,b)",
                 "a",
                 "r1",
-                "a",
                 &["link(@a,b)".into()],
-                None,
-                None,
-                0,
-                None,
-            );
+            ));
         }
         let id = g.find("reachable(@a,b)").unwrap();
         assert_eq!(g.node(id).derivations.len(), 1);
@@ -736,17 +734,10 @@ mod tests {
     fn purge_expired_removes_soft_state() {
         let mut g = DerivationGraph::new();
         g.add_base("link(@a,b)", "a", BaseTupleId(1), None, 0, Some(100));
-        g.add_derivation(
-            "reachable(@a,b)",
-            "a",
-            "r1",
-            "a",
-            &["link(@a,b)".into()],
-            None,
-            None,
-            0,
-            Some(100),
-        );
+        g.add_derivation(NewDerivation {
+            expires_at: Some(100),
+            ..derived("reachable(@a,b)", "a", "r1", &["link(@a,b)".into()])
+        });
         let root = g.find("reachable(@a,b)").unwrap();
         assert_eq!(g.why_provenance(root).witnesses().len(), 1);
         let purged = g.purge_expired(150);
@@ -780,7 +771,7 @@ mod tests {
     #[test]
     fn subtree_of_underived_tuple_contains_just_that_node() {
         let mut g = DerivationGraph::new();
-        g.add_derivation("p(a)", "a", "r", "a", &["q(a)".into()], None, None, 0, None);
+        g.add_derivation(derived("p(a)", "a", "r", &["q(a)".into()]));
         let q = g.find("q(a)").unwrap();
         let sub = g.subtree(q);
         assert_eq!(sub.len(), 1);
@@ -815,17 +806,12 @@ mod tests {
         let antecedents = vec!["link(@a,c)".to_string()];
         let payload = derivation_payload("reachable(@a,c)", "r1", "a", &antecedents);
         let assertion = auth_a.assert(&payload);
-        let root = g.add_derivation(
-            "reachable(@a,c)",
-            "a",
-            "r1",
-            "a",
-            &antecedents,
-            Some(PrincipalId(0)),
-            Some(assertion),
-            1,
-            None,
-        );
+        let root = g.add_derivation(NewDerivation {
+            asserted_by: Some(PrincipalId(0)),
+            assertion: Some(assertion),
+            created_at: 1,
+            ..derived("reachable(@a,c)", "a", "r1", &antecedents)
+        });
 
         // All assertions verify.
         let failures = g.verify_assertions(root, true, |_, payload, assertion| {
@@ -845,17 +831,10 @@ mod tests {
         // Missing assertions are reported when required.
         let mut unsigned = DerivationGraph::new();
         unsigned.add_base("link(@a,c)", "a", BaseTupleId(1), None, 0, None);
-        let r = unsigned.add_derivation(
-            "reachable(@a,c)",
-            "a",
-            "r1",
-            "a",
-            &["link(@a,c)".into()],
-            None,
-            None,
-            1,
-            None,
-        );
+        let r = unsigned.add_derivation(NewDerivation {
+            created_at: 1,
+            ..derived("reachable(@a,c)", "a", "r1", &["link(@a,c)".into()])
+        });
         assert_eq!(unsigned.verify_assertions(r, true, |_, _, _| true).len(), 1);
         assert!(unsigned
             .verify_assertions(r, false, |_, _, _| true)

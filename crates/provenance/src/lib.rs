@@ -34,7 +34,9 @@ pub mod semiring;
 pub mod store;
 pub mod tag;
 
-pub use graph::{derivation_payload, Derivation, DerivationGraph, ProvNodeId, TupleNode};
+pub use graph::{
+    derivation_payload, Derivation, DerivationGraph, NewDerivation, ProvNodeId, TupleNode,
+};
 pub use key::ProvKey;
 pub use moonwalk::{moonwalk, MoonwalkConfig, MoonwalkResult, Walk};
 pub use policy::{Granularity, MaintenanceMode, SamplingPolicy};
