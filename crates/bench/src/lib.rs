@@ -379,7 +379,7 @@ mod tests {
         let rows: Vec<_> = store.scan_ordered_rows(pred).collect();
         assert_eq!(rows.len(), 256);
         assert_eq!(rows[0].0[1], Value::Int(0));
-        assert!(store.total_tuple_bytes() > 0);
+        assert!(store.store_bytes() + store.index_bytes() > 0);
     }
 
     #[test]

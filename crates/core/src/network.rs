@@ -236,15 +236,10 @@ impl SecureNetwork {
         self.topology.as_ref()
     }
 
-    /// All tuples of `predicate` stored at `location`.
+    /// All tuples of `predicate` stored at `location`, in insertion order
+    /// (deterministic across runs).
     pub fn query(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
         self.engine.query(location, predicate)
-    }
-
-    /// All tuples of `predicate` stored at `location`, in insertion order
-    /// (deterministic across runs, unlike [`SecureNetwork::query`]).
-    pub fn query_ordered(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
-        self.engine.query_ordered(location, predicate)
     }
 
     /// All tuples of `predicate` across every node.

@@ -1066,7 +1066,7 @@ impl MontgomeryCtx {
     ///
     /// Kept public as the reference implementation: the equivalence
     /// proptests pit [`MontgomeryCtx::mod_pow`]'s windowed evaluation
-    /// against this path, and the `crypto_primitives` bench reports both so
+    /// against this path, and the `crypto_says` bench reports both so
     /// the window's speedup stays visible.
     pub fn mod_pow_binary(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
         if exponent.is_zero() {

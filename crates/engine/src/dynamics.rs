@@ -307,11 +307,10 @@ pub(crate) struct Ledger {
     /// Firings by head identity, for force-kills (expiry, node failure)
     /// that must silence upstream contributions without decrementing.
     pub by_head: HashMap<HeadKey, Vec<u32>>,
-    /// Support entries for every live stored row, by insertion seq.
+    /// Support entries for every live stored row, by insertion seq.  The
+    /// entries with `base_count > 0` are the node's base-asserted rows (what
+    /// a node failure withdraws and a rejoin restores).
     pub supports: HashMap<u64, SupportEntry>,
-    /// Base-asserted rows at this node, by insertion seq (what a node
-    /// failure withdraws and a rejoin restores).
-    pub base_rows: HashMap<u64, BaseRow>,
     /// Rows ever retracted at this node, for the `rederivations` counter.
     pub retracted: std::collections::HashSet<BaseRow>,
 }

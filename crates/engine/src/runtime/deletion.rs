@@ -255,14 +255,15 @@ impl DistributedEngine {
     /// A failing node's base rows in insertion order, remembered for its
     /// rejoin.
     fn remember_base_rows(&mut self, id: NodeId) -> Vec<BaseRow> {
-        let mut base: Vec<(u64, BaseRow)> = self.nodes[ix(id)]
-            .ledger
-            .base_rows
-            .iter()
-            .map(|(seq, row)| (*seq, row.clone()))
+        let node = &self.nodes[ix(id)];
+        let supports = node.ledger.supports.iter();
+        let mut seqs: Vec<(u64, PredId)> = supports
+            .filter(|(_, entry)| entry.base_count > 0)
+            .map(|(seq, entry)| (*seq, entry.pred))
             .collect();
-        base.sort_unstable_by_key(|(seq, _)| *seq);
-        let base: Vec<BaseRow> = base.into_iter().map(|(_, row)| row).collect();
+        seqs.sort_unstable();
+        let row = |(seq, pred)| Some((pred, node.store.row_by_seq(pred, seq)?.0.clone()));
+        let base: Vec<BaseRow> = seqs.into_iter().filter_map(row).collect();
         self.deletion.failed_nodes.insert(id, base.clone());
         base
     }
@@ -356,9 +357,6 @@ impl DistributedEngine {
             let (was_base, _) = entry.tags.remove(pos);
             if was_base {
                 entry.base_count -= 1;
-                if entry.base_count == 0 {
-                    node.ledger.base_rows.remove(&seq);
-                }
                 // Withdrawing base support without removing the row can
                 // strand a recursion island (the tuple now rests purely on
                 // firings that may form a cycle): the well-founded sweep
@@ -418,13 +416,12 @@ impl DistributedEngine {
         {
             let node = &mut self.nodes[ix(loc)];
             let entry = node.ledger.supports.remove(&seq);
-            node.ledger.base_rows.remove(&seq);
             node.ledger.retracted.insert((pred, values.clone()));
             if graph_mode != GraphMode::None || archive_offline {
                 let loc_idx = entry.as_ref().and_then(|e| e.location_index);
                 let key = tuple::render_located_parts(&pred_name, &values, loc_idx);
                 if graph_mode != GraphMode::None {
-                    node.local_prov.graph_mut().retract(&key);
+                    node.local_prov.retract(&key);
                 }
                 if archive_offline {
                     node.archive.record_expiry(
@@ -479,7 +476,7 @@ impl DistributedEngine {
 
     /// Charges any lazy-compaction debt the node's store accumulated while
     /// removing rows to the *owning node's* CPU lane (not the global
-    /// clock): the walked seq-list entries are that node's housekeeping,
+    /// clock): the walked slots are that node's housekeeping,
     /// and on parallel runs they must delay only its own partition.
     fn charge_compaction(&mut self, loc: NodeId, now: SimTime) {
         let walked = self.nodes[ix(loc)].store.take_compaction_debt();

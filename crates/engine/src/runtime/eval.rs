@@ -74,11 +74,6 @@ impl Contrib {
 /// delta never joins rows inserted after it).
 type Branch = (Bindings, Vec<Contrib>, u64);
 
-/// A candidate row handed out by the store during a join: the row's
-/// insertion seq plus the shared values and tuple metadata, borrowed from
-/// the store.
-type CandidateRow<'a> = (u64, &'a Arc<[Value]>, &'a TupleMeta);
-
 /// One freshly inserted row of a processed batch, ready to drive delta
 /// evaluation.  `seq` is the row's store insertion seq: its branches only
 /// join rows with a seq no greater than it, so batch siblings inserted
@@ -364,7 +359,7 @@ impl<'a> PartitionCtx<'a> {
             } else if shared.config.provenance == ProvenanceKind::None {
                 ProvTag::None
             } else {
-                let principal = row.asserted_by.unwrap_or(PrincipalId(0));
+                let principal = principal_of(row.origin);
                 let key = tuple::render_located_parts(&pred_name, &row.values, row.location_index);
                 ProvTag::base(
                     shared.config.provenance,
@@ -388,7 +383,7 @@ impl<'a> PartitionCtx<'a> {
                         created_at: done,
                         expires_at: if row.is_base { None } else { expires_at },
                         origin: row.origin,
-                        asserted_by: row.asserted_by.map(|p| p.0),
+                        asserted_by: Some(principal_of(row.origin).0),
                     },
                 )
             })
@@ -408,9 +403,6 @@ impl<'a> PartitionCtx<'a> {
             let ledger = &mut self.node.ledger;
             for ((row, tag), (outcome, seq)) in rows.iter().zip(&tags).zip(&outcomes) {
                 ledger.record_arrival(*seq, pred, row.is_base, tag.clone(), row.location_index);
-                if row.is_base {
-                    ledger.base_rows.insert(*seq, (pred, row.values.clone()));
-                }
                 if *outcome == InsertOutcome::New
                     && ledger.retracted.contains(&(pred, row.values.clone()))
                 {
@@ -435,18 +427,18 @@ impl<'a> PartitionCtx<'a> {
                 let tuple_key =
                     tuple::render_located_parts(&pred_name, &row.values, row.location_index);
                 let base_id = BaseTupleId(tuple::key_hash_parts(&pred_name, &row.values));
-                self.node.local_prov.graph_mut().add_base(
+                self.node.local_prov.add_base(
                     &tuple_key,
                     &local.to_string(),
                     base_id,
-                    row.asserted_by,
+                    Some(principal_of(row.origin)),
                     done.as_micros(),
                     None,
                 );
                 self.node.dist_prov.record_base(&tuple_key, base_id);
             }
             if let Some(shipped) = &row.shipped_graph {
-                self.node.local_prov.graph_mut().merge(shipped);
+                self.node.local_prov.merge(shipped);
             }
             // Distributed provenance: a tuple received from another node
             // keeps a pointer back to the deriving node, where its
@@ -464,7 +456,7 @@ impl<'a> PartitionCtx<'a> {
                         head_location: local.to_string(),
                         rule: "recv".to_string(),
                         antecedents: vec![(tuple_key, row.origin)],
-                        asserted_by: row.asserted_by,
+                        asserted_by: Some(principal_of(row.origin)),
                         at: done,
                     });
                 } else {
@@ -481,8 +473,8 @@ impl<'a> PartitionCtx<'a> {
         }
 
         // 4. Delta evaluation over the genuinely new rows, one pass per
-        // (rule, batch): plan dispatch, slot setup and the unindexed scan
-        // cache are shared by every row in the batch.
+        // (rule, batch): plan dispatch and slot setup are shared by every
+        // row in the batch.
         let new_deltas: Vec<NewDelta> = rows
             .into_iter()
             .zip(tags)
@@ -640,10 +632,11 @@ impl<'a> PartitionCtx<'a> {
     /// that unifies with it — branch order, then insertion order.
     ///
     /// Joins with bound key columns render the key from the branch's
-    /// bindings and probe the store's secondary index; only unifying tuples
-    /// have their provenance tags cloned.  Joins with no bound columns fall
-    /// back to a full scan in insertion order.  `probes` grows by the
-    /// candidates examined (at least one per branch).
+    /// bindings; the store answers through its secondary index when one is
+    /// installed and by walking the relation in insertion order otherwise
+    /// (as it does for joins with no bound columns).  Only unifying tuples
+    /// have their provenance tags cloned.  `probes` grows by the candidates
+    /// examined (at least one per branch).
     fn join_step(
         &mut self,
         join: &JoinStep,
@@ -653,10 +646,6 @@ impl<'a> PartitionCtx<'a> {
         let shared = self.shared;
         let store = &self.node.store;
         let mut next: Vec<Branch> = Vec::new();
-        // Unindexed fallback, shared across branches: all stored rows in
-        // insertion order (the seq list — no sorting, and only `Arc`
-        // clones, never value copies).
-        let mut scan_cache: Option<Vec<CandidateRow>> = None;
         let (mut index_probes, mut index_hits, mut scan_probes) = (0u64, 0u64, 0u64);
         for (bind, contribs, delta_seq) in branches {
             // Render the key from the bound columns.  The planner
@@ -670,33 +659,15 @@ impl<'a> PartitionCtx<'a> {
                     .map(|&c| bind.value_of(&join.args[c]).cloned())
                     .collect()
             };
-            let probed: Vec<CandidateRow>;
-            let (candidates, used_index): (&[CandidateRow], bool) = match key.map(|k| {
-                store
-                    .probe_seq_id(join.pred, &join.key_columns, &k)
-                    .map(|it| it.collect())
-            }) {
-                Some(Some(rows)) => {
-                    index_probes += 1;
-                    probed = rows;
-                    (&probed, true)
-                }
-                // No key columns, or (defensively) no index.
-                _ => {
-                    let cache = scan_cache
-                        .get_or_insert_with(|| store.scan_ordered_seq_rows(join.pred).collect());
-                    (cache.as_slice(), false)
-                }
-            };
             // Rows inserted after this branch's delta (batch siblings) are
             // invisible to it, exactly as they were under per-tuple
-            // processing — and uncounted, so the probe/hit/scan counters
-            // stay identical too.
-            let mut examined = 0usize;
+            // processing — the store stops at the delta's seq, so they are
+            // uncounted and the probe/hit/scan counters stay identical too.
+            let key = key.as_deref().map(|key| (&join.key_columns[..], key));
+            let candidates = store.candidates(join.pred, key, *delta_seq);
+            let used_index = candidates.used_index();
+            let mut examined = 0u64;
             for (stored_seq, stored_values, meta) in candidates {
-                if *stored_seq > *delta_seq {
-                    continue;
-                }
                 examined += 1;
                 if stored_values.len() != join.args.len() {
                     let (expected, got) = (join.args.len(), stored_values.len());
@@ -720,17 +691,18 @@ impl<'a> PartitionCtx<'a> {
                         location: join.location,
                         tag: meta.tag.clone(),
                         origin: meta.origin,
-                        seq: *stored_seq,
+                        seq: stored_seq,
                     });
                     next.push((candidate, contribs, *delta_seq));
                 }
             }
             if used_index {
-                index_hits += examined as u64;
+                index_probes += 1;
+                index_hits += examined;
             } else {
-                scan_probes += examined as u64;
+                scan_probes += examined;
             }
-            *probes += examined.max(1);
+            *probes += examined.max(1) as usize;
         }
         self.metrics.index_probes += index_probes;
         self.metrics.index_hits += index_hits;
@@ -910,7 +882,7 @@ impl<'a> PartitionCtx<'a> {
         // seals.
         if dest_id != self.id && shared.config.graph_mode == GraphMode::Local {
             let head_key = tuple::render_located_parts(head_name, &row.values, head.location);
-            let graph = self.node.local_prov.graph();
+            let graph = &self.node.local_prov;
             row.shipped_graph = graph.find(&head_key).map(|root| graph.subtree(root));
         }
         self.route_row(now, dest_id, head.pred, row, Polarity::Assert);
@@ -1027,7 +999,7 @@ pub(super) fn record_provenance_graphs(
         GraphMode::None => {}
         GraphMode::Local => {
             let keys: Vec<String> = record.antecedents.iter().map(|(k, _)| k.clone()).collect();
-            node.local_prov.graph_mut().add_derivation(NewDerivation {
+            node.local_prov.add_derivation(NewDerivation {
                 head: &record.head_key,
                 head_location: &record.head_location,
                 rule: &record.rule,

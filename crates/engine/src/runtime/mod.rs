@@ -48,7 +48,7 @@ use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, Message, NetworkSim, NodeId, SimTime};
 use pasn_provenance::{
-    ArchiveStore, DerivationGraph, DistributedStore, LocalStore, ProvTag, ProvenanceKind, VarTable,
+    ArchiveStore, DerivationGraph, DistributedStore, ProvTag, ProvenanceKind, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use queue::{BatchKey, BatchRow, Bound, Polarity, QueuedWork, WorkQueue};
@@ -159,7 +159,9 @@ struct NodeRuntime {
     store: NodeStore,
     /// Aggregate groups by `(rule id, group key)`.
     aggs: HashMap<(u32, Vec<Value>), AggGroup>,
-    local_prov: LocalStore,
+    /// Online local provenance: the derivation graph of currently valid
+    /// tuples (graph modes only).
+    local_prov: DerivationGraph,
     dist_prov: DistributedStore,
     archive: ArchiveStore,
     deferred: Vec<DerivationRecord>,
@@ -329,7 +331,7 @@ impl DistributedEngine {
                 NodeRuntime {
                     store,
                     aggs: HashMap::new(),
-                    local_prov: LocalStore::new(),
+                    local_prov: DerivationGraph::new(),
                     dist_prov: DistributedStore::new(loc.to_string()),
                     archive: ArchiveStore::new(),
                     deferred: Vec::new(),
@@ -1027,7 +1029,7 @@ impl DistributedEngine {
     }
 
     /// Bytes of tuple data currently stored across all nodes (rows charged
-    /// once plus seq-list overhead; see `NodeStore::store_bytes`).
+    /// once plus one seq per slot; see `NodeStore::store_bytes`).
     pub fn store_bytes(&self) -> u64 {
         self.nodes
             .iter()
@@ -1049,40 +1051,18 @@ impl DistributedEngine {
         &self.metrics
     }
 
-    /// All tuples of `predicate` stored at `location`.
-    pub fn query(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
-        self.query_rows(location, predicate, false)
-    }
-
     /// All tuples of `predicate` stored at `location`, in insertion order —
-    /// the deterministic ordering tests use to compare evaluation modes
-    /// ([`DistributedEngine::query`] iterates in arbitrary hash order).
-    pub fn query_ordered(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
-        self.query_rows(location, predicate, true)
-    }
-
-    /// Resolves `(location, predicate)` once and materialises the stored
-    /// rows as tuples.
-    fn query_rows(
-        &self,
-        location: &Value,
-        predicate: &str,
-        ordered: bool,
-    ) -> Vec<(Tuple, TupleMeta)> {
+    /// deterministic, so tests compare evaluation modes on it directly.
+    pub fn query(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
         let Some(store) = self.node_at(location).map(|n| &n.store) else {
             return Vec::new();
         };
         let Some(pred) = store.pred_id(predicate) else {
             return Vec::new();
         };
-        let tuple_of = |(values, meta): (&Arc<[Value]>, &TupleMeta)| {
-            (Tuple::new(predicate, values.to_vec()), meta.clone())
-        };
-        if ordered {
-            store.scan_ordered_rows(pred).map(tuple_of).collect()
-        } else {
-            store.scan_rows(pred).map(tuple_of).collect()
-        }
+        let rows = store.scan_ordered_rows(pred);
+        rows.map(|(values, meta)| (Tuple::new(predicate, values.to_vec()), meta.clone()))
+            .collect()
     }
 
     /// All tuples of `predicate` across every node, with their storage
@@ -1099,7 +1079,7 @@ impl DistributedEngine {
 
     /// The provenance graph maintained at `location` (graph modes only).
     pub fn provenance_graph(&self, location: &Value) -> Option<&DerivationGraph> {
-        self.node_at(location).map(|n| n.local_prov.graph())
+        self.node_at(location).map(|n| &n.local_prov)
     }
 
     /// The per-node distributed provenance stores, keyed by location name
@@ -1140,7 +1120,7 @@ impl DistributedEngine {
         let mut dropped = 0;
         for node in &mut self.nodes {
             dropped += node.store.expire(now).len();
-            node.local_prov.expire(now.as_micros());
+            node.local_prov.purge_expired(now.as_micros());
         }
         dropped
     }

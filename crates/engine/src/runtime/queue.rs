@@ -6,7 +6,6 @@
 use crate::dynamics::ChurnEvent;
 use pasn_crypto::channel::ChannelHandshake;
 use pasn_crypto::says::SaysAssertion;
-use pasn_crypto::PrincipalId;
 use pasn_datalog::{PredId, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{DerivationGraph, ProvTag};
@@ -20,9 +19,9 @@ use std::sync::Arc;
 pub(super) struct BatchRow {
     pub values: Arc<[Value]>,
     pub tag: ProvTag,
-    /// The node that derived / asserted the row.
+    /// The node that derived / asserted the row; its principal
+    /// (`principal_of(origin)`) is the asserting principal.
     pub origin: NodeId,
-    pub asserted_by: Option<PrincipalId>,
     pub shipped_graph: Option<DerivationGraph>,
     pub is_base: bool,
     pub location_index: Option<usize>,
@@ -53,7 +52,6 @@ impl BatchRow {
             values,
             tag,
             origin,
-            asserted_by: Some(super::principal_of(origin)),
             shipped_graph: None,
             is_base: false,
             location_index,

@@ -275,12 +275,12 @@ fn session_level_amortises_rsa_to_one_handshake_per_link() {
     assert_eq!(session.batched_tuples, rsa.batched_tuples);
     for loc in line5_locations() {
         let want: Vec<Tuple> = rsa_engine
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
         let got: Vec<Tuple> = session_engine
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
@@ -601,6 +601,50 @@ fn node_fail_and_rejoin_reconverge() {
     }
     assert!(metrics.retractions > 0);
     assert!(metrics.rederivations > 0);
+}
+
+#[test]
+fn rejoin_reasserts_a_twice_asserted_base_row_exactly_once() {
+    // link(b,c) is base-asserted twice and one assertion is retracted: the
+    // row survives on the other.  When b fails and rejoins, the row comes
+    // back as *one* assertion — a single later retraction removes it.
+    let program = parse_program(REACHABLE).unwrap();
+    let config = EngineConfig::ndlog()
+        .with_cost_model(fast_cost())
+        .with_provenance(ProvenanceKind::Count);
+    let retract_bc = |script: ChurnScript, at| {
+        let (location, tuple) = (str_val("b"), link("b", "c"));
+        script.at(at, ChurnEvent::Retract { location, tuple })
+    };
+    let fail_and_rejoin = |script: ChurnScript| {
+        script
+            .node_fail(5_000_000, str_val("b"))
+            .node_rejoin(9_000_000, str_val("b"))
+    };
+    let run = |script: ChurnScript| {
+        let mut engine = DistributedEngine::new(&program, config.clone(), &figure1_locations())
+            .expect("deployable");
+        insert_figure1_links(&mut engine);
+        engine.insert_fact(str_val("b"), link("b", "c")).unwrap();
+        engine.run_scenario(&script).unwrap();
+        engine
+    };
+
+    let once = retract_bc(ChurnScript::new(), 1_000_000);
+    let rejoined = fail_and_rejoin(once.clone());
+    let gone = run(retract_bc(rejoined.clone(), 12_000_000));
+    let (once, rejoined) = (run(once), run(rejoined));
+    for loc in figure1_locations() {
+        for pred in ["link", "reachable"] {
+            assert_eq!(
+                sorted_rows(&rejoined, &loc, pred),
+                sorted_rows(&once, &loc, pred),
+                "{pred} at {loc}: rejoin restores the singly asserted fixpoint, tags included"
+            );
+        }
+    }
+    assert!(sorted_rows(&gone, &str_val("b"), "link").is_empty());
+    assert!(sorted_rows(&gone, &str_val("b"), "reachable").is_empty());
 }
 
 #[test]

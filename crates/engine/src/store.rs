@@ -1,5 +1,5 @@
-//! Per-node soft-state tuple storage with seq-addressed rows and secondary
-//! hash indexes.
+//! Per-node soft-state tuple storage: one insertion-ordered slot list per
+//! relation, with secondary hash indexes over it.
 //!
 //! Declarative networks maintain derived state as *soft state*: every tuple
 //! carries a creation timestamp and (optionally) a time-to-live, and expires
@@ -8,28 +8,34 @@
 //! its base and derived relations together with per-tuple metadata used by
 //! the provenance layer.
 //!
-//! The storage layout is reference-shared and sequence-addressed:
+//! The storage layout is one operation log per relation:
 //!
 //! * **Shared rows** — a stored row is an `Arc<[Value]>`.  Probes and scans
 //!   hand out `Arc` clones (or borrows) of the one materialised copy, so
 //!   unification, provenance bookkeeping and head emission never deep-clone
 //!   attribute values.
-//! * **Seq addressing** — every insertion is assigned a monotonically
-//!   increasing sequence number; the row itself lives in a `seq → row` map
-//!   with a `row → seq` dedup map beside it.  Secondary index buckets
-//!   ([`NodeStore::register_index`], one per planner `IndexSpec`) hold bare
-//!   seq ids — *not* row copies — so `k` indexes cost `8k` bytes per tuple
-//!   rather than `k` more copies of the row.
-//! * **Sort-free ordered scans** — each relation keeps an insertion-ordered
-//!   seq list with lazy compaction (rebuilt once more than half its entries
-//!   are dead), making [`NodeStore::scan_ordered`] O(live rows) with no
-//!   sorting on the hot path.  Index buckets follow insertion order by
-//!   construction.
+//! * **Slots** — every insertion is assigned a store-wide, monotonically
+//!   increasing sequence number and appended to its relation's slot list as
+//!   `(seq, row)`.  The list ascends by seq by construction, so it *is* the
+//!   insertion order (an ordered scan is a walk, no sort) and by-seq access
+//!   is a binary search.  A removed row leaves its slot behind, emptied;
+//!   the list is compacted lazily, once more than half its slots are dead.
+//!   Beside the slots a `row → seq` map deduplicates inserts — the only
+//!   other place a row's existence is recorded.
+//! * **Indexes** — secondary index buckets ([`NodeStore::register_index_id`],
+//!   one per planner `IndexSpec`, a handful per program) hold bare seq ids in
+//!   insertion order — *not* row copies — so `k` indexes cost `8k` bytes per
+//!   tuple rather than `k` more copies of the row.  A relation's indexes are
+//!   a short `Vec`, found by comparing key-column slices.
+//! * **One question** — a join asks the store for the live rows of a
+//!   relation inserted no later than its delta (a prefix of the log), through
+//!   an index when it has a key and one is installed, by walking the slots
+//!   otherwise (`NodeStore::candidates`).  [`NodeStore::probe_id`] and
+//!   [`NodeStore::scan_ordered_rows`] are uncapped views of the same answer.
 //! * **Interned predicates** — relations are addressed by the dense
 //!   [`PredId`]s of a [`Symbols`] table mirrored from the compiled program
 //!   ([`NodeStore::sync_symbols`]), so the hot path indexes a `Vec` by `u32`
-//!   instead of hashing predicate strings.  The historical name-based API
-//!   remains as a thin shim that resolves through the store's interner.
+//!   instead of hashing predicate strings.
 
 use crate::tuple::{self, Tuple};
 use pasn_datalog::{PredId, Symbols, Value};
@@ -39,11 +45,11 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-/// Relations with fewer seq-list entries than this never compact: skipping a
-/// handful of dead slots during ordered scans is cheaper than a rebuild, and
-/// at deployment scale — thousands of near-empty per-node tables churning
+/// Relations with fewer slots than this never compact: skipping a handful
+/// of dead slots during ordered scans is cheaper than a rebuild, and at
+/// deployment scale — thousands of near-empty per-node tables churning
 /// under TTL expiry — the guard prevents rebuild storms whose metered debt
-/// (`compact_entry_us` per walked entry) would swamp the actual work.  Dead
+/// (`compact_entry_us` per walked slot) would swamp the actual work.  Dead
 /// residue per table stays bounded by the threshold.
 const COMPACT_MIN_LEN: usize = 64;
 
@@ -60,9 +66,29 @@ pub struct TupleMeta {
     /// for local derivations and base facts).  `says` unification and the
     /// distributed-provenance pointers resolve it to its location value.
     pub origin: NodeId,
-    /// Principal id of the asserting node (`None` when authentication is
-    /// disabled).
+    /// Principal id of the asserting node.  The engine always fills it —
+    /// nodes double as principals whether or not `says` is configured, so
+    /// it is `Some(origin.0)`; only stores filled directly (tests, benches)
+    /// leave it `None`.
     pub asserted_by: Option<u32>,
+}
+
+impl TupleMeta {
+    /// Extends the soft-state lifetime to `expires_at` — never shortens it;
+    /// a `None` on either side makes (or keeps) the row hard state.  Returns
+    /// the new expiry instant when it moved: the one the store's expiry
+    /// min-heap must learn about.
+    fn extend_ttl(&mut self, expires_at: Option<SimTime>) -> Option<SimTime> {
+        match (self.expires_at, expires_at) {
+            (Some(a), Some(b)) if b > a => self.expires_at = Some(b),
+            (Some(_), Some(_)) => return None,
+            _ => {
+                self.expires_at = None;
+                return None;
+            }
+        }
+        self.expires_at
+    }
 }
 
 /// Result of inserting a tuple into a store.
@@ -84,31 +110,50 @@ struct StoredRow {
     meta: TupleMeta,
 }
 
-/// A hash index over one projection of a relation: bucket key (the projected
-/// values at the index's key columns) → seq ids of matching rows, in
-/// insertion order.  Buckets never copy rows.
+/// One entry of a relation's slot list: the insertion seq and, while the
+/// row is live, the row itself.
+#[derive(Clone, Debug)]
+struct Slot {
+    seq: u64,
+    row: Option<StoredRow>,
+}
+
+/// A row as probes and scans hand it out: insertion seq, shared values and
+/// metadata, borrowed from the store.
+type SeqRow<'a> = (u64, &'a Arc<[Value]>, &'a TupleMeta);
+
+/// The buckets of one hash index: bucket key (the projected values at the
+/// index's key columns) → seq ids of matching rows, in insertion order.
+/// Buckets never copy rows.
 type IndexBuckets = HashMap<Vec<Value>, Vec<u64>>;
 
-/// One relation: seq-addressed rows, the dedup map, the insertion-ordered
-/// seq list, and any secondary indexes registered over it.
+/// A secondary hash index over one projection of a relation.
+#[derive(Clone, Debug)]
+struct Index {
+    key_columns: Vec<usize>,
+    buckets: IndexBuckets,
+}
+
+/// One relation: the insertion-ordered slot list, the dedup map, and any
+/// secondary indexes registered over it.
 #[derive(Clone, Debug, Default)]
 struct Table {
-    /// Live rows, addressed by insertion sequence number.
-    rows: HashMap<u64, StoredRow>,
-    /// Dedup map: row values → seq of the live row holding them.
+    /// One slot per insertion, ascending by seq.  Removed rows leave dead
+    /// (emptied) slots behind until more than half the list is dead.
+    slots: Vec<Slot>,
+    /// Dedup map: row values → seq of the live slot holding them.  Its
+    /// length is the live-row count, so `slots.len() - by_row.len()` slots
+    /// are dead.
     by_row: HashMap<Arc<[Value]>, u64>,
-    /// Insertion-ordered seq ids, compacted lazily: removed rows leave dead
-    /// entries behind until more than half the list is dead.
-    seq_order: Vec<u64>,
-    /// Number of dead entries currently in `seq_order`.
-    dead: usize,
-    /// Seq-list entries walked by compaction rebuilds since the debt was
-    /// last drained (see [`NodeStore::take_compaction_debt`]).  Compaction
-    /// used to run un-metered, which charged its cost to nobody — harmless
-    /// on one global clock, but wrong once partitions advance per-node CPU
-    /// lanes independently.
+    /// Slots walked by compaction rebuilds since the debt was last drained
+    /// (see [`NodeStore::take_compaction_debt`]).  Compaction used to run
+    /// un-metered, which charged its cost to nobody — harmless on one
+    /// global clock, but wrong once partitions advance per-node CPU lanes
+    /// independently.
     compaction_walked: u64,
-    indexes: HashMap<Vec<usize>, IndexBuckets>,
+    /// Secondary indexes in registration order: a handful per relation,
+    /// found by key-column slice equality.
+    indexes: Vec<Index>,
 }
 
 impl Table {
@@ -121,79 +166,92 @@ impl Table {
             .collect()
     }
 
+    /// The index keyed on exactly `key_columns`, if one is installed.
+    fn index_on(&self, key_columns: &[usize]) -> Option<&Index> {
+        self.indexes.iter().find(|i| i.key_columns == key_columns)
+    }
+
+    /// Position of the slot carrying `seq`: a binary search, the slots
+    /// ascend by seq.
+    fn slot_at(&self, seq: u64) -> Option<usize> {
+        self.slots.binary_search_by_key(&seq, |slot| slot.seq).ok()
+    }
+
+    /// The live row behind `seq`.
+    fn row(&self, seq: u64) -> Option<&StoredRow> {
+        self.slots[self.slot_at(seq)?].row.as_ref()
+    }
+
+    /// [`Table::row`], mutably.
+    fn row_mut(&mut self, seq: u64) -> Option<&mut StoredRow> {
+        let at = self.slot_at(seq)?;
+        self.slots[at].row.as_mut()
+    }
+
+    /// The live row holding exactly `values`, with its seq.
+    fn row_of_mut(&mut self, values: &[Value]) -> Option<(u64, &mut StoredRow)> {
+        let seq = *self.by_row.get(values)?;
+        Some((seq, self.row_mut(seq)?))
+    }
+
+    /// Live rows in insertion order: a walk of the slots, skipping the dead
+    /// ones (at most as many as there are live rows once the list is long
+    /// enough to compact).
+    fn live(&self) -> impl Iterator<Item = (u64, &StoredRow)> {
+        self.slots
+            .iter()
+            .filter_map(|slot| Some((slot.seq, slot.row.as_ref()?)))
+    }
+
     /// Adds a freshly inserted row's seq to every index.
     fn index_insert(&mut self, seq: u64, values: &[Value]) {
-        for (key_columns, buckets) in &mut self.indexes {
-            if let Some(key) = Self::project(values, key_columns) {
-                buckets.entry(key).or_default().push(seq);
+        for index in &mut self.indexes {
+            if let Some(key) = Self::project(values, &index.key_columns) {
+                index.buckets.entry(key).or_default().push(seq);
             }
         }
     }
 
     /// Removes a row's seq from every index.
     fn index_remove(&mut self, seq: u64, values: &[Value]) {
-        for (key_columns, buckets) in &mut self.indexes {
-            if let Some(key) = Self::project(values, key_columns) {
-                if let Some(bucket) = buckets.get_mut(&key) {
+        for index in &mut self.indexes {
+            if let Some(key) = Self::project(values, &index.key_columns) {
+                if let Some(bucket) = index.buckets.get_mut(&key) {
                     bucket.retain(|&s| s != seq);
                     if bucket.is_empty() {
-                        buckets.remove(&key);
+                        index.buckets.remove(&key);
                     }
                 }
             }
         }
     }
 
-    /// Removes the row stored under `values`, keeping the dedup map, the
-    /// indexes and the (lazily compacted) seq list consistent.
-    fn remove_by_values(&mut self, values: &[Value]) -> Option<TupleMeta> {
-        let seq = *self.by_row.get(values)?;
-        self.take_by_seq(seq).map(|row| row.meta)
-    }
-
     /// Removes the row behind a known seq (no row re-hash), keeping the
-    /// dedup map, the indexes and the seq list consistent.
+    /// dedup map, the indexes and the slot list consistent.
     fn take_by_seq(&mut self, seq: u64) -> Option<StoredRow> {
-        let row = self.rows.remove(&seq)?;
+        let at = self.slot_at(seq)?;
+        let row = self.slots[at].row.take()?;
         self.by_row.remove(&row.values[..]);
         self.index_remove(seq, &row.values);
-        self.dead += 1;
-        // Lazy compaction: once more than half the seq list is dead, rebuild
-        // it from the survivors (order-preserving, O(len), amortised O(1)).
-        // Small lists are exempt — see [`COMPACT_MIN_LEN`] — except when
-        // the table empties entirely: dropping the whole list is a clear,
-        // not a rebuild, and without it every small per-node table whose
-        // generation fully expires would park up to `COMPACT_MIN_LEN` dead
-        // entries forever — an O(nodes) residue at 10k-node scale.
-        if self.rows.is_empty() {
-            self.seq_order.clear();
-            self.dead = 0;
-        } else if self.seq_order.len() >= COMPACT_MIN_LEN && self.dead * 2 > self.seq_order.len() {
-            self.compaction_walked += self.seq_order.len() as u64;
-            let rows = &self.rows;
-            self.seq_order.retain(|s| rows.contains_key(s));
-            self.dead = 0;
+        // Lazy compaction: once more than half the slots are dead, drop
+        // them (order-preserving, O(len), amortised O(1)).  Small lists are
+        // exempt — see [`COMPACT_MIN_LEN`] — except when the table empties
+        // entirely: dropping the whole list is a clear, not a rebuild, and
+        // without it every small per-node table whose generation fully
+        // expires would park up to `COMPACT_MIN_LEN` dead slots forever —
+        // an O(nodes) residue at 10k-node scale.
+        let len = self.slots.len();
+        if self.by_row.is_empty() {
+            self.slots.clear();
+        } else if len >= COMPACT_MIN_LEN && (len - self.by_row.len()) * 2 > len {
+            self.compaction_walked += len as u64;
+            self.slots.retain(|slot| slot.row.is_some());
         }
         Some(row)
     }
 
-    /// Live rows in insertion order with their seq ids, skipping dead
-    /// seq-list entries (at most as many as there are live rows, by the
-    /// compaction invariant).
-    fn iter_ordered_seq(&self) -> impl Iterator<Item = (u64, &Arc<[Value]>, &TupleMeta)> {
-        self.seq_order
-            .iter()
-            .filter_map(move |seq| self.rows.get(seq).map(|row| (*seq, &row.values, &row.meta)))
-    }
-
-    /// [`Table::iter_ordered_seq`] without the seqs.
-    fn iter_ordered(&self) -> impl Iterator<Item = (&Arc<[Value]>, &TupleMeta)> {
-        self.iter_ordered_seq()
-            .map(|(_, values, meta)| (values, meta))
-    }
-
     /// Inserts one shared row, deduplicating against the row→seq map before
-    /// any index or seq-list work: a duplicate merges its provenance tag via
+    /// any index or slot work: a duplicate merges its provenance tag via
     /// `combine` and refreshes the soft-state lifetime instead of storing a
     /// copy.  `next_seq` is the store-wide insertion counter, advanced only
     /// for genuinely new rows.  Returns the outcome together with the seq of
@@ -210,36 +268,21 @@ impl Table {
     where
         F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
     {
-        match self.by_row.get(&values[..]) {
+        match self.row_of_mut(&values) {
             None => {
                 let seq = *next_seq;
                 *next_seq += 1;
                 let expires = meta.expires_at;
                 self.by_row.insert(values.clone(), seq);
                 self.index_insert(seq, &values);
-                self.seq_order.push(seq);
-                self.rows.insert(seq, StoredRow { values, meta });
+                let row = Some(StoredRow { values, meta });
+                self.slots.push(Slot { seq, row });
                 (InsertOutcome::New, seq, expires)
             }
-            Some(&seq) => {
-                let existing = self.rows.get_mut(&seq).expect("dedup map mirrors rows");
+            Some((seq, existing)) => {
                 let merged = combine(&existing.meta.tag, &meta.tag);
-                // Refresh the soft-state lifetime on re-derivation (a `None`
-                // on either side upgrades the row to hard state).
-                let bumped = match (existing.meta.expires_at, meta.expires_at) {
-                    (Some(a), Some(b)) if b > a => {
-                        existing.meta.expires_at = Some(b);
-                        Some(b)
-                    }
-                    (Some(a), Some(_)) => {
-                        existing.meta.expires_at = Some(a);
-                        None
-                    }
-                    _ => {
-                        existing.meta.expires_at = None;
-                        None
-                    }
-                };
+                // A re-derivation refreshes the soft-state lifetime.
+                let bumped = existing.meta.extend_ttl(meta.expires_at);
                 let outcome = if merged != existing.meta.tag {
                     existing.meta.tag = merged;
                     InsertOutcome::MergedTag
@@ -247,6 +290,54 @@ impl Table {
                     InsertOutcome::Duplicate
                 };
                 (outcome, seq, bumped)
+            }
+        }
+    }
+}
+
+/// Where a [`Candidates`] iterator reads from.  Both sources ascend by seq.
+enum Source<'a> {
+    /// The matching bucket of an installed index: bare seqs, each resolved
+    /// against the table's slots.
+    Bucket(std::slice::Iter<'a, u64>, &'a Table),
+    /// The slot list itself, front to back.
+    Walk(std::slice::Iter<'a, Slot>),
+}
+
+/// The answer to the store's one read question (see
+/// [`NodeStore::candidates`]): live rows in insertion order, stopping at the
+/// first seq past the cap.
+pub(crate) struct Candidates<'a> {
+    source: Source<'a>,
+    up_to: u64,
+}
+
+impl Candidates<'_> {
+    /// Whether an installed index produced these rows (a slot walk did
+    /// otherwise).
+    pub(crate) fn used_index(&self) -> bool {
+        matches!(self.source, Source::Bucket(..))
+    }
+}
+
+impl<'a> Iterator for Candidates<'a> {
+    type Item = SeqRow<'a>;
+
+    fn next(&mut self) -> Option<SeqRow<'a>> {
+        let up_to = self.up_to;
+        loop {
+            let (seq, row) = match &mut self.source {
+                Source::Bucket(seqs, table) => {
+                    let seq = *seqs.next().filter(|&&seq| seq <= up_to)?;
+                    (seq, table.row(seq))
+                }
+                Source::Walk(slots) => {
+                    let slot = slots.next().filter(|slot| slot.seq <= up_to)?;
+                    (slot.seq, slot.row.as_ref())
+                }
+            };
+            if let Some(row) = row {
+                return Some((seq, &row.values, &row.meta));
             }
         }
     }
@@ -340,66 +431,77 @@ impl NodeStore {
     /// Installs a secondary hash index over the interned predicate keyed on
     /// `key_columns`.  Registering is idempotent; if the relation already
     /// holds tuples the index is (re)built from them in insertion order (no
-    /// sort: the seq list already is the order), and it is maintained
+    /// sort: the slot list already is the order), and it is maintained
     /// incrementally afterwards.
     pub fn register_index_id(&mut self, pred: PredId, key_columns: &[usize]) {
         let table = self.table_mut(pred);
-        if table.indexes.contains_key(key_columns) {
+        if table.index_on(key_columns).is_some() {
             return;
         }
         let mut buckets: IndexBuckets = HashMap::new();
-        for seq in &table.seq_order {
-            if let Some(row) = table.rows.get(seq) {
-                if let Some(key) = Table::project(&row.values, key_columns) {
-                    buckets.entry(key).or_default().push(*seq);
-                }
+        for (seq, row) in table.live() {
+            if let Some(key) = Table::project(&row.values, key_columns) {
+                buckets.entry(key).or_default().push(seq);
             }
         }
-        table.indexes.insert(key_columns.to_vec(), buckets);
+        table.indexes.push(Index {
+            key_columns: key_columns.to_vec(),
+            buckets,
+        });
     }
 
-    /// True if an index over `(pred, key_columns)` is installed.
-    pub fn has_index_id(&self, pred: PredId, key_columns: &[usize]) -> bool {
-        self.table(pred)
-            .is_some_and(|t| t.indexes.contains_key(key_columns))
+    // ---- reads -----------------------------------------------------------
+
+    /// The store's one read question: the live rows of `pred` inserted no
+    /// later than `up_to`, in insertion order — through the index on the
+    /// key's columns when a `(key_columns, key)` is given and that index is
+    /// installed, by walking the slots otherwise.  The answer says which it
+    /// used ([`Candidates::used_index`]).  The evaluator caps every join at
+    /// its delta's seq, which keeps batched joins tuple-at-a-time-visible:
+    /// a delta row only joins rows inserted no later than itself.
+    pub(crate) fn candidates(
+        &self,
+        pred: PredId,
+        key: Option<(&[usize], &[Value])>,
+        up_to: u64,
+    ) -> Candidates<'_> {
+        let table = self.table(pred);
+        let indexed = |(columns, key): (&[usize], &[Value])| {
+            let bucket = table?.index_on(columns)?.buckets.get(key);
+            Some(Source::Bucket(
+                bucket.map_or(&[][..], Vec::as_slice).iter(),
+                table?,
+            ))
+        };
+        let walk = || Source::Walk(table.map_or(&[][..], |t| &t.slots).iter());
+        let source = key.and_then(indexed).unwrap_or_else(walk);
+        Candidates { source, up_to }
     }
 
     /// Probes the secondary index of `pred` keyed on `key_columns` for rows
     /// matching `key`, in insertion order.  Returns `None` when no such
-    /// index is installed (the caller falls back to a scan); an installed
-    /// index with no matches yields an empty iterator.  Rows are handed out
-    /// by reference — callers clone the `Arc`, never the values.
+    /// index is installed; an installed index with no matches yields an
+    /// empty iterator.  Rows are handed out by reference — callers clone
+    /// the `Arc`, never the values.
     pub fn probe_id<'a>(
         &'a self,
         pred: PredId,
         key_columns: &[usize],
         key: &[Value],
     ) -> Option<impl Iterator<Item = (&'a Arc<[Value]>, &'a TupleMeta)> + 'a> {
-        Some(
-            self.probe_seq_id(pred, key_columns, key)?
-                .map(|(_, values, meta)| (values, meta)),
-        )
+        let rows = self.candidates(pred, Some((key_columns, key)), u64::MAX);
+        rows.used_index()
+            .then(|| rows.map(|(_, values, meta)| (values, meta)))
     }
 
-    /// [`NodeStore::probe_id`] with each row's insertion seq.  The evaluator
-    /// uses the seqs to keep batched joins tuple-at-a-time-visible: a delta
-    /// row only joins rows inserted no later than itself.
-    pub fn probe_seq_id<'a>(
-        &'a self,
+    /// All rows of an interned predicate in insertion order: a walk of the
+    /// slot list, O(live rows), no sorting.
+    pub fn scan_ordered_rows(
+        &self,
         pred: PredId,
-        key_columns: &[usize],
-        key: &[Value],
-    ) -> Option<impl Iterator<Item = (u64, &'a Arc<[Value]>, &'a TupleMeta)> + 'a> {
-        let table = self.table(pred)?;
-        let index = table.indexes.get(key_columns)?;
-        let rows = &table.rows;
-        Some(
-            index
-                .get(key)
-                .into_iter()
-                .flatten()
-                .filter_map(move |seq| rows.get(seq).map(|row| (*seq, &row.values, &row.meta))),
-        )
+    ) -> impl Iterator<Item = (&Arc<[Value]>, &TupleMeta)> + '_ {
+        self.candidates(pred, None, u64::MAX)
+            .map(|(_, values, meta)| (values, meta))
     }
 
     // ---- insertion / removal ---------------------------------------------
@@ -434,7 +536,7 @@ impl NodeStore {
 
     /// Batch-inserts shared rows under one interned predicate: the table is
     /// resolved once per batch instead of once per row, and every row is
-    /// deduplicated against the row→seq map before any index, seq-list or
+    /// deduplicated against the row→seq map before any index, slot or
     /// provenance-merge work.  Returns one `(outcome, seq)` per row, in
     /// input order — the seq identifies the live row now holding the values
     /// (fresh for new rows), which the evaluator uses to keep batched joins
@@ -475,7 +577,7 @@ impl NodeStore {
     pub fn meta_of(&self, pred: PredId, values: &[Value]) -> Option<&TupleMeta> {
         let table = self.table(pred)?;
         let seq = table.by_row.get(values)?;
-        table.rows.get(seq).map(|row| &row.meta)
+        table.row(*seq).map(|row| &row.meta)
     }
 
     /// The insertion seq of the live row holding `values`, if present — the
@@ -488,23 +590,21 @@ impl NodeStore {
 
     /// The live row behind a known seq, if any.
     pub fn row_by_seq(&self, pred: PredId, seq: u64) -> Option<(&Arc<[Value]>, &TupleMeta)> {
-        self.table(pred)?
-            .rows
-            .get(&seq)
-            .map(|row| (&row.values, &row.meta))
+        let row = self.table(pred)?.row(seq)?;
+        Some((&row.values, &row.meta))
     }
 
     /// Removes the live row behind a known seq, returning its shared values
     /// and metadata.  Dedup map, secondary indexes and the lazily compacted
-    /// seq list stay consistent, exactly as for [`NodeStore::remove_row`].
+    /// slot list stay consistent.
     pub fn remove_by_seq(&mut self, pred: PredId, seq: u64) -> Option<(Arc<[Value]>, TupleMeta)> {
         let row = self.tables.get_mut(pred.index())?.take_by_seq(seq)?;
         Some((row.values, row.meta))
     }
 
     /// Drains the store's outstanding compaction debt: the total number of
-    /// seq-list entries walked by lazy compaction rebuilds since the last
-    /// drain, across all relations.  The engine charges this to the owning
+    /// slots walked by lazy compaction rebuilds since the last drain, across
+    /// all relations.  The engine charges this to the owning
     /// node's CPU lane (at [`pasn_net::CostModel::compact_entry_us`] per
     /// entry) right after every removal path, so deferred store maintenance
     /// lands on the partition that owns the node rather than vanishing into
@@ -526,7 +626,7 @@ impl NodeStore {
         match self
             .tables
             .get_mut(pred.index())
-            .and_then(|t| t.rows.get_mut(&seq))
+            .and_then(|t| t.row_mut(seq))
         {
             Some(row) => {
                 row.meta.tag = tag;
@@ -553,86 +653,26 @@ impl NodeStore {
         let Some(table) = tables.get_mut(pred.index()) else {
             return false;
         };
-        let Some(&seq) = table.by_row.get(values) else {
+        let Some((seq, row)) = table.row_of_mut(values) else {
             return false;
         };
-        let row = table.rows.get_mut(&seq).expect("dedup map mirrors rows");
-        match (row.meta.expires_at, expires_at) {
-            (Some(a), Some(b)) if b > a => {
-                row.meta.expires_at = Some(b);
-                expiry_heap.push(Reverse((b.as_micros(), pred.index() as u32, seq)));
-            }
-            (Some(_), Some(_)) => {}
-            _ => row.meta.expires_at = None,
+        if let Some(at) = row.meta.extend_ttl(expires_at) {
+            expiry_heap.push(Reverse((at.as_micros(), pred.index() as u32, seq)));
         }
         true
     }
 
-    /// Removes an exact row, returning its metadata.  Secondary indexes and
-    /// the dedup map stay consistent; the seq list is compacted lazily.
-    pub fn remove_row(&mut self, pred: PredId, values: &[Value]) -> Option<TupleMeta> {
-        self.tables.get_mut(pred.index())?.remove_by_values(values)
-    }
-
-    // ---- scans -----------------------------------------------------------
-
-    /// Iterates over all rows of an interned predicate with their metadata,
-    /// in arbitrary order.
-    pub fn scan_rows(
-        &self,
-        pred: PredId,
-    ) -> impl Iterator<Item = (&Arc<[Value]>, &TupleMeta)> + '_ {
-        self.table(pred)
-            .into_iter()
-            .flat_map(|table| table.rows.values().map(|row| (&row.values, &row.meta)))
-    }
-
-    /// All rows of an interned predicate in insertion order — the
-    /// deterministic iteration the evaluator uses for unindexed (full-scan)
-    /// joins.  This walks the lazily compacted seq list directly: O(live
-    /// rows), no sorting.
-    pub fn scan_ordered_rows(
-        &self,
-        pred: PredId,
-    ) -> impl Iterator<Item = (&Arc<[Value]>, &TupleMeta)> + '_ {
-        self.table(pred).into_iter().flat_map(Table::iter_ordered)
-    }
-
-    /// [`NodeStore::scan_ordered_rows`] with each row's insertion seq (see
-    /// [`NodeStore::probe_seq_id`] for why the evaluator needs it).
-    pub fn scan_ordered_seq_rows(
-        &self,
-        pred: PredId,
-    ) -> impl Iterator<Item = (u64, &Arc<[Value]>, &TupleMeta)> + '_ {
-        self.table(pred)
-            .into_iter()
-            .flat_map(Table::iter_ordered_seq)
-    }
-
-    /// All predicates with at least one stored tuple.
-    pub fn predicates(&self) -> impl Iterator<Item = &str> {
-        self.tables
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.rows.is_empty())
-            .filter_map(|(i, _)| self.preds.name(PredId(i as u32)))
-    }
-
-    /// Number of tuples of an interned predicate.
-    pub fn count_id(&self, pred: PredId) -> usize {
-        self.table(pred).map_or(0, |t| t.rows.len())
-    }
+    // ---- storage accounting ----------------------------------------------
 
     /// Total number of stored tuples across relations.
     pub fn total_tuples(&self) -> usize {
-        self.tables.iter().map(|t| t.rows.len()).sum()
+        self.tables.iter().map(|t| t.by_row.len()).sum()
     }
-
-    // ---- storage accounting ----------------------------------------------
 
     /// Bytes of tuple data proper: the canonical encoding of every stored
     /// row (each row is charged once — indexes share it by reference) plus
-    /// the seq-list slots carrying the insertion order.
+    /// one seq (8 bytes) per slot, live or dead, carrying the insertion
+    /// order.
     pub fn store_bytes(&self) -> usize {
         self.tables
             .iter()
@@ -640,11 +680,10 @@ impl NodeStore {
             .map(|(i, table)| {
                 let name = self.preds.name(PredId(i as u32)).unwrap_or("");
                 table
-                    .rows
-                    .values()
-                    .map(|row| tuple::encoded_len_parts(name, &row.values))
+                    .live()
+                    .map(|(_, row)| tuple::encoded_len_parts(name, &row.values))
                     .sum::<usize>()
-                    + table.seq_order.len() * std::mem::size_of::<u64>()
+                    + table.slots.len() * std::mem::size_of::<u64>()
             })
             .sum()
     }
@@ -659,8 +698,8 @@ impl NodeStore {
             .map(|table| {
                 table
                     .indexes
-                    .values()
-                    .flat_map(|buckets| buckets.iter())
+                    .iter()
+                    .flat_map(|index| index.buckets.iter())
                     .map(|(key, bucket)| {
                         key.iter().map(Value::encoded_len).sum::<usize>()
                             + bucket.len() * std::mem::size_of::<u64>()
@@ -668,13 +707,6 @@ impl NodeStore {
                     .sum::<usize>()
             })
             .sum()
-    }
-
-    /// Approximate total storage footprint in bytes: tuple encodings plus
-    /// the seq-list and secondary-index overhead (tag sizes are charged by
-    /// the caller, which has access to the var table).
-    pub fn total_tuple_bytes(&self) -> usize {
-        self.store_bytes() + self.index_bytes()
     }
 
     // ---- expiry ----------------------------------------------------------
@@ -713,7 +745,7 @@ impl NodeStore {
             let due = self
                 .tables
                 .get(pred.index())
-                .and_then(|t| t.rows.get(&seq))
+                .and_then(|t| t.row(seq))
                 .is_some_and(|row| row.meta.expires_at.is_some_and(|e| e <= now));
             if due {
                 victims.push((seq, pred));
@@ -734,26 +766,32 @@ impl NodeStore {
 
     // ---- invariants ------------------------------------------------------
 
-    /// Verifies the seq-addressed layout end to end: the dedup map exactly
-    /// mirrors the live rows, the seq list contains every live seq exactly
-    /// once in ascending order with no more dead entries than compaction
-    /// permits, and every secondary index holds each live row's seq exactly
-    /// once in the right bucket, in insertion order, with no row copies and
-    /// no empty buckets retained.  Returns a description of the first
-    /// inconsistency found.
+    /// Verifies the slot layout end to end: the slots ascend strictly by
+    /// seq, the dedup map exactly mirrors the live slots, no more slots are
+    /// dead than compaction permits (none in an emptied table), every live
+    /// soft-state row is covered by the expiry heap, and every secondary
+    /// index — at most one per key-column set — holds each live row's seq
+    /// exactly once in the right bucket, in insertion order, with no row
+    /// copies and no empty buckets retained.  Returns a description of the
+    /// first inconsistency found.
     pub fn check_index_consistency(&self) -> Result<(), String> {
         for (i, table) in self.tables.iter().enumerate() {
             let pred = self.preds.name(PredId(i as u32)).unwrap_or("?");
-            // Dedup map ↔ rows.
-            if table.by_row.len() != table.rows.len() {
+            // Slots: strictly ascending, which is both the insertion order
+            // and what by-seq binary search relies on.
+            if !table.slots.windows(2).all(|w| w[0].seq < w[1].seq) {
+                return Err(format!("{pred}: slot list violates insertion order"));
+            }
+            // Dedup map ↔ live slots.
+            let live = table.live().count();
+            if table.by_row.len() != live {
                 return Err(format!(
-                    "{pred}: dedup map holds {} rows, table holds {}",
-                    table.by_row.len(),
-                    table.rows.len()
+                    "{pred}: dedup map holds {} rows, slot list holds {live}",
+                    table.by_row.len()
                 ));
             }
             for (values, seq) in &table.by_row {
-                match table.rows.get(seq) {
+                match table.row(*seq) {
                     None => return Err(format!("{pred}: dedup entry {values:?} has no row")),
                     Some(row) if row.values != *values => {
                         return Err(format!("{pred}: dedup entry {values:?} maps to wrong row"))
@@ -761,47 +799,24 @@ impl NodeStore {
                     Some(_) => {}
                 }
             }
-            // Seq list: every live seq exactly once, ascending, bounded dead.
-            let mut live_in_order = 0usize;
-            let mut last_seq = None;
-            for seq in &table.seq_order {
-                if table.rows.contains_key(seq) {
-                    if let Some(prev) = last_seq {
-                        if *seq <= prev {
-                            return Err(format!("{pred}: seq list violates insertion order"));
-                        }
-                    }
-                    last_seq = Some(*seq);
-                    live_in_order += 1;
-                }
+            // Bounded dead slots.
+            let (len, dead) = (table.slots.len(), table.slots.len() - live);
+            if live == 0 && len > 0 {
+                return Err(format!("{pred}: emptied table keeps {len} dead slots"));
             }
-            if live_in_order != table.rows.len() {
+            if len >= COMPACT_MIN_LEN && dead * 2 > len {
                 return Err(format!(
-                    "{pred}: seq list covers {live_in_order} live rows, table holds {}",
-                    table.rows.len()
-                ));
-            }
-            let dead = table.seq_order.len() - live_in_order;
-            if dead != table.dead {
-                return Err(format!(
-                    "{pred}: dead counter {} does not match seq list ({dead} dead)",
-                    table.dead
-                ));
-            }
-            if table.seq_order.len() >= COMPACT_MIN_LEN && table.dead * 2 > table.seq_order.len() {
-                return Err(format!(
-                    "{pred}: compaction invariant violated ({dead} dead of {})",
-                    table.seq_order.len()
+                    "{pred}: compaction invariant violated ({dead} dead of {len})"
                 ));
             }
             // Expiry heap: every live soft-state row must be covered by a
             // heap entry at exactly its current expiry instant.
-            for (seq, row) in &table.rows {
+            for (seq, row) in table.live() {
                 if let Some(expires) = row.meta.expires_at {
                     let covered = self
                         .expiry_heap
                         .iter()
-                        .any(|Reverse(e)| *e == (expires.as_micros(), i as u32, *seq));
+                        .any(|Reverse(e)| *e == (expires.as_micros(), i as u32, seq));
                     if !covered {
                         return Err(format!(
                             "{pred}: soft-state row {:?} has no expiry-heap entry",
@@ -810,16 +825,24 @@ impl NodeStore {
                     }
                 }
             }
-            // Indexes: seq ids only, right bucket, insertion order, complete.
-            for (key_columns, buckets) in &table.indexes {
+            // Indexes: one per key-column set; seq ids only, right bucket,
+            // insertion order, complete.
+            for (n, index) in table.indexes.iter().enumerate() {
+                let key_columns = &index.key_columns;
+                if table.indexes[..n]
+                    .iter()
+                    .any(|i| i.key_columns == *key_columns)
+                {
+                    return Err(format!("{pred}: two indexes on {key_columns:?}"));
+                }
                 let mut indexed = 0usize;
-                for (key, bucket) in buckets {
+                for (key, bucket) in &index.buckets {
                     if bucket.is_empty() {
                         return Err(format!("{pred}: empty bucket retained for key {key:?}"));
                     }
                     let mut last_seq = None;
                     for seq in bucket {
-                        let row = table.rows.get(seq).ok_or_else(|| {
+                        let row = table.row(*seq).ok_or_else(|| {
                             format!("{pred}: index entry seq {seq} has no backing row")
                         })?;
                         if Table::project(&row.values, key_columns).as_deref() != Some(&key[..]) {
@@ -840,9 +863,8 @@ impl NodeStore {
                     }
                 }
                 let expected = table
-                    .rows
-                    .values()
-                    .filter(|row| Table::project(&row.values, key_columns).is_some())
+                    .live()
+                    .filter(|(_, row)| Table::project(&row.values, key_columns).is_some())
                     .count();
                 if indexed != expected {
                     return Err(format!(
@@ -894,7 +916,9 @@ mod tests {
     }
 
     fn remove(store: &mut NodeStore, t: &Tuple) -> Option<TupleMeta> {
-        store.remove_row(store.pred_id(&t.predicate)?, &t.values)
+        let pred = store.pred_id(&t.predicate)?;
+        let seq = store.seq_of(pred, &t.values)?;
+        store.remove_by_seq(pred, seq).map(|(_, meta)| meta)
     }
 
     fn ordered(store: &NodeStore, predicate: &str) -> Vec<Tuple> {
@@ -919,14 +943,12 @@ mod tests {
         assert_eq!(put(&mut store, &link(0, 1), None), InsertOutcome::New);
         assert_eq!(put(&mut store, &link(0, 2), None), InsertOutcome::New);
         let pred = store.pred_id("link").unwrap();
-        assert_eq!(store.count_id(pred), 2);
         assert_eq!(store.total_tuples(), 2);
         assert!(get(&store, &link(0, 1)).is_some());
         assert!(get(&store, &link(1, 0)).is_none());
-        assert_eq!(store.scan_rows(pred).count(), 2);
+        assert_eq!(store.scan_ordered_rows(pred).count(), 2);
         assert_eq!(store.pred_id("reachable"), None);
-        assert_eq!(store.predicates().collect::<Vec<_>>(), vec!["link"]);
-        assert!(store.total_tuple_bytes() > 0);
+        assert!(store.store_bytes() > 0);
     }
 
     #[test]
@@ -1229,6 +1251,29 @@ mod tests {
     }
 
     #[test]
+    fn candidates_stop_at_the_seq_cap_on_either_source() {
+        let mut store = NodeStore::new();
+        index(&mut store, "link", &[0]);
+        for (a, b) in [(0, 1), (1, 1), (0, 2), (0, 3), (1, 2)] {
+            put(&mut store, &link(a, b), None);
+        }
+        remove(&mut store, &link(0, 2)); // a dead slot inside the prefix
+        let pred = store.pred_id("link").unwrap();
+        let key = [Value::Addr(0)];
+        let seqs = |key, up_to| -> (bool, Vec<u64>) {
+            let rows = store.candidates(pred, key, up_to);
+            (rows.used_index(), rows.map(|(seq, ..)| seq).collect())
+        };
+        let by_index = Some((&[0usize][..], &key[..]));
+        assert_eq!(seqs(by_index, u64::MAX), (true, vec![0, 3]));
+        assert_eq!(seqs(by_index, 2), (true, vec![0]));
+        assert_eq!(seqs(None, u64::MAX), (false, vec![0, 1, 3, 4]));
+        assert_eq!(seqs(None, 3), (false, vec![0, 1, 3]));
+        // A key without an installed index degrades to the capped walk.
+        assert_eq!(seqs(Some((&[1][..], &key[..])), 1), (false, vec![0, 1]));
+    }
+
+    #[test]
     fn duplicate_insert_does_not_duplicate_index_entries() {
         let mut store = NodeStore::new();
         index(&mut store, "link", &[1]);
@@ -1287,7 +1332,7 @@ mod tests {
             remove(&mut store, &link(i, i));
         }
         // 90 removals force several rebuilds; each walks the then-current
-        // seq list, so the drained debt must cover at least one full rebuild
+        // slot list, so the drained debt must cover at least one full rebuild
         // of the original list and be gone after draining.
         let walked = store.take_compaction_debt();
         assert!(walked >= 100, "compaction walked {walked} entries");
@@ -1313,7 +1358,6 @@ mod tests {
             "index overhead ({one_index} B) must undercut row data ({rows_only} B)"
         );
         assert_eq!(store.store_bytes(), rows_only, "rows are not re-charged");
-        assert_eq!(store.total_tuple_bytes(), rows_only + one_index);
     }
 
     #[test]
@@ -1326,7 +1370,6 @@ mod tests {
         assert_eq!(store.pred_id("link"), Some(link_id));
         assert_eq!(store.pred_name(link_id), Some("link"));
         store.register_index_id(link_id, &[0]);
-        assert!(store.has_index_id(link_id, &[0]));
         let row: Arc<[Value]> = Arc::from(vec![Value::Addr(0), Value::Addr(1)].as_slice());
         assert_eq!(
             store.insert_row(link_id, row.clone(), meta(ProvTag::None, None), |a, _| a
@@ -1334,7 +1377,6 @@ mod tests {
             InsertOutcome::New
         );
         assert!(store.meta_of(link_id, &row).is_some());
-        assert_eq!(store.scan_rows(link_id).count(), 1);
         assert_eq!(store.scan_ordered_rows(link_id).count(), 1);
         assert_eq!(
             store
@@ -1347,7 +1389,8 @@ mod tests {
         let sensor = authority.intern("sensor");
         store.sync_symbols(&authority);
         assert_eq!(store.pred_id("sensor"), Some(sensor));
-        assert!(store.remove_row(link_id, &row).is_some());
+        let seq = store.seq_of(link_id, &row).unwrap();
+        assert!(store.remove_by_seq(link_id, seq).is_some());
         store.check_index_consistency().unwrap();
     }
 
@@ -1389,7 +1432,7 @@ mod tests {
             "lists under the compaction threshold are never rebuilt"
         );
         assert!(ordered(&store, "link").is_empty());
-        // A fully emptied table clears its seq list outright (a clear, not
+        // A fully emptied table clears its slot list outright (a clear, not
         // a charged rebuild): no dead residue survives the generation.
         let empty_bytes = store.store_bytes();
         for i in 0..50u32 {
@@ -1403,12 +1446,13 @@ mod tests {
     }
 
     #[test]
-    fn has_index_reflects_registration() {
+    fn probe_reports_whether_an_index_is_registered() {
         let mut store = NodeStore::new();
         let pred = store.intern("link");
-        assert!(!store.has_index_id(pred, &[0]));
+        let key = [Value::Addr(0)];
+        assert!(store.probe_id(pred, &[0], &key).is_none());
         store.register_index_id(pred, &[0]);
-        assert!(store.has_index_id(pred, &[0]));
-        assert!(!store.has_index_id(pred, &[1]));
+        assert!(store.probe_id(pred, &[0], &key).is_some());
+        assert!(store.probe_id(pred, &[1], &key).is_none());
     }
 }

@@ -24,65 +24,8 @@ use pasn_net::{CostModel, FaultPlan, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const REACHABLE: &str = "
-    r1 reachable(@S,D) :- link(@S,D).
-    r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).
-";
-
-const NODES: [&str; 4] = ["a", "b", "c", "d"];
-
-fn str_val(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
-fn locations() -> Vec<Value> {
-    NODES.iter().map(|n| str_val(n)).collect()
-}
-
-/// Per-node canonically ordered `(values, tag)` renderings of `pred`.
-fn fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<String>> {
-    locations()
-        .iter()
-        .map(|loc| {
-            let mut rows: Vec<String> = engine
-                .query(loc, pred)
-                .into_iter()
-                .map(|(t, m)| format!("{:?} {}", t.values, m.tag))
-                .collect();
-            rows.sort();
-            rows
-        })
-        .collect()
-}
-
-fn says_config(pick: u64) -> EngineConfig {
-    match pick % 3 {
-        0 => EngineConfig::ndlog(),
-        1 => EngineConfig::sendlog(),
-        _ => EngineConfig::sendlog_session(),
-    }
-}
-
-fn reach_engine(config: EngineConfig, links: &[(usize, usize)]) -> DistributedEngine {
-    let program = pasn_datalog::parse_program(REACHABLE).unwrap();
-    let mut engine = DistributedEngine::new(
-        &program,
-        config
-            .with_cost_model(CostModel::zero_cpu())
-            .with_dynamics(),
-        &locations(),
-    )
-    .unwrap();
-    for &(src, dst) in links {
-        engine
-            .insert_fact(
-                str_val(NODES[src]),
-                Tuple::new("link", vec![str_val(NODES[src]), str_val(NODES[dst])]),
-            )
-            .unwrap();
-    }
-    engine
-}
+mod common;
+use common::{fixpoint_of, locations, reach_engine, says_config, str_val, NODES};
 
 /// Runs one lossy scenario and its reliable from-scratch counterpart and
 /// asserts the fixpoints agree; returns the lossy metrics.

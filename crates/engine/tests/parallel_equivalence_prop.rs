@@ -19,10 +19,8 @@ use pasn_net::{CostModel, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const REACHABLE: &str = "
-    r1 reachable(@S,D) :- link(@S,D).
-    r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).
-";
+mod common;
+use common::{decode_fact, fixpoint_of, says_config, str_val, REACHABLE};
 
 // Ten nodes so every swept worker count {2, 4, 8} leaves several nodes on
 // one partition — the multi-node-per-partition regime is where lane-order
@@ -30,46 +28,8 @@ const REACHABLE: &str = "
 // partition cannot expose them.
 const NODES: [&str; 10] = ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"];
 
-fn str_val(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
 fn locations() -> Vec<Value> {
     NODES.iter().map(|n| str_val(n)).collect()
-}
-
-/// Decodes one packed random word into `(src, dst, at_us)` — the offline
-/// proptest shim has no tuple strategies, so each fact travels as one `u64`.
-fn decode_fact(word: u64) -> (usize, usize, u64) {
-    (
-        (word % 10) as usize,
-        ((word >> 8) % 10) as usize,
-        (word >> 16) % 4_000,
-    )
-}
-
-fn says_config(pick: u64) -> EngineConfig {
-    match pick % 3 {
-        0 => EngineConfig::ndlog(),
-        1 => EngineConfig::sendlog(),
-        _ => EngineConfig::sendlog_session(),
-    }
-}
-
-/// Per-node canonically ordered `(values, tag)` renderings of `pred`.
-fn fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<String>> {
-    locations()
-        .iter()
-        .map(|loc| {
-            let mut rows: Vec<String> = engine
-                .query(loc, pred)
-                .into_iter()
-                .map(|(t, m)| format!("{:?} {}", t.values, m.tag))
-                .collect();
-            rows.sort();
-            rows
-        })
-        .collect()
 }
 
 /// Per-node *insertion-ordered* fixpoints — the strong form: the parallel
@@ -79,7 +39,7 @@ fn ordered_fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<Tuple>
         .iter()
         .map(|loc| {
             engine
-                .query_ordered(loc, pred)
+                .query(loc, pred)
                 .into_iter()
                 .map(|(t, _)| t)
                 .collect()
@@ -124,7 +84,7 @@ proptest! {
         words in prop::collection::vec(any::<u64>(), 1..24),
         knobs in any::<u64>(),
     ) {
-        let facts: Vec<(usize, usize, u64)> = words.into_iter().map(decode_fact).collect();
+        let facts: Vec<(usize, usize, u64)> = words.into_iter().map(|w| decode_fact(w, 10)).collect();
         let window = knobs % 3_000;
         let cap = 1 + ((knobs >> 16) % 5) as usize;
         // Half the cases run the paper's CPU/latency model so the claim

@@ -11,31 +11,12 @@
 //! session run performs exactly `handshakes` RSA signs (one per live
 //! directed link per epoch) instead of one per frame.
 
-use pasn_datalog::Value;
 use pasn_engine::{DistributedEngine, EngineConfig, Tuple};
 use pasn_net::{CostModel, SimTime};
 use proptest::prelude::*;
 
-const REACHABLE: &str = "
-    r1 reachable(@S,D) :- link(@S,D).
-    r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).
-";
-
-const NODES: [&str; 4] = ["a", "b", "c", "d"];
-
-fn str_val(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
-/// Decodes one packed random word into `(src, dst, at_us)` — the offline
-/// proptest shim has no tuple strategies, so each fact travels as one `u64`.
-fn decode_fact(word: u64) -> (usize, usize, u64) {
-    (
-        (word % 4) as usize,
-        ((word >> 8) % 4) as usize,
-        (word >> 16) % 4_000,
-    )
-}
+mod common;
+use common::{decode_fact, locations, str_val, NODES, REACHABLE};
 
 /// Runs the reachability program over the fact stream with one config and
 /// returns (metrics, per-node insertion-ordered reachable sets).
@@ -44,7 +25,7 @@ fn run(
     config: EngineConfig,
 ) -> (pasn_engine::RunMetrics, Vec<Vec<Tuple>>) {
     let program = pasn_datalog::parse_program(REACHABLE).unwrap();
-    let locations: Vec<Value> = NODES.iter().map(|n| str_val(n)).collect();
+    let locations = locations();
     let mut engine = DistributedEngine::new(
         &program,
         config.with_cost_model(CostModel::zero_cpu()),
@@ -68,7 +49,7 @@ fn run(
         .iter()
         .map(|loc| {
             engine
-                .query_ordered(loc, "reachable")
+                .query(loc, "reachable")
                 .into_iter()
                 .map(|(t, _)| t)
                 .collect()
@@ -88,7 +69,7 @@ proptest! {
         words in prop::collection::vec(any::<u64>(), 1..24),
         knobs in any::<u64>(),
     ) {
-        let facts: Vec<(usize, usize, u64)> = words.into_iter().map(decode_fact).collect();
+        let facts: Vec<(usize, usize, u64)> = words.into_iter().map(|w| decode_fact(w, 4)).collect();
         let window = knobs % 3_000; // 0 = per-tuple frames
         let max_batch = 1 + ((knobs >> 16) % 5) as usize;
         let rebind = 1 + (knobs >> 32) % 64;

@@ -1,10 +1,11 @@
-//! Property tests for the seq-addressed store layout.
+//! Property tests for the store's slot layout.
 //!
 //! Random interleaved insert / remove / expire / register_index sequences
 //! are driven against [`NodeStore::check_index_consistency`] (which audits
-//! the dedup map, the lazily compacted seq list and every secondary index
+//! the dedup map, the lazily compacted slot list and every secondary index
 //! after each step) and against a naive insertion-ordered model that
-//! predicts `scan_ordered` output and expiry results.
+//! predicts seqs, `scan_ordered_rows` output, index probes and expiry
+//! results.
 
 use pasn_datalog::Value;
 use pasn_engine::{NodeStore, Tuple, TupleMeta};
@@ -34,8 +35,10 @@ fn insert(store: &mut NodeStore, t: &Tuple, ttl: Option<u64>) {
 
 /// Removes `t` through the id API; a never-interned predicate is a miss.
 fn remove(store: &mut NodeStore, t: &Tuple) -> bool {
-    let pred = store.pred_id(&t.predicate);
-    pred.is_some_and(|pred| store.remove_row(pred, &t.values).is_some())
+    let live = store
+        .pred_id(&t.predicate)
+        .and_then(|pred| Some((pred, store.seq_of(pred, &t.values)?)));
+    live.is_some_and(|(pred, seq)| store.remove_by_seq(pred, seq).is_some())
 }
 
 fn register_index(store: &mut NodeStore, predicate: &str, cols: &[usize]) {
@@ -50,43 +53,85 @@ fn tuple(pred_sel: u32, a: u32, b: u32) -> Tuple {
     )
 }
 
-/// The naive oracle: live tuples in global insertion order with the store's
-/// TTL-refresh semantics (`max` of two TTLs, hard state clears the TTL).
+/// The naive oracle: live tuples in global insertion order — each with the
+/// seq the store must have assigned it — under the store's TTL-refresh
+/// semantics (`max` of two TTLs, hard state clears the TTL).
 #[derive(Default)]
 struct Model {
-    rows: Vec<(Tuple, Option<u64>)>,
+    rows: Vec<(Tuple, Option<u64>, u64)>,
+    /// Seq of the next new row: one per insertion that was not a duplicate.
+    next_seq: u64,
 }
 
 impl Model {
     fn insert(&mut self, t: &Tuple, ttl: Option<u64>) {
-        if let Some((_, existing)) = self.rows.iter_mut().find(|(row, _)| row == t) {
+        if let Some((_, existing, _)) = self.rows.iter_mut().find(|(row, ..)| row == t) {
             *existing = match (*existing, ttl) {
                 (Some(a), Some(b)) => Some(a.max(b)),
                 _ => None,
             };
         } else {
-            self.rows.push((t.clone(), ttl));
+            self.rows.push((t.clone(), ttl, self.next_seq));
+            self.next_seq += 1;
         }
     }
 
     fn remove(&mut self, t: &Tuple) {
-        self.rows.retain(|(row, _)| row != t);
+        self.rows.retain(|(row, ..)| row != t);
     }
 
     fn expire(&mut self, now: u64) -> Vec<Tuple> {
         let (gone, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.rows)
             .into_iter()
-            .partition(|(_, ttl)| ttl.is_some_and(|e| e <= now));
+            .partition(|(_, ttl, _)| ttl.is_some_and(|e| e <= now));
         self.rows = kept;
-        gone.into_iter().map(|(t, _)| t).collect()
+        gone.into_iter().map(|(t, ..)| t).collect()
     }
 
     fn scan_ordered(&self, predicate: &str) -> Vec<Tuple> {
         self.rows
             .iter()
-            .filter(|(t, _)| t.predicate == predicate)
-            .map(|(t, _)| t.clone())
+            .filter(|(t, ..)| t.predicate == predicate)
+            .map(|(t, ..)| t.clone())
             .collect()
+    }
+}
+
+/// The three key-column sets the properties register and probe.
+const KEY_COLUMNS: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+
+/// Applies one decoded random op to the store and the model alike.
+fn apply(store: &mut NodeStore, model: &mut Model, word: u64) {
+    let (op, pred_sel, a, b, t) = decode_op(word);
+    let tup = tuple(pred_sel, a, b);
+    match op {
+        // Hard-state insert.
+        0 | 1 => {
+            insert(store, &tup, None);
+            model.insert(&tup, None);
+        }
+        // Soft-state insert (TTL in the same window as expiry times, so
+        // expiry actually bites).
+        2 => {
+            insert(store, &tup, Some(t));
+            model.insert(&tup, Some(t));
+        }
+        // Remove (often a miss — must be a clean no-op).
+        3 => {
+            let expected = model.rows.iter().any(|(row, ..)| *row == tup);
+            assert_eq!(remove(store, &tup), expected, "remove hit/miss diverged");
+            model.remove(&tup);
+        }
+        // Expire: returned tuples must follow global insertion order.
+        4 => {
+            let got = store.expire(SimTime::from_micros(t));
+            assert_eq!(got, model.expire(t), "expire order diverged");
+        }
+        // Register an index mid-stream (backfill from live rows).
+        _ => {
+            let cols = KEY_COLUMNS[((a + b) % 3) as usize];
+            register_index(store, PREDICATES[(pred_sel % 2) as usize], cols);
+        }
     }
 }
 
@@ -129,52 +174,78 @@ proptest! {
     ) {
         let mut store = NodeStore::new();
         let mut model = Model::default();
-        for (op, pred_sel, a, b, t) in ops.into_iter().map(decode_op) {
-            match op {
-                // Hard-state insert.
-                0 | 1 => {
-                    let tup = tuple(pred_sel, a, b);
-                    insert(&mut store, &tup, None);
-                    model.insert(&tup, None);
-                }
-                // Soft-state insert (TTL in the same window as expiry times,
-                // so expiry actually bites).
-                2 => {
-                    let tup = tuple(pred_sel, a, b);
-                    insert(&mut store, &tup, Some(t));
-                    model.insert(&tup, Some(t));
-                }
-                // Remove (often a miss — must be a clean no-op).
-                3 => {
-                    let tup = tuple(pred_sel, a, b);
-                    let got = remove(&mut store, &tup);
-                    let expected = model.rows.iter().any(|(row, _)| *row == tup);
-                    prop_assert!(got == expected, "remove hit/miss diverged");
-                    model.remove(&tup);
-                }
-                // Expire: returned tuples must follow global insertion order.
-                4 => {
-                    let got = store.expire(SimTime::from_micros(t));
-                    prop_assert!(got == model.expire(t), "expire order diverged");
-                }
-                // Register an index mid-stream (backfill from live rows).
-                _ => {
-                    let cols: &[usize] = match (a + b) % 3 {
-                        0 => &[0],
-                        1 => &[1],
-                        _ => &[0, 1],
-                    };
-                    register_index(&mut store, PREDICATES[(pred_sel % 2) as usize], cols);
-                }
-            }
+        for word in ops {
+            apply(&mut store, &mut model, word);
             assert_matches_model(&store, &model);
         }
-        // Byte accounting stays coherent under churn.
-        prop_assert!(store.total_tuple_bytes() == store.store_bytes() + store.index_bytes());
+        // Byte accounting stays coherent under churn: every slot, live or
+        // dead, is charged its seq on top of the live rows' encodings.
+        let rows: usize = model.rows.iter().map(|(t, ..)| t.encoded_len()).sum();
+        prop_assert!(store.store_bytes() >= rows + 8 * model.rows.len());
+    }
+
+    /// The store's one read question, asked three ways: after a random
+    /// interleaving and under a random seq cap, the rows an index probe
+    /// hands out, the rows the slot walk hands out (narrowed to the probe's
+    /// key) and the model's agree — same rows, same order, same seqs.
+    #[test]
+    fn capped_candidates_agree_across_index_walk_and_model(
+        ops in prop::collection::vec(any::<u64>(), 1..100),
+        cap in any::<u64>(),
+    ) {
+        let mut store = NodeStore::new();
+        let mut model = Model::default();
+        for word in ops {
+            apply(&mut store, &mut model, word);
+        }
+        let cap = cap % (model.next_seq + 1);
+        for name in PREDICATES {
+            let pred = store.intern(name);
+            // Indexes registered only now backfill from the live slots.
+            for columns in KEY_COLUMNS {
+                store.register_index_id(pred, columns);
+            }
+            let capped = |rows: Vec<(u64, Vec<Value>)>| -> Vec<(u64, Vec<Value>)> {
+                rows.into_iter().take_while(|(seq, _)| *seq <= cap).collect()
+            };
+            let with_seq = |values: &Arc<[Value]>| {
+                let seq = store.seq_of(pred, values).expect("handed-out rows are live");
+                (seq, values.to_vec())
+            };
+            for columns in KEY_COLUMNS {
+                let key_of = |values: &[Value]| -> Vec<Value> {
+                    columns.iter().map(|&c| values[c].clone()).collect()
+                };
+                for a in 0..3 {
+                    for b in 0..3 {
+                        let key = key_of(&[Value::Addr(a), Value::Addr(b)]);
+                        let probed = store.probe_id(pred, columns, &key).expect("registered");
+                        let via_index = capped(probed.map(|(v, _)| with_seq(v)).collect());
+                        let walked = store.scan_ordered_rows(pred);
+                        let via_walk = capped(
+                            walked
+                                .filter(|(v, _)| key_of(v) == key)
+                                .map(|(v, _)| with_seq(v))
+                                .collect(),
+                        );
+                        let want = capped(
+                            model
+                                .rows
+                                .iter()
+                                .filter(|(t, ..)| t.predicate == name && key_of(&t.values) == key)
+                                .map(|(t, _, seq)| (*seq, t.values.clone()))
+                                .collect(),
+                        );
+                        prop_assert_eq!(&via_index, &want, "index on {:?}, key {:?}", columns, &key);
+                        prop_assert_eq!(&via_walk, &want, "walk for {:?}, key {:?}", columns, &key);
+                    }
+                }
+            }
+        }
     }
 
     /// Heavy churn specifically: indexes registered up front, then ~2/3 of
-    /// all rows removed or expired, exercising lazy seq-list compaction.
+    /// all rows removed or expired, exercising lazy slot-list compaction.
     #[test]
     fn heavy_churn_scan_ordered_matches_oracle(
         keys in prop::collection::vec(any::<u64>(), 30..120),

@@ -10,26 +10,12 @@
 //! metrics table), across says levels × worker counts × batch knobs × churn
 //! scripts × soft-state TTLs.
 
-use pasn_datalog::Value;
-use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, Scope, Tuple};
-use pasn_net::CostModel;
+use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, Scope};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-const REACHABLE: &str = "
-    r1 reachable(@S,D) :- link(@S,D).
-    r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).
-";
-
-const NODES: [&str; 4] = ["a", "b", "c", "d"];
-
-fn str_val(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
-fn locations() -> Vec<Value> {
-    NODES.iter().map(|n| str_val(n)).collect()
-}
+mod common;
+use common::{locations, reach_engine, says_config, str_val, NODES};
 
 /// Per-node *insertion-ordered* `(values, tag)` renderings of `pred` — no
 /// sorting, so any schedule divergence between the two drivers shows up.
@@ -38,41 +24,12 @@ fn ordered_fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<String
         .iter()
         .map(|loc| {
             engine
-                .query_ordered(loc, pred)
+                .query(loc, pred)
                 .into_iter()
                 .map(|(t, m)| format!("{:?} {}", t.values, m.tag))
                 .collect()
         })
         .collect()
-}
-
-fn says_config(pick: u64) -> EngineConfig {
-    match pick % 3 {
-        0 => EngineConfig::ndlog(),
-        1 => EngineConfig::sendlog(),
-        _ => EngineConfig::sendlog_session(),
-    }
-}
-
-fn reach_engine(config: EngineConfig, links: &[(usize, usize)]) -> DistributedEngine {
-    let program = pasn_datalog::parse_program(REACHABLE).unwrap();
-    let mut engine = DistributedEngine::new(
-        &program,
-        config
-            .with_cost_model(CostModel::zero_cpu())
-            .with_dynamics(),
-        &locations(),
-    )
-    .unwrap();
-    for &(src, dst) in links {
-        engine
-            .insert_fact(
-                str_val(NODES[src]),
-                Tuple::new("link", vec![str_val(NODES[src]), str_val(NODES[dst])]),
-            )
-            .unwrap();
-    }
-    engine
 }
 
 proptest! {

@@ -10,8 +10,8 @@
 //!
 //! | paper § | axis | module |
 //! |---|---|---|
-//! | 4.1 | local vs distributed storage | [`store::LocalStore`], [`store::DistributedStore`], [`store::traceback`] |
-//! | 4.2 | online vs offline | [`store::LocalStore::expire`], [`store::ArchiveStore`] |
+//! | 4.1 | local vs distributed storage | [`graph::DerivationGraph`], [`store::DistributedStore`], [`store::traceback`] |
+//! | 4.2 | online vs offline | [`graph::DerivationGraph::purge_expired`], [`store::ArchiveStore`] |
 //! | 4.3 | authenticated provenance | [`graph::DerivationGraph::verify_assertions`] |
 //! | 4.4 | condensed provenance (semirings + BDDs) | [`tag::ProvTag::Condensed`], [`tag::VarTable`] |
 //! | 4.5 | quantifiable provenance (trust levels, counts, votes) | [`semiring::TrustLevel`], [`semiring::DerivationCount`], [`semiring::VoteSet`] |
@@ -42,7 +42,7 @@ pub use moonwalk::{moonwalk, MoonwalkConfig, MoonwalkResult, Walk};
 pub use policy::{Granularity, MaintenanceMode, SamplingPolicy};
 pub use semiring::{BaseTupleId, DerivationCount, Semiring, TrustLevel, VoteSet, WhyProvenance};
 pub use store::{
-    traceback, AntecedentRef, ArchiveStore, ArchivedEntry, DistributedStore, LocalStore,
-    PointerDerivation, TracebackResult,
+    traceback, AntecedentRef, ArchiveStore, ArchivedEntry, DistributedStore, PointerDerivation,
+    TracebackResult,
 };
 pub use tag::{ProvTag, ProvenanceKind, VarTable, CONDENSE_WITNESS_THRESHOLD};

@@ -1,50 +1,20 @@
 //! Provenance storage along the paper's taxonomy axes.
 //!
-//! * **Local vs distributed** (Section 4.1): [`LocalStore`] keeps the full
-//!   derivation graph at the tuple's final storage node (complete provenance
-//!   piggybacked with each shipped tuple); [`DistributedStore`] keeps only
-//!   per-node pointer records and reconstructs provenance on demand via a
-//!   recursive traceback.
-//! * **Online vs offline** (Section 4.2): [`LocalStore`] entries follow the
-//!   soft-state lifetime of their tuples (purged on expiry); the
-//!   [`ArchiveStore`] retains snapshots beyond expiry for forensics and
+//! * **Local vs distributed** (Section 4.1): local provenance is a plain
+//!   [`DerivationGraph`](crate::graph::DerivationGraph) kept at the tuple's
+//!   final storage node (complete provenance piggybacked with each shipped
+//!   tuple); [`DistributedStore`] keeps only per-node pointer records and
+//!   reconstructs provenance on demand via a recursive traceback.
+//! * **Online vs offline** (Section 4.2): online graph entries follow the
+//!   soft-state lifetime of their tuples
+//!   ([`DerivationGraph::purge_expired`](crate::graph::DerivationGraph::purge_expired));
+//!   the [`ArchiveStore`] retains snapshots beyond expiry for forensics and
 //!   accountability, with an age-out policy.
 
-use crate::graph::DerivationGraph;
 use crate::key::ProvKey;
 use crate::semiring::BaseTupleId;
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-
-/// An *online, local* provenance store: one derivation graph per node,
-/// covering currently valid tuples.
-#[derive(Clone, Debug, Default)]
-pub struct LocalStore {
-    graph: DerivationGraph,
-}
-
-impl LocalStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying derivation graph.
-    pub fn graph(&self) -> &DerivationGraph {
-        &self.graph
-    }
-
-    /// Mutable access for the engine's provenance hooks.
-    pub fn graph_mut(&mut self) -> &mut DerivationGraph {
-        &mut self.graph
-    }
-
-    /// Drops provenance of expired tuples (online provenance follows the
-    /// soft-state lifetime).  Returns how many tuple nodes were purged.
-    pub fn expire(&mut self, now: u64) -> usize {
-        self.graph.purge_expired(now)
-    }
-}
 
 /// A reference to an antecedent held by a [`DistributedStore`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -408,20 +378,6 @@ mod tests {
         assert_eq!(s.base_id("x"), Some(BaseTupleId(9)));
         assert_eq!(s.base_id("y"), None);
         assert!(s.derivations_of("missing").is_empty());
-    }
-
-    #[test]
-    fn local_store_expiry_delegates_to_graph() {
-        let mut store = LocalStore::new();
-        store
-            .graph_mut()
-            .add_base("link(@a,b)", "a", BaseTupleId(1), None, 0, Some(50));
-        store
-            .graph_mut()
-            .add_base("link(@a,c)", "a", BaseTupleId(2), None, 0, None);
-        assert_eq!(store.expire(100), 1);
-        assert_eq!(store.graph().find("link(@a,b)"), None);
-        assert!(store.graph().find("link(@a,c)").is_some());
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn figure1(config: EngineConfig) -> SecureNetwork {
 }
 
 fn ordered(net: &SecureNetwork, loc: &str, predicate: &str) -> Vec<String> {
-    net.query_ordered(&str_val(loc), predicate)
+    net.query(&str_val(loc), predicate)
         .into_iter()
         .map(|(t, _)| t.to_string())
         .collect()
@@ -119,12 +119,12 @@ fn batched_frames_amortise_signatures_without_changing_the_fixpoint() {
     assert_eq!(m.derivations, baseline.derivations);
     for loc in per_tuple.engine().locations().to_vec() {
         let mut want: Vec<Tuple> = per_tuple
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
         let mut got: Vec<Tuple> = batched
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
@@ -221,7 +221,7 @@ fn self_joins_do_not_double_derive_across_batch_siblings() {
     assert_eq!(ordered(&batched, "a", "two").len(), 9);
     // The pipelined count converges to the same value in both modes.
     let count_of = |net: &SecureNetwork| {
-        net.query_ordered(&str_val("a"), "cnt")
+        net.query(&str_val("a"), "cnt")
             .into_iter()
             .map(|(t, _)| t.values[1].clone())
             .max_by_key(|v| v.as_int())

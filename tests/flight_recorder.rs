@@ -87,12 +87,12 @@ fn tracing_never_perturbs_the_run() {
 
     for loc in plain_net.engine().locations().to_vec() {
         let want: Vec<Tuple> = plain_net
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
         let got: Vec<Tuple> = traced_net
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();

@@ -37,12 +37,12 @@ fn session_channels_amortise_rsa_on_the_n30_deployment() {
     assert_eq!(session.batched_tuples, rsa.batched_tuples);
     for loc in rsa_net.engine().locations().to_vec() {
         let want: Vec<Tuple> = rsa_net
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
         let got: Vec<Tuple> = session_net
-            .query_ordered(&loc, "reachable")
+            .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
