@@ -370,7 +370,7 @@ impl Parser {
                 TokenKind::Number(n) => Ok(Value::Int(-n)),
                 other => Err(self.error(format!("expected number after `-`, found {other}"))),
             },
-            TokenKind::StringLit(s) => Ok(Value::Str(s)),
+            TokenKind::StringLit(s) => Ok(Value::Str(s.into())),
             TokenKind::Ident(name) => Ok(ident_constant(&name)),
             TokenKind::LBracket => {
                 let mut items = Vec::new();
@@ -385,7 +385,7 @@ impl Parser {
                     }
                 }
                 self.expect(&TokenKind::RBracket)?;
-                Ok(Value::List(items))
+                Ok(Value::List(items.into()))
             }
             other => Err(self.error(format!("expected constant, found {other}"))),
         }
@@ -535,7 +535,7 @@ fn ident_constant(name: &str) -> Value {
     match name {
         "true" => Value::Bool(true),
         "false" => Value::Bool(false),
-        _ => Value::Str(name.to_string()),
+        _ => Value::Str(name.into()),
     }
 }
 
@@ -645,11 +645,14 @@ mod tests {
         );
         assert_eq!(
             program.facts[3].atom.args[1],
-            Term::Constant(Value::List(vec![
-                Value::Str("a".into()),
-                Value::Str("b".into()),
-                Value::Str("c".into())
-            ]))
+            Term::Constant(Value::List(
+                vec![
+                    Value::Str("a".into()),
+                    Value::Str("b".into()),
+                    Value::Str("c".into())
+                ]
+                .into()
+            ))
         );
     }
 

@@ -68,12 +68,6 @@ impl Symbols {
         self.names.get(id.index()).map(|s| &**s)
     }
 
-    /// The shared `Arc<str>` behind an id (cheap to clone into tuples and
-    /// diagnostics).
-    pub fn name_arc(&self, id: PredId) -> Option<&Arc<str>> {
-        self.names.get(id.index())
-    }
-
     /// Number of interned predicates (also the next id to be assigned).
     pub fn len(&self) -> usize {
         self.names.len()

@@ -7,11 +7,11 @@
 //! [`EngineConfig`] exposes every underlying knob so the ablation benchmarks
 //! can move one axis at a time.
 
+use crate::hash::FastMap;
 use pasn_crypto::says::SaysLevel;
 use pasn_net::{CostModel, FaultPlan};
 use pasn_provenance::{Granularity, MaintenanceMode, ProvenanceKind, SamplingPolicy};
 use pasn_trace::TraceConfig;
-use std::collections::HashMap;
 
 /// Whether derivation graphs are recorded, and where they live
 /// (Section 4.1's local-vs-distributed axis).
@@ -103,7 +103,7 @@ pub struct EngineConfig {
     pub key_seed: u64,
     /// Per-principal security levels for quantifiable provenance; principals
     /// not listed default to level 1.
-    pub security_levels: HashMap<u32, u8>,
+    pub security_levels: FastMap<u32, u8>,
     /// Answer joins with bound key columns through secondary hash indexes
     /// (on by default).  Disabling forces every join back to a full ordered
     /// scan — the pre-index evaluation strategy — which the benches use to
@@ -193,7 +193,7 @@ impl EngineConfig {
             cost_model: CostModel::paper_2008(),
             rsa_modulus_bits: 512,
             key_seed: 0x5eed,
-            security_levels: HashMap::new(),
+            security_levels: FastMap::default(),
             use_secondary_indexes: true,
             batch_window_us: 0,
             max_batch_tuples: DEFAULT_MAX_BATCH_TUPLES,

@@ -31,11 +31,11 @@
 //! alive firings are garbage-collected (see
 //! `DistributedEngine::well_founded_sweep`).
 
+use crate::hash::{FastMap, FastSet};
 use crate::tuple::Tuple;
 use pasn_datalog::{AggFunc, PredId, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::ProvTag;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One scripted network-dynamics event.
@@ -303,16 +303,16 @@ pub(crate) struct Ledger {
     pub firings: Vec<FiringRecord>,
     /// Firings by antecedent seq (a seq appears once per occurrence, so a
     /// self-join lists its firing twice; the `alive` flag dedups the kill).
-    pub by_antecedent: HashMap<u64, Vec<u32>>,
+    pub by_antecedent: FastMap<u64, Vec<u32>>,
     /// Firings by head identity, for force-kills (expiry, node failure)
     /// that must silence upstream contributions without decrementing.
-    pub by_head: HashMap<HeadKey, Vec<u32>>,
+    pub by_head: FastMap<HeadKey, Vec<u32>>,
     /// Support entries for every live stored row, by insertion seq.  The
     /// entries with `base_count > 0` are the node's base-asserted rows (what
     /// a node failure withdraws and a rejoin restores).
-    pub supports: HashMap<u64, SupportEntry>,
+    pub supports: FastMap<u64, SupportEntry>,
     /// Rows ever retracted at this node, for the `rederivations` counter.
-    pub retracted: std::collections::HashSet<BaseRow>,
+    pub retracted: FastSet<BaseRow>,
 }
 
 impl Ledger {
@@ -357,7 +357,7 @@ mod tests {
     use super::*;
 
     fn v(s: &str) -> Value {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 
     #[test]

@@ -46,9 +46,17 @@ impl Bindings {
 
     /// Attempts to unify `term` with `value`: constants must match, variables
     /// either bind or must agree with their existing binding, wildcards always
-    /// match.  Returns false (leaving bindings possibly extended for fresh
-    /// variables) when unification fails.
-    pub fn unify_slot_term(&mut self, term: &SlotTerm, value: &Value) -> bool {
+    /// match.  Every slot this call binds is pushed onto `bound`, so a caller
+    /// trying one candidate row after another on the same frame can take the
+    /// attempt back with [`Bindings::unbind`] instead of cloning the frame
+    /// per candidate.  Returns false (leaving bindings possibly extended for
+    /// fresh variables) when unification fails.
+    pub fn unify_slot_term(
+        &mut self,
+        term: &SlotTerm,
+        value: &Value,
+        bound: &mut Vec<usize>,
+    ) -> bool {
         match term {
             SlotTerm::Wildcard => true,
             SlotTerm::Const(c) => c == value,
@@ -56,9 +64,17 @@ impl Bindings {
                 Some(existing) => existing == value,
                 None => {
                     self.slots[*slot] = Some(value.clone());
+                    bound.push(*slot);
                     true
                 }
             },
+        }
+    }
+
+    /// Clears (and forgets) the slots recorded in `bound`.
+    pub fn unbind(&mut self, bound: &mut Vec<usize>) {
+        for slot in bound.drain(..) {
+            self.slots[slot] = None;
         }
     }
 }
@@ -111,11 +127,20 @@ pub fn eval_expr(expr: &SlotExpr, bindings: &Bindings) -> Result<Value, EvalErro
             let r = eval_expr(rhs, bindings)?;
             eval_binop(*op, &l, &r)
         }
-        SlotExpr::Call(builtin, args) => {
-            let values: Result<Vec<Value>, EvalError> =
-                args.iter().map(|a| eval_expr(a, bindings)).collect();
-            eval_builtin(*builtin, &values?)
-        }
+        // Every built-in but the variadic `f_list` takes one or two
+        // arguments: those are evaluated onto the stack.
+        SlotExpr::Call(builtin, args) => match &args[..] {
+            [a] => eval_builtin(*builtin, &[eval_expr(a, bindings)?]),
+            [a, b] => {
+                let values = [eval_expr(a, bindings)?, eval_expr(b, bindings)?];
+                eval_builtin(*builtin, &values)
+            }
+            _ => {
+                let values: Result<Vec<Value>, EvalError> =
+                    args.iter().map(|a| eval_expr(a, bindings)).collect();
+                eval_builtin(*builtin, &values?)
+            }
+        },
     }
 }
 
@@ -203,18 +228,16 @@ fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
         found.as_list().ok_or_else(describe)
     };
     match builtin {
-        Builtin::Init => Ok(Value::List(vec![args[0].clone(), args[1].clone()])),
+        Builtin::Init => Ok(Value::List(args[..2].into())),
         Builtin::Concat => {
-            let tail = list(1, "second argument")?;
-            let mut out = Vec::with_capacity(tail.len() + 1);
-            out.push(args[0].clone());
-            out.extend_from_slice(tail);
-            Ok(Value::List(out))
+            let tail = list(1, "second argument")?.iter();
+            let items = std::iter::once(&args[0]).chain(tail);
+            Ok(Value::List(items.cloned().collect()))
         }
         Builtin::Append => {
-            let mut out = list(0, "first argument")?.to_vec();
-            out.push(args[1].clone());
-            Ok(Value::List(out))
+            let head = list(0, "first argument")?.iter();
+            let items = head.chain(std::iter::once(&args[1]));
+            Ok(Value::List(items.cloned().collect()))
         }
         Builtin::Member => Ok(Value::Bool(list(0, "first argument")?.contains(&args[1]))),
         Builtin::Size => Ok(Value::Int(list(0, "argument")?.len() as i64)),
@@ -227,7 +250,7 @@ fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
             };
             item.cloned().ok_or_else(|| mismatch("empty list".into()))
         }
-        Builtin::List => Ok(Value::List(args.to_vec())),
+        Builtin::List => Ok(Value::List(args.into())),
         Builtin::Min | Builtin::Max => match (&args[0], &args[1]) {
             (Value::Int(a), Value::Int(b)) => Ok(Value::Int(if builtin == Builtin::Min {
                 *a.min(b)
@@ -254,7 +277,7 @@ mod tests {
         let delta = &plan.deltas[0];
         let mut bindings = Bindings::with_slots(plan.slot_count);
         for (term, value) in delta.delta_args.iter().zip(row) {
-            assert!(bindings.unify_slot_term(term, value));
+            assert!(bindings.unify_slot_term(term, value, &mut Vec::new()));
         }
         for step in &delta.steps {
             match step {
@@ -287,16 +310,23 @@ mod tests {
     #[test]
     fn slot_frames_unify_constants_variables_and_wildcards() {
         let mut b = Bindings::with_slots(2);
+        let mut bound = Vec::new();
         assert_eq!(b.get_slot(0), None);
-        assert!(b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(1)));
+        assert!(b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(1), &mut bound));
         assert_eq!(b.get_slot(0), Some(&Value::Addr(1)));
         assert_eq!(b.get_slot(1), None);
-        // Rebinding to the same value succeeds, to a different one fails.
-        assert!(b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(1)));
-        assert!(!b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(2)));
-        assert!(b.unify_slot_term(&SlotTerm::Const(Value::Int(3)), &Value::Int(3)));
-        assert!(!b.unify_slot_term(&SlotTerm::Const(Value::Int(3)), &Value::Int(4)));
-        assert!(b.unify_slot_term(&SlotTerm::Wildcard, &Value::Int(9)));
+        // Rebinding to the same value succeeds, to a different one fails;
+        // neither binds anything new.
+        assert!(b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(1), &mut bound));
+        assert!(!b.unify_slot_term(&SlotTerm::Slot(0), &Value::Addr(2), &mut bound));
+        assert_eq!(bound, vec![0]);
+        let three = SlotTerm::Const(Value::Int(3));
+        assert!(b.unify_slot_term(&three, &Value::Int(3), &mut bound));
+        assert!(!b.unify_slot_term(&three, &Value::Int(4), &mut bound));
+        assert!(b.unify_slot_term(&SlotTerm::Wildcard, &Value::Int(9), &mut bound));
+        // Taking the attempt back frees exactly the slots it bound.
+        b.unbind(&mut bound);
+        assert_eq!((b.get_slot(0), bound.len()), (None, 0));
         // bind_slot overwrites.
         b.bind_slot(1, Value::Addr(7));
         b.bind_slot(1, Value::Addr(8));
@@ -335,18 +365,18 @@ mod tests {
 
     #[test]
     fn path_builtins_cover_best_path_usage() {
-        let path = || Value::List(vec![Value::Addr(1), Value::Addr(3)]);
+        let path = || Value::List(vec![Value::Addr(1), Value::Addr(3)].into());
         let eval = |expr: &str| eval(expr, Value::Addr(3), path()).unwrap();
         // Row: S = n0, A = n3, B = [n1, n3].
         // f_init(S,A) = [S,A]
         assert_eq!(
             eval("f_init(S,A)"),
-            Value::List(vec![Value::Addr(0), Value::Addr(3)])
+            Value::List(vec![Value::Addr(0), Value::Addr(3)].into())
         );
         // f_concat(S, B) = [S | B]
         assert_eq!(
             eval("f_concat(S,B)"),
-            Value::List(vec![Value::Addr(0), Value::Addr(1), Value::Addr(3)])
+            Value::List(vec![Value::Addr(0), Value::Addr(1), Value::Addr(3)].into())
         );
         // f_member(B, S) = false, f_member(B, A) = true
         assert_eq!(eval("f_member(B,S)"), Value::Bool(false));
@@ -357,7 +387,7 @@ mod tests {
         assert_eq!(eval("f_last(B)"), Value::Addr(3));
         assert_eq!(
             eval("f_append(B,S)"),
-            Value::List(vec![Value::Addr(1), Value::Addr(3), Value::Addr(0)])
+            Value::List(vec![Value::Addr(1), Value::Addr(3), Value::Addr(0)].into())
         );
         assert_eq!(eval("f_list(S,A)"), eval("f_init(S,A)"));
         assert_eq!(eval("f_min(4,9)"), Value::Int(4));

@@ -14,6 +14,7 @@
 //! * [`tuple`] — materialised tuples and their canonical wire encoding;
 //! * [`eval`] — expression evaluation, unification and the `f_*` built-ins;
 //! * [`store`] — per-node soft-state relation storage;
+//! * [`hash`] — the one deterministic hasher behind every engine-internal map;
 //! * [`config`] — experiment configuration, including the NDLog / SeNDLog /
 //!   SeNDLogProv presets of the paper's evaluation;
 //! * [`metrics`] — completion time, bandwidth, and per-mechanism counters;
@@ -49,6 +50,19 @@
 //!   batch interleaving while converging to the same fixpoint.  With
 //!   `batch_window_us = 0` (the default) evaluation is per-tuple, bit for
 //!   bit.
+//!
+//! ## Map iteration order
+//!
+//! Every map inside the engine hashes with the fixed, unseeded
+//! [`hash::FastHasher`], so iteration order is the same on every run — a
+//! dependence on it would not show up as flakiness, it would be silently
+//! pinned.  The rule is therefore structural: state that reaches a counter,
+//! a frame, a trace event or a query result is read by key, by seq or from
+//! an ordered container; the few places that walk a map either sort what
+//! they collected (the well-founded sweep's seeds and victims, a failing
+//! node's base rows) or fold it with an order-free operator (gauge sums).
+//! Maps handed *out* of the engine (`distributed_stores`,
+//! `bytes_sent_per_node`) are std maps read by key.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,6 +70,7 @@
 pub mod config;
 pub mod dynamics;
 pub mod eval;
+pub mod hash;
 pub mod metrics;
 pub mod runtime;
 pub mod store;

@@ -10,12 +10,13 @@ use super::queue::{BatchRow, Polarity, QueuedWork};
 use super::{ix, node_ids, DistributedEngine, EngineError};
 use crate::config::GraphMode;
 use crate::dynamics::{BaseRow, ChurnEvent, HeadKey};
+use crate::hash::{FastMap, FastSet};
 use crate::tuple::{self, Tuple};
 use pasn_datalog::{AggFunc, PredId, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{ProvTag, ProvenanceKind};
 use pasn_trace::TraceEventKind;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One row leaving a node's store: where it lives, what it holds and why it
@@ -60,9 +61,9 @@ impl Removal {
 #[derive(Default)]
 pub(super) struct DeletionState {
     /// Distinct `(node, instant)` expiry sweeps already scheduled.
-    scheduled_expiries: HashSet<(NodeId, u64)>,
+    scheduled_expiries: FastSet<(NodeId, u64)>,
     /// Base tuples withdrawn by node failures and crashes, kept for rejoin.
-    failed_nodes: HashMap<NodeId, Vec<BaseRow>>,
+    failed_nodes: FastMap<NodeId, Vec<BaseRow>>,
     /// Set when any row was removed; cleared by the well-founded sweep that
     /// runs when the queue drains (recursive self-support cleanup).
     needs_sweep: bool,
@@ -114,8 +115,9 @@ impl DistributedEngine {
         event: ChurnEvent,
     ) -> Result<(), EngineError> {
         // Everything earlier has drained under either driver: sample the
-        // footprint here.  Sampling is O(stored rows), so rate-limit it to a
-        // few simulated windows; the cadence only affects the peak gauges.
+        // footprint here, every few simulated windows.  The gauges are
+        // running totals and cheap to read, but the cadence is part of what
+        // the peak counters mean, so it stays.
         if at.as_micros() >= self.next_peak_sample_us {
             self.sample_memory_peak();
             let gap_us = self.shared.config.batch_window_us.max(250) * 4;
@@ -391,7 +393,7 @@ impl DistributedEngine {
         seq: u64,
         created_at: SimTime,
         now: SimTime,
-        suppress: Option<&HashSet<HeadKey>>,
+        suppress: Option<&FastSet<HeadKey>>,
     ) {
         let Removal {
             loc,
@@ -539,7 +541,7 @@ impl DistributedEngine {
         now: SimTime,
         route_withdrawal: bool,
         reelect: bool,
-        suppress: Option<&HashSet<HeadKey>>,
+        suppress: Option<&FastSet<HeadKey>>,
     ) {
         let node = &mut self.nodes[ix(loc)];
         let firing = &node.ledger.firings[idx as usize];
@@ -643,7 +645,7 @@ impl DistributedEngine {
     pub(super) fn well_founded_sweep(&mut self, now: SimTime) {
         // Mark: seed with live rows holding base support, then propagate
         // through alive firings whose antecedents are all supported.
-        let mut supported: Vec<HashSet<u64>> = vec![HashSet::new(); self.nodes.len()];
+        let mut supported: Vec<FastSet<u64>> = vec![FastSet::default(); self.nodes.len()];
         let mut work: VecDeque<(usize, u64)> = VecDeque::new();
         for (i, node) in self.nodes.iter().enumerate() {
             let mut seeds: Vec<u64> = node
@@ -686,7 +688,7 @@ impl DistributedEngine {
         // One zombie: (node, seq, pred, values, created_at).
         type Zombie = (NodeId, u64, PredId, Arc<[Value]>, SimTime);
         let mut zombies: Vec<Zombie> = Vec::new();
-        let mut zombie_heads: HashSet<HeadKey> = HashSet::new();
+        let mut zombie_heads: FastSet<HeadKey> = FastSet::default();
         for (i, node) in self.nodes.iter().enumerate() {
             let loc = NodeId(i as u32);
             let mut dead: Vec<u64> = node

@@ -9,14 +9,16 @@
 //! one code path serves both schedules.
 
 use super::queue::{BatchRow, DeltaBatch, Polarity, QueuedWork};
+use super::ship::frame_payloads;
 use super::{ix, principal_of, AggGroup, EngineError, NodeRuntime};
 use crate::config::{EngineConfig, GraphMode};
 use crate::dynamics::{AggFiring, FiringRecord};
 use crate::eval::{eval_expr, eval_filter, Bindings};
+use crate::hash::FastMap;
 use crate::metrics::RunMetrics;
 use crate::store::{InsertOutcome, TupleMeta};
 use crate::tuple;
-use pasn_crypto::says::{tombstone_payloads, SaysLevel, SaysProof};
+use pasn_crypto::says::{SaysAssertion, SaysLevel, SaysProof};
 use pasn_crypto::PrincipalId;
 use pasn_datalog::plan::{CompiledProgram, DeltaPlan, JoinStep, PlanStep, RulePlan, SlotTerm};
 use pasn_datalog::{AggFunc, PredId, Symbols, Value};
@@ -26,7 +28,6 @@ use pasn_provenance::{
     ProvTag, ProvenanceKind, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One derivation as the provenance stores record it: built once per
@@ -154,7 +155,7 @@ pub(super) struct EvalShared {
     /// place a location `Value` is resolved — at the public API boundary
     /// and for computed head locations — so cross-node lookups never touch
     /// another partition's mutable runtime.
-    pub directory: HashMap<Value, NodeId>,
+    pub directory: FastMap<Value, NodeId>,
     /// Aggregate-group rule ids, parallel to `compiled.plans`: each rule
     /// label interned once, so rules sharing a label share their groups
     /// and no label is cloned or hashed per firing.
@@ -237,6 +238,8 @@ impl<'a> PartitionCtx<'a> {
         done
     }
 
+    /// One delta batch at its destination: verify the frame's proof, store
+    /// its rows, and fire every rule the genuinely new ones trigger.
     fn process_batch(&mut self, at: SimTime, batch: DeltaBatch) -> Result<(), EngineError> {
         let DeltaBatch {
             pred,
@@ -247,78 +250,23 @@ impl<'a> PartitionCtx<'a> {
             ..
         } = batch;
         let shared = self.shared;
-        let local = self.location();
         let cost_model = shared.config.cost_model;
-        // Keep the node store's predicate mirror current (O(1) when in sync)
-        // and resolve the batch's predicate name once, as a shared `Arc`.
+        // Keep the node store's predicate mirror current (O(1) when in sync).
         self.node.store.sync_symbols(&shared.symbols);
-        let pred_name: Arc<str> = shared
-            .symbols
-            .name_arc(pred)
-            .cloned()
-            .expect("interned predicate");
+        let pred_name = shared.symbols.name(pred).expect("interned predicate");
 
-        // 1. Verification of imported frames: one `says` check over the
-        // canonical concatenated payload covers every tuple in the frame.
         let mut cpu_cost = rows.len() as u64 * cost_model.tuple_process_us;
-        if from.is_some() {
-            if let (Some(assertion), true) = (&assertion, shared.config.authenticated()) {
-                let verifier = self
-                    .node
-                    .authenticator
-                    .as_ref()
-                    .expect("authentication configured");
-                let raw: Vec<Vec<u8>> = rows
-                    .iter()
-                    .map(|row| tuple::encode_parts(&pred_name, &row.values))
-                    .collect();
-                // Tombstone frames are proved over polarity-marked payloads,
-                // so a data frame can never pass as a deletion of the same
-                // tuples (and vice versa).
-                let payloads = match polarity {
-                    Polarity::Assert => raw,
-                    Polarity::Retract => tombstone_payloads(&raw),
-                };
-                let ok = if let SaysProof::Session(_) = &assertion.proof {
-                    // Channel MAC: check against the per-link replay state
-                    // installed by the handshake.  No channel (dropped or
-                    // rejected handshake) → the frame is refused outright,
-                    // no MAC computed, no crypto charged.
-                    let required = verifier.level();
-                    match self.node.recv_channels.get_mut(&assertion.principal) {
-                        Some(channel) => {
-                            // `ReceiverChannel::verify_frame` computes
-                            // exactly one HMAC, accept or reject.
-                            self.metrics.hmac_ops += 1;
-                            cpu_cost += cost_model.hmac_us;
-                            verifier
-                                .verify_frame_on(channel, &payloads, assertion, required)
-                                .is_ok()
-                        }
-                        None => false,
-                    }
-                } else {
-                    cpu_cost += match assertion.proof.level() {
-                        SaysLevel::Rsa => {
-                            self.metrics.rsa_verify_ops += 1;
-                            cost_model.rsa_verify_us
-                        }
-                        SaysLevel::Hmac => {
-                            self.metrics.hmac_ops += 1;
-                            cost_model.hmac_us
-                        }
-                        SaysLevel::Cleartext | SaysLevel::Session => 0,
-                    };
-                    verifier.verify_frame(&payloads, assertion).is_ok()
-                };
-                self.metrics.verifications += 1;
-                if !ok {
-                    // The whole frame is rejected: a forged proof vouches
-                    // for none of the tuples it claims to cover.
-                    self.metrics.verification_failures += 1;
-                    self.charge(at, cpu_cost);
-                    return Ok(());
-                }
+        if let (Some(_), Some(assertion), true) = (from, &assertion, shared.config.authenticated())
+        {
+            let (ok, crypto_cost) = self.verify_frame(pred_name, &rows, assertion, polarity);
+            cpu_cost += crypto_cost;
+            self.metrics.verifications += 1;
+            if !ok {
+                // The whole frame is rejected: a forged proof vouches for
+                // none of the tuples it claims to cover.
+                self.metrics.verification_failures += 1;
+                self.charge(at, cpu_cost);
+                return Ok(());
             }
         }
         if shared.config.tracks_provenance() {
@@ -344,149 +292,10 @@ impl<'a> PartitionCtx<'a> {
             return Ok(());
         }
 
-        // 2. Tags and metadata for every row, then one batch insert that
-        // dedups against the row→seq map before any further provenance
-        // work.  Provenance keys (display strings) are rendered only when a
-        // tag will actually hold them.
-        let expires_at = shared
-            .config
-            .default_ttl_us
-            .map(|ttl| SimTime::from_micros(done.as_micros() + ttl));
-        let mut tags: Vec<ProvTag> = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let tag = if !row.is_base {
-                row.tag.clone()
-            } else if shared.config.provenance == ProvenanceKind::None {
-                ProvTag::None
-            } else {
-                let principal = principal_of(row.origin);
-                let key = tuple::render_located_parts(&pred_name, &row.values, row.location_index);
-                ProvTag::base(
-                    shared.config.provenance,
-                    &mut *self.var_table,
-                    BaseTupleId(tuple::key_hash_parts(&pred_name, &row.values)),
-                    &key,
-                    shared.config.granularity.origin_of(principal),
-                    shared.principal_level(principal),
-                )
-            };
-            tags.push(tag);
-        }
-        let insert_rows: Vec<(Arc<[Value]>, TupleMeta)> = rows
-            .iter()
-            .zip(&tags)
-            .map(|(row, tag)| {
-                (
-                    row.values.clone(),
-                    TupleMeta {
-                        tag: tag.clone(),
-                        created_at: done,
-                        expires_at: if row.is_base { None } else { expires_at },
-                        origin: row.origin,
-                        asserted_by: Some(principal_of(row.origin).0),
-                    },
-                )
-            })
-            .collect();
-        let outcomes = {
-            let var_table = &mut *self.var_table;
-            self.node
-                .store
-                .insert_rows(pred, insert_rows, |a, b| a.plus(b, var_table))
-        };
-
-        // Deletion ledger: every arriving row is one support of the live
-        // row now holding its values — new, duplicate or tag-merged alike —
-        // carrying the tag it contributed so deletion can withdraw exactly
-        // it.  Soft-state rows get their expiry scheduled as simulator work.
-        if shared.config.dynamics {
-            let ledger = &mut self.node.ledger;
-            for ((row, tag), (outcome, seq)) in rows.iter().zip(&tags).zip(&outcomes) {
-                ledger.record_arrival(*seq, pred, row.is_base, tag.clone(), row.location_index);
-                if *outcome == InsertOutcome::New
-                    && ledger.retracted.contains(&(pred, row.values.clone()))
-                {
-                    self.metrics.rederivations += 1;
-                }
-            }
-            if let Some(expiry) = expires_at {
-                if rows.iter().any(|row| !row.is_base) {
-                    self.effects.push(Effect::Expiry {
-                        node: self.id,
-                        at: expiry,
-                    });
-                }
-            }
-        }
-
-        // 3. Per-row provenance bookkeeping for base facts and shipped
-        // graphs (unchanged per-tuple semantics).  The rendered tuple key is
-        // computed only on the branches that store it.
-        for row in &rows {
-            if row.is_base && shared.config.graph_mode != GraphMode::None {
-                let tuple_key =
-                    tuple::render_located_parts(&pred_name, &row.values, row.location_index);
-                let base_id = BaseTupleId(tuple::key_hash_parts(&pred_name, &row.values));
-                self.node.local_prov.add_base(
-                    &tuple_key,
-                    &local.to_string(),
-                    base_id,
-                    Some(principal_of(row.origin)),
-                    done.as_micros(),
-                    None,
-                );
-                self.node.dist_prov.record_base(&tuple_key, base_id);
-            }
-            if let Some(shipped) = &row.shipped_graph {
-                self.node.local_prov.merge(shipped);
-            }
-            // Distributed provenance: a tuple received from another node
-            // keeps a pointer back to the deriving node, where its
-            // provenance lives.
-            if from.is_some()
-                && !row.is_base
-                && shared.config.graph_mode == GraphMode::Distributed
-                && row.origin != self.id
-            {
-                let tuple_key =
-                    tuple::render_located_parts(&pred_name, &row.values, row.location_index);
-                if shared.config.maintenance == MaintenanceMode::Reactive {
-                    self.node.deferred.push(DerivationRecord {
-                        head_key: tuple_key.clone(),
-                        head_location: local.to_string(),
-                        rule: "recv".to_string(),
-                        antecedents: vec![(tuple_key, row.origin)],
-                        asserted_by: Some(principal_of(row.origin)),
-                        at: done,
-                    });
-                } else {
-                    let pointer = PointerDerivation {
-                        rule: "recv".to_string(),
-                        antecedents: vec![AntecedentRef::Remote {
-                            location: shared.locations[ix(row.origin)].to_string(),
-                            key: tuple_key.clone(),
-                        }],
-                    };
-                    self.node.dist_prov.record_derivation(&tuple_key, pointer);
-                }
-            }
-        }
-
-        // 4. Delta evaluation over the genuinely new rows, one pass per
+        // Delta evaluation over the genuinely new rows, one pass per
         // (rule, batch): plan dispatch and slot setup are shared by every
         // row in the batch.
-        let new_deltas: Vec<NewDelta> = rows
-            .into_iter()
-            .zip(tags)
-            .zip(&outcomes)
-            .filter(|(_, (outcome, _))| *outcome == InsertOutcome::New)
-            .map(|((row, tag), (_, seq))| NewDelta {
-                seq: *seq,
-                values: row.values,
-                tag,
-                origin: row.origin,
-            })
-            .collect();
+        let new_deltas = self.store_rows(pred, pred_name, rows, from.is_some(), done);
         if new_deltas.is_empty() {
             return Ok(());
         }
@@ -496,6 +305,193 @@ impl<'a> PartitionCtx<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Checks an imported frame's proof: one `says` check over the canonical
+    /// concatenated payload covers every tuple in the frame.  Returns
+    /// whether the proof holds and the crypto CPU it cost the verifier.
+    fn verify_frame(
+        &mut self,
+        pred_name: &str,
+        rows: &[BatchRow],
+        assertion: &SaysAssertion,
+        polarity: Polarity,
+    ) -> (bool, u64) {
+        let cost_model = self.shared.config.cost_model;
+        let authenticator = self.node.authenticator.as_ref();
+        let verifier = authenticator.expect("authentication configured");
+        let payloads = frame_payloads(pred_name, rows, polarity);
+        if let SaysProof::Session(_) = &assertion.proof {
+            // Channel MAC: check against the per-link replay state installed
+            // by the handshake.  No channel (dropped or rejected handshake)
+            // → the frame is refused outright, no MAC computed, no crypto
+            // charged.
+            let Some(channel) = self.node.recv_channels.get_mut(&assertion.principal) else {
+                return (false, 0);
+            };
+            // `ReceiverChannel::verify_frame` computes exactly one HMAC,
+            // accept or reject.
+            self.metrics.hmac_ops += 1;
+            let required = verifier.level();
+            let verdict = verifier.verify_frame_on(channel, &payloads, assertion, required);
+            return (verdict.is_ok(), cost_model.hmac_us);
+        }
+        let cost = match assertion.proof.level() {
+            SaysLevel::Rsa => {
+                self.metrics.rsa_verify_ops += 1;
+                cost_model.rsa_verify_us
+            }
+            SaysLevel::Hmac => {
+                self.metrics.hmac_ops += 1;
+                cost_model.hmac_us
+            }
+            SaysLevel::Cleartext | SaysLevel::Session => 0,
+        };
+        (verifier.verify_frame(&payloads, assertion).is_ok(), cost)
+    }
+
+    /// Stores an assertion batch's rows, one pass over the batch: each row
+    /// is inserted (deduplicating against the row→seq map before any
+    /// further provenance work), counted as one support in the deletion
+    /// ledger and entered into the provenance stores.  Returns the
+    /// genuinely new rows — the deltas that drive rule evaluation.
+    fn store_rows(
+        &mut self,
+        pred: PredId,
+        pred_name: &str,
+        mut rows: Vec<BatchRow>,
+        remote: bool,
+        done: SimTime,
+    ) -> Vec<NewDelta> {
+        let shared = self.shared;
+        // Base rows arrive untagged; their tags are minted here, before any
+        // insert merges tags, so variables are allotted in arrival order.
+        // Provenance keys (display strings) are rendered only when a tag
+        // will actually hold them.
+        if shared.config.provenance != ProvenanceKind::None {
+            for row in rows.iter_mut().filter(|row| row.is_base) {
+                let principal = principal_of(row.origin);
+                let key = tuple::render_located_parts(pred_name, &row.values, row.location_index);
+                row.tag = ProvTag::base(
+                    shared.config.provenance,
+                    &mut *self.var_table,
+                    BaseTupleId(tuple::key_hash_parts(pred_name, &row.values)),
+                    &key,
+                    shared.config.granularity.origin_of(principal),
+                    shared.principal_level(principal),
+                );
+            }
+        }
+        let expires_at = shared
+            .config
+            .default_ttl_us
+            .map(|ttl| SimTime::from_micros(done.as_micros() + ttl));
+        let mut soft_state = false;
+        let mut new_deltas = Vec::new();
+        for row in rows {
+            let meta = TupleMeta {
+                tag: row.tag.clone(),
+                created_at: done,
+                expires_at: if row.is_base { None } else { expires_at },
+                origin: row.origin,
+                asserted_by: Some(principal_of(row.origin).0),
+            };
+            let var_table = &mut *self.var_table;
+            let (outcome, seq) =
+                self.node
+                    .store
+                    .insert_row(pred, row.values.clone(), meta, |a, b| a.plus(b, var_table));
+            // Deletion ledger: every arriving row is one support of the
+            // live row now holding its values — new, duplicate or
+            // tag-merged alike — carrying the tag it contributed so deletion
+            // can withdraw exactly it.
+            if shared.config.dynamics {
+                let ledger = &mut self.node.ledger;
+                ledger.record_arrival(seq, pred, row.is_base, row.tag.clone(), row.location_index);
+                if outcome == InsertOutcome::New
+                    && ledger.retracted.contains(&(pred, row.values.clone()))
+                {
+                    self.metrics.rederivations += 1;
+                }
+                soft_state |= !row.is_base;
+            }
+            self.record_arrival_provenance(pred_name, &row, remote, done);
+            if outcome == InsertOutcome::New {
+                new_deltas.push(NewDelta {
+                    seq,
+                    values: row.values,
+                    tag: row.tag,
+                    origin: row.origin,
+                });
+            }
+        }
+        // Soft-state rows get their expiry scheduled as simulator work.
+        if let (true, Some(expiry)) = (soft_state, expires_at) {
+            self.effects.push(Effect::Expiry {
+                node: self.id,
+                at: expiry,
+            });
+        }
+        new_deltas
+    }
+
+    /// Per-row provenance bookkeeping for base facts and shipped graphs.
+    /// The rendered tuple key is computed only on the branches that store
+    /// it.
+    fn record_arrival_provenance(
+        &mut self,
+        pred_name: &str,
+        row: &BatchRow,
+        remote: bool,
+        done: SimTime,
+    ) {
+        let shared = self.shared;
+        let local = self.location();
+        let render = || tuple::render_located_parts(pred_name, &row.values, row.location_index);
+        if row.is_base && shared.config.graph_mode != GraphMode::None {
+            let tuple_key = render();
+            let base_id = BaseTupleId(tuple::key_hash_parts(pred_name, &row.values));
+            self.node.local_prov.add_base(
+                &tuple_key,
+                &local.to_string(),
+                base_id,
+                Some(principal_of(row.origin)),
+                done.as_micros(),
+                None,
+            );
+            self.node.dist_prov.record_base(&tuple_key, base_id);
+        }
+        if let Some(shipped) = &row.shipped_graph {
+            self.node.local_prov.merge(shipped);
+        }
+        // Distributed provenance: a tuple received from another node keeps
+        // a pointer back to the deriving node, where its provenance lives.
+        if remote
+            && !row.is_base
+            && shared.config.graph_mode == GraphMode::Distributed
+            && row.origin != self.id
+        {
+            let tuple_key = render();
+            if shared.config.maintenance == MaintenanceMode::Reactive {
+                self.node.deferred.push(DerivationRecord {
+                    head_key: tuple_key.clone(),
+                    head_location: local.to_string(),
+                    rule: "recv".to_string(),
+                    antecedents: vec![(tuple_key, row.origin)],
+                    asserted_by: Some(principal_of(row.origin)),
+                    at: done,
+                });
+            } else {
+                let pointer = PointerDerivation {
+                    rule: "recv".to_string(),
+                    antecedents: vec![AntecedentRef::Remote {
+                        location: shared.locations[ix(row.origin)].to_string(),
+                        key: tuple_key.clone(),
+                    }],
+                };
+                self.node.dist_prov.record_derivation(&tuple_key, pointer);
+            }
+        }
     }
 
     /// An arity conflict between a compiled atom and a row of `pred`.  Arity
@@ -543,30 +539,27 @@ impl<'a> PartitionCtx<'a> {
         // re-propagates merged tags in either mode — see the crate docs).
         let (pred, args) = (delta_plan.delta_pred, &delta_plan.delta_args);
         let mut branches: Vec<Branch> = Vec::new();
+        // Reused across the firing: the slots one unification attempt bound,
+        // and the key a join probe is rendered into.
+        let (mut key, mut bound) = (Vec::new(), Vec::new());
         for delta in deltas {
             if args.len() != delta.values.len() {
                 return Err(self.arity_mismatch(pred, args.len(), delta.values.len()));
             }
-            let mut bindings = template.clone();
             let origin = &shared.locations[ix(delta.origin)];
-            if !unify_row(
-                &mut bindings,
-                args,
-                &delta_plan.delta_says,
-                &delta.values,
-                origin,
-            ) {
-                continue;
+            let says = &delta_plan.delta_says;
+            if unify_row(&mut template, &mut bound, args, says, &delta.values, origin) {
+                let seed = Contrib {
+                    pred,
+                    values: delta.values.clone(),
+                    location: delta_plan.location,
+                    tag: delta.tag.clone(),
+                    origin: delta.origin,
+                    seq: delta.seq,
+                };
+                branches.push((template.clone(), vec![seed], delta.seq));
             }
-            let seed = Contrib {
-                pred,
-                values: delta.values.clone(),
-                location: delta_plan.location,
-                tag: delta.tag.clone(),
-                origin: delta.origin,
-                seq: delta.seq,
-            };
-            branches.push((bindings, vec![seed], delta.seq));
+            template.unbind(&mut bound);
         }
         if branches.is_empty() {
             return Ok(());
@@ -578,7 +571,9 @@ impl<'a> PartitionCtx<'a> {
 
         for step in &delta_plan.steps {
             branches = match step {
-                PlanStep::Join(join) => self.join_step(join, &branches, &mut probes)?,
+                PlanStep::Join(join) => {
+                    self.join_step(join, branches, &mut probes, (&mut key, &mut bound))?
+                }
                 PlanStep::Filter(expr) => {
                     let mut kept = Vec::with_capacity(branches.len());
                     for branch in branches {
@@ -634,37 +629,35 @@ impl<'a> PartitionCtx<'a> {
     /// Joins with bound key columns render the key from the branch's
     /// bindings; the store answers through its secondary index when one is
     /// installed and by walking the relation in insertion order otherwise
-    /// (as it does for joins with no bound columns).  Only unifying tuples
-    /// have their provenance tags cloned.  `probes` grows by the candidates
-    /// examined (at least one per branch).
+    /// (as it does for joins with no bound columns).  Candidates are tried
+    /// on the branch's own frame and taken back afterwards, so only
+    /// unifying tuples cost a frame, a contribution list and a tag clone.
+    /// `probes` grows by the candidates examined (at least one per branch).
     fn join_step(
         &mut self,
         join: &JoinStep,
-        branches: &[Branch],
+        branches: Vec<Branch>,
         probes: &mut usize,
+        (key, bound): (&mut Vec<Value>, &mut Vec<usize>),
     ) -> Result<Vec<Branch>, EngineError> {
         let shared = self.shared;
         let store = &self.node.store;
         let mut next: Vec<Branch> = Vec::new();
         let (mut index_probes, mut index_hits, mut scan_probes) = (0u64, 0u64, 0u64);
-        for (bind, contribs, delta_seq) in branches {
+        for (mut frame, contribs, delta_seq) in branches {
             // Render the key from the bound columns.  The planner
             // guarantees they are bound; an unexpectedly missing slot
             // degrades to the scan path.
-            let key: Option<Vec<Value>> = if join.key_columns.is_empty() {
-                None
-            } else {
-                let columns = join.key_columns.iter();
-                columns
-                    .map(|&c| bind.value_of(&join.args[c]).cloned())
-                    .collect()
-            };
+            key.clear();
+            let columns = join.key_columns.iter();
+            key.extend(columns.map_while(|&c| frame.value_of(&join.args[c]).cloned()));
+            let keyed = !key.is_empty() && key.len() == join.key_columns.len();
             // Rows inserted after this branch's delta (batch siblings) are
             // invisible to it, exactly as they were under per-tuple
             // processing — the store stops at the delta's seq, so they are
             // uncounted and the probe/hit/scan counters stay identical too.
-            let key = key.as_deref().map(|key| (&join.key_columns[..], key));
-            let candidates = store.candidates(join.pred, key, *delta_seq);
+            let probe = keyed.then_some((&join.key_columns[..], &key[..]));
+            let candidates = store.candidates(join.pred, probe, delta_seq);
             let used_index = candidates.used_index();
             let mut examined = 0u64;
             for (stored_seq, stored_values, meta) in candidates {
@@ -673,19 +666,13 @@ impl<'a> PartitionCtx<'a> {
                     let (expected, got) = (join.args.len(), stored_values.len());
                     return Err(self.arity_mismatch(join.pred, expected, got));
                 }
-                let mut candidate = bind.clone();
                 let origin = &shared.locations[ix(meta.origin)];
-                if unify_row(
-                    &mut candidate,
-                    &join.args,
-                    &join.says,
-                    stored_values,
-                    origin,
-                ) {
-                    // Tags are cloned only for rows that actually unified;
-                    // the row itself is an `Arc` clone of the stored copy.
-                    let mut contribs = contribs.clone();
-                    contribs.push(Contrib {
+                let (args, says) = (&join.args, &join.says);
+                if unify_row(&mut frame, bound, args, says, stored_values, origin) {
+                    // The row itself is an `Arc` clone of the stored copy.
+                    let mut extended = Vec::with_capacity(contribs.len() + 1);
+                    extended.extend_from_slice(&contribs);
+                    extended.push(Contrib {
                         pred: join.pred,
                         values: Arc::clone(stored_values),
                         location: join.location,
@@ -693,8 +680,9 @@ impl<'a> PartitionCtx<'a> {
                         origin: meta.origin,
                         seq: stored_seq,
                     });
-                    next.push((candidate, contribs, *delta_seq));
+                    next.push((frame.clone(), extended, delta_seq));
                 }
+                frame.unbind(bound);
             }
             if used_index {
                 index_probes += 1;
@@ -716,15 +704,15 @@ impl<'a> PartitionCtx<'a> {
     /// value does not improve on the best so far — only an improvement
     /// emits, and nothing is ever withdrawn.
     fn fold_aggregate(&mut self, func: AggFunc, key: (u32, Vec<Value>), value: i64) -> Option<i64> {
-        let entry = self.node.aggs.get(&key).and_then(|g| g.best);
-        let new_value = match (func, entry) {
+        let best = &mut self.node.aggs.entry(key).or_default().best;
+        let new_value = match (func, *best) {
             (AggFunc::Min, Some(best)) if value >= best => return None,
             (AggFunc::Max, Some(best)) if value <= best => return None,
             (AggFunc::Min | AggFunc::Max, _) => value,
-            (AggFunc::Count, _) => entry.unwrap_or(0) + 1,
-            (AggFunc::Sum, _) => entry.unwrap_or(0) + value,
+            (AggFunc::Count, total) => total.unwrap_or(0) + 1,
+            (AggFunc::Sum, total) => total.unwrap_or(0) + value,
         };
-        self.node.aggs.entry(key).or_default().best = Some(new_value);
+        *best = Some(new_value);
         Some(new_value)
     }
 
@@ -756,9 +744,10 @@ impl<'a> PartitionCtx<'a> {
         let head = &rule_plan.head;
         self.metrics.derivations += 1;
 
-        let resolve = |term| bindings.value_of(term).cloned();
-        let values: Option<Vec<Value>> = head.args.iter().map(resolve).collect();
-        let mut values = values.expect("the planner binds every head slot");
+        let cell = |term| {
+            let value = bindings.value_of(term).cloned();
+            value.expect("the planner binds every head slot")
+        };
 
         // Aggregate handling.  With dynamics, `a_MIN`/`a_MAX` become a
         // candidate competition instead of a running best: *every*
@@ -767,6 +756,8 @@ impl<'a> PartitionCtx<'a> {
         // actually stores — so deleting the current best re-elects the
         // next-best survivor instead of leaving a stale winner behind.
         let mut agg_candidate: Option<AggFiring> = None;
+        // The aggregate column and the value a running aggregate emits in it.
+        let mut folded: Option<(usize, i64)> = None;
         if let Some((func, agg_index, slot)) = head.aggregate {
             let value = bindings.get_slot(slot).and_then(Value::as_int);
             let value = value.ok_or_else(|| {
@@ -775,8 +766,12 @@ impl<'a> PartitionCtx<'a> {
                     "aggregated variable of rule {label} is not an integer"
                 ))
             })?;
-            let mut group = values.clone();
-            group.remove(agg_index);
+            let others = head
+                .args
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != agg_index);
+            let group: Vec<Value> = others.map(|(_, term)| cell(term)).collect();
             if shared.config.dynamics && matches!(func, AggFunc::Min | AggFunc::Max) {
                 agg_candidate = Some(AggFiring {
                     rule: rule_id,
@@ -787,7 +782,7 @@ impl<'a> PartitionCtx<'a> {
                 });
             } else {
                 match self.fold_aggregate(func, (rule_id, group), value) {
-                    Some(new_value) => values[agg_index] = Value::Int(new_value),
+                    Some(new_value) => folded = Some((agg_index, new_value)),
                     None => return Ok(()),
                 }
             }
@@ -795,7 +790,13 @@ impl<'a> PartitionCtx<'a> {
 
         // Materialise the head row once, as the shared representation every
         // consumer (store, provenance, wire) will reference.
-        let head_values: Arc<[Value]> = Arc::from(values);
+        let args = head.args.iter().enumerate();
+        let head_values: Arc<[Value]> = args
+            .map(|(i, term)| match folded {
+                Some((at, value)) if at == i => Value::Int(value),
+                _ => cell(term),
+            })
+            .collect();
 
         let tag = self.tag_product(contribs);
 
@@ -969,19 +970,21 @@ impl<'a> PartitionCtx<'a> {
 
 /// Unifies one row with an atom's compiled argument patterns and, for a
 /// `says`-qualified atom, the location of the node that asserted the row
-/// with the principal term.
+/// with the principal term.  The slots it binds are recorded in `bound`
+/// (see [`Bindings::unbind`]).
 fn unify_row(
     bindings: &mut Bindings,
+    bound: &mut Vec<usize>,
     args: &[SlotTerm],
     says: &Option<SlotTerm>,
     values: &[Value],
     origin: &Value,
 ) -> bool {
     let mut pairs = args.iter().zip(values);
-    pairs.all(|(term, value)| bindings.unify_slot_term(term, value))
+    pairs.all(|(term, value)| bindings.unify_slot_term(term, value, bound))
         && says
             .as_ref()
-            .is_none_or(|principal| bindings.unify_slot_term(principal, origin))
+            .is_none_or(|principal| bindings.unify_slot_term(principal, origin, bound))
 }
 
 /// Writes one derivation, recorded at node `id`, into that node's graph /

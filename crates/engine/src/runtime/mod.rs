@@ -36,6 +36,7 @@ mod wave;
 use crate::config::{EngineConfig, GraphMode};
 use crate::dynamics::{ChurnEvent, ChurnScript, Ledger};
 use crate::eval::EvalError;
+use crate::hash::FastMap;
 use crate::metrics::RunMetrics;
 use crate::store::{NodeStore, TupleMeta};
 use crate::tuple::Tuple;
@@ -158,7 +159,7 @@ struct AggGroup {
 struct NodeRuntime {
     store: NodeStore,
     /// Aggregate groups by `(rule id, group key)`.
-    aggs: HashMap<(u32, Vec<Value>), AggGroup>,
+    aggs: FastMap<(u32, Vec<Value>), AggGroup>,
     /// Online local provenance: the derivation graph of currently valid
     /// tuples (graph modes only).
     local_prov: DerivationGraph,
@@ -168,18 +169,18 @@ struct NodeRuntime {
     authenticator: Option<Authenticator>,
     /// Session-channel cache, sender side: one open channel per destination
     /// principal this node ships to (`SaysLevel::Session` only).
-    send_channels: HashMap<PrincipalId, SenderChannel>,
+    send_channels: FastMap<PrincipalId, SenderChannel>,
     /// Session-channel cache, receiver side: one established channel per
     /// source principal whose handshake this node accepted.
-    recv_channels: HashMap<PrincipalId, ReceiverChannel>,
+    recv_channels: FastMap<PrincipalId, ReceiverChannel>,
     /// Sender-side epoch floor per peer: a channel evicted by churn (link
     /// down, node failure) forces the next binding of the link to a fresh
     /// epoch instead of restarting at 0 under a reused key stream.
-    send_epoch_floor: HashMap<PrincipalId, u32>,
+    send_epoch_floor: FastMap<PrincipalId, u32>,
     /// Receiver-side epoch floor per peer: a replayed pre-eviction
     /// handshake (validly signed forever) must not reinstall a retired
     /// channel and resurrect its captured frames.
-    recv_epoch_floor: HashMap<PrincipalId, u32>,
+    recv_epoch_floor: FastMap<PrincipalId, u32>,
     /// Deletion ledger: supports per stored row and the firing log.
     /// Populated only while dynamics are enabled.
     ledger: Ledger,
@@ -199,7 +200,7 @@ struct NodeRuntime {
     /// never overtake the assertion it withdraws).  Keyed by destination
     /// only because this node is always the source, which is what lets a
     /// partition clamp its own outbound links without global state.
-    link_horizon: HashMap<u32, SimTime>,
+    link_horizon: FastMap<u32, SimTime>,
 }
 
 impl NodeRuntime {
@@ -330,26 +331,26 @@ impl DistributedEngine {
                 }
                 NodeRuntime {
                     store,
-                    aggs: HashMap::new(),
+                    aggs: FastMap::default(),
                     local_prov: DerivationGraph::new(),
                     dist_prov: DistributedStore::new(loc.to_string()),
                     archive: ArchiveStore::new(),
                     deferred: Vec::new(),
                     authenticator,
-                    send_channels: HashMap::new(),
-                    recv_channels: HashMap::new(),
-                    send_epoch_floor: HashMap::new(),
-                    recv_epoch_floor: HashMap::new(),
+                    send_channels: FastMap::default(),
+                    recv_channels: FastMap::default(),
+                    send_epoch_floor: FastMap::default(),
+                    recv_epoch_floor: FastMap::default(),
                     ledger: Ledger::default(),
                     busy_until: SimTime::ZERO,
                     cpu_spent: SimTime::ZERO,
-                    link_horizon: HashMap::new(),
+                    link_horizon: FastMap::default(),
                 }
             })
             .collect();
 
         // Aggregate-group rule ids: each distinct rule label interned once.
-        let mut labels: HashMap<&str, u32> = HashMap::new();
+        let mut labels: FastMap<&str, u32> = FastMap::default();
         let mut rule_ids = Vec::with_capacity(compiled.plans.len());
         for plan in &compiled.plans {
             let next = labels.len() as u32;

@@ -4,13 +4,14 @@
 //! consume.
 
 use crate::dynamics::ChurnEvent;
+use crate::hash::FastMap;
 use pasn_crypto::channel::ChannelHandshake;
 use pasn_crypto::says::SaysAssertion;
 use pasn_datalog::{PredId, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{DerivationGraph, ProvTag};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// One tuple riding in a delta batch or a pending shipment frame.  The row
@@ -292,19 +293,25 @@ pub(super) type Bound = Option<(SimTime, u64)>;
 /// absent always means the row was force-killed already (expiry, node
 /// failure, sweep) and is safely dropped.
 pub(super) struct WorkQueue {
-    heap: BinaryHeap<Reverse<(SimTime, u8, u64)>>,
-    items: HashMap<u64, QueuedWork>,
+    /// `(due, rank, seq, slot)`: the order is decided by the first three —
+    /// seqs are unique — and `slot` says where in `items` the payload waits.
+    heap: BinaryHeap<Reverse<(SimTime, u8, u64, usize)>>,
+    /// Queued payloads in a slab: a popped item's slot is reused by a later
+    /// push, so the slab stays as long as the queue was ever deep.
+    items: Vec<Option<QueuedWork>>,
+    /// Vacant slots of `items`.
+    free: Vec<usize>,
     /// Open (still appendable) batches, bucketed by flush boundary:
-    /// `due µs → batch key → queue seq`.  Only populated while
+    /// `due µs → batch key → slot of the queued batch`.  Only populated while
     /// `window_us > 0`.  The flush boundary is strictly in the future, so
     /// no tuple can ever append to a boundary the clock has reached —
     /// which makes the whole bucket droppable the moment work at `due`
     /// pops, keeping steady-state memory O(open boundaries × open keys)
     /// instead of O(batch history).
-    open_batches: BTreeMap<u64, HashMap<BatchKey, u64>>,
+    open_batches: BTreeMap<u64, FastMap<BatchKey, usize>>,
     /// Key maps recycled from flushed boundaries, so sustained batching
     /// reuses a few allocations instead of growing fresh tables per window.
-    batch_map_pool: Vec<HashMap<BatchKey, u64>>,
+    batch_map_pool: Vec<FastMap<BatchKey, usize>>,
     next_seq: u64,
     /// `EngineConfig::batch_window_us`.
     window_us: u64,
@@ -316,7 +323,8 @@ impl WorkQueue {
     pub(super) fn new(window_us: u64, max_batch_tuples: usize) -> Self {
         WorkQueue {
             heap: BinaryHeap::new(),
-            items: HashMap::new(),
+            items: Vec::new(),
+            free: Vec::new(),
             open_batches: BTreeMap::new(),
             batch_map_pool: Vec::new(),
             next_seq: 0,
@@ -325,13 +333,24 @@ impl WorkQueue {
         }
     }
 
-    /// Schedules `work` at `at`; returns its queue seq.
-    pub(super) fn push(&mut self, at: SimTime, work: QueuedWork) -> u64 {
+    /// Schedules `work` at `at`; returns the slot holding it.
+    pub(super) fn push(&mut self, at: SimTime, work: QueuedWork) -> usize {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse((at, work.rank(), seq)));
-        self.items.insert(seq, work);
-        seq
+        let slot = self.free.pop().unwrap_or(self.items.len());
+        self.heap.push(Reverse((at, work.rank(), seq, slot)));
+        if slot == self.items.len() {
+            self.items.push(Some(work));
+        } else {
+            self.items[slot] = Some(work);
+        }
+        slot
+    }
+
+    /// Takes the payload out of `slot`, freeing it for reuse.
+    fn take(&mut self, slot: usize) -> QueuedWork {
+        self.free.push(slot);
+        self.items[slot].take().expect("queued item exists")
     }
 
     /// The seq the next pushed item will get.
@@ -345,12 +364,12 @@ impl WorkQueue {
 
     /// Queued items (the trace gauge's queue depth).
     pub(super) fn len(&self) -> usize {
-        self.items.len()
+        self.heap.len()
     }
 
     /// Due time of the queue head.
     pub(super) fn head_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((at, _, _))| at)
+        self.heap.peek().map(|&Reverse((at, ..))| at)
     }
 
     /// Routes one row to the batch `key` names.  With batching off a local
@@ -379,10 +398,9 @@ impl WorkQueue {
             };
         }
         let due = (at.as_micros() / self.window_us + 1) * self.window_us;
-        if let Some(&seq) = self.open_batches.get(&due).and_then(|b| b.get(&key)) {
-            let rows = self
-                .items
-                .get_mut(&seq)
+        if let Some(&slot) = self.open_batches.get(&due).and_then(|b| b.get(&key)) {
+            let rows = self.items[slot]
+                .as_mut()
                 .expect("open-batch key points at queued work")
                 .rows_mut();
             rows.push(row);
@@ -393,7 +411,7 @@ impl WorkQueue {
                     .remove(&key);
             }
         } else {
-            let seq = self.push(SimTime::from_micros(due), key.open(vec![row]));
+            let slot = self.push(SimTime::from_micros(due), key.open(vec![row]));
             // A cap of 1 is already met on creation: never left open, so
             // no batch ever exceeds the cap.
             if self.max_batch_tuples > 1 {
@@ -401,7 +419,7 @@ impl WorkQueue {
                 self.open_batches
                     .entry(due)
                     .or_insert_with(|| pool.pop().unwrap_or_default())
-                    .insert(key, seq);
+                    .insert(key, slot);
             }
         }
         None
@@ -433,16 +451,12 @@ impl WorkQueue {
 
     /// Pops the queue head if it sorts below `bound`.
     pub(super) fn pop_next(&mut self, bound: Bound) -> Option<WaveItem> {
-        let &Reverse((at, rank, seq)) = self.heap.peek()?;
+        let &Reverse((at, rank, seq, slot)) = self.heap.peek()?;
         if !Self::within(at, rank, seq, bound) {
             return None;
         }
         self.heap.pop();
-        Some((
-            at,
-            seq,
-            self.items.remove(&seq).expect("queued item exists"),
-        ))
+        Some((at, seq, self.take(slot)))
     }
 
     /// Pops the maximal prefix of same-instant, same-rank wave-safe work
@@ -457,24 +471,20 @@ impl WorkQueue {
     /// the wave in order, the pool shards it — so wave (and handshake
     /// batch) composition never depends on the worker count.
     pub(super) fn pop_wave(&mut self, bound: Bound) -> Option<Vec<WaveItem>> {
-        let &Reverse((wave_at, wave_rank, _)) = self.heap.peek()?;
+        let &Reverse((wave_at, wave_rank, ..)) = self.heap.peek()?;
         let mut wave = Vec::new();
         let mut handshakes = false;
-        while let Some(&Reverse((at, rank, seq))) = self.heap.peek() {
+        while let Some(&Reverse((at, rank, seq, slot))) = self.heap.peek() {
             if at != wave_at || rank != wave_rank || !Self::within(at, rank, seq, bound) {
                 break;
             }
-            let work = self.items.get(&seq).expect("queued item exists");
+            let work = self.items[slot].as_ref().expect("queued item exists");
             if !work.wave_safe() {
                 break;
             }
             handshakes |= matches!(work, QueuedWork::Handshake { .. });
             self.heap.pop();
-            wave.push((
-                at,
-                seq,
-                self.items.remove(&seq).expect("queued item exists"),
-            ));
+            wave.push((at, seq, self.take(slot)));
         }
         if wave.is_empty() {
             return None;

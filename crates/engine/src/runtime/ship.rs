@@ -6,16 +6,33 @@ use super::eval::{Effect, PartitionCtx};
 use super::queue::{BatchRow, DeltaBatch, Polarity, QueuedWork, ShipFrame};
 use super::{ix, principal_of, DistributedEngine};
 use crate::config::DEFAULT_RETRANSMIT_RTO_US;
+use crate::hash::FastMap;
 use crate::tuple;
 use pasn_crypto::channel::{ChannelHandshake, ReceiverChannel, SenderChannel};
-use pasn_crypto::says::{tombstone_payloads, SaysLevel};
+use pasn_crypto::says::{tombstone_payloads, SaysLevel, TOMBSTONE_MARKER};
 use pasn_crypto::PrincipalId;
 use pasn_datalog::Value;
 use pasn_net::wire::Frame;
 use pasn_net::{NodeId, SimTime};
 use pasn_trace::{TraceEvent, TraceEventKind};
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The canonical per-tuple payloads a frame's proof is computed (and
+/// checked) over.  Tombstone frames are proved over polarity-marked
+/// payloads (see `pasn_crypto::says::tombstone_payloads`), so a data frame
+/// can never pass as a deletion of the same tuples (and vice versa).
+pub(super) fn frame_payloads(
+    pred_name: &str,
+    rows: &[BatchRow],
+    polarity: Polarity,
+) -> Vec<Vec<u8>> {
+    let encode = |row: &BatchRow| tuple::encode_parts(pred_name, &row.values);
+    let raw: Vec<Vec<u8>> = rows.iter().map(encode).collect();
+    match polarity {
+        Polarity::Assert => raw,
+        Polarity::Retract => tombstone_payloads(&raw),
+    }
+}
 
 impl<'a> PartitionCtx<'a> {
     /// Seals one shipment frame: dedups identical rows, signs the canonical
@@ -40,11 +57,14 @@ impl<'a> PartitionCtx<'a> {
         // distinct supports — and neither are dynamics-run data frames: the
         // deletion ledger counts one support per arriving contribution, so
         // merging two firings' rows into one would leave a tombstone
-        // unmatched later (deletion would over-withdraw).
-        let deduped: Vec<BatchRow> = if polarity == Polarity::Retract || shared.config.dynamics {
+        // unmatched later (deletion would over-withdraw).  A one-row frame
+        // has nothing to dedup.
+        let keep_all = polarity == Polarity::Retract || shared.config.dynamics || rows.len() < 2;
+        let deduped: Vec<BatchRow> = if keep_all {
             rows
         } else {
-            let mut seen: HashMap<Arc<[Value]>, usize> = HashMap::with_capacity(rows.len());
+            let mut seen: FastMap<Arc<[Value]>, usize> =
+                FastMap::with_capacity_and_hasher(rows.len(), Default::default());
             let mut deduped: Vec<BatchRow> = Vec::with_capacity(rows.len());
             for row in rows.drain(..) {
                 match seen.get(&row.values) {
@@ -67,24 +87,16 @@ impl<'a> PartitionCtx<'a> {
         };
 
         let pred_name = shared.symbols.name(pred).expect("interned predicate");
-        let raw: Vec<Vec<u8>> = deduped
-            .iter()
-            .map(|row| tuple::encode_parts(pred_name, &row.values))
-            .collect();
-        // Tombstones are proved over polarity-marked payloads (see
-        // `pasn_crypto::says::tombstone_payloads`).
-        let payloads = match polarity {
-            Polarity::Assert => raw,
-            Polarity::Retract => tombstone_payloads(&raw),
-        };
 
         // One signature covers the whole frame; `signatures` scales with
         // frames shipped, not tuples.  At the `Session` level the per-frame
         // proof is a channel MAC, with the RSA work paid once per link by
         // the key-establishment handshake (`ensure_channel`).
-        let mut wire = match polarity {
-            Polarity::Assert => Frame::new(),
-            Polarity::Retract => Frame::tombstone(),
+        // A tombstone's wire bytes are charged for the polarity-marked
+        // payload its proof covers (see [`frame_payloads`]).
+        let (mut wire, marker_bytes) = match polarity {
+            Polarity::Assert => (Frame::new(), 0),
+            Polarity::Retract => (Frame::tombstone(), TOMBSTONE_MARKER.len()),
         };
         let mut assertion = None;
         let mut sign_cost = 0u64;
@@ -92,6 +104,9 @@ impl<'a> PartitionCtx<'a> {
             if level == SaysLevel::Session {
                 self.ensure_channel(at, dst);
             }
+            // Only a proof needs the rows' bytes; the wire accounting below
+            // needs their length alone.
+            let payloads = frame_payloads(pred_name, &deduped, polarity);
             let authenticator = self
                 .node
                 .authenticator
@@ -132,8 +147,8 @@ impl<'a> PartitionCtx<'a> {
         }
         // Per-tuple payload: the canonical encoding plus the provenance
         // shipping cost (tag, and any piggybacked derivation subtree).
-        for (row, payload) in deduped.iter().zip(&payloads) {
-            let mut tuple_bytes = payload.len();
+        for row in &deduped {
+            let mut tuple_bytes = tuple::encoded_len_parts(pred_name, &row.values) + marker_bytes;
             let tag_bytes = row.tag.wire_size(&*self.var_table);
             self.metrics.provenance_bytes += tag_bytes as u64;
             tuple_bytes += tag_bytes;
@@ -325,8 +340,8 @@ impl<'a> PartitionCtx<'a> {
 /// the link — should it return — rebinds at a fresh epoch: the retired key
 /// stream and its replay counter can never be resumed or replayed.
 fn retire_channel<C>(
-    channels: &mut HashMap<PrincipalId, C>,
-    floors: &mut HashMap<PrincipalId, u32>,
+    channels: &mut FastMap<PrincipalId, C>,
+    floors: &mut FastMap<PrincipalId, u32>,
     peer: PrincipalId,
     epoch_of: impl Fn(&C) -> u32,
     admit: impl Fn(u32) -> bool,

@@ -9,7 +9,7 @@ const REACHABLE: &str = "
 ";
 
 fn str_val(s: &str) -> Value {
-    Value::Str(s.to_string())
+    Value::Str(s.into())
 }
 
 fn figure1_locations() -> Vec<Value> {

@@ -6,10 +6,11 @@
 use super::queue::{Polarity, QueuedWork};
 use super::{DistributedEngine, EngineError, Removal};
 use crate::config::{DEFAULT_RETRANSMIT_RTO_US, DEFAULT_RETRY_BUDGET};
+use crate::hash::FastMap;
 use pasn_net::wire::{Frame, MESSAGE_HEADER_BYTES};
 use pasn_net::{Message, NodeId, SimTime};
 use pasn_trace::TraceEventKind;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// One frame in flight on a faulty link: the queued payload (taken when the
 /// frame is first delivered, so `None` marks delivered-but-unacked) and how
@@ -56,7 +57,7 @@ enum Arrival {
 /// `(src node id, dst node id)`, created on first use.
 #[derive(Default)]
 pub(super) struct LinkTransport {
-    links: HashMap<(u32, u32), LinkState>,
+    links: FastMap<(u32, u32), LinkState>,
 }
 
 impl LinkTransport {
@@ -65,7 +66,7 @@ impl LinkTransport {
     }
 
     /// Frames sent and not yet cumulatively acked, across all links (the
-    /// trace gauge).
+    /// trace gauge; a sum, so the map's order cannot reach it).
     pub(super) fn inflight_frames(&self) -> u64 {
         self.links.values().map(|l| l.inflight.len() as u64).sum()
     }

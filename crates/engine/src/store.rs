@@ -21,12 +21,17 @@
 //!   is a binary search.  A removed row leaves its slot behind, emptied;
 //!   the list is compacted lazily, once more than half its slots are dead.
 //!   Beside the slots a `row → seq` map deduplicates inserts — the only
-//!   other place a row's existence is recorded.
+//!   other place a row's existence is recorded.  Each key carries its hash,
+//!   computed once when the row arrives: a growing table re-files rows by
+//!   that word instead of walking their values (path vectors included).
 //! * **Indexes** — secondary index buckets ([`NodeStore::register_index_id`],
 //!   one per planner `IndexSpec`, a handful per program) hold bare seq ids in
 //!   insertion order — *not* row copies — so `k` indexes cost `8k` bytes per
 //!   tuple rather than `k` more copies of the row.  A relation's indexes are
 //!   a short `Vec`, found by comparing key-column slices.
+//! * **Running gauges** — every table keeps the byte totals behind
+//!   [`NodeStore::store_bytes`] / [`NodeStore::index_bytes`] up to date as
+//!   rows and buckets come and go, so reading them never walks a row.
 //! * **One question** — a join asks the store for the live rows of a
 //!   relation inserted no later than its delta (a prefix of the log), through
 //!   an index when it has a key and one is installed, by walking the slots
@@ -37,12 +42,14 @@
 //!   ([`NodeStore::sync_symbols`]), so the hot path indexes a `Vec` by `u32`
 //!   instead of hashing predicate strings.
 
-use crate::tuple::{self, Tuple};
+use crate::hash::{FastMap, HashedRow, RowKey, RowProbe};
+use crate::tuple::Tuple;
 use pasn_datalog::{PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::ProvTag;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Relations with fewer slots than this never compact: skipping a handful
@@ -125,7 +132,7 @@ type SeqRow<'a> = (u64, &'a Arc<[Value]>, &'a TupleMeta);
 /// The buckets of one hash index: bucket key (the projected values at the
 /// index's key columns) → seq ids of matching rows, in insertion order.
 /// Buckets never copy rows.
-type IndexBuckets = HashMap<Vec<Value>, Vec<u64>>;
+type IndexBuckets = FastMap<RowKey, Vec<u64>>;
 
 /// A secondary hash index over one projection of a relation.
 #[derive(Clone, Debug)]
@@ -144,7 +151,7 @@ struct Table {
     /// Dedup map: row values → seq of the live slot holding them.  Its
     /// length is the live-row count, so `slots.len() - by_row.len()` slots
     /// are dead.
-    by_row: HashMap<Arc<[Value]>, u64>,
+    by_row: FastMap<RowKey, u64>,
     /// Slots walked by compaction rebuilds since the debt was last drained
     /// (see [`NodeStore::take_compaction_debt`]).  Compaction used to run
     /// un-metered, which charged its cost to nobody — harmless on one
@@ -154,18 +161,40 @@ struct Table {
     /// Secondary indexes in registration order: a handful per relation,
     /// found by key-column slice equality.
     indexes: Vec<Index>,
+    /// Running total of [`row_bytes`] over the live rows.
+    row_bytes: usize,
+    /// Running total over every index bucket of its key's encoding plus one
+    /// seq (8 bytes) per entry.
+    index_bytes: usize,
+    /// Reused buffer an index key is projected into, so maintaining an
+    /// index allocates only when a bucket is born.
+    key_scratch: Vec<Value>,
+}
+
+/// Bytes one row's values contribute to a table's store gauge: their
+/// canonical encoding plus the attribute-count prefix.  The predicate-name
+/// prefix is the same for every row of a table and is added per live row
+/// when the gauge is read.
+fn row_bytes(values: &[Value]) -> usize {
+    2 + key_bytes(values)
+}
+
+/// Encoded size of an index bucket's key.
+fn key_bytes(key: &[Value]) -> usize {
+    key.iter().map(Value::encoded_len).sum()
+}
+
+const SEQ_BYTES: usize = std::mem::size_of::<u64>();
+
+/// Projects `values` onto `key_columns` into `key`; false if any column is
+/// out of range (such a row can never match a probe on this index).
+fn project_into(key: &mut Vec<Value>, values: &[Value], key_columns: &[usize]) -> bool {
+    key.clear();
+    key.extend(key_columns.iter().map_while(|&c| values.get(c).cloned()));
+    key.len() == key_columns.len()
 }
 
 impl Table {
-    /// Projects `values` onto `key_columns`; `None` if any column is out of
-    /// range (such a row can never match a probe on this index).
-    fn project(values: &[Value], key_columns: &[usize]) -> Option<Vec<Value>> {
-        key_columns
-            .iter()
-            .map(|&c| values.get(c).cloned())
-            .collect()
-    }
-
     /// The index keyed on exactly `key_columns`, if one is installed.
     fn index_on(&self, key_columns: &[usize]) -> Option<&Index> {
         self.indexes.iter().find(|i| i.key_columns == key_columns)
@@ -188,9 +217,15 @@ impl Table {
         self.slots[at].row.as_mut()
     }
 
+    /// The seq of the live row holding exactly `values`.
+    fn seq_of(&self, values: &[Value]) -> Option<u64> {
+        let probe = RowProbe::new(values);
+        self.by_row.get(&probe as &dyn HashedRow).copied()
+    }
+
     /// The live row holding exactly `values`, with its seq.
     fn row_of_mut(&mut self, values: &[Value]) -> Option<(u64, &mut StoredRow)> {
-        let seq = *self.by_row.get(values)?;
+        let seq = self.seq_of(values)?;
         Some((seq, self.row_mut(seq)?))
     }
 
@@ -203,35 +238,53 @@ impl Table {
             .filter_map(|slot| Some((slot.seq, slot.row.as_ref()?)))
     }
 
-    /// Adds a freshly inserted row's seq to every index.
+    /// Adds a row's seq to every index, at the back of its bucket.
     fn index_insert(&mut self, seq: u64, values: &[Value]) {
+        let key = &mut self.key_scratch;
         for index in &mut self.indexes {
-            if let Some(key) = Self::project(values, &index.key_columns) {
-                index.buckets.entry(key).or_default().push(seq);
+            if !project_into(key, values, &index.key_columns) {
+                continue;
+            }
+            self.index_bytes += SEQ_BYTES;
+            let probe = RowProbe::new(key);
+            match index.buckets.get_mut(&probe as &dyn HashedRow) {
+                Some(bucket) => bucket.push(seq),
+                None => {
+                    self.index_bytes += key_bytes(key);
+                    index.buckets.insert(probe.to_key(), vec![seq]);
+                }
             }
         }
     }
 
     /// Removes a row's seq from every index.
     fn index_remove(&mut self, seq: u64, values: &[Value]) {
+        let key = &mut self.key_scratch;
         for index in &mut self.indexes {
-            if let Some(key) = Self::project(values, &index.key_columns) {
-                if let Some(bucket) = index.buckets.get_mut(&key) {
-                    bucket.retain(|&s| s != seq);
-                    if bucket.is_empty() {
-                        index.buckets.remove(&key);
-                    }
+            if !project_into(key, values, &index.key_columns) {
+                continue;
+            }
+            let probe = &RowProbe::new(key) as &dyn HashedRow;
+            if let Some(bucket) = index.buckets.get_mut(probe) {
+                let before = bucket.len();
+                bucket.retain(|&s| s != seq);
+                self.index_bytes -= (before - bucket.len()) * SEQ_BYTES;
+                if bucket.is_empty() {
+                    index.buckets.remove(probe);
+                    self.index_bytes -= key_bytes(key);
                 }
             }
         }
     }
 
-    /// Removes the row behind a known seq (no row re-hash), keeping the
-    /// dedup map, the indexes and the slot list consistent.
+    /// Removes the row behind a known seq, keeping the dedup map, the
+    /// indexes, the gauges and the slot list consistent.
     fn take_by_seq(&mut self, seq: u64) -> Option<StoredRow> {
         let at = self.slot_at(seq)?;
         let row = self.slots[at].row.take()?;
-        self.by_row.remove(&row.values[..]);
+        self.by_row
+            .remove(&RowProbe::new(&row.values) as &dyn HashedRow);
+        self.row_bytes -= row_bytes(&row.values);
         self.index_remove(seq, &row.values);
         // Lazy compaction: once more than half the slots are dead, drop
         // them (order-preserving, O(len), amortised O(1)).  Small lists are
@@ -250,14 +303,15 @@ impl Table {
         Some(row)
     }
 
-    /// Inserts one shared row, deduplicating against the row→seq map before
-    /// any index or slot work: a duplicate merges its provenance tag via
-    /// `combine` and refreshes the soft-state lifetime instead of storing a
-    /// copy.  `next_seq` is the store-wide insertion counter, advanced only
-    /// for genuinely new rows.  Returns the outcome together with the seq of
-    /// the live row now holding `values` (fresh for new rows, the original
-    /// insertion's for duplicates) and — when the row's TTL was newly set or
-    /// extended — the expiry instant the store's min-heap must learn about.
+    /// Inserts one shared row, deduplicating through one `entry` of the
+    /// row→seq map before any index or slot work: a duplicate merges its
+    /// provenance tag via `combine` and refreshes the soft-state lifetime
+    /// instead of storing a copy.  `next_seq` is the store-wide insertion
+    /// counter, advanced only for genuinely new rows.  Returns the outcome
+    /// together with the seq of the live row now holding `values` (fresh for
+    /// new rows, the original insertion's for duplicates) and — when the
+    /// row's TTL was newly set or extended — the expiry instant the store's
+    /// min-heap must learn about.
     fn insert_one<F>(
         &mut self,
         next_seq: &mut u64,
@@ -268,30 +322,32 @@ impl Table {
     where
         F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
     {
-        match self.row_of_mut(&values) {
-            None => {
+        let seq = match self.by_row.entry(RowKey::new(values)) {
+            Entry::Vacant(vacant) => {
                 let seq = *next_seq;
                 *next_seq += 1;
+                let values = vacant.key().row().clone();
+                vacant.insert(seq);
                 let expires = meta.expires_at;
-                self.by_row.insert(values.clone(), seq);
+                self.row_bytes += row_bytes(&values);
                 self.index_insert(seq, &values);
                 let row = Some(StoredRow { values, meta });
                 self.slots.push(Slot { seq, row });
-                (InsertOutcome::New, seq, expires)
+                return (InsertOutcome::New, seq, expires);
             }
-            Some((seq, existing)) => {
-                let merged = combine(&existing.meta.tag, &meta.tag);
-                // A re-derivation refreshes the soft-state lifetime.
-                let bumped = existing.meta.extend_ttl(meta.expires_at);
-                let outcome = if merged != existing.meta.tag {
-                    existing.meta.tag = merged;
-                    InsertOutcome::MergedTag
-                } else {
-                    InsertOutcome::Duplicate
-                };
-                (outcome, seq, bumped)
-            }
-        }
+            Entry::Occupied(occupied) => *occupied.get(),
+        };
+        let existing = self.row_mut(seq).expect("dedup entries point at live rows");
+        let merged = combine(&existing.meta.tag, &meta.tag);
+        // A re-derivation refreshes the soft-state lifetime.
+        let bumped = existing.meta.extend_ttl(meta.expires_at);
+        let outcome = if merged != existing.meta.tag {
+            existing.meta.tag = merged;
+            InsertOutcome::MergedTag
+        } else {
+            InsertOutcome::Duplicate
+        };
+        (outcome, seq, bumped)
     }
 }
 
@@ -438,12 +494,19 @@ impl NodeStore {
         if table.index_on(key_columns).is_some() {
             return;
         }
-        let mut buckets: IndexBuckets = HashMap::new();
+        let mut buckets = IndexBuckets::default();
+        let (mut key, mut bytes) = (Vec::new(), 0);
         for (seq, row) in table.live() {
-            if let Some(key) = Table::project(&row.values, key_columns) {
-                buckets.entry(key).or_default().push(seq);
+            if project_into(&mut key, &row.values, key_columns) {
+                let bucket = buckets.entry(RowProbe::new(&key).to_key()).or_default();
+                if bucket.is_empty() {
+                    bytes += key_bytes(&key);
+                }
+                bucket.push(seq);
+                bytes += SEQ_BYTES;
             }
         }
+        table.index_bytes += bytes;
         table.indexes.push(Index {
             key_columns: key_columns.to_vec(),
             buckets,
@@ -467,7 +530,8 @@ impl NodeStore {
     ) -> Candidates<'_> {
         let table = self.table(pred);
         let indexed = |(columns, key): (&[usize], &[Value])| {
-            let bucket = table?.index_on(columns)?.buckets.get(key);
+            let probe = &RowProbe::new(key) as &dyn HashedRow;
+            let bucket = table?.index_on(columns)?.buckets.get(probe);
             Some(Source::Bucket(
                 bucket.map_or(&[][..], Vec::as_slice).iter(),
                 table?,
@@ -509,75 +573,35 @@ impl NodeStore {
     /// Inserts a shared row under an interned predicate.  If an identical
     /// row already exists, provenance tags are combined with the semiring
     /// `+` via `combine` (alternative derivations of the same tuple).
+    /// Returns the outcome and the seq of the live row now holding the
+    /// values (fresh for a new row, the original insertion's for a
+    /// duplicate).  The evaluator caps each delta's joins at its seq, which
+    /// keeps batched joins exactly tuple-at-a-time-visible: a delta never
+    /// joins a batch sibling inserted after it.
     pub fn insert_row<F>(
         &mut self,
         pred: PredId,
         values: Arc<[Value]>,
         meta: TupleMeta,
         combine: F,
-    ) -> InsertOutcome
+    ) -> (InsertOutcome, u64)
     where
         F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
     {
         self.ensure_table(pred);
-        let NodeStore {
-            tables,
-            next_seq,
-            expiry_heap,
-            ..
-        } = self;
-        let (outcome, seq, expires) =
-            tables[pred.index()].insert_one(next_seq, values, meta, combine);
+        let table = &mut self.tables[pred.index()];
+        let (outcome, seq, expires) = table.insert_one(&mut self.next_seq, values, meta, combine);
         if let Some(at) = expires {
-            expiry_heap.push(Reverse((at.as_micros(), pred.index() as u32, seq)));
+            let entry = (at.as_micros(), pred.index() as u32, seq);
+            self.expiry_heap.push(Reverse(entry));
         }
-        outcome
-    }
-
-    /// Batch-inserts shared rows under one interned predicate: the table is
-    /// resolved once per batch instead of once per row, and every row is
-    /// deduplicated against the row→seq map before any index, slot or
-    /// provenance-merge work.  Returns one `(outcome, seq)` per row, in
-    /// input order — the seq identifies the live row now holding the values
-    /// (fresh for new rows), which the evaluator uses to keep batched joins
-    /// exactly tuple-at-a-time-visible (a delta never joins a batch sibling
-    /// inserted after it).  A duplicate *within* the batch behaves exactly
-    /// like a duplicate across batches (tags merge via `combine`, TTLs
-    /// refresh, no copy is stored).
-    pub fn insert_rows<F>(
-        &mut self,
-        pred: PredId,
-        rows: Vec<(Arc<[Value]>, TupleMeta)>,
-        mut combine: F,
-    ) -> Vec<(InsertOutcome, u64)>
-    where
-        F: FnMut(&ProvTag, &ProvTag) -> ProvTag,
-    {
-        self.ensure_table(pred);
-        let NodeStore {
-            tables,
-            next_seq,
-            expiry_heap,
-            ..
-        } = self;
-        let table = &mut tables[pred.index()];
-        rows.into_iter()
-            .map(|(values, meta)| {
-                let (outcome, seq, expires) =
-                    table.insert_one(next_seq, values, meta, &mut combine);
-                if let Some(at) = expires {
-                    expiry_heap.push(Reverse((at.as_micros(), pred.index() as u32, seq)));
-                }
-                (outcome, seq)
-            })
-            .collect()
+        (outcome, seq)
     }
 
     /// Looks up the metadata of an exact row.
     pub fn meta_of(&self, pred: PredId, values: &[Value]) -> Option<&TupleMeta> {
         let table = self.table(pred)?;
-        let seq = table.by_row.get(values)?;
-        table.row(*seq).map(|row| &row.meta)
+        table.row(table.seq_of(values)?).map(|row| &row.meta)
     }
 
     /// The insertion seq of the live row holding `values`, if present — the
@@ -585,7 +609,7 @@ impl NodeStore {
     /// re-inserted row gets a fresh seq, so stale records never attach to a
     /// new incarnation).
     pub fn seq_of(&self, pred: PredId, values: &[Value]) -> Option<u64> {
-        self.table(pred)?.by_row.get(values).copied()
+        self.table(pred)?.seq_of(values)
     }
 
     /// The live row behind a known seq, if any.
@@ -672,18 +696,15 @@ impl NodeStore {
     /// Bytes of tuple data proper: the canonical encoding of every stored
     /// row (each row is charged once — indexes share it by reference) plus
     /// one seq (8 bytes) per slot, live or dead, carrying the insertion
-    /// order.
+    /// order.  Read off the tables' running totals.
     pub fn store_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .enumerate()
+        let tables = self.tables.iter().enumerate();
+        tables
             .map(|(i, table)| {
                 let name = self.preds.name(PredId(i as u32)).unwrap_or("");
-                table
-                    .live()
-                    .map(|(_, row)| tuple::encoded_len_parts(name, &row.values))
-                    .sum::<usize>()
-                    + table.slots.len() * std::mem::size_of::<u64>()
+                table.row_bytes
+                    + table.by_row.len() * (2 + name.len())
+                    + table.slots.len() * SEQ_BYTES
             })
             .sum()
     }
@@ -691,22 +712,9 @@ impl NodeStore {
     /// Bytes of secondary-index overhead: every bucket's key encoding plus
     /// one seq id (8 bytes) per bucket entry — the honest cost of the
     /// seq-addressed layout, where buckets reference rows instead of
-    /// copying them.
+    /// copying them.  Read off the tables' running totals.
     pub fn index_bytes(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|table| {
-                table
-                    .indexes
-                    .iter()
-                    .flat_map(|index| index.buckets.iter())
-                    .map(|(key, bucket)| {
-                        key.iter().map(Value::encoded_len).sum::<usize>()
-                            + bucket.len() * std::mem::size_of::<u64>()
-                    })
-                    .sum::<usize>()
-            })
-            .sum()
+        self.tables.iter().map(|table| table.index_bytes).sum()
     }
 
     // ---- expiry ----------------------------------------------------------
@@ -772,8 +780,9 @@ impl NodeStore {
     /// soft-state row is covered by the expiry heap, and every secondary
     /// index — at most one per key-column set — holds each live row's seq
     /// exactly once in the right bucket, in insertion order, with no row
-    /// copies and no empty buckets retained.  Returns a description of the
-    /// first inconsistency found.
+    /// copies and no empty buckets retained — and the running byte gauges
+    /// equal a from-scratch recount.  Returns a description of the first
+    /// inconsistency found.
     pub fn check_index_consistency(&self) -> Result<(), String> {
         for (i, table) in self.tables.iter().enumerate() {
             let pred = self.preds.name(PredId(i as u32)).unwrap_or("?");
@@ -790,10 +799,11 @@ impl NodeStore {
                     table.by_row.len()
                 ));
             }
-            for (values, seq) in &table.by_row {
+            for (key, seq) in &table.by_row {
+                let values = key.row();
                 match table.row(*seq) {
                     None => return Err(format!("{pred}: dedup entry {values:?} has no row")),
-                    Some(row) if row.values != *values => {
+                    Some(row) if row.values != *values || *key != RowKey::new(values.clone()) => {
                         return Err(format!("{pred}: dedup entry {values:?} maps to wrong row"))
                     }
                     Some(_) => {}
@@ -825,8 +835,16 @@ impl NodeStore {
                     }
                 }
             }
+            let recount: usize = table.live().map(|(_, row)| row_bytes(&row.values)).sum();
+            if recount != table.row_bytes {
+                let kept = table.row_bytes;
+                return Err(format!(
+                    "{pred}: row gauge holds {kept} B, rows hold {recount} B"
+                ));
+            }
             // Indexes: one per key-column set; seq ids only, right bucket,
             // insertion order, complete.
+            let (mut projected, mut index_recount) = (Vec::new(), 0);
             for (n, index) in table.indexes.iter().enumerate() {
                 let key_columns = &index.key_columns;
                 if table.indexes[..n]
@@ -836,16 +854,20 @@ impl NodeStore {
                     return Err(format!("{pred}: two indexes on {key_columns:?}"));
                 }
                 let mut indexed = 0usize;
-                for (key, bucket) in &index.buckets {
+                for (entry, bucket) in &index.buckets {
+                    let key = &entry.row()[..];
                     if bucket.is_empty() {
                         return Err(format!("{pred}: empty bucket retained for key {key:?}"));
                     }
+                    index_recount += key_bytes(key) + bucket.len() * SEQ_BYTES;
                     let mut last_seq = None;
                     for seq in bucket {
                         let row = table.row(*seq).ok_or_else(|| {
                             format!("{pred}: index entry seq {seq} has no backing row")
                         })?;
-                        if Table::project(&row.values, key_columns).as_deref() != Some(&key[..]) {
+                        if !project_into(&mut projected, &row.values, key_columns)
+                            || *entry != RowProbe::new(&projected).to_key()
+                        {
                             return Err(format!(
                                 "{pred}: row {:?} filed under wrong key {key:?}",
                                 row.values
@@ -862,15 +884,19 @@ impl NodeStore {
                         indexed += 1;
                     }
                 }
-                let expected = table
-                    .live()
-                    .filter(|(_, row)| Table::project(&row.values, key_columns).is_some())
-                    .count();
+                let in_range = |row: &StoredRow| key_columns.iter().all(|&c| c < row.values.len());
+                let expected = table.live().filter(|(_, row)| in_range(row)).count();
                 if indexed != expected {
                     return Err(format!(
                         "{pred}: index on {key_columns:?} holds {indexed} rows, table holds {expected}"
                     ));
                 }
+            }
+            if index_recount != table.index_bytes {
+                let kept = table.index_bytes;
+                return Err(format!(
+                    "{pred}: index gauge holds {kept} B, buckets hold {index_recount} B"
+                ));
             }
         }
         Ok(())
@@ -902,7 +928,8 @@ mod tests {
         F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
     {
         let pred = store.intern(&t.predicate);
-        store.insert_row(pred, Arc::from(t.values.as_slice()), meta, combine)
+        let (outcome, _) = store.insert_row(pred, Arc::from(t.values.as_slice()), meta, combine);
+        outcome
     }
 
     /// Inserts `t` untagged with an optional TTL, keeping the stored tag on
@@ -996,7 +1023,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_insert_matches_row_at_a_time_semantics() {
+    fn insert_reports_the_seq_of_the_live_row() {
         let combine = |a: &ProvTag, b: &ProvTag| {
             if let (ProvTag::Trust(x), ProvTag::Trust(y)) = (a, b) {
                 ProvTag::Trust(TrustLevel(x.0.max(y.0)))
@@ -1004,61 +1031,41 @@ mod tests {
                 a.clone()
             }
         };
-        let mut batched = NodeStore::new();
-        let pred = batched.intern("link");
-        batched.register_index_id(pred, &[0]);
-        let rows: Vec<(Arc<[Value]>, TupleMeta)> = [
+        let mut store = NodeStore::new();
+        let pred = store.intern("link");
+        store.register_index_id(pred, &[0]);
+        let outcomes: Vec<(InsertOutcome, u64)> = [
             (link(0, 1), 1u8),
             (link(0, 2), 1),
-            (link(0, 1), 3), // in-batch duplicate: merges, does not copy
+            (link(0, 1), 3), // a duplicate merges, does not copy
             (link(1, 2), 1),
         ]
         .into_iter()
         .map(|(t, trust)| {
-            (
-                Arc::from(t.values.as_slice()),
-                meta(ProvTag::Trust(TrustLevel(trust)), None),
-            )
+            let meta = meta(ProvTag::Trust(TrustLevel(trust)), None);
+            store.insert_row(pred, Arc::from(t.values.as_slice()), meta, combine)
         })
         .collect();
-        let outcomes = batched.insert_rows(pred, rows.clone(), combine);
         assert_eq!(
             outcomes,
             vec![
                 (InsertOutcome::New, 0),
                 (InsertOutcome::New, 1),
-                // The in-batch duplicate merges into (and reports) row 0.
+                // The duplicate merges into (and reports) row 0.
                 (InsertOutcome::MergedTag, 0),
                 (InsertOutcome::New, 2)
             ]
         );
-
-        // One row at a time produces the identical store.
-        let mut serial = NodeStore::new();
-        let pred_s = serial.intern("link");
-        serial.register_index_id(pred_s, &[0]);
-        let serial_outcomes: Vec<InsertOutcome> = rows
-            .into_iter()
-            .map(|(values, m)| serial.insert_row(pred_s, values, m, combine))
-            .collect();
+        assert_eq!(store.total_tuples(), 3);
         assert_eq!(
-            outcomes
-                .iter()
-                .map(|(outcome, _)| *outcome)
-                .collect::<Vec<_>>(),
-            serial_outcomes
-        );
-        assert_eq!(batched.total_tuples(), serial.total_tuples());
-        assert_eq!(
-            get(&batched, &link(0, 1)).unwrap().tag,
+            get(&store, &link(0, 1)).unwrap().tag,
             ProvTag::Trust(TrustLevel(3))
         );
         assert_eq!(
-            ordered(&batched, "link"),
+            ordered(&store, "link"),
             vec![link(0, 1), link(0, 2), link(1, 2)]
         );
-        batched.check_index_consistency().unwrap();
-        serial.check_index_consistency().unwrap();
+        store.check_index_consistency().unwrap();
     }
 
     #[test]
@@ -1374,7 +1381,7 @@ mod tests {
         assert_eq!(
             store.insert_row(link_id, row.clone(), meta(ProvTag::None, None), |a, _| a
                 .clone()),
-            InsertOutcome::New
+            (InsertOutcome::New, 0)
         );
         assert!(store.meta_of(link_id, &row).is_some());
         assert_eq!(store.scan_ordered_rows(link_id).count(), 1);

@@ -111,6 +111,11 @@ impl Tuple {
         let count_raw: [u8; 2] = bytes.get(offset..offset + 2)?.try_into().ok()?;
         let count = u16::from_be_bytes(count_raw) as usize;
         offset += 2;
+        // Every value encodes to at least two bytes: a count the remaining
+        // input cannot hold is refused before anything is reserved for it.
+        if count > (bytes.len() - offset) / 2 {
+            return None;
+        }
         let mut values = Vec::with_capacity(count);
         for _ in 0..count {
             let (v, used) = Value::decode(&bytes[offset..])?;
@@ -144,7 +149,7 @@ mod tests {
             vec![
                 Value::Addr(0),
                 Value::Addr(3),
-                Value::List(vec![Value::Addr(0), Value::Addr(1), Value::Addr(3)]),
+                Value::List(vec![Value::Addr(0), Value::Addr(1), Value::Addr(3)].into()),
                 Value::Int(7),
             ],
         )
@@ -177,6 +182,22 @@ mod tests {
         for cut in [0usize, 1, 3, bytes.len() - 1] {
             assert!(Tuple::decode(&bytes[..cut]).is_none(), "cut at {cut}");
         }
+        // Attacker-chosen lengths inside a well-formed tuple frame: a list
+        // claiming 2^32 - 1 items (this used to abort on the reservation), a
+        // tuple claiming more values than bytes remain, and list tags nested
+        // far past the decoder's depth bound.
+        let frame = |count: u16, body: &[u8]| {
+            let mut bytes = vec![0, 1, b'p'];
+            bytes.extend_from_slice(&count.to_be_bytes());
+            bytes.extend_from_slice(body);
+            bytes
+        };
+        assert!(Tuple::decode(&frame(1, &[4, 0xff, 0xff, 0xff, 0xff])).is_none());
+        assert!(Tuple::decode(&frame(u16::MAX, &[2, 1])).is_none());
+        let mut nested = [4u8, 0, 0, 0, 1].repeat(100_000);
+        nested.extend_from_slice(&[2, 1]);
+        assert!(Tuple::decode(&frame(1, &nested)).is_none());
+        assert!(Tuple::decode(&frame(1, &[2, 1])).is_some());
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub const REACHABLE: &str = "
 pub const NODES: [&str; 4] = ["a", "b", "c", "d"];
 
 pub fn str_val(s: &str) -> Value {
-    Value::Str(s.to_string())
+    Value::Str(s.into())
 }
 
 /// The location values of [`NODES`].

@@ -17,7 +17,7 @@ const REACHABLE: &str = "
 ";
 
 fn str_val(s: &str) -> Value {
-    Value::Str(s.to_string())
+    Value::Str(s.into())
 }
 
 /// The paper's Figure 1 deployment (`a → b → c`, `a → c`) with a given

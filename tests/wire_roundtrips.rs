@@ -17,7 +17,7 @@ fn scalar_value() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         any::<bool>().prop_map(Value::Bool),
         any::<u32>().prop_map(Value::Addr),
-        "[a-zA-Z0-9_.:@-]{0,24}".prop_map(Value::Str),
+        "[a-zA-Z0-9_.:@-]{0,24}".prop_map(|s| Value::Str(s.into())),
     ]
 }
 
@@ -26,7 +26,7 @@ fn scalar_value() -> impl Strategy<Value = Value> {
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         scalar_value(),
-        prop::collection::vec(scalar_value(), 0..6).prop_map(Value::List),
+        prop::collection::vec(scalar_value(), 0..6).prop_map(|items| Value::List(items.into())),
     ]
 }
 
