@@ -766,6 +766,16 @@ fn check_points(points: &[Point]) {
             p.peak_store_bytes + p.peak_index_bytes < 150_000,
             "streaming peak memory must stay within the pinned budget"
         );
+        // The same bound for the deletion ledgers: they hold the firings
+        // of the live generations, not of every derivation ever made.
+        // Measured 2,640 (three live generations x 880 firings, every dead
+        // generation's log dropped whole) at both 50 and 500 clusters; the
+        // budget leaves room for a fourth and fifth live generation, not for
+        // history.
+        assert!(
+            0 < p.peak_ledger_firings && p.peak_ledger_firings <= 2 * 2_640,
+            "streaming peak ledger size must stay within twice the live generations' firings"
+        );
     }
 
     let expiry = find(points, "sustained_expiry_churn");

@@ -30,6 +30,21 @@
 //! retraction wave drains: tuples not reachable from base support through
 //! alive firings are garbage-collected (see
 //! `DistributedEngine::well_founded_sweep`).
+//!
+//! The firing log is a log *suffix*, not a history: once a retraction
+//! cascade has settled, the only firings that can affect a future
+//! reconciliation are the alive ones (the log-suffix observation of
+//! log-based reconciliation), so [`Ledger::reclaim`] drops the log and both
+//! its indexes as soon as none of a node's firings is alive — a dead
+//! generation's memory goes back whole.  A node that keeps some firing
+//! alive keeps its dead records too until the last one dies (compacting a
+//! half-dead log in place is an open `ROADMAP.md` item, waiting for a
+//! workload that measures it).  Dropping the log restarts firing ids at
+//! zero, and a cascade carries raw ids across its steps (`settle_removed`
+//! → `silence_upstream` → `settle_agg_kill`), so it never runs inside one:
+//! the engine reclaims, at the nodes a work item killed at, only after
+//! that work item has finished.  `retracted` (the `rederivations`
+//! counter's memory) and the provenance archives stay history by design.
 
 use crate::hash::{FastMap, FastSet};
 use crate::tuple::Tuple;
@@ -272,6 +287,7 @@ pub(crate) struct AggFiring {
 pub(crate) struct FiringRecord {
     /// False once any antecedent died (each firing contributes — and is
     /// withdrawn — exactly once, however many of its antecedents die).
+    /// Cleared through [`Ledger::kill`] only, which counts the dead.
     pub alive: bool,
     /// Node the head tuple was routed to.
     pub dest: NodeId,
@@ -299,7 +315,9 @@ pub(crate) struct FiringRecord {
 /// only when dynamics are enabled — static runs pay nothing.
 #[derive(Default)]
 pub(crate) struct Ledger {
-    /// All recorded firings, in firing order.
+    /// Recorded firings in firing order, alive and dead, since the log was
+    /// last dropped by [`Ledger::reclaim`].  An index into this list is
+    /// valid only until the next `reclaim`.
     pub firings: Vec<FiringRecord>,
     /// Firings by antecedent seq (a seq appears once per occurrence, so a
     /// self-join lists its firing twice; the `alive` flag dedups the kill).
@@ -313,19 +331,92 @@ pub(crate) struct Ledger {
     pub supports: FastMap<u64, SupportEntry>,
     /// Rows ever retracted at this node, for the `rederivations` counter.
     pub retracted: FastSet<BaseRow>,
+    /// How many of `firings` are dead ([`Ledger::kill`] counts them).
+    dead: usize,
 }
 
 impl Ledger {
     /// Appends one firing to the log and indexes it by every antecedent seq
     /// and by its head.
     pub fn record_firing(&mut self, firing: FiringRecord) {
-        let idx = self.firings.len() as u32;
+        let idx = u32::try_from(self.firings.len())
+            .expect("a node records fewer than u32::MAX firings between two drops of its log");
         for seq in &firing.antecedents {
             self.by_antecedent.entry(*seq).or_default().push(idx);
         }
         let head = (firing.dest, firing.pred, firing.values.clone());
         self.by_head.entry(head).or_default().push(idx);
         self.firings.push(firing);
+    }
+
+    /// Marks firing `idx` dead; false if it already was.  The only place a
+    /// firing dies, so the dead count stays exact.
+    pub fn kill(&mut self, idx: u32) -> bool {
+        let firing = &mut self.firings[idx as usize];
+        let was_alive = std::mem::replace(&mut firing.alive, false);
+        self.dead += usize::from(was_alive);
+        was_alive
+    }
+
+    /// Forgets a fully dead log: with no firing alive, the log and both
+    /// indexes are dropped outright, and an emptied `supports` map goes back
+    /// to the allocator too.  True if the log was dropped — firing ids then
+    /// restart at zero, so callers must hold none (see the module docs).
+    pub fn reclaim(&mut self) -> bool {
+        if self.supports.is_empty() {
+            self.supports = FastMap::default();
+        }
+        let drop_log = self.dead > 0 && self.dead == self.firings.len();
+        if drop_log {
+            self.firings = Vec::new();
+            self.by_antecedent = FastMap::default();
+            self.by_head = FastMap::default();
+            self.dead = 0;
+        }
+        drop_log
+    }
+
+    /// Verifies the ledger's internal references: the dead count equals a
+    /// recount; every index list is non-empty and names in-range firings
+    /// that really list that antecedent seq / carry that head; and every
+    /// alive firing is indexed under each of its antecedents (once per
+    /// occurrence) and its head, with a support entry behind each
+    /// antecedent.  Returns a description of the first inconsistency.
+    pub fn check_consistency(&self) -> Result<(), String> {
+        let dead = self.firings.iter().filter(|f| !f.alive).count();
+        if dead != self.dead {
+            return Err(format!("dead count {} but {dead} dead firings", self.dead));
+        }
+        type Keyed<'a> = &'a dyn Fn(&FiringRecord) -> bool;
+        let check_list = |key: &dyn std::fmt::Debug, ids: &Vec<u32>, keyed: Keyed| {
+            let firing = |&idx: &u32| self.firings.get(idx as usize);
+            let sound = !ids.is_empty() && ids.iter().all(|idx| firing(idx).is_some_and(keyed));
+            let why = || format!("list of {key:?} is empty or names a firing without it: {ids:?}");
+            sound.then_some(()).ok_or_else(why)
+        };
+        for (seq, ids) in &self.by_antecedent {
+            check_list(seq, ids, &|f| f.antecedents.contains(seq))?;
+        }
+        for (head, ids) in &self.by_head {
+            check_list(head, ids, &|f| {
+                (f.dest, f.pred, &f.values) == (head.0, head.1, &head.2)
+            })?;
+        }
+        for (idx, f) in self.firings.iter().enumerate().filter(|(_, f)| f.alive) {
+            let listed = |ids: Option<&Vec<u32>>| {
+                ids.map_or(0, |ids| ids.iter().filter(|&&i| i as usize == idx).count())
+            };
+            let supported = f.antecedents.iter().all(|seq| {
+                let occurrences = f.antecedents.iter().filter(|a| *a == seq).count();
+                self.supports.contains_key(seq)
+                    && listed(self.by_antecedent.get(seq)) == occurrences
+            });
+            let head = (f.dest, f.pred, f.values.clone());
+            if !supported || listed(self.by_head.get(&head)) != 1 {
+                return Err(format!("alive firing {idx} is mis-indexed or unsupported"));
+            }
+        }
+        Ok(())
     }
 
     /// Records one arriving contribution for the row at `seq`.
@@ -391,6 +482,68 @@ mod tests {
         assert!(matches!(script.events()[5].1, ChurnEvent::LinkCut { .. }));
         assert!(matches!(script.events()[6].1, ChurnEvent::NodeCrash { .. }));
         assert!(ChurnScript::new().is_empty());
+    }
+
+    /// A ledger of `n` firings: firing `i` (remembered in its
+    /// `location_index`) joins rows `i / 2` and `1000 + i % 4` into one of
+    /// 16 heads, so every index list is shared.
+    fn ledger_of(n: usize) -> Ledger {
+        let mut ledger = Ledger::default();
+        for i in 0..n {
+            let antecedents = vec![i as u64 / 2, 1000 + i as u64 % 4];
+            for seq in &antecedents {
+                ledger.record_arrival(*seq, PredId(0), true, ProvTag::None, None);
+            }
+            ledger.record_firing(FiringRecord {
+                alive: true,
+                dest: NodeId(0),
+                pred: PredId(1),
+                values: Arc::from(vec![Value::Int(i as i64 % 16)]),
+                tag: ProvTag::None,
+                location_index: Some(i),
+                antecedents,
+                agg: None,
+            });
+        }
+        ledger
+    }
+
+    #[test]
+    fn reclaim_drops_a_dead_ledger_whole_and_nothing_before() {
+        let mut ledger = ledger_of(128);
+        ledger.check_consistency().unwrap();
+        // A scattered two thirds dead: the log stays, ids and lists as they
+        // were.
+        assert!((0..128).filter(|i| i % 3 != 0).all(|i| ledger.kill(i)));
+        assert!(!ledger.kill(1), "a firing dies once");
+        assert!(!ledger.reclaim());
+        ledger.check_consistency().unwrap();
+        let built = |f: &FiringRecord| f.location_index.unwrap();
+        assert!(ledger.firings.iter().map(built).eq(0..128));
+        assert_eq!(
+            ledger.by_antecedent[&1000],
+            (0..128).step_by(4).collect::<Vec<u32>>()
+        );
+        // Nothing alive: the log and its indexes are dropped outright, and
+        // an emptied `supports` with them.
+        assert!((0..128).step_by(3).all(|i| ledger.kill(i)));
+        ledger.supports.clear();
+        assert!(ledger.reclaim());
+        ledger.check_consistency().unwrap();
+        assert_eq!(ledger.firings.capacity(), 0);
+        assert_eq!(
+            ledger.by_antecedent.capacity() + ledger.by_head.capacity(),
+            0
+        );
+        assert_eq!(ledger.supports.capacity(), 0);
+        assert!(!ledger.reclaim(), "an empty log has nothing to drop");
+        // The next firing starts the ids over.
+        ledger.record_arrival(7, PredId(0), true, ProvTag::None, None);
+        let mut next = ledger_of(1).firings.pop().unwrap();
+        next.antecedents = vec![7];
+        ledger.record_firing(next);
+        ledger.check_consistency().unwrap();
+        assert_eq!(ledger.by_antecedent[&7], [0]);
     }
 
     #[test]

@@ -39,10 +39,13 @@
 //!   removed with its recorded firings replayed as deletions (signed
 //!   tombstone frames across nodes).  Cyclic self-support left behind by
 //!   recursive rules is garbage-collected by a well-founded reconciliation
-//!   sweep when a retraction wave drains.  Pipelined `a_MIN`/`a_MAX`
-//!   aggregate *state* is not rolled back on deletion — a churned run may
-//!   keep a stale best until a better value is re-derived (the known
-//!   DRed-style limitation; see `ROADMAP.md`).
+//!   sweep when a retraction wave drains.  The ledger keeps a log *suffix*,
+//!   not a history: a node none of whose firings is alive any more drops
+//!   its log between work items (see [`dynamics`]), so a dead generation
+//!   leaves nothing behind.
+//!   Pipelined `a_MIN`/`a_MAX` aggregate *state* is not rolled back on
+//!   deletion — a churned run may keep a stale best until a better value is
+//!   re-derived (the known DRed-style limitation; see `ROADMAP.md`).
 //! * Batched evaluation (`EngineConfig::batch_window_us > 0`) keeps joins
 //!   exactly tuple-at-a-time-visible via per-row insertion seqs, so monotone
 //!   rules derive identically under any batch split; pipelined Min/Max

@@ -190,6 +190,13 @@ run_metrics! {
     /// [`RunMetrics::bytes_per_tuple`] on generational workloads whose
     /// final store is empty.
     peak_tuples: u64, Max, Schedule;
+    /// High-water mark of the deletion ledgers' firing logs (recorded
+    /// firings, alive or dead, summed over nodes), sampled alongside
+    /// [`RunMetrics::peak_store_bytes`].  A node drops its log once none of
+    /// its firings is alive, so on generational workloads this follows the
+    /// live generations, whatever the run's history.  A length, not a
+    /// capacity, so it repeats exactly.
+    peak_ledger_firings: u64, Max, Schedule;
     /// Seq-list entries walked by lazy store-compaction rebuilds across all
     /// nodes — the total deferred-maintenance work the run paid for (charged
     /// to node CPU lanes at `compact_entry_us` per entry).  Under sustained

@@ -67,6 +67,9 @@ pub(super) struct DeletionState {
     /// Set when any row was removed; cleared by the well-founded sweep that
     /// runs when the queue drains (recursive self-support cleanup).
     needs_sweep: bool,
+    /// Nodes whose ledger lost rows or firings during the current work
+    /// item; reclaimed once it finishes (`reclaim_dead_state`).
+    reclaim_at: Vec<NodeId>,
 }
 
 impl DistributedEngine {
@@ -270,6 +273,33 @@ impl DistributedEngine {
         base
     }
 
+    /// Lets every ledger the finished work item removed rows or killed
+    /// firings at drop its log if nothing in it is alive any more.  Called
+    /// between work items only: a retraction cascade carries raw firing ids
+    /// across its steps, and a dropped log starts them over.
+    pub(super) fn reclaim_dead_state(&mut self) {
+        let touched = &mut self.deletion.reclaim_at;
+        touched.sort_unstable();
+        touched.dedup();
+        for loc in touched.drain(..) {
+            let ledger = &mut self.nodes[ix(loc)].ledger;
+            if ledger.reclaim() {
+                debug_assert_eq!(ledger.check_consistency(), Ok(()), "ledger of {loc:?}");
+            }
+        }
+    }
+
+    /// Verifies every node's deletion ledger (see
+    /// `Ledger::check_consistency`); the first inconsistency is reported
+    /// with its node.  Debug builds assert it whenever the queue drains.
+    pub fn check_ledger_consistency(&self) -> Result<(), String> {
+        let mut nodes = self.shared.locations.iter().zip(&self.nodes);
+        nodes.try_for_each(|(loc, node)| {
+            let checked = node.ledger.check_consistency();
+            checked.map_err(|why| format!("ledger at {loc}: {why}"))
+        })
+    }
+
     /// Takes the pending sweep request raised by row removals since the
     /// last sweep.
     pub(super) fn take_sweep_request(&mut self) -> bool {
@@ -305,8 +335,10 @@ impl DistributedEngine {
         let Some(idx) = alive(true).or_else(|| alive(false)) else {
             return;
         };
-        ledger.firings[idx as usize].alive = false;
-        if ledger.firings[idx as usize].agg.is_some() {
+        ledger.kill(idx);
+        let is_candidate = ledger.firings[idx as usize].agg.is_some();
+        self.deletion.reclaim_at.push(src);
+        if is_candidate {
             self.settle_agg_kill(src, idx, now, false, true, None);
         }
     }
@@ -404,11 +436,11 @@ impl DistributedEngine {
         } = removal;
         let graph_mode = self.shared.config.graph_mode;
         let archive_offline = self.shared.config.archive_offline;
-        let pred_name = self.shared.symbols.name(pred).unwrap_or("?").to_string();
         if self.recorder.is_some() {
+            let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
             let retraction = TraceEventKind::Retraction {
                 node: loc.0,
-                pred: pred_name.clone(),
+                pred: pred_name.to_string(),
                 reason: reason.to_string(),
             };
             self.trace_event(now, retraction);
@@ -421,7 +453,8 @@ impl DistributedEngine {
             node.ledger.retracted.insert((pred, values.clone()));
             if graph_mode != GraphMode::None || archive_offline {
                 let loc_idx = entry.as_ref().and_then(|e| e.location_index);
-                let key = tuple::render_located_parts(&pred_name, &values, loc_idx);
+                let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
+                let key = tuple::render_located_parts(pred_name, &values, loc_idx);
                 if graph_mode != GraphMode::None {
                     node.local_prov.retract(&key);
                 }
@@ -437,27 +470,28 @@ impl DistributedEngine {
             }
             if let Some(firing_ids) = node.ledger.by_antecedent.remove(&seq) {
                 for idx in firing_ids {
-                    let firing = &mut node.ledger.firings[idx as usize];
-                    if firing.alive {
-                        firing.alive = false;
-                        if firing.agg.is_some() {
-                            // Aggregate candidates withdraw through group
-                            // re-election, not directly: only the emitted
-                            // best was ever visible downstream.
-                            agg_kills.push(idx);
-                        } else {
-                            routes.push((
-                                (firing.dest, firing.pred, firing.values.clone()),
-                                firing.tag.clone(),
-                                firing.location_index,
-                            ));
-                        }
+                    if !node.ledger.kill(idx) {
+                        continue;
+                    }
+                    let firing = &node.ledger.firings[idx as usize];
+                    if firing.agg.is_some() {
+                        // Aggregate candidates withdraw through group
+                        // re-election, not directly: only the emitted best
+                        // was ever visible downstream.
+                        agg_kills.push(idx);
+                    } else {
+                        routes.push((
+                            (firing.dest, firing.pred, firing.values.clone()),
+                            firing.tag.clone(),
+                            firing.location_index,
+                        ));
                     }
                 }
             }
         }
         self.metrics.retractions += 1;
         self.deletion.needs_sweep = true;
+        self.deletion.reclaim_at.push(loc);
         self.charge_compaction(loc, now);
         if force {
             // The row was wiped, not decremented to zero: alive upstream
@@ -511,12 +545,11 @@ impl DistributedEngine {
             let ledger = &mut self.nodes[ix(loc)].ledger;
             if let Some(ids) = ledger.by_head.remove(&key) {
                 for idx in ids {
-                    let firing = &mut ledger.firings[idx as usize];
-                    if firing.alive && firing.agg.is_some() {
+                    if ledger.kill(idx) && ledger.firings[idx as usize].agg.is_some() {
                         agg_kills.push(idx);
                     }
-                    firing.alive = false;
                 }
+                self.deletion.reclaim_at.push(loc);
             }
             for idx in agg_kills {
                 self.settle_agg_kill(loc, idx, now, false, false, None);
@@ -715,5 +748,7 @@ impl DistributedEngine {
             let removal = Removal::withdraw(loc, pred, values, "unsupported");
             self.settle_removed(removal, seq, created_at, done, Some(&zombie_heads));
         }
+        // The sweep is a work item of its own; its cascades are over.
+        self.reclaim_dead_state();
     }
 }

@@ -118,12 +118,7 @@ pub(super) enum Effect {
     /// Replay a transport send against the engine's traffic meter.  The
     /// delivery time was already computed (and link-clamped) by the owning
     /// node; only the byte/message accounting is global.
-    NetSend {
-        at: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        wire_bytes: usize,
-    },
+    NetSend { src: NodeId, wire_bytes: usize },
     /// Schedule a TTL expiry sweep (deduplicated engine-globally).
     Expiry { node: NodeId, at: SimTime },
     /// Route one delivered tombstone row into the deletion ledger.  Only

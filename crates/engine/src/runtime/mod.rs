@@ -47,7 +47,7 @@ use pasn_crypto::says::Authenticator;
 use pasn_crypto::{KeyAuthority, Principal, PrincipalId};
 use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
-use pasn_net::{FaultEvent, Message, NetworkSim, NodeId, SimTime};
+use pasn_net::{FaultEvent, NodeId, SimTime};
 use pasn_provenance::{
     ArchiveStore, DerivationGraph, DistributedStore, ProvTag, ProvenanceKind, VarTable,
 };
@@ -201,6 +201,9 @@ struct NodeRuntime {
     /// only because this node is always the source, which is what lets a
     /// partition clamp its own outbound links without global state.
     link_horizon: FastMap<u32, SimTime>,
+    /// Wire bytes this node has sent (frames, handshakes, acks): its lane
+    /// of the per-principal accountability report.
+    bytes_sent: u64,
 }
 
 impl NodeRuntime {
@@ -242,7 +245,6 @@ pub struct DistributedEngine {
     /// One runtime per node, indexed by [`NodeId`].
     nodes: Vec<NodeRuntime>,
     var_table: VarTable,
-    net: NetworkSim<u64>,
     queue: WorkQueue,
     transport: LinkTransport,
     deletion: DeletionState,
@@ -345,6 +347,7 @@ impl DistributedEngine {
                     busy_until: SimTime::ZERO,
                     cpu_spent: SimTime::ZERO,
                     link_horizon: FastMap::default(),
+                    bytes_sent: 0,
                 }
             })
             .collect();
@@ -372,7 +375,6 @@ impl DistributedEngine {
         let mut engine = DistributedEngine {
             nodes,
             var_table: VarTable::new(),
-            net: NetworkSim::new(config.cost_model),
             queue: WorkQueue::new(config.batch_window_us, config.max_batch_tuples),
             transport: LinkTransport::default(),
             deletion: DeletionState::default(),
@@ -657,8 +659,6 @@ impl DistributedEngine {
         let cpu_total: u64 = self.nodes.iter().map(|n| n.cpu_spent.as_micros()).sum();
         self.metrics.parallel_wall = Duration::from_micros(cpu_total - self.cpu_saved.as_micros());
         self.metrics.completion = self.completion;
-        self.metrics.messages = self.net.stats().messages;
-        self.metrics.bytes = self.net.stats().bytes;
         // The fixpoint footprint is itself a peak sample: runs without
         // scripted events report honest (final) peaks, churned runs keep
         // their mid-run high-water marks.
@@ -755,23 +755,36 @@ impl DistributedEngine {
                 continue;
             }
             let Some((at, _, work)) = self.queue.pop_next(bound) else {
+                // Not at the streaming driver's per-event cuts: the check
+                // walks every node.
+                if bound.is_none() {
+                    debug_assert_eq!(self.check_ledger_consistency(), Ok(()));
+                }
                 return Ok(());
             };
             *last_at = (*last_at).max(at);
             self.queue.release_flushed(at);
+            // Wave-unsafe work can never join a wave: close any open wave
+            // span before its events interleave into the trace.
+            if let Some(rec) = self.recorder.as_mut() {
+                rec.flush_wave();
+            }
             self.dispatch_global(at, work)?;
         }
     }
 
-    /// Folds the current `(store bytes, index bytes, tuples)` footprint into
-    /// the run's high-water marks and returns it.  Sampled ahead of scripted
-    /// churn events (`process_churn`) and once at fixpoint.
+    /// Folds the current `(store bytes, index bytes, tuples)` footprint —
+    /// and the ledgers' firing-log length — into the run's high-water marks
+    /// and returns it.  Sampled ahead of scripted churn events
+    /// (`process_churn`) and once at fixpoint.
     fn sample_memory_peak(&mut self) -> (u64, u64, u64) {
         let tuples = self.nodes.iter().map(|n| n.store.total_tuples() as u64);
         let (store, index, tuples) = (self.store_bytes(), self.index_bytes(), tuples.sum());
+        let firings = self.nodes.iter().map(|n| n.ledger.firings.len() as u64);
         self.metrics.peak_store_bytes = self.metrics.peak_store_bytes.max(store);
         self.metrics.peak_index_bytes = self.metrics.peak_index_bytes.max(index);
         self.metrics.peak_tuples = self.metrics.peak_tuples.max(tuples);
+        self.metrics.peak_ledger_firings = self.metrics.peak_ledger_firings.max(firings.sum());
         (store, index, tuples)
     }
 
@@ -800,17 +813,22 @@ impl DistributedEngine {
             && config.batch_window_us > 0
     }
 
-    /// Dispatches one popped wave-unsafe work item.  Retraction batches and
-    /// tombstone frames evaluate at their owning node like their assertion
-    /// twins — just never inside a wave; everything else is engine-global.
+    /// Runs one wave-unsafe work item — popped, or injected by the streaming
+    /// driver — and then lets the ledgers it killed at forget
+    /// (`reclaim_dead_state`): only wave-unsafe work removes rows or kills
+    /// firings, and once the item is done no firing id is held.
     fn dispatch_global(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
+        let done = self.run_global(at, work);
+        self.reclaim_dead_state();
+        done
+    }
+
+    /// One wave-unsafe work item.  Retraction batches and tombstone frames
+    /// evaluate at their owning node like their assertion twins — just
+    /// never inside a wave; everything else is engine-global.
+    fn run_global(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
         if matches!(work, QueuedWork::Deliver(_) | QueuedWork::Ship(_)) {
             return self.eval_event(at, work);
-        }
-        // Engine-global work can never join a wave: close any open wave
-        // span before its events interleave into the trace.
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.flush_wave();
         }
         match work {
             QueuedWork::Churn(event) => return self.process_churn(at, event),
@@ -893,6 +911,15 @@ impl DistributedEngine {
         done
     }
 
+    /// Meters one message leaving `src`.  The engine accounts traffic, it
+    /// does not queue it: delivery is the work queue's job, so nothing of a
+    /// sent message stays resident here.
+    fn account_send(&mut self, src: NodeId, wire_bytes: usize) {
+        self.metrics.messages += 1;
+        self.metrics.bytes += wire_bytes as u64;
+        self.nodes[ix(src)].bytes_sent += wire_bytes as u64;
+    }
+
     /// Replays one evaluated event against the engine-global state: its
     /// wave-span `feed` `(instant µs, rank, owner)` and buffered trace
     /// events go to the recorder, then its effects apply — to the work
@@ -932,20 +959,7 @@ impl DistributedEngine {
                     polarity,
                 } => self.buffer_ship(at, src, dst, pred, row, polarity),
                 Effect::Queue { at, work } => self.queue_transport(at, work),
-                Effect::NetSend {
-                    at,
-                    src,
-                    dst,
-                    wire_bytes,
-                } => {
-                    let message = Message {
-                        src,
-                        dst,
-                        payload: 0,
-                        wire_bytes,
-                    };
-                    self.net.send(at, message);
-                }
+                Effect::NetSend { src, wire_bytes } => self.account_send(src, wire_bytes),
                 Effect::Expiry { node, at } => self.schedule_expiry(node, at),
                 Effect::Retract {
                     loc,
@@ -994,7 +1008,11 @@ impl DistributedEngine {
     /// popped.  What changes is memory: the driver holds O(in-flight work)
     /// instead of O(script), which lets generational workloads whose
     /// soft-state TTLs retire old state mid-run keep a bounded footprint at
-    /// 10k nodes.
+    /// 10k nodes — of the stores (`peak_store_bytes`) and of the deletion
+    /// ledgers alike: a retired generation's firings are forgotten after
+    /// the work item that killed them (`peak_ledger_firings` stays at the
+    /// live generations' firings), and its emptied tables, support maps
+    /// and expiry heaps hand their buffers back.
     ///
     /// Events must arrive in nondecreasing time order.  Like
     /// `run_scenario`, this must be the first evaluation on the engine
@@ -1021,7 +1039,7 @@ impl DistributedEngine {
             self.drain_queue(Some((at, horizon_seq)), parallel, &mut last_at)?;
             self.queue.release_flushed(at);
             last_at = last_at.max(at);
-            self.process_churn(at, event)?;
+            self.dispatch_global(at, QueuedWork::Churn(event))?;
         }
         let mut metrics = self.run_to_fixpoint()?;
         self.metrics.wall_clock = started.elapsed();
@@ -1101,10 +1119,8 @@ impl DistributedEngine {
     /// for per-principal accountability reports (the PlanetFlow use case of
     /// Section 3).
     pub fn bytes_sent_per_node(&self) -> HashMap<Value, u64> {
-        let per_id = &self.net.stats().bytes_per_node;
-        let sent = |i: usize| per_id.get(&(i as u32)).copied().unwrap_or(0);
-        let locations = self.shared.locations.iter().enumerate();
-        locations.map(|(i, loc)| (loc.clone(), sent(i))).collect()
+        let nodes = self.shared.locations.iter().zip(&self.nodes);
+        nodes.map(|(loc, n)| (loc.clone(), n.bytes_sent)).collect()
     }
 
     /// Renders the condensed / semiring provenance annotation of an exact

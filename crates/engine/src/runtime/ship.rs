@@ -164,9 +164,7 @@ impl<'a> PartitionCtx<'a> {
         let wire_bytes = wire.wire_bytes();
         let mut deliver_at = send_at + shared.config.cost_model.message_latency(wire_bytes);
         self.effects.push(Effect::NetSend {
-            at: send_at,
             src: self.id,
-            dst,
             wire_bytes,
         });
         if shared.config.says_level == Some(SaysLevel::Session) || shared.config.dynamics {
@@ -247,9 +245,7 @@ impl<'a> PartitionCtx<'a> {
         let wire_bytes = wire.wire_bytes();
         let deliver_at = send_at + shared.config.cost_model.message_latency(wire_bytes);
         self.effects.push(Effect::NetSend {
-            at: send_at,
             src: self.id,
-            dst,
             wire_bytes,
         });
         let deliver_at = self.node.link_deliver(dst, deliver_at);

@@ -716,6 +716,56 @@ fn recursive_self_support_is_swept() {
 }
 
 #[test]
+fn a_dropped_ledger_starts_over_and_keeps_cascading() {
+    // One node joining 12 x 12 facts: 144 firings.  Retracting the left
+    // facts one event at a time leaves the log more and more dead — it is
+    // kept whole while any firing lives — until the twelfth drops it.  What
+    // follows runs on ids that start over: new firings, then a cascade
+    // through their lists.
+    let program = parse_program("At S:\n j1 both(X,Y) :- left(X), right(Y).").unwrap();
+    let config = EngineConfig::ndlog()
+        .with_cost_model(fast_cost())
+        .with_dynamics();
+    let a = str_val("a");
+    let fact = |side: &str, i: i64| Tuple::new(side, vec![Value::Int(i)]);
+    let deploy = |lefts: &[i64], rights: &[i64]| {
+        let locations = std::slice::from_ref(&a);
+        let mut engine = DistributedEngine::new(&program, config.clone(), locations).unwrap();
+        let facts = lefts.iter().map(|&i| fact("left", i));
+        for tuple in facts.chain(rights.iter().map(|&i| fact("right", i))) {
+            engine.insert_fact(a.clone(), tuple).unwrap();
+        }
+        engine
+    };
+    let mut script = ChurnScript::new();
+    let lefts = (0..12).map(|i| ("left", i, false));
+    let rest = [("left", 20, true), ("right", 0, false)];
+    for (n, (side, i, insert)) in lefts.chain(rest).enumerate() {
+        let (location, tuple) = (a.clone(), fact(side, i));
+        let event = match insert {
+            true => ChurnEvent::Insert { location, tuple },
+            false => ChurnEvent::Retract { location, tuple },
+        };
+        script = script.at(5_000_000 + n as u64 * 1_000, event);
+    }
+    let all: Vec<i64> = (0..12).collect();
+    let mut churned = deploy(&all, &all);
+    let metrics = churned.run_scenario(&script).unwrap();
+    let mut fresh = deploy(&[20], &all[1..]);
+    fresh.run_to_fixpoint().unwrap();
+    assert_eq!(
+        sorted_rows(&churned, &a, "both"),
+        sorted_rows(&fresh, &a, "both")
+    );
+    assert_eq!(metrics.derivations, 144 + 12);
+    assert_eq!(metrics.peak_ledger_firings, 144);
+    let ledger = &churned.nodes[0].ledger;
+    assert_eq!(ledger.firings.len(), 12, "the 144 dead firings went whole");
+    assert_eq!(ledger.firings.iter().filter(|f| f.alive).count(), 11);
+    churned.check_ledger_consistency().unwrap();
+}
+
+#[test]
 fn dynamics_cannot_be_armed_after_evaluation() {
     let program = parse_program(REACHABLE).unwrap();
     let config = EngineConfig::ndlog().with_cost_model(fast_cost());

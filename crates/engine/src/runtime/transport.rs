@@ -8,7 +8,7 @@ use super::{DistributedEngine, EngineError, Removal};
 use crate::config::{DEFAULT_RETRANSMIT_RTO_US, DEFAULT_RETRY_BUDGET};
 use crate::hash::FastMap;
 use pasn_net::wire::{Frame, MESSAGE_HEADER_BYTES};
-use pasn_net::{Message, NodeId, SimTime};
+use pasn_net::{NodeId, SimTime};
 use pasn_trace::TraceEventKind;
 use std::collections::BTreeMap;
 
@@ -342,15 +342,7 @@ impl DistributedEngine {
     /// die with it), and the ack's own wire bytes are charged dst → src.
     pub(super) fn process_ack(&mut self, at: SimTime, (src, dst): (u32, u32)) {
         self.metrics.acks += 1;
-        self.net.send(
-            at,
-            Message {
-                src: NodeId(dst),
-                dst: NodeId(src),
-                payload: 0,
-                wire_bytes: Frame::ack().wire_bytes(),
-            },
-        );
+        self.account_send(NodeId(dst), Frame::ack().wire_bytes());
         let upto = self.transport.ack((src, dst));
         self.trace_event(at, TraceEventKind::FrameAcked { src, dst, upto });
     }

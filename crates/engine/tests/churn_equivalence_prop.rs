@@ -106,6 +106,7 @@ proptest! {
         if downs > 0 {
             prop_assert!(metrics.retractions > 0);
         }
+        prop_assert_eq!(churned.check_ledger_consistency(), Ok(()));
     }
 
     /// Alternative derivations under `DerivationCount`: retracting one
@@ -186,5 +187,6 @@ proptest! {
                 window
             );
         }
+        prop_assert_eq!(churned.check_ledger_consistency(), Ok(()));
     }
 }

@@ -46,6 +46,7 @@ fn assert_lossy_matches_reliable(
     );
     assert_eq!(metrics.tuples_stored, fresh_metrics.tuples_stored);
     assert_eq!(metrics.verification_failures, 0);
+    assert_eq!(lossy.check_ledger_consistency(), Ok(()));
     metrics
 }
 
@@ -245,6 +246,7 @@ proptest! {
         let mut again = reach_engine(config().with_fault_plan(plan()), &initial);
         let again_metrics = again.run_to_fixpoint().unwrap();
         prop_assert_eq!(metrics.diff(&again_metrics, Scope::Layout), vec![]);
+        prop_assert_eq!(lossy.check_ledger_consistency(), Ok(()));
     }
 }
 
