@@ -34,14 +34,14 @@ pub fn reachability_network(n: u32, config: EngineConfig, seed: u64) -> SecureNe
         .expect("the reachability program compiles")
 }
 
-/// Builds the parallel-evaluation workload: `clusters` disjoint clusters of
+/// Builds the modeled-parallelism workload: `clusters` disjoint clusters of
 /// `cluster_size` nodes, each wired as a directed ring plus a fixed-offset
 /// chord, running the NDLog reachability program.
 ///
 /// The clusters are mutually unreachable, so the fixpoint is `clusters`
 /// independent transitive closures — embarrassingly parallel work whose
-/// node ids interleave across the `node_id % workers` partition map,
-/// keeping every partition of the worker pool busy in each wave.  The
+/// node ids interleave across the `node_id % workers` partition map, so
+/// every partition of the modeled pool owns events in each wave.  The
 /// per-cluster reach set is bounded (`cluster_size` tuples per node), so
 /// the workload scales linearly with `clusters` instead of quadratically
 /// with the node count.
@@ -454,62 +454,51 @@ mod tests {
     }
 
     #[test]
-    fn clustered_reachability_is_worker_count_invariant() {
-        let config = || {
-            EngineConfig::ndlog()
-                .with_cost_model(CostModel::zero_cpu())
-                .with_batching()
+    fn modeled_pool_outputs_are_pinned_on_both_scale_shapes() {
+        // What `repro`'s `_w4` points report, at test size: a four-worker
+        // modeled pool leaves every schedule counter alone and moves only
+        // the `Layout` rows, pinned to `(partitions, cross_partition_frames,
+        // max_partition_queue, parallel_wall_us)`.  Best-Path's `a_MIN` is
+        // the sharp detector: any drift in delivery batching or seal times
+        // changes which intermediate improvements fire.
+        let clustered = |workers: usize| {
+            let config = EngineConfig::ndlog().with_batching().with_workers(workers);
+            let mut net = clustered_reachability_network(4, 5, config);
+            let metrics = net.run().expect("fixpoint");
+            // Four disjoint 5-node clusters: each node reaches exactly its
+            // own cluster, nothing across the cluster boundary.
+            assert_eq!(net.query(&Value::Addr(0), "reachable").len(), 5);
+            assert_eq!(net.query(&Value::Addr(19), "reachable").len(), 5);
+            metrics
         };
-        let mut sequential = clustered_reachability_network(4, 5, config().with_workers(1));
-        let baseline = sequential.run().unwrap();
-        // Four disjoint 5-node clusters: each node reaches exactly its own
-        // cluster, nothing across the cluster boundary.
-        assert_eq!(sequential.query(&Value::Addr(0), "reachable").len(), 5);
-        assert_eq!(sequential.query(&Value::Addr(19), "reachable").len(), 5);
-        let mut parallel = clustered_reachability_network(4, 5, config().with_workers(4));
-        let metrics = parallel.run().unwrap();
-        assert_eq!(metrics.derivations, baseline.derivations);
-        assert_eq!(metrics.tuples_stored, baseline.tuples_stored);
-        assert_eq!(metrics.frames, baseline.frames);
-        assert_eq!(metrics.completion, baseline.completion);
-        assert_eq!(parallel.metrics().worker_threads, 4);
-        assert_eq!(parallel.metrics().partitions, 4);
-        assert!(parallel.metrics().cross_partition_frames > 0);
-        assert!(parallel.metrics().max_partition_queue > 0);
-    }
-
-    #[test]
-    fn batched_best_path_is_worker_count_invariant_at_deployment_scale() {
-        // The aggregate (`a_MIN`) makes Best-Path the sharpest determinism
-        // detector: any drift in delivery batching or frame seal times
-        // changes which intermediate improvements fire, so derivations and
-        // message counts diverge long before final answers do.  N = 20 with
-        // 4 workers puts 5 nodes on every partition — the multi-node regime
-        // where lane-order hazards live — and the paper cost model keeps the
-        // CPU lanes non-trivial.
-        let run = |workers: usize| {
-            let topology = workload::evaluation_topology(20, 1);
+        let best_path = |workers: usize| {
+            let config = SystemVariant::NDLog.config().with_batching();
             let mut net = SecureNetwork::builder()
                 .program(pasn::programs::best_path())
-                .topology(topology)
-                .config(
-                    SystemVariant::NDLog
-                        .config()
-                        .with_batching()
-                        .with_workers(workers),
-                )
+                .topology(workload::evaluation_topology(20, 1))
+                .config(config.with_workers(workers))
                 .build()
                 .expect("the Best-Path program compiles");
             net.run().expect("fixpoint")
         };
-        let baseline = run(1);
-        let parallel = run(4);
-        assert_eq!(parallel.derivations, baseline.derivations);
-        assert_eq!(parallel.tuples_stored, baseline.tuples_stored);
-        assert_eq!(parallel.messages, baseline.messages);
-        assert_eq!(parallel.frames, baseline.frames);
-        assert_eq!(parallel.bytes, baseline.bytes);
-        assert_eq!(parallel.completion, baseline.completion);
+        let shapes: [(&dyn Fn(usize) -> RunMetrics, _); 2] = [
+            (&clustered, (4, 156, 15, 160_600)),
+            (&best_path, (4, 1_004, 20, 3_528_180)),
+        ];
+        for (run, pinned) in shapes {
+            let (baseline, modeled) = (run(1), run(4));
+            assert_eq!(modeled.diff(&baseline, pasn_engine::Scope::Schedule), []);
+            assert_eq!((baseline.partitions, baseline.max_partition_queue), (1, 0));
+            assert!(modeled.parallel_wall < baseline.parallel_wall);
+            let wall_us = modeled.parallel_wall.as_micros() as u64;
+            let layout = (
+                modeled.partitions,
+                modeled.cross_partition_frames,
+                modeled.max_partition_queue,
+                wall_us,
+            );
+            assert_eq!(layout, pinned);
+        }
     }
 
     #[test]

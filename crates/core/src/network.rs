@@ -301,7 +301,7 @@ impl SecureNetwork {
     /// Every counter and gauge collected so far (the value
     /// [`SecureNetwork::run`] returns at fixpoint): frames and batch
     /// occupancy, crypto operations, churn and retraction counts, transport
-    /// faults, worker-pool layout.
+    /// faults, modeled-pool layout.
     pub fn metrics(&self) -> &RunMetrics {
         self.engine.metrics()
     }

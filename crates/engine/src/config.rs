@@ -39,19 +39,6 @@ impl GraphMode {
     }
 }
 
-/// Reads the `PASN_WORKERS` environment override once per process: the CI
-/// matrix re-runs the whole test suite with `PASN_WORKERS=4` to use every
-/// unmodified test as a determinism oracle for the worker pool.
-fn env_workers() -> Option<usize> {
-    static WORKERS: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::env::var("PASN_WORKERS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-    })
-}
-
 /// Default cap on tuples per delta batch / shipment frame when batching is
 /// enabled (see [`EngineConfig::max_batch_tuples`]).
 pub const DEFAULT_MAX_BATCH_TUPLES: usize = 64;
@@ -156,13 +143,13 @@ pub struct EngineConfig {
     /// exponential backoff — and the network-dynamics machinery.  `None`
     /// (the default) is today's reliable in-order transport, byte for byte.
     pub fault_plan: Option<FaultPlan>,
-    /// Worker threads for parallel sharded evaluation.  Nodes are partitioned
-    /// `node_id % workers`; same-instant waves of independent deliveries are
-    /// fanned out to the pool and their effects merged back in deterministic
-    /// `(due, rank, seq)` order, so any worker count produces bit-identical
-    /// fixpoints and counters.  `1` (the default) is today's sequential path,
-    /// byte for byte.  Presets honour the `PASN_WORKERS` environment variable
-    /// so an unmodified test suite can be re-run against the pool.
+    /// Size of the *modeled* worker pool — a cost-model input, not an
+    /// execution strategy: evaluation is sequential at every value.  Nodes
+    /// are partitioned `node_id % workers`, and each same-instant wave of
+    /// independent deliveries is charged only its busiest partition's CPU,
+    /// which is what `RunMetrics::parallel_wall` and the other `Layout`
+    /// rows report.  No fixpoint, schedule counter, wire byte or trace byte
+    /// depends on it.  `1` (the default) models no pool.
     pub workers: usize,
     /// Flight-recorder configuration.  `None` (the default) disables tracing
     /// entirely — the runtime takes a single `Option` check per hook and
@@ -200,7 +187,7 @@ impl EngineConfig {
             channel_rebind_frames: pasn_crypto::channel::DEFAULT_REBIND_AFTER_FRAMES,
             dynamics: false,
             fault_plan: None,
-            workers: env_workers().unwrap_or(1),
+            workers: 1,
             trace: None,
         }
     }
@@ -315,8 +302,8 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: sets the worker-pool size for parallel sharded evaluation
-    /// (`1` = sequential; clamped to at least one worker).
+    /// Builder: sets the modeled worker-pool size (see
+    /// [`EngineConfig::workers`]; clamped to at least one worker).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self

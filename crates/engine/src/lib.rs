@@ -85,7 +85,7 @@ pub use config::{
 };
 pub use dynamics::{ChurnEvent, ChurnScript};
 pub use eval::{eval_expr, eval_filter, Bindings, EvalError};
-pub use metrics::{Counter, Merge, RunMetrics, Scope};
+pub use metrics::{Counter, RunMetrics, Scope};
 pub use pasn_trace::{
     LinkLifecycle, RuleProfile, TraceConfig, TraceEvent, TraceEventKind, TraceQuery, TraceRecorder,
 };

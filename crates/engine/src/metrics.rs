@@ -1,40 +1,29 @@
 //! Run metrics: everything the evaluation section of the paper reports.
 //!
 //! Every [`RunMetrics`] field is declared exactly once, as a row of the
-//! `run_metrics!` table below: *doc comment · name · type · merge rule ·
-//! scope*.  The table generates the struct, [`RunMetrics::absorb`] (the
-//! shard merge), [`RunMetrics::COUNTERS`] (the read-only view the `repro`
-//! writer serialises) and [`RunMetrics::diff`] (the one comparison every
-//! equivalence oracle uses).  Adding a counter is one row plus its increment
-//! site (`metrics.my_counter += 1`): it is then merged across partitions,
-//! written to `BENCH_engine.json` and compared by the w1 ≡ w4, batch ≡
-//! stream, same-seed and traced ≡ untraced oracles with no other edit.
+//! `run_metrics!` table below: *doc comment · name · type · scope*.  The
+//! table generates the struct, [`RunMetrics::COUNTERS`] (the read-only view
+//! the `repro` writer serialises) and [`RunMetrics::diff`] (the one
+//! comparison every equivalence oracle uses).  Adding a counter is one row
+//! plus its increment site (`metrics.my_counter += 1`): it is then written
+//! to `BENCH_engine.json` and compared by the batch ≡ stream, same-seed,
+//! traced ≡ untraced and modeled-pool oracles with no other edit.
 
 use pasn_net::SimTime;
 use std::fmt;
 use std::time::Duration;
 
-/// How a partition shard's value folds into the run total in
-/// [`RunMetrics::absorb`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Merge {
-    /// Event counts: shards sum.
-    Add,
-    /// High-water marks: the larger value wins.
-    Max,
-    /// Engine-owned: written by the run driver for the whole run (clocks,
-    /// pool layout, network and store totals), never taken from a shard.
-    Engine,
-}
-
 /// What a counter's value may depend on, narrowest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scope {
-    /// A pure function of program + input + config: bit-identical across
-    /// worker counts, repetitions and tracing.
+    /// A pure function of program + input + config, the modeled pool size
+    /// aside: bit-identical across `workers` values, repetitions and
+    /// tracing.
     Schedule,
-    /// Also depends on the worker-pool layout: legitimately differs between
-    /// a one-worker and a four-worker run of the same schedule.
+    /// Cost-model outputs that also depend on the modeled pool size
+    /// (`EngineConfig::workers`): the partition layout and what it does to
+    /// the modeled critical path.  Deterministic like `Schedule` rows, but
+    /// legitimately different between `workers = 1` and `workers = 4`.
     Layout,
     /// Host time: differs between any two runs.
     Host,
@@ -45,8 +34,6 @@ pub enum Scope {
 pub struct Counter {
     /// The field name; `SimTime` / `Duration` fields carry a `_us` suffix.
     pub name: &'static str,
-    /// How shards fold into the total.
-    pub merge: Merge,
     /// What the value may depend on.
     pub scope: Scope,
     /// Reads the field (times rendered as whole microseconds).
@@ -74,28 +61,8 @@ macro_rules! micros {
     };
 }
 
-#[cfg(test)]
-macro_rules! from_micros {
-    ($value:expr, u64) => {
-        $value
-    };
-    ($value:expr, $time:ident) => {
-        $time::from_micros($value)
-    };
-}
-
-macro_rules! fold {
-    (Add, $total:expr, $shard:expr) => {
-        $total += $shard
-    };
-    (Max, $total:expr, $shard:expr) => {
-        $total = $total.max($shard)
-    };
-    (Engine, $total:expr, $shard:expr) => {};
-}
-
 macro_rules! run_metrics {
-    ($($(#[$doc:meta])* $name:ident: $ty:tt, $merge:ident, $scope:ident;)+) => {
+    ($($(#[$doc:meta])* $name:ident: $ty:tt, $scope:ident;)+) => {
         /// Metrics collected while running a program to its distributed fixpoint.
         #[derive(Clone, Debug, Default, PartialEq)]
         pub struct RunMetrics {
@@ -106,24 +73,9 @@ macro_rules! run_metrics {
             /// Every field, in declaration order.
             pub const COUNTERS: &'static [Counter] = &[$(Counter {
                 name: counter_name!($name, $ty),
-                merge: Merge::$merge,
                 scope: Scope::$scope,
                 get: |m| micros!(m.$name, $ty),
             },)+];
-
-            /// Folds a partition's metrics shard into the run totals at wave
-            /// merge time, each field by its [`Merge`] rule.
-            pub fn absorb(&mut self, shard: &RunMetrics) {
-                $(fold!($merge, self.$name, shard.$name);)+
-            }
-
-            /// Test fixture: row `i` (1-based) holds `value(i)`.
-            #[cfg(test)]
-            fn from_rows(value: impl Fn(u64) -> u64) -> RunMetrics {
-                let mut row = 0;
-                $(row += 1; let $name = from_micros!(value(row), $ty);)+
-                RunMetrics { $($name,)+ }
-            }
         }
     };
 }
@@ -131,168 +83,169 @@ macro_rules! run_metrics {
 run_metrics! {
     /// Simulated time at which the distributed fixpoint was reached — the
     /// "query completion time" of Figure 3.
-    completion: SimTime, Engine, Schedule;
+    completion: SimTime, Schedule;
     /// Wall-clock time the in-process run took (all nodes share one thread,
     /// so this measures total work rather than parallel completion).
-    wall_clock: Duration, Engine, Host;
+    wall_clock: Duration, Host;
     /// Number of inter-node messages sent.
-    messages: u64, Engine, Schedule;
+    messages: u64, Schedule;
     /// Total bytes across all messages — the "bandwidth utilization" of
     /// Figure 4.
-    bytes: u64, Engine, Schedule;
+    bytes: u64, Schedule;
     /// Bytes attributable to `says` proofs (signatures / MACs).
-    auth_bytes: u64, Add, Schedule;
+    auth_bytes: u64, Schedule;
     /// Bytes attributable to shipped provenance annotations.
-    provenance_bytes: u64, Add, Schedule;
+    provenance_bytes: u64, Schedule;
     /// Number of rule firings (derivations), including duplicates that were
     /// absorbed by set semantics.
-    derivations: u64, Add, Schedule;
+    derivations: u64, Schedule;
     /// Number of distinct tuples stored across all nodes at fixpoint.
-    tuples_stored: u64, Engine, Schedule;
+    tuples_stored: u64, Schedule;
     /// Signatures / MACs generated.
-    signatures: u64, Add, Schedule;
+    signatures: u64, Schedule;
     /// Signatures / MACs verified.
-    verifications: u64, Add, Schedule;
+    verifications: u64, Schedule;
     /// Tuples rejected because their proof failed verification.
-    verification_failures: u64, Add, Schedule;
+    verification_failures: u64, Schedule;
     /// Provenance tag operations performed (semiring `+` / `*`).
-    provenance_ops: u64, Add, Schedule;
+    provenance_ops: u64, Schedule;
     /// Tuples dropped by the sampling policy (provenance not recorded).
-    sampled_out: u64, Add, Schedule;
+    sampled_out: u64, Schedule;
     /// Join probes answered through a secondary index (one per rendered
     /// key lookup).
-    index_probes: u64, Add, Schedule;
+    index_probes: u64, Schedule;
     /// Tuples yielded by index probes (candidates actually examined on the
     /// index path; the join's true work, versus scanning the relation).
-    index_hits: u64, Add, Schedule;
+    index_hits: u64, Schedule;
     /// Tuples examined through full-relation scans (joins with no bound key
     /// columns, or predicates without a registered index).
-    scan_probes: u64, Add, Schedule;
+    scan_probes: u64, Schedule;
     /// Bytes of tuple data stored across all nodes at fixpoint (canonical
     /// row encodings plus insertion-order seq lists; rows are charged once —
     /// secondary indexes share them by reference).
-    store_bytes: u64, Engine, Schedule;
+    store_bytes: u64, Schedule;
     /// Bytes of secondary-index overhead across all nodes at fixpoint
     /// (bucket keys plus one 8-byte seq id per indexed row).
-    index_bytes: u64, Engine, Schedule;
+    index_bytes: u64, Schedule;
     /// High-water mark of [`RunMetrics::store_bytes`] observed during the
     /// run, sampled ahead of scripted churn events (rate-limited, the same
     /// instants under the scenario and the streaming driver) and at
     /// fixpoint — so a run without scripted events reports peak == final.
     /// The honest bounded-memory gauge for generational workloads whose
     /// final store is far smaller than their transient working set.
-    peak_store_bytes: u64, Max, Schedule;
+    peak_store_bytes: u64, Schedule;
     /// High-water mark of [`RunMetrics::index_bytes`], sampled alongside
     /// [`RunMetrics::peak_store_bytes`].
-    peak_index_bytes: u64, Max, Schedule;
+    peak_index_bytes: u64, Schedule;
     /// High-water mark of live stored tuples across all nodes, sampled
     /// alongside [`RunMetrics::peak_store_bytes`] — the denominator of
     /// [`RunMetrics::bytes_per_tuple`] on generational workloads whose
     /// final store is empty.
-    peak_tuples: u64, Max, Schedule;
+    peak_tuples: u64, Schedule;
     /// High-water mark of the deletion ledgers' firing logs (recorded
     /// firings, alive or dead, summed over nodes), sampled alongside
     /// [`RunMetrics::peak_store_bytes`].  A node drops its log once none of
     /// its firings is alive, so on generational workloads this follows the
     /// live generations, whatever the run's history.  A length, not a
     /// capacity, so it repeats exactly.
-    peak_ledger_firings: u64, Max, Schedule;
+    peak_ledger_firings: u64, Schedule;
     /// Seq-list entries walked by lazy store-compaction rebuilds across all
     /// nodes — the total deferred-maintenance work the run paid for (charged
     /// to node CPU lanes at `compact_entry_us` per entry).  Under sustained
     /// expiry churn this must stay within a small constant factor of the
     /// rows actually removed, or compaction is thrashing.
-    compaction_walked: u64, Add, Schedule;
+    compaction_walked: u64, Schedule;
     /// Multi-tuple shipment frames sent between nodes.  Every inter-node
     /// message is one frame; each frame is signed and verified once,
     /// regardless of how many tuples it carries, so `signatures` and
     /// `verifications` scale with this counter rather than with shipped
     /// tuples.  With `batch_window = 0` every frame holds exactly one tuple
     /// and `frames == messages == batched_tuples`.
-    frames: u64, Add, Schedule;
+    frames: u64, Schedule;
     /// Tuples shipped inside frames, after in-frame deduplication (the raw
     /// material of [`RunMetrics::mean_batch_occupancy`]).
-    batched_tuples: u64, Add, Schedule;
+    batched_tuples: u64, Schedule;
     /// RSA private-key exponentiations performed: one per shipped frame at
     /// the `Rsa` `says` level, one per key-establishment handshake at the
     /// `Session` level — so a session run performs exactly
     /// [`RunMetrics::handshakes`] RSA signs, however many frames it ships.
-    rsa_sign_ops: u64, Add, Schedule;
+    rsa_sign_ops: u64, Schedule;
     /// RSA public-key exponentiations performed (frame verifications at the
     /// `Rsa` level, handshake verifications at the `Session` level).
-    rsa_verify_ops: u64, Add, Schedule;
+    rsa_verify_ops: u64, Schedule;
     /// HMAC-SHA-256 computations performed: frame MACs and verifications at
     /// the `Hmac` and `Session` levels, plus the two per-handshake session
     /// key derivations.
-    hmac_ops: u64, Add, Schedule;
+    hmac_ops: u64, Schedule;
     /// Session-channel key-establishment handshakes initiated: one per live
     /// directed link, plus one per rebind after
     /// `EngineConfig::channel_rebind_frames` frames.
-    handshakes: u64, Add, Schedule;
+    handshakes: u64, Schedule;
     /// Coalesced handshake-verification windows dispatched at the receiver:
     /// every contiguous run of same-instant handshake deliveries to one
     /// node is charged as a single CPU window of `k × rsa_verify_us`
     /// instead of `k` separate scheduling round-trips.  Always
     /// `<=` [`RunMetrics::handshakes`]; the gap measures how much
     /// establishment work arrived coalesced.
-    handshake_batches: u64, Add, Schedule;
+    handshake_batches: u64, Schedule;
     /// Scripted network-dynamics events processed (link flaps, node
     /// failures/rejoins, scripted base-tuple inserts/retracts/refreshes).
-    churn_events: u64, Add, Schedule;
+    churn_events: u64, Schedule;
     /// Tuples removed by provenance-guided deletion: support exhausted by a
     /// retraction cascade, killed by scheduled TTL expiry or a node
     /// failure, or garbage-collected by the well-founded reconciliation
     /// sweep.
-    retractions: u64, Add, Schedule;
+    retractions: u64, Schedule;
     /// Fresh insertions of a tuple previously retracted at the same node —
     /// the re-derivation work churn causes.
-    rederivations: u64, Add, Schedule;
+    rederivations: u64, Schedule;
     /// Retraction shipment frames (tombstones) sent between nodes; each is
     /// also counted in [`RunMetrics::frames`] and proved once like a data
     /// frame.
-    tombstone_frames: u64, Add, Schedule;
-    /// Worker threads the run was configured with
-    /// ([`EngineConfig::with_workers`]); `1` is the sequential path.
-    worker_threads: u64, Engine, Layout;
-    /// Node partitions evaluation was sharded into: `min(workers, nodes)`
-    /// when a worker pool is configured, otherwise `1`.
-    partitions: u64, Engine, Layout;
-    /// Shipment frames whose source and destination nodes live in different
-    /// partitions — the frames that cross a partition mailbox instead of
-    /// staying worker-local.  Always `0` on single-partition runs.
-    cross_partition_frames: u64, Add, Layout;
-    /// High-water mark of events assigned to a single partition within one
-    /// same-instant wave — the load-balance indicator for the shard layout.
-    /// `0` when no wave was ever dispatched to the pool.
-    max_partition_queue: u64, Max, Layout;
+    tombstone_frames: u64, Schedule;
+    /// Size of the modeled worker pool the run was configured with
+    /// (`EngineConfig::with_workers`).  No threads are started at any
+    /// value; `1` models no pool.
+    worker_threads: u64, Layout;
+    /// Node partitions of the modeled pool: `min(workers, nodes)`.
+    partitions: u64, Layout;
+    /// Shipment frames whose source and destination nodes belong to
+    /// different partitions of the modeled pool — the traffic a sharded
+    /// evaluator would hand across partitions.  Always `0` on
+    /// single-partition runs.
+    cross_partition_frames: u64, Layout;
+    /// High-water mark of events owned by a single partition within one
+    /// same-instant wave — the load-balance indicator for the modeled
+    /// layout.  `0` at one worker.
+    max_partition_queue: u64, Layout;
     /// Frames the installed [`pasn_net::FaultPlan`] dropped on the wire —
     /// every drop decision, original sends and retransmissions alike.
     /// Always `0` without a fault plan.
-    frames_dropped: u64, Add, Schedule;
+    frames_dropped: u64, Schedule;
     /// Duplicate deliveries the fault plan injected (the receiver dedups
     /// them by per-link sequence number before MAC verification).
-    frames_duplicated: u64, Add, Schedule;
+    frames_duplicated: u64, Schedule;
     /// Retransmission attempts the sender-side reliability layer made for
     /// frames whose ack timer expired.
-    retransmits: u64, Add, Schedule;
+    retransmits: u64, Schedule;
     /// Standalone cumulative-ack frames processed (acks are only emitted
     /// when a fault plan is installed).
-    acks: u64, Add, Schedule;
+    acks: u64, Schedule;
     /// Retransmission attempts beyond the first for one frame — each such
     /// attempt doubled its retransmission timeout (exponential backoff).
-    backoff_events: u64, Add, Schedule;
+    backoff_events: u64, Schedule;
     /// Most delivery attempts any single frame needed (0 when every frame
     /// arrived on its original send).  Bounded by the retry budget.
-    max_retransmit_per_frame: u64, Max, Schedule;
-    /// Modeled host wall-clock of the run at the configured worker count,
-    /// in simulated CPU terms: the total CPU the cost model charged to the
-    /// nodes, minus the work that parallel waves executed off the critical
-    /// path (each wave costs only its slowest partition).  At `workers = 1`
-    /// this degenerates to the sum of all charged CPU, so the ratio
-    /// `parallel_wall(n) / parallel_wall(1)` is a deterministic,
-    /// machine-independent speedup estimate even on a single-core host.
-    /// Zero under `CostModel::zero_cpu`.
-    parallel_wall: Duration, Engine, Layout;
+    max_retransmit_per_frame: u64, Schedule;
+    /// Modeled critical path of the run on a pool of the configured size,
+    /// in simulated CPU terms — a cost-model output, never a measurement:
+    /// the total CPU the cost model charged to the nodes, minus what the
+    /// modeled pool takes off the critical path (each wave costs only its
+    /// busiest partition).  At `workers = 1` this is the sum of all charged
+    /// CPU, so `parallel_wall(n) / parallel_wall(1)` is a deterministic,
+    /// machine-independent estimate of what an ideal sharded evaluator
+    /// could gain.  Zero under `CostModel::zero_cpu`.
+    parallel_wall: Duration, Layout;
 }
 
 impl RunMetrics {
@@ -421,37 +374,6 @@ impl fmt::Display for RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The table test: for every row, two asymmetric shards absorbed into a
-    /// default total obey the row's merge rule.  Shard `a` grows with the
-    /// row index and `b` shrinks, so each wins some `Max` rows and a max that
-    /// silently added (or an add that silently maxed) cannot cancel out.
-    #[test]
-    fn every_row_obeys_its_merge_rule() {
-        let rows = RunMetrics::COUNTERS.len() as u64;
-        let a = RunMetrics::from_rows(|row| 1_000 + 10 * row);
-        let b = RunMetrics::from_rows(|row| 1_005 + 10 * (rows - row));
-        let mut total = RunMetrics::default();
-        total.absorb(&a);
-        total.absorb(&b);
-        let mut max_wins = [0, 0];
-        for (i, c) in RunMetrics::COUNTERS.iter().enumerate() {
-            let earlier = &RunMetrics::COUNTERS[..i];
-            assert!(earlier.iter().all(|e| e.name != c.name), "{}", c.name);
-            let (in_a, in_b) = ((c.get)(&a), (c.get)(&b));
-            assert_ne!(in_a, in_b, "shards must be asymmetric on `{}`", c.name);
-            let want = match c.merge {
-                Merge::Add => in_a + in_b,
-                Merge::Max => {
-                    max_wins[usize::from(in_a < in_b)] += 1;
-                    in_a.max(in_b)
-                }
-                Merge::Engine => 0,
-            };
-            assert_eq!((c.get)(&total), want, "`{}` is {:?}", c.name, c.merge);
-        }
-        assert!(max_wins[0] > 0 && max_wins[1] > 0, "{max_wins:?}");
-    }
 
     #[test]
     fn diff_names_the_diverging_counters_up_to_a_scope() {

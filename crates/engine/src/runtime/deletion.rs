@@ -4,7 +4,7 @@
 //!
 //! Dynamics work stays on the engine: it is inherently engine-global (it
 //! walks multiple nodes, reschedules queue work and raises the sweep flag)
-//! and never enters a parallel wave.
+//! and never joins a wave.
 
 use super::queue::{BatchRow, Polarity, QueuedWork};
 use super::{ix, node_ids, DistributedEngine, EngineError};
@@ -512,8 +512,8 @@ impl DistributedEngine {
 
     /// Charges any lazy-compaction debt the node's store accumulated while
     /// removing rows to the *owning node's* CPU lane (not the global
-    /// clock): the walked slots are that node's housekeeping,
-    /// and on parallel runs they must delay only its own partition.
+    /// clock): the walked slots are that node's housekeeping and delay
+    /// only its own lane.
     fn charge_compaction(&mut self, loc: NodeId, now: SimTime) {
         let walked = self.nodes[ix(loc)].store.take_compaction_debt();
         if walked == 0 {

@@ -2,11 +2,9 @@
 //! runs in, delta-batch processing, rule firing, head emission and
 //! aggregates.
 //!
-//! Everything here runs *inside* a partition: it may mutate only the node
-//! runtime the event is owned by (plus its metrics shard and effect log)
-//! and read the shared immutable environment.  The sequential path drives
-//! the same context with the engine's real variable table and metrics, so
-//! one code path serves both schedules.
+//! Everything here runs at the one node the event is owned by: it mutates
+//! that node's runtime, the run's metrics and variable table, and the
+//! event's effect log, and reads the shared immutable environment.
 
 use super::queue::{BatchRow, DeltaBatch, Polarity, QueuedWork};
 use super::ship::frame_payloads;
@@ -89,11 +87,11 @@ struct NewDelta {
 /// An engine-global side effect recorded by a [`PartitionCtx`] while it
 /// evaluates one work item.  Contexts never touch the shared work queue,
 /// open-batch buffers or traffic meter directly: they record effects in
-/// emission order and the engine replays them — immediately on the
-/// sequential path, or sorted by the originating event's queue seq when a
-/// wave's partitions ran concurrently.  Both replay orders are identical
-/// by construction, which is what makes the pool bit-compatible with the
-/// sequential schedule.
+/// emission order and the engine replays them once the event is done.
+/// "Effects apply after the event" is the defined schedule, not an
+/// indirection to optimise away: on unbatched runs a replayed `Ship` seals
+/// its frame inline and charges the sender's lane *then*, after everything
+/// the event itself charged.
 pub(super) enum Effect {
     /// Enqueue a locally derived (or base) delta at its home node.
     Local {
@@ -122,8 +120,7 @@ pub(super) enum Effect {
     /// Schedule a TTL expiry sweep (deduplicated engine-globally).
     Expiry { node: NodeId, at: SimTime },
     /// Route one delivered tombstone row into the deletion ledger.  Only
-    /// emitted on dynamics runs, whose retraction batches never enter a
-    /// wave, so the engine applies it immediately after the event.
+    /// emitted on dynamics runs, by retraction batches.
     Retract {
         loc: NodeId,
         pred: PredId,
@@ -133,8 +130,7 @@ pub(super) enum Effect {
     },
 }
 
-/// The read-only evaluation environment shared by every partition of a
-/// wave (and by the sequential path, which uses the same context type).
+/// The read-only evaluation environment every event's context borrows.
 /// Built once at engine construction; the engine mutates it only between
 /// events (interning externally inserted predicates, arming dynamics).
 pub(super) struct EvalShared {
@@ -149,7 +145,7 @@ pub(super) struct EvalShared {
     /// Immutable deployment directory: location value → node id.  The only
     /// place a location `Value` is resolved — at the public API boundary
     /// and for computed head locations — so cross-node lookups never touch
-    /// another partition's mutable runtime.
+    /// another node's mutable runtime.
     pub directory: FastMap<Value, NodeId>,
     /// Aggregate-group rule ids, parallel to `compiled.plans`: each rule
     /// label interned once, so rules sharing a label share their groups
@@ -174,12 +170,11 @@ impl EvalShared {
     }
 }
 
-/// Mutable evaluation state for one event: the node runtime that owns it,
-/// a metrics shard, and the effect log.  On the sequential path the engine
-/// lends its real variable table and metrics; on the parallel path each
-/// partition brings a fresh shard and a scratch variable table (never
-/// consulted: parallel waves only run under provenance-free
-/// configurations).
+/// Mutable evaluation state for one event: the one node runtime that owns
+/// it, the engine's variable table, metrics and completion clock, and the
+/// event's effect and trace logs.  The unit of ownership is the node; a
+/// partition is a set of nodes in the modeled pool's accounting and owns
+/// nothing.
 pub(super) struct PartitionCtx<'a> {
     pub shared: &'a EvalShared,
     pub id: NodeId,
@@ -189,8 +184,7 @@ pub(super) struct PartitionCtx<'a> {
     pub completion: &'a mut SimTime,
     pub effects: &'a mut Vec<Effect>,
     /// Trace events recorded while evaluating this event; the engine
-    /// flushes them to the recorder in effect-replay order, so the trace is
-    /// identical however the wave was partitioned.
+    /// flushes them to the recorder when it replays the event's effects.
     pub trace: &'a mut Vec<TraceEvent>,
 }
 
@@ -214,7 +208,7 @@ impl<'a> PartitionCtx<'a> {
             | QueuedWork::FrameArrival { .. }
             | QueuedWork::Retransmit { .. }
             | QueuedWork::AckFrame { .. } => {
-                unreachable!("engine-global work never enters a partition context")
+                unreachable!("engine-global work never enters a node's context")
             }
         }
         Ok(())

@@ -10,19 +10,21 @@
 //! no work items remain.
 //!
 //! Provenance hooks fire on every rule evaluation: semiring tags are combined
-//! per the configured [`ProvenanceKind`], and derivation graphs / pointer
-//! records / offline archive entries are maintained per the configured
-//! [`GraphMode`] and maintenance policy.
+//! per the configured [`pasn_provenance::ProvenanceKind`], and derivation
+//! graphs / pointer records / offline archive entries are maintained per
+//! the configured [`crate::config::GraphMode`] and maintenance policy.
 //!
 //! The module tree follows a delta batch's life, each layer owning its
 //! state: `queue` (the simulated-time work queue and open batches),
 //! `eval` (batch processing, rule firing, head emission at one node),
 //! `ship` (frame sealing and session channels), `transport` (the
-//! unreliable-link reliability layer), `deletion` (churn, expiry,
-//! retraction cascades, the well-founded sweep) and `wave` (sharding a
-//! wave across the worker pool).  Inside the runtime a node is addressed by
-//! its [`NodeId`] only — the index of its `NodeRuntime`; location values
-//! are resolved through the directory once, at the public boundary.
+//! unreliable-link reliability layer) and `deletion` (churn, expiry,
+//! retraction cascades, the well-founded sweep).  There is one evaluation
+//! path: the sequential loop of `drain_queue`, which also keeps the books
+//! of the *modeled* worker pool (`EngineConfig::workers`).  Inside the
+//! runtime a node is addressed by its [`NodeId`] only — the index of its
+//! `NodeRuntime`; location values are resolved through the directory once,
+//! at the public boundary.
 
 mod deletion;
 mod eval;
@@ -31,9 +33,8 @@ mod ship;
 #[cfg(test)]
 mod tests;
 mod transport;
-mod wave;
 
-use crate::config::{EngineConfig, GraphMode};
+use crate::config::EngineConfig;
 use crate::dynamics::{ChurnEvent, ChurnScript, Ledger};
 use crate::eval::EvalError;
 use crate::hash::FastMap;
@@ -48,9 +49,7 @@ use pasn_crypto::{KeyAuthority, Principal, PrincipalId};
 use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
-use pasn_provenance::{
-    ArchiveStore, DerivationGraph, DistributedStore, ProvTag, ProvenanceKind, VarTable,
-};
+use pasn_provenance::{ArchiveStore, DerivationGraph, DistributedStore, ProvTag, VarTable};
 use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use queue::{BatchKey, BatchRow, Bound, Polarity, QueuedWork, WorkQueue};
 use std::collections::{BTreeMap, HashMap};
@@ -131,6 +130,12 @@ fn node_ids(n: usize) -> impl Iterator<Item = NodeId> {
     (0..n as u32).map(NodeId)
 }
 
+/// The modeled pool partition that owns node `id`: ids interleave across
+/// the `workers` partitions.  The one place the layout is decided.
+fn partition_of(id: NodeId, workers: usize) -> usize {
+    id.0 as usize % workers
+}
+
 /// The security principal of a node: nodes double as principals, and
 /// `NodeId(i)` is `PrincipalId(i)` by construction (see
 /// [`DistributedEngine::new`]).
@@ -185,12 +190,12 @@ struct NodeRuntime {
     /// Populated only while dynamics are enabled.
     ledger: Ledger,
     /// This node's simulated CPU lane: busy until this instant.  Owned by
-    /// the node (not a global schedule) so a partition can advance its
-    /// nodes' clocks without touching any other partition's state.
+    /// the node, not a global schedule: nodes compute concurrently in
+    /// simulated time.
     busy_until: SimTime,
     /// Total simulated CPU this node has executed — the modeled work the
-    /// host must schedule somewhere.  Summed per partition per wave to
-    /// compute the modeled parallel critical path.
+    /// host must schedule somewhere.  Its per-event deltas, bucketed by
+    /// partition per wave, give the modeled parallel critical path.
     cpu_spent: SimTime,
     /// Latest delivery time per outbound link, keyed by destination node id
     /// (`SaysLevel::Session` and dynamics runs): a session channel's
@@ -198,8 +203,7 @@ struct NodeRuntime {
     /// real session transport it stands in for would provide — and
     /// retraction streams likewise assume FIFO links (a tombstone must
     /// never overtake the assertion it withdraws).  Keyed by destination
-    /// only because this node is always the source, which is what lets a
-    /// partition clamp its own outbound links without global state.
+    /// only because this node is always the source.
     link_horizon: FastMap<u32, SimTime>,
     /// Wire bytes this node has sent (frames, handshakes, acks): its lane
     /// of the per-principal accountability report.
@@ -237,6 +241,14 @@ impl NodeRuntime {
     }
 }
 
+/// What one evaluated event recorded for the engine to apply after it:
+/// its effects and (when tracing) its trace events, in emission order.
+#[derive(Default)]
+struct EventLog {
+    effects: Vec<Effect>,
+    trace: Vec<TraceEvent>,
+}
+
 /// The distributed evaluator.
 pub struct DistributedEngine {
     /// Configuration, compiled program, interner and directory: everything
@@ -248,11 +260,17 @@ pub struct DistributedEngine {
     queue: WorkQueue,
     transport: LinkTransport,
     deletion: DeletionState,
-    /// Simulated CPU banked by wave parallelism: for every wave, the sum of
-    /// all partitions' executed CPU minus the slowest partition's — work the
-    /// pool absorbed off the critical path.  Subtracted from the nodes'
-    /// total executed CPU to report [`RunMetrics::parallel_wall`].
+    /// Simulated CPU the modeled pool takes off the critical path: for
+    /// every wave, the sum of all partitions' executed CPU minus the slowest
+    /// partition's.  Subtracted from the nodes' total executed CPU to report
+    /// [`RunMetrics::parallel_wall`]; stays zero at one worker.
     cpu_saved: SimTime,
+    /// The log of the event being evaluated: taken, filled, drained and put
+    /// back, so steady state allocates none.
+    event_log: EventLog,
+    /// The same for a frame sealed inline while an event's effects replay
+    /// (unbatched runs), when `event_log` is out on loan.
+    seal_log: EventLog,
     metrics: RunMetrics,
     /// Earliest simulated instant at which the next scripted churn event
     /// samples the memory footprint into the peak gauges.
@@ -368,6 +386,8 @@ impl DistributedEngine {
             config.fault_plan = Some(plan.with_env_seed());
             config.dynamics = true;
         }
+        // `workers` is a public field: a hand-set 0 models no pool, like 1.
+        config.workers = config.workers.max(1);
         let recorder = config
             .trace
             .clone()
@@ -379,6 +399,8 @@ impl DistributedEngine {
             transport: LinkTransport::default(),
             deletion: DeletionState::default(),
             cpu_saved: SimTime::ZERO,
+            event_log: EventLog::default(),
+            seal_log: EventLog::default(),
             metrics: RunMetrics::default(),
             next_peak_sample_us: 0,
             completion: SimTime::ZERO,
@@ -607,18 +629,12 @@ impl DistributedEngine {
         }
     }
 
-    /// Marks the run started, records the worker-pool layout, and reports
-    /// whether same-instant waves run on the pool.
-    fn begin_run(&mut self) -> bool {
+    /// Marks the run started and records the modeled pool's layout.
+    fn begin_run(&mut self) {
         self.started = true;
-        let workers = self.shared.config.workers.max(1);
+        let workers = self.shared.config.workers;
         self.metrics.worker_threads = workers as u64;
-        self.metrics.partitions = if workers > 1 {
-            workers.min(self.nodes.len().max(1)) as u64
-        } else {
-            1
-        };
-        workers > 1 && self.wave_parallel_eligible()
+        self.metrics.partitions = workers.min(self.nodes.len().max(1)) as u64;
     }
 
     /// Arms the dynamics machinery for `entry_point` (a no-op when the
@@ -643,10 +659,10 @@ impl DistributedEngine {
     /// and the sweep are quiescent.
     pub fn run_to_fixpoint(&mut self) -> Result<RunMetrics, EngineError> {
         let started = Instant::now();
-        let parallel = self.begin_run();
+        self.begin_run();
         let mut last_at = SimTime::ZERO;
         loop {
-            self.drain_queue(None, parallel, &mut last_at)?;
+            self.drain_queue(None, &mut last_at)?;
             if self.shared.config.dynamics && self.take_sweep_request() {
                 self.well_founded_sweep(last_at);
                 if !self.queue.is_empty() {
@@ -690,11 +706,10 @@ impl DistributedEngine {
         }
     }
 
-    /// Emit any due gauge samples before the queue head is processed.  The
-    /// head instant is the same whatever the worker count (all earlier work
-    /// has fully drained by the time the head crosses a sample boundary),
-    /// so the samples — and the queue/store state they observe — are
-    /// deterministic.
+    /// Emit any due gauge samples before the queue head is processed.  All
+    /// earlier work has fully drained by the time the head crosses a sample
+    /// boundary, so the samples — and the queue/store state they observe —
+    /// are deterministic.
     fn trace_sample_gauges(&mut self) {
         let Some(head_at) = self.queue.head_time() else {
             return;
@@ -725,18 +740,22 @@ impl DistributedEngine {
 
     /// Drains queued work in `(time, rank, seq)` order until the queue is
     /// empty or its head reaches `bound` — the streaming driver's exclusive
-    /// cut.  Wave-safe work pops a whole same-instant wave at a time: the
-    /// pool shards it, the sequential schedule evaluates it in seq order
-    /// (the two are the same schedule by construction).  Engine-global
-    /// work runs one item at a time.  `last_at` tracks the latest instant
-    /// processed (the well-founded sweep's reference point).  Open-batch
-    /// boundary buckets are released as the clock passes them.
-    fn drain_queue(
-        &mut self,
-        bound: Bound,
-        parallel: bool,
-        last_at: &mut SimTime,
-    ) -> Result<(), EngineError> {
+    /// cut.  Wave-safe work pops a whole same-instant wave at a time and
+    /// evaluates it in seq order; engine-global work runs one item at a
+    /// time.  `last_at` tracks the latest instant processed (the
+    /// well-founded sweep's reference point).  Open-batch boundary buckets
+    /// are released as the clock passes them.
+    ///
+    /// The modeled pool (`EngineConfig::workers > 1`) is bookkeeping on this
+    /// loop, never a second schedule: a wave's events are bucketed by their
+    /// owner's partition, each bucket is charged the CPU its events added to
+    /// their owners' lanes, and the wave banks everything but its busiest
+    /// bucket as off the critical path.
+    fn drain_queue(&mut self, bound: Bound, last_at: &mut SimTime) -> Result<(), EngineError> {
+        let workers = self.shared.config.workers;
+        // One `(CPU µs, events)` bucket per modeled partition, reset per
+        // wave; none — and no accounting — at one worker.
+        let mut buckets = vec![(0u64, 0u64); if workers > 1 { workers } else { 0 }];
         loop {
             if self.recorder.is_some() {
                 self.trace_sample_gauges();
@@ -745,13 +764,21 @@ impl DistributedEngine {
                 let wave_at = wave[0].0;
                 *last_at = (*last_at).max(wave_at);
                 self.queue.release_flushed(wave_at);
-                if parallel {
-                    self.process_wave(wave)?;
-                } else {
-                    for (at, _, work) in wave {
-                        self.eval_event(at, work)?;
+                buckets.fill((0, 0));
+                for (at, _, work) in wave {
+                    let owner = work.owner();
+                    let cpu_before = self.nodes[ix(owner)].cpu_spent.as_micros();
+                    self.eval_event(at, work)?;
+                    if let Some((cpu, events)) = buckets.get_mut(partition_of(owner, workers)) {
+                        *cpu += self.nodes[ix(owner)].cpu_spent.as_micros() - cpu_before;
+                        *events += 1;
                     }
                 }
+                let wave_cpu: u64 = buckets.iter().map(|b| b.0).sum();
+                let slowest = buckets.iter().map(|b| b.0).max().unwrap_or(0);
+                self.cpu_saved += SimTime::from_micros(wave_cpu - slowest);
+                let largest = buckets.iter().map(|b| b.1).max().unwrap_or(0);
+                self.metrics.max_partition_queue = self.metrics.max_partition_queue.max(largest);
                 continue;
             }
             let Some((at, _, work)) = self.queue.pop_next(bound) else {
@@ -786,31 +813,6 @@ impl DistributedEngine {
         self.metrics.peak_tuples = self.metrics.peak_tuples.max(tuples);
         self.metrics.peak_ledger_firings = self.metrics.peak_ledger_firings.max(firings.sum());
         (store, index, tuples)
-    }
-
-    /// Whether this configuration can run same-instant waves on the worker
-    /// pool at all.  The shared provenance variable table is the one piece
-    /// of order-sensitive cross-node mutable state, so any configuration
-    /// that writes it (semiring tags, derivation graphs, offline archives)
-    /// stays on the sequential path; dynamics work items (churn, expiry,
-    /// eviction, retraction) are engine-global and are kept sequential by
-    /// the wave-safety check itself.
-    ///
-    /// Unbatched runs (`batch_window_us == 0`) also stay sequential: without
-    /// a window, shipment frames seal *inline* while effects apply
-    /// (`seal_and_ship_now`), charging the sender's CPU lane at replay time
-    /// — but the sequential schedule interleaves those seals between events,
-    /// so replaying them after the wave would order a node's lane
-    /// differently and shift every downstream send time.  With a window the
-    /// hazard is gone by construction: ship effects only buffer rows, and
-    /// sealing is first-class queued work owned by the sender, processed in
-    /// queue-seq order like everything else.
-    fn wave_parallel_eligible(&self) -> bool {
-        let config = &self.shared.config;
-        config.provenance == ProvenanceKind::None
-            && config.graph_mode == GraphMode::None
-            && !config.archive_offline
-            && config.batch_window_us > 0
     }
 
     /// Runs one wave-unsafe work item — popped, or injected by the streaming
@@ -860,15 +862,10 @@ impl DistributedEngine {
         Ok(())
     }
 
-    /// The sequential path's evaluation context for one event owned by
-    /// `owner`: the engine's real variable table and metrics, the caller's
-    /// effect and trace logs.
-    fn ctx<'a>(
-        &'a mut self,
-        owner: NodeId,
-        effects: &'a mut Vec<Effect>,
-        trace: &'a mut Vec<TraceEvent>,
-    ) -> PartitionCtx<'a> {
+    /// The evaluation context for one event owned by `owner`: that node's
+    /// runtime, the engine's variable table and metrics, and `log` to
+    /// record into.
+    fn ctx<'a>(&'a mut self, owner: NodeId, log: &'a mut EventLog) -> PartitionCtx<'a> {
         PartitionCtx {
             shared: &self.shared,
             id: owner,
@@ -876,30 +873,27 @@ impl DistributedEngine {
             var_table: &mut self.var_table,
             metrics: &mut self.metrics,
             completion: &mut self.completion,
-            effects,
-            trace,
+            effects: &mut log.effects,
+            trace: &mut log.trace,
         }
     }
 
     /// Runs one Deliver/Ship/Handshake event through an evaluation context
-    /// on the calling thread and applies its effects immediately — this IS
-    /// the sequential schedule, byte for byte: the context machinery is the
-    /// same one the worker pool uses, but with the engine's real variable
-    /// table and metrics, and with effects applied in emission order.
+    /// at its owning node, then applies the effects it recorded, in
+    /// emission order.
     fn eval_event(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
         let owner = work.owner();
         // Wave-span feed info.  `owner: None` (wave-unsafe work, e.g. a
-        // retraction batch) closes the open span, exactly as the parallel
-        // driver's wave boundary would.
+        // retraction batch) closes the open span.
         let feed = (
             at.as_micros(),
             work.rank(),
             work.wave_safe().then_some(owner.0),
         );
-        let mut effects = Vec::new();
-        let mut trace = Vec::new();
-        let result = self.ctx(owner, &mut effects, &mut trace).run(at, work);
-        self.replay_event(Some(feed), effects, trace);
+        let mut log = std::mem::take(&mut self.event_log);
+        let result = self.ctx(owner, &mut log).run(at, work);
+        self.replay_event(Some(feed), &mut log);
+        self.event_log = log;
         result
     }
 
@@ -920,28 +914,21 @@ impl DistributedEngine {
         self.nodes[ix(src)].bytes_sent += wire_bytes as u64;
     }
 
-    /// Replays one evaluated event against the engine-global state: its
-    /// wave-span `feed` `(instant µs, rank, owner)` and buffered trace
-    /// events go to the recorder, then its effects apply — to the work
-    /// queue (seq assignment), open-batch buffers, the traffic meter,
-    /// scheduled expiries and retraction entry points.  Replaying events
-    /// as they finish (sequential path) or in queue-seq order across a
-    /// wave (parallel path) yields the identical queue and trace.
-    fn replay_event(
-        &mut self,
-        feed: Option<(u64, u8, Option<u32>)>,
-        effects: Vec<Effect>,
-        trace: Vec<TraceEvent>,
-    ) {
+    /// Replays one evaluated event against the engine-global state and
+    /// leaves `log` empty: its wave-span `feed` `(instant µs, rank, owner)`
+    /// and buffered trace events go to the recorder, then its effects apply
+    /// — to the work queue (seq assignment), open-batch buffers, the
+    /// traffic meter, scheduled expiries and retraction entry points.
+    fn replay_event(&mut self, feed: Option<(u64, u8, Option<u32>)>, log: &mut EventLog) {
         if let Some(rec) = self.recorder.as_mut() {
             if let Some((at_us, rank, owner)) = feed {
-                rec.feed_item(at_us, rank, owner, effects.len() as u32);
+                rec.feed_item(at_us, rank, owner, log.effects.len() as u32);
             }
-            for event in trace {
+            for event in log.trace.drain(..) {
                 rec.push(event);
             }
         }
-        for effect in effects {
+        for effect in log.effects.drain(..) {
             match effect {
                 Effect::Local {
                     at,
@@ -1023,7 +1010,7 @@ impl DistributedEngine {
     {
         let started = Instant::now();
         self.arm_dynamics("run_streaming")?;
-        let parallel = self.begin_run();
+        self.begin_run();
         let horizon_seq = self.queue.next_seq();
         let mut last_at = SimTime::ZERO;
         let mut last_event = SimTime::ZERO;
@@ -1036,7 +1023,7 @@ impl DistributedEngine {
                 )));
             }
             last_event = at;
-            self.drain_queue(Some((at, horizon_seq)), parallel, &mut last_at)?;
+            self.drain_queue(Some((at, horizon_seq)), &mut last_at)?;
             self.queue.release_flushed(at);
             last_at = last_at.max(at);
             self.dispatch_global(at, QueuedWork::Churn(event))?;

@@ -1,7 +1,7 @@
 //! The simulated-time work queue: what the engine schedules, the order it
-//! pops in, the open batches same-window tuples append to, and the single
-//! [`WorkQueue::pop_wave`] both the sequential and the pooled schedule
-//! consume.
+//! pops in, the open batches same-window tuples append to, and
+//! [`WorkQueue::pop_wave`], which hands the engine's one evaluation loop a
+//! whole same-instant wave at a time.
 
 use crate::dynamics::ChurnEvent;
 use crate::hash::FastMap;
@@ -118,8 +118,7 @@ pub(super) enum QueuedWork {
     /// receiver, processed as a single scheduling event charging one
     /// contiguous CPU window of `k × rsa_verify_us` on the receiver's lane.
     /// Never pushed onto the queue: built by [`WorkQueue::pop_wave`] from
-    /// the [`QueuedWork::Handshake`] items of one wave, so every counter —
-    /// including `handshake_batches` — is worker-count invariant.
+    /// the [`QueuedWork::Handshake`] items of one wave.
     HandshakeBatch {
         destination: NodeId,
         handshakes: Vec<ChannelHandshake>,
@@ -464,12 +463,11 @@ impl WorkQueue {
     /// delivery in it coalesced into per-receiver batches.  Returns `None`
     /// when the queue is empty, bounded out, or its head is engine-global
     /// work, which [`WorkQueue::pop_next`] hands out one item at a time.
-    /// The conservative lookahead is the wave boundary itself: everything
-    /// inside a wave is due at one simulated instant, and per-link delivery
-    /// horizons guarantee nothing queued later can be due earlier.  Both
-    /// schedules consume this one function — the sequential loop evaluates
-    /// the wave in order, the pool shards it — so wave (and handshake
-    /// batch) composition never depends on the worker count.
+    /// Everything inside a wave is due at one simulated instant, and
+    /// per-link delivery horizons guarantee nothing queued later can be due
+    /// earlier.  `drain_queue` is the one consumer: it evaluates the wave
+    /// in seq order, and a wave is also the unit the modeled pool's
+    /// accounting (and the trace's wave spans) are kept per.
     pub(super) fn pop_wave(&mut self, bound: Bound) -> Option<Vec<WaveItem>> {
         let &Reverse((wave_at, wave_rank, ..)) = self.heap.peek()?;
         let mut wave = Vec::new();

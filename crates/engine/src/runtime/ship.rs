@@ -4,7 +4,7 @@
 
 use super::eval::{Effect, PartitionCtx};
 use super::queue::{BatchRow, DeltaBatch, Polarity, QueuedWork, ShipFrame};
-use super::{ix, principal_of, DistributedEngine};
+use super::{ix, partition_of, principal_of, DistributedEngine};
 use crate::config::DEFAULT_RETRANSMIT_RTO_US;
 use crate::hash::FastMap;
 use crate::tuple;
@@ -175,10 +175,10 @@ impl<'a> PartitionCtx<'a> {
         if polarity == Polarity::Retract {
             self.metrics.tombstone_frames += 1;
         }
-        // Partition accounting: a frame whose receiver lives on a different
-        // partition crosses a mailbox boundary on parallel runs.
-        let workers = shared.config.workers as u32;
-        if workers > 1 && self.id.0 % workers != dst.0 % workers {
+        // Modeled-pool accounting: a frame whose receiver belongs to another
+        // partition would cross a partition boundary.
+        let workers = shared.config.workers;
+        if partition_of(self.id, workers) != partition_of(dst, workers) {
             self.metrics.cross_partition_frames += 1;
         }
         self.effects.push(Effect::Queue {
@@ -355,13 +355,13 @@ impl DistributedEngine {
     /// Seals one shipment frame right now on the engine (the
     /// `batch_window = 0` fast path, where every head tuple ships as its
     /// own frame): drives the same context sealing code the queue path
-    /// uses and replays its transport effects immediately.
+    /// uses and replays its transport effects immediately.  Runs while an
+    /// event's own effects replay, hence the second log.
     pub(super) fn seal_and_ship_now(&mut self, at: SimTime, frame: ShipFrame) {
-        let mut effects = Vec::new();
-        let mut trace = Vec::new();
-        self.ctx(frame.src, &mut effects, &mut trace)
-            .seal_and_ship(at, frame);
-        self.replay_event(None, effects, trace);
+        let mut log = std::mem::take(&mut self.seal_log);
+        self.ctx(frame.src, &mut log).seal_and_ship(at, frame);
+        self.replay_event(None, &mut log);
+        self.seal_log = log;
     }
 
     /// Schedules eviction of the session channel bound to the directed

@@ -1,7 +1,9 @@
 use super::*;
+use crate::config::GraphMode;
+use crate::metrics::Scope;
 use pasn_datalog::parse_program;
 use pasn_net::CostModel;
-use pasn_provenance::{traceback, MaintenanceMode};
+use pasn_provenance::{traceback, MaintenanceMode, ProvenanceKind};
 
 const REACHABLE: &str = "
     r1 reachable(@S,D) :- link(@S,D).
@@ -796,4 +798,70 @@ fn metrics_accessors_and_queries() {
     assert_eq!(everywhere.len(), 3);
     assert!(metrics.tuples_stored >= 6);
     assert!(metrics.derivations >= 3);
+}
+
+/// The modeled pool is bookkeeping on the one evaluation loop: whatever
+/// `workers` says, every stored row (in insertion order, metadata included)
+/// and every schedule counter is that of `workers = 1`.  Only the `Layout`
+/// rows move; the pins are what a thread pool sharded `node_id % workers`
+/// (PR 18's evaluator) reported on this deployment.
+#[test]
+fn modeled_pool_size_moves_only_the_layout_rows() {
+    let program = parse_program(REACHABLE).unwrap();
+    // Three disjoint 4-node clusters, each a ring plus a two-hop chord; at
+    // every swept pool size a cluster's nodes land on several partitions.
+    let locations: Vec<Value> = (0..12).map(Value::Addr).collect();
+    let run = |config: EngineConfig| {
+        let mut engine = DistributedEngine::new(&program, config, &locations).unwrap();
+        for i in 0..12u32 {
+            let base = i / 4 * 4;
+            for offset in [1, 2] {
+                let (src, dst) = (Value::Addr(i), Value::Addr(base + (i + offset) % 4));
+                let link = Tuple::new("link", vec![src.clone(), dst]);
+                engine.insert_fact(src, link).unwrap();
+            }
+        }
+        let metrics = engine.run_to_fixpoint().unwrap();
+        let rows: Vec<String> = locations
+            .iter()
+            .flat_map(|loc| engine.query(loc, "reachable"))
+            .map(|(tuple, meta)| format!("{tuple:?} {meta:?}"))
+            .collect();
+        (metrics, rows)
+    };
+    let layout = |m: &RunMetrics| {
+        let wall_us = m.parallel_wall.as_micros() as u64;
+        (
+            m.partitions,
+            m.cross_partition_frames,
+            m.max_partition_queue,
+            wall_us,
+        )
+    };
+
+    // The paper's cost model, batched: the configuration the pool served.
+    let batched = || EngineConfig::ndlog().with_batching();
+    let (baseline, want) = run(batched());
+    assert_eq!(want.len(), 12 * 4, "every node reaches its whole cluster");
+    assert_eq!(layout(&baseline), (1, 0, 0, 337_200));
+    let pool = [
+        (2, (2, 42, 18, 192_720)),
+        (4, (4, 84, 9, 132_420)),
+        (8, (8, 84, 6, 88_280)),
+    ];
+    for (workers, pinned) in pool {
+        let (metrics, rows) = run(batched().with_workers(workers));
+        assert_eq!(metrics.diff(&baseline, Scope::Schedule), [], "{workers}");
+        assert_eq!(rows, want, "insertion order at {workers} workers");
+        assert_eq!(metrics.worker_threads, workers as u64);
+        assert_eq!(layout(&metrics), pinned, "layout at {workers} workers");
+    }
+
+    // Unbatched with condensed provenance — inline seals, the shared
+    // variable table: what kept threads off is nothing to a model.
+    let (baseline, want) = run(EngineConfig::sendlog_prov());
+    let (metrics, rows) = run(EngineConfig::sendlog_prov().with_workers(4));
+    assert_eq!(metrics.diff(&baseline, Scope::Schedule), []);
+    assert_eq!(rows, want);
+    assert!(metrics.parallel_wall < baseline.parallel_wall);
 }

@@ -166,8 +166,7 @@ struct Table {
     /// Slots walked by compaction rebuilds since the debt was last drained
     /// (see [`NodeStore::take_compaction_debt`]).  Compaction used to run
     /// un-metered, which charged its cost to nobody — harmless on one
-    /// global clock, but wrong once partitions advance per-node CPU lanes
-    /// independently.
+    /// global clock, but wrong with one CPU lane per node.
     compaction_walked: u64,
     /// Secondary indexes in registration order: a handful per relation,
     /// found by key-column slice equality.
@@ -657,8 +656,8 @@ impl NodeStore {
     /// all relations.  The engine charges this to the owning
     /// node's CPU lane (at [`pasn_net::CostModel::compact_entry_us`] per
     /// entry) right after every removal path, so deferred store maintenance
-    /// lands on the partition that owns the node rather than vanishing into
-    /// the global clock.
+    /// lands on the node that owns the store rather than vanishing into the
+    /// global clock.
     pub fn take_compaction_debt(&mut self) -> u64 {
         let mut walked = 0;
         for table in &mut self.tables {

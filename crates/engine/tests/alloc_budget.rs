@@ -53,9 +53,10 @@ const BEST_PATH: &str = "
 
 const NODES: u32 = 12;
 
-/// Allocations per derivation the run may spend: a quarter above the 13.6
-/// this path measures (the `Vec`/`String`-cell, SipHash path before it: 21.4).
-const BUDGET: f64 = 17.0;
+/// Allocations per derivation the run may spend: a quarter above the 12.8
+/// this path measures (13.6 while every event allocated its own effect log;
+/// 21.4 on the `Vec`/`String`-cell, SipHash path before that).
+const BUDGET: f64 = 16.0;
 
 #[test]
 fn best_path_stays_within_its_allocation_budget() {

@@ -111,8 +111,7 @@ fn stream(generations: u32) -> (usize, usize) {
     let config = EngineConfig::ndlog()
         .with_batching()
         .with_dynamics()
-        .with_default_ttl_us(TTL_US)
-        .with_workers(1);
+        .with_default_ttl_us(TTL_US);
     let mut engine = DistributedEngine::new(&program, config, &locations).unwrap();
 
     let deployed = LIVE.load(Ordering::Relaxed);

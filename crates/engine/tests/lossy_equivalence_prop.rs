@@ -2,8 +2,8 @@
 //!
 //! 1. **Lossy re-convergence** — for random topologies × seeded fault
 //!    plans (per-link drop / duplicate / delay, plus a crash-style link
-//!    cut that discards in-flight frames) × random `says` levels × worker
-//!    counts × batch knobs, the lossy run's fixpoint equals a from-scratch
+//!    cut that discards in-flight frames) × random `says` levels × batch
+//!    knobs, the lossy run's fixpoint equals a from-scratch
 //!    *reliable* evaluation of the surviving topology: identical tuple
 //!    sets (canonically ordered) at every node and identical totals.
 //! 2. **Counter determinism** — re-running the same seeded plan yields
@@ -51,36 +51,34 @@ fn assert_lossy_matches_reliable(
 }
 
 /// Dense 4-node topology, default lossy plan (6% drop, 2% duplicate, 3%
-/// delayed) plus a crash-style link cut: every `says` level × workers
-/// {1, 4} re-converges bit-identically to the reliable fixpoint of the
-/// surviving topology, with deterministic counters across repeat runs.
+/// delayed) plus a crash-style link cut: every `says` level re-converges
+/// bit-identically to the reliable fixpoint of the surviving topology, with
+/// deterministic counters across repeat runs.
 #[test]
 fn seeded_fault_plan_reconverges_bit_identically() {
     let initial: Vec<(usize, usize)> = vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)];
     let surviving: Vec<(usize, usize)> =
         initial.iter().filter(|&&l| l != (0, 2)).copied().collect();
     for says in 0..3u64 {
-        for workers in [1usize, 4] {
-            let config = || says_config(says).with_workers(workers);
-            let plan = || FaultPlan::new(7).cut_link(5_000_000, 0, 2);
-            let first = assert_lossy_matches_reliable(config, &initial, &surviving, plan());
-            let second = assert_lossy_matches_reliable(config, &initial, &surviving, plan());
-            assert!(
-                first.frames_dropped > 0,
-                "plan never dropped a frame (says {says} workers {workers})"
-            );
-            assert!(
-                first.retransmits > 0,
-                "drops without retransmissions (says {says} workers {workers})"
-            );
-            // The retry budget bounds the worst per-frame retransmit count.
-            assert!(first.max_retransmit_per_frame < u64::from(pasn_engine::DEFAULT_RETRY_BUDGET));
-            assert_eq!(
-                first.diff(&second, Scope::Layout),
-                vec![],
-                "same-seed counters diverged (says {says} workers {workers})"
-            );
-        }
+        let config = || says_config(says);
+        let plan = || FaultPlan::new(7).cut_link(5_000_000, 0, 2);
+        let first = assert_lossy_matches_reliable(config, &initial, &surviving, plan());
+        let second = assert_lossy_matches_reliable(config, &initial, &surviving, plan());
+        assert!(
+            first.frames_dropped > 0,
+            "plan never dropped a frame (says {says})"
+        );
+        assert!(
+            first.retransmits > 0,
+            "drops without retransmissions (says {says})"
+        );
+        // The retry budget bounds the worst per-frame retransmit count.
+        assert!(first.max_retransmit_per_frame < u64::from(pasn_engine::DEFAULT_RETRY_BUDGET));
+        assert_eq!(
+            first.diff(&second, Scope::Layout),
+            vec![],
+            "same-seed counters diverged (says {says})"
+        );
     }
 }
 
@@ -115,22 +113,17 @@ fn node_crash_without_drain_reconverges() {
 /// retransmissions, die, and be reconciled like a cut-link casualty — the
 /// run terminates instead of livelocking, and each node ends up holding
 /// only what it derived itself (nothing rests on a frame that never
-/// arrived).  Identical at workers 1 and 4, at the `Session` and `Rsa`
-/// levels.
+/// arrived).  At the `Session` and `Rsa` levels.
 #[test]
 fn sustained_loss_exhausts_the_retry_budget_and_terminates() {
     let budget = u64::from(pasn_engine::DEFAULT_RETRY_BUDGET);
     let links: Vec<(usize, usize)> = vec![(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)];
     for base in [EngineConfig::sendlog_session, EngineConfig::sendlog] {
-        let run = |workers: usize| {
-            let mut plan = FaultPlan::lossless(7).with_drop_per_mille(1000);
-            plan.max_consecutive_drops = u8::MAX;
-            let config = base().with_batching().with_workers(workers);
-            let mut engine = reach_engine(config.with_fault_plan(plan), &links);
-            let metrics = engine.run_to_fixpoint().unwrap();
-            (engine, metrics)
-        };
-        let (engine, m) = run(1);
+        let mut plan = FaultPlan::lossless(7).with_drop_per_mille(1000);
+        plan.max_consecutive_drops = u8::MAX;
+        let config = base().with_batching();
+        let mut engine = reach_engine(config.with_fault_plan(plan), &links);
+        let m = engine.run_to_fixpoint().unwrap();
 
         // Every data frame was offered `budget` times (the original send
         // plus budget − 1 re-rolls, all dropped) and abandoned when its
@@ -165,21 +158,14 @@ fn sustained_loss_exhausts_the_retry_budget_and_terminates() {
             assert_eq!(engine.query(loc, "link").len(), own_links);
             assert_eq!(engine.query(loc, "reachable").len(), own_links);
         }
-
-        // The pool reproduces the sequential run bit for bit.
-        let (pooled, pm) = run(4);
-        assert_eq!(pm.diff(&m, Scope::Schedule), vec![]);
-        for pred in ["link", "reachable"] {
-            assert_eq!(fixpoint_of(&pooled, pred), fixpoint_of(&engine, pred));
-        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random topology × seeded fault plan × `says` level × workers ×
-    /// batch window: the lossy fixpoint is the reliable fixpoint of the
+    /// Random topology × seeded fault plan × `says` level × batch window:
+    /// the lossy fixpoint is the reliable fixpoint of the
     /// surviving topology, and same-seed counters are deterministic.
     #[test]
     fn lossy_equivalence_prop(
@@ -200,12 +186,7 @@ proptest! {
         prop_assume!(!initial.is_empty());
         let seed = knobs ^ 0x9e37_79b9_7f4a_7c15;
         let window = knobs % 3_000;
-        let workers = if (knobs >> 12) & 1 == 1 { 4 } else { 1 };
-        let config = || {
-            says_config(knobs >> 24)
-                .with_batch_window_us(window)
-                .with_workers(workers)
-        };
+        let config = || says_config(knobs >> 24).with_batch_window_us(window);
         let plan = || {
             let mut plan = FaultPlan::new(seed);
             for (i, link) in initial.iter().enumerate() {
@@ -234,10 +215,9 @@ proptest! {
         prop_assert_eq!(
             fixpoint_of(&lossy, "reachable"),
             fixpoint_of(&fresh, "reachable"),
-            "seed {} window {} workers {}",
+            "seed {} window {}",
             seed,
-            window,
-            workers
+            window
         );
         prop_assert_eq!(metrics.tuples_stored, fresh_metrics.tuples_stored);
         prop_assert_eq!(metrics.verification_failures, 0);

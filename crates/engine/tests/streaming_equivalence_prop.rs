@@ -7,8 +7,8 @@
 //! equivalent fixpoints — it is that they execute the *same schedule*:
 //! identical insertion-ordered stores at every node, and an empty
 //! `RunMetrics::diff` at `Scope::Schedule` (every schedule counter of the
-//! metrics table), across says levels × worker counts × batch knobs × churn
-//! scripts × soft-state TTLs.
+//! metrics table), across says levels × batch knobs × churn scripts ×
+//! soft-state TTLs.
 
 use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, Scope};
 use proptest::prelude::*;
@@ -56,15 +56,13 @@ proptest! {
         prop_assume!(!initial.is_empty());
         let window = knobs % 3_000;
         let cap = 1 + ((knobs >> 16) % 5) as usize;
-        let workers = if (knobs >> 32) & 1 == 1 { 4 } else { 1 };
         // A TTL on one case in four exercises mid-run soft-state expiry —
         // the generational shape the streaming driver exists for.
         let ttl = if (knobs >> 33) & 3 == 0 { Some(7_000_000u64) } else { None };
         let config = || {
             let mut c = says_config(knobs >> 24)
                 .with_batch_window_us(window)
-                .with_max_batch_tuples(cap)
-                .with_workers(workers);
+                .with_max_batch_tuples(cap);
             if let Some(ttl) = ttl {
                 c = c.with_default_ttl_us(ttl);
             }
@@ -106,11 +104,10 @@ proptest! {
             prop_assert_eq!(
                 ordered_fixpoint_of(&streaming, pred),
                 ordered_fixpoint_of(&batch, pred),
-                "{} diverged (window {} cap {} workers {} ttl {:?})",
+                "{} diverged (window {} cap {} ttl {:?})",
                 pred,
                 window,
                 cap,
-                workers,
                 ttl
             );
         }

@@ -8,9 +8,9 @@
 //!
 //! Every decision is a pure function of `(seed, src, dst, frame seq,
 //! attempt)` through a splitmix64-style mixer: the same plan on the same
-//! frame stream makes the same calls in every run and at every worker
-//! count, which is what lets the engine's reliability layer promise
-//! bit-identical re-convergence and repeatable fault counters.
+//! frame stream makes the same calls in every run, which is what lets the
+//! engine's reliability layer promise bit-identical re-convergence and
+//! repeatable fault counters.
 //!
 //! Loss is *bounded-burst*: once a frame has been dropped
 //! [`FaultPlan::max_consecutive_drops`] times in a row, the next attempt is

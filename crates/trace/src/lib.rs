@@ -6,8 +6,8 @@
 //! with the discrete-event timestamp the engine was processing when it fired,
 //! and events are appended in the engine's deterministic replay order.  As a
 //! consequence a trace is a pure function of the workload — bit-identical
-//! across worker-pool sizes, host machines, and reruns — which makes the
-//! recorder double as a CI determinism oracle: if two traces differ, the
+//! across host machines, reruns and modeled pool sizes — which makes the
+//! recorder double as a determinism oracle: if two traces differ, the
 //! schedules diverged.
 //!
 //! The recorder collects five families of data:
@@ -94,10 +94,10 @@ pub struct TraceEvent {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A maximal run of same-instant, same-rank wave-safe work items — the
-    /// unit the parallel driver ships to the worker pool.  `owners` counts
-    /// distinct owning nodes (a schedule property, *not* the partition
-    /// count, which depends on the worker count and would break trace
-    /// determinism).
+    /// unit the engine pops at once and the modeled pool's accounting is
+    /// kept per.  `owners` counts distinct owning nodes (a schedule
+    /// property, *not* the partition count, which depends on the modeled
+    /// pool size and has no place in a trace).
     Wave {
         /// Same-instant ordering rank of the wave's items.
         rank: u8,
@@ -358,7 +358,7 @@ impl TraceRecorder {
     /// Some(node)` merge into one [`TraceEventKind::Wave`]; an item with
     /// `owner: None` (engine-global work that can never join a wave) flushes
     /// the open span without starting a new one.  The engine calls this in
-    /// effect-replay order, which is identical across worker counts.
+    /// effect-replay order — the order it evaluated the items in.
     pub fn feed_item(&mut self, at_us: u64, rank: u8, owner: Option<u32>, effects: u32) {
         let Some(owner) = owner else {
             self.flush_wave();

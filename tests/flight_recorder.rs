@@ -1,7 +1,7 @@
 //! Integration tests for the deterministic flight recorder (`pasn-trace`):
 //! trace events are recorded in simulated time, reconstruct the transport
 //! counters exactly, never perturb a run, and are bit-identical across
-//! worker-pool sizes — the trace doubles as a determinism oracle.
+//! runs — the trace doubles as a determinism oracle.
 
 use pasn::prelude::*;
 use pasn::workload;
@@ -101,27 +101,25 @@ fn tracing_never_perturbs_the_run() {
 }
 
 /// The trace-as-oracle property: the full Chrome/Perfetto export — every
-/// event, every span, byte for byte — is identical between the sequential
-/// schedule and a four-worker pool.
+/// event, every span, byte for byte — is a pure function of the workload,
+/// so a second run reproduces it.
 #[test]
-fn trace_is_bit_identical_across_worker_counts() {
-    let export = |workers: usize| {
+fn trace_is_bit_identical_across_runs() {
+    let export = || {
         let mut net = reachability_30(
             EngineConfig::ndlog()
                 .with_batching()
-                .with_workers(workers)
                 .with_tracing(TraceConfig::new()),
         );
         net.run().unwrap();
         net.trace().expect("tracing enabled").to_chrome_json()
     };
-    let sequential = export(1);
-    let pooled = export(4);
+    let first = export();
     assert!(
-        sequential.contains("\"kind\":\"wave\""),
+        first.contains("\"kind\":\"wave\""),
         "wave spans must be recorded"
     );
-    assert_eq!(pooled, sequential, "trace diverged across worker counts");
+    assert_eq!(export(), first, "trace diverged between two runs");
 }
 
 /// Every derivation in the run is attributed to a rule firing in the
