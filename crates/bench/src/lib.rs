@@ -77,7 +77,8 @@ pub fn clustered_reachability_network(
 
 /// Builds a single-node equijoin deployment with `rows` tuples in each of
 /// two base relations sharing a key column: the canonical workload for the
-/// secondary-index join path (`engine_fixpoint/indexed_join`).
+/// secondary-index join path (`repro`'s `equijoin_{indexed,scan,batched}`
+/// points).
 ///
 /// Every arriving `a(@S,K,X)` delta joins `b(@S,K,Y)` on the bound prefix
 /// `(S, K)` and vice versa, so the scan-based evaluation examines O(rows²)

@@ -5,15 +5,10 @@
 //! implementations" — which presumes imperative implementations to compare
 //! against.  This module provides them: a textbook Bellman–Ford and a
 //! Dijkstra with path extraction, both operating directly on a
-//! [`Topology`].  They serve two purposes:
-//!
-//! 1. **Correctness oracles** — the integration tests check that the
-//!    Best-Path / distance-vector programs executed by the engine reach the
-//!    same per-destination costs (and, for path-vector, loop-free paths)
-//!    that the imperative algorithms compute.
-//! 2. **Baselines for the benches** — `benches/engine_fixpoint.rs` compares
-//!    the engine's distributed fixpoint against the centralised imperative
-//!    solution to quantify the cost of the declarative, per-node execution.
+//! [`Topology`]: correctness oracles.  The integration tests check that the
+//! Best-Path / distance-vector programs executed by the engine reach the
+//! same per-destination costs (and, for path-vector, loop-free paths) that
+//! the imperative algorithms compute.
 
 use pasn_net::{NodeId, Topology};
 use std::collections::{BinaryHeap, HashMap};

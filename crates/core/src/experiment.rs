@@ -110,7 +110,7 @@ pub fn run_point(
 }
 
 /// Runs the Best-Path query once for a given size, variant and run index.
-pub fn run_best_path_once(
+fn run_best_path_once(
     n: u32,
     variant: SystemVariant,
     config: &SweepConfig,
@@ -135,20 +135,13 @@ pub fn run_best_path_once(
     network.run()
 }
 
-/// Runs the full sweep: every size × every variant.
+/// Runs the full sweep under the paper's cost model: every size × every
+/// variant.
 pub fn run_sweep(config: &SweepConfig) -> Result<Vec<ExperimentPoint>, NetworkError> {
-    run_sweep_with_cost(config, CostModel::paper_2008())
-}
-
-/// Runs the full sweep with an explicit cost model.
-pub fn run_sweep_with_cost(
-    config: &SweepConfig,
-    cost_model: CostModel,
-) -> Result<Vec<ExperimentPoint>, NetworkError> {
     let mut points = Vec::new();
     for &n in &config.sizes {
         for variant in SystemVariant::ALL {
-            points.push(run_point(n, variant, config, cost_model)?);
+            points.push(run_point(n, variant, config, CostModel::paper_2008())?);
         }
     }
     Ok(points)

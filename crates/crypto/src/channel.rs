@@ -182,11 +182,6 @@ impl SenderChannel {
         self.transcript.dst
     }
 
-    /// Frames MAC'd on this channel so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.next_counter
-    }
-
     /// True once the channel has authenticated `rebind_after` frames and
     /// must be rebound (fresh handshake, next epoch) before the next frame.
     pub fn expired(&self) -> bool {
@@ -303,7 +298,6 @@ mod tests {
             let proof = tx.mac_frame(payload);
             assert!(rx.verify_frame(payload, &proof).is_ok());
         }
-        assert_eq!(tx.frames_sent(), 3);
         assert!(!tx.expired());
     }
 

@@ -268,12 +268,9 @@ impl EngineConfig {
     }
 
     /// Builder: installs an unreliable-network fault plan (and arms
-    /// dynamics — reconciliation needs the deletion ledger).  The plan's
-    /// seed is replaced by the `PASN_FAULT_SEED` environment override when
-    /// one is exported, so CI can re-run the suite under a different fault
-    /// schedule.
+    /// dynamics — reconciliation needs the deletion ledger).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan.with_env_seed());
+        self.fault_plan = Some(plan);
         self.dynamics = true;
         self
     }

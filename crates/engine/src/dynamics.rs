@@ -51,6 +51,7 @@ use crate::tuple::Tuple;
 use pasn_datalog::{AggFunc, PredId, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::ProvTag;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One scripted network-dynamics event.
@@ -176,31 +177,9 @@ impl ChurnScript {
         )
     }
 
-    /// Convenience: a weighted link comes up at `at_us`.
-    pub fn weighted_link_up(self, at_us: u64, src: Value, dst: Value, cost: i64) -> Self {
-        self.at(
-            at_us,
-            ChurnEvent::LinkUp {
-                src,
-                dst,
-                cost: Some(cost),
-            },
-        )
-    }
-
     /// Convenience: a link goes down at `at_us`.
     pub fn link_down(self, at_us: u64, src: Value, dst: Value) -> Self {
         self.at(at_us, ChurnEvent::LinkDown { src, dst })
-    }
-
-    /// Convenience: a link is cut without drain at `at_us`.
-    pub fn link_cut(self, at_us: u64, src: Value, dst: Value) -> Self {
-        self.at(at_us, ChurnEvent::LinkCut { src, dst })
-    }
-
-    /// Convenience: a node crashes without drain at `at_us`.
-    pub fn node_crash(self, at_us: u64, node: Value) -> Self {
-        self.at(at_us, ChurnEvent::NodeCrash { node })
     }
 
     /// Convenience: a node fails at `at_us`.
@@ -275,9 +254,43 @@ pub(crate) struct AggFiring {
     pub value: i64,
     /// Index of the aggregated column in the head row.
     pub agg_index: usize,
-    /// `Min` or `Max` (running `Count` / `Sum` aggregates are not candidate
-    /// competitions and never carry an [`AggFiring`]).
-    pub func: AggFunc,
+    /// Which end of the competition wins.
+    pub func: Extremum,
+}
+
+/// The aggregate functions that run candidate competitions: `a_MIN` and
+/// `a_MAX` (running `a_COUNT` / `a_SUM` totals never do).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Extremum {
+    Min,
+    Max,
+}
+
+impl Extremum {
+    /// The competition `func` runs, if it runs one.
+    pub fn of(func: AggFunc) -> Option<Self> {
+        match func {
+            AggFunc::Min => Some(Extremum::Min),
+            AggFunc::Max => Some(Extremum::Max),
+            AggFunc::Count | AggFunc::Sum => None,
+        }
+    }
+
+    /// Whether candidate `value` beats the emitted `best`.
+    pub fn improves(self, value: i64, best: i64) -> bool {
+        match self {
+            Extremum::Min => value < best,
+            Extremum::Max => value > best,
+        }
+    }
+
+    /// The winning entry of a value-ordered candidate multiset.
+    pub fn winner<T>(self, candidates: &BTreeMap<i64, T>) -> Option<(&i64, &T)> {
+        match self {
+            Extremum::Min => candidates.first_key_value(),
+            Extremum::Max => candidates.last_key_value(),
+        }
+    }
 }
 
 /// One recorded rule firing at the deriving node: the antecedent rows (by
@@ -456,11 +469,8 @@ mod tests {
         let script = ChurnScript::new()
             .link_down(1_000, v("a"), v("b"))
             .link_up(2_000, v("a"), v("b"))
-            .weighted_link_up(2_500, v("a"), v("c"), 4)
             .node_fail(3_000, v("c"))
             .node_rejoin(4_000, v("c"))
-            .link_cut(4_200, v("a"), v("b"))
-            .node_crash(4_500, v("b"))
             .at(
                 5_000,
                 ChurnEvent::Insert {
@@ -468,19 +478,14 @@ mod tests {
                     tuple: Tuple::new("sensor", vec![Value::Int(1)]),
                 },
             );
-        assert_eq!(script.len(), 8);
+        assert_eq!(script.len(), 5);
         assert!(!script.is_empty());
         assert_eq!(script.events()[0].0, SimTime::from_micros(1_000));
         assert!(matches!(
             script.events()[1].1,
             ChurnEvent::LinkUp { cost: None, .. }
         ));
-        assert!(matches!(
-            script.events()[2].1,
-            ChurnEvent::LinkUp { cost: Some(4), .. }
-        ));
-        assert!(matches!(script.events()[5].1, ChurnEvent::LinkCut { .. }));
-        assert!(matches!(script.events()[6].1, ChurnEvent::NodeCrash { .. }));
+        assert!(matches!(script.events()[2].1, ChurnEvent::NodeFail { .. }));
         assert!(ChurnScript::new().is_empty());
     }
 

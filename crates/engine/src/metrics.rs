@@ -283,20 +283,6 @@ impl RunMetrics {
         }
     }
 
-    /// Derivation throughput against simulated completion time: rule
-    /// firings per simulated second (`0.0` on an empty or instantaneous
-    /// run).  The scale workloads report this as their first-class
-    /// throughput gauge — it is machine-independent, unlike wall-clock
-    /// rates.
-    pub fn tuples_per_sec(&self) -> f64 {
-        let secs = self.completion_secs();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.derivations as f64 / secs
-        }
-    }
-
     /// Peak storage footprint per peak live tuple:
     /// `(peak_store_bytes + peak_index_bytes) / peak_tuples`, where both
     /// numerator and denominator fall back to the fixpoint footprint when
@@ -472,7 +458,6 @@ mod tests {
             peak_index_bytes: 1_000,
             ..RunMetrics::default()
         };
-        assert!((m.tuples_per_sec() - 250.0).abs() < 1e-9);
         // Peak footprint (9000 + 1000) over 100 tuples, not the final one.
         assert!((m.bytes_per_tuple() - 100.0).abs() < 1e-9);
         // A sampled live-tuple peak becomes the denominator — the honest
@@ -492,7 +477,6 @@ mod tests {
             ..RunMetrics::default()
         };
         assert!((flat.bytes_per_tuple() - 50.0).abs() < 1e-9);
-        assert_eq!(RunMetrics::default().tuples_per_sec(), 0.0);
         assert_eq!(RunMetrics::default().bytes_per_tuple(), 0.0);
     }
 

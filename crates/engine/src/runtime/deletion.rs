@@ -6,13 +6,13 @@
 //! walks multiple nodes, reschedules queue work and raises the sweep flag)
 //! and never joins a wave.
 
-use super::queue::{BatchRow, Polarity, QueuedWork};
-use super::{ix, node_ids, DistributedEngine, EngineError};
+use super::queue::{BatchRow, GlobalWork, Polarity};
+use super::{ix, node_ids, AggGroup, DistributedEngine, EngineError};
 use crate::config::GraphMode;
 use crate::dynamics::{BaseRow, ChurnEvent, HeadKey};
 use crate::hash::{FastMap, FastSet};
 use crate::tuple::{self, Tuple};
-use pasn_datalog::{AggFunc, PredId, Value};
+use pasn_datalog::{PredId, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{ProvTag, ProvenanceKind};
 use pasn_trace::TraceEventKind;
@@ -82,7 +82,7 @@ impl DistributedEngine {
             .scheduled_expiries
             .insert((node, at.as_micros()))
         {
-            self.queue.push(at, QueuedWork::Expire { node });
+            self.queue.push_global(at, GlobalWork::Expire { node });
         }
     }
 
@@ -581,45 +581,43 @@ impl DistributedEngine {
         let (dest, pred, location_index) = (firing.dest, firing.pred, firing.location_index);
         let agg = firing.agg.clone().expect("aggregate firing");
         let key = (agg.rule, agg.group);
-        let Some(group) = node.aggs.get_mut(&key) else {
+        let Some(AggGroup::Election {
+            candidates,
+            emitted,
+        }) = node.aggs.get_mut(&key)
+        else {
             return;
         };
         let mut value_emptied = false;
-        if let Some(tags) = group.candidates.get_mut(&agg.value) {
+        if let Some(tags) = candidates.get_mut(&agg.value) {
             match tags.iter().position(|t| *t == firing.tag) {
                 Some(pos) => drop(tags.remove(pos)),
                 None => drop(tags.pop()),
             }
             if tags.is_empty() {
-                group.candidates.remove(&agg.value);
+                candidates.remove(&agg.value);
                 value_emptied = true;
             }
         }
-        let emitted = match &group.emitted {
+        let dethroned = match &*emitted {
             // The emitted best died with no tied twin left defending it.
-            Some((value, _)) if *value == agg.value && value_emptied => group.emitted.take(),
+            Some((value, _)) if *value == agg.value && value_emptied => emitted.take(),
             // A losing candidate died, or a tied twin of the emitted best
             // still defends the value: the visible row stands.
             _ => None,
         };
-        let Some((emitted_value, emitted_tag)) = emitted else {
-            if group.candidates.is_empty() && group.emitted.is_none() {
+        let Some((emitted_value, emitted_tag)) = dethroned else {
+            if candidates.is_empty() && emitted.is_none() {
                 node.aggs.remove(&key);
             }
             return;
         };
-        let next_best = match agg.func {
-            AggFunc::Min => group.candidates.first_key_value(),
-            AggFunc::Max => group.candidates.last_key_value(),
-            AggFunc::Count | AggFunc::Sum => {
-                unreachable!("only Min/Max enter candidate competitions")
-            }
-        }
-        .map(|(value, tags)| (*value, tags[0].clone()))
-        .filter(|_| reelect);
-        group.best = next_best.as_ref().map(|(value, _)| *value);
-        group.emitted = next_best.clone();
-        if next_best.is_none() && group.candidates.is_empty() {
+        let winner = agg.func.winner(candidates);
+        let next_best = winner
+            .map(|(value, tags)| (*value, tags[0].clone()))
+            .filter(|_| reelect);
+        *emitted = next_best.clone();
+        if next_best.is_none() && candidates.is_empty() {
             node.aggs.remove(&key);
         }
         let with_value = |value: i64| -> Arc<[Value]> {

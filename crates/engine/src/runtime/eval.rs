@@ -1,16 +1,15 @@
-//! Evaluation at one node: the context every Deliver/Ship/Handshake event
-//! runs in, delta-batch processing, rule firing, head emission and
-//! aggregates.
+//! Evaluation at one node: the context every [`NodeWork`] item runs in,
+//! delta-batch processing, rule firing, head emission and aggregates.
 //!
 //! Everything here runs at the one node the event is owned by: it mutates
 //! that node's runtime, the run's metrics and variable table, and the
 //! event's effect log, and reads the shared immutable environment.
 
-use super::queue::{BatchRow, DeltaBatch, Polarity, QueuedWork};
+use super::queue::{BatchRow, DeltaBatch, NodeWork, Origin, Polarity};
 use super::ship::frame_payloads;
 use super::{ix, principal_of, AggGroup, EngineError, NodeRuntime};
 use crate::config::{EngineConfig, GraphMode};
-use crate::dynamics::{AggFiring, FiringRecord};
+use crate::dynamics::{AggFiring, Extremum, FiringRecord};
 use crate::eval::{eval_expr, eval_filter, Bindings};
 use crate::hash::FastMap;
 use crate::metrics::RunMetrics;
@@ -26,11 +25,12 @@ use pasn_provenance::{
     ProvTag, ProvenanceKind, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One derivation as the provenance stores record it: built once per
 /// recorded head, written immediately in proactive maintenance mode and
-/// queued on the node until materialisation in reactive mode.  The rule's
+/// kept on the node until materialisation in reactive mode.  The rule's
 /// location is the recording node.
 #[derive(Clone, Debug)]
 pub(super) struct DerivationRecord {
@@ -84,7 +84,7 @@ struct NewDelta {
     origin: NodeId,
 }
 
-/// An engine-global side effect recorded by a [`PartitionCtx`] while it
+/// An engine-global side effect recorded by a [`NodeCtx`] while it
 /// evaluates one work item.  Contexts never touch the shared work queue,
 /// open-batch buffers or traffic meter directly: they record effects in
 /// emission order and the engine replays them once the event is done.
@@ -112,7 +112,7 @@ pub(super) enum Effect {
     },
     /// Push already-finalized work (a sealed delivery frame, a scheduled
     /// handshake) onto the global queue at `at`.
-    Queue { at: SimTime, work: QueuedWork },
+    Queue { at: SimTime, work: NodeWork },
     /// Replay a transport send against the engine's traffic meter.  The
     /// delivery time was already computed (and link-clamped) by the owning
     /// node; only the byte/message accounting is global.
@@ -172,10 +172,8 @@ impl EvalShared {
 
 /// Mutable evaluation state for one event: the one node runtime that owns
 /// it, the engine's variable table, metrics and completion clock, and the
-/// event's effect and trace logs.  The unit of ownership is the node; a
-/// partition is a set of nodes in the modeled pool's accounting and owns
-/// nothing.
-pub(super) struct PartitionCtx<'a> {
+/// event's effect and trace logs.
+pub(super) struct NodeCtx<'a> {
     pub shared: &'a EvalShared,
     pub id: NodeId,
     pub node: &'a mut NodeRuntime,
@@ -188,28 +186,13 @@ pub(super) struct PartitionCtx<'a> {
     pub trace: &'a mut Vec<TraceEvent>,
 }
 
-impl<'a> PartitionCtx<'a> {
-    /// Dispatches one wave-safe work item at its owning node.
-    pub(super) fn run(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
+impl<'a> NodeCtx<'a> {
+    /// Dispatches one work item at its owning node.
+    pub(super) fn run(&mut self, at: SimTime, work: NodeWork) -> Result<(), EngineError> {
         match work {
-            QueuedWork::Deliver(batch) => return self.process_batch(at, batch),
-            QueuedWork::Ship(frame) => self.seal_and_ship(at, frame),
-            // A lone handshake (one released by the unreliable transport
-            // rather than popped in a wave) is a batch of one.
-            QueuedWork::Handshake { handshake, .. } => {
-                self.process_handshake_batch(at, vec![handshake])
-            }
-            QueuedWork::HandshakeBatch { handshakes, .. } => {
-                self.process_handshake_batch(at, handshakes)
-            }
-            QueuedWork::Churn(_)
-            | QueuedWork::Evict { .. }
-            | QueuedWork::Expire { .. }
-            | QueuedWork::FrameArrival { .. }
-            | QueuedWork::Retransmit { .. }
-            | QueuedWork::AckFrame { .. } => {
-                unreachable!("engine-global work never enters a node's context")
-            }
+            NodeWork::Deliver(batch) => return self.process_batch(at, batch),
+            NodeWork::Ship(frame) => self.seal_and_ship(at, frame),
+            NodeWork::Handshakes { handshakes, .. } => self.process_handshakes(at, handshakes),
         }
         Ok(())
     }
@@ -233,8 +216,7 @@ impl<'a> PartitionCtx<'a> {
         let DeltaBatch {
             pred,
             rows,
-            assertion,
-            from,
+            origin,
             polarity,
             ..
         } = batch;
@@ -245,9 +227,12 @@ impl<'a> PartitionCtx<'a> {
         let pred_name = shared.symbols.name(pred).expect("interned predicate");
 
         let mut cpu_cost = rows.len() as u64 * cost_model.tuple_process_us;
-        if let (Some(_), Some(assertion), true) = (from, &assertion, shared.config.authenticated())
+        if let Origin::Remote {
+            from,
+            assertion: Some(assertion),
+        } = &origin
         {
-            let (ok, crypto_cost) = self.verify_frame(pred_name, &rows, assertion, polarity);
+            let (ok, crypto_cost) = self.verify_frame(pred_name, &rows, *from, assertion, polarity);
             cpu_cost += crypto_cost;
             self.metrics.verifications += 1;
             if !ok {
@@ -284,7 +269,8 @@ impl<'a> PartitionCtx<'a> {
         // Delta evaluation over the genuinely new rows, one pass per
         // (rule, batch): plan dispatch and slot setup are shared by every
         // row in the batch.
-        let new_deltas = self.store_rows(pred, pred_name, rows, from.is_some(), done);
+        let remote = matches!(origin, Origin::Remote { .. });
+        let new_deltas = self.store_rows(pred, pred_name, rows, remote, done);
         if new_deltas.is_empty() {
             return Ok(());
         }
@@ -296,26 +282,31 @@ impl<'a> PartitionCtx<'a> {
         Ok(())
     }
 
-    /// Checks an imported frame's proof: one `says` check over the canonical
-    /// concatenated payload covers every tuple in the frame.  Returns
-    /// whether the proof holds and the crypto CPU it cost the verifier.
+    /// Checks the proof of a frame imported from node `from`: one `says`
+    /// check over the canonical concatenated payload covers every tuple in
+    /// the frame.  Returns whether the proof holds and the crypto CPU it
+    /// cost the verifier.
     fn verify_frame(
         &mut self,
         pred_name: &str,
         rows: &[BatchRow],
+        from: NodeId,
         assertion: &SaysAssertion,
         polarity: Polarity,
     ) -> (bool, u64) {
         let cost_model = self.shared.config.cost_model;
-        let authenticator = self.node.authenticator.as_ref();
-        let verifier = authenticator.expect("authentication configured");
+        let Some(verifier) = self.node.authenticator.as_ref() else {
+            // A node provisioned with no keys checks no proofs.
+            return (true, 0);
+        };
         let payloads = frame_payloads(pred_name, rows, polarity);
         if let SaysProof::Session(_) = &assertion.proof {
             // Channel MAC: check against the per-link replay state installed
             // by the handshake.  No channel (dropped or rejected handshake)
             // → the frame is refused outright, no MAC computed, no crypto
             // charged.
-            let Some(channel) = self.node.recv_channels.get_mut(&assertion.principal) else {
+            let receiving = self.node.peers.get_mut(&from);
+            let Some(channel) = receiving.and_then(|peer| peer.recv.as_mut()) else {
                 return (false, 0);
             };
             // `ReceiverChannel::verify_frame` computes exactly one HMAC,
@@ -692,17 +683,32 @@ impl<'a> PartitionCtx<'a> {
     /// returns the group's new value, or `None` when an `a_MIN`/`a_MAX`
     /// value does not improve on the best so far — only an improvement
     /// emits, and nothing is ever withdrawn.
-    fn fold_aggregate(&mut self, func: AggFunc, key: (u32, Vec<Value>), value: i64) -> Option<i64> {
-        let best = &mut self.node.aggs.entry(key).or_default().best;
-        let new_value = match (func, *best) {
-            (AggFunc::Min, Some(best)) if value >= best => return None,
-            (AggFunc::Max, Some(best)) if value <= best => return None,
-            (AggFunc::Min | AggFunc::Max, _) => value,
-            (AggFunc::Count, total) => total.unwrap_or(0) + 1,
-            (AggFunc::Sum, total) => total.unwrap_or(0) + value,
+    fn fold_aggregate(
+        &mut self,
+        label: &str,
+        func: AggFunc,
+        key: (u32, Vec<Value>),
+        value: i64,
+    ) -> Result<Option<i64>, EngineError> {
+        let Some(group) = self.node.aggs.get_mut(&key) else {
+            let first = match func {
+                AggFunc::Count => 1,
+                AggFunc::Min | AggFunc::Max | AggFunc::Sum => value,
+            };
+            self.node.aggs.insert(key, AggGroup::Running(first));
+            return Ok(Some(first));
         };
-        *best = Some(new_value);
-        Some(new_value)
+        let AggGroup::Running(running) = group else {
+            return Err(mixed_aggregate(label));
+        };
+        *running = match func {
+            AggFunc::Min if value >= *running => return Ok(None),
+            AggFunc::Max if value <= *running => return Ok(None),
+            AggFunc::Min | AggFunc::Max => value,
+            AggFunc::Count => *running + 1,
+            AggFunc::Sum => *running + value,
+        };
+        Ok(Some(*running))
     }
 
     /// Provenance tag of a head: the product of the contributing tuples' tags.
@@ -761,7 +767,7 @@ impl<'a> PartitionCtx<'a> {
                 .enumerate()
                 .filter(|(i, _)| *i != agg_index);
             let group: Vec<Value> = others.map(|(_, term)| cell(term)).collect();
-            if shared.config.dynamics && matches!(func, AggFunc::Min | AggFunc::Max) {
+            if let Some(func) = Extremum::of(func).filter(|_| shared.config.dynamics) {
                 agg_candidate = Some(AggFiring {
                     rule: rule_id,
                     group,
@@ -770,7 +776,8 @@ impl<'a> PartitionCtx<'a> {
                     func,
                 });
             } else {
-                match self.fold_aggregate(func, (rule_id, group), value) {
+                let label = &rule_plan.label;
+                match self.fold_aggregate(label, func, (rule_id, group), value)? {
                     Some(new_value) => folded = Some((agg_index, new_value)),
                     None => return Ok(()),
                 }
@@ -831,8 +838,7 @@ impl<'a> PartitionCtx<'a> {
         // aggregate path.)
         if let Some(agg) = agg_candidate {
             let row = BatchRow::derived(head_values, tag, self.id, head.location);
-            self.elect_aggregate(dest_id, head.pred, row, agg, now);
-            return Ok(());
+            return self.elect_aggregate(&rule_plan.label, dest_id, head.pred, row, agg, now);
         }
 
         // Provenance graphs (sampled; deferred in reactive mode).  The
@@ -917,31 +923,33 @@ impl<'a> PartitionCtx<'a> {
     /// them when the winner dies.
     fn elect_aggregate(
         &mut self,
+        label: &str,
         destination: NodeId,
         pred: PredId,
         row: BatchRow,
         agg: AggFiring,
         now: SimTime,
-    ) {
-        let group: &mut AggGroup = self.node.aggs.entry((agg.rule, agg.group)).or_default();
-        group
-            .candidates
+    ) -> Result<(), EngineError> {
+        let group = self.node.aggs.entry((agg.rule, agg.group));
+        let AggGroup::Election {
+            candidates,
+            emitted,
+        } = group.or_insert(AggGroup::Election {
+            candidates: BTreeMap::new(),
+            emitted: None,
+        })
+        else {
+            return Err(mixed_aggregate(label));
+        };
+        candidates
             .entry(agg.value)
             .or_default()
             .push(row.tag.clone());
-        let improves = match (agg.func, &group.emitted) {
-            (_, None) => true,
-            (AggFunc::Min, Some((best, _))) => agg.value < *best,
-            (AggFunc::Max, Some((best, _))) => agg.value > *best,
-            (AggFunc::Count | AggFunc::Sum, Some(_)) => {
-                unreachable!("only Min/Max enter candidate competitions")
-            }
-        };
-        if !improves {
-            return;
+        let defended = |(best, _): &(i64, ProvTag)| !agg.func.improves(agg.value, *best);
+        if emitted.as_ref().is_some_and(defended) {
+            return Ok(());
         }
-        group.best = Some(agg.value);
-        if let Some((old_value, old_tag)) = group.emitted.replace((agg.value, row.tag.clone())) {
+        if let Some((old_value, old_tag)) = emitted.replace((agg.value, row.tag.clone())) {
             // Withdraw the dethroned best before asserting its successor.
             let mut old_values = row.values.to_vec();
             old_values[agg.agg_index] = Value::Int(old_value);
@@ -954,7 +962,16 @@ impl<'a> PartitionCtx<'a> {
             self.route_row(now, destination, pred, old, Polarity::Retract);
         }
         self.route_row(now, destination, pred, row, Polarity::Assert);
+        Ok(())
     }
+}
+
+/// Two rules sharing `label` — and so their aggregate groups — folded one
+/// group both as a running value and as an `a_MIN`/`a_MAX` election.
+fn mixed_aggregate(label: &str) -> EngineError {
+    EngineError::Eval(format!(
+        "rules labelled {label} aggregate one group both as a running value and as an election"
+    ))
 }
 
 /// Unifies one row with an atom's compiled argument patterns and, for a

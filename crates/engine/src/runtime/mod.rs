@@ -42,16 +42,16 @@ use crate::metrics::RunMetrics;
 use crate::store::{NodeStore, TupleMeta};
 use crate::tuple::Tuple;
 use deletion::{DeletionState, Removal};
-use eval::{record_provenance_graphs, DerivationRecord, Effect, EvalShared, PartitionCtx};
-use pasn_crypto::channel::{ReceiverChannel, SenderChannel};
-use pasn_crypto::says::Authenticator;
+use eval::{record_provenance_graphs, DerivationRecord, Effect, EvalShared, NodeCtx};
+use pasn_crypto::channel::{ChannelHandshake, ReceiverChannel, SenderChannel};
+use pasn_crypto::says::{Authenticator, SaysAssertion};
 use pasn_crypto::{KeyAuthority, Principal, PrincipalId};
 use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
 use pasn_provenance::{ArchiveStore, DerivationGraph, DistributedStore, ProvTag, VarTable};
 use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
-use queue::{BatchKey, BatchRow, Bound, Polarity, QueuedWork, WorkQueue};
+use queue::{BatchKey, BatchRow, Bound, GlobalWork, NodeWork, Polarity, QueuedWork, WorkQueue};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -143,21 +143,131 @@ fn principal_of(id: NodeId) -> PrincipalId {
     PrincipalId(id.0)
 }
 
+/// A directed link `(source, destination)`.
+type Link = (NodeId, NodeId);
+
+/// The node a principal speaks for: the inverse of [`principal_of`].
+fn node_of(principal: PrincipalId) -> NodeId {
+    NodeId(principal.0)
+}
+
 /// State of one aggregate group — `(rule id, grouping columns)` — at the
 /// deriving node.
+enum AggGroup {
+    /// The running total (`a_COUNT`/`a_SUM`), or without dynamics the best
+    /// `a_MIN`/`a_MAX` value so far.
+    Running(i64),
+    /// An `a_MIN`/`a_MAX` candidate competition (dynamics only).
+    Election {
+        /// Candidate value → one provenance tag per alive candidate firing.
+        /// The deletion ledger's re-election pool: when the emitted best
+        /// dies, the next-best surviving candidate takes over.
+        candidates: BTreeMap<i64, Vec<ProvTag>>,
+        /// The currently emitted best: exactly what the head's node stores,
+        /// so deletion withdraws precisely that row.
+        emitted: Option<(i64, ProvTag)>,
+    },
+}
+
+/// One node's end of its links with one peer: the sender half of the
+/// session channel it ships on, the receiver half of the one it is shipped
+/// to on (`SaysLevel::Session` only; the other halves live at the peer),
+/// and what outlives a channel.  The halves are boxed: a dynamics run keeps
+/// one record per link it ever shipped on, channels or not.
 #[derive(Default)]
-struct AggGroup {
-    /// Best value so far (`a_MIN`/`a_MAX`) or the running total
-    /// (`a_COUNT`/`a_SUM`).
-    best: Option<i64>,
-    /// `a_MIN`/`a_MAX` candidate multiset (dynamics only): candidate value →
-    /// one provenance tag per alive candidate firing.  The deletion
-    /// ledger's re-election pool: when the emitted best dies, the next-best
-    /// surviving candidate takes over.
-    candidates: BTreeMap<i64, Vec<ProvTag>>,
-    /// The currently emitted best (dynamics only): exactly what the head's
-    /// node stores, so deletion withdraws precisely that row.
-    emitted: Option<(i64, ProvTag)>,
+struct Peer {
+    send: Option<Box<SenderChannel>>,
+    recv: Option<Box<ReceiverChannel>>,
+    /// A sender channel evicted by churn (link down, node failure) forces
+    /// the next binding of the link to this epoch or later, instead of
+    /// restarting at 0 under a reused key stream.
+    send_floor: u32,
+    /// A replayed pre-eviction handshake (validly signed forever) must not
+    /// reinstall a retired channel and resurrect its captured frames:
+    /// handshakes below this epoch are refused.
+    recv_floor: u32,
+    /// Latest delivery time on the outbound link (`SaysLevel::Session` and
+    /// dynamics runs): a session channel's monotonic frame counter requires
+    /// in-order delivery per link — as the real session transport it stands
+    /// in for would provide — and retraction streams likewise assume FIFO
+    /// links (a tombstone must never overtake the assertion it withdraws).
+    horizon: SimTime,
+}
+
+impl Peer {
+    /// MACs one frame on the open sender channel towards `dst`, first
+    /// performing the RSA-signed key-establishment handshake when the link
+    /// is unbound — at the floor a churn eviction left, never back at a key
+    /// stream that already ran — or its channel has exhausted
+    /// `rebind_after` frames.  Returns the frame's proof and the handshake
+    /// of a fresh binding, for the caller to ship ahead of the frame.
+    fn assert_frame(
+        &mut self,
+        authenticator: &Authenticator,
+        dst: PrincipalId,
+        rebind_after: u64,
+        payloads: &[Vec<u8>],
+    ) -> (SaysAssertion, Option<ChannelHandshake>) {
+        let (channel, handshake) = match self.send.take() {
+            Some(channel) if !channel.expired() => (channel, None),
+            stale => {
+                let epoch = stale.map_or(self.send_floor, |channel| channel.epoch() + 1);
+                let (handshake, channel) = authenticator.open_channel(dst, epoch, rebind_after);
+                (Box::new(channel), Some(handshake))
+            }
+        };
+        let channel = self.send.insert(channel);
+        (authenticator.assert_frame_on(channel, payloads), handshake)
+    }
+
+    /// Verifies one handshake transcript from this peer and installs the
+    /// resulting receiver channel.  A handshake below the epoch floor is a
+    /// replay of a channel churn already retired (crash-style evictions
+    /// raise the floor past the dead channel, so a rebinding sender must
+    /// supersede it to be heard), and a rebind must supersede the installed
+    /// channel's epoch, so a replayed old handshake can never roll the
+    /// replay counter back.  A refused handshake (`false`) installs nothing
+    /// — subsequent frames on the link then fail verification for lack of
+    /// a channel.
+    fn accept(&mut self, verifier: &Authenticator, handshake: &ChannelHandshake) -> bool {
+        if !handshake.supersedes(self.recv_floor) {
+            return false;
+        }
+        let accepted = match &self.recv {
+            Some(current) => verifier.accept_rebind(handshake, current),
+            None => verifier.accept_channel(handshake),
+        };
+        let Ok(channel) = accepted else {
+            return false;
+        };
+        self.recv = Some(Box::new(channel));
+        true
+    }
+
+    /// Retires the sender half if it still carries `epoch`: the half is
+    /// dropped and the floor rises past it, so the link — should it return
+    /// — rebinds at a fresh epoch: the retired key stream and its replay
+    /// counter can never be resumed or replayed.
+    fn retire_send(&mut self, epoch: Option<u32>) -> bool {
+        let live = self.send.as_ref().map(|channel| channel.epoch());
+        let Some(epoch) = epoch.filter(|_| epoch == live) else {
+            return false;
+        };
+        self.send = None;
+        self.send_floor = self.send_floor.max(epoch + 1);
+        true
+    }
+
+    /// The receiver half's [`Peer::retire_send`].
+    fn retire_recv(&mut self, epoch: Option<u32>) -> bool {
+        let live = self.recv.as_ref().map(|channel| channel.epoch());
+        let Some(epoch) = epoch.filter(|_| epoch == live) else {
+            return false;
+        };
+        self.recv = None;
+        self.recv_floor = self.recv_floor.max(epoch + 1);
+        true
+    }
 }
 
 /// Per-node runtime state, stored at the index of the node's [`NodeId`].
@@ -172,20 +282,9 @@ struct NodeRuntime {
     archive: ArchiveStore,
     deferred: Vec<DerivationRecord>,
     authenticator: Option<Authenticator>,
-    /// Session-channel cache, sender side: one open channel per destination
-    /// principal this node ships to (`SaysLevel::Session` only).
-    send_channels: FastMap<PrincipalId, SenderChannel>,
-    /// Session-channel cache, receiver side: one established channel per
-    /// source principal whose handshake this node accepted.
-    recv_channels: FastMap<PrincipalId, ReceiverChannel>,
-    /// Sender-side epoch floor per peer: a channel evicted by churn (link
-    /// down, node failure) forces the next binding of the link to a fresh
-    /// epoch instead of restarting at 0 under a reused key stream.
-    send_epoch_floor: FastMap<PrincipalId, u32>,
-    /// Receiver-side epoch floor per peer: a replayed pre-eviction
-    /// handshake (validly signed forever) must not reinstall a retired
-    /// channel and resurrect its captured frames.
-    recv_epoch_floor: FastMap<PrincipalId, u32>,
+    /// This node's end of every link it has shipped on (`SaysLevel::Session`
+    /// and dynamics runs) or accepted a handshake on.
+    peers: FastMap<NodeId, Peer>,
     /// Deletion ledger: supports per stored row and the firing log.
     /// Populated only while dynamics are enabled.
     ledger: Ledger,
@@ -197,14 +296,6 @@ struct NodeRuntime {
     /// host must schedule somewhere.  Its per-event deltas, bucketed by
     /// partition per wave, give the modeled parallel critical path.
     cpu_spent: SimTime,
-    /// Latest delivery time per outbound link, keyed by destination node id
-    /// (`SaysLevel::Session` and dynamics runs): a session channel's
-    /// monotonic frame counter requires in-order delivery per link — as the
-    /// real session transport it stands in for would provide — and
-    /// retraction streams likewise assume FIFO links (a tombstone must
-    /// never overtake the assertion it withdraws).  Keyed by destination
-    /// only because this node is always the source.
-    link_horizon: FastMap<u32, SimTime>,
     /// Wire bytes this node has sent (frames, handshakes, acks): its lane
     /// of the per-principal accountability report.
     bytes_sent: u64,
@@ -225,19 +316,15 @@ impl NodeRuntime {
     /// `dst` and advances the horizon.  Ties at one timestamp resolve by
     /// work-queue seq, which is send order.
     fn link_deliver(&mut self, dst: NodeId, deliver_at: SimTime) -> SimTime {
-        let horizon = self.link_horizon.entry(dst.0).or_insert(SimTime::ZERO);
-        let at = deliver_at.max(*horizon);
-        *horizon = at;
-        at
+        let horizon = &mut self.peers.entry(dst).or_default().horizon;
+        *horizon = deliver_at.max(*horizon);
+        *horizon
     }
 
     /// The link's current delivery horizon towards `dst` (ZERO when the
     /// link never delivered).
     fn link_horizon_to(&self, dst: NodeId) -> SimTime {
-        self.link_horizon
-            .get(&dst.0)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
+        self.peers.get(&dst).map_or(SimTime::ZERO, |p| p.horizon)
     }
 }
 
@@ -357,14 +444,10 @@ impl DistributedEngine {
                     archive: ArchiveStore::new(),
                     deferred: Vec::new(),
                     authenticator,
-                    send_channels: FastMap::default(),
-                    recv_channels: FastMap::default(),
-                    send_epoch_floor: FastMap::default(),
-                    recv_epoch_floor: FastMap::default(),
+                    peers: FastMap::default(),
                     ledger: Ledger::default(),
                     busy_until: SimTime::ZERO,
                     cpu_spent: SimTime::ZERO,
-                    link_horizon: FastMap::default(),
                     bytes_sent: 0,
                 }
             })
@@ -378,14 +461,10 @@ impl DistributedEngine {
             rule_ids.push(*labels.entry(plan.label.as_str()).or_insert(next));
         }
 
-        // A fault plan honors the `PASN_FAULT_SEED` override even when set
-        // directly on the config — not via `with_fault_plan` (re-applying
-        // it is idempotent) — and fault runs always arm dynamics, since
-        // reconciling dead frames needs the deletion ledger.
-        if let Some(plan) = config.fault_plan.take() {
-            config.fault_plan = Some(plan.with_env_seed());
-            config.dynamics = true;
-        }
+        // Fault runs always arm dynamics — reconciling dead frames needs
+        // the deletion ledger — even with the plan set directly on the
+        // config, not via `with_fault_plan`.
+        config.dynamics |= config.fault_plan.is_some();
         // `workers` is a public field: a hand-set 0 models no pool, like 1.
         config.workers = config.workers.max(1);
         let recorder = config
@@ -466,9 +545,8 @@ impl DistributedEngine {
                 }
             };
             if let Some(churn) = churn {
-                engine
-                    .queue
-                    .push(SimTime::from_micros(at_us), QueuedWork::Churn(churn));
+                let at = SimTime::from_micros(at_us);
+                engine.queue.push_global(at, GlobalWork::Churn(churn));
             }
         }
         Ok(engine)
@@ -584,7 +662,7 @@ impl DistributedEngine {
             ));
         }
         let retract = ChurnEvent::Retract { location, tuple };
-        self.queue.push(at, QueuedWork::Churn(retract));
+        self.queue.push_global(at, GlobalWork::Churn(retract));
         Ok(())
     }
 
@@ -741,8 +819,8 @@ impl DistributedEngine {
     /// Drains queued work in `(time, rank, seq)` order until the queue is
     /// empty or its head reaches `bound` — the streaming driver's exclusive
     /// cut.  Wave-safe work pops a whole same-instant wave at a time and
-    /// evaluates it in seq order; engine-global work runs one item at a
-    /// time.  `last_at` tracks the latest instant processed (the
+    /// evaluates it in seq order; retractions and engine-global work run
+    /// one item at a time.  `last_at` tracks the latest instant processed (the
     /// well-founded sweep's reference point).  Open-batch boundary buckets
     /// are released as the clock passes them.
     ///
@@ -781,11 +859,12 @@ impl DistributedEngine {
                 self.metrics.max_partition_queue = self.metrics.max_partition_queue.max(largest);
                 continue;
             }
-            let Some((at, _, work)) = self.queue.pop_next(bound) else {
-                // Not at the streaming driver's per-event cuts: the check
-                // walks every node.
+            let Some((at, work)) = self.queue.pop_next(bound) else {
+                // Not at the streaming driver's per-event cuts: the checks
+                // walk every node.
                 if bound.is_none() {
                     debug_assert_eq!(self.check_ledger_consistency(), Ok(()));
+                    debug_assert_eq!(self.check_link_consistency(), Ok(()));
                 }
                 return Ok(());
             };
@@ -796,7 +875,7 @@ impl DistributedEngine {
             if let Some(rec) = self.recorder.as_mut() {
                 rec.flush_wave();
             }
-            self.dispatch_global(at, work)?;
+            self.dispatch(at, work)?;
         }
     }
 
@@ -818,46 +897,29 @@ impl DistributedEngine {
     /// Runs one wave-unsafe work item — popped, or injected by the streaming
     /// driver — and then lets the ledgers it killed at forget
     /// (`reclaim_dead_state`): only wave-unsafe work removes rows or kills
-    /// firings, and once the item is done no firing id is held.
-    fn dispatch_global(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
-        let done = self.run_global(at, work);
+    /// firings, and once the item is done no firing id is held.  Retraction
+    /// batches and tombstone frames evaluate at their owning node like
+    /// their assertion twins — just never inside a wave.
+    fn dispatch(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
+        let done = match work {
+            QueuedWork::Node(work) => self.eval_event(at, work),
+            QueuedWork::Global(work) => self.run_global(at, work),
+        };
         self.reclaim_dead_state();
         done
     }
 
-    /// One wave-unsafe work item.  Retraction batches and tombstone frames
-    /// evaluate at their owning node like their assertion twins — just
-    /// never inside a wave; everything else is engine-global.
-    fn run_global(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
-        if matches!(work, QueuedWork::Deliver(_) | QueuedWork::Ship(_)) {
-            return self.eval_event(at, work);
-        }
+    /// One engine-global work item.
+    fn run_global(&mut self, at: SimTime, work: GlobalWork) -> Result<(), EngineError> {
         match work {
-            QueuedWork::Churn(event) => return self.process_churn(at, event),
-            QueuedWork::Evict {
-                src,
-                dst,
-                send_epoch,
-                recv_epoch,
-            } => self.process_eviction(at, src, dst, send_epoch, recv_epoch),
-            QueuedWork::Expire { node } => self.process_expiry(at, node),
-            QueuedWork::FrameArrival {
-                src,
-                dst,
-                frame_seq,
-            } => return self.process_frame_arrival(at, (src, dst), frame_seq),
-            QueuedWork::Retransmit {
-                src,
-                dst,
-                frame_seq,
-            } => self.process_retransmit(at, (src, dst), frame_seq),
-            QueuedWork::AckFrame { src, dst } => self.process_ack(at, (src, dst)),
-            QueuedWork::Deliver(_)
-            | QueuedWork::Ship(_)
-            | QueuedWork::Handshake { .. }
-            | QueuedWork::HandshakeBatch { .. } => {
-                unreachable!("node-evaluated work runs through eval_event")
+            GlobalWork::Churn(event) => return self.process_churn(at, event),
+            GlobalWork::Evict { link, epochs } => self.process_eviction(at, link, epochs),
+            GlobalWork::Expire { node } => self.process_expiry(at, node),
+            GlobalWork::FrameArrival { link, seq } => {
+                return self.process_frame_arrival(at, link, seq)
             }
+            GlobalWork::Retransmit { link, seq } => self.process_retransmit(at, link, seq),
+            GlobalWork::AckFrame { link } => self.process_ack(at, link),
         }
         Ok(())
     }
@@ -865,8 +927,8 @@ impl DistributedEngine {
     /// The evaluation context for one event owned by `owner`: that node's
     /// runtime, the engine's variable table and metrics, and `log` to
     /// record into.
-    fn ctx<'a>(&'a mut self, owner: NodeId, log: &'a mut EventLog) -> PartitionCtx<'a> {
-        PartitionCtx {
+    fn ctx<'a>(&'a mut self, owner: NodeId, log: &'a mut EventLog) -> NodeCtx<'a> {
+        NodeCtx {
             shared: &self.shared,
             id: owner,
             node: &mut self.nodes[ix(owner)],
@@ -878,10 +940,9 @@ impl DistributedEngine {
         }
     }
 
-    /// Runs one Deliver/Ship/Handshake event through an evaluation context
-    /// at its owning node, then applies the effects it recorded, in
-    /// emission order.
-    fn eval_event(&mut self, at: SimTime, work: QueuedWork) -> Result<(), EngineError> {
+    /// Runs one event through an evaluation context at its owning node,
+    /// then applies the effects it recorded, in emission order.
+    fn eval_event(&mut self, at: SimTime, work: NodeWork) -> Result<(), EngineError> {
         let owner = work.owner();
         // Wave-span feed info.  `owner: None` (wave-unsafe work, e.g. a
         // retraction batch) closes the open span.
@@ -975,7 +1036,8 @@ impl DistributedEngine {
     pub fn run_scenario(&mut self, script: &ChurnScript) -> Result<RunMetrics, EngineError> {
         self.arm_dynamics("run_scenario")?;
         for (at, event) in script.events() {
-            self.queue.push(*at, QueuedWork::Churn(event.clone()));
+            let churn = GlobalWork::Churn(event.clone());
+            self.queue.push_global(*at, churn);
         }
         self.run_to_fixpoint()
     }
@@ -1026,7 +1088,7 @@ impl DistributedEngine {
             self.drain_queue(Some((at, horizon_seq)), &mut last_at)?;
             self.queue.release_flushed(at);
             last_at = last_at.max(at);
-            self.dispatch_global(at, QueuedWork::Churn(event))?;
+            self.dispatch(at, QueuedWork::Global(GlobalWork::Churn(event)))?;
         }
         let mut metrics = self.run_to_fixpoint()?;
         self.metrics.wall_clock = started.elapsed();

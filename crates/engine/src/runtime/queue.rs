@@ -3,6 +3,7 @@
 //! [`WorkQueue::pop_wave`], which hands the engine's one evaluation loop a
 //! whole same-instant wave at a time.
 
+use super::Link;
 use crate::dynamics::ChurnEvent;
 use crate::hash::FastMap;
 use pasn_crypto::channel::ChannelHandshake;
@@ -71,6 +72,19 @@ pub(super) enum Polarity {
     Retract,
 }
 
+/// Where a delta batch comes from.
+pub(super) enum Origin {
+    /// Base insertions and same-node derivations.
+    Local,
+    /// A shipment frame delivered from node `from`, under the frame
+    /// signature covering every row — produced once per shipped frame over
+    /// the canonical concatenated payload (authenticated runs only).
+    Remote {
+        from: NodeId,
+        assertion: Option<SaysAssertion>,
+    },
+}
+
 /// A unit of work at a destination node: a batch of delta tuples of one
 /// predicate (base insertions, local derivations, or a delivered shipment
 /// frame).  With `batch_window = 0` every batch holds exactly one tuple,
@@ -79,13 +93,7 @@ pub(super) struct DeltaBatch {
     pub destination: NodeId,
     pub pred: PredId,
     pub rows: Vec<BatchRow>,
-    /// The frame signature covering every row, produced once per shipped
-    /// frame over the canonical concatenated payload (remote frames of
-    /// authenticated runs only).
-    pub assertion: Option<SaysAssertion>,
-    /// The sending node of a delivered shipment frame; `None` for local
-    /// deltas and base insertions.
-    pub from: Option<NodeId>,
+    pub origin: Origin,
     pub polarity: Polarity,
 }
 
@@ -101,28 +109,26 @@ pub(super) struct ShipFrame {
     pub polarity: Polarity,
 }
 
-/// What the simulated-time work queue holds.
-pub(super) enum QueuedWork {
+/// Work that evaluates at one node, inside that node's `NodeCtx`.
+pub(super) enum NodeWork {
     /// Deliver a delta batch to its destination node.
     Deliver(DeltaBatch),
     /// Seal a pending shipment frame at the sender: dedup, sign once, ship.
     Ship(ShipFrame),
-    /// Deliver a session-channel key-establishment handshake to its
-    /// receiver, who verifies the RSA-signed transcript and installs the
-    /// channel (`SaysLevel::Session` only).
-    Handshake {
-        destination: NodeId,
-        handshake: ChannelHandshake,
-    },
-    /// A coalesced run of same-instant handshake deliveries to one
-    /// receiver, processed as a single scheduling event charging one
-    /// contiguous CPU window of `k × rsa_verify_us` on the receiver's lane.
-    /// Never pushed onto the queue: built by [`WorkQueue::pop_wave`] from
-    /// the [`QueuedWork::Handshake`] items of one wave.
-    HandshakeBatch {
+    /// Deliver session-channel key-establishment handshakes to their
+    /// receiver, who verifies each RSA-signed transcript and installs the
+    /// channel (`SaysLevel::Session` only), charging one contiguous CPU
+    /// window of `k × rsa_verify_us` on its lane.  Queued one handshake at
+    /// a time; [`WorkQueue::pop_wave`] merges a wave's same-receiver items.
+    Handshakes {
         destination: NodeId,
         handshakes: Vec<ChannelHandshake>,
     },
+}
+
+/// Work that runs on the engine: it walks several nodes, reschedules queue
+/// work or drives the unreliable transport, and never joins a wave.
+pub(super) enum GlobalWork {
     /// Apply one scripted network-dynamics event (dynamics runs only).
     Churn(ChurnEvent),
     /// Graceful session-channel teardown for a churned link: executes once
@@ -131,10 +137,9 @@ pub(super) enum QueuedWork {
     /// carries the epoch captured at teardown time — a link that already
     /// rebound keeps its fresh channel.
     Evict {
-        src: NodeId,
-        dst: NodeId,
-        send_epoch: Option<u32>,
-        recv_epoch: Option<u32>,
+        link: Link,
+        /// The sender half's and the receiver half's epoch at teardown.
+        epochs: (Option<u32>, Option<u32>),
     },
     /// Sweep a node's store for rows whose TTL has passed and cascade the
     /// deletions through the ledger (dynamics runs only; scheduled at each
@@ -145,61 +150,47 @@ pub(super) enum QueuedWork {
     /// deduplicates replays, and releases the link's in-order prefix
     /// through normal evaluation.
     FrameArrival {
-        /// Sending node id.
-        src: u32,
-        /// Receiving node id.
-        dst: u32,
+        link: Link,
         /// Per-link frame sequence number.
-        frame_seq: u64,
+        seq: u64,
     },
     /// Retransmission timer for one unacknowledged frame on a faulty link:
     /// re-rolls the fault plan with an incremented attempt and exponential
     /// backoff until the frame lands or the retry budget is exhausted.
     Retransmit {
-        /// Sending node id.
-        src: u32,
-        /// Receiving node id.
-        dst: u32,
+        link: Link,
         /// Per-link frame sequence number.
-        frame_seq: u64,
+        seq: u64,
     },
-    /// A delayed, coalesced cumulative acknowledgement travelling `dst →
-    /// src`: prunes every in-flight frame below the receiver's in-order
-    /// cursor and charges the ack's wire bytes.
-    AckFrame {
-        /// The acked link's sending node id (the ack's receiver).
-        src: u32,
-        /// The acked link's receiving node id (the ack's sender).
-        dst: u32,
-    },
+    /// A delayed, coalesced cumulative acknowledgement for a link,
+    /// travelling against it: prunes every in-flight frame below the
+    /// receiver's in-order cursor and charges the ack's wire bytes.
+    AckFrame { link: Link },
 }
 
-impl QueuedWork {
+/// What the simulated-time work queue holds, split by who evaluates it.
+pub(super) enum QueuedWork {
+    Node(NodeWork),
+    Global(GlobalWork),
+}
+
+impl NodeWork {
     /// Same-instant ordering rank: retraction work runs after assertion
     /// work so a tombstone is never applied before the assertion it
-    /// withdraws (see [`WorkQueue`]), and channel evictions run last of all
-    /// so a frame delivered at exactly the teardown horizon is still
-    /// verified against the channel it was MAC'd under.
+    /// withdraws (see [`WorkQueue`]).
     pub(super) fn rank(&self) -> u8 {
-        match self {
-            QueuedWork::Deliver(batch) if batch.polarity == Polarity::Retract => 1,
-            QueuedWork::Ship(frame) if frame.polarity == Polarity::Retract => 1,
-            QueuedWork::Evict { .. } => 2,
-            _ => 0,
-        }
+        u8::from(!self.wave_safe())
     }
 
     /// Whether the item may join a wave: assertion deliveries, assertion
     /// frame sealings and handshakes each touch exactly one node's runtime.
-    /// Retractions, churn, eviction, expiry and transport work are
-    /// engine-global: their effects must surface in strict sequential
-    /// order.
+    /// A retraction's effects must surface in strict sequential order, like
+    /// engine-global work's.
     pub(super) fn wave_safe(&self) -> bool {
         match self {
-            QueuedWork::Deliver(batch) => batch.polarity == Polarity::Assert,
-            QueuedWork::Ship(frame) => frame.polarity == Polarity::Assert,
-            QueuedWork::Handshake { .. } | QueuedWork::HandshakeBatch { .. } => true,
-            _ => false,
+            NodeWork::Deliver(batch) => batch.polarity == Polarity::Assert,
+            NodeWork::Ship(frame) => frame.polarity == Polarity::Assert,
+            NodeWork::Handshakes { .. } => true,
         }
     }
 
@@ -208,19 +199,33 @@ impl QueuedWork {
     /// cost lands on the sender's CPU lane).
     pub(super) fn owner(&self) -> NodeId {
         match self {
-            QueuedWork::Deliver(batch) => batch.destination,
-            QueuedWork::Ship(frame) => frame.src,
-            QueuedWork::Handshake { destination, .. }
-            | QueuedWork::HandshakeBatch { destination, .. } => *destination,
-            _ => unreachable!("only deliveries, ships and handshakes evaluate at a node"),
+            NodeWork::Deliver(batch) => batch.destination,
+            NodeWork::Ship(frame) => frame.src,
+            NodeWork::Handshakes { destination, .. } => *destination,
+        }
+    }
+}
+
+impl QueuedWork {
+    /// Same-instant ordering rank (see [`NodeWork::rank`]); channel
+    /// evictions run last of all so a frame delivered at exactly the
+    /// teardown horizon is still verified against the channel it was MAC'd
+    /// under.
+    fn rank(&self) -> u8 {
+        match self {
+            QueuedWork::Node(work) => work.rank(),
+            QueuedWork::Global(GlobalWork::Evict { .. }) => 2,
+            QueuedWork::Global(_) => 0,
         }
     }
 
-    fn rows_mut(&mut self) -> &mut Vec<BatchRow> {
+    /// The rows an open delta batch or shipment frame appends to; no other
+    /// work holds any.
+    fn rows_mut(&mut self) -> Option<&mut Vec<BatchRow>> {
         match self {
-            QueuedWork::Deliver(batch) => &mut batch.rows,
-            QueuedWork::Ship(frame) => &mut frame.rows,
-            _ => unreachable!("open-batch keys point at delta batches and shipment frames"),
+            QueuedWork::Node(NodeWork::Deliver(batch)) => Some(&mut batch.rows),
+            QueuedWork::Node(NodeWork::Ship(frame)) => Some(&mut frame.rows),
+            QueuedWork::Node(NodeWork::Handshakes { .. }) | QueuedWork::Global(_) => None,
         }
     }
 }
@@ -248,18 +253,17 @@ pub(super) enum BatchKey {
 
 impl BatchKey {
     /// The work item a fresh batch under this key starts as.
-    fn open(self, rows: Vec<BatchRow>) -> QueuedWork {
+    fn open(self, rows: Vec<BatchRow>) -> NodeWork {
         match self {
             BatchKey::Local {
                 destination,
                 pred,
                 polarity,
-            } => QueuedWork::Deliver(DeltaBatch {
+            } => NodeWork::Deliver(DeltaBatch {
                 destination,
                 pred,
                 rows,
-                assertion: None,
-                from: None,
+                origin: Origin::Local,
                 polarity,
             }),
             BatchKey::Ship {
@@ -267,7 +271,7 @@ impl BatchKey {
                 dst,
                 pred,
                 polarity,
-            } => QueuedWork::Ship(ShipFrame {
+            } => NodeWork::Ship(ShipFrame {
                 src,
                 dst,
                 pred,
@@ -278,8 +282,8 @@ impl BatchKey {
     }
 }
 
-/// One popped work item: its due time, queue seq and payload.
-pub(super) type WaveItem = (SimTime, u64, QueuedWork);
+/// One member of a popped wave: its due time, queue seq and payload.
+pub(super) type WaveItem = (SimTime, u64, NodeWork);
 
 /// The streaming driver's exclusive cut `(event time, pre-run seq
 /// horizon)`: exactly where a scripted event's own queue item would sort.
@@ -332,8 +336,17 @@ impl WorkQueue {
         }
     }
 
-    /// Schedules `work` at `at`; returns the slot holding it.
-    pub(super) fn push(&mut self, at: SimTime, work: QueuedWork) -> usize {
+    /// Schedules node-evaluated `work` at `at`; returns the slot holding it.
+    pub(super) fn push_node(&mut self, at: SimTime, work: NodeWork) -> usize {
+        self.push(at, QueuedWork::Node(work))
+    }
+
+    /// Schedules engine-global `work` at `at`.
+    pub(super) fn push_global(&mut self, at: SimTime, work: GlobalWork) {
+        self.push(at, QueuedWork::Global(work));
+    }
+
+    fn push(&mut self, at: SimTime, work: QueuedWork) -> usize {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.free.pop().unwrap_or(self.items.len());
@@ -389,28 +402,24 @@ impl WorkQueue {
     ) -> Option<ShipFrame> {
         if self.window_us == 0 {
             return match key.open(vec![row]) {
-                QueuedWork::Ship(frame) => Some(frame),
+                NodeWork::Ship(frame) => Some(frame),
                 work => {
-                    self.push(at, work);
+                    self.push_node(at, work);
                     None
                 }
             };
         }
         let due = (at.as_micros() / self.window_us + 1) * self.window_us;
-        if let Some(&slot) = self.open_batches.get(&due).and_then(|b| b.get(&key)) {
-            let rows = self.items[slot]
-                .as_mut()
-                .expect("open-batch key points at queued work")
-                .rows_mut();
+        let mut bucket = self.open_batches.get_mut(&due);
+        let slot = bucket.as_mut().and_then(|b| b.get(&key).copied());
+        let open = slot.and_then(|slot| self.items[slot].as_mut()?.rows_mut());
+        if let (Some(rows), Some(bucket)) = (open, bucket) {
             rows.push(row);
             if rows.len() >= self.max_batch_tuples {
-                self.open_batches
-                    .get_mut(&due)
-                    .expect("bucket holds the key")
-                    .remove(&key);
+                bucket.remove(&key);
             }
         } else {
-            let slot = self.push(SimTime::from_micros(due), key.open(vec![row]));
+            let slot = self.push_node(SimTime::from_micros(due), key.open(vec![row]));
             // A cap of 1 is already met on creation: never left open, so
             // no batch ever exceeds the cap.
             if self.max_batch_tuples > 1 {
@@ -430,12 +439,11 @@ impl WorkQueue {
     /// through a small pool.
     pub(super) fn release_flushed(&mut self, now: SimTime) {
         let now_us = now.as_micros();
-        while self
-            .open_batches
-            .first_key_value()
-            .is_some_and(|(&due, _)| due <= now_us)
-        {
-            let (_, mut bucket) = self.open_batches.pop_first().expect("peeked boundary");
+        while let Some(boundary) = self.open_batches.first_entry() {
+            if *boundary.key() > now_us {
+                break;
+            }
+            let mut bucket = boundary.remove();
             bucket.clear();
             if self.batch_map_pool.len() < 8 {
                 self.batch_map_pool.push(bucket);
@@ -449,20 +457,21 @@ impl WorkQueue {
     }
 
     /// Pops the queue head if it sorts below `bound`.
-    pub(super) fn pop_next(&mut self, bound: Bound) -> Option<WaveItem> {
+    pub(super) fn pop_next(&mut self, bound: Bound) -> Option<(SimTime, QueuedWork)> {
         let &Reverse((at, rank, seq, slot)) = self.heap.peek()?;
         if !Self::within(at, rank, seq, bound) {
             return None;
         }
         self.heap.pop();
-        Some((at, seq, self.take(slot)))
+        Some((at, self.take(slot)))
     }
 
     /// Pops the maximal prefix of same-instant, same-rank wave-safe work
-    /// (see [`QueuedWork::wave_safe`]) in seq order, with every handshake
-    /// delivery in it coalesced into per-receiver batches.  Returns `None`
-    /// when the queue is empty, bounded out, or its head is engine-global
-    /// work, which [`WorkQueue::pop_next`] hands out one item at a time.
+    /// (see [`NodeWork::wave_safe`]) in seq order, with every handshake
+    /// delivery in it coalesced per receiver.  Returns `None` when the
+    /// queue is empty, bounded out, or its head is a retraction or
+    /// engine-global work, which [`WorkQueue::pop_next`] hands out one item
+    /// at a time.
     /// Everything inside a wave is due at one simulated instant, and
     /// per-link delivery horizons guarantee nothing queued later can be due
     /// earlier.  `drain_queue` is the one consumer: it evaluates the wave
@@ -476,13 +485,19 @@ impl WorkQueue {
             if at != wave_at || rank != wave_rank || !Self::within(at, rank, seq, bound) {
                 break;
             }
-            let work = self.items[slot].as_ref().expect("queued item exists");
-            if !work.wave_safe() {
-                break;
+            match self.items[slot].take() {
+                Some(QueuedWork::Node(work)) if work.wave_safe() => {
+                    handshakes |= matches!(work, NodeWork::Handshakes { .. });
+                    self.heap.pop();
+                    self.free.push(slot);
+                    wave.push((at, seq, work));
+                }
+                // The wave ends here: the item stays queued.
+                unsafe_work => {
+                    self.items[slot] = unsafe_work;
+                    break;
+                }
             }
-            handshakes |= matches!(work, QueuedWork::Handshake { .. });
-            self.heap.pop();
-            wave.push((at, seq, self.take(slot)));
         }
         if wave.is_empty() {
             return None;
@@ -495,42 +510,42 @@ impl WorkQueue {
     }
 }
 
-/// Folds a seq-ordered wave's handshake deliveries into one
-/// [`QueuedWork::HandshakeBatch`] per receiver, preserving arrival order
-/// within each receiver; a batch takes its first member's place (and seq),
+/// Merges a seq-ordered wave's handshake deliveries into one
+/// [`NodeWork::Handshakes`] per receiver, preserving arrival order within
+/// each receiver; the merged item keeps its first member's place (and seq),
 /// so a frame delivery queued between two handshakes for one receiver
-/// still charges that receiver's lane *after* the batch.  Handshake
+/// still charges that receiver's lane *after* them all.  Handshake
 /// processing emits no effects and different receivers charge disjoint
 /// CPU lanes, so the coalescing leaves every simulated time and counter
 /// untouched — only the number of scheduling events shrinks.
 fn coalesce_handshakes(wave: Vec<WaveItem>) -> Vec<WaveItem> {
     let mut out: Vec<WaveItem> = Vec::with_capacity(wave.len());
-    let mut batch_of: Vec<(NodeId, usize)> = Vec::new();
     for (at, seq, work) in wave {
-        let QueuedWork::Handshake {
+        let NodeWork::Handshakes {
             destination,
-            handshake,
+            handshakes,
         } = work
         else {
             out.push((at, seq, work));
             continue;
         };
-        match batch_of.iter().find(|(dst, _)| *dst == destination) {
-            Some(&(_, slot)) => match &mut out[slot].2 {
-                QueuedWork::HandshakeBatch { handshakes, .. } => handshakes.push(handshake),
-                _ => unreachable!("batch slots hold handshake batches"),
-            },
-            None => {
-                batch_of.push((destination, out.len()));
-                out.push((
-                    at,
-                    seq,
-                    QueuedWork::HandshakeBatch {
-                        destination,
-                        handshakes: vec![handshake],
-                    },
-                ));
-            }
+        let earlier = out.iter_mut().find_map(|(_, _, work)| match work {
+            NodeWork::Handshakes {
+                destination: receiver,
+                handshakes,
+            } if *receiver == destination => Some(handshakes),
+            _ => None,
+        });
+        match earlier {
+            Some(merged) => merged.extend(handshakes),
+            None => out.push((
+                at,
+                seq,
+                NodeWork::Handshakes {
+                    destination,
+                    handshakes,
+                },
+            )),
         }
     }
     out

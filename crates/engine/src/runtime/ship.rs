@@ -2,15 +2,14 @@
 //! wire accounting), session channels (handshakes, rebinds, eviction) and
 //! the receiver side of coalesced handshake batches.
 
-use super::eval::{Effect, PartitionCtx};
-use super::queue::{BatchRow, DeltaBatch, Polarity, QueuedWork, ShipFrame};
-use super::{ix, partition_of, principal_of, DistributedEngine};
+use super::eval::{Effect, NodeCtx};
+use super::queue::{BatchRow, DeltaBatch, GlobalWork, NodeWork, Origin, Polarity, ShipFrame};
+use super::{ix, node_of, partition_of, principal_of, DistributedEngine, Link};
 use crate::config::DEFAULT_RETRANSMIT_RTO_US;
 use crate::hash::FastMap;
 use crate::tuple;
-use pasn_crypto::channel::{ChannelHandshake, ReceiverChannel, SenderChannel};
+use pasn_crypto::channel::ChannelHandshake;
 use pasn_crypto::says::{tombstone_payloads, SaysLevel, TOMBSTONE_MARKER};
-use pasn_crypto::PrincipalId;
 use pasn_datalog::Value;
 use pasn_net::wire::Frame;
 use pasn_net::{NodeId, SimTime};
@@ -34,7 +33,7 @@ pub(super) fn frame_payloads(
     }
 }
 
-impl<'a> PartitionCtx<'a> {
+impl<'a> NodeCtx<'a> {
     /// Seals one shipment frame: dedups identical rows, signs the canonical
     /// concatenated payload once, charges one message header plus every
     /// tuple's honest payload bytes, and schedules delivery as a single
@@ -91,7 +90,7 @@ impl<'a> PartitionCtx<'a> {
         // One signature covers the whole frame; `signatures` scales with
         // frames shipped, not tuples.  At the `Session` level the per-frame
         // proof is a channel MAC, with the RSA work paid once per link by
-        // the key-establishment handshake (`ensure_channel`).
+        // the key-establishment handshake (`Peer::assert_frame`).
         // A tombstone's wire bytes are charged for the polarity-marked
         // payload its proof covers (see [`frame_payloads`]).
         let (mut wire, marker_bytes) = match polarity {
@@ -99,51 +98,48 @@ impl<'a> PartitionCtx<'a> {
             Polarity::Retract => (Frame::tombstone(), TOMBSTONE_MARKER.len()),
         };
         let mut assertion = None;
+        let mut handshake = None;
         let mut sign_cost = 0u64;
-        if let Some(level) = shared.config.says_level {
-            if level == SaysLevel::Session {
-                self.ensure_channel(at, dst);
-            }
+        if let Some(authenticator) = self.node.authenticator.as_ref() {
             // Only a proof needs the rows' bytes; the wire accounting below
             // needs their length alone.
             let payloads = frame_payloads(pred_name, &deduped, polarity);
-            let authenticator = self
-                .node
-                .authenticator
-                .as_ref()
-                .expect("authentication configured");
-            let a = match level {
+            let cost_model = shared.config.cost_model;
+            let a = match authenticator.level() {
                 SaysLevel::Session => {
-                    let channel = self
-                        .node
-                        .send_channels
-                        .get_mut(&principal_of(dst))
-                        .expect("ensure_channel opened the link");
                     self.metrics.hmac_ops += 1;
-                    sign_cost = shared.config.cost_model.hmac_us;
-                    authenticator.assert_frame_on(channel, &payloads)
+                    sign_cost = cost_model.hmac_us;
+                    let rebind_after = shared.config.channel_rebind_frames;
+                    let peer = self.node.peers.entry(dst).or_default();
+                    let (a, opened) = peer.assert_frame(
+                        authenticator,
+                        principal_of(dst),
+                        rebind_after,
+                        &payloads,
+                    );
+                    handshake = opened;
+                    a
                 }
-                level => {
-                    sign_cost = match level {
-                        SaysLevel::Rsa => {
-                            self.metrics.rsa_sign_ops += 1;
-                            shared.config.cost_model.rsa_sign_us
-                        }
-                        SaysLevel::Hmac => {
-                            self.metrics.hmac_ops += 1;
-                            shared.config.cost_model.hmac_us
-                        }
-                        SaysLevel::Cleartext => 0,
-                        SaysLevel::Session => unreachable!("handled above"),
-                    };
+                SaysLevel::Rsa => {
+                    self.metrics.rsa_sign_ops += 1;
+                    sign_cost = cost_model.rsa_sign_us;
                     authenticator.assert_frame(&payloads)
                 }
+                SaysLevel::Hmac => {
+                    self.metrics.hmac_ops += 1;
+                    sign_cost = cost_model.hmac_us;
+                    authenticator.assert_frame(&payloads)
+                }
+                SaysLevel::Cleartext => authenticator.assert_frame(&payloads),
             };
             self.metrics.signatures += 1;
             let proof_bytes = a.wire_len();
             self.metrics.auth_bytes += proof_bytes as u64;
             wire.set_frame_overhead(proof_bytes);
             assertion = Some(a);
+        }
+        if let Some(handshake) = handshake {
+            self.ship_handshake(at, dst, handshake);
         }
         // Per-tuple payload: the canonical encoding plus the provenance
         // shipping cost (tag, and any piggybacked derivation subtree).
@@ -183,47 +179,27 @@ impl<'a> PartitionCtx<'a> {
         }
         self.effects.push(Effect::Queue {
             at: deliver_at,
-            work: QueuedWork::Deliver(DeltaBatch {
+            work: NodeWork::Deliver(DeltaBatch {
                 destination: dst,
                 pred,
                 rows: deduped,
-                assertion,
-                from: Some(self.id),
+                origin: Origin::Remote {
+                    from: self.id,
+                    assertion,
+                },
                 polarity,
             }),
         });
     }
 
-    /// Ensures an open (unexpired) sender channel for the directed link
-    /// from this node to `dst`, performing the RSA-signed key-establishment
-    /// handshake when the link is unbound or its channel has exhausted
-    /// `channel_rebind_frames` frames.  The handshake is real simulated
+    /// Ships the key-establishment handshake that (re)bound the directed
+    /// link from this node to `dst`.  The handshake is real simulated
     /// traffic: its RSA signature is charged to the sender's CPU — the once
     /// per link (per epoch) exponentiation the session level amortises RSA
     /// down to — and the transcript + signature bytes travel as their own
     /// wire message ahead of the data frames they key.
-    fn ensure_channel(&mut self, at: SimTime, dst: NodeId) {
+    fn ship_handshake(&mut self, at: SimTime, dst: NodeId, handshake: ChannelHandshake) {
         let shared = self.shared;
-        let dst_principal = principal_of(dst);
-        let epoch = match self.node.send_channels.get(&dst_principal) {
-            Some(channel) if !channel.expired() => return,
-            Some(channel) => channel.epoch() + 1,
-            // A link (re)binding after a churn eviction starts at the
-            // retired channel's successor epoch, never back at a key
-            // stream that already ran.
-            None => self
-                .node
-                .send_epoch_floor
-                .get(&dst_principal)
-                .copied()
-                .unwrap_or(0),
-        };
-        let (handshake, channel) = self
-            .node
-            .authenticator
-            .as_ref()
-            .expect("authentication configured")
-            .open_channel(dst_principal, epoch, shared.config.channel_rebind_frames);
         self.metrics.handshakes += 1;
         self.metrics.rsa_sign_ops += 1;
         // Sender-side session-key derivation.
@@ -235,7 +211,7 @@ impl<'a> PartitionCtx<'a> {
                 kind: TraceEventKind::Handshake {
                     src: self.id.0,
                     dst: dst.0,
-                    epoch,
+                    epoch: handshake.transcript.epoch,
                 },
             });
         }
@@ -249,106 +225,44 @@ impl<'a> PartitionCtx<'a> {
             wire_bytes,
         });
         let deliver_at = self.node.link_deliver(dst, deliver_at);
-        self.node.send_channels.insert(dst_principal, channel);
         self.effects.push(Effect::Queue {
             at: deliver_at,
-            work: QueuedWork::Handshake {
+            work: NodeWork::Handshakes {
                 destination: dst,
-                handshake,
+                handshakes: vec![handshake],
             },
         });
     }
 
-    /// Receiver side of channel establishment for a coalesced batch of
-    /// same-instant handshakes: one CPU charge window covers every
-    /// transcript verification (the once-per-link public-key
-    /// exponentiations), then each handshake is verified and installed
-    /// individually.  The charge is `k × rsa_verify_us` in one `run_cpu`
-    /// call — identical total lane occupancy to `k` back-to-back charges at
-    /// the same instant, so batching moves no completion time; it only
-    /// collapses `k` scheduling round-trips into one.  A handshake that
-    /// fails validation installs nothing — subsequent frames on the link
-    /// then fail verification for lack of a channel.
-    pub(super) fn process_handshake_batch(
-        &mut self,
-        at: SimTime,
-        handshakes: Vec<ChannelHandshake>,
-    ) {
-        if !self.shared.config.authenticated() {
+    /// Receiver side of channel establishment for the handshakes of one
+    /// scheduling event: one CPU charge window covers every transcript
+    /// verification (the once-per-link public-key exponentiations), and
+    /// each handshake is verified and installed individually
+    /// ([`Peer::accept`](super::Peer)).  The charge is `k × rsa_verify_us`
+    /// in one `run_cpu` call — identical total lane occupancy to `k`
+    /// back-to-back charges at the same instant, so coalescing moves no
+    /// completion time; it only collapses `k` scheduling round-trips into
+    /// one.
+    pub(super) fn process_handshakes(&mut self, at: SimTime, handshakes: Vec<ChannelHandshake>) {
+        let Some(verifier) = self.node.authenticator.as_ref() else {
             // The receiver checks no proofs, so it needs no channel state.
             return;
-        }
+        };
         self.metrics.handshake_batches += 1;
         let cost = self.shared.config.cost_model.rsa_verify_us * handshakes.len() as u64;
-        self.charge(at, cost);
-        for handshake in handshakes {
-            self.verify_handshake(handshake);
-        }
-    }
-
-    /// Verifies one handshake transcript and installs the resulting session
-    /// channel (CPU time is charged by the caller, per batch).
-    fn verify_handshake(&mut self, handshake: ChannelHandshake) {
-        let verifier = self
-            .node
-            .authenticator
-            .as_ref()
-            .expect("authentication configured");
-        self.metrics.rsa_verify_ops += 1;
-        // A handshake below the receiver's epoch floor is a replay of a
-        // channel churn already retired (the live-channel case is handled
-        // by accept_rebind below): reject before any state is installed.
-        // Crash-style evictions raise the floor past the dead channel, so
-        // a rebinding sender must supersede it to be heard.
-        let floor = self
-            .node
-            .recv_epoch_floor
-            .get(&handshake.transcript.src)
-            .copied()
-            .unwrap_or(0);
-        if !handshake.supersedes(floor) {
-            self.metrics.verification_failures += 1;
-            return;
-        }
-        // Rebinds must supersede the installed channel's epoch, so a
-        // replayed old handshake can never roll the replay counter back.
-        let accepted = match self.node.recv_channels.get(&handshake.transcript.src) {
-            Some(current) => verifier.accept_rebind(&handshake, current),
-            None => verifier.accept_channel(&handshake),
-        };
-        match accepted {
-            Ok(channel) => {
+        for handshake in &handshakes {
+            self.metrics.rsa_verify_ops += 1;
+            let sender = node_of(handshake.transcript.src);
+            let peer = self.node.peers.entry(sender).or_default();
+            if peer.accept(verifier, handshake) {
                 // Receiver-side session-key derivation.
                 self.metrics.hmac_ops += 1;
-                self.node
-                    .recv_channels
-                    .insert(handshake.transcript.src, channel);
-            }
-            Err(_) => {
+            } else {
                 self.metrics.verification_failures += 1;
             }
         }
+        self.charge(at, cost);
     }
-}
-
-/// Retires the channel half bound to `peer` when `admit` accepts its epoch:
-/// the half is dropped and the epoch floor towards `peer` rises past it, so
-/// the link — should it return — rebinds at a fresh epoch: the retired key
-/// stream and its replay counter can never be resumed or replayed.
-fn retire_channel<C>(
-    channels: &mut FastMap<PrincipalId, C>,
-    floors: &mut FastMap<PrincipalId, u32>,
-    peer: PrincipalId,
-    epoch_of: impl Fn(&C) -> u32,
-    admit: impl Fn(u32) -> bool,
-) -> bool {
-    let Some(epoch) = channels.get(&peer).map(epoch_of).filter(|&e| admit(e)) else {
-        return false;
-    };
-    channels.remove(&peer);
-    let floor = floors.entry(peer).or_insert(0);
-    *floor = (*floor).max(epoch + 1);
-    true
 }
 
 impl DistributedEngine {
@@ -373,43 +287,38 @@ impl DistributedEngine {
     /// tears down without dropping frames, as its TCP-like real-world
     /// counterpart would.
     pub(super) fn schedule_channel_eviction(&mut self, at: SimTime, src: NodeId, dst: NodeId) {
-        let (src_node, dst_node) = (&self.nodes[ix(src)], &self.nodes[ix(dst)]);
-        let send_epoch = src_node
-            .send_channels
-            .get(&principal_of(dst))
-            .map(SenderChannel::epoch);
-        let recv_epoch = dst_node
-            .recv_channels
-            .get(&principal_of(src))
-            .map(ReceiverChannel::epoch);
-        if send_epoch.is_none() && recv_epoch.is_none() {
+        let link = (src, dst);
+        let epochs = self.channel_epochs(link);
+        if epochs == (None, None) {
             return;
         }
-        let horizon = src_node.link_horizon_to(dst);
-        self.queue.push(
-            at.max(horizon),
-            QueuedWork::Evict {
-                src,
-                dst,
-                send_epoch,
-                recv_epoch,
-            },
-        );
+        let horizon = self.nodes[ix(src)].link_horizon_to(dst);
+        self.queue
+            .push_global(at.max(horizon), GlobalWork::Evict { link, epochs });
+    }
+
+    /// Epochs of the installed halves — the sender's at the source, the
+    /// receiver's at the destination — of the link's session channel.
+    pub(super) fn channel_epochs(&self, (src, dst): Link) -> (Option<u32>, Option<u32>) {
+        let sender = self.nodes[ix(src)].peers.get(&dst);
+        let receiver = self.nodes[ix(dst)].peers.get(&src);
+        (
+            sender.and_then(|peer| peer.send.as_ref().map(|channel| channel.epoch())),
+            receiver.and_then(|peer| peer.recv.as_ref().map(|channel| channel.epoch())),
+        )
     }
 
     /// Executes a scheduled channel eviction: re-defers while the link's
     /// delivery horizon is still ahead (frames sealed under the old epoch
     /// remain in flight), then retires whichever channel halves still carry
-    /// the captured epochs (see [`retire_channel`]).
+    /// the captured `epochs`.
     pub(super) fn process_eviction(
         &mut self,
         at: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        send_epoch: Option<u32>,
-        recv_epoch: Option<u32>,
+        link: Link,
+        epochs: (Option<u32>, Option<u32>),
     ) {
-        let horizon = self.nodes[ix(src)].link_horizon_to(dst);
+        let horizon = self.nodes[ix(link.0)].link_horizon_to(link.1);
         // Under a fault plan, "drained" additionally means no sequenced
         // frame is still undelivered on the link: a graceful teardown must
         // not retire the channel that frames awaiting retransmission were
@@ -418,63 +327,35 @@ impl DistributedEngine {
         // re-deferral terminates.)
         let retry_at = if horizon > at {
             Some(horizon)
-        } else if self.shared.config.fault_plan.is_some()
-            && self.transport.has_undelivered(src, dst)
-        {
+        } else if self.shared.config.fault_plan.is_some() && self.transport.has_undelivered(link) {
             Some(at + SimTime::from_micros(DEFAULT_RETRANSMIT_RTO_US))
         } else {
             None
         };
-        if let Some(retry_at) = retry_at {
-            self.queue.push(
-                retry_at,
-                QueuedWork::Evict {
-                    src,
-                    dst,
-                    send_epoch,
-                    recv_epoch,
-                },
-            );
-            return;
+        match retry_at {
+            Some(retry_at) => self
+                .queue
+                .push_global(retry_at, GlobalWork::Evict { link, epochs }),
+            None => self.evict_channel(at, link, epochs),
         }
-        self.evict_channel(
-            at,
-            src,
-            dst,
-            |epoch| send_epoch == Some(epoch),
-            |epoch| recv_epoch == Some(epoch),
-        );
     }
 
-    /// Retires both halves of the directed link's session channel whose
-    /// epochs `admit_send` / `admit_recv` accept, tracing the eviction when
-    /// anything was installed.  Crash-style cuts admit every epoch — no
-    /// drain, no epoch capture: waiting for in-flight frames would wait on
-    /// frames that no longer exist.
+    /// Retires the halves of the directed link's session channel that
+    /// carry the given `(sender, receiver)` epochs (see
+    /// [`Peer::retire_send`](super::Peer)), tracing the eviction when
+    /// anything was installed.  Crash-style cuts pass the installed epochs
+    /// themselves — no drain, no epoch capture: waiting for in-flight
+    /// frames would wait on frames that no longer exist.
     pub(super) fn evict_channel(
         &mut self,
         at: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        admit_send: impl Fn(u32) -> bool,
-        admit_recv: impl Fn(u32) -> bool,
+        (src, dst): Link,
+        (send_epoch, recv_epoch): (Option<u32>, Option<u32>),
     ) {
-        let sender = &mut self.nodes[ix(src)];
-        let sent = retire_channel(
-            &mut sender.send_channels,
-            &mut sender.send_epoch_floor,
-            principal_of(dst),
-            SenderChannel::epoch,
-            admit_send,
-        );
-        let receiver = &mut self.nodes[ix(dst)];
-        let received = retire_channel(
-            &mut receiver.recv_channels,
-            &mut receiver.recv_epoch_floor,
-            principal_of(src),
-            ReceiverChannel::epoch,
-            admit_recv,
-        );
+        let sender = self.nodes[ix(src)].peers.get_mut(&dst);
+        let sent = sender.is_some_and(|peer| peer.retire_send(send_epoch));
+        let receiver = self.nodes[ix(dst)].peers.get_mut(&src);
+        let received = receiver.is_some_and(|peer| peer.retire_recv(recv_epoch));
         if sent || received {
             self.trace_event(
                 at,

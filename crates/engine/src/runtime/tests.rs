@@ -865,3 +865,39 @@ fn modeled_pool_size_moves_only_the_layout_rows() {
     assert_eq!(rows, want);
     assert!(metrics.parallel_wall < baseline.parallel_wall);
 }
+
+/// One scheduling event either way: a `Handshakes` of one evaluated
+/// directly — as the lossy transport releases it — and the same handshake
+/// queued and popped through `pop_wave`'s coalescing count one batch and one
+/// RSA verification, occupy the receiver's lane alike and install the channel.
+#[test]
+fn a_lone_handshake_and_a_coalesced_one_charge_the_same() {
+    let program = parse_program(REACHABLE).unwrap();
+    let (a, b) = (NodeId(0), NodeId(1));
+    let at = SimTime::from_micros(700);
+    let deliver = |queued: bool| {
+        let config = EngineConfig::sendlog_session();
+        let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
+        let sender = engine.nodes[ix(a)].authenticator.as_ref().unwrap();
+        let (handshake, _) = sender.open_channel(principal_of(b), 0, 64);
+        let work = NodeWork::Handshakes {
+            destination: b,
+            handshakes: vec![handshake],
+        };
+        if queued {
+            engine.queue.push_node(at, work);
+            engine.run_to_fixpoint().unwrap();
+        } else {
+            engine.eval_event(at, work).unwrap();
+        }
+        let receiver = &engine.nodes[ix(b)];
+        assert!(receiver.peers[&a].recv.is_some(), "channel installed");
+        let m = &engine.metrics;
+        let lane = (receiver.busy_until, receiver.cpu_spent);
+        (m.handshake_batches, m.rsa_verify_ops, m.hmac_ops, lane)
+    };
+    let lone = deliver(false);
+    let verify = SimTime::from_micros(CostModel::paper_2008().rsa_verify_us);
+    assert_eq!(lone, (1, 1, 1, (at + verify, verify)));
+    assert_eq!(deliver(true), lone);
+}

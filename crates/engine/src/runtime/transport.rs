@@ -3,8 +3,8 @@
 //! coalesced cumulative acks, and timeout retransmission with exponential
 //! backoff under a bounded retry budget.  Reliable runs bypass all of it.
 
-use super::queue::{Polarity, QueuedWork};
-use super::{DistributedEngine, EngineError, Removal};
+use super::queue::{DeltaBatch, GlobalWork, NodeWork, Origin, Polarity};
+use super::{node_ids, node_of, DistributedEngine, EngineError, Link, Peer, Removal};
 use crate::config::{DEFAULT_RETRANSMIT_RTO_US, DEFAULT_RETRY_BUDGET};
 use crate::hash::FastMap;
 use pasn_net::wire::{Frame, MESSAGE_HEADER_BYTES};
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 /// frame is first delivered, so `None` marks delivered-but-unacked) and how
 /// many retransmission attempts it has consumed.
 struct InFlightFrame {
-    work: Option<QueuedWork>,
+    work: Option<NodeWork>,
     attempt: u8,
 }
 
@@ -32,7 +32,7 @@ struct LinkState {
     /// has been released to evaluation exactly once.
     next_expected: u64,
     /// Out-of-order frames parked at the receiver until the gap fills.
-    holdback: BTreeMap<u64, QueuedWork>,
+    holdback: BTreeMap<u64, NodeWork>,
     /// A cumulative ack is already scheduled: acks are delayed and
     /// coalesced, one covers every delivery up to its fire instant.
     ack_pending: bool,
@@ -53,15 +53,15 @@ enum Arrival {
     Parked,
 }
 
-/// The reliability layer's state: one [`LinkState`] per directed link
-/// `(src node id, dst node id)`, created on first use.
+/// The reliability layer's state: one [`LinkState`] per directed link,
+/// created on first use.
 #[derive(Default)]
 pub(super) struct LinkTransport {
-    links: FastMap<(u32, u32), LinkState>,
+    links: FastMap<Link, LinkState>,
 }
 
 impl LinkTransport {
-    fn link(&mut self, link: (u32, u32)) -> &mut LinkState {
+    fn link(&mut self, link: Link) -> &mut LinkState {
         self.links.entry(link).or_default()
     }
 
@@ -71,15 +71,14 @@ impl LinkTransport {
         self.links.values().map(|l| l.inflight.len() as u64).sum()
     }
 
-    /// Whether a sequenced frame on `src → dst` is still undelivered.
-    pub(super) fn has_undelivered(&self, src: NodeId, dst: NodeId) -> bool {
-        self.links
-            .get(&(src.0, dst.0))
-            .is_some_and(|l| l.inflight.values().any(|f| f.work.is_some()))
+    /// Whether a sequenced frame on `link` is still undelivered.
+    pub(super) fn has_undelivered(&self, link: Link) -> bool {
+        let link = self.links.get(&link);
+        link.is_some_and(|l| l.inflight.values().any(|f| f.work.is_some()))
     }
 
     /// The next trace-only ship ordinal of a reliable link.
-    fn next_trace_seq(&mut self, link: (u32, u32)) -> u64 {
+    fn next_trace_seq(&mut self, link: Link) -> u64 {
         let state = self.link(link);
         let seq = state.trace_seq;
         state.trace_seq += 1;
@@ -87,13 +86,13 @@ impl LinkTransport {
     }
 
     /// The sequence number the link's next frame will get.
-    fn peek_seq(&self, link: (u32, u32)) -> u64 {
+    fn peek_seq(&self, link: Link) -> u64 {
         self.links.get(&link).map_or(0, |l| l.next_seq)
     }
 
     /// Assigns the link's next sequence number to `work` and parks it in
     /// the send buffer.
-    fn send(&mut self, link: (u32, u32), work: QueuedWork) {
+    fn send(&mut self, link: Link, work: NodeWork) {
         let state = self.link(link);
         let frame = InFlightFrame {
             work: Some(work),
@@ -106,7 +105,7 @@ impl LinkTransport {
     /// Lands frame `seq` at the receiver: replays of released sequence
     /// numbers are recognised, a fresh payload moves from the send buffer
     /// into holdback.
-    fn arrive(&mut self, link: (u32, u32), seq: u64) -> Arrival {
+    fn arrive(&mut self, link: Link, seq: u64) -> Arrival {
         let state = self.link(link);
         if seq < state.next_expected {
             return Arrival::Replay;
@@ -122,7 +121,7 @@ impl LinkTransport {
 
     /// Releases the next in-order frame from holdback, advancing the
     /// receive cursor.
-    fn release_next(&mut self, link: (u32, u32)) -> Option<(u64, QueuedWork)> {
+    fn release_next(&mut self, link: Link) -> Option<(u64, NodeWork)> {
         let state = self.link(link);
         let seq = state.next_expected;
         let work = state.holdback.remove(&seq)?;
@@ -131,14 +130,14 @@ impl LinkTransport {
     }
 
     /// Marks a cumulative ack pending; false when one already is.
-    fn claim_ack(&mut self, link: (u32, u32)) -> bool {
+    fn claim_ack(&mut self, link: Link) -> bool {
         !std::mem::replace(&mut self.link(link).ack_pending, true)
     }
 
     /// Fires the pending ack: prunes every in-flight frame below the
     /// receive cursor (their retransmission timers fire into nothing) and
     /// returns the cursor.
-    fn ack(&mut self, link: (u32, u32)) -> u64 {
+    fn ack(&mut self, link: Link) -> u64 {
         let state = self.link(link);
         state.ack_pending = false;
         let upto = state.next_expected;
@@ -149,7 +148,7 @@ impl LinkTransport {
     /// Consumes one retransmission attempt of frame `seq`; `None` when the
     /// frame was acked, died with a cut link, or was delivered and only
     /// awaits its cumulative ack.
-    fn retry(&mut self, link: (u32, u32), seq: u64) -> Option<u8> {
+    fn retry(&mut self, link: Link, seq: u64) -> Option<u8> {
         let frame = self.link(link).inflight.get_mut(&seq)?;
         frame.work.as_ref()?;
         frame.attempt = frame.attempt.saturating_add(1);
@@ -157,7 +156,7 @@ impl LinkTransport {
     }
 
     /// Gives up on frame `seq`, handing back its undelivered payload.
-    fn abandon(&mut self, link: (u32, u32), seq: u64) -> Option<QueuedWork> {
+    fn abandon(&mut self, link: Link, seq: u64) -> Option<NodeWork> {
         self.link(link).inflight.remove(&seq)?.work
     }
 
@@ -165,9 +164,9 @@ impl LinkTransport {
     /// parked out of order in holdback) dies, in send order, and the
     /// receive cursor fast-forwards so late replays and retransmission
     /// timers of the dead frames fall into the duplicate path.
-    fn cut(&mut self, link: (u32, u32)) -> Vec<(u64, QueuedWork)> {
+    fn cut(&mut self, link: Link) -> Vec<(u64, NodeWork)> {
         let state = self.link(link);
-        let mut dead: Vec<(u64, QueuedWork)> = std::mem::take(&mut state.inflight)
+        let mut dead: Vec<(u64, NodeWork)> = std::mem::take(&mut state.inflight)
             .into_iter()
             .filter_map(|(seq, frame)| Some((seq, frame.work?)))
             .chain(std::mem::take(&mut state.holdback))
@@ -176,40 +175,94 @@ impl LinkTransport {
         state.next_expected = state.next_seq;
         dead
     }
+
+    /// Verifies every link's sequencing state: the receive cursor never
+    /// passes the send cursor, holdback parks only sequence numbers between
+    /// the two, nothing in flight is numbered past the send cursor, and a
+    /// parked frame's in-flight entry has given up its payload.
+    fn check_consistency(&self) -> Result<(), String> {
+        let sound = |l: &LinkState| {
+            let taken = |seq| l.inflight.get(seq).is_none_or(|f| f.work.is_none());
+            let parked = |seq| (l.next_expected..l.next_seq).contains(seq) && taken(seq);
+            l.next_expected <= l.next_seq
+                && l.holdback.keys().all(parked)
+                && l.inflight.keys().all(|seq| *seq < l.next_seq)
+        };
+        match self.links.iter().find(|(_, l)| !sound(l)) {
+            Some((link, l)) => Err(format!(
+                "link {link:?}: cursors {}..{}, holdback {:?}, in flight {:?}",
+                l.next_expected,
+                l.next_seq,
+                l.holdback.keys(),
+                l.inflight.keys()
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 impl DistributedEngine {
+    /// Verifies the link state no reachable run may break: at every node,
+    /// an installed session-channel half is bound at or past that half's
+    /// own epoch floor, and every sequenced link passes
+    /// [`LinkTransport::check_consistency`].  Debug builds assert it
+    /// whenever the queue drains.  The stronger contiguity form — every
+    /// sequence number between a link's two cursors is in flight or parked
+    /// — was tried and does not hold: a frame abandoned at its retry budget
+    /// leaves its gap for good (the sustained-loss test of
+    /// `lossy_equivalence_prop.rs` trips it); a cut link passes only because
+    /// its receive cursor fast-forwards over whatever died in the air.
+    pub fn check_link_consistency(&self) -> Result<(), String> {
+        for (id, node) in node_ids(self.nodes.len()).zip(&self.nodes) {
+            let bound_past_floor = |(_, peer): &(&NodeId, &Peer)| {
+                let send = peer.send.as_ref().map(|channel| channel.epoch());
+                let recv = peer.recv.as_ref().map(|channel| channel.epoch());
+                send.is_none_or(|epoch| epoch >= peer.send_floor)
+                    && recv.is_none_or(|epoch| epoch >= peer.recv_floor)
+            };
+            if let Some((peer, _)) = node.peers.iter().find(|end| !bound_past_floor(end)) {
+                return Err(format!(
+                    "channel {id:?} <-> {peer:?} is bound below its epoch floor"
+                ));
+            }
+        }
+        self.transport.check_consistency()
+    }
+
     /// Routes finalized queue work (a sealed remote frame, a scheduled
     /// handshake) through the unreliable transport when a fault plan is
     /// installed.  Reliable runs — and work that never crosses a link —
     /// push straight onto the queue, so the fault machinery costs nothing
     /// when disabled.
-    pub(super) fn queue_transport(&mut self, at: SimTime, work: QueuedWork) {
-        let link = match &work {
-            QueuedWork::Deliver(batch) => batch.from.map(|src| (src.0, batch.destination.0)),
-            // Node ids and principal ids share one index by construction
-            // (see `principal_of`).
-            QueuedWork::Handshake {
+    pub(super) fn queue_transport(&mut self, at: SimTime, work: NodeWork) {
+        // The link the work crosses and, for a data frame, its tuple count.
+        let (link, frame_tuples) = match &work {
+            NodeWork::Deliver(DeltaBatch {
+                origin: Origin::Remote { from, .. },
                 destination,
-                handshake,
-            } => Some((handshake.transcript.src.0, destination.0)),
-            _ => None,
-        };
-        let frame_tuples = match &work {
-            QueuedWork::Deliver(batch) => Some(batch.rows.len() as u32),
-            _ => None,
+                rows,
+                ..
+            }) => (Some((*from, *destination)), Some(rows.len() as u32)),
+            NodeWork::Handshakes {
+                destination,
+                handshakes,
+            } => {
+                let sender = handshakes.first().map(|h| node_of(h.transcript.src));
+                (sender.map(|src| (src, *destination)), None)
+            }
+            NodeWork::Deliver(_) | NodeWork::Ship(_) => (None, None),
         };
         let plan = self.shared.config.fault_plan.as_ref();
-        let (Some((src, dst)), Some(plan)) = (link, plan) else {
+        let (Some(link), Some(plan)) = (link, plan) else {
             // On the reliable transport no per-link sequence numbers exist:
             // the trace records a remote frame's ship event under a
             // trace-only per-link ordinal.  Delivery is implicit (reliable,
             // in order), so no matching deliver event is emitted;
             // handshakes are covered by their own handshake event.
-            if let (Some((src, dst)), Some(tuples), true) =
-                (link, frame_tuples, self.recorder.is_some())
+            if let (Some(link), Some(tuples), true) = (link, frame_tuples, self.recorder.is_some())
             {
-                let seq = self.transport.next_trace_seq((src, dst));
+                let seq = self.transport.next_trace_seq(link);
+                let (NodeId(src), NodeId(dst)) = link;
                 let shipped = TraceEventKind::FrameShipped {
                     src,
                     dst,
@@ -218,27 +271,24 @@ impl DistributedEngine {
                 };
                 self.trace_event(at, shipped);
             }
-            self.queue.push(at, work);
+            self.queue.push_node(at, work);
             return;
         };
         // The plan's rolls are pure functions of (seed, link, seq, attempt):
         // read them all before the transport state is touched.
-        let seq = self.transport.peek_seq((src, dst));
+        let seq = self.transport.peek_seq(link);
+        let (NodeId(src), NodeId(dst)) = link;
         let deliver_at = at + SimTime::from_micros(plan.extra_delay_us(src, dst, seq));
         let (dropped, duplicated) = (plan.drops(src, dst, seq, 0), plan.duplicates(src, dst, seq));
-        self.transport.send((src, dst), work);
-        let arrival = || QueuedWork::FrameArrival {
-            src,
-            dst,
-            frame_seq: seq,
-        };
+        self.transport.send(link, work);
+        let arrival = || GlobalWork::FrameArrival { link, seq };
         let Some(tuples) = frame_tuples else {
             // Handshakes are sequenced with the data frames they key (they
             // must neither overtake nor be overtaken on the link) but
             // modeled reliable: channel setup is the control plane, and a
             // lost handshake would only re-run the identical signed
             // transcript below the simulation's cost granularity.
-            self.queue.push(at, arrival());
+            self.queue.push_global(at, arrival());
             return;
         };
         let shipped = TraceEventKind::FrameShipped {
@@ -257,13 +307,9 @@ impl DistributedEngine {
                 attempt: 0,
             };
             self.trace_event(deliver_at, dropped);
-            self.queue.push(
+            self.queue.push_global(
                 deliver_at + SimTime::from_micros(DEFAULT_RETRANSMIT_RTO_US),
-                QueuedWork::Retransmit {
-                    src,
-                    dst,
-                    frame_seq: seq,
-                },
+                GlobalWork::Retransmit { link, seq },
             );
             return;
         }
@@ -273,9 +319,9 @@ impl DistributedEngine {
                 deliver_at,
                 TraceEventKind::FrameDuplicated { src, dst, seq },
             );
-            self.queue.push(deliver_at, arrival());
+            self.queue.push_global(deliver_at, arrival());
         }
-        self.queue.push(deliver_at, arrival());
+        self.queue.push_global(deliver_at, arrival());
     }
 
     /// Lands one frame at the receiving end of a faulty link: replays of
@@ -288,18 +334,18 @@ impl DistributedEngine {
     pub(super) fn process_frame_arrival(
         &mut self,
         at: SimTime,
-        link: (u32, u32),
-        frame_seq: u64,
+        link: Link,
+        seq: u64,
     ) -> Result<(), EngineError> {
-        match self.transport.arrive(link, frame_seq) {
+        match self.transport.arrive(link, seq) {
             Arrival::Replay => self.schedule_ack(at, link),
             Arrival::Gone => {}
             Arrival::Parked => {
-                let (src, dst) = link;
+                let (NodeId(src), NodeId(dst)) = link;
                 let mut progressed = false;
                 while let Some((seq, work)) = self.transport.release_next(link) {
                     progressed = true;
-                    if matches!(work, QueuedWork::Deliver(_)) {
+                    if matches!(work, NodeWork::Deliver(_)) {
                         self.trace_event(at, TraceEventKind::FrameDelivered { src, dst, seq });
                     }
                     // Released frames evaluate at the arrival instant that
@@ -319,7 +365,7 @@ impl DistributedEngine {
     /// `link` back to its sender, coalescing: while an ack is pending on
     /// the link, further deliveries ride the same one (its cumulative
     /// cursor is read when it fires).
-    fn schedule_ack(&mut self, at: SimTime, link: (u32, u32)) {
+    fn schedule_ack(&mut self, at: SimTime, link: Link) {
         if !self.transport.claim_ack(link) {
             return;
         }
@@ -328,22 +374,18 @@ impl DistributedEngine {
             .config
             .cost_model
             .message_latency(Frame::ack().wire_bytes());
-        self.queue.push(
-            at + latency,
-            QueuedWork::AckFrame {
-                src: link.0,
-                dst: link.1,
-            },
-        );
+        self.queue
+            .push_global(at + latency, GlobalWork::AckFrame { link });
     }
 
     /// Fires one cumulative ack: every in-flight frame below the
     /// receiver's in-order cursor is settled (its retransmission timers
     /// die with it), and the ack's own wire bytes are charged dst → src.
-    pub(super) fn process_ack(&mut self, at: SimTime, (src, dst): (u32, u32)) {
+    pub(super) fn process_ack(&mut self, at: SimTime, link: Link) {
         self.metrics.acks += 1;
-        self.account_send(NodeId(dst), Frame::ack().wire_bytes());
-        let upto = self.transport.ack((src, dst));
+        self.account_send(link.1, Frame::ack().wire_bytes());
+        let upto = self.transport.ack(link);
+        let (NodeId(src), NodeId(dst)) = link;
         self.trace_event(at, TraceEventKind::FrameAcked { src, dst, upto });
     }
 
@@ -353,11 +395,11 @@ impl DistributedEngine {
     /// budget is a hard stop (reached only when the plan's loss-burst bound
     /// exceeds it): an exhausted frame is reconciled exactly like one that
     /// died with a cut link.
-    pub(super) fn process_retransmit(&mut self, at: SimTime, link: (u32, u32), seq: u64) {
+    pub(super) fn process_retransmit(&mut self, at: SimTime, link: Link, seq: u64) {
         let Some(attempt) = self.transport.retry(link, seq) else {
             return;
         };
-        let (src, dst) = link;
+        let (NodeId(src), NodeId(dst)) = link;
         let plan = self.shared.config.fault_plan.as_ref();
         let dropped = plan.is_some_and(|plan| plan.drops(src, dst, seq, attempt));
         self.metrics.retransmits += 1;
@@ -378,7 +420,7 @@ impl DistributedEngine {
         if u32::from(attempt) >= DEFAULT_RETRY_BUDGET {
             if let Some(work) = self.transport.abandon(link, seq) {
                 self.trace_event(at, TraceEventKind::FrameDead { src, dst, seq });
-                self.reconcile_dead_frame(at, work);
+                self.reconcile_dead_frame(at, link.0, work);
             }
             return;
         }
@@ -392,14 +434,9 @@ impl DistributedEngine {
             };
             self.trace_event(at, dropped);
             let backoff = DEFAULT_RETRANSMIT_RTO_US << attempt.min(6);
-            self.queue.push(
-                at + SimTime::from_micros(backoff),
-                QueuedWork::Retransmit {
-                    src,
-                    dst,
-                    frame_seq: seq,
-                },
-            );
+            let retry_at = at + SimTime::from_micros(backoff);
+            self.queue
+                .push_global(retry_at, GlobalWork::Retransmit { link, seq });
             return;
         }
         // The retransmitted copy lands after one header-sized transport
@@ -412,14 +449,8 @@ impl DistributedEngine {
             .config
             .cost_model
             .message_latency(MESSAGE_HEADER_BYTES);
-        self.queue.push(
-            at + latency,
-            QueuedWork::FrameArrival {
-                src,
-                dst,
-                frame_seq: seq,
-            },
-        );
+        self.queue
+            .push_global(at + latency, GlobalWork::FrameArrival { link, seq });
     }
 
     /// Crash-without-drain teardown of the directed transport `src → dst`:
@@ -429,31 +460,31 @@ impl DistributedEngine {
     /// what was in the air is lost — which is what lets the cut's own
     /// retraction cascade ship its tombstones.
     pub(super) fn cut_link_transport(&mut self, at: SimTime, src: NodeId, dst: NodeId) {
-        for (seq, work) in self.transport.cut((src.0, dst.0)) {
+        for (seq, work) in self.transport.cut((src, dst)) {
             let dead = TraceEventKind::FrameDead {
                 src: src.0,
                 dst: dst.0,
                 seq,
             };
             self.trace_event(at, dead);
-            self.reconcile_dead_frame(at, work);
+            self.reconcile_dead_frame(at, src, work);
         }
-        self.evict_channel(at, src, dst, |_| true, |_| true);
+        let installed = self.channel_epochs((src, dst));
+        self.evict_channel(at, (src, dst), installed);
     }
 
-    /// Ledger reconciliation for one frame that died with a cut link (or an
-    /// exhausted retry budget): an assert frame's rows never created their
+    /// Ledger reconciliation for one frame sent by `src` that died with a cut
+    /// link (or an exhausted retry budget): an assert frame's rows never created their
     /// supports, so the sender-side firings are silenced — their later
     /// death must not withdraw what never arrived.  A tombstone frame's
     /// withdrawals are applied directly at the destination: the fixpoint
     /// would otherwise wait forever for a retraction the link already ate.
-    fn reconcile_dead_frame(&mut self, at: SimTime, work: QueuedWork) {
+    fn reconcile_dead_frame(&mut self, at: SimTime, src: NodeId, work: NodeWork) {
         // A dead handshake needs no ledger work: the sender rebinds at a
         // fresh epoch on its next shipment.
-        let QueuedWork::Deliver(batch) = work else {
+        let NodeWork::Deliver(batch) = work else {
             return;
         };
-        let src = batch.from.expect("sequenced frames are remote");
         let (dest, pred) = (batch.destination, batch.pred);
         for row in &batch.rows {
             match batch.polarity {

@@ -107,6 +107,7 @@ proptest! {
             prop_assert!(metrics.retractions > 0);
         }
         prop_assert_eq!(churned.check_ledger_consistency(), Ok(()));
+        prop_assert_eq!(churned.check_link_consistency(), Ok(()));
     }
 
     /// Alternative derivations under `DerivationCount`: retracting one
@@ -188,5 +189,6 @@ proptest! {
             );
         }
         prop_assert_eq!(churned.check_ledger_consistency(), Ok(()));
+        prop_assert_eq!(churned.check_link_consistency(), Ok(()));
     }
 }

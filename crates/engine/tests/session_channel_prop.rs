@@ -45,6 +45,7 @@ fn run(
             .unwrap();
     }
     let metrics = engine.run_to_fixpoint().unwrap();
+    assert_eq!(engine.check_link_consistency(), Ok(()));
     let fixpoint = locations
         .iter()
         .map(|loc| {

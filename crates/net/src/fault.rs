@@ -18,23 +18,6 @@
 //! therefore always succeeds eventually — only a scheduled [`FaultEvent`]
 //! can kill a frame for good.
 
-use std::sync::OnceLock;
-
-/// Environment variable overriding every [`FaultPlan`] seed (see
-/// [`FaultPlan::with_env_seed`]); lets CI re-run an identical suite under a
-/// different fault schedule without touching any test.
-pub const FAULT_SEED_ENV: &str = "PASN_FAULT_SEED";
-
-/// The process-wide `PASN_FAULT_SEED` override, read once.
-pub fn env_fault_seed() -> Option<u64> {
-    static SEED: OnceLock<Option<u64>> = OnceLock::new();
-    *SEED.get_or_init(|| {
-        std::env::var(FAULT_SEED_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-    })
-}
-
 /// A scheduled crash-without-drain event: unlike the graceful churn
 /// teardown (which waits for in-flight frames to drain), these discard
 /// whatever is on the wire at the instant they fire.
@@ -111,19 +94,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the duplicate probability in ‰.
-    pub fn with_duplicate_per_mille(mut self, per_mille: u16) -> Self {
-        self.duplicate_per_mille = per_mille;
-        self
-    }
-
-    /// Sets the late-delivery probability in ‰ and its delay bound.
-    pub fn with_delay(mut self, per_mille: u16, max_delay_us: u64) -> Self {
-        self.delay_per_mille = per_mille;
-        self.max_delay_us = max_delay_us;
-        self
-    }
-
     /// Schedules a [`FaultEvent::LinkCut`] at `at_us`.
     pub fn cut_link(mut self, at_us: u64, src: u32, dst: u32) -> Self {
         self.events.push((at_us, FaultEvent::LinkCut { src, dst }));
@@ -133,17 +103,6 @@ impl FaultPlan {
     /// Schedules a [`FaultEvent::NodeCrash`] at `at_us`.
     pub fn crash_node(mut self, at_us: u64, node: u32) -> Self {
         self.events.push((at_us, FaultEvent::NodeCrash { node }));
-        self
-    }
-
-    /// Replaces the seed with the process-wide `PASN_FAULT_SEED` override,
-    /// when one is set.  The engine applies this to every installed plan,
-    /// so a CI job exporting the variable re-runs the whole suite under a
-    /// different fault schedule.
-    pub fn with_env_seed(mut self) -> Self {
-        if let Some(seed) = env_fault_seed() {
-            self.seed = seed;
-        }
         self
     }
 
@@ -244,13 +203,10 @@ mod tests {
     fn builders_compose_a_crash_schedule() {
         let plan = FaultPlan::lossless(9)
             .cut_link(5_000_000, 0, 1)
-            .crash_node(8_000_000, 2)
-            .with_delay(50, 1_000)
-            .with_duplicate_per_mille(10);
+            .crash_node(8_000_000, 2);
         assert_eq!(plan.events.len(), 2);
         assert_eq!(plan.events[0].1, FaultEvent::LinkCut { src: 0, dst: 1 });
         assert_eq!(plan.events[1].1, FaultEvent::NodeCrash { node: 2 });
         assert!(!plan.drops(0, 1, 3, 0));
-        assert_eq!(plan.max_delay_us, 1_000);
     }
 }

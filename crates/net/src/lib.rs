@@ -47,7 +47,7 @@ pub mod topology;
 pub mod wire;
 
 pub use fault::{FaultEvent, FaultPlan};
-pub use sim::{CostModel, CpuSchedule, Message, NetworkSim, SimTime, TrafficStats};
+pub use sim::{CostModel, Message, NetworkSim, SimTime, TrafficStats};
 pub use topology::{Link, Topology};
 
 /// Identifier of a simulated network node.

@@ -297,55 +297,6 @@ impl<T> NetworkSim<T> {
     }
 }
 
-/// Tracks per-node CPU availability on the simulated clock.
-///
-/// Each node is a single-threaded process (as in the paper's setup); work
-/// items submitted to a node execute sequentially, so a burst of expensive
-/// signature operations delays subsequent processing on that node — which is
-/// exactly the effect behind the SeNDlog overhead in Figure 3.
-#[derive(Clone, Debug, Default)]
-pub struct CpuSchedule {
-    busy_until: HashMap<u32, SimTime>,
-}
-
-impl CpuSchedule {
-    /// Creates an all-idle schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `work` on `node` starting no earlier than `now`; returns the
-    /// completion time and marks the node busy until then.
-    pub fn run(&mut self, node: NodeId, now: SimTime, work: SimTime) -> SimTime {
-        let start = self
-            .busy_until
-            .get(&node.0)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-            .max(now);
-        let done = start + work;
-        self.busy_until.insert(node.0, done);
-        done
-    }
-
-    /// The time at which `node` becomes idle.
-    pub fn idle_at(&self, node: NodeId) -> SimTime {
-        self.busy_until
-            .get(&node.0)
-            .copied()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// The latest busy-until time across all nodes.
-    pub fn latest(&self) -> SimTime {
-        self.busy_until
-            .values()
-            .copied()
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,23 +445,5 @@ mod tests {
             },
         );
         assert_eq!(net.horizon(), t);
-    }
-
-    #[test]
-    fn cpu_schedule_serialises_work_per_node() {
-        let mut cpu = CpuSchedule::new();
-        let done1 = cpu.run(NodeId(0), SimTime(0), SimTime(100));
-        let done2 = cpu.run(NodeId(0), SimTime(0), SimTime(50));
-        assert_eq!(done1, SimTime(100));
-        // Second task waits for the first even though it was submitted at t=0.
-        assert_eq!(done2, SimTime(150));
-        // A different node runs in parallel.
-        let done3 = cpu.run(NodeId(1), SimTime(0), SimTime(30));
-        assert_eq!(done3, SimTime(30));
-        assert_eq!(cpu.idle_at(NodeId(0)), SimTime(150));
-        assert_eq!(cpu.latest(), SimTime(150));
-        // Work submitted after the node went idle starts at submission time.
-        let done4 = cpu.run(NodeId(1), SimTime(500), SimTime(10));
-        assert_eq!(done4, SimTime(510));
     }
 }

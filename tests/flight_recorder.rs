@@ -21,11 +21,17 @@ fn reachability_30(config: EngineConfig) -> SecureNetwork {
 /// trace corresponds one to one with the `RunMetrics` totals.
 #[test]
 fn lossy_trace_reconstructs_transport_counters() {
+    for fault_seed in [41, 987_654_321] {
+        lossy_trace_reconstructs_counters_under(fault_seed);
+    }
+}
+
+fn lossy_trace_reconstructs_counters_under(fault_seed: u64) {
     let mut net = reachability_30(
         EngineConfig::sendlog_session()
             .with_cost_model(CostModel::zero_cpu())
             .with_batching()
-            .with_fault_plan(FaultPlan::new(41))
+            .with_fault_plan(FaultPlan::new(fault_seed))
             .with_tracing(TraceConfig::new()),
     );
     let metrics = net.run().unwrap();
