@@ -28,13 +28,6 @@ impl BddRef {
     pub fn index(self) -> u32 {
         self.0
     }
-
-    /// Rebuilds a reference from a raw index previously obtained with
-    /// [`Self::index`].  The caller must guarantee it came from the same
-    /// manager.
-    pub fn from_index(index: u32) -> Self {
-        BddRef(index)
-    }
 }
 
 /// An internal decision node: `if var then high else low`.
@@ -110,11 +103,6 @@ impl BddManager {
     /// Returns the BDD for a single variable.
     pub fn var(&mut self, var: VarId) -> BddRef {
         self.mk_node(var, BddRef::FALSE, BddRef::TRUE)
-    }
-
-    /// Returns the BDD for the negation of a single variable.
-    pub fn nvar(&mut self, var: VarId) -> BddRef {
-        self.mk_node(var, BddRef::TRUE, BddRef::FALSE)
     }
 
     fn is_terminal(r: BddRef) -> bool {

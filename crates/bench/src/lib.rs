@@ -11,18 +11,6 @@ use pasn::prelude::*;
 use pasn::workload;
 use std::sync::Arc;
 
-/// Builds a ready-to-run Best-Path deployment for one (N, variant) point of
-/// the evaluation sweep.
-pub fn best_path_network(n: u32, variant: SystemVariant, seed: u64) -> SecureNetwork {
-    let topology = workload::evaluation_topology(n, seed);
-    SecureNetwork::builder()
-        .program(pasn::programs::best_path())
-        .topology(topology)
-        .config(variant.config())
-        .build()
-        .expect("the Best-Path program compiles")
-}
-
 /// Builds a reachability deployment (used by the smaller ablation benches).
 pub fn reachability_network(n: u32, config: EngineConfig, seed: u64) -> SecureNetwork {
     let topology = workload::evaluation_topology(n, seed);
@@ -385,9 +373,6 @@ mod tests {
 
     #[test]
     fn helpers_produce_runnable_networks() {
-        let mut net = best_path_network(6, SystemVariant::NDLog, 1);
-        let metrics = net.run().unwrap();
-        assert!(metrics.messages > 0);
         let mut net = reachability_network(6, EngineConfig::ndlog(), 1);
         assert!(net.run().unwrap().messages > 0);
     }

@@ -13,7 +13,9 @@
 //!   distance-vector and path-vector routing protocols Section 2.1 says the
 //!   reachability example generalises to, the latter with an import policy
 //!   that filters routes by the origins carried in their path (the BGP /
-//!   trust-management use case of Section 3).
+//!   trust-management use case of Section 3);
+//! * [`dnssec`] — the DNSSEC chain of trust the paper's conclusion names as
+//!   future work, as six SeNDlog rules.
 
 use pasn_datalog::{parse_program, Program};
 
@@ -96,6 +98,27 @@ pv2 route(@S,D,P) :- link(@S,Z), route(@Z,D,P2), f_member(P2,S) == false, P := f
 pv3 acceptedRoute(@S,D,P) :- route(@S,D,P), avoid(@S,B), f_member(P,B) == false.
 ";
 
+/// Source text of the DNSSEC chain of trust (the conclusion's future work).
+///
+/// Every node runs the block.  A zone `N` exports what it publishes to the
+/// resolver `R` it serves (`d1`–`d3`): its key fingerprint (DNSKEY), the
+/// child-key fingerprints it endorses (DS) and its records — shipped under
+/// the zone's `says`, which is the RRSIG.  The resolver trusts a zone whose
+/// said key matches its trust anchor (`d4`), extends trust along every
+/// delegation whose endorsed fingerprint the child itself says (`d5`), and
+/// accepts an answer only from the zone that says it, once trusted (`d6`).
+/// The condensed tag of a `resolved` row is the resolver plus exactly the
+/// zones on the chain.
+pub const DNSSEC: &str = "\
+At N:
+d1 key(N,Fp)@R :- dnskey(N,Fp), resolver(N,R).
+d2 deleg(N,C,Fp)@R :- ds(N,C,Fp), resolver(N,R).
+d3 answer(N,Q,A)@R :- rr(N,Q,A), resolver(N,R).
+d4 trusted(N,Z) :- anchor(N,Z,Fp), Z says key(Z,Fp).
+d5 trusted(N,C) :- trusted(N,P), P says deleg(P,C,Fp), C says key(C,Fp).
+d6 resolved(N,Q,A) :- trusted(N,Z), Z says answer(Z,Q,A).
+";
+
 /// Parses [`REACHABILITY_NDLOG`].
 pub fn reachability_ndlog() -> Program {
     parse_program(REACHABILITY_NDLOG).expect("built-in program parses")
@@ -131,6 +154,11 @@ pub fn path_vector_policy() -> Program {
     parse_program(PATH_VECTOR_POLICY).expect("built-in program parses")
 }
 
+/// Parses [`DNSSEC`].
+pub fn dnssec() -> Program {
+    parse_program(DNSSEC).expect("built-in program parses")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,6 +174,7 @@ mod tests {
             distance_vector(),
             path_vector(),
             path_vector_policy(),
+            dnssec(),
         ] {
             compile_program(&program).expect("program compiles");
         }

@@ -269,11 +269,6 @@ impl BigUint {
         BigUint::from_limbs(out)
     }
 
-    /// Multiplication by a small word.
-    pub fn mul_u64(&self, v: u64) -> BigUint {
-        self.mul(&BigUint::from_u64(v))
-    }
-
     /// Left shift by `bits`.
     pub fn shl_bits(&self, bits: usize) -> BigUint {
         if self.is_zero() || bits == 0 {

@@ -563,6 +563,10 @@ pub struct CompiledProgram {
     /// Arity of every interned predicate, indexed by [`PredId`] (`None` for
     /// predicates the program never constrains).
     pub arity_by_pred: Vec<Option<usize>>,
+    /// The `@` column every interned predicate is declared with, indexed by
+    /// [`PredId`]: `None` for predicates the program never mentions,
+    /// `Some(None)` for the atoms of a SeNDlog context block.
+    pub location_by_pred: Vec<Option<Option<usize>>>,
 }
 
 impl CompiledProgram {
@@ -583,6 +587,13 @@ impl CompiledProgram {
     pub fn arity_of_pred(&self, pred: PredId) -> Option<usize> {
         self.arity_by_pred.get(pred.index()).copied().flatten()
     }
+
+    /// The `@` column the program declares for an interned predicate (see
+    /// `location_by_pred`).  A base tuple's rendered identity follows the
+    /// declaration, so it is the one the rules name their antecedent by.
+    pub fn location_of_pred(&self, pred: PredId) -> Option<Option<usize>> {
+        self.location_by_pred.get(pred.index()).copied().flatten()
+    }
 }
 
 /// Validates, localizes, and plans an NDlog / SeNDlog program.
@@ -600,19 +611,22 @@ pub fn compile_program(program: &Program) -> Result<CompiledProgram, PlanError> 
         .rules
         .iter()
         .flat_map(|rule| std::iter::once(&rule.head).chain(rule.body_atoms()));
-    let mut arity_by_pred = Vec::new();
+    let (mut arity_by_pred, mut location_by_pred) = (Vec::new(), Vec::new());
     for atom in rule_atoms.chain(localized.facts.iter().map(|fact| &fact.atom)) {
         let pred = symbols.intern(&atom.predicate);
         if arity_by_pred.len() <= pred.index() {
             arity_by_pred.resize(pred.index() + 1, None);
+            location_by_pred.resize(pred.index() + 1, None);
         }
         arity_by_pred[pred.index()] = Some(atom.args.len());
+        location_by_pred[pred.index()] = Some(atom.location);
     }
     Ok(CompiledProgram {
         program: localized,
         plans,
         symbols,
         arity_by_pred,
+        location_by_pred,
     })
 }
 

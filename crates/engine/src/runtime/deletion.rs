@@ -206,8 +206,7 @@ impl DistributedEngine {
             ChurnEvent::NodeRejoin { node } => {
                 let id = self.resolve(&node)?;
                 for (pred, values) in self.deletion.failed_nodes.remove(&id).unwrap_or_default() {
-                    let location_index = values.iter().position(|v| *v == node);
-                    let row = BatchRow::base(values, id, location_index);
+                    let row = self.base_row(id, pred, values);
                     self.enqueue_local(at, id, pred, row, Polarity::Assert);
                 }
             }

@@ -45,7 +45,7 @@ use deletion::{DeletionState, Removal};
 use eval::{record_provenance_graphs, DerivationRecord, Effect, EvalShared, NodeCtx};
 use pasn_crypto::channel::{ChannelHandshake, ReceiverChannel, SenderChannel};
 use pasn_crypto::says::{Authenticator, SaysAssertion};
-use pasn_crypto::{KeyAuthority, Principal, PrincipalId};
+use pasn_crypto::{KeyAuthority, Principal, PrincipalId, RsaPublicKey};
 use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
@@ -498,7 +498,7 @@ impl DistributedEngine {
         };
 
         // Program facts: inserted at their home node at time zero.
-        let facts: Vec<(Value, Tuple, Option<usize>)> = engine
+        let facts: Vec<(Value, Tuple)> = engine
             .shared
             .compiled
             .program
@@ -516,15 +516,11 @@ impl DistributedEngine {
                     .collect();
                 let loc_idx = fact.atom.location.unwrap_or(0);
                 let loc = values.get(loc_idx).cloned().unwrap_or(Value::Int(0));
-                (
-                    loc,
-                    Tuple::new(fact.atom.predicate.clone(), values),
-                    Some(loc_idx),
-                )
+                (loc, Tuple::new(fact.atom.predicate.clone(), values))
             })
             .collect();
-        for (loc, tuple, loc_idx) in facts {
-            engine.insert_fact_located(loc, tuple, loc_idx, SimTime::ZERO)?;
+        for (loc, tuple) in facts {
+            engine.insert_fact_at(loc, tuple, SimTime::ZERO)?;
         }
 
         // A fault plan's scheduled crash events become churn work up front.
@@ -580,6 +576,13 @@ impl DistributedEngine {
             .map(|&id| principal_of(id))
     }
 
+    /// The RSA public key the node at `location` signs with (`None` without
+    /// `says`: a cleartext deployment provisions no keys).
+    pub fn public_key_of(&self, location: &Value) -> Option<&RsaPublicKey> {
+        let authenticator = self.node_at(location)?.authenticator.as_ref()?;
+        Some(authenticator.keyring().rsa_keypair().public_key())
+    }
+
     /// Resolves a location value supplied through the public API.
     fn resolve(&self, location: &Value) -> Result<NodeId, EngineError> {
         match self.shared.directory.get(location) {
@@ -610,17 +613,6 @@ impl DistributedEngine {
         tuple: Tuple,
         at: SimTime,
     ) -> Result<(), EngineError> {
-        let loc_idx = tuple.values.iter().position(|v| *v == location);
-        self.insert_fact_located(location, tuple, loc_idx, at)
-    }
-
-    fn insert_fact_located(
-        &mut self,
-        location: Value,
-        tuple: Tuple,
-        location_index: Option<usize>,
-        at: SimTime,
-    ) -> Result<(), EngineError> {
         let id = self.resolve(&location)?;
         // Predicates the program knows about must arrive with the declared
         // arity; a mismatch would otherwise silently fail to join anywhere.
@@ -638,9 +630,24 @@ impl DistributedEngine {
             }
         }
         let values = Arc::from(tuple.values);
-        let row = BatchRow::base(values, id, location_index);
+        let row = self.base_row(id, pred, values);
         self.enqueue_local(at, id, pred, row, Polarity::Assert);
         Ok(())
+    }
+
+    /// A base row of `pred` asserted at node `id`.  Its `@` column — and so
+    /// the identity the provenance stores render it under — is the one the
+    /// program declares for the predicate, which is what the rules name
+    /// their antecedent by (none inside a SeNDlog context block); only a
+    /// predicate the program never mentions falls back to the first value
+    /// equal to the location.
+    fn base_row(&self, id: NodeId, pred: PredId, values: Arc<[Value]>) -> BatchRow {
+        let declared = self.shared.compiled.location_of_pred(pred);
+        let location_index = declared.unwrap_or_else(|| {
+            let location = &self.shared.locations[ix(id)];
+            values.iter().position(|v| v == location)
+        });
+        BatchRow::base(values, id, location_index)
     }
 
     /// Schedules the withdrawal of one assertion of a base fact at `at`

@@ -190,16 +190,6 @@ impl ChordNode {
         }
         self.id
     }
-
-    /// Names of the values this node currently stores (primary or replica).
-    pub fn stored_names(&self) -> Vec<&str> {
-        self.storage.values().map(|v| v.name.as_str()).collect()
-    }
-
-    /// Number of stored values.
-    pub fn stored_count(&self) -> usize {
-        self.storage.len()
-    }
 }
 
 /// One hop of an authenticated lookup.

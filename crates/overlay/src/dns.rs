@@ -1,928 +1,320 @@
-//! A DNSSEC-style secure name hierarchy whose chain of trust is
-//! authenticated provenance.
+//! DNSSEC as six SeNDlog rules on the engine: an answer's chain of trust is
+//! the authenticated provenance of a `resolved` tuple.
 //!
-//! The paper's future work lists DNSSEC alongside secure Chord as a network
-//! to specify on the provenance-aware stack.  The essence of DNSSEC maps
-//! directly onto the paper's vocabulary: every resource record is a tuple
-//! *asserted* (`says`-signed) by the zone principal that owns it, a
-//! delegation is a derivation whose antecedents are the parent's signed DS
-//! endorsement of the child's key, and a validated answer is a derivation
-//! tree rooted at the resolver's trust anchor.  Verifying a resolution is
-//! therefore exactly the *authenticated provenance* check of Section 4.3,
-//! and the set of zone principals a resolution depends on is its condensed
-//! provenance, over which the resolver can enforce trust policies.
+//! [`pasn::programs::DNSSEC`] is the protocol; this module is what surrounds
+//! it.  [`ZoneTree`] validates a hierarchy and turns it into locations (the
+//! validating node [`resolver`] plus one node per zone) and base facts
+//! (`anchor`, [`dnskey`], [`ds`], [`rr`], `resolver`); [`DnsDeployment`] reads
+//! typed answers out of the fixpoint.  Signing, verification, batching, tags,
+//! graphs, deletion and tracing are the engine's, chosen by the ordinary
+//! `EngineConfig` given to [`ZoneTree::deploy`] (a chain is read off a
+//! condensed tag, so it wants `ProvenanceKind::Condensed`).
 //!
-//! The module keeps the record model deliberately small (addresses,
-//! delegations with key fingerprints, and text records) — enough to exercise
-//! multi-level delegation, signature verification, and broken-chain
-//! detection without reproducing the full DNS wire protocol.
+//! Attacks and rollovers are facts: a substituted key is a `dnskey`
+//! fingerprint the parent's `ds` never endorsed, a wrong anchor an `anchor`
+//! fingerprint that is not the root's, a rogue record an `rr` (or `answer`)
+//! asserted at a node that is not its zone, a rollover [`retract`] / [`insert`]
+//! churn events.  Bailiwick is the view's: [`DnsDeployment::resolve`] reads
+//! only what the deepest declared zone enclosing the name said.  Forging the
+//! bytes of a frame in flight has no engine injection point until ROADMAP item
+//! 5's `corrupt_per_mille`; that check stays with `pasn-crypto`'s `says` tests
+//! and `tests/session_channels.rs`.
 
-use pasn_crypto::sha256::{to_hex, Digest};
-use pasn_crypto::{Authenticator, SaysError};
-use pasn_crypto::{KeyAuthority, Principal, PrincipalId, RsaPublicKey, SaysAssertion, SaysLevel};
-use pasn_provenance::{BaseTupleId, DerivationGraph, NewDerivation, VoteSet};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
+use pasn::prelude::{ChurnEvent, EngineConfig, ProvTag, SecureNetwork, Tuple, Value};
+use pasn::{programs, TrustEvaluator};
+use pasn_crypto::sha256::{sha256, to_hex};
+use std::{fmt, iter};
 
 /// Errors raised while building the hierarchy or resolving names.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DnsError {
     /// A zone was declared twice.
     DuplicateZone(String),
-    /// A zone's declared parent does not exist.
-    MissingParent {
-        /// The zone being attached.
-        zone: String,
-        /// The parent it referenced.
-        parent: String,
-    },
-    /// A zone name is not a dot-separated suffix extension of its parent.
-    InvalidZoneName {
-        /// The offending zone.
-        zone: String,
-        /// Its declared parent.
-        parent: String,
-    },
-    /// Key provisioning failed.
-    KeyProvisioning(String),
-    /// The referenced zone does not exist.
-    UnknownZone(String),
-    /// No zone in the hierarchy is authoritative for the queried name.
-    NoAuthority(String),
-    /// The queried name has no address record in its authoritative zone.
+    /// A zone (first) names a parent (second) that does not exist.
+    MissingParent(String, String),
+    /// A zone (first) is not a dot-separated extension of its parent (second).
+    InvalidZoneName(String, String),
+    /// The engine refused the deployment (a fact at an undeclared zone, keys).
+    Engine(String),
+    /// The name's zone said no address record for it.
     NameNotFound(String),
-    /// The resolver's trust anchor does not match the root zone's published
-    /// key.
+    /// The name's answer is stored, but no `Z says answer(Z,…)` unified with it.
+    NotSaidByItsZone(String),
+    /// The key the root says does not match the trust anchor.
     UntrustedRoot,
-    /// A record signature failed to verify.
-    BadSignature {
-        /// The zone whose record failed.
-        zone: String,
-        /// The record owner name.
-        owner: String,
-    },
-    /// A child zone's published key does not match the fingerprint its
-    /// parent endorsed (a key-substitution attack, or a stale delegation).
-    BrokenChain {
-        /// The parent zone holding the endorsement.
-        parent: String,
-        /// The child whose key failed the check.
-        child: String,
-    },
+    /// The second zone says a key the first, its parent, did not endorse.
+    BrokenChain(String, String),
 }
 
 impl fmt::Display for DnsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DnsError::DuplicateZone(z) => write!(f, "zone {z:?} declared twice"),
-            DnsError::MissingParent { zone, parent } => {
-                write!(f, "zone {zone:?} references missing parent {parent:?}")
-            }
-            DnsError::InvalidZoneName { zone, parent } => {
-                write!(
-                    f,
-                    "zone {zone:?} is not a subdomain of its parent {parent:?}"
-                )
-            }
-            DnsError::KeyProvisioning(e) => write!(f, "key provisioning failed: {e}"),
-            DnsError::UnknownZone(z) => write!(f, "unknown zone {z:?}"),
-            DnsError::NoAuthority(n) => write!(f, "no zone is authoritative for {n:?}"),
+            DnsError::MissingParent(z, p) => write!(f, "zone {z:?} has no parent {p:?}"),
+            DnsError::InvalidZoneName(z, p) => write!(f, "{z:?} is not a subdomain of {p:?}"),
+            DnsError::Engine(e) => write!(f, "deployment failed: {e}"),
             DnsError::NameNotFound(n) => write!(f, "name {n:?} has no address record"),
+            DnsError::NotSaidByItsZone(n) => write!(f, "{n:?} was not said by its zone"),
             DnsError::UntrustedRoot => write!(f, "root key does not match the trust anchor"),
-            DnsError::BadSignature { zone, owner } => {
-                write!(
-                    f,
-                    "record {owner:?} in zone {zone:?} has an invalid signature"
-                )
-            }
-            DnsError::BrokenChain { parent, child } => write!(
-                f,
-                "zone {child:?} publishes a key its parent {parent:?} did not endorse"
-            ),
+            DnsError::BrokenChain(p, c) => write!(f, "{c:?} says a key {p:?} did not endorse"),
         }
     }
 }
 
 impl std::error::Error for DnsError {}
 
-/// The data carried by a resource record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RecordData {
-    /// An address record (the A record analogue).
-    Address(u32),
-    /// A delegation to a child zone, endorsing the fingerprint of the
-    /// child's zone key (the NS + DS pair of DNSSEC).
-    Delegation {
-        /// Name of the delegated child zone.
-        child_zone: String,
-        /// SHA-256 fingerprint of the child zone's public key.
-        key_fingerprint: Digest,
-    },
-    /// Free-form text (the TXT record analogue).
-    Text(String),
+fn node(zone: &str) -> Value {
+    Value::Str(zone.into())
 }
 
-impl RecordData {
-    /// Short type name used in rendered chains.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            RecordData::Address(_) => "A",
-            RecordData::Delegation { .. } => "DS",
-            RecordData::Text(_) => "TXT",
-        }
-    }
+/// The validating node's location (zones are strings, so no zone is it).
+pub fn resolver() -> Value {
+    Value::Addr(0)
 }
 
-/// An unsigned resource record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ResourceRecord {
-    /// Fully qualified owner name.
-    pub owner: String,
-    /// The zone the record belongs to.
-    pub zone: String,
-    /// The record data.
-    pub data: RecordData,
+/// DNSKEY: `zone` publishes the key with this fingerprint.
+pub fn dnskey(zone: &str, fingerprint: &str) -> (Value, Tuple) {
+    let values = [zone, fingerprint].map(node);
+    (node(zone), Tuple::new("dnskey", values.into()))
 }
 
-impl ResourceRecord {
-    /// The canonical byte string the zone principal signs (the RRSIG
-    /// analogue covers exactly these bytes).
-    pub fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(self.zone.as_bytes());
-        out.push(0);
-        out.extend_from_slice(self.owner.as_bytes());
-        out.push(0);
-        match &self.data {
-            RecordData::Address(a) => {
-                out.push(1);
-                out.extend_from_slice(&a.to_be_bytes());
-            }
-            RecordData::Delegation {
-                child_zone,
-                key_fingerprint,
-            } => {
-                out.push(2);
-                out.extend_from_slice(child_zone.as_bytes());
-                out.push(0);
-                out.extend_from_slice(key_fingerprint);
-            }
-            RecordData::Text(t) => {
-                out.push(3);
-                out.extend_from_slice(t.as_bytes());
-            }
-        }
-        out
-    }
+/// DS: `parent` endorses `child`'s key fingerprint.
+pub fn ds(parent: &str, child: &str, fingerprint: &str) -> (Value, Tuple) {
+    let values = [parent, child, fingerprint].map(node);
+    (node(parent), Tuple::new("ds", values.into()))
 }
 
-/// A resource record together with its zone's `says` assertion.
-#[derive(Clone, Debug)]
-pub struct SignedRecord {
-    /// The record.
-    pub record: ResourceRecord,
-    /// `zone-principal says record`.
-    pub assertion: SaysAssertion,
+/// A record of `zone` for `owner`, asserted at `said_by` (the zone, unless rogue).
+pub fn rr(said_by: &str, zone: &str, owner: &str, data: Value) -> (Value, Tuple) {
+    let values = vec![node(zone), node(owner), data];
+    (node(said_by), Tuple::new("rr", values))
 }
 
-/// One zone of the hierarchy.
-pub struct Zone {
-    /// Fully qualified zone name (the root zone is `"."`).
-    pub name: String,
-    /// Parent zone name (`None` for the root).
-    pub parent: Option<String>,
-    /// The principal operating the zone.
-    pub principal: PrincipalId,
-    records: Vec<SignedRecord>,
-    published_key: RsaPublicKey,
+/// Asserting a fact, as a scripted churn event.
+pub fn insert((location, tuple): (Value, Tuple)) -> ChurnEvent {
+    ChurnEvent::Insert { location, tuple }
 }
 
-impl fmt::Debug for Zone {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Zone")
-            .field("name", &self.name)
-            .field("principal", &self.principal)
-            .field("records", &self.records.len())
-            .finish()
-    }
+/// Withdrawing a fact, as a scripted churn event: with [`insert`], a rollover.
+pub fn retract((location, tuple): (Value, Tuple)) -> ChurnEvent {
+    ChurnEvent::Retract { location, tuple }
 }
 
-impl Zone {
-    /// All signed records of the zone.
-    pub fn records(&self) -> &[SignedRecord] {
-        &self.records
-    }
-
-    /// The key the zone currently publishes (what an untrusted server would
-    /// hand a resolver; validated against the parent's DS endorsement).
-    pub fn published_key(&self) -> &RsaPublicKey {
-        &self.published_key
-    }
-
-    /// The zone's address record for `name`, if any.
-    pub fn address_record(&self, name: &str) -> Option<&SignedRecord> {
-        self.records
-            .iter()
-            .find(|r| r.record.owner == name && matches!(r.record.data, RecordData::Address(_)))
-    }
-
-    /// The delegation record for `child_zone`, if any.
-    pub fn delegation_record(&self, child_zone: &str) -> Option<&SignedRecord> {
-        self.records.iter().find(|r| {
-            matches!(&r.record.data, RecordData::Delegation { child_zone: c, .. } if c == child_zone)
-        })
-    }
+/// The fingerprint of nothing that signs: cleartext zones, substituted keys.
+fn name_fingerprint(name: &str) -> String {
+    to_hex(&sha256(name.as_bytes()))
 }
 
 fn is_subdomain(child: &str, parent: &str) -> bool {
     if parent == "." {
         return child != "." && !child.is_empty();
     }
-    child.len() > parent.len() && child.ends_with(parent) && {
-        let prefix = &child[..child.len() - parent.len()];
-        prefix.ends_with('.')
-    }
+    let label_end = child.len().saturating_sub(parent.len());
+    label_end > 0 && child.ends_with(parent) && child[..label_end].ends_with('.')
 }
 
-/// Builder for a [`SecureDns`] hierarchy.
+/// A zone hierarchy under the root `"."` and the facts asserted in it.
 #[derive(Clone, Debug, Default)]
-pub struct SecureDnsBuilder {
-    zones: Vec<(String, Option<String>)>,
-    addresses: Vec<(String, String, u32)>,
-    texts: Vec<(String, String, String)>,
-    seed: u64,
-    modulus_bits: usize,
+pub struct ZoneTree {
+    /// `(zone, parent)` in declaration order.
+    zones: Vec<(String, String)>,
+    facts: Vec<(Value, Tuple)>,
+    substituted: Vec<String>,
+    anchor: Option<String>,
 }
 
-impl SecureDnsBuilder {
-    /// Starts a hierarchy with a root zone (named `"."`).
-    pub fn new() -> Self {
-        SecureDnsBuilder {
-            zones: vec![(".".to_string(), None)],
-            addresses: Vec::new(),
-            texts: Vec::new(),
-            seed: 0xd15c,
-            modulus_bits: 512,
-        }
-    }
-
-    /// Builder: sets the key-provisioning seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder: sets the RSA modulus size (smaller keys keep tests fast).
-    pub fn modulus_bits(mut self, bits: usize) -> Self {
-        self.modulus_bits = bits;
-        self
-    }
-
+impl ZoneTree {
     /// Declares a zone delegated from `parent`.
     pub fn zone(mut self, name: &str, parent: &str) -> Self {
-        self.zones
-            .push((name.to_string(), Some(parent.to_string())));
+        self.zones.push((name.into(), parent.into()));
+        self
+    }
+
+    /// Adds a base fact and the node asserting it: a record, or a forgery.
+    pub fn fact(mut self, fact: (Value, Tuple)) -> Self {
+        self.facts.push(fact);
         self
     }
 
     /// Adds an address record for `owner` in `zone`.
-    pub fn address(mut self, zone: &str, owner: &str, addr: u32) -> Self {
-        self.addresses
-            .push((zone.to_string(), owner.to_string(), addr));
-        self
+    pub fn address(self, zone: &str, owner: &str, addr: u32) -> Self {
+        self.fact(rr(zone, zone, owner, Value::Int(addr.into())))
     }
 
     /// Adds a text record for `owner` in `zone`.
-    pub fn text(mut self, zone: &str, owner: &str, value: &str) -> Self {
-        self.texts
-            .push((zone.to_string(), owner.to_string(), value.to_string()));
+    pub fn text(self, zone: &str, owner: &str, text: &str) -> Self {
+        self.fact(rr(zone, zone, owner, node(text)))
+    }
+
+    /// Attack: `zone` publishes a key its parent never endorsed.
+    pub fn substitute_key(mut self, zone: &str) -> Self {
+        self.substituted.push(zone.into());
         self
     }
 
-    /// Provisions zone keys, signs every record, and signs a DS endorsement
-    /// in each parent for each child zone.
-    pub fn build(self) -> Result<SecureDns, DnsError> {
-        // Validate the zone tree first.
-        let mut declared: BTreeMap<String, Option<String>> = BTreeMap::new();
-        for (name, parent) in &self.zones {
-            if declared.insert(name.clone(), parent.clone()).is_some() {
-                return Err(DnsError::DuplicateZone(name.clone()));
+    /// Attack: the validating node anchors at this fingerprint, not the root's.
+    pub fn anchor_at(mut self, fingerprint: &str) -> Self {
+        self.anchor = Some(fingerprint.into());
+        self
+    }
+
+    /// Every zone and its parent, the root first.
+    fn zones(&self) -> impl Iterator<Item = (&str, Option<&str>)> {
+        let root = iter::once((".", None));
+        root.chain(self.zones.iter().map(|(z, p)| (&**z, Some(&**p))))
+    }
+
+    fn validate(&self) -> Result<(), DnsError> {
+        let declared = |name: &str| self.zones().filter(|(z, _)| *z == name).count();
+        for (zone, parent) in &self.zones {
+            if declared(zone) > 1 {
+                return Err(DnsError::DuplicateZone(zone.clone()));
+            } else if declared(parent) == 0 {
+                return Err(DnsError::MissingParent(zone.clone(), parent.clone()));
+            } else if !is_subdomain(zone, parent) {
+                return Err(DnsError::InvalidZoneName(zone.clone(), parent.clone()));
             }
         }
-        for (name, parent) in &self.zones {
-            if let Some(parent) = parent {
-                if !declared.contains_key(parent) {
-                    return Err(DnsError::MissingParent {
-                        zone: name.clone(),
-                        parent: parent.clone(),
-                    });
-                }
-                if !is_subdomain(name, parent) {
-                    return Err(DnsError::InvalidZoneName {
-                        zone: name.clone(),
-                        parent: parent.clone(),
-                    });
-                }
-            }
-        }
-
-        // One principal per zone, in declaration order.
-        let principals: Vec<Principal> = self
-            .zones
-            .iter()
-            .enumerate()
-            .map(|(i, (name, _))| Principal::new(i as u32, name.clone()))
-            .collect();
-        let authority =
-            KeyAuthority::provision_with_modulus(&principals, self.seed, self.modulus_bits)
-                .map_err(|e| DnsError::KeyProvisioning(format!("{e:?}")))?;
-
-        let mut zones: BTreeMap<String, Zone> = BTreeMap::new();
-        let mut signers: HashMap<String, Authenticator> = HashMap::new();
-        for (i, (name, parent)) in self.zones.iter().enumerate() {
-            let principal = PrincipalId(i as u32);
-            let keyring = authority
-                .keyring_for(principal)
-                .ok_or_else(|| DnsError::KeyProvisioning("missing keyring".into()))?;
-            let published_key = keyring.rsa_keypair().public_key().clone();
-            signers.insert(name.clone(), Authenticator::new(keyring, SaysLevel::Rsa));
-            zones.insert(
-                name.clone(),
-                Zone {
-                    name: name.clone(),
-                    parent: parent.clone(),
-                    principal,
-                    records: Vec::new(),
-                    published_key,
-                },
-            );
-        }
-
-        let sign = |signers: &HashMap<String, Authenticator>, record: ResourceRecord| {
-            let signer = &signers[&record.zone];
-            let assertion = signer.assert(&record.payload());
-            SignedRecord { record, assertion }
-        };
-
-        // Delegations: each parent endorses its child's key fingerprint.
-        let child_fingerprints: Vec<(String, String, Digest)> = self
-            .zones
-            .iter()
-            .filter_map(|(name, parent)| {
-                parent.as_ref().map(|p| {
-                    (
-                        p.clone(),
-                        name.clone(),
-                        zones[name].published_key.fingerprint(),
-                    )
-                })
-            })
-            .collect();
-        for (parent, child, fingerprint) in child_fingerprints {
-            let record = ResourceRecord {
-                owner: child.clone(),
-                zone: parent.clone(),
-                data: RecordData::Delegation {
-                    child_zone: child,
-                    key_fingerprint: fingerprint,
-                },
-            };
-            let signed = sign(&signers, record);
-            zones
-                .get_mut(&parent)
-                .expect("validated above")
-                .records
-                .push(signed);
-        }
-
-        // Address and text records.
-        for (zone, owner, addr) in &self.addresses {
-            let zone_entry = zones
-                .get_mut(zone)
-                .ok_or_else(|| DnsError::UnknownZone(zone.clone()))?;
-            let record = ResourceRecord {
-                owner: owner.clone(),
-                zone: zone.clone(),
-                data: RecordData::Address(*addr),
-            };
-            zone_entry.records.push(sign(&signers, record));
-        }
-        for (zone, owner, value) in &self.texts {
-            let zone_entry = zones
-                .get_mut(zone)
-                .ok_or_else(|| DnsError::UnknownZone(zone.clone()))?;
-            let record = ResourceRecord {
-                owner: owner.clone(),
-                zone: zone.clone(),
-                data: RecordData::Text(value.clone()),
-            };
-            zone_entry.records.push(sign(&signers, record));
-        }
-
-        Ok(SecureDns { zones, authority })
-    }
-}
-
-/// A built secure name hierarchy.
-pub struct SecureDns {
-    zones: BTreeMap<String, Zone>,
-    authority: KeyAuthority,
-}
-
-impl fmt::Debug for SecureDns {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SecureDns")
-            .field("zones", &self.zones.len())
-            .finish()
-    }
-}
-
-impl SecureDns {
-    /// Starts building a hierarchy.
-    pub fn builder() -> SecureDnsBuilder {
-        SecureDnsBuilder::new()
-    }
-
-    /// The zone named `name`.
-    pub fn zone(&self, name: &str) -> Result<&Zone, DnsError> {
-        self.zones
-            .get(name)
-            .ok_or_else(|| DnsError::UnknownZone(name.to_string()))
-    }
-
-    /// All zone names, sorted.
-    pub fn zone_names(&self) -> Vec<&str> {
-        self.zones.keys().map(String::as_str).collect()
-    }
-
-    /// The key authority behind the hierarchy (useful for trust evaluation
-    /// in the examples).
-    pub fn authority(&self) -> &KeyAuthority {
-        &self.authority
-    }
-
-    /// The fingerprint of the root zone's genuine key — what an operator
-    /// would configure as a resolver trust anchor.
-    pub fn root_fingerprint(&self) -> Result<Digest, DnsError> {
-        Ok(self.zone(".")?.published_key().fingerprint())
-    }
-
-    /// The chain of zones from the root to the zone authoritative for
-    /// `name`, longest-suffix-first resolution (root, then each delegated
-    /// child whose name suffixes `name`).
-    pub fn delegation_chain(&self, name: &str) -> Vec<&Zone> {
-        let mut chain = vec![];
-        if let Some(root) = self.zones.get(".") {
-            chain.push(root);
-        }
-        while let Some(&current) = chain.last() {
-            // Deepest declared child of `current` whose name is a suffix of
-            // the queried name.
-            let next = self
-                .zones
-                .values()
-                .filter(|z| z.parent.as_deref() == Some(current.name.as_str()))
-                .filter(|z| name == z.name || is_subdomain(name, &z.name))
-                .max_by_key(|z| z.name.len());
-            match next {
-                Some(z) => chain.push(z),
-                None => break,
-            }
-        }
-        chain
-    }
-
-    /// Testing / attack-simulation hook: overwrites the address carried by a
-    /// record *without* re-signing it (an on-path attacker rewriting an
-    /// answer).
-    pub fn tamper_address(&mut self, zone: &str, owner: &str, addr: u32) -> Result<(), DnsError> {
-        let zone = self
-            .zones
-            .get_mut(zone)
-            .ok_or_else(|| DnsError::UnknownZone(zone.to_string()))?;
-        for record in &mut zone.records {
-            if record.record.owner == owner {
-                if let RecordData::Address(a) = &mut record.record.data {
-                    *a = addr;
-                    return Ok(());
-                }
-            }
-        }
-        Err(DnsError::NameNotFound(owner.to_string()))
-    }
-
-    /// Testing / attack-simulation hook: replaces the key a zone publishes
-    /// with one its parent never endorsed (a key-substitution attack).
-    pub fn substitute_zone_key(&mut self, zone: &str, seed: u64) -> Result<(), DnsError> {
-        let principal = vec![Principal::new(0u32, format!("rogue-{zone}"))];
-        let rogue = KeyAuthority::provision_with_modulus(&principal, seed, 512)
-            .map_err(|e| DnsError::KeyProvisioning(format!("{e:?}")))?;
-        let rogue_key = rogue
-            .keyring_for(PrincipalId(0))
-            .expect("provisioned above")
-            .rsa_keypair()
-            .public_key()
-            .clone();
-        let zone = self
-            .zones
-            .get_mut(zone)
-            .ok_or_else(|| DnsError::UnknownZone(zone.to_string()))?;
-        zone.published_key = rogue_key;
         Ok(())
     }
+
+    /// The zones from the root to the deepest declared one enclosing `name`.
+    pub fn delegation_chain(&self, name: &str) -> Vec<&str> {
+        let mut chain = vec!["."];
+        loop {
+            let children = self.zones.iter().filter(|(z, p)| {
+                Some(&p.as_str()) == chain.last() && (name == z || is_subdomain(name, z))
+            });
+            match children.max_by_key(|(z, _)| z.len()) {
+                Some((zone, _)) => chain.push(zone),
+                None => return chain,
+            }
+        }
+    }
+
+    /// Deploys [`programs::DNSSEC`] over the validating node and one node per
+    /// zone, the tree's facts scheduled at time zero; run [`DnsDeployment::net`].
+    pub fn deploy(&self, config: EngineConfig) -> Result<DnsDeployment, DnsError> {
+        self.validate()?;
+        let engine_error = |e: &dyn fmt::Display| DnsError::Engine(e.to_string());
+        let locations = iter::once(resolver()).chain(self.zones().map(|(z, _)| node(z)));
+        let built = SecureNetwork::builder()
+            .program(programs::dnssec())
+            .locations(locations.collect())
+            .config(config)
+            .build();
+        let net = built.map_err(|e| engine_error(&e))?;
+        let tree = self.clone();
+        let mut dns = DnsDeployment { net, tree };
+        let anchored = self.anchor.clone().unwrap_or_else(|| dns.fingerprint("."));
+        let anchor = vec![resolver(), node("."), node(&anchored)];
+        let mut facts = vec![(resolver(), Tuple::new("anchor", anchor))];
+        for (zone, parent) in self.zones() {
+            let serves = Tuple::new("resolver", vec![node(zone), resolver()]);
+            let endorsed = dns.fingerprint(zone);
+            let substituted = self.substituted.iter().any(|z| z == zone);
+            let published = substituted.then(|| name_fingerprint(&format!("rogue {zone}")));
+            facts.push(dnskey(zone, published.as_ref().unwrap_or(&endorsed)));
+            facts.extend(parent.map(|parent| ds(parent, zone, &endorsed)));
+            facts.push((node(zone), serves));
+        }
+        for (location, tuple) in facts.into_iter().chain(self.facts.clone()) {
+            let inserted = dns.net.engine_mut().insert_fact(location, tuple);
+            inserted.map_err(|e| engine_error(&e))?;
+        }
+        Ok(dns)
+    }
 }
 
-/// One verified step of a resolution's chain of trust.
-#[derive(Clone, Debug)]
-pub struct ChainStep {
-    /// The zone that signed the record used at this step.
-    pub zone: String,
-    /// The zone's principal.
-    pub principal: PrincipalId,
-    /// The record used (delegation for intermediate steps, address for the
-    /// final step).
-    pub record: ResourceRecord,
-}
-
-/// A validated resolution: the answer plus its chain of trust, exposed as
-/// authenticated provenance.
-#[derive(Clone, Debug)]
+/// A validated answer, read off a `resolved` tuple at the validating node.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Resolution {
-    /// The queried name.
-    pub name: String,
     /// The resolved address.
     pub address: u32,
-    /// The verified chain of trust, root first.
-    pub chain: Vec<ChainStep>,
+    /// The zones the answer depends on, root first.
+    pub chain: Vec<String>,
+    /// The tuple's provenance tag: the validating node × the chain's zones.
+    pub tag: ProvTag,
 }
 
-impl Resolution {
-    /// The principals the answer depends on (the zones on the chain).
-    pub fn principals(&self) -> BTreeSet<PrincipalId> {
-        self.chain.iter().map(|s| s.principal).collect()
-    }
-
-    /// The vote-semiring value over the chain's principals.
-    pub fn vote(&self) -> VoteSet {
-        use pasn_provenance::Semiring;
-        self.chain
-            .iter()
-            .map(|s| VoteSet::principal(s.principal.0))
-            .fold(VoteSet::one(), |acc, v| acc.times(&v))
-    }
-
-    /// Builds the derivation graph of the answer: the trust anchor and each
-    /// signed record are base tuples, and each delegation step derives the
-    /// next zone's validated key from the parent's endorsement, exactly like
-    /// the rule-by-rule trees of Figures 1 and 2.
-    pub fn provenance_graph(&self) -> DerivationGraph {
-        let mut graph = DerivationGraph::new();
-        graph.add_base("trustAnchor(.)", ".", BaseTupleId(u64::MAX), None, 0, None);
-        let mut previous = "trustAnchor(.)".to_string();
-        for (i, step) in self.chain.iter().enumerate() {
-            let record_key = format!(
-                "record({},{},{})",
-                step.zone,
-                step.record.owner,
-                step.record.data.type_name()
-            );
-            graph.add_base(
-                &record_key,
-                &step.zone,
-                BaseTupleId(step.principal.0 as u64),
-                Some(step.principal),
-                i as u64,
-                None,
-            );
-            let derived_key = if i + 1 == self.chain.len() {
-                format!("resolved({},{})", self.name, self.address)
-            } else {
-                format!("validatedZone({})", step.record.owner)
-            };
-            graph.add_derivation(NewDerivation {
-                head: &derived_key,
-                head_location: &step.zone,
-                rule: if i + 1 == self.chain.len() {
-                    "dns_answer"
-                } else {
-                    "dns_delegate"
-                },
-                rule_location: &step.zone,
-                antecedents: &[previous.clone(), record_key],
-                asserted_by: Some(step.principal),
-                assertion: None,
-                created_at: i as u64,
-                expires_at: None,
-            });
-            previous = derived_key;
-        }
-        graph
-    }
-
-    /// Renders the chain of trust, one step per line.
-    pub fn render_chain(&self) -> String {
-        let mut out = String::new();
-        for step in &self.chain {
-            out.push_str(&format!(
-                "{} says {} {} ({})\n",
-                step.zone,
-                step.record.data.type_name(),
-                step.record.owner,
-                match &step.record.data {
-                    RecordData::Address(a) => format!("address {a}"),
-                    RecordData::Delegation {
-                        key_fingerprint, ..
-                    } => format!("key {}", &to_hex(key_fingerprint)[..16]),
-                    RecordData::Text(t) => t.clone(),
-                }
-            ));
-        }
-        out
-    }
+/// [`programs::DNSSEC`] deployed over a [`ZoneTree`].
+pub struct DnsDeployment {
+    /// The deployment, to run (`run_scenario`, …), query and inspect.
+    pub net: SecureNetwork,
+    tree: ZoneTree,
 }
 
-/// A validating resolver configured with a trust anchor for the root zone.
-#[derive(Clone, Debug)]
-pub struct Resolver {
-    trust_anchor: Digest,
-}
-
-impl Resolver {
-    /// Creates a resolver trusting the root key with this fingerprint.
-    pub fn new(trust_anchor: Digest) -> Self {
-        Resolver { trust_anchor }
+impl DnsDeployment {
+    /// The principal operating `zone` (the validating node is principal 0).
+    pub fn principal_of(&self, zone: &str) -> Option<pasn_crypto::PrincipalId> {
+        self.net.engine().principal_of(&node(zone))
     }
 
-    /// A resolver anchored at the hierarchy's genuine root key.
-    pub fn anchored_at(dns: &SecureDns) -> Result<Self, DnsError> {
-        Ok(Resolver::new(dns.root_fingerprint()?))
+    /// What `zone`'s parent endorses: the fingerprint of its frame-signing key.
+    pub fn fingerprint(&self, zone: &str) -> String {
+        let key = self.net.engine().public_key_of(&node(zone));
+        key.map_or_else(|| name_fingerprint(zone), |key| to_hex(&key.fingerprint()))
     }
 
-    fn verify_record(key: &RsaPublicKey, record: &SignedRecord) -> Result<(), DnsError> {
-        let valid = match &record.assertion.proof {
-            pasn_crypto::SaysProof::Rsa(sig) => key.verify(&record.record.payload(), sig),
-            _ => false,
-        };
-        if valid {
-            Ok(())
-        } else {
-            Err(DnsError::BadSignature {
-                zone: record.record.zone.clone(),
-                owner: record.record.owner.clone(),
-            })
-        }
-    }
-
-    /// Resolves `name`, validating every signature and every delegation
-    /// against the chain of trust anchored at the resolver's root key.
-    pub fn resolve(&self, dns: &SecureDns, name: &str) -> Result<Resolution, DnsError> {
-        let chain_zones = dns.delegation_chain(name);
-        if chain_zones.is_empty() {
-            return Err(DnsError::NoAuthority(name.to_string()));
-        }
-        let root = chain_zones[0];
-        if root.published_key().fingerprint() != self.trust_anchor {
+    /// The validated address of `name`, or the link its chain of trust lacks.
+    pub fn resolve(&self, name: &str) -> Result<Resolution, DnsError> {
+        let chain = self.tree.delegation_chain(name);
+        let zone = chain[chain.len() - 1];
+        let rows = |predicate: &str| self.net.query(&resolver(), predicate).into_iter();
+        let address = |t: &Tuple| t.values[2].as_int().and_then(|a| u32::try_from(a).ok());
+        let said = |t: &Tuple| t.values[..2] == [node(zone), node(name)];
+        let answer = rows("answer").find_map(|(t, _)| address(&t).filter(|_| said(&t)));
+        let address = answer.ok_or_else(|| DnsError::NameNotFound(name.to_string()))?;
+        let trusts = |zone: &str| rows("trusted").any(|(t, _)| t.values[1] == node(zone));
+        if !trusts(".") {
             return Err(DnsError::UntrustedRoot);
+        } else if let Some(link) = chain.windows(2).find(|link| !trusts(link[1])) {
+            return Err(DnsError::BrokenChain(link[0].into(), link[1].into()));
         }
-
-        let mut chain = Vec::new();
-        let mut current_key = root.published_key().clone();
-        for (i, zone) in chain_zones.iter().enumerate() {
-            let is_last = i + 1 == chain_zones.len();
-            if is_last {
-                let record = zone
-                    .address_record(name)
-                    .ok_or_else(|| DnsError::NameNotFound(name.to_string()))?;
-                Self::verify_record(&current_key, record)?;
-                let address = match record.record.data {
-                    RecordData::Address(a) => a,
-                    _ => unreachable!("address_record returns only address records"),
-                };
-                chain.push(ChainStep {
-                    zone: zone.name.clone(),
-                    principal: zone.principal,
-                    record: record.record.clone(),
-                });
-                return Ok(Resolution {
-                    name: name.to_string(),
-                    address,
-                    chain,
-                });
-            }
-
-            let child = chain_zones[i + 1];
-            let delegation =
-                zone.delegation_record(&child.name)
-                    .ok_or_else(|| DnsError::BrokenChain {
-                        parent: zone.name.clone(),
-                        child: child.name.clone(),
-                    })?;
-            Self::verify_record(&current_key, delegation)?;
-            let endorsed = match &delegation.record.data {
-                RecordData::Delegation {
-                    key_fingerprint, ..
-                } => *key_fingerprint,
-                _ => unreachable!("delegation_record returns only delegations"),
-            };
-            let child_key = child.published_key().clone();
-            if child_key.fingerprint() != endorsed {
-                return Err(DnsError::BrokenChain {
-                    parent: zone.name.clone(),
-                    child: child.name.clone(),
-                });
-            }
-            chain.push(ChainStep {
-                zone: zone.name.clone(),
-                principal: zone.principal,
-                record: delegation.record.clone(),
-            });
-            current_key = child_key;
-        }
-        Err(DnsError::NameNotFound(name.to_string()))
+        let said = [node(name), Value::Int(address.into())];
+        let resolved = rows("resolved").find(|(t, _)| t.values[1..] == said);
+        let (_, meta) = resolved.ok_or_else(|| DnsError::NotSaidByItsZone(name.to_string()))?;
+        let trust = TrustEvaluator::new(self.net.var_table(), Default::default());
+        let locations = self.net.engine().locations();
+        let zones = trust.origins(&meta.tag).into_iter().filter(|p| *p != 0);
+        let mut chain: Vec<String> = zones.map(|p| locations[p as usize].to_string()).collect();
+        chain.sort_by_key(|z| (z != ".", z.len()));
+        Ok(Resolution {
+            address,
+            chain,
+            tag: meta.tag,
+        })
     }
 }
-
-/// Convenience: the error type a verification helper may surface when the
-/// hierarchy is queried through an [`Authenticator`] rather than raw keys.
-pub type SaysVerification = Result<(), SaysError>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn example_hierarchy() -> SecureDns {
-        SecureDns::builder()
-            .modulus_bits(512)
-            .seed(21)
-            .zone("org", ".")
-            .zone("example.org", "org")
-            .zone("cs.example.org", "example.org")
-            .zone("net", ".")
-            .address("example.org", "www.example.org", 0x0a00_0001)
-            .address("cs.example.org", "gw.cs.example.org", 0x0a00_0102)
-            .address("net", "a.net", 0x0a00_0200)
-            .address(".", "root-host", 0x7f00_0001)
-            .text("example.org", "example.org", "hello provenance")
-            .build()
-            .unwrap()
-    }
-
     #[test]
     fn builder_validates_the_zone_tree() {
-        let err = SecureDns::builder()
-            .modulus_bits(512)
-            .zone("org", ".")
-            .zone("org", ".")
-            .build()
-            .unwrap_err();
-        assert_eq!(err, DnsError::DuplicateZone("org".into()));
-
-        let err = SecureDns::builder()
-            .modulus_bits(512)
-            .zone("example.org", "org")
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, DnsError::MissingParent { .. }));
-
-        let err = SecureDns::builder()
-            .modulus_bits(512)
-            .zone("org", ".")
-            .zone("unrelated.net", "org")
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, DnsError::InvalidZoneName { .. }));
-
-        let err = SecureDns::builder()
-            .modulus_bits(512)
-            .address("nonexistent", "www.nonexistent", 1)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, DnsError::UnknownZone(_)));
-    }
-
-    #[test]
-    fn resolution_walks_the_delegation_chain() {
-        let dns = example_hierarchy();
-        let resolver = Resolver::anchored_at(&dns).unwrap();
-
-        let res = resolver.resolve(&dns, "www.example.org").unwrap();
-        assert_eq!(res.address, 0x0a00_0001);
-        let zones: Vec<&str> = res.chain.iter().map(|s| s.zone.as_str()).collect();
-        assert_eq!(zones, vec![".", "org", "example.org"]);
-        assert_eq!(res.principals().len(), 3);
-
-        let deep = resolver.resolve(&dns, "gw.cs.example.org").unwrap();
-        assert_eq!(deep.address, 0x0a00_0102);
-        assert_eq!(deep.chain.len(), 4);
-
-        let shallow = resolver.resolve(&dns, "root-host").unwrap();
-        assert_eq!(shallow.chain.len(), 1);
-        assert_eq!(shallow.address, 0x7f00_0001);
-    }
-
-    #[test]
-    fn missing_names_are_reported() {
-        let dns = example_hierarchy();
-        let resolver = Resolver::anchored_at(&dns).unwrap();
-        assert!(matches!(
-            resolver.resolve(&dns, "missing.example.org"),
-            Err(DnsError::NameNotFound(_))
-        ));
-        // A name under an undelegated label falls back to the closest
-        // enclosing zone, which has no record for it.
-        assert!(matches!(
-            resolver.resolve(&dns, "www.other.test"),
-            Err(DnsError::NameNotFound(_))
-        ));
-    }
-
-    #[test]
-    fn tampered_address_records_fail_signature_validation() {
-        let mut dns = example_hierarchy();
-        dns.tamper_address("example.org", "www.example.org", 0x0bad_1dea)
-            .unwrap();
-        let resolver = Resolver::anchored_at(&dns).unwrap();
-        assert!(matches!(
-            resolver.resolve(&dns, "www.example.org"),
-            Err(DnsError::BadSignature { .. })
-        ));
-        // Other names are unaffected.
-        assert!(resolver.resolve(&dns, "a.net").is_ok());
-    }
-
-    #[test]
-    fn key_substitution_breaks_the_chain_of_trust() {
-        let mut dns = example_hierarchy();
-        dns.substitute_zone_key("example.org", 99).unwrap();
-        let resolver = Resolver::anchored_at(&dns).unwrap();
-        let err = resolver.resolve(&dns, "www.example.org").unwrap_err();
-        assert!(
-            matches!(err, DnsError::BrokenChain { ref parent, ref child }
-                if parent == "org" && child == "example.org"),
-            "{err:?}"
-        );
-        // Substituting the root key invalidates the trust anchor itself.
-        let mut dns = example_hierarchy();
-        dns.substitute_zone_key(".", 7).unwrap();
-        let resolver = Resolver::new([0u8; 32]);
-        assert!(matches!(
-            resolver.resolve(&dns, "a.net"),
-            Err(DnsError::UntrustedRoot)
-        ));
-    }
-
-    #[test]
-    fn wrong_trust_anchor_is_rejected() {
-        let dns = example_hierarchy();
-        let resolver = Resolver::new([0xab; 32]);
-        assert_eq!(
-            resolver.resolve(&dns, "www.example.org").unwrap_err(),
-            DnsError::UntrustedRoot
-        );
-    }
-
-    #[test]
-    fn resolution_provenance_graph_is_rooted_at_the_trust_anchor() {
-        let dns = example_hierarchy();
-        let resolver = Resolver::anchored_at(&dns).unwrap();
-        let res = resolver.resolve(&dns, "gw.cs.example.org").unwrap();
-        let graph = res.provenance_graph();
-        let answer = graph
-            .find(&format!("resolved(gw.cs.example.org,{})", res.address))
-            .expect("answer node exists");
-        let why = graph.why_provenance(answer);
-        let support = graph.base_support(answer);
-        // The answer depends on the anchor plus one signed record per zone.
-        assert_eq!(support.len(), res.chain.len() + 1);
-        assert!(!why.witnesses().is_empty());
-        let rendered = graph.render_tree(answer);
-        assert!(rendered.contains("dns_answer"));
-        assert!(rendered.contains("dns_delegate"));
-        assert!(rendered.contains("trustAnchor"));
-        // The chain renders one line per step.
-        assert_eq!(res.render_chain().lines().count(), res.chain.len());
-        assert!(res.vote().satisfies_threshold(res.chain.len()));
+        let refused = |tree: ZoneTree| tree.deploy(EngineConfig::ndlog()).err().unwrap();
+        let twice = ZoneTree::default().zone("org", ".").zone("org", ".");
+        assert_eq!(refused(twice), DnsError::DuplicateZone("org".into()));
+        let orphan = ZoneTree::default().zone("example.org", "org");
+        assert!(matches!(refused(orphan), DnsError::MissingParent(..)));
+        let unrelated = ZoneTree::default().zone("org", ".").zone("b.net", "org");
+        assert!(matches!(refused(unrelated), DnsError::InvalidZoneName(..)));
+        let stray = ZoneTree::default().address("nonexistent", "www.nonexistent", 1);
+        assert!(matches!(refused(stray), DnsError::Engine(_)));
     }
 
     #[test]
     fn delegation_chain_prefers_the_deepest_matching_zone() {
-        let dns = example_hierarchy();
-        let chain = dns.delegation_chain("x.cs.example.org");
-        let names: Vec<&str> = chain.iter().map(|z| z.name.as_str()).collect();
-        assert_eq!(names, vec![".", "org", "example.org", "cs.example.org"]);
-        let chain = dns.delegation_chain("unrelated.test");
-        assert_eq!(chain.len(), 1);
-        assert_eq!(dns.zone_names().len(), 5);
-    }
-
-    #[test]
-    fn is_subdomain_handles_edge_cases() {
-        assert!(is_subdomain("org", "."));
-        assert!(is_subdomain("example.org", "org"));
-        assert!(is_subdomain("a.b.example.org", "example.org"));
-        assert!(!is_subdomain("notorg", "org"));
-        assert!(!is_subdomain("org", "org"));
-        assert!(!is_subdomain(".", "."));
-        assert!(!is_subdomain("example.net", "org"));
+        let tree = ZoneTree::default().zone("org", ".").zone("net", ".");
+        let tree = tree.zone("example.org", "org");
+        let tree = tree.zone("cs.example.org", "example.org");
+        let chain = tree.delegation_chain("x.cs.example.org");
+        assert_eq!(chain, [".", "org", "example.org", "cs.example.org"]);
+        assert_eq!(tree.delegation_chain("unrelated.test"), ["."]);
+        assert!(is_subdomain("org", ".") && is_subdomain("a.b.example.org", "example.org"));
+        for child in ["notorg", "org", ".", "example.net"] {
+            assert!(!is_subdomain(child, "org") && !is_subdomain(".", child));
+        }
     }
 }

@@ -1,32 +1,30 @@
 //! # pasn-overlay
 //!
-//! Secure overlay networks built on the *Provenance-aware Secure Networks*
-//! substrates (Zhou, Cronin, Loo — ICDE 2008).
+//! Secure overlay networks on the *Provenance-aware Secure Networks* stack
+//! (Zhou, Cronin, Loo — ICDE 2008).
 //!
 //! The paper closes with the systems its authors planned to specify on top
 //! of the provenance-aware SeNDlog stack: *"we are in the process of
 //! evaluating a variety of secure networks specified and implemented by
-//! using SeNDlog (e.g. secure Chord routing, DNSSEC)"*, and earlier notes
-//! that the general applicability of the techniques extends to overlay
-//! networks.  This crate implements those two overlays over the same
-//! building blocks the rest of the reproduction uses — `says`
-//! authentication from `pasn-crypto` and derivation-graph / semiring
-//! provenance from `pasn-provenance` — so that lookup results and
-//! resolution answers carry verifiable provenance exactly like routing
-//! tuples do in the core evaluation:
+//! using SeNDlog (e.g. secure Chord routing, DNSSEC)"*.  This crate holds
+//! those two overlays, at two stages of being done the paper's way:
 //!
-//! * [`id`] — the consistent-hashing identifier space shared by the
-//!   overlays (SHA-256-derived identifiers on a 2^m ring, interval and
-//!   finger arithmetic);
-//! * [`chord`] — a Chord distributed hash table with finger-table routing;
-//!   every lookup hop is asserted (`says`-signed) by the forwarding node and
-//!   recorded as a derivation, so the querier can authenticate the whole
-//!   lookup path, enforce trust policies over the principals it traversed,
-//!   and trace stored values back to the node that inserted them;
-//! * [`dns`] — a DNSSEC-style secure name hierarchy: zones sign their
-//!   records, parents endorse child zone keys (DS-style fingerprints), and a
-//!   resolution's chain of trust is exposed as an authenticated derivation
-//!   graph rooted at the resolver's trust anchor.
+//! * [`dns`] — DNSSEC **on the engine**: the protocol is the six SeNDlog
+//!   rules of `pasn::programs::DNSSEC`, and the module is only a zone-tree
+//!   builder that emits locations and base facts (`anchor`, `dnskey`, `ds`,
+//!   `rr`), typed views over the fixpoint (`resolve` reads a `resolved`
+//!   tuple and its chain off the condensed tag) and attack / rollover
+//!   helpers that are facts and churn events.  Signing, verification,
+//!   session channels, batching, provenance, deletion and tracing are the
+//!   engine's, configured by an ordinary `EngineConfig`;
+//! * [`chord`] — a Chord distributed hash table with finger-table routing,
+//!   still imperative Rust over `pasn-crypto`'s `says` and
+//!   `pasn-provenance`'s graphs (every lookup hop is asserted by the
+//!   forwarding node and recorded as a derivation); its port to the engine
+//!   needs ring built-ins and put/get/replication (ROADMAP item 3);
+//! * [`id`] — the consistent-hashing identifier space Chord uses
+//!   (SHA-256-derived identifiers on a 2^m ring, interval and finger
+//!   arithmetic).
 //!
 //! ## Example
 //!
@@ -59,8 +57,5 @@ pub mod dns;
 pub mod id;
 
 pub use chord::{ChordConfig, ChordError, ChordNode, ChordRing, LookupHop, LookupTrace};
-pub use dns::{
-    DnsError, RecordData, Resolution, Resolver, ResourceRecord, SecureDns, SecureDnsBuilder,
-    SignedRecord, Zone,
-};
+pub use dns::{DnsDeployment, DnsError, Resolution, ZoneTree};
 pub use id::{ChordId, IdSpace};

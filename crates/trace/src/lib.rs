@@ -438,14 +438,6 @@ impl TraceRecorder {
         self.dropped
     }
 
-    /// The display label of node `node`, or `"?"` if unknown.
-    pub fn node_label(&self, node: u32) -> &str {
-        self.node_labels
-            .get(node as usize)
-            .map(String::as_str)
-            .unwrap_or("?")
-    }
-
     /// Start a filtered query over the retained events.
     pub fn query(&self) -> TraceQuery<'_> {
         TraceQuery {

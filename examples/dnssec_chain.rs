@@ -1,80 +1,77 @@
-//! DNSSEC-style secure name resolution: the chain of trust of every answer
-//! is authenticated provenance anchored at the resolver's root key.
+//! DNSSEC as six SeNDlog rules on the engine: the chain of trust of every
+//! answer is the authenticated provenance of a `resolved` tuple, anchored at
+//! the validating node's root-key fingerprint.
 //!
 //! ```text
 //! cargo run --example dnssec_chain
 //! ```
 
+use pasn::prelude::*;
 use pasn::trust::{TrustEvaluator, TrustPolicy};
-use pasn_overlay::dns::{Resolver, SecureDns};
-use pasn_provenance::{ProvTag, VarTable};
+use pasn_overlay::dns::{ds, resolver, retract, DnsDeployment, ZoneTree};
+
+fn deploy(tree: &ZoneTree) -> DnsDeployment {
+    // Per-frame RSA `says`, condensed tags, piggybacked derivation graphs.
+    let config = EngineConfig::sendlog_prov().with_graph_mode(GraphMode::Local);
+    tree.deploy(config).expect("hierarchy deploys")
+}
 
 fn main() {
-    println!("== DNSSEC-style resolution as authenticated provenance ==\n");
+    println!("== DNSSEC resolution as authenticated provenance ==\n");
+    println!("{}", pasn::programs::DNSSEC);
 
-    let mut dns = SecureDns::builder()
-        .seed(2008)
+    let tree = ZoneTree::default()
         .zone("org", ".")
         .zone("com", ".")
         .zone("example.org", "org")
         .zone("cdn.example.org", "example.org")
         .address("com", "registry.com", 0x0102_0304)
         .address("example.org", "www.example.org", 0x0a01_0001)
-        .address("cdn.example.org", "edge1.cdn.example.org", 0x0a02_0001)
-        .build()
-        .expect("hierarchy builds");
-    println!("zones: {:?}\n", dns.zone_names());
-
-    let resolver = Resolver::anchored_at(&dns).expect("root key known");
+        .address("cdn.example.org", "edge1.cdn.example.org", 0x0a02_0001);
+    let mut dns = deploy(&tree);
+    let m = dns.net.run().expect("fixpoint");
+    let (signed, verified) = (m.signatures, m.verifications);
+    println!(
+        "{} derivations, {signed} frames signed, {verified} verified\n",
+        m.derivations
+    );
 
     for name in ["www.example.org", "edge1.cdn.example.org", "registry.com"] {
-        let res = resolver.resolve(&dns, name).expect("resolution validates");
-        println!(
-            "{name} -> {:#010x} via {} zone(s):",
-            res.address,
-            res.chain.len()
-        );
-        print!("{}", res.render_chain());
-
+        let res = dns.resolve(name).expect("resolution validates");
+        let (address, tag) = (res.address, res.tag.render(dns.net.var_table()));
+        println!("{name} -> {address:#010x} via {:?}, tag {tag}", res.chain);
         // The answer's provenance tree, rooted at the trust anchor.
-        let graph = res.provenance_graph();
-        let root = graph
-            .find(&format!("resolved({name},{})", res.address))
-            .expect("answer node");
-        println!("{}", graph.render_tree(root));
+        let graph = dns.net.provenance_graph(&resolver()).expect("graph mode");
+        let answer = graph.find(&format!("resolved(n0,{name},{address})"));
+        println!("{}", graph.render_tree(answer.expect("answer node")));
     }
 
-    // Trust management over the chain: accept only answers vouched for by
-    // the .org registry.
-    let res = resolver.resolve(&dns, "www.example.org").unwrap();
-    let org = dns.zone("org").unwrap().principal.0;
-    let var_table = VarTable::new();
-    let evaluator = TrustEvaluator::new(&var_table, Default::default());
-    let decision = evaluator.evaluate(
-        &ProvTag::Vote(res.vote()),
-        &TrustPolicy::TrustedPrincipals([org].into_iter().collect()),
-    );
-    println!("policy \"answer must involve the org registry\": {decision:?}\n");
-
-    // Attacks are detected, not silently accepted.
-    dns.tamper_address("example.org", "www.example.org", 0xdead_beef)
-        .expect("record exists");
-    match resolver.resolve(&dns, "www.example.org") {
-        Err(e) => println!("after an on-path rewrite of the A record: {e}"),
-        Ok(_) => unreachable!("tampered record must not validate"),
+    // Trust management over the stored tag: the answer stands only while
+    // every zone on its chain — the .org registry among them — is trusted.
+    let res = dns.resolve("www.example.org").unwrap();
+    let evaluator = TrustEvaluator::new(dns.net.var_table(), Default::default());
+    for distrusted in ["", "org"] {
+        let zones = res.chain.iter().filter(|zone| *zone != distrusted);
+        let trusted = zones.map(|zone| dns.principal_of(zone).unwrap().0);
+        let policy = TrustPolicy::TrustedPrincipals(trusted.chain([0]).collect());
+        let decision = evaluator.evaluate(&res.tag, &policy);
+        println!("trusting the chain minus {distrusted:?}: {decision:?}");
     }
+    println!();
 
-    let mut dns2 = SecureDns::builder()
-        .seed(2008)
-        .zone("org", ".")
-        .zone("example.org", "org")
-        .address("example.org", "www.example.org", 0x0a01_0001)
-        .build()
-        .unwrap();
-    dns2.substitute_zone_key("example.org", 1).unwrap();
-    let resolver2 = Resolver::anchored_at(&dns2).unwrap();
-    match resolver2.resolve(&dns2, "www.example.org") {
-        Err(e) => println!("after a key-substitution attack on example.org: {e}"),
-        Ok(_) => unreachable!("unendorsed key must not validate"),
-    }
+    // Attacks are facts the rules refuse, not silently accepted answers.
+    let mut dns = deploy(&tree.clone().substitute_key("example.org"));
+    dns.net.run().expect("fixpoint");
+    let err = dns.resolve("www.example.org").expect_err("unendorsed key");
+    println!("after a key-substitution attack on example.org: {err}");
+
+    // A botched rollover is two churn events: the parent withdraws its
+    // endorsement of example.org's key before endorsing the new one.
+    let mut dns = deploy(&tree);
+    let endorsed = ds("org", "example.org", &dns.fingerprint("example.org"));
+    let script = ChurnScript::new().at(5_000_000, retract(endorsed));
+    let m = dns.net.run_scenario(&script).expect("fixpoint");
+    let (retractions, tombstones) = (m.retractions, m.tombstone_frames);
+    let err = dns.resolve("www.example.org").expect_err("stale DS");
+    println!("after org retracts its DS ({retractions} retractions, {tombstones} tombstone frames): {err}");
 }

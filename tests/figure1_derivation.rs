@@ -86,3 +86,35 @@ fn reachability_results_match_the_example_topology() {
         metrics.index_hits
     );
 }
+
+/// The SeNDlog form of the same query: the rules of an `At S:` block name
+/// their antecedents without an `@` column, and a base tuple is recorded
+/// under the identity its predicate is declared with — so a traceback, or a
+/// local graph, of a context-block program grounds out like the NDlog one.
+#[test]
+fn sendlog_provenance_grounds_out_in_both_graph_modes() {
+    let network = |mode| {
+        let config = EngineConfig::sendlog_prov().with_cost_model(CostModel::zero_cpu());
+        let mut net = SecureNetwork::builder()
+            .program(pasn::programs::reachability_sendlog())
+            .topology(Topology::paper_figure1())
+            .config(config.with_graph_mode(mode))
+            .build()
+            .expect("program compiles");
+        net.run().expect("fixpoint reached");
+        net
+    };
+    let (distributed, local) = (network(GraphMode::Distributed), network(GraphMode::Local));
+    let rows = distributed.query_all("reachable");
+    assert_eq!(rows.len(), 3);
+    for (location, tuple, _) in rows {
+        let key = tuple.to_string();
+        let report = pasn::forensics::investigate(&distributed, &location, &key);
+        assert!(report.has_origin(), "{key}: {:?}", report.traceback);
+        assert!(report.traceback.unresolved.is_empty(), "{key}");
+        let graph = local.provenance_graph(&location).unwrap();
+        let root = graph.find(&key).expect("derived here too");
+        assert!(!graph.why_provenance(root).witnesses().is_empty(), "{key}");
+        assert_eq!(graph.base_support(root), report.traceback.base_tuples);
+    }
+}
