@@ -11,7 +11,6 @@
 use pasn_datalog::Value;
 use pasn_engine::Tuple;
 use pasn_net::SimTime;
-use pasn_provenance::traceback;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// An alarm raised when a route changed too often within the window.
@@ -89,8 +88,7 @@ pub fn diagnose(
     location: &Value,
     alarm: &FlapAlarm,
 ) -> Diagnosis {
-    let stores = network.distributed_stores();
-    let result = traceback(&stores, &location.to_string(), &alarm.key);
+    let result = network.engine().traceback(location, &alarm.key);
     Diagnosis {
         key: alarm.key.clone(),
         suspected_origins: result
@@ -204,5 +202,49 @@ mod tests {
         let diagnosis = diagnose(&net, &Value::Addr(0), &alarm);
         assert_eq!(diagnosis.key, alarm.key);
         assert!(!diagnosis.suspected_origins.is_empty());
+    }
+
+    /// A flapping `bestPath` entry where two equal-cost paths compete: on a
+    /// four-ring `n0` reaches `n2` through `n1` and through `n3`.  What the
+    /// diagnosis reports is pinned, so a change to how the traceback is
+    /// reached shows here.
+    #[test]
+    fn diagnosis_of_a_two_path_best_path_is_pinned() {
+        use crate::network::SecureNetwork;
+        use crate::programs;
+        use pasn_engine::{EngineConfig, GraphMode};
+        use pasn_net::{CostModel, Topology};
+
+        let mut net = SecureNetwork::builder()
+            .program(programs::best_path())
+            .topology(Topology::ring(4))
+            .config(
+                EngineConfig::ndlog()
+                    .with_cost_model(CostModel::zero_cpu())
+                    .with_graph_mode(GraphMode::Distributed),
+            )
+            .build()
+            .unwrap();
+        net.run().unwrap();
+        let at = Value::Addr(0);
+        let entries = net.query(&at, "bestPath");
+        let mut flapping = entries
+            .iter()
+            .filter(|(tuple, _)| tuple.value(1) == Some(&Value::Addr(2)))
+            .map(|(tuple, _)| tuple.render_located(Some(0)));
+        let alarm = FlapAlarm {
+            key: flapping.next().expect("n0 has a best path to n2"),
+            changes: 4,
+            at: SimTime::ZERO,
+        };
+        let diagnosis = diagnose(&net, &at, &alarm);
+        assert_eq!(diagnosis.key, "bestPath(@n0,n2,[n0,n1,n2],2)");
+        // Visit order; `link_at_z` is the localized copy of `link(@n1,n0,1)`
+        // that rule `sp2` joins at `n0`.
+        assert_eq!(
+            diagnosis.suspected_origins,
+            ["link_at_z(1,n0,@n1)", "link(@n0,n1,1)", "link(@n1,n2,1)"]
+        );
+        assert_eq!(diagnosis.provenance_hops, 2);
     }
 }

@@ -5,11 +5,12 @@
 //! expiry of the tuples themselves — and the ability to trace where
 //! information originated without trusting unauthenticated headers.  This
 //! module combines the offline [`pasn_provenance::ArchiveStore`] with the
-//! distributed [`pasn_provenance::traceback`] query.
+//! engine's distributed traceback
+//! ([`pasn_engine::DistributedEngine::traceback`]).
 
 use crate::network::SecureNetwork;
 use pasn_datalog::Value;
-use pasn_provenance::{traceback, ArchivedEntry, TracebackResult};
+use pasn_provenance::{ArchivedEntry, TracebackResult};
 
 /// The outcome of a forensic investigation into one tuple.
 #[derive(Clone, Debug)]
@@ -30,21 +31,24 @@ impl ForensicReport {
 }
 
 /// Investigates `key` starting at `location`: runs a distributed traceback
-/// over the pointer provenance and collects archived records from every node
-/// (the derivation is archived where the rule fired, which is generally not
-/// where the tuple ends up stored), even if the tuple itself has long
-/// expired.
+/// over the pointer provenance and collects the archived records of exactly
+/// that key from every node (the derivation is archived where the rule
+/// fired, which is generally not where the tuple ends up stored), even if
+/// the tuple itself has long expired.  Each archive is read through its key
+/// index, not scanned; a predicate-wide sweep is [`archived_activity`].
 pub fn investigate(network: &SecureNetwork, location: &Value, key: &str) -> ForensicReport {
-    let stores = network.distributed_stores();
-    let result = traceback(&stores, &location.to_string(), key);
-    let archived = archived_activity(network, key, None, None)
-        .into_iter()
-        .map(|(_, entry)| entry)
-        .collect();
+    let engine = network.engine();
+    let archives = engine
+        .locations()
+        .iter()
+        .filter_map(|loc| engine.archive(loc));
     ForensicReport {
         key: key.to_string(),
-        traceback: result,
-        archived,
+        traceback: engine.traceback(location, key),
+        archived: archives
+            .flat_map(|archive| archive.entries_of(key))
+            .cloned()
+            .collect(),
     }
 }
 
@@ -121,6 +125,45 @@ mod tests {
         let none = archived_activity(&net, "reachable", Some(u64::MAX - 1), None);
         assert!(all.len() > none.len());
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn a_complete_key_reads_what_the_prefix_sweep_reads() {
+        let mut net = forensic_network();
+        // Stamp some expiries so the entries compared are not all alike.
+        net.expire(SimTime::from_secs_f64(100.0));
+        for (loc, tuple, _) in net.query_all("link") {
+            let key = tuple.render_located(Some(0));
+            let report = investigate(&net, &loc, &key);
+            assert!(report.archived.is_empty(), "base tuples are not archived");
+        }
+        let keys: Vec<String> = archived_activity(&net, "reachable", None, None)
+            .into_iter()
+            .map(|(_, entry)| entry.key)
+            .collect();
+        assert!(!keys.is_empty());
+        for key in keys {
+            let swept: Vec<ArchivedEntry> = archived_activity(&net, &key, None, None)
+                .into_iter()
+                .map(|(_, entry)| entry)
+                .collect();
+            let report = investigate(&net, &Value::Addr(0), &key);
+            assert_eq!(report.archived, swept, "{key}");
+        }
+    }
+
+    #[test]
+    fn a_start_that_is_no_node_leaves_the_key_unresolved() {
+        let net = forensic_network();
+        for stranger in [Value::Addr(99), Value::Str("elsewhere".into())] {
+            let report = investigate(&net, &stranger, "reachable(@n0,n3)");
+            assert!(!report.has_origin());
+            assert_eq!(report.traceback.visited, ["reachable(@n0,n3)"]);
+            assert_eq!(report.traceback.unresolved, ["reachable(@n0,n3)"]);
+            assert_eq!(report.traceback.remote_hops, 0);
+            // The archives are read by key, wherever the walk started.
+            assert!(!report.archived.is_empty());
+        }
     }
 
     #[test]

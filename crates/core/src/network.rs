@@ -257,8 +257,11 @@ impl SecureNetwork {
         self.engine.provenance_graph(location)
     }
 
-    /// Per-node distributed provenance stores, ready for
-    /// [`pasn_provenance::traceback`].
+    /// Per-node distributed provenance stores keyed by location name: a
+    /// snapshot for callers that own the traversal
+    /// ([`pasn_provenance::traceback`], [`pasn_provenance::moonwalk()`]).
+    /// Queries of this deployment go through the engine's walk
+    /// ([`DistributedEngine::traceback`]) and build no map.
     pub fn distributed_stores(&self) -> HashMap<String, &DistributedStore> {
         self.engine.distributed_stores()
     }

@@ -65,7 +65,11 @@
 //! they collected (the well-founded sweep's seeds and victims, a failing
 //! node's base rows) or fold it with an order-free operator (gauge sums).
 //! Maps handed *out* of the engine (`distributed_stores`,
-//! `bytes_sent_per_node`) are std maps read by key.
+//! `bytes_sent_per_node`) are std maps read by key.  `distributed_stores` is
+//! a snapshot for callers that own the traversal; the deployment's own
+//! provenance queries ([`runtime::DistributedEngine::traceback`] and
+//! `moonwalk`) resolve nodes through the name directory built at
+//! construction and hand out no map at all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

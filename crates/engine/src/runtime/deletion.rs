@@ -460,7 +460,7 @@ impl DistributedEngine {
                 if archive_offline {
                     node.archive.record_expiry(
                         &key,
-                        &self.shared.locations[ix(loc)].to_string(),
+                        &self.shared.names[ix(loc)],
                         reason,
                         created_at.as_micros(),
                         now.as_micros(),

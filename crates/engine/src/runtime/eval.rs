@@ -22,7 +22,7 @@ use pasn_datalog::{AggFunc, PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{
     AntecedentRef, ArchivedEntry, BaseTupleId, MaintenanceMode, NewDerivation, PointerDerivation,
-    ProvTag, ProvenanceKind, VarTable,
+    ProvKey, ProvTag, ProvenanceKind, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind};
 use std::collections::BTreeMap;
@@ -35,7 +35,8 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub(super) struct DerivationRecord {
     pub head_key: String,
-    pub head_location: String,
+    /// The node the head is stored at.
+    pub head_node: NodeId,
     pub rule: String,
     /// Rendered antecedent keys with the node each one lives at.
     pub antecedents: Vec<(String, NodeId)>,
@@ -147,6 +148,15 @@ pub(super) struct EvalShared {
     /// and for computed head locations — so cross-node lookups never touch
     /// another node's mutable runtime.
     pub directory: FastMap<Value, NodeId>,
+    /// Rendered location name of every node, indexed by [`NodeId`]: what the
+    /// provenance stores call a node.  Rendered once, so recording a
+    /// derivation copies a name instead of formatting a `Value`.
+    pub names: Vec<String>,
+    /// The name directory: digest of a rendered name → node id, for
+    /// provenance queries following [`AntecedentRef::Remote`] pointers.
+    /// Keyed by digest so building it copies no name; a hit is confirmed
+    /// against `names`.
+    pub name_ids: FastMap<ProvKey, NodeId>,
     /// Aggregate-group rule ids, parallel to `compiled.plans`: each rule
     /// label interned once, so rules sharing a label share their groups
     /// and no label is cloned or hashed per firing.
@@ -426,14 +436,13 @@ impl<'a> NodeCtx<'a> {
         done: SimTime,
     ) {
         let shared = self.shared;
-        let local = self.location();
         let render = || tuple::render_located_parts(pred_name, &row.values, row.location_index);
         if row.is_base && shared.config.graph_mode != GraphMode::None {
             let tuple_key = render();
             let base_id = BaseTupleId(tuple::key_hash_parts(pred_name, &row.values));
             self.node.local_prov.add_base(
                 &tuple_key,
-                &local.to_string(),
+                &shared.names[ix(self.id)],
                 base_id,
                 Some(principal_of(row.origin)),
                 done.as_micros(),
@@ -455,7 +464,7 @@ impl<'a> NodeCtx<'a> {
             if shared.config.maintenance == MaintenanceMode::Reactive {
                 self.node.deferred.push(DerivationRecord {
                     head_key: tuple_key.clone(),
-                    head_location: local.to_string(),
+                    head_node: self.id,
                     rule: "recv".to_string(),
                     antecedents: vec![(tuple_key, row.origin)],
                     asserted_by: Some(principal_of(row.origin)),
@@ -465,7 +474,7 @@ impl<'a> NodeCtx<'a> {
                 let pointer = PointerDerivation {
                     rule: "recv".to_string(),
                     antecedents: vec![AntecedentRef::Remote {
-                        location: shared.locations[ix(row.origin)].to_string(),
+                        location: shared.names[ix(row.origin)].clone(),
                         key: tuple_key.clone(),
                     }],
                 };
@@ -853,7 +862,7 @@ impl<'a> NodeCtx<'a> {
             if shared.config.sampling.records(sampled) {
                 let record = DerivationRecord {
                     head_key: tuple::render_located_parts(head_name, &head_values, head.location),
-                    head_location: destination.to_string(),
+                    head_node: dest_id,
                     rule: rule_plan.label.clone(),
                     antecedents: contribs
                         .iter()
@@ -1002,7 +1011,7 @@ pub(super) fn record_provenance_graphs(
     node: &mut NodeRuntime,
     record: &DerivationRecord,
 ) {
-    let local = shared.locations[ix(id)].to_string();
+    let local = &shared.names[ix(id)];
     let at = record.at.as_micros();
     match shared.config.graph_mode {
         GraphMode::None => {}
@@ -1010,9 +1019,9 @@ pub(super) fn record_provenance_graphs(
             let keys: Vec<String> = record.antecedents.iter().map(|(k, _)| k.clone()).collect();
             node.local_prov.add_derivation(NewDerivation {
                 head: &record.head_key,
-                head_location: &record.head_location,
+                head_location: &shared.names[ix(record.head_node)],
                 rule: &record.rule,
-                rule_location: &local,
+                rule_location: local,
                 antecedents: &keys,
                 asserted_by: record.asserted_by,
                 assertion: None,
@@ -1026,7 +1035,7 @@ pub(super) fn record_provenance_graphs(
                 if *origin == id {
                     AntecedentRef::Local(key)
                 } else {
-                    let location = shared.locations[ix(*origin)].to_string();
+                    let location = shared.names[ix(*origin)].clone();
                     AntecedentRef::Remote { location, key }
                 }
             };
@@ -1042,7 +1051,7 @@ pub(super) fn record_provenance_graphs(
         node.archive.record(ArchivedEntry {
             key: record.head_key.clone(),
             annotation: format!("{}@{local}", record.rule),
-            location: local,
+            location: local.clone(),
             derived_at: at,
             expired_at: None,
             pinned: false,

@@ -49,9 +49,13 @@ use pasn_crypto::{KeyAuthority, Principal, PrincipalId, RsaPublicKey};
 use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
-use pasn_provenance::{ArchiveStore, DerivationGraph, DistributedStore, ProvTag, VarTable};
+use pasn_provenance::{
+    moonwalk_with, traceback_with, ArchiveStore, DerivationGraph, DistributedStore, MoonwalkConfig,
+    MoonwalkResult, ProvKey, ProvTag, TracebackResult, VarTable,
+};
 use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use queue::{BatchKey, BatchRow, Bound, GlobalWork, NodeWork, Polarity, QueuedWork, WorkQueue};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -382,21 +386,24 @@ impl DistributedEngine {
         locations: &[Value],
     ) -> Result<Self, EngineError> {
         let compiled = compile_program(program)?;
+        // What the provenance stores, key material and trace call each
+        // node: rendered here, once.
+        let names: Vec<String> = locations.iter().map(Value::to_string).collect();
 
         // Key material: one principal per location, provisioned up front
         // (outside the measured run, as in the paper's setup).
         let mut authenticators: Vec<Option<Authenticator>> = vec![None; locations.len()];
         if let Some(level) = config.says_level {
-            let principals: Vec<Principal> = locations
+            let principals: Vec<Principal> = names
                 .iter()
                 .enumerate()
-                .map(|(i, loc)| {
+                .map(|(i, name)| {
                     let level = config
                         .security_levels
                         .get(&(i as u32))
                         .copied()
                         .unwrap_or(1);
-                    Principal::new(i as u32, loc.to_string()).with_security_level(level)
+                    Principal::new(i as u32, name.clone()).with_security_level(level)
                 })
                 .collect();
             let authority = KeyAuthority::provision_with_modulus(
@@ -424,10 +431,10 @@ impl DistributedEngine {
         };
 
         let symbols = compiled.symbols.clone();
-        let nodes = locations
+        let nodes = names
             .iter()
             .zip(authenticators)
-            .map(|(loc, authenticator)| {
+            .map(|(name, authenticator)| {
                 let mut store = NodeStore::new();
                 // Mirror the compiled interner so plan-time PredIds address
                 // the store directly, then register the planner's index
@@ -440,7 +447,7 @@ impl DistributedEngine {
                     store,
                     aggs: FastMap::default(),
                     local_prov: DerivationGraph::new(),
-                    dist_prov: DistributedStore::new(loc.to_string()),
+                    dist_prov: DistributedStore::new(name.clone()),
                     archive: ArchiveStore::new(),
                     deferred: Vec::new(),
                     authenticator,
@@ -470,7 +477,7 @@ impl DistributedEngine {
         let recorder = config
             .trace
             .clone()
-            .map(|t| TraceRecorder::new(t, locations.iter().map(|l| l.to_string()).collect()));
+            .map(|t| TraceRecorder::new(t, names.clone()));
         let mut engine = DistributedEngine {
             nodes,
             var_table: VarTable::new(),
@@ -492,6 +499,10 @@ impl DistributedEngine {
                 directory: node_ids(locations.len())
                     .map(|id| (locations[ix(id)].clone(), id))
                     .collect(),
+                name_ids: node_ids(locations.len())
+                    .map(|id| (ProvKey::from_rendered(&names[ix(id)]), id))
+                    .collect(),
+                names,
                 rule_ids,
                 compiled,
             },
@@ -1157,13 +1168,48 @@ impl DistributedEngine {
         self.node_at(location).map(|n| &n.local_prov)
     }
 
-    /// The per-node distributed provenance stores, keyed by location name
-    /// (ready to feed [`pasn_provenance::traceback`]).
+    /// The per-node distributed provenance stores, keyed by location name:
+    /// a snapshot for callers that own the traversal (they feed it to
+    /// [`pasn_provenance::traceback`] or walk the stores themselves).  A
+    /// query of this deployment needs none — see
+    /// [`DistributedEngine::traceback`].
     pub fn distributed_stores(&self) -> HashMap<String, &DistributedStore> {
-        let nodes = self.shared.locations.iter().zip(&self.nodes);
+        let nodes = self.shared.names.iter().zip(&self.nodes);
         nodes
-            .map(|(loc, n)| (loc.to_string(), &n.dist_prov))
+            .map(|(name, n)| (name.clone(), &n.dist_prov))
             .collect()
+    }
+
+    /// The distributed provenance store of the node named `name`: the
+    /// resolver the provenance queries follow pointer records through.
+    fn store_named(&self, name: &str) -> Option<&DistributedStore> {
+        let id = *self.shared.name_ids.get(&ProvKey::from_rendered(name))?;
+        (self.shared.names[ix(id)] == name).then(|| &self.nodes[ix(id)].dist_prov)
+    }
+
+    /// The name the provenance stores know `location` by: the name table's
+    /// for a deployed location, rendered for any other value.
+    fn name_of(&self, location: &Value) -> Cow<'_, str> {
+        match self.shared.directory.get(location) {
+            Some(&id) => Cow::Borrowed(&self.shared.names[ix(id)]),
+            None => Cow::Owned(location.to_string()),
+        }
+    }
+
+    /// Distributed traceback of `key` from `location` over this
+    /// deployment's pointer records ([`pasn_provenance::traceback_with`]):
+    /// nodes are resolved through the name directory built at construction,
+    /// so a query snapshots nothing.
+    pub fn traceback(&self, location: &Value, key: &str) -> TracebackResult {
+        traceback_with(|name| self.store_named(name), &self.name_of(location), key)
+    }
+
+    /// Random-moonwalk sampling of `key`'s provenance from `location`
+    /// ([`pasn_provenance::moonwalk_with`]), resolved like
+    /// [`DistributedEngine::traceback`].
+    pub fn moonwalk(&self, location: &Value, key: &str, config: &MoonwalkConfig) -> MoonwalkResult {
+        let start = self.name_of(location);
+        moonwalk_with(|name| self.store_named(name), &start, key, config)
     }
 
     /// The offline provenance archive of `location`.

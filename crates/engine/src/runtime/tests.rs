@@ -3,7 +3,7 @@ use crate::config::GraphMode;
 use crate::metrics::Scope;
 use pasn_datalog::parse_program;
 use pasn_net::CostModel;
-use pasn_provenance::{traceback, MaintenanceMode, ProvenanceKind};
+use pasn_provenance::{moonwalk, traceback, MaintenanceMode, ProvenanceKind};
 
 const REACHABLE: &str = "
     r1 reachable(@S,D) :- link(@S,D).
@@ -134,6 +134,22 @@ fn distributed_graph_mode_supports_traceback() {
     assert!(result.remote_hops >= 1);
     // Distributed provenance adds no shipping overhead.
     assert_eq!(metrics.provenance_bytes, 0);
+
+    // The engine's own walks resolve nodes through its name directory and
+    // agree with the walks over the snapshot — from a deployed location
+    // and from a value that names no node.
+    let walks = MoonwalkConfig::with_walks(8);
+    for (start, name) in [(str_val("a"), "a"), (Value::Int(7), "7")] {
+        assert_eq!(start.to_string(), name);
+        let via_engine = engine.traceback(&start, "reachable(@a,c)");
+        assert_eq!(via_engine, traceback(&stores, name, "reachable(@a,c)"));
+        let sampled = engine.moonwalk(&start, "reachable(@a,c)", &walks);
+        let expected = moonwalk(&stores, name, "reachable(@a,c)", &walks);
+        assert_eq!(sampled.walks, expected.walks);
+        assert_eq!(sampled.base_frequency, expected.base_frequency);
+        assert_eq!(sampled.records_read, expected.records_read);
+    }
+    assert_eq!(engine.traceback(&str_val("a"), "reachable(@a,c)"), result);
 }
 
 #[test]

@@ -15,7 +15,9 @@
 //! derivation graph `debug_assert`s the stored rendered form on every
 //! digest hit so a collision cannot silently merge provenance in tests.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A compact, deterministic key identifying a tuple in the provenance
 /// stores.
@@ -34,6 +36,41 @@ impl ProvKey {
         ProvKey(hash)
     }
 }
+
+/// The hasher of the maps keyed by digests: a [`ProvKey`] is already an FNV
+/// digest of bytes this process rendered itself, so a table only has to fold
+/// the word(s) it is handed — `h = (rotl(h, 5) ^ word) * K`, high half folded
+/// over the low half because the table reads both ends of the hash.  Unseeded:
+/// iteration order repeats from run to run, so nothing that reaches a result
+/// may iterate such a map unsorted.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` keyed by digests, over [`DigestHasher`].
+pub(crate) type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<DigestHasher>>;
+/// A `HashSet` of digests, over [`DigestHasher`].
+pub(crate) type DigestSet<K> = HashSet<K, BuildHasherDefault<DigestHasher>>;
 
 impl fmt::Display for ProvKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

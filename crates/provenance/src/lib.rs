@@ -38,11 +38,11 @@ pub use graph::{
     derivation_payload, Derivation, DerivationGraph, NewDerivation, ProvNodeId, TupleNode,
 };
 pub use key::ProvKey;
-pub use moonwalk::{moonwalk, MoonwalkConfig, MoonwalkResult, Walk};
+pub use moonwalk::{moonwalk, moonwalk_with, MoonwalkConfig, MoonwalkResult, Walk};
 pub use policy::{Granularity, MaintenanceMode, SamplingPolicy};
 pub use semiring::{BaseTupleId, DerivationCount, Semiring, TrustLevel, VoteSet, WhyProvenance};
 pub use store::{
-    traceback, AntecedentRef, ArchiveStore, ArchivedEntry, DistributedStore, PointerDerivation,
-    TracebackResult,
+    traceback, traceback_with, AntecedentRef, ArchiveStore, ArchivedEntry, DistributedStore,
+    PointerDerivation, TracebackResult,
 };
 pub use tag::{ProvTag, ProvenanceKind, VarTable, CONDENSE_WITNESS_THRESHOLD};

@@ -18,6 +18,7 @@
 //! can be compared head to head (see `benches/ablation_sampling.rs` and the
 //! forensics example).
 
+use crate::key::ProvKey;
 use crate::semiring::BaseTupleId;
 use crate::store::{AntecedentRef, DistributedStore};
 use std::borrow::Borrow;
@@ -163,35 +164,63 @@ impl SplitMix64 {
 /// the remote store when the antecedent is a
 /// [`AntecedentRef::Remote`] pointer, until it reaches a base tuple, an
 /// unresolved key, or the depth limit.
+///
+/// For callers that own a map of stores; a deployment that can name its
+/// stores itself passes the lookup to [`moonwalk_with`] and builds no map.
 pub fn moonwalk<S: Borrow<DistributedStore>>(
     stores: &HashMap<String, S>,
     start_node: &str,
     key: &str,
     config: &MoonwalkConfig,
 ) -> MoonwalkResult {
+    let resolve = |node: &str| stores.get(node).map(Borrow::borrow);
+    moonwalk_with(resolve, start_node, key, config)
+}
+
+/// Appends `key` to `walk` and counts the visit.
+fn visit(result: &mut MoonwalkResult, walk: &mut Walk, key: &str) {
+    walk.path.push(key.to_string());
+    if let Some(count) = result.visit_frequency.get_mut(key) {
+        *count += 1;
+    } else {
+        result.visit_frequency.insert(key.to_string(), 1);
+    }
+}
+
+/// The random walk itself, over the stores `resolve` names.  A walk holds
+/// the `&str`s the pointer records hold and resolves a node once per remote
+/// hop; it allocates the strings [`MoonwalkResult`] returns.
+pub fn moonwalk_with<'a>(
+    resolve: impl Fn(&str) -> Option<&'a DistributedStore>,
+    start_node: &str,
+    key: &'a str,
+    config: &MoonwalkConfig,
+) -> MoonwalkResult {
     let mut rng = SplitMix64::new(config.seed);
     let mut result = MoonwalkResult::default();
+    let start = resolve(start_node);
 
     for _ in 0..config.walks {
-        let mut node = start_node.to_string();
-        let mut current = key.to_string();
+        let mut store = start;
+        let mut current = key;
         let mut walk = Walk {
-            path: vec![current.clone()],
+            path: Vec::new(),
             terminal_base: None,
             remote_hops: 0,
         };
-        *result.visit_frequency.entry(current.clone()).or_default() += 1;
+        visit(&mut result, &mut walk, current);
 
         for _ in 0..config.max_depth {
-            let Some(store) = stores.get(&node).map(Borrow::borrow) else {
+            let Some(at) = store else {
                 break;
             };
             result.records_read += 1;
-            if let Some(base) = store.base_id(&current) {
+            let digest = ProvKey::from_rendered(current);
+            if let Some(base) = at.base_at(digest) {
                 walk.terminal_base = Some(base);
                 break;
             }
-            let derivations = store.derivations_of(&current);
+            let derivations = at.derivations_at(digest);
             if derivations.is_empty() {
                 break;
             }
@@ -202,17 +231,16 @@ pub fn moonwalk<S: Borrow<DistributedStore>>(
             let antecedent = &derivation.antecedents[rng.next_index(derivation.antecedents.len())];
             match antecedent {
                 AntecedentRef::Local(k) => {
-                    current = k.clone();
+                    current = k;
                 }
                 AntecedentRef::Remote { location, key: k } => {
                     walk.remote_hops += 1;
                     result.remote_hops += 1;
-                    node = location.clone();
-                    current = k.clone();
+                    store = resolve(location);
+                    current = k;
                 }
             }
-            walk.path.push(current.clone());
-            *result.visit_frequency.entry(current.clone()).or_default() += 1;
+            visit(&mut result, &mut walk, current);
         }
 
         if let Some(base) = walk.terminal_base {

@@ -11,10 +11,11 @@
 //!   the [`ArchiveStore`] retains snapshots beyond expiry for forensics and
 //!   accountability, with an age-out policy.
 
-use crate::key::ProvKey;
+use crate::key::{DigestMap, DigestSet, ProvKey};
 use crate::semiring::BaseTupleId;
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
 /// A reference to an antecedent held by a [`DistributedStore`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -52,8 +53,8 @@ pub struct PointerDerivation {
 pub struct DistributedStore {
     /// This node's name (matches tuple locations).
     pub node: String,
-    entries: HashMap<ProvKey, Vec<PointerDerivation>>,
-    bases: HashMap<ProvKey, BaseTupleId>,
+    entries: DigestMap<ProvKey, Vec<PointerDerivation>>,
+    bases: DigestMap<ProvKey, BaseTupleId>,
 }
 
 impl DistributedStore {
@@ -61,8 +62,8 @@ impl DistributedStore {
     pub fn new(node: impl Into<String>) -> Self {
         DistributedStore {
             node: node.into(),
-            entries: HashMap::new(),
-            bases: HashMap::new(),
+            entries: DigestMap::default(),
+            bases: DigestMap::default(),
         }
     }
 
@@ -81,15 +82,24 @@ impl DistributedStore {
 
     /// Derivations of a locally stored tuple.
     pub fn derivations_of(&self, key: &str) -> &[PointerDerivation] {
-        self.entries
-            .get(&ProvKey::from_rendered(key))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.derivations_at(ProvKey::from_rendered(key))
+    }
+
+    /// [`DistributedStore::derivations_of`] for a caller that already holds
+    /// the key's digest.
+    pub fn derivations_at(&self, key: ProvKey) -> &[PointerDerivation] {
+        self.entries.get(&key).map_or(&[], Vec::as_slice)
     }
 
     /// True if `key` is a base tuple at this node.
     pub fn base_id(&self, key: &str) -> Option<BaseTupleId> {
-        self.bases.get(&ProvKey::from_rendered(key)).copied()
+        self.base_at(ProvKey::from_rendered(key))
+    }
+
+    /// [`DistributedStore::base_id`] for a caller that already holds the
+    /// key's digest.
+    pub fn base_at(&self, key: ProvKey) -> Option<BaseTupleId> {
+        self.bases.get(&key).copied()
     }
 
     /// Number of stored pointer records (per-node storage overhead metric).
@@ -117,50 +127,103 @@ pub struct TracebackResult {
 ///
 /// In a deployment each remote hop is a network round trip; the simulator
 /// charges them through the returned [`TracebackResult::remote_hops`].
+///
+/// For callers that own a map of stores; a deployment that can name its
+/// stores itself passes the lookup to [`traceback_with`] and builds no map.
 pub fn traceback<S: Borrow<DistributedStore>>(
     stores: &HashMap<String, S>,
     start_node: &str,
     key: &str,
 ) -> TracebackResult {
-    let mut result = TracebackResult::default();
-    let mut queue: VecDeque<(String, String)> = VecDeque::new();
-    let mut seen: HashSet<(String, String)> = HashSet::new();
-    queue.push_back((start_node.to_string(), key.to_string()));
-    seen.insert((start_node.to_string(), key.to_string()));
+    traceback_with(|node| stores.get(node).map(Borrow::borrow), start_node, key)
+}
 
-    while let Some((node, key)) = queue.pop_front() {
-        result.visited.push(key.clone());
-        let Some(store) = stores.get(&node).map(Borrow::borrow) else {
-            result.unresolved.push(key);
+/// Keys a traceback's queue and `seen` set are sized for up front: a query
+/// over a converged deployment visits tens of keys, so both start past their
+/// first doublings.
+const WALK_CAPACITY: usize = 64;
+
+/// One `(node, key)` a traceback has reached: the node's name digest (its
+/// identity in the `seen` set) and store, and the key as the pointing record
+/// spells it.
+#[derive(Clone, Copy)]
+struct Reached<'a> {
+    node: ProvKey,
+    store: Option<&'a DistributedStore>,
+    key: &'a str,
+    digest: ProvKey,
+}
+
+/// The traceback itself: a breadth-first walk over the stores `resolve`
+/// names, starting from `key` at `start_node`.
+///
+/// The walk borrows: queued keys are the `&str`s the pointer records hold, a
+/// `(node, key)` pair is remembered by its two digests, each key is digested
+/// once per edge and looked up by digest, and a node is resolved once per
+/// new remote edge.  It allocates the strings [`TracebackResult`] returns.
+pub fn traceback_with<'a>(
+    resolve: impl Fn(&str) -> Option<&'a DistributedStore>,
+    start_node: &str,
+    key: &'a str,
+) -> TracebackResult {
+    let mut result = TracebackResult::default();
+    let mut seen: DigestSet<(ProvKey, ProvKey)> =
+        DigestSet::with_capacity_and_hasher(WALK_CAPACITY, Default::default());
+    // Walked by a cursor, never popped: once the cursor reaches the end the
+    // queue *is* the visit order.
+    let mut queue: Vec<Reached<'a>> = Vec::with_capacity(WALK_CAPACITY);
+    let start = Reached {
+        node: ProvKey::from_rendered(start_node),
+        store: resolve(start_node),
+        key,
+        digest: ProvKey::from_rendered(key),
+    };
+    seen.insert((start.node, start.digest));
+    queue.push(start);
+
+    let mut cursor = 0;
+    while let Some(&at) = queue.get(cursor) {
+        cursor += 1;
+        let Some(store) = at.store else {
+            result.unresolved.push(at.key.to_string());
             continue;
         };
-        if let Some(base) = store.base_id(&key) {
+        if let Some(base) = store.base_at(at.digest) {
             result.base_tuples.insert(base);
             continue;
         }
-        let derivations = store.derivations_of(&key);
+        let derivations = store.derivations_at(at.digest);
         if derivations.is_empty() {
-            result.unresolved.push(key);
+            result.unresolved.push(at.key.to_string());
             continue;
         }
-        for d in derivations {
-            for antecedent in &d.antecedents {
-                match antecedent {
-                    AntecedentRef::Local(k) => {
-                        if seen.insert((node.clone(), k.clone())) {
-                            queue.push_back((node.clone(), k.clone()));
-                        }
-                    }
-                    AntecedentRef::Remote { location, key: k } => {
-                        if seen.insert((location.clone(), k.clone())) {
-                            result.remote_hops += 1;
-                            queue.push_back((location.clone(), k.clone()));
-                        }
-                    }
+        for antecedent in derivations.iter().flat_map(|d| &d.antecedents) {
+            let (node, remote, key) = match antecedent {
+                AntecedentRef::Local(key) => (at.node, None, key),
+                AntecedentRef::Remote { location, key } => {
+                    (ProvKey::from_rendered(location), Some(location), key)
                 }
+            };
+            let digest = ProvKey::from_rendered(key);
+            if !seen.insert((node, digest)) {
+                continue;
             }
+            let store = match remote {
+                None => Some(store),
+                Some(location) => {
+                    result.remote_hops += 1;
+                    resolve(location)
+                }
+            };
+            queue.push(Reached {
+                node,
+                store,
+                key,
+                digest,
+            });
         }
     }
+    result.visited = queue.iter().map(|at| at.key.to_string()).collect();
     result
 }
 
@@ -182,11 +245,44 @@ pub struct ArchivedEntry {
     pub pinned: bool,
 }
 
+/// End of a key chain in [`ArchiveStore`]'s `u32` link space.
+const END: u32 = u32::MAX;
+
 /// An *offline* provenance archive: entries survive tuple expiry so that
 /// forensic queries can correlate long-gone traffic.
+///
+/// Entries are a log in arrival order; a key index threads the entries of
+/// one key into a chain through it (first and last position per key digest,
+/// one `u32` next-link per entry), so the by-key operations read a key's
+/// entries and not the log.
 #[derive(Clone, Debug, Default)]
 pub struct ArchiveStore {
     entries: Vec<ArchivedEntry>,
+    /// Key digest → positions of the first and last entry filed under it.
+    chains: DigestMap<ProvKey, (u32, u32)>,
+    /// Per entry: position of the next entry under the same digest, or
+    /// [`END`].
+    next: Vec<u32>,
+}
+
+/// Appends the entry about to be pushed at position `next.len()` to the
+/// chain of `key`.
+fn link(chains: &mut DigestMap<ProvKey, (u32, u32)>, next: &mut Vec<u32>, key: &str) {
+    let at = u32::try_from(next.len())
+        .ok()
+        .filter(|at| *at != END)
+        .expect("an archive holds fewer than 2^32 - 1 entries");
+    match chains.entry(ProvKey::from_rendered(key)) {
+        Entry::Occupied(mut chain) => {
+            let (_, last) = chain.get_mut();
+            next[*last as usize] = at;
+            *last = at;
+        }
+        Entry::Vacant(chain) => {
+            chain.insert((at, at));
+        }
+    }
+    next.push(END);
 }
 
 impl ArchiveStore {
@@ -197,7 +293,38 @@ impl ArchiveStore {
 
     /// Appends an entry.
     pub fn record(&mut self, entry: ArchivedEntry) {
+        link(&mut self.chains, &mut self.next, &entry.key);
         self.entries.push(entry);
+    }
+
+    /// Position of the oldest entry filed under `key`'s digest, or [`END`].
+    /// A digest is not the key: whoever follows the chain compares the key.
+    fn first_of(&self, key: &str) -> u32 {
+        let chain = self.chains.get(&ProvKey::from_rendered(key));
+        chain.map_or(END, |&(first, _)| first)
+    }
+
+    /// Applies `update` to every entry whose key is exactly `key`, oldest
+    /// first.
+    fn update_entries_of(&mut self, key: &str, mut update: impl FnMut(&mut ArchivedEntry)) {
+        let mut at = self.first_of(key);
+        while at != END {
+            let entry = &mut self.entries[at as usize];
+            if entry.key == key {
+                update(entry);
+            }
+            at = self.next[at as usize];
+        }
+    }
+
+    /// Entries whose key is exactly `key`, oldest first: what
+    /// [`ArchiveStore::query`] returns for a complete key, without reading
+    /// the rest of the log.
+    pub fn entries_of<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a ArchivedEntry> + 'a {
+        let link = |at: u32| (at != END).then_some(at as usize);
+        std::iter::successors(link(self.first_of(key)), move |&at| link(self.next[at]))
+            .map(|at| &self.entries[at])
+            .filter(move |entry| entry.key == key)
     }
 
     /// Records that the tuple behind `key` was deleted (retracted or
@@ -217,14 +344,14 @@ impl ArchiveStore {
         expired_at: u64,
     ) -> usize {
         let mut stamped = 0;
-        for e in &mut self.entries {
-            if e.key == key && e.expired_at.is_none() {
+        self.update_entries_of(key, |e| {
+            if e.expired_at.is_none() {
                 e.expired_at = Some(expired_at);
                 stamped += 1;
             }
-        }
+        });
         if stamped == 0 {
-            self.entries.push(ArchivedEntry {
+            self.record(ArchivedEntry {
                 key: key.to_string(),
                 location: location.to_string(),
                 annotation: annotation.to_string(),
@@ -240,12 +367,10 @@ impl ArchiveStore {
     /// Marks every entry matching `key` as pinned so age-out keeps it.
     pub fn pin(&mut self, key: &str) -> usize {
         let mut count = 0;
-        for e in &mut self.entries {
-            if e.key == key {
-                e.pinned = true;
-                count += 1;
-            }
-        }
+        self.update_entries_of(key, |e| {
+            e.pinned = true;
+            count += 1;
+        });
         count
     }
 
@@ -254,7 +379,16 @@ impl ArchiveStore {
     pub fn age_out(&mut self, horizon: u64) -> usize {
         let before = self.entries.len();
         self.entries.retain(|e| e.pinned || e.derived_at >= horizon);
-        before - self.entries.len()
+        let removed = before - self.entries.len();
+        if removed > 0 {
+            // Every surviving entry may have moved: thread the chains anew.
+            self.chains.clear();
+            self.next.clear();
+            for entry in &self.entries {
+                link(&mut self.chains, &mut self.next, &entry.key);
+            }
+        }
+        removed
     }
 
     /// All entries, oldest first.

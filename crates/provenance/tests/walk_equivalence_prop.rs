@@ -1,0 +1,250 @@
+//! The borrowing walks against the walks they replaced.
+//!
+//! [`traceback`] and [`moonwalk`] used to clone a `(node, key)` `String`
+//! pair per edge and resolve the node's store by name on every step; they
+//! are now wrappers over [`traceback_with`] / [`moonwalk_with`], which queue
+//! borrowed keys, remember pairs by digest and resolve a node once per
+//! remote edge.  This file keeps the old walks, verbatim, as the reference
+//! and checks on random pointer graphs — cycles, one key recorded at two
+//! nodes, duplicate antecedents, pointers to absent nodes and to keys nobody
+//! recorded — that the results are equal field for field, `visited` order
+//! included.
+
+use pasn_provenance::{
+    moonwalk, moonwalk_with, traceback, traceback_with, AntecedentRef, BaseTupleId,
+    DistributedStore, MoonwalkConfig, MoonwalkResult, PointerDerivation, TracebackResult, Walk,
+};
+use proptest::prelude::*;
+use std::collections::{HashMap, HashSet, VecDeque};
+
+const NODES: u64 = 4;
+const KEYS: u64 = 6;
+
+fn node_name(i: u64) -> String {
+    format!("n{i}")
+}
+
+fn key_name(i: u64) -> String {
+    format!("k(@{i})")
+}
+
+/// Files one packed record (the offline proptest shim has no tuple
+/// strategies): a base tuple one time in four, else a derivation with up to
+/// three antecedents.  Pointers draw from one more node and one more key
+/// than are ever recorded, so some dangle.
+fn file_record(stores: &mut HashMap<String, DistributedStore>, word: u64) {
+    let node = node_name(word % NODES);
+    let key = key_name((word >> 8) % KEYS);
+    let store = stores
+        .entry(node.clone())
+        .or_insert_with(|| DistributedStore::new(node));
+    if (word >> 4).is_multiple_of(4) {
+        store.record_base(&key, BaseTupleId((word >> 12) % 8));
+        return;
+    }
+    let antecedents = (0..(word >> 16) % 4)
+        .map(|i| {
+            let bits = (word >> (20 + 12 * i)) & 0xfff;
+            let key = key_name((bits >> 5) % (KEYS + 1));
+            match bits % 3 {
+                0 => AntecedentRef::Local(key),
+                _ => AntecedentRef::Remote {
+                    location: node_name((bits >> 2) % (NODES + 1)),
+                    key,
+                },
+            }
+        })
+        .collect();
+    let rule = format!("r{}", (word >> 56) % 3);
+    store.record_derivation(&key, PointerDerivation { rule, antecedents });
+}
+
+fn graph(records: &[u64]) -> HashMap<String, DistributedStore> {
+    let mut stores = HashMap::new();
+    for word in records {
+        file_record(&mut stores, *word);
+    }
+    stores
+}
+
+/// Where a query starts: possibly at the absent node, possibly on the key
+/// nobody recorded.
+fn start(word: u64) -> (String, String) {
+    (
+        node_name(word % (NODES + 1)),
+        key_name((word >> 8) % (KEYS + 1)),
+    )
+}
+
+/// The breadth-first traceback as it was before the borrowing walk.
+fn reference_traceback(
+    stores: &HashMap<String, DistributedStore>,
+    start_node: &str,
+    key: &str,
+) -> TracebackResult {
+    let mut result = TracebackResult::default();
+    let mut queue: VecDeque<(String, String)> = VecDeque::new();
+    let mut seen: HashSet<(String, String)> = HashSet::new();
+    queue.push_back((start_node.to_string(), key.to_string()));
+    seen.insert((start_node.to_string(), key.to_string()));
+
+    while let Some((node, key)) = queue.pop_front() {
+        result.visited.push(key.clone());
+        let Some(store) = stores.get(&node) else {
+            result.unresolved.push(key);
+            continue;
+        };
+        if let Some(base) = store.base_id(&key) {
+            result.base_tuples.insert(base);
+            continue;
+        }
+        let derivations = store.derivations_of(&key);
+        if derivations.is_empty() {
+            result.unresolved.push(key);
+            continue;
+        }
+        for d in derivations {
+            for antecedent in &d.antecedents {
+                match antecedent {
+                    AntecedentRef::Local(k) => {
+                        if seen.insert((node.clone(), k.clone())) {
+                            queue.push_back((node.clone(), k.clone()));
+                        }
+                    }
+                    AntecedentRef::Remote { location, key: k } => {
+                        if seen.insert((location.clone(), k.clone())) {
+                            result.remote_hops += 1;
+                            queue.push_back((location.clone(), k.clone()));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    result
+}
+
+/// The moonwalk's SplitMix64, as `moonwalk.rs` keeps it private.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_index(&mut self, bound: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    }
+}
+
+/// The random walk as it was before the borrowing walk.
+fn reference_moonwalk(
+    stores: &HashMap<String, DistributedStore>,
+    start_node: &str,
+    key: &str,
+    config: &MoonwalkConfig,
+) -> MoonwalkResult {
+    let mut rng = SplitMix64(config.seed);
+    let mut result = MoonwalkResult::default();
+
+    for _ in 0..config.walks {
+        let mut node = start_node.to_string();
+        let mut current = key.to_string();
+        let mut walk = Walk {
+            path: vec![current.clone()],
+            terminal_base: None,
+            remote_hops: 0,
+        };
+        *result.visit_frequency.entry(current.clone()).or_default() += 1;
+
+        for _ in 0..config.max_depth {
+            let Some(store) = stores.get(&node) else {
+                break;
+            };
+            result.records_read += 1;
+            if let Some(base) = store.base_id(&current) {
+                walk.terminal_base = Some(base);
+                break;
+            }
+            let derivations = store.derivations_of(&current);
+            if derivations.is_empty() {
+                break;
+            }
+            let derivation = &derivations[rng.next_index(derivations.len())];
+            if derivation.antecedents.is_empty() {
+                break;
+            }
+            let antecedent = &derivation.antecedents[rng.next_index(derivation.antecedents.len())];
+            match antecedent {
+                AntecedentRef::Local(k) => {
+                    current = k.clone();
+                }
+                AntecedentRef::Remote { location, key: k } => {
+                    walk.remote_hops += 1;
+                    result.remote_hops += 1;
+                    node = location.clone();
+                    current = k.clone();
+                }
+            }
+            walk.path.push(current.clone());
+            *result.visit_frequency.entry(current.clone()).or_default() += 1;
+        }
+
+        if let Some(base) = walk.terminal_base {
+            *result.base_frequency.entry(base).or_default() += 1;
+        }
+        result.walks.push(walk);
+    }
+    result
+}
+
+/// `MoonwalkResult` derives no `PartialEq`: compare it field by field.
+fn assert_same_moonwalk(got: &MoonwalkResult, want: &MoonwalkResult) {
+    assert_eq!(got.walks, want.walks);
+    assert_eq!(got.base_frequency, want.base_frequency);
+    assert_eq!(got.visit_frequency, want.visit_frequency);
+    assert_eq!(got.records_read, want.records_read);
+    assert_eq!(got.remote_hops, want.remote_hops);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The whole `TracebackResult` — bases, `visited` in visit order,
+    /// `remote_hops`, `unresolved` — through the map wrapper and through a
+    /// resolver that is not a map at all.
+    #[test]
+    fn traceback_equivalence_prop(
+        records in prop::collection::vec(any::<u64>(), 0..40),
+        from in any::<u64>(),
+    ) {
+        let stores = graph(&records);
+        let (node, key) = start(from);
+        let want = reference_traceback(&stores, &node, &key);
+        prop_assert_eq!(&traceback(&stores, &node, &key), &want);
+
+        let by_scan: Vec<&DistributedStore> = stores.values().collect();
+        let resolve = |name: &str| by_scan.iter().copied().find(|store| store.node == name);
+        prop_assert_eq!(&traceback_with(resolve, &node, &key), &want);
+    }
+
+    /// Every walk, both frequency tables and both counters, for the same
+    /// seed.
+    #[test]
+    fn moonwalk_equivalence_prop(
+        records in prop::collection::vec(any::<u64>(), 0..40),
+        from in any::<u64>(),
+        seed in any::<u64>(),
+        depth in 0usize..12,
+    ) {
+        let stores = graph(&records);
+        let (node, key) = start(from);
+        let config = MoonwalkConfig::with_walks(8).max_depth(depth).seed(seed);
+        let want = reference_moonwalk(&stores, &node, &key, &config);
+        assert_same_moonwalk(&moonwalk(&stores, &node, &key, &config), &want);
+
+        let by_scan: Vec<&DistributedStore> = stores.values().collect();
+        let resolve = |name: &str| by_scan.iter().copied().find(|store| store.node == name);
+        assert_same_moonwalk(&moonwalk_with(resolve, &node, &key, &config), &want);
+    }
+}
