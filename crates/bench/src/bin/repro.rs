@@ -556,30 +556,21 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
         ));
     }
 
-    // Chord under churn: a stabilised ring (1k members full / 128 quick)
-    // runs three phases of HMAC-verified lookups — stable, after every
-    // eighth member departs, after they rejoin.  The synthesized counters
-    // map hops to messages/derivations and hop verifications to
-    // `verifications`; determinism across repetitions is the oracle.
+    // Chord under churn: `pasn::programs::CHORD` over a stabilised ring (1k
+    // members full / 128 quick) at `Hmac`, three phases of 96 standing
+    // lookups — stable, after every eighth member departs, after they
+    // rejoin — streamed through the engine.  The counters are the engine's
+    // own; every lookup must end where the re-stabilised ring says.
     let chord_nodes = if quick { 128 } else { 1_000 };
     points.push(measured_reps(
         "chord_churn_1k",
         2,
-        || (),
-        |()| {
-            let report = pasn_bench::chord_churn_workload(chord_nodes, 96);
-            RunMetrics {
-                derivations: report.hops,
-                messages: report.hops,
-                verifications: report.verified_hops,
-                hmac_ops: report.hops + report.verified_hops,
-                churn_events: report.churn_events,
-                tuples_stored: report.members,
-                peak_tuples: report.members,
-                worker_threads: 1,
-                partitions: 1,
-                ..RunMetrics::default()
-            }
+        || pasn_bench::chord_churn_deployment(chord_nodes, 96),
+        |(dht, events)| {
+            let metrics = dht.net.run_streaming(events.clone());
+            let metrics = metrics.expect("streaming fixpoint");
+            pasn_bench::assert_lookups_end_at_their_owner(dht, events);
+            metrics
         },
     ));
 
@@ -795,10 +786,22 @@ fn check_points(points: &[Point]) {
 
     let chord = find(points, "chord_churn");
     assert!(chord.churn_events > 0, "chord nodes must leave and rejoin");
-    assert!(chord.derivations > 0, "chord lookups must route");
     assert!(
-        chord.hmac_ops > 0,
-        "chord hops must be authenticated and verified"
+        chord.derivations > 0 && chord.frames > chord.tombstone_frames,
+        "chord lookups must route across nodes"
+    );
+    assert!(
+        chord.hmac_ops > 0 && chord.verifications == chord.frames,
+        "every chord frame must be authenticated and verified"
+    );
+    assert_eq!(chord.verification_failures, 0, "no chord frame is forged");
+    assert!(
+        chord.retractions > 0 && chord.tombstone_frames > 0,
+        "re-stabilisation must withdraw stale routes through the ledger"
+    );
+    assert!(
+        chord.rederivations > 0,
+        "returning members' lookups must be re-derived"
     );
     eprintln!("BENCH_engine.json checks ok: {} points", points.len());
 }

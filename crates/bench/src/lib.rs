@@ -9,6 +9,7 @@
 
 use pasn::prelude::*;
 use pasn::workload;
+use pasn_overlay::ChordDeployment;
 use std::sync::Arc;
 
 /// Builds a reachability deployment (used by the smaller ablation benches).
@@ -246,77 +247,62 @@ pub fn sustained_expiry_churn(rows: u32, generations: u32) -> ExpiryChurnReport 
     report
 }
 
-/// What [`chord_churn_workload`] observed across its three lookup phases
-/// (stable ring, post-departure, post-rejoin).
-pub struct ChordChurnReport {
-    /// Lookups issued across all phases.
-    pub lookups: u64,
-    /// Total forwarding hops across all lookups.
-    pub hops: u64,
-    /// Hop assertions that verified (must equal `hops`).
-    pub verified_hops: u64,
-    /// Membership events (departures + rejoins).
-    pub churn_events: u64,
-    /// Ring members at the end of the run.
-    pub members: u64,
-}
+/// Builds the Chord-under-churn workload: `pasn::programs::CHORD` deployed
+/// over a stabilised `nodes`-member ring with HMAC-authenticated frames and
+/// condensed provenance, and the event stream of three phases of
+/// `lookups_per_phase` standing lookups (deterministic keys, rotating
+/// origins) — on the stable ring at 1 s, after every eighth member departs
+/// at 5 s, after they all rejoin at 10 s.  Re-stabilisation is the ring
+/// builder's: the changed `succ` / `finger` facts as churn events, standing
+/// lookups re-routed by the deletion ledger.
+pub fn chord_churn_deployment(
+    nodes: u32,
+    lookups_per_phase: usize,
+) -> (ChordDeployment, Vec<(SimTime, ChurnEvent)>) {
+    use pasn_overlay::chord::{get, ChordConfig, Ring};
 
-/// The Chord-under-churn workload: build a stabilised `nodes`-member ring
-/// with HMAC-authenticated hop assertions, then run three phases of
-/// `lookups_per_phase` verified lookups — on the stable ring, after every
-/// eighth member departs (plus re-stabilisation), and after they all
-/// rejoin.  Deterministic keys and rotating origins make every phase's hop
-/// totals reproducible bit for bit, which is what lets `measured` use the
-/// synthesized counters as its determinism oracle.
-pub fn chord_churn_workload(nodes: u32, lookups_per_phase: usize) -> ChordChurnReport {
-    use pasn_crypto::SaysLevel;
-    use pasn_overlay::chord::{ChordConfig, ChordRing};
-
-    let mut ring = ChordRing::build(ChordConfig {
-        nodes,
-        bits: 24,
-        says_level: SaysLevel::Hmac,
-        modulus_bits: 512,
-        seed: 7,
-        successor_list_len: 3,
-    })
-    .expect("ring builds");
-    let mut report = ChordChurnReport {
-        lookups: 0,
-        hops: 0,
-        verified_hops: 0,
-        churn_events: 0,
-        members: 0,
-    };
-    let phase = |ring: &ChordRing, report: &mut ChordChurnReport, label: &str| {
-        let origins = ring.node_ids();
+    let ring = Ring::build(ChordConfig { nodes, bits: 24 }).expect("ring builds");
+    let config = EngineConfig::ndlog()
+        .with_says(pasn_crypto::SaysLevel::Hmac)
+        .with_provenance(ProvenanceKind::Condensed);
+    let mut dht = ring.deploy(config).expect("ring deploys");
+    let departing: Vec<u32> = ring.members().iter().copied().step_by(8).collect();
+    let mut events = Vec::new();
+    let mut phase = |ring: &Ring, label: &str, at_us: u64, changed: Vec<ChurnEvent>| {
+        let at = SimTime::from_micros(at_us);
+        events.extend(changed.into_iter().map(|event| (at, event)));
+        let asked = SimTime::from_micros(at_us + 1_000_000);
         for i in 0..lookups_per_phase {
-            let origin = origins[i % origins.len()];
+            let origin = ring.members()[i % ring.members().len()];
             let key = ring.space().key_id(&format!("{label}-key-{i}"));
-            let trace = ring.lookup(origin, key).expect("lookup succeeds");
-            report.lookups += 1;
-            report.hops += trace.hop_count() as u64;
-            ring.verify_lookup(&trace).expect("hop assertions verify");
-            report.verified_hops += trace.hop_count() as u64;
+            events.push((asked, pasn_overlay::insert(get(origin, key))));
         }
     };
+    phase(&dht.ring, "stable", 0, Vec::new());
+    let left = dht.ring.leave(&departing).expect("members depart");
+    phase(&dht.ring, "churned", 5_000_000, left);
+    let back = dht.ring.rejoin(&departing).expect("members rejoin");
+    phase(&dht.ring, "rejoined", 10_000_000, back);
+    (dht, events)
+}
 
-    phase(&ring, &mut report, "stable");
-    let departing: Vec<_> = ring.node_ids().into_iter().step_by(8).collect();
-    for id in &departing {
-        ring.remove_node(*id).expect("member departs");
-        report.churn_events += 1;
+/// Panics unless every lookup `events` issued (a `get` inserted at its
+/// origin) ended with one answer: the successor of its key on the ring as
+/// the deployment's builder has it now.
+pub fn assert_lookups_end_at_their_owner(dht: &ChordDeployment, events: &[(SimTime, ChurnEvent)]) {
+    let inserted = events.iter().filter_map(|(_, event)| match event {
+        ChurnEvent::Insert { tuple, .. } if tuple.predicate == "get" => Some(tuple),
+        _ => None,
+    });
+    for get in inserted {
+        let origin = get.values[0].as_addr().expect("get(N,K): N is a node");
+        let key = get.values[1]
+            .as_int()
+            .expect("get(N,K): K is an identifier") as u64;
+        let owners: Vec<u32> = dht.lookups(origin, key).iter().map(|l| l.owner).collect();
+        let owner = dht.ring.successor_of(key);
+        assert_eq!(owners, [owner], "lookup of {key:#x} from n{origin}");
     }
-    ring.stabilize();
-    phase(&ring, &mut report, "churned");
-    for id in &departing {
-        ring.rejoin_node(*id).expect("member rejoins");
-        report.churn_events += 1;
-    }
-    ring.stabilize();
-    phase(&ring, &mut report, "rejoined");
-    report.members = ring.len() as u64;
-    report
 }
 
 /// Runs one store-churn cycle at `rows` tuples and returns the resulting
@@ -426,17 +412,31 @@ mod tests {
     }
 
     #[test]
-    fn chord_churn_workload_is_deterministic_and_verified() {
-        let a = chord_churn_workload(32, 16);
-        assert_eq!(a.lookups, 48);
-        assert_eq!(a.hops, a.verified_hops);
-        assert!(a.hops > 0);
-        assert_eq!(a.churn_events, 8);
-        assert_eq!(a.members, 32);
-        // O(log N) routing: average hops stay under the identifier bits.
-        assert!(a.hops < a.lookups * 24);
-        let b = chord_churn_workload(32, 16);
-        assert_eq!(a.hops, b.hops);
+    fn chord_churn_deployment_reroutes_every_standing_lookup() {
+        let (mut dht, events) = chord_churn_deployment(32, 16);
+        let metrics = dht.net.run_streaming(events.clone()).expect("fixpoint");
+        // Four members left and came back; every lookup issued in any phase
+        // ends at the successor of its key on the ring as it stands now.
+        assert_eq!(dht.ring.members().len(), 32);
+        assert_lookups_end_at_their_owner(&dht, &events);
+        assert_eq!(dht.net.query_all("owner").len(), 48);
+        assert_eq!(metrics.churn_events, events.len() as u64);
+        assert!(metrics.retractions > 0 && metrics.rederivations > 0);
+        assert!(metrics.tombstone_frames > 0 && metrics.hmac_ops > 0);
+        assert_eq!(metrics.verifications, metrics.frames);
+        assert_eq!(metrics.verification_failures, 0);
+        // O(log N) routing: far fewer firings than lookups × members.
+        assert!(metrics.derivations < 48 * 32);
+        // The batch driver reproduces the stream bit for bit.
+        let (mut batch, _) = chord_churn_deployment(32, 16);
+        let script = events.iter().fold(ChurnScript::new(), |s, (at, e)| {
+            s.at(at.as_micros(), e.clone())
+        });
+        let batch_metrics = batch.net.run_scenario(&script).expect("fixpoint");
+        assert_eq!(
+            metrics.diff(&batch_metrics, pasn_engine::Scope::Schedule),
+            []
+        );
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   that filters routes by the origins carried in their path (the BGP /
 //!   trust-management use case of Section 3);
 //! * [`dnssec`] — the DNSSEC chain of trust the paper's conclusion names as
-//!   future work, as six SeNDlog rules.
+//!   future work, as six SeNDlog rules;
+//! * [`chord`] — the conclusion's other overlay, secure Chord routing: lookup
+//!   over a stabilised ring plus `put` / `get`, as seven SeNDlog rules.
 
 use pasn_datalog::{parse_program, Program};
 
@@ -119,6 +121,40 @@ d5 trusted(N,C) :- trusted(N,P), P says deleg(P,C,Fp), C says key(C,Fp).
 d6 resolved(N,Q,A) :- trusted(N,Z), Z says answer(Z,Q,A).
 ";
 
+/// Source text of secure Chord routing (the conclusion's other future work).
+///
+/// Every ring member runs the block over the base facts of a stabilised
+/// ring: `node(N,I,M)` (its identifier `I` on a ring of `M` identifiers),
+/// `succ(N,S,SI)` and one `finger(N,F,FI,NI)` per distinct finger node —
+/// successor included, sorted by clockwise distance, each carrying the arc it
+/// covers: `NI` is the next finger's identifier, the last one's wraps to `I`.
+/// A `get` or a `put` starts a lookup at its own node (`c0`, `c1`).  A node
+/// holding a lookup answers the requester `R` when the key lies in
+/// `(I, SI]` (`c2`) and otherwise forwards it to the one finger whose arc
+/// holds the key (`c3`) — ring distance is `(B - A + M) % M`, and the
+/// `+ M - 1 … + 1` form maps distance zero to a full turn, which is what
+/// makes `K == I` and the one-node ring come out right.  The speaker is named
+/// in the row (`W says lookup(N,K,R,W)`), so a hop cannot be attributed to a
+/// node that did not say it, and a forwarding loop over inconsistent fingers
+/// ends by set-semantics deduplication — no hop counter.  The requester hands
+/// a `put` value to the owner (`c4`) or asks it for one (`c5`); the owner
+/// answers a `fetch` with what it stores, inserter attached (`c6`).  The
+/// condensed tag of an `owner` row is exactly the principals that forwarded
+/// the lookup; a `value` row's is the reader's path times the inserter's.
+pub const CHORD: &str = "\
+At N:
+c0 lookup(N,K,N,N) :- get(N,K).
+c1 lookup(N,K,N,N) :- put(N,K,V).
+c2 owner(R,K,S,SI,N)@R :- W says lookup(N,K,R,W), node(N,I,M), succ(N,S,SI),
+   DK := (K - I + M - 1) % M + 1, DS := (SI - I + M - 1) % M + 1, DK <= DS.
+c3 lookup(F,K,R,N)@F :- W says lookup(N,K,R,W), node(N,I,M), finger(N,F,FI,NI),
+   DK := (K - I + M - 1) % M + 1, DF := (FI - I + M) % M,
+   DN := (NI - I + M - 1) % M + 1, DF < DK, DK <= DN.
+c4 stored(S,K,V,N)@S :- W says owner(N,K,S,SI,W), put(N,K,V).
+c5 fetch(S,K,N)@S :- W says owner(N,K,S,SI,W), get(N,K).
+c6 value(R,K,V,I)@R :- R says fetch(N,K,R), I says stored(N,K,V,I).
+";
+
 /// Parses [`REACHABILITY_NDLOG`].
 pub fn reachability_ndlog() -> Program {
     parse_program(REACHABILITY_NDLOG).expect("built-in program parses")
@@ -159,6 +195,11 @@ pub fn dnssec() -> Program {
     parse_program(DNSSEC).expect("built-in program parses")
 }
 
+/// Parses [`CHORD`].
+pub fn chord() -> Program {
+    parse_program(CHORD).expect("built-in program parses")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +216,7 @@ mod tests {
             path_vector(),
             path_vector_policy(),
             dnssec(),
+            chord(),
         ] {
             compile_program(&program).expect("program compiles");
         }

@@ -588,6 +588,22 @@ impl CompiledProgram {
         self.arity_by_pred.get(pred.index()).copied().flatten()
     }
 
+    /// Which interned predicates some rule reads through a `says` term,
+    /// indexed by [`PredId`]: the rows whose recorded speaker a body atom can
+    /// observe.  All false for an NDlog program.
+    pub fn said_preds(&self) -> Vec<bool> {
+        let mut said = vec![false; self.symbols.len()];
+        for delta in self.plans.iter().flat_map(|plan| &plan.deltas) {
+            said[delta.delta_pred.index()] |= delta.delta_says.is_some();
+            for step in &delta.steps {
+                if let PlanStep::Join(join) = step {
+                    said[join.pred.index()] |= join.says.is_some();
+                }
+            }
+        }
+        said
+    }
+
     /// The `@` column the program declares for an interned predicate (see
     /// `location_by_pred`).  A base tuple's rendered identity follows the
     /// declaration, so it is the one the rules name their antecedent by.

@@ -210,8 +210,12 @@ impl ChurnScript {
 }
 
 /// One contribution to a stored tuple's support: whether it came from a
-/// base assertion, and the semiring tag it merged in.
-pub(crate) type Contribution = (bool, ProvTag);
+/// base assertion, the semiring tag it merged in, and the node that said it.
+pub(crate) struct Contribution {
+    pub is_base: bool,
+    pub tag: ProvTag,
+    pub speaker: NodeId,
+}
 
 /// Identity of a firing's head tuple: `(destination, predicate, row)`.
 pub(crate) type HeadKey = (NodeId, PredId, Arc<[Value]>);
@@ -231,7 +235,7 @@ pub(crate) struct SupportEntry {
     pub count: u64,
     /// How many of `count` are base assertions.
     pub base_count: u64,
-    /// One entry per alive contribution: `(is_base, contributed tag)`.
+    /// One entry per alive contribution, in arrival order.
     pub tags: Vec<Contribution>,
     /// Location column of the tuple (for rendering provenance keys on
     /// deletion).
@@ -437,8 +441,7 @@ impl Ledger {
         &mut self,
         seq: u64,
         pred: PredId,
-        is_base: bool,
-        tag: ProvTag,
+        contribution: Contribution,
         location_index: Option<usize>,
     ) {
         let entry = self.supports.entry(seq).or_insert_with(|| SupportEntry {
@@ -449,10 +452,8 @@ impl Ledger {
             location_index,
         });
         entry.count += 1;
-        if is_base {
-            entry.base_count += 1;
-        }
-        entry.tags.push((is_base, tag));
+        entry.base_count += u64::from(contribution.is_base);
+        entry.tags.push(contribution);
     }
 }
 
@@ -489,6 +490,15 @@ mod tests {
         assert!(ChurnScript::new().is_empty());
     }
 
+    /// An untagged contribution said by node 0.
+    fn said(is_base: bool) -> Contribution {
+        Contribution {
+            is_base,
+            tag: ProvTag::None,
+            speaker: NodeId(0),
+        }
+    }
+
     /// A ledger of `n` firings: firing `i` (remembered in its
     /// `location_index`) joins rows `i / 2` and `1000 + i % 4` into one of
     /// 16 heads, so every index list is shared.
@@ -497,7 +507,7 @@ mod tests {
         for i in 0..n {
             let antecedents = vec![i as u64 / 2, 1000 + i as u64 % 4];
             for seq in &antecedents {
-                ledger.record_arrival(*seq, PredId(0), true, ProvTag::None, None);
+                ledger.record_arrival(*seq, PredId(0), said(true), None);
             }
             ledger.record_firing(FiringRecord {
                 alive: true,
@@ -543,7 +553,7 @@ mod tests {
         assert_eq!(ledger.supports.capacity(), 0);
         assert!(!ledger.reclaim(), "an empty log has nothing to drop");
         // The next firing starts the ids over.
-        ledger.record_arrival(7, PredId(0), true, ProvTag::None, None);
+        ledger.record_arrival(7, PredId(0), said(true), None);
         let mut next = ledger_of(1).firings.pop().unwrap();
         next.antecedents = vec![7];
         ledger.record_firing(next);
@@ -555,8 +565,8 @@ mod tests {
     fn ledger_tracks_supports() {
         let mut ledger = Ledger::default();
         let pred = PredId(0);
-        ledger.record_arrival(7, pred, true, ProvTag::None, Some(0));
-        ledger.record_arrival(7, pred, false, ProvTag::None, Some(0));
+        ledger.record_arrival(7, pred, said(true), Some(0));
+        ledger.record_arrival(7, pred, said(false), Some(0));
         let entry = &ledger.supports[&7];
         assert_eq!((entry.count, entry.base_count), (2, 1));
         assert_eq!(entry.tags.len(), 2);

@@ -46,6 +46,25 @@
 //!   Pipelined `a_MIN`/`a_MAX` aggregate *state* is not rolled back on
 //!   deletion — a churned run may keep a stale best until a better value is
 //!   re-derived (the known DRed-style limitation; see `ROADMAP.md`).
+//!   A row said by several principals unifies `W says p(…)` with the one it
+//!   first arrived under; when that speaker's last contribution is withdrawn
+//!   and a rule reads the predicate through `says`, the row dies with its
+//!   cascade and the surviving contributions are said again, each under its
+//!   own speaker (`DistributedEngine::check_speaker_consistency` is the
+//!   quiescent-cut invariant).  While both speakers stand, one firing
+//!   happens, for whichever arrived first.
+//! * Schedule-shaped quantities.  The fixpoint's *rows* are a function of the
+//!   facts; three things follow the order in which derivations arrive.  A
+//!   semiring tag is a snapshot taken when a rule fires: a later duplicate
+//!   derivation merges into the stored row (first note above) without firing
+//!   anything again, so a downstream tag can under-approximate the stored
+//!   one — also after a withdrawal, when the duplicate landed before the
+//!   tombstone.  Pipelined `a_MIN`/`a_MAX` emit every improvement.  And an
+//!   aggregate head that is *shipped* forwards every intermediate best: each
+//!   improvement is a tuple sent to the head's node, where it derives on —
+//!   routing by `a_MAX` over ring distance cost 21,927 derivations for 80
+//!   Chord lookups and left 17 answers for one request, which is why
+//!   `pasn::programs::CHORD` forwards with a range filter instead.
 //! * Batched evaluation (`EngineConfig::batch_window_us > 0`) keeps joins
 //!   exactly tuple-at-a-time-visible via per-row insertion seqs, so monotone
 //!   rules derive identically under any batch split; pipelined Min/Max

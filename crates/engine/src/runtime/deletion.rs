@@ -9,7 +9,7 @@
 use super::queue::{BatchRow, GlobalWork, Polarity};
 use super::{ix, node_ids, AggGroup, DistributedEngine, EngineError};
 use crate::config::GraphMode;
-use crate::dynamics::{BaseRow, ChurnEvent, HeadKey};
+use crate::dynamics::{BaseRow, ChurnEvent, Contribution, HeadKey};
 use crate::hash::{FastMap, FastSet};
 use crate::tuple::{self, Tuple};
 use pasn_datalog::{PredId, Value};
@@ -299,6 +299,30 @@ impl DistributedEngine {
         })
     }
 
+    /// Verifies that no stored row is attributed to a node that no longer
+    /// says it: wherever a rule reads a predicate through a `says` term, a
+    /// row's recorded origin is the speaker of one of its live contributions.
+    /// Holds whenever the queue has drained; debug builds assert it there.
+    pub fn check_speaker_consistency(&self) -> Result<(), String> {
+        let seen = |pred: PredId| self.shared.speaker_seen(pred);
+        for (loc, node) in self.shared.locations.iter().zip(&self.nodes) {
+            let supports = node.ledger.supports.iter();
+            for (seq, entry) in supports.filter(|(_, entry)| seen(entry.pred)) {
+                let Some((values, meta)) = node.store.row_by_seq(entry.pred, *seq) else {
+                    continue;
+                };
+                if !entry.tags.iter().any(|c| c.speaker == meta.origin) {
+                    let says = &self.shared.locations[ix(meta.origin)];
+                    let name = self.shared.symbols.name(entry.pred).unwrap_or("?");
+                    return Err(format!(
+                        "{name}{values:?} at {loc}: {says} no longer says it"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Takes the pending sweep request raised by row removals since the
     /// last sweep.
     pub(super) fn take_sweep_request(&mut self) -> bool {
@@ -351,9 +375,16 @@ impl DistributedEngine {
     /// queue's polarity rank guarantee a tombstone never precedes its
     /// assertion, so an absent row was force-killed (expiry, node failure,
     /// sweep) and the withdrawn contribution already died with it.
-    pub(super) fn retract_row(&mut self, removal: Removal, tag: Option<&ProvTag>, now: SimTime) {
-        let (pred, force) = (removal.pred, removal.force);
-        let node = &mut self.nodes[ix(removal.loc)];
+    /// `withdrawn` is a tombstone's tag and speaker; scripted retractions
+    /// carry none.
+    pub(super) fn retract_row(
+        &mut self,
+        removal: Removal,
+        withdrawn: Option<(&ProvTag, NodeId)>,
+        now: SimTime,
+    ) {
+        let (loc, pred, force) = (removal.loc, removal.pred, removal.force);
+        let node = &mut self.nodes[ix(loc)];
         let Some(seq) = node.store.seq_of(pred, &removal.values) else {
             return;
         };
@@ -362,33 +393,34 @@ impl DistributedEngine {
             .supports
             .get_mut(&seq)
             .expect("dynamics records every live row");
+        let mut resay = Vec::new();
         if !force && entry.count > 1 {
             // Alternative derivations survive: consume the withdrawn
             // contribution and recompute the tag from the remainder —
             // exactly what the semiring sum of the surviving derivation
             // events yields (a DerivationCount tag literally decrements).
-            // A tombstone (tag supplied) always withdraws a *firing*
-            // contribution, never a base assertion — matching the tag
-            // alone could hit a base entry with an equal tag (all tags are
-            // `ProvTag::None` without semiring provenance) and silently
-            // destroy base support.  Tag-less (scripted) retractions
-            // conversely prefer base contributions.
+            // A tombstone always withdraws a *firing* contribution, never a
+            // base assertion — matching the tag alone could hit a base entry
+            // with an equal tag (all tags are `ProvTag::None` without
+            // semiring provenance) and silently destroy base support.
+            // Scripted retractions conversely prefer base contributions.
+            // Where a rule can see who said the row, a tombstone withdraws
+            // what its own speaker said.
             entry.count -= 1;
-            let pos = match tag {
-                Some(tag) => entry
-                    .tags
-                    .iter()
-                    .position(|(is_base, t)| !*is_base && t == tag)
-                    .or_else(|| entry.tags.iter().rposition(|(is_base, _)| !*is_base))
-                    .unwrap_or(entry.tags.len() - 1),
-                None => entry
-                    .tags
-                    .iter()
-                    .position(|(is_base, _)| *is_base)
-                    .unwrap_or(entry.tags.len() - 1),
+            let seen = self.shared.speaker_seen(pred);
+            let tags = &entry.tags;
+            let pos = match withdrawn {
+                Some((tag, speaker)) => {
+                    let firing = |c: &Contribution| !c.is_base && c.tag == *tag;
+                    let said = |c: &Contribution| seen && firing(c) && c.speaker == speaker;
+                    let said = tags.iter().position(said);
+                    said.or_else(|| tags.iter().position(firing))
+                        .or_else(|| tags.iter().rposition(|c| !c.is_base))
+                }
+                None => tags.iter().position(|c| c.is_base),
             };
-            let (was_base, _) = entry.tags.remove(pos);
-            if was_base {
+            let gone = entry.tags.remove(pos.unwrap_or(entry.tags.len() - 1));
+            if gone.is_base {
                 entry.base_count -= 1;
                 // Withdrawing base support without removing the row can
                 // strand a recursion island (the tuple now rests purely on
@@ -396,20 +428,40 @@ impl DistributedEngine {
                 // must check once the wave drains.
                 self.deletion.needs_sweep = true;
             }
-            if self.shared.config.provenance != ProvenanceKind::None && !entry.tags.is_empty() {
-                let mut merged = entry.tags[0].1.clone();
-                for (_, t) in &entry.tags[1..] {
-                    merged = merged.plus(t, &mut self.var_table);
-                    self.metrics.provenance_ops += 1;
+            // The stored row unifies `W says p(…)` with the speaker it first
+            // arrived under.  When that speaker's last contribution goes,
+            // the row dies with its cascade below and the survivors are said
+            // again, each under its own speaker.
+            let orphaned = seen && {
+                let row = node.store.row_by_seq(pred, seq);
+                let origin = row.map(|(_, meta)| meta.origin);
+                let by_origin = |c: &Contribution| Some(c.speaker) == origin;
+                by_origin(&gone) && !entry.tags.iter().any(by_origin)
+            };
+            if !orphaned {
+                if self.shared.config.provenance != ProvenanceKind::None && !entry.tags.is_empty() {
+                    let mut merged = entry.tags[0].tag.clone();
+                    for c in &entry.tags[1..] {
+                        merged = merged.plus(&c.tag, &mut self.var_table);
+                        self.metrics.provenance_ops += 1;
+                    }
+                    node.store.set_tag(pred, seq, merged);
                 }
-                node.store.set_tag(pred, seq, merged);
+                return;
             }
-            return;
+            let location_index = entry.location_index;
+            resay.extend(entry.tags.drain(..).map(|c| BatchRow {
+                is_base: c.is_base,
+                ..BatchRow::derived(removal.values.clone(), c.tag, c.speaker, location_index)
+            }));
         }
         let Some((_, meta)) = node.store.remove_by_seq(pred, seq) else {
             return;
         };
         self.settle_removed(removal, seq, meta.created_at, now, None);
+        for row in resay {
+            self.enqueue_local(now, loc, pred, row, Polarity::Assert);
+        }
     }
 
     /// Bookkeeping shared by every removal path (retraction, expiry, node

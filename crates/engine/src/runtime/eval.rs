@@ -9,7 +9,7 @@ use super::queue::{BatchRow, DeltaBatch, NodeWork, Origin, Polarity};
 use super::ship::frame_payloads;
 use super::{ix, principal_of, AggGroup, EngineError, NodeRuntime};
 use crate::config::{EngineConfig, GraphMode};
-use crate::dynamics::{AggFiring, Extremum, FiringRecord};
+use crate::dynamics::{AggFiring, Contribution, Extremum, FiringRecord};
 use crate::eval::{eval_expr, eval_filter, Bindings};
 use crate::hash::FastMap;
 use crate::metrics::RunMetrics;
@@ -127,6 +127,8 @@ pub(super) enum Effect {
         pred: PredId,
         values: Arc<[Value]>,
         tag: ProvTag,
+        /// The node that said the withdrawn contribution.
+        speaker: NodeId,
         now: SimTime,
     },
 }
@@ -161,6 +163,9 @@ pub(super) struct EvalShared {
     /// label interned once, so rules sharing a label share their groups
     /// and no label is cloned or hashed per firing.
     pub rule_ids: Vec<u32>,
+    /// `CompiledProgram::said_preds`, computed once; read through
+    /// [`EvalShared::speaker_seen`].
+    pub said_preds: Vec<bool>,
 }
 
 impl EvalShared {
@@ -169,6 +174,13 @@ impl EvalShared {
     /// branch per hook and never allocates.
     pub(super) fn tracing(&self) -> bool {
         self.config.trace.is_some()
+    }
+
+    /// Whether some rule reads `pred` through a `says` term, and so can see
+    /// which node a stored row of it is attributed to.  Never for a predicate
+    /// interned after compilation: no rule names it.
+    pub(super) fn speaker_seen(&self, pred: PredId) -> bool {
+        self.said_preds.get(pred.index()) == Some(&true)
     }
 
     fn principal_level(&self, principal: PrincipalId) -> u8 {
@@ -270,6 +282,7 @@ impl<'a> NodeCtx<'a> {
                     pred,
                     values: row.values,
                     tag: row.tag,
+                    speaker: row.origin,
                     now: done,
                 });
             }
@@ -397,7 +410,12 @@ impl<'a> NodeCtx<'a> {
             // can withdraw exactly it.
             if shared.config.dynamics {
                 let ledger = &mut self.node.ledger;
-                ledger.record_arrival(seq, pred, row.is_base, row.tag.clone(), row.location_index);
+                let contribution = Contribution {
+                    is_base: row.is_base,
+                    tag: row.tag.clone(),
+                    speaker: row.origin,
+                };
+                ledger.record_arrival(seq, pred, contribution, row.location_index);
                 if outcome == InsertOutcome::New
                     && ledger.retracted.contains(&(pred, row.values.clone()))
                 {

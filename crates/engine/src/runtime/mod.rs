@@ -504,6 +504,7 @@ impl DistributedEngine {
                     .collect(),
                 names,
                 rule_ids,
+                said_preds: compiled.said_preds(),
                 compiled,
             },
         };
@@ -882,6 +883,7 @@ impl DistributedEngine {
                 // walk every node.
                 if bound.is_none() {
                     debug_assert_eq!(self.check_ledger_consistency(), Ok(()));
+                    debug_assert_eq!(self.check_speaker_consistency(), Ok(()));
                     debug_assert_eq!(self.check_link_consistency(), Ok(()));
                 }
                 return Ok(());
@@ -1032,10 +1034,11 @@ impl DistributedEngine {
                     pred,
                     values,
                     tag,
+                    speaker,
                     now,
                 } => {
                     let removal = Removal::withdraw(loc, pred, values, "retracted");
-                    self.retract_row(removal, Some(&tag), now)
+                    self.retract_row(removal, Some((&tag, speaker)), now)
                 }
             }
         }

@@ -917,3 +917,67 @@ fn a_lone_handshake_and_a_coalesced_one_charge_the_same() {
     assert_eq!(lone, (1, 1, 1, (at + verify, verify)));
     assert_eq!(deliver(true), lone);
 }
+
+#[test]
+fn a_row_is_said_only_by_principals_that_still_say_it() {
+    // p(n2,1) is said to n2 by n0, then by n1; then one of them withdraws.
+    // The stored row must unify `W says p(…)` with a principal that still
+    // says it, as the from-scratch run of the final facts does.
+    let program = parse_program(
+        "At N:\n\
+         t1 p(D,X)@D :- src(N,D,X).\n\
+         t2 q(N,X,W) :- W says p(N,X).",
+    )
+    .unwrap();
+    let locations: Vec<Value> = (0..3).map(Value::Addr).collect();
+    let src = |n: u32| {
+        let values = vec![Value::Addr(n), Value::Addr(2), Value::Int(1)];
+        (Value::Addr(n), Tuple::new("src", values))
+    };
+    // The `p` and `q` rows at n2 with their rendered tags.
+    let said = |engine: &DistributedEngine| -> Vec<String> {
+        let rows = ["p", "q"].into_iter();
+        let rows = rows.flat_map(|pred| engine.query(&Value::Addr(2), pred));
+        rows.map(|(t, m)| format!("{t} {}", m.tag.render(engine.var_table())))
+            .collect()
+    };
+    for config in [EngineConfig::ndlog(), EngineConfig::sendlog_prov()] {
+        let config = config.with_cost_model(fast_cost()).with_dynamics();
+        let engine = |first: u32| {
+            let mut engine = DistributedEngine::new(&program, config.clone(), &locations).unwrap();
+            let (location, tuple) = src(first);
+            engine.insert_fact(location, tuple).unwrap();
+            engine
+        };
+        // n0 says it first, n1 a second later, `leaver` withdraws at 5 s.
+        let churned = |leaver: u32| {
+            let (second, tuple) = src(1);
+            let script = ChurnScript::new().at(
+                1_000_000,
+                ChurnEvent::Insert {
+                    location: second,
+                    tuple,
+                },
+            );
+            let (location, tuple) = src(leaver);
+            let script = script.at(5_000_000, ChurnEvent::Retract { location, tuple });
+            let mut engine = engine(0);
+            let metrics = engine.run_scenario(&script).unwrap();
+            assert_eq!(engine.check_ledger_consistency(), Ok(()));
+            assert_eq!(engine.check_speaker_consistency(), Ok(()));
+            (said(&engine), metrics.retractions, metrics.rederivations)
+        };
+        let fresh = |only: u32| {
+            let mut engine = engine(only);
+            engine.run_to_fixpoint().unwrap();
+            said(&engine)
+        };
+        // The recorded speaker withdraws: the row dies with its cascade
+        // (src, p, q) and the survivor is said again under its own name.
+        let (rows, retractions, rederivations) = churned(0);
+        assert!(rows[1].starts_with("q(n2,1,n1)"), "{rows:?}");
+        assert_eq!((rows, retractions, rederivations), (fresh(1), 3, 1));
+        // The other one withdraws: nothing but its own contribution moves.
+        assert_eq!(churned(1), (fresh(0), 1, 0));
+    }
+}

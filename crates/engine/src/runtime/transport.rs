@@ -493,7 +493,7 @@ impl DistributedEngine {
                 }
                 Polarity::Retract => {
                     let removal = Removal::withdraw(dest, pred, row.values.clone(), "reconciled");
-                    self.retract_row(removal, Some(&row.tag), at)
+                    self.retract_row(removal, Some((&row.tag, row.origin)), at)
                 }
             }
         }

@@ -7,6 +7,7 @@
 use pasn_datalog::Value;
 use pasn_engine::{DistributedEngine, EngineConfig, Tuple};
 use pasn_net::CostModel;
+use pasn_provenance::ProvTag;
 
 pub const REACHABLE: &str = "
     r1 reachable(@S,D) :- link(@S,D).
@@ -72,6 +73,37 @@ pub fn fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<String>> {
             rows
         })
         .collect()
+}
+
+/// The rows of `preds` across all nodes, each with its condensed tag as a
+/// Boolean function — its value under every assignment of the (at most a
+/// dozen) principals; sorted when `canonical`, in insertion order otherwise.
+pub fn boolean_fixpoint(
+    engine: &DistributedEngine,
+    preds: &[&str],
+    canonical: bool,
+) -> Vec<String> {
+    let table = engine.var_table();
+    let truth_table = |tag: &ProvTag| -> Vec<bool> {
+        let ProvTag::Condensed(bdd) = tag else {
+            panic!("condensed provenance expected, got {tag:?}");
+        };
+        let present = |assignment: u32, var| {
+            let principal = table.principal_of(var).expect("principal-granularity tags");
+            assignment >> principal.0 & 1 == 1
+        };
+        let assignments = 0..1u32 << engine.locations().len();
+        let value = |a| table.manager().evaluate(*bdd, |var| present(a, var));
+        assignments.map(value).collect()
+    };
+    let rows = preds.iter().flat_map(|pred| engine.query_all(pred));
+    let mut rows: Vec<String> = rows
+        .map(|(at, tuple, meta)| format!("{at} {tuple} {:?}", truth_table(&meta.tag)))
+        .collect();
+    if canonical {
+        rows.sort();
+    }
+    rows
 }
 
 /// Decodes one packed random word into `(src, dst, at_us)` over `nodes`

@@ -13,14 +13,15 @@
 //! Attacks and rollovers are facts: a substituted key is a `dnskey`
 //! fingerprint the parent's `ds` never endorsed, a wrong anchor an `anchor`
 //! fingerprint that is not the root's, a rogue record an `rr` (or `answer`)
-//! asserted at a node that is not its zone, a rollover [`retract`] / [`insert`]
-//! churn events.  Bailiwick is the view's: [`DnsDeployment::resolve`] reads
-//! only what the deepest declared zone enclosing the name said.  Forging the
-//! bytes of a frame in flight has no engine injection point until ROADMAP item
-//! 5's `corrupt_per_mille`; that check stays with `pasn-crypto`'s `says` tests
-//! and `tests/session_channels.rs`.
+//! asserted at a node that is not its zone, a rollover [`crate::retract`] /
+//! [`crate::insert`] churn events.  Bailiwick is the view's:
+//! [`DnsDeployment::resolve`] reads only what the deepest declared zone
+//! enclosing the name said.  Forging the bytes of a frame in flight has no
+//! engine injection point until ROADMAP item 5's `corrupt_per_mille`; that
+//! check stays with `pasn-crypto`'s `says` tests and
+//! `tests/session_channels.rs`.
 
-use pasn::prelude::{ChurnEvent, EngineConfig, ProvTag, SecureNetwork, Tuple, Value};
+use pasn::prelude::{EngineConfig, ProvTag, SecureNetwork, Tuple, Value};
 use pasn::{programs, TrustEvaluator};
 use pasn_crypto::sha256::{sha256, to_hex};
 use std::{fmt, iter};
@@ -88,16 +89,6 @@ pub fn ds(parent: &str, child: &str, fingerprint: &str) -> (Value, Tuple) {
 pub fn rr(said_by: &str, zone: &str, owner: &str, data: Value) -> (Value, Tuple) {
     let values = vec![node(zone), node(owner), data];
     (node(said_by), Tuple::new("rr", values))
-}
-
-/// Asserting a fact, as a scripted churn event.
-pub fn insert((location, tuple): (Value, Tuple)) -> ChurnEvent {
-    ChurnEvent::Insert { location, tuple }
-}
-
-/// Withdrawing a fact, as a scripted churn event: with [`insert`], a rollover.
-pub fn retract((location, tuple): (Value, Tuple)) -> ChurnEvent {
-    ChurnEvent::Retract { location, tuple }
 }
 
 /// The fingerprint of nothing that signs: cleartext zones, substituted keys.

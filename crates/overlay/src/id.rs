@@ -1,31 +1,14 @@
-//! Consistent-hashing identifier space shared by the overlays.
+//! The consistent-hashing identifier space of the Chord overlay.
 //!
 //! Chord (Stoica et al., SIGCOMM 2001 — reference [25] of the paper) places
 //! both nodes and keys on a ring of 2^m identifiers produced by a
-//! cryptographic hash.  This module provides the identifier type, the
-//! hashing helpers (SHA-256 truncated to the ring width, reusing the digest
-//! from `pasn-crypto`), and the modular interval arithmetic that the finger
-//! table and the lookup procedure need.
+//! cryptographic hash.  This module names them: SHA-256 (the digest of
+//! `pasn-crypto`) truncated to the ring width.  Identifiers travel as `Int`
+//! columns of base facts and the interval arithmetic of routing is written in
+//! the rules (`pasn::programs::CHORD`), so all that is left here besides the
+//! hash is the clockwise [`IdSpace::distance`] the ring builder sorts by.
 
 use pasn_crypto::sha256::sha256;
-use pasn_crypto::PrincipalId;
-use std::fmt;
-
-/// An identifier on the ring (node identifier or key identifier).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct ChordId(pub u64);
-
-impl fmt::Debug for ChordId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ChordId({:#x})", self.0)
-    }
-}
-
-impl fmt::Display for ChordId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#x}", self.0)
-    }
-}
 
 /// A 2^m identifier ring.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,15 +17,16 @@ pub struct IdSpace {
 }
 
 impl IdSpace {
-    /// Creates an identifier space of `bits` bits (`1..=64`).
+    /// Creates an identifier space of `bits` bits (`1..=62`: twice the ring
+    /// size must fit the rules' `Int` arithmetic).
     ///
     /// # Panics
     ///
-    /// Panics when `bits` is zero or larger than 64.
+    /// Panics when `bits` is zero or larger than 62.
     pub fn new(bits: u32) -> Self {
         assert!(
-            (1..=64).contains(&bits),
-            "identifier space must use between 1 and 64 bits, got {bits}"
+            (1..=62).contains(&bits),
+            "identifier space must use between 1 and 62 bits, got {bits}"
         );
         IdSpace { bits }
     }
@@ -52,83 +36,32 @@ impl IdSpace {
         self.bits
     }
 
-    /// Bit mask selecting the low `bits` bits of a hash.
-    fn mask(&self) -> u64 {
-        if self.bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits) - 1
-        }
-    }
-
-    /// Number of identifiers on the ring as a float (used for load-balance
-    /// statistics; exact only below 2^53).
-    pub fn size_f64(&self) -> f64 {
-        2f64.powi(self.bits as i32)
+    /// Number of identifiers on the ring (the `M` column of a `node` fact).
+    pub fn size(&self) -> u64 {
+        1 << self.bits
     }
 
     /// Hashes arbitrary bytes onto the ring.
-    pub fn hash_bytes(&self, data: &[u8]) -> ChordId {
+    pub fn hash_bytes(&self, data: &[u8]) -> u64 {
         let digest = sha256(data);
         let mut raw = [0u8; 8];
         raw.copy_from_slice(&digest[..8]);
-        ChordId(u64::from_be_bytes(raw) & self.mask())
+        u64::from_be_bytes(raw) & (self.size() - 1)
     }
 
-    /// The ring identifier of a node, derived from its principal identity.
-    pub fn node_id(&self, principal: PrincipalId) -> ChordId {
-        self.hash_bytes(format!("node:{}", principal.0).as_bytes())
+    /// The ring identifier of the node operated by principal `node`.
+    pub fn node_id(&self, node: u32) -> u64 {
+        self.hash_bytes(format!("node:{node}").as_bytes())
     }
 
     /// The ring identifier of an application key (a name stored in the DHT).
-    pub fn key_id(&self, name: &str) -> ChordId {
+    pub fn key_id(&self, name: &str) -> u64 {
         self.hash_bytes(format!("key:{name}").as_bytes())
     }
 
-    /// Adds `offset` to `id` modulo the ring size.
-    pub fn add(&self, id: ChordId, offset: u64) -> ChordId {
-        ChordId(id.0.wrapping_add(offset) & self.mask())
-    }
-
-    /// The start of the `k`-th finger of node `n`: `(n + 2^k) mod 2^m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k >= bits`.
-    pub fn finger_start(&self, n: ChordId, k: u32) -> ChordId {
-        assert!(
-            k < self.bits,
-            "finger index {k} out of range for {} bits",
-            self.bits
-        );
-        self.add(n, 1u64 << k)
-    }
-
     /// Clockwise distance from `a` to `b` on the ring.
-    pub fn distance(&self, a: ChordId, b: ChordId) -> u64 {
-        b.0.wrapping_sub(a.0) & self.mask()
-    }
-
-    /// True when `x` lies in the half-open interval `(a, b]` walking
-    /// clockwise.  When `a == b` the interval covers the whole ring.
-    pub fn in_open_closed(&self, a: ChordId, b: ChordId, x: ChordId) -> bool {
-        if a == b {
-            return true;
-        }
-        let d_ab = self.distance(a, b);
-        let d_ax = self.distance(a, x);
-        d_ax != 0 && d_ax <= d_ab
-    }
-
-    /// True when `x` lies strictly inside `(a, b)` walking clockwise.  When
-    /// `a == b` the interval covers the whole ring except `a` itself.
-    pub fn in_open_open(&self, a: ChordId, b: ChordId, x: ChordId) -> bool {
-        if a == b {
-            return x != a;
-        }
-        let d_ab = self.distance(a, b);
-        let d_ax = self.distance(a, x);
-        d_ax != 0 && d_ax < d_ab
+    pub fn distance(&self, a: u64, b: u64) -> u64 {
+        b.wrapping_sub(a) & (self.size() - 1)
     }
 }
 
@@ -138,140 +71,37 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn hash_is_deterministic_and_masked() {
+    fn hash_is_deterministic_masked_and_namespaced() {
         let space = IdSpace::new(16);
-        let a = space.hash_bytes(b"hello");
-        let b = space.hash_bytes(b"hello");
-        assert_eq!(a, b);
-        assert!(a.0 < (1 << 16));
+        assert_eq!(space.hash_bytes(b"hello"), space.hash_bytes(b"hello"));
+        assert!(space.hash_bytes(b"hello") < space.size());
         assert_ne!(space.hash_bytes(b"hello"), space.hash_bytes(b"world"));
+        // The same label as a node and as a key hashes under different prefixes.
+        assert_ne!(IdSpace::new(32).node_id(7), IdSpace::new(32).key_id("7"));
     }
 
     #[test]
-    fn node_and_key_ids_use_distinct_namespaces() {
-        let space = IdSpace::new(32);
-        // The same raw label hashed as a node and as a key must not collide
-        // by construction (different prefixes).
-        assert_ne!(space.node_id(PrincipalId(7)), space.key_id("7"));
-    }
-
-    #[test]
-    fn finger_start_wraps_around() {
-        let space = IdSpace::new(8);
-        let n = ChordId(250);
-        assert_eq!(space.finger_start(n, 0), ChordId(251));
-        assert_eq!(space.finger_start(n, 3), ChordId(2)); // 250 + 8 = 258 mod 256
-        assert_eq!(space.add(ChordId(255), 1), ChordId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "finger index")]
-    fn finger_start_rejects_out_of_range_index() {
-        IdSpace::new(8).finger_start(ChordId(0), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "between 1 and 64")]
-    fn zero_bit_space_is_rejected() {
-        IdSpace::new(0);
-    }
-
-    #[test]
-    fn interval_open_closed_handles_wraparound() {
-        let space = IdSpace::new(8);
-        // (200, 10] wraps through zero.
-        assert!(space.in_open_closed(ChordId(200), ChordId(10), ChordId(250)));
-        assert!(space.in_open_closed(ChordId(200), ChordId(10), ChordId(5)));
-        assert!(space.in_open_closed(ChordId(200), ChordId(10), ChordId(10)));
-        assert!(!space.in_open_closed(ChordId(200), ChordId(10), ChordId(200)));
-        assert!(!space.in_open_closed(ChordId(200), ChordId(10), ChordId(100)));
-        // Degenerate interval covers the whole ring.
-        assert!(space.in_open_closed(ChordId(5), ChordId(5), ChordId(77)));
-    }
-
-    #[test]
-    fn interval_open_open_excludes_endpoints() {
-        let space = IdSpace::new(8);
-        assert!(space.in_open_open(ChordId(10), ChordId(20), ChordId(15)));
-        assert!(!space.in_open_open(ChordId(10), ChordId(20), ChordId(10)));
-        assert!(!space.in_open_open(ChordId(10), ChordId(20), ChordId(20)));
-        assert!(space.in_open_open(ChordId(20), ChordId(10), ChordId(0)));
-        assert!(space.in_open_open(ChordId(5), ChordId(5), ChordId(4)));
-        assert!(!space.in_open_open(ChordId(5), ChordId(5), ChordId(5)));
+    #[should_panic(expected = "between 1 and 62")]
+    fn too_wide_a_space_is_rejected() {
+        IdSpace::new(63);
     }
 
     #[test]
     fn distance_is_clockwise() {
         let space = IdSpace::new(8);
-        assert_eq!(space.distance(ChordId(10), ChordId(20)), 10);
-        assert_eq!(space.distance(ChordId(20), ChordId(10)), 246);
-        assert_eq!(space.distance(ChordId(42), ChordId(42)), 0);
-    }
-
-    #[test]
-    fn sixty_four_bit_space_does_not_overflow() {
-        let space = IdSpace::new(64);
-        let max = ChordId(u64::MAX);
-        assert_eq!(space.add(max, 1), ChordId(0));
-        assert!(space.in_open_closed(max, ChordId(5), ChordId(3)));
-        assert!(space.size_f64() > 1e19);
+        assert_eq!(space.distance(10, 20), 10);
+        assert_eq!(space.distance(20, 10), 246);
+        assert_eq!(space.distance(42, 42), 0);
     }
 
     proptest! {
         #[test]
-        fn prop_membership_matches_distance_definition(
-            bits in 3u32..=32,
-            a in any::<u64>(),
-            b in any::<u64>(),
-            x in any::<u64>(),
-        ) {
+        fn prop_distance_round_trip(bits in 3u32..=62, a in any::<u64>(), b in any::<u64>()) {
             let space = IdSpace::new(bits);
-            let a = ChordId(a & space.mask());
-            let b = ChordId(b & space.mask());
-            let x = ChordId(x & space.mask());
-            // (a, b] and (a, b) agree except possibly at b.
-            let oc = space.in_open_closed(a, b, x);
-            let oo = space.in_open_open(a, b, x);
-            if x == b {
-                prop_assert!(!oo);
-            } else {
-                prop_assert_eq!(oc, oo);
-            }
-            // x is never inside an interval starting at itself, unless the
-            // interval is degenerate (a == b covers the whole ring).
-            if x != b {
-                prop_assert!(!space.in_open_closed(x, b, x));
-            }
-        }
-
-        #[test]
-        fn prop_every_id_is_in_exactly_one_half(
-            bits in 3u32..=32,
-            a in any::<u64>(),
-            b in any::<u64>(),
-            x in any::<u64>(),
-        ) {
-            let space = IdSpace::new(bits);
-            let a = ChordId(a & space.mask());
-            let b = ChordId(b & space.mask());
-            let x = ChordId(x & space.mask());
-            prop_assume!(a != b);
-            // Splitting the ring at a and b: every x other than the two
-            // endpoints lies in exactly one of (a, b) and (b, a).
-            if x != a && x != b {
-                let in_ab = space.in_open_open(a, b, x);
-                let in_ba = space.in_open_open(b, a, x);
-                prop_assert!(in_ab ^ in_ba);
-            }
-        }
-
-        #[test]
-        fn prop_distance_round_trip(bits in 3u32..=32, a in any::<u64>(), b in any::<u64>()) {
-            let space = IdSpace::new(bits);
-            let a = ChordId(a & space.mask());
-            let b = ChordId(b & space.mask());
+            let (a, b) = (a % space.size(), b % space.size());
             let d = space.distance(a, b);
-            prop_assert_eq!(space.add(a, d), b);
+            prop_assert_eq!(a.wrapping_add(d) % space.size(), b);
+            prop_assert_eq!((d + space.distance(b, a)) % space.size(), 0);
         }
     }
 }

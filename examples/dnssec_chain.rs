@@ -8,7 +8,8 @@
 
 use pasn::prelude::*;
 use pasn::trust::{TrustEvaluator, TrustPolicy};
-use pasn_overlay::dns::{ds, resolver, retract, DnsDeployment, ZoneTree};
+use pasn_overlay::dns::{ds, resolver, DnsDeployment, ZoneTree};
+use pasn_overlay::retract;
 
 fn deploy(tree: &ZoneTree) -> DnsDeployment {
     // Per-frame RSA `says`, condensed tags, piggybacked derivation graphs.

@@ -1,103 +1,112 @@
-//! Secure Chord routing over the PASN substrates (the paper's future-work
-//! overlay): authenticated lookups, provenance-tracked lookup paths, and
-//! K-of-N trust decisions over the principals that answered.
+//! Secure Chord routing as seven SeNDlog rules on the engine: a lookup's path
+//! is the authenticated provenance of an `owner` tuple, a fetched value's is
+//! both paths plus its inserter, and a departure re-homes what it owned.
 //!
 //! ```text
 //! cargo run --example secure_chord
 //! ```
 
+use pasn::prelude::*;
 use pasn::trust::{TrustEvaluator, TrustPolicy};
 use pasn_crypto::SaysLevel;
-use pasn_overlay::chord::{ChordConfig, ChordRing};
-use pasn_provenance::{ProvTag, VarTable};
+use pasn_overlay::chord::{get, put, ChordConfig, Ring};
 
 fn main() {
-    println!("== secure Chord routing with authenticated, provenance-tracked lookups ==\n");
+    println!("== secure Chord routing as authenticated provenance ==\n");
+    println!("{}", pasn::programs::CHORD);
 
-    let mut ring = ChordRing::build(ChordConfig {
+    // Per-frame HMAC `says`, condensed tags, piggybacked derivation graphs:
+    // the engine's knobs.  The ring only says who sits where.
+    let ring = Ring::build(ChordConfig {
         nodes: 24,
         bits: 24,
-        says_level: SaysLevel::Hmac,
-        modulus_bits: 512,
-        seed: 2024,
-        successor_list_len: 3,
     })
     .expect("ring builds");
+    let (publisher, reader) = (ring.members()[5], ring.members()[17]);
+    let key = ring.space().key_id("manifest.toml");
+    let deploy = || {
+        let config = EngineConfig::ndlog()
+            .with_says(SaysLevel::Hmac)
+            .with_provenance(ProvenanceKind::Condensed)
+            .with_graph_mode(GraphMode::Local);
+        let mut dht = ring.deploy(config).expect("ring deploys");
+        let manifest = put(publisher, key, "[package] name = \"pasn\"");
+        for request in [manifest, get(reader, key)] {
+            dht.request(request).expect("member requests");
+        }
+        dht
+    };
+    let mut stable = deploy();
+    let m = stable.net.run().expect("fixpoint");
     println!(
-        "built a stabilised ring of {} nodes on a 2^{} identifier space ({} says level)\n",
-        ring.len(),
-        ring.space().bits(),
-        ring.says_level().name()
+        "24 nodes on a 2^24 ring: {} derivations, {} frames, {} verified, {} failures\n",
+        m.derivations, m.frames, m.verifications, m.verification_failures
     );
 
-    // Store a value; the insertion is signed by the inserting principal and
-    // replicated on the owner's successor list.
-    let publisher = ring.node_ids()[5];
-    let put_trace = ring
-        .put(publisher, "manifest.toml", b"[package]\nname = \"pasn\"")
-        .expect("put succeeds");
+    // The lookup: who owns the key, and who forwarded the question.
+    let lookup = stable.lookups(reader, key).pop().expect("one answer");
+    let table = stable.net.var_table();
     println!(
-        "node {} stored \"manifest.toml\" at owner {} in {} hop(s)",
-        publisher,
-        put_trace.owner,
-        put_trace.hop_count()
+        "n{reader} asked for {key:#x}: owner n{}, said by n{}, {} hop(s), tag {}",
+        lookup.owner,
+        lookup.said_by,
+        lookup.path.len(),
+        lookup.tag.render(table)
     );
+    let owner = ring.successor_of(key);
+    assert_eq!(lookup.owner, owner);
 
-    // Another node fetches it: the lookup path is authenticated hop by hop.
-    let reader = ring.node_ids()[17];
-    let result = ring.get(reader, "manifest.toml").expect("value found");
+    // The fetched value, its inserter, and its provenance tree at the reader.
+    let fetched = stable.value(reader, key).expect("value fetched");
     println!(
-        "node {} fetched it through {} hop(s); inserter = principal {}\n",
-        reader,
-        result.trace.hop_count(),
-        result.value.inserted_by
+        "fetched {:?}, inserted by n{}, tag {}",
+        fetched.value,
+        fetched.inserted_by,
+        fetched.tag.render(table)
     );
+    let at = Value::Addr(reader);
+    let (row, _) = stable.net.query(&at, "value").pop().expect("value row");
+    let graph = stable.net.provenance_graph(&at).expect("graph mode");
+    let root = graph.find(&row.to_string()).expect("value node");
+    println!("\n{}", graph.render_tree(root));
 
-    ring.verify_lookup(&result.trace)
-        .expect("every hop assertion verifies");
-    println!(
-        "all {} hop assertions verified ({} says proofs)",
-        result.trace.hop_count(),
-        ring.says_level().name()
-    );
-
-    // The lookup's provenance, as the paper's derivation-tree shape.
-    let graph = ring
-        .authenticated_lookup_graph(&result.trace)
-        .expect("graph builds");
-    let root_key = format!(
-        "lookupResult({:#x},{:#x})",
-        ring.space().key_id("manifest.toml").0,
-        result.trace.owner.0
-    );
-    let root = graph.find(&root_key).expect("result node");
-    println!(
-        "\nauthenticated lookup provenance:\n{}",
-        graph.render_tree(root)
-    );
-
-    // Trust management over the lookup path: accept the answer only if
-    // enough distinct principals took part.
-    let vote = result.trace.vote();
-    let var_table = VarTable::new();
-    let evaluator = TrustEvaluator::new(&var_table, Default::default());
-    let tag = ProvTag::Vote(vote.clone());
-    for k in [1, vote.count(), vote.count() + 1] {
-        println!(
-            "K-of-N policy (K = {k}): {:?}",
-            evaluator.evaluate(&tag, &TrustPolicy::KOfN(k))
-        );
+    // Trust management over the stored tag: enough distinct principals took
+    // part, and the answer stands only while every one of them is trusted.
+    let evaluator = TrustEvaluator::new(table, Default::default());
+    let hops = lookup.path.len();
+    for k in [1, hops, hops + 1] {
+        let decision = evaluator.evaluate(&lookup.tag, &TrustPolicy::KOfN(k));
+        println!("K-of-N over the lookup path (K = {k}): {decision:?}");
+    }
+    let all = evaluator.origins(&fetched.tag);
+    let distrusted = *lookup.path.iter().next_back().expect("a hop");
+    for without in [None, Some(distrusted)] {
+        let trusted = all.iter().copied().filter(|p| Some(*p) != without);
+        let policy = TrustPolicy::TrustedPrincipals(trusted.collect());
+        let decision = evaluator.evaluate(&fetched.tag, &policy);
+        println!("trusting the value's principals minus {without:?}: {decision:?}");
     }
 
-    // Churn: the owner departs; replicas keep the value available.
-    let owner = result.trace.owner;
-    ring.remove_node(owner).expect("owner departs");
-    ring.stabilize();
-    let after = ring.get(reader, "manifest.toml").expect("replica answers");
+    // Churn: the same deployment with the owner leaving at 5 s.  The ring
+    // builder re-stabilises with churn events; the standing `put` and `get`
+    // are re-routed by the deletion ledger, nothing re-issues them.
+    let mut dht = deploy();
+    let departure = dht.ring.leave(&[owner]).expect("the owner is a member");
+    let script = ChurnScript::new();
+    let script = departure
+        .into_iter()
+        .fold(script, |s, e| s.at(5_000_000, e));
+    let m = dht.net.run_scenario(&script).expect("fixpoint");
+    let rehomed = dht.lookups(reader, key).pop().expect("one answer");
+    let fetched = dht.value(reader, key).expect("the new owner answers");
     println!(
-        "\nafter the owner {} departed, a replica at {} still serves the value ({} hops)",
-        owner,
-        after.trace.owner,
-        after.trace.hop_count()
+        "\nafter owner n{owner} departed ({} retractions, {} tombstone frames, {} rederivations):",
+        m.retractions, m.tombstone_frames, m.rederivations
     );
+    println!(
+        "n{} now owns the key and serves {:?}, still inserted by n{}",
+        rehomed.owner, fetched.value, fetched.inserted_by
+    );
+    assert_eq!(rehomed.owner, dht.ring.successor_of(key));
+    assert!(rehomed.owner != owner && fetched.inserted_by == publisher);
 }

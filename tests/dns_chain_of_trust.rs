@@ -7,8 +7,9 @@
 use pasn::prelude::*;
 use pasn::trust::{TrustEvaluator, TrustPolicy};
 use pasn_crypto::SaysLevel;
-use pasn_overlay::dns::{dnskey, ds, insert, resolver, retract, rr};
+use pasn_overlay::dns::{dnskey, ds, resolver, rr};
 use pasn_overlay::dns::{DnsDeployment, DnsError, ZoneTree};
+use pasn_overlay::{insert, retract};
 use pasn_provenance::{BaseTupleId, Semiring, VoteSet};
 
 fn zones() -> ZoneTree {

@@ -10,12 +10,13 @@
 
 use pasn::prelude::*;
 use pasn_engine::Scope;
-use pasn_overlay::dns::{dnskey, ds, insert, resolver, retract, rr, DnsDeployment, ZoneTree};
+use pasn_overlay::dns::{dnskey, ds, resolver, rr, DnsDeployment, ZoneTree};
+use pasn_overlay::{insert, retract};
 use proptest::prelude::*;
 
 #[path = "../crates/engine/tests/common/mod.rs"]
 mod common;
-use common::says_config;
+use common::{boolean_fixpoint, says_config};
 
 const BASE: [&str; 5] = ["anchor", "resolver", "dnskey", "ds", "rr"];
 const DERIVED: [&str; 5] = ["key", "deleg", "answer", "trusted", "resolved"];
@@ -94,33 +95,6 @@ fn script(
     script
 }
 
-/// The rows of `preds` across all nodes, each with its condensed tag as a
-/// Boolean function — its value under every assignment of the (at most ten)
-/// principals; sorted when `canonical`, in insertion order otherwise.
-fn fixpoint_of(net: &SecureNetwork, preds: &[&str], canonical: bool) -> Vec<String> {
-    let table = net.var_table();
-    let truth_table = |tag: &ProvTag| -> Vec<bool> {
-        let ProvTag::Condensed(bdd) = tag else {
-            panic!("condensed provenance expected, got {tag:?}");
-        };
-        let present = |assignment: u32, var| {
-            let principal = table.principal_of(var).expect("principal-granularity tags");
-            assignment >> principal.0 & 1 == 1
-        };
-        let assignments = 0..1u32 << net.engine().locations().len();
-        let value = |a| table.manager().evaluate(*bdd, |var| present(a, var));
-        assignments.map(value).collect()
-    };
-    let rows = preds.iter().flat_map(|pred| net.query_all(pred));
-    let mut rows: Vec<String> = rows
-        .map(|(at, tuple, meta)| format!("{at} {tuple} {:?}", truth_table(&meta.tag)))
-        .collect();
-    if canonical {
-        rows.sort();
-    }
-    rows
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -167,8 +141,8 @@ proptest! {
         let mut fresh = fresh.build().unwrap();
         let fresh_metrics = fresh.run().unwrap();
         prop_assert_eq!(
-            fixpoint_of(&churned.net, &DERIVED, true),
-            fixpoint_of(&fresh, &DERIVED, true)
+            boolean_fixpoint(churned.net.engine(), &DERIVED, true),
+            boolean_fixpoint(fresh.engine(), &DERIVED, true)
         );
         prop_assert_eq!(metrics.tuples_stored, fresh_metrics.tuples_stored);
         prop_assert!(!churned.net.query(&resolver(), "resolved").is_empty());
@@ -179,8 +153,8 @@ proptest! {
         prop_assert_eq!(metrics.diff(&streamed_metrics, Scope::Schedule), vec![]);
         let all: Vec<&str> = BASE.iter().chain(&DERIVED).copied().collect();
         prop_assert_eq!(
-            fixpoint_of(&churned.net, &all, false),
-            fixpoint_of(&streamed.net, &all, false)
+            boolean_fixpoint(churned.net.engine(), &all, false),
+            boolean_fixpoint(streamed.net.engine(), &all, false)
         );
     }
 }

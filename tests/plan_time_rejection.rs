@@ -20,6 +20,7 @@ fn every_shipped_program_compiles() {
         ("PATH_VECTOR", programs::PATH_VECTOR),
         ("PATH_VECTOR_POLICY", programs::PATH_VECTOR_POLICY),
         ("DNSSEC", programs::DNSSEC),
+        ("CHORD", programs::CHORD),
     ];
     for (name, source) in sources {
         let program = parse_program(source).unwrap_or_else(|e| panic!("{name}: {e}"));
