@@ -8,8 +8,9 @@
 //! `mac_frame`/`verify_frame` pair is what every subsequent frame pays —
 //! orders of magnitude below `rsa/assert_frame`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pasn_crypto::bigint::{BigUint, MontgomeryCtx};
+use pasn_crypto::prime::gen_prime;
 use pasn_crypto::principal::{KeyAuthority, Principal, PrincipalId};
 use pasn_crypto::rsa::RsaKeyPair;
 use pasn_crypto::says::{Authenticator, SaysLevel};
@@ -80,11 +81,13 @@ fn says_levels(c: &mut Criterion) {
     group.finish();
 }
 
-/// The RSA hot path in isolation: CRT signing (two half-width
-/// exponentiations + Garner recombination) against the classic full-width
-/// reference, the fixed-window modular exponentiation against its binary
-/// predecessor, and what one seeded 512-bit keygen costs (Miller–Rabin
-/// dominates — the number that matters for the 10k-node scale item).
+/// The RSA hot path in isolation, one row per thing that can move on its
+/// own: CRT signing (two half-width exponentiations + Garner recombination)
+/// against the classic full-width reference, a verification, the window
+/// ladder at the full-width and the CRT-half shape against the heap-vector
+/// binary reference, the Montgomery kernel alone at both RSA limb counts, and
+/// what one seeded 512-bit keygen costs (Miller–Rabin dominates — the number
+/// that matters for the 10k-node scale item).
 fn rsa_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto_says");
     group.sample_size(20);
@@ -93,22 +96,32 @@ fn rsa_hot_path(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1234);
     let kp = RsaKeyPair::generate(512, &mut rng).unwrap();
     let message = b"reachable(a,c) asserted by a";
+    let signature = kp.sign(message);
     group.bench_function("sign/crt", |bench| bench.iter(|| kp.sign(message)));
     group.bench_function("sign/full-width", |bench| {
         bench.iter(|| kp.sign_classic(message))
     });
+    group.bench_function("verify/e65537", |bench| {
+        bench.iter(|| kp.verify(message, &signature))
+    });
 
     // A full-width exponentiation over the keypair's modulus with a
     // full-size exponent — the exact shape a classic private-key operation
-    // exercises, window vs binary.
+    // exercises, window vs binary — and the shape of one CRT half: the same
+    // 512-bit base under a 256-bit prime and exponent.
     let ctx = MontgomeryCtx::new(kp.public_key().modulus()).unwrap();
-    let base = BigUint::from_bytes_be(&kp.sign(message));
+    let half = MontgomeryCtx::new(&gen_prime(256, &mut rng)).unwrap();
+    let base = BigUint::from_bytes_be(&signature);
     let exponent = BigUint::random_with_bits(512, &mut rng);
+    let half_exponent = BigUint::random_with_bits(256, &mut rng);
     group.bench_function("mod_pow/window", |bench| {
         bench.iter(|| ctx.mod_pow(&base, &exponent))
     });
     group.bench_function("mod_pow/binary", |bench| {
         bench.iter(|| ctx.mod_pow_binary(&base, &exponent))
+    });
+    group.bench_function("mod_pow/256", |bench| {
+        bench.iter(|| half.mod_pow(&base, &half_exponent))
     });
 
     group.bench_function("keygen", |bench| {
@@ -118,6 +131,21 @@ fn rsa_hot_path(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(seed);
             RsaKeyPair::generate(512, &mut rng).unwrap()
         })
+    });
+
+    // The kernel alone: raising to 2^CHAIN is CHAIN squarings, each one call
+    // of the one Montgomery multiply on (a, a) — the figure a dedicated
+    // squaring kernel would have to beat at both sizes.  The window table
+    // and the two conversions add 19 calls (under 0.5 %); the elem/s column
+    // is kernel calls per second.
+    const CHAIN: usize = 4096;
+    let chain = BigUint::one().shl_bits(CHAIN);
+    group.throughput(Throughput::Elements(CHAIN as u64));
+    group.bench_function("mont_mul/k4", |bench| {
+        bench.iter(|| half.mod_pow(&base, &chain))
+    });
+    group.bench_function("mont_mul/k8", |bench| {
+        bench.iter(|| ctx.mod_pow(&base, &chain))
     });
     group.finish();
 }

@@ -6,9 +6,16 @@
 //!
 //! The representation is a little-endian vector of 64-bit limbs with no
 //! trailing zero limbs (the canonical form of zero is the empty vector).
-//! Hot-path modular exponentiation goes through [`MontgomeryCtx`], which
-//! implements CIOS Montgomery multiplication; the schoolbook routines here are
-//! used for key generation and one-off conversions.
+//! Every modular exponentiation goes through [`MontgomeryCtx`]: one CIOS
+//! Montgomery multiply with the limb count fixed at compile time — squares
+//! are that multiply on `(a, a)` — inlined into one window loop that is
+//! monomorphised for the two RSA sizes (4-limb CRT halves and Miller–Rabin
+//! candidates, 8-limb full width) and runs on stack arrays from the
+//! division-free conversion into Montgomery form to the conversion back; a
+//! slice twin of the kernel serves every other size through the same loop.
+//! The schoolbook routines here are used for key generation and for
+//! [`MontgomeryCtx::mod_pow_binary`], the reference the ladder is tested
+//! against.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -110,15 +117,16 @@ impl BigUint {
     /// Serialises to a fixed-width big-endian byte string, left-padded with
     /// zeros.  Panics if the value does not fit.
     pub fn to_bytes_be_padded(&self, width: usize) -> Vec<u8> {
-        let raw = self.to_bytes_be();
+        let needed = self.bit_len().div_ceil(8);
         assert!(
-            raw.len() <= width,
-            "value needs {} bytes but field is {} bytes",
-            raw.len(),
-            width
+            needed <= width,
+            "value needs {needed} bytes but field is {width} bytes"
         );
-        let mut out = vec![0u8; width - raw.len()];
-        out.extend_from_slice(&raw);
+        let mut out = vec![0u8; width];
+        for (chunk, limb) in out.rchunks_mut(8).zip(&self.limbs) {
+            // A short leading chunk drops high bytes the assert showed are zero.
+            chunk.copy_from_slice(&limb.to_be_bytes()[8 - chunk.len()..]);
+        }
         out
     }
 
@@ -404,9 +412,11 @@ impl BigUint {
         (BigUint::from_limbs(out), rem as u64)
     }
 
-    /// Remainder modulo a 64-bit word.
+    /// Remainder modulo a 64-bit word (no quotient is built).
     pub fn mod_u64(&self, modulus: u64) -> u64 {
-        self.div_rem_u64(modulus).1
+        assert!(modulus != 0, "BigUint division by zero");
+        let fold = |rem: u128, &limb: &u64| ((rem << 64) | limb as u128) % modulus as u128;
+        self.limbs.iter().rev().fold(0, fold) as u64
     }
 
     /// `self mod modulus` via long division.
@@ -597,20 +607,18 @@ impl From<u64> for BigUint {
 }
 
 /// Precomputed state for Montgomery modular multiplication with an odd
-/// modulus (the RSA hot path).
+/// modulus (the RSA hot path).  `R = 2^(64k)` for a `k`-limb modulus.
 #[derive(Clone)]
 pub struct MontgomeryCtx {
-    /// Modulus limbs, little endian, length `k`.
-    n: Vec<u64>,
+    modulus: BigUint,
     /// `-n^{-1} mod 2^64`.
     n0inv: u64,
-    /// `R^2 mod n` where `R = 2^(64k)`, used to convert into Montgomery form.
+    /// `R^2 mod n`, the factor that converts into Montgomery form.
     r2: Vec<u64>,
-    /// `R mod n` — the Montgomery residue of 1, the neutral accumulator of
-    /// every exponentiation.
-    one_mont: Vec<u64>,
-    k: usize,
-    modulus: BigUint,
+    /// `R mod n` — the Montgomery form of 1.
+    one: Vec<u64>,
+    /// `n - (R mod n)` — the Montgomery form of `n - 1`.
+    minus_one: Vec<u64>,
 }
 
 impl fmt::Debug for MontgomeryCtx {
@@ -621,6 +629,224 @@ impl fmt::Debug for MontgomeryCtx {
     }
 }
 
+/// CIOS Montgomery multiplication with the limb count fixed at compile time:
+/// `out = a * b * R^{-1} mod n`, fully reduced, whenever one operand is below
+/// `n` (the other may be any `K`-limb value).  The accumulator lives in a
+/// stack array, every inner loop unrolls and no bounds check survives.
+///
+/// This is the only kernel an RSA exponentiation runs: a square is
+/// `mont_mul_fixed(a, a)`.  (A separated-operand squaring kernel does fewer
+/// word multiplies and measured *slower* at both RSA sizes; it may come back
+/// only with a `crypto_says` row that beats this one at `K = 4` and `8`.)
+/// `inline(always)` puts it inside the window loop of its monomorphisation,
+/// where modulus and operands stay in registers from one call to the next.
+#[inline(always)]
+fn mont_mul_fixed<const K: usize>(
+    n: &[u64; K],
+    n0inv: u64,
+    a: &[u64; K],
+    b: &[u64; K],
+    out: &mut [u64; K],
+) {
+    let mut t = [0u64; K];
+    let mut t_hi = 0u64; // t[K]
+    for &bi in b {
+        // Multiply-accumulate: t += a * bi
+        let mut carry = 0u64;
+        for j in 0..K {
+            let sum = t[j] as u128 + (a[j] as u128) * (bi as u128) + carry as u128;
+            t[j] = sum as u64;
+            carry = (sum >> 64) as u64;
+        }
+        let sum = t_hi as u128 + carry as u128;
+        t_hi = sum as u64;
+        let t_hi2 = (sum >> 64) as u64; // t[K + 1], only ever 0 or 1
+
+        // Reduction: add m * n and divide by 2^64.
+        let m = t[0].wrapping_mul(n0inv);
+        let sum = t[0] as u128 + (m as u128) * (n[0] as u128);
+        let mut carry = (sum >> 64) as u64;
+        for j in 1..K {
+            let sum = t[j] as u128 + (m as u128) * (n[j] as u128) + carry as u128;
+            t[j - 1] = sum as u64;
+            carry = (sum >> 64) as u64;
+        }
+        let sum = t_hi as u128 + carry as u128;
+        t[K - 1] = sum as u64;
+        t_hi = t_hi2.wrapping_add((sum >> 64) as u64);
+    }
+    // Final subtraction, branchless (see `mont_mul_into`): subtract n
+    // unconditionally and mask-select, keeping control flow
+    // operand-independent through the exponentiation's hottest path.
+    let mut sub = [0u64; K];
+    let mut borrow = 0u64;
+    for j in 0..K {
+        let (d1, b1) = t[j].overflowing_sub(n[j]);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        sub[j] = d2;
+        borrow = (b1 as u64) | (b2 as u64);
+    }
+    let keep_sub = (((t_hi != 0) as u64) | (1 - borrow)).wrapping_neg();
+    for j in 0..K {
+        out[j] = (sub[j] & keep_sub) | (t[j] & !keep_sub);
+    }
+}
+
+/// [`mont_mul_fixed`] for any limb count `k = n.len()`, on slices: `t` is
+/// `k + 2` limbs of scratch, `out` the `k`-limb result (it must not alias the
+/// inputs).
+fn mont_mul_into(n: &[u64], n0inv: u64, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
+    let k = n.len();
+    t.fill(0);
+    for &bi in b.iter().take(k) {
+        // Multiply-accumulate: t += a * bi
+        let mut carry = 0u64;
+        for j in 0..k {
+            let sum = t[j] as u128 + (a[j] as u128) * (bi as u128) + carry as u128;
+            t[j] = sum as u64;
+            carry = (sum >> 64) as u64;
+        }
+        let sum = t[k] as u128 + carry as u128;
+        t[k] = sum as u64;
+        t[k + 1] = (sum >> 64) as u64;
+
+        // Reduction: add m * n and divide by 2^64.
+        let m = t[0].wrapping_mul(n0inv);
+        let sum = t[0] as u128 + (m as u128) * (n[0] as u128);
+        let mut carry = (sum >> 64) as u64;
+        for j in 1..k {
+            let sum = t[j] as u128 + (m as u128) * (n[j] as u128) + carry as u128;
+            t[j - 1] = sum as u64;
+            carry = (sum >> 64) as u64;
+        }
+        let sum = t[k] as u128 + carry as u128;
+        t[k - 1] = sum as u64;
+        let carry = (sum >> 64) as u64;
+        t[k] = t[k + 1].wrapping_add(carry);
+        t[k + 1] = 0;
+    }
+    // Final subtraction, branchless: the result is in [0, 2n), so
+    // subtract n unconditionally and keep whichever value is correct
+    // via a mask.  Control flow stays operand-independent — nothing
+    // for the branch predictor to mispredict on fresh operands, and
+    // no operand-dependent timing.
+    let overflow = t[k] != 0;
+    let mut borrow = 0u64;
+    for j in 0..k {
+        let (d1, b1) = t[j].overflowing_sub(n[j]);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        out[j] = d2;
+        borrow = (b1 as u64) | (b2 as u64);
+    }
+    // Keep the subtracted value when t >= n: the accumulator overflowed
+    // past k limbs, or the subtraction needed no borrow.
+    let keep_sub = ((overflow as u64) | (1 - borrow)).wrapping_neg();
+    for j in 0..k {
+        out[j] = (out[j] & keep_sub) | (t[j] & !keep_sub);
+    }
+}
+
+/// The Montgomery multiplier of one modulus over the limb container `Elem`
+/// that everything above it — conversion, the window loop, a Miller–Rabin
+/// round — is written against once and monomorphised for.
+trait Kernel {
+    /// `k` limbs, little endian.
+    type Elem: Clone + PartialEq + AsRef<[u64]> + AsMut<[u64]>;
+
+    /// `limbs` zero-extended to `k` limbs.
+    fn load(&self, limbs: &[u64]) -> Self::Elem;
+
+    /// `out = a * b * R^{-1} mod n`; one operand below `n`, the other below `R`.
+    fn mul(&mut self, a: &Self::Elem, b: &Self::Elem, out: &mut Self::Elem);
+
+    /// `v * R^{-1} mod n` — `v` out of Montgomery form — as an integer.
+    fn to_uint(&mut self, v: &Self::Elem) -> BigUint {
+        let mut out = self.load(&[]);
+        self.mul(v, &self.load(&[1]), &mut out);
+        BigUint::from_limbs(out.as_ref().to_vec())
+    }
+
+    /// `acc = acc^(2^times)`, through `tmp`.
+    #[inline(always)]
+    fn square(&mut self, acc: &mut Self::Elem, tmp: &mut Self::Elem, times: usize) {
+        for _ in 0..times {
+            self.mul(acc, acc, tmp);
+            std::mem::swap(acc, tmp);
+        }
+    }
+}
+
+/// Stack arrays under [`mont_mul_fixed`].
+struct Fixed<'a, const K: usize> {
+    n: &'a [u64; K],
+    n0inv: u64,
+}
+
+impl<const K: usize> Kernel for Fixed<'_, K> {
+    type Elem = [u64; K];
+
+    fn load(&self, limbs: &[u64]) -> [u64; K] {
+        let mut elem = [0; K];
+        elem[..limbs.len()].copy_from_slice(limbs);
+        elem
+    }
+
+    #[inline(always)]
+    fn mul(&mut self, a: &[u64; K], b: &[u64; K], out: &mut [u64; K]) {
+        mont_mul_fixed(self.n, self.n0inv, a, b, out);
+    }
+}
+
+/// Heap vectors under [`mont_mul_into`], for every other modulus size.
+struct Heap<'a> {
+    n: &'a [u64],
+    n0inv: u64,
+    /// The kernel's `k + 2` limbs of scratch.
+    t: Vec<u64>,
+}
+
+impl<'a> Heap<'a> {
+    fn new(n: &'a [u64], n0inv: u64) -> Self {
+        let t = vec![0; n.len() + 2];
+        Heap { n, n0inv, t }
+    }
+}
+
+impl Kernel for Heap<'_> {
+    type Elem = Vec<u64>;
+
+    fn load(&self, limbs: &[u64]) -> Vec<u64> {
+        let mut elem = limbs.to_vec();
+        elem.resize(self.n.len(), 0);
+        elem
+    }
+
+    fn mul(&mut self, a: &Vec<u64>, b: &Vec<u64>, out: &mut Vec<u64>) {
+        mont_mul_into(self.n, self.n0inv, a, b, &mut self.t, out);
+    }
+}
+
+/// Evaluates `$body` with `$m` bound to the kernel for `$ctx`'s limb count:
+/// stack arrays at the RSA hot sizes (4-limb CRT halves and Miller–Rabin
+/// candidates, 8-limb full width), heap vectors otherwise.  The body is
+/// compiled once per kernel, so each hot size gets its own ladder with the
+/// multiply inlined.
+macro_rules! with_kernel {
+    ($ctx:expr, $m:ident => $body:expr) => {{
+        let (n, n0inv) = ($ctx.modulus.limbs.as_slice(), $ctx.n0inv);
+        if let Ok(n) = n.try_into() {
+            let $m = &mut Fixed::<4> { n, n0inv };
+            $body
+        } else if let Ok(n) = n.try_into() {
+            let $m = &mut Fixed::<8> { n, n0inv };
+            $body
+        } else {
+            let $m = &mut Heap::new(n, n0inv);
+            $body
+        }
+    }};
+}
+
 impl MontgomeryCtx {
     /// Builds a context for an odd, non-zero modulus; returns `None`
     /// otherwise.
@@ -628,7 +854,7 @@ impl MontgomeryCtx {
         if modulus.is_zero() || modulus.is_even() || modulus.is_one() {
             return None;
         }
-        let n = modulus.limbs.clone();
+        let n = &modulus.limbs;
         let k = n.len();
         // Inverse of n[0] modulo 2^64 by Newton iteration, then negate.
         let mut inv = 1u64;
@@ -637,20 +863,19 @@ impl MontgomeryCtx {
         }
         debug_assert_eq!(n[0].wrapping_mul(inv), 1);
         let n0inv = inv.wrapping_neg();
-        // R^2 mod n, computed once with the slow division.
-        let r2_big = BigUint::one().shl_bits(128 * k).rem(modulus);
-        let mut r2 = r2_big.limbs.clone();
-        r2.resize(k, 0);
-        let one_mont_big = BigUint::one().shl_bits(64 * k).rem(modulus);
-        let mut one_mont = one_mont_big.limbs.clone();
-        one_mont.resize(k, 0);
+        // R^2 mod n, computed once with the slow division; R mod n is then
+        // one multiplication (R^2 * 1 * R^{-1}), not a second division.
+        let mut kernel = Heap::new(n, n0inv);
+        let r2 = kernel.load(&BigUint::one().shl_bits(128 * k).rem(modulus).limbs);
+        let mut one = kernel.load(&[]);
+        kernel.mul(&kernel.load(&[1]), &r2, &mut one);
+        let minus_one = kernel.load(&modulus.sub(&BigUint::from_limbs(one.clone())).limbs);
         Some(MontgomeryCtx {
-            n,
+            modulus: modulus.clone(),
             n0inv,
             r2,
-            one_mont,
-            k,
-            modulus: modulus.clone(),
+            one,
+            minus_one,
         })
     }
 
@@ -659,235 +884,55 @@ impl MontgomeryCtx {
         &self.modulus
     }
 
-    /// CIOS Montgomery multiplication: returns `a * b * R^{-1} mod n` where
-    /// inputs and output are length-`k` limb vectors (values < n).
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut t = vec![0u64; self.k + 2];
-        let mut out = vec![0u64; self.k];
-        self.mont_mul_into(a, b, &mut t, &mut out);
+    /// A value congruent to `v` modulo `n` and below `R` — not necessarily
+    /// below `n` — without a division: Horner over `k`-limb chunks from the
+    /// top, `acc = acc * R + chunk`.  `acc * R mod n` is one multiplication by
+    /// `R^2`; it is below `n`, so the sum is below `n + R` and a carry out of
+    /// it is cancelled by subtracting `n` once (masked, not branched on).
+    fn reduce<M: Kernel>(&self, m: &mut M, v: &BigUint) -> M::Elem {
+        let n = &self.modulus.limbs;
+        let mut chunks = v.limbs.chunks(n.len()).rev();
+        let mut acc = m.load(chunks.next().unwrap_or(&[]));
+        let r2 = m.load(&self.r2);
+        let mut sum = m.load(&[]);
+        for chunk in chunks {
+            m.mul(&acc, &r2, &mut sum);
+            let mut carry = 0u64;
+            for (s, &c) in sum.as_mut().iter_mut().zip(chunk) {
+                let (s1, c1) = s.overflowing_add(c);
+                let (s2, c2) = s1.overflowing_add(carry);
+                *s = s2;
+                carry = (c1 as u64) | (c2 as u64);
+            }
+            let mask = carry.wrapping_neg();
+            let mut borrow = 0u64;
+            for (s, &nj) in sum.as_mut().iter_mut().zip(n) {
+                let (d1, b1) = s.overflowing_sub(nj & mask);
+                let (d2, b2) = d1.overflowing_sub(borrow);
+                *s = d2;
+                borrow = (b1 as u64) | (b2 as u64);
+            }
+            std::mem::swap(&mut acc, &mut sum);
+        }
+        acc
+    }
+
+    /// The Montgomery form `v * R mod n` of any `v`.
+    fn to_mont<M: Kernel>(&self, m: &mut M, v: &BigUint) -> M::Elem {
+        let reduced = self.reduce(m, v);
+        let mut out = m.load(&[]);
+        m.mul(&reduced, &m.load(&self.r2), &mut out);
         out
-    }
-
-    /// [`MontgomeryCtx::mont_mul`] into caller-owned buffers — the
-    /// allocation-free core the exponentiation loops run on (`t` is `k + 2`
-    /// limbs of scratch, `out` is the `k`-limb result and must not alias
-    /// the inputs).  The RSA hot sizes (4-limb CRT halves, 8-limb full
-    /// width) dispatch to a fully unrolled stack-array kernel.
-    fn mont_mul_into(&self, a: &[u64], b: &[u64], t: &mut [u64], out: &mut [u64]) {
-        match self.k {
-            4 => return self.mont_mul_fixed::<4>(a, b, out),
-            8 => return self.mont_mul_fixed::<8>(a, b, out),
-            _ => {}
-        }
-        let k = self.k;
-        t.fill(0);
-        for &bi in b.iter().take(k) {
-            // Multiply-accumulate: t += a * bi
-            let mut carry = 0u64;
-            for j in 0..k {
-                let sum = t[j] as u128 + (a[j] as u128) * (bi as u128) + carry as u128;
-                t[j] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t[k] as u128 + carry as u128;
-            t[k] = sum as u64;
-            t[k + 1] = (sum >> 64) as u64;
-
-            // Reduction: add m * n and divide by 2^64.
-            let m = t[0].wrapping_mul(self.n0inv);
-            let sum = t[0] as u128 + (m as u128) * (self.n[0] as u128);
-            let mut carry = (sum >> 64) as u64;
-            for j in 1..k {
-                let sum = t[j] as u128 + (m as u128) * (self.n[j] as u128) + carry as u128;
-                t[j - 1] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t[k] as u128 + carry as u128;
-            t[k - 1] = sum as u64;
-            let carry = (sum >> 64) as u64;
-            t[k] = t[k + 1].wrapping_add(carry);
-            t[k + 1] = 0;
-        }
-        // Final subtraction, branchless: the result is in [0, 2n), so
-        // subtract n unconditionally and keep whichever value is correct
-        // via a mask.  Control flow stays operand-independent — nothing
-        // for the branch predictor to mispredict on fresh operands, and
-        // no operand-dependent timing.
-        let overflow = t[k] != 0;
-        let mut borrow = 0u64;
-        for j in 0..k {
-            let (d1, b1) = t[j].overflowing_sub(self.n[j]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out[j] = d2;
-            borrow = (b1 as u64) | (b2 as u64);
-        }
-        // Keep the subtracted value when t >= n: the accumulator overflowed
-        // past k limbs, or the subtraction needed no borrow.
-        let keep_sub = ((overflow as u64) | (1 - borrow)).wrapping_neg();
-        for j in 0..k {
-            out[j] = (out[j] & keep_sub) | (t[j] & !keep_sub);
-        }
-    }
-
-    /// CIOS with the limb count fixed at compile time: the accumulator
-    /// lives in a stack array (the two overflow limbs in scalars), every
-    /// inner loop fully unrolls, and all bounds checks vanish — worth ~2×
-    /// on the 4- and 8-limb operands RSA signing actually uses.
-    fn mont_mul_fixed<const K: usize>(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        let n: &[u64; K] = self.n[..K].try_into().expect("modulus limb count");
-        let a: &[u64; K] = a[..K].try_into().expect("operand limb count");
-        let mut t = [0u64; K];
-        let mut t_hi = 0u64; // t[K]
-        for &bi in &b[..K] {
-            // Multiply-accumulate: t += a * bi
-            let mut carry = 0u64;
-            for j in 0..K {
-                let sum = t[j] as u128 + (a[j] as u128) * (bi as u128) + carry as u128;
-                t[j] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t_hi as u128 + carry as u128;
-            t_hi = sum as u64;
-            let t_hi2 = (sum >> 64) as u64; // t[K + 1], only ever 0 or 1
-
-            // Reduction: add m * n and divide by 2^64.
-            let m = t[0].wrapping_mul(self.n0inv);
-            let sum = t[0] as u128 + (m as u128) * (n[0] as u128);
-            let mut carry = (sum >> 64) as u64;
-            for j in 1..K {
-                let sum = t[j] as u128 + (m as u128) * (n[j] as u128) + carry as u128;
-                t[j - 1] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t_hi as u128 + carry as u128;
-            t[K - 1] = sum as u64;
-            t_hi = t_hi2.wrapping_add((sum >> 64) as u64);
-        }
-        // Final subtraction, branchless (see `mont_mul_into`): subtract n
-        // unconditionally and mask-select, keeping control flow
-        // operand-independent through the exponentiation's hottest path.
-        let mut sub = [0u64; K];
-        let mut borrow = 0u64;
-        for j in 0..K {
-            let (d1, b1) = t[j].overflowing_sub(n[j]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            sub[j] = d2;
-            borrow = (b1 as u64) | (b2 as u64);
-        }
-        let keep_sub = (((t_hi != 0) as u64) | (1 - borrow)).wrapping_neg();
-        for j in 0..K {
-            out[j] = (sub[j] & keep_sub) | (t[j] & !keep_sub);
-        }
-    }
-
-    /// Montgomery squaring `a * a * R^{-1} mod n`.  Squaring needs only
-    /// half the off-diagonal partial products of a general multiply, so the
-    /// fixed RSA limb counts get a dedicated product-scanning kernel; other
-    /// sizes fall back to [`MontgomeryCtx::mont_mul_into`].  Squares are
-    /// the bulk of an exponentiation (one per exponent bit, versus one
-    /// multiply per window digit), so this is where the savings compound.
-    fn mont_sqr_into(&self, a: &[u64], t: &mut [u64], out: &mut [u64]) {
-        match self.k {
-            4 => self.mont_sqr_fixed::<4>(a, out),
-            8 => self.mont_sqr_fixed::<8>(a, out),
-            _ => self.mont_mul_into(a, a, t, out),
-        }
-    }
-
-    /// Separated-operand-scanning square + Montgomery reduction with the
-    /// limb count fixed at compile time (`K <= 8`): the full `2K`-limb
-    /// square is built from the strict upper triangle (doubled, diagonal
-    /// added), then reduced one limb at a time.  (K² - K) / 2 fewer word
-    /// multiplies than the CIOS multiply kernel.
-    fn mont_sqr_fixed<const K: usize>(&self, a: &[u64], out: &mut [u64]) {
-        debug_assert!(K <= 8, "square buffer holds 2K + 1 <= 17 limbs");
-        let n: &[u64; K] = self.n[..K].try_into().expect("modulus limb count");
-        let a: &[u64; K] = a[..K].try_into().expect("operand limb count");
-        // p holds the 2K-limb square; limb 2K is the reduction's carry slot.
-        let mut p = [0u64; 17];
-        // Strict upper triangle: each a[i]·a[j] (j > i) is needed twice.
-        for i in 0..K {
-            let mut carry = 0u64;
-            for j in (i + 1)..K {
-                let sum = p[i + j] as u128 + (a[i] as u128) * (a[j] as u128) + carry as u128;
-                p[i + j] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            p[i + K] = carry;
-        }
-        // Double it (2·Σ_{i<j} fits 2K limbs because it is at most a²) ...
-        let mut top = 0u64;
-        for limb in p.iter_mut().take(2 * K) {
-            let hi = *limb >> 63;
-            *limb = (*limb << 1) | top;
-            top = hi;
-        }
-        debug_assert_eq!(top, 0);
-        // ... and add the diagonal squares a[i]².
-        let mut carry = 0u64;
-        for i in 0..K {
-            let sq = (a[i] as u128) * (a[i] as u128);
-            let s0 = p[2 * i] as u128 + (sq as u64 as u128) + carry as u128;
-            p[2 * i] = s0 as u64;
-            let s1 = p[2 * i + 1] as u128 + (sq >> 64) + (s0 >> 64);
-            p[2 * i + 1] = s1 as u64;
-            carry = (s1 >> 64) as u64;
-        }
-        debug_assert_eq!(carry, 0);
-        // Montgomery-reduce the 2K-limb product one limb at a time; the
-        // ripple past position i + K is rare and mathematically confined to
-        // the carry slot.
-        for i in 0..K {
-            let m = p[i].wrapping_mul(self.n0inv);
-            let mut carry = 0u64;
-            for j in 0..K {
-                let sum = p[i + j] as u128 + (m as u128) * (n[j] as u128) + carry as u128;
-                p[i + j] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            // Fixed-trip carry propagation into the high limbs: the trip
-            // count depends only on i, never on the data, so the loop
-            // neither mispredicts nor leaks.
-            for limb in p[i + K..=2 * K].iter_mut() {
-                let (v, o) = limb.overflowing_add(carry);
-                *limb = v;
-                carry = o as u64;
-            }
-            debug_assert_eq!(carry, 0);
-        }
-        // Final subtraction, branchless (see `mont_mul_into`).
-        let mut sub = [0u64; K];
-        let mut borrow = 0u64;
-        for j in 0..K {
-            let (d1, b1) = p[K + j].overflowing_sub(n[j]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            sub[j] = d2;
-            borrow = (b1 as u64) | (b2 as u64);
-        }
-        let keep_sub = (((p[2 * K] != 0) as u64) | (1 - borrow)).wrapping_neg();
-        for j in 0..K {
-            out[j] = (sub[j] & keep_sub) | (p[K + j] & !keep_sub);
-        }
-    }
-
-    fn to_mont(&self, v: &BigUint) -> Vec<u64> {
-        let reduced = v.rem(&self.modulus);
-        let mut limbs = reduced.limbs.clone();
-        limbs.resize(self.k, 0);
-        self.mont_mul(&limbs, &self.r2)
-    }
-
-    fn mont_to_uint(&self, v: &[u64]) -> BigUint {
-        let mut one = vec![0u64; self.k];
-        one[0] = 1;
-        BigUint::from_limbs(self.mont_mul(v, &one))
     }
 
     /// Modular multiplication `a * b mod n`.
     pub fn mod_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.mont_to_uint(&self.mont_mul(&am, &bm))
+        with_kernel!(self, m => {
+            let (a, b) = (self.to_mont(m, a), self.to_mont(m, b));
+            let mut out = m.load(&[]);
+            m.mul(&a, &b, &mut out);
+            m.to_uint(&out)
+        })
     }
 
     /// Window width for fixed-window exponentiation: wide enough that the
@@ -911,176 +956,102 @@ impl MontgomeryCtx {
     /// `odd << t` multiplies by the odd entry and defers `t` of its
     /// squarings), cutting the multiplication count of plain binary
     /// square-and-multiply from one per set bit to at most one per digit.
+    /// A short exponent — the public 65537 of every `verify` — gets `w = 1`,
+    /// which is the binary ladder on the same kernel.
     pub fn mod_pow(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        if exponent.is_zero() {
-            return BigUint::one().rem(&self.modulus);
-        }
+        with_kernel!(self, m => {
+            let base = self.to_mont(m, base);
+            let acc = self.pow(m, &base, exponent);
+            m.to_uint(&acc)
+        })
+    }
+
+    /// The window loop of [`MontgomeryCtx::mod_pow`] over a Montgomery-form
+    /// base, written once for every kernel.
+    fn pow<M: Kernel>(&self, m: &mut M, base: &M::Elem, exponent: &BigUint) -> M::Elem {
         let bits = exponent.bit_len();
+        if bits == 0 {
+            return m.load(&self.one);
+        }
         let w = Self::window_width(bits);
-        if w == 1 {
-            return self.mod_pow_binary(base, exponent);
+        // odd[i] = base^(2i+1); w <= 5, so at most 16 entries are filled.
+        let mut odd: [M::Elem; 16] = std::array::from_fn(|_| base.clone());
+        let mut tmp = base.clone();
+        if w > 1 {
+            m.mul(base, base, &mut tmp);
+            for i in 1..1 << (w - 1) {
+                let (prev, rest) = odd.split_at_mut(i);
+                m.mul(&prev[i - 1], &tmp, &mut rest[0]);
+            }
         }
-        let base_m = self.to_mont(base);
-        let acc = match self.k {
-            // The RSA hot sizes run the whole window evaluation
-            // monomorphized: operands live in stack arrays and every
-            // kernel call is statically dispatched, so nothing is
-            // re-checked or re-branched per Montgomery operation.
-            4 => self.mod_pow_windowed_fixed::<4>(&base_m, exponent, w),
-            8 => self.mod_pow_windowed_fixed::<8>(&base_m, exponent, w),
-            _ => self.mod_pow_windowed_generic(&base_m, exponent, w),
+        let digit = |d: usize| {
+            (0..w)
+                .rev()
+                .fold(0usize, |v, j| (v << 1) | exponent.bit(d * w + j) as usize)
         };
-        self.mont_to_uint(&acc)
-    }
-
-    /// The fixed-window evaluation loop over a Montgomery-form base, for
-    /// the compile-time limb counts RSA actually uses.  `w >= 2` (the
-    /// caller routes `w == 1` to the binary ladder) and `w <= 5`, so the
-    /// odd-power table never exceeds 16 entries.
-    fn mod_pow_windowed_fixed<const K: usize>(
-        &self,
-        base_m: &[u64],
-        exponent: &BigUint,
-        w: usize,
-    ) -> Vec<u64> {
-        debug_assert!((2..=5).contains(&w));
-        let bits = exponent.bit_len();
-        let base: [u64; K] = base_m[..K].try_into().expect("operand limb count");
-        let mut base_sq = [0u64; K];
-        self.mont_sqr_fixed::<K>(&base, &mut base_sq);
-        // odd[i] = base^(2i+1) in Montgomery form.
-        let mut odd = [[0u64; K]; 16];
-        odd[0] = base;
-        for i in 1..(1usize << (w - 1)) {
-            let (prev, rest) = odd.split_at_mut(i);
-            self.mont_mul_fixed::<K>(&prev[i - 1], &base_sq, &mut rest[0]);
-        }
-        let mut acc = [0u64; K];
-        let mut tmp = [0u64; K];
-        let mut started = false;
-        for d in (0..bits.div_ceil(w)).rev() {
-            let mut digit = 0usize;
-            for j in (0..w).rev() {
-                let bit_idx = d * w + j;
-                digit <<= 1;
-                if bit_idx < bits && exponent.bit(bit_idx) {
-                    digit |= 1;
-                }
-            }
-            if digit == 0 {
-                if started {
-                    for _ in 0..w {
-                        self.mont_sqr_fixed::<K>(&acc, &mut tmp);
-                        acc = tmp;
-                    }
-                }
-                continue;
-            }
-            let tz = digit.trailing_zeros() as usize;
-            let odd_idx = (digit >> tz) >> 1;
-            if started {
-                for _ in 0..(w - tz) {
-                    self.mont_sqr_fixed::<K>(&acc, &mut tmp);
-                    acc = tmp;
-                }
-                self.mont_mul_fixed::<K>(&acc, &odd[odd_idx], &mut tmp);
-                acc = tmp;
-            } else {
-                acc = odd[odd_idx];
-                started = true;
-            }
-            for _ in 0..tz {
-                self.mont_sqr_fixed::<K>(&acc, &mut tmp);
-                acc = tmp;
-            }
-        }
-        acc.to_vec()
-    }
-
-    /// The fixed-window evaluation loop for arbitrary limb counts —
-    /// identical schedule to the monomorphized path, on heap buffers.
-    fn mod_pow_windowed_generic(&self, base_m: &[u64], exponent: &BigUint, w: usize) -> Vec<u64> {
-        let bits = exponent.bit_len();
-        // odd[i] = base^(2i+1) in Montgomery form.
-        let base_sq = {
-            let mut t = vec![0u64; self.k + 2];
-            let mut out = vec![0u64; self.k];
-            self.mont_sqr_into(base_m, &mut t, &mut out);
-            out
-        };
-        let mut odd = Vec::with_capacity(1 << (w - 1));
-        odd.push(base_m.to_vec());
-        for i in 1..(1usize << (w - 1)) {
-            odd.push(self.mont_mul(&odd[i - 1], &base_sq));
-        }
-        let mut acc = self.one_mont.clone();
-        let mut tmp = vec![0u64; self.k];
-        let mut scratch = vec![0u64; self.k + 2];
-        let mut started = false;
-        for d in (0..bits.div_ceil(w)).rev() {
-            let mut digit = 0usize;
-            for j in (0..w).rev() {
-                let bit_idx = d * w + j;
-                digit <<= 1;
-                if bit_idx < bits && exponent.bit(bit_idx) {
-                    digit |= 1;
-                }
-            }
-            if digit == 0 {
-                if started {
-                    for _ in 0..w {
-                        self.mont_sqr_into(&acc, &mut scratch, &mut tmp);
-                        std::mem::swap(&mut acc, &mut tmp);
-                    }
-                }
-                continue;
-            }
-            let tz = digit.trailing_zeros() as usize;
-            let odd_idx = (digit >> tz) >> 1;
-            if started {
-                for _ in 0..(w - tz) {
-                    self.mont_sqr_into(&acc, &mut scratch, &mut tmp);
-                    std::mem::swap(&mut acc, &mut tmp);
-                }
-                self.mont_mul_into(&acc, &odd[odd_idx], &mut scratch, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            } else {
-                acc.clone_from(&odd[odd_idx]);
-                started = true;
-            }
-            for _ in 0..tz {
-                self.mont_sqr_into(&acc, &mut scratch, &mut tmp);
+        // The top digit holds the exponent's top bit, so it is never zero.
+        let top = (bits - 1) / w;
+        let first = digit(top);
+        let tz = first.trailing_zeros() as usize;
+        let mut acc = odd[first >> tz >> 1].clone();
+        m.square(&mut acc, &mut tmp, tz);
+        for d in (0..top).rev() {
+            // A zero digit is `w` squarings and no multiply (`tz == w`).
+            let digit = digit(d);
+            let tz = (digit.trailing_zeros() as usize).min(w);
+            m.square(&mut acc, &mut tmp, w - tz);
+            if digit != 0 {
+                m.mul(&acc, &odd[digit >> tz >> 1], &mut tmp);
                 std::mem::swap(&mut acc, &mut tmp);
             }
+            m.square(&mut acc, &mut tmp, tz);
         }
         acc
     }
 
+    /// One Miller–Rabin round on the modulus `n`, where `n - 1 = d * 2^s`
+    /// with `d` odd: `true` if `n` is a strong probable prime to base `a`
+    /// (`a^d = 1`, or `a^(d * 2^r) = -1` for some `r < s`).  The squaring
+    /// chain never leaves Montgomery form; it is compared against the
+    /// Montgomery forms of `1` and `n - 1`.
+    pub fn is_strong_probable_prime(&self, a: &BigUint, d: &BigUint, s: usize) -> bool {
+        with_kernel!(self, m => {
+            let a = self.to_mont(m, a);
+            let mut x = self.pow(m, &a, d);
+            let mut tmp = m.load(&[]);
+            let minus_one = m.load(&self.minus_one);
+            x == m.load(&self.one)
+                || x == minus_one
+                || (1..s).any(|_| {
+                    m.square(&mut x, &mut tmp, 1);
+                    x == minus_one
+                })
+        })
+    }
+
     /// Modular exponentiation by plain left-to-right binary
-    /// square-and-multiply over Montgomery residues.
+    /// square-and-multiply, on heap vectors at every size.
     ///
-    /// Kept public as the reference implementation: the equivalence
-    /// proptests pit [`MontgomeryCtx::mod_pow`]'s windowed evaluation
-    /// against this path, and the `crypto_says` bench reports both so
-    /// the window's speedup stays visible.
+    /// Kept public as the reference implementation: it shares neither the
+    /// fixed-limb kernel, nor the window loop, nor the division-free
+    /// conversion with [`MontgomeryCtx::mod_pow`] (the base is brought into
+    /// Montgomery form by a shift and a long division), the equivalence
+    /// proptests pit the two against each other, and the `crypto_says` bench
+    /// reports both.
     pub fn mod_pow_binary(&self, base: &BigUint, exponent: &BigUint) -> BigUint {
-        if exponent.is_zero() {
-            return BigUint::one().rem(&self.modulus);
-        }
-        let base_m = self.to_mont(base);
-        let mut acc = self.one_mont.clone();
-        let mut tmp = vec![0u64; self.k];
-        let mut scratch = vec![0u64; self.k + 2];
-        let bits = exponent.bit_len();
-        for i in (0..bits).rev() {
-            self.mont_sqr_into(&acc, &mut scratch, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
+        let n = &self.modulus.limbs;
+        let mut m = Heap::new(n, self.n0inv);
+        let base = m.load(&base.shl_bits(64 * n.len()).rem(&self.modulus).limbs);
+        let mut acc = self.one.clone();
+        let mut tmp = m.load(&[]);
+        for i in (0..exponent.bit_len()).rev() {
+            m.square(&mut acc, &mut tmp, 1);
             if exponent.bit(i) {
-                self.mont_mul_into(&acc, &base_m, &mut scratch, &mut tmp);
+                m.mul(&acc, &base, &mut tmp);
                 std::mem::swap(&mut acc, &mut tmp);
             }
         }
-        self.mont_to_uint(&acc)
+        m.to_uint(&acc)
     }
 }
 
@@ -1306,6 +1277,70 @@ mod tests {
         assert_eq!(big(42).cmp(&big(42)), Ordering::Equal);
     }
 
+    /// A `k`-limb odd modulus from random limbs, in one of the shapes the
+    /// kernels meet: any odd value with a non-zero top limb, the top two
+    /// bits set as `gen_prime` makes them, or all ones.
+    fn modulus_of(shape: usize, random: &[u64], k: usize) -> BigUint {
+        let mut n = random[..k].to_vec();
+        n[0] |= 1;
+        match shape {
+            0 => n[k - 1] |= 1,
+            1 => n[k - 1] |= 3 << 62,
+            _ => n.fill(u64::MAX),
+        }
+        BigUint::from_limbs(n)
+    }
+
+    /// A `k`-limb kernel operand: the edges 0, 1, `n - 1` and all-ones limbs
+    /// (which only the unreduced operand may be), then `random` as it is.
+    fn operand_of(edge: usize, random: &[u64], n: &BigUint) -> Vec<u64> {
+        let k = n.limbs.len();
+        let mut limbs = match edge {
+            0 => Vec::new(),
+            1 => vec![1],
+            2 => n.sub(&BigUint::one()).limbs,
+            3 => vec![u64::MAX; k],
+            _ => random[..k].to_vec(),
+        };
+        limbs.resize(k, 0);
+        limbs
+    }
+
+    /// The fixed kernel, the slice kernel and schoolbook arithmetic compute
+    /// the same `a * b * R^{-1} mod n` (`a` below `R`, `b` below `n`).
+    fn assert_kernels_agree<const K: usize>(n: &BigUint, a: &[u64], b: &[u64]) {
+        let n0inv = MontgomeryCtx::new(n).unwrap().n0inv;
+        let load = |limbs: &[u64]| <[u64; K]>::try_from(limbs).unwrap();
+        let mut fixed = [0u64; K];
+        mont_mul_fixed(&load(&n.limbs), n0inv, &load(a), &load(b), &mut fixed);
+        let mut heap = vec![0u64; K];
+        mont_mul_into(&n.limbs, n0inv, a, b, &mut vec![0; K + 2], &mut heap);
+        let r_inv = BigUint::one().shl_bits(64 * K).mod_inverse(n).unwrap();
+        let product = BigUint::from_limbs(a.to_vec()).mul(&BigUint::from_limbs(b.to_vec()));
+        let mut schoolbook = product.mul(&r_inv).rem(n).limbs;
+        schoolbook.resize(K, 0);
+        assert_eq!(fixed.as_slice(), heap);
+        assert_eq!(heap, schoolbook);
+        // The operands are interchangeable, and a square is the multiply on
+        // one operand twice — there is no separate squaring kernel.
+        let mut swapped = [0u64; K];
+        mont_mul_fixed(&load(&n.limbs), n0inv, &load(b), &load(a), &mut swapped);
+        assert_eq!(swapped, fixed);
+    }
+
+    #[test]
+    fn serialisation_and_word_remainder_at_limb_boundaries() {
+        let v = BigUint::from_hex("0102030405060708090a0b").unwrap();
+        assert_eq!(v.to_bytes_be_padded(11), v.to_bytes_be());
+        assert_eq!(v.to_bytes_be_padded(19)[..8], [0; 8]);
+        assert_eq!(v.to_bytes_be_padded(19)[8..], v.to_bytes_be());
+        let wide = BigUint::from_hex("f123456789abcdef0123456789abcdefb00000000000000001").unwrap();
+        for m in [1u64, 3, 281, u64::MAX, 16_294_579_238_595_022_365] {
+            assert_eq!(wide.mod_u64(m), wide.div_rem_u64(m).1, "mod {m}");
+        }
+        assert_eq!(BigUint::zero().mod_u64(7), 0);
+    }
+
     #[test]
     fn windowed_mod_pow_edge_exponents() {
         // A 512-bit odd modulus, the RSA shape the window is tuned for.
@@ -1431,6 +1466,91 @@ mod tests {
                 let e = BigUint::from_bytes_be(&exp);
                 prop_assert_eq!(ctx.mod_pow(&b, &e), ctx.mod_pow_binary(&b, &e));
             }
+        }
+
+        #[test]
+        fn prop_kernels_match_schoolbook(
+            shape in 0usize..3,
+            // Half the cases take an edge operand, half a random one.
+            a_edge in 0usize..8,
+            b_edge in 0usize..8,
+            n in proptest::collection::vec(any::<u64>(), 8..9),
+            a in proptest::collection::vec(any::<u64>(), 8..9),
+            b in proptest::collection::vec(any::<u64>(), 8..9),
+        ) {
+            for k in [4usize, 8] {
+                let n = modulus_of(shape, &n, k);
+                let a = operand_of(a_edge, &a, &n);
+                // The second operand is taken below n.
+                let mut b = BigUint::from_limbs(operand_of(b_edge, &b, &n)).rem(&n).limbs;
+                b.resize(k, 0);
+                if k == 4 {
+                    assert_kernels_agree::<4>(&n, &a, &b);
+                } else {
+                    assert_kernels_agree::<8>(&n, &a, &b);
+                }
+            }
+        }
+
+        #[test]
+        fn prop_ladder_matches_binary_at_the_rsa_limb_counts(
+            shape in 0usize..3,
+            n in proptest::collection::vec(any::<u64>(), 8..9),
+            // Up to twice the modulus width, as `sign` feeds a CRT half.
+            base in proptest::collection::vec(any::<u64>(), 0..17),
+            exp in proptest::collection::vec(any::<u64>(), 8..9),
+        ) {
+            // 4 and 8 limbs run the fixed kernel, 5 the slice kernel; the
+            // short exponents take `w = 1` through the same window loop.
+            for k in [4usize, 5, 8] {
+                let ctx = MontgomeryCtx::new(&modulus_of(shape, &n, k)).unwrap();
+                let base = BigUint::from_limbs(base.clone());
+                let full_width = BigUint::from_limbs(exp[..k].to_vec());
+                for e in [big(3), big(17), big(65537), full_width] {
+                    prop_assert_eq!(ctx.mod_pow(&base, &e), ctx.mod_pow_binary(&base, &e));
+                }
+            }
+        }
+
+        #[test]
+        fn prop_mod_mul_reduces_operands_of_any_width(
+            n in proptest::collection::vec(any::<u64>(), 1..10),
+            a in proptest::collection::vec(any::<u64>(), 0..20),
+            b in proptest::collection::vec(any::<u64>(), 0..20),
+        ) {
+            // Whole chunks, a short top chunk, fewer limbs than the modulus.
+            let n = modulus_of(0, &n, n.len());
+            if let Some(ctx) = MontgomeryCtx::new(&n) {
+                let (a, b) = (BigUint::from_limbs(a), BigUint::from_limbs(b));
+                prop_assert_eq!(ctx.mod_mul(&a, &b), a.mul(&b).rem(&n));
+            }
+        }
+
+        #[test]
+        fn prop_miller_rabin_round_matches_its_definition(
+            n in proptest::collection::vec(any::<u64>(), 1..6),
+            a in proptest::collection::vec(any::<u64>(), 1..6),
+            small in any::<bool>(),
+        ) {
+            // Small moduli make both verdicts common; wide ones are almost
+            // always composite witnesses, through either kernel.
+            let n = if small {
+                big((n[0] as u128 % 512) | 1).add_u64(2)
+            } else {
+                modulus_of(0, &n, n.len())
+            };
+            let ctx = MontgomeryCtx::new(&n).unwrap();
+            let a = BigUint::from_limbs(a).rem(&n);
+            let n_minus_one = n.sub(&BigUint::one());
+            let s = (0..).find(|&i| n_minus_one.bit(i)).unwrap();
+            let d = n_minus_one.shr_bits(s);
+            let mut x = ctx.mod_pow_binary(&a, &d);
+            let mut strong = x.is_one() || x == n_minus_one;
+            for _ in 1..s {
+                x = x.mul(&x).rem(&n);
+                strong |= x == n_minus_one;
+            }
+            prop_assert_eq!(ctx.is_strong_probable_prime(&a, &d, s), strong);
         }
 
         #[test]

@@ -24,54 +24,46 @@ pub const DEFAULT_ROUNDS: usize = 24;
 /// Uses trial division by [`SMALL_PRIMES`] followed by `rounds` iterations of
 /// Miller–Rabin with uniformly random bases.
 pub fn is_probable_prime<R: RngCore>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
-    if n.is_zero() || n.is_one() {
+    if n.bit_len() <= 64 && SMALL_PRIMES.contains(&n.low_u64()) {
+        return true;
+    }
+    if n.is_even() || n.is_one() {
         return false;
     }
-    for &p in &SMALL_PRIMES {
-        let p_big = BigUint::from_u64(p);
-        if n == &p_big {
-            return true;
+    // Trial division, one multi-limb pass per word-sized product of odd small
+    // primes (3·5·…·53 is the first) instead of one per prime.
+    let mut primes = &SMALL_PRIMES[1..];
+    while !primes.is_empty() {
+        let (mut product, mut len) = (1u64, 0);
+        while let Some(wider) = primes.get(len).and_then(|&p| product.checked_mul(p)) {
+            (product, len) = (wider, len + 1);
         }
-        if n.mod_u64(p) == 0 {
+        let rem = n.mod_u64(product);
+        if primes[..len].iter().any(|&p| rem.is_multiple_of(p)) {
             return false;
         }
+        primes = &primes[len..];
     }
     // n is odd and > 281 here; write n - 1 = d * 2^s with d odd.
-    let one = BigUint::one();
+    let Some(ctx) = MontgomeryCtx::new(n) else {
+        return false;
+    };
     let two = BigUint::from_u64(2);
-    let n_minus_one = n.sub(&one);
-    let mut d = n_minus_one.clone();
-    let mut s = 0usize;
-    while d.is_even() {
-        d = d.shr_bits(1);
+    let n_minus_one = n.sub(&BigUint::one());
+    let mut s = 0;
+    while !n_minus_one.bit(s) {
         s += 1;
     }
-
-    let ctx = match MontgomeryCtx::new(n) {
-        Some(c) => c,
-        None => return false, // even composite
-    };
-
-    'witness: for _ in 0..rounds {
+    let d = n_minus_one.shr_bits(s);
+    let upper = n_minus_one.sub(&BigUint::one()); // n - 2
+    (0..rounds).all(|_| {
         // Base in [2, n-2].
-        let upper = n_minus_one.sub(&one); // n - 2
         let mut a = BigUint::random_below(&upper, rng);
         if a < two {
             a = two.clone();
         }
-        let mut x = ctx.mod_pow(&a, &d);
-        if x == one || x == n_minus_one {
-            continue 'witness;
-        }
-        for _ in 0..s.saturating_sub(1) {
-            x = ctx.mod_mul(&x, &x);
-            if x == n_minus_one {
-                continue 'witness;
-            }
-        }
-        return false;
-    }
-    true
+        ctx.is_strong_probable_prime(&a, &d, s)
+    })
 }
 
 /// Generates a random probable prime with exactly `bits` bits.
@@ -131,6 +123,7 @@ pub fn gen_prime_pair<R: RngCore>(modulus_bits: usize, rng: &mut R) -> (BigUint,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -195,6 +188,23 @@ mod tests {
         // 2^128 - 1 is composite.
         let c = BigUint::one().shl_bits(128).sub(&BigUint::one());
         assert!(!is_probable_prime(&c, 16, &mut r));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_verdict_matches_trial_division(n in 0u64..200_000, wide in any::<bool>()) {
+            // Around the sieve's own primes and their products, where the
+            // grouped remainders decide, and past 2^64 where the sieve runs
+            // over two limbs: n * 2^64 + n is a multiple of n.
+            let prime = n >= 2 && (2..).take_while(|d| d * d <= n).all(|d| n % d != 0);
+            let mut r = rng();
+            if wide {
+                let multiple = BigUint::from_u128(((n as u128) << 64) | n as u128);
+                prop_assert!(!is_probable_prime(&multiple, 16, &mut r));
+            } else {
+                prop_assert_eq!(is_probable_prime(&BigUint::from_u64(n), 16, &mut r), prime);
+            }
+        }
     }
 
     #[test]

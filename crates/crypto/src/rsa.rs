@@ -7,6 +7,14 @@
 //! short public-key exponentiation with `e = 65537`, and the signature length
 //! equals the modulus length, which is what the bandwidth accounting in
 //! `pasn-net` charges per authenticated tuple.
+//!
+//! Both run on [`MontgomeryCtx`]'s one fixed-limb kernel and take from the
+//! heap only the integers and byte strings they hand around (pinned by
+//! `tests/alloc_budget.rs`): a signature is two 4-limb window ladders and a
+//! Garner step of one modular multiply — no long division anywhere, the
+//! 512-bit message is folded under each prime by Montgomery multiplies — and
+//! a verification is 16 squarings and one multiply on the 8-limb kernel.
+//! `crypto_says` reports them as `sign/crt` and `verify/e65537`.
 
 use crate::bigint::{BigUint, MontgomeryCtx};
 use crate::prime::gen_prime_pair;
@@ -130,12 +138,10 @@ impl RsaPublicKey {
     }
 }
 
-/// CRT private-key material: the prime factorisation of the modulus plus
-/// the reduced exponents and Montgomery contexts that let a signature be
+/// CRT private-key material: a Montgomery context per prime factor of the
+/// modulus (`p > q`) plus the reduced exponents that let a signature be
 /// computed as two half-width exponentiations instead of one full-width one.
 struct CrtKey {
-    p: BigUint,
-    q: BigUint,
     /// `d mod (p - 1)`.
     d_p: BigUint,
     /// `d mod (q - 1)`.
@@ -183,7 +189,10 @@ impl RsaKeyPair {
         }
         let e = BigUint::from_u64(65537);
         loop {
+            // The larger prime is `p`, so a residue modulo `q` is already
+            // one modulo `p` when `sign` recombines the CRT halves.
             let (p, q) = gen_prime_pair(modulus_bits, rng);
+            let (p, q) = if p > q { (p, q) } else { (q, p) };
             let n = p.mul(&q);
             if n.bit_len() != modulus_bits {
                 continue;
@@ -207,8 +216,6 @@ impl RsaKeyPair {
                 q_inv,
                 p_ctx: MontgomeryCtx::new(&p).expect("RSA primes are odd"),
                 q_ctx: MontgomeryCtx::new(&q).expect("RSA primes are odd"),
-                p,
-                q,
             };
             return Ok(RsaKeyPair {
                 public: RsaPublicKey {
@@ -252,15 +259,11 @@ impl RsaKeyPair {
         let crt = &self.crt;
         let m_p = crt.p_ctx.mod_pow(&m, &crt.d_p);
         let m_q = crt.q_ctx.mod_pow(&m, &crt.d_q);
-        // Garner: sig = m_q + q * (q_inv * (m_p - m_q) mod p).
-        let m_q_mod_p = m_q.rem(&crt.p);
-        let diff = if m_p >= m_q_mod_p {
-            m_p.sub(&m_q_mod_p)
-        } else {
-            crt.p.sub(&m_q_mod_p).add(&m_p)
-        };
-        let h = crt.p_ctx.mod_mul(&crt.q_inv, &diff);
-        let sig = m_q.add(&h.mul(&crt.q));
+        // Garner: sig = m_q + q * (q_inv * (m_p - m_q) mod p).  m_q < q < p,
+        // so m_p + p - m_q is positive, and `mod_mul` reduces it.
+        let (p, q) = (crt.p_ctx.modulus(), crt.q_ctx.modulus());
+        let h = crt.p_ctx.mod_mul(&crt.q_inv, &m_p.add(p).sub(&m_q));
+        let sig = m_q.add(&h.mul(q));
         debug_assert_eq!(
             sig,
             self.ctx.mod_pow(&m, &self.d),

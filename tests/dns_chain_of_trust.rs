@@ -89,6 +89,21 @@ fn answers_resolve_through_the_right_zones() {
 }
 
 #[test]
+fn zone_key_fingerprints_are_pinned() {
+    // The last zone's key sits at the far end of the provisioning stream:
+    // it moves if any earlier key generation draws one random word more or
+    // fewer.  Captured before the Montgomery kernels were merged.
+    let rsa = levels()
+        .into_iter()
+        .find(|c| c.says_level == Some(SaysLevel::Rsa));
+    let dns = hierarchy().deploy(rsa.unwrap()).expect("hierarchy deploys");
+    assert_eq!(
+        dns.fingerprint("eu.example.org"),
+        "23acc6665d614feb0d58c870e71d5f9346c04291bcb45d28cc5cfb631d98a8ac"
+    );
+}
+
+#[test]
 fn every_attack_vector_is_detected() {
     let name = |n: &str| n.to_string();
     for config in levels() {
