@@ -1,9 +1,11 @@
 //! # pasn-bench
 //!
 //! Benchmark support for the *Provenance-aware Secure Networks*
-//! reproduction: shared helpers used by the Criterion benches (one per
-//! figure/ablation) and by the `repro` binary that regenerates every figure
-//! of the paper's evaluation section plus the EXPERIMENTS.md tables.
+//! reproduction: shared deployment helpers used by the `repro` binary that
+//! regenerates every figure of the paper's evaluation section
+//! (`BENCH_engine.json`).  The one Criterion bench left times the `says`
+//! primitives; the provenance knobs are pinned counter claims in the root
+//! package's `tests/optimizations.rs`.
 
 #![forbid(unsafe_code)]
 
@@ -12,7 +14,8 @@ use pasn::workload;
 use pasn_overlay::ChordDeployment;
 use std::sync::Arc;
 
-/// Builds a reachability deployment (used by the smaller ablation benches).
+/// Builds a reachability deployment (`repro`'s 30-node session, lossy and
+/// churn points).
 pub fn reachability_network(n: u32, config: EngineConfig, seed: u64) -> SecureNetwork {
     let topology = workload::evaluation_topology(n, seed);
     SecureNetwork::builder()

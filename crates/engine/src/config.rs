@@ -4,8 +4,9 @@
 //! **NDLog** (no authentication, no provenance), **SeNDLog** (authenticated
 //! communication, no provenance) and **SeNDLogProv** (authentication plus
 //! condensed provenance).  [`SystemVariant`] captures those presets;
-//! [`EngineConfig`] exposes every underlying knob so the ablation benchmarks
-//! can move one axis at a time.
+//! [`EngineConfig`] exposes every underlying knob so an experiment can move
+//! one axis at a time (`tests/optimizations.rs` pins the effect of each
+//! provenance knob).
 
 use crate::hash::FastMap;
 use pasn_crypto::says::SaysLevel;
@@ -70,9 +71,11 @@ pub struct EngineConfig {
     pub provenance: ProvenanceKind,
     /// Whether and where derivation graphs are recorded.
     pub graph_mode: GraphMode,
-    /// Proactive or reactive provenance maintenance.
+    /// Proactive or reactive provenance maintenance.  Reactive maintenance
+    /// of [`GraphMode::Local`] graphs is rejected when the engine is built.
     pub maintenance: MaintenanceMode,
-    /// Sampling policy for provenance recording.
+    /// Sampling policy for provenance recording: a tuple's derivation record
+    /// and every `recv` pointer to it are kept or dropped together.
     pub sampling: SamplingPolicy,
     /// Node- or AS-level provenance granularity.
     pub granularity: Granularity,

@@ -43,9 +43,9 @@
 //!   not a history: a node none of whose firings is alive any more drops
 //!   its log between work items (see [`dynamics`]), so a dead generation
 //!   leaves nothing behind.
-//!   Pipelined `a_MIN`/`a_MAX` aggregate *state* is not rolled back on
-//!   deletion — a churned run may keep a stale best until a better value is
-//!   re-derived (the known DRed-style limitation; see `ROADMAP.md`).
+//!   Under dynamics an `a_MIN`/`a_MAX` group re-elects: when the emitted
+//!   best dies, the next-best surviving candidate is emitted in its place.
+//!   `a_COUNT`/`a_SUM` running totals are never withdrawn (ROADMAP item 7).
 //!   A row said by several principals unifies `W says p(…)` with the one it
 //!   first arrived under; when that speaker's last contribution is withdrawn
 //!   and a rule reads the predicate through `says`, the row dies with its

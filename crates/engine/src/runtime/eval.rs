@@ -22,7 +22,7 @@ use pasn_datalog::{AggFunc, PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{
     AntecedentRef, ArchivedEntry, BaseTupleId, MaintenanceMode, NewDerivation, PointerDerivation,
-    ProvKey, ProvTag, ProvenanceKind, VarTable,
+    ProvKey, ProvTag, ProvenanceKind, SamplingPolicy, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind};
 use std::collections::BTreeMap;
@@ -477,6 +477,7 @@ impl<'a> NodeCtx<'a> {
             && !row.is_base
             && shared.config.graph_mode == GraphMode::Distributed
             && row.origin != self.id
+            && sampled_in(&shared.config.sampling, pred_name, &row.values)
         {
             let tuple_key = render();
             if shared.config.maintenance == MaintenanceMode::Reactive {
@@ -876,8 +877,7 @@ impl<'a> NodeCtx<'a> {
         let head_name = shared.symbols.name(head.pred);
         let head_name = head_name.expect("head predicate interned at plan time");
         if records_graphs {
-            let sampled = tuple::key_hash_parts(head_name, &head_values);
-            if shared.config.sampling.records(sampled) {
+            if sampled_in(&shared.config.sampling, head_name, &head_values) {
                 let record = DerivationRecord {
                     head_key: tuple::render_located_parts(head_name, &head_values, head.location),
                     head_node: dest_id,
@@ -1001,6 +1001,13 @@ fn mixed_aggregate(label: &str) -> EngineError {
     ))
 }
 
+/// Whether `sampling` records the provenance of `pred(values)`.  The
+/// decision depends on the tuple alone, so the deriving node's record and
+/// the receiver's `recv` pointer to it are always kept or dropped together.
+fn sampled_in(sampling: &SamplingPolicy, pred: &str, values: &[Value]) -> bool {
+    sampling.one_in <= 1 || sampling.records(tuple::key_hash_parts(pred, values))
+}
+
 /// Unifies one row with an atom's compiled argument patterns and, for a
 /// `says`-qualified atom, the location of the node that asserted the row
 /// with the principal term.  The slots it binds are recorded in `bound`
@@ -1042,7 +1049,6 @@ pub(super) fn record_provenance_graphs(
                 rule_location: local,
                 antecedents: &keys,
                 asserted_by: record.asserted_by,
-                assertion: None,
                 created_at: at,
                 expires_at: None,
             });

@@ -34,7 +34,7 @@ mod ship;
 mod tests;
 mod transport;
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, GraphMode};
 use crate::dynamics::{ChurnEvent, ChurnScript, Ledger};
 use crate::eval::EvalError;
 use crate::hash::FastMap;
@@ -50,8 +50,8 @@ use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
 use pasn_provenance::{
-    moonwalk_with, traceback_with, ArchiveStore, DerivationGraph, DistributedStore, MoonwalkConfig,
-    MoonwalkResult, ProvKey, ProvTag, TracebackResult, VarTable,
+    moonwalk_with, traceback_with, ArchiveStore, DerivationGraph, DistributedStore,
+    MaintenanceMode, MoonwalkConfig, MoonwalkResult, ProvKey, ProvTag, TracebackResult, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use queue::{BatchKey, BatchRow, Bound, GlobalWork, NodeWork, Polarity, QueuedWork, WorkQueue};
@@ -83,6 +83,10 @@ pub enum EngineError {
     },
     /// A rule evaluation error (unbound variable, type mismatch, ...).
     Eval(String),
+    /// Reactive maintenance with [`GraphMode::Local`]: a node's graph holds
+    /// no derivation until it is materialised, so nothing would be
+    /// piggybacked and every remote subtree would be lost.
+    ReactiveLocalGraphs,
 }
 
 impl fmt::Display for EngineError {
@@ -100,6 +104,11 @@ impl fmt::Display for EngineError {
                 "arity mismatch: predicate `{predicate}` declares {expected} arguments, tuple has {got}"
             ),
             EngineError::Eval(msg) => write!(f, "evaluation error: {msg}"),
+            EngineError::ReactiveLocalGraphs => write!(
+                f,
+                "reactive maintenance cannot keep local provenance graphs: \
+                 use GraphMode::Distributed"
+            ),
         }
     }
 }
@@ -385,6 +394,10 @@ impl DistributedEngine {
         mut config: EngineConfig,
         locations: &[Value],
     ) -> Result<Self, EngineError> {
+        if config.maintenance == MaintenanceMode::Reactive && config.graph_mode == GraphMode::Local
+        {
+            return Err(EngineError::ReactiveLocalGraphs);
+        }
         let compiled = compile_program(program)?;
         // What the provenance stores, key material and trace call each
         // node: rendered here, once.

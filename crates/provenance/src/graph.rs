@@ -5,14 +5,10 @@
 //! where it executed, and the antecedent tuples it joined.  Base tuples are
 //! leaves.  Multiple derivations of the same tuple correspond to the `union`
 //! oval in Figure 1.
-//!
-//! With *authenticated provenance* (Section 4.3) every derivation carries a
-//! `says` assertion by the principal that executed the rule, so a remote
-//! querier can verify each step of the tree.
 
 use crate::key::ProvKey;
 use crate::semiring::{BaseTupleId, Semiring, WhyProvenance};
-use pasn_crypto::{PrincipalId, SaysAssertion};
+use pasn_crypto::PrincipalId;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -29,9 +25,6 @@ pub struct Derivation {
     pub location: String,
     /// Antecedent tuple nodes, in body order.
     pub antecedents: Vec<ProvNodeId>,
-    /// `says` assertion by the executing principal over
-    /// [`derivation_payload`]; present when authenticated provenance is on.
-    pub assertion: Option<SaysAssertion>,
 }
 
 /// A tuple node in the derivation graph.
@@ -69,8 +62,6 @@ pub struct NewDerivation<'a> {
     pub antecedents: &'a [String],
     /// The principal that derived the head.
     pub asserted_by: Option<PrincipalId>,
-    /// `says` assertion over [`derivation_payload`], when authenticated.
-    pub assertion: Option<SaysAssertion>,
     /// Creation timestamp (simulated microseconds).
     pub created_at: u64,
     /// Expiry timestamp for soft-state heads, `None` for hard state.
@@ -82,28 +73,6 @@ impl TupleNode {
     pub fn is_base(&self) -> bool {
         self.base_id.is_some()
     }
-}
-
-/// The canonical byte string a principal signs to vouch for a derivation
-/// step (authenticated provenance, Section 4.3).
-pub fn derivation_payload(
-    head: &str,
-    rule: &str,
-    location: &str,
-    antecedents: &[String],
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(head.as_bytes());
-    out.push(0);
-    out.extend_from_slice(rule.as_bytes());
-    out.push(0);
-    out.extend_from_slice(location.as_bytes());
-    out.push(0);
-    for a in antecedents {
-        out.extend_from_slice(a.as_bytes());
-        out.push(0);
-    }
-    out
 }
 
 /// A provenance graph for the tuples derived at (or known to) one node, or —
@@ -227,7 +196,6 @@ impl DerivationGraph {
             rule: d.rule.to_string(),
             location: d.rule_location.to_string(),
             antecedents: antecedent_ids,
-            assertion: d.assertion,
         };
         if !node.derivations.contains(&derivation) {
             node.derivations.push(derivation);
@@ -269,47 +237,6 @@ impl DerivationGraph {
     /// The set of base tuples a tuple ultimately depends on.
     pub fn base_support(&self, id: ProvNodeId) -> BTreeSet<BaseTupleId> {
         self.why_provenance(id).support()
-    }
-
-    /// Verifies every `says` assertion reachable from `id` using the caller's
-    /// verification function (principal, payload, assertion) → ok.  Returns
-    /// the keys of derivations whose assertion failed (or is missing when
-    /// `require_assertions` is set).
-    pub fn verify_assertions<F>(
-        &self,
-        id: ProvNodeId,
-        require_assertions: bool,
-        verify: F,
-    ) -> Vec<String>
-    where
-        F: Fn(PrincipalId, &[u8], &SaysAssertion) -> bool,
-    {
-        let mut failures = Vec::new();
-        let mut seen = HashSet::new();
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            if !seen.insert(cur) {
-                continue;
-            }
-            let node = self.node(cur);
-            for d in &node.derivations {
-                let antecedent_keys: Vec<String> = d
-                    .antecedents
-                    .iter()
-                    .map(|a| self.node(*a).key.clone())
-                    .collect();
-                let payload = derivation_payload(&node.key, &d.rule, &d.location, &antecedent_keys);
-                match (&d.assertion, node.asserted_by) {
-                    (Some(assertion), _) if !verify(assertion.principal, &payload, assertion) => {
-                        failures.push(node.key.clone());
-                    }
-                    (None, _) if require_assertions => failures.push(node.key.clone()),
-                    _ => {}
-                }
-                stack.extend(d.antecedents.iter().copied());
-            }
-        }
-        failures
     }
 
     /// Renders the derivation tree rooted at `id` in the style of Figure 1.
@@ -409,7 +336,6 @@ impl DerivationGraph {
                     rule_location: &d.location,
                     antecedents: &antecedent_keys,
                     asserted_by: node.asserted_by,
-                    assertion: d.assertion.clone(),
                     created_at: node.created_at,
                     expires_at: node.expires_at,
                 });
@@ -452,7 +378,6 @@ impl DerivationGraph {
                     rule_location: &d.location,
                     antecedents: &antecedent_keys,
                     asserted_by: node.asserted_by,
-                    assertion: d.assertion.clone(),
                     created_at: node.created_at,
                     expires_at: node.expires_at,
                 });
@@ -462,17 +387,15 @@ impl DerivationGraph {
 
     /// Rough wire size (bytes) of shipping this graph with a tuple: each
     /// tuple node costs its key plus fixed metadata, each derivation its rule
-    /// label, location and antecedent references.  Used by the bandwidth
-    /// accounting of the local-vs-distributed provenance ablation.
+    /// label, location and antecedent references.  Charged to
+    /// `provenance_bytes` when a local-provenance frame seals (pinned by the
+    /// local-vs-distributed claim in `tests/optimizations.rs`).
     pub fn estimated_wire_size(&self) -> usize {
         let mut size = 0usize;
         for (_, node) in self.iter() {
             size += node.key.len() + 12;
             for d in &node.derivations {
                 size += d.rule.len() + d.location.len() + 4 * d.antecedents.len() + 4;
-                if let Some(a) = &d.assertion {
-                    size += a.wire_len();
-                }
             }
         }
         size
@@ -583,7 +506,6 @@ mod tests {
             rule_location: at,
             antecedents,
             asserted_by: None,
-            assertion: None,
             created_at: 0,
             expires_at: None,
         }
@@ -776,68 +698,5 @@ mod tests {
         let sub = g.subtree(q);
         assert_eq!(sub.len(), 1);
         assert!(sub.find("q(a)").is_some());
-    }
-
-    #[test]
-    fn authenticated_provenance_verification() {
-        use pasn_crypto::says::{Authenticator, SaysLevel};
-        use pasn_crypto::{KeyAuthority, Principal};
-
-        let principals = vec![Principal::new(0u32, "a"), Principal::new(1u32, "b")];
-        let authority = KeyAuthority::provision_with_modulus(&principals, 5, 512).unwrap();
-        let auth_a = Authenticator::new(
-            authority.keyring_for(PrincipalId(0)).unwrap(),
-            SaysLevel::Rsa,
-        );
-        let verifier = Authenticator::new(
-            authority.keyring_for(PrincipalId(1)).unwrap(),
-            SaysLevel::Rsa,
-        );
-
-        let mut g = DerivationGraph::new();
-        g.add_base(
-            "link(@a,c)",
-            "a",
-            BaseTupleId(1),
-            Some(PrincipalId(0)),
-            0,
-            None,
-        );
-        let antecedents = vec!["link(@a,c)".to_string()];
-        let payload = derivation_payload("reachable(@a,c)", "r1", "a", &antecedents);
-        let assertion = auth_a.assert(&payload);
-        let root = g.add_derivation(NewDerivation {
-            asserted_by: Some(PrincipalId(0)),
-            assertion: Some(assertion),
-            created_at: 1,
-            ..derived("reachable(@a,c)", "a", "r1", &antecedents)
-        });
-
-        // All assertions verify.
-        let failures = g.verify_assertions(root, true, |_, payload, assertion| {
-            verifier.verify(payload, assertion).is_ok()
-        });
-        assert!(failures.is_empty());
-
-        // Tampering with the graph (different rule) breaks verification.
-        let mut tampered = g.clone();
-        let node_id = tampered.find("reachable(@a,c)").unwrap();
-        tampered.nodes[node_id.0 as usize].derivations[0].rule = "forged".into();
-        let failures = tampered.verify_assertions(root, true, |_, payload, assertion| {
-            verifier.verify(payload, assertion).is_ok()
-        });
-        assert_eq!(failures, vec!["reachable(@a,c)".to_string()]);
-
-        // Missing assertions are reported when required.
-        let mut unsigned = DerivationGraph::new();
-        unsigned.add_base("link(@a,c)", "a", BaseTupleId(1), None, 0, None);
-        let r = unsigned.add_derivation(NewDerivation {
-            created_at: 1,
-            ..derived("reachable(@a,c)", "a", "r1", &["link(@a,c)".into()])
-        });
-        assert_eq!(unsigned.verify_assertions(r, true, |_, _, _| true).len(), 1);
-        assert!(unsigned
-            .verify_assertions(r, false, |_, _, _| true)
-            .is_empty());
     }
 }

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | 4.1 | local vs distributed storage | [`graph::DerivationGraph`], [`store::DistributedStore`], [`store::traceback`] |
 //! | 4.2 | online vs offline | [`graph::DerivationGraph::purge_expired`], [`store::ArchiveStore`] |
-//! | 4.3 | authenticated provenance | [`graph::DerivationGraph::verify_assertions`] |
+//! | 4.3 | authenticated provenance | per-frame `says` proofs ([`pasn_crypto::says`]); the principal variables of condensed tags ([`tag::VarTable::principal_of`]), e.g. the DNSSEC chain read off a tag |
 //! | 4.4 | condensed provenance (semirings + BDDs) | [`tag::ProvTag::Condensed`], [`tag::VarTable`] |
 //! | 4.5 | quantifiable provenance (trust levels, counts, votes) | [`semiring::TrustLevel`], [`semiring::DerivationCount`], [`semiring::VoteSet`] |
 //! | 5 | proactive/reactive, sampling, granularity | [`policy`] |
@@ -34,9 +34,7 @@ pub mod semiring;
 pub mod store;
 pub mod tag;
 
-pub use graph::{
-    derivation_payload, Derivation, DerivationGraph, NewDerivation, ProvNodeId, TupleNode,
-};
+pub use graph::{Derivation, DerivationGraph, NewDerivation, ProvNodeId, TupleNode};
 pub use key::ProvKey;
 pub use moonwalk::{moonwalk, moonwalk_with, MoonwalkConfig, MoonwalkResult, Walk};
 pub use policy::{Granularity, MaintenanceMode, SamplingPolicy};

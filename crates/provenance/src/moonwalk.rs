@@ -15,8 +15,8 @@
 //!
 //! This module implements the technique over the same per-node
 //! [`DistributedStore`]s used by exhaustive traceback, so the two approaches
-//! can be compared head to head (see `benches/ablation_sampling.rs` and the
-//! forensics example).
+//! can be compared head to head (the sampling claim of
+//! `tests/optimizations.rs` pins both; see also the forensics example).
 
 use crate::key::ProvKey;
 use crate::semiring::BaseTupleId;

@@ -94,7 +94,8 @@ pub enum Granularity {
 
 impl Granularity {
     /// Builds an AS-level granularity with `as_size` consecutive principals
-    /// per AS (the synthetic grouping used by the ablation benchmarks).
+    /// per AS (the synthetic grouping the granularity claim of
+    /// `tests/optimizations.rs` pins).
     pub fn uniform_as(principal_count: u32, as_size: u32) -> Self {
         let as_size = as_size.max(1);
         let mapping = (0..principal_count).map(|p| (p, p / as_size)).collect();

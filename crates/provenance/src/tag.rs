@@ -8,8 +8,9 @@
 //!   Section 6);
 //! * [`ProvTag::Condensed`] — BDD-condensed local provenance over the
 //!   asserting principals (Section 4.4, the SeNDLogProv configuration);
-//! * [`ProvTag::Why`] — uncondensed witness sets, used by the condensation
-//!   ablation to measure how much the BDD encoding saves;
+//! * [`ProvTag::Why`] — uncondensed witness sets, against which the
+//!   condensation claim of `tests/optimizations.rs` measures how much the
+//!   BDD encoding saves;
 //! * [`ProvTag::Trust`], [`ProvTag::Count`], [`ProvTag::Vote`] — the
 //!   quantifiable-provenance semirings of Section 4.5.
 //!
@@ -150,8 +151,8 @@ impl VarTable {
 /// paper's condensation (Section 4.4) exists to stop — so above this many
 /// base-tuple entries the canonical BDD becomes the default
 /// representation and tag memory stops scaling with derivation count.
-/// Small tags stay uncondensed: the ablation's point is to measure them,
-/// and below this size they are cheaper than BDD nodes.
+/// Small tags stay uncondensed: the condensation claim measures them, and
+/// below this size they are cheaper than BDD nodes.
 pub const CONDENSE_WITNESS_THRESHOLD: usize = 16;
 
 /// A per-tuple provenance annotation.
@@ -327,8 +328,8 @@ impl ProvTag {
     /// principal identifiers (4 bytes per literal plus one byte per term
     /// separator), which is the compact form the paper attributes to the BDD
     /// encoding.  Why-provenance ships every witness uncondensed (8 bytes per
-    /// base-tuple key), which is what the condensation ablation compares
-    /// against.
+    /// base-tuple key), which is what the condensation claim of
+    /// `tests/optimizations.rs` compares against.
     pub fn wire_size(&self, table: &VarTable) -> usize {
         match self {
             ProvTag::None => 0,

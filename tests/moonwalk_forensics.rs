@@ -100,7 +100,8 @@ fn moonwalks_are_reproducible_and_respect_the_walk_budget() {
 #[test]
 fn sampling_policy_reduces_recorded_provenance() {
     // Section 5's other sampling knob: only record provenance for a fraction
-    // of derivations.  The distributed stores must shrink accordingly.
+    // of derivations.  The distributed stores must shrink accordingly, and a
+    // moonwalk over what is left can still only surface true origins.
     let topology = workload::evaluation_topology(10, 13);
     let run = |sampling| {
         let mut config = EngineConfig::ndlog()
@@ -114,16 +115,33 @@ fn sampling_policy_reduces_recorded_provenance() {
             .build()
             .unwrap();
         net.run().unwrap();
-        net.distributed_stores()
-            .values()
-            .map(|s| s.entry_count())
-            .sum::<usize>()
+        net
     };
-    let always = run(pasn_provenance::SamplingPolicy::always());
+    let entries = |net: &SecureNetwork| {
+        let stores = net.distributed_stores();
+        stores.values().map(|s| s.entry_count()).sum::<usize>()
+    };
+    let full = run(pasn_provenance::SamplingPolicy::always());
     let sampled = run(pasn_provenance::SamplingPolicy::one_in(8));
+    let (always, kept) = (entries(&full), entries(&sampled));
     assert!(always > 0);
     assert!(
-        sampled < always,
-        "1-in-8 sampling must record fewer entries ({sampled} vs {always})"
+        kept < always,
+        "1-in-8 sampling must record fewer entries ({kept} vs {always})"
     );
+
+    let (loc, key) = deepest_tuple(&full);
+    let origins = traceback(&full.distributed_stores(), &loc.to_string(), &key).base_tuples;
+    let walked = moonwalk(
+        &sampled.distributed_stores(),
+        &loc.to_string(),
+        &key,
+        &MoonwalkConfig::with_walks(32).seed(5),
+    );
+    for base in walked.base_frequency.keys() {
+        assert!(
+            origins.contains(base),
+            "moonwalk over sampled stores reported {base:?}, not an origin"
+        );
+    }
 }
