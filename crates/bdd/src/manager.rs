@@ -432,6 +432,35 @@ impl BddManager {
         out
     }
 
+    /// Folds `f` bottom-up: the constants map to `on_false` / `on_true`, a
+    /// decision node to `node(var, low, high)` of its children's values.
+    /// Each node is evaluated once, so the walk is linear in `f`'s size
+    /// where enumerating its paths ([`BddManager::cubes`]) is exponential.
+    pub fn fold<T>(
+        &self,
+        f: BddRef,
+        on_false: T,
+        on_true: T,
+        mut node: impl FnMut(VarId, &T, &T) -> T,
+    ) -> T {
+        let mut done = HashMap::from([(BddRef::FALSE, on_false), (BddRef::TRUE, on_true)]);
+        let mut stack = vec![f];
+        while let Some(&r) = stack.last() {
+            let n = self.node(r);
+            match (done.get(&n.low), done.get(&n.high)) {
+                // Only a constant root is folded before it is visited.
+                _ if done.contains_key(&r) => drop(stack.pop()),
+                (Some(low), Some(high)) => {
+                    let value = node(n.var, low, high);
+                    done.insert(r, value);
+                    stack.pop();
+                }
+                (low, _) => stack.push(if low.is_none() { n.low } else { n.high }),
+            }
+        }
+        done.remove(&f).expect("the root is folded last")
+    }
+
     /// Drops the operation caches (node storage is retained so existing
     /// references stay valid).
     pub fn clear_caches(&mut self) {
@@ -626,6 +655,28 @@ mod tests {
         assert!(!cubes.is_empty());
         // Limit is respected.
         assert_eq!(m.cubes(f, 1).len(), 1);
+    }
+
+    #[test]
+    fn fold_visits_each_node_once_and_counts_every_path() {
+        // (x0 | x1) & (x2 | x3) & ... & (x18 | x19): 2^10 paths to TRUE
+        // over 20 shared decision nodes.
+        let mut m = BddManager::new();
+        let mut f = BddRef::TRUE;
+        for i in 0..10 {
+            let (a, b) = (m.var(2 * i), m.var(2 * i + 1));
+            let clause = m.or(a, b);
+            f = m.and(f, clause);
+        }
+        let mut visits = 0;
+        let paths = m.fold(f, 0u64, 1, |_, low, high| {
+            visits += 1;
+            low + high
+        });
+        assert_eq!(paths, 1 << 10);
+        assert_eq!(paths as usize, m.cubes(f, usize::MAX).len());
+        assert_eq!(visits, m.size(f));
+        assert_eq!(m.fold(BddRef::FALSE, 0, 1, |_, l, h| l + h), 0);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   Section 6 summary statistics;
 //! * [`trust`] — trust-management policies over condensed / quantifiable
 //!   provenance (trusted principal sets, minimum trust levels, K-of-N votes);
-//! * [`diagnostics`] — real-time route-flap detection plus online-provenance
-//!   diagnosis;
+//! * [`diagnostics`] — online-provenance diagnosis of the routing entries
+//!   the route monitor's windowed `alarm` rows name;
 //! * [`forensics`] — offline provenance archives and distributed traceback;
 //! * [`accountability`] — per-principal usage audits (the PlanetFlow
 //!   analogue);
@@ -68,7 +68,7 @@ pub mod workload;
 pub use accountability::AccountabilityReport;
 pub use baseline::{all_pairs_costs, bellman_ford, dijkstra_paths, ShortestPath};
 pub use billing::{BillingRun, Invoice, RatePlan, Tier};
-pub use diagnostics::{diagnose, Diagnosis, FlapAlarm, FlapMonitor};
+pub use diagnostics::{diagnose, Diagnosis};
 pub use experiment::{
     render_figure, render_summary, run_sweep, summarize, ExperimentPoint, FigureMetric, Summary,
     SweepConfig,

@@ -52,7 +52,9 @@ sp4 bestPath(@S,D,P,C) :- bestPathCost(@S,D,C), path(@S,D,P,C).
 
 /// Source text of the route-change monitoring query (Section 3, real-time
 /// diagnostics): counts route updates per destination and raises an alarm
-/// tuple once the count exceeds a threshold.
+/// tuple while the count exceeds a threshold.  Under dynamics the count is
+/// of the live `routeUpdate` facts, so updates that each live `T` make it a
+/// count over the past `T` (see [`crate::workload::route_update_stream`]).
 pub const ROUTE_MONITOR: &str = "\
 m1 updateCount(@S,D,a_COUNT<C>) :- routeUpdate(@S,D,C).
 m2 alarm(@S,D,N) :- updateCount(@S,D,N), threshold(@S,T), N > T.

@@ -2,8 +2,8 @@
 //! parameter sweeps of the evaluation.
 
 use pasn_datalog::Value;
-use pasn_engine::Tuple;
-use pasn_net::{NodeId, Topology};
+use pasn_engine::{ChurnEvent, Tuple};
+use pasn_net::{NodeId, SimTime, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,41 +60,46 @@ pub fn evaluation_topology(n: u32, seed: u64) -> Topology {
     Topology::random_out_degree(n, 3, 10, seed)
 }
 
-/// A synthetic stream of `routeUpdate(@node, dest, seq)` events used by the
-/// diagnostics example: `flapping_dest` receives `flap_count` updates while
-/// every other destination receives exactly one.
+/// A synthetic stream of route updates at `node`, one a second in
+/// destination order — `flap_count` to `flapping_dest`, one to every other
+/// destination — as the churn events that drive
+/// [`crate::programs::ROUTE_MONITOR`]'s sliding window: each
+/// `routeUpdate(@node, dest, id)` is inserted at its second and retracted
+/// `window` later.  Time-ordered, for `run_streaming`.
 pub fn route_update_stream(
     node: NodeId,
     destinations: &[NodeId],
     flapping_dest: NodeId,
     flap_count: u32,
+    window: SimTime,
     seed: u64,
-) -> Vec<Tuple> {
+) -> Vec<(SimTime, ChurnEvent)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut updates = Vec::new();
-    let mut seq = 0i64;
-    for dest in destinations {
-        let count = if *dest == flapping_dest {
-            flap_count
-        } else {
-            1
+    let location = location_of(node);
+    let updates = destinations.iter().flat_map(|&dest| {
+        let count = if dest == flapping_dest { flap_count } else { 1 };
+        std::iter::repeat_n(dest, count as usize)
+    });
+    let mut events = Vec::new();
+    for (seq, dest) in (0u64..).zip(updates) {
+        // A small random jitter keeps update identifiers unique and
+        // uncorrelated between runs with different seeds.
+        let jitter: i64 = rng.gen_range(0..1_000);
+        let id = Value::Int((seq as i64 + 1) * 1_000 + jitter);
+        let tuple = Tuple::new("routeUpdate", vec![location.clone(), location_of(dest), id]);
+        let at = SimTime::from_micros(seq * 1_000_000);
+        let retract = {
+            let (location, tuple) = (location.clone(), tuple.clone());
+            ChurnEvent::Retract { location, tuple }
         };
-        for _ in 0..count {
-            seq += 1;
-            // A small random jitter keeps update identifiers unique and
-            // uncorrelated between runs with different seeds.
-            let jitter: i64 = rng.gen_range(0..1_000);
-            updates.push(Tuple::new(
-                "routeUpdate",
-                vec![
-                    Value::Addr(node.0),
-                    Value::Addr(dest.0),
-                    Value::Int(seq * 1_000 + jitter),
-                ],
-            ));
-        }
+        let location = location.clone();
+        events.extend([
+            (at, ChurnEvent::Insert { location, tuple }),
+            (at + window, retract),
+        ]);
     }
-    updates
+    events.sort_by_key(|(at, _)| *at);
+    events
 }
 
 #[cfg(test)]
@@ -125,17 +130,32 @@ mod tests {
     #[test]
     fn route_update_stream_flaps_one_destination() {
         let dests: Vec<NodeId> = (1..5).map(NodeId).collect();
-        let stream = route_update_stream(NodeId(0), &dests, NodeId(3), 10, 42);
-        assert_eq!(stream.len(), 3 + 10);
-        let to_flapping = stream
+        let window = SimTime::from_millis(2_500);
+        let stream = route_update_stream(NodeId(0), &dests, NodeId(3), 10, window, 42);
+        // Every update is inserted once and retracted once, `window` later.
+        assert_eq!(stream.len(), 2 * (3 + 10));
+        assert!(stream.windows(2).all(|pair| pair[0].0 <= pair[1].0));
+        let inserted = |(at, event): &(SimTime, ChurnEvent)| match event {
+            ChurnEvent::Insert { tuple, .. } => Some((*at, tuple.clone())),
+            _ => None,
+        };
+        let inserts: Vec<(SimTime, Tuple)> = stream.iter().filter_map(inserted).collect();
+        assert_eq!(inserts.len(), 13);
+        for (at, tuple) in &inserts {
+            let retract = ChurnEvent::Retract {
+                location: Value::Addr(0),
+                tuple: tuple.clone(),
+            };
+            assert!(stream.contains(&(*at + window, retract)));
+        }
+        let to_flapping = inserts
             .iter()
-            .filter(|t| t.values[1] == Value::Addr(3))
-            .count();
-        assert_eq!(to_flapping, 10);
+            .filter(|(_, t)| t.values[1] == Value::Addr(3));
+        assert_eq!(to_flapping.count(), 10);
         // Deterministic per seed.
         assert_eq!(
             stream,
-            route_update_stream(NodeId(0), &dests, NodeId(3), 10, 42)
+            route_update_stream(NodeId(0), &dests, NodeId(3), 10, window, 42)
         );
     }
 }

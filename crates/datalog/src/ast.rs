@@ -18,7 +18,7 @@
 //! the head atom) marks the context a derived tuple is exported to.
 
 use crate::value::Value;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Aggregate functions allowed in rule heads (`a_MIN<C>` in NDlog syntax).
@@ -43,6 +43,21 @@ impl AggFunc {
             AggFunc::Count => "a_COUNT",
             AggFunc::Sum => "a_SUM",
         }
+    }
+
+    /// The value of a group whose live candidates are `candidates` — each
+    /// candidate value mapped to one entry per candidate holding it (no
+    /// entry list empty): the least or greatest value, how many candidates
+    /// there are, or their sum.  `None` for an empty group.
+    pub fn value_of<T>(self, candidates: &BTreeMap<i64, Vec<T>>) -> Option<i64> {
+        let (&least, _) = candidates.first_key_value()?;
+        let mut by_value = candidates.iter().map(|(&v, c)| (v, c.len() as i64));
+        Some(match self {
+            AggFunc::Min => least,
+            AggFunc::Max => by_value.next_back().map_or(least, |(v, _)| v),
+            AggFunc::Count => by_value.map(|(_, n)| n).sum(),
+            AggFunc::Sum => by_value.map(|(v, n)| v * n).sum(),
+        })
     }
 }
 
@@ -593,6 +608,19 @@ mod tests {
         assert!(agg.has_aggregate());
         assert!(!agg.is_ground());
         assert_eq!(agg.to_string(), "bestPathCost(S,D,a_MIN<C>)");
+    }
+
+    #[test]
+    fn an_aggregate_is_a_value_of_its_candidate_multiset() {
+        // Candidates 3, 3 and -1: two entries at 3, one at -1.
+        let candidates = BTreeMap::from([(-1, vec!['a']), (3, vec!['b', 'c'])]);
+        let value = |func: AggFunc| func.value_of(&candidates);
+        assert_eq!(value(AggFunc::Min), Some(-1));
+        assert_eq!(value(AggFunc::Max), Some(3));
+        assert_eq!(value(AggFunc::Count), Some(3));
+        assert_eq!(value(AggFunc::Sum), Some(5));
+        let empty: BTreeMap<i64, Vec<char>> = BTreeMap::new();
+        assert_eq!(AggFunc::Count.value_of(&empty), None);
     }
 
     #[test]

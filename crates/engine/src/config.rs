@@ -133,7 +133,8 @@ pub struct EngineConfig {
     /// as first-class simulator work (soft state dies *during* evaluation
     /// instead of waiting for a manual `expire_all`), and enforces per-link
     /// in-order delivery (retraction streams assume FIFO links, as the
-    /// session-channel transport already does).  Off by default: static
+    /// session-channel transport already does), and runs every aggregate
+    /// as an election over its live candidates.  Off by default: static
     /// runs pay no ledger memory and keep their exact schedules.
     /// `DistributedEngine::run_scenario` arms it automatically on a fresh
     /// engine.

@@ -51,7 +51,6 @@ use crate::tuple::Tuple;
 use pasn_datalog::{AggFunc, PredId, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::ProvTag;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One scripted network-dynamics event.
@@ -242,12 +241,10 @@ pub(crate) struct SupportEntry {
     pub location_index: Option<usize>,
 }
 
-/// The aggregate identity of one recorded `a_MIN` / `a_MAX` candidate
-/// firing: which per-group best-value competition it entered, and with what
-/// value.  Candidate firings are recorded whether or not they improved the
-/// group's best, so the deletion ledger can re-elect the next-best
-/// surviving candidate when the current best is retracted — the fix for
-/// the stale-best-on-deletion limitation.
+/// The aggregate identity of one recorded candidate firing: which group's
+/// election it entered, and with what value.  Candidate firings are
+/// recorded whether or not they moved the group's value, so the deletion
+/// ledger can re-elect from the surviving candidates when one dies.
 #[derive(Clone, Debug)]
 pub(crate) struct AggFiring {
     /// Engine-interned rule id — first component of the group key.
@@ -258,43 +255,26 @@ pub(crate) struct AggFiring {
     pub value: i64,
     /// Index of the aggregated column in the head row.
     pub agg_index: usize,
-    /// Which end of the competition wins.
-    pub func: Extremum,
+    /// The function whose value of the candidate multiset the group emits.
+    pub func: AggFunc,
 }
 
-/// The aggregate functions that run candidate competitions: `a_MIN` and
-/// `a_MAX` (running `a_COUNT` / `a_SUM` totals never do).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Extremum {
-    Min,
-    Max,
+impl AggFiring {
+    /// `head` — a row of this candidate's group — with the aggregated
+    /// column set to `value`.
+    pub fn row_with(&self, head: &[Value], value: i64) -> Arc<[Value]> {
+        let mut values = head.to_vec();
+        values[self.agg_index] = Value::Int(value);
+        Arc::from(values)
+    }
 }
 
-impl Extremum {
-    /// The competition `func` runs, if it runs one.
-    pub fn of(func: AggFunc) -> Option<Self> {
-        match func {
-            AggFunc::Min => Some(Extremum::Min),
-            AggFunc::Max => Some(Extremum::Max),
-            AggFunc::Count | AggFunc::Sum => None,
-        }
-    }
-
-    /// Whether candidate `value` beats the emitted `best`.
-    pub fn improves(self, value: i64, best: i64) -> bool {
-        match self {
-            Extremum::Min => value < best,
-            Extremum::Max => value > best,
-        }
-    }
-
-    /// The winning entry of a value-ordered candidate multiset.
-    pub fn winner<T>(self, candidates: &BTreeMap<i64, T>) -> Option<(&i64, &T)> {
-        match self {
-            Extremum::Min => candidates.first_key_value(),
-            Extremum::Max => candidates.last_key_value(),
-        }
-    }
+/// Whether a group's row under `func` is every live candidate's
+/// (`a_COUNT`, `a_SUM`) rather than one winner's (`a_MIN`, `a_MAX`).  Such
+/// a candidate heads no row of its own: the row it feeds is whatever its
+/// group emits now.
+pub(crate) fn pools(func: AggFunc) -> bool {
+    matches!(func, AggFunc::Count | AggFunc::Sum)
 }
 
 /// One recorded rule firing at the deriving node: the antecedent rows (by
@@ -319,12 +299,20 @@ pub(crate) struct FiringRecord {
     pub location_index: Option<usize>,
     /// Antecedent rows by local insertion seq.
     pub antecedents: Vec<u64>,
-    /// `Some` when this firing is an `a_MIN` / `a_MAX` candidate: killing
-    /// it removes the candidate from its group's competition instead of
-    /// routing a withdrawal directly (only the group's *emitted* best row
-    /// is ever withdrawn, and only when no surviving candidate defends its
-    /// value).
+    /// `Some` when this firing is an aggregate candidate (dynamics only):
+    /// killing it removes the candidate from its group's election instead
+    /// of routing a withdrawal directly (only the group's *emitted* row is
+    /// ever withdrawn, and only when the surviving candidates' value
+    /// differs from it).
     pub agg: Option<AggFiring>,
+}
+
+impl FiringRecord {
+    /// Whether `(dest, pred, values)` is the row this firing supports —
+    /// false for a pooled aggregate candidate (see [`pools`]).
+    pub fn heads_a_row(&self) -> bool {
+        !self.agg.as_ref().is_some_and(|agg| pools(agg.func))
+    }
 }
 
 /// Per-node deletion ledger: supports for stored rows, the firing log, and
@@ -341,6 +329,8 @@ pub(crate) struct Ledger {
     pub by_antecedent: FastMap<u64, Vec<u32>>,
     /// Firings by head identity, for force-kills (expiry, node failure)
     /// that must silence upstream contributions without decrementing.
+    /// Pooled aggregate candidates head no row of their own and are not
+    /// listed.
     pub by_head: FastMap<HeadKey, Vec<u32>>,
     /// Support entries for every live stored row, by insertion seq.  The
     /// entries with `base_count > 0` are the node's base-asserted rows (what
@@ -361,8 +351,10 @@ impl Ledger {
         for seq in &firing.antecedents {
             self.by_antecedent.entry(*seq).or_default().push(idx);
         }
-        let head = (firing.dest, firing.pred, firing.values.clone());
-        self.by_head.entry(head).or_default().push(idx);
+        if firing.heads_a_row() {
+            let head = (firing.dest, firing.pred, firing.values.clone());
+            self.by_head.entry(head).or_default().push(idx);
+        }
         self.firings.push(firing);
     }
 
@@ -397,8 +389,9 @@ impl Ledger {
     /// recount; every index list is non-empty and names in-range firings
     /// that really list that antecedent seq / carry that head; and every
     /// alive firing is indexed under each of its antecedents (once per
-    /// occurrence) and its head, with a support entry behind each
-    /// antecedent.  Returns a description of the first inconsistency.
+    /// occurrence) and under its head if it heads a row, with a support
+    /// entry behind each antecedent.  Returns a description of the first
+    /// inconsistency.
     pub fn check_consistency(&self) -> Result<(), String> {
         let dead = self.firings.iter().filter(|f| !f.alive).count();
         if dead != self.dead {
@@ -416,7 +409,7 @@ impl Ledger {
         }
         for (head, ids) in &self.by_head {
             check_list(head, ids, &|f| {
-                (f.dest, f.pred, &f.values) == (head.0, head.1, &head.2)
+                f.heads_a_row() && (f.dest, f.pred, &f.values) == (head.0, head.1, &head.2)
             })?;
         }
         for (idx, f) in self.firings.iter().enumerate().filter(|(_, f)| f.alive) {
@@ -429,7 +422,7 @@ impl Ledger {
                     && listed(self.by_antecedent.get(seq)) == occurrences
             });
             let head = (f.dest, f.pred, f.values.clone());
-            if !supported || listed(self.by_head.get(&head)) != 1 {
+            if !supported || listed(self.by_head.get(&head)) != usize::from(f.heads_a_row()) {
                 return Err(format!("alive firing {idx} is mis-indexed or unsupported"));
             }
         }

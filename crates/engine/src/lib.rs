@@ -29,9 +29,11 @@
 //!   not re-trigger rule evaluation; its provenance tag is merged with the
 //!   semiring `+` instead.  This keeps evaluation terminating for recursive
 //!   programs while still accumulating complete condensed provenance.
-//! * Aggregates (`a_MIN`, `a_MAX`, `a_COUNT`, `a_SUM`) follow P2's pipelined
-//!   semantics: an improved aggregate value is emitted as a new tuple and
-//!   propagates incrementally.
+//! * Aggregates (`a_MIN`, `a_MAX`, `a_COUNT`, `a_SUM`) without dynamics
+//!   follow P2's pipelined semantics: each group keeps a running value, an
+//!   improved best or a grown total is emitted as a new tuple and
+//!   propagates incrementally, and nothing is withdrawn (ROADMAP item 7
+//!   deletes this mode).
 //! * Provenance-guided deletion (`EngineConfig::dynamics`, or a
 //!   [`runtime::DistributedEngine::run_scenario`] call) withdraws exactly
 //!   the derivation events an insertion added: each stored tuple counts its
@@ -43,9 +45,15 @@
 //!   not a history: a node none of whose firings is alive any more drops
 //!   its log between work items (see [`dynamics`]), so a dead generation
 //!   leaves nothing behind.
-//!   Under dynamics an `a_MIN`/`a_MAX` group re-elects: when the emitted
-//!   best dies, the next-best surviving candidate is emitted in its place.
-//!   `a_COUNT`/`a_SUM` running totals are never withdrawn (ROADMAP item 7).
+//!   Under dynamics every aggregate elects: a group keeps the multiset of
+//!   its live candidates and stores one row, valued at the multiset's
+//!   least or greatest value, size or sum (`AggFunc::value_of`); an arrival
+//!   or a death that moves the value withdraws the old row and emits the
+//!   new one, and an emptied group emits nothing.  So retracting the
+//!   current best re-elects the next-best survivor, and a count over facts
+//!   that each live `T` is a count over a sliding window.  An
+//!   `a_MIN`/`a_MAX` row carries its winner's tag, an `a_COUNT`/`a_SUM`
+//!   row the product of every live candidate's.
 //!   A row said by several principals unifies `W says p(…)` with the one it
 //!   first arrived under; when that speaker's last contribution is withdrawn
 //!   and a rule reads the predicate through `says`, the row dies with its
@@ -59,7 +67,8 @@
 //!   derivation merges into the stored row (first note above) without firing
 //!   anything again, so a downstream tag can under-approximate the stored
 //!   one — also after a withdrawal, when the duplicate landed before the
-//!   tombstone.  Pipelined `a_MIN`/`a_MAX` emit every improvement.  And an
+//!   tombstone.  Aggregates emit every intermediate value (under dynamics,
+//!   withdrawing each as its successor is emitted).  And an
 //!   aggregate head that is *shipped* forwards every intermediate best: each
 //!   improvement is a tuple sent to the head's node, where it derives on —
 //!   routing by `a_MAX` over ring distance cost 21,927 derivations for 80
@@ -67,8 +76,8 @@
 //!   `pasn::programs::CHORD` forwards with a range filter instead.
 //! * Batched evaluation (`EngineConfig::batch_window_us > 0`) keeps joins
 //!   exactly tuple-at-a-time-visible via per-row insertion seqs, so monotone
-//!   rules derive identically under any batch split; pipelined Min/Max
-//!   intermediate emissions and semiring-tag snapshots follow the coarser
+//!   rules derive identically under any batch split; intermediate aggregate
+//!   emissions and semiring-tag snapshots follow the coarser
 //!   batch interleaving while converging to the same fixpoint.  With
 //!   `batch_window_us = 0` (the default) evaluation is per-tuple, bit for
 //!   bit.

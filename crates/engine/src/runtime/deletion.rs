@@ -7,7 +7,7 @@
 //! and never joins a wave.
 
 use super::queue::{BatchRow, GlobalWork, Polarity};
-use super::{ix, node_ids, AggGroup, DistributedEngine, EngineError};
+use super::{ix, node_ids, DistributedEngine, EngineError};
 use crate::config::GraphMode;
 use crate::dynamics::{BaseRow, ChurnEvent, Contribution, HeadKey};
 use crate::hash::{FastMap, FastSet};
@@ -333,9 +333,11 @@ impl DistributedEngine {
     /// assert frame (preferring an exact tag match among the alive firings
     /// of that head).  Dynamics runs never dedup shipment rows, so rows and
     /// firings correspond one to one.  A dead aggregate candidate
-    /// additionally leaves its group's competition and triggers a
+    /// additionally leaves its group's election and triggers a
     /// re-election — the surviving topology's best must still reach the
-    /// destination.
+    /// destination.  An `a_COUNT`/`a_SUM` row is its group's, not one
+    /// firing's: nothing is silenced, and the group's next change ships its
+    /// value again.
     pub(super) fn silence_dead_row(
         &mut self,
         src: NodeId,
@@ -580,9 +582,10 @@ impl DistributedEngine {
     /// Marks every alive firing (at any node) whose head is the force-killed
     /// row as dead, without withdrawing anything — its contribution was
     /// wiped together with the row.  Dead aggregate candidates still leave
-    /// their group's competition (no withdrawal, no re-election: the head
-    /// was wiped with its store, and a later re-derivation re-opens the
-    /// group from scratch).
+    /// their group's election (no withdrawal, no re-election: the head was
+    /// wiped with its store, and the group stays silent until its next
+    /// arrival or death).  An `a_COUNT`/`a_SUM` row heads no firing; its
+    /// group emits again at its next change.
     fn silence_upstream(
         &mut self,
         dest: NodeId,
@@ -609,13 +612,14 @@ impl DistributedEngine {
     }
 
     /// Settles the death of one aggregate-candidate firing at `loc`: the
-    /// candidate leaves its group's multiset, and — only if it was the
-    /// emitted best, with no tied twin left defending the value — the stale
-    /// best is withdrawn downstream (`route_withdrawal`) and the surviving
-    /// next-best, if any, is re-elected and re-emitted (`reelect`).  This
-    /// is the fix for the stale-best-on-deletion bug: retracting the tuple
-    /// that carried the current `a_MIN`/`a_MAX` winner now converges to the
-    /// surviving candidates' best instead of freezing the dead one.
+    /// candidate leaves its group's multiset, and — only if that moves the
+    /// group's value (for `a_MIN`/`a_MAX`: the emitted best died with no
+    /// tied twin left defending it) — the stale row is withdrawn downstream
+    /// (`route_withdrawal`) and the survivors' value, if any, is re-elected
+    /// and emitted (`reelect`).  So retracting the tuple that carried the
+    /// current winner converges to the surviving candidates' best, and a
+    /// count or sum goes down.  Without `reelect` (the head was wiped with
+    /// its store) the group falls silent until its next arrival or death.
     /// `suppress` drops the withdrawal into heads the caller is deleting
     /// itself (the sweep's zombie-to-zombie edges).
     fn settle_agg_kill(
@@ -630,63 +634,36 @@ impl DistributedEngine {
         let node = &mut self.nodes[ix(loc)];
         let firing = &node.ledger.firings[idx as usize];
         let (dest, pred, location_index) = (firing.dest, firing.pred, firing.location_index);
-        let agg = firing.agg.clone().expect("aggregate firing");
-        let key = (agg.rule, agg.group);
-        let Some(AggGroup::Election {
-            candidates,
-            emitted,
-        }) = node.aggs.get_mut(&key)
-        else {
+        let agg = firing.agg.as_ref().expect("aggregate firing");
+        let key = (agg.rule, agg.group.clone());
+        let Some(election) = node.elections.get_mut(&key) else {
             return;
         };
-        let mut value_emptied = false;
-        if let Some(tags) = candidates.get_mut(&agg.value) {
+        if let Some(tags) = election.candidates.get_mut(&agg.value) {
             match tags.iter().position(|t| *t == firing.tag) {
                 Some(pos) => drop(tags.remove(pos)),
                 None => drop(tags.pop()),
             }
             if tags.is_empty() {
-                candidates.remove(&agg.value);
-                value_emptied = true;
+                election.candidates.remove(&agg.value);
             }
         }
-        let dethroned = match &*emitted {
-            // The emitted best died with no tied twin left defending it.
-            Some((value, _)) if *value == agg.value && value_emptied => emitted.take(),
-            // A losing candidate died, or a tied twin of the emitted best
-            // still defends the value: the visible row stands.
-            _ => None,
-        };
-        let Some((emitted_value, emitted_tag)) = dethroned else {
-            if candidates.is_empty() && emitted.is_none() {
-                node.aggs.remove(&key);
-            }
-            return;
-        };
-        let winner = agg.func.winner(candidates);
-        let next_best = winner
-            .map(|(value, tags)| (*value, tags[0].clone()))
-            .filter(|_| reelect);
-        *emitted = next_best.clone();
-        if next_best.is_none() && candidates.is_empty() {
-            node.aggs.remove(&key);
+        let ops = &mut self.metrics.provenance_ops;
+        let (withdrawn, mut elected) = election.reelect(agg.func, &mut self.var_table, ops);
+        if !reelect && (withdrawn.is_some() || elected.is_some()) {
+            election.emitted = None;
+            elected = None;
         }
-        let with_value = |value: i64| -> Arc<[Value]> {
-            let mut values = firing.values.to_vec();
-            values[agg.agg_index] = Value::Int(value);
-            Arc::from(values)
-        };
-        let withdrawn = (dest, pred, with_value(emitted_value));
-        let elected = next_best.map(|(value, tag)| ((dest, pred, with_value(value)), tag));
-        if route_withdrawal && !suppress.is_some_and(|s| s.contains(&withdrawn)) {
-            self.route_row(
-                loc,
-                withdrawn,
-                emitted_tag,
-                location_index,
-                Polarity::Retract,
-                now,
-            );
+        if election.candidates.is_empty() && election.emitted.is_none() {
+            node.elections.remove(&key);
+        }
+        let head = |value: i64| (dest, pred, agg.row_with(&firing.values, value));
+        let withdrawn = withdrawn.map(|(value, tag)| (head(value), tag));
+        let elected = elected.map(|(value, tag)| (head(value), tag));
+        if let Some((head, tag)) = withdrawn.filter(|_| route_withdrawal) {
+            if !suppress.is_some_and(|s| s.contains(&head)) {
+                self.route_row(loc, head, tag, location_index, Polarity::Retract, now);
+            }
         }
         if let Some((head, tag)) = elected {
             self.route_row(loc, head, tag, location_index, Polarity::Assert, now);
@@ -746,20 +723,34 @@ impl DistributedEngine {
             }
         }
         while let Some((i, seq)) = work.pop_front() {
-            let ledger = &self.nodes[i].ledger;
-            let Some(ids) = ledger.by_antecedent.get(&seq) else {
+            let node = &self.nodes[i];
+            let Some(ids) = node.ledger.by_antecedent.get(&seq) else {
                 continue;
             };
             for &idx in ids {
-                let firing = &ledger.firings[idx as usize];
+                let firing = &node.ledger.firings[idx as usize];
                 if !firing.alive {
                     continue;
                 }
                 if !firing.antecedents.iter().all(|a| supported[i].contains(a)) {
                     continue;
                 }
+                // A pooled aggregate candidate supports the row its group
+                // emits now.
+                let pooled;
+                let head = match &firing.agg {
+                    Some(agg) if !firing.heads_a_row() => {
+                        let election = node.elections.get(&(agg.rule, agg.group.clone()));
+                        let Some((value, _)) = election.and_then(|e| e.emitted.as_ref()) else {
+                            continue;
+                        };
+                        pooled = agg.row_with(&firing.values, *value);
+                        &pooled
+                    }
+                    _ => &firing.values,
+                };
                 let j = ix(firing.dest);
-                if let Some(head_seq) = self.nodes[j].store.seq_of(firing.pred, &firing.values) {
+                if let Some(head_seq) = self.nodes[j].store.seq_of(firing.pred, head) {
                     if supported[j].insert(head_seq) {
                         work.push_back((j, head_seq));
                     }

@@ -7,9 +7,9 @@
 
 use super::queue::{BatchRow, DeltaBatch, NodeWork, Origin, Polarity};
 use super::ship::frame_payloads;
-use super::{ix, principal_of, AggGroup, EngineError, NodeRuntime};
+use super::{ix, principal_of, EngineError, GroupKey, NodeRuntime};
 use crate::config::{EngineConfig, GraphMode};
-use crate::dynamics::{AggFiring, Contribution, Extremum, FiringRecord};
+use crate::dynamics::{AggFiring, Contribution, FiringRecord};
 use crate::eval::{eval_expr, eval_filter, Bindings};
 use crate::hash::FastMap;
 use crate::metrics::RunMetrics;
@@ -25,7 +25,6 @@ use pasn_provenance::{
     ProvKey, ProvTag, ProvenanceKind, SamplingPolicy, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One derivation as the provenance stores record it: built once per
@@ -706,37 +705,27 @@ impl<'a> NodeCtx<'a> {
         Ok(next)
     }
 
-    /// Pipelined aggregate state without dynamics (and the running
-    /// Count/Sum totals under either): folds `value` into its group and
-    /// returns the group's new value, or `None` when an `a_MIN`/`a_MAX`
-    /// value does not improve on the best so far — only an improvement
-    /// emits, and nothing is ever withdrawn.
-    fn fold_aggregate(
-        &mut self,
-        label: &str,
-        func: AggFunc,
-        key: (u32, Vec<Value>),
-        value: i64,
-    ) -> Result<Option<i64>, EngineError> {
-        let Some(group) = self.node.aggs.get_mut(&key) else {
+    /// Pipelined aggregate state without dynamics: folds `value` into its
+    /// group and returns the group's new value, or `None` when an
+    /// `a_MIN`/`a_MAX` value does not improve on the best so far — only an
+    /// improvement emits, and nothing is ever withdrawn.
+    fn fold_aggregate(&mut self, func: AggFunc, key: GroupKey, value: i64) -> Option<i64> {
+        let Some(running) = self.node.running.get_mut(&key) else {
             let first = match func {
                 AggFunc::Count => 1,
                 AggFunc::Min | AggFunc::Max | AggFunc::Sum => value,
             };
-            self.node.aggs.insert(key, AggGroup::Running(first));
-            return Ok(Some(first));
-        };
-        let AggGroup::Running(running) = group else {
-            return Err(mixed_aggregate(label));
+            self.node.running.insert(key, first);
+            return Some(first);
         };
         *running = match func {
-            AggFunc::Min if value >= *running => return Ok(None),
-            AggFunc::Max if value <= *running => return Ok(None),
+            AggFunc::Min if value >= *running => return None,
+            AggFunc::Max if value <= *running => return None,
             AggFunc::Min | AggFunc::Max => value,
             AggFunc::Count => *running + 1,
             AggFunc::Sum => *running + value,
         };
-        Ok(Some(*running))
+        Some(*running)
     }
 
     /// Provenance tag of a head: the product of the contributing tuples' tags.
@@ -772,12 +761,12 @@ impl<'a> NodeCtx<'a> {
             value.expect("the planner binds every head slot")
         };
 
-        // Aggregate handling.  With dynamics, `a_MIN`/`a_MAX` become a
-        // candidate competition instead of a running best: *every*
-        // candidate is recorded in the ledger (with its own value in the
-        // head row), and the election below decides what the destination
-        // actually stores — so deleting the current best re-elects the
-        // next-best survivor instead of leaving a stale winner behind.
+        // Aggregate handling.  With dynamics, every aggregate is an election
+        // instead of a running value: *every* candidate is recorded in the
+        // ledger (with its own value in the head row), and the election
+        // below decides what the destination actually stores — so a dead
+        // candidate re-elects the group's value from the survivors instead
+        // of leaving a stale row behind.
         let mut agg_candidate: Option<AggFiring> = None;
         // The aggregate column and the value a running aggregate emits in it.
         let mut folded: Option<(usize, i64)> = None;
@@ -795,7 +784,7 @@ impl<'a> NodeCtx<'a> {
                 .enumerate()
                 .filter(|(i, _)| *i != agg_index);
             let group: Vec<Value> = others.map(|(_, term)| cell(term)).collect();
-            if let Some(func) = Extremum::of(func).filter(|_| shared.config.dynamics) {
+            if shared.config.dynamics {
                 agg_candidate = Some(AggFiring {
                     rule: rule_id,
                     group,
@@ -804,8 +793,7 @@ impl<'a> NodeCtx<'a> {
                     func,
                 });
             } else {
-                let label = &rule_plan.label;
-                match self.fold_aggregate(label, func, (rule_id, group), value)? {
+                match self.fold_aggregate(func, (rule_id, group), value) {
                     Some(new_value) => folded = Some((agg_index, new_value)),
                     None => return Ok(()),
                 }
@@ -842,10 +830,10 @@ impl<'a> NodeCtx<'a> {
 
         // Deletion ledger: record the firing — the head it produced, the
         // tag it contributed, and the antecedent rows by seq — so deletion
-        // can replay it with opposite polarity.  `a_MIN`/`a_MAX` candidates
-        // are recorded with their own candidate value in the head row (and
-        // the aggregate identity attached), so killing one feeds the
-        // group's re-election instead of routing a withdrawal.
+        // can replay it with opposite polarity.  Aggregate candidates are
+        // recorded with their own candidate value in the head row (and the
+        // aggregate identity attached), so killing one feeds the group's
+        // re-election instead of routing a withdrawal.
         if shared.config.dynamics {
             self.node.ledger.record_firing(FiringRecord {
                 alive: true,
@@ -859,14 +847,15 @@ impl<'a> NodeCtx<'a> {
             });
         }
 
-        // `a_MIN`/`a_MAX` candidates under dynamics: the ledger record
-        // above is the candidate's identity; emission is decided by the
-        // per-group election.  (Provenance graphs are not recorded for
-        // candidate firings — graph-recording configs run the non-dynamics
-        // aggregate path.)
+        // Aggregate candidates under dynamics: the ledger record above is
+        // the candidate's identity; emission is decided by the per-group
+        // election.  (Provenance graphs are not recorded for candidate
+        // firings — graph-recording configs run the non-dynamics aggregate
+        // path.)
         if let Some(agg) = agg_candidate {
             let row = BatchRow::derived(head_values, tag, self.id, head.location);
-            return self.elect_aggregate(&rule_plan.label, dest_id, head.pred, row, agg, now);
+            self.elect_aggregate(dest_id, head.pred, row, agg, now);
+            return Ok(());
         }
 
         // Provenance graphs (sampled; deferred in reactive mode).  The
@@ -942,63 +931,44 @@ impl<'a> NodeCtx<'a> {
         });
     }
 
-    /// Enters one `a_MIN`/`a_MAX` candidate into its group's competition
-    /// (dynamics only) and emits the head row only when the candidate beats
-    /// the currently emitted best — withdrawing the dethroned row first, so
-    /// the destination never holds two rows of one group.  Candidates that
-    /// do not win stay in the multiset; `settle_agg_kill` re-elects from
-    /// them when the winner dies.
+    /// Enters one candidate into its group's election (dynamics only) and
+    /// emits only when the group's value moves — withdrawing the old row
+    /// first, so the destination never holds two rows of one group.  An
+    /// `a_MIN`/`a_MAX` group therefore emits a candidate that beats the
+    /// best, an `a_COUNT`/`a_SUM` group its new size or sum; every
+    /// candidate stays in the multiset, and `settle_agg_kill` re-elects
+    /// when one dies.
     fn elect_aggregate(
         &mut self,
-        label: &str,
         destination: NodeId,
         pred: PredId,
         row: BatchRow,
-        agg: AggFiring,
+        mut agg: AggFiring,
         now: SimTime,
-    ) -> Result<(), EngineError> {
-        let group = self.node.aggs.entry((agg.rule, agg.group));
-        let AggGroup::Election {
-            candidates,
-            emitted,
-        } = group.or_insert(AggGroup::Election {
-            candidates: BTreeMap::new(),
-            emitted: None,
-        })
-        else {
-            return Err(mixed_aggregate(label));
+    ) {
+        let key = (agg.rule, std::mem::take(&mut agg.group));
+        let election = self.node.elections.entry(key).or_default();
+        let tags = election.candidates.entry(agg.value).or_default();
+        tags.push(row.tag.clone());
+        let ops = &mut self.metrics.provenance_ops;
+        let (withdrawn, elected) = election.reelect(agg.func, self.var_table, ops);
+        let with_value = |(value, tag): (i64, ProvTag)| {
+            let values = agg.row_with(&row.values, value);
+            BatchRow::derived(values, tag, row.origin, row.location_index)
         };
-        candidates
-            .entry(agg.value)
-            .or_default()
-            .push(row.tag.clone());
-        let defended = |(best, _): &(i64, ProvTag)| !agg.func.improves(agg.value, *best);
-        if emitted.as_ref().is_some_and(defended) {
-            return Ok(());
+        if let Some(old) = withdrawn {
+            self.route_row(now, destination, pred, with_value(old), Polarity::Retract);
         }
-        if let Some((old_value, old_tag)) = emitted.replace((agg.value, row.tag.clone())) {
-            // Withdraw the dethroned best before asserting its successor.
-            let mut old_values = row.values.to_vec();
-            old_values[agg.agg_index] = Value::Int(old_value);
-            let old = BatchRow::derived(
-                Arc::from(old_values),
-                old_tag,
-                row.origin,
-                row.location_index,
-            );
-            self.route_row(now, destination, pred, old, Polarity::Retract);
+        match elected {
+            // The candidate itself won: its row is the one to assert.
+            Some((value, tag)) if value == agg.value => {
+                let row = BatchRow { tag, ..row };
+                self.route_row(now, destination, pred, row, Polarity::Assert);
+            }
+            Some(new) => self.route_row(now, destination, pred, with_value(new), Polarity::Assert),
+            None => {}
         }
-        self.route_row(now, destination, pred, row, Polarity::Assert);
-        Ok(())
     }
-}
-
-/// Two rules sharing `label` — and so their aggregate groups — folded one
-/// group both as a running value and as an `a_MIN`/`a_MAX` election.
-fn mixed_aggregate(label: &str) -> EngineError {
-    EngineError::Eval(format!(
-        "rules labelled {label} aggregate one group both as a running value and as an election"
-    ))
 }
 
 /// Whether `sampling` records the provenance of `pred(values)`.  The

@@ -35,7 +35,7 @@ mod tests;
 mod transport;
 
 use crate::config::{EngineConfig, GraphMode};
-use crate::dynamics::{ChurnEvent, ChurnScript, Ledger};
+use crate::dynamics::{pools, ChurnEvent, ChurnScript, Ledger};
 use crate::eval::EvalError;
 use crate::hash::FastMap;
 use crate::metrics::RunMetrics;
@@ -47,7 +47,7 @@ use pasn_crypto::channel::{ChannelHandshake, ReceiverChannel, SenderChannel};
 use pasn_crypto::says::{Authenticator, SaysAssertion};
 use pasn_crypto::{KeyAuthority, Principal, PrincipalId, RsaPublicKey};
 use pasn_datalog::plan::CompiledProgram;
-use pasn_datalog::{compile_program, PlanError, PredId, Program, Term, Value};
+use pasn_datalog::{compile_program, AggFunc, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
 use pasn_provenance::{
     moonwalk_with, traceback_with, ArchiveStore, DerivationGraph, DistributedStore,
@@ -164,22 +164,63 @@ fn node_of(principal: PrincipalId) -> NodeId {
     NodeId(principal.0)
 }
 
-/// State of one aggregate group — `(rule id, grouping columns)` — at the
-/// deriving node.
-enum AggGroup {
-    /// The running total (`a_COUNT`/`a_SUM`), or without dynamics the best
-    /// `a_MIN`/`a_MAX` value so far.
-    Running(i64),
-    /// An `a_MIN`/`a_MAX` candidate competition (dynamics only).
-    Election {
-        /// Candidate value → one provenance tag per alive candidate firing.
-        /// The deletion ledger's re-election pool: when the emitted best
-        /// dies, the next-best surviving candidate takes over.
-        candidates: BTreeMap<i64, Vec<ProvTag>>,
-        /// The currently emitted best: exactly what the head's node stores,
-        /// so deletion withdraws precisely that row.
-        emitted: Option<(i64, ProvTag)>,
-    },
+/// An aggregate group — `(rule id, grouping columns)` — at the deriving
+/// node.
+type GroupKey = (u32, Vec<Value>);
+
+/// An aggregate group's row, by its aggregate value and tag.
+type Emission = (i64, ProvTag);
+
+/// One aggregate group's election under dynamics, for every aggregate
+/// function: the live candidate multiset and the one row it emits.
+#[derive(Default)]
+struct Election {
+    /// Candidate value → one provenance tag per alive candidate firing.
+    /// An arrival adds one, a candidate firing's death removes it.
+    candidates: BTreeMap<i64, Vec<ProvTag>>,
+    /// The emitted row: exactly what the head's node stores, so deletion
+    /// withdraws precisely that row.
+    emitted: Option<Emission>,
+}
+
+impl Election {
+    /// Re-elects after the candidate multiset changed.  The group's value
+    /// is `func`'s value of its live candidates; an `a_MIN`/`a_MAX` row
+    /// carries its winner's tag (the emitted one while that value stands),
+    /// an `a_COUNT`/`a_SUM` row the semiring product of every live
+    /// candidate's tag, since its value depends on all of them.  Returns the
+    /// row to withdraw and the row to assert — both `None` while the
+    /// emitted row stands; an emptied group asserts nothing.
+    fn reelect(
+        &mut self,
+        func: AggFunc,
+        table: &mut VarTable,
+        provenance_ops: &mut u64,
+    ) -> (Option<Emission>, Option<Emission>) {
+        let elected = func.value_of(&self.candidates).map(|value| {
+            let tag = if pools(func) {
+                let mut tags = self.candidates.values().flatten();
+                let first = tags.next().cloned().unwrap_or_default();
+                // Untagged runs multiply nothing.
+                let untagged = first == ProvTag::None;
+                tags.filter(|_| !untagged).fold(first, |product, tag| {
+                    *provenance_ops += 1;
+                    product.times(tag, table)
+                })
+            } else {
+                match &self.emitted {
+                    Some((emitted, tag)) if *emitted == value => tag.clone(),
+                    _ => self.candidates[&value][0].clone(),
+                }
+            };
+            (value, tag)
+        });
+        if elected == self.emitted {
+            return (None, None);
+        }
+        let withdrawn = std::mem::replace(&mut self.emitted, elected.clone());
+        (withdrawn, elected)
+    }
 }
 
 /// One node's end of its links with one peer: the sender half of the
@@ -286,8 +327,12 @@ impl Peer {
 /// Per-node runtime state, stored at the index of the node's [`NodeId`].
 struct NodeRuntime {
     store: NodeStore,
-    /// Aggregate groups by `(rule id, group key)`.
-    aggs: FastMap<(u32, Vec<Value>), AggGroup>,
+    /// Without dynamics, each aggregate group's running value: the
+    /// `a_COUNT`/`a_SUM` total, or the best `a_MIN`/`a_MAX` value so far —
+    /// pipelined, emitted as it moves and never withdrawn.
+    running: FastMap<GroupKey, i64>,
+    /// Under dynamics, each aggregate group's election.
+    elections: FastMap<GroupKey, Election>,
     /// Online local provenance: the derivation graph of currently valid
     /// tuples (graph modes only).
     local_prov: DerivationGraph,
@@ -458,7 +503,8 @@ impl DistributedEngine {
                 }
                 NodeRuntime {
                     store,
-                    aggs: FastMap::default(),
+                    running: FastMap::default(),
+                    elections: FastMap::default(),
                     local_prov: DerivationGraph::new(),
                     dist_prov: DistributedStore::new(name.clone()),
                     archive: ArchiveStore::new(),
@@ -1146,6 +1192,12 @@ impl DistributedEngine {
             .iter()
             .map(|n| n.store.index_bytes() as u64)
             .sum()
+    }
+
+    /// Rows stored at `location` now, over every relation (0 outside the
+    /// deployment): one node's term of `RunMetrics::tuples_stored`.
+    pub fn tuples_at(&self, location: &Value) -> usize {
+        self.node_at(location).map_or(0, |n| n.store.total_tuples())
     }
 
     /// Metrics collected so far.

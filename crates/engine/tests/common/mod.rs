@@ -75,6 +75,22 @@ pub fn fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// Per-node *insertion-ordered* `(values, tag)` renderings of `pred` — no
+/// sorting, so any schedule divergence between two drivers shows up.
+pub fn ordered_fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<String>> {
+    engine
+        .locations()
+        .iter()
+        .map(|loc| {
+            engine
+                .query(loc, pred)
+                .into_iter()
+                .map(|(t, m)| format!("{:?} {}", t.values, m.tag))
+                .collect()
+        })
+        .collect()
+}
+
 /// The rows of `preds` across all nodes, each with its condensed tag as a
 /// Boolean function — its value under every assignment of the (at most a
 /// dozen) principals; sorted when `canonical`, in insertion order otherwise.

@@ -10,27 +10,12 @@
 //! metrics table), across says levels × batch knobs × churn scripts ×
 //! soft-state TTLs.
 
-use pasn_engine::{ChurnScript, DistributedEngine, EngineConfig, Scope};
+use pasn_engine::{ChurnScript, EngineConfig, Scope};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 mod common;
-use common::{locations, reach_engine, says_config, str_val, NODES};
-
-/// Per-node *insertion-ordered* `(values, tag)` renderings of `pred` — no
-/// sorting, so any schedule divergence between the two drivers shows up.
-fn ordered_fixpoint_of(engine: &DistributedEngine, pred: &str) -> Vec<Vec<String>> {
-    locations()
-        .iter()
-        .map(|loc| {
-            engine
-                .query(loc, pred)
-                .into_iter()
-                .map(|(t, m)| format!("{:?} {}", t.values, m.tag))
-                .collect()
-        })
-        .collect()
-}
+use common::{ordered_fixpoint_of, reach_engine, says_config, str_val, NODES};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]

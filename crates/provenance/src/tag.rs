@@ -63,17 +63,15 @@ pub struct VarTable {
     by_principal: HashMap<u32, VarId>,
     by_base: HashMap<BaseTupleId, VarId>,
     names: Vec<String>,
+    /// The principal behind each variable, indexed by [`VarId`] (`None` for
+    /// a base-tuple variable).
+    principals: Vec<Option<PrincipalId>>,
 }
 
 impl VarTable {
     /// Creates an empty table.
     pub fn new() -> Self {
-        VarTable {
-            manager: BddManager::new(),
-            by_principal: HashMap::new(),
-            by_base: HashMap::new(),
-            names: Vec::new(),
-        }
+        VarTable::default()
     }
 
     /// Variable for a principal, interned on first use.
@@ -81,8 +79,7 @@ impl VarTable {
         if let Some(&v) = self.by_principal.get(&principal.0) {
             return v;
         }
-        let v = self.names.len() as VarId;
-        self.names.push(format!("{principal}"));
+        let v = self.intern(format!("{principal}"), Some(principal));
         self.by_principal.insert(principal.0, v);
         v
     }
@@ -92,19 +89,22 @@ impl VarTable {
         if let Some(&v) = self.by_base.get(&base) {
             return v;
         }
-        let v = self.names.len() as VarId;
-        self.names.push(name.into());
+        let v = self.intern(name.into(), None);
         self.by_base.insert(base, v);
         v
+    }
+
+    /// Allots the next variable.
+    fn intern(&mut self, name: String, principal: Option<PrincipalId>) -> VarId {
+        self.names.push(name);
+        self.principals.push(principal);
+        (self.names.len() - 1) as VarId
     }
 
     /// The principal behind a BDD variable, if the variable was interned via
     /// [`VarTable::principal_var`].
     pub fn principal_of(&self, var: VarId) -> Option<PrincipalId> {
-        self.by_principal
-            .iter()
-            .find(|(_, v)| **v == var)
-            .map(|(p, _)| PrincipalId(*p))
+        self.principals.get(var as usize).copied().flatten()
     }
 
     /// Human-readable name of a variable.
@@ -358,31 +358,21 @@ impl ProvTag {
 
     /// Evaluates the trust level of this tag given a per-principal security
     /// level function; only meaningful for condensed tags (the quantifiable
-    /// evaluation of Section 4.5) and trust tags (already a level).
+    /// evaluation of Section 4.5) and trust tags (already a level).  A
+    /// condensed tag's level is the max over its derivations of the min
+    /// level of the principals each one needs: over the BDD's paths to
+    /// `true`, the min over each path's positive principal literals, folded
+    /// once per node — `None` for `false`, `u8::MAX` for `true`.
     pub fn trust_level<F: Fn(u32) -> u8>(&self, table: &VarTable, level_of: F) -> Option<u8> {
         match self {
             ProvTag::Trust(t) => Some(t.0),
             ProvTag::Condensed(bdd) => {
-                let expr = BoolExpr::from_bdd(table.manager(), *bdd);
-                let cubes = table.manager().cubes(*bdd, 4096);
-                let _ = expr;
-                let mut best: Option<u8> = None;
-                for cube in cubes {
-                    // min over the positive literals of the cube.
-                    let mut cube_level = u8::MAX;
-                    for (var, positive) in cube {
-                        if positive {
-                            // Map back from BDD variable to principal id.
-                            if let Some((pid, _)) =
-                                table.by_principal.iter().find(|(_, v)| **v == var)
-                            {
-                                cube_level = cube_level.min(level_of(*pid));
-                            }
-                        }
-                    }
-                    best = Some(best.map_or(cube_level, |b| b.max(cube_level)));
-                }
-                best
+                let level = |var| table.principal_of(var).map_or(u8::MAX, |p| level_of(p.0));
+                // `None` orders below every level, so `max` skips a dead end.
+                let node = |var, low: &Option<u8>, high: &Option<u8>| {
+                    (*low).max(high.map(|high| high.min(level(var))))
+                };
+                table.manager().fold(*bdd, None, Some(u8::MAX), node)
             }
             _ => None,
         }
@@ -440,6 +430,95 @@ mod tests {
         assert_eq!(expr.trust_level(&table, levels), Some(2));
         // The uncondensed union a + a*b would have 3 literals; condensed has 1.
         assert!(expr.wire_size(&table) < 2 + 3 * 4 + 1);
+    }
+
+    /// The condensed tag of principal `id`.
+    fn said_by(table: &mut VarTable, id: u32) -> ProvTag {
+        let kind = ProvenanceKind::Condensed;
+        ProvTag::base(kind, table, BaseTupleId(id.into()), "t", p(id), 1)
+    }
+
+    /// The max–min by brute force: over every assignment of the first
+    /// `vars` variables that satisfies the tag, the least level of the
+    /// principals it sets (`u8::MAX` for none); `None` if none satisfies.
+    fn brute_force_level(table: &VarTable, tag: &ProvTag, vars: u32, level: &[u8]) -> Option<u8> {
+        let ProvTag::Condensed(bdd) = tag else {
+            panic!("condensed tag expected");
+        };
+        let set = |assignment: u32, var: VarId| assignment >> var & 1 == 1;
+        let satisfying =
+            (0..1u32 << vars).filter(|&a| table.manager().evaluate(*bdd, |v| set(a, v)));
+        let level_of = |var| level[table.principal_of(var).unwrap().0 as usize];
+        let least = |a: u32| (0..vars).filter(|&v| set(a, v)).map(level_of).min();
+        satisfying.map(|a| least(a).unwrap_or(u8::MAX)).max()
+    }
+
+    #[test]
+    fn trust_levels_are_the_max_min_over_every_assignment() {
+        // Random monotone tags — sums of products of eight principals —
+        // under random levels, from a fixed splitmix64 stream.
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut table = VarTable::new();
+        let principals: Vec<ProvTag> = (0..8).map(|id| said_by(&mut table, id)).collect();
+        for _ in 0..64 {
+            let level: Vec<u8> = (0..8).map(|_| next(5) as u8).collect();
+            let mut tag = ProvTag::Condensed(table.manager().false_ref());
+            for _ in 0..1 + next(4) {
+                let mut product = ProvTag::one(ProvenanceKind::Condensed, &mut table);
+                for _ in 0..1 + next(4) {
+                    product = product.times(&principals[next(8) as usize], &mut table);
+                }
+                tag = tag.plus(&product, &mut table);
+            }
+            let expected = brute_force_level(&table, &tag, 8, &level);
+            assert_eq!(tag.trust_level(&table, |id| level[id as usize]), expected);
+        }
+        let never = ProvTag::Condensed(table.manager().false_ref());
+        assert_eq!(never.trust_level(&table, |_| 1), None);
+    }
+
+    #[test]
+    fn a_tag_with_more_paths_than_any_cap_is_levelled_exactly() {
+        // (a0 + b0) * (a1 + b1) * ... * (a12 + b12): 2^13 paths.  With a0 at
+        // level 1, b0 at 4 and everyone else at 3, the best derivation takes
+        // b0 and one principal per other clause: level 3.  The paths through
+        // a0 alone — the first 4,096 a depth-first walk meets — say 1.
+        let mut table = VarTable::new();
+        let mut tag = ProvTag::one(ProvenanceKind::Condensed, &mut table);
+        for clause in 0..13 {
+            let a = said_by(&mut table, 2 * clause);
+            let b = said_by(&mut table, 2 * clause + 1);
+            tag = tag.times(&a.plus(&b, &mut table), &mut table);
+        }
+        let ProvTag::Condensed(bdd) = tag else {
+            unreachable!("condensed tags multiply to a condensed tag");
+        };
+        assert_eq!(table.manager().cubes(bdd, usize::MAX).len(), 1 << 13);
+        let level = |id: u32| match id {
+            0 => 1,
+            1 => 4,
+            _ => 3,
+        };
+        let per_clause = (0..13).map(|c| level(2 * c).max(level(2 * c + 1)));
+        assert_eq!(per_clause.min(), Some(3));
+        assert_eq!(tag.trust_level(&table, level), Some(3));
+    }
+
+    #[test]
+    fn principals_are_read_off_their_variables() {
+        let mut table = VarTable::new();
+        let base = table.base_var(BaseTupleId(5), "link(a,b)");
+        let seven = table.principal_var(p(7));
+        assert_eq!(table.principal_of(seven), Some(p(7)));
+        assert_eq!(table.principal_of(base), None);
+        assert_eq!(table.principal_of(99), None);
     }
 
     #[test]

@@ -1,78 +1,83 @@
 //! Real-time diagnostics: route-flap detection plus online provenance
 //! diagnosis (Section 3, "Real-time Diagnostics").
 //!
-//! A SeNDlog monitoring query counts route updates per destination; when a
-//! destination's update rate exceeds a threshold within a sliding window, an
-//! alarm fires and the online provenance of the flapping entry is queried to
-//! locate the origin of the instability.
+//! The monitor is two rules (`pasn::programs::ROUTE_MONITOR`): `updateCount`
+//! counts a node's route updates per destination, `alarm` holds while that
+//! count exceeds a threshold.  Every update is a `routeUpdate` fact that
+//! lives `T` seconds — inserted when it happens, retracted `T` later — so
+//! the count is over a sliding window: the alarm is raised inside a burst of
+//! updates and withdrawn once the window slides past it.  The alarmed
+//! destination's routing entry is then traced through its online provenance
+//! to locate the origin of the instability.
 //!
 //! ```text
 //! cargo run --example diagnostics_monitor
 //! ```
 
-use pasn::diagnostics::{diagnose, update_counts, FlapMonitor};
+use pasn::diagnostics::diagnose;
 use pasn::prelude::*;
 use pasn::workload;
 
 fn main() {
     println!("== real-time diagnostics: route-flap detection ==\n");
 
-    // ---- 1. The imperative sliding-window monitor -----------------------
-    // Node n0 receives a stream of routing updates; destination n3 flaps.
+    // ---- 1. The monitor: two rules over a sliding window ----------------
+    // Node n0 receives one routing update a second; destination n3 flaps
+    // eight times in a row.  Each update counts for 4.5 s.
+    let n0 = Value::Addr(0);
+    let window = SimTime::from_millis(4_500);
     let destinations: Vec<NodeId> = (1..6).map(NodeId).collect();
-    let updates = workload::route_update_stream(NodeId(0), &destinations, NodeId(3), 8, 42);
-    println!(
-        "synthetic update stream: {} updates, per-destination counts {:?}\n",
-        updates.len(),
-        update_counts(&updates)
-    );
-
-    let mut monitor = FlapMonitor::new(SimTime::from_secs_f64(30.0), 3);
-    let mut alarm = None;
-    for (i, update) in updates.iter().enumerate() {
-        let dest = update.value(1).unwrap().clone();
-        let key = format!("bestPath(@n0,{dest})");
-        if let Some(a) = monitor.record(&key, SimTime::from_secs_f64(i as f64)) {
-            alarm = Some(a);
-            break;
-        }
-    }
-    let alarm = alarm.expect("the flapping destination trips the threshold");
-    println!(
-        "ALARM: {} changed {} times within the window (t = {})\n",
-        alarm.key, alarm.changes, alarm.at
-    );
-
-    // ---- 2. The declarative counterpart ---------------------------------
-    // The same detection expressed as the paper's continuous SeNDlog query:
-    // updateCount/alarm rules with a COUNT aggregate and a threshold filter.
-    let locations: Vec<Value> = (0..6).map(Value::Addr).collect();
-    let mut network = SecureNetwork::builder()
+    let stream = workload::route_update_stream(NodeId(0), &destinations, NodeId(3), 8, window, 42);
+    let mut monitor = SecureNetwork::builder()
         .program(pasn::programs::route_monitor())
-        .locations(locations)
-        .config(EngineConfig::ndlog().with_cost_model(CostModel::zero_cpu()))
+        .locations((0..6).map(Value::Addr).collect())
+        .config(
+            EngineConfig::ndlog()
+                .with_cost_model(CostModel::zero_cpu())
+                .with_dynamics(),
+        )
         .fact(
-            Value::Addr(0),
-            Tuple::new("threshold", vec![Value::Addr(0), Value::Int(3)]),
+            n0.clone(),
+            Tuple::new("threshold", vec![n0.clone(), Value::Int(3)]),
         )
         .build()
         .expect("program compiles");
-    for update in &updates {
-        network
-            .engine_mut()
-            .insert_fact(Value::Addr(0), update.clone())
-            .expect("known location");
+    println!(
+        "{:>6}  {:<8} {:<24} alarm",
+        "t", "update", "updates in the window"
+    );
+    let mut raised: Option<(SimTime, Tuple)> = None;
+    for (at, event) in stream {
+        let kind = match event {
+            ChurnEvent::Insert { .. } => "arrives",
+            _ => "expires",
+        };
+        monitor
+            .run_streaming([(at, event)])
+            .expect("the monitor runs");
+        let rows = |pred: &str| monitor.query(&n0, pred).into_iter().map(|(tuple, _)| tuple);
+        let counts: Vec<String> = rows("updateCount")
+            .map(|t| format!("{}:{}", t.values[1], t.values[2]))
+            .collect();
+        let alarm = rows("alarm").next();
+        if raised.is_none() {
+            raised = alarm.clone().map(|tuple| (at, tuple));
+        }
+        let shown = alarm.map_or("-".to_string(), |tuple| tuple.to_string());
+        let counts = counts.join(" ");
+        println!("{:>5.1}s  {kind:<8} {counts:<24} {shown}", at.as_secs_f64());
     }
-    network.run().expect("fixpoint reached");
-    println!("declarative monitor results at n0:");
-    for (tuple, _) in network.query(&Value::Addr(0), "alarm") {
-        println!("  {tuple}");
-    }
-    println!();
+    let (raised_at, alarm) = raised.expect("the burst to n3 raises an alarm");
+    assert_eq!(alarm.values[1], Value::Addr(3), "only n3 flaps");
+    assert!(
+        monitor.query(&n0, "alarm").is_empty() && monitor.query(&n0, "updateCount").is_empty(),
+        "the window slid past the burst: every count and the alarm are withdrawn"
+    );
+    println!("\nALARM {alarm} raised at {raised_at}, withdrawn once the window slid past\n");
 
-    // ---- 3. Diagnose the alarm via online provenance --------------------
+    // ---- 2. Diagnose the alarm via online provenance --------------------
     // Run the routing protocol with distributed provenance so the alarmed
-    // entry can be traced back to the links it depends on.
+    // destination's entry can be traced back to the links it depends on.
     let topology = Topology::random_out_degree(6, 3, 5, 9);
     let mut routing = SecureNetwork::builder()
         .program(pasn::programs::reachability_ndlog())
@@ -86,12 +91,8 @@ fn main() {
         .expect("program compiles");
     routing.run().expect("fixpoint reached");
 
-    let routing_alarm = pasn::diagnostics::FlapAlarm {
-        key: "reachable(@n0,n3)".to_string(),
-        changes: alarm.changes,
-        at: alarm.at,
-    };
-    let diagnosis = diagnose(&routing, &Value::Addr(0), &routing_alarm);
+    let entry = Tuple::new("reachable", vec![n0.clone(), alarm.values[1].clone()]);
+    let diagnosis = diagnose(&routing, &n0, &entry.render_located(Some(0)));
     println!("diagnosis of {}:", diagnosis.key);
     println!("  provenance hops crossed : {}", diagnosis.provenance_hops);
     println!("  suspected origin links  :");
@@ -100,7 +101,7 @@ fn main() {
     }
     println!();
 
-    // ---- 4. Flight-recorder forensics on a lossy deployment -------------
+    // ---- 3. Flight-recorder forensics on a lossy deployment -------------
     // Re-run the session deployment over a faulty network with the
     // deterministic flight recorder attached: the hot-rule profile shows
     // where the simulated CPU went, and the per-link frame lifecycles show

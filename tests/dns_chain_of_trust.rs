@@ -4,8 +4,10 @@
 //! answer behave like the paper's trust-management use case, and a key
 //! rollover is a churn script the deletion ledger withdraws and restores.
 
+use pasn::diagnostics::diagnose;
 use pasn::prelude::*;
 use pasn::trust::{TrustEvaluator, TrustPolicy};
+use pasn::AccountabilityReport;
 use pasn_crypto::SaysLevel;
 use pasn_overlay::dns::{dnskey, ds, resolver, rr};
 use pasn_overlay::dns::{DnsDeployment, DnsError, ZoneTree};
@@ -193,6 +195,53 @@ fn resolution_graph_has_one_delegation_step_per_zone() {
         assert!(witness.contains(&anchor));
         assert_eq!(witness.len(), 1 + 3 + 3 + 2 + 1);
     }
+}
+
+/// `diagnose` reads a resolution's origins off its online provenance: the
+/// base facts the chain rests on — the trust anchor, per zone its key and
+/// the resolver it serves, per delegation its endorsement, and the record —
+/// whatever the program calls them.
+#[test]
+fn a_resolution_is_diagnosed_down_to_its_base_facts() {
+    let [cleartext, ..] = levels();
+    let (dns, _) = run(
+        &hierarchy(),
+        cleartext.with_graph_mode(GraphMode::Distributed),
+    );
+    let res = dns.resolve("www.example.org").unwrap();
+    let answer = format!("resolved(n0,www.example.org,{})", res.address);
+    let diagnosis = diagnose(&dns.net, &resolver(), &answer);
+    let mut origins = diagnosis.suspected_origins;
+    origins.sort();
+    let predicates: Vec<&str> = origins.iter().filter_map(|o| o.split('(').next()).collect();
+    assert_eq!(
+        predicates,
+        [
+            "anchor", "dnskey", "dnskey", "dnskey", "ds", "ds", "resolver", "resolver", "resolver",
+            "rr"
+        ]
+    );
+    let stored: Vec<String> = ["anchor", "dnskey", "ds", "resolver", "rr"]
+        .iter()
+        .flat_map(|pred| dns.net.query_all(pred))
+        .map(|(_, tuple, _)| tuple.to_string())
+        .collect();
+    assert!(
+        origins.iter().all(|origin| stored.contains(origin)),
+        "{origins:?}"
+    );
+}
+
+/// An accountability report counts every row a principal's node stores, in
+/// every relation the program has — here none of the reachability names.
+#[test]
+fn accountability_counts_every_dnssec_relation() {
+    let [cleartext, ..] = levels();
+    let (dns, metrics) = run(&hierarchy(), cleartext);
+    let report = AccountabilityReport::collect(&dns.net);
+    let stored: usize = report.usage.iter().map(|u| u.tuples_stored).sum();
+    assert_eq!(stored as u64, metrics.tuples_stored);
+    assert!(report.usage.iter().all(|u| u.tuples_stored > 0));
 }
 
 const ROLLED: &str = "example.org";
