@@ -260,14 +260,8 @@ impl DistributedEngine {
     /// rejoin.
     fn remember_base_rows(&mut self, id: NodeId) -> Vec<BaseRow> {
         let node = &self.nodes[ix(id)];
-        let supports = node.ledger.supports.iter();
-        let mut seqs: Vec<(u64, PredId)> = supports
-            .filter(|(_, entry)| entry.base_count > 0)
-            .map(|(seq, entry)| (*seq, entry.pred))
-            .collect();
-        seqs.sort_unstable();
         let row = |(seq, pred)| Some((pred, node.store.row_by_seq(pred, seq)?.0.clone()));
-        let base: Vec<BaseRow> = seqs.into_iter().filter_map(row).collect();
+        let base: Vec<BaseRow> = node.ledger.base_seqs().filter_map(row).collect();
         self.deletion.failed_nodes.insert(id, base.clone());
         base
     }
@@ -348,11 +342,9 @@ impl DistributedEngine {
         now: SimTime,
     ) {
         let ledger = &mut self.nodes[ix(src)].ledger;
-        let Some(ids) = ledger.by_head.get(&(dest, pred, values.clone())) else {
-            return;
-        };
+        let head = (dest, pred, values.clone());
         let alive = |exact: bool| {
-            ids.iter().copied().find(|&i| {
+            ledger.heading(&head).find(|&i| {
                 let f = &ledger.firings[i as usize];
                 f.alive && (!exact || f.tag == *tag)
             })
@@ -396,7 +388,7 @@ impl DistributedEngine {
             .get_mut(&seq)
             .expect("dynamics records every live row");
         let mut resay = Vec::new();
-        if !force && entry.count > 1 {
+        if !force && entry.tags.len() > 1 {
             // Alternative derivations survive: consume the withdrawn
             // contribution and recompute the tag from the remainder —
             // exactly what the semiring sum of the surviving derivation
@@ -408,7 +400,6 @@ impl DistributedEngine {
             // Scripted retractions conversely prefer base contributions.
             // Where a rule can see who said the row, a tombstone withdraws
             // what its own speaker said.
-            entry.count -= 1;
             let seen = self.shared.speaker_seen(pred);
             let tags = &entry.tags;
             let pos = match withdrawn {
@@ -423,7 +414,6 @@ impl DistributedEngine {
             };
             let gone = entry.tags.remove(pos.unwrap_or(entry.tags.len() - 1));
             if gone.is_base {
-                entry.base_count -= 1;
                 // Withdrawing base support without removing the row can
                 // strand a recursion island (the tuple now rests purely on
                 // firings that may form a cycle): the well-founded sweep
@@ -451,7 +441,7 @@ impl DistributedEngine {
                 }
                 return;
             }
-            let location_index = entry.location_index;
+            let location_index = entry.location.index();
             resay.extend(entry.tags.drain(..).map(|c| BatchRow {
                 is_base: c.is_base,
                 ..BatchRow::derived(removal.values.clone(), c.tag, c.speaker, location_index)
@@ -498,14 +488,13 @@ impl DistributedEngine {
             };
             self.trace_event(now, retraction);
         }
-        let mut routes = Vec::new();
-        let mut agg_kills: Vec<u32> = Vec::new();
+        let (agg_kills, routes): (Vec<u32>, Vec<u32>);
         {
             let node = &mut self.nodes[ix(loc)];
             let entry = node.ledger.supports.remove(&seq);
             node.ledger.retracted.insert((pred, values.clone()));
             if graph_mode != GraphMode::None || archive_offline {
-                let loc_idx = entry.as_ref().and_then(|e| e.location_index);
+                let loc_idx = entry.as_ref().and_then(|e| e.location.index());
                 let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
                 let key = tuple::render_located_parts(pred_name, &values, loc_idx);
                 if graph_mode != GraphMode::None {
@@ -521,26 +510,14 @@ impl DistributedEngine {
                     );
                 }
             }
-            if let Some(firing_ids) = node.ledger.by_antecedent.remove(&seq) {
-                for idx in firing_ids {
-                    if !node.ledger.kill(idx) {
-                        continue;
-                    }
-                    let firing = &node.ledger.firings[idx as usize];
-                    if firing.agg.is_some() {
-                        // Aggregate candidates withdraw through group
-                        // re-election, not directly: only the emitted best
-                        // was ever visible downstream.
-                        agg_kills.push(idx);
-                    } else {
-                        routes.push((
-                            (firing.dest, firing.pred, firing.values.clone()),
-                            firing.tag.clone(),
-                            firing.location_index,
-                        ));
-                    }
-                }
-            }
+            let mut killed = node.ledger.take_readers(seq);
+            killed.retain(|&idx| node.ledger.kill(idx));
+            // Aggregate candidates withdraw through group re-election, not
+            // directly: only the emitted best was ever visible downstream.
+            let firings = &node.ledger.firings;
+            (agg_kills, routes) = killed
+                .iter()
+                .partition(|&&i| firings[i as usize].agg.is_some());
         }
         self.metrics.retractions += 1;
         self.deletion.needs_sweep = true;
@@ -556,9 +533,12 @@ impl DistributedEngine {
         for idx in agg_kills {
             self.settle_agg_kill(loc, idx, now, true, true, suppress);
         }
-        for (head, rtag, ridx) in routes {
+        for idx in routes {
+            let firing = &self.nodes[ix(loc)].ledger.firings[idx as usize];
+            let head = (firing.dest, firing.pred, firing.values.clone());
             if !suppress.is_some_and(|s| s.contains(&head)) {
-                self.route_row(loc, head, rtag, ridx, Polarity::Retract, now);
+                let (tag, column) = (firing.tag.clone(), firing.location.index());
+                self.route_row(loc, head, tag, column, Polarity::Retract, now);
             }
         }
     }
@@ -595,16 +575,12 @@ impl DistributedEngine {
     ) {
         let key = (dest, pred, values.clone());
         for loc in node_ids(self.nodes.len()) {
-            let mut agg_kills: Vec<u32> = Vec::new();
             let ledger = &mut self.nodes[ix(loc)].ledger;
-            if let Some(ids) = ledger.by_head.remove(&key) {
-                for idx in ids {
-                    if ledger.kill(idx) && ledger.firings[idx as usize].agg.is_some() {
-                        agg_kills.push(idx);
-                    }
-                }
+            let mut agg_kills = ledger.take_heading(&key);
+            if !agg_kills.is_empty() {
                 self.deletion.reclaim_at.push(loc);
             }
+            agg_kills.retain(|&idx| ledger.kill(idx) && ledger.firings[idx as usize].agg.is_some());
             for idx in agg_kills {
                 self.settle_agg_kill(loc, idx, now, false, false, None);
             }
@@ -633,7 +609,7 @@ impl DistributedEngine {
     ) {
         let node = &mut self.nodes[ix(loc)];
         let firing = &node.ledger.firings[idx as usize];
-        let (dest, pred, location_index) = (firing.dest, firing.pred, firing.location_index);
+        let (dest, pred, column) = (firing.dest, firing.pred, firing.location.index());
         let agg = firing.agg.as_ref().expect("aggregate firing");
         let key = (agg.rule, agg.group.clone());
         let Some(election) = node.elections.get_mut(&key) else {
@@ -662,11 +638,11 @@ impl DistributedEngine {
         let elected = elected.map(|(value, tag)| (head(value), tag));
         if let Some((head, tag)) = withdrawn.filter(|_| route_withdrawal) {
             if !suppress.is_some_and(|s| s.contains(&head)) {
-                self.route_row(loc, head, tag, location_index, Polarity::Retract, now);
+                self.route_row(loc, head, tag, column, Polarity::Retract, now);
             }
         }
         if let Some((head, tag)) = elected {
-            self.route_row(loc, head, tag, location_index, Polarity::Assert, now);
+            self.route_row(loc, head, tag, column, Polarity::Assert, now);
         }
     }
 
@@ -707,32 +683,18 @@ impl DistributedEngine {
         let mut supported: Vec<FastSet<u64>> = vec![FastSet::default(); self.nodes.len()];
         let mut work: VecDeque<(usize, u64)> = VecDeque::new();
         for (i, node) in self.nodes.iter().enumerate() {
-            let mut seeds: Vec<u64> = node
-                .ledger
-                .supports
-                .iter()
-                .filter(|(seq, entry)| {
-                    entry.base_count > 0 && node.store.row_by_seq(entry.pred, **seq).is_some()
-                })
-                .map(|(seq, _)| *seq)
-                .collect();
-            seeds.sort_unstable();
-            for seq in seeds {
+            let live = |&(seq, pred): &(u64, PredId)| node.store.row_by_seq(pred, seq).is_some();
+            for (seq, _) in node.ledger.base_seqs().filter(live) {
                 supported[i].insert(seq);
                 work.push_back((i, seq));
             }
         }
         while let Some((i, seq)) = work.pop_front() {
             let node = &self.nodes[i];
-            let Some(ids) = node.ledger.by_antecedent.get(&seq) else {
-                continue;
-            };
-            for &idx in ids {
+            for idx in node.ledger.readers(seq) {
                 let firing = &node.ledger.firings[idx as usize];
-                if !firing.alive {
-                    continue;
-                }
-                if !firing.antecedents.iter().all(|a| supported[i].contains(a)) {
+                let mut antecedents = node.ledger.antecedents(idx);
+                if !firing.alive || !antecedents.all(|a| supported[i].contains(&a)) {
                     continue;
                 }
                 // A pooled aggregate candidate supports the row its group

@@ -9,7 +9,7 @@ use super::queue::{BatchRow, DeltaBatch, NodeWork, Origin, Polarity};
 use super::ship::frame_payloads;
 use super::{ix, principal_of, EngineError, GroupKey, NodeRuntime};
 use crate::config::{EngineConfig, GraphMode};
-use crate::dynamics::{AggFiring, Contribution, FiringRecord};
+use crate::dynamics::{AggFiring, Contribution};
 use crate::eval::{eval_expr, eval_filter, Bindings};
 use crate::hash::FastMap;
 use crate::metrics::RunMetrics;
@@ -835,16 +835,13 @@ impl<'a> NodeCtx<'a> {
         // aggregate identity attached), so killing one feeds the group's
         // re-election instead of routing a withdrawal.
         if shared.config.dynamics {
-            self.node.ledger.record_firing(FiringRecord {
-                alive: true,
-                dest: dest_id,
-                pred: head.pred,
-                values: head_values.clone(),
-                tag: tag.clone(),
-                location_index: head.location,
-                antecedents: contribs.iter().map(|c| c.seq).collect(),
-                agg: agg_candidate.clone(),
-            });
+            self.node.ledger.record_firing(
+                (dest_id, head.pred, head_values.clone()),
+                tag.clone(),
+                head.location,
+                agg_candidate.clone(),
+                contribs.iter().map(|c| c.seq),
+            );
         }
 
         // Aggregate candidates under dynamics: the ledger record above is

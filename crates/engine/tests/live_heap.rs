@@ -70,15 +70,18 @@ const TTL_US: u64 = 500_000;
 /// Bytes each further generation may leave behind once dead — the slope of
 /// the retained heap between the 8- and the 32-generation run, so whatever
 /// does not grow with the run (the work queue's high-water capacity) cancels.
-/// A quarter above the 84 kB this engine measures: the `retracted`
-/// history behind the `rederivations` counter and each node's smallest
-/// buffers.  An append-only firing log, capacity parked in emptied
-/// containers and a never-drained transport queue left 630 kB.
+/// A fifth above the 87 kB this engine measures: the `retracted` history
+/// behind the `rederivations` counter and each node's smallest buffers (a
+/// dead generation's ledger arenas go back whole).  An append-only firing
+/// log, capacity parked in emptied containers and a never-drained transport
+/// queue left 630 kB.
 const RETAINED_PER_GENERATION: usize = 105_000;
 
 /// How far the 32-generation peak may exceed the 8-generation one: the same
 /// three generations are live at both sizes, so only the retained history
-/// grows (measured x1.66; the append-only log grew x3.4, linearly).
+/// grows.  Measured x1.77 (2.76 -> 4.89 MB); the ledger with a `Vec` per
+/// firing and per index key peaked 0.4 MB higher at both sizes (x1.68), and
+/// the append-only log grew x3.4, linearly.
 const PEAK_GROWTH: f64 = 2.1;
 
 /// Runs `generations` generations to quiescence; returns the bytes still
