@@ -6,17 +6,18 @@
 //! encryption and provenance").
 //!
 //! Condensed provenance (Section 4.4) annotates each tuple with a boolean
-//! expression over the *base tuples* (equivalently, the principals that
-//! asserted them) from which it was derived: `+` is logical OR (alternative
-//! derivations), `*` is logical AND (joined antecedents).  Encoding those
-//! expressions as reduced OBDDs gives a canonical, absorbed form — the
-//! paper's example `<a + a*b>` condenses to `<a>` because the two functions
-//! are equal as boolean functions.
+//! function of the principals (or base tuples) it was derived from: `+` is
+//! logical OR (alternative derivations), `*` is logical AND (joined
+//! antecedents).  Kept as reduced OBDDs those functions are canonical and
+//! absorbed — the paper's `<a + a*b>` condenses to `<a>` because the two
+//! functions are equal, so [`BddManager`] hands out the same [`BddRef`].
 //!
-//! The manager uses hash-consing (a unique table) so structurally equal nodes
-//! are shared, plus a memoised `apply` cache.  Typical provenance expressions
-//! are tiny (tens of variables), so the implementation favours clarity, but
-//! property tests exercise expressions with hundreds of nodes.
+//! The manager keeps what the provenance layer calls: `var`, `and` / `or`
+//! (hash-consed nodes, one memoised `apply` cache), the two constants, and
+//! the reads — `evaluate` (trust policies), `support` (origins), `cubes`
+//! (the paths a tag's text and wire size are read off), `fold` (trust
+//! levels, once per node) and `node_count`.  Provenance functions never
+//! negate, so there is no `not`.
 //!
 //! ```
 //! use pasn_bdd::BddManager;
@@ -32,8 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod expr;
-pub mod manager;
+mod manager;
 
-pub use expr::BoolExpr;
 pub use manager::{BddManager, BddRef, VarId};

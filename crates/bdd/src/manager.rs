@@ -43,21 +43,17 @@ struct Node {
 enum BinOp {
     And,
     Or,
-    Xor,
 }
 
 /// A manager owning a forest of reduced, ordered BDDs.
 ///
-/// Variable ordering is the natural order of [`VarId`]s.  All operations are
-/// memoised; the caches can be cleared with [`BddManager::clear_caches`] if
-/// memory is a concern (provenance expressions in the simulator never need
-/// it).
+/// Variable ordering is the natural order of [`VarId`]s.  `and` / `or` are
+/// memoised in one cache that lives as long as the manager.
 #[derive(Debug)]
 pub struct BddManager {
     nodes: Vec<Node>,
     unique: HashMap<Node, BddRef>,
     apply_cache: HashMap<(BinOp, BddRef, BddRef), BddRef>,
-    not_cache: HashMap<BddRef, BddRef>,
 }
 
 impl Default for BddManager {
@@ -81,7 +77,6 @@ impl BddManager {
             nodes: vec![terminal(false), terminal(true)],
             unique: HashMap::new(),
             apply_cache: HashMap::new(),
-            not_cache: HashMap::new(),
         }
     }
 
@@ -143,39 +138,6 @@ impl BddManager {
         self.apply(BinOp::Or, a, b)
     }
 
-    /// Logical XOR.
-    pub fn xor(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        self.apply(BinOp::Xor, a, b)
-    }
-
-    /// Logical NOT.
-    pub fn not(&mut self, a: BddRef) -> BddRef {
-        if let Some(&cached) = self.not_cache.get(&a) {
-            return cached;
-        }
-        let result = match a {
-            BddRef::FALSE => BddRef::TRUE,
-            BddRef::TRUE => BddRef::FALSE,
-            _ => {
-                let n = self.node(a);
-                let low = self.not(n.low);
-                let high = self.not(n.high);
-                self.mk_node(n.var, low, high)
-            }
-        };
-        self.not_cache.insert(a, result);
-        result
-    }
-
-    /// If-then-else: `cond ? then_b : else_b`.
-    pub fn ite(&mut self, cond: BddRef, then_b: BddRef, else_b: BddRef) -> BddRef {
-        // ite(c, t, e) = (c AND t) OR (NOT c AND e)
-        let ct = self.and(cond, then_b);
-        let nc = self.not(cond);
-        let nce = self.and(nc, else_b);
-        self.or(ct, nce)
-    }
-
     fn apply(&mut self, op: BinOp, a: BddRef, b: BddRef) -> BddRef {
         // Terminal short-cuts.
         match op {
@@ -207,17 +169,6 @@ impl BddManager {
                     return a;
                 }
             }
-            BinOp::Xor => {
-                if a == b {
-                    return BddRef::FALSE;
-                }
-                if a == BddRef::FALSE {
-                    return b;
-                }
-                if b == BddRef::FALSE {
-                    return a;
-                }
-            }
         }
         // Canonicalise the commutative key so (a,b) and (b,a) share a slot.
         let key = if a <= b { (op, a, b) } else { (op, b, a) };
@@ -245,37 +196,6 @@ impl BddManager {
         let result = self.mk_node(top, low, high);
         self.apply_cache.insert(key, result);
         result
-    }
-
-    /// Restricts variable `var` to `value` (cofactor).
-    pub fn restrict(&mut self, f: BddRef, var: VarId, value: bool) -> BddRef {
-        if Self::is_terminal(f) {
-            return f;
-        }
-        let n = self.node(f);
-        if n.var > var {
-            return f;
-        }
-        if n.var == var {
-            return if value { n.high } else { n.low };
-        }
-        let low = self.restrict(n.low, var, value);
-        let high = self.restrict(n.high, var, value);
-        self.mk_node(n.var, low, high)
-    }
-
-    /// Existential quantification over `var`: `f[var:=0] OR f[var:=1]`.
-    pub fn exists(&mut self, f: BddRef, var: VarId) -> BddRef {
-        let lo = self.restrict(f, var, false);
-        let hi = self.restrict(f, var, true);
-        self.or(lo, hi)
-    }
-
-    /// Universal quantification over `var`: `f[var:=0] AND f[var:=1]`.
-    pub fn forall(&mut self, f: BddRef, var: VarId) -> BddRef {
-        let lo = self.restrict(f, var, false);
-        let hi = self.restrict(f, var, true);
-        self.and(lo, hi)
     }
 
     /// Evaluates `f` under a (total) assignment: `assignment(v)` gives the
@@ -317,97 +237,11 @@ impl BddManager {
         vars
     }
 
-    /// Number of distinct decision nodes reachable from `f` (a size measure
-    /// for storage-overhead experiments).
-    pub fn size(&self, f: BddRef) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![f];
-        let mut count = 0usize;
-        while let Some(r) = stack.pop() {
-            if Self::is_terminal(r) || !seen.insert(r) {
-                continue;
-            }
-            count += 1;
-            let n = self.node(r);
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        count
-    }
-
-    /// Number of satisfying assignments over the given variable universe
-    /// (`num_vars` must be at least the largest variable in `f`'s support
-    /// plus one).  Returns `None` on overflow.
-    pub fn sat_count(&self, f: BddRef, num_vars: u32) -> Option<u128> {
-        fn rec(
-            mgr: &BddManager,
-            f: BddRef,
-            num_vars: u32,
-            memo: &mut HashMap<BddRef, u128>,
-        ) -> Option<u128> {
-            match f {
-                BddRef::FALSE => Some(0),
-                BddRef::TRUE => 1u128.checked_shl(num_vars),
-                _ => {
-                    if let Some(&v) = memo.get(&f) {
-                        return Some(v);
-                    }
-                    let n = mgr.node(f);
-                    // Count over the remaining variables below this node's level,
-                    // then scale by the variables skipped above it.  We compute
-                    // counts as if the node were at level 0 of the remaining
-                    // space and divide evenly: simpler is to count satisfying
-                    // assignments over all `num_vars` variables directly by
-                    // treating skipped levels as free.
-                    let low = rec(mgr, n.low, num_vars, memo)?;
-                    let high = rec(mgr, n.high, num_vars, memo)?;
-                    // Each branch fixes one variable, halving the free space.
-                    let v = low.checked_add(high)?.checked_div(2)?;
-                    memo.insert(f, v);
-                    Some(v)
-                }
-            }
-        }
-        if num_vars >= 128 {
-            return None;
-        }
-        let support = self.support(f);
-        if let Some(&max_var) = support.iter().max() {
-            assert!(
-                max_var < num_vars,
-                "num_vars={num_vars} does not cover variable {max_var}"
-            );
-        }
-        rec(self, f, num_vars, &mut HashMap::new())
-    }
-
-    /// Returns one satisfying assignment as `(var, value)` pairs for the
-    /// variables on the chosen path (other variables are "don't care"), or
-    /// `None` if `f` is unsatisfiable.
-    pub fn any_sat(&self, f: BddRef) -> Option<Vec<(VarId, bool)>> {
-        if f == BddRef::FALSE {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = f;
-        while !Self::is_terminal(cur) {
-            let n = self.node(cur);
-            if n.high != BddRef::FALSE {
-                path.push((n.var, true));
-                cur = n.high;
-            } else {
-                path.push((n.var, false));
-                cur = n.low;
-            }
-        }
-        debug_assert_eq!(cur, BddRef::TRUE);
-        Some(path)
-    }
-
-    /// Enumerates all prime-implicant-style cubes of `f` as sorted variable
-    /// lists (positive literals only appear on `true` branches, negative on
-    /// `false`).  Used to render condensed provenance back into a `+`/`*`
-    /// expression for display; bounded by `limit` cubes.
+    /// Enumerates `f`'s paths to TRUE, at most `limit` of them, each as the
+    /// `(var, branch)` decisions it takes in variable order (`true` for a
+    /// positive literal).  Condensed provenance reads its products off
+    /// these; the count is exponential in the worst case, see
+    /// [`BddManager::fold`].
     pub fn cubes(&self, f: BddRef, limit: usize) -> Vec<Vec<(VarId, bool)>> {
         let mut out = Vec::new();
         let mut stack: Vec<(BddRef, Vec<(VarId, bool)>)> = vec![(f, Vec::new())];
@@ -460,18 +294,12 @@ impl BddManager {
         }
         done.remove(&f).expect("the root is folded last")
     }
-
-    /// Drops the operation caches (node storage is retained so existing
-    /// references stay valid).
-    pub fn clear_caches(&mut self) {
-        self.apply_cache.clear();
-        self.not_cache.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn terminals_and_vars() {
@@ -499,13 +327,6 @@ mod tests {
         assert_eq!(m.or(a, t), t);
         assert_eq!(m.and(a, a), a);
         assert_eq!(m.or(a, a), a);
-        assert_eq!(m.xor(a, a), f);
-        assert_eq!(m.xor(a, f), a);
-
-        let not_a = m.not(a);
-        assert_eq!(m.and(a, not_a), f);
-        assert_eq!(m.or(a, not_a), t);
-        assert_eq!(m.not(not_a), a);
 
         // Commutativity through hash-consing.
         assert_eq!(m.and(a, b), m.and(b, a));
@@ -522,10 +343,11 @@ mod tests {
         let expr = m.or(a, ab);
         assert_eq!(expr, a);
         assert_eq!(m.support(expr), vec![0]);
+        assert_eq!(m.support(BddRef::FALSE), Vec::<VarId>::new());
     }
 
     #[test]
-    fn distributivity_and_de_morgan() {
+    fn distributivity() {
         let mut m = BddManager::new();
         let a = m.var(0);
         let b = m.var(1);
@@ -537,102 +359,6 @@ mod tests {
         let ac = m.and(a, c);
         let rhs = m.or(ab, ac);
         assert_eq!(lhs, rhs);
-
-        let ab_or = m.or(a, b);
-        let lhs = m.not(ab_or);
-        let na = m.not(a);
-        let nb = m.not(b);
-        let rhs = m.and(na, nb);
-        assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn ite_matches_definition() {
-        let mut m = BddManager::new();
-        let c = m.var(0);
-        let t = m.var(1);
-        let e = m.var(2);
-        let ite = m.ite(c, t, e);
-        for mask in 0..8u32 {
-            let assignment = |v: VarId| (mask >> v) & 1 == 1;
-            let expected = if assignment(0) {
-                assignment(1)
-            } else {
-                assignment(2)
-            };
-            assert_eq!(m.evaluate(ite, assignment), expected, "mask {mask}");
-        }
-    }
-
-    #[test]
-    fn restrict_and_quantification() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-
-        assert_eq!(m.restrict(f, 0, true), b);
-        assert_eq!(m.restrict(f, 0, false), BddRef::FALSE);
-        assert_eq!(
-            m.restrict(f, 5, true),
-            f,
-            "restricting an absent variable is a no-op"
-        );
-
-        // exists a. (a AND b) == b ; forall a. (a AND b) == false
-        assert_eq!(m.exists(f, 0), b);
-        assert_eq!(m.forall(f, 0), BddRef::FALSE);
-
-        let g = m.or(a, b);
-        assert_eq!(m.forall(g, 0), b);
-        assert_eq!(m.exists(g, 0), BddRef::TRUE);
-    }
-
-    #[test]
-    fn sat_count_small_functions() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f = m.and(a, b);
-        assert_eq!(m.sat_count(f, 2), Some(1));
-        let g = m.or(a, b);
-        assert_eq!(m.sat_count(g, 2), Some(3));
-        assert_eq!(m.sat_count(BddRef::TRUE, 3), Some(8));
-        assert_eq!(m.sat_count(BddRef::FALSE, 3), Some(0));
-        // Extra don't-care variables double the count.
-        assert_eq!(m.sat_count(f, 3), Some(2));
-    }
-
-    #[test]
-    fn any_sat_returns_a_model() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let nb = m.not(b);
-        let f = m.and(a, nb);
-        let model = m.any_sat(f).unwrap();
-        let assignment = |v: VarId| {
-            model
-                .iter()
-                .find(|(mv, _)| *mv == v)
-                .map(|(_, val)| *val)
-                .unwrap_or(false)
-        };
-        assert!(m.evaluate(f, assignment));
-        assert!(m.any_sat(BddRef::FALSE).is_none());
-        assert_eq!(m.any_sat(BddRef::TRUE), Some(vec![]));
-    }
-
-    #[test]
-    fn support_and_size() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let c = m.var(2);
-        let f = m.xor(a, c);
-        assert_eq!(m.support(f), vec![0, 2]);
-        assert!(m.size(f) >= 2);
-        assert_eq!(m.size(BddRef::TRUE), 0);
-        assert_eq!(m.support(BddRef::FALSE), Vec::<VarId>::new());
     }
 
     #[test]
@@ -660,7 +386,7 @@ mod tests {
     #[test]
     fn fold_visits_each_node_once_and_counts_every_path() {
         // (x0 | x1) & (x2 | x3) & ... & (x18 | x19): 2^10 paths to TRUE
-        // over 20 shared decision nodes.
+        // over 20 shared decision nodes, two per clause.
         let mut m = BddManager::new();
         let mut f = BddRef::TRUE;
         for i in 0..10 {
@@ -675,37 +401,78 @@ mod tests {
         });
         assert_eq!(paths, 1 << 10);
         assert_eq!(paths as usize, m.cubes(f, usize::MAX).len());
-        assert_eq!(visits, m.size(f));
+        assert_eq!(visits, 20);
         assert_eq!(m.fold(BddRef::FALSE, 0, 1, |_, l, h| l + h), 0);
     }
 
-    #[test]
-    fn evaluate_agrees_with_truth_table_for_random_formulas() {
-        // Build a moderately complex formula and cross-check against direct
-        // boolean evaluation.
-        let mut m = BddManager::new();
-        let vars: Vec<BddRef> = (0..4).map(|i| m.var(i)).collect();
-        // f = (x0 & x1) | (x2 ^ x3) & ~x0
-        let x01 = m.and(vars[0], vars[1]);
-        let x23 = m.xor(vars[2], vars[3]);
-        let n0 = m.not(vars[0]);
-        let right = m.and(x23, n0);
-        let f = m.or(x01, right);
-        for mask in 0..16u32 {
-            let a = |v: VarId| (mask >> v) & 1 == 1;
-            let expected = (a(0) && a(1)) || ((a(2) ^ a(3)) && !a(0));
-            assert_eq!(m.evaluate(f, a), expected, "mask {mask}");
+    /// A formula over the manager's two operations and six variables.
+    #[derive(Clone, Debug)]
+    enum Formula {
+        Const(bool),
+        Var(VarId),
+        And(Vec<Formula>),
+        Or(Vec<Formula>),
+    }
+
+    impl Formula {
+        fn eval(&self, mask: u32) -> bool {
+            match self {
+                Formula::Const(c) => *c,
+                Formula::Var(v) => mask >> v & 1 == 1,
+                Formula::And(fs) => fs.iter().all(|f| f.eval(mask)),
+                Formula::Or(fs) => fs.iter().any(|f| f.eval(mask)),
+            }
+        }
+
+        fn build(&self, m: &mut BddManager) -> BddRef {
+            match self {
+                Formula::Const(c) => [BddRef::FALSE, BddRef::TRUE][*c as usize],
+                Formula::Var(v) => m.var(*v),
+                Formula::And(fs) => fs.iter().fold(BddRef::TRUE, |acc, f| {
+                    let g = f.build(m);
+                    m.and(acc, g)
+                }),
+                Formula::Or(fs) => fs.iter().fold(BddRef::FALSE, |acc, f| {
+                    let g = f.build(m);
+                    m.or(acc, g)
+                }),
+            }
         }
     }
 
-    #[test]
-    fn clear_caches_preserves_semantics() {
-        let mut m = BddManager::new();
-        let a = m.var(0);
-        let b = m.var(1);
-        let f1 = m.and(a, b);
-        m.clear_caches();
-        let f2 = m.and(a, b);
-        assert_eq!(f1, f2);
+    fn arb_formula() -> impl Strategy<Value = Formula> {
+        let leaf = prop_oneof![
+            any::<bool>().prop_map(Formula::Const),
+            (0u32..6).prop_map(Formula::Var),
+        ];
+        leaf.prop_recursive(4, 64, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Formula::And),
+                proptest::collection::vec(inner, 1..4).prop_map(Formula::Or),
+            ]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_bdd_agrees_with_direct_evaluation(e in arb_formula()) {
+            let mut m = BddManager::new();
+            let bdd = e.build(&mut m);
+            for mask in 0..64u32 {
+                prop_assert_eq!(m.evaluate(bdd, |v| mask >> v & 1 == 1), e.eval(mask));
+            }
+            // Equal functions share one reference: the same function built
+            // again as the sum of its minimal true points (a monotone
+            // function's prime implicants) is the same node.
+            let truth: Vec<u32> = (0..64).filter(|&mask| e.eval(mask)).collect();
+            let minimal = truth.iter().filter(|&&mask| {
+                !truth.iter().any(|&other| other != mask && other & mask == other)
+            });
+            let points = minimal.map(|&mask| {
+                let vars = (0..6).filter(|v| mask >> v & 1 == 1).map(Formula::Var);
+                Formula::And(vars.collect())
+            });
+            prop_assert_eq!(Formula::Or(points.collect()).build(&mut m), bdd);
+        }
     }
 }

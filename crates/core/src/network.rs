@@ -252,14 +252,16 @@ impl SecureNetwork {
         self.engine.render_provenance(location, tuple)
     }
 
-    /// The provenance graph maintained at `location` (graph modes only).
+    /// The provenance graph maintained at `location`: written under
+    /// [`pasn_engine::GraphMode::Local`] only, empty under `Distributed` (whose
+    /// provenance is [`SecureNetwork::distributed_stores`]).
     pub fn provenance_graph(&self, location: &Value) -> Option<&DerivationGraph> {
         self.engine.provenance_graph(location)
     }
 
     /// Per-node distributed provenance stores keyed by location name: a
     /// snapshot for callers that own the traversal
-    /// ([`pasn_provenance::traceback`], [`pasn_provenance::moonwalk()`]).
+    /// ([`pasn_provenance::traceback`], [`pasn_provenance::moonwalk_with`]).
     /// Queries of this deployment go through the engine's walk
     /// ([`DistributedEngine::traceback`]) and build no map.
     pub fn distributed_stores(&self) -> HashMap<String, &DistributedStore> {

@@ -8,7 +8,6 @@
 //! paper describes; [`TrustEvaluator`] applies them to a tuple's
 //! [`ProvTag`].
 
-use pasn_bdd::BoolExpr;
 use pasn_provenance::{ProvTag, VarTable};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -172,14 +171,6 @@ impl<'a> TrustEvaluator<'a> {
     pub fn render(&self, tag: &ProvTag) -> String {
         tag.render(self.var_table)
     }
-
-    /// Renders a condensed tag as a [`BoolExpr`] over principal variables.
-    pub fn expression(&self, tag: &ProvTag) -> Option<BoolExpr> {
-        match tag {
-            ProvTag::Condensed(bdd) => Some(BoolExpr::from_bdd(self.var_table.manager(), *bdd)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -225,10 +216,6 @@ mod tests {
         // Origins reflect the condensation: only a remains.
         assert_eq!(evaluator.origins(&tag), [0u32].into_iter().collect());
         assert_eq!(evaluator.render(&tag), "<p0>");
-        assert_eq!(
-            evaluator.expression(&tag).unwrap(),
-            pasn_bdd::BoolExpr::Var(0)
-        );
     }
 
     #[test]
@@ -300,7 +287,6 @@ mod tests {
         );
         assert!(!TrustDecision::NotApplicable.is_accept());
         assert!(TrustDecision::Accept.is_accept());
-        assert!(evaluator.expression(&none).is_none());
     }
 
     #[test]

@@ -493,11 +493,14 @@ impl DistributedEngine {
             let node = &mut self.nodes[ix(loc)];
             let entry = node.ledger.supports.remove(&seq);
             node.ledger.retracted.insert((pred, values.clone()));
-            if graph_mode != GraphMode::None || archive_offline {
+            // Only a local graph forgets a retracted tuple: a pointer store
+            // keeps its records, so a moonwalk still explains it.
+            let local_graph = graph_mode == GraphMode::Local;
+            if local_graph || archive_offline {
                 let loc_idx = entry.as_ref().and_then(|e| e.location.index());
                 let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
                 let key = tuple::render_located_parts(pred_name, &values, loc_idx);
-                if graph_mode != GraphMode::None {
+                if local_graph {
                     node.local_prov.retract(&key);
                 }
                 if archive_offline {

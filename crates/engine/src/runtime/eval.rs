@@ -442,9 +442,10 @@ impl<'a> NodeCtx<'a> {
         new_deltas
     }
 
-    /// Per-row provenance bookkeeping for base facts and shipped graphs.
-    /// The rendered tuple key is computed only on the branches that store
-    /// it.
+    /// Per-row provenance bookkeeping for base facts and shipped graphs,
+    /// written to the active graph mode's store only: the local graph in
+    /// `Local` mode, the pointer store in `Distributed` mode.  The rendered
+    /// tuple key is computed only on the branches that store it.
     fn record_arrival_provenance(
         &mut self,
         pred_name: &str,
@@ -457,15 +458,18 @@ impl<'a> NodeCtx<'a> {
         if row.is_base && shared.config.graph_mode != GraphMode::None {
             let tuple_key = render();
             let base_id = BaseTupleId(tuple::key_hash_parts(pred_name, &row.values));
-            self.node.local_prov.add_base(
-                &tuple_key,
-                &shared.names[ix(self.id)],
-                base_id,
-                Some(principal_of(row.origin)),
-                done.as_micros(),
-                None,
-            );
-            self.node.dist_prov.record_base(&tuple_key, base_id);
+            if shared.config.graph_mode == GraphMode::Local {
+                self.node.local_prov.add_base(
+                    &tuple_key,
+                    &shared.names[ix(self.id)],
+                    base_id,
+                    Some(principal_of(row.origin)),
+                    done.as_micros(),
+                    None,
+                );
+            } else {
+                self.node.dist_prov.record_base(&tuple_key, base_id);
+            }
         }
         if let Some(shipped) = &row.shipped_graph {
             self.node.local_prov.merge(shipped);

@@ -1231,7 +1231,10 @@ impl DistributedEngine {
         out
     }
 
-    /// The provenance graph maintained at `location` (graph modes only).
+    /// The provenance graph maintained at `location`.  Only
+    /// [`GraphMode::Local`] writes one: under [`GraphMode::Distributed`] a
+    /// node's provenance is its pointer store ([`DistributedEngine::traceback`],
+    /// [`DistributedEngine::distributed_stores`]) and this graph stays empty.
     pub fn provenance_graph(&self, location: &Value) -> Option<&DerivationGraph> {
         self.node_at(location).map(|n| &n.local_prov)
     }

@@ -3,7 +3,7 @@ use crate::config::GraphMode;
 use crate::metrics::Scope;
 use pasn_datalog::parse_program;
 use pasn_net::CostModel;
-use pasn_provenance::{moonwalk, traceback, MaintenanceMode, ProvenanceKind};
+use pasn_provenance::{moonwalk_with, traceback, MaintenanceMode, ProvenanceKind};
 
 const REACHABLE: &str = "
     r1 reachable(@S,D) :- link(@S,D).
@@ -144,12 +144,40 @@ fn distributed_graph_mode_supports_traceback() {
         let via_engine = engine.traceback(&start, "reachable(@a,c)");
         assert_eq!(via_engine, traceback(&stores, name, "reachable(@a,c)"));
         let sampled = engine.moonwalk(&start, "reachable(@a,c)", &walks);
-        let expected = moonwalk(&stores, name, "reachable(@a,c)", &walks);
+        let by_name = |name: &str| stores.get(name).copied();
+        let expected = moonwalk_with(by_name, name, "reachable(@a,c)", &walks);
         assert_eq!(sampled.walks, expected.walks);
         assert_eq!(sampled.base_frequency, expected.base_frequency);
         assert_eq!(sampled.records_read, expected.records_read);
     }
     assert_eq!(engine.traceback(&str_val("a"), "reachable(@a,c)"), result);
+}
+
+#[test]
+fn each_graph_mode_writes_only_its_own_store() {
+    let program = parse_program(REACHABLE).unwrap();
+    let run = |mode| {
+        let config = EngineConfig::ndlog()
+            .with_cost_model(fast_cost())
+            .with_graph_mode(mode);
+        let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
+        insert_figure1_links(&mut engine);
+        engine.run_to_fixpoint().unwrap();
+        engine
+    };
+    let pointer_entries = |engine: &DistributedEngine| -> usize {
+        let stores = engine.distributed_stores();
+        stores.values().map(|store| store.entry_count()).sum()
+    };
+    let graph_nodes = |engine: &DistributedEngine| -> usize {
+        let graph = |loc| engine.provenance_graph(&loc).unwrap().len();
+        figure1_locations().into_iter().map(graph).sum()
+    };
+    let (local, distributed) = (run(GraphMode::Local), run(GraphMode::Distributed));
+    assert!(graph_nodes(&local) > 0);
+    assert_eq!(pointer_entries(&local), 0);
+    assert!(pointer_entries(&distributed) > 0);
+    assert_eq!(graph_nodes(&distributed), 0);
 }
 
 #[test]

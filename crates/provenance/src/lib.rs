@@ -36,7 +36,7 @@ pub mod tag;
 
 pub use graph::{Derivation, DerivationGraph, NewDerivation, ProvNodeId, TupleNode};
 pub use key::ProvKey;
-pub use moonwalk::{moonwalk, moonwalk_with, MoonwalkConfig, MoonwalkResult, Walk};
+pub use moonwalk::{moonwalk_with, MoonwalkConfig, MoonwalkResult, Walk};
 pub use policy::{Granularity, MaintenanceMode, SamplingPolicy};
 pub use semiring::{BaseTupleId, DerivationCount, Semiring, TrustLevel, VoteSet, WhyProvenance};
 pub use store::{

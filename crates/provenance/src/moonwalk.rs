@@ -21,8 +21,7 @@
 use crate::key::ProvKey;
 use crate::semiring::BaseTupleId;
 use crate::store::{AntecedentRef, DistributedStore};
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Configuration of a moonwalk sampling run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,27 +155,6 @@ impl SplitMix64 {
     }
 }
 
-/// Runs a random-moonwalk sampling query over per-node distributed
-/// provenance stores, starting from `key` held at `start_node`.
-///
-/// Each walk starts at the queried tuple and repeatedly steps backward to a
-/// uniformly chosen antecedent of a uniformly chosen derivation, crossing to
-/// the remote store when the antecedent is a
-/// [`AntecedentRef::Remote`] pointer, until it reaches a base tuple, an
-/// unresolved key, or the depth limit.
-///
-/// For callers that own a map of stores; a deployment that can name its
-/// stores itself passes the lookup to [`moonwalk_with`] and builds no map.
-pub fn moonwalk<S: Borrow<DistributedStore>>(
-    stores: &HashMap<String, S>,
-    start_node: &str,
-    key: &str,
-    config: &MoonwalkConfig,
-) -> MoonwalkResult {
-    let resolve = |node: &str| stores.get(node).map(Borrow::borrow);
-    moonwalk_with(resolve, start_node, key, config)
-}
-
 /// Appends `key` to `walk` and counts the visit.
 fn visit(result: &mut MoonwalkResult, walk: &mut Walk, key: &str) {
     walk.path.push(key.to_string());
@@ -187,9 +165,18 @@ fn visit(result: &mut MoonwalkResult, walk: &mut Walk, key: &str) {
     }
 }
 
-/// The random walk itself, over the stores `resolve` names.  A walk holds
-/// the `&str`s the pointer records hold and resolves a node once per remote
-/// hop; it allocates the strings [`MoonwalkResult`] returns.
+/// Runs a random-moonwalk sampling query over per-node distributed
+/// provenance stores, starting from `key` held at `start_node`; `resolve`
+/// names a node's store (a deployment passes its name directory, a caller
+/// owning a map `|name| stores.get(name)`).
+///
+/// Each walk starts at the queried tuple and repeatedly steps backward to a
+/// uniformly chosen antecedent of a uniformly chosen derivation, crossing to
+/// the remote store when the antecedent is a
+/// [`AntecedentRef::Remote`] pointer, until it reaches a base tuple, an
+/// unresolved key, or the depth limit.  A walk holds the `&str`s the pointer
+/// records hold and resolves a node once per remote hop; it allocates the
+/// strings [`MoonwalkResult`] returns.
 pub fn moonwalk_with<'a>(
     resolve: impl Fn(&str) -> Option<&'a DistributedStore>,
     start_node: &str,
@@ -256,6 +243,17 @@ pub fn moonwalk_with<'a>(
 mod tests {
     use super::*;
     use crate::store::PointerDerivation;
+    use std::collections::HashMap;
+
+    /// Walks `stores` by name, the way a caller owning a map resolves them.
+    fn walk(
+        stores: &HashMap<String, DistributedStore>,
+        start_node: &str,
+        key: &str,
+        config: &MoonwalkConfig,
+    ) -> MoonwalkResult {
+        moonwalk_with(|name| stores.get(name), start_node, key, config)
+    }
 
     /// Builds a fan-in provenance shape: one origin base tuple `attack@n0`
     /// from which a chain of derived tuples spreads across `n` nodes, plus a
@@ -304,8 +302,8 @@ mod tests {
     fn walks_are_deterministic_for_a_seed() {
         let stores = epidemic_stores(6);
         let config = MoonwalkConfig::with_walks(32).seed(7);
-        let a = moonwalk(&stores, "n5", "infected(n5)", &config);
-        let b = moonwalk(&stores, "n5", "infected(n5)", &config);
+        let a = walk(&stores, "n5", "infected(n5)", &config);
+        let b = walk(&stores, "n5", "infected(n5)", &config);
         assert_eq!(a.base_frequency, b.base_frequency);
         assert_eq!(a.records_read, b.records_read);
         assert_eq!(a.walks.len(), 32);
@@ -316,7 +314,7 @@ mod tests {
         let stores = epidemic_stores(5);
         for seed in [1, 2, 3, 99] {
             let config = MoonwalkConfig::with_walks(200).seed(seed);
-            let result = moonwalk(&stores, "n4", "infected(n4)", &config);
+            let result = walk(&stores, "n4", "infected(n4)", &config);
             // Each walk flips a coin at every hop between continuing toward
             // the origin and stopping on a local benign base; with 200 walks
             // the origin at the end of the funnel is reached often enough to
@@ -367,7 +365,7 @@ mod tests {
         // operator chasing an epidemic would.
         let mut pooled: BTreeMap<BaseTupleId, usize> = BTreeMap::new();
         for i in 1..9 {
-            let result = moonwalk(
+            let result = walk(
                 &stores,
                 &format!("n{i}"),
                 &format!("infected(n{i})"),
@@ -398,7 +396,7 @@ mod tests {
             max_depth: 4,
             seed: 3,
         };
-        let result = moonwalk(&stores, "n9", "infected(n9)", &config);
+        let result = walk(&stores, "n9", "infected(n9)", &config);
         assert!(result.records_read <= 16 * 4);
         for walk in &result.walks {
             assert!(walk.path.len() <= 5);
@@ -408,7 +406,7 @@ mod tests {
     #[test]
     fn walk_on_missing_key_terminates_without_bases() {
         let stores = epidemic_stores(3);
-        let result = moonwalk(
+        let result = walk(
             &stores,
             "n2",
             "no-such-tuple",
@@ -422,7 +420,7 @@ mod tests {
     #[test]
     fn walk_on_missing_node_terminates() {
         let stores = epidemic_stores(3);
-        let result = moonwalk(
+        let result = walk(
             &stores,
             "absent-node",
             "infected(n2)",

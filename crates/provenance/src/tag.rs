@@ -16,9 +16,13 @@
 //!
 //! Condensed tags are canonicalised through a shared [`VarTable`] /
 //! [`pasn_bdd::BddManager`], so `a + a*b` and `a` produce identical tags.
+//! Everything else a condensed tag shows is read straight off its diagram:
+//! its text ([`VarTable::render`]) and wire size ([`ProvTag::wire_size`])
+//! are its minimal positive sum of products, its trust level a fold over
+//! its nodes ([`ProvTag::trust_level`]).
 
 use crate::semiring::{BaseTupleId, DerivationCount, Semiring, TrustLevel, VoteSet, WhyProvenance};
-use pasn_bdd::{BddManager, BddRef, BoolExpr, VarId};
+use pasn_bdd::{BddManager, BddRef, VarId};
 use pasn_crypto::PrincipalId;
 use std::collections::HashMap;
 use std::fmt;
@@ -135,13 +139,43 @@ impl VarTable {
         self.names.is_empty()
     }
 
-    /// Renders a condensed BDD as the paper's `<...>` annotation, e.g.
-    /// `<a + a*b>`.  Provenance functions are monotone, so the rendering is
-    /// the minimal positive sum-of-products.
+    /// Renders a condensed BDD as the paper's `<...>` annotation: its
+    /// minimal products ([`min_products`]) by variable name, `*` within a
+    /// product and ` + ` between them, e.g. `<p0*p1 + p2>`; `<0>` for
+    /// `false` and `<1>` for `true`.
     pub fn render(&self, bdd: BddRef) -> String {
-        let expr = BoolExpr::monotone_from_bdd(&self.manager, bdd);
-        format!("<{}>", expr.render(&|v| self.name_of(v).to_string()))
+        let products = min_products(&self.manager, bdd);
+        let names = |p: &[VarId]| -> Vec<&str> { p.iter().map(|&v| self.name_of(v)).collect() };
+        let text = match products.as_slice() {
+            [] => "0".to_string(),
+            [only] if only.is_empty() => "1".to_string(),
+            _ => {
+                let terms: Vec<String> = products.iter().map(|p| names(p).join("*")).collect();
+                terms.join(" + ")
+            }
+        };
+        format!("<{text}>")
     }
+}
+
+/// The minimal positive products of a monotone BDD — a provenance function,
+/// which never negates: the positive literals of each path to `true` (a path
+/// meets variables in order, so each product comes sorted), sorted and
+/// deduplicated, every product that contains another absorbed.  `[]` for
+/// `false`, `[[]]` for `true`.
+fn min_products(manager: &BddManager, bdd: BddRef) -> Vec<Vec<VarId>> {
+    let paths = manager.cubes(bdd, usize::MAX).into_iter();
+    let mut products: Vec<Vec<VarId>> = paths
+        .map(|path| path.into_iter().filter(|l| l.1).map(|l| l.0).collect())
+        .collect();
+    products.sort();
+    products.dedup();
+    let all = products.clone();
+    products.retain(|p| {
+        !all.iter()
+            .any(|q| q != p && q.iter().all(|v| p.contains(v)))
+    });
+    products
 }
 
 /// Witness-encoding budget above which a [`ProvTag::Why`] tag is
@@ -289,7 +323,7 @@ impl ProvTag {
                 for witness in w.witnesses() {
                     let mut cube = table.manager_mut().true_ref();
                     for id in witness {
-                        let var = table.base_var(*id, format!("t{}", id.0));
+                        let var = table.base_var(*id, id.to_string());
                         let lit = table.manager_mut().var(var);
                         cube = table.manager_mut().and(cube, lit);
                     }
@@ -324,19 +358,20 @@ impl ProvTag {
 
     /// Number of bytes this tag adds to a tuple shipped on the wire.
     ///
-    /// Condensed provenance is shipped as its canonical sum-of-products over
-    /// principal identifiers (4 bytes per literal plus one byte per term
-    /// separator), which is the compact form the paper attributes to the BDD
-    /// encoding.  Why-provenance ships every witness uncondensed (8 bytes per
-    /// base-tuple key), which is what the condensation claim of
-    /// `tests/optimizations.rs` compares against.
+    /// Condensed provenance is shipped as the minimal positive sum of
+    /// products [`VarTable::render`] shows: a 2-byte header and 4 bytes per
+    /// principal literal (`2 + 4·literals`, 2 for a constant), which is the
+    /// compact form the paper attributes to the BDD encoding.
+    /// Why-provenance ships every witness uncondensed (8 bytes per
+    /// base-tuple key plus one per witness), which is what the condensation
+    /// claim of `tests/optimizations.rs` compares against.
     pub fn wire_size(&self, table: &VarTable) -> usize {
         match self {
             ProvTag::None => 0,
             ProvTag::Why(w) => 2 + w.size() * 8 + w.witnesses().len(),
             ProvTag::Condensed(bdd) => {
-                let expr = BoolExpr::monotone_from_bdd(table.manager(), *bdd);
-                2 + expr.literal_count() * 4
+                let products = min_products(table.manager(), *bdd);
+                2 + products.iter().map(Vec::len).sum::<usize>() * 4
             }
             ProvTag::Trust(_) => 1,
             ProvTag::Count(_) => 8,
@@ -395,6 +430,7 @@ impl fmt::Display for ProvTag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(id: u32) -> PrincipalId {
         PrincipalId(id)
@@ -509,6 +545,56 @@ mod tests {
         let per_clause = (0..13).map(|c| level(2 * c).max(level(2 * c + 1)));
         assert_eq!(per_clause.min(), Some(3));
         assert_eq!(tag.trust_level(&table, level), Some(3));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_render_and_wire_size_are_the_minimal_satisfying_sets(
+            sum in proptest::collection::vec(proptest::collection::vec(0u32..8, 0..5), 0..5)
+        ) {
+            let mut table = VarTable::new();
+            let principals: Vec<ProvTag> = (0..8).map(|id| said_by(&mut table, id)).collect();
+            let mut tag = ProvTag::Condensed(BddRef::FALSE);
+            for product in &sum {
+                let mut term = ProvTag::one(ProvenanceKind::Condensed, &mut table);
+                for &id in product {
+                    term = term.times(&principals[id as usize], &mut table);
+                }
+                tag = tag.plus(&term, &mut table);
+            }
+            let ProvTag::Condensed(bdd) = tag else {
+                unreachable!("condensed tags sum to a condensed tag");
+            };
+            // Every assignment of the eight principals; the satisfying ones
+            // no other satisfying one is a subset of, as sorted var lists.
+            let sat: Vec<u32> =
+                (0..256).filter(|&a| table.manager().evaluate(bdd, |v| a >> v & 1 == 1)).collect();
+            let minimal = sat.iter().filter(|&&a| !sat.iter().any(|&b| b != a && b & a == b));
+            let mut sets: Vec<Vec<u32>> =
+                minimal.map(|&a| (0..8).filter(|v| a >> v & 1 == 1).collect()).collect();
+            sets.sort();
+            let text = match sets.as_slice() {
+                [] => "0".to_string(),
+                [only] if only.is_empty() => "1".to_string(),
+                _ => sets
+                    .iter()
+                    .map(|set| set.iter().map(|v| format!("p{v}")).collect::<Vec<_>>().join("*"))
+                    .collect::<Vec<_>>()
+                    .join(" + "),
+            };
+            prop_assert_eq!(tag.render(&table), format!("<{text}>"));
+            let literals: usize = sets.iter().map(Vec::len).sum();
+            prop_assert_eq!(tag.wire_size(&table), 2 + 4 * literals);
+        }
+    }
+
+    #[test]
+    fn a_base_tuple_has_one_name_condensed_or_not() {
+        let mut table = VarTable::new();
+        let why = ProvTag::Why(WhyProvenance::base(BaseTupleId(26)));
+        let condensed = why.condense(&mut table).expect("why tags condense");
+        assert_eq!(why.render(&table), "<t1a>");
+        assert_eq!(condensed.render(&table), "<t1a>");
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! The borrowing walks against the walks they replaced.
 //!
-//! [`traceback`] and [`moonwalk`] used to clone a `(node, key)` `String`
+//! The traceback and the moonwalk used to clone a `(node, key)` `String`
 //! pair per edge and resolve the node's store by name on every step; they
-//! are now wrappers over [`traceback_with`] / [`moonwalk_with`], which queue
-//! borrowed keys, remember pairs by digest and resolve a node once per
-//! remote edge.  This file keeps the old walks, verbatim, as the reference
-//! and checks on random pointer graphs — cycles, one key recorded at two
-//! nodes, duplicate antecedents, pointers to absent nodes and to keys nobody
-//! recorded — that the results are equal field for field, `visited` order
-//! included.
+//! are now [`traceback_with`] / [`moonwalk_with`] (with [`traceback`] a
+//! wrapper for a map of stores), which queue borrowed keys, remember pairs
+//! by digest and resolve a node once per remote edge.  This file keeps the
+//! old walks, verbatim, as the reference and checks on random pointer
+//! graphs — cycles, one key recorded at two nodes, duplicate antecedents,
+//! pointers to absent nodes and to keys nobody recorded — that the results
+//! are equal field for field, `visited` order included.
 
 use pasn_provenance::{
-    moonwalk, moonwalk_with, traceback, traceback_with, AntecedentRef, BaseTupleId,
-    DistributedStore, MoonwalkConfig, MoonwalkResult, PointerDerivation, TracebackResult, Walk,
+    moonwalk_with, traceback, traceback_with, AntecedentRef, BaseTupleId, DistributedStore,
+    MoonwalkConfig, MoonwalkResult, PointerDerivation, TracebackResult, Walk,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -241,7 +241,8 @@ proptest! {
         let (node, key) = start(from);
         let config = MoonwalkConfig::with_walks(8).max_depth(depth).seed(seed);
         let want = reference_moonwalk(&stores, &node, &key, &config);
-        assert_same_moonwalk(&moonwalk(&stores, &node, &key, &config), &want);
+        let by_name = |name: &str| stores.get(name);
+        assert_same_moonwalk(&moonwalk_with(by_name, &node, &key, &config), &want);
 
         let by_scan: Vec<&DistributedStore> = stores.values().collect();
         let resolve = |name: &str| by_scan.iter().copied().find(|store| store.node == name);

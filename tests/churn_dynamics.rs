@@ -6,7 +6,7 @@
 use pasn::prelude::*;
 use pasn::workload;
 use pasn_net::Topology;
-use pasn_provenance::{moonwalk, MoonwalkConfig, ProvenanceKind};
+use pasn_provenance::{moonwalk_with, MoonwalkConfig, ProvenanceKind};
 
 fn fast(config: EngineConfig) -> EngineConfig {
     config.with_cost_model(CostModel::zero_cpu())
@@ -181,8 +181,8 @@ fn moonwalk_explains_a_tuple_deleted_mid_run() {
     // to base links of the chain that derived it.
     let stores = net.distributed_stores();
     let key = reach_03.render_located(Some(0));
-    let sampled = moonwalk(
-        &stores,
+    let sampled = moonwalk_with(
+        |name| stores.get(name).copied(),
         &Value::Addr(0).to_string(),
         &key,
         &MoonwalkConfig::with_walks(64).seed(5),

@@ -4,7 +4,7 @@
 
 use pasn::prelude::*;
 use pasn::workload;
-use pasn_provenance::{moonwalk, traceback, MoonwalkConfig};
+use pasn_provenance::{moonwalk_with, traceback, MoonwalkConfig};
 
 fn run_reachability(n: u32, seed: u64) -> SecureNetwork {
     let topology = workload::evaluation_topology(n, seed);
@@ -44,8 +44,8 @@ fn moonwalk_origins_are_a_subset_of_the_exhaustive_traceback() {
     let full = traceback(&stores, &loc.to_string(), &key);
     assert!(!full.base_tuples.is_empty());
 
-    let sampled = moonwalk(
-        &stores,
+    let sampled = moonwalk_with(
+        |name| stores.get(name).copied(),
         &loc.to_string(),
         &key,
         &MoonwalkConfig::with_walks(128).seed(3),
@@ -74,7 +74,8 @@ fn moonwalk_reads_fewer_records_than_exhaustive_traceback_on_large_graphs() {
         max_depth: 6,
         seed: 11,
     };
-    let sampled = moonwalk(&stores, &loc.to_string(), &key, &config);
+    let by_name = |name: &str| stores.get(name).copied();
+    let sampled = moonwalk_with(by_name, &loc.to_string(), &key, &config);
     assert!(
         sampled.records_read < full.visited.len() * 2,
         "sampled {} vs exhaustive {}",
@@ -90,8 +91,9 @@ fn moonwalks_are_reproducible_and_respect_the_walk_budget() {
     let stores = net.distributed_stores();
     let (loc, key) = deepest_tuple(&net);
     let config = MoonwalkConfig::with_walks(32).seed(99);
-    let a = moonwalk(&stores, &loc.to_string(), &key, &config);
-    let b = moonwalk(&stores, &loc.to_string(), &key, &config);
+    let by_name = |name: &str| stores.get(name).copied();
+    let a = moonwalk_with(by_name, &loc.to_string(), &key, &config);
+    let b = moonwalk_with(by_name, &loc.to_string(), &key, &config);
     assert_eq!(a.base_frequency, b.base_frequency);
     assert_eq!(a.walks.len(), 32);
     assert_eq!(a.remote_hops, b.remote_hops);
@@ -132,8 +134,9 @@ fn sampling_policy_reduces_recorded_provenance() {
 
     let (loc, key) = deepest_tuple(&full);
     let origins = traceback(&full.distributed_stores(), &loc.to_string(), &key).base_tuples;
-    let walked = moonwalk(
-        &sampled.distributed_stores(),
+    let sampled_stores = sampled.distributed_stores();
+    let walked = moonwalk_with(
+        |name| sampled_stores.get(name).copied(),
         &loc.to_string(),
         &key,
         &MoonwalkConfig::with_walks(32).seed(5),
