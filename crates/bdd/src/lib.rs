@@ -13,11 +13,15 @@
 //! functions are equal, so [`BddManager`] hands out the same [`BddRef`].
 //!
 //! The manager keeps what the provenance layer calls: `var`, `and` / `or`
-//! (hash-consed nodes, one memoised `apply` cache), the two constants, and
-//! the reads — `evaluate` (trust policies), `support` (origins), `cubes`
-//! (the paths a tag's text and wire size are read off), `fold` (trust
-//! levels, once per node) and `node_count`.  Provenance functions never
-//! negate, so there is no `not`.
+//! (hash-consed nodes, one memoised `apply` cache), the two constants
+//! ([`BddRef::FALSE`] / [`BddRef::TRUE`]), and the reads — `evaluate` (trust
+//! policies), `support` (origins), `cubes` (the paths a tag's text and wire
+//! size are read off), `fold` (trust levels, once per node) and
+//! `node_count`.  Provenance functions never negate, so there is no `not`.
+//! The unique table, the apply cache and the walks' maps are keyed by ids
+//! the manager minted, so they hash with a fixed multiply-rotate fold, not
+//! SipHash; a hash places an entry and never orders node creation, so a
+//! [`BddRef`]'s index depends only on the sequence of calls.
 //!
 //! ```
 //! use pasn_bdd::BddManager;

@@ -1,6 +1,7 @@
 //! The BDD manager: hash-consed node storage and logical operations.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Index of a boolean variable in the manager's ordering.
 ///
@@ -45,6 +46,38 @@ enum BinOp {
     Or,
 }
 
+/// The tables' hasher.  Their keys are node and reference ids this manager
+/// minted, so SipHash's collision resistance buys nothing: each word folds
+/// as `h = (rotl(h, 5) ^ word) * K`, the high half folded over the low half
+/// because the table reads both ends of the hash.  A hash only decides where
+/// an entry sits, never the order nodes are created in.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&byte| self.write_u64(byte.into()));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// A manager owning a forest of reduced, ordered BDDs.
 ///
 /// Variable ordering is the natural order of [`VarId`]s.  `and` / `or` are
@@ -52,8 +85,8 @@ enum BinOp {
 #[derive(Debug)]
 pub struct BddManager {
     nodes: Vec<Node>,
-    unique: HashMap<Node, BddRef>,
-    apply_cache: HashMap<(BinOp, BddRef, BddRef), BddRef>,
+    unique: IdMap<Node, BddRef>,
+    apply_cache: IdMap<(BinOp, BddRef, BddRef), BddRef>,
 }
 
 impl Default for BddManager {
@@ -75,24 +108,14 @@ impl BddManager {
         };
         BddManager {
             nodes: vec![terminal(false), terminal(true)],
-            unique: HashMap::new(),
-            apply_cache: HashMap::new(),
+            unique: IdMap::default(),
+            apply_cache: IdMap::default(),
         }
     }
 
     /// Total number of nodes allocated (including the two terminals).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The constant FALSE.
-    pub fn false_ref(&self) -> BddRef {
-        BddRef::FALSE
-    }
-
-    /// The constant TRUE.
-    pub fn true_ref(&self) -> BddRef {
-        BddRef::TRUE
     }
 
     /// Returns the BDD for a single variable.
@@ -108,24 +131,17 @@ impl BddManager {
         self.nodes[r.0 as usize]
     }
 
-    fn var_of(&self, r: BddRef) -> VarId {
-        self.node(r).var
-    }
-
     /// Creates (or finds) the reduced node `(var, low, high)`.
     fn mk_node(&mut self, var: VarId, low: BddRef, high: BddRef) -> BddRef {
         if low == high {
             return low;
         }
         let node = Node { var, low, high };
-        if let Some(&existing) = self.unique.get(&node) {
-            return existing;
-        }
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        let r = BddRef(idx);
-        self.unique.insert(node, r);
-        r
+        let next = BddRef(self.nodes.len() as u32);
+        *self.unique.entry(node).or_insert_with(|| {
+            self.nodes.push(node);
+            next
+        })
     }
 
     /// Logical AND (the provenance `*` / join operation).
@@ -139,36 +155,19 @@ impl BddManager {
     }
 
     fn apply(&mut self, op: BinOp, a: BddRef, b: BddRef) -> BddRef {
-        // Terminal short-cuts.
-        match op {
-            BinOp::And => {
-                if a == BddRef::FALSE || b == BddRef::FALSE {
-                    return BddRef::FALSE;
-                }
-                if a == BddRef::TRUE {
-                    return b;
-                }
-                if b == BddRef::TRUE {
-                    return a;
-                }
-                if a == b {
-                    return a;
-                }
-            }
-            BinOp::Or => {
-                if a == BddRef::TRUE || b == BddRef::TRUE {
-                    return BddRef::TRUE;
-                }
-                if a == BddRef::FALSE {
-                    return b;
-                }
-                if b == BddRef::FALSE {
-                    return a;
-                }
-                if a == b {
-                    return a;
-                }
-            }
+        // Terminal short-cuts: the absorbing constant, the identity, `a op a`.
+        let (absorbing, identity) = match op {
+            BinOp::And => (BddRef::FALSE, BddRef::TRUE),
+            BinOp::Or => (BddRef::TRUE, BddRef::FALSE),
+        };
+        if a == absorbing || b == absorbing {
+            return absorbing;
+        }
+        if a == identity || a == b {
+            return b;
+        }
+        if b == identity {
+            return a;
         }
         // Canonicalise the commutative key so (a,b) and (b,a) share a slot.
         let key = if a <= b { (op, a, b) } else { (op, b, a) };
@@ -176,8 +175,7 @@ impl BddManager {
             return cached;
         }
 
-        let va = self.var_of(a);
-        let vb = self.var_of(b);
+        let (va, vb) = (self.node(a).var, self.node(b).var);
         let top = va.min(vb);
         let (a_low, a_high) = if va == top {
             let n = self.node(a);
@@ -221,7 +219,7 @@ impl BddManager {
     pub fn support(&self, f: BddRef) -> Vec<VarId> {
         let mut vars = Vec::new();
         let mut stack = vec![f];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::<_, BuildHasherDefault<IdHasher>>::default();
         while let Some(r) = stack.pop() {
             if Self::is_terminal(r) || !seen.insert(r) {
                 continue;
@@ -277,7 +275,7 @@ impl BddManager {
         on_true: T,
         mut node: impl FnMut(VarId, &T, &T) -> T,
     ) -> T {
-        let mut done = HashMap::from([(BddRef::FALSE, on_false), (BddRef::TRUE, on_true)]);
+        let mut done = IdMap::from_iter([(BddRef::FALSE, on_false), (BddRef::TRUE, on_true)]);
         let mut stack = vec![f];
         while let Some(&r) = stack.last() {
             let n = self.node(r);
@@ -318,8 +316,7 @@ mod tests {
         let mut m = BddManager::new();
         let a = m.var(0);
         let b = m.var(1);
-        let t = m.true_ref();
-        let f = m.false_ref();
+        let (t, f) = (BddRef::TRUE, BddRef::FALSE);
 
         assert_eq!(m.and(a, t), a);
         assert_eq!(m.and(a, f), f);
@@ -344,6 +341,34 @@ mod tests {
         assert_eq!(expr, a);
         assert_eq!(m.support(expr), vec![0]);
         assert_eq!(m.support(BddRef::FALSE), Vec::<VarId>::new());
+    }
+
+    /// Node creation order is the recursion's, never the tables': a hasher
+    /// swap must leave every index and the node count where they were.
+    #[test]
+    fn node_indexes_and_counts_are_pinned() {
+        // Figure 2: a + a*b.
+        let mut m = BddManager::new();
+        let (a, b) = (m.var(0), m.var(1));
+        let ab = m.and(a, b);
+        let expr = m.or(a, ab);
+        let indexes = [a, b, ab, expr].map(BddRef::index);
+        assert_eq!((indexes, m.node_count()), ([2, 3, 4, 2], 5));
+
+        // (a0 + b0) * (a1 + b1) * ... * (a12 + b12), built as `tag.rs`
+        // builds it: clause c's variables land at (c+1)^2 + 1 and + 2, its
+        // sum one past them, and the running product at (c+2)^2.
+        let mut m = BddManager::new();
+        let mut product = BddRef::TRUE;
+        for c in 0..13 {
+            let (a, b) = (m.var(2 * c), m.var(2 * c + 1));
+            let clause = m.or(a, b);
+            product = m.and(product, clause);
+            let at = (c + 1) * (c + 1);
+            let indexes = [a, b, clause, product].map(BddRef::index);
+            assert_eq!(indexes, [at + 1, at + 2, at + 3, (c + 2) * (c + 2)]);
+        }
+        assert_eq!(m.node_count(), 197);
     }
 
     #[test]

@@ -78,6 +78,7 @@ mod tests {
     use crate::programs;
     use pasn_engine::{EngineConfig, GraphMode};
     use pasn_net::{CostModel, SimTime, Topology};
+    use std::sync::Arc;
 
     fn forensic_network() -> SecureNetwork {
         let mut config = EngineConfig::ndlog()
@@ -137,7 +138,7 @@ mod tests {
             let report = investigate(&net, &loc, &key);
             assert!(report.archived.is_empty(), "base tuples are not archived");
         }
-        let keys: Vec<String> = archived_activity(&net, "reachable", None, None)
+        let keys: Vec<Arc<str>> = archived_activity(&net, "reachable", None, None)
             .into_iter()
             .map(|(_, entry)| entry.key)
             .collect();

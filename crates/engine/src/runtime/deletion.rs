@@ -499,13 +499,13 @@ impl DistributedEngine {
             if local_graph || archive_offline {
                 let loc_idx = entry.as_ref().and_then(|e| e.location.index());
                 let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
-                let key = tuple::render_located_parts(pred_name, &values, loc_idx);
+                let key = tuple::render_into(&mut node.key_buf, pred_name, &values, loc_idx);
                 if local_graph {
-                    node.local_prov.retract(&key);
+                    node.local_prov.retract(key);
                 }
                 if archive_offline {
                     node.archive.record_expiry(
-                        &key,
+                        key,
                         &self.shared.names[ix(loc)],
                         reason,
                         created_at.as_micros(),

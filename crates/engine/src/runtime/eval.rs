@@ -30,15 +30,17 @@ use std::sync::Arc;
 /// One derivation as the provenance stores record it: built once per
 /// recorded head, written immediately in proactive maintenance mode and
 /// kept on the node until materialisation in reactive mode.  The rule's
-/// location is the recording node.
+/// location is the recording node.  Every key is rendered once, here; the
+/// pointer record and the archive entry share it.
 #[derive(Clone, Debug)]
 pub(super) struct DerivationRecord {
-    pub head_key: String,
+    pub head_key: Arc<str>,
     /// The node the head is stored at.
     pub head_node: NodeId,
-    pub rule: String,
+    /// The rule's label, as an index into [`EvalShared::labels`].
+    pub rule: u32,
     /// Rendered antecedent keys with the node each one lives at.
-    pub antecedents: Vec<(String, NodeId)>,
+    pub antecedents: Vec<(Arc<str>, NodeId)>,
     pub asserted_by: Option<PrincipalId>,
     pub at: SimTime,
 }
@@ -60,10 +62,11 @@ struct Contrib {
 }
 
 impl Contrib {
-    /// Renders the contribution's provenance key (display form).
-    fn render_key(&self, symbols: &Symbols) -> String {
+    /// Renders the contribution's provenance key (display form) through
+    /// `buf`.
+    fn render_key(&self, symbols: &Symbols, buf: &mut String) -> Arc<str> {
         let name = symbols.name(self.pred).unwrap_or("?");
-        tuple::render_located_parts(name, &self.values, self.location)
+        tuple::render_into(buf, name, &self.values, self.location).into()
     }
 }
 
@@ -150,9 +153,11 @@ pub(super) struct EvalShared {
     /// another node's mutable runtime.
     pub directory: FastMap<Value, NodeId>,
     /// Rendered location name of every node, indexed by [`NodeId`]: what the
-    /// provenance stores call a node.  Rendered once, so recording a
-    /// derivation copies a name instead of formatting a `Value`.
-    pub names: Vec<String>,
+    /// provenance stores call a node.  Rendered once, at deploy, and shared:
+    /// every pointer record and archive entry naming a node holds this
+    /// allocation, so recording a derivation bumps a count instead of
+    /// formatting a `Value` or copying a name.
+    pub names: Vec<Arc<str>>,
     /// The name directory: digest of a rendered name → node id, for
     /// provenance queries following [`AntecedentRef::Remote`] pointers.
     /// Keyed by digest so building it copies no name; a hit is confirmed
@@ -162,6 +167,13 @@ pub(super) struct EvalShared {
     /// label interned once, so rules sharing a label share their groups
     /// and no label is cloned or hashed per firing.
     pub rule_ids: Vec<u32>,
+    /// Every distinct rule label, indexed by rule id, then `recv` (unless a
+    /// rule carries it): what pointer records and archive annotations
+    /// name a rule by, shared.
+    pub labels: Vec<Arc<str>>,
+    /// The id of `recv` in `labels`: the rule of a received tuple's pointer
+    /// back to the node that derived it.
+    pub recv: u32,
     /// `CompiledProgram::said_preds`, computed once; read through
     /// [`EvalShared::speaker_seen`].
     pub said_preds: Vec<bool>,
@@ -373,12 +385,13 @@ impl<'a> NodeCtx<'a> {
         if shared.config.provenance != ProvenanceKind::None {
             for row in rows.iter_mut().filter(|row| row.is_base) {
                 let principal = principal_of(row.origin);
-                let key = tuple::render_located_parts(pred_name, &row.values, row.location_index);
+                let buf = &mut self.node.key_buf;
+                let key = tuple::render_into(buf, pred_name, &row.values, row.location_index);
                 row.tag = ProvTag::base(
                     shared.config.provenance,
                     &mut *self.var_table,
                     BaseTupleId(tuple::key_hash_parts(pred_name, &row.values)),
-                    &key,
+                    key,
                     shared.config.granularity.origin_of(principal),
                     shared.principal_level(principal),
                 );
@@ -454,13 +467,14 @@ impl<'a> NodeCtx<'a> {
         done: SimTime,
     ) {
         let shared = self.shared;
-        let render = || tuple::render_located_parts(pred_name, &row.values, row.location_index);
+        let node = &mut *self.node;
+        let (values, location) = (&row.values, row.location_index);
         if row.is_base && shared.config.graph_mode != GraphMode::None {
-            let tuple_key = render();
+            let tuple_key = tuple::render_into(&mut node.key_buf, pred_name, values, location);
             let base_id = BaseTupleId(tuple::key_hash_parts(pred_name, &row.values));
             if shared.config.graph_mode == GraphMode::Local {
-                self.node.local_prov.add_base(
-                    &tuple_key,
+                node.local_prov.add_base(
+                    tuple_key,
                     &shared.names[ix(self.id)],
                     base_id,
                     Some(principal_of(row.origin)),
@@ -468,11 +482,11 @@ impl<'a> NodeCtx<'a> {
                     None,
                 );
             } else {
-                self.node.dist_prov.record_base(&tuple_key, base_id);
+                node.dist_prov.record_base(tuple_key, base_id);
             }
         }
         if let Some(shipped) = &row.shipped_graph {
-            self.node.local_prov.merge(shipped);
+            node.local_prov.merge(shipped);
         }
         // Distributed provenance: a tuple received from another node keeps
         // a pointer back to the deriving node, where its provenance lives.
@@ -482,25 +496,26 @@ impl<'a> NodeCtx<'a> {
             && row.origin != self.id
             && sampled_in(&shared.config.sampling, pred_name, &row.values)
         {
-            let tuple_key = render();
+            let tuple_key: Arc<str> =
+                tuple::render_into(&mut node.key_buf, pred_name, values, location).into();
             if shared.config.maintenance == MaintenanceMode::Reactive {
-                self.node.deferred.push(DerivationRecord {
+                node.deferred.push(DerivationRecord {
                     head_key: tuple_key.clone(),
                     head_node: self.id,
-                    rule: "recv".to_string(),
+                    rule: shared.recv,
                     antecedents: vec![(tuple_key, row.origin)],
                     asserted_by: Some(principal_of(row.origin)),
                     at: done,
                 });
             } else {
                 let pointer = PointerDerivation {
-                    rule: "recv".to_string(),
+                    rule: shared.labels[shared.recv as usize].clone(),
                     antecedents: vec![AntecedentRef::Remote {
                         location: shared.names[ix(row.origin)].clone(),
                         key: tuple_key.clone(),
                     }],
                 };
-                self.node.dist_prov.record_derivation(&tuple_key, pointer);
+                node.dist_prov.record_derivation(&tuple_key, pointer);
             }
         }
     }
@@ -868,13 +883,15 @@ impl<'a> NodeCtx<'a> {
         let head_name = head_name.expect("head predicate interned at plan time");
         if records_graphs {
             if sampled_in(&shared.config.sampling, head_name, &head_values) {
+                let buf = &mut self.node.key_buf;
                 let record = DerivationRecord {
-                    head_key: tuple::render_located_parts(head_name, &head_values, head.location),
+                    head_key: tuple::render_into(buf, head_name, &head_values, head.location)
+                        .into(),
                     head_node: dest_id,
-                    rule: rule_plan.label.clone(),
+                    rule: rule_id,
                     antecedents: contribs
                         .iter()
-                        .map(|c| (c.render_key(&shared.symbols), c.origin))
+                        .map(|c| (c.render_key(&shared.symbols, buf), c.origin))
                         .collect(),
                     asserted_by: Some(principal_of(self.id)),
                     at: now,
@@ -894,9 +911,10 @@ impl<'a> NodeCtx<'a> {
         // exists at emission time; its wire bytes are charged when the frame
         // seals.
         if dest_id != self.id && shared.config.graph_mode == GraphMode::Local {
-            let head_key = tuple::render_located_parts(head_name, &row.values, head.location);
+            let buf = &mut self.node.key_buf;
+            let head_key = tuple::render_into(buf, head_name, &row.values, head.location);
             let graph = &self.node.local_prov;
-            row.shipped_graph = graph.find(&head_key).map(|root| graph.subtree(root));
+            row.shipped_graph = graph.find(head_key).map(|root| graph.subtree(root));
         }
         self.route_row(now, dest_id, head.pred, row, Polarity::Assert);
         Ok(())
@@ -1008,15 +1026,20 @@ pub(super) fn record_provenance_graphs(
     record: &DerivationRecord,
 ) {
     let local = &shared.names[ix(id)];
+    let rule = &shared.labels[record.rule as usize];
     let at = record.at.as_micros();
     match shared.config.graph_mode {
         GraphMode::None => {}
         GraphMode::Local => {
-            let keys: Vec<String> = record.antecedents.iter().map(|(k, _)| k.clone()).collect();
+            let keys: Vec<String> = record
+                .antecedents
+                .iter()
+                .map(|(k, _)| k.to_string())
+                .collect();
             node.local_prov.add_derivation(NewDerivation {
                 head: &record.head_key,
                 head_location: &shared.names[ix(record.head_node)],
-                rule: &record.rule,
+                rule,
                 rule_location: local,
                 antecedents: &keys,
                 asserted_by: record.asserted_by,
@@ -1025,7 +1048,7 @@ pub(super) fn record_provenance_graphs(
             });
         }
         GraphMode::Distributed => {
-            let pointer = |(key, origin): &(String, NodeId)| {
+            let pointer = |(key, origin): &(Arc<str>, NodeId)| {
                 let key = key.clone();
                 if *origin == id {
                     AntecedentRef::Local(key)
@@ -1035,7 +1058,7 @@ pub(super) fn record_provenance_graphs(
                 }
             };
             let derivation = PointerDerivation {
-                rule: record.rule.clone(),
+                rule: rule.clone(),
                 antecedents: record.antecedents.iter().map(pointer).collect(),
             };
             node.dist_prov
@@ -1043,9 +1066,15 @@ pub(super) fn record_provenance_graphs(
         }
     }
     if shared.config.archive_offline {
+        // Rendered once per (node, label) — `recv` included — then shared.
+        if node.annotations.is_empty() {
+            node.annotations.resize(shared.labels.len(), None);
+        }
+        let annotation = node.annotations[record.rule as usize]
+            .get_or_insert_with(|| format!("{rule}@{local}").into());
         node.archive.record(ArchivedEntry {
             key: record.head_key.clone(),
-            annotation: format!("{}@{local}", record.rule),
+            annotation: annotation.clone(),
             location: local.clone(),
             derived_at: at,
             expired_at: None,

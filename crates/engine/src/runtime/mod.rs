@@ -57,7 +57,7 @@ use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use queue::{BatchKey, BatchRow, Bound, GlobalWork, NodeWork, Polarity, QueuedWork, WorkQueue};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transport::LinkTransport;
@@ -338,6 +338,13 @@ struct NodeRuntime {
     local_prov: DerivationGraph,
     dist_prov: DistributedStore,
     archive: ArchiveStore,
+    /// The archive annotation `label@node` of each rule label at this node,
+    /// indexed like [`EvalShared::labels`]; rendered on first use, then
+    /// shared by every entry archived under it.
+    annotations: Vec<Option<Arc<str>>>,
+    /// The buffer provenance keys are rendered into: a key kept is one
+    /// allocation, a key only looked up none.
+    key_buf: String,
     deferred: Vec<DerivationRecord>,
     authenticator: Option<Authenticator>,
     /// This node's end of every link it has shipped on (`SaysLevel::Session`
@@ -445,8 +452,17 @@ impl DistributedEngine {
         }
         let compiled = compile_program(program)?;
         // What the provenance stores, key material and trace call each
-        // node: rendered here, once.
-        let names: Vec<String> = locations.iter().map(Value::to_string).collect();
+        // node: rendered here, once, through one buffer, and shared.
+        let mut buf = String::new();
+        let names: Vec<Arc<str>> = locations
+            .iter()
+            .map(|location| {
+                buf.clear();
+                // Writing to a `String` cannot fail.
+                let _ = write!(buf, "{location}");
+                Arc::from(buf.as_str())
+            })
+            .collect();
 
         // Key material: one principal per location, provisioned up front
         // (outside the measured run, as in the paper's setup).
@@ -461,7 +477,7 @@ impl DistributedEngine {
                         .get(&(i as u32))
                         .copied()
                         .unwrap_or(1);
-                    Principal::new(i as u32, name.clone()).with_security_level(level)
+                    Principal::new(i as u32, &**name).with_security_level(level)
                 })
                 .collect();
             let authority = KeyAuthority::provision_with_modulus(
@@ -506,8 +522,10 @@ impl DistributedEngine {
                     running: FastMap::default(),
                     elections: FastMap::default(),
                     local_prov: DerivationGraph::new(),
-                    dist_prov: DistributedStore::new(name.clone()),
+                    dist_prov: DistributedStore::new(&**name),
                     archive: ArchiveStore::new(),
+                    annotations: Vec::new(),
+                    key_buf: String::new(),
                     deferred: Vec::new(),
                     authenticator,
                     peers: FastMap::default(),
@@ -519,13 +537,18 @@ impl DistributedEngine {
             })
             .collect();
 
-        // Aggregate-group rule ids: each distinct rule label interned once.
-        let mut labels: FastMap<&str, u32> = FastMap::default();
-        let mut rule_ids = Vec::with_capacity(compiled.plans.len());
-        for plan in &compiled.plans {
-            let next = labels.len() as u32;
-            rule_ids.push(*labels.entry(plan.label.as_str()).or_insert(next));
-        }
+        // Rule ids: each distinct rule label interned once, then `recv`
+        // (unless a rule already carries it).
+        let mut labels: Vec<Arc<str>> = Vec::new();
+        let mut intern = |label: &str| match labels.iter().position(|l| **l == *label) {
+            Some(id) => id as u32,
+            None => {
+                labels.push(label.into());
+                labels.len() as u32 - 1
+            }
+        };
+        let rule_ids: Vec<u32> = compiled.plans.iter().map(|p| intern(&p.label)).collect();
+        let recv = intern("recv");
 
         // Fault runs always arm dynamics — reconciling dead frames needs
         // the deletion ledger — even with the plan set directly on the
@@ -536,7 +559,7 @@ impl DistributedEngine {
         let recorder = config
             .trace
             .clone()
-            .map(|t| TraceRecorder::new(t, names.clone()));
+            .map(|t| TraceRecorder::new(t, names.iter().map(|n| n.to_string()).collect()));
         let mut engine = DistributedEngine {
             nodes,
             var_table: VarTable::new(),
@@ -563,6 +586,8 @@ impl DistributedEngine {
                     .collect(),
                 names,
                 rule_ids,
+                labels,
+                recv,
                 said_preds: compiled.said_preds(),
                 compiled,
             },
@@ -1247,7 +1272,7 @@ impl DistributedEngine {
     pub fn distributed_stores(&self) -> HashMap<String, &DistributedStore> {
         let nodes = self.shared.names.iter().zip(&self.nodes);
         nodes
-            .map(|(name, n)| (name.clone(), &n.dist_prov))
+            .map(|(name, n)| (name.to_string(), &n.dist_prov))
             .collect()
     }
 
@@ -1255,14 +1280,14 @@ impl DistributedEngine {
     /// resolver the provenance queries follow pointer records through.
     fn store_named(&self, name: &str) -> Option<&DistributedStore> {
         let id = *self.shared.name_ids.get(&ProvKey::from_rendered(name))?;
-        (self.shared.names[ix(id)] == name).then(|| &self.nodes[ix(id)].dist_prov)
+        (*self.shared.names[ix(id)] == *name).then(|| &self.nodes[ix(id)].dist_prov)
     }
 
     /// The name the provenance stores know `location` by: the name table's
     /// for a deployed location, rendered for any other value.
     fn name_of(&self, location: &Value) -> Cow<'_, str> {
         match self.shared.directory.get(location) {
-            Some(&id) => Cow::Borrowed(&self.shared.names[ix(id)]),
+            Some(&id) => Cow::Borrowed(&*self.shared.names[ix(id)]),
             None => Cow::Owned(location.to_string()),
         }
     }

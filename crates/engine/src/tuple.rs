@@ -2,7 +2,7 @@
 
 use pasn_datalog::Value;
 use std::collections::hash_map::DefaultHasher;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
 
 /// A materialised tuple: a predicate applied to concrete values.
@@ -42,25 +42,43 @@ pub fn key_hash_parts(predicate: &str, values: &[Value]) -> u64 {
     hasher.finish()
 }
 
-/// Renders a `(predicate, values)` pair with a location marker — identical
-/// to [`Tuple::render_located`] but borrowing its parts.
-pub fn render_located_parts(
+/// Writes a `(predicate, values)` pair with a location marker into `out`,
+/// e.g. `reachable(@n0,n2)`: the one tuple renderer, behind
+/// [`Tuple::render_located`] and `Display for Tuple`, borrowing its parts
+/// and formatting each value straight into `out`.
+pub fn render_located_parts<W: Write + ?Sized>(
+    out: &mut W,
     predicate: &str,
     values: &[Value],
     location_index: Option<usize>,
-) -> String {
-    let args: Vec<String> = values
-        .iter()
-        .enumerate()
-        .map(|(i, v)| {
-            if Some(i) == location_index {
-                format!("@{v}")
-            } else {
-                v.to_string()
-            }
-        })
-        .collect();
-    format!("{}({})", predicate, args.join(","))
+) -> fmt::Result {
+    out.write_str(predicate)?;
+    out.write_char('(')?;
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        if Some(i) == location_index {
+            out.write_char('@')?;
+        }
+        write!(out, "{value}")?;
+    }
+    out.write_char(')')
+}
+
+/// Renders a `(predicate, values)` pair into `buf`, cleared first, and
+/// lends the text: a caller that keeps one buffer renders key after key
+/// without allocating, and allocates once more only to keep one.
+pub(crate) fn render_into<'b>(
+    buf: &'b mut String,
+    predicate: &str,
+    values: &[Value],
+    location_index: Option<usize>,
+) -> &'b str {
+    buf.clear();
+    render_located_parts(buf, predicate, values, location_index)
+        .expect("writing to a String cannot fail");
+    buf
 }
 
 impl Tuple {
@@ -129,19 +147,22 @@ impl Tuple {
     /// `reachable(@n0,n2)`; this is the key format used by the provenance
     /// graph and the stores.
     pub fn render_located(&self, location_index: Option<usize>) -> String {
-        render_located_parts(&self.predicate, &self.values, location_index)
+        let mut out = String::new();
+        render_into(&mut out, &self.predicate, &self.values, location_index);
+        out
     }
 }
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.render_located(None))
+        render_located_parts(f, &self.predicate, &self.values, None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> Tuple {
         Tuple::new(
@@ -202,19 +223,14 @@ mod tests {
 
     #[test]
     fn parts_helpers_agree_with_tuple_methods() {
-        // The store and runtime encode/hash/render borrowed `(predicate,
+        // The store and runtime encode and hash borrowed `(predicate,
         // values)` parts; they must stay byte-identical to the Tuple API
         // (signatures, bandwidth accounting and provenance ids depend on it).
+        // Rendering has one definition for both, pinned by the proptest below.
         let t = sample();
         assert_eq!(encode_parts(&t.predicate, &t.values), t.encode());
         assert_eq!(encoded_len_parts(&t.predicate, &t.values), t.encoded_len());
         assert_eq!(key_hash_parts(&t.predicate, &t.values), t.key_hash());
-        for loc in [None, Some(0), Some(2)] {
-            assert_eq!(
-                render_located_parts(&t.predicate, &t.values, loc),
-                t.render_located(loc)
-            );
-        }
     }
 
     #[test]
@@ -225,5 +241,60 @@ mod tests {
         assert_eq!(a.key_hash(), a.clone().key_hash());
         assert_ne!(a.key_hash(), b.key_hash());
         assert_ne!(a.key_hash(), c.key_hash());
+    }
+
+    /// The renderer as it was defined before it wrote into one buffer: a
+    /// `String` per value, collected and joined.  Kept verbatim as the
+    /// oracle every provenance key, archive entry and trace must match.
+    fn render_joined(predicate: &str, values: &[Value], location_index: Option<usize>) -> String {
+        let args: Vec<String> = values
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                if Some(i) == location_index {
+                    format!("@{v}")
+                } else {
+                    v.to_string()
+                }
+            })
+            .collect();
+        format!("{}({})", predicate, args.join(","))
+    }
+
+    /// Values of every kind, lists nested three deep and possibly empty,
+    /// strings carrying the renderer's own separators.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            (-9i64..0).prop_map(Value::Int),
+            "[a-z,(@)]{0,4}".prop_map(|s| Value::Str(s.into())),
+            any::<bool>().prop_map(Value::Bool),
+            (0u32..200).prop_map(Value::Addr),
+        ];
+        leaf.prop_recursive(3, 24, 4, |inner| {
+            prop_oneof![
+                inner.clone(),
+                proptest::collection::vec(inner, 0..4).prop_map(|items| Value::List(items.into())),
+            ]
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn prop_the_renderer_is_byte_identical_to_the_joined_one(
+            predicate in "[a-zA-Z_]{1,8}",
+            values in proptest::collection::vec(arb_value(), 0..5),
+            location in 0usize..7,
+        ) {
+            let tuple = Tuple::new(predicate.clone(), values.clone());
+            prop_assert_eq!(tuple.to_string(), render_joined(&predicate, &values, None));
+            // Every position, and past the end (5 and 6 always are).
+            for loc in [None, Some(location)].into_iter().chain((0..values.len()).map(Some)) {
+                prop_assert_eq!(
+                    tuple.render_located(loc),
+                    render_joined(&predicate, &values, loc)
+                );
+            }
+        }
     }
 }

@@ -286,10 +286,10 @@ mod tests {
                     rule: "e2".into(),
                     antecedents: vec![
                         AntecedentRef::Remote {
-                            location: format!("n{}", i - 1),
-                            key: format!("infected(n{})", i - 1),
+                            location: format!("n{}", i - 1).into(),
+                            key: format!("infected(n{})", i - 1).into(),
                         },
-                        AntecedentRef::Local(format!("benign({node})")),
+                        AntecedentRef::Local(format!("benign({node})").into()),
                     ],
                 },
             );
@@ -355,7 +355,7 @@ mod tests {
                             location: "n0".into(),
                             key: "attack(n0)".into(),
                         },
-                        AntecedentRef::Local(format!("benign({node})")),
+                        AntecedentRef::Local(format!("benign({node})").into()),
                     ],
                 },
             );

@@ -16,19 +16,22 @@ use crate::semiring::BaseTupleId;
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-/// A reference to an antecedent held by a [`DistributedStore`].
+/// A reference to an antecedent held by a [`DistributedStore`].  Keys and
+/// node names are shared: the engine renders each once and every record
+/// that names it holds the same allocation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum AntecedentRef {
     /// The antecedent is stored at the same node.
-    Local(String),
+    Local(Arc<str>),
     /// The antecedent (and its provenance) lives at another node; a traceback
     /// query must visit that node to continue.
     Remote {
         /// The node holding the antecedent's provenance.
-        location: String,
+        location: Arc<str>,
         /// The antecedent tuple key at that node.
-        key: String,
+        key: Arc<str>,
     },
 }
 
@@ -37,8 +40,8 @@ pub enum AntecedentRef {
 /// Section 4.1).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PointerDerivation {
-    /// Rule that fired.
-    pub rule: String,
+    /// Rule that fired (shared with every record of the rule).
+    pub rule: Arc<str>,
     /// Antecedents, local or remote.
     pub antecedents: Vec<AntecedentRef>,
 }
@@ -227,15 +230,19 @@ pub fn traceback_with<'a>(
     result
 }
 
-/// One archived provenance record (offline provenance, Section 4.2).
+/// One archived provenance record (offline provenance, Section 4.2).  Its
+/// strings are shared, so archiving a derivation (or cloning an entry out
+/// of the archive) copies no bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArchivedEntry {
     /// The tuple key.
-    pub key: String,
+    pub key: Arc<str>,
     /// Node that stored the tuple.
-    pub location: String,
-    /// Rendered provenance annotation at archive time.
-    pub annotation: String,
+    pub location: Arc<str>,
+    /// How the entry came to be: `rule@node` for an archived derivation
+    /// (e.g. `r2@n3`), the deletion reason (e.g. `retracted`) for a record
+    /// [`ArchiveStore::record_expiry`] had to create.
+    pub annotation: Arc<str>,
     /// Simulated time the tuple was derived.
     pub derived_at: u64,
     /// Simulated time the tuple expired (if it did).
@@ -310,7 +317,7 @@ impl ArchiveStore {
         let mut at = self.first_of(key);
         while at != END {
             let entry = &mut self.entries[at as usize];
-            if entry.key == key {
+            if *entry.key == *key {
                 update(entry);
             }
             at = self.next[at as usize];
@@ -324,7 +331,7 @@ impl ArchiveStore {
         let link = |at: u32| (at != END).then_some(at as usize);
         std::iter::successors(link(self.first_of(key)), move |&at| link(self.next[at]))
             .map(|at| &self.entries[at])
-            .filter(move |entry| entry.key == key)
+            .filter(move |entry| *entry.key == *key)
     }
 
     /// Records that the tuple behind `key` was deleted (retracted or
@@ -352,9 +359,9 @@ impl ArchiveStore {
         });
         if stamped == 0 {
             self.record(ArchivedEntry {
-                key: key.to_string(),
-                location: location.to_string(),
-                annotation: annotation.to_string(),
+                key: key.into(),
+                location: location.into(),
+                annotation: annotation.into(),
                 derived_at,
                 expired_at: Some(expired_at),
                 pinned: false,
@@ -519,7 +526,7 @@ mod tests {
         let mut archive = ArchiveStore::new();
         for i in 0..10u64 {
             archive.record(ArchivedEntry {
-                key: format!("bestPath(@n0,n{i})"),
+                key: format!("bestPath(@n0,n{i})").into(),
                 location: "n0".into(),
                 annotation: "<p0>".into(),
                 derived_at: i * 100,
@@ -566,8 +573,8 @@ mod tests {
         );
         assert_eq!(archive.len(), 2);
         let fresh = &archive.entries()[1];
-        assert_eq!(fresh.key, "reachable(@a,d)");
-        assert_eq!(fresh.annotation, "retracted");
+        assert_eq!(&*fresh.key, "reachable(@a,d)");
+        assert_eq!(&*fresh.annotation, "retracted");
         assert_eq!(fresh.expired_at, Some(950));
     }
 }

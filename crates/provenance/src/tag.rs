@@ -19,12 +19,15 @@
 //! Everything else a condensed tag shows is read straight off its diagram:
 //! its text ([`VarTable::render`]) and wire size ([`ProvTag::wire_size`])
 //! are its minimal positive sum of products, its trust level a fold over
-//! its nodes ([`ProvTag::trust_level`]).
+//! its nodes ([`ProvTag::trust_level`]).  A diagram node never changes once
+//! made, so the wire size — asked once per shipped tuple — is read off once
+//! per [`BddRef`] and memoised in the [`VarTable`].
 
+use crate::key::DigestMap;
 use crate::semiring::{BaseTupleId, DerivationCount, Semiring, TrustLevel, VoteSet, WhyProvenance};
 use pasn_bdd::{BddManager, BddRef, VarId};
 use pasn_crypto::PrincipalId;
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::fmt;
 
 /// Which provenance annotation the engine maintains.
@@ -64,12 +67,16 @@ impl ProvenanceKind {
 #[derive(Debug, Default)]
 pub struct VarTable {
     manager: BddManager,
-    by_principal: HashMap<u32, VarId>,
-    by_base: HashMap<BaseTupleId, VarId>,
+    by_principal: DigestMap<u32, VarId>,
+    by_base: DigestMap<BaseTupleId, VarId>,
     names: Vec<String>,
     /// The principal behind each variable, indexed by [`VarId`] (`None` for
     /// a base-tuple variable).
     principals: Vec<Option<PrincipalId>>,
+    /// Wire size of every condensed tag asked for so far, indexed by
+    /// [`BddRef::index`]; 0 until asked (a shipped tag is at least 2 bytes).
+    /// Never stale: the manager only adds nodes, it never changes one.
+    wire_sizes: RefCell<Vec<usize>>,
 }
 
 impl VarTable {
@@ -155,6 +162,22 @@ impl VarTable {
             }
         };
         format!("<{text}>")
+    }
+
+    /// The bytes `bdd` ships as: a 2-byte header and 4 per literal of its
+    /// minimal products ([`min_products`]), read off on the first ask and
+    /// memoised — the node behind `bdd` never changes.
+    fn wire_size(&self, bdd: BddRef) -> usize {
+        let at = bdd.index() as usize;
+        let mut memo = self.wire_sizes.borrow_mut();
+        if memo.len() <= at {
+            memo.resize(self.manager.node_count(), 0);
+        }
+        if memo[at] == 0 {
+            let products = min_products(&self.manager, bdd);
+            memo[at] = 2 + products.iter().map(Vec::len).sum::<usize>() * 4;
+        }
+        memo[at]
     }
 }
 
@@ -249,11 +272,13 @@ impl ProvTag {
     }
 
     /// The multiplicative identity for `kind` (used when folding joins).
-    pub fn one(kind: ProvenanceKind, table: &mut VarTable) -> ProvTag {
+    /// Every kind's identity is a constant — the condensed one is
+    /// [`BddRef::TRUE`] — so the table goes unread.
+    pub fn one(kind: ProvenanceKind, _table: &mut VarTable) -> ProvTag {
         match kind {
             ProvenanceKind::None => ProvTag::None,
             ProvenanceKind::Why => ProvTag::Why(WhyProvenance::one()),
-            ProvenanceKind::Condensed => ProvTag::Condensed(table.manager_mut().true_ref()),
+            ProvenanceKind::Condensed => ProvTag::Condensed(BddRef::TRUE),
             ProvenanceKind::Trust => ProvTag::Trust(TrustLevel::one()),
             ProvenanceKind::Count => ProvTag::Count(DerivationCount::one()),
             ProvenanceKind::Vote => ProvTag::Vote(VoteSet::one()),
@@ -319,9 +344,9 @@ impl ProvTag {
         match self {
             ProvTag::Condensed(b) => Some(ProvTag::Condensed(*b)),
             ProvTag::Why(w) => {
-                let mut acc = table.manager_mut().false_ref();
+                let mut acc = BddRef::FALSE;
                 for witness in w.witnesses() {
-                    let mut cube = table.manager_mut().true_ref();
+                    let mut cube = BddRef::TRUE;
                     for id in witness {
                         let var = table.base_var(*id, id.to_string());
                         let lit = table.manager_mut().var(var);
@@ -361,7 +386,8 @@ impl ProvTag {
     /// Condensed provenance is shipped as the minimal positive sum of
     /// products [`VarTable::render`] shows: a 2-byte header and 4 bytes per
     /// principal literal (`2 + 4·literals`, 2 for a constant), which is the
-    /// compact form the paper attributes to the BDD encoding.
+    /// compact form the paper attributes to the BDD encoding.  The table
+    /// reads it off once per diagram and remembers it.
     /// Why-provenance ships every witness uncondensed (8 bytes per
     /// base-tuple key plus one per witness), which is what the condensation
     /// claim of `tests/optimizations.rs` compares against.
@@ -369,10 +395,7 @@ impl ProvTag {
         match self {
             ProvTag::None => 0,
             ProvTag::Why(w) => 2 + w.size() * 8 + w.witnesses().len(),
-            ProvTag::Condensed(bdd) => {
-                let products = min_products(table.manager(), *bdd);
-                2 + products.iter().map(Vec::len).sum::<usize>() * 4
-            }
+            ProvTag::Condensed(bdd) => table.wire_size(*bdd),
             ProvTag::Trust(_) => 1,
             ProvTag::Count(_) => 8,
             ProvTag::Vote(v) => 2 + v.count() * 4,
@@ -505,7 +528,7 @@ mod tests {
         let principals: Vec<ProvTag> = (0..8).map(|id| said_by(&mut table, id)).collect();
         for _ in 0..64 {
             let level: Vec<u8> = (0..8).map(|_| next(5) as u8).collect();
-            let mut tag = ProvTag::Condensed(table.manager().false_ref());
+            let mut tag = ProvTag::Condensed(BddRef::FALSE);
             for _ in 0..1 + next(4) {
                 let mut product = ProvTag::one(ProvenanceKind::Condensed, &mut table);
                 for _ in 0..1 + next(4) {
@@ -516,7 +539,7 @@ mod tests {
             let expected = brute_force_level(&table, &tag, 8, &level);
             assert_eq!(tag.trust_level(&table, |id| level[id as usize]), expected);
         }
-        let never = ProvTag::Condensed(table.manager().false_ref());
+        let never = ProvTag::Condensed(BddRef::FALSE);
         assert_eq!(never.trust_level(&table, |_| 1), None);
     }
 
@@ -586,6 +609,56 @@ mod tests {
             let literals: usize = sets.iter().map(Vec::len).sum();
             prop_assert_eq!(tag.wire_size(&table), 2 + 4 * literals);
         }
+    }
+
+    /// The sum of products `sum` over principals, built in `table`.
+    fn sum_of_products(table: &mut VarTable, sum: &[Vec<u32>]) -> ProvTag {
+        let mut tag = ProvTag::Condensed(BddRef::FALSE);
+        for product in sum {
+            let mut term = ProvTag::one(ProvenanceKind::Condensed, table);
+            for &id in product {
+                term = term.times(&said_by(table, id), table);
+            }
+            tag = tag.plus(&term, table);
+        }
+        tag
+    }
+
+    #[test]
+    fn a_memoised_wire_size_is_what_a_fresh_table_reads_off() {
+        // Sums of products of eight principals from a fixed splitmix64
+        // stream, each asked for once it is built and again after every
+        // later tag has grown the shared manager.
+        let mut state = 0x3a7e_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        let fresh = |sum: &[Vec<u32>]| {
+            let mut table = VarTable::new();
+            sum_of_products(&mut table, sum).wire_size(&table)
+        };
+        let mut shared = VarTable::new();
+        let mut built = Vec::new();
+        for _ in 0..48 {
+            let sum: Vec<Vec<u32>> = (0..next(4))
+                .map(|_| (0..1 + next(4)).map(|_| next(8) as u32).collect())
+                .collect();
+            let tag = sum_of_products(&mut shared, &sum);
+            let expected = fresh(&sum);
+            assert_eq!(tag.wire_size(&shared), expected, "{sum:?}");
+            built.push((tag, expected));
+        }
+        for (tag, expected) in &built {
+            assert_eq!(tag.wire_size(&shared), *expected);
+        }
+        assert!(
+            built.iter().any(|(_, bytes)| *bytes > 6),
+            "some tag is wide"
+        );
     }
 
     #[test]

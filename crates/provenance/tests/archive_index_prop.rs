@@ -31,16 +31,16 @@ impl ScanModel {
     fn record_expiry(&mut self, key: &str, derived_at: u64, expired_at: u64) -> usize {
         let mut stamped = 0;
         for e in &mut self.entries {
-            if e.key == key && e.expired_at.is_none() {
+            if *e.key == *key && e.expired_at.is_none() {
                 e.expired_at = Some(expired_at);
                 stamped += 1;
             }
         }
         if stamped == 0 {
             self.entries.push(ArchivedEntry {
-                key: key.to_string(),
-                location: "n0".to_string(),
-                annotation: "retracted".to_string(),
+                key: key.into(),
+                location: "n0".into(),
+                annotation: "retracted".into(),
                 derived_at,
                 expired_at: Some(expired_at),
                 pinned: false,
@@ -53,7 +53,7 @@ impl ScanModel {
     fn pin(&mut self, key: &str) -> usize {
         let mut count = 0;
         for e in &mut self.entries {
-            if e.key == key {
+            if *e.key == *key {
                 e.pinned = true;
                 count += 1;
             }
@@ -77,7 +77,7 @@ impl ScanModel {
     }
 
     fn entries_of(&self, key: &str) -> Vec<&ArchivedEntry> {
-        self.entries.iter().filter(|e| e.key == key).collect()
+        self.entries.iter().filter(|e| *e.key == *key).collect()
     }
 }
 
@@ -90,9 +90,9 @@ fn apply(archive: &mut ArchiveStore, model: &mut ScanModel, word: u64) {
     match word % 8 {
         0..=2 => {
             let entry = ArchivedEntry {
-                key: key.to_string(),
-                location: format!("n{}", (word >> 24) % 3),
-                annotation: format!("r{}@n0", (word >> 28) % 3),
+                key: key.into(),
+                location: format!("n{}", (word >> 24) % 3).into(),
+                annotation: format!("r{}@n0", (word >> 28) % 3).into(),
                 derived_at: t,
                 expired_at: (word >> 32).is_multiple_of(3).then_some(t + u),
                 pinned: false,

@@ -47,15 +47,15 @@ fn file_record(stores: &mut HashMap<String, DistributedStore>, word: u64) {
             let bits = (word >> (20 + 12 * i)) & 0xfff;
             let key = key_name((bits >> 5) % (KEYS + 1));
             match bits % 3 {
-                0 => AntecedentRef::Local(key),
+                0 => AntecedentRef::Local(key.into()),
                 _ => AntecedentRef::Remote {
-                    location: node_name((bits >> 2) % (NODES + 1)),
-                    key,
+                    location: node_name((bits >> 2) % (NODES + 1)).into(),
+                    key: key.into(),
                 },
             }
         })
         .collect();
-    let rule = format!("r{}", (word >> 56) % 3);
+    let rule = format!("r{}", (word >> 56) % 3).into();
     store.record_derivation(&key, PointerDerivation { rule, antecedents });
 }
 
@@ -107,14 +107,14 @@ fn reference_traceback(
             for antecedent in &d.antecedents {
                 match antecedent {
                     AntecedentRef::Local(k) => {
-                        if seen.insert((node.clone(), k.clone())) {
-                            queue.push_back((node.clone(), k.clone()));
+                        if seen.insert((node.clone(), k.to_string())) {
+                            queue.push_back((node.clone(), k.to_string()));
                         }
                     }
                     AntecedentRef::Remote { location, key: k } => {
-                        if seen.insert((location.clone(), k.clone())) {
+                        if seen.insert((location.to_string(), k.to_string())) {
                             result.remote_hops += 1;
-                            queue.push_back((location.clone(), k.clone()));
+                            queue.push_back((location.to_string(), k.to_string()));
                         }
                     }
                 }
@@ -177,13 +177,13 @@ fn reference_moonwalk(
             let antecedent = &derivation.antecedents[rng.next_index(derivation.antecedents.len())];
             match antecedent {
                 AntecedentRef::Local(k) => {
-                    current = k.clone();
+                    current = k.to_string();
                 }
                 AntecedentRef::Remote { location, key: k } => {
                     walk.remote_hops += 1;
                     result.remote_hops += 1;
-                    node = location.clone();
-                    current = k.clone();
+                    node = location.to_string();
+                    current = k.to_string();
                 }
             }
             walk.path.push(current.clone());
