@@ -212,7 +212,6 @@ pub fn sustained_expiry_churn(rows: u32, generations: u32) -> ExpiryChurnReport 
         created_at: SimTime::ZERO,
         expires_at: Some(SimTime::from_micros(expires)),
         origin: NodeId(0),
-        asserted_by: None,
     };
     let flow = |generation: i64, i: u32| -> Arc<[Value]> {
         Arc::from([
@@ -324,7 +323,6 @@ pub fn store_churn_cycle(rows: u32) -> pasn_engine::NodeStore {
         created_at: SimTime::ZERO,
         expires_at: expires.map(SimTime::from_micros),
         origin: NodeId(0),
-        asserted_by: None,
     };
     let flow = |gen: i64, i: u32| -> Arc<[Value]> {
         Arc::from([Value::Addr(i % 64), Value::Int(i as i64), Value::Int(gen)])

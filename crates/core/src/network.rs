@@ -289,16 +289,17 @@ impl SecureNetwork {
     }
 
     /// Bytes of tuple data currently stored across all nodes (each shared
-    /// row charged once, plus insertion-order bookkeeping; also reported at
-    /// fixpoint as `RunMetrics::store_bytes`).
+    /// row's encoding charged once, plus insertion-order bookkeeping — an
+    /// encoding-level gauge, not heap; also reported at fixpoint as
+    /// `RunMetrics::store_bytes`).
     pub fn store_bytes(&self) -> u64 {
         self.engine.store_bytes()
     }
 
     /// Bytes of secondary-index overhead currently held across all nodes
-    /// (bucket keys plus seq ids — indexes reference rows instead of
-    /// copying them; also reported at fixpoint as
-    /// `RunMetrics::index_bytes`).
+    /// (distinct index keys plus one seq per indexed row — indexes
+    /// reference rows instead of copying them; an encoding-level gauge, not
+    /// heap; also reported at fixpoint as `RunMetrics::index_bytes`).
     pub fn index_bytes(&self) -> u64 {
         self.engine.index_bytes()
     }

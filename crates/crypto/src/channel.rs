@@ -137,14 +137,20 @@ pub struct ChannelProof {
 /// Bytes a [`ChannelProof`] adds to a frame on the wire.
 pub const CHANNEL_PROOF_LEN: usize = 4 + 8 + TAG_LEN;
 
-/// `HMAC(session_key, epoch ‖ counter ‖ payload)`, streamed straight into
-/// the precomputed-key hasher — no intermediate buffer, and the two
-/// padded-key compressions were paid once at channel establishment.
-fn frame_tag(key: &HmacKey, epoch: u32, counter: u64, payload: &[u8]) -> [u8; TAG_LEN] {
+/// `HMAC(session_key, epoch ‖ counter ‖ payload)`, where the payload is the
+/// frame's tuple encodings in shipment order, streamed straight into the
+/// precomputed-key hasher — no intermediate buffer, and the two padded-key
+/// compressions were paid once at channel establishment.
+fn frame_tag<T: AsRef<[u8]>>(
+    key: &HmacKey,
+    epoch: u32,
+    counter: u64,
+    tuples: &[T],
+) -> [u8; TAG_LEN] {
     let mut inner = key.begin();
     inner.update(&epoch.to_be_bytes());
     inner.update(&counter.to_be_bytes());
-    inner.update(payload);
+    tuples.iter().for_each(|t| inner.update(t.as_ref()));
     key.finish(inner)
 }
 
@@ -188,18 +194,19 @@ impl SenderChannel {
         self.next_counter >= self.rebind_after
     }
 
-    /// MACs one frame payload, consuming the next counter value.
+    /// MACs one frame — its tuple encodings, in shipment order — consuming
+    /// the next counter value.
     ///
     /// Callers must check [`SenderChannel::expired`] first and rebind when
     /// the channel is exhausted; MAC'ing past the limit is a logic error.
-    pub fn mac_frame(&mut self, payload: &[u8]) -> ChannelProof {
+    pub fn mac_frame<T: AsRef<[u8]>>(&mut self, tuples: &[T]) -> ChannelProof {
         debug_assert!(!self.expired(), "channel must be rebound before reuse");
         let counter = self.next_counter;
         self.next_counter += 1;
         ChannelProof {
             epoch: self.transcript.epoch,
             counter,
-            tag: frame_tag(&self.key, self.transcript.epoch, counter, payload),
+            tag: frame_tag(&self.key, self.transcript.epoch, counter, tuples),
         }
     }
 }
@@ -232,8 +239,9 @@ impl ReceiverChannel {
         self.transcript.epoch
     }
 
-    /// Verifies one frame: the proof must carry a valid MAC over
-    /// `epoch ‖ counter ‖ payload` under this channel's session key, this
+    /// Verifies one frame (its tuple encodings, in shipment order): the
+    /// proof must carry a valid MAC over `epoch ‖ counter ‖ payload` under
+    /// this channel's session key, this
     /// channel's epoch, and a counter strictly greater than any previously
     /// accepted one.
     ///
@@ -242,9 +250,13 @@ impl ReceiverChannel {
     /// (uniform work, and what the engine's `hmac_ops` accounting charges).
     /// A frame MAC'd under a stale epoch fails the MAC check itself — the
     /// session key is fresh per epoch.
-    pub fn verify_frame(&mut self, payload: &[u8], proof: &ChannelProof) -> Result<(), SaysError> {
+    pub fn verify_frame<T: AsRef<[u8]>>(
+        &mut self,
+        tuples: &[T],
+        proof: &ChannelProof,
+    ) -> Result<(), SaysError> {
         let src = self.transcript.src;
-        let expected = frame_tag(&self.key, proof.epoch, proof.counter, payload);
+        let expected = frame_tag(&self.key, proof.epoch, proof.counter, tuples);
         if !constant_time_eq(&expected, &proof.tag) || proof.epoch != self.transcript.epoch {
             return Err(SaysError::InvalidProof(src));
         }
@@ -295,8 +307,8 @@ mod tests {
         assert_eq!(rx.peer(), PrincipalId(0));
 
         for payload in [b"frame one".as_ref(), b"frame two", b"frame three"] {
-            let proof = tx.mac_frame(payload);
-            assert!(rx.verify_frame(payload, &proof).is_ok());
+            let proof = tx.mac_frame(&[payload]);
+            assert!(rx.verify_frame(&[payload], &proof).is_ok());
         }
         assert!(!tx.expired());
     }
@@ -306,13 +318,13 @@ mod tests {
         let (a, b, _) = setup();
         let (handshake, mut tx) = a.open_channel(PrincipalId(1), 0, 100);
         let mut rx = b.accept_channel(&handshake).unwrap();
-        let proof = tx.mac_frame(b"reachable(a,c)");
+        let proof = tx.mac_frame(&[b"reachable(a,c)"]);
         assert_eq!(
-            rx.verify_frame(b"reachable(a,d)", &proof),
+            rx.verify_frame(&[b"reachable(a,d)"], &proof),
             Err(SaysError::InvalidProof(PrincipalId(0)))
         );
         // The genuine frame still verifies (the forgery consumed no counter).
-        assert!(rx.verify_frame(b"reachable(a,c)", &proof).is_ok());
+        assert!(rx.verify_frame(&[b"reachable(a,c)"], &proof).is_ok());
     }
 
     #[test]
@@ -320,13 +332,13 @@ mod tests {
         let (a, b, _) = setup();
         let (handshake, mut tx) = a.open_channel(PrincipalId(1), 0, 100);
         let mut rx = b.accept_channel(&handshake).unwrap();
-        let first = tx.mac_frame(b"one");
-        let second = tx.mac_frame(b"two");
-        assert!(rx.verify_frame(b"one", &first).is_ok());
-        assert!(rx.verify_frame(b"two", &second).is_ok());
+        let first = tx.mac_frame(&[b"one"]);
+        let second = tx.mac_frame(&[b"two"]);
+        assert!(rx.verify_frame(&[b"one"], &first).is_ok());
+        assert!(rx.verify_frame(&[b"two"], &second).is_ok());
         // Replaying either earlier frame presents a stale counter.
         assert_eq!(
-            rx.verify_frame(b"two", &second),
+            rx.verify_frame(&[b"two"], &second),
             Err(SaysError::ReplayedFrame {
                 principal: PrincipalId(0),
                 counter: 1,
@@ -334,7 +346,7 @@ mod tests {
             })
         );
         assert!(matches!(
-            rx.verify_frame(b"one", &first),
+            rx.verify_frame(&[b"one"], &first),
             Err(SaysError::ReplayedFrame { .. })
         ));
     }
@@ -369,27 +381,27 @@ mod tests {
         let (a, b, _) = setup();
         let (handshake, mut tx) = a.open_channel(PrincipalId(1), 0, 2);
         let mut rx = b.accept_channel(&handshake).unwrap();
-        let p0 = tx.mac_frame(b"x");
-        let p1 = tx.mac_frame(b"y");
+        let p0 = tx.mac_frame(&[b"x"]);
+        let p1 = tx.mac_frame(&[b"y"]);
         assert!(tx.expired());
-        assert!(rx.verify_frame(b"x", &p0).is_ok());
-        assert!(rx.verify_frame(b"y", &p1).is_ok());
+        assert!(rx.verify_frame(&[b"x"], &p0).is_ok());
+        assert!(rx.verify_frame(&[b"y"], &p1).is_ok());
 
         // Rebind: next epoch, fresh key, counter restarts.
         let (rebind, mut tx2) = a.open_channel(PrincipalId(1), 1, 2);
         let mut rx2 = b.accept_channel(&rebind).unwrap();
         assert_eq!(tx2.epoch(), 1);
-        let p2 = tx2.mac_frame(b"z");
+        let p2 = tx2.mac_frame(&[b"z"]);
         assert_eq!(p2.counter, 0);
-        assert!(rx2.verify_frame(b"z", &p2).is_ok());
+        assert!(rx2.verify_frame(&[b"z"], &p2).is_ok());
         // A frame MAC'd under the old epoch is refused on the new channel.
         let stale = {
             let (old, mut tx_old) = a.open_channel(PrincipalId(1), 0, 2);
             let _ = old;
-            tx_old.mac_frame(b"z")
+            tx_old.mac_frame(&[b"z"])
         };
         assert_eq!(
-            rx2.verify_frame(b"z", &stale),
+            rx2.verify_frame(&[b"z"], &stale),
             Err(SaysError::InvalidProof(PrincipalId(0)))
         );
     }
@@ -400,8 +412,8 @@ mod tests {
         // Epoch 0 lives its life: handshake, frames, expiry.
         let (old_handshake, mut tx0) = a.open_channel(PrincipalId(1), 0, 2);
         let mut rx = b.accept_channel(&old_handshake).unwrap();
-        let captured = tx0.mac_frame(b"secret frame");
-        assert!(rx.verify_frame(b"secret frame", &captured).is_ok());
+        let captured = tx0.mac_frame(&[b"secret frame"]);
+        assert!(rx.verify_frame(&[b"secret frame"], &captured).is_ok());
 
         // The link rebinds to epoch 1.
         let (rebind, _tx1) = a.open_channel(PrincipalId(1), 1, 2);
@@ -420,7 +432,7 @@ mod tests {
             }
         );
         assert_eq!(
-            rx.verify_frame(b"secret frame", &captured),
+            rx.verify_frame(&[b"secret frame"], &captured),
             Err(SaysError::InvalidProof(PrincipalId(0)))
         );
         // A same-epoch replay of the current handshake is refused too, and

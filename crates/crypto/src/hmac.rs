@@ -71,8 +71,13 @@ impl HmacKey {
 
     /// One-shot `HMAC-SHA256(key, message)` under this key.
     pub fn mac(&self, message: &[u8]) -> Digest {
+        self.mac_parts(&[message])
+    }
+
+    /// `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)`, each part read in place.
+    pub fn mac_parts<T: AsRef<[u8]>>(&self, parts: &[T]) -> Digest {
         let mut inner = self.begin();
-        inner.update(message);
+        parts.iter().for_each(|part| inner.update(part.as_ref()));
         self.finish(inner)
     }
 
@@ -100,12 +105,6 @@ pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
         diff |= x ^ y;
     }
     diff == 0
-}
-
-/// Verifies an HMAC tag in constant time.
-pub fn hmac_verify(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-    let expected = hmac_sha256(key, message);
-    constant_time_eq(&expected, tag)
 }
 
 #[cfg(test)]
@@ -159,13 +158,14 @@ mod tests {
         let key = b"pairwise secret between a and b";
         let msg = b"reachable(a,c)";
         let tag = hmac_sha256(key, msg);
-        assert!(hmac_verify(key, msg, &tag));
+        let verify = |key: &[u8], msg: &[u8], tag: &[u8]| HmacKey::new(key).verify(msg, tag);
+        assert!(verify(key, msg, &tag));
 
         let mut forged = tag;
         forged[0] ^= 1;
-        assert!(!hmac_verify(key, msg, &forged));
-        assert!(!hmac_verify(b"wrong key", msg, &tag));
-        assert!(!hmac_verify(key, b"reachable(a,d)", &tag));
+        assert!(!verify(key, msg, &forged));
+        assert!(!verify(b"wrong key", msg, &tag));
+        assert!(!verify(key, b"reachable(a,d)", &tag));
     }
 
     #[test]

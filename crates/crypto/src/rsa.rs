@@ -125,6 +125,12 @@ impl RsaPublicKey {
     /// Verifies `signature` over `message` (the message is hashed with
     /// SHA-256 internally).
     pub fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
+        self.verify_digest(&sha256(message), signature)
+    }
+
+    /// Verifies `signature` over a message the caller hashed — streamed
+    /// through [`crate::sha256::Sha256`] in parts, say.
+    pub fn verify_digest(&self, digest: &Digest, signature: &[u8]) -> bool {
         if signature.len() != self.modulus_bytes {
             return false;
         }
@@ -133,7 +139,7 @@ impl RsaPublicKey {
             return false;
         }
         let recovered = self.ctx.mod_pow(&sig_int, &self.e);
-        let expected = emsa_pkcs1_v15_encode(&sha256(message), self.modulus_bytes);
+        let expected = emsa_pkcs1_v15_encode(digest, self.modulus_bytes);
         recovered.to_bytes_be_padded(self.modulus_bytes) == expected
     }
 }
@@ -253,7 +259,13 @@ impl RsaKeyPair {
     /// half leaks the factorisation of `n` to anyone holding the bad
     /// signature).
     pub fn sign(&self, message: &[u8]) -> Vec<u8> {
-        let encoded = emsa_pkcs1_v15_encode(&sha256(message), self.public.modulus_bytes);
+        self.sign_digest(&sha256(message))
+    }
+
+    /// [`Self::sign`] over a message the caller hashed — streamed through
+    /// [`crate::sha256::Sha256`] in parts, say.
+    pub fn sign_digest(&self, digest: &Digest) -> Vec<u8> {
+        let encoded = emsa_pkcs1_v15_encode(digest, self.public.modulus_bytes);
         let m = BigUint::from_bytes_be(&encoded);
         debug_assert!(m < self.public.n);
         let crt = &self.crt;

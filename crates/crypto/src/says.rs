@@ -17,8 +17,9 @@ use crate::channel::{
     derive_session_key, ChannelHandshake, ChannelProof, HandshakeTranscript, ReceiverChannel,
     SenderChannel, CHANNEL_PROOF_LEN,
 };
-use crate::hmac::{hmac_sha256, hmac_verify, TAG_LEN};
+use crate::hmac::{constant_time_eq, HmacKey, TAG_LEN};
 use crate::principal::{Keyring, PrincipalId};
+use crate::sha256::{Digest, Sha256};
 
 /// Strength of the mechanism realising `says`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
@@ -172,21 +173,21 @@ impl SaysProof {
     }
 }
 
-/// The canonical signing payload of a multi-tuple shipment frame: every
-/// tuple's canonical encoding, concatenated in shipment order.
+/// The SHA-256 digest of a frame's canonical payload, reading each tuple
+/// encoding in place.
 ///
-/// Tuple encodings are self-delimiting, so the concatenation is unambiguous
-/// without extra framing bytes — and a one-tuple frame signs exactly the
-/// bytes a per-tuple assertion used to sign.  One proof over this payload
-/// covers every tuple in the frame: signatures (and verifications) scale
-/// with frames shipped, not tuples.
-pub fn frame_payload<T: AsRef<[u8]>>(tuples: &[T]) -> Vec<u8> {
-    let len = tuples.iter().map(|t| t.as_ref().len()).sum();
-    let mut payload = Vec::with_capacity(len);
-    for t in tuples {
-        payload.extend_from_slice(t.as_ref());
-    }
-    payload
+/// A multi-tuple shipment frame proves one payload: every tuple's canonical
+/// encoding, concatenated in shipment order.  Tuple encodings are
+/// self-delimiting, so the concatenation is unambiguous without extra
+/// framing bytes — and a one-tuple frame proves exactly the bytes a
+/// per-tuple assertion used to.  One proof covers every tuple in the frame:
+/// signatures (and verifications) scale with frames shipped, not tuples.
+/// No level builds the concatenation: the encodings are fed to SHA-256 or
+/// HMAC one after another.
+fn frame_digest<T: AsRef<[u8]>>(tuples: &[T]) -> Digest {
+    let mut hasher = Sha256::new();
+    tuples.iter().for_each(|t| hasher.update(t.as_ref()));
+    hasher.finalize()
 }
 
 /// Domain separator prefixed to every tuple encoding of a *tombstone*
@@ -348,25 +349,33 @@ impl Authenticator {
     /// channel with [`Authenticator::open_channel`] and assert with
     /// [`Authenticator::assert_frame_on`] instead.
     pub fn assert(&self, payload: &[u8]) -> SaysAssertion {
+        self.assert_frame(&[payload])
+    }
+
+    /// Produces `self.principal() says frame` for a multi-tuple shipment
+    /// frame: one proof over the frame's canonical payload (its tuple
+    /// encodings in order, read in place — see [`frame_digest`]) covers
+    /// every tuple.  Panics at [`SaysLevel::Session`], as
+    /// [`Authenticator::assert`] does.
+    pub fn assert_frame<T: AsRef<[u8]>>(&self, tuples: &[T]) -> SaysAssertion {
         let proof = match self.level {
             SaysLevel::Cleartext => SaysProof::Cleartext,
-            SaysLevel::Hmac => SaysProof::Hmac(hmac_sha256(self.keyring.own_mac_secret(), payload)),
+            SaysLevel::Hmac => {
+                SaysProof::Hmac(HmacKey::new(self.keyring.own_mac_secret()).mac_parts(tuples))
+            }
             SaysLevel::Session => {
                 panic!("session-level says requires a channel: use assert_frame_on")
             }
-            SaysLevel::Rsa => SaysProof::Rsa(self.keyring.rsa_keypair().sign(payload)),
+            SaysLevel::Rsa => SaysProof::Rsa(
+                self.keyring
+                    .rsa_keypair()
+                    .sign_digest(&frame_digest(tuples)),
+            ),
         };
         SaysAssertion {
             principal: self.keyring.owner(),
             proof,
         }
-    }
-
-    /// Produces `self.principal() says frame` for a multi-tuple shipment
-    /// frame: one proof over the canonical concatenated payload
-    /// ([`frame_payload`]) covers every tuple.
-    pub fn assert_frame<T: AsRef<[u8]>>(&self, tuples: &[T]) -> SaysAssertion {
-        self.assert(&frame_payload(tuples))
     }
 
     /// Verifies that `assertion.principal says frame` — a single check
@@ -376,7 +385,7 @@ impl Authenticator {
         tuples: &[T],
         assertion: &SaysAssertion,
     ) -> Result<(), SaysError> {
-        self.verify(&frame_payload(tuples), assertion)
+        self.verify_frame_at_level(tuples, assertion, self.level)
     }
 
     /// Initiates a session channel to `dst` at `epoch`: derives a fresh
@@ -469,8 +478,9 @@ impl Authenticator {
     }
 
     /// Produces `self.principal() says frame` on an established session
-    /// channel: one HMAC over the canonical concatenated payload, bound to
-    /// the channel's epoch and next counter value.
+    /// channel: one HMAC over the frame's canonical payload (its tuple
+    /// encodings, read in place), bound to the channel's epoch and next
+    /// counter value.
     pub fn assert_frame_on<T: AsRef<[u8]>>(
         &self,
         channel: &mut SenderChannel,
@@ -478,7 +488,7 @@ impl Authenticator {
     ) -> SaysAssertion {
         SaysAssertion {
             principal: self.keyring.owner(),
-            proof: SaysProof::Session(channel.mac_frame(&frame_payload(tuples))),
+            proof: SaysProof::Session(channel.mac_frame(tuples)),
         }
     }
 
@@ -499,12 +509,12 @@ impl Authenticator {
         let SaysProof::Session(proof) = &assertion.proof else {
             // A stronger stateless proof (Rsa) is acceptable on a channel
             // link; check it the stateless way.
-            return self.verify_at_level(&frame_payload(tuples), assertion, required);
+            return self.verify_frame_at_level(tuples, assertion, required);
         };
         if assertion.principal != channel.peer() {
             return Err(SaysError::InvalidProof(assertion.principal));
         }
-        channel.verify_frame(&frame_payload(tuples), proof)
+        channel.verify_frame(tuples, proof)
     }
 
     /// Verifies that `assertion.principal says payload`, requiring at least
@@ -517,6 +527,17 @@ impl Authenticator {
     pub fn verify_at_level(
         &self,
         payload: &[u8],
+        assertion: &SaysAssertion,
+        required: SaysLevel,
+    ) -> Result<(), SaysError> {
+        self.verify_frame_at_level(&[payload], assertion, required)
+    }
+
+    /// [`Authenticator::verify_at_level`] over a frame's tuple encodings,
+    /// read in place.
+    fn verify_frame_at_level<T: AsRef<[u8]>>(
+        &self,
+        tuples: &[T],
         assertion: &SaysAssertion,
         required: SaysLevel,
     ) -> Result<(), SaysError> {
@@ -534,7 +555,7 @@ impl Authenticator {
                     .keyring
                     .mac_secret_of(assertion.principal)
                     .ok_or(SaysError::UnknownPrincipal(assertion.principal))?;
-                if hmac_verify(secret, payload, tag) {
+                if constant_time_eq(&HmacKey::new(secret).mac_parts(tuples), tag) {
                     Ok(())
                 } else {
                     Err(SaysError::InvalidProof(assertion.principal))
@@ -545,7 +566,7 @@ impl Authenticator {
                     .keyring
                     .public_key_of(assertion.principal)
                     .ok_or(SaysError::UnknownPrincipal(assertion.principal))?;
-                if key.verify(payload, sig) {
+                if key.verify_digest(&frame_digest(tuples), sig) {
                     Ok(())
                 } else {
                     Err(SaysError::InvalidProof(assertion.principal))
@@ -712,7 +733,38 @@ mod tests {
         assert!(b.verify_frame(&tuples[..1], &assertion).is_err());
         let reordered: Vec<&[u8]> = vec![b"reachable(a,c)", b"link(a,b)"];
         assert!(b.verify_frame(&reordered, &assertion).is_err());
-        assert_eq!(frame_payload(&tuples), b"link(a,b)reachable(a,c)".to_vec());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// A frame proof streamed over the tuple encodings is byte for byte
+        /// the proof of their concatenation, at every level that has proof
+        /// bytes, and each verifies as the other.
+        #[test]
+        fn streamed_frame_proofs_equal_concatenated_ones(
+            tuples in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u8>(), 0..90),
+                0..6,
+            ),
+        ) {
+            let concatenated = [tuples.concat()];
+            for level in [SaysLevel::Hmac, SaysLevel::Rsa] {
+                let (a, b) = setup(level);
+                let streamed = a.assert_frame(&tuples);
+                proptest::prop_assert_eq!(&streamed, &a.assert_frame(&concatenated));
+                proptest::prop_assert!(b.verify_frame(&concatenated, &streamed).is_ok());
+                proptest::prop_assert!(b.verify(&concatenated[0], &streamed).is_ok());
+            }
+            let (a, b) = setup(SaysLevel::Session);
+            let channel = || a.open_channel(PrincipalId(1), 0, u64::MAX);
+            let ((handshake, mut tx), (_, mut tx_again)) = (channel(), channel());
+            let streamed = a.assert_frame_on(&mut tx, &tuples);
+            proptest::prop_assert_eq!(&streamed, &a.assert_frame_on(&mut tx_again, &concatenated));
+            let mut rx = b.accept_channel(&handshake).unwrap();
+            let verified = b.verify_frame_on(&mut rx, &concatenated, &streamed, SaysLevel::Session);
+            proptest::prop_assert!(verified.is_ok());
+        }
     }
 
     #[test]

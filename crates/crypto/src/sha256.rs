@@ -95,13 +95,18 @@ impl Sha256 {
     /// Finishes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        // Padding, written in place: 0x80, zeros up to 56 mod 64, then the
+        // 8-byte big-endian bit length.  A buffer holding more than 55 bytes
+        // leaves no room for the length, which then fills a block of its own.
+        let used = self.buf_len;
+        self.buf[used] = 0x80;
+        self.buf[used + 1..].fill(0);
+        if used >= BLOCK_LEN - 8 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; BLOCK_LEN];
         }
-        // Manual absorb of the length so `self.len` bookkeeping does not matter any more.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -361,6 +366,54 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), sha256(&data), "len {len}");
+        }
+    }
+
+    /// FIPS 180-4 by the letter: the padded message built as bytes and fed
+    /// block by block through the scalar reference rounds.
+    fn reference_digest(message: &[u8]) -> Digest {
+        let mut padded = message.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(message.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(BLOCK_LEN) {
+            compress_scalar(&mut state, block.try_into().expect("one block"));
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// The padding written in one step matches the byte-by-byte
+        /// definition at every message length up to three blocks — across
+        /// the 55 / 56 / 64-byte boundaries where the length spills into a
+        /// block of its own — one-shot and fed in two parts.
+        #[test]
+        fn padding_matches_the_reference_at_every_length(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut x = seed;
+            let bytes: Vec<u8> = (0..192)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 56) as u8
+                })
+                .collect();
+            for len in 0..=192 {
+                let message = &bytes[..len];
+                let want = reference_digest(message);
+                proptest::prop_assert_eq!(sha256(message), want, "len {}", len);
+                let mut parts = Sha256::new();
+                parts.update(&message[..len / 3]);
+                parts.update(&message[len / 3..]);
+                proptest::prop_assert_eq!(parts.finalize(), want, "len {} in parts", len);
+            }
         }
     }
 

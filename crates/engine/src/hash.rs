@@ -1,4 +1,4 @@
-//! The engine's one map hasher, and row keys that carry their hash.
+//! The engine's one map hasher.
 //!
 //! Every map inside the engine is keyed by values this process produced
 //! itself — insertion seqs, node / predicate / rule ids, rows derived from
@@ -15,11 +15,8 @@
 //! that reaches a counter, a frame, a trace event or a query result may
 //! iterate a map unsorted (see the crate docs).
 
-use pasn_datalog::Value;
-use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` over [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
@@ -74,103 +71,13 @@ impl Hasher for FastHasher {
     }
 }
 
-/// A row — or an index key, a row's projection — as a map key: the shared
-/// values and their hash, computed once when the key is born.  The map
-/// hashes a key by that one word, so a growing table re-files its entries
-/// without walking their values (path vectors included).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct RowKey {
-    hash: u64,
-    values: Arc<[Value]>,
-}
-
-/// A [`RowKey`] lookup by borrowed values: `map.get(&RowProbe::new(values)
-/// as &dyn HashedRow)`.  A miss can become the new entry's key without
-/// hashing again ([`RowProbe::to_key`]).
-pub(crate) struct RowProbe<'a> {
-    hash: u64,
-    values: &'a [Value],
-}
-
-/// What a [`RowKey`]-keyed map hashes and compares: a hash and the values
-/// behind it, owned by the map ([`RowKey`]) or borrowed ([`RowProbe`]).
-pub(crate) trait HashedRow {
-    /// The hash and the values it was computed from.
-    fn parts(&self) -> (u64, &[Value]);
-}
-
-impl RowKey {
-    pub(crate) fn new(values: Arc<[Value]>) -> Self {
-        let hash = RowProbe::new(&values).hash;
-        RowKey { hash, values }
-    }
-
-    /// The shared values.
-    pub(crate) fn row(&self) -> &Arc<[Value]> {
-        &self.values
-    }
-}
-
-impl<'a> RowProbe<'a> {
-    pub(crate) fn new(values: &'a [Value]) -> Self {
-        let mut hasher = FastHasher::default();
-        values.hash(&mut hasher);
-        let hash = hasher.finish();
-        RowProbe { hash, values }
-    }
-
-    /// An owned key for the probed values.
-    pub(crate) fn to_key(&self) -> RowKey {
-        let (hash, values) = (self.hash, self.values.into());
-        RowKey { hash, values }
-    }
-}
-
-impl HashedRow for RowKey {
-    fn parts(&self) -> (u64, &[Value]) {
-        (self.hash, &self.values)
-    }
-}
-
-impl HashedRow for RowProbe<'_> {
-    fn parts(&self) -> (u64, &[Value]) {
-        (self.hash, self.values)
-    }
-}
-
-impl Hash for dyn HashedRow + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.parts().0);
-    }
-}
-
-impl PartialEq for dyn HashedRow + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn HashedRow + '_ {}
-
-// Must hash exactly as `dyn HashedRow` does: lookups go through `Borrow`.
-impl Hash for RowKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-impl<'a> Borrow<dyn HashedRow + 'a> for RowKey {
-    fn borrow(&self) -> &(dyn HashedRow + 'a) {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasn_datalog::PredId;
+    use pasn_datalog::{PredId, Value};
     use pasn_net::NodeId;
-    use std::hash::BuildHasher;
+    use std::hash::{BuildHasher, Hash};
+    use std::sync::Arc;
 
     fn hash_of(key: &(impl Hash + ?Sized)) -> u64 {
         BuildHasherDefault::<FastHasher>::default().hash_one(key)
@@ -214,29 +121,6 @@ mod tests {
         assert_spreads("address/int rows", |i| -> Arc<[Value]> {
             let (a, b) = ((i / 100) as u32, (i % 10) as u32);
             Arc::from([Value::Addr(a), Value::Addr(b), Value::Int((i % 100) as i64)])
-        });
-    }
-
-    #[test]
-    fn row_keys_are_found_by_borrowed_values_and_hash_once() {
-        let row = |a, b| -> Arc<[Value]> { Arc::from([Value::Addr(a), Value::Int(b)]) };
-        let mut map: FastMap<RowKey, u64> = FastMap::default();
-        for i in 0..100 {
-            map.insert(RowKey::new(row(i, -i64::from(i))), u64::from(i));
-        }
-        let find = |values: &[Value]| {
-            let probe = RowProbe::new(values);
-            map.get(&probe as &dyn HashedRow).copied()
-        };
-        assert_eq!(find(&row(7, -7)), Some(7));
-        assert_eq!(find(&row(7, 7)), None);
-        assert_eq!(find(&[]), None);
-        // A probe's key is the key the values would have been inserted under.
-        let values = row(3, -3);
-        assert_eq!(RowProbe::new(&values).to_key(), RowKey::new(values.clone()));
-        assert_eq!(hash_of(&RowKey::new(values.clone())), {
-            let probe = RowProbe::new(&values);
-            hash_of(&probe as &dyn HashedRow)
         });
     }
 

@@ -121,18 +121,22 @@ run_metrics! {
     /// columns, or predicates without a registered index).
     scan_probes: u64, Schedule;
     /// Bytes of tuple data stored across all nodes at fixpoint (canonical
-    /// row encodings plus insertion-order seq lists; rows are charged once —
-    /// secondary indexes share them by reference).
+    /// row encodings plus one 8-byte seq per slot; rows are charged once —
+    /// secondary indexes share them by reference).  Encoding-level
+    /// accounting, a function of what is stored and never of how: the heap
+    /// the store takes is larger (`tests/store_footprint.rs` pins that).
     store_bytes: u64, Schedule;
-    /// Bytes of secondary-index overhead across all nodes at fixpoint
-    /// (bucket keys plus one 8-byte seq id per indexed row).
+    /// Bytes of secondary-index overhead across all nodes at fixpoint (each
+    /// distinct index key's encoding plus one 8-byte seq per indexed row).
+    /// Encoding-level accounting, like [`RunMetrics::store_bytes`].
     index_bytes: u64, Schedule;
     /// High-water mark of [`RunMetrics::store_bytes`] observed during the
     /// run, sampled ahead of scripted churn events (rate-limited, the same
     /// instants under the scenario and the streaming driver) and at
     /// fixpoint — so a run without scripted events reports peak == final.
-    /// The honest bounded-memory gauge for generational workloads whose
-    /// final store is far smaller than their transient working set.
+    /// The bounded-memory gauge, at the encoding level, for generational
+    /// workloads whose final store is far smaller than their transient
+    /// working set.
     peak_store_bytes: u64, Schedule;
     /// High-water mark of [`RunMetrics::index_bytes`], sampled alongside
     /// [`RunMetrics::peak_store_bytes`].
@@ -287,7 +291,9 @@ impl RunMetrics {
     /// `(peak_store_bytes + peak_index_bytes) / peak_tuples`, where both
     /// numerator and denominator fall back to the fixpoint footprint when
     /// no mid-run peak was sampled.  The bounded-memory gauge of the scale
-    /// workloads (`0.0` with nothing ever stored).
+    /// workloads (`0.0` with nothing ever stored), in encoding bytes: 85 B
+    /// per row on a converged Best-Path deployment whose store heap is
+    /// ≈155 B per row.
     pub fn bytes_per_tuple(&self) -> f64 {
         let tuples = self.peak_tuples.max(self.tuples_stored);
         if tuples == 0 {

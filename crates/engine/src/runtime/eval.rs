@@ -409,7 +409,6 @@ impl<'a> NodeCtx<'a> {
                 created_at: done,
                 expires_at: if row.is_base { None } else { expires_at },
                 origin: row.origin,
-                asserted_by: Some(principal_of(row.origin).0),
             };
             let var_table = &mut *self.var_table;
             let (outcome, seq) =

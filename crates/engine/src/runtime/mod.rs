@@ -1202,7 +1202,8 @@ impl DistributedEngine {
     }
 
     /// Bytes of tuple data currently stored across all nodes (rows charged
-    /// once plus one seq per slot; see `NodeStore::store_bytes`).
+    /// once plus one seq per slot — encoding-level accounting, not heap;
+    /// see `NodeStore::store_bytes`).
     pub fn store_bytes(&self) -> u64 {
         self.nodes
             .iter()
@@ -1211,7 +1212,8 @@ impl DistributedEngine {
     }
 
     /// Bytes of secondary-index overhead currently held across all nodes
-    /// (bucket keys plus seq ids; see `NodeStore::index_bytes`).
+    /// (distinct index keys plus one seq per indexed row — encoding-level
+    /// accounting, not heap; see `NodeStore::index_bytes`).
     pub fn index_bytes(&self) -> u64 {
         self.nodes
             .iter()
@@ -1240,7 +1242,7 @@ impl DistributedEngine {
             return Vec::new();
         };
         let rows = store.scan_ordered_rows(pred);
-        rows.map(|(values, meta)| (Tuple::new(predicate, values.to_vec()), meta.clone()))
+        rows.map(|(values, meta)| (Tuple::new(predicate, values.to_vec()), meta.into()))
             .collect()
     }
 

@@ -20,18 +20,23 @@
 //!   insertion order (an ordered scan is a walk, no sort) and by-seq access
 //!   is a binary search.  A removed row leaves its slot behind, emptied;
 //!   the list is compacted lazily, once more than half its slots are dead.
-//!   Beside the slots a `row → seq` map deduplicates inserts — the only
-//!   other place a row's existence is recorded.  Each key carries its hash,
-//!   computed once when the row arrives: a growing table re-files rows by
-//!   that word instead of walking their values (path vectors included).
-//! * **Indexes** — secondary index buckets ([`NodeStore::register_index_id`],
-//!   one per planner `IndexSpec`, a handful per program) hold bare seq ids in
-//!   insertion order — *not* row copies — so `k` indexes cost `8k` bytes per
-//!   tuple rather than `k` more copies of the row.  A relation's indexes are
-//!   a short `Vec`, found by comparing key-column slices.
+//!   A slot holds the seq, the row and its [`RowMeta`] and nothing else
+//!   (its size is pinned at compile time).
+//! * **Chains** — the dedup map and every secondary index
+//!   ([`NodeStore::register_index_id`], one per planner `IndexSpec`, a
+//!   handful per program) are the same structure: a map from a key's 64-bit
+//!   hash (the whole row for dedup, its projection on the key columns for an
+//!   index) to the first and last slot of a chain threaded through the slot
+//!   list, plus one `u32` link per slot.  A chain holds live slots only, in
+//!   insertion order, and a walk skips the rows of a colliding key by
+//!   comparing key columns.  A new key allocates nothing and copies no
+//!   values; a removal unlinks its slot from each chain, and compaction
+//!   renumbers the links in the pass it makes over the slots.
 //! * **Running gauges** — every table keeps the byte totals behind
 //!   [`NodeStore::store_bytes`] / [`NodeStore::index_bytes`] up to date as
-//!   rows and buckets come and go, so reading them never walks a row.
+//!   rows and index keys come and go, so reading them never walks a row.
+//!   They are encoding-level accounting (the canonical encoding of each row
+//!   and index key plus one seq per slot and index entry), not heap bytes.
 //! * **One question** — a join asks the store for the live rows of a
 //!   relation inserted no later than its delta (a prefix of the log), through
 //!   an index when it has a key and one is installed, by walking the slots
@@ -42,7 +47,7 @@
 //!   ([`NodeStore::sync_symbols`]), so the hot path indexes a `Vec` by `u32`
 //!   instead of hashing predicate strings.
 
-use crate::hash::{FastMap, HashedRow, RowKey, RowProbe};
+use crate::hash::{FastHasher, FastMap};
 use crate::tuple::Tuple;
 use pasn_datalog::{PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
@@ -50,6 +55,7 @@ use pasn_provenance::ProvTag;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Relations with fewer slots than this never compact: skipping a handful
@@ -71,7 +77,8 @@ fn compaction_due(len: usize, dead: usize) -> bool {
 /// every time) and hands anything larger back to the allocator.
 const KEEP_CAPACITY: usize = 4;
 
-/// Metadata attached to every stored tuple.
+/// Metadata attached to every tuple the store takes in or a query hands
+/// back: the exchange form of a stored row's [`RowMeta`].
 #[derive(Clone, Debug)]
 pub struct TupleMeta {
     /// Provenance annotation (semiring tag).
@@ -84,28 +91,76 @@ pub struct TupleMeta {
     /// for local derivations and base facts).  `says` unification and the
     /// distributed-provenance pointers resolve it to its location value.
     pub origin: NodeId,
-    /// Principal id of the asserting node.  The engine always fills it —
-    /// nodes double as principals whether or not `says` is configured, so
-    /// it is `Some(origin.0)`; only stores filled directly (tests, benches)
-    /// leave it `None`.
-    pub asserted_by: Option<u32>,
 }
 
-impl TupleMeta {
+/// The packed expiry of a hard-state row: the end of time, so extending a
+/// lifetime is a `max` and hard state absorbs.
+const HARD_STATE: u64 = u64::MAX;
+
+/// Metadata of a stored row as its slot keeps it: a [`TupleMeta`] with the
+/// expiry packed into one word.  Reads hand it out by reference.
+#[derive(Clone, Debug)]
+pub struct RowMeta {
+    /// Provenance annotation (semiring tag).
+    pub tag: ProvTag,
+    /// Simulated time the tuple was inserted or derived locally.
+    pub created_at: SimTime,
+    /// The node that derived / asserted the tuple.
+    pub origin: NodeId,
+    /// Expiry instant in µs; [`HARD_STATE`] for hard state (an expiry at
+    /// `u64::MAX` µs is hard state too).
+    expires_us: u64,
+}
+
+impl RowMeta {
+    /// Expiry time for soft-state rows, `None` for hard state.
+    #[inline]
+    pub fn expires_at(&self) -> Option<SimTime> {
+        (self.expires_us != HARD_STATE).then(|| SimTime::from_micros(self.expires_us))
+    }
+
     /// Extends the soft-state lifetime to `expires_at` — never shortens it;
     /// a `None` on either side makes (or keeps) the row hard state.  Returns
     /// the new expiry instant when it moved: the one the store's expiry
     /// min-heap must learn about.
     fn extend_ttl(&mut self, expires_at: Option<SimTime>) -> Option<SimTime> {
-        match (self.expires_at, expires_at) {
-            (Some(a), Some(b)) if b > a => self.expires_at = Some(b),
-            (Some(_), Some(_)) => return None,
-            _ => {
-                self.expires_at = None;
-                return None;
-            }
+        let before = self.expires_us;
+        self.expires_us = before.max(expires_at.map_or(HARD_STATE, SimTime::as_micros));
+        if self.expires_us > before {
+            self.expires_at()
+        } else {
+            None
         }
-        self.expires_at
+    }
+}
+
+impl From<TupleMeta> for RowMeta {
+    fn from(meta: TupleMeta) -> Self {
+        let TupleMeta {
+            tag,
+            created_at,
+            expires_at,
+            origin,
+        } = meta;
+        let expires_us = expires_at.map_or(HARD_STATE, SimTime::as_micros);
+        RowMeta {
+            tag,
+            created_at,
+            origin,
+            expires_us,
+        }
+    }
+}
+
+impl From<&RowMeta> for TupleMeta {
+    #[inline]
+    fn from(meta: &RowMeta) -> Self {
+        TupleMeta {
+            tag: meta.tag.clone(),
+            created_at: meta.created_at,
+            expires_at: meta.expires_at(),
+            origin: meta.origin,
+        }
     }
 }
 
@@ -125,7 +180,7 @@ pub enum InsertOutcome {
 #[derive(Clone, Debug)]
 struct StoredRow {
     values: Arc<[Value]>,
-    meta: TupleMeta,
+    meta: RowMeta,
 }
 
 /// One entry of a relation's slot list: the insertion seq and, while the
@@ -136,33 +191,223 @@ struct Slot {
     row: Option<StoredRow>,
 }
 
+const _: () = assert!(std::mem::size_of::<Slot>() <= 80);
+
 /// A row as probes and scans hand it out: insertion seq, shared values and
 /// metadata, borrowed from the store.
-type SeqRow<'a> = (u64, &'a Arc<[Value]>, &'a TupleMeta);
+type SeqRow<'a> = (u64, &'a Arc<[Value]>, &'a RowMeta);
 
-/// The buckets of one hash index: bucket key (the projected values at the
-/// index's key columns) → seq ids of matching rows, in insertion order.
-/// Buckets never copy rows.
-type IndexBuckets = FastMap<RowKey, Vec<u64>>;
+/// The end of a chain.
+const NIL: u32 = u32::MAX;
 
-/// A secondary hash index over one projection of a relation.
+/// The 64-bit hash of a row, or of an index key (a row's projection on the
+/// key columns): what a chain map is keyed by.  Two keys can share one, so
+/// a walk compares values; it is never a seq or a slot position.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct KeyHash(u64);
+
+impl KeyHash {
+    /// Hashes the values a key is made of, in key order.
+    fn of<'a>(values: impl ExactSizeIterator<Item = &'a Value>) -> Self {
+        let mut hasher = FastHasher::default();
+        hasher.write_usize(values.len());
+        values.for_each(|value| value.hash(&mut hasher));
+        KeyHash(hasher.finish())
+    }
+}
+
+/// Slots chained by key hash: the first and last slot of each chain, and
+/// one link per slot to the next slot on its chain (`NIL` at a tail and for
+/// a slot on no chain).  A chain ascends by slot, which is insertion order.
+#[derive(Clone, Debug, Default)]
+struct Chains {
+    ends: FastMap<KeyHash, (u32, u32)>,
+    next: Vec<u32>,
+}
+
+impl Chains {
+    /// Links the slot list's new last slot `at` at the tail of `hash`'s
+    /// chain — one map lookup — and returns the chain's first slot before
+    /// it, `NIL` when `at` starts the chain.
+    fn push(&mut self, at: u32, hash: KeyHash) -> u32 {
+        let first = match self.ends.entry(hash) {
+            Entry::Occupied(mut ends) => {
+                let (first, tail) = *ends.get();
+                ends.get_mut().1 = at;
+                self.next[tail as usize] = at;
+                first
+            }
+            Entry::Vacant(ends) => {
+                ends.insert((at, at));
+                NIL
+            }
+        };
+        self.next.push(NIL);
+        first
+    }
+
+    /// Gives the slot list's new last slot a link on no chain.
+    fn push_unchained(&mut self) {
+        self.next.push(NIL);
+    }
+
+    /// The first slot on `hash`'s chain, `NIL` when there is none.
+    fn first(&self, hash: KeyHash) -> u32 {
+        self.ends.get(&hash).map_or(NIL, |ends| ends.0)
+    }
+
+    /// The slots of a chain from `first` on, in insertion order.
+    fn walk_from(&self, first: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = Some(first).filter(|&at| at != NIL);
+        std::iter::successors(first, |&at| {
+            Some(self.next[at as usize]).filter(|&n| n != NIL)
+        })
+    }
+
+    /// Takes slot `at` off `hash`'s chain, walking from the head to its
+    /// predecessor, and drops the chain once it is empty.  Returns the
+    /// chain's first slot after, `NIL` when it emptied.
+    fn unlink(&mut self, at: u32, hash: KeyHash) -> u32 {
+        let Entry::Occupied(mut entry) = self.ends.entry(hash) else {
+            unreachable!("a linked slot's chain exists");
+        };
+        let after = std::mem::replace(&mut self.next[at as usize], NIL);
+        let (first, last) = *entry.get();
+        if first == at {
+            match after {
+                NIL => drop(entry.remove()),
+                _ => entry.get_mut().0 = after,
+            }
+            return after;
+        }
+        let mut before = first;
+        while self.next[before as usize] != at {
+            before = self.next[before as usize];
+        }
+        self.next[before as usize] = after;
+        if last == at {
+            entry.get_mut().1 = before;
+        }
+        first
+    }
+
+    /// Follows a compaction: `kept[old]` is the new position of the live
+    /// slot at `old` (`NIL` for a dead one, which no chain holds).  New
+    /// positions never exceed old ones, so the links move down in place.
+    fn renumber(&mut self, kept: &[u32]) {
+        let moved = |at: u32| if at == NIL { NIL } else { kept[at as usize] };
+        let mut len = 0;
+        for (old, &new) in kept.iter().enumerate() {
+            if new != NIL {
+                self.next[new as usize] = moved(self.next[old]);
+                len += 1;
+            }
+        }
+        self.next.truncate(len);
+        for ends in self.ends.values_mut() {
+            *ends = (moved(ends.0), moved(ends.1));
+        }
+    }
+
+    /// Forgets every slot of an emptied table, handing buffers above
+    /// [`KEEP_CAPACITY`] back to the allocator.
+    fn release(&mut self) {
+        self.ends.clear();
+        if self.ends.capacity() > KEEP_CAPACITY {
+            self.ends = FastMap::default();
+        }
+        self.next.clear();
+        if self.next.capacity() > KEEP_CAPACITY {
+            self.next = Vec::new();
+        }
+    }
+
+    /// The largest buffer held.
+    fn capacity(&self) -> usize {
+        self.ends.capacity().max(self.next.capacity())
+    }
+}
+
+/// A secondary hash index over one projection of a relation: chains of the
+/// rows sharing a key hash.
 #[derive(Clone, Debug)]
 struct Index {
     key_columns: Vec<usize>,
-    buckets: IndexBuckets,
+    chains: Chains,
 }
 
-/// One relation: the insertion-ordered slot list, the dedup map, and any
+impl Index {
+    /// The hash of `values`' key; `None` when a key column is out of range
+    /// (such a row can never match a probe on this index).
+    fn key_hash(&self, values: &[Value]) -> Option<KeyHash> {
+        let in_range = self.key_columns.iter().all(|&c| c < values.len());
+        in_range.then(|| KeyHash::of(self.key_columns.iter().map(|&c| &values[c])))
+    }
+
+    /// Whether `row` has `key` at the key columns.
+    fn matches(key_columns: &[usize], row: &[Value], key: &[Value]) -> bool {
+        key_columns.len() == key.len()
+            && key_columns
+                .iter()
+                .zip(key)
+                .all(|(&c, k)| row.get(c) == Some(k))
+    }
+
+    /// Whether some row on the chain from `first` — up to, not including,
+    /// slot `end` — has the key `values` has.
+    fn holds_key(&self, slots: &[Slot], first: u32, end: u32, values: &[Value]) -> bool {
+        let columns = &self.key_columns;
+        let mut chain = self.chains.walk_from(first).take_while(|&at| at != end);
+        chain.any(|at| {
+            let row = slots[at as usize].row.as_ref().map(|row| &row.values[..]);
+            row.is_some_and(|row| columns.iter().all(|&c| row.get(c) == values.get(c)))
+        })
+    }
+
+    /// Encoded size of `values`' key.
+    fn key_bytes(&self, values: &[Value]) -> usize {
+        self.key_columns
+            .iter()
+            .map(|&c| values[c].encoded_len())
+            .sum()
+    }
+
+    /// Chains the newest slot `at`, holding `values` (not yet in `slots`);
+    /// returns what the index gauge grows by: one seq, plus the key's
+    /// encoding for a key no live row had.
+    fn link(&mut self, slots: &[Slot], at: u32, values: &[Value]) -> usize {
+        let Some(hash) = self.key_hash(values) else {
+            self.chains.push_unchained();
+            return 0;
+        };
+        let first = self.chains.push(at, hash);
+        let held = self.holds_key(slots, first, at, values);
+        SEQ_BYTES + if held { 0 } else { self.key_bytes(values) }
+    }
+
+    /// Unlinks the slot `at` that held `values` (already taken out of its
+    /// slot); returns what the index gauge shrinks by, as [`Index::link`].
+    fn unlink(&mut self, slots: &[Slot], at: u32, values: &[Value]) -> usize {
+        let Some(hash) = self.key_hash(values) else {
+            return 0;
+        };
+        let first = self.chains.unlink(at, hash);
+        let held = self.holds_key(slots, first, NIL, values);
+        SEQ_BYTES + if held { 0 } else { self.key_bytes(values) }
+    }
+}
+
+/// One relation: the insertion-ordered slot list, the dedup chains, and any
 /// secondary indexes registered over it.
 #[derive(Clone, Debug, Default)]
 struct Table {
     /// One slot per insertion, ascending by seq.  Removed rows leave dead
     /// (emptied) slots behind until more than half the list is dead.
     slots: Vec<Slot>,
-    /// Dedup map: row values → seq of the live slot holding them.  Its
-    /// length is the live-row count, so `slots.len() - by_row.len()` slots
-    /// are dead.
-    by_row: FastMap<RowKey, u64>,
+    /// Dedup chains: each live row on the chain of its whole-row hash.
+    by_row: Chains,
+    /// Live rows, so `slots.len() - live` slots are dead.
+    live: usize,
     /// Slots walked by compaction rebuilds since the debt was last drained
     /// (see [`NodeStore::take_compaction_debt`]).  Compaction used to run
     /// un-metered, which charged its cost to nobody — harmless on one
@@ -173,12 +418,9 @@ struct Table {
     indexes: Vec<Index>,
     /// Running total of [`row_bytes`] over the live rows.
     row_bytes: usize,
-    /// Running total over every index bucket of its key's encoding plus one
-    /// seq (8 bytes) per entry.
+    /// Running total over every index of its distinct live keys' encodings
+    /// plus one seq (8 bytes) per indexed row.
     index_bytes: usize,
-    /// Reused buffer an index key is projected into, so maintaining an
-    /// index allocates only when a bucket is born.
-    key_scratch: Vec<Value>,
 }
 
 /// Bytes one row's values contribute to a table's store gauge: their
@@ -186,22 +428,17 @@ struct Table {
 /// prefix is the same for every row of a table and is added per live row
 /// when the gauge is read.
 fn row_bytes(values: &[Value]) -> usize {
-    2 + key_bytes(values)
-}
-
-/// Encoded size of an index bucket's key.
-fn key_bytes(key: &[Value]) -> usize {
-    key.iter().map(Value::encoded_len).sum()
+    2 + values.iter().map(Value::encoded_len).sum::<usize>()
 }
 
 const SEQ_BYTES: usize = std::mem::size_of::<u64>();
 
-/// Projects `values` onto `key_columns` into `key`; false if any column is
-/// out of range (such a row can never match a probe on this index).
-fn project_into(key: &mut Vec<Value>, values: &[Value], key_columns: &[usize]) -> bool {
-    key.clear();
-    key.extend(key_columns.iter().map_while(|&c| values.get(c).cloned()));
-    key.len() == key_columns.len()
+/// A slot position as a chain link.
+fn link_of(at: usize) -> u32 {
+    u32::try_from(at)
+        .ok()
+        .filter(|&at| at != NIL)
+        .expect("fewer than 2^32 - 1 slots per relation")
 }
 
 impl Table {
@@ -227,16 +464,28 @@ impl Table {
         self.slots[at].row.as_mut()
     }
 
+    /// Position of the live slot holding exactly `values`, found on the
+    /// chain of their hash.
+    fn position_of(&self, hash: KeyHash, values: &[Value]) -> Option<usize> {
+        let holds = |at: &u32| {
+            let row = self.slots[*at as usize].row.as_ref();
+            row.is_some_and(|row| *row.values == *values)
+        };
+        let mut chain = self.by_row.walk_from(self.by_row.first(hash));
+        chain.find(holds).map(|at| at as usize)
+    }
+
     /// The seq of the live row holding exactly `values`.
     fn seq_of(&self, values: &[Value]) -> Option<u64> {
-        let probe = RowProbe::new(values);
-        self.by_row.get(&probe as &dyn HashedRow).copied()
+        let at = self.position_of(KeyHash::of(values.iter()), values)?;
+        Some(self.slots[at].seq)
     }
 
     /// The live row holding exactly `values`, with its seq.
     fn row_of_mut(&mut self, values: &[Value]) -> Option<(u64, &mut StoredRow)> {
-        let seq = self.seq_of(values)?;
-        Some((seq, self.row_mut(seq)?))
+        let at = self.position_of(KeyHash::of(values.iter()), values)?;
+        let slot = &mut self.slots[at];
+        Some((slot.seq, slot.row.as_mut()?))
     }
 
     /// Live rows in insertion order: a walk of the slots, skipping the dead
@@ -248,94 +497,76 @@ impl Table {
             .filter_map(|slot| Some((slot.seq, slot.row.as_ref()?)))
     }
 
-    /// Adds a row's seq to every index, at the back of its bucket.
-    fn index_insert(&mut self, seq: u64, values: &[Value]) {
-        let key = &mut self.key_scratch;
-        for index in &mut self.indexes {
-            if !project_into(key, values, &index.key_columns) {
-                continue;
-            }
-            self.index_bytes += SEQ_BYTES;
-            let probe = RowProbe::new(key);
-            match index.buckets.get_mut(&probe as &dyn HashedRow) {
-                Some(bucket) => bucket.push(seq),
-                None => {
-                    self.index_bytes += key_bytes(key);
-                    index.buckets.insert(probe.to_key(), vec![seq]);
-                }
-            }
-        }
-    }
-
-    /// Removes a row's seq from every index.
-    fn index_remove(&mut self, seq: u64, values: &[Value]) {
-        let key = &mut self.key_scratch;
-        for index in &mut self.indexes {
-            if !project_into(key, values, &index.key_columns) {
-                continue;
-            }
-            let probe = &RowProbe::new(key) as &dyn HashedRow;
-            if let Some(bucket) = index.buckets.get_mut(probe) {
-                let before = bucket.len();
-                bucket.retain(|&s| s != seq);
-                self.index_bytes -= (before - bucket.len()) * SEQ_BYTES;
-                if bucket.is_empty() {
-                    index.buckets.remove(probe);
-                    self.index_bytes -= key_bytes(key);
-                }
-            }
-        }
-    }
-
-    /// Removes the row behind a known seq, keeping the dedup map, the
+    /// Removes the row behind a known seq, keeping the dedup chains, the
     /// indexes, the gauges and the slot list consistent.
     fn take_by_seq(&mut self, seq: u64) -> Option<StoredRow> {
         let at = self.slot_at(seq)?;
         let row = self.slots[at].row.take()?;
-        self.by_row
-            .remove(&RowProbe::new(&row.values) as &dyn HashedRow);
+        let link = link_of(at);
+        self.by_row.unlink(link, KeyHash::of(row.values.iter()));
+        self.live -= 1;
         self.row_bytes -= row_bytes(&row.values);
-        self.index_remove(seq, &row.values);
+        for index in &mut self.indexes {
+            self.index_bytes -= index.unlink(&self.slots, link, &row.values);
+        }
         // Lazy compaction ([`compaction_due`]: order-preserving, O(len),
         // amortised O(1); small lists are exempt) — except when the table
         // empties entirely: that is a release, not a rebuild, and without it
         // every per-node table whose generation fully expires would park its
         // dead slots and its capacity forever, an O(nodes) residue at scale.
         let len = self.slots.len();
-        if self.by_row.is_empty() {
+        if self.live == 0 {
             self.release();
-        } else if compaction_due(len, len - self.by_row.len()) {
+        } else if compaction_due(len, len - self.live) {
             self.compaction_walked += len as u64;
-            self.slots.retain(|slot| slot.row.is_some());
+            self.compact();
         }
         Some(row)
     }
 
-    /// Empties the slot list of a table with no live row and hands every
-    /// buffer above [`KEEP_CAPACITY`] back to the allocator.
+    /// Drops the dead slots, keeping the live ones in order, and renumbers
+    /// every chain's links to the slots' new positions.
+    fn compact(&mut self) {
+        let mut moved = 0;
+        let kept: Vec<u32> = self
+            .slots
+            .iter()
+            .map(|slot| match slot.row {
+                Some(_) => {
+                    moved += 1;
+                    moved - 1
+                }
+                None => NIL,
+            })
+            .collect();
+        self.by_row.renumber(&kept);
+        for index in &mut self.indexes {
+            index.chains.renumber(&kept);
+        }
+        self.slots.retain(|slot| slot.row.is_some());
+    }
+
+    /// Empties the slot list and the chains of a table with no live row and
+    /// hands every buffer above [`KEEP_CAPACITY`] back to the allocator.
     fn release(&mut self) {
         self.slots.clear();
         if self.slots.capacity() > KEEP_CAPACITY {
             self.slots = Vec::new();
         }
-        if self.by_row.capacity() > KEEP_CAPACITY {
-            self.by_row = FastMap::default();
-        }
+        self.by_row.release();
         for index in &mut self.indexes {
-            if index.buckets.capacity() > KEEP_CAPACITY {
-                index.buckets = IndexBuckets::default();
-            }
+            index.chains.release();
         }
     }
 
-    /// Inserts one shared row, deduplicating through one `entry` of the
-    /// row→seq map before any index or slot work: a duplicate merges its
-    /// provenance tag via `combine` and refreshes the soft-state lifetime
-    /// instead of storing a copy.  `next_seq` is the store-wide insertion
-    /// counter, advanced only for genuinely new rows.  Returns the outcome
-    /// together with the seq of the live row now holding `values` (fresh for
-    /// new rows, the original insertion's for duplicates) and — when the
-    /// row's TTL was newly set or extended — the expiry instant the store's
+    /// Inserts one shared row, deduplicating through the chain of its hash
+    /// before any index or slot work: a duplicate merges its provenance tag
+    /// via `combine` and refreshes the soft-state lifetime instead of
+    /// storing a copy.  `next_seq` is the store-wide insertion counter,
+    /// advanced only for genuinely new rows.  Returns the outcome together
+    /// with the seq of the live row now holding `values` (fresh for new
+    /// rows, the original insertion's for duplicates) and — when the row's
+    /// TTL was newly set or extended — the expiry instant the store's
     /// min-heap must learn about.
     fn insert_one<F>(
         &mut self,
@@ -347,40 +578,50 @@ impl Table {
     where
         F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
     {
-        let seq = match self.by_row.entry(RowKey::new(values)) {
-            Entry::Vacant(vacant) => {
-                let seq = *next_seq;
-                *next_seq += 1;
-                let values = vacant.key().row().clone();
-                vacant.insert(seq);
-                let expires = meta.expires_at;
-                self.row_bytes += row_bytes(&values);
-                self.index_insert(seq, &values);
-                let row = Some(StoredRow { values, meta });
-                self.slots.push(Slot { seq, row });
-                return (InsertOutcome::New, seq, expires);
+        let hash = KeyHash::of(values.iter());
+        let Some(at) = self.position_of(hash, &values) else {
+            let seq = *next_seq;
+            *next_seq += 1;
+            let link = link_of(self.slots.len());
+            self.by_row.push(link, hash);
+            for index in &mut self.indexes {
+                self.index_bytes += index.link(&self.slots, link, &values);
             }
-            Entry::Occupied(occupied) => *occupied.get(),
+            self.live += 1;
+            self.row_bytes += row_bytes(&values);
+            let expires = meta.expires_at;
+            let meta = RowMeta::from(meta);
+            let row = Some(StoredRow { values, meta });
+            self.slots.push(Slot { seq, row });
+            return (InsertOutcome::New, seq, expires);
         };
-        let existing = self.row_mut(seq).expect("dedup entries point at live rows");
-        let merged = combine(&existing.meta.tag, &meta.tag);
+        let slot = &mut self.slots[at];
+        let existing = &mut slot.row.as_mut().expect("chained slots are live").meta;
+        let merged = combine(&existing.tag, &meta.tag);
         // A re-derivation refreshes the soft-state lifetime.
-        let bumped = existing.meta.extend_ttl(meta.expires_at);
-        let outcome = if merged != existing.meta.tag {
-            existing.meta.tag = merged;
+        let bumped = existing.extend_ttl(meta.expires_at);
+        let outcome = if merged != existing.tag {
+            existing.tag = merged;
             InsertOutcome::MergedTag
         } else {
             InsertOutcome::Duplicate
         };
-        (outcome, seq, bumped)
+        (outcome, slot.seq, bumped)
     }
 }
 
 /// Where a [`Candidates`] iterator reads from.  Both sources ascend by seq.
 enum Source<'a> {
-    /// The matching bucket of an installed index: bare seqs, each resolved
-    /// against the table's slots.
-    Bucket(std::slice::Iter<'a, u64>, &'a Table),
+    /// The chain of an installed index that the probed key hashes to: the
+    /// next slot to visit, the index's links, and the key (a row of a
+    /// colliding key on the chain is skipped).
+    Chain {
+        at: u32,
+        slots: &'a [Slot],
+        next: &'a [u32],
+        columns: &'a [usize],
+        key: &'a [Value],
+    },
     /// The slot list itself, front to back.
     Walk(std::slice::Iter<'a, Slot>),
 }
@@ -397,29 +638,38 @@ impl Candidates<'_> {
     /// Whether an installed index produced these rows (a slot walk did
     /// otherwise).
     pub(crate) fn used_index(&self) -> bool {
-        matches!(self.source, Source::Bucket(..))
+        matches!(self.source, Source::Chain { .. })
     }
 }
 
 impl<'a> Iterator for Candidates<'a> {
     type Item = SeqRow<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<SeqRow<'a>> {
         let up_to = self.up_to;
-        loop {
-            let (seq, row) = match &mut self.source {
-                Source::Bucket(seqs, table) => {
-                    let seq = *seqs.next().filter(|&&seq| seq <= up_to)?;
-                    (seq, table.row(seq))
+        match &mut self.source {
+            Source::Walk(slots) => loop {
+                let slot = slots.next().filter(|slot| slot.seq <= up_to)?;
+                if let Some(row) = &slot.row {
+                    return Some((slot.seq, &row.values, &row.meta));
                 }
-                Source::Walk(slots) => {
-                    let slot = slots.next().filter(|slot| slot.seq <= up_to)?;
-                    (slot.seq, slot.row.as_ref())
+            },
+            Source::Chain {
+                at,
+                slots,
+                next,
+                columns,
+                key,
+            } => loop {
+                let slot = slots.get(*at as usize).filter(|slot| slot.seq <= up_to)?;
+                *at = next[*at as usize];
+                // Chains hold live slots only.
+                let row = slot.row.as_ref()?;
+                if Index::matches(columns, &row.values, key) {
+                    return Some((slot.seq, &row.values, &row.meta));
                 }
-            };
-            if let Some(row) = row {
-                return Some((seq, &row.values, &row.meta));
-            }
+            },
         }
     }
 }
@@ -519,23 +769,18 @@ impl NodeStore {
         if table.index_on(key_columns).is_some() {
             return;
         }
-        let mut buckets = IndexBuckets::default();
-        let (mut key, mut bytes) = (Vec::new(), 0);
-        for (seq, row) in table.live() {
-            if project_into(&mut key, &row.values, key_columns) {
-                let bucket = buckets.entry(RowProbe::new(&key).to_key()).or_default();
-                if bucket.is_empty() {
-                    bytes += key_bytes(&key);
-                }
-                bucket.push(seq);
-                bytes += SEQ_BYTES;
+        let mut index = Index {
+            key_columns: key_columns.to_vec(),
+            chains: Chains::default(),
+        };
+        for (at, slot) in table.slots.iter().enumerate() {
+            let (link, slots) = (link_of(at), &table.slots[..at]);
+            match &slot.row {
+                Some(row) => table.index_bytes += index.link(slots, link, &row.values),
+                None => index.chains.push_unchained(),
             }
         }
-        table.index_bytes += bytes;
-        table.indexes.push(Index {
-            key_columns: key_columns.to_vec(),
-            buckets,
-        });
+        table.indexes.push(index);
     }
 
     // ---- reads -----------------------------------------------------------
@@ -547,23 +792,28 @@ impl NodeStore {
     /// used ([`Candidates::used_index`]).  The evaluator caps every join at
     /// its delta's seq, which keeps batched joins tuple-at-a-time-visible:
     /// a delta row only joins rows inserted no later than itself.
-    pub(crate) fn candidates(
-        &self,
+    pub(crate) fn candidates<'a>(
+        &'a self,
         pred: PredId,
-        key: Option<(&[usize], &[Value])>,
+        key: Option<(&'a [usize], &'a [Value])>,
         up_to: u64,
-    ) -> Candidates<'_> {
+    ) -> Candidates<'a> {
         let table = self.table(pred);
-        let indexed = |(columns, key): (&[usize], &[Value])| {
-            let probe = &RowProbe::new(key) as &dyn HashedRow;
-            let bucket = table?.index_on(columns)?.buckets.get(probe);
-            Some(Source::Bucket(
-                bucket.map_or(&[][..], Vec::as_slice).iter(),
-                table?,
-            ))
+        let chained = |(columns, key): (&'a [usize], &'a [Value])| {
+            let table = table?;
+            let chains = &table.index_on(columns)?.chains;
+            let at = chains.first(KeyHash::of(key.iter()));
+            let (slots, next) = (&table.slots[..], &chains.next[..]);
+            Some(Source::Chain {
+                at,
+                slots,
+                next,
+                columns,
+                key,
+            })
         };
         let walk = || Source::Walk(table.map_or(&[][..], |t| &t.slots).iter());
-        let source = key.and_then(indexed).unwrap_or_else(walk);
+        let source = key.and_then(chained).unwrap_or_else(walk);
         Candidates { source, up_to }
     }
 
@@ -575,9 +825,9 @@ impl NodeStore {
     pub fn probe_id<'a>(
         &'a self,
         pred: PredId,
-        key_columns: &[usize],
-        key: &[Value],
-    ) -> Option<impl Iterator<Item = (&'a Arc<[Value]>, &'a TupleMeta)> + 'a> {
+        key_columns: &'a [usize],
+        key: &'a [Value],
+    ) -> Option<impl Iterator<Item = (&'a Arc<[Value]>, &'a RowMeta)> + 'a> {
         let rows = self.candidates(pred, Some((key_columns, key)), u64::MAX);
         rows.used_index()
             .then(|| rows.map(|(_, values, meta)| (values, meta)))
@@ -588,7 +838,7 @@ impl NodeStore {
     pub fn scan_ordered_rows(
         &self,
         pred: PredId,
-    ) -> impl Iterator<Item = (&Arc<[Value]>, &TupleMeta)> + '_ {
+    ) -> impl Iterator<Item = (&Arc<[Value]>, &RowMeta)> + '_ {
         self.candidates(pred, None, u64::MAX)
             .map(|(_, values, meta)| (values, meta))
     }
@@ -624,7 +874,7 @@ impl NodeStore {
     }
 
     /// Looks up the metadata of an exact row.
-    pub fn meta_of(&self, pred: PredId, values: &[Value]) -> Option<&TupleMeta> {
+    pub fn meta_of(&self, pred: PredId, values: &[Value]) -> Option<&RowMeta> {
         let table = self.table(pred)?;
         table.row(table.seq_of(values)?).map(|row| &row.meta)
     }
@@ -638,15 +888,15 @@ impl NodeStore {
     }
 
     /// The live row behind a known seq, if any.
-    pub fn row_by_seq(&self, pred: PredId, seq: u64) -> Option<(&Arc<[Value]>, &TupleMeta)> {
+    pub fn row_by_seq(&self, pred: PredId, seq: u64) -> Option<(&Arc<[Value]>, &RowMeta)> {
         let row = self.table(pred)?.row(seq)?;
         Some((&row.values, &row.meta))
     }
 
     /// Removes the live row behind a known seq, returning its shared values
-    /// and metadata.  Dedup map, secondary indexes and the lazily compacted
-    /// slot list stay consistent.
-    pub fn remove_by_seq(&mut self, pred: PredId, seq: u64) -> Option<(Arc<[Value]>, TupleMeta)> {
+    /// and metadata.  Dedup chains, secondary indexes and the lazily
+    /// compacted slot list stay consistent.
+    pub fn remove_by_seq(&mut self, pred: PredId, seq: u64) -> Option<(Arc<[Value]>, RowMeta)> {
         let row = self.tables.get_mut(pred.index())?.take_by_seq(seq)?;
         Some((row.values, row.meta))
     }
@@ -715,29 +965,30 @@ impl NodeStore {
 
     /// Total number of stored tuples across relations.
     pub fn total_tuples(&self) -> usize {
-        self.tables.iter().map(|t| t.by_row.len()).sum()
+        self.tables.iter().map(|t| t.live).sum()
     }
 
     /// Bytes of tuple data proper: the canonical encoding of every stored
     /// row (each row is charged once — indexes share it by reference) plus
     /// one seq (8 bytes) per slot, live or dead, carrying the insertion
-    /// order.  Read off the tables' running totals.
+    /// order.  Encoding-level accounting, not heap bytes (a slot and its
+    /// links take more).  Read off the tables' running totals.
     pub fn store_bytes(&self) -> usize {
         let tables = self.tables.iter().enumerate();
         tables
             .map(|(i, table)| {
                 let name = self.preds.name(PredId(i as u32)).unwrap_or("");
-                table.row_bytes
-                    + table.by_row.len() * (2 + name.len())
-                    + table.slots.len() * SEQ_BYTES
+                table.row_bytes + table.live * (2 + name.len()) + table.slots.len() * SEQ_BYTES
             })
             .sum()
     }
 
-    /// Bytes of secondary-index overhead: every bucket's key encoding plus
-    /// one seq id (8 bytes) per bucket entry — the honest cost of the
-    /// seq-addressed layout, where buckets reference rows instead of
-    /// copying them.  Read off the tables' running totals.
+    /// Bytes of secondary-index overhead: the encoding of every distinct
+    /// live index key plus one seq id (8 bytes) per indexed row — what a
+    /// seq-addressed index would put on a wire, where keys reference rows
+    /// instead of copying them.  Encoding-level accounting, like
+    /// [`NodeStore::store_bytes`]: the heap the chains take is neither.
+    /// Read off the tables' running totals.
     pub fn index_bytes(&self) -> usize {
         self.tables.iter().map(|table| table.index_bytes).sum()
     }
@@ -766,7 +1017,7 @@ impl NodeStore {
     /// popped while due, validated against the row's *current* lifetime
     /// (stale entries from extended or hardened rows are discarded — a later
     /// push covers them), deduplicated by seq, and removed in seq order.
-    pub fn take_expired(&mut self, now: SimTime) -> Vec<(PredId, u64, Arc<[Value]>, TupleMeta)> {
+    pub fn take_expired(&mut self, now: SimTime) -> Vec<(PredId, u64, Arc<[Value]>, RowMeta)> {
         let now_us = now.as_micros();
         let mut victims: Vec<(u64, PredId)> = Vec::new();
         while let Some(&Reverse((at, pred_raw, seq))) = self.expiry_heap.peek() {
@@ -779,7 +1030,7 @@ impl NodeStore {
                 .tables
                 .get(pred.index())
                 .and_then(|t| t.row(seq))
-                .is_some_and(|row| row.meta.expires_at.is_some_and(|e| e <= now));
+                .is_some_and(|row| row.meta.expires_at().is_some_and(|e| e <= now));
             if due {
                 victims.push((seq, pred));
             }
@@ -803,14 +1054,14 @@ impl NodeStore {
     // ---- invariants ------------------------------------------------------
 
     /// Verifies the slot layout end to end: the slots ascend strictly by
-    /// seq, the dedup map exactly mirrors the live slots, no more slots are
-    /// dead than compaction permits (none in an emptied table), every live
-    /// soft-state row is covered by the expiry heap, and every secondary
-    /// index — at most one per key-column set — holds each live row's seq
-    /// exactly once in the right bucket, in insertion order, with no row
-    /// copies and no empty buckets retained — and the running byte gauges
-    /// equal a from-scratch recount.  Returns a description of the first
-    /// inconsistency found.
+    /// seq, the dedup chains hold every live row once, on the chain of its
+    /// hash, with no two rows equal, no more slots are dead than compaction
+    /// permits (none in an emptied table), every live soft-state row is
+    /// covered by the expiry heap, and every secondary index — at most one
+    /// per key-column set — chains each live row with its key exactly once,
+    /// under its key's hash, in insertion order, through live slots only —
+    /// and the running byte gauges equal a from-scratch recount.  Returns a
+    /// description of the first inconsistency found.
     pub fn check_index_consistency(&self) -> Result<(), String> {
         for (i, table) in self.tables.iter().enumerate() {
             let pred = self.preds.name(PredId(i as u32)).unwrap_or("?");
@@ -819,28 +1070,27 @@ impl NodeStore {
             if !table.slots.windows(2).all(|w| w[0].seq < w[1].seq) {
                 return Err(format!("{pred}: slot list violates insertion order"));
             }
-            // Dedup map ↔ live slots.
             let live = table.live().count();
-            if table.by_row.len() != live {
+            if table.live != live {
+                let kept = table.live;
                 return Err(format!(
-                    "{pred}: dedup map holds {} rows, slot list holds {live}",
-                    table.by_row.len()
+                    "{pred}: live count is {kept}, slot list holds {live}"
                 ));
             }
-            for (key, seq) in &table.by_row {
-                let values = key.row();
-                match table.row(*seq) {
-                    None => return Err(format!("{pred}: dedup entry {values:?} has no row")),
-                    Some(row) if row.values != *values || *key != RowKey::new(values.clone()) => {
-                        return Err(format!("{pred}: dedup entry {values:?} maps to wrong row"))
-                    }
-                    Some(_) => {}
+            // Dedup chains ↔ live slots, and no row stored twice.
+            let whole_row = |values: &[Value]| Some(KeyHash::of(values.iter()));
+            let chains = table.check_chains(&table.by_row, whole_row);
+            let chains = chains.map_err(|e| format!("{pred}: dedup {e}"))?;
+            for chain in chains {
+                let rows: Vec<&[Value]> = chain.iter().map(|&at| table.values_at(at)).collect();
+                if (1..rows.len()).any(|n| rows[..n].contains(&rows[n])) {
+                    return Err(format!("{pred}: a row is stored twice: {rows:?}"));
                 }
             }
             // Bounded dead slots.
             let (len, dead) = (table.slots.len(), table.slots.len() - live);
-            let buckets = table.indexes.iter().map(|i| i.buckets.capacity());
-            let held = buckets.chain([table.slots.capacity(), table.by_row.capacity()]);
+            let chains = table.indexes.iter().map(|i| i.chains.capacity());
+            let held = chains.chain([table.slots.capacity(), table.by_row.capacity()]);
             if live == 0 && (len > 0 || held.max() > Some(KEEP_CAPACITY)) {
                 return Err(format!("{pred}: emptied table keeps slots or buffers"));
             }
@@ -852,7 +1102,7 @@ impl NodeStore {
             // Expiry heap: every live soft-state row must be covered by a
             // heap entry at exactly its current expiry instant.
             for (seq, row) in table.live() {
-                if let Some(expires) = row.meta.expires_at {
+                if let Some(expires) = row.meta.expires_at() {
                     let covered = self
                         .expiry_heap
                         .iter()
@@ -872,9 +1122,10 @@ impl NodeStore {
                     "{pred}: row gauge holds {kept} B, rows hold {recount} B"
                 ));
             }
-            // Indexes: one per key-column set; seq ids only, right bucket,
-            // insertion order, complete.
-            let (mut projected, mut index_recount) = (Vec::new(), 0);
+            // Indexes: one per key-column set, every in-range live row on
+            // the chain of its key; the gauge charges each distinct key once
+            // and each chained row one seq.
+            let mut index_recount = 0;
             for (n, index) in table.indexes.iter().enumerate() {
                 let key_columns = &index.key_columns;
                 if table.indexes[..n]
@@ -883,53 +1134,88 @@ impl NodeStore {
                 {
                     return Err(format!("{pred}: two indexes on {key_columns:?}"));
                 }
-                let mut indexed = 0usize;
-                for (entry, bucket) in &index.buckets {
-                    let key = &entry.row()[..];
-                    if bucket.is_empty() {
-                        return Err(format!("{pred}: empty bucket retained for key {key:?}"));
-                    }
-                    index_recount += key_bytes(key) + bucket.len() * SEQ_BYTES;
-                    let mut last_seq = None;
-                    for seq in bucket {
-                        let row = table.row(*seq).ok_or_else(|| {
-                            format!("{pred}: index entry seq {seq} has no backing row")
-                        })?;
-                        if !project_into(&mut projected, &row.values, key_columns)
-                            || *entry != RowProbe::new(&projected).to_key()
-                        {
-                            return Err(format!(
-                                "{pred}: row {:?} filed under wrong key {key:?}",
-                                row.values
-                            ));
+                let chains = table.check_chains(&index.chains, |values| index.key_hash(values));
+                let chains =
+                    chains.map_err(|e| format!("{pred}: index on {key_columns:?}: {e}"))?;
+                for chain in chains {
+                    let rows: Vec<&[Value]> = chain.iter().map(|&at| table.values_at(at)).collect();
+                    let same_key =
+                        |a: &[Value], b: &[Value]| key_columns.iter().all(|&c| a[c] == b[c]);
+                    for (m, row) in rows.iter().enumerate() {
+                        index_recount += SEQ_BYTES;
+                        if !rows[..m].iter().any(|earlier| same_key(earlier, row)) {
+                            index_recount += index.key_bytes(row);
                         }
-                        if let Some(prev) = last_seq {
-                            if *seq <= prev {
-                                return Err(format!(
-                                    "{pred}: bucket {key:?} violates insertion order"
-                                ));
-                            }
-                        }
-                        last_seq = Some(*seq);
-                        indexed += 1;
                     }
-                }
-                let in_range = |row: &StoredRow| key_columns.iter().all(|&c| c < row.values.len());
-                let expected = table.live().filter(|(_, row)| in_range(row)).count();
-                if indexed != expected {
-                    return Err(format!(
-                        "{pred}: index on {key_columns:?} holds {indexed} rows, table holds {expected}"
-                    ));
                 }
             }
             if index_recount != table.index_bytes {
                 let kept = table.index_bytes;
                 return Err(format!(
-                    "{pred}: index gauge holds {kept} B, buckets hold {index_recount} B"
+                    "{pred}: index gauge holds {kept} B, chains hold {index_recount} B"
                 ));
             }
         }
         Ok(())
+    }
+}
+
+impl Table {
+    /// The values of the live slot at `at` (a checked chain's member).
+    fn values_at(&self, at: u32) -> &[Value] {
+        self.slots[at as usize]
+            .row
+            .as_ref()
+            .map_or(&[][..], |row| &row.values[..])
+    }
+
+    /// Walks every chain of `chains` and returns them, checking that there
+    /// is one link per slot; that each chain is non-empty, ascends through
+    /// live slots whose `key` is the chain's hash, and ends at its recorded
+    /// tail; and that every live slot with a key is on exactly one chain and
+    /// every other slot on none, with no link.
+    fn check_chains(
+        &self,
+        chains: &Chains,
+        key: impl Fn(&[Value]) -> Option<KeyHash>,
+    ) -> Result<Vec<Vec<u32>>, String> {
+        let len = self.slots.len();
+        if chains.next.len() != len {
+            let links = chains.next.len();
+            return Err(format!("has {links} links for {len} slots"));
+        }
+        let mut on_chain = vec![false; len];
+        let mut walked = Vec::with_capacity(chains.ends.len());
+        for (&hash, &(first, last)) in &chains.ends {
+            let mut chain: Vec<u32> = Vec::new();
+            let mut at = first;
+            while at != NIL {
+                let strays = at as usize >= len || on_chain[at as usize];
+                if strays || chain.last().is_some_and(|&prev| prev >= at) {
+                    return Err(format!("chain {chain:?} strays or loops at slot {at}"));
+                }
+                let row = self.slots[at as usize].row.as_ref();
+                if row.and_then(|row| key(&row.values)) != Some(hash) {
+                    return Err(format!(
+                        "chain {chain:?} reaches a dead or foreign slot {at}"
+                    ));
+                }
+                on_chain[at as usize] = true;
+                chain.push(at);
+                at = chains.next[at as usize];
+            }
+            if chain.last() != Some(&last) {
+                return Err(format!("chain {chain:?} does not end at its tail {last}"));
+            }
+            walked.push(chain);
+        }
+        for (at, slot) in self.slots.iter().enumerate() {
+            let keyed = slot.row.as_ref().and_then(|row| key(&row.values)).is_some();
+            if keyed != on_chain[at] || (!keyed && chains.next[at] != NIL) {
+                return Err(format!("slot {at} is chained wrongly (keyed: {keyed})"));
+            }
+        }
+        Ok(walked)
     }
 }
 

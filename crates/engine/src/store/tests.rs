@@ -7,7 +7,6 @@ fn meta(tag: ProvTag, expires: Option<u64>) -> TupleMeta {
         created_at: SimTime::ZERO,
         expires_at: expires.map(SimTime::from_micros),
         origin: NodeId(0),
-        asserted_by: Some(0),
     }
 }
 
@@ -31,11 +30,11 @@ fn put(store: &mut NodeStore, t: &Tuple, ttl: Option<u64>) -> InsertOutcome {
     insert(store, t, meta(ProvTag::None, ttl), |a, _| a.clone())
 }
 
-fn get<'a>(store: &'a NodeStore, t: &Tuple) -> Option<&'a TupleMeta> {
+fn get<'a>(store: &'a NodeStore, t: &Tuple) -> Option<&'a RowMeta> {
     store.meta_of(store.pred_id(&t.predicate)?, &t.values)
 }
 
-fn remove(store: &mut NodeStore, t: &Tuple) -> Option<TupleMeta> {
+fn remove(store: &mut NodeStore, t: &Tuple) -> Option<RowMeta> {
     let pred = store.pred_id(&t.predicate)?;
     let seq = store.seq_of(pred, &t.values)?;
     store.remove_by_seq(pred, seq).map(|(_, meta)| meta)
@@ -198,12 +197,12 @@ fn re_derivation_refreshes_ttl() {
     put(&mut store, &t, Some(100));
     put(&mut store, &t, Some(300));
     assert_eq!(
-        get(&store, &t).unwrap().expires_at,
+        get(&store, &t).unwrap().expires_at(),
         Some(SimTime::from_micros(300))
     );
     // A hard-state re-derivation clears the TTL entirely.
     put(&mut store, &t, None);
-    assert_eq!(get(&store, &t).unwrap().expires_at, None);
+    assert_eq!(get(&store, &t).unwrap().expires_at(), None);
     assert!(store.expire(SimTime::from_micros(10_000)).is_empty());
 }
 
@@ -230,12 +229,12 @@ fn seq_addressed_removal_and_tag_replacement() {
     // TTL refresh extends but never shortens.
     assert!(store.refresh_row_ttl(pred, &link(0, 2).values, Some(SimTime::from_micros(50))));
     assert_eq!(
-        get(&store, &link(0, 2)).unwrap().expires_at,
+        get(&store, &link(0, 2)).unwrap().expires_at(),
         Some(SimTime::from_micros(100))
     );
     assert!(store.refresh_row_ttl(pred, &link(0, 2).values, Some(SimTime::from_micros(400))));
     assert_eq!(
-        get(&store, &link(0, 2)).unwrap().expires_at,
+        get(&store, &link(0, 2)).unwrap().expires_at(),
         Some(SimTime::from_micros(400))
     );
     assert!(!store.refresh_row_ttl(pred, &link(9, 9).values, None));
@@ -250,7 +249,7 @@ fn seq_addressed_removal_and_tag_replacement() {
     let (epred, _, evalues, emeta) = &expired[0];
     assert_eq!(*epred, pred);
     assert_eq!(&evalues[..], &link(0, 2).values[..]);
-    assert_eq!(emeta.expires_at, Some(SimTime::from_micros(400)));
+    assert_eq!(emeta.expires_at(), Some(SimTime::from_micros(400)));
     assert_eq!(store.total_tuples(), 0);
 }
 
@@ -582,4 +581,76 @@ fn probe_reports_whether_an_index_is_registered() {
     store.register_index_id(pred, &[0]);
     assert!(store.probe_id(pred, &[0], &key).is_some());
     assert!(store.probe_id(pred, &[1], &key).is_none());
+}
+
+#[test]
+fn the_consistency_check_follows_every_link() {
+    // `link` rows 0..4; the index on column 0 chains slots 0 → 1 → 3 under
+    // `n0` and slot 2 alone under `n1`.
+    let filled = || {
+        let mut store = NodeStore::new();
+        index(&mut store, "link", &[0]);
+        for (a, b) in [(0, 1), (0, 2), (1, 2), (0, 3)] {
+            put(&mut store, &link(a, b), None);
+        }
+        store.check_index_consistency().unwrap();
+        store
+    };
+    let n0 = KeyHash::of([Value::Addr(0)].iter());
+    type Corruption = fn(&mut Table, KeyHash);
+    let corruptions: [(&str, Corruption); 7] = [
+        ("a stale tail", |t, n0| {
+            t.indexes[0].chains.ends.get_mut(&n0).unwrap().1 = 1;
+        }),
+        ("a dropped link", |t, _| t.indexes[0].chains.next[1] = NIL),
+        ("a link past the slot list", |t, _| {
+            t.indexes[0].chains.next[3] = 9
+        }),
+        ("a cycle", |t, _| t.indexes[0].chains.next[3] = 0),
+        ("a link into another key's chain", |t, _| {
+            t.indexes[0].chains.next[1] = 2;
+        }),
+        ("links left behind by the slot list", |t, _| {
+            t.indexes[0].chains.next.push(NIL);
+        }),
+        ("a dedup chain through another row", |t, _| {
+            t.by_row.next[0] = 1
+        }),
+    ];
+    for (fault, corrupt) in corruptions {
+        let mut store = filled();
+        corrupt(&mut store.tables[0], n0);
+        assert!(
+            store.check_index_consistency().is_err(),
+            "{fault} went unnoticed"
+        );
+    }
+    // A removal unlinks the slot from every chain it was on, so a dead slot
+    // keeps no link: re-threading one is caught too.
+    let mut store = filled();
+    remove(&mut store, &link(0, 2));
+    store.check_index_consistency().unwrap();
+    let chains = &mut store.tables[0].indexes[0].chains;
+    chains.next[0] = 1;
+    chains.next[1] = 3;
+    assert!(
+        store.check_index_consistency().is_err(),
+        "a dead slot on a chain went unnoticed"
+    );
+}
+
+#[test]
+fn row_meta_packs_the_expiry_into_one_word() {
+    // Hard state is the end of time, so a lifetime extends by `max`.
+    let mut row = RowMeta::from(meta(ProvTag::None, Some(100)));
+    assert_eq!(row.expires_at(), Some(SimTime::from_micros(100)));
+    assert_eq!(row.extend_ttl(Some(SimTime::from_micros(50))), None);
+    assert_eq!(
+        row.extend_ttl(Some(SimTime::from_micros(300))),
+        Some(SimTime::from_micros(300))
+    );
+    assert_eq!(row.extend_ttl(None), None);
+    assert_eq!(row.expires_at(), None);
+    assert_eq!(row.extend_ttl(Some(SimTime::from_micros(900))), None);
+    assert_eq!(TupleMeta::from(&row).expires_at, None);
 }

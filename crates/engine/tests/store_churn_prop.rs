@@ -2,10 +2,12 @@
 //!
 //! Random interleaved insert / remove / expire / register_index sequences
 //! are driven against [`NodeStore::check_index_consistency`] (which audits
-//! the dedup map, the lazily compacted slot list and every secondary index
-//! after each step) and against a naive insertion-ordered model that
-//! predicts seqs, `scan_ordered_rows` output, index probes and expiry
-//! results.
+//! the dedup chains, the lazily compacted slot list and every secondary
+//! index's chains after each step) and against a naive insertion-ordered
+//! model that predicts seqs, `scan_ordered_rows` output, index probes and
+//! expiry results.  Tables big enough to compact, and emptied outright,
+//! check that every index still answers what a filtered slot walk answers
+//! once compaction has renumbered its chains and a release has dropped them.
 
 use pasn_datalog::Value;
 use pasn_engine::{NodeStore, Tuple, TupleMeta};
@@ -22,7 +24,6 @@ fn meta(expires: Option<u64>) -> TupleMeta {
         created_at: SimTime::ZERO,
         expires_at: expires.map(SimTime::from_micros),
         origin: NodeId(0),
-        asserted_by: None,
     }
 }
 
@@ -163,8 +164,101 @@ fn decode_op(word: u64) -> (u8, u32, u32, u32, u64) {
     )
 }
 
+/// Rows handed out as `(seq, values)`, up to and including seq `cap`.
+type SeqRows = Vec<(u64, Vec<Value>)>;
+
+/// For each key-column set and each probe word (a key from the row space of
+/// [`wide_tuple`] and a seq cap): the rows the index chain hands out, and
+/// the rows a walk of the slot list narrowed to the key hands out, each
+/// stopped at the cap.  The two must be equal.
+fn index_and_walk(store: &NodeStore, name: &str, probes: &[u64]) -> Vec<(SeqRows, SeqRows)> {
+    let Some(pred) = store.pred_id(name) else {
+        return Vec::new();
+    };
+    let with_seq = |values: &Arc<[Value]>| {
+        let seq = store
+            .seq_of(pred, values)
+            .expect("handed-out rows are live");
+        (seq, values.to_vec())
+    };
+    let mut answers = Vec::new();
+    for columns in KEY_COLUMNS {
+        for word in probes {
+            let row = wide_tuple(*word).values;
+            let key: Vec<Value> = columns.iter().map(|&c| row[c].clone()).collect();
+            let cap = (word >> 40) % 600;
+            let capped = |rows: SeqRows| -> SeqRows {
+                rows.into_iter()
+                    .take_while(|(seq, _)| *seq <= cap)
+                    .collect()
+            };
+            let probed = store.probe_id(pred, columns, &key).expect("registered");
+            let via_index = capped(probed.map(|(v, _)| with_seq(v)).collect());
+            let matches = |v: &Arc<[Value]>| columns.iter().zip(&key).all(|(&c, k)| v[c] == *k);
+            let walked = store.scan_ordered_rows(pred).filter(|(v, _)| matches(v));
+            let via_walk = capped(walked.map(|(v, _)| with_seq(v)).collect());
+            answers.push((via_index, via_walk));
+        }
+    }
+    answers
+}
+
+/// A `p` row over a key space wide enough that a table outgrows the
+/// compaction threshold: 40 × 8 rows, four per first column.
+fn wide_tuple(word: u64) -> Tuple {
+    let (a, b) = ((word % 40) as u32, ((word >> 8) % 8) as u32);
+    Tuple::new("p", vec![Value::Addr(a), Value::Addr(b)])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every index answers what a filtered slot walk answers — same rows,
+    /// same order, same seqs, under random keys and caps — while tables
+    /// fill, lose most of their rows (compaction renumbers the chains), and
+    /// empty entirely (a release drops them), twice over.
+    #[test]
+    fn index_chains_agree_with_the_slot_walk_across_compaction_and_release(
+        rows in prop::collection::vec(any::<u64>(), 150..300),
+        probes in prop::collection::vec(any::<u64>(), 8..16),
+    ) {
+        let mut store = NodeStore::new();
+        for columns in KEY_COLUMNS {
+            register_index(&mut store, "p", columns);
+        }
+        let mut compacted = 0;
+        for round in 0..2u64 {
+            for (i, word) in rows.iter().enumerate() {
+                let ttl = (i % 4 == 0).then_some(10 + round);
+                insert(&mut store, &wide_tuple(word ^ round), ttl);
+            }
+            store.check_index_consistency().expect("filled");
+            for (via_index, via_walk) in index_and_walk(&store, "p", &probes) {
+                prop_assert_eq!(via_index, via_walk);
+            }
+            // Remove three rows in four, in a scattered order.
+            for word in rows.iter().filter(|w| (*w >> 20) % 4 != 0) {
+                remove(&mut store, &wide_tuple(word ^ round));
+                store.check_index_consistency().expect("after a removal");
+            }
+            compacted += store.take_compaction_debt();
+            for (via_index, via_walk) in index_and_walk(&store, "p", &probes) {
+                prop_assert_eq!(via_index, via_walk);
+            }
+            // Expiry takes the soft-state survivors, removal the rest: the
+            // table empties and releases its slots and chains.
+            store.expire(SimTime::from_micros(10 + round));
+            for word in &rows {
+                remove(&mut store, &wide_tuple(word ^ round));
+            }
+            prop_assert_eq!(store.total_tuples(), 0);
+            store.check_index_consistency().expect("emptied");
+            for (via_index, via_walk) in index_and_walk(&store, "p", &probes) {
+                prop_assert!(via_index.is_empty() && via_walk.is_empty());
+            }
+        }
+        prop_assert!(compacted > 0, "the removals must have compacted the slot list");
+    }
 
     /// Every prefix of a random op sequence leaves the store consistent and
     /// byte-for-byte in sync with the insertion-ordered oracle.
