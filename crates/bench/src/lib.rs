@@ -293,7 +293,7 @@ pub fn chord_churn_deployment(
 /// the deployment's builder has it now.
 pub fn assert_lookups_end_at_their_owner(dht: &ChordDeployment, events: &[(SimTime, ChurnEvent)]) {
     let inserted = events.iter().filter_map(|(_, event)| match event {
-        ChurnEvent::Insert { tuple, .. } if tuple.predicate == "get" => Some(tuple),
+        ChurnEvent::Insert { tuple, .. } if &*tuple.predicate == "get" => Some(tuple),
         _ => None,
     });
     for get in inserted {

@@ -68,6 +68,12 @@ impl Symbols {
         self.names.get(id.index()).map(|s| &**s)
     }
 
+    /// The shared name behind an id: a clone is a refcount bump, so a read
+    /// that hands names out copies no string.
+    pub fn shared_name(&self, id: PredId) -> Option<&Arc<str>> {
+        self.names.get(id.index())
+    }
+
     /// Number of interned predicates (also the next id to be assigned).
     pub fn len(&self) -> usize {
         self.names.len()

@@ -123,4 +123,4 @@ pub use pasn_trace::{
 };
 pub use runtime::{DistributedEngine, EngineError};
 pub use store::{InsertOutcome, NodeStore, TupleMeta};
-pub use tuple::Tuple;
+pub use tuple::{Tuple, Values};

@@ -212,19 +212,19 @@ impl DistributedEngine {
             }
             ChurnEvent::Retract { location, tuple } => {
                 let id = self.resolve(&location)?;
-                let pred = self.shared.symbols.intern(&tuple.predicate);
-                let values: Arc<[Value]> = Arc::from(tuple.values);
-                self.retract_row(Removal::withdraw(id, pred, values, "retracted"), None, at);
+                // A predicate never interned has no row to withdraw.
+                if let Some(pred) = self.known_pred(&tuple)? {
+                    let removal = Removal::withdraw(id, pred, tuple.values.into(), "retracted");
+                    self.retract_row(removal, None, at);
+                }
             }
             ChurnEvent::Refresh { location, tuple } => {
                 let id = self.resolve(&location)?;
-                if let Some(ttl) = self.shared.config.default_ttl_us {
+                let pred = self.known_pred(&tuple)?;
+                if let (Some(pred), Some(ttl)) = (pred, self.shared.config.default_ttl_us) {
                     let expires = SimTime::from_micros(at.as_micros() + ttl);
                     let store = &mut self.nodes[ix(id)].store;
-                    let refreshed = store.pred_id(&tuple.predicate).is_some_and(|pred| {
-                        store.refresh_row_ttl(pred, &tuple.values, Some(expires))
-                    });
-                    if refreshed {
+                    if store.refresh_row_ttl(pred, &tuple.values, Some(expires)) {
                         self.schedule_expiry(id, expires);
                     }
                 }

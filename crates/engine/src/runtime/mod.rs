@@ -710,25 +710,32 @@ impl DistributedEngine {
         at: SimTime,
     ) -> Result<(), EngineError> {
         let id = self.resolve(&location)?;
-        // Predicates the program knows about must arrive with the declared
-        // arity; a mismatch would otherwise silently fail to join anywhere.
-        // (Program predicates resolve to ids below the compiled table's
-        // length; ids interned here for unknown predicates fall outside it
-        // and are unconstrained, as before.)
-        let pred = self.shared.symbols.intern(&tuple.predicate);
-        if let Some(expected) = self.shared.compiled.arity_of_pred(pred) {
-            if expected != tuple.arity() {
-                return Err(EngineError::ArityMismatch {
-                    predicate: tuple.predicate.clone(),
-                    expected,
-                    got: tuple.arity(),
-                });
-            }
-        }
-        let values = Arc::from(tuple.values);
-        let row = self.base_row(id, pred, values);
+        let pred = match self.known_pred(&tuple)? {
+            Some(pred) => pred,
+            None => self.shared.symbols.intern(&tuple.predicate),
+        };
+        let row = self.base_row(id, pred, tuple.values.into());
         self.enqueue_local(at, id, pred, row, Polarity::Assert);
         Ok(())
+    }
+
+    /// The id of `tuple`'s predicate, `None` when it was never interned.
+    /// Predicates the program knows about must arrive with the declared
+    /// arity — to be asserted, retracted or refreshed alike; a mismatch
+    /// would otherwise silently fail to join, or to find its row, anywhere.
+    /// Predicates the program never mentions are unconstrained.
+    fn known_pred(&self, tuple: &Tuple) -> Result<Option<PredId>, EngineError> {
+        let Some(pred) = self.shared.symbols.resolve(&tuple.predicate) else {
+            return Ok(None);
+        };
+        match self.shared.compiled.arity_of_pred(pred) {
+            Some(expected) if expected != tuple.arity() => Err(EngineError::ArityMismatch {
+                predicate: tuple.predicate.to_string(),
+                expected,
+                got: tuple.arity(),
+            }),
+            _ => Ok(Some(pred)),
+        }
     }
 
     /// A base row of `pred` asserted at node `id`.  Its `@` column — and so
@@ -757,6 +764,7 @@ impl DistributedEngine {
         at: SimTime,
     ) -> Result<(), EngineError> {
         self.resolve(&location)?;
+        self.known_pred(&tuple)?;
         if !self.shared.config.dynamics {
             return Err(EngineError::Eval(
                 "retractions need the dynamics machinery: build with \
@@ -1234,6 +1242,10 @@ impl DistributedEngine {
 
     /// All tuples of `predicate` stored at `location`, in insertion order —
     /// deterministic, so tests compare evaluation modes on it directly.
+    ///
+    /// Each returned [`Tuple`] shares the stored row and the interned name,
+    /// and the result is sized from the relation's live row count: a query
+    /// allocates its `Vec` and nothing else, and an empty one nothing.
     pub fn query(&self, location: &Value, predicate: &str) -> Vec<(Tuple, TupleMeta)> {
         let Some(store) = self.node_at(location).map(|n| &n.store) else {
             return Vec::new();
@@ -1241,19 +1253,28 @@ impl DistributedEngine {
         let Some(pred) = store.pred_id(predicate) else {
             return Vec::new();
         };
-        let rows = store.scan_ordered_rows(pred);
-        rows.map(|(values, meta)| (Tuple::new(predicate, values.to_vec()), meta.into()))
-            .collect()
+        let rows = store.live_rows(pred);
+        if rows == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(rows);
+        out.extend(store.tuples(pred));
+        out
     }
 
     /// All tuples of `predicate` across every node, with their storage
-    /// location.
+    /// location: the predicate is resolved once and the rows fill one
+    /// pre-sized `Vec`, shared as [`DistributedEngine::query`] shares them.
     pub fn query_all(&self, predicate: &str) -> Vec<(Value, Tuple, TupleMeta)> {
-        let mut out = Vec::new();
-        for loc in &self.shared.locations {
-            for (t, m) in self.query(loc, predicate) {
-                out.push((loc.clone(), t, m));
-            }
+        let Some(pred) = self.shared.symbols.resolve(predicate) else {
+            return Vec::new();
+        };
+        let stores = || self.shared.locations.iter().zip(&self.nodes);
+        let total = stores().map(|(_, n)| n.store.live_rows(pred)).sum();
+        let mut out = Vec::with_capacity(total);
+        for (loc, node) in stores() {
+            let rows = node.store.tuples(pred);
+            out.extend(rows.map(|(tuple, meta)| (loc.clone(), tuple, meta)));
         }
         out
     }

@@ -452,18 +452,18 @@ fn cross_products_fall_back_to_ordered_scans() {
     assert_eq!(metrics.index_probes, 0, "{metrics}");
 }
 
-#[test]
-fn arity_mismatch_is_rejected_at_insertion() {
-    let program = parse_program(REACHABLE).unwrap();
-    let config = EngineConfig::ndlog().with_cost_model(fast_cost());
-    let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
-    let err = engine
-        .insert_fact(
-            str_val("a"),
-            Tuple::new("link", vec![str_val("a"), str_val("b"), Value::Int(9)]),
-        )
-        .unwrap_err();
-    match err {
+/// A three-column `link(a,b,9)`, which REACHABLE's two-column `link` refuses.
+fn wide_link() -> Tuple {
+    Tuple::new("link", vec![str_val("a"), str_val("b"), Value::Int(9)])
+}
+
+/// A predicate REACHABLE never names, so any arity goes.
+fn sensor() -> Tuple {
+    Tuple::new("sensor", vec![Value::Int(1)])
+}
+
+fn assert_wide_link_refused(result: Result<impl fmt::Debug, EngineError>) {
+    match result.unwrap_err() {
         EngineError::ArityMismatch {
             predicate,
             expected,
@@ -474,10 +474,69 @@ fn arity_mismatch_is_rejected_at_insertion() {
         }
         other => panic!("expected arity mismatch, got {other}"),
     }
-    // Predicates unknown to the program are not constrained.
+}
+
+/// A deployment of REACHABLE over Figure 1's links with dynamics and soft
+/// state, so retractions and refreshes apply.
+fn churnable_figure1() -> DistributedEngine {
+    let program = parse_program(REACHABLE).unwrap();
+    let config = EngineConfig::ndlog()
+        .with_cost_model(fast_cost())
+        .with_default_ttl_us(60_000_000)
+        .with_dynamics();
+    let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
+    insert_figure1_links(&mut engine);
     engine
-        .insert_fact(str_val("a"), Tuple::new("sensor", vec![Value::Int(1)]))
+}
+
+#[test]
+fn arity_mismatch_is_rejected_at_insertion() {
+    let program = parse_program(REACHABLE).unwrap();
+    let config = EngineConfig::ndlog().with_cost_model(fast_cost());
+    let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
+    assert_wide_link_refused(engine.insert_fact(str_val("a"), wide_link()));
+    // Predicates unknown to the program are not constrained.
+    engine.insert_fact(str_val("a"), sensor()).unwrap();
+}
+
+#[test]
+fn arity_mismatch_is_rejected_at_retraction() {
+    let mut engine = churnable_figure1();
+    assert_wide_link_refused(engine.retract_fact_at(str_val("a"), wide_link(), SimTime::ZERO));
+    // Predicates unknown to the program are not constrained; one never
+    // asserted has nothing to withdraw.
+    engine
+        .retract_fact_at(str_val("a"), sensor(), SimTime::ZERO)
         .unwrap();
+    engine.run_scenario(&ChurnScript::new()).unwrap();
+    assert_eq!(engine.query(&str_val("a"), "link").len(), 2);
+}
+
+#[test]
+fn arity_mismatch_is_rejected_in_a_scripted_retraction() {
+    let retract = ChurnEvent::Retract {
+        location: str_val("a"),
+        tuple: wide_link(),
+    };
+    let script = ChurnScript::new().at(5_000_000, retract);
+    assert_wide_link_refused(churnable_figure1().run_scenario(&script));
+}
+
+#[test]
+fn arity_mismatch_is_rejected_in_a_scripted_refresh() {
+    let refresh = ChurnEvent::Refresh {
+        location: str_val("a"),
+        tuple: wide_link(),
+    };
+    let script = ChurnScript::new().at(5_000_000, refresh);
+    assert_wide_link_refused(churnable_figure1().run_scenario(&script));
+    // The same refresh at the declared arity runs.
+    let refresh = ChurnEvent::Refresh {
+        location: str_val("a"),
+        tuple: link("a", "b"),
+    };
+    let script = ChurnScript::new().at(5_000_000, refresh);
+    churnable_figure1().run_scenario(&script).unwrap();
 }
 
 #[test]

@@ -843,6 +843,17 @@ impl NodeStore {
             .map(|(_, values, meta)| (values, meta))
     }
 
+    /// [`NodeStore::scan_ordered_rows`] as tuples: each shares the stored
+    /// row and the interned name, so a row costs two refcount bumps and no
+    /// copy.  Empty for an id this store has not interned.
+    pub(crate) fn tuples(&self, pred: PredId) -> impl Iterator<Item = (Tuple, TupleMeta)> + '_ {
+        let name = self.preds.shared_name(pred);
+        name.into_iter().flat_map(move |name| {
+            self.scan_ordered_rows(pred)
+                .map(|(values, meta)| (Tuple::new(name.clone(), values.clone()), meta.into()))
+        })
+    }
+
     // ---- insertion / removal ---------------------------------------------
 
     /// Inserts a shared row under an interned predicate.  If an identical
@@ -963,6 +974,11 @@ impl NodeStore {
 
     // ---- storage accounting ----------------------------------------------
 
+    /// Number of live rows of one relation (0 for an unknown id).
+    pub(crate) fn live_rows(&self, pred: PredId) -> usize {
+        self.table(pred).map_or(0, |t| t.live)
+    }
+
     /// Total number of stored tuples across relations.
     pub fn total_tuples(&self) -> usize {
         self.tables.iter().map(|t| t.live).sum()
@@ -1002,8 +1018,8 @@ impl NodeStore {
         self.take_expired(now)
             .into_iter()
             .map(|(pred, _, values, _)| {
-                let name = self.preds.name(pred).expect("interned predicate");
-                Tuple::new(name, values.to_vec())
+                let name = self.preds.shared_name(pred).expect("interned predicate");
+                Tuple::new(name.clone(), values)
             })
             .collect()
     }

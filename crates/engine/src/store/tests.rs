@@ -20,7 +20,7 @@ where
     F: FnOnce(&ProvTag, &ProvTag) -> ProvTag,
 {
     let pred = store.intern(&t.predicate);
-    let (outcome, _) = store.insert_row(pred, Arc::from(t.values.as_slice()), meta, combine);
+    let (outcome, _) = store.insert_row(pred, t.values.clone().into(), meta, combine);
     outcome
 }
 
@@ -135,7 +135,7 @@ fn insert_reports_the_seq_of_the_live_row() {
     .into_iter()
     .map(|(t, trust)| {
         let meta = meta(ProvTag::Trust(TrustLevel(trust)), None);
-        store.insert_row(pred, Arc::from(t.values.as_slice()), meta, combine)
+        store.insert_row(pred, t.values.clone().into(), meta, combine)
     })
     .collect();
     assert_eq!(

@@ -4,14 +4,68 @@ use pasn_datalog::Value;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt::{self, Write};
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// A materialised tuple: a predicate applied to concrete values.
+///
+/// Both parts are shared: the name is the interned predicate's `Arc<str>`
+/// and the values are the stored row's `Arc<[Value]>`, so a read hands out
+/// two refcount bumps per row instead of copying either.  Equality, hashing,
+/// [`Tuple::key_hash`], [`Tuple::encode`] and `Display` read the contents
+/// and are the same as for an owned `String` and `Vec<Value>`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Tuple {
     /// Predicate name.
-    pub predicate: String,
+    pub predicate: Arc<str>,
     /// Attribute values, in declaration order.
-    pub values: Vec<Value>,
+    pub values: Values,
+}
+
+/// A tuple's attribute values: a shared, immutable row.  It reads as a
+/// `[Value]` slice, and compares, hashes and prints as one.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Values(Arc<[Value]>);
+
+impl Deref for Values {
+    type Target = [Value];
+
+    #[inline]
+    fn deref(&self) -> &[Value] {
+        &self.0
+    }
+}
+
+impl fmt::Debug for Values {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl PartialEq<Vec<Value>> for Values {
+    fn eq(&self, other: &Vec<Value>) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl From<Vec<Value>> for Values {
+    fn from(values: Vec<Value>) -> Self {
+        Values(values.into())
+    }
+}
+
+impl From<Arc<[Value]>> for Values {
+    #[inline]
+    fn from(values: Arc<[Value]>) -> Self {
+        Values(values)
+    }
+}
+
+impl From<Values> for Arc<[Value]> {
+    #[inline]
+    fn from(values: Values) -> Self {
+        values.0
+    }
 }
 
 /// Canonical byte encoding of a `(predicate, values)` pair — identical to
@@ -83,10 +137,10 @@ pub(crate) fn render_into<'b>(
 
 impl Tuple {
     /// Creates a tuple.
-    pub fn new(predicate: impl Into<String>, values: Vec<Value>) -> Self {
+    pub fn new(predicate: impl Into<Arc<str>>, values: impl Into<Values>) -> Self {
         Tuple {
             predicate: predicate.into(),
-            values,
+            values: values.into(),
         }
     }
 
@@ -124,7 +178,7 @@ impl Tuple {
             return None;
         }
         let plen = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
-        let predicate = String::from_utf8(bytes.get(2..2 + plen)?.to_vec()).ok()?;
+        let predicate = std::str::from_utf8(bytes.get(2..2 + plen)?).ok()?;
         let mut offset = 2 + plen;
         let count_raw: [u8; 2] = bytes.get(offset..offset + 2)?.try_into().ok()?;
         let count = u16::from_be_bytes(count_raw) as usize;
@@ -140,7 +194,7 @@ impl Tuple {
             values.push(v);
             offset += used;
         }
-        Some((Tuple { predicate, values }, offset))
+        Some((Tuple::new(predicate, values), offset))
     }
 
     /// Renders the tuple with a location marker on the given attribute, e.g.
@@ -279,7 +333,103 @@ mod tests {
         })
     }
 
+    /// `Tuple` as it was defined before it shared the stored row: an owned
+    /// name and an owned value vector, with the derived `Hash` and the
+    /// methods kept verbatim.  The oracle that every provenance key, base
+    /// tuple id, sampling decision, signature and wire byte must match.
+    #[derive(Clone, PartialEq, Eq, Hash, Debug)]
+    struct OwnedTuple {
+        predicate: String,
+        values: Vec<Value>,
+    }
+
+    impl OwnedTuple {
+        fn key_hash(&self) -> u64 {
+            key_hash_parts(&self.predicate, &self.values)
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            encode_parts(&self.predicate, &self.values)
+        }
+
+        fn encoded_len(&self) -> usize {
+            encoded_len_parts(&self.predicate, &self.values)
+        }
+
+        fn decode(bytes: &[u8]) -> Option<(OwnedTuple, usize)> {
+            if bytes.len() < 2 {
+                return None;
+            }
+            let plen = u16::from_be_bytes([bytes[0], bytes[1]]) as usize;
+            let predicate = String::from_utf8(bytes.get(2..2 + plen)?.to_vec()).ok()?;
+            let mut offset = 2 + plen;
+            let count_raw: [u8; 2] = bytes.get(offset..offset + 2)?.try_into().ok()?;
+            let count = u16::from_be_bytes(count_raw) as usize;
+            offset += 2;
+            if count > (bytes.len() - offset) / 2 {
+                return None;
+            }
+            let mut values = Vec::with_capacity(count);
+            for _ in 0..count {
+                let (v, used) = Value::decode(&bytes[offset..])?;
+                values.push(v);
+                offset += used;
+            }
+            Some((OwnedTuple { predicate, values }, offset))
+        }
+
+        fn render_located(&self, location_index: Option<usize>) -> String {
+            let mut out = String::new();
+            render_into(&mut out, &self.predicate, &self.values, location_index);
+            out
+        }
+    }
+
+    impl fmt::Display for OwnedTuple {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            render_located_parts(f, &self.predicate, &self.values, None)
+        }
+    }
+
+    fn std_hash<T: Hash>(value: &T) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
     proptest! {
+        #[test]
+        fn prop_a_shared_tuple_is_byte_identical_to_an_owned_one(
+            predicate in "[a-zA-Z_]{1,8}",
+            values in proptest::collection::vec(arb_value(), 0..5),
+            location in 0usize..6,
+        ) {
+            let owned = OwnedTuple { predicate: predicate.clone(), values: values.clone() };
+            let shared = Tuple::new(predicate, values);
+            prop_assert_eq!(shared.key_hash(), owned.key_hash());
+            prop_assert_eq!(std_hash(&shared), std_hash(&owned));
+            prop_assert_eq!(format!("{shared:?}"), format!("{owned:?}").replace("OwnedTuple", "Tuple"));
+            let bytes = shared.encode();
+            prop_assert_eq!(&bytes, &owned.encode());
+            prop_assert_eq!(shared.encoded_len(), owned.encoded_len());
+            prop_assert_eq!(shared.to_string(), owned.to_string());
+            for loc in [None, Some(location)] {
+                prop_assert_eq!(shared.render_located(loc), owned.render_located(loc));
+            }
+            let (decoded, used) = Tuple::decode(&bytes).expect("round trip");
+            let (decoded_owned, used_owned) = OwnedTuple::decode(&bytes).expect("round trip");
+            prop_assert_eq!(used, used_owned);
+            prop_assert_eq!(&*decoded.predicate, decoded_owned.predicate.as_str());
+            prop_assert_eq!(decoded.values, decoded_owned.values);
+            // Every truncation is refused by both.
+            for cut in 0..bytes.len() {
+                prop_assert_eq!(
+                    Tuple::decode(&bytes[..cut]).is_none(),
+                    OwnedTuple::decode(&bytes[..cut]).is_none()
+                );
+            }
+        }
+
         #[test]
         fn prop_the_renderer_is_byte_identical_to_the_joined_one(
             predicate in "[a-zA-Z_]{1,8}",

@@ -362,7 +362,7 @@ proptest! {
 
         // The reference: a count of the live updates per group.
         let mut counts: BTreeMap<(usize, Value), i64> = BTreeMap::new();
-        for (node, update) in live.iter().filter(|(_, t)| t.predicate == "routeUpdate") {
+        for (node, update) in live.iter().filter(|(_, t)| &*t.predicate == "routeUpdate") {
             *counts.entry((*node, update.values[1].clone())).or_default() += 1;
         }
         let row = |((node, dest), n): (&(usize, Value), &i64)| {

@@ -30,7 +30,7 @@ fn meta(expires: Option<u64>) -> TupleMeta {
 /// Inserts `t` through the id API, keeping the stored tag on duplicates.
 fn insert(store: &mut NodeStore, t: &Tuple, ttl: Option<u64>) {
     let pred = store.intern(&t.predicate);
-    let row = Arc::from(t.values.as_slice());
+    let row = t.values.clone().into();
     store.insert_row(pred, row, meta(ttl), |x, _| x.clone());
 }
 
@@ -92,7 +92,7 @@ impl Model {
     fn scan_ordered(&self, predicate: &str) -> Vec<Tuple> {
         self.rows
             .iter()
-            .filter(|(t, ..)| t.predicate == predicate)
+            .filter(|(t, ..)| &*t.predicate == predicate)
             .map(|(t, ..)| t.clone())
             .collect()
     }
@@ -326,8 +326,8 @@ proptest! {
                             model
                                 .rows
                                 .iter()
-                                .filter(|(t, ..)| t.predicate == name && key_of(&t.values) == key)
-                                .map(|(t, _, seq)| (*seq, t.values.clone()))
+                                .filter(|(t, ..)| &*t.predicate == name && key_of(&t.values) == key)
+                                .map(|(t, _, seq)| (*seq, t.values.to_vec()))
                                 .collect(),
                         );
                         prop_assert_eq!(&via_index, &want, "index on {:?}, key {:?}", columns, &key);

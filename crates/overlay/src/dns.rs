@@ -76,13 +76,13 @@ pub fn resolver() -> Value {
 /// DNSKEY: `zone` publishes the key with this fingerprint.
 pub fn dnskey(zone: &str, fingerprint: &str) -> (Value, Tuple) {
     let values = [zone, fingerprint].map(node);
-    (node(zone), Tuple::new("dnskey", values.into()))
+    (node(zone), Tuple::new("dnskey", Vec::from(values)))
 }
 
 /// DS: `parent` endorses `child`'s key fingerprint.
 pub fn ds(parent: &str, child: &str, fingerprint: &str) -> (Value, Tuple) {
     let values = [parent, child, fingerprint].map(node);
-    (node(parent), Tuple::new("ds", values.into()))
+    (node(parent), Tuple::new("ds", Vec::from(values)))
 }
 
 /// A record of `zone` for `owner`, asserted at `said_by` (the zone, unless rogue).

@@ -173,7 +173,7 @@ fn fingers_forwarding_a_key_to_each_other_reach_a_fixpoint_without_an_answer() {
         let values = [at.clone()]
             .into_iter()
             .chain(rest.iter().copied().map(int));
-        (at.clone(), Tuple::new(name, values.collect()))
+        (at.clone(), Tuple::new(name, values.collect::<Vec<_>>()))
     };
     let finger = |at: &Value, to: &Value, id: i64, next: i64| {
         let values = vec![at.clone(), to.clone(), int(id), int(next)];

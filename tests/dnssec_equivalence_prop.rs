@@ -67,7 +67,7 @@ fn script(
         // The fact of `predicate` about the zone (a `ds` names it second).
         let about = |predicate: &str, t: &Tuple| {
             let subject = &t.values[(predicate == "ds") as usize];
-            t.predicate == predicate && subject.to_string() == *zone
+            &*t.predicate == predicate && subject.to_string() == *zone
         };
         let published = facts.iter().find(|(_, t)| about("dnskey", t));
         let published = published.map(|(_, t)| t.values[1].to_string());

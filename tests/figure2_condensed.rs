@@ -89,7 +89,7 @@ fn sendlog_surface_program_produces_equivalent_routes() {
     let mut at_a: Vec<Vec<Value>> = net
         .query(&Value::Addr(0), "reachable")
         .into_iter()
-        .map(|(t, _)| t.values)
+        .map(|(t, _)| t.values.to_vec())
         .collect();
     at_a.sort();
     assert_eq!(

@@ -258,7 +258,7 @@ fn authenticated_lookup_graphs_verify_and_expose_forgery() {
         // A row the requester stores itself was said by nobody else:
         // `W says owner(N,K,S,SI,W)` does not unify and no fetch follows it.
         let named = vec![Value::Addr(origin), int(key + 1), at.clone(), id.clone()];
-        let named = named.into_iter().chain([at.clone()]).collect();
+        let named: Vec<_> = named.into_iter().chain([at.clone()]).collect();
         let planted = (Value::Addr(origin), Tuple::new("owner", named));
         let (dht, _) = run(&ring, level(says), [get(origin, key + 1), planted]);
         assert_eq!(dht.lookups(origin, key + 1).len(), 2);

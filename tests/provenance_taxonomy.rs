@@ -104,7 +104,7 @@ fn authentication_does_not_change_results() {
         let mut rows: Vec<(String, Vec<Value>)> = net
             .query_all("reachable")
             .into_iter()
-            .map(|(l, t, _)| (l.to_string(), t.values))
+            .map(|(l, t, _)| (l.to_string(), t.values.to_vec()))
             .collect();
         rows.sort();
         rows

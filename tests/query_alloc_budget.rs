@@ -1,16 +1,24 @@
-//! Allocation budget of the provenance read path: one
-//! `forensics::investigate` on a converged 12-node deployment with
-//! distributed provenance and offline archives may allocate what its report
-//! owns, and little else.
+//! Allocation budgets of the two read paths.
 //!
-//! The traceback borrows its keys from the stores and finds its nodes
-//! through the engine's name directory, so a query's allocations are the
-//! strings the report returns — one per visited and per unresolved key,
-//! three per archived entry (key, location, annotation) — plus a fixed
-//! handful of containers.  A wall-clock assertion cannot run on a shared
-//! host; the allocation count of a deterministic query can.  This file holds
-//! a single test on purpose: the counting allocator is process-wide, so a
-//! sibling test running in parallel would pollute the count.
+//! The provenance read: one `forensics::investigate` on a converged 12-node
+//! deployment with distributed provenance and offline archives may allocate
+//! what its report owns, and little else.  The traceback borrows its keys
+//! from the stores and finds its nodes through the engine's name directory,
+//! so a query's allocations are the strings the report returns — one per
+//! visited and per unresolved key, three per archived entry (key, location,
+//! annotation) — plus a fixed handful of containers.
+//!
+//! The relation read: a `query` hands out tuples that share the stored rows
+//! and the interned predicate name, into a `Vec` sized from the relation's
+//! live row count, so it allocates exactly once however many rows it
+//! returns, and an empty answer not at all.  (Copying a `String` and a
+//! `Vec<Value>` per row made ≈126 allocations for the ≈60 rows of one
+//! `bestPathCost` read on the 40-node deployment below.)
+//!
+//! A wall-clock assertion cannot run on a shared host; the allocation count
+//! of a deterministic query can.  This file holds a single test on purpose:
+//! the counting allocator is process-wide, so a sibling test running in
+//! parallel would pollute the count.
 
 use pasn::forensics;
 use pasn::prelude::*;
@@ -56,15 +64,74 @@ const NODES: u32 = 12;
 /// `archived` vectors.
 const FIXED: u64 = 16;
 
+/// Runs `read` and returns its result with the allocations it made.
+fn counted<T>(read: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = read();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
 /// Runs `investigate` and returns its report with the allocations it made.
 fn counted_investigate(
     net: &SecureNetwork,
     at: &Value,
     key: &str,
 ) -> (forensics::ForensicReport, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = forensics::investigate(net, at, key);
-    (report, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    counted(|| forensics::investigate(net, at, key))
+}
+
+/// A converged 40-node Best-Path deployment: `query` allocates its result
+/// `Vec` once when there are rows and never when there are none, and
+/// `query_all` fills one `Vec`.
+fn relation_reads_allocate_once_per_query() {
+    let probe = |at: u32| Tuple::new("probe", vec![Value::Addr(at)]);
+    let mut net = SecureNetwork::builder()
+        .program(pasn::programs::best_path())
+        .topology(workload::evaluation_topology(40, 2008))
+        .config(EngineConfig::ndlog().with_cost_model(CostModel::zero_cpu()))
+        // A relation only n0 holds rows of: every other node's is empty.
+        .fact(Value::Addr(0), probe(0))
+        .build()
+        .expect("program compiles");
+    net.run().expect("fixpoint reached");
+
+    let locations = net.engine().locations().to_vec();
+    let mut rows = 0;
+    for at in &locations {
+        for predicate in ["bestPathCost", "path", "link"] {
+            let (tuples, allocations) = counted(|| net.query(at, predicate));
+            assert!(!tuples.is_empty(), "{predicate} at {at} holds rows");
+            assert_eq!(
+                allocations,
+                1,
+                "{predicate} at {at}: {allocations} allocations for {} rows",
+                tuples.len()
+            );
+            rows += tuples.len();
+        }
+        let (tuples, allocations) = counted(|| net.query(at, "probe"));
+        assert_eq!(tuples.len(), usize::from(*at == Value::Addr(0)));
+        assert_eq!(allocations, u64::from(!tuples.is_empty()), "probe at {at}");
+        let (tuples, allocations) = counted(|| net.query(at, "bogus"));
+        assert!(tuples.is_empty());
+        assert_eq!(allocations, 0, "an unknown predicate at {at}");
+    }
+    // The reads must be worth counting: dozens of rows per query.
+    assert!(rows >= 30 * 3 * locations.len(), "{rows} rows");
+    let (tuples, allocations) = counted(|| net.query(&Value::Addr(999), "bestPathCost"));
+    assert!(tuples.is_empty());
+    assert_eq!(allocations, 0, "an unknown location");
+
+    let (tuples, allocations) = counted(|| net.query_all("bestPathCost"));
+    assert!(
+        tuples.len() >= locations.len() * 39,
+        "{} rows",
+        tuples.len()
+    );
+    assert!(allocations <= 1, "query_all: {allocations} allocations");
+    let (tuples, allocations) = counted(|| net.query_all("bogus"));
+    assert!(tuples.is_empty());
+    assert_eq!(allocations, 0, "query_all of an unknown predicate");
 }
 
 #[test]
@@ -115,4 +182,6 @@ fn investigate_allocates_what_its_report_owns() {
         allocations < u64::from(NODES),
         "{allocations} allocations for a one-key query"
     );
+
+    relation_reads_allocate_once_per_query();
 }
