@@ -109,7 +109,8 @@ mod tests {
     fn offline_provenance_survives_tuple_expiry() {
         let mut net = forensic_network();
         // Expire all derived soft state.
-        let dropped = net.expire(SimTime::from_secs_f64(100.0));
+        let now = SimTime::from_secs_f64(100.0);
+        let dropped = net.expire(now);
         assert!(dropped > 0);
         assert!(net.query(&Value::Addr(0), "reachable").is_empty());
         // The archive still answers forensic queries.
@@ -117,6 +118,12 @@ mod tests {
         assert!(!activity.is_empty());
         let report = investigate(&net, &Value::Addr(0), "reachable(@n0,n3)");
         assert!(!report.archived.is_empty());
+        // ... and records when the tuple expired at the node that stored it,
+        // as scheduled expiry does.
+        let stamp = report.archived.iter().find(|e| &*e.location == "n0");
+        let stamp = stamp.expect("n0 archived the expiry");
+        assert_eq!(&*stamp.annotation, "expired");
+        assert_eq!(stamp.expired_at, Some(now.as_micros()));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use pasn_engine::{
     TupleMeta,
 };
 use pasn_net::{SimTime, Topology};
-use pasn_provenance::{ArchiveStore, DerivationGraph, DistributedStore, VarTable};
+use pasn_provenance::{ArchiveStore, DistributedStore, VarTable};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -252,11 +252,12 @@ impl SecureNetwork {
         self.engine.render_provenance(location, tuple)
     }
 
-    /// The provenance graph maintained at `location`: written under
-    /// [`pasn_engine::GraphMode::Local`] only, empty under `Distributed` (whose
-    /// provenance is [`SecureNetwork::distributed_stores`]).
-    pub fn provenance_graph(&self, location: &Value) -> Option<&DerivationGraph> {
-        self.engine.provenance_graph(location)
+    /// The provenance store of `location` in either graph mode: locally
+    /// complete under [`pasn_engine::GraphMode::Local`], pointing at other
+    /// nodes' stores under `Distributed`
+    /// ([`DistributedEngine::provenance_store`]).
+    pub fn provenance_store(&self, location: &Value) -> Option<&DistributedStore> {
+        self.engine.provenance_store(location)
     }
 
     /// Per-node distributed provenance stores keyed by location name: a

@@ -14,18 +14,25 @@ use pasn_net::{CostModel, FaultPlan};
 use pasn_provenance::{Granularity, MaintenanceMode, ProvenanceKind, SamplingPolicy};
 use pasn_trace::TraceConfig;
 
-/// Whether derivation graphs are recorded, and where they live
-/// (Section 4.1's local-vs-distributed axis).
+/// Whether derivation records are kept, and where they live (Section 4.1's
+/// local-vs-distributed axis).  Both modes write the same pointer records
+/// into each node's `pasn_provenance::DistributedStore`
+/// ([`DistributedEngine::provenance_store`](crate::runtime::DistributedEngine::provenance_store))
+/// and answer with the same traceback; they differ only in where a record
+/// lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GraphMode {
-    /// No derivation graphs (only semiring tags, if enabled).
+    /// No derivation records (only semiring tags, if enabled).
     #[default]
     None,
-    /// Local provenance: the full derivation subtree is piggybacked with
-    /// every shipped tuple so each node holds locally complete provenance.
+    /// Local provenance: every shipped tuple piggybacks the bundle of
+    /// records reachable from it, which the receiver merges, so each node
+    /// holds locally complete provenance and a traceback never leaves it.
+    /// A tuple that dies is forgotten.
     Local,
     /// Distributed provenance: each node stores pointer records for the
-    /// derivations it performed; reconstruction requires a traceback query.
+    /// derivations it performed and a `recv` pointer back to the sender of
+    /// each tuple it received; reconstruction is a traceback across nodes.
     Distributed,
 }
 
@@ -69,10 +76,10 @@ pub struct EngineConfig {
     pub says_level: Option<SaysLevel>,
     /// Which semiring annotation to maintain per tuple.
     pub provenance: ProvenanceKind,
-    /// Whether and where derivation graphs are recorded.
+    /// Whether and where derivation records are kept.
     pub graph_mode: GraphMode,
     /// Proactive or reactive provenance maintenance.  Reactive maintenance
-    /// of [`GraphMode::Local`] graphs is rejected when the engine is built.
+    /// with [`GraphMode::Local`] is rejected when the engine is built.
     pub maintenance: MaintenanceMode,
     /// Sampling policy for provenance recording: a tuple's derivation record
     /// and every `recv` pointer to it are kept or dropped together.

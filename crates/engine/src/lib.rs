@@ -34,6 +34,12 @@
 //!   improved best or a grown total is emitted as a new tuple and
 //!   propagates incrementally, and nothing is withdrawn (ROADMAP item 7
 //!   deletes this mode).
+//! * Derivation records (`EngineConfig::graph_mode`) are pointer records in
+//!   both graph modes, written by one writer and labelled `rule@node`: a
+//!   `Distributed` node points at the node each antecedent came from, a
+//!   `Local` node merges the bundle each shipped tuple carries and forgets
+//!   a tuple that dies, so [`runtime::DistributedEngine::traceback`] answers
+//!   either deployment (from a `Local` node without a remote hop).
 //! * Provenance-guided deletion (`EngineConfig::dynamics`, or a
 //!   [`runtime::DistributedEngine::run_scenario`] call) withdraws exactly
 //!   the derivation events an insertion added: each stored tuple counts its

@@ -456,9 +456,40 @@ impl DistributedEngine {
         }
     }
 
+    /// Settles the provenance of a row `(pred, values, @ column)` that left
+    /// `loc`'s store at `now`: a `Local` node forgets the tuple (a pointer
+    /// store keeps its records, so a moonwalk still explains it) and an
+    /// offline archive stamps its entries with `reason`.
+    pub(super) fn forget_provenance(
+        &mut self,
+        loc: NodeId,
+        (pred, values, location): (PredId, &[Value], Option<usize>),
+        reason: &str,
+        created_at: SimTime,
+        now: SimTime,
+    ) {
+        let local_graph = self.shared.config.graph_mode == GraphMode::Local;
+        let archive_offline = self.shared.config.archive_offline;
+        if !local_graph && !archive_offline {
+            return;
+        }
+        let node = &mut self.nodes[ix(loc)];
+        let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
+        let key = tuple::render_into(&mut node.key_buf, pred_name, values, location);
+        if local_graph {
+            node.prov.forget(key);
+        }
+        if archive_offline {
+            let name = &self.shared.names[ix(loc)];
+            let (derived_at, expired_at) = (created_at.as_micros(), now.as_micros());
+            node.archive
+                .record_expiry(key, name, reason, derived_at, expired_at);
+        }
+    }
+
     /// Bookkeeping shared by every removal path (retraction, expiry, node
-    /// failure, sweep): settle the ledger, prune the online provenance
-    /// graph, stamp the offline archive, and withdraw the dead row's
+    /// failure, sweep): settle the ledger, settle the row's provenance
+    /// ([`DistributedEngine::forget_provenance`]), and withdraw the dead row's
     /// recorded firings — locally or as tombstone frames.  `suppress` drops
     /// routes into heads the caller is deleting itself (the sweep's
     /// zombie-to-zombie edges).
@@ -477,8 +508,6 @@ impl DistributedEngine {
             reason,
             force,
         } = removal;
-        let graph_mode = self.shared.config.graph_mode;
-        let archive_offline = self.shared.config.archive_offline;
         if self.recorder.is_some() {
             let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
             let retraction = TraceEventKind::Retraction {
@@ -493,26 +522,9 @@ impl DistributedEngine {
             let node = &mut self.nodes[ix(loc)];
             let entry = node.ledger.supports.remove(&seq);
             node.ledger.retracted.insert((pred, values.clone()));
-            // Only a local graph forgets a retracted tuple: a pointer store
-            // keeps its records, so a moonwalk still explains it.
-            let local_graph = graph_mode == GraphMode::Local;
-            if local_graph || archive_offline {
-                let loc_idx = entry.as_ref().and_then(|e| e.location.index());
-                let pred_name = self.shared.symbols.name(pred).unwrap_or("?");
-                let key = tuple::render_into(&mut node.key_buf, pred_name, &values, loc_idx);
-                if local_graph {
-                    node.local_prov.retract(key);
-                }
-                if archive_offline {
-                    node.archive.record_expiry(
-                        key,
-                        &self.shared.names[ix(loc)],
-                        reason,
-                        created_at.as_micros(),
-                        now.as_micros(),
-                    );
-                }
-            }
+            let location = entry.as_ref().and_then(|e| e.location.index());
+            self.forget_provenance(loc, (pred, &values, location), reason, created_at, now);
+            let node = &mut self.nodes[ix(loc)];
             let mut killed = node.ledger.take_readers(seq);
             killed.retain(|&idx| node.ledger.kill(idx));
             // Aggregate candidates withdraw through group re-election, not

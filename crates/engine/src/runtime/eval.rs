@@ -21,8 +21,8 @@ use pasn_datalog::plan::{CompiledProgram, DeltaPlan, JoinStep, PlanStep, RulePla
 use pasn_datalog::{AggFunc, PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
 use pasn_provenance::{
-    AntecedentRef, ArchivedEntry, BaseTupleId, MaintenanceMode, NewDerivation, PointerDerivation,
-    ProvKey, ProvTag, ProvenanceKind, SamplingPolicy, VarTable,
+    AntecedentRef, ArchivedEntry, BaseTupleId, MaintenanceMode, PointerDerivation, ProvKey,
+    ProvTag, ProvenanceKind, SamplingPolicy, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind};
 use std::sync::Arc;
@@ -35,20 +35,20 @@ use std::sync::Arc;
 #[derive(Clone, Debug)]
 pub(super) struct DerivationRecord {
     pub head_key: Arc<str>,
-    /// The node the head is stored at.
-    pub head_node: NodeId,
     /// The rule's label, as an index into [`EvalShared::labels`].
     pub rule: u32,
     /// Rendered antecedent keys with the node each one lives at.
     pub antecedents: Vec<(Arc<str>, NodeId)>,
-    pub asserted_by: Option<PrincipalId>,
+    /// The principal that says the head: the firing node's, or for a
+    /// `recv` pointer the sender's.
+    pub speaker: PrincipalId,
     pub at: SimTime,
 }
 
 /// One tuple contributing to an in-flight join branch.  The row is shared
 /// with the store (`Arc` clone, no value copies); its provenance key is
 /// rendered lazily — only if the branch survives to a head emission that
-/// actually records provenance graphs.
+/// actually records provenance.
 #[derive(Clone)]
 struct Contrib {
     pred: PredId,
@@ -454,10 +454,10 @@ impl<'a> NodeCtx<'a> {
         new_deltas
     }
 
-    /// Per-row provenance bookkeeping for base facts and shipped graphs,
-    /// written to the active graph mode's store only: the local graph in
-    /// `Local` mode, the pointer store in `Distributed` mode.  The rendered
-    /// tuple key is computed only on the branches that store it.
+    /// Per-row provenance bookkeeping on arrival: a base fact's record in
+    /// either graph mode, then by mode a `Local` node merges the row's
+    /// bundle and a `Distributed` node points back at the sender.  The
+    /// rendered tuple key is computed only on the branches that store it.
     fn record_arrival_provenance(
         &mut self,
         pred_name: &str,
@@ -471,21 +471,11 @@ impl<'a> NodeCtx<'a> {
         if row.is_base && shared.config.graph_mode != GraphMode::None {
             let tuple_key = tuple::render_into(&mut node.key_buf, pred_name, values, location);
             let base_id = BaseTupleId(tuple::key_hash_parts(pred_name, &row.values));
-            if shared.config.graph_mode == GraphMode::Local {
-                node.local_prov.add_base(
-                    tuple_key,
-                    &shared.names[ix(self.id)],
-                    base_id,
-                    Some(principal_of(row.origin)),
-                    done.as_micros(),
-                    None,
-                );
-            } else {
-                node.dist_prov.record_base(tuple_key, base_id);
-            }
+            node.prov
+                .record_base(tuple_key, base_id, principal_of(row.origin));
         }
-        if let Some(shipped) = &row.shipped_graph {
-            node.local_prov.merge(shipped);
+        if let Some(bundle) = &row.bundle {
+            node.prov.merge(bundle);
         }
         // Distributed provenance: a tuple received from another node keeps
         // a pointer back to the deriving node, where its provenance lives.
@@ -500,21 +490,21 @@ impl<'a> NodeCtx<'a> {
             if shared.config.maintenance == MaintenanceMode::Reactive {
                 node.deferred.push(DerivationRecord {
                     head_key: tuple_key.clone(),
-                    head_node: self.id,
                     rule: shared.recv,
                     antecedents: vec![(tuple_key, row.origin)],
-                    asserted_by: Some(principal_of(row.origin)),
+                    speaker: principal_of(row.origin),
                     at: done,
                 });
             } else {
                 let pointer = PointerDerivation {
-                    rule: shared.labels[shared.recv as usize].clone(),
+                    rule: annotation(shared, self.id, node, shared.recv),
                     antecedents: vec![AntecedentRef::Remote {
                         location: shared.names[ix(row.origin)].clone(),
                         key: tuple_key.clone(),
                     }],
                 };
-                node.dist_prov.record_derivation(&tuple_key, pointer);
+                let speaker = principal_of(row.origin);
+                node.prov.record_derivation(&tuple_key, speaker, pointer);
             }
         }
     }
@@ -864,8 +854,8 @@ impl<'a> NodeCtx<'a> {
 
         // Aggregate candidates under dynamics: the ledger record above is
         // the candidate's identity; emission is decided by the per-group
-        // election.  (Provenance graphs are not recorded for candidate
-        // firings — graph-recording configs run the non-dynamics aggregate
+        // election.  (Provenance records are not kept for candidate
+        // firings — record-keeping configs run the non-dynamics aggregate
         // path.)
         if let Some(agg) = agg_candidate {
             let row = BatchRow::derived(head_values, tag, self.id, head.location);
@@ -873,7 +863,7 @@ impl<'a> NodeCtx<'a> {
             return Ok(());
         }
 
-        // Provenance graphs (sampled; deferred in reactive mode).  The
+        // Provenance records (sampled; deferred in reactive mode).  The
         // rendered display keys are derived from the shared rows here, only
         // when something will actually be recorded.
         let records_graphs =
@@ -886,19 +876,18 @@ impl<'a> NodeCtx<'a> {
                 let record = DerivationRecord {
                     head_key: tuple::render_into(buf, head_name, &head_values, head.location)
                         .into(),
-                    head_node: dest_id,
                     rule: rule_id,
                     antecedents: contribs
                         .iter()
                         .map(|c| (c.render_key(&shared.symbols, buf), c.origin))
                         .collect(),
-                    asserted_by: Some(principal_of(self.id)),
+                    speaker: principal_of(self.id),
                     at: now,
                 };
                 if shared.config.maintenance == MaintenanceMode::Reactive {
                     self.node.deferred.push(record);
                 } else {
-                    record_provenance_graphs(shared, self.id, self.node, &record);
+                    record_provenance(shared, self.id, self.node, &record);
                 }
             } else {
                 self.metrics.sampled_out += 1;
@@ -906,14 +895,13 @@ impl<'a> NodeCtx<'a> {
         }
 
         let mut row = BatchRow::derived(head_values, tag, self.id, head.location);
-        // Local-provenance mode piggybacks the derivation subtree as it
-        // exists at emission time; its wire bytes are charged when the frame
+        // Local-provenance mode piggybacks the head's records as they stand
+        // at emission time; their wire bytes are charged when the frame
         // seals.
         if dest_id != self.id && shared.config.graph_mode == GraphMode::Local {
             let buf = &mut self.node.key_buf;
             let head_key = tuple::render_into(buf, head_name, &row.values, head.location);
-            let graph = &self.node.local_prov;
-            row.shipped_graph = graph.find(head_key).map(|root| graph.subtree(root));
+            row.bundle = self.node.prov.bundle(head_key).map(Box::new);
         }
         self.route_row(now, dest_id, head.pred, row, Polarity::Assert);
         Ok(())
@@ -1015,67 +1003,57 @@ fn unify_row(
             .is_none_or(|principal| bindings.unify_slot_term(principal, origin, bound))
 }
 
-/// Writes one derivation, recorded at node `id`, into that node's graph /
-/// pointer / archive stores.  A free function so both the evaluation context
-/// and the engine's deferred-materialization pass share it.
-pub(super) fn record_provenance_graphs(
+/// The `rule@node` annotation of rule label `label` at node `id`: rendered
+/// once per (node, label) — `recv` included — then shared by every pointer
+/// record and archive entry filed under it.
+fn annotation(shared: &EvalShared, id: NodeId, node: &mut NodeRuntime, label: u32) -> Arc<str> {
+    if node.annotations.is_empty() {
+        node.annotations.resize(shared.labels.len(), None);
+    }
+    let annotation = node.annotations[label as usize].get_or_insert_with(|| {
+        let (rule, local) = (&shared.labels[label as usize], &shared.names[ix(id)]);
+        format!("{rule}@{local}").into()
+    });
+    annotation.clone()
+}
+
+/// Writes one derivation, recorded at node `id`, into that node's pointer
+/// and archive stores: the one writer of both graph modes.  A `Local` node
+/// holds every antecedent's records itself, so each is a local pointer; a
+/// `Distributed` node points at the node an antecedent came from.  A free
+/// function so both the evaluation context and the engine's deferred
+/// materialization pass share it.
+pub(super) fn record_provenance(
     shared: &EvalShared,
     id: NodeId,
     node: &mut NodeRuntime,
     record: &DerivationRecord,
 ) {
-    let local = &shared.names[ix(id)];
-    let rule = &shared.labels[record.rule as usize];
-    let at = record.at.as_micros();
-    match shared.config.graph_mode {
-        GraphMode::None => {}
-        GraphMode::Local => {
-            let keys: Vec<String> = record
-                .antecedents
-                .iter()
-                .map(|(k, _)| k.to_string())
-                .collect();
-            node.local_prov.add_derivation(NewDerivation {
-                head: &record.head_key,
-                head_location: &shared.names[ix(record.head_node)],
-                rule,
-                rule_location: local,
-                antecedents: &keys,
-                asserted_by: record.asserted_by,
-                created_at: at,
-                expires_at: None,
-            });
-        }
-        GraphMode::Distributed => {
-            let pointer = |(key, origin): &(Arc<str>, NodeId)| {
-                let key = key.clone();
-                if *origin == id {
-                    AntecedentRef::Local(key)
-                } else {
-                    let location = shared.names[ix(*origin)].clone();
-                    AntecedentRef::Remote { location, key }
-                }
-            };
-            let derivation = PointerDerivation {
-                rule: rule.clone(),
-                antecedents: record.antecedents.iter().map(pointer).collect(),
-            };
-            node.dist_prov
-                .record_derivation(&record.head_key, derivation);
-        }
+    let graph_mode = shared.config.graph_mode;
+    let annotation = annotation(shared, id, node, record.rule);
+    if graph_mode != GraphMode::None {
+        let pointer = |(key, origin): &(Arc<str>, NodeId)| {
+            let key = key.clone();
+            if graph_mode == GraphMode::Local || *origin == id {
+                AntecedentRef::Local(key)
+            } else {
+                let location = shared.names[ix(*origin)].clone();
+                AntecedentRef::Remote { location, key }
+            }
+        };
+        let derivation = PointerDerivation {
+            rule: annotation.clone(),
+            antecedents: record.antecedents.iter().map(pointer).collect(),
+        };
+        node.prov
+            .record_derivation(&record.head_key, record.speaker, derivation);
     }
     if shared.config.archive_offline {
-        // Rendered once per (node, label) — `recv` included — then shared.
-        if node.annotations.is_empty() {
-            node.annotations.resize(shared.labels.len(), None);
-        }
-        let annotation = node.annotations[record.rule as usize]
-            .get_or_insert_with(|| format!("{rule}@{local}").into());
         node.archive.record(ArchivedEntry {
             key: record.head_key.clone(),
-            annotation: annotation.clone(),
-            location: local.clone(),
-            derived_at: at,
+            annotation,
+            location: shared.names[ix(id)].clone(),
+            derived_at: record.at.as_micros(),
             expired_at: None,
             pinned: false,
         });

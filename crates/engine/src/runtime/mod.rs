@@ -10,9 +10,9 @@
 //! no work items remain.
 //!
 //! Provenance hooks fire on every rule evaluation: semiring tags are combined
-//! per the configured [`pasn_provenance::ProvenanceKind`], and derivation
-//! graphs / pointer records / offline archive entries are maintained per
-//! the configured [`crate::config::GraphMode`] and maintenance policy.
+//! per the configured [`pasn_provenance::ProvenanceKind`], and pointer
+//! records / offline archive entries are maintained per the configured
+//! [`crate::config::GraphMode`] and maintenance policy.
 //!
 //! The module tree follows a delta batch's life, each layer owning its
 //! state: `queue` (the simulated-time work queue and open batches),
@@ -42,7 +42,7 @@ use crate::metrics::RunMetrics;
 use crate::store::{NodeStore, TupleMeta};
 use crate::tuple::Tuple;
 use deletion::{DeletionState, Removal};
-use eval::{record_provenance_graphs, DerivationRecord, Effect, EvalShared, NodeCtx};
+use eval::{record_provenance, DerivationRecord, Effect, EvalShared, NodeCtx};
 use pasn_crypto::channel::{ChannelHandshake, ReceiverChannel, SenderChannel};
 use pasn_crypto::says::{Authenticator, SaysAssertion};
 use pasn_crypto::{KeyAuthority, Principal, PrincipalId, RsaPublicKey};
@@ -50,8 +50,8 @@ use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, AggFunc, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
 use pasn_provenance::{
-    moonwalk_with, traceback_with, ArchiveStore, DerivationGraph, DistributedStore,
-    MaintenanceMode, MoonwalkConfig, MoonwalkResult, ProvKey, ProvTag, TracebackResult, VarTable,
+    moonwalk_with, traceback_with, ArchiveStore, DistributedStore, MaintenanceMode, MoonwalkConfig,
+    MoonwalkResult, ProvKey, ProvTag, TracebackResult, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use queue::{BatchKey, BatchRow, Bound, GlobalWork, NodeWork, Polarity, QueuedWork, WorkQueue};
@@ -83,9 +83,9 @@ pub enum EngineError {
     },
     /// A rule evaluation error (unbound variable, type mismatch, ...).
     Eval(String),
-    /// Reactive maintenance with [`GraphMode::Local`]: a node's graph holds
+    /// Reactive maintenance with [`GraphMode::Local`]: a node's store holds
     /// no derivation until it is materialised, so nothing would be
-    /// piggybacked and every remote subtree would be lost.
+    /// piggybacked and every remote bundle would be lost.
     ReactiveLocalGraphs,
 }
 
@@ -333,14 +333,14 @@ struct NodeRuntime {
     running: FastMap<GroupKey, i64>,
     /// Under dynamics, each aggregate group's election.
     elections: FastMap<GroupKey, Election>,
-    /// Online local provenance: the derivation graph of currently valid
-    /// tuples (graph modes only).
-    local_prov: DerivationGraph,
-    dist_prov: DistributedStore,
+    /// Online provenance, pointer records in either graph mode: what this
+    /// node derived (`Distributed`), or that plus every bundle it received,
+    /// less what died here (`Local`).
+    prov: DistributedStore,
     archive: ArchiveStore,
-    /// The archive annotation `label@node` of each rule label at this node,
-    /// indexed like [`EvalShared::labels`]; rendered on first use, then
-    /// shared by every entry archived under it.
+    /// The annotation `label@node` of each rule label at this node, indexed
+    /// like [`EvalShared::labels`]; rendered on first use, then shared by
+    /// every pointer record and archive entry filed under it.
     annotations: Vec<Option<Arc<str>>>,
     /// The buffer provenance keys are rendered into: a key kept is one
     /// allocation, a key only looked up none.
@@ -521,8 +521,7 @@ impl DistributedEngine {
                     store,
                     running: FastMap::default(),
                     elections: FastMap::default(),
-                    local_prov: DerivationGraph::new(),
-                    dist_prov: DistributedStore::new(&**name),
+                    prov: DistributedStore::new(&**name),
                     archive: ArchiveStore::new(),
                     annotations: Vec::new(),
                     key_buf: String::new(),
@@ -1279,12 +1278,13 @@ impl DistributedEngine {
         out
     }
 
-    /// The provenance graph maintained at `location`.  Only
-    /// [`GraphMode::Local`] writes one: under [`GraphMode::Distributed`] a
-    /// node's provenance is its pointer store ([`DistributedEngine::traceback`],
-    /// [`DistributedEngine::distributed_stores`]) and this graph stays empty.
-    pub fn provenance_graph(&self, location: &Value) -> Option<&DerivationGraph> {
-        self.node_at(location).map(|n| &n.local_prov)
+    /// The provenance store of `location`, in either graph mode: under
+    /// [`GraphMode::Local`] it is locally complete, so its own view
+    /// ([`DistributedStore::render_tree`], [`DistributedStore::why_provenance`])
+    /// answers; under [`GraphMode::Distributed`] its records point at other
+    /// nodes' ([`DistributedEngine::traceback`]).
+    pub fn provenance_store(&self, location: &Value) -> Option<&DistributedStore> {
+        self.node_at(location).map(|n| &n.prov)
     }
 
     /// The per-node distributed provenance stores, keyed by location name:
@@ -1294,16 +1294,14 @@ impl DistributedEngine {
     /// [`DistributedEngine::traceback`].
     pub fn distributed_stores(&self) -> HashMap<String, &DistributedStore> {
         let nodes = self.shared.names.iter().zip(&self.nodes);
-        nodes
-            .map(|(name, n)| (name.to_string(), &n.dist_prov))
-            .collect()
+        nodes.map(|(name, n)| (name.to_string(), &n.prov)).collect()
     }
 
     /// The distributed provenance store of the node named `name`: the
     /// resolver the provenance queries follow pointer records through.
     fn store_named(&self, name: &str) -> Option<&DistributedStore> {
         let id = *self.shared.name_ids.get(&ProvKey::from_rendered(name))?;
-        (*self.shared.names[ix(id)] == *name).then(|| &self.nodes[ix(id)].dist_prov)
+        (*self.shared.names[ix(id)] == *name).then(|| &self.nodes[ix(id)].prov)
     }
 
     /// The name the provenance stores know `location` by: the name table's
@@ -1352,19 +1350,26 @@ impl DistributedEngine {
         Some(meta.tag.render(&self.var_table))
     }
 
-    /// Expires soft-state tuples and online provenance older than `now` on
-    /// every node; returns the number of tuples dropped.
+    /// Expires soft-state tuples older than `now` on every node and settles
+    /// their provenance as scheduled expiry does (a `Local` node forgets
+    /// them, an offline archive stamps them `expired`); returns the number
+    /// of tuples dropped.
     pub fn expire_all(&mut self, now: SimTime) -> usize {
         let mut dropped = 0;
-        for node in &mut self.nodes {
-            dropped += node.store.expire(now).len();
-            node.local_prov.purge_expired(now.as_micros());
+        for id in node_ids(self.nodes.len()) {
+            let expired = self.nodes[ix(id)].store.take_expired(now);
+            dropped += expired.len();
+            for (pred, _, values, meta) in expired {
+                let location = self.shared.compiled.location_of_pred(pred).flatten();
+                let row = (pred, &*values, location);
+                self.forget_provenance(id, row, "expired", meta.created_at, now);
+            }
         }
         dropped
     }
 
     /// Reactive maintenance: materialises all deferred provenance records
-    /// into the per-node graph / pointer / archive stores.  Returns how many
+    /// into the per-node pointer / archive stores.  Returns how many
     /// records were materialised.
     pub fn materialize_provenance(&mut self) -> usize {
         let mut total = 0;
@@ -1372,7 +1377,7 @@ impl DistributedEngine {
             let deferred = std::mem::take(&mut node.deferred);
             total += deferred.len();
             for record in &deferred {
-                record_provenance_graphs(&self.shared, id, node, record);
+                record_provenance(&self.shared, id, node, record);
             }
         }
         total

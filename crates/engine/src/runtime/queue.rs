@@ -10,7 +10,7 @@ use pasn_crypto::channel::ChannelHandshake;
 use pasn_crypto::says::SaysAssertion;
 use pasn_datalog::{PredId, Value};
 use pasn_net::{NodeId, SimTime};
-use pasn_provenance::{DerivationGraph, ProvTag};
+use pasn_provenance::{DistributedStore, ProvTag};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -24,10 +24,16 @@ pub(super) struct BatchRow {
     /// The node that derived / asserted the row; its principal
     /// (`principal_of(origin)`) is the asserting principal.
     pub origin: NodeId,
-    pub shipped_graph: Option<DerivationGraph>,
+    /// `GraphMode::Local` only: the sender's records reachable from the
+    /// row's key, piggybacked for the receiver to merge.
+    pub bundle: Option<Box<DistributedStore>>,
     pub is_base: bool,
     pub location_index: Option<usize>,
 }
+
+// Every effect and frame carries rows: a provenance bundle is boxed so a row
+// that ships none stays small.
+const _: () = assert!(std::mem::size_of::<BatchRow>() <= 80);
 
 impl BatchRow {
     /// A base assertion; its tag is minted when the batch is processed.
@@ -54,7 +60,7 @@ impl BatchRow {
             values,
             tag,
             origin,
-            shipped_graph: None,
+            bundle: None,
             is_base: false,
             location_index,
         }

@@ -50,8 +50,8 @@ impl<'a> NodeCtx<'a> {
 
         // Dedup identical rows before signing: a duplicate would be signed
         // and shipped only to be absorbed by the receiver's row→seq dedup
-        // map.  Tags merge with the semiring `+` and piggybacked graphs
-        // merge structurally, so no provenance is lost.  Retraction frames
+        // map.  Tags merge with the semiring `+` and piggybacked bundles
+        // merge their records, so no provenance is lost.  Retraction frames
         // are NOT deduplicated — two identical tombstones withdraw two
         // distinct supports — and neither are dynamics-run data frames: the
         // deletion ledger counts one support per arriving contribution, so
@@ -70,8 +70,8 @@ impl<'a> NodeCtx<'a> {
                     Some(&at) => {
                         let existing = &mut deduped[at];
                         existing.tag = existing.tag.plus(&row.tag, &mut *self.var_table);
-                        match (&mut existing.shipped_graph, row.shipped_graph) {
-                            (Some(g), Some(h)) => g.merge(&h),
+                        match (&mut existing.bundle, row.bundle) {
+                            (Some(mine), Some(theirs)) => mine.merge(&theirs),
                             (slot @ None, h @ Some(_)) => *slot = h,
                             _ => {}
                         }
@@ -142,16 +142,18 @@ impl<'a> NodeCtx<'a> {
             self.ship_handshake(at, dst, handshake);
         }
         // Per-tuple payload: the canonical encoding plus the provenance
-        // shipping cost (tag, and any piggybacked derivation subtree).
+        // shipping cost (tag, and any piggybacked bundle of records).
         for row in &deduped {
             let mut tuple_bytes = tuple::encoded_len_parts(pred_name, &row.values) + marker_bytes;
             let tag_bytes = row.tag.wire_size(&*self.var_table);
             self.metrics.provenance_bytes += tag_bytes as u64;
             tuple_bytes += tag_bytes;
-            if let Some(graph) = &row.shipped_graph {
-                let graph_bytes = graph.estimated_wire_size();
-                self.metrics.provenance_bytes += graph_bytes as u64;
-                tuple_bytes += graph_bytes;
+            if let Some(bundle) = &row.bundle {
+                let (buf, at) = (&mut self.node.key_buf, row.location_index);
+                let key = tuple::render_into(buf, pred_name, &row.values, at);
+                let bundle_bytes = bundle.wire_size(key);
+                self.metrics.provenance_bytes += bundle_bytes as u64;
+                tuple_bytes += bundle_bytes;
             }
             wire.push_tuple(tuple_bytes);
         }

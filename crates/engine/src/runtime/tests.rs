@@ -107,14 +107,14 @@ fn local_graph_mode_reconstructs_figure1_tree() {
     insert_figure1_links(&mut engine);
     let metrics = engine.run_to_fixpoint().unwrap();
 
-    let graph = engine.provenance_graph(&str_val("a")).unwrap();
-    let root = graph.find("reachable(@a,c)").expect("provenance recorded");
-    let tree = graph.render_tree(root);
+    let store = engine.provenance_store(&str_val("a")).unwrap();
+    assert!(!store.derivations_of("reachable(@a,c)").is_empty());
+    let tree = store.render_tree("reachable(@a,c)");
     assert!(tree.contains("union"), "{tree}");
     assert!(tree.contains("r1@a"));
     assert!(tree.contains("r2@"));
     assert!(tree.contains("link(@b,c) [base]"));
-    // Local provenance piggybacks derivation subtrees on the wire.
+    // Local provenance piggybacks each head's records on the wire.
     assert!(metrics.provenance_bytes > 0);
 }
 
@@ -154,7 +154,7 @@ fn distributed_graph_mode_supports_traceback() {
 }
 
 #[test]
-fn each_graph_mode_writes_only_its_own_store() {
+fn each_graph_mode_writes_only_its_own_records() {
     let program = parse_program(REACHABLE).unwrap();
     let run = |mode| {
         let config = EngineConfig::ndlog()
@@ -162,22 +162,62 @@ fn each_graph_mode_writes_only_its_own_store() {
             .with_graph_mode(mode);
         let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
         insert_figure1_links(&mut engine);
-        engine.run_to_fixpoint().unwrap();
-        engine
+        let metrics = engine.run_to_fixpoint().unwrap();
+        (engine, metrics.provenance_bytes)
     };
-    let pointer_entries = |engine: &DistributedEngine| -> usize {
-        let stores = engine.distributed_stores();
-        stores.values().map(|store| store.entry_count()).sum()
+    // The `recv` pointers every stored `reachable` row holds.
+    let recv_records = |engine: &DistributedEngine| -> usize {
+        let rows = engine.query_all("reachable").into_iter();
+        let records = rows.flat_map(|(at, tuple, _)| {
+            let store = engine.provenance_store(&at).unwrap();
+            store
+                .derivations_of(&tuple.render_located(Some(0)))
+                .to_vec()
+        });
+        records.filter(|d| d.rule.starts_with("recv@")).count()
     };
-    let graph_nodes = |engine: &DistributedEngine| -> usize {
-        let graph = |loc| engine.provenance_graph(&loc).unwrap().len();
-        figure1_locations().into_iter().map(graph).sum()
-    };
-    let (local, distributed) = (run(GraphMode::Local), run(GraphMode::Distributed));
-    assert!(graph_nodes(&local) > 0);
-    assert_eq!(pointer_entries(&local), 0);
-    assert!(pointer_entries(&distributed) > 0);
-    assert_eq!(graph_nodes(&distributed), 0);
+    // Local ships bundles and merges them: no `recv` pointer, every
+    // traceback stays at its own node.
+    let (local, local_bytes) = run(GraphMode::Local);
+    assert!(local_bytes > 0);
+    assert_eq!(recv_records(&local), 0);
+    let walk = local.traceback(&str_val("a"), "reachable(@a,c)");
+    assert_eq!((walk.remote_hops, walk.base_tuples.len()), (0, 3));
+    // Distributed ships no provenance and points back at each sender.
+    let (distributed, distributed_bytes) = run(GraphMode::Distributed);
+    assert_eq!(distributed_bytes, 0);
+    assert!(recv_records(&distributed) > 0);
+    let walk = distributed.traceback(&str_val("a"), "reachable(@a,c)");
+    assert!(walk.remote_hops > 0);
+}
+
+#[test]
+fn manual_expiry_forgets_the_expired_keys_of_a_local_node() {
+    let program = parse_program(REACHABLE).unwrap();
+    let config = EngineConfig::ndlog()
+        .with_cost_model(fast_cost())
+        .with_graph_mode(GraphMode::Local)
+        .with_default_ttl_us(1_000_000);
+    let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
+    insert_figure1_links(&mut engine);
+    engine.run_to_fixpoint().unwrap();
+    let store = engine.provenance_store(&str_val("a")).unwrap();
+    assert_eq!(store.derivations_of("reachable(@a,c)").len(), 2);
+    assert_eq!(store.base_support("reachable(@a,c)").len(), 3);
+    let shipped = store.derivations_of("reachable(@b,c)").len();
+    assert_eq!(shipped, 1, "merged from b's bundle");
+
+    assert!(engine.expire_all(SimTime::from_secs_f64(10.0)) > 0);
+    // The expired rows' keys are gone from the store a's rows lived in,
+    // and so is every record that used one; the hard-state links stay.
+    let store = engine.provenance_store(&str_val("a")).unwrap();
+    assert!(store.derivations_of("reachable(@a,c)").is_empty());
+    assert!(store.derivations_of("reachable(@a,b)").is_empty());
+    assert!(store
+        .why_provenance("reachable(@a,c)")
+        .witnesses()
+        .is_empty());
+    assert!(store.base_id("link(@a,c)").is_some());
 }
 
 #[test]

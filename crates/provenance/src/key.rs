@@ -1,7 +1,7 @@
 //! Compact provenance-store keys derived from tuple identities.
 //!
-//! The derivation graph and the distributed pointer store used to key their
-//! hash maps by the *rendered* tuple string (`reachable(@a,c)`), cloning it
+//! The provenance stores used to key their hash maps by the *rendered* tuple
+//! string (`reachable(@a,c)`), cloning it
 //! into every map.  A [`ProvKey`] is a stable 64-bit digest of that
 //! identity — the engine derives the rendered form from its interned
 //! `(PredId, Arc<[Value]>)` rows (lazily, only when provenance is actually
@@ -11,9 +11,7 @@
 //! The digest is FNV-1a over the rendered bytes: deterministic across runs
 //! and processes (unlike `DefaultHasher` with a random seed), so shipped
 //! provenance subtrees hash identically on every node.  Collisions are
-//! birthday-bounded (~2⁻³² at four billion distinct tuples per store); the
-//! derivation graph `debug_assert`s the stored rendered form on every
-//! digest hit so a collision cannot silently merge provenance in tests.
+//! birthday-bounded (~2⁻³² at four billion distinct tuples per store).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;

@@ -10,8 +10,8 @@
 //!
 //! | paper § | axis | module |
 //! |---|---|---|
-//! | 4.1 | local vs distributed storage | [`graph::DerivationGraph`], [`store::DistributedStore`], [`store::traceback`] |
-//! | 4.2 | online vs offline | [`graph::DerivationGraph::purge_expired`], [`store::ArchiveStore`] |
+//! | 4.1 | local vs distributed storage | [`store::DistributedStore`] pointer records in both modes: [`store::traceback_with`] across nodes, or a Local node's merged [`store::DistributedStore::bundle`]s and its own view ([`store::DistributedStore::render_tree`]) |
+//! | 4.2 | online vs offline | [`store::DistributedStore::forget`], [`store::ArchiveStore`] |
 //! | 4.3 | authenticated provenance | per-frame `says` proofs ([`pasn_crypto::says`]); the principal variables of condensed tags ([`tag::VarTable::principal_of`]), e.g. the DNSSEC chain read off a tag |
 //! | 4.4 | condensed provenance (semirings + BDDs) | [`tag::ProvTag::Condensed`], [`tag::VarTable`] |
 //! | 4.5 | quantifiable provenance (trust levels, counts, votes) | [`semiring::TrustLevel`], [`semiring::DerivationCount`], [`semiring::VoteSet`] |
@@ -19,14 +19,13 @@
 //! | 5 | sampled distributed queries (random moonwalks) | [`moonwalk`] |
 //!
 //! The engine (`pasn-engine`) calls into [`tag::ProvTag`] on every rule
-//! firing and into [`graph::DerivationGraph`] when graph-shaped provenance is
-//! enabled; the facade crate (`pasn`) exposes trust-management, diagnostics,
+//! firing and into [`store::DistributedStore`] when graph-shaped provenance
+//! is enabled; the facade crate (`pasn`) exposes trust-management, diagnostics,
 //! forensics and accountability APIs on top.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod graph;
 pub mod key;
 pub mod moonwalk;
 pub mod policy;
@@ -34,7 +33,6 @@ pub mod semiring;
 pub mod store;
 pub mod tag;
 
-pub use graph::{Derivation, DerivationGraph, NewDerivation, ProvNodeId, TupleNode};
 pub use key::ProvKey;
 pub use moonwalk::{moonwalk_with, MoonwalkConfig, MoonwalkResult, Walk};
 pub use policy::{Granularity, MaintenanceMode, SamplingPolicy};

@@ -243,6 +243,7 @@ pub fn moonwalk_with<'a>(
 mod tests {
     use super::*;
     use crate::store::PointerDerivation;
+    use pasn_crypto::PrincipalId;
     use std::collections::HashMap;
 
     /// Walks `stores` by name, the way a caller owning a map resolves them.
@@ -263,9 +264,10 @@ mod tests {
         let mut stores = HashMap::new();
         let origin = BaseTupleId(1);
         let mut s0 = DistributedStore::new("n0");
-        s0.record_base("attack(n0)", origin);
+        s0.record_base("attack(n0)", origin, PrincipalId(0));
         s0.record_derivation(
             "infected(n0)",
+            PrincipalId(0),
             PointerDerivation {
                 rule: "e1".into(),
                 antecedents: vec![AntecedentRef::Local("attack(n0)".into())],
@@ -279,9 +281,10 @@ mod tests {
             // Each node derives its infection from the previous node's
             // infection plus a local benign base tuple.
             let benign = BaseTupleId(100 + i as u64);
-            s.record_base(&format!("benign({node})"), benign);
+            s.record_base(&format!("benign({node})"), benign, PrincipalId(0));
             s.record_derivation(
                 &format!("infected({node})"),
+                PrincipalId(0),
                 PointerDerivation {
                     rule: "e2".into(),
                     antecedents: vec![
@@ -340,14 +343,19 @@ mod tests {
         let mut stores = HashMap::new();
         let origin = BaseTupleId(1);
         let mut s0 = DistributedStore::new("n0");
-        s0.record_base("attack(n0)", origin);
+        s0.record_base("attack(n0)", origin, PrincipalId(0));
         stores.insert("n0".to_string(), s0);
         for i in 1..9 {
             let node = format!("n{i}");
             let mut s = DistributedStore::new(node.clone());
-            s.record_base(&format!("benign({node})"), BaseTupleId(100 + i as u64));
+            s.record_base(
+                &format!("benign({node})"),
+                BaseTupleId(100 + i as u64),
+                PrincipalId(0),
+            );
             s.record_derivation(
                 &format!("infected({node})"),
+                PrincipalId(0),
                 PointerDerivation {
                     rule: "e1".into(),
                     antecedents: vec![

@@ -1,21 +1,26 @@
 //! Provenance storage along the paper's taxonomy axes.
 //!
-//! * **Local vs distributed** (Section 4.1): local provenance is a plain
-//!   [`DerivationGraph`](crate::graph::DerivationGraph) kept at the tuple's
-//!   final storage node (complete provenance piggybacked with each shipped
-//!   tuple); [`DistributedStore`] keeps only per-node pointer records and
-//!   reconstructs provenance on demand via a recursive traceback.
-//! * **Online vs offline** (Section 4.2): online graph entries follow the
-//!   soft-state lifetime of their tuples
-//!   ([`DerivationGraph::purge_expired`](crate::graph::DerivationGraph::purge_expired));
-//!   the [`ArchiveStore`] retains snapshots beyond expiry for forensics and
+//! * **Local vs distributed** (Section 4.1): both modes keep the same
+//!   pointer records in a per-node [`DistributedStore`]; they differ in
+//!   *where* the records live.  A distributed node records what it derived
+//!   and points at the node each remote antecedent came from, so
+//!   reconstructing provenance is a [`traceback_with`] across nodes.  A
+//!   local node merges the [`bundle`](DistributedStore::bundle) piggybacked
+//!   on every tuple it receives, so its store is locally complete: the same
+//!   walk, and the store's own view ([`DistributedStore::why_provenance`],
+//!   [`DistributedStore::render_tree`]), never leave it.
+//! * **Online vs offline** (Section 4.2): a local node
+//!   [forgets](DistributedStore::forget) a tuple that dies; the
+//!   [`ArchiveStore`] retains snapshots beyond expiry for forensics and
 //!   accountability, with an age-out policy.
 
 use crate::key::{DigestMap, DigestSet, ProvKey};
-use crate::semiring::BaseTupleId;
+use crate::semiring::{BaseTupleId, Semiring, WhyProvenance};
+use pasn_crypto::PrincipalId;
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write;
 use std::sync::Arc;
 
 /// A reference to an antecedent held by a [`DistributedStore`].  Keys and
@@ -35,29 +40,49 @@ pub enum AntecedentRef {
     },
 }
 
+impl AntecedentRef {
+    /// The antecedent's tuple key, wherever it lives.
+    pub fn key(&self) -> &str {
+        match self {
+            AntecedentRef::Local(key) | AntecedentRef::Remote { key, .. } => key,
+        }
+    }
+}
+
 /// A pointer-style derivation record: enough to reconstruct provenance on
 /// demand, at the cost of a distributed query (the IP-traceback analogy of
 /// Section 4.1).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PointerDerivation {
-    /// Rule that fired (shared with every record of the rule).
+    /// The rule that fired and the node it fired at, `rule@node` (e.g.
+    /// `r2@n1`; shared with every record of the rule at that node).
     pub rule: Arc<str>,
     /// Antecedents, local or remote.
     pub antecedents: Vec<AntecedentRef>,
 }
 
-/// A per-node *distributed* provenance store.
+/// The records of one derived key.
+#[derive(Clone, Debug)]
+struct Derived {
+    /// The principal of the node that fired the key's first recorded
+    /// derivation: who a rendered tree says the key.
+    speaker: PrincipalId,
+    derivations: Vec<PointerDerivation>,
+}
+
+/// A per-node provenance store of pointer records, in either graph mode.
 ///
 /// Entries are keyed by derived [`ProvKey`]s (64-bit digests of the tuple
 /// identity) rather than cloned rendered strings; the rendered form only
-/// travels inside [`AntecedentRef`]s, where traceback needs it for display
-/// and cross-node routing.
+/// travels inside [`AntecedentRef`]s, where a walk needs it for display and
+/// cross-node routing.
 #[derive(Clone, Debug, Default)]
 pub struct DistributedStore {
     /// This node's name (matches tuple locations).
     pub node: String,
-    entries: DigestMap<ProvKey, Vec<PointerDerivation>>,
-    bases: DigestMap<ProvKey, BaseTupleId>,
+    entries: DigestMap<ProvKey, Derived>,
+    /// Base tuples, each with the principal that asserted it.
+    bases: DigestMap<ProvKey, (BaseTupleId, PrincipalId)>,
 }
 
 impl DistributedStore {
@@ -65,22 +90,37 @@ impl DistributedStore {
     pub fn new(node: impl Into<String>) -> Self {
         DistributedStore {
             node: node.into(),
-            entries: DigestMap::default(),
-            bases: DigestMap::default(),
+            ..Self::default()
         }
     }
 
-    /// Records a base tuple stored at this node.
-    pub fn record_base(&mut self, key: &str, id: BaseTupleId) {
-        self.bases.insert(ProvKey::from_rendered(key), id);
+    /// Records a base tuple stored at this node, asserted by `speaker`.
+    pub fn record_base(&mut self, key: &str, id: BaseTupleId, speaker: PrincipalId) {
+        self.bases
+            .insert(ProvKey::from_rendered(key), (id, speaker));
     }
 
-    /// Records one derivation of `key` at this node.
-    pub fn record_derivation(&mut self, key: &str, derivation: PointerDerivation) {
-        let entry = self.entries.entry(ProvKey::from_rendered(key)).or_default();
-        if !entry.contains(&derivation) {
-            entry.push(derivation);
+    /// Records one derivation of `key` at this node, made by `speaker`'s
+    /// node; a derivation already recorded is not recorded twice.
+    pub fn record_derivation(
+        &mut self,
+        key: &str,
+        speaker: PrincipalId,
+        derivation: PointerDerivation,
+    ) {
+        let digest = ProvKey::from_rendered(key);
+        let derivations = &mut self.derived(digest, speaker).derivations;
+        if !derivations.contains(&derivation) {
+            derivations.push(derivation);
         }
+    }
+
+    /// The records of `key`, created empty with `speaker` if there are none.
+    fn derived(&mut self, key: ProvKey, speaker: PrincipalId) -> &mut Derived {
+        self.entries.entry(key).or_insert_with(|| Derived {
+            speaker,
+            derivations: Vec::new(),
+        })
     }
 
     /// Derivations of a locally stored tuple.
@@ -91,7 +131,7 @@ impl DistributedStore {
     /// [`DistributedStore::derivations_of`] for a caller that already holds
     /// the key's digest.
     pub fn derivations_at(&self, key: ProvKey) -> &[PointerDerivation] {
-        self.entries.get(&key).map_or(&[], Vec::as_slice)
+        self.entries.get(&key).map_or(&[], |d| &d.derivations)
     }
 
     /// True if `key` is a base tuple at this node.
@@ -102,12 +142,191 @@ impl DistributedStore {
     /// [`DistributedStore::base_id`] for a caller that already holds the
     /// key's digest.
     pub fn base_at(&self, key: ProvKey) -> Option<BaseTupleId> {
-        self.bases.get(&key).copied()
+        self.bases.get(&key).map(|&(id, _)| id)
     }
 
     /// Number of stored pointer records (per-node storage overhead metric).
     pub fn entry_count(&self) -> usize {
-        self.entries.values().map(Vec::len).sum::<usize>() + self.bases.len()
+        let derivations = self.entries.values().map(|d| d.derivations.len());
+        derivations.sum::<usize>() + self.bases.len()
+    }
+
+    /// Forgets `key` (a tuple that died here): its records and base go, and
+    /// so does every record that names it as an antecedent.  Returns `false`
+    /// when the store held nothing of it.  Local mode forgets; a distributed
+    /// store keeps its records, so a moonwalk still explains a dead tuple.
+    pub fn forget(&mut self, key: &str) -> bool {
+        let digest = ProvKey::from_rendered(key);
+        let mut forgot = self.entries.remove(&digest).is_some();
+        forgot |= self.bases.remove(&digest).is_some();
+        for derived in self.entries.values_mut() {
+            let before = derived.derivations.len();
+            let uses = |d: &PointerDerivation| d.antecedents.iter().any(|a| a.key() == key);
+            derived.derivations.retain(|d| !uses(d));
+            forgot |= derived.derivations.len() != before;
+        }
+        forgot
+    }
+
+    /// Visits every key reachable from `root` through this store's records,
+    /// `root` included, once each, with its digest and rendered form.
+    fn reach<'a>(&'a self, root: &'a str, mut visit: impl FnMut(ProvKey, &'a str)) {
+        let mut seen = DigestSet::default();
+        let mut stack = vec![root];
+        while let Some(key) = stack.pop() {
+            let digest = ProvKey::from_rendered(key);
+            if seen.insert(digest) {
+                visit(digest, key);
+                let antecedents = self
+                    .derivations_at(digest)
+                    .iter()
+                    .flat_map(|d| &d.antecedents);
+                stack.extend(antecedents.map(AntecedentRef::key));
+            }
+        }
+    }
+
+    /// The records reachable from `key`, as a store of their own: what a
+    /// Local node piggybacks on the tuple it ships (Section 4.1), and what
+    /// the receiver [`merge`](DistributedStore::merge)s.  `None` when this
+    /// store holds nothing of `key`.
+    pub fn bundle(&self, key: &str) -> Option<DistributedStore> {
+        let digest = ProvKey::from_rendered(key);
+        if !self.entries.contains_key(&digest) && !self.bases.contains_key(&digest) {
+            return None;
+        }
+        let mut bundle = DistributedStore::default();
+        self.reach(key, |digest, _| {
+            if let Some(&base) = self.bases.get(&digest) {
+                bundle.bases.insert(digest, base);
+            }
+            if let Some(derived) = self.entries.get(&digest) {
+                bundle.entries.insert(digest, derived.clone());
+            }
+        });
+        Some(bundle)
+    }
+
+    /// Merges every record of `other` into this store: a received bundle
+    /// extends a Local node's locally complete provenance.  A base record
+    /// takes `other`'s speaker; a derived key keeps the speaker it had.
+    pub fn merge(&mut self, other: &DistributedStore) {
+        self.bases.extend(&other.bases);
+        for (&digest, theirs) in &other.entries {
+            let derivations = &mut self.derived(digest, theirs.speaker).derivations;
+            for derivation in &theirs.derivations {
+                if !derivations.contains(derivation) {
+                    derivations.push(derivation.clone());
+                }
+            }
+        }
+    }
+
+    /// Wire size (bytes) of shipping the records reachable from `root` with
+    /// the tuple: each key costs its rendered length plus 12 bytes of
+    /// metadata, each record its `rule@node` label, 3 bytes and 4 per
+    /// antecedent.  Charged to `provenance_bytes` when a Local frame seals
+    /// (pinned by the local-vs-distributed claim in `tests/optimizations.rs`).
+    pub fn wire_size(&self, root: &str) -> usize {
+        let mut size = 0;
+        self.reach(root, |digest, key| {
+            size += key.len() + 12;
+            for d in self.derivations_at(digest) {
+                size += d.rule.len() + 3 + 4 * d.antecedents.len();
+            }
+        });
+        size
+    }
+
+    /// The why-provenance of `key` over this store alone: minimal witness
+    /// sets over base tuples.  A cycle is cut at its first revisit (a
+    /// revisit cannot add a new minimal witness).
+    pub fn why_provenance(&self, key: &str) -> WhyProvenance {
+        self.why_at(ProvKey::from_rendered(key), &mut DigestSet::default())
+    }
+
+    fn why_at(&self, key: ProvKey, visiting: &mut DigestSet<ProvKey>) -> WhyProvenance {
+        if let Some(base) = self.base_at(key) {
+            return WhyProvenance::base(base);
+        }
+        let derivations = self.derivations_at(key);
+        if derivations.is_empty() || !visiting.insert(key) {
+            return WhyProvenance::zero();
+        }
+        let mut acc = WhyProvenance::zero();
+        for d in derivations {
+            let mut term = WhyProvenance::one();
+            for a in &d.antecedents {
+                term = term.times(&self.why_at(ProvKey::from_rendered(a.key()), visiting));
+            }
+            acc = acc.plus(&term);
+        }
+        visiting.remove(&key);
+        acc
+    }
+
+    /// The set of base tuples `key` ultimately depends on, by this store.
+    pub fn base_support(&self, key: &str) -> BTreeSet<BaseTupleId> {
+        self.why_provenance(key).support()
+    }
+
+    /// Renders the derivation tree rooted at `key` in the style of Figure 1:
+    /// every key with its speaker, a `union` over alternative derivations,
+    /// each derivation by its `rule@node`, base tuples as leaves.
+    pub fn render_tree(&self, key: &str) -> String {
+        let mut out = String::new();
+        self.render_at(key, "", None, &mut out, &mut DigestSet::default());
+        out
+    }
+
+    /// Renders `key` and, unless it is already on the path above, its
+    /// derivations.  `last` is `None` at the root, else whether `key` is its
+    /// derivation's last antecedent.
+    fn render_at(
+        &self,
+        key: &str,
+        prefix: &str,
+        last: Option<bool>,
+        out: &mut String,
+        path: &mut DigestSet<ProvKey>,
+    ) {
+        let digest = ProvKey::from_rendered(key);
+        let (connector, child_prefix) = match last {
+            None => (String::new(), String::new()),
+            Some(true) => (format!("{prefix}└─ "), format!("{prefix}   ")),
+            Some(false) => (format!("{prefix}├─ "), format!("{prefix}│  ")),
+        };
+        let base = self.bases.get(&digest);
+        let kind = if base.is_some() { " [base]" } else { "" };
+        let derived = self.entries.get(&digest);
+        let speaker = base.map(|&(_, p)| p).or(derived.map(|d| d.speaker));
+        let by = speaker.map(|p| format!(" ({p} says)")).unwrap_or_default();
+        let _ = writeln!(out, "{connector}{key}{kind}{by}");
+        if !path.insert(digest) {
+            let _ = writeln!(out, "{child_prefix}└─ (see above)");
+            return;
+        }
+        let derivations = self.derivations_at(digest);
+        let mut deriv_prefix = child_prefix;
+        if derivations.len() > 1 {
+            let _ = writeln!(out, "{deriv_prefix}└─ union");
+            deriv_prefix.push_str("   ");
+        }
+        for (di, d) in derivations.iter().enumerate() {
+            let last_d = di + 1 == derivations.len();
+            let (d_connector, indent) = if last_d {
+                ("└─", "   ")
+            } else {
+                ("├─", "│  ")
+            };
+            let _ = writeln!(out, "{deriv_prefix}{d_connector} {}", d.rule);
+            let next_prefix = format!("{deriv_prefix}{indent}");
+            for (ai, a) in d.antecedents.iter().enumerate() {
+                let last_a = ai + 1 == d.antecedents.len();
+                self.render_at(a.key(), &next_prefix, Some(last_a), out, path);
+            }
+        }
+        path.remove(&digest);
     }
 }
 
@@ -434,46 +653,171 @@ impl ArchiveStore {
 mod tests {
     use super::*;
 
+    const P0: PrincipalId = PrincipalId(0);
+
+    fn pointer(rule: &str, antecedents: Vec<AntecedentRef>) -> PointerDerivation {
+        let rule = rule.into();
+        PointerDerivation { rule, antecedents }
+    }
+
+    fn local(key: &str) -> AntecedentRef {
+        AntecedentRef::Local(key.into())
+    }
+
     fn pointer_stores() -> HashMap<String, DistributedStore> {
         // reachable(@a,c) derived at a from link(@a,b) [local] and
         // reachable(@b,c) [remote at b]; reachable(@b,c) derived at b from
         // link(@b,c) [local base].
         let mut a = DistributedStore::new("a");
-        a.record_base("link(@a,b)", BaseTupleId(1));
-        a.record_base("link(@a,c)", BaseTupleId(2));
-        a.record_derivation(
-            "reachable(@a,c)",
-            PointerDerivation {
-                rule: "r2".into(),
-                antecedents: vec![
-                    AntecedentRef::Local("link(@a,b)".into()),
-                    AntecedentRef::Remote {
-                        location: "b".into(),
-                        key: "reachable(@b,c)".into(),
-                    },
-                ],
-            },
-        );
-        a.record_derivation(
-            "reachable(@a,c)",
-            PointerDerivation {
-                rule: "r1".into(),
-                antecedents: vec![AntecedentRef::Local("link(@a,c)".into())],
-            },
-        );
+        a.record_base("link(@a,b)", BaseTupleId(1), P0);
+        a.record_base("link(@a,c)", BaseTupleId(2), P0);
+        let remote = AntecedentRef::Remote {
+            location: "b".into(),
+            key: "reachable(@b,c)".into(),
+        };
+        let r2 = pointer("r2@a", vec![local("link(@a,b)"), remote]);
+        a.record_derivation("reachable(@a,c)", P0, r2);
+        let r1 = pointer("r1@a", vec![local("link(@a,c)")]);
+        a.record_derivation("reachable(@a,c)", P0, r1);
         let mut b = DistributedStore::new("b");
-        b.record_base("link(@b,c)", BaseTupleId(3));
-        b.record_derivation(
-            "reachable(@b,c)",
-            PointerDerivation {
-                rule: "r1".into(),
-                antecedents: vec![AntecedentRef::Local("link(@b,c)".into())],
-            },
-        );
+        let p1 = PrincipalId(1);
+        b.record_base("link(@b,c)", BaseTupleId(3), p1);
+        let r1 = pointer("r1@b", vec![local("link(@b,c)")]);
+        b.record_derivation("reachable(@b,c)", p1, r1);
         let mut stores = HashMap::new();
         stores.insert("a".to_string(), a);
         stores.insert("b".to_string(), b);
         stores
+    }
+
+    /// The Figure 1 records of reachable(@a,c), all at one Local node:
+    ///   r1: reachable(@a,c) :- link(@a,c)
+    ///   r2: reachable(@a,c) :- link(@a,b), reachable(@b,c)
+    ///   r1: reachable(@b,c) :- link(@b,c)
+    fn figure1() -> DistributedStore {
+        let mut s = DistributedStore::new("a");
+        s.record_base("link(@a,b)", BaseTupleId(1), P0);
+        s.record_base("link(@a,c)", BaseTupleId(2), P0);
+        s.record_base("link(@b,c)", BaseTupleId(3), PrincipalId(1));
+        let r1 = pointer("r1@b", vec![local("link(@b,c)")]);
+        s.record_derivation("reachable(@b,c)", PrincipalId(1), r1);
+        let r1 = pointer("r1@a", vec![local("link(@a,c)")]);
+        s.record_derivation("reachable(@a,c)", P0, r1);
+        let r2 = pointer("r2@a", vec![local("link(@a,b)"), local("reachable(@b,c)")]);
+        s.record_derivation("reachable(@a,c)", P0, r2);
+        s
+    }
+
+    #[test]
+    fn figure1_records_shape() {
+        let s = figure1();
+        assert_eq!(s.entry_count(), 6, "3 bases, 3 derivations");
+        let root = s.derivations_of("reachable(@a,c)");
+        assert_eq!(root.len(), 2, "union of r1 and r2");
+        assert_eq!(s.base_id("reachable(@a,c)"), None);
+        assert_eq!(s.base_id("link(@a,b)"), Some(BaseTupleId(1)));
+    }
+
+    #[test]
+    fn figure1_why_provenance_and_support() {
+        let s = figure1();
+        let why = s.why_provenance("reachable(@a,c)");
+        // reachable(@a,c) = link(a,c) + link(a,b)*link(b,c)
+        assert_eq!(why.witnesses().len(), 2);
+        assert_eq!(s.base_support("reachable(@a,c)").len(), 3);
+    }
+
+    #[test]
+    fn render_tree_shows_union_rules_and_leaves() {
+        let tree = figure1().render_tree("reachable(@a,c)");
+        assert!(tree.starts_with("reachable(@a,c)"));
+        assert!(tree.contains("union"));
+        assert!(tree.contains("r1@a"));
+        assert!(tree.contains("r2@a"));
+        assert!(tree.contains("link(@a,b) [base]"));
+        assert!(tree.contains("reachable(@b,c)"));
+        assert!(tree.contains("(p0 says)"));
+    }
+
+    #[test]
+    fn cycles_are_cut_not_looped() {
+        let mut s = DistributedStore::new("a");
+        s.record_base("link(@a,b)", BaseTupleId(1), P0);
+        // Mutual recursion: p depends on q, q depends on p (plus a base).
+        s.record_derivation("p(a)", P0, pointer("r1@a", vec![local("q(a)")]));
+        let r2 = pointer("r2@a", vec![local("p(a)"), local("link(@a,b)")]);
+        s.record_derivation("q(a)", P0, r2);
+        // No derivation grounded purely in base tuples exists for p.
+        assert_eq!(s.why_provenance("p(a)"), WhyProvenance::zero());
+        // Rendering terminates.
+        assert!(s.render_tree("p(a)").contains("(see above)"));
+    }
+
+    #[test]
+    fn duplicate_derivations_are_not_recorded_twice() {
+        let mut s = DistributedStore::new("a");
+        s.record_base("link(@a,b)", BaseTupleId(1), P0);
+        for _ in 0..3 {
+            let r1 = pointer("r1@a", vec![local("link(@a,b)")]);
+            s.record_derivation("reachable(@a,b)", P0, r1);
+        }
+        assert_eq!(s.derivations_of("reachable(@a,b)").len(), 1);
+    }
+
+    #[test]
+    fn forget_drops_the_tuple_and_its_uses() {
+        let mut s = figure1();
+        // Forgetting link(@a,c) removes the direct r1 derivation of
+        // reachable(@a,c); the r2 path through b survives.
+        assert!(s.forget("link(@a,c)"));
+        assert_eq!(s.base_id("link(@a,c)"), None);
+        let root = s.derivations_of("reachable(@a,c)");
+        assert_eq!(root.len(), 1);
+        assert_eq!(&*root[0].rule, "r2@a");
+        assert_eq!(s.why_provenance("reachable(@a,c)").witnesses().len(), 1);
+        // Unknown keys are a no-op.
+        assert!(!s.forget("no-such-tuple"));
+    }
+
+    #[test]
+    fn bundle_and_merge_make_a_node_locally_complete() {
+        let s = figure1();
+        // The bundle of reachable(@a,c) holds every record Figure 1 shows.
+        let bundle = s.bundle("reachable(@a,c)").expect("derived");
+        assert_eq!(bundle.entry_count(), 6);
+        // Keys: 5 of them, each its length + 12; records: label + 3 + 4 per
+        // antecedent.
+        let keys = "reachable(@a,c)link(@a,c)link(@a,b)reachable(@b,c)link(@b,c)";
+        let records = (4 + 3 + 4) * 2 + (4 + 3 + 8);
+        assert_eq!(
+            bundle.wire_size("reachable(@a,c)"),
+            keys.len() + 5 * 12 + records
+        );
+
+        // A fresh node that only knows its own base tuple merges the shipped
+        // bundle and ends up with locally complete provenance.
+        let mut receiver = DistributedStore::new("d");
+        receiver.record_base("link(@d,a)", BaseTupleId(7), PrincipalId(3));
+        receiver.merge(&bundle);
+        let why = receiver.why_provenance("reachable(@a,c)");
+        assert_eq!(why, s.why_provenance("reachable(@a,c)"));
+        let tree = receiver.render_tree("reachable(@a,c)");
+        assert_eq!(tree, s.render_tree("reachable(@a,c)"));
+        // Merging twice is idempotent.
+        let before = receiver.entry_count();
+        receiver.merge(&bundle);
+        assert_eq!(receiver.entry_count(), before);
+    }
+
+    #[test]
+    fn an_underived_key_has_no_bundle() {
+        let mut s = DistributedStore::new("a");
+        s.record_derivation("p(a)", P0, pointer("r@a", vec![local("q(a)")]));
+        // q(a) is only named as an antecedent: nothing to ship.
+        assert!(s.bundle("q(a)").is_none());
+        let bundle = s.bundle("p(a)").expect("derived");
+        assert_eq!(bundle.derivations_of("p(a)").len(), 1);
+        assert_eq!(bundle.wire_size("p(a)"), 4 + 12 + 4 + 12 + 3 + 3 + 4);
     }
 
     #[test]
@@ -507,13 +851,10 @@ mod tests {
     #[test]
     fn distributed_store_deduplicates_and_counts_entries() {
         let mut s = DistributedStore::new("a");
-        let d = PointerDerivation {
-            rule: "r1".into(),
-            antecedents: vec![AntecedentRef::Local("x".into())],
-        };
-        s.record_derivation("p", d.clone());
-        s.record_derivation("p", d);
-        s.record_base("x", BaseTupleId(9));
+        let d = pointer("r1@a", vec![local("x")]);
+        s.record_derivation("p", P0, d.clone());
+        s.record_derivation("p", P0, d);
+        s.record_base("x", BaseTupleId(9), P0);
         assert_eq!(s.derivations_of("p").len(), 1);
         assert_eq!(s.entry_count(), 2);
         assert_eq!(s.base_id("x"), Some(BaseTupleId(9)));

@@ -10,6 +10,7 @@
 //! pointers to absent nodes and to keys nobody recorded — that the results
 //! are equal field for field, `visited` order included.
 
+use pasn_crypto::PrincipalId;
 use pasn_provenance::{
     moonwalk_with, traceback, traceback_with, AntecedentRef, BaseTupleId, DistributedStore,
     MoonwalkConfig, MoonwalkResult, PointerDerivation, TracebackResult, Walk,
@@ -39,7 +40,7 @@ fn file_record(stores: &mut HashMap<String, DistributedStore>, word: u64) {
         .entry(node.clone())
         .or_insert_with(|| DistributedStore::new(node));
     if (word >> 4).is_multiple_of(4) {
-        store.record_base(&key, BaseTupleId((word >> 12) % 8));
+        store.record_base(&key, BaseTupleId((word >> 12) % 8), PrincipalId(0));
         return;
     }
     let antecedents = (0..(word >> 16) % 4)
@@ -56,7 +57,8 @@ fn file_record(stores: &mut HashMap<String, DistributedStore>, word: u64) {
         })
         .collect();
     let rule = format!("r{}", (word >> 56) % 3).into();
-    store.record_derivation(&key, PointerDerivation { rule, antecedents });
+    let derivation = PointerDerivation { rule, antecedents };
+    store.record_derivation(&key, PrincipalId(0), derivation);
 }
 
 fn graph(records: &[u64]) -> HashMap<String, DistributedStore> {

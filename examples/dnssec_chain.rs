@@ -12,7 +12,7 @@ use pasn_overlay::dns::{ds, resolver, DnsDeployment, ZoneTree};
 use pasn_overlay::retract;
 
 fn deploy(tree: &ZoneTree) -> DnsDeployment {
-    // Per-frame RSA `says`, condensed tags, piggybacked derivation graphs.
+    // Per-frame RSA `says`, condensed tags, piggybacked provenance records.
     let config = EngineConfig::sendlog_prov().with_graph_mode(GraphMode::Local);
     tree.deploy(config).expect("hierarchy deploys")
 }
@@ -42,9 +42,10 @@ fn main() {
         let (address, tag) = (res.address, res.tag.render(dns.net.var_table()));
         println!("{name} -> {address:#010x} via {:?}, tag {tag}", res.chain);
         // The answer's provenance tree, rooted at the trust anchor.
-        let graph = dns.net.provenance_graph(&resolver()).expect("graph mode");
-        let answer = graph.find(&format!("resolved(n0,{name},{address})"));
-        println!("{}", graph.render_tree(answer.expect("answer node")));
+        let store = dns.net.provenance_store(&resolver()).expect("graph mode");
+        let answer = format!("resolved(n0,{name},{address})");
+        assert!(!store.derivations_of(&answer).is_empty(), "answer derived");
+        println!("{}", store.render_tree(&answer));
     }
 
     // Trust management over the stored tag: the answer stands only while

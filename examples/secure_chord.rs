@@ -15,7 +15,7 @@ fn main() {
     println!("== secure Chord routing as authenticated provenance ==\n");
     println!("{}", pasn::programs::CHORD);
 
-    // Per-frame HMAC `says`, condensed tags, piggybacked derivation graphs:
+    // Per-frame HMAC `says`, condensed tags, piggybacked provenance records:
     // the engine's knobs.  The ring only says who sits where.
     let ring = Ring::build(ChordConfig {
         nodes: 24,
@@ -66,9 +66,10 @@ fn main() {
     );
     let at = Value::Addr(reader);
     let (row, _) = stable.net.query(&at, "value").pop().expect("value row");
-    let graph = stable.net.provenance_graph(&at).expect("graph mode");
-    let root = graph.find(&row.to_string()).expect("value node");
-    println!("\n{}", graph.render_tree(root));
+    let store = stable.net.provenance_store(&at).expect("graph mode");
+    let root = row.to_string();
+    assert!(!store.derivations_of(&root).is_empty(), "value derived");
+    println!("\n{}", store.render_tree(&root));
 
     // Trust management over the stored tag: enough distinct principals took
     // part, and the answer stands only while every one of them is trusted.

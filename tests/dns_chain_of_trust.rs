@@ -175,10 +175,10 @@ fn resolution_graph_has_one_delegation_step_per_zone() {
     let [cleartext, ..] = levels();
     let (dns, _) = run(&hierarchy(), cleartext.with_graph_mode(GraphMode::Local));
     let res = dns.resolve("www.example.org").unwrap();
-    let graph = dns.net.provenance_graph(&resolver()).unwrap();
+    let store = dns.net.provenance_store(&resolver()).unwrap();
     let answer = format!("resolved(n0,www.example.org,{})", res.address);
-    let answer = graph.find(&answer).unwrap();
-    let rendered = graph.render_tree(answer);
+    assert!(!store.derivations_of(&answer).is_empty());
+    let rendered = store.render_tree(&answer);
     // Two delegations (root→org, org→example.org), the anchored root and
     // the final answer.
     assert_eq!(rendered.matches("d5@").count(), 2, "{rendered}");
@@ -189,7 +189,7 @@ fn resolution_graph_has_one_delegation_step_per_zone() {
     // serves, per delegation its endorsement, and the record.
     let (_, anchor, _) = &dns.net.query_all("anchor")[0];
     let anchor = BaseTupleId(anchor.key_hash());
-    let why = graph.why_provenance(answer);
+    let why = store.why_provenance(&answer);
     assert!(!why.witnesses().is_empty());
     for witness in why.witnesses() {
         assert!(witness.contains(&anchor));

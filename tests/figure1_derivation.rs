@@ -23,27 +23,28 @@ fn figure1_network(config: EngineConfig) -> SecureNetwork {
 fn reachable_a_c_has_the_two_derivations_of_figure1() {
     let net = figure1_network(EngineConfig::ndlog());
     let a = Value::Addr(0);
-    let graph = net
-        .provenance_graph(&a)
+    let store = net
+        .provenance_store(&a)
         .expect("local provenance maintained");
-    let root = graph
-        .find("reachable(@n0,n2)")
-        .expect("reachable(a,c) derived at a");
+    let root = "reachable(@n0,n2)";
 
     // Two alternative derivations: r1 over link(a,c) and r2 over link(a,b)
-    // joined with reachable(b,c).
-    let node = graph.node(root);
-    assert_eq!(node.derivations.len(), 2, "union of r1 and r2");
-    let rules: Vec<&str> = node.derivations.iter().map(|d| d.rule.as_str()).collect();
+    // joined with reachable(b,c).  A record's rule reads `rule@node`.
+    let derivations = store.derivations_of(root);
+    assert_eq!(derivations.len(), 2, "union of r1 and r2");
+    let rules: Vec<&str> = derivations
+        .iter()
+        .map(|d| d.rule.split('@').next().unwrap_or_default())
+        .collect();
     assert!(rules.contains(&"r1"));
     assert!(rules.contains(&"r2"));
 
     // The leaves are exactly the three base links of the example network.
-    let support = graph.base_support(root);
+    let support = store.base_support(root);
     assert_eq!(support.len(), 3);
 
     // The rendered tree shows the union and the base tuples, like Figure 1.
-    let tree = graph.render_tree(root);
+    let tree = store.render_tree(root);
     assert!(tree.contains("union"), "{tree}");
     assert!(tree.contains("link(@n0,n2) [base]"), "{tree}");
     assert!(tree.contains("link(@n0,n1) [base]"), "{tree}");
@@ -56,14 +57,15 @@ fn every_node_gets_locally_complete_provenance() {
     let net = figure1_network(EngineConfig::ndlog());
     // Node a reaches b and c; both tuples have complete local provenance.
     let a = Value::Addr(0);
-    let graph = net.provenance_graph(&a).unwrap();
+    let store = net.provenance_store(&a).unwrap();
     for (tuple, _) in net.query(&a, "reachable") {
         let key = tuple.render_located(Some(0));
-        let id = graph
-            .find(&key)
-            .unwrap_or_else(|| panic!("missing provenance for {key}"));
         assert!(
-            !graph.base_support(id).is_empty(),
+            !store.derivations_of(&key).is_empty(),
+            "missing provenance for {key}"
+        );
+        assert!(
+            !store.base_support(&key).is_empty(),
             "{key} grounded in base tuples"
         );
     }
@@ -90,7 +92,8 @@ fn reachability_results_match_the_example_topology() {
 /// The SeNDlog form of the same query: the rules of an `At S:` block name
 /// their antecedents without an `@` column, and a base tuple is recorded
 /// under the identity its predicate is declared with — so a traceback, or a
-/// local graph, of a context-block program grounds out like the NDlog one.
+/// local store's view, of a context-block program grounds out like the NDlog
+/// one.
 #[test]
 fn sendlog_provenance_grounds_out_in_both_graph_modes() {
     let network = |mode| {
@@ -112,9 +115,9 @@ fn sendlog_provenance_grounds_out_in_both_graph_modes() {
         let report = pasn::forensics::investigate(&distributed, &location, &key);
         assert!(report.has_origin(), "{key}: {:?}", report.traceback);
         assert!(report.traceback.unresolved.is_empty(), "{key}");
-        let graph = local.provenance_graph(&location).unwrap();
-        let root = graph.find(&key).expect("derived here too");
-        assert!(!graph.why_provenance(root).witnesses().is_empty(), "{key}");
-        assert_eq!(graph.base_support(root), report.traceback.base_tuples);
+        let store = local.provenance_store(&location).unwrap();
+        assert!(!store.derivations_of(&key).is_empty(), "derived here too");
+        assert!(!store.why_provenance(&key).witnesses().is_empty(), "{key}");
+        assert_eq!(store.base_support(&key), report.traceback.base_tuples);
     }
 }

@@ -90,16 +90,23 @@ fn local_graphs_ship_provenance_and_answer_without_remote_hops() {
         (227_595, 0)
     );
 
-    // Local: n0's own graph answers, no other node is asked.
-    let graph = local.provenance_graph(&n0).expect("n0 is deployed");
-    let local_support = graph.base_support(graph.find(TARGET).expect("derived at n0"));
+    // Local: n0's own store answers, no other node is asked.
+    let store = local.provenance_store(&n0).expect("n0 is deployed");
+    assert!(!store.derivations_of(TARGET).is_empty(), "derived at n0");
+    let local_support = store.base_support(TARGET);
+    // The same traceback over the Local deployment never leaves n0's store
+    // (Section 4.1: local provenance answers without a distributed query).
+    let at_n0 = local.engine().traceback(&n0, TARGET);
+    assert_eq!(at_n0.remote_hops, 0);
+    assert!(at_n0.base_tuples.is_superset(&local_support));
     // Distributed: the same question is a traceback across the stores.
     let traceback = dist.engine().traceback(&n0, TARGET);
     let walked = (traceback.visited.len(), traceback.remote_hops);
     assert_eq!(walked, (77, 48));
     assert_eq!((local_support.len(), traceback.base_tuples.len()), (9, 24));
-    // Both the local graph and a tag are firing-time snapshots, so the local
-    // answer is a subset of what the traceback finds, not necessarily equal.
+    // Both the local records and a tag are firing-time snapshots, so the
+    // local answer is a subset of what the traceback finds, not necessarily
+    // equal.
     assert!(local_support.is_subset(&traceback.base_tuples));
     let (why, _) = deploy(
         EngineConfig::ndlog().with_provenance(ProvenanceKind::Why),
@@ -248,15 +255,21 @@ fn online_provenance_follows_soft_state_lifetimes() {
     let (mut net, _) = deploy(config, 6, 2);
 
     let loc = Value::Addr(0);
-    let live_before = net.query(&loc, "reachable").len();
-    assert!(live_before > 0);
-    let graph_before = net.provenance_graph(&loc).unwrap().len();
-    assert!(graph_before > 0);
+    let live = net.query(&loc, "reachable").into_iter();
+    let live: Vec<String> = live.map(|(t, _)| t.render_located(Some(0))).collect();
+    assert!(!live.is_empty());
+    let records_before = net.provenance_store(&loc).unwrap().entry_count();
+    assert!(records_before > 0);
 
     // After the TTL passes, both the tuples and their online provenance are
     // gone; base links (hard state) survive.
     let dropped = net.expire(SimTime::from_secs_f64(30.0));
-    assert!(dropped >= live_before);
+    assert!(dropped >= live.len());
     assert_eq!(net.query(&loc, "reachable").len(), 0);
     assert!(!net.query(&loc, "link").is_empty());
+    let store = net.provenance_store(&loc).unwrap();
+    assert!(store.entry_count() < records_before);
+    for key in &live {
+        assert!(store.derivations_of(key).is_empty(), "{key} forgotten");
+    }
 }
