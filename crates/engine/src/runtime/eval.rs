@@ -37,11 +37,14 @@ pub(super) struct DerivationRecord {
     pub head_key: Arc<str>,
     /// The rule's label, as an index into [`EvalShared::labels`].
     pub rule: u32,
-    /// Rendered antecedent keys with the node each one lives at.
+    /// Rendered antecedent keys with the node each one lives at.  Empty
+    /// for a `recv` pointer, whose one antecedent is the head itself at
+    /// the speaker.
     pub antecedents: Vec<(Arc<str>, NodeId)>,
-    /// The principal that says the head: the firing node's, or for a
-    /// `recv` pointer the sender's.
-    pub speaker: PrincipalId,
+    /// The node whose principal says the head: the recording node for a
+    /// rule firing, the sender for a `recv` pointer.  So a record spoken by
+    /// another node is a `recv` pointer, whatever the rules are labelled.
+    pub speaker: NodeId,
     pub at: SimTime,
 }
 
@@ -485,26 +488,17 @@ impl<'a> NodeCtx<'a> {
             && row.origin != self.id
             && sampled_in(&shared.config.sampling, pred_name, &row.values)
         {
-            let tuple_key: Arc<str> =
-                tuple::render_into(&mut node.key_buf, pred_name, values, location).into();
+            let record = DerivationRecord {
+                head_key: tuple::render_into(&mut node.key_buf, pred_name, values, location).into(),
+                rule: shared.recv,
+                antecedents: Vec::new(),
+                speaker: row.origin,
+                at: done,
+            };
             if shared.config.maintenance == MaintenanceMode::Reactive {
-                node.deferred.push(DerivationRecord {
-                    head_key: tuple_key.clone(),
-                    rule: shared.recv,
-                    antecedents: vec![(tuple_key, row.origin)],
-                    speaker: principal_of(row.origin),
-                    at: done,
-                });
+                node.deferred.push(record);
             } else {
-                let pointer = PointerDerivation {
-                    rule: annotation(shared, self.id, node, shared.recv),
-                    antecedents: vec![AntecedentRef::Remote {
-                        location: shared.names[ix(row.origin)].clone(),
-                        key: tuple_key.clone(),
-                    }],
-                };
-                let speaker = principal_of(row.origin);
-                node.prov.record_derivation(&tuple_key, speaker, pointer);
+                record_provenance(shared, self.id, node, &record);
             }
         }
     }
@@ -881,7 +875,7 @@ impl<'a> NodeCtx<'a> {
                         .iter()
                         .map(|c| (c.render_key(&shared.symbols, buf), c.origin))
                         .collect(),
-                    speaker: principal_of(self.id),
+                    speaker: self.id,
                     at: now,
                 };
                 if shared.config.maintenance == MaintenanceMode::Reactive {
@@ -1018,11 +1012,12 @@ fn annotation(shared: &EvalShared, id: NodeId, node: &mut NodeRuntime, label: u3
 }
 
 /// Writes one derivation, recorded at node `id`, into that node's pointer
-/// and archive stores: the one writer of both graph modes.  A `Local` node
-/// holds every antecedent's records itself, so each is a local pointer; a
-/// `Distributed` node points at the node an antecedent came from.  A free
-/// function so both the evaluation context and the engine's deferred
-/// materialization pass share it.
+/// and archive stores: the one writer of both graph modes and of both
+/// maintenance modes.  A `Local` node holds every antecedent's records
+/// itself, so each is a local pointer; a `Distributed` node points at the
+/// node an antecedent came from.  The archive logs rule firings only, not
+/// `recv` pointers.  A free function so both the evaluation context and the
+/// engine's deferred materialization pass share it.
 pub(super) fn record_provenance(
     shared: &EvalShared,
     id: NodeId,
@@ -1030,25 +1025,35 @@ pub(super) fn record_provenance(
     record: &DerivationRecord,
 ) {
     let graph_mode = shared.config.graph_mode;
+    let recv = record.speaker != id;
     let annotation = annotation(shared, id, node, record.rule);
     if graph_mode != GraphMode::None {
-        let pointer = |(key, origin): &(Arc<str>, NodeId)| {
+        let pointer = |key: &Arc<str>, origin: NodeId| {
             let key = key.clone();
-            if graph_mode == GraphMode::Local || *origin == id {
+            if graph_mode == GraphMode::Local || origin == id {
                 AntecedentRef::Local(key)
             } else {
-                let location = shared.names[ix(*origin)].clone();
+                let location = shared.names[ix(origin)].clone();
                 AntecedentRef::Remote { location, key }
             }
         };
+        let antecedents = if recv {
+            vec![pointer(&record.head_key, record.speaker)]
+        } else {
+            let antecedents = record.antecedents.iter();
+            antecedents
+                .map(|(key, origin)| pointer(key, *origin))
+                .collect()
+        };
         let derivation = PointerDerivation {
             rule: annotation.clone(),
-            antecedents: record.antecedents.iter().map(pointer).collect(),
+            antecedents,
         };
+        let speaker = principal_of(record.speaker);
         node.prov
-            .record_derivation(&record.head_key, record.speaker, derivation);
+            .record_derivation(&record.head_key, speaker, derivation);
     }
-    if shared.config.archive_offline {
+    if shared.config.archive_offline && !recv {
         node.archive.record(ArchivedEntry {
             key: record.head_key.clone(),
             annotation,

@@ -12,7 +12,9 @@ use pasn::prelude::*;
 use pasn::workload;
 use pasn_crypto::says::SaysLevel;
 use pasn_engine::EngineError;
-use pasn_provenance::{Granularity, MaintenanceMode, MoonwalkConfig, SamplingPolicy};
+use pasn_provenance::{
+    ArchivedEntry, Granularity, MaintenanceMode, MoonwalkConfig, SamplingPolicy,
+};
 
 fn builder(config: EngineConfig, n: u32, seed: u64) -> pasn::SecureNetworkBuilder {
     SecureNetwork::builder()
@@ -147,6 +149,31 @@ fn reactive_provenance_defers_work_until_materialisation() {
     let lazy = reactive.engine().traceback(&n0, TARGET);
     assert_eq!(lazy.base_tuples, eager.base_tuples);
     assert!(!lazy.base_tuples.is_empty());
+
+    // With offline archives on, materialising also archives exactly what
+    // proactive did: rule firings only, never a `recv` pointer.
+    let archives = |maintenance| {
+        let mut config = distributed(maintenance, SamplingPolicy::always());
+        config.archive_offline = true;
+        let (mut net, _) = deploy(config, 15, 13);
+        net.engine_mut().materialize_provenance();
+        let node = |at| {
+            let archive = net.archive(&Value::Addr(at)).expect("deployed");
+            let entries = archive.entries().iter();
+            let fields = |e: &ArchivedEntry| {
+                let (key, location) = (e.key.clone(), e.location.clone());
+                (key, location, e.annotation.clone(), e.derived_at)
+            };
+            entries.map(fields).collect::<Vec<_>>()
+        };
+        (0..15).map(node).collect::<Vec<_>>()
+    };
+    let (eager, lazy) = (
+        archives(MaintenanceMode::Proactive),
+        archives(MaintenanceMode::Reactive),
+    );
+    assert!(eager.iter().all(|node| !node.is_empty()));
+    assert_eq!(lazy, eager);
 
     // A local graph has nothing to piggyback before it is materialised, so
     // reactive maintenance of local graphs would lose every remote subtree.
