@@ -67,20 +67,6 @@ impl AccountabilityReport {
     pub fn top_senders(&self, k: usize) -> &[PrincipalUsage] {
         &self.usage[..k.min(self.usage.len())]
     }
-
-    /// Principals whose traffic exceeds `fraction` of the total — candidates
-    /// for policy enforcement ("ensure that all users are in accordance with
-    /// PlanetLab policies").
-    pub fn over_quota(&self, fraction: f64) -> Vec<&PrincipalUsage> {
-        let total = self.total_bytes() as f64;
-        if total == 0.0 {
-            return Vec::new();
-        }
-        self.usage
-            .iter()
-            .filter(|u| u.bytes_sent as f64 / total > fraction)
-            .collect()
-    }
 }
 
 impl fmt::Display for AccountabilityReport {
@@ -147,18 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn top_senders_and_quota_checks() {
+    fn top_senders_and_totals() {
         let net = run_network();
         let report = AccountabilityReport::collect(&net);
         assert_eq!(report.top_senders(2).len(), 2);
         assert_eq!(report.top_senders(100).len(), 5);
-        // In a symmetric ring nobody exceeds half the traffic.
-        assert!(report.over_quota(0.5).is_empty());
-        // Everybody exceeds a 1% quota.
-        assert_eq!(report.over_quota(0.01).len(), 5);
         // Degenerate report.
-        let empty = AccountabilityReport::default();
-        assert!(empty.over_quota(0.1).is_empty());
-        assert_eq!(empty.total_bytes(), 0);
+        assert_eq!(AccountabilityReport::default().total_bytes(), 0);
     }
 }

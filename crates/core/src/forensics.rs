@@ -19,8 +19,9 @@ pub struct ForensicReport {
     pub key: String,
     /// Distributed traceback over the pointer provenance.
     pub traceback: TracebackResult,
-    /// Matching offline archive entries (provenance retained past expiry).
-    pub archived: Vec<ArchivedEntry>,
+    /// Matching offline archive entries (provenance retained past expiry),
+    /// each with the node whose archive holds it.
+    pub archived: Vec<(Value, ArchivedEntry)>,
 }
 
 impl ForensicReport {
@@ -32,29 +33,33 @@ impl ForensicReport {
 
 /// Investigates `key` starting at `location`: runs a distributed traceback
 /// over the pointer provenance and collects the archived records of exactly
-/// that key from every node (the derivation is archived where the rule
-/// fired, which is generally not where the tuple ends up stored), even if
-/// the tuple itself has long expired.  Each archive is read through its key
-/// index, not scanned; a predicate-wide sweep is [`archived_activity`].
+/// that key from every node, each paired with that node (the derivation is
+/// archived where the rule fired, which is generally not where the tuple
+/// ends up stored), even if the tuple itself has long expired.  Each archive
+/// is read through its key index, not scanned; a predicate-wide sweep is
+/// [`archived_activity`].
 pub fn investigate(network: &SecureNetwork, location: &Value, key: &str) -> ForensicReport {
     let engine = network.engine();
     let archives = engine
         .locations()
         .iter()
-        .filter_map(|loc| engine.archive(loc));
+        .filter_map(|loc| Some((loc, engine.archive(loc)?)));
     ForensicReport {
         key: key.to_string(),
         traceback: engine.traceback(location, key),
         archived: archives
-            .flat_map(|archive| archive.entries_of(key))
-            .cloned()
+            .flat_map(|(loc, archive)| {
+                let entries = archive.entries_of(key);
+                entries.map(move |entry| (loc.clone(), entry.clone()))
+            })
             .collect(),
     }
 }
 
-/// Collects every archived derivation across all nodes inside a time window —
-/// the "correlate traffic patterns of attackers" query of the forensics use
-/// case.
+/// Collects every archived derivation across all nodes inside a time window,
+/// each with the node whose archive holds it — the "correlate traffic
+/// patterns of attackers" query of the forensics use case.  A `key_prefix`
+/// without `(` is a predicate name ([`pasn_provenance::ArchiveStore::query`]).
 pub fn archived_activity(
     network: &SecureNetwork,
     key_prefix: &str,
@@ -120,8 +125,11 @@ mod tests {
         assert!(!report.archived.is_empty());
         // ... and records when the tuple expired at the node that stored it,
         // as scheduled expiry does.
-        let stamp = report.archived.iter().find(|e| &*e.location == "n0");
-        let stamp = stamp.expect("n0 archived the expiry");
+        let stamp = report
+            .archived
+            .iter()
+            .find(|(node, _)| *node == Value::Addr(0));
+        let (_, stamp) = stamp.expect("n0 archived the expiry");
         assert_eq!(&*stamp.annotation, "expired");
         assert_eq!(stamp.expired_at, Some(now.as_micros()));
     }
@@ -151,13 +159,39 @@ mod tests {
             .collect();
         assert!(!keys.is_empty());
         for key in keys {
-            let swept: Vec<ArchivedEntry> = archived_activity(&net, &key, None, None)
-                .into_iter()
-                .map(|(_, entry)| entry)
-                .collect();
+            let swept = archived_activity(&net, &key, None, None);
             let report = investigate(&net, &Value::Addr(0), &key);
             assert_eq!(report.archived, swept, "{key}");
         }
+    }
+
+    #[test]
+    fn a_predicate_sweep_reads_that_predicate_only() {
+        // Best-Path stores `bestPath` and `bestPathCost` rows: a sweep of one
+        // predicate must not read the other, whose name it begins.
+        let mut config = EngineConfig::ndlog()
+            .with_cost_model(CostModel::zero_cpu())
+            .with_graph_mode(GraphMode::Distributed);
+        config.archive_offline = true;
+        let mut net = SecureNetwork::builder()
+            .program(programs::best_path())
+            .topology(Topology::line(4))
+            .config(config)
+            .build()
+            .unwrap();
+        net.run().unwrap();
+        let keys = |prefix: &str| -> Vec<Arc<str>> {
+            let swept = archived_activity(&net, prefix, None, None);
+            swept.into_iter().map(|(_, entry)| entry.key).collect()
+        };
+        let (paths, costs) = (keys("bestPath"), keys("bestPathCost"));
+        assert!(!paths.is_empty() && !costs.is_empty());
+        assert!(paths.iter().all(|key| key.starts_with("bestPath(")));
+        assert!(costs.iter().all(|key| key.starts_with("bestPathCost(")));
+        // A prefix with `(` keeps matching every key it begins.
+        assert_eq!(keys("bestPath("), paths);
+        let at_n0 = keys("bestPath(@n0,");
+        assert!(!at_n0.is_empty() && at_n0.len() < paths.len());
     }
 
     #[test]

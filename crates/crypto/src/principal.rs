@@ -34,35 +34,22 @@ impl From<u32> for PrincipalId {
     }
 }
 
-/// A principal together with its human-readable name and security level.
-///
-/// The security level feeds the *quantifiable provenance* axis (Section 4.5):
-/// a derivation's trust level is the max over alternative derivations of the
-/// min security level along each derivation.
+/// A principal together with its human-readable name.
 #[derive(Clone, Debug)]
 pub struct Principal {
     /// Stable identifier.
     pub id: PrincipalId,
     /// Human-readable name (e.g. `"a"`, `"node7"`, `"AS701"`).
     pub name: String,
-    /// Security level used by quantifiable provenance; higher is more trusted.
-    pub security_level: u8,
 }
 
 impl Principal {
-    /// Creates a principal with the default security level of 1.
+    /// Creates a principal.
     pub fn new(id: impl Into<PrincipalId>, name: impl Into<String>) -> Self {
         Principal {
             id: id.into(),
             name: name.into(),
-            security_level: 1,
         }
-    }
-
-    /// Sets the security level (builder style).
-    pub fn with_security_level(mut self, level: u8) -> Self {
-        self.security_level = level;
-        self
     }
 }
 
@@ -138,13 +125,12 @@ pub struct KeyAuthority {
     keypairs: HashMap<PrincipalId, Arc<RsaKeyPair>>,
     directory: Arc<HashMap<PrincipalId, RsaPublicKey>>,
     mac_secrets: Arc<HashMap<PrincipalId, [u8; TAG_LEN]>>,
-    principals: Vec<Principal>,
 }
 
 impl fmt::Debug for KeyAuthority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("KeyAuthority")
-            .field("principals", &self.principals.len())
+            .field("principals", &self.keypairs.len())
             .field("modulus_bits", &self.modulus_bits)
             .finish()
     }
@@ -183,18 +169,12 @@ impl KeyAuthority {
             keypairs,
             directory: Arc::new(directory),
             mac_secrets: Arc::new(mac_secrets),
-            principals: principals.to_vec(),
         })
     }
 
     /// The RSA modulus size used for every principal.
     pub fn modulus_bits(&self) -> usize {
         self.modulus_bits
-    }
-
-    /// The provisioned principals.
-    pub fn principals(&self) -> &[Principal] {
-        &self.principals
     }
 
     /// Returns the keyring view for `principal`, or `None` if it was not
@@ -208,15 +188,6 @@ impl KeyAuthority {
             mac_secrets: Arc::clone(&self.mac_secrets),
         })
     }
-
-    /// Security level of a principal (0 if unknown).
-    pub fn security_level_of(&self, principal: PrincipalId) -> u8 {
-        self.principals
-            .iter()
-            .find(|p| p.id == principal)
-            .map(|p| p.security_level)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -224,9 +195,7 @@ mod tests {
     use super::*;
 
     fn principals(n: u32) -> Vec<Principal> {
-        (0..n)
-            .map(|i| Principal::new(i, format!("n{i}")).with_security_level((i % 3 + 1) as u8))
-            .collect()
+        (0..n).map(|i| Principal::new(i, format!("n{i}"))).collect()
     }
 
     #[test]
@@ -258,7 +227,6 @@ mod tests {
     fn unknown_principal_has_no_keyring() {
         let auth = KeyAuthority::provision(&principals(2), 1).unwrap();
         assert!(auth.keyring_for(PrincipalId(99)).is_none());
-        assert_eq!(auth.security_level_of(PrincipalId(99)), 0);
     }
 
     #[test]
@@ -317,14 +285,5 @@ mod tests {
             hex(ring.own_mac_secret()),
             "97c0e2386605edb67668f3f955cdbb4903f4ee96c4e2aca1b14aef851039555c"
         );
-    }
-
-    #[test]
-    fn security_levels_are_exposed() {
-        let auth = KeyAuthority::provision(&principals(4), 3).unwrap();
-        assert_eq!(auth.security_level_of(PrincipalId(0)), 1);
-        assert_eq!(auth.security_level_of(PrincipalId(1)), 2);
-        assert_eq!(auth.security_level_of(PrincipalId(2)), 3);
-        assert_eq!(auth.principals().len(), 4);
     }
 }

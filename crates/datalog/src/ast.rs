@@ -156,21 +156,6 @@ impl BinOp {
             BinOp::Or => "||",
         }
     }
-
-    /// True for operators whose result is boolean.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::And
-                | BinOp::Or
-        )
-    }
 }
 
 /// An arithmetic / boolean / function expression.
@@ -268,12 +253,6 @@ impl Atom {
     pub fn at(mut self, location: usize) -> Self {
         assert!(location < self.args.len(), "location index out of range");
         self.location = Some(location);
-        self
-    }
-
-    /// Builder: sets the SeNDlog export annotation.
-    pub fn exported_to(mut self, principal: Term) -> Self {
-        self.export_to = Some(principal);
         self
     }
 
@@ -461,25 +440,6 @@ impl Program {
             .collect()
     }
 
-    /// Names of predicates that appear only in rule bodies or facts.
-    pub fn base_predicates(&self) -> BTreeSet<String> {
-        let derived = self.derived_predicates();
-        let mut base = BTreeSet::new();
-        for rule in &self.rules {
-            for atom in rule.body_atoms() {
-                if !derived.contains(&atom.predicate) {
-                    base.insert(atom.predicate.clone());
-                }
-            }
-        }
-        for fact in &self.facts {
-            if !derived.contains(&fact.atom.predicate) {
-                base.insert(fact.atom.predicate.clone());
-            }
-        }
-        base
-    }
-
     /// True if any rule or body atom uses SeNDlog constructs (`says`,
     /// context blocks, export annotations).
     pub fn uses_sendlog(&self) -> bool {
@@ -530,8 +490,8 @@ mod tests {
         let says = Atom::new("linkD", vec![Term::var("S"), Term::var("Z")]).said_by(Term::var("Z"));
         assert_eq!(says.to_string(), "Z says linkD(S,Z)");
 
-        let exported = Atom::new("reachable", vec![Term::var("Z"), Term::var("Y")])
-            .exported_to(Term::var("Z"));
+        let mut exported = Atom::new("reachable", vec![Term::var("Z"), Term::var("Y")]);
+        exported.export_to = Some(Term::var("Z"));
         assert_eq!(exported.to_string(), "reachable(Z,Y)@Z");
     }
 
@@ -571,8 +531,7 @@ mod tests {
             }],
         };
         assert!(program.derived_predicates().contains("reachable"));
-        assert!(program.base_predicates().contains("link"));
-        assert!(!program.base_predicates().contains("reachable"));
+        assert!(!program.derived_predicates().contains("link"));
         assert!(!program.uses_sendlog());
     }
 
@@ -641,8 +600,6 @@ mod tests {
 
     #[test]
     fn binop_metadata() {
-        assert!(BinOp::Lt.is_comparison());
-        assert!(!BinOp::Add.is_comparison());
         assert_eq!(BinOp::Ne.symbol(), "!=");
     }
 

@@ -98,8 +98,11 @@ pub struct EngineConfig {
     /// Seed for key provisioning (kept separate from workload seeds so the
     /// same keys can be reused across a parameter sweep).
     pub key_seed: u64,
-    /// Per-principal security levels for quantifiable provenance; principals
-    /// not listed default to level 1.
+    /// Per-principal security levels for quantifiable provenance (Section
+    /// 4.5: a derivation's trust level is the max over alternative
+    /// derivations of the min level along each); principals not listed
+    /// default to level 1.  The evaluator reads the levels here, and nothing
+    /// else keeps a copy.
     pub security_levels: FastMap<u32, u8>,
     /// Answer joins with bound key columns through secondary hash indexes
     /// (on by default).  Disabling forces every join back to a full ordered

@@ -3,11 +3,13 @@
 //! Every [`RunMetrics`] field is declared exactly once, as a row of the
 //! `run_metrics!` table below: *doc comment · name · type · scope*.  The
 //! table generates the struct, [`RunMetrics::COUNTERS`] (the read-only view
-//! the `repro` writer serialises) and [`RunMetrics::diff`] (the one
-//! comparison every equivalence oracle uses).  Adding a counter is one row
-//! plus its increment site (`metrics.my_counter += 1`): it is then written
-//! to `BENCH_engine.json` and compared by the batch ≡ stream, same-seed,
-//! traced ≡ untraced and modeled-pool oracles with no other edit.
+//! the `repro` writer serialises and `Display` prints) and
+//! [`RunMetrics::diff`] (the one comparison every equivalence oracle uses).
+//! Adding a counter is one row plus its increment site
+//! (`metrics.my_counter += 1`): it is then written to `BENCH_engine.json`,
+//! printed, and compared by the batch ≡ stream, same-seed, traced ≡
+//! untraced and modeled-pool oracles with no other edit to non-test code
+//! (the `Display` test's literal names every field, so it gains a line).
 
 use pasn_net::SimTime;
 use std::fmt;
@@ -322,44 +324,19 @@ impl RunMetrics {
     }
 }
 
+/// `name value` for every nonzero row of the table, in table order (times
+/// as whole microseconds, as [`RunMetrics::COUNTERS`] reads them).
 impl fmt::Display for RunMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "completion {:.3}s, {} msgs, {:.3} MB ({} B auth, {} B provenance), {} derivations, {} tuples, {} sigs / {} verifs, {} frames ({:.2} tuples/frame), crypto: {} rsa sign / {} rsa verify / {} hmac / {} handshakes ({} batches), joins: {} hits / {} index probes, {} scanned, store {} B (+{} B index, peak {} B), churn: {} events / {} retractions / {} rederivations / {} tombstones, faults: {} dropped / {} duplicated / {} retransmits ({} backoffs, max {}/frame) / {} acks",
-            self.completion_secs(),
-            self.messages,
-            self.megabytes(),
-            self.auth_bytes,
-            self.provenance_bytes,
-            self.derivations,
-            self.tuples_stored,
-            self.signatures,
-            self.verifications,
-            self.frames,
-            self.mean_batch_occupancy(),
-            self.rsa_sign_ops,
-            self.rsa_verify_ops,
-            self.hmac_ops,
-            self.handshakes,
-            self.handshake_batches,
-            self.index_hits,
-            self.index_probes,
-            self.scan_probes,
-            self.store_bytes,
-            self.index_bytes,
-            self.peak_store_bytes.max(self.store_bytes) + self.peak_index_bytes.max(self.index_bytes),
-            self.churn_events,
-            self.retractions,
-            self.rederivations,
-            self.tombstone_frames,
-            self.frames_dropped,
-            self.frames_duplicated,
-            self.retransmits,
-            self.backoff_events,
-            self.max_retransmit_per_frame,
-            self.acks,
-        )
+        let mut separator = "";
+        for counter in Self::COUNTERS {
+            let value = (counter.get)(self);
+            if value != 0 {
+                write!(f, "{separator}{} {value}", counter.name)?;
+                separator = ", ";
+            }
+        }
+        Ok(())
     }
 }
 
@@ -386,6 +363,65 @@ mod tests {
     }
 
     #[test]
+    fn display_prints_every_counter_by_name() {
+        // Every field distinct and nonzero, numbered in table order; no
+        // `..Default::default()`, so a new row must be added here too.
+        let m = RunMetrics {
+            completion: SimTime::from_micros(1),
+            wall_clock: Duration::from_micros(2),
+            messages: 3,
+            bytes: 4,
+            auth_bytes: 5,
+            provenance_bytes: 6,
+            derivations: 7,
+            tuples_stored: 8,
+            signatures: 9,
+            verifications: 10,
+            verification_failures: 11,
+            provenance_ops: 12,
+            sampled_out: 13,
+            index_probes: 14,
+            index_hits: 15,
+            scan_probes: 16,
+            store_bytes: 17,
+            index_bytes: 18,
+            peak_store_bytes: 19,
+            peak_index_bytes: 20,
+            peak_tuples: 21,
+            peak_ledger_firings: 22,
+            compaction_walked: 23,
+            frames: 24,
+            batched_tuples: 25,
+            rsa_sign_ops: 26,
+            rsa_verify_ops: 27,
+            hmac_ops: 28,
+            handshakes: 29,
+            handshake_batches: 30,
+            churn_events: 31,
+            retractions: 32,
+            rederivations: 33,
+            tombstone_frames: 34,
+            worker_threads: 35,
+            partitions: 36,
+            cross_partition_frames: 37,
+            max_partition_queue: 38,
+            frames_dropped: 39,
+            frames_duplicated: 40,
+            retransmits: 41,
+            acks: 42,
+            backoff_events: 43,
+            max_retransmit_per_frame: 44,
+            parallel_wall: Duration::from_micros(45),
+        };
+        let printed = m.to_string();
+        let expected: Vec<String> = (RunMetrics::COUNTERS.iter().enumerate())
+            .map(|(i, counter)| format!("{} {}", counter.name, i + 1))
+            .collect();
+        assert_eq!(printed, expected.join(", "));
+        assert_eq!(RunMetrics::default().to_string(), "");
+    }
+
+    #[test]
     fn unit_conversions() {
         let m = RunMetrics {
             completion: SimTime::from_millis(2_500),
@@ -394,7 +430,7 @@ mod tests {
         };
         assert!((m.completion_secs() - 2.5).abs() < 1e-9);
         assert!((m.megabytes() - 3.0).abs() < 1e-9);
-        assert!(m.to_string().contains("2.500s"));
+        assert_eq!(m.to_string(), "completion_us 2500000, bytes 3000000");
     }
 
     #[test]
@@ -404,7 +440,7 @@ mod tests {
         m.frames = 4;
         m.batched_tuples = 10;
         assert!((m.mean_batch_occupancy() - 2.5).abs() < 1e-9);
-        assert!(m.to_string().contains("4 frames (2.50 tuples/frame)"));
+        assert_eq!(m.to_string(), "frames 4, batched_tuples 10");
     }
 
     #[test]
@@ -417,9 +453,10 @@ mod tests {
             handshake_batches: 2,
             ..RunMetrics::default()
         };
-        assert!(m
-            .to_string()
-            .contains("crypto: 3 rsa sign / 5 rsa verify / 40 hmac / 3 handshakes (2 batches)"));
+        assert_eq!(
+            m.to_string(),
+            "rsa_sign_ops 3, rsa_verify_ops 5, hmac_ops 40, handshakes 3, handshake_batches 2"
+        );
     }
 
     #[test]
@@ -431,9 +468,10 @@ mod tests {
             tombstone_frames: 2,
             ..RunMetrics::default()
         };
-        assert!(m
-            .to_string()
-            .contains("churn: 4 events / 9 retractions / 6 rederivations / 2 tombstones"));
+        assert_eq!(
+            m.to_string(),
+            "churn_events 4, retractions 9, rederivations 6, tombstone_frames 2"
+        );
     }
 
     #[test]
@@ -447,9 +485,11 @@ mod tests {
             max_retransmit_per_frame: 3,
             ..RunMetrics::default()
         };
-        assert!(m.to_string().contains(
-            "faults: 5 dropped / 2 duplicated / 6 retransmits (1 backoffs, max 3/frame) / 11 acks"
-        ));
+        assert_eq!(
+            m.to_string(),
+            "frames_dropped 5, frames_duplicated 2, retransmits 6, acks 11, backoff_events 1, \
+             max_retransmit_per_frame 3"
+        );
     }
 
     #[test]

@@ -480,10 +480,9 @@ impl DistributedEngine {
             node.prov.forget(key);
         }
         if archive_offline {
-            let name = &self.shared.names[ix(loc)];
             let (derived_at, expired_at) = (created_at.as_micros(), now.as_micros());
             node.archive
-                .record_expiry(key, name, reason, derived_at, expired_at);
+                .record_expiry(key, reason, derived_at, expired_at);
         }
     }
 

@@ -1057,7 +1057,6 @@ pub(super) fn record_provenance(
         node.archive.record(ArchivedEntry {
             key: record.head_key.clone(),
             annotation,
-            location: shared.names[ix(id)].clone(),
             derived_at: record.at.as_micros(),
             expired_at: None,
             pinned: false,

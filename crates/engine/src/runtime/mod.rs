@@ -471,14 +471,7 @@ impl DistributedEngine {
             let principals: Vec<Principal> = names
                 .iter()
                 .enumerate()
-                .map(|(i, name)| {
-                    let level = config
-                        .security_levels
-                        .get(&(i as u32))
-                        .copied()
-                        .unwrap_or(1);
-                    Principal::new(i as u32, &**name).with_security_level(level)
-                })
+                .map(|(i, name)| Principal::new(i as u32, &**name))
                 .collect();
             let authority = KeyAuthority::provision_with_modulus(
                 &principals,
@@ -505,10 +498,9 @@ impl DistributedEngine {
         };
 
         let symbols = compiled.symbols.clone();
-        let nodes = names
-            .iter()
-            .zip(authenticators)
-            .map(|(name, authenticator)| {
+        let nodes = authenticators
+            .into_iter()
+            .map(|authenticator| {
                 let mut store = NodeStore::new();
                 // Mirror the compiled interner so plan-time PredIds address
                 // the store directly, then register the planner's index
@@ -521,7 +513,7 @@ impl DistributedEngine {
                     store,
                     running: FastMap::default(),
                     elections: FastMap::default(),
-                    prov: DistributedStore::new(&**name),
+                    prov: DistributedStore::new(),
                     archive: ArchiveStore::new(),
                     annotations: Vec::new(),
                     key_buf: String::new(),

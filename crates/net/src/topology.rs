@@ -152,24 +152,6 @@ impl Topology {
         Topology::new((0..w * h).map(NodeId), links)
     }
 
-    /// A full mesh over `n` nodes with unit costs (every ordered pair linked).
-    pub fn full_mesh(n: u32) -> Self {
-        assert!(n >= 2);
-        let mut links = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    links.push(Link {
-                        src: NodeId(i),
-                        dst: NodeId(j),
-                        cost: 1,
-                    });
-                }
-            }
-        }
-        Topology::new((0..n).map(NodeId), links)
-    }
-
     /// The paper's evaluation workload: `n` nodes, each with `out_degree`
     /// outgoing links to distinct random neighbours, link costs drawn
     /// uniformly from `1..=max_cost`.  A ring backbone is added first so the
@@ -396,10 +378,6 @@ mod tests {
         assert_eq!(grid.node_count(), 6);
         assert_eq!(grid.link_count(), 2 * (2 * 2 + 3));
         assert!(grid.is_strongly_connected());
-
-        let mesh = Topology::full_mesh(4);
-        assert_eq!(mesh.link_count(), 12);
-        assert!(mesh.is_strongly_connected());
     }
 
     #[test]

@@ -103,18 +103,6 @@ impl MoonwalkResult {
             .map(|(id, _)| *id)
     }
 
-    /// Base tuples ranked by how often walks terminated on them, most
-    /// frequent first (ties broken by id for determinism).
-    pub fn ranked_origins(&self) -> Vec<(BaseTupleId, usize)> {
-        let mut ranked: Vec<(BaseTupleId, usize)> = self
-            .base_frequency
-            .iter()
-            .map(|(id, count)| (*id, *count))
-            .collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
-        ranked
-    }
-
     /// Fraction of walks that reached any base tuple.
     pub fn hit_rate(&self) -> f64 {
         if self.walks.is_empty() {
@@ -263,7 +251,7 @@ mod tests {
     fn epidemic_stores(n: usize) -> HashMap<String, DistributedStore> {
         let mut stores = HashMap::new();
         let origin = BaseTupleId(1);
-        let mut s0 = DistributedStore::new("n0");
+        let mut s0 = DistributedStore::new();
         s0.record_base("attack(n0)", origin, PrincipalId(0));
         s0.record_derivation(
             "infected(n0)",
@@ -277,7 +265,7 @@ mod tests {
 
         for i in 1..n {
             let node = format!("n{i}");
-            let mut s = DistributedStore::new(node.clone());
+            let mut s = DistributedStore::new();
             // Each node derives its infection from the previous node's
             // infection plus a local benign base tuple.
             let benign = BaseTupleId(100 + i as u64);
@@ -342,12 +330,12 @@ mod tests {
         // only its own small share.
         let mut stores = HashMap::new();
         let origin = BaseTupleId(1);
-        let mut s0 = DistributedStore::new("n0");
+        let mut s0 = DistributedStore::new();
         s0.record_base("attack(n0)", origin, PrincipalId(0));
         stores.insert("n0".to_string(), s0);
         for i in 1..9 {
             let node = format!("n{i}");
-            let mut s = DistributedStore::new(node.clone());
+            let mut s = DistributedStore::new();
             s.record_base(
                 &format!("benign({node})"),
                 BaseTupleId(100 + i as u64),
@@ -439,20 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn ranked_origins_sorts_by_frequency_then_id() {
+    fn suspected_origin_is_the_most_frequent_then_lowest_id() {
         let mut result = MoonwalkResult::default();
         result.base_frequency.insert(BaseTupleId(5), 3);
         result.base_frequency.insert(BaseTupleId(2), 7);
         result.base_frequency.insert(BaseTupleId(9), 3);
-        let ranked = result.ranked_origins();
-        assert_eq!(
-            ranked,
-            vec![
-                (BaseTupleId(2), 7),
-                (BaseTupleId(5), 3),
-                (BaseTupleId(9), 3)
-            ]
-        );
+        assert_eq!(result.suspected_origin(), Some(BaseTupleId(2)));
+        result.base_frequency.insert(BaseTupleId(2), 3);
         assert_eq!(result.suspected_origin(), Some(BaseTupleId(2)));
     }
 

@@ -68,11 +68,6 @@ impl SamplingPolicy {
         let mixed = key_hash.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         mixed.is_multiple_of(self.one_in as u64)
     }
-
-    /// Expected fraction of derivations recorded.
-    pub fn expected_fraction(&self) -> f64 {
-        1.0 / self.one_in as f64
-    }
 }
 
 /// The granularity at which provenance identifies origins (Section 5,
@@ -113,22 +108,6 @@ impl Granularity {
         }
     }
 
-    /// Number of distinct origins this granularity can produce given
-    /// `principal_count` principals.
-    pub fn distinct_origins(&self, principal_count: u32) -> usize {
-        match self {
-            Granularity::Node => principal_count as usize,
-            Granularity::As { mapping } => {
-                let mut set: Vec<u32> = (0..principal_count)
-                    .map(|p| mapping.get(&p).copied().unwrap_or(0))
-                    .collect();
-                set.sort_unstable();
-                set.dedup();
-                set.len()
-            }
-        }
-    }
-
     /// Human-readable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -153,7 +132,6 @@ mod tests {
     fn sampling_always_records_everything() {
         let p = SamplingPolicy::always();
         assert!((0..1000u64).all(|h| p.records(h)));
-        assert_eq!(p.expected_fraction(), 1.0);
         assert_eq!(SamplingPolicy::default(), SamplingPolicy::always());
     }
 
@@ -166,7 +144,6 @@ mod tests {
             (0.05..0.2).contains(&fraction),
             "observed fraction {fraction}"
         );
-        assert!((p.expected_fraction() - 0.1).abs() < 1e-12);
         // Deterministic across calls.
         assert_eq!(p.records(12345), p.records(12345));
         // one_in(0) is clamped to 1.
@@ -177,7 +154,6 @@ mod tests {
     fn node_granularity_is_identity() {
         let g = Granularity::Node;
         assert_eq!(g.origin_of(PrincipalId(17)), PrincipalId(17));
-        assert_eq!(g.distinct_origins(50), 50);
         assert_eq!(g.name(), "node");
     }
 
@@ -190,7 +166,6 @@ mod tests {
         assert_eq!(g.origin_of(PrincipalId(9)), PrincipalId(2));
         // Unknown principals land in AS 0.
         assert_eq!(g.origin_of(PrincipalId(99)), PrincipalId(0));
-        assert_eq!(g.distinct_origins(10), 3);
         assert_eq!(g.name(), "as");
     }
 }

@@ -78,20 +78,15 @@ struct Derived {
 /// cross-node routing.
 #[derive(Clone, Debug, Default)]
 pub struct DistributedStore {
-    /// This node's name (matches tuple locations).
-    pub node: String,
     entries: DigestMap<ProvKey, Derived>,
     /// Base tuples, each with the principal that asserted it.
     bases: DigestMap<ProvKey, (BaseTupleId, PrincipalId)>,
 }
 
 impl DistributedStore {
-    /// Creates an empty store for `node`.
-    pub fn new(node: impl Into<String>) -> Self {
-        DistributedStore {
-            node: node.into(),
-            ..Self::default()
-        }
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records a base tuple stored at this node, asserted by `speaker`.
@@ -451,13 +446,12 @@ pub fn traceback_with<'a>(
 
 /// One archived provenance record (offline provenance, Section 4.2).  Its
 /// strings are shared, so archiving a derivation (or cloning an entry out
-/// of the archive) copies no bytes.
+/// of the archive) copies no bytes.  An entry names no node: it is the entry of
+/// the node whose [`ArchiveStore`] holds it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArchivedEntry {
     /// The tuple key.
     pub key: Arc<str>,
-    /// Node that stored the tuple.
-    pub location: Arc<str>,
     /// How the entry came to be: `rule@node` for an archived derivation
     /// (e.g. `r2@n3`), the deletion reason (e.g. `retracted`) for a record
     /// [`ArchiveStore::record_expiry`] had to create.
@@ -475,7 +469,8 @@ pub struct ArchivedEntry {
 const END: u32 = u32::MAX;
 
 /// An *offline* provenance archive: entries survive tuple expiry so that
-/// forensic queries can correlate long-gone traffic.
+/// forensic queries can correlate long-gone traffic.  The engine keeps one
+/// per node.
 ///
 /// Entries are a log in arrival order; a key index threads the entries of
 /// one key into a chain through it (first and last position per key digest,
@@ -564,7 +559,6 @@ impl ArchiveStore {
     pub fn record_expiry(
         &mut self,
         key: &str,
-        location: &str,
         annotation: &str,
         derived_at: u64,
         expired_at: u64,
@@ -579,7 +573,6 @@ impl ArchiveStore {
         if stamped == 0 {
             self.record(ArchivedEntry {
                 key: key.into(),
-                location: location.into(),
                 annotation: annotation.into(),
                 derived_at,
                 expired_at: Some(expired_at),
@@ -622,17 +615,24 @@ impl ArchiveStore {
         &self.entries
     }
 
-    /// Entries for a given predicate (prefix match on the rendered key),
-    /// optionally restricted to a derivation-time window.
+    /// Entries whose rendered key starts with `key_prefix`, optionally
+    /// restricted to a derivation-time window.  A prefix without `(` is a
+    /// predicate name and matches that predicate's keys only: `bestPath`
+    /// reads `bestPath(...)`, not `bestPathCost(...)`.
     pub fn query(
         &self,
         key_prefix: &str,
         from: Option<u64>,
         to: Option<u64>,
     ) -> Vec<&ArchivedEntry> {
+        let predicate = !key_prefix.contains('(');
+        let matches = |key: &str| {
+            key.strip_prefix(key_prefix)
+                .is_some_and(|rest| !predicate || rest.starts_with('('))
+        };
         self.entries
             .iter()
-            .filter(|e| e.key.starts_with(key_prefix))
+            .filter(|e| matches(&e.key))
             .filter(|e| from.is_none_or(|f| e.derived_at >= f))
             .filter(|e| to.is_none_or(|t| e.derived_at <= t))
             .collect()
@@ -668,7 +668,7 @@ mod tests {
         // reachable(@a,c) derived at a from link(@a,b) [local] and
         // reachable(@b,c) [remote at b]; reachable(@b,c) derived at b from
         // link(@b,c) [local base].
-        let mut a = DistributedStore::new("a");
+        let mut a = DistributedStore::new();
         a.record_base("link(@a,b)", BaseTupleId(1), P0);
         a.record_base("link(@a,c)", BaseTupleId(2), P0);
         let remote = AntecedentRef::Remote {
@@ -679,7 +679,7 @@ mod tests {
         a.record_derivation("reachable(@a,c)", P0, r2);
         let r1 = pointer("r1@a", vec![local("link(@a,c)")]);
         a.record_derivation("reachable(@a,c)", P0, r1);
-        let mut b = DistributedStore::new("b");
+        let mut b = DistributedStore::new();
         let p1 = PrincipalId(1);
         b.record_base("link(@b,c)", BaseTupleId(3), p1);
         let r1 = pointer("r1@b", vec![local("link(@b,c)")]);
@@ -695,7 +695,7 @@ mod tests {
     ///   r2: reachable(@a,c) :- link(@a,b), reachable(@b,c)
     ///   r1: reachable(@b,c) :- link(@b,c)
     fn figure1() -> DistributedStore {
-        let mut s = DistributedStore::new("a");
+        let mut s = DistributedStore::new();
         s.record_base("link(@a,b)", BaseTupleId(1), P0);
         s.record_base("link(@a,c)", BaseTupleId(2), P0);
         s.record_base("link(@b,c)", BaseTupleId(3), PrincipalId(1));
@@ -741,7 +741,7 @@ mod tests {
 
     #[test]
     fn cycles_are_cut_not_looped() {
-        let mut s = DistributedStore::new("a");
+        let mut s = DistributedStore::new();
         s.record_base("link(@a,b)", BaseTupleId(1), P0);
         // Mutual recursion: p depends on q, q depends on p (plus a base).
         s.record_derivation("p(a)", P0, pointer("r1@a", vec![local("q(a)")]));
@@ -755,7 +755,7 @@ mod tests {
 
     #[test]
     fn duplicate_derivations_are_not_recorded_twice() {
-        let mut s = DistributedStore::new("a");
+        let mut s = DistributedStore::new();
         s.record_base("link(@a,b)", BaseTupleId(1), P0);
         for _ in 0..3 {
             let r1 = pointer("r1@a", vec![local("link(@a,b)")]);
@@ -796,7 +796,7 @@ mod tests {
 
         // A fresh node that only knows its own base tuple merges the shipped
         // bundle and ends up with locally complete provenance.
-        let mut receiver = DistributedStore::new("d");
+        let mut receiver = DistributedStore::new();
         receiver.record_base("link(@d,a)", BaseTupleId(7), PrincipalId(3));
         receiver.merge(&bundle);
         let why = receiver.why_provenance("reachable(@a,c)");
@@ -811,7 +811,7 @@ mod tests {
 
     #[test]
     fn an_underived_key_has_no_bundle() {
-        let mut s = DistributedStore::new("a");
+        let mut s = DistributedStore::new();
         s.record_derivation("p(a)", P0, pointer("r@a", vec![local("q(a)")]));
         // q(a) is only named as an antecedent: nothing to ship.
         assert!(s.bundle("q(a)").is_none());
@@ -850,7 +850,7 @@ mod tests {
 
     #[test]
     fn distributed_store_deduplicates_and_counts_entries() {
-        let mut s = DistributedStore::new("a");
+        let mut s = DistributedStore::new();
         let d = pointer("r1@a", vec![local("x")]);
         s.record_derivation("p", P0, d.clone());
         s.record_derivation("p", P0, d);
@@ -868,7 +868,6 @@ mod tests {
         for i in 0..10u64 {
             archive.record(ArchivedEntry {
                 key: format!("bestPath(@n0,n{i})").into(),
-                location: "n0".into(),
                 annotation: "<p0>".into(),
                 derived_at: i * 100,
                 expired_at: Some(i * 100 + 50),
@@ -893,7 +892,6 @@ mod tests {
         let mut archive = ArchiveStore::new();
         archive.record(ArchivedEntry {
             key: "reachable(@a,c)".into(),
-            location: "a".into(),
             annotation: "r1@a".into(),
             derived_at: 100,
             expired_at: None,
@@ -901,7 +899,7 @@ mod tests {
         });
         // A live entry gets its expiry stamped in place.
         assert_eq!(
-            archive.record_expiry("reachable(@a,c)", "a", "retracted", 100, 900),
+            archive.record_expiry("reachable(@a,c)", "retracted", 100, 900),
             1
         );
         assert_eq!(archive.entries()[0].expired_at, Some(900));
@@ -909,7 +907,7 @@ mod tests {
         // An already-stamped entry is left alone; the deletion of a tuple
         // the archive never saw appends a fresh record.
         assert_eq!(
-            archive.record_expiry("reachable(@a,d)", "a", "retracted", 200, 950),
+            archive.record_expiry("reachable(@a,d)", "retracted", 200, 950),
             1
         );
         assert_eq!(archive.len(), 2);

@@ -11,13 +11,16 @@ use pasn_provenance::{ArchiveStore, ArchivedEntry};
 use proptest::prelude::*;
 
 /// Keys the scripts draw from: some are prefixes of others, so the prefix
-/// query and the exact-key read disagree on them.
-const KEYS: [&str; 6] = [
+/// query and the exact-key read disagree on them, and `bestPath` is both a
+/// predicate name and the start of another (`bestPathCost`).
+const KEYS: [&str; 8] = [
     "reachable(@n0,n1)",
     "reachable(@n0,n10)",
     "reachable(@n0,n1",
     "bestPath(@n0,n1)",
+    "bestPathCost(@n0,n1)",
     "reachable",
+    "bestPath",
     "",
 ];
 
@@ -39,7 +42,6 @@ impl ScanModel {
         if stamped == 0 {
             self.entries.push(ArchivedEntry {
                 key: key.into(),
-                location: "n0".into(),
                 annotation: "retracted".into(),
                 derived_at,
                 expired_at: Some(expired_at),
@@ -67,10 +69,17 @@ impl ScanModel {
         before - self.entries.len()
     }
 
+    /// A prefix with `(` matches every key it begins; one without is a
+    /// predicate name and matches `name(...)` keys only.
     fn query(&self, prefix: &str, from: Option<u64>, to: Option<u64>) -> Vec<&ArchivedEntry> {
+        let pattern = if prefix.contains('(') {
+            prefix.to_string()
+        } else {
+            format!("{prefix}(")
+        };
         self.entries
             .iter()
-            .filter(|e| e.key.starts_with(prefix))
+            .filter(|e| e.key.starts_with(&pattern))
             .filter(|e| from.is_none_or(|f| e.derived_at >= f))
             .filter(|e| to.is_none_or(|t| e.derived_at <= t))
             .collect()
@@ -91,7 +100,6 @@ fn apply(archive: &mut ArchiveStore, model: &mut ScanModel, word: u64) {
         0..=2 => {
             let entry = ArchivedEntry {
                 key: key.into(),
-                location: format!("n{}", (word >> 24) % 3).into(),
                 annotation: format!("r{}@n0", (word >> 28) % 3).into(),
                 derived_at: t,
                 expired_at: (word >> 32).is_multiple_of(3).then_some(t + u),
@@ -101,7 +109,7 @@ fn apply(archive: &mut ArchiveStore, model: &mut ScanModel, word: u64) {
             model.entries.push(entry);
         }
         3 => assert_eq!(
-            archive.record_expiry(key, "n0", "retracted", t, t + u),
+            archive.record_expiry(key, "retracted", t, t + u),
             model.record_expiry(key, t, t + u),
             "record_expiry({key:?})"
         ),

@@ -36,9 +36,7 @@ fn key_name(i: u64) -> String {
 fn file_record(stores: &mut HashMap<String, DistributedStore>, word: u64) {
     let node = node_name(word % NODES);
     let key = key_name((word >> 8) % KEYS);
-    let store = stores
-        .entry(node.clone())
-        .or_insert_with(|| DistributedStore::new(node));
+    let store = stores.entry(node).or_default();
     if (word >> 4).is_multiple_of(4) {
         store.record_base(&key, BaseTupleId((word >> 12) % 8), PrincipalId(0));
         return;
@@ -225,8 +223,8 @@ proptest! {
         let want = reference_traceback(&stores, &node, &key);
         prop_assert_eq!(&traceback(&stores, &node, &key), &want);
 
-        let by_scan: Vec<&DistributedStore> = stores.values().collect();
-        let resolve = |name: &str| by_scan.iter().copied().find(|store| store.node == name);
+        let by_scan: Vec<(&String, &DistributedStore)> = stores.iter().collect();
+        let resolve = |name: &str| by_scan.iter().find(|(node, _)| *node == name).map(|(_, store)| *store);
         prop_assert_eq!(&traceback_with(resolve, &node, &key), &want);
     }
 
@@ -246,8 +244,8 @@ proptest! {
         let by_name = |name: &str| stores.get(name);
         assert_same_moonwalk(&moonwalk_with(by_name, &node, &key, &config), &want);
 
-        let by_scan: Vec<&DistributedStore> = stores.values().collect();
-        let resolve = |name: &str| by_scan.iter().copied().find(|store| store.node == name);
+        let by_scan: Vec<(&String, &DistributedStore)> = stores.iter().collect();
+        let resolve = |name: &str| by_scan.iter().find(|(node, _)| *node == name).map(|(_, store)| *store);
         assert_same_moonwalk(&moonwalk_with(resolve, &node, &key, &config), &want);
     }
 }

@@ -24,9 +24,6 @@ fn main() {
         .with_security_level(0, 3)
         .with_security_level(1, 2)
         .with_security_level(2, 2);
-    let levels: HashMap<u32, u8> = [(0u32, 3u8), (1, 2), (2, 2), (3, 1), (4, 1), (5, 1)]
-        .into_iter()
-        .collect();
 
     let mut network = SecureNetwork::builder()
         .program(pasn::programs::reachability_ndlog())
@@ -36,6 +33,8 @@ fn main() {
         .expect("program compiles");
     network.run().expect("fixpoint reached");
 
+    let levels = &network.engine().config().security_levels;
+    let levels: HashMap<u32, u8> = levels.iter().map(|(&p, &level)| (p, level)).collect();
     let evaluator = TrustEvaluator::new(network.var_table(), levels);
 
     let trusted: BTreeSet<u32> = [0u32, 1, 2].into_iter().collect();

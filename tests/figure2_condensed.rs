@@ -47,7 +47,8 @@ fn every_remote_tuple_was_signed_and_verified() {
 #[test]
 fn trust_policies_follow_the_paper_example() {
     let net = figure2_network();
-    let levels: HashMap<u32, u8> = [(0u32, 2u8), (1, 1), (2, 1)].into_iter().collect();
+    let levels = &net.engine().config().security_levels;
+    let levels: HashMap<u32, u8> = levels.iter().map(|(&p, &level)| (p, level)).collect();
     let evaluator = TrustEvaluator::new(net.var_table(), levels);
 
     let tuple = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)]);

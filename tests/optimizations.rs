@@ -160,10 +160,7 @@ fn reactive_provenance_defers_work_until_materialisation() {
         let node = |at| {
             let archive = net.archive(&Value::Addr(at)).expect("deployed");
             let entries = archive.entries().iter();
-            let fields = |e: &ArchivedEntry| {
-                let (key, location) = (e.key.clone(), e.location.clone());
-                (key, location, e.annotation.clone(), e.derived_at)
-            };
+            let fields = |e: &ArchivedEntry| (e.key.clone(), e.annotation.clone(), e.derived_at);
             entries.map(fields).collect::<Vec<_>>()
         };
         (0..15).map(node).collect::<Vec<_>>()

@@ -517,7 +517,8 @@ fn condensed_provenance_is_read_off_its_bdd() {
 fn provenance_records_share_their_strings() {
     // A pointer record and an archive entry hold the key, node name, rule
     // label and annotation the engine rendered once (`Arc<str>`), so
-    // recording or cloning one copies no bytes.
+    // recording or cloning one copies no bytes; and a store keeps no copy
+    // of its own node's name, which its owner already holds.
     let files = paths(&["crates/provenance/src/store.rs"]);
     let owned = any_of(&[
         "rule: String",
@@ -525,10 +526,29 @@ fn provenance_records_share_their_strings() {
         "location: String",
         "annotation: String",
         "Local(String)",
+        "node: String",
     ]);
     assert_none(
         hits(&files, whole, owned),
         "an owned string in a provenance record",
+    );
+}
+
+#[test]
+fn security_levels_live_in_the_engine_config() {
+    // The evaluator reads `EngineConfig::security_levels`, and so does
+    // everything else: principals and the key authority keep no copy, so
+    // the crypto crate never names a level, and no level accessor or
+    // builder exists beside the config's own.
+    let crypto = files_under(&["crates/crypto/src"], None);
+    let levels = hits(&crypto, whole, any_of(&["security_level"]));
+    assert_none(levels, "a security level in pasn-crypto");
+    let mut files = files_under(&["crates"], None);
+    files.retain(|path| path != Path::new("crates/engine/src/config.rs"));
+    let copies = any_of(&["security_level_of", "with_security_level"]);
+    assert_none(
+        hits(&files, whole, copies),
+        "a second copy of a security level",
     );
 }
 
