@@ -8,8 +8,9 @@
 //! paper describes; [`TrustEvaluator`] applies them to a tuple's
 //! [`ProvTag`].
 
+use pasn_engine::EngineConfig;
 use pasn_provenance::{ProvTag, VarTable};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A trust-management policy applied to a tuple's provenance.
@@ -69,21 +70,15 @@ impl TrustDecision {
 /// Applies [`TrustPolicy`]s to provenance tags.
 pub struct TrustEvaluator<'a> {
     var_table: &'a VarTable,
-    security_levels: HashMap<u32, u8>,
+    config: &'a EngineConfig,
 }
 
 impl<'a> TrustEvaluator<'a> {
-    /// Creates an evaluator over the engine's shared variable table and a map
-    /// of per-principal security levels (missing principals default to 1).
-    pub fn new(var_table: &'a VarTable, security_levels: HashMap<u32, u8>) -> Self {
-        TrustEvaluator {
-            var_table,
-            security_levels,
-        }
-    }
-
-    fn level_of(&self, principal: u32) -> u8 {
-        self.security_levels.get(&principal).copied().unwrap_or(1)
+    /// Creates an evaluator over the engine's shared variable table, reading
+    /// per-principal security levels off the deployment's configuration
+    /// ([`EngineConfig::level_of`]).
+    pub fn new(var_table: &'a VarTable, config: &'a EngineConfig) -> Self {
+        TrustEvaluator { var_table, config }
     }
 
     /// Evaluates `policy` against `tag`.
@@ -117,7 +112,7 @@ impl<'a> TrustEvaluator<'a> {
                 _ => TrustDecision::NotApplicable,
             },
             TrustPolicy::MinTrustLevel(threshold) => {
-                let level = tag.trust_level(self.var_table, |p| self.level_of(p));
+                let level = tag.trust_level(self.var_table, |p| self.config.level_of(p));
                 match level {
                     Some(l) if l >= *threshold => TrustDecision::Accept,
                     Some(_) => TrustDecision::Reject,
@@ -205,7 +200,8 @@ mod tests {
     fn trusted_principal_policy_matches_paper_example() {
         let mut table = VarTable::new();
         let tag = figure2_tag(&mut table);
-        let evaluator = TrustEvaluator::new(&table, HashMap::new());
+        let config = EngineConfig::default();
+        let evaluator = TrustEvaluator::new(&table, &config);
 
         // Trusting a alone is enough, b is inconsequential.
         let trust_a = TrustPolicy::TrustedPrincipals([0u32].into_iter().collect());
@@ -222,8 +218,9 @@ mod tests {
     fn min_trust_level_policy_uses_quantifiable_provenance() {
         let mut table = VarTable::new();
         let tag = figure2_tag(&mut table);
-        let levels: HashMap<u32, u8> = [(0, 2), (1, 1)].into_iter().collect();
-        let evaluator = TrustEvaluator::new(&table, levels);
+        let mut config = EngineConfig::default();
+        config.security_levels.extend([(0, 2), (1, 1)]);
+        let evaluator = TrustEvaluator::new(&table, &config);
         // max(2, min(2,1)) = 2
         assert_eq!(
             evaluator.evaluate(&tag, &TrustPolicy::MinTrustLevel(2)),
@@ -238,12 +235,13 @@ mod tests {
     #[test]
     fn k_of_n_policy_over_votes_and_condensed() {
         let table = VarTable::new();
-        let evaluator = TrustEvaluator::new(&table, HashMap::new());
-        let votes = ProvTag::Vote(
+        let config = EngineConfig::default();
+        let evaluator = TrustEvaluator::new(&table, &config);
+        let votes = ProvTag::Vote(Box::new(
             VoteSet::principal(0)
                 .plus(&VoteSet::principal(1))
                 .plus(&VoteSet::principal(2)),
-        );
+        ));
         assert_eq!(
             evaluator.evaluate(&votes, &TrustPolicy::KOfN(2)),
             TrustDecision::Accept
@@ -256,7 +254,7 @@ mod tests {
 
         let mut table2 = VarTable::new();
         let condensed = figure2_tag(&mut table2);
-        let evaluator2 = TrustEvaluator::new(&table2, HashMap::new());
+        let evaluator2 = TrustEvaluator::new(&table2, &config);
         // Condensed support is {a} only → 1 distinct principal.
         assert_eq!(
             evaluator2.evaluate(&condensed, &TrustPolicy::KOfN(1)),
@@ -271,7 +269,8 @@ mod tests {
     #[test]
     fn policies_report_not_applicable_on_missing_information() {
         let table = VarTable::new();
-        let evaluator = TrustEvaluator::new(&table, HashMap::new());
+        let config = EngineConfig::default();
+        let evaluator = TrustEvaluator::new(&table, &config);
         let none = ProvTag::None;
         assert_eq!(
             evaluator.evaluate(&none, &TrustPolicy::TrustedPrincipals(BTreeSet::new())),

@@ -335,6 +335,11 @@ impl EngineConfig {
         self
     }
 
+    /// A principal's security level: its entry in `security_levels`, or 1.
+    pub fn level_of(&self, principal: u32) -> u8 {
+        self.security_levels.get(&principal).copied().unwrap_or(1)
+    }
+
     /// True when inter-node tuples are signed.
     pub fn authenticated(&self) -> bool {
         self.says_level.is_some()

@@ -545,7 +545,7 @@ impl Ledger {
     }
 }
 
-const _: () = assert!(std::mem::size_of::<FiringRecord>() <= 80);
+const _: () = assert!(std::mem::size_of::<FiringRecord>() <= 64);
 const _: () = assert!(std::mem::size_of::<SupportEntry>() <= 32);
 
 #[cfg(test)]

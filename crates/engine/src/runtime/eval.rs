@@ -16,7 +16,6 @@ use crate::metrics::RunMetrics;
 use crate::store::{InsertOutcome, TupleMeta};
 use crate::tuple;
 use pasn_crypto::says::{SaysAssertion, SaysLevel, SaysProof};
-use pasn_crypto::PrincipalId;
 use pasn_datalog::plan::{CompiledProgram, DeltaPlan, JoinStep, PlanStep, RulePlan, SlotTerm};
 use pasn_datalog::{AggFunc, PredId, Symbols, Value};
 use pasn_net::{NodeId, SimTime};
@@ -195,14 +194,6 @@ impl EvalShared {
     /// interned after compilation: no rule names it.
     pub(super) fn speaker_seen(&self, pred: PredId) -> bool {
         self.said_preds.get(pred.index()) == Some(&true)
-    }
-
-    fn principal_level(&self, principal: PrincipalId) -> u8 {
-        self.config
-            .security_levels
-            .get(&principal.0)
-            .copied()
-            .unwrap_or(1)
     }
 }
 
@@ -396,7 +387,7 @@ impl<'a> NodeCtx<'a> {
                     BaseTupleId(tuple::key_hash_parts(pred_name, &row.values)),
                     key,
                     shared.config.granularity.origin_of(principal),
-                    shared.principal_level(principal),
+                    shared.config.level_of(principal.0),
                 );
             }
         }

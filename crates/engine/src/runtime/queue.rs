@@ -33,7 +33,7 @@ pub(super) struct BatchRow {
 
 // Every effect and frame carries rows: a provenance bundle is boxed so a row
 // that ships none stays small.
-const _: () = assert!(std::mem::size_of::<BatchRow>() <= 80);
+const _: () = assert!(std::mem::size_of::<BatchRow>() <= 64);
 
 impl BatchRow {
     /// A base assertion; its tag is minted when the batch is processed.
@@ -84,10 +84,11 @@ pub(super) enum Origin {
     Local,
     /// A shipment frame delivered from node `from`, under the frame
     /// signature covering every row — produced once per shipped frame over
-    /// the canonical concatenated payload (authenticated runs only).
+    /// the canonical concatenated payload (authenticated runs only; boxed,
+    /// so every queued item does not carry a proof's worth of bytes).
     Remote {
         from: NodeId,
-        assertion: Option<SaysAssertion>,
+        assertion: Option<Box<SaysAssertion>>,
     },
 }
 
@@ -179,6 +180,9 @@ pub(super) enum QueuedWork {
     Node(NodeWork),
     Global(GlobalWork),
 }
+
+// The queue slab and the transport's in-flight buffers hold these by value.
+const _: () = assert!(std::mem::size_of::<QueuedWork>() <= 64);
 
 impl NodeWork {
     /// Same-instant ordering rank: retraction work runs after assertion

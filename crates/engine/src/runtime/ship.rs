@@ -136,7 +136,7 @@ impl<'a> NodeCtx<'a> {
             let proof_bytes = a.wire_len();
             self.metrics.auth_bytes += proof_bytes as u64;
             wire.set_frame_overhead(proof_bytes);
-            assertion = Some(a);
+            assertion = Some(Box::new(a));
         }
         if let Some(handshake) = handshake {
             self.ship_handshake(at, dst, handshake);

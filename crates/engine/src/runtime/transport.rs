@@ -53,8 +53,17 @@ enum Arrival {
     Parked,
 }
 
+/// Replaces a drained buffer with a fresh one: an emptied `BTreeMap` keeps
+/// its root node, a few kB of frame slots per link for the rest of the run.
+fn release_if_drained<V>(buffer: &mut BTreeMap<u64, V>) {
+    if buffer.is_empty() {
+        *buffer = BTreeMap::new();
+    }
+}
+
 /// The reliability layer's state: one [`LinkState`] per directed link,
-/// created on first use.
+/// created on first use.  A link's send and holdback buffers are released
+/// whenever they drain, so transport memory follows the frames in the air.
 #[derive(Default)]
 pub(super) struct LinkTransport {
     links: FastMap<Link, LinkState>,
@@ -125,6 +134,7 @@ impl LinkTransport {
         let state = self.link(link);
         let seq = state.next_expected;
         let work = state.holdback.remove(&seq)?;
+        release_if_drained(&mut state.holdback);
         state.next_expected += 1;
         Some((seq, work))
     }
@@ -142,6 +152,7 @@ impl LinkTransport {
         state.ack_pending = false;
         let upto = state.next_expected;
         state.inflight = state.inflight.split_off(&upto);
+        release_if_drained(&mut state.inflight);
         upto
     }
 
@@ -157,7 +168,10 @@ impl LinkTransport {
 
     /// Gives up on frame `seq`, handing back its undelivered payload.
     fn abandon(&mut self, link: Link, seq: u64) -> Option<NodeWork> {
-        self.link(link).inflight.remove(&seq)?.work
+        let state = self.link(link);
+        let frame = state.inflight.remove(&seq)?;
+        release_if_drained(&mut state.inflight);
+        frame.work
     }
 
     /// Crash-style cut: every frame in the air (sent but undelivered, or
@@ -497,5 +511,62 @@ impl DistributedEngine {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A frame with no rows: the transport never reads its payload.
+    fn frame() -> NodeWork {
+        NodeWork::Handshakes {
+            destination: NodeId(1),
+            handshakes: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn a_link_releases_in_order_and_drains_to_nothing() {
+        let link = (NodeId(0), NodeId(1));
+        let mut transport = LinkTransport::default();
+        for _ in 0..3 {
+            transport.send(link, frame());
+        }
+        assert_eq!(transport.peek_seq(link), 3);
+        assert_eq!(transport.inflight_frames(), 3);
+
+        // Frame 2 overtakes the others and parks; its duplicate finds
+        // nothing left to deliver.
+        assert!(matches!(transport.arrive(link, 2), Arrival::Parked));
+        assert!(transport.release_next(link).is_none());
+        assert!(matches!(transport.arrive(link, 2), Arrival::Gone));
+        assert_eq!(transport.links[&link].holdback.len(), 1);
+
+        // The gap fills and all three release in send order.
+        assert!(matches!(transport.arrive(link, 0), Arrival::Parked));
+        assert!(matches!(transport.arrive(link, 1), Arrival::Parked));
+        let released: Vec<u64> = std::iter::from_fn(|| transport.release_next(link))
+            .map(|(seq, _)| seq)
+            .collect();
+        assert_eq!(released, [0, 1, 2]);
+        assert!(transport.links[&link].holdback.is_empty());
+        assert!(!transport.has_undelivered(link));
+        assert!(matches!(transport.arrive(link, 1), Arrival::Replay));
+        assert_eq!(transport.check_consistency(), Ok(()));
+
+        // One cumulative ack settles every frame; a timer that fires late
+        // finds nothing to retry.
+        assert!(transport.claim_ack(link));
+        assert!(!transport.claim_ack(link));
+        assert_eq!(transport.ack(link), 3);
+        assert_eq!(transport.inflight_frames(), 0);
+        assert!(transport.retry(link, 1).is_none());
+
+        // The drained link numbers on from where it stopped.
+        transport.send(link, frame());
+        let keys: Vec<u64> = transport.links[&link].inflight.keys().copied().collect();
+        assert_eq!(keys, [3]);
+        assert_eq!(transport.check_consistency(), Ok(()));
     }
 }

@@ -191,7 +191,7 @@ struct Slot {
     row: Option<StoredRow>,
 }
 
-const _: () = assert!(std::mem::size_of::<Slot>() <= 80);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
 
 /// A row as probes and scans hand it out: insertion seq, shared values and
 /// metadata, borrowed from the store.

@@ -57,11 +57,13 @@ const REACHABILITY: &str = "
 const NODES: u32 = 48;
 
 /// Live heap bytes the quiescent deployment may hold per recorded firing:
-/// 15 % above the 645 this engine measures, with each ledger one firing
+/// 15 % above the 445 this engine measures, with each ledger one firing
 /// arena plus one antecedent-occurrence arena and its indexes chains
-/// through them.  The ledger that gave every firing its own antecedent
-/// `Vec` and every index key its own id `Vec` held 803.
-const BYTES_PER_FIRING: usize = 741;
+/// through them, and a 16-byte provenance tag in every firing and
+/// contribution.  The ledger that gave every firing its own antecedent
+/// `Vec` and every index key its own id `Vec` held 803; with 32-byte tags
+/// and link buffers kept after they drained, 627.
+const BYTES_PER_FIRING: usize = 512;
 
 #[test]
 fn a_recorded_firing_costs_a_bounded_share_of_the_heap() {

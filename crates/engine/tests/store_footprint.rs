@@ -61,11 +61,12 @@ const BEST_PATH: &str = "
 const NODES: u32 = 32;
 
 /// Live heap bytes the quiescent deployment may hold per stored row: 15 %
-/// above the 436 this engine measures, with each relation one slot list
-/// and its dedup map and indexes chains threaded through it.  The store
-/// that gave every index key its own key copy and seq `Vec`, and kept an
-/// `Arc` of every row as its dedup key, held 564.
-const BYTES_PER_ROW: usize = 501;
+/// above the 399 this engine measures, with each relation one slot list
+/// of 64-byte slots and its dedup map and indexes chains threaded through
+/// it.  The store that gave every index key its own key copy and seq
+/// `Vec`, and kept an `Arc` of every row as its dedup key, held 564; with
+/// 80-byte slots (a 32-byte provenance tag in each), 436.
+const BYTES_PER_ROW: usize = 459;
 
 #[test]
 fn a_stored_row_costs_a_bounded_share_of_the_heap() {

@@ -197,57 +197,6 @@ impl Topology {
         Topology::new((0..n).map(NodeId), links)
     }
 
-    /// `clusters` disjoint communities of `cluster_size` nodes each: a
-    /// bidirectional ring backbone per cluster plus `chords_per_node` random
-    /// intra-cluster chords.  Because the clusters are disconnected from one
-    /// another, the reachability fixpoint is `clusters × cluster_size²`
-    /// tuples rather than `N²` — the shape used by the 10k-node scale
-    /// workload, where a flat strongly-connected graph would make the
-    /// *query* quadratic in N and drown out the engine costs under test.
-    pub fn clustered(clusters: u32, cluster_size: u32, chords_per_node: u32, seed: u64) -> Self {
-        assert!(clusters >= 1);
-        assert!(cluster_size >= 2);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut links = Vec::new();
-        let mut existing: HashSet<(u32, u32)> = HashSet::new();
-        for c in 0..clusters {
-            let base = c * cluster_size;
-            for i in 0..cluster_size {
-                let a = base + i;
-                let b = base + (i + 1) % cluster_size;
-                for (src, dst) in [(a, b), (b, a)] {
-                    if existing.insert((src, dst)) {
-                        links.push(Link {
-                            src: NodeId(src),
-                            dst: NodeId(dst),
-                            cost: 1,
-                        });
-                    }
-                }
-            }
-            for i in 0..cluster_size {
-                let a = base + i;
-                let mut added = 0u32;
-                let mut attempts = 0u32;
-                while added < chords_per_node && attempts < 20 * (chords_per_node + 1) {
-                    attempts += 1;
-                    let b = base + rng.gen_range(0..cluster_size);
-                    if b == a || existing.contains(&(a, b)) {
-                        continue;
-                    }
-                    existing.insert((a, b));
-                    links.push(Link {
-                        src: NodeId(a),
-                        dst: NodeId(b),
-                        cost: 1,
-                    });
-                    added += 1;
-                }
-            }
-        }
-        Topology::new((0..clusters * cluster_size).map(NodeId), links)
-    }
-
     /// All nodes, in ascending id order.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
@@ -394,26 +343,6 @@ mod tests {
         assert!(t.links().iter().all(|l| l.src != l.dst));
         let mut seen = HashSet::new();
         assert!(t.links().iter().all(|l| seen.insert((l.src, l.dst))));
-    }
-
-    #[test]
-    fn clustered_topology_is_disjoint_communities() {
-        let t = Topology::clustered(4, 10, 1, 11);
-        assert_eq!(t.node_count(), 40);
-        // Every link stays inside its cluster of 10.
-        assert!(t.links().iter().all(|l| l.src.0 / 10 == l.dst.0 / 10));
-        // No self loops, no duplicates.
-        assert!(t.links().iter().all(|l| l.src != l.dst));
-        let mut seen = HashSet::new();
-        assert!(t.links().iter().all(|l| seen.insert((l.src, l.dst))));
-        // Each cluster is internally strongly connected (ring backbone), so
-        // reachability from node 0 covers exactly its own cluster.
-        let costs = t.shortest_path_costs(NodeId(0));
-        assert_eq!(costs.len(), 10);
-        assert!(costs.keys().all(|n| n.0 < 10));
-        // Deterministic per seed.
-        assert_eq!(t.links(), Topology::clustered(4, 10, 1, 11).links());
-        assert_ne!(t.links(), Topology::clustered(4, 10, 1, 12).links());
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl ChordDeployment {
 
     /// Every answer `origin` holds for `key`: one on a consistent ring.
     pub fn lookups(&self, origin: u32, key: u64) -> Vec<Lookup> {
-        let trust = TrustEvaluator::new(self.net.var_table(), Default::default());
+        let trust = TrustEvaluator::new(self.net.var_table(), self.net.engine().config());
         let rows = self.net.query(&Value::Addr(origin), "owner").into_iter();
         let asked = rows.filter(|(t, _)| t.values[1] == int(key));
         let answer = asked.filter_map(|(t, meta)| {

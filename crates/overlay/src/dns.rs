@@ -265,7 +265,7 @@ impl DnsDeployment {
         let said = [node(name), Value::Int(address.into())];
         let resolved = rows("resolved").find(|(t, _)| t.values[1..] == said);
         let (_, meta) = resolved.ok_or_else(|| DnsError::NotSaidByItsZone(name.to_string()))?;
-        let trust = TrustEvaluator::new(self.net.var_table(), Default::default());
+        let trust = TrustEvaluator::new(self.net.var_table(), self.net.engine().config());
         let locations = self.net.engine().locations();
         let zones = trust.origins(&meta.tag).into_iter().filter(|p| *p != 0);
         let mut chain: Vec<String> = zones.map(|p| locations[p as usize].to_string()).collect();

@@ -219,7 +219,7 @@ pub enum ProvTag {
     #[default]
     None,
     /// Uncondensed why-provenance.
-    Why(WhyProvenance),
+    Why(Box<WhyProvenance>),
     /// Condensed provenance: a canonical BDD owned by the shared
     /// [`VarTable`].
     Condensed(BddRef),
@@ -228,8 +228,12 @@ pub enum ProvTag {
     /// Number of distinct derivations.
     Count(DerivationCount),
     /// Principals involved in the derivations.
-    Vote(VoteSet),
+    Vote(Box<VoteSet>),
 }
+
+// Every ledger firing, stored slot and shipped row holds a tag: the two set
+// kinds are boxed so the others keep a tag at two words.
+const _: () = assert!(std::mem::size_of::<ProvTag>() == 16);
 
 impl ProvTag {
     /// The kind of this tag.
@@ -256,7 +260,7 @@ impl ProvTag {
     ) -> ProvTag {
         match kind {
             ProvenanceKind::None => ProvTag::None,
-            ProvenanceKind::Why => ProvTag::Why(WhyProvenance::base(base_id)),
+            ProvenanceKind::Why => ProvTag::Why(Box::new(WhyProvenance::base(base_id))),
             ProvenanceKind::Condensed => {
                 // Condensed provenance tracks the asserting principal, which
                 // is what trust decisions need (paper §4.4); the base-tuple
@@ -267,7 +271,7 @@ impl ProvTag {
             }
             ProvenanceKind::Trust => ProvTag::Trust(TrustLevel(level)),
             ProvenanceKind::Count => ProvTag::Count(DerivationCount(1)),
-            ProvenanceKind::Vote => ProvTag::Vote(VoteSet::principal(principal.0)),
+            ProvenanceKind::Vote => ProvTag::Vote(Box::new(VoteSet::principal(principal.0))),
         }
     }
 
@@ -277,11 +281,11 @@ impl ProvTag {
     pub fn one(kind: ProvenanceKind, _table: &mut VarTable) -> ProvTag {
         match kind {
             ProvenanceKind::None => ProvTag::None,
-            ProvenanceKind::Why => ProvTag::Why(WhyProvenance::one()),
+            ProvenanceKind::Why => ProvTag::Why(Box::new(WhyProvenance::one())),
             ProvenanceKind::Condensed => ProvTag::Condensed(BddRef::TRUE),
             ProvenanceKind::Trust => ProvTag::Trust(TrustLevel::one()),
             ProvenanceKind::Count => ProvTag::Count(DerivationCount::one()),
-            ProvenanceKind::Vote => ProvTag::Vote(VoteSet::one()),
+            ProvenanceKind::Vote => ProvTag::Vote(Box::new(VoteSet::one())),
         }
     }
 
@@ -292,7 +296,9 @@ impl ProvTag {
     pub fn times(&self, other: &ProvTag, table: &mut VarTable) -> ProvTag {
         match (self, other) {
             (ProvTag::None, ProvTag::None) => ProvTag::None,
-            (ProvTag::Why(a), ProvTag::Why(b)) => ProvTag::Why(a.times(b)).condense_if_large(table),
+            (ProvTag::Why(a), ProvTag::Why(b)) => {
+                ProvTag::Why(Box::new(a.times(b))).condense_if_large(table)
+            }
             (ProvTag::Condensed(a), ProvTag::Condensed(b)) => {
                 ProvTag::Condensed(table.manager_mut().and(*a, *b))
             }
@@ -302,7 +308,7 @@ impl ProvTag {
             }
             (ProvTag::Trust(a), ProvTag::Trust(b)) => ProvTag::Trust(a.times(b)),
             (ProvTag::Count(a), ProvTag::Count(b)) => ProvTag::Count(a.times(b)),
-            (ProvTag::Vote(a), ProvTag::Vote(b)) => ProvTag::Vote(a.times(b)),
+            (ProvTag::Vote(a), ProvTag::Vote(b)) => ProvTag::Vote(Box::new(a.times(b))),
             (a, b) => panic!(
                 "provenance kind mismatch in times: {:?} vs {:?}",
                 a.kind(),
@@ -317,7 +323,9 @@ impl ProvTag {
     pub fn plus(&self, other: &ProvTag, table: &mut VarTable) -> ProvTag {
         match (self, other) {
             (ProvTag::None, ProvTag::None) => ProvTag::None,
-            (ProvTag::Why(a), ProvTag::Why(b)) => ProvTag::Why(a.plus(b)).condense_if_large(table),
+            (ProvTag::Why(a), ProvTag::Why(b)) => {
+                ProvTag::Why(Box::new(a.plus(b))).condense_if_large(table)
+            }
             (ProvTag::Condensed(a), ProvTag::Condensed(b)) => {
                 ProvTag::Condensed(table.manager_mut().or(*a, *b))
             }
@@ -327,7 +335,7 @@ impl ProvTag {
             }
             (ProvTag::Trust(a), ProvTag::Trust(b)) => ProvTag::Trust(a.plus(b)),
             (ProvTag::Count(a), ProvTag::Count(b)) => ProvTag::Count(a.plus(b)),
-            (ProvTag::Vote(a), ProvTag::Vote(b)) => ProvTag::Vote(a.plus(b)),
+            (ProvTag::Vote(a), ProvTag::Vote(b)) => ProvTag::Vote(Box::new(a.plus(b))),
             (a, b) => panic!(
                 "provenance kind mismatch in plus: {:?} vs {:?}",
                 a.kind(),
@@ -664,7 +672,7 @@ mod tests {
     #[test]
     fn a_base_tuple_has_one_name_condensed_or_not() {
         let mut table = VarTable::new();
-        let why = ProvTag::Why(WhyProvenance::base(BaseTupleId(26)));
+        let why = ProvTag::Why(Box::new(WhyProvenance::base(BaseTupleId(26))));
         let condensed = why.condense(&mut table).expect("why tags condense");
         assert_eq!(why.render(&table), "<t1a>");
         assert_eq!(condensed.render(&table), "<t1a>");

@@ -51,7 +51,7 @@ fn main() {
     // Trust management over the stored tag: the answer stands only while
     // every zone on its chain — the .org registry among them — is trusted.
     let res = dns.resolve("www.example.org").unwrap();
-    let evaluator = TrustEvaluator::new(dns.net.var_table(), Default::default());
+    let evaluator = TrustEvaluator::new(dns.net.var_table(), dns.net.engine().config());
     for distrusted in ["", "org"] {
         let zones = res.chain.iter().filter(|zone| *zone != distrusted);
         let trusted = zones.map(|zone| dns.principal_of(zone).unwrap().0);

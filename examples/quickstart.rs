@@ -51,7 +51,7 @@ fn main() {
     // Trust management: node c trusts only principal a (p0).  The tuple
     // reachable(a, c) condenses to <p0>, so it is accepted even though one of
     // its derivations also passes through b.
-    let evaluator = TrustEvaluator::new(network.var_table(), Default::default());
+    let evaluator = TrustEvaluator::new(network.var_table(), network.engine().config());
     let policy = TrustPolicy::TrustedPrincipals([0u32].into_iter().collect());
     let tuple = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)]);
     let (_, meta) = network

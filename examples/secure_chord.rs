@@ -73,7 +73,7 @@ fn main() {
 
     // Trust management over the stored tag: enough distinct principals took
     // part, and the answer stands only while every one of them is trusted.
-    let evaluator = TrustEvaluator::new(table, Default::default());
+    let evaluator = TrustEvaluator::new(table, stable.net.engine().config());
     let hops = lookup.path.len();
     for k in [1, hops, hops + 1] {
         let decision = evaluator.evaluate(&lookup.tag, &TrustPolicy::KOfN(k));

@@ -10,7 +10,7 @@
 //! ```
 
 use pasn::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 fn main() {
     // A small ring plus chords; node 3 will be treated as untrusted.
@@ -33,9 +33,7 @@ fn main() {
         .expect("program compiles");
     network.run().expect("fixpoint reached");
 
-    let levels = &network.engine().config().security_levels;
-    let levels: HashMap<u32, u8> = levels.iter().map(|(&p, &level)| (p, level)).collect();
-    let evaluator = TrustEvaluator::new(network.var_table(), levels);
+    let evaluator = TrustEvaluator::new(network.var_table(), network.engine().config());
 
     let trusted: BTreeSet<u32> = [0u32, 1, 2].into_iter().collect();
     let policies = vec![

@@ -113,7 +113,7 @@ fn best_path_vectors_are_real_paths_with_matching_cost() {
 #[test]
 fn condensed_provenance_of_best_paths_names_only_on_path_principals() {
     let (_, net) = run_best_path(8, 11, SystemVariant::SeNDLogProv);
-    let evaluator = TrustEvaluator::new(net.var_table(), Default::default());
+    let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
     let mut checked = 0;
     for (loc, tuple, meta) in net.query_all("bestPath") {
         let origins = evaluator.origins(&meta.tag);

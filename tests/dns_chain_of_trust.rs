@@ -157,8 +157,8 @@ fn resolution_provenance_feeds_the_trust_management_api() {
         .chain
         .iter()
         .map(|zone| VoteSet::principal(principal(zone)));
-    let vote = ProvTag::Vote(votes.fold(VoteSet::one(), |acc, v| acc.times(&v)));
-    let evaluator = TrustEvaluator::new(dns.net.var_table(), Default::default());
+    let vote = ProvTag::Vote(Box::new(votes.fold(VoteSet::one(), |acc, v| acc.times(&v))));
+    let evaluator = TrustEvaluator::new(dns.net.var_table(), dns.net.engine().config());
     assert!(evaluator.evaluate(&vote, &TrustPolicy::KOfN(4)).is_accept());
     assert!(!evaluator.evaluate(&vote, &TrustPolicy::KOfN(5)).is_accept());
 

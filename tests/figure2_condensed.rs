@@ -5,7 +5,6 @@
 //! end to end through the public API.
 
 use pasn::prelude::*;
-use std::collections::HashMap;
 
 fn figure2_network() -> SecureNetwork {
     let mut config = EngineConfig::sendlog_prov().with_cost_model(CostModel::zero_cpu());
@@ -47,9 +46,7 @@ fn every_remote_tuple_was_signed_and_verified() {
 #[test]
 fn trust_policies_follow_the_paper_example() {
     let net = figure2_network();
-    let levels = &net.engine().config().security_levels;
-    let levels: HashMap<u32, u8> = levels.iter().map(|(&p, &level)| (p, level)).collect();
-    let evaluator = TrustEvaluator::new(net.var_table(), levels);
+    let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
 
     let tuple = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)]);
     let (_, meta) = net

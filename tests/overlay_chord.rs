@@ -183,7 +183,7 @@ fn lookup_provenance_supports_kofn_trust_decisions() {
     let lookup = answer(&dht, origin, key);
     let hops = lookup.path.len();
     assert_eq!(lookup.path, reference_path(&ring, origin, key).0);
-    let evaluator = TrustEvaluator::new(dht.net.var_table(), Default::default());
+    let evaluator = TrustEvaluator::new(dht.net.var_table(), dht.net.engine().config());
     let decide = |tag: &ProvTag, policy| evaluator.evaluate(tag, &policy).is_accept();
     assert!(decide(&lookup.tag, TrustPolicy::KOfN(1)));
     assert!(decide(&lookup.tag, TrustPolicy::KOfN(hops)));
@@ -250,7 +250,7 @@ fn authenticated_lookup_graphs_verify_and_expose_forgery() {
         // no hop is attributed to a node that did not say it, and the policy
         // "every principal on the path" rejects it.
         assert_eq!((planted.owner, &planted.path), (rogue, &[rogue].into()));
-        let evaluator = TrustEvaluator::new(dht.net.var_table(), Default::default());
+        let evaluator = TrustEvaluator::new(dht.net.var_table(), dht.net.engine().config());
         let on_path = TrustPolicy::TrustedPrincipals(path.clone());
         assert!(evaluator.evaluate(&genuine.tag, &on_path).is_accept());
         assert!(!evaluator.evaluate(&planted.tag, &on_path).is_accept());

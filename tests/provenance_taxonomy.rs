@@ -27,7 +27,7 @@ proptest! {
     #[test]
     fn trust_policy_extremes(n in 4u32..10, seed in 0u64..500) {
         let net = run_reachability(n, seed, EngineConfig::ndlog().with_provenance(ProvenanceKind::Condensed));
-        let evaluator = TrustEvaluator::new(net.var_table(), Default::default());
+        let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
         let everyone: BTreeSet<u32> = (0..n).collect();
         let nobody: BTreeSet<u32> = BTreeSet::new();
         for (_, _, meta) in net.query_all("reachable") {
@@ -46,7 +46,7 @@ proptest! {
     #[test]
     fn condensed_origins_are_well_formed(n in 4u32..10, seed in 0u64..500) {
         let net = run_reachability(n, seed, EngineConfig::ndlog().with_provenance(ProvenanceKind::Condensed));
-        let evaluator = TrustEvaluator::new(net.var_table(), Default::default());
+        let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
         for (loc, _, meta) in net.query_all("reachable") {
             let origins = evaluator.origins(&meta.tag);
             prop_assert!(!origins.is_empty());
