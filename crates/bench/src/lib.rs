@@ -106,18 +106,18 @@ pub fn equijoin_engine(rows: u32, config: EngineConfig) -> pasn_engine::Distribu
 
 /// Simulated-time spacing between generations of the streaming scale
 /// workload: a new cluster's links come up every `GENERATION_GAP_US`.
-pub const GENERATION_GAP_US: u64 = 200_000;
+pub(crate) const GENERATION_GAP_US: u64 = 200_000;
 
 /// Soft-state lifetime of every link in the streaming scale workload:
 /// 2.5 generations, so roughly three clusters are live at any instant
 /// regardless of how many the run visits in total.
-pub const GENERATION_TTL_US: u64 = 500_000;
+pub(crate) const GENERATION_TTL_US: u64 = 500_000;
 
 /// Builds the order-of-magnitude scale workload: `clusters` disjoint
 /// ring-plus-chord clusters of `cluster_size` nodes whose links are *not*
 /// pre-inserted — they arrive as a time-ordered stream of `LinkUp` events,
-/// one generation (cluster) every [`GENERATION_GAP_US`], and go back down
-/// one [`GENERATION_TTL_US`] later.
+/// one generation (cluster) every `GENERATION_GAP_US`, and go back down
+/// one `GENERATION_TTL_US` later.
 ///
 /// Two eviction mechanisms bound memory during the run.  The quadratic
 /// part — each cluster's `cluster_size²` derived `reachable` tuples — is

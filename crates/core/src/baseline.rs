@@ -3,30 +3,21 @@
 //! The declarative-networking papers the reproduction builds on argue that
 //! NDlog programs "perform efficiently relative to imperative
 //! implementations" — which presumes imperative implementations to compare
-//! against.  This module provides them: a textbook Bellman–Ford and a
-//! Dijkstra with path extraction, both operating directly on a
-//! [`Topology`]: correctness oracles.  The integration tests check that the
-//! Best-Path / distance-vector programs executed by the engine reach the
-//! same per-destination costs (and, for path-vector, loop-free paths) that
-//! the imperative algorithms compute.
+//! against.  This module provides them: a textbook Bellman–Ford over a
+//! [`Topology`] and a path loop check, both correctness oracles.  The
+//! integration tests check that the Best-Path / distance-vector programs
+//! executed by the engine reach the per-destination costs Bellman–Ford
+//! computes (and, for path-vector, loop-free paths).
 
 use pasn_net::{NodeId, Topology};
-use std::collections::{BinaryHeap, HashMap};
-
-/// The cost and concrete path of one shortest route.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShortestPath {
-    /// Total path cost.
-    pub cost: u64,
-    /// Nodes along the path, source first, destination last.
-    pub path: Vec<NodeId>,
-}
+use std::collections::HashMap;
 
 /// Single-source shortest-path costs via Bellman–Ford.
 ///
 /// Link costs are non-negative in every generator this workspace ships, but
 /// Bellman–Ford is kept deliberately general (it relaxes `V-1` rounds) so it
-/// can serve as an independent oracle for Dijkstra and for the engine.
+/// can serve as an independent oracle for the engine and for
+/// [`Topology::shortest_path_costs`].
 pub fn bellman_ford(topology: &Topology, src: NodeId) -> HashMap<NodeId, u64> {
     let mut dist: HashMap<NodeId, u64> = HashMap::new();
     dist.insert(src, 0);
@@ -49,78 +40,6 @@ pub fn bellman_ford(topology: &Topology, src: NodeId) -> HashMap<NodeId, u64> {
         }
     }
     dist
-}
-
-/// Single-source shortest paths (cost plus concrete path) via Dijkstra.
-pub fn dijkstra_paths(topology: &Topology, src: NodeId) -> HashMap<NodeId, ShortestPath> {
-    #[derive(PartialEq, Eq)]
-    struct Entry {
-        cost: u64,
-        node: NodeId,
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Min-heap on cost, ties broken by node id for determinism.
-            other
-                .cost
-                .cmp(&self.cost)
-                .then_with(|| other.node.0.cmp(&self.node.0))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut dist: HashMap<NodeId, u64> = HashMap::new();
-    let mut previous: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    dist.insert(src, 0);
-    heap.push(Entry { cost: 0, node: src });
-
-    while let Some(Entry { cost, node }) = heap.pop() {
-        if dist.get(&node).is_some_and(|&d| cost > d) {
-            continue;
-        }
-        for link in topology.outgoing(node) {
-            let next = cost + u64::from(link.cost);
-            let better = dist.get(&link.dst).is_none_or(|&d| next < d);
-            if better {
-                dist.insert(link.dst, next);
-                previous.insert(link.dst, node);
-                heap.push(Entry {
-                    cost: next,
-                    node: link.dst,
-                });
-            }
-        }
-    }
-
-    dist.into_iter()
-        .map(|(node, cost)| {
-            let mut path = vec![node];
-            let mut cursor = node;
-            while cursor != src {
-                cursor = previous[&cursor];
-                path.push(cursor);
-            }
-            path.reverse();
-            (node, ShortestPath { cost, path })
-        })
-        .collect()
-}
-
-/// All-pairs shortest-path costs, keyed by `(src, dst)`.  Unreachable pairs
-/// are absent from the map.
-pub fn all_pairs_costs(topology: &Topology) -> HashMap<(NodeId, NodeId), u64> {
-    let mut out = HashMap::new();
-    for &src in topology.nodes() {
-        for (dst, cost) in bellman_ford(topology, src) {
-            out.insert((src, dst), cost);
-        }
-    }
-    out
 }
 
 /// True when `path` visits no node twice (the invariant the path-vector
@@ -174,16 +93,8 @@ mod tests {
     fn bellman_ford_and_dijkstra_agree_on_the_diamond() {
         let topo = diamond();
         let bf = bellman_ford(&topo, NodeId(0));
-        let dj = dijkstra_paths(&topo, NodeId(0));
         assert_eq!(bf[&NodeId(3)], 3);
-        assert_eq!(dj[&NodeId(3)].cost, 3);
-        assert_eq!(
-            dj[&NodeId(3)].path,
-            vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
-        );
-        for (node, cost) in &bf {
-            assert_eq!(dj[node].cost, *cost);
-        }
+        assert_eq!(bf, topo.shortest_path_costs(NodeId(0)));
     }
 
     #[test]
@@ -192,11 +103,9 @@ mod tests {
         for &src in topo.nodes() {
             let oracle = topo.shortest_path_costs(src);
             let bf = bellman_ford(&topo, src);
-            let dj = dijkstra_paths(&topo, src);
             assert_eq!(bf.len(), oracle.len());
             for (dst, cost) in &oracle {
                 assert_eq!(bf[dst], *cost, "bellman-ford {src}->{dst}");
-                assert_eq!(dj[dst].cost, *cost, "dijkstra {src}->{dst}");
             }
         }
     }
@@ -215,16 +124,24 @@ mod tests {
         let bf = bellman_ford(&topo, NodeId(0));
         assert_eq!(bf.len(), 2);
         assert!(!bf.contains_key(&NodeId(2)));
-        let dj = dijkstra_paths(&topo, NodeId(2));
-        assert_eq!(dj.len(), 1);
-        assert_eq!(dj[&NodeId(2)].path, vec![NodeId(2)]);
+        let isolated = bellman_ford(&topo, NodeId(2));
+        assert_eq!(isolated, HashMap::from([(NodeId(2), 0)]));
     }
 
     #[test]
     fn all_pairs_covers_reachable_pairs_only() {
         let topo = Topology::paper_figure1();
-        let pairs = all_pairs_costs(&topo);
+        let pairs: HashMap<(NodeId, NodeId), u64> = topo
+            .nodes()
+            .iter()
+            .flat_map(|&src| {
+                bellman_ford(&topo, src)
+                    .into_iter()
+                    .map(move |(dst, c)| ((src, dst), c))
+            })
+            .collect();
         // a→b, a→c, b→c plus the three self-pairs.
+        assert_eq!(pairs.len(), 6);
         assert_eq!(pairs[&(NodeId(0), NodeId(1))], 1);
         assert_eq!(pairs[&(NodeId(0), NodeId(2))], 1);
         assert_eq!(pairs[&(NodeId(1), NodeId(2))], 1);
@@ -246,30 +163,7 @@ mod tests {
         fn prop_dijkstra_agrees_with_bellman_ford(n in 4u32..40, degree in 1u32..4, seed in any::<u64>()) {
             let topo = Topology::random_out_degree(n, degree, 10, seed);
             let src = NodeId(0);
-            let bf = bellman_ford(&topo, src);
-            let dj = dijkstra_paths(&topo, src);
-            prop_assert_eq!(bf.len(), dj.len());
-            for (dst, sp) in &dj {
-                prop_assert_eq!(bf[dst], sp.cost);
-                // Every returned path starts at the source, ends at the
-                // destination, and is loop-free.
-                prop_assert_eq!(sp.path.first(), Some(&src));
-                prop_assert_eq!(sp.path.last(), Some(dst));
-                prop_assert!(is_loop_free(&sp.path));
-                // And its hop costs sum to the reported cost.
-                let mut sum = 0u64;
-                for pair in sp.path.windows(2) {
-                    let link = topo
-                        .outgoing(pair[0])
-                        .iter()
-                        .filter(|l| l.dst == pair[1])
-                        .map(|l| u64::from(l.cost))
-                        .min()
-                        .expect("path uses existing links");
-                    sum += link;
-                }
-                prop_assert_eq!(sum, sp.cost);
-            }
+            prop_assert_eq!(bellman_ford(&topo, src), topo.shortest_path_costs(src));
         }
     }
 }

@@ -71,7 +71,7 @@ impl RatePlan {
     }
 
     /// The charge for `bytes` of attributed traffic under this plan.
-    pub fn charge(&self, bytes: u64) -> f64 {
+    pub(crate) fn charge(&self, bytes: u64) -> f64 {
         let mut remaining = bytes;
         let mut previous_bound = 0u64;
         let mut total = self.flat_fee;
@@ -148,11 +148,6 @@ impl BillingRun {
     /// Total revenue of the run.
     pub fn total(&self) -> f64 {
         self.invoices.iter().map(|i| i.amount).sum()
-    }
-
-    /// The invoice of one principal.
-    pub fn invoice_for(&self, principal: &Value) -> Option<&Invoice> {
-        self.invoices.iter().find(|i| &i.principal == principal)
     }
 }
 
@@ -255,8 +250,9 @@ mod tests {
         assert_eq!(run.invoices[0].plan, "premium");
         assert!((run.invoices[0].amount - 10.0).abs() < 1e-9);
         assert!((run.total() - 13.0).abs() < 1e-9);
-        assert_eq!(run.invoice_for(&Value::Addr(2)).unwrap().amount, 0.0);
-        assert!(run.invoice_for(&Value::Addr(9)).is_none());
+        let invoice_for = |p: Value| run.invoices.iter().find(|i| i.principal == p);
+        assert_eq!(invoice_for(Value::Addr(2)).unwrap().amount, 0.0);
+        assert!(invoice_for(Value::Addr(9)).is_none());
         let rendered = run.to_string();
         assert!(rendered.contains("premium"));
         assert!(rendered.contains("total"));

@@ -26,8 +26,8 @@
 //!   analogue);
 //! * [`billing`] — "diverse billing" (the introduction's fourth use case):
 //!   rate plans applied to the accountability report;
-//! * [`baseline`] — imperative Bellman–Ford / Dijkstra oracles the tests and
-//!   benches compare the declarative programs against.
+//! * [`baseline`] — the imperative Bellman–Ford oracle and path loop check
+//!   the tests hold the declarative routing programs against.
 //!
 //! ## Quickstart
 //!
@@ -66,7 +66,6 @@ pub mod trust;
 pub mod workload;
 
 pub use accountability::AccountabilityReport;
-pub use baseline::{all_pairs_costs, bellman_ford, dijkstra_paths, ShortestPath};
 pub use billing::{BillingRun, Invoice, RatePlan, Tier};
 pub use diagnostics::{diagnose, Diagnosis};
 pub use experiment::{

@@ -60,13 +60,6 @@ pub enum TrustDecision {
     NotApplicable,
 }
 
-impl TrustDecision {
-    /// True for [`TrustDecision::Accept`].
-    pub fn is_accept(self) -> bool {
-        self == TrustDecision::Accept
-    }
-}
-
 /// Applies [`TrustPolicy`]s to provenance tags.
 pub struct TrustEvaluator<'a> {
     var_table: &'a VarTable,
@@ -284,8 +277,6 @@ mod tests {
             evaluator.evaluate(&none, &TrustPolicy::KOfN(1)),
             TrustDecision::NotApplicable
         );
-        assert!(!TrustDecision::NotApplicable.is_accept());
-        assert!(TrustDecision::Accept.is_accept());
     }
 
     #[test]

@@ -8,18 +8,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The location value used for a simulator node.
-pub fn location_of(node: NodeId) -> Value {
+pub(crate) fn location_of(node: NodeId) -> Value {
     Value::Addr(node.0)
 }
 
 /// All location values of a topology, in node order.
-pub fn locations_of(topology: &Topology) -> Vec<Value> {
+pub(crate) fn locations_of(topology: &Topology) -> Vec<Value> {
     topology.nodes().iter().map(|n| location_of(*n)).collect()
 }
 
 /// `link(@src, dst)` facts (two-attribute form, for the reachability
 /// programs), one per directed link.
-pub fn link_facts(topology: &Topology) -> Vec<(Value, Tuple)> {
+pub(crate) fn link_facts(topology: &Topology) -> Vec<(Value, Tuple)> {
     topology
         .links()
         .iter()
@@ -34,7 +34,7 @@ pub fn link_facts(topology: &Topology) -> Vec<(Value, Tuple)> {
 
 /// `link(@src, dst, cost)` facts (three-attribute form, for the Best-Path
 /// query), one per directed link.
-pub fn weighted_link_facts(topology: &Topology) -> Vec<(Value, Tuple)> {
+pub(crate) fn weighted_link_facts(topology: &Topology) -> Vec<(Value, Tuple)> {
     topology
         .links()
         .iter()

@@ -41,7 +41,7 @@ impl fmt::Display for BigUint {
 
 impl BigUint {
     /// The value zero.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         BigUint { limbs: Vec::new() }
     }
 
@@ -51,7 +51,7 @@ impl BigUint {
     }
 
     /// Builds a value from a single 64-bit word.
-    pub fn from_u64(v: u64) -> Self {
+    pub(crate) fn from_u64(v: u64) -> Self {
         if v == 0 {
             Self::zero()
         } else {
@@ -59,30 +59,12 @@ impl BigUint {
         }
     }
 
-    /// Builds a value from a 128-bit word.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        if hi == 0 {
-            Self::from_u64(lo)
-        } else {
-            BigUint {
-                limbs: vec![lo, hi],
-            }
-        }
-    }
-
     /// Builds a value from raw little-endian limbs, normalising trailing zeros.
-    pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
+    pub(crate) fn from_limbs(mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
         BigUint { limbs }
-    }
-
-    /// Returns the little-endian limbs.
-    pub fn limbs(&self) -> &[u64] {
-        &self.limbs
     }
 
     /// Parses a big-endian byte string (leading zeros allowed).
@@ -100,7 +82,7 @@ impl BigUint {
     }
 
     /// Serialises to a minimal big-endian byte string (empty for zero).
-    pub fn to_bytes_be(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes_be(&self) -> Vec<u8> {
         if self.is_zero() {
             return Vec::new();
         }
@@ -116,7 +98,7 @@ impl BigUint {
 
     /// Serialises to a fixed-width big-endian byte string, left-padded with
     /// zeros.  Panics if the value does not fit.
-    pub fn to_bytes_be_padded(&self, width: usize) -> Vec<u8> {
+    pub(crate) fn to_bytes_be_padded(&self, width: usize) -> Vec<u8> {
         let needed = self.bit_len().div_ceil(8);
         assert!(
             needed <= width,
@@ -128,26 +110,6 @@ impl BigUint {
             chunk.copy_from_slice(&limb.to_be_bytes()[8 - chunk.len()..]);
         }
         out
-    }
-
-    /// Parses a hexadecimal string (no prefix).
-    pub fn from_hex(s: &str) -> Option<Self> {
-        let mut bytes = Vec::with_capacity(s.len() / 2 + 1);
-        let s = s.trim();
-        let padded;
-        let s = if s.len() % 2 == 1 {
-            padded = format!("0{s}");
-            &padded
-        } else {
-            s
-        };
-        let chars: Vec<char> = s.chars().collect();
-        for pair in chars.chunks(2) {
-            let hi = pair[0].to_digit(16)?;
-            let lo = pair[1].to_digit(16)?;
-            bytes.push((hi * 16 + lo) as u8);
-        }
-        Some(Self::from_bytes_be(&bytes))
     }
 
     /// Renders as lowercase hexadecimal with no leading zeros ("0" for zero).
@@ -167,22 +129,22 @@ impl BigUint {
     }
 
     /// True if the value is zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
     /// True if the value is one.
-    pub fn is_one(&self) -> bool {
+    pub(crate) fn is_one(&self) -> bool {
         self.limbs == [1]
     }
 
     /// True if the value is even (zero counts as even).
-    pub fn is_even(&self) -> bool {
+    pub(crate) fn is_even(&self) -> bool {
         self.limbs.first().is_none_or(|l| l & 1 == 0)
     }
 
     /// Number of significant bits (0 for zero).
-    pub fn bit_len(&self) -> usize {
+    pub(crate) fn bit_len(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(top) => (self.limbs.len() - 1) * 64 + (64 - top.leading_zeros() as usize),
@@ -190,19 +152,19 @@ impl BigUint {
     }
 
     /// Returns bit `i` (little-endian bit numbering).
-    pub fn bit(&self, i: usize) -> bool {
+    pub(crate) fn bit(&self, i: usize) -> bool {
         let limb = i / 64;
         let off = i % 64;
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
     /// Returns the low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
+    pub(crate) fn low_u64(&self) -> u64 {
         self.limbs.first().copied().unwrap_or(0)
     }
 
     /// Addition.
-    pub fn add(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn add(&self, other: &BigUint) -> BigUint {
         let (longer, shorter) = if self.limbs.len() >= other.limbs.len() {
             (&self.limbs, &other.limbs)
         } else {
@@ -224,12 +186,12 @@ impl BigUint {
     }
 
     /// Adds a small word.
-    pub fn add_u64(&self, v: u64) -> BigUint {
+    pub(crate) fn add_u64(&self, v: u64) -> BigUint {
         self.add(&BigUint::from_u64(v))
     }
 
     /// Subtraction; returns `None` on underflow.
-    pub fn checked_sub(&self, other: &BigUint) -> Option<BigUint> {
+    pub(crate) fn checked_sub(&self, other: &BigUint) -> Option<BigUint> {
         if self < other {
             return None;
         }
@@ -248,13 +210,13 @@ impl BigUint {
     }
 
     /// Subtraction; panics on underflow.
-    pub fn sub(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn sub(&self, other: &BigUint) -> BigUint {
         self.checked_sub(other)
             .expect("BigUint subtraction underflow")
     }
 
     /// Schoolbook multiplication.
-    pub fn mul(&self, other: &BigUint) -> BigUint {
+    pub(crate) fn mul(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
@@ -301,7 +263,7 @@ impl BigUint {
     }
 
     /// Right shift by `bits`.
-    pub fn shr_bits(&self, bits: usize) -> BigUint {
+    pub(crate) fn shr_bits(&self, bits: usize) -> BigUint {
         let limb_shift = bits / 64;
         if limb_shift >= self.limbs.len() {
             return BigUint::zero();
@@ -329,7 +291,7 @@ impl BigUint {
     ///
     /// This is O(bits × limbs); it is only used in cold paths (key generation,
     /// Montgomery-context setup), never per-tuple.
-    pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
+    pub(crate) fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "BigUint division by zero");
         if self < divisor {
             return (BigUint::zero(), self.clone());
@@ -400,7 +362,7 @@ impl BigUint {
     }
 
     /// Quotient and remainder by a single 64-bit word.
-    pub fn div_rem_u64(&self, divisor: u64) -> (BigUint, u64) {
+    pub(crate) fn div_rem_u64(&self, divisor: u64) -> (BigUint, u64) {
         assert!(divisor != 0, "BigUint division by zero");
         let mut out = vec![0u64; self.limbs.len()];
         let mut rem = 0u128;
@@ -413,14 +375,14 @@ impl BigUint {
     }
 
     /// Remainder modulo a 64-bit word (no quotient is built).
-    pub fn mod_u64(&self, modulus: u64) -> u64 {
+    pub(crate) fn mod_u64(&self, modulus: u64) -> u64 {
         assert!(modulus != 0, "BigUint division by zero");
         let fold = |rem: u128, &limb: &u64| ((rem << 64) | limb as u128) % modulus as u128;
         self.limbs.iter().rev().fold(0, fold) as u64
     }
 
     /// `self mod modulus` via long division.
-    pub fn rem(&self, modulus: &BigUint) -> BigUint {
+    pub(crate) fn rem(&self, modulus: &BigUint) -> BigUint {
         self.div_rem(modulus).1
     }
 
@@ -453,43 +415,9 @@ impl BigUint {
         result
     }
 
-    /// Greatest common divisor (binary GCD).
-    pub fn gcd(&self, other: &BigUint) -> BigUint {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        let mut shift = 0usize;
-        while a.is_even() && b.is_even() {
-            a = a.shr_bits(1);
-            b = b.shr_bits(1);
-            shift += 1;
-        }
-        while a.is_even() {
-            a = a.shr_bits(1);
-        }
-        loop {
-            while b.is_even() {
-                b = b.shr_bits(1);
-            }
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            b = b.sub(&a);
-            if b.is_zero() {
-                break;
-            }
-        }
-        a.shl_bits(shift)
-    }
-
     /// Modular multiplicative inverse: returns `x` with `self * x ≡ 1 (mod
     /// modulus)`, or `None` when `gcd(self, modulus) != 1`.
-    pub fn mod_inverse(&self, modulus: &BigUint) -> Option<BigUint> {
+    pub(crate) fn mod_inverse(&self, modulus: &BigUint) -> Option<BigUint> {
         if modulus.is_zero() || modulus.is_one() {
             return None;
         }
@@ -560,7 +488,7 @@ impl BigUint {
     }
 
     /// Generates a uniformly random value below `bound` (which must be > 0).
-    pub fn random_below<R: rand::RngCore>(bound: &BigUint, rng: &mut R) -> BigUint {
+    pub(crate) fn random_below<R: rand::RngCore>(bound: &BigUint, rng: &mut R) -> BigUint {
         assert!(!bound.is_zero());
         let bits = bound.bit_len();
         loop {
@@ -926,7 +854,7 @@ impl MontgomeryCtx {
     }
 
     /// Modular multiplication `a * b mod n`.
-    pub fn mod_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+    pub(crate) fn mod_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
         with_kernel!(self, m => {
             let (a, b) = (self.to_mont(m, a), self.to_mont(m, b));
             let mut out = m.load(&[]);
@@ -1014,7 +942,7 @@ impl MontgomeryCtx {
     /// (`a^d = 1`, or `a^(d * 2^r) = -1` for some `r < s`).  The squaring
     /// chain never leaves Montgomery form; it is compared against the
     /// Montgomery forms of `1` and `n - 1`.
-    pub fn is_strong_probable_prime(&self, a: &BigUint, d: &BigUint, s: usize) -> bool {
+    pub(crate) fn is_strong_probable_prime(&self, a: &BigUint, d: &BigUint, s: usize) -> bool {
         with_kernel!(self, m => {
             let a = self.to_mont(m, a);
             let mut x = self.pow(m, &a, d);
@@ -1063,7 +991,35 @@ mod tests {
     use rand::SeedableRng;
 
     fn big(v: u128) -> BigUint {
-        BigUint::from_u128(v)
+        BigUint::from_bytes_be(&v.to_be_bytes())
+    }
+
+    /// Parses a hexadecimal string (no prefix).
+    fn from_hex(s: &str) -> Option<BigUint> {
+        let mut bytes = Vec::with_capacity(s.len() / 2 + 1);
+        let s = s.trim();
+        let padded;
+        let s = if s.len() % 2 == 1 {
+            padded = format!("0{s}");
+            &padded
+        } else {
+            s
+        };
+        let chars: Vec<char> = s.chars().collect();
+        for pair in chars.chunks(2) {
+            let hi = pair[0].to_digit(16)?;
+            let lo = pair[1].to_digit(16)?;
+            bytes.push((hi * 16 + lo) as u8);
+        }
+        Some(BigUint::from_bytes_be(&bytes))
+    }
+
+    fn gcd(a: u64, b: u64) -> u64 {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
     }
 
     #[test]
@@ -1108,7 +1064,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "field is")]
     fn padded_serialisation_panics_when_too_small() {
-        BigUint::from_u128(u128::MAX).to_bytes_be_padded(8);
+        big(u128::MAX).to_bytes_be_padded(8);
     }
 
     #[test]
@@ -1120,11 +1076,11 @@ mod tests {
             "deadbeef",
             "123456789abcdef0123456789abcdef",
         ] {
-            let v = BigUint::from_hex(s).unwrap();
+            let v = from_hex(s).unwrap();
             assert_eq!(v.to_hex(), s, "hex {s}");
         }
-        assert_eq!(BigUint::from_hex("00ff").unwrap(), BigUint::from_u64(255));
-        assert!(BigUint::from_hex("xyz").is_none());
+        assert_eq!(from_hex("00ff").unwrap(), BigUint::from_u64(255));
+        assert!(from_hex("xyz").is_none());
     }
 
     #[test]
@@ -1141,10 +1097,7 @@ mod tests {
     fn mul_carries_across_limbs() {
         let a = big(u64::MAX as u128);
         let b = big(u64::MAX as u128);
-        assert_eq!(
-            a.mul(&b),
-            BigUint::from_u128((u64::MAX as u128) * (u64::MAX as u128))
-        );
+        assert_eq!(a.mul(&b), big((u64::MAX as u128) * (u64::MAX as u128)));
         assert_eq!(a.mul(&BigUint::zero()), BigUint::zero());
     }
 
@@ -1166,8 +1119,8 @@ mod tests {
         assert_eq!(q, big(97));
         assert_eq!(r, big(13));
 
-        let big_a = BigUint::from_hex("ffffffffffffffffffffffffffffffff").unwrap();
-        let big_b = BigUint::from_hex("fedcba9876543210").unwrap();
+        let big_a = from_hex("ffffffffffffffffffffffffffffffff").unwrap();
+        let big_b = from_hex("fedcba9876543210").unwrap();
         let (q, r) = big_a.div_rem(&big_b);
         assert_eq!(q.mul(&big_b).add(&r), big_a);
         assert!(r < big_b);
@@ -1181,7 +1134,7 @@ mod tests {
 
     #[test]
     fn mod_u64_matches_div_rem() {
-        let a = BigUint::from_hex("123456789abcdef0fedcba9876543210").unwrap();
+        let a = from_hex("123456789abcdef0fedcba9876543210").unwrap();
         assert_eq!(a.mod_u64(97), a.div_rem(&big(97)).1.low_u64());
         assert_eq!(a.mod_u64(2), 0);
     }
@@ -1206,15 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn gcd_cases() {
-        assert_eq!(big(12).gcd(&big(18)), big(6));
-        assert_eq!(big(17).gcd(&big(31)), big(1));
-        assert_eq!(BigUint::zero().gcd(&big(5)), big(5));
-        assert_eq!(big(5).gcd(&BigUint::zero()), big(5));
-        assert_eq!(big(48).gcd(&big(36)), big(12));
-    }
-
-    #[test]
     fn mod_inverse_small() {
         // 3 * 7 = 21 ≡ 1 mod 10
         assert_eq!(big(3).mod_inverse(&big(10)), Some(big(7)));
@@ -1228,10 +1172,10 @@ mod tests {
 
     #[test]
     fn montgomery_matches_naive() {
-        let modulus = BigUint::from_hex("f123456789abcdef0123456789abcdefb").unwrap();
+        let modulus = from_hex("f123456789abcdef0123456789abcdefb").unwrap();
         let ctx = MontgomeryCtx::new(&modulus).unwrap();
-        let a = BigUint::from_hex("deadbeefcafebabe1234").unwrap();
-        let b = BigUint::from_hex("aabbccddeeff00112233445566").unwrap();
+        let a = from_hex("deadbeefcafebabe1234").unwrap();
+        let b = from_hex("aabbccddeeff00112233445566").unwrap();
         assert_eq!(ctx.mod_mul(&a, &b), a.mul(&b).rem(&modulus));
 
         let e = big(4097);
@@ -1264,7 +1208,7 @@ mod tests {
     #[test]
     fn random_below_respects_bound() {
         let mut rng = StdRng::seed_from_u64(7);
-        let bound = BigUint::from_hex("10000000000000001").unwrap();
+        let bound = from_hex("10000000000000001").unwrap();
         for _ in 0..50 {
             assert!(BigUint::random_below(&bound, &mut rng) < bound);
         }
@@ -1273,7 +1217,7 @@ mod tests {
     #[test]
     fn ordering_is_numeric() {
         assert!(big(5) < big(6));
-        assert!(BigUint::from_u128(u128::MAX) > big(1));
+        assert!(big(u128::MAX) > big(1));
         assert_eq!(big(42).cmp(&big(42)), Ordering::Equal);
     }
 
@@ -1330,11 +1274,11 @@ mod tests {
 
     #[test]
     fn serialisation_and_word_remainder_at_limb_boundaries() {
-        let v = BigUint::from_hex("0102030405060708090a0b").unwrap();
+        let v = from_hex("0102030405060708090a0b").unwrap();
         assert_eq!(v.to_bytes_be_padded(11), v.to_bytes_be());
         assert_eq!(v.to_bytes_be_padded(19)[..8], [0; 8]);
         assert_eq!(v.to_bytes_be_padded(19)[8..], v.to_bytes_be());
-        let wide = BigUint::from_hex("f123456789abcdef0123456789abcdefb00000000000000001").unwrap();
+        let wide = from_hex("f123456789abcdef0123456789abcdefb00000000000000001").unwrap();
         for m in [1u64, 3, 281, u64::MAX, 16_294_579_238_595_022_365] {
             assert_eq!(wide.mod_u64(m), wide.div_rem_u64(m).1, "mod {m}");
         }
@@ -1373,15 +1317,15 @@ mod tests {
     proptest! {
         #[test]
         fn prop_add_sub_roundtrip(a in any::<u128>(), b in any::<u128>()) {
-            let x = BigUint::from_u128(a);
-            let y = BigUint::from_u128(b);
+            let x = big(a);
+            let y = big(b);
             prop_assert_eq!(x.add(&y).sub(&y), x);
         }
 
         #[test]
         fn prop_add_commutative(a in any::<u128>(), b in any::<u128>()) {
-            let x = BigUint::from_u128(a);
-            let y = BigUint::from_u128(b);
+            let x = big(a);
+            let y = big(b);
             prop_assert_eq!(x.add(&y), y.add(&x));
         }
 
@@ -1389,13 +1333,13 @@ mod tests {
         fn prop_mul_matches_u128(a in any::<u64>(), b in any::<u64>()) {
             let x = BigUint::from_u64(a);
             let y = BigUint::from_u64(b);
-            prop_assert_eq!(x.mul(&y), BigUint::from_u128(a as u128 * b as u128));
+            prop_assert_eq!(x.mul(&y), big(a as u128 * b as u128));
         }
 
         #[test]
         fn prop_div_rem_invariant(a in any::<u128>(), b in 1u128..) {
-            let x = BigUint::from_u128(a);
-            let y = BigUint::from_u128(b);
+            let x = big(a);
+            let y = big(b);
             let (q, r) = x.div_rem(&y);
             prop_assert!(r < y);
             prop_assert_eq!(q.mul(&y).add(&r), x);
@@ -1423,7 +1367,7 @@ mod tests {
 
         #[test]
         fn prop_shift_roundtrip(a in any::<u128>(), s in 0usize..200) {
-            let x = BigUint::from_u128(a);
+            let x = big(a);
             prop_assert_eq!(x.shl_bits(s).shr_bits(s), x);
         }
 
@@ -1438,15 +1382,15 @@ mod tests {
                 acc
             };
             let got = BigUint::from_u64(base).mod_pow(&BigUint::from_u64(exp), &BigUint::from_u64(m));
-            prop_assert_eq!(got, BigUint::from_u128(expected));
+            prop_assert_eq!(got, big(expected));
         }
 
         #[test]
         fn prop_montgomery_mul_matches_naive(a in any::<u128>(), b in any::<u128>(), m in (3u128..).prop_map(|v| v | 1)) {
-            let modulus = BigUint::from_u128(m);
+            let modulus = big(m);
             if let Some(ctx) = MontgomeryCtx::new(&modulus) {
-                let x = BigUint::from_u128(a);
-                let y = BigUint::from_u128(b);
+                let x = big(a);
+                let y = big(b);
                 prop_assert_eq!(ctx.mod_mul(&x, &y), x.mul(&y).rem(&modulus));
             }
         }
@@ -1561,7 +1505,7 @@ mod tests {
                 prop_assert_eq!(x.mul(&inv).rem(&modulus), BigUint::one());
                 prop_assert!(inv < modulus);
             } else {
-                prop_assert!(x.gcd(&modulus) != BigUint::one() || modulus.is_one());
+                prop_assert!(gcd(a, m) != 1 || m == 1);
             }
         }
     }

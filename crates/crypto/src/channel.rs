@@ -22,7 +22,7 @@
 //!    over `epoch ‖ counter ‖ payload` ([`ChannelProof`]).  The per-channel
 //!    counter is strictly monotonic: a replayed (or reordered) frame carries
 //!    a stale counter and is rejected ([`SaysError::ReplayedFrame`]).
-//! 3. **Rebind** — after [`SenderChannel::rebind_after`] frames the channel
+//! 3. **Rebind** — after `SenderChannel::rebind_after` frames the channel
 //!    [`SenderChannel::expired`]s and the initiator must perform a fresh
 //!    handshake at the next epoch; frames MAC'd under a stale epoch are
 //!    rejected.
@@ -67,7 +67,7 @@ pub struct HandshakeTranscript {
 impl HandshakeTranscript {
     /// Canonical byte encoding — the exact bytes signed by the initiator
     /// and fed to the key derivation.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(TRANSCRIPT_TAG.len() + 12);
         v.extend_from_slice(TRANSCRIPT_TAG);
         v.extend_from_slice(&self.src.0.to_be_bytes());
@@ -84,7 +84,7 @@ impl HandshakeTranscript {
 
 /// Derives the channel's HMAC-SHA-256 session key from the initiator's MAC
 /// secret and the full transcript — fresh per `(src, dst, epoch)`.
-pub fn derive_session_key(
+pub(crate) fn derive_session_key(
     src_secret: &[u8; TAG_LEN],
     transcript: &HandshakeTranscript,
 ) -> [u8; TAG_LEN] {
@@ -97,7 +97,7 @@ pub fn derive_session_key(
 pub struct ChannelHandshake {
     /// The signed transcript.
     pub transcript: HandshakeTranscript,
-    /// RSA signature by `transcript.src` over [`HandshakeTranscript::encode`].
+    /// RSA signature by `transcript.src` over `HandshakeTranscript::encode`.
     pub signature: Vec<u8>,
 }
 
@@ -183,11 +183,6 @@ impl SenderChannel {
         self.transcript.epoch
     }
 
-    /// The receiving principal this channel is bound to.
-    pub fn peer(&self) -> PrincipalId {
-        self.transcript.dst
-    }
-
     /// True once the channel has authenticated `rebind_after` frames and
     /// must be rebound (fresh handshake, next epoch) before the next frame.
     pub fn expired(&self) -> bool {
@@ -199,7 +194,7 @@ impl SenderChannel {
     ///
     /// Callers must check [`SenderChannel::expired`] first and rebind when
     /// the channel is exhausted; MAC'ing past the limit is a logic error.
-    pub fn mac_frame<T: AsRef<[u8]>>(&mut self, tuples: &[T]) -> ChannelProof {
+    pub(crate) fn mac_frame<T: AsRef<[u8]>>(&mut self, tuples: &[T]) -> ChannelProof {
         debug_assert!(!self.expired(), "channel must be rebound before reuse");
         let counter = self.next_counter;
         self.next_counter += 1;
@@ -230,7 +225,7 @@ impl ReceiverChannel {
     }
 
     /// The asserting principal every frame on this channel speaks for.
-    pub fn peer(&self) -> PrincipalId {
+    pub(crate) fn peer(&self) -> PrincipalId {
         self.transcript.src
     }
 
@@ -250,7 +245,7 @@ impl ReceiverChannel {
     /// (uniform work, and what the engine's `hmac_ops` accounting charges).
     /// A frame MAC'd under a stale epoch fails the MAC check itself — the
     /// session key is fresh per epoch.
-    pub fn verify_frame<T: AsRef<[u8]>>(
+    pub(crate) fn verify_frame<T: AsRef<[u8]>>(
         &mut self,
         tuples: &[T],
         proof: &ChannelProof,

@@ -10,7 +10,7 @@
 use crate::sha256::{sha256, Digest, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Length in bytes of an HMAC-SHA-256 tag.
-pub const TAG_LEN: usize = DIGEST_LEN;
+pub(crate) const TAG_LEN: usize = DIGEST_LEN;
 
 /// An HMAC-SHA-256 key with its padded-key block absorptions precomputed.
 ///
@@ -20,7 +20,7 @@ pub const TAG_LEN: usize = DIGEST_LEN;
 /// pays those two compressions once at construction instead of on every
 /// tag.
 #[derive(Clone)]
-pub struct HmacKey {
+pub(crate) struct HmacKey {
     inner: Sha256,
     outer: Sha256,
 }
@@ -57,12 +57,12 @@ impl HmacKey {
 
     /// Starts one MAC computation: a hasher with the inner padded key
     /// already absorbed — stream the message into it, then [`HmacKey::finish`].
-    pub fn begin(&self) -> Sha256 {
+    pub(crate) fn begin(&self) -> Sha256 {
         self.inner.clone()
     }
 
     /// Completes a MAC started with [`HmacKey::begin`].
-    pub fn finish(&self, inner: Sha256) -> Digest {
+    pub(crate) fn finish(&self, inner: Sha256) -> Digest {
         let inner_digest = inner.finalize();
         let mut outer = self.outer.clone();
         outer.update(&inner_digest);
@@ -70,25 +70,20 @@ impl HmacKey {
     }
 
     /// One-shot `HMAC-SHA256(key, message)` under this key.
-    pub fn mac(&self, message: &[u8]) -> Digest {
+    pub(crate) fn mac(&self, message: &[u8]) -> Digest {
         self.mac_parts(&[message])
     }
 
     /// `HMAC-SHA256(key, parts[0] ‖ parts[1] ‖ …)`, each part read in place.
-    pub fn mac_parts<T: AsRef<[u8]>>(&self, parts: &[T]) -> Digest {
+    pub(crate) fn mac_parts<T: AsRef<[u8]>>(&self, parts: &[T]) -> Digest {
         let mut inner = self.begin();
         parts.iter().for_each(|part| inner.update(part.as_ref()));
         self.finish(inner)
     }
-
-    /// Verifies a tag in constant time.
-    pub fn verify(&self, message: &[u8], tag: &[u8]) -> bool {
-        constant_time_eq(&self.mac(message), tag)
-    }
 }
 
 /// Computes `HMAC-SHA256(key, message)`.
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     HmacKey::new(key).mac(message)
 }
 
@@ -96,7 +91,7 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 ///
 /// Verification of authentication tags must not leak, through timing, the
 /// position of the first mismatching byte.
-pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
+pub(crate) fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
     }
@@ -158,7 +153,8 @@ mod tests {
         let key = b"pairwise secret between a and b";
         let msg = b"reachable(a,c)";
         let tag = hmac_sha256(key, msg);
-        let verify = |key: &[u8], msg: &[u8], tag: &[u8]| HmacKey::new(key).verify(msg, tag);
+        let verify =
+            |key: &[u8], msg: &[u8], tag: &[u8]| constant_time_eq(&HmacKey::new(key).mac(msg), tag);
         assert!(verify(key, msg, &tag));
 
         let mut forged = tag;

@@ -10,7 +10,7 @@
 //! from-scratch replacement for that stack so the reproduction has no
 //! external cryptographic dependencies:
 //!
-//! * [`sha256`] — SHA-256 (FIPS 180-4), the message digest under both MACs
+//! * [`sha256`](mod@sha256) — SHA-256 (FIPS 180-4), the message digest under both MACs
 //!   and signatures;
 //! * [`hmac`] — HMAC-SHA-256, the "benign world" middle ground for `says`;
 //! * [`bigint`] — arbitrary-precision arithmetic with Montgomery modular
@@ -68,4 +68,4 @@ pub use channel::{ChannelHandshake, ChannelProof, ReceiverChannel, SenderChannel
 pub use principal::{KeyAuthority, Keyring, Principal, PrincipalId};
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use says::{Authenticator, SaysAssertion, SaysError, SaysLevel, SaysProof};
-pub use sha256::{sha256, Digest};
+pub use sha256::sha256;

@@ -17,13 +17,13 @@ const SMALL_PRIMES: [u64; 60] = [
 ];
 
 /// Default number of Miller–Rabin rounds.
-pub const DEFAULT_ROUNDS: usize = 24;
+pub(crate) const DEFAULT_ROUNDS: usize = 24;
 
 /// Returns `true` if `n` is (very probably) prime.
 ///
 /// Uses trial division by [`SMALL_PRIMES`] followed by `rounds` iterations of
 /// Miller–Rabin with uniformly random bases.
-pub fn is_probable_prime<R: RngCore>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
+pub(crate) fn is_probable_prime<R: RngCore>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     if n.bit_len() <= 64 && SMALL_PRIMES.contains(&n.low_u64()) {
         return true;
     }
@@ -96,7 +96,7 @@ pub fn gen_prime<R: RngCore>(bits: usize, rng: &mut R) -> BigUint {
 /// primes close enough that Fermat factorisation of `p * q` starts from
 /// `ceil(sqrt(n))` and wins almost immediately.  Equal primes are the
 /// degenerate case (`|p - q| = 0`).
-pub fn primes_too_close(p: &BigUint, q: &BigUint, min_diff_bits: usize) -> bool {
+pub(crate) fn primes_too_close(p: &BigUint, q: &BigUint, min_diff_bits: usize) -> bool {
     let diff = if p >= q { p.sub(q) } else { q.sub(p) };
     diff.bit_len() <= min_diff_bits
 }
@@ -108,7 +108,7 @@ pub fn primes_too_close(p: &BigUint, q: &BigUint, min_diff_bits: usize) -> bool 
 /// Two independently drawn primes of this size violate the bound with
 /// probability around `2^-100`, so the rejection loop effectively never
 /// re-draws — seeded key generation stays deterministic in practice.
-pub fn gen_prime_pair<R: RngCore>(modulus_bits: usize, rng: &mut R) -> (BigUint, BigUint) {
+pub(crate) fn gen_prime_pair<R: RngCore>(modulus_bits: usize, rng: &mut R) -> (BigUint, BigUint) {
     let half = modulus_bits / 2;
     let min_diff_bits = half.saturating_sub(100).max(1);
     let p = gen_prime(half, rng);
@@ -199,7 +199,7 @@ mod tests {
             let prime = n >= 2 && (2..).take_while(|d| d * d <= n).all(|d| n % d != 0);
             let mut r = rng();
             if wide {
-                let multiple = BigUint::from_u128(((n as u128) << 64) | n as u128);
+                let multiple = BigUint::from_bytes_be(&(((n as u128) << 64) | n as u128).to_be_bytes());
                 prop_assert!(!is_probable_prime(&multiple, 16, &mut r));
             } else {
                 prop_assert_eq!(is_probable_prime(&BigUint::from_u64(n), 16, &mut r), prime);

@@ -78,7 +78,7 @@ impl fmt::Debug for Keyring {
 
 impl Keyring {
     /// The principal that owns this keyring.
-    pub fn owner(&self) -> PrincipalId {
+    pub(crate) fn owner(&self) -> PrincipalId {
         self.owner
     }
 
@@ -88,25 +88,20 @@ impl Keyring {
     }
 
     /// Looks up the public key of `principal`.
-    pub fn public_key_of(&self, principal: PrincipalId) -> Option<&RsaPublicKey> {
+    pub(crate) fn public_key_of(&self, principal: PrincipalId) -> Option<&RsaPublicKey> {
         self.directory.get(&principal)
     }
 
     /// Looks up the MAC secret of `principal`.
-    pub fn mac_secret_of(&self, principal: PrincipalId) -> Option<&[u8; TAG_LEN]> {
+    pub(crate) fn mac_secret_of(&self, principal: PrincipalId) -> Option<&[u8; TAG_LEN]> {
         self.mac_secrets.get(&principal)
     }
 
     /// The owner's MAC secret.
-    pub fn own_mac_secret(&self) -> &[u8; TAG_LEN] {
+    pub(crate) fn own_mac_secret(&self) -> &[u8; TAG_LEN] {
         self.mac_secrets
             .get(&self.owner)
             .expect("keyring always contains the owner's MAC secret")
-    }
-
-    /// Number of principals in the public directory.
-    pub fn known_principals(&self) -> usize {
-        self.directory.len()
     }
 }
 
@@ -172,11 +167,6 @@ impl KeyAuthority {
         })
     }
 
-    /// The RSA modulus size used for every principal.
-    pub fn modulus_bits(&self) -> usize {
-        self.modulus_bits
-    }
-
     /// Returns the keyring view for `principal`, or `None` if it was not
     /// provisioned.
     pub fn keyring_for(&self, principal: PrincipalId) -> Option<Keyring> {
@@ -208,7 +198,7 @@ mod tests {
             k1.rsa_keypair().public_key().fingerprint()
         );
         assert_ne!(k0.own_mac_secret(), k1.own_mac_secret());
-        assert_eq!(k0.known_principals(), 3);
+        assert_eq!(k0.directory.len(), 3);
     }
 
     #[test]

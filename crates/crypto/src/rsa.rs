@@ -25,13 +25,13 @@ use std::sync::Arc;
 
 /// Minimum supported modulus size.  PKCS#1 v1.5 padding of a SHA-256 digest
 /// requires at least 62 bytes of modulus.
-pub const MIN_MODULUS_BITS: usize = 512;
+pub(crate) const MIN_MODULUS_BITS: usize = 512;
 
 /// Default modulus size used by the simulator (a compromise between realism
 /// and the cost of signing every tuple in a 100-node in-process simulation;
 /// the paper used 1024-bit keys, which remain available via
 /// [`RsaKeyPair::generate`]).
-pub const DEFAULT_MODULUS_BITS: usize = 512;
+pub(crate) const DEFAULT_MODULUS_BITS: usize = 512;
 
 /// DER prefix of the SHA-256 `DigestInfo` structure used in EMSA-PKCS1-v1_5.
 const SHA256_DIGEST_INFO_PREFIX: [u8; 19] = [
@@ -42,7 +42,7 @@ const SHA256_DIGEST_INFO_PREFIX: [u8; 19] = [
 /// Errors produced by RSA operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsaError {
-    /// The requested modulus size is below [`MIN_MODULUS_BITS`].
+    /// The requested modulus size is below `MIN_MODULUS_BITS`.
     ModulusTooSmall(usize),
     /// A signature failed structural validation (wrong length).
     MalformedSignature {
@@ -104,16 +104,6 @@ impl RsaPublicKey {
         &self.n
     }
 
-    /// The public exponent (65537 for keys generated here).
-    pub fn exponent(&self) -> &BigUint {
-        &self.e
-    }
-
-    /// Length of signatures produced under this key, in bytes.
-    pub fn signature_len(&self) -> usize {
-        self.modulus_bytes
-    }
-
     /// A stable fingerprint of the public key (SHA-256 of `n || e`), used as
     /// a compact principal identifier on the wire.
     pub fn fingerprint(&self) -> Digest {
@@ -130,7 +120,7 @@ impl RsaPublicKey {
 
     /// Verifies `signature` over a message the caller hashed — streamed
     /// through [`crate::sha256::Sha256`] in parts, say.
-    pub fn verify_digest(&self, digest: &Digest, signature: &[u8]) -> bool {
+    pub(crate) fn verify_digest(&self, digest: &Digest, signature: &[u8]) -> bool {
         if signature.len() != self.modulus_bytes {
             return false;
         }
@@ -242,13 +232,8 @@ impl RsaKeyPair {
         &self.public
     }
 
-    /// Length of signatures produced by this key, in bytes.
-    pub fn signature_len(&self) -> usize {
-        self.public.modulus_bytes
-    }
-
     /// Signs `message` (hashed with SHA-256 internally) and returns a
-    /// signature of exactly [`Self::signature_len`] bytes.
+    /// signature as long as the modulus, in bytes.
     ///
     /// The private exponentiation runs over the CRT: two half-width
     /// exponentiations modulo `p` and `q`, recombined with Garner's formula
@@ -264,7 +249,7 @@ impl RsaKeyPair {
 
     /// [`Self::sign`] over a message the caller hashed — streamed through
     /// [`crate::sha256::Sha256`] in parts, say.
-    pub fn sign_digest(&self, digest: &Digest) -> Vec<u8> {
+    pub(crate) fn sign_digest(&self, digest: &Digest) -> Vec<u8> {
         let encoded = emsa_pkcs1_v15_encode(digest, self.public.modulus_bytes);
         let m = BigUint::from_bytes_be(&encoded);
         debug_assert!(m < self.public.n);
@@ -344,7 +329,7 @@ mod tests {
         let kp = keypair();
         let msg = b"reachable(a,c) asserted by a";
         let sig = kp.sign(msg);
-        assert_eq!(sig.len(), kp.signature_len());
+        assert_eq!(sig.len(), kp.public.modulus_bytes);
         assert!(kp.verify(msg, &sig));
     }
 

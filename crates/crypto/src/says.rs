@@ -354,7 +354,7 @@ impl Authenticator {
 
     /// Produces `self.principal() says frame` for a multi-tuple shipment
     /// frame: one proof over the frame's canonical payload (its tuple
-    /// encodings in order, read in place — see [`frame_digest`]) covers
+    /// encodings in order, read in place — see `frame_digest`) covers
     /// every tuple.  Panics at [`SaysLevel::Session`], as
     /// [`Authenticator::assert`] does.
     pub fn assert_frame<T: AsRef<[u8]>>(&self, tuples: &[T]) -> SaysAssertion {
@@ -524,7 +524,7 @@ impl Authenticator {
     }
 
     /// Verifies an assertion against an explicit minimum level.
-    pub fn verify_at_level(
+    pub(crate) fn verify_at_level(
         &self,
         payload: &[u8],
         assertion: &SaysAssertion,
@@ -574,16 +574,6 @@ impl Authenticator {
             }
         }
     }
-
-    /// Number of proof bytes this authenticator adds per exported tuple.
-    pub fn proof_overhead(&self) -> usize {
-        match self.level {
-            SaysLevel::Cleartext => 0,
-            SaysLevel::Hmac => TAG_LEN,
-            SaysLevel::Session => CHANNEL_PROOF_LEN,
-            SaysLevel::Rsa => self.keyring.rsa_keypair().signature_len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -597,6 +587,16 @@ mod tests {
         let a = Authenticator::new(auth.keyring_for(PrincipalId(0)).unwrap(), level);
         let b = Authenticator::new(auth.keyring_for(PrincipalId(1)).unwrap(), level);
         (a, b)
+    }
+
+    /// Number of proof bytes `authenticator` adds per exported frame.
+    fn proof_overhead(authenticator: &Authenticator) -> usize {
+        match authenticator.level {
+            SaysLevel::Cleartext => 0,
+            SaysLevel::Hmac => TAG_LEN,
+            SaysLevel::Session => CHANNEL_PROOF_LEN,
+            SaysLevel::Rsa => authenticator.keyring.rsa_keypair().sign(b"").len(),
+        }
     }
 
     #[test]
@@ -706,7 +706,7 @@ mod tests {
                 let (handshake, mut tx) = a.open_channel(b.principal(), 0, 16);
                 let mut rx = b.accept_channel(&handshake).unwrap();
                 let assertion = a.assert_frame_on(&mut tx, &tuples);
-                assert_eq!(assertion.proof.wire_len(), a.proof_overhead());
+                assert_eq!(assertion.proof.wire_len(), proof_overhead(&a));
                 assert!(b
                     .verify_frame_on(&mut rx, &tuples, &assertion, level)
                     .is_ok());
@@ -714,7 +714,7 @@ mod tests {
             }
             let assertion = a.assert_frame(&tuples);
             // One proof; its size does not scale with the tuple count.
-            assert_eq!(assertion.proof.wire_len(), a.proof_overhead());
+            assert_eq!(assertion.proof.wire_len(), proof_overhead(&a));
             assert!(b.verify_frame(&tuples, &assertion).is_ok());
             // A one-tuple frame signs exactly the per-tuple payload.
             let single = a.assert_frame(&tuples[..1]);
@@ -806,13 +806,15 @@ mod tests {
         let (a_clear, _) = setup(SaysLevel::Cleartext);
         let (a_hmac, _) = setup(SaysLevel::Hmac);
         let (a_rsa, _) = setup(SaysLevel::Rsa);
-        assert_eq!(a_clear.proof_overhead(), 0);
-        assert_eq!(a_hmac.proof_overhead(), TAG_LEN);
-        assert_eq!(
-            a_rsa.proof_overhead(),
-            a_rsa.keyring.rsa_keypair().signature_len()
-        );
-        assert!(a_rsa.proof_overhead() > a_hmac.proof_overhead());
+        assert_eq!(proof_overhead(&a_clear), 0);
+        assert_eq!(proof_overhead(&a_hmac), TAG_LEN);
+        let modulus = a_rsa.keyring.rsa_keypair().public_key().modulus();
+        assert_eq!(proof_overhead(&a_rsa), modulus.bit_len().div_ceil(8));
+        assert!(proof_overhead(&a_rsa) > proof_overhead(&a_hmac));
+        // Each level's proof is that many bytes on the wire.
+        for a in [&a_clear, &a_hmac, &a_rsa] {
+            assert_eq!(a.assert(b"x").proof.wire_len(), proof_overhead(a));
+        }
     }
 
     #[test]

@@ -7,13 +7,13 @@
 //! tuple traffic of the largest evaluation topologies in well under a second.
 
 /// Size of a SHA-256 digest in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// Size of a SHA-256 input block in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// A SHA-256 digest.
-pub type Digest = [u8; DIGEST_LEN];
+pub(crate) type Digest = [u8; DIGEST_LEN];
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -211,7 +211,7 @@ mod x86 {
 
     /// One-time CPUID probe for the SHA extension plus the SSSE3/SSE4.1
     /// shuffles the kernel leans on.
-    pub fn available() -> bool {
+    pub(crate) fn available() -> bool {
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
         *AVAILABLE.get_or_init(|| {
             is_x86_feature_detected!("sha")
@@ -228,7 +228,7 @@ mod x86 {
     /// function unconditionally executes `sha`/`ssse3`/`sse4.1`
     /// instructions.
     #[target_feature(enable = "sha", enable = "ssse3", enable = "sse4.1")]
-    pub unsafe fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    pub(crate) unsafe fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
         // Lane shuffle turning each 16-byte load of big-endian message
         // words into little-endian lanes.
         let mask = _mm_set_epi64x(0x0c0d0e0f_08090a0bu64 as i64, 0x04050607_00010203u64 as i64);

@@ -81,12 +81,12 @@ impl Term {
     }
 
     /// Convenience constructor for a constant term.
-    pub fn constant(value: impl Into<Value>) -> Self {
+    pub(crate) fn constant(value: impl Into<Value>) -> Self {
         Term::Constant(value.into())
     }
 
     /// The variable name, if this term is a variable or aggregate.
-    pub fn variable_name(&self) -> Option<&str> {
+    pub(crate) fn variable_name(&self) -> Option<&str> {
         match self {
             Term::Variable(v) => Some(v),
             Term::Aggregate(_, v) => Some(v),
@@ -176,12 +176,12 @@ impl Expr {
     }
 
     /// Convenience constructor for a constant expression.
-    pub fn constant(value: impl Into<Value>) -> Self {
+    pub(crate) fn constant(value: impl Into<Value>) -> Self {
         Expr::Term(Term::constant(value))
     }
 
     /// Collects the variables referenced by this expression.
-    pub fn variables(&self, out: &mut BTreeSet<String>) {
+    pub(crate) fn variables(&self, out: &mut BTreeSet<String>) {
         match self {
             Expr::Term(Term::Variable(v)) | Expr::Term(Term::Aggregate(_, v)) => {
                 out.insert(v.clone());
@@ -263,13 +263,13 @@ impl Atom {
     }
 
     /// The term occupying the location-specifier position, if declared.
-    pub fn location_term(&self) -> Option<&Term> {
+    pub(crate) fn location_term(&self) -> Option<&Term> {
         self.location.map(|i| &self.args[i])
     }
 
     /// Collects the variables appearing in the atom's arguments (including
     /// `says` / export annotations).
-    pub fn variables(&self) -> BTreeSet<String> {
+    pub(crate) fn variables(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for t in &self.args {
             if let Some(v) = t.variable_name() {
@@ -286,13 +286,8 @@ impl Atom {
     }
 
     /// True if every argument is a constant (a ground fact).
-    pub fn is_ground(&self) -> bool {
+    pub(crate) fn is_ground(&self) -> bool {
         self.args.iter().all(|t| matches!(t, Term::Constant(_)))
-    }
-
-    /// True if any head argument is an aggregate.
-    pub fn has_aggregate(&self) -> bool {
-        self.args.iter().any(|t| matches!(t, Term::Aggregate(..)))
     }
 }
 
@@ -369,7 +364,7 @@ impl Rule {
     }
 
     /// The set of variables bound by body atoms and assignments.
-    pub fn bound_variables(&self) -> BTreeSet<String> {
+    pub(crate) fn bound_variables(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         for lit in &self.body {
             match lit {
@@ -387,7 +382,7 @@ impl Rule {
     }
 
     /// The distinct location-specifier variables used by body atoms.
-    pub fn body_location_variables(&self) -> BTreeSet<String> {
+    pub(crate) fn body_location_variables(&self) -> BTreeSet<String> {
         self.body_atoms()
             .filter_map(|a| a.location_term())
             .filter_map(|t| t.variable_name().map(|s| s.to_string()))
@@ -439,16 +434,6 @@ impl Program {
             .map(|r| r.head.predicate.clone())
             .collect()
     }
-
-    /// True if any rule or body atom uses SeNDlog constructs (`says`,
-    /// context blocks, export annotations).
-    pub fn uses_sendlog(&self) -> bool {
-        self.rules.iter().any(|r| {
-            r.context.is_some()
-                || r.head.export_to.is_some()
-                || r.body_atoms().any(|a| a.says.is_some())
-        })
-    }
 }
 
 impl fmt::Display for Program {
@@ -466,6 +451,21 @@ impl fmt::Display for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True if any head argument is an aggregate.
+    fn has_aggregate(atom: &Atom) -> bool {
+        atom.args.iter().any(|t| matches!(t, Term::Aggregate(..)))
+    }
+
+    /// True if any rule or body atom uses SeNDlog constructs (`says`,
+    /// context blocks, export annotations).
+    fn uses_sendlog(program: &Program) -> bool {
+        program.rules.iter().any(|r| {
+            r.context.is_some()
+                || r.head.export_to.is_some()
+                || r.body_atoms().any(|a| a.says.is_some())
+        })
+    }
 
     fn reachable_rule() -> Rule {
         // r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).
@@ -532,7 +532,7 @@ mod tests {
         };
         assert!(program.derived_predicates().contains("reachable"));
         assert!(!program.derived_predicates().contains("link"));
-        assert!(!program.uses_sendlog());
+        assert!(!uses_sendlog(&program));
     }
 
     #[test]
@@ -543,7 +543,7 @@ mod tests {
             rules: vec![rule],
             facts: vec![],
         };
-        assert!(program.uses_sendlog());
+        assert!(uses_sendlog(&program));
     }
 
     #[test]
@@ -564,7 +564,7 @@ mod tests {
                 Term::Aggregate(AggFunc::Min, "C".into()),
             ],
         );
-        assert!(agg.has_aggregate());
+        assert!(has_aggregate(&agg));
         assert!(!agg.is_ground());
         assert_eq!(agg.to_string(), "bestPathCost(S,D,a_MIN<C>)");
     }

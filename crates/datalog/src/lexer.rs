@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A token with its source position (for error reporting).
 #[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind and payload.
     pub kind: TokenKind,
     /// 1-based line number.
@@ -15,7 +15,7 @@ pub struct Token {
 
 /// Token kinds produced by the lexer.
 #[derive(Clone, PartialEq, Debug)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// A lower-case-initial identifier: predicate names, function names,
     /// constants like `a`, and the keyword `says`.
     Ident(String),
@@ -116,7 +116,7 @@ impl fmt::Display for TokenKind {
 
 /// A lexing error with position information.
 #[derive(Clone, PartialEq, Debug)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Explanation of the failure.
     pub message: String,
     /// 1-based line number.
@@ -138,7 +138,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenises NDlog / SeNDlog source text.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Token>, LexError> {
     let chars: Vec<char> = source.chars().collect();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -11,11 +11,11 @@
 //! distributed evaluator in `pasn-engine`:
 //!
 //! * [`value`] — the runtime value model shared by constants and tuples;
-//! * [`ast`] — programs, rules, atoms, expressions;
-//! * [`lexer`] / [`parser`] — the surface syntax of Section 2 of the paper;
+//! * `ast` — programs, rules, atoms, expressions;
+//! * `lexer` / [`parser`] — the surface syntax of Section 2 of the paper;
 //! * [`validate`] — safety (range restriction), location-specifier and
 //!   aggregate checks;
-//! * [`localize`] — the localization rewrite that turns multi-site rule
+//! * `localize` — the localization rewrite that turns multi-site rule
 //!   bodies into single-site rules plus forwarding rules;
 //! * [`plan`] — per-rule delta plans for semi-naive evaluation, and
 //!   [`plan::compile_program`] tying the whole pipeline together.
@@ -36,9 +36,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod lexer;
-pub mod localize;
+pub(crate) mod ast;
+pub(crate) mod lexer;
+pub(crate) mod localize;
 pub mod parser;
 pub mod plan;
 pub mod symbols;
@@ -52,14 +52,12 @@ pub use plan::{
     PlanStep, RulePlan, SlotExpr, SlotTerm,
 };
 pub use symbols::{PredId, Symbols};
-pub use value::{Address, Value};
+pub use value::Value;
 
 /// Commonly used items, for glob import in examples and downstream crates.
 pub mod prelude {
     pub use crate::ast::{AggFunc, Atom, BinOp, BodyLiteral, Expr, Fact, Program, Rule, Term};
-    pub use crate::localize::localize_program;
     pub use crate::parser::{parse_program, parse_rule};
     pub use crate::plan::{compile_program, CompiledProgram, RulePlan};
-    pub use crate::validate::validate_program;
-    pub use crate::value::{Address, Value};
+    pub use crate::value::Value;
 }

@@ -53,7 +53,7 @@ impl std::error::Error for LocalizeError {}
 
 /// Rewrites every rule of `program` so that all body atoms of each rule share
 /// a single location specifier variable.  Facts are passed through unchanged.
-pub fn localize_program(program: &Program) -> Result<Program, LocalizeError> {
+pub(crate) fn localize_program(program: &Program) -> Result<Program, LocalizeError> {
     let mut out = Program {
         rules: Vec::new(),
         facts: program.facts.clone(),
@@ -68,7 +68,7 @@ pub fn localize_program(program: &Program) -> Result<Program, LocalizeError> {
 /// Rewrites a single rule; returns the (possibly longer) list of localized
 /// rules that replace it.  The last rule in the returned list derives the
 /// original head.
-pub fn localize_rule(rule: &Rule) -> Result<Vec<Rule>, LocalizeError> {
+pub(crate) fn localize_rule(rule: &Rule) -> Result<Vec<Rule>, LocalizeError> {
     // SeNDlog rules are localized by construction.
     if rule.context.is_some() {
         return Ok(vec![rule.clone()]);

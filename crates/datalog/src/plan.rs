@@ -177,7 +177,7 @@ impl Builtin {
     }
 
     /// The built-in called `name`, if there is one.
-    pub fn from_name(name: &str) -> Option<Builtin> {
+    pub(crate) fn from_name(name: &str) -> Option<Builtin> {
         Builtin::ALL.into_iter().find(|b| b.name() == name)
     }
 
@@ -358,13 +358,6 @@ struct BodyStep<'a> {
 }
 
 impl RulePlan {
-    /// Compiles one rule using a scratch predicate interner (tests and
-    /// ad-hoc planning; [`compile_program`] uses [`RulePlan::for_rule_in`]
-    /// so every plan shares one table).
-    pub fn for_rule(rule: &Rule) -> Result<RulePlan, PlanError> {
-        Self::for_rule_in(rule, &mut Symbols::new())
-    }
-
     /// Compiles one localized rule, interning every predicate it mentions
     /// into `symbols`.
     pub fn for_rule_in(rule: &Rule, symbols: &mut Symbols) -> Result<RulePlan, PlanError> {
@@ -652,6 +645,16 @@ mod tests {
     use crate::ast::Atom;
     use crate::parser::parse_program;
 
+    /// True if any rule or body atom uses SeNDlog constructs (`says`,
+    /// context blocks, export annotations).
+    fn uses_sendlog(program: &Program) -> bool {
+        program.rules.iter().any(|r| {
+            r.context.is_some()
+                || r.head.export_to.is_some()
+                || r.body_atoms().any(|a| a.says.is_some())
+        })
+    }
+
     const BEST_PATH: &str = "
         sp1 path(@S,D,P,C) :- link(@S,D,C), P := f_init(S,D).
         sp2 path(@S,D,P,C) :- link(@S,Z,C1), path(@Z,D,P2,C2), C := C1 + C2, P := f_concat(S,P2).
@@ -745,7 +748,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(compiled.plans.len(), 3);
-        assert!(compiled.program.uses_sendlog());
+        assert!(uses_sendlog(&compiled.program));
         // s2 exports to the slot its second body argument binds.
         let s2 = &compiled.plans[1];
         assert_eq!(s2.head.export_to, Some(s2.deltas[0].delta_args[1].clone()));
@@ -768,7 +771,7 @@ mod tests {
             head: Atom::new("p", vec![Term::constant(1i64)]).at(0),
             body: vec![BodyLiteral::Filter(Expr::constant(true))],
         };
-        let err = RulePlan::for_rule(&rule).unwrap_err();
+        let err = RulePlan::for_rule_in(&rule, &mut Symbols::new()).unwrap_err();
         assert!(err.to_string().contains("no atoms"));
     }
 
@@ -823,7 +826,7 @@ mod tests {
             "bad p(@S,X) :- q(@S), X := Y + 1.",
         ] {
             let rule = crate::parser::parse_rule(source).unwrap();
-            match RulePlan::for_rule(&rule) {
+            match RulePlan::for_rule_in(&rule, &mut Symbols::new()) {
                 Err(PlanError::Plan { rule, message }) => {
                     assert_eq!(rule, "bad");
                     assert!(message.contains("never bound"), "{source}: {message}");

@@ -39,7 +39,7 @@ impl fmt::Display for ValidationError {
 impl std::error::Error for ValidationError {}
 
 /// Validates every rule and fact of `program`, returning all errors found.
-pub fn validate_program(program: &Program) -> Result<(), Vec<ValidationError>> {
+pub(crate) fn validate_program(program: &Program) -> Result<(), Vec<ValidationError>> {
     let mut errors = Vec::new();
     for rule in &program.rules {
         validate_rule(rule, &mut errors);

@@ -18,7 +18,7 @@ const MAX_DECODE_DEPTH: usize = 32;
 /// Identifier of a network node / principal as it appears inside tuple
 /// attributes.  The mapping to transport-level node identifiers is
 /// maintained by the runtime (`pasn-engine`).
-pub type Address = u32;
+pub(crate) type Address = u32;
 
 /// A scalar or list value stored in a tuple attribute.  The two
 /// variable-size payloads are shared cells (`Arc<str>`, `Arc<[Value]>`), so
@@ -64,14 +64,6 @@ impl Value {
     pub fn as_addr(&self) -> Option<Address> {
         match self {
             Value::Addr(a) => Some(*a),
-            _ => None,
-        }
-    }
-
-    /// Extracts a boolean, if this value is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -229,7 +221,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Str("x".into()).as_int(), None);
         assert_eq!(Value::Addr(3).as_addr(), Some(3));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(
             Value::List(vec![Value::Int(1)].into()).as_list(),
             Some(&[Value::Int(1)][..])

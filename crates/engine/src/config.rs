@@ -49,13 +49,13 @@ impl GraphMode {
 
 /// Default cap on tuples per delta batch / shipment frame when batching is
 /// enabled (see [`EngineConfig::max_batch_tuples`]).
-pub const DEFAULT_MAX_BATCH_TUPLES: usize = 64;
+pub(crate) const DEFAULT_MAX_BATCH_TUPLES: usize = 64;
 
 /// Default simulated-time batching window applied by
 /// [`EngineConfig::with_batching`]: one link latency of the paper's cost
 /// model, so a node flushes what it derived from one round of arrivals as
 /// single frames.
-pub const DEFAULT_BATCH_WINDOW_US: u64 = 1_000;
+pub(crate) const DEFAULT_BATCH_WINDOW_US: u64 = 1_000;
 
 /// Retry budget of the reliability layer: how many delivery attempts one
 /// frame gets before the engine gives up and reconciles it like a cut-link
@@ -66,7 +66,7 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 8;
 /// Base retransmission timeout of the reliability layer (µs of simulated
 /// time) — roughly a round trip of the paper's cost model; attempt `n`
 /// waits `rto << min(n, 6)` (exponential backoff).
-pub const DEFAULT_RETRANSMIT_RTO_US: u64 = 20_000;
+pub(crate) const DEFAULT_RETRANSMIT_RTO_US: u64 = 20_000;
 
 /// Full engine configuration.
 #[derive(Clone, Debug)]
@@ -249,7 +249,7 @@ impl EngineConfig {
     }
 
     /// Builder: enables delta batching with the default window
-    /// ([`DEFAULT_BATCH_WINDOW_US`]).
+    /// (`DEFAULT_BATCH_WINDOW_US`).
     pub fn with_batching(self) -> Self {
         self.with_batch_window_us(DEFAULT_BATCH_WINDOW_US)
     }
@@ -340,13 +340,8 @@ impl EngineConfig {
         self.security_levels.get(&principal).copied().unwrap_or(1)
     }
 
-    /// True when inter-node tuples are signed.
-    pub fn authenticated(&self) -> bool {
-        self.says_level.is_some()
-    }
-
     /// True when any provenance (tag or graph) is maintained.
-    pub fn tracks_provenance(&self) -> bool {
+    pub(crate) fn tracks_provenance(&self) -> bool {
         self.provenance != ProvenanceKind::None || self.graph_mode != GraphMode::None
     }
 }
@@ -396,16 +391,16 @@ mod tests {
     #[test]
     fn presets_match_the_paper_variants() {
         let nd = SystemVariant::NDLog.config();
-        assert!(!nd.authenticated());
+        assert!(nd.says_level.is_none());
         assert!(!nd.tracks_provenance());
 
         let se = SystemVariant::SeNDLog.config();
-        assert!(se.authenticated());
+        assert!(se.says_level.is_some());
         assert_eq!(se.says_level, Some(SaysLevel::Rsa));
         assert!(!se.tracks_provenance());
 
         let sp = SystemVariant::SeNDLogProv.config();
-        assert!(sp.authenticated());
+        assert!(sp.says_level.is_some());
         assert_eq!(sp.provenance, ProvenanceKind::Condensed);
         assert!(sp.tracks_provenance());
 
@@ -433,7 +428,7 @@ mod tests {
     #[test]
     fn default_config_is_the_baseline() {
         let cfg = EngineConfig::default();
-        assert!(!cfg.authenticated());
+        assert!(cfg.says_level.is_none());
         assert_eq!(cfg.provenance, ProvenanceKind::None);
         // Per-tuple evaluation unless batching is explicitly enabled.
         assert_eq!(cfg.batch_window_us, 0);
@@ -469,7 +464,7 @@ mod tests {
     #[test]
     fn session_preset_amortises_rsa_over_the_channel() {
         let cfg = EngineConfig::sendlog_session();
-        assert!(cfg.authenticated());
+        assert!(cfg.says_level.is_some());
         assert_eq!(cfg.says_level, Some(SaysLevel::Session));
         assert_eq!(
             cfg.channel_rebind_frames,

@@ -13,10 +13,10 @@
 //!   [`DistributedEngine::run_scenario`](crate::DistributedEngine::run_scenario)
 //!   schedules through the discrete-event simulator as first-class work, so
 //!   churn interleaves with evaluation on the simulated clock;
-//! * [`Ledger`] — the per-node record that makes deletion *provenance
-//!   exact*: one [`SupportEntry`] per stored tuple listing its derivation
+//! * `Ledger` — the per-node record that makes deletion *provenance
+//!   exact*: one `SupportEntry` per stored tuple listing its derivation
 //!   events (base assertions plus rule firings, each with the semiring tag
-//!   it contributed), and one [`FiringRecord`] per rule firing linking the
+//!   it contributed), and one `FiringRecord` per rule firing linking the
 //!   antecedent rows (by store insertion seq) to the head tuple it produced
 //!   — two arenas per node, indexed by chains threaded through them.
 //!   Retracting a tuple consumes one support; a tuple whose supports are
@@ -35,7 +35,7 @@
 //! The firing log is a log *suffix*, not a history: once a retraction
 //! cascade has settled, the only firings that can affect a future
 //! reconciliation are the alive ones (the log-suffix observation of
-//! log-based reconciliation), so [`Ledger::reclaim`] drops both arenas and
+//! log-based reconciliation), so `Ledger::reclaim` drops both arenas and
 //! both indexes as soon as none of a node's firings is alive — a dead
 //! generation's memory goes back whole.  A node that keeps some firing
 //! alive keeps its dead records too until the last one dies (compacting a
@@ -258,7 +258,7 @@ pub(crate) struct AggFiring {
 impl AggFiring {
     /// `head` — a row of this candidate's group — with the aggregated
     /// column set to `value`.
-    pub fn row_with(&self, head: &[Value], value: i64) -> Arc<[Value]> {
+    pub(crate) fn row_with(&self, head: &[Value], value: i64) -> Arc<[Value]> {
         let mut values = head.to_vec();
         values[self.agg_index] = Value::Int(value);
         Arc::from(values)
@@ -316,7 +316,7 @@ pub(crate) struct FiringRecord {
 impl FiringRecord {
     /// Whether `(dest, pred, values)` is the row this firing supports —
     /// false for a pooled aggregate candidate (see [`pools`]).
-    pub fn heads_a_row(&self) -> bool {
+    pub(crate) fn heads_a_row(&self) -> bool {
         !self.agg.as_ref().is_some_and(|agg| pools(agg.func))
     }
 }
@@ -374,7 +374,7 @@ pub(crate) struct Ledger {
 impl Ledger {
     /// Appends one alive firing of `head` to the log and chains it onto the
     /// index of every antecedent seq (once per occurrence) and of its head.
-    pub fn record_firing(
+    pub(crate) fn record_firing(
         &mut self,
         (dest, pred, values): HeadKey,
         tag: ProvTag,
@@ -413,7 +413,7 @@ impl Ledger {
 
     /// Marks firing `idx` dead; false if it already was.  The only place a
     /// firing dies, so the dead count stays exact.
-    pub fn kill(&mut self, idx: u32) -> bool {
+    pub(crate) fn kill(&mut self, idx: u32) -> bool {
         let firing = &mut self.firings[idx as usize];
         let was_alive = std::mem::replace(&mut firing.alive, false);
         self.dead += usize::from(was_alive);
@@ -421,34 +421,34 @@ impl Ledger {
     }
 
     /// The antecedent seqs of firing `idx`, in body order.
-    pub fn antecedents(&self, idx: u32) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn antecedents(&self, idx: u32) -> impl Iterator<Item = u64> + '_ {
         let rest = &self.occurrences[self.firings[idx as usize].first as usize..];
         let own = rest.iter().take_while(move |o| o.firing == idx);
         own.map(|o| o.seq)
     }
 
     /// The firings reading the row at `seq`, in firing order, per occurrence.
-    pub fn readers(&self, seq: u64) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn readers(&self, seq: u64) -> impl Iterator<Item = u32> + '_ {
         let occurrence = |at: u32| self.occurrences.get(at as usize);
         let first = self.by_antecedent.get(&seq).and_then(|e| occurrence(e.0));
         std::iter::successors(first, move |o| occurrence(o.next)).map(|o| o.firing)
     }
 
     /// Unlinks the readers of `seq`, for a caller that kills them all.
-    pub fn take_readers(&mut self, seq: u64) -> Vec<u32> {
+    pub(crate) fn take_readers(&mut self, seq: u64) -> Vec<u32> {
         let ids = self.readers(seq).collect();
         self.by_antecedent.remove(&seq);
         ids
     }
 
     /// The firings heading row `head` in firing order (no pooled candidate).
-    pub fn heading(&self, head: &HeadKey) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn heading(&self, head: &HeadKey) -> impl Iterator<Item = u32> + '_ {
         let next = |&i: &u32| Some(self.firings[i as usize].next_same_head).filter(|&n| n != NIL);
         std::iter::successors(self.by_head.get(head).map(|ends| ends.0), next)
     }
 
     /// Unlinks the firings heading `head`, for a caller that kills them all.
-    pub fn take_heading(&mut self, head: &HeadKey) -> Vec<u32> {
+    pub(crate) fn take_heading(&mut self, head: &HeadKey) -> Vec<u32> {
         let ids = self.heading(head).collect();
         self.by_head.remove(head);
         ids
@@ -458,7 +458,7 @@ impl Ledger {
     /// indexes are dropped outright, and an emptied `supports` map goes back
     /// to the allocator too.  True if the log was dropped — firing ids then
     /// restart at zero, so callers must hold none (see the module docs).
-    pub fn reclaim(&mut self) -> bool {
+    pub(crate) fn reclaim(&mut self) -> bool {
         if self.supports.is_empty() {
             self.supports = FastMap::default();
         }
@@ -479,7 +479,7 @@ impl Ledger {
     /// antecedents' chains (once per occurrence) and, if it heads a row, on
     /// its head's, with a support entry behind each antecedent.  Returns a
     /// description of the first inconsistency.
-    pub fn check_consistency(&self) -> Result<(), String> {
+    pub(crate) fn check_consistency(&self) -> Result<(), String> {
         let dead = self.firings.iter().filter(|f| !f.alive).count();
         if dead != self.dead {
             return Err(format!("dead count {} but {dead} dead firings", self.dead));
@@ -520,7 +520,7 @@ impl Ledger {
     }
 
     /// The seqs and predicates of base-supported rows, in insertion order.
-    pub fn base_seqs(&self) -> std::vec::IntoIter<(u64, PredId)> {
+    pub(crate) fn base_seqs(&self) -> std::vec::IntoIter<(u64, PredId)> {
         let is_base = |e: &SupportEntry| e.tags.iter().any(|c| c.is_base);
         let base = |(seq, e): (&u64, &SupportEntry)| is_base(e).then_some((*seq, e.pred));
         let mut seqs: Vec<(u64, PredId)> = self.supports.iter().filter_map(base).collect();
@@ -529,7 +529,7 @@ impl Ledger {
     }
 
     /// Records one arriving contribution for the row at `seq`.
-    pub fn record_arrival(
+    pub(crate) fn record_arrival(
         &mut self,
         seq: u64,
         pred: PredId,

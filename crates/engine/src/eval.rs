@@ -1,5 +1,5 @@
 //! Expression evaluation, unification, and NDlog built-in functions, over
-//! the planner's compiled forms only: [`Bindings`] is a flat slot frame, and
+//! the planner's compiled forms only: `Bindings` is a flat slot frame, and
 //! every variable is read through the dense slot `pasn_datalog::plan`
 //! assigned it — there is no by-name path.
 
@@ -12,25 +12,25 @@ use std::fmt;
 /// ([`pasn_datalog::RulePlan::slot_count`]), so branching through a join is a
 /// plain vector copy.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Bindings {
+pub(crate) struct Bindings {
     slots: Vec<Option<Value>>,
 }
 
 impl Bindings {
     /// Creates an empty frame of `slot_count` slots.
-    pub fn with_slots(slot_count: usize) -> Self {
+    pub(crate) fn with_slots(slot_count: usize) -> Self {
         Bindings {
             slots: vec![None; slot_count],
         }
     }
 
     /// Looks up a variable by its dense slot.
-    pub fn get_slot(&self, slot: usize) -> Option<&Value> {
+    pub(crate) fn get_slot(&self, slot: usize) -> Option<&Value> {
         self.slots.get(slot).and_then(Option::as_ref)
     }
 
     /// Binds a variable by its dense slot (overwrites silently).
-    pub fn bind_slot(&mut self, slot: usize, value: Value) {
+    pub(crate) fn bind_slot(&mut self, slot: usize, value: Value) {
         self.slots[slot] = Some(value);
     }
 
@@ -51,7 +51,7 @@ impl Bindings {
     /// attempt back with [`Bindings::unbind`] instead of cloning the frame
     /// per candidate.  Returns false (leaving bindings possibly extended for
     /// fresh variables) when unification fails.
-    pub fn unify_slot_term(
+    pub(crate) fn unify_slot_term(
         &mut self,
         term: &SlotTerm,
         value: &Value,
@@ -72,7 +72,7 @@ impl Bindings {
     }
 
     /// Clears (and forgets) the slots recorded in `bound`.
-    pub fn unbind(&mut self, bound: &mut Vec<usize>) {
+    pub(crate) fn unbind(&mut self, bound: &mut Vec<usize>) {
         for slot in bound.drain(..) {
             self.slots[slot] = None;
         }
@@ -83,7 +83,7 @@ impl Bindings {
 /// argument counts and never-bound variables are not among them: the planner
 /// rejects those before evaluation starts.
 #[derive(Clone, Debug, PartialEq)]
-pub enum EvalError {
+pub(crate) enum EvalError {
     /// A slot had no binding (a frame not produced by the rule's plan).
     UnboundSlot(usize),
     /// Operand types did not match the operator.
@@ -115,7 +115,7 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Evaluates a compiled expression under the given bindings.
-pub fn eval_expr(expr: &SlotExpr, bindings: &Bindings) -> Result<Value, EvalError> {
+pub(crate) fn eval_expr(expr: &SlotExpr, bindings: &Bindings) -> Result<Value, EvalError> {
     match expr {
         SlotExpr::Const(value) => Ok(value.clone()),
         SlotExpr::Slot(slot) => bindings
@@ -145,7 +145,7 @@ pub fn eval_expr(expr: &SlotExpr, bindings: &Bindings) -> Result<Value, EvalErro
 }
 
 /// Evaluates a compiled filter expression to a boolean.
-pub fn eval_filter(expr: &SlotExpr, bindings: &Bindings) -> Result<bool, EvalError> {
+pub(crate) fn eval_filter(expr: &SlotExpr, bindings: &Bindings) -> Result<bool, EvalError> {
     match eval_expr(expr, bindings)? {
         Value::Bool(b) => Ok(b),
         other => Err(EvalError::TypeMismatch {
@@ -267,13 +267,15 @@ mod tests {
     use super::*;
     use pasn_datalog::parse_rule;
     use pasn_datalog::plan::{PlanStep, RulePlan};
+    use pasn_datalog::Symbols;
 
     /// Fires the single-atom rule `source` on one delta `row` through the
-    /// production path — `parse_rule` → `RulePlan::for_rule` → the delta
+    /// production path — `parse_rule` → `RulePlan::for_rule_in` → the delta
     /// plan's filters and assignments — and returns the head row (`None`
     /// when a filter rejects the row).
     fn fire(source: &str, row: &[Value]) -> Result<Option<Vec<Value>>, EvalError> {
-        let plan = RulePlan::for_rule(&parse_rule(source).unwrap()).unwrap();
+        let plan =
+            RulePlan::for_rule_in(&parse_rule(source).unwrap(), &mut Symbols::new()).unwrap();
         let delta = &plan.deltas[0];
         let mut bindings = Bindings::with_slots(plan.slot_count);
         for (term, value) in delta.delta_args.iter().zip(row) {
@@ -407,7 +409,9 @@ mod tests {
             "r p(@S,X) :- q(@S,A), X := f_init(A).",
             "r p(@S,X) :- q(@S,A), X := f_frobnicate(A).",
         ] {
-            assert!(RulePlan::for_rule(&parse_rule(source).unwrap()).is_err());
+            assert!(
+                RulePlan::for_rule_in(&parse_rule(source).unwrap(), &mut Symbols::new()).is_err()
+            );
         }
         // Errors render as human-readable strings.
         assert!(EvalError::DivisionByZero.to_string().contains("zero"));

@@ -3,8 +3,8 @@
 //! Every map inside the engine is keyed by values this process produced
 //! itself — insertion seqs, node / predicate / rule ids, rows derived from
 //! program constants and generated topologies — so SipHash's collision
-//! resistance buys nothing there and cost a fifth of a run.  [`FastMap`] and
-//! [`FastSet`] are the std containers over the fixed multiply-rotate
+//! resistance buys nothing there and cost a fifth of a run.  `FastMap` and
+//! `FastSet` are the std containers over the fixed multiply-rotate
 //! [`FastHasher`].  A map keyed by bytes decoded from a frame *before* its
 //! proof is checked would keep the std hasher (there is none today), and
 //! hashes that are outputs (`tuple::key_hash_parts`: base-tuple ids,
@@ -19,9 +19,9 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` over [`FastHasher`].
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// A `HashSet` over [`FastHasher`].
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
+pub(crate) type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 /// Odd multiplier (2^64 / φ): spreads every input bit towards the high bits.
 const K: u64 = 0x9e37_79b9_7f4a_7c15;

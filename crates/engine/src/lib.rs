@@ -11,8 +11,8 @@
 //! signed with the deriving principal's `says` mechanism (`pasn-crypto`) and
 //! annotated with provenance (`pasn-provenance`).
 //!
-//! * [`tuple`] — materialised tuples and their canonical wire encoding;
-//! * [`eval`] — expression evaluation, unification and the `f_*` built-ins;
+//! * [`tuple`](mod@tuple) — materialised tuples and their canonical wire encoding;
+//! * `eval` — expression evaluation, unification and the `f_*` built-ins;
 //! * [`store`] — per-node soft-state relation storage;
 //! * [`hash`] — the one deterministic hasher behind every engine-internal map;
 //! * [`config`] — experiment configuration, including the NDLog / SeNDLog /
@@ -110,19 +110,15 @@
 
 pub mod config;
 pub mod dynamics;
-pub mod eval;
+pub(crate) mod eval;
 pub mod hash;
 pub mod metrics;
 pub mod runtime;
 pub mod store;
 pub mod tuple;
 
-pub use config::{
-    EngineConfig, GraphMode, SystemVariant, DEFAULT_BATCH_WINDOW_US, DEFAULT_MAX_BATCH_TUPLES,
-    DEFAULT_RETRANSMIT_RTO_US, DEFAULT_RETRY_BUDGET,
-};
+pub use config::{EngineConfig, GraphMode, SystemVariant, DEFAULT_RETRY_BUDGET};
 pub use dynamics::{ChurnEvent, ChurnScript};
-pub use eval::{eval_expr, eval_filter, Bindings, EvalError};
 pub use metrics::{Counter, RunMetrics, Scope};
 pub use pasn_trace::{
     LinkLifecycle, RuleProfile, TraceConfig, TraceEvent, TraceEventKind, TraceQuery, TraceRecorder,

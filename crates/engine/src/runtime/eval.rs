@@ -1050,7 +1050,6 @@ pub(super) fn record_provenance(
             annotation,
             derived_at: record.at.as_micros(),
             expired_at: None,
-            pinned: false,
         });
     }
 }

@@ -219,7 +219,7 @@ impl DistributedEngine {
     /// Verifies the link state no reachable run may break: at every node,
     /// an installed session-channel half is bound at or past that half's
     /// own epoch floor, and every sequenced link passes
-    /// [`LinkTransport::check_consistency`].  Debug builds assert it
+    /// `LinkTransport::check_consistency`.  Debug builds assert it
     /// whenever the queue drains.  The stronger contiguity form — every
     /// sequence number between a link's two cursors is in flight or parked
     /// — was tried and does not hold: a frame abandoned at its retry budget

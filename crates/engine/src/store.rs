@@ -4,7 +4,7 @@
 //! Declarative networks maintain derived state as *soft state*: every tuple
 //! carries a creation timestamp and (optionally) a time-to-live, and expires
 //! unless refreshed (Section 2.1 of the paper, citing the sliding-window
-//! formulation of reference [2]).  Each node owns one [`NodeStore`] holding
+//! formulation of reference \[2\]).  Each node owns one [`NodeStore`] holding
 //! its base and derived relations together with per-tuple metadata used by
 //! the provenance layer.
 //!
@@ -44,7 +44,7 @@
 //!   [`NodeStore::scan_ordered_rows`] are uncapped views of the same answer.
 //! * **Interned predicates** — relations are addressed by the dense
 //!   [`PredId`]s of a [`Symbols`] table mirrored from the compiled program
-//!   ([`NodeStore::sync_symbols`]), so the hot path indexes a `Vec` by `u32`
+//!   (`NodeStore::sync_symbols`), so the hot path indexes a `Vec` by `u32`
 //!   instead of hashing predicate strings.
 
 use crate::hash::{FastHasher, FastMap};
@@ -115,7 +115,7 @@ pub struct RowMeta {
 impl RowMeta {
     /// Expiry time for soft-state rows, `None` for hard state.
     #[inline]
-    pub fn expires_at(&self) -> Option<SimTime> {
+    pub(crate) fn expires_at(&self) -> Option<SimTime> {
         (self.expires_us != HARD_STATE).then(|| SimTime::from_micros(self.expires_us))
     }
 
@@ -702,7 +702,7 @@ impl NodeStore {
 
     /// Interns a predicate name, returning its dense id.  Ids are assigned
     /// in interning order, so mirroring another [`Symbols`] table (see
-    /// [`NodeStore::sync_symbols`]) keeps both id spaces identical.
+    /// `NodeStore::sync_symbols`) keeps both id spaces identical.
     pub fn intern(&mut self, predicate: &str) -> PredId {
         let id = self.preds.intern(predicate);
         if self.tables.len() < self.preds.len() {
@@ -725,7 +725,7 @@ impl NodeStore {
     /// id order, so the store's [`PredId`]s coincide with the caller's.  The
     /// engine calls this with its program-wide table before addressing the
     /// store by id; it is O(1) when already in sync.
-    pub fn sync_symbols(&mut self, symbols: &Symbols) {
+    pub(crate) fn sync_symbols(&mut self, symbols: &Symbols) {
         self.preds.sync_from(symbols);
         if self.tables.len() < self.preds.len() {
             self.tables.resize_with(self.preds.len(), Table::default);
@@ -885,7 +885,7 @@ impl NodeStore {
     }
 
     /// Looks up the metadata of an exact row.
-    pub fn meta_of(&self, pred: PredId, values: &[Value]) -> Option<&RowMeta> {
+    pub(crate) fn meta_of(&self, pred: PredId, values: &[Value]) -> Option<&RowMeta> {
         let table = self.table(pred)?;
         table.row(table.seq_of(values)?).map(|row| &row.meta)
     }
@@ -899,7 +899,7 @@ impl NodeStore {
     }
 
     /// The live row behind a known seq, if any.
-    pub fn row_by_seq(&self, pred: PredId, seq: u64) -> Option<(&Arc<[Value]>, &RowMeta)> {
+    pub(crate) fn row_by_seq(&self, pred: PredId, seq: u64) -> Option<(&Arc<[Value]>, &RowMeta)> {
         let row = self.table(pred)?.row(seq)?;
         Some((&row.values, &row.meta))
     }
@@ -932,7 +932,7 @@ impl NodeStore {
     /// deletion uses this when a tuple loses one of several alternative
     /// derivations: the surviving tag is recomputed as the semiring sum of
     /// the remaining contributions.  Returns `false` when the seq is dead.
-    pub fn set_tag(&mut self, pred: PredId, seq: u64, tag: ProvTag) -> bool {
+    pub(crate) fn set_tag(&mut self, pred: PredId, seq: u64, tag: ProvTag) -> bool {
         match self
             .tables
             .get_mut(pred.index())
@@ -949,7 +949,7 @@ impl NodeStore {
     /// Extends the soft-state lifetime of an exact live row to `expires_at`
     /// (never shortens it; `None` upgrades the row to hard state).  Returns
     /// `false` when the row is absent.
-    pub fn refresh_row_ttl(
+    pub(crate) fn refresh_row_ttl(
         &mut self,
         pred: PredId,
         values: &[Value],

@@ -71,7 +71,7 @@ impl From<Values> for Arc<[Value]> {
 /// Canonical byte encoding of a `(predicate, values)` pair — identical to
 /// [`Tuple::encode`] but borrowing its parts, so the store and runtime can
 /// encode shared rows without materialising a `Tuple` first.
-pub fn encode_parts(predicate: &str, values: &[Value]) -> Vec<u8> {
+pub(crate) fn encode_parts(predicate: &str, values: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_len_parts(predicate, values));
     out.extend_from_slice(&(predicate.len() as u16).to_be_bytes());
     out.extend_from_slice(predicate.as_bytes());
@@ -83,13 +83,13 @@ pub fn encode_parts(predicate: &str, values: &[Value]) -> Vec<u8> {
 }
 
 /// Number of bytes [`encode_parts`] produces.
-pub fn encoded_len_parts(predicate: &str, values: &[Value]) -> usize {
+pub(crate) fn encoded_len_parts(predicate: &str, values: &[Value]) -> usize {
     2 + predicate.len() + 2 + values.iter().map(Value::encoded_len).sum::<usize>()
 }
 
 /// The stable 64-bit tuple key of a `(predicate, values)` pair — identical
 /// to [`Tuple::key_hash`] but borrowing its parts.
-pub fn key_hash_parts(predicate: &str, values: &[Value]) -> u64 {
+pub(crate) fn key_hash_parts(predicate: &str, values: &[Value]) -> u64 {
     let mut hasher = DefaultHasher::new();
     predicate.hash(&mut hasher);
     values.hash(&mut hasher);
@@ -100,7 +100,7 @@ pub fn key_hash_parts(predicate: &str, values: &[Value]) -> u64 {
 /// e.g. `reachable(@n0,n2)`: the one tuple renderer, behind
 /// [`Tuple::render_located`] and `Display for Tuple`, borrowing its parts
 /// and formatting each value straight into `out`.
-pub fn render_located_parts<W: Write + ?Sized>(
+pub(crate) fn render_located_parts<W: Write + ?Sized>(
     out: &mut W,
     predicate: &str,
     values: &[Value],

@@ -5,7 +5,7 @@
 //! average outdegree of three, and vary the size of N from 10 to 100."*
 //! [`Topology::random_out_degree`] reproduces that workload; the other
 //! generators cover the worked examples (the three-node network of Figure 1)
-//! and additional regression topologies (ring, line, grid, full mesh).
+//! and additional regression topologies (ring and line).
 
 use crate::NodeId;
 use rand::rngs::StdRng;
@@ -116,42 +116,6 @@ impl Topology {
         Topology::new((0..n).map(NodeId), links)
     }
 
-    /// A bidirectional `w × h` grid with unit costs.
-    pub fn grid(w: u32, h: u32) -> Self {
-        assert!(w >= 1 && h >= 1 && w * h >= 2);
-        let id = |x: u32, y: u32| NodeId(y * w + x);
-        let mut links = Vec::new();
-        for y in 0..h {
-            for x in 0..w {
-                if x + 1 < w {
-                    links.push(Link {
-                        src: id(x, y),
-                        dst: id(x + 1, y),
-                        cost: 1,
-                    });
-                    links.push(Link {
-                        src: id(x + 1, y),
-                        dst: id(x, y),
-                        cost: 1,
-                    });
-                }
-                if y + 1 < h {
-                    links.push(Link {
-                        src: id(x, y),
-                        dst: id(x, y + 1),
-                        cost: 1,
-                    });
-                    links.push(Link {
-                        src: id(x, y + 1),
-                        dst: id(x, y),
-                        cost: 1,
-                    });
-                }
-            }
-        }
-        Topology::new((0..w * h).map(NodeId), links)
-    }
-
     /// The paper's evaluation workload: `n` nodes, each with `out_degree`
     /// outgoing links to distinct random neighbours, link costs drawn
     /// uniformly from `1..=max_cost`.  A ring backbone is added first so the
@@ -227,12 +191,12 @@ impl Topology {
     }
 
     /// Outgoing links of `node`.
-    pub fn outgoing(&self, node: NodeId) -> &[Link] {
+    pub(crate) fn outgoing(&self, node: NodeId) -> &[Link] {
         self.adjacency.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Outgoing neighbour nodes of `node`.
-    pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.outgoing(node).iter().map(|l| l.dst)
     }
 
@@ -269,8 +233,8 @@ impl Topology {
         reach_all(start, false) && reach_all(start, true)
     }
 
-    /// Single-source shortest path costs (Dijkstra over link costs).  Used by
-    /// tests and the experiment harness as an oracle for the Best-Path query.
+    /// Single-source shortest path costs (Dijkstra over link costs): the
+    /// tests' oracle for the Best-Path query.
     pub fn shortest_path_costs(&self, src: NodeId) -> HashMap<NodeId, u64> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -313,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_line_grid_shapes() {
+    fn ring_and_line_shapes() {
         let ring = Topology::ring(5);
         assert_eq!(ring.node_count(), 5);
         assert_eq!(ring.link_count(), 10);
@@ -322,11 +286,6 @@ mod tests {
         let line = Topology::line(4);
         assert_eq!(line.link_count(), 6);
         assert!(line.is_strongly_connected());
-
-        let grid = Topology::grid(3, 2);
-        assert_eq!(grid.node_count(), 6);
-        assert_eq!(grid.link_count(), 2 * (2 * 2 + 3));
-        assert!(grid.is_strongly_connected());
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl ZoneTree {
     }
 
     /// The zones from the root to the deepest declared one enclosing `name`.
-    pub fn delegation_chain(&self, name: &str) -> Vec<&str> {
+    pub(crate) fn delegation_chain(&self, name: &str) -> Vec<&str> {
         let mut chain = vec!["."];
         loop {
             let children = self.zones.iter().filter(|(z, p)| {

@@ -1,6 +1,6 @@
 //! The consistent-hashing identifier space of the Chord overlay.
 //!
-//! Chord (Stoica et al., SIGCOMM 2001 — reference [25] of the paper) places
+//! Chord (Stoica et al., SIGCOMM 2001 — reference \[25\] of the paper) places
 //! both nodes and keys on a ring of 2^m identifiers produced by a
 //! cryptographic hash.  This module names them: SHA-256 (the digest of
 //! `pasn-crypto`) truncated to the ring width.  Identifiers travel as `Int`
@@ -32,7 +32,7 @@ impl IdSpace {
     }
 
     /// Number of identifier bits (the `m` of Chord).
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         self.bits
     }
 
@@ -42,7 +42,7 @@ impl IdSpace {
     }
 
     /// Hashes arbitrary bytes onto the ring.
-    pub fn hash_bytes(&self, data: &[u8]) -> u64 {
+    pub(crate) fn hash_bytes(&self, data: &[u8]) -> u64 {
         let digest = sha256(data);
         let mut raw = [0u8; 8];
         raw.copy_from_slice(&digest[..8]);
@@ -50,7 +50,7 @@ impl IdSpace {
     }
 
     /// The ring identifier of the node operated by principal `node`.
-    pub fn node_id(&self, node: u32) -> u64 {
+    pub(crate) fn node_id(&self, node: u32) -> u64 {
         self.hash_bytes(format!("node:{node}").as_bytes())
     }
 

@@ -29,7 +29,7 @@
 pub mod key;
 pub mod moonwalk;
 pub mod policy;
-pub mod semiring;
+pub(crate) mod semiring;
 pub mod store;
 pub mod tag;
 
@@ -41,4 +41,4 @@ pub use store::{
     traceback, traceback_with, AntecedentRef, ArchiveStore, ArchivedEntry, DistributedStore,
     PointerDerivation, TracebackResult,
 };
-pub use tag::{ProvTag, ProvenanceKind, VarTable, CONDENSE_WITNESS_THRESHOLD};
+pub use tag::{ProvTag, ProvenanceKind, VarTable};

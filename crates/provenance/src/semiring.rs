@@ -53,7 +53,7 @@ pub struct WhyProvenance {
 
 impl WhyProvenance {
     /// Provenance of a base tuple: a single singleton witness.
-    pub fn base(id: BaseTupleId) -> Self {
+    pub(crate) fn base(id: BaseTupleId) -> Self {
         let mut w = BTreeSet::new();
         w.insert(std::iter::once(id).collect());
         WhyProvenance { witnesses: w }
@@ -73,7 +73,7 @@ impl WhyProvenance {
 
     /// Total number of base-tuple occurrences across witnesses — a size
     /// measure for the condensation experiments.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.witnesses.iter().map(|w| w.len()).sum()
     }
 

@@ -42,7 +42,7 @@ pub enum AntecedentRef {
 
 impl AntecedentRef {
     /// The antecedent's tuple key, wherever it lives.
-    pub fn key(&self) -> &str {
+    pub(crate) fn key(&self) -> &str {
         match self {
             AntecedentRef::Local(key) | AntecedentRef::Remote { key, .. } => key,
         }
@@ -125,7 +125,7 @@ impl DistributedStore {
 
     /// [`DistributedStore::derivations_of`] for a caller that already holds
     /// the key's digest.
-    pub fn derivations_at(&self, key: ProvKey) -> &[PointerDerivation] {
+    pub(crate) fn derivations_at(&self, key: ProvKey) -> &[PointerDerivation] {
         self.entries.get(&key).map_or(&[], |d| &d.derivations)
     }
 
@@ -136,7 +136,7 @@ impl DistributedStore {
 
     /// [`DistributedStore::base_id`] for a caller that already holds the
     /// key's digest.
-    pub fn base_at(&self, key: ProvKey) -> Option<BaseTupleId> {
+    pub(crate) fn base_at(&self, key: ProvKey) -> Option<BaseTupleId> {
         self.bases.get(&key).map(|&(id, _)| id)
     }
 
@@ -447,7 +447,8 @@ pub fn traceback_with<'a>(
 /// One archived provenance record (offline provenance, Section 4.2).  Its
 /// strings are shared, so archiving a derivation (or cloning an entry out
 /// of the archive) copies no bytes.  An entry names no node: it is the entry of
-/// the node whose [`ArchiveStore`] holds it.
+/// the node whose [`ArchiveStore`] holds it, and it stays there: nothing
+/// ages an entry out.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArchivedEntry {
     /// The tuple key.
@@ -460,9 +461,6 @@ pub struct ArchivedEntry {
     pub derived_at: u64,
     /// Simulated time the tuple expired (if it did).
     pub expired_at: Option<u64>,
-    /// Marked to persist beyond the age-out horizon (e.g. flagged during a
-    /// network anomaly, Section 5).
-    pub pinned: bool,
 }
 
 /// End of a key chain in [`ArchiveStore`]'s `u32` link space.
@@ -470,7 +468,9 @@ const END: u32 = u32::MAX;
 
 /// An *offline* provenance archive: entries survive tuple expiry so that
 /// forensic queries can correlate long-gone traffic.  The engine keeps one
-/// per node.
+/// per node.  Nothing ages an archive: every entry it records stays for
+/// the life of the deployment, so an archive-on run's archives grow with
+/// its history, without bound.
 ///
 /// Entries are a log in arrival order; a key index threads the entries of
 /// one key into a chain through it (first and last position per key digest,
@@ -576,38 +576,10 @@ impl ArchiveStore {
                 annotation: annotation.into(),
                 derived_at,
                 expired_at: Some(expired_at),
-                pinned: false,
             });
             stamped = 1;
         }
         stamped
-    }
-
-    /// Marks every entry matching `key` as pinned so age-out keeps it.
-    pub fn pin(&mut self, key: &str) -> usize {
-        let mut count = 0;
-        self.update_entries_of(key, |e| {
-            e.pinned = true;
-            count += 1;
-        });
-        count
-    }
-
-    /// Drops unpinned entries derived before `horizon`; returns how many were
-    /// removed (the storage-reduction knob of Section 5).
-    pub fn age_out(&mut self, horizon: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.pinned || e.derived_at >= horizon);
-        let removed = before - self.entries.len();
-        if removed > 0 {
-            // Every surviving entry may have moved: thread the chains anew.
-            self.chains.clear();
-            self.next.clear();
-            for entry in &self.entries {
-                link(&mut self.chains, &mut self.next, &entry.key);
-            }
-        }
-        removed
     }
 
     /// All entries, oldest first.
@@ -863,7 +835,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_survives_expiry_and_ages_out() {
+    fn archive_survives_expiry() {
         let mut archive = ArchiveStore::new();
         for i in 0..10u64 {
             archive.record(ArchivedEntry {
@@ -871,14 +843,9 @@ mod tests {
                 annotation: "<p0>".into(),
                 derived_at: i * 100,
                 expired_at: Some(i * 100 + 50),
-                pinned: false,
             });
         }
         assert_eq!(archive.len(), 10);
-        // Pin one entry, then age out everything older than t=500.
-        assert_eq!(archive.pin("bestPath(@n0,n2)"), 1);
-        let removed = archive.age_out(500);
-        assert_eq!(removed, 4, "entries 0,1,3,4 removed; 2 pinned");
         assert!(archive.query("bestPath(@n0,n2)", None, None).len() == 1);
 
         // Time-window query.
@@ -895,7 +862,6 @@ mod tests {
             annotation: "r1@a".into(),
             derived_at: 100,
             expired_at: None,
-            pinned: false,
         });
         // A live entry gets its expiry stamped in place.
         assert_eq!(

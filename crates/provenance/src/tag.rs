@@ -86,7 +86,7 @@ impl VarTable {
     }
 
     /// Variable for a principal, interned on first use.
-    pub fn principal_var(&mut self, principal: PrincipalId) -> VarId {
+    pub(crate) fn principal_var(&mut self, principal: PrincipalId) -> VarId {
         if let Some(&v) = self.by_principal.get(&principal.0) {
             return v;
         }
@@ -96,7 +96,7 @@ impl VarTable {
     }
 
     /// Variable for a base tuple, interned on first use.
-    pub fn base_var(&mut self, base: BaseTupleId, name: impl Into<String>) -> VarId {
+    pub(crate) fn base_var(&mut self, base: BaseTupleId, name: impl Into<String>) -> VarId {
         if let Some(&v) = self.by_base.get(&base) {
             return v;
         }
@@ -113,13 +113,13 @@ impl VarTable {
     }
 
     /// The principal behind a BDD variable, if the variable was interned via
-    /// [`VarTable::principal_var`].
+    /// `VarTable::principal_var`.
     pub fn principal_of(&self, var: VarId) -> Option<PrincipalId> {
         self.principals.get(var as usize).copied().flatten()
     }
 
     /// Human-readable name of a variable.
-    pub fn name_of(&self, var: VarId) -> &str {
+    pub(crate) fn name_of(&self, var: VarId) -> &str {
         self.names
             .get(var as usize)
             .map(String::as_str)
@@ -147,7 +147,7 @@ impl VarTable {
     }
 
     /// Renders a condensed BDD as the paper's `<...>` annotation: its
-    /// minimal products ([`min_products`]) by variable name, `*` within a
+    /// minimal products (`min_products`) by variable name, `*` within a
     /// product and ` + ` between them, e.g. `<p0*p1 + p2>`; `<0>` for
     /// `false` and `<1>` for `true`.
     pub fn render(&self, bdd: BddRef) -> String {
@@ -210,7 +210,7 @@ fn min_products(manager: &BddManager, bdd: BddRef) -> Vec<Vec<VarId>> {
 /// representation and tag memory stops scaling with derivation count.
 /// Small tags stay uncondensed: the condensation claim measures them, and
 /// below this size they are cheaper than BDD nodes.
-pub const CONDENSE_WITNESS_THRESHOLD: usize = 16;
+pub(crate) const CONDENSE_WITNESS_THRESHOLD: usize = 16;
 
 /// A per-tuple provenance annotation.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -237,7 +237,7 @@ const _: () = assert!(std::mem::size_of::<ProvTag>() == 16);
 
 impl ProvTag {
     /// The kind of this tag.
-    pub fn kind(&self) -> ProvenanceKind {
+    pub(crate) fn kind(&self) -> ProvenanceKind {
         match self {
             ProvTag::None => ProvenanceKind::None,
             ProvTag::Why(_) => ProvenanceKind::Why,
@@ -291,7 +291,7 @@ impl ProvTag {
 
     /// Join combination (`*`): both tags must have the same kind, except
     /// that `Why` and `Condensed` mix freely — an uncondensed tag meeting
-    /// one that already crossed [`CONDENSE_WITNESS_THRESHOLD`] is condensed
+    /// one that already crossed `CONDENSE_WITNESS_THRESHOLD` is condensed
     /// on the spot.  A `Why` result above the threshold condenses too.
     pub fn times(&self, other: &ProvTag, table: &mut VarTable) -> ProvTag {
         match (self, other) {
@@ -380,7 +380,7 @@ impl ProvTag {
     /// Applies the auto-condensation policy: a `Why` tag whose witness
     /// encoding exceeds [`CONDENSE_WITNESS_THRESHOLD`] base-tuple entries
     /// is replaced by its canonical BDD; everything else passes through.
-    pub fn condense_if_large(self, table: &mut VarTable) -> ProvTag {
+    pub(crate) fn condense_if_large(self, table: &mut VarTable) -> ProvTag {
         match &self {
             ProvTag::Why(w) if w.size() > CONDENSE_WITNESS_THRESHOLD => self
                 .condense(table)

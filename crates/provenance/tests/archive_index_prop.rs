@@ -1,11 +1,10 @@
 //! [`ArchiveStore`]'s key index against the scans it replaced.
 //!
-//! `record_expiry`, `pin` and the exact-key read used to compare every
-//! entry's key; they now follow a per-key chain threaded through the log.
-//! Random scripts of every archive operation run against a model that still
-//! scans: the log and every return value must be identical after each step,
-//! and — since `age_out` moves entries and re-threads the chains — so must
-//! the exact-key read of every key the script can name.
+//! `record_expiry` and the exact-key read used to compare every entry's
+//! key; they now follow a per-key chain threaded through the log.  Random
+//! scripts of every archive operation run against a model that still scans:
+//! the log and every return value must be identical after each step, and so
+//! must the exact-key read of every key the script can name.
 
 use pasn_provenance::{ArchiveStore, ArchivedEntry};
 use proptest::prelude::*;
@@ -45,28 +44,10 @@ impl ScanModel {
                 annotation: "retracted".into(),
                 derived_at,
                 expired_at: Some(expired_at),
-                pinned: false,
             });
             stamped = 1;
         }
         stamped
-    }
-
-    fn pin(&mut self, key: &str) -> usize {
-        let mut count = 0;
-        for e in &mut self.entries {
-            if *e.key == *key {
-                e.pinned = true;
-                count += 1;
-            }
-        }
-        count
-    }
-
-    fn age_out(&mut self, horizon: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.pinned || e.derived_at >= horizon);
-        before - self.entries.len()
     }
 
     /// A prefix with `(` matches every key it begins; one without is a
@@ -96,14 +77,13 @@ impl ScanModel {
 fn apply(archive: &mut ArchiveStore, model: &mut ScanModel, word: u64) {
     let key = KEYS[((word >> 4) % KEYS.len() as u64) as usize];
     let (t, u) = ((word >> 8) % 40, (word >> 16) % 40);
-    match word % 8 {
+    match word % 6 {
         0..=2 => {
             let entry = ArchivedEntry {
                 key: key.into(),
                 annotation: format!("r{}@n0", (word >> 28) % 3).into(),
                 derived_at: t,
                 expired_at: (word >> 32).is_multiple_of(3).then_some(t + u),
-                pinned: false,
             };
             archive.record(entry.clone());
             model.entries.push(entry);
@@ -113,9 +93,7 @@ fn apply(archive: &mut ArchiveStore, model: &mut ScanModel, word: u64) {
             model.record_expiry(key, t, t + u),
             "record_expiry({key:?})"
         ),
-        4 => assert_eq!(archive.pin(key), model.pin(key), "pin({key:?})"),
-        5 => assert_eq!(archive.age_out(t), model.age_out(t), "age_out({t})"),
-        6 => {
+        4 => {
             let from = (word >> 32).is_multiple_of(2).then_some(t);
             let to = (word >> 33).is_multiple_of(2).then_some(t + u);
             assert_eq!(archive.query(key, from, to), model.query(key, from, to));

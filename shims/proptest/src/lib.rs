@@ -182,7 +182,7 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice between boxed alternatives ([`prop_oneof!`]).
+    /// Uniform choice between boxed alternatives ([`prop_oneof!`](crate::prop_oneof)).
     pub struct Union<V> {
         options: Vec<Box<dyn Strategy<Value = V>>>,
     }

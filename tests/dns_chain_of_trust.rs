@@ -159,13 +159,19 @@ fn resolution_provenance_feeds_the_trust_management_api() {
         .map(|zone| VoteSet::principal(principal(zone)));
     let vote = ProvTag::Vote(Box::new(votes.fold(VoteSet::one(), |acc, v| acc.times(&v))));
     let evaluator = TrustEvaluator::new(dns.net.var_table(), dns.net.engine().config());
-    assert!(evaluator.evaluate(&vote, &TrustPolicy::KOfN(4)).is_accept());
-    assert!(!evaluator.evaluate(&vote, &TrustPolicy::KOfN(5)).is_accept());
+    assert_eq!(
+        evaluator.evaluate(&vote, &TrustPolicy::KOfN(4)),
+        TrustDecision::Accept
+    );
+    assert_ne!(
+        evaluator.evaluate(&vote, &TrustPolicy::KOfN(5)),
+        TrustDecision::Accept
+    );
 
     // Accepting the answer only if a trusted registry is on the chain; the
     // .com registry never appears in the provenance of an .org answer.
     let org = TrustPolicy::TrustedPrincipals([principal("org")].into_iter().collect());
-    assert!(evaluator.evaluate(&vote, &org).is_accept());
+    assert_eq!(evaluator.evaluate(&vote, &org), TrustDecision::Accept);
     assert!(!evaluator.origins(&res.tag).contains(&principal("com")));
     assert!(!res.chain.iter().any(|zone| zone == "com"));
 }

@@ -58,16 +58,24 @@ fn trust_policies_follow_the_paper_example() {
     // Trusting a alone accepts the tuple; trusting b alone does not.
     let trust_a = TrustPolicy::TrustedPrincipals([0u32].into_iter().collect());
     let trust_b = TrustPolicy::TrustedPrincipals([1u32].into_iter().collect());
-    assert!(evaluator.evaluate(&meta.tag, &trust_a).is_accept());
-    assert!(!evaluator.evaluate(&meta.tag, &trust_b).is_accept());
+    assert_eq!(
+        evaluator.evaluate(&meta.tag, &trust_a),
+        TrustDecision::Accept
+    );
+    assert_ne!(
+        evaluator.evaluate(&meta.tag, &trust_b),
+        TrustDecision::Accept
+    );
 
     // Quantifiable provenance: trust level max(2, min(2,1)) = 2.
-    assert!(evaluator
-        .evaluate(&meta.tag, &TrustPolicy::MinTrustLevel(2))
-        .is_accept());
-    assert!(!evaluator
-        .evaluate(&meta.tag, &TrustPolicy::MinTrustLevel(3))
-        .is_accept());
+    assert_eq!(
+        evaluator.evaluate(&meta.tag, &TrustPolicy::MinTrustLevel(2)),
+        TrustDecision::Accept
+    );
+    assert_ne!(
+        evaluator.evaluate(&meta.tag, &TrustPolicy::MinTrustLevel(3)),
+        TrustDecision::Accept
+    );
 
     // The condensed origins are exactly {a}.
     assert_eq!(evaluator.origins(&meta.tag), [0u32].into_iter().collect());

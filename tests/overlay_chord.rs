@@ -184,7 +184,7 @@ fn lookup_provenance_supports_kofn_trust_decisions() {
     let hops = lookup.path.len();
     assert_eq!(lookup.path, reference_path(&ring, origin, key).0);
     let evaluator = TrustEvaluator::new(dht.net.var_table(), dht.net.engine().config());
-    let decide = |tag: &ProvTag, policy| evaluator.evaluate(tag, &policy).is_accept();
+    let decide = |tag: &ProvTag, policy| evaluator.evaluate(tag, &policy) == TrustDecision::Accept;
     assert!(decide(&lookup.tag, TrustPolicy::KOfN(1)));
     assert!(decide(&lookup.tag, TrustPolicy::KOfN(hops)));
     assert!(!decide(&lookup.tag, TrustPolicy::KOfN(hops + 1)));
@@ -252,8 +252,14 @@ fn authenticated_lookup_graphs_verify_and_expose_forgery() {
         assert_eq!((planted.owner, &planted.path), (rogue, &[rogue].into()));
         let evaluator = TrustEvaluator::new(dht.net.var_table(), dht.net.engine().config());
         let on_path = TrustPolicy::TrustedPrincipals(path.clone());
-        assert!(evaluator.evaluate(&genuine.tag, &on_path).is_accept());
-        assert!(!evaluator.evaluate(&planted.tag, &on_path).is_accept());
+        assert_eq!(
+            evaluator.evaluate(&genuine.tag, &on_path),
+            TrustDecision::Accept
+        );
+        assert_ne!(
+            evaluator.evaluate(&planted.tag, &on_path),
+            TrustDecision::Accept
+        );
 
         // A row the requester stores itself was said by nobody else:
         // `W says owner(N,K,S,SI,W)` does not unify and no fetch follows it.

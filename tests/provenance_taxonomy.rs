@@ -31,12 +31,10 @@ proptest! {
         let everyone: BTreeSet<u32> = (0..n).collect();
         let nobody: BTreeSet<u32> = BTreeSet::new();
         for (_, _, meta) in net.query_all("reachable") {
-            prop_assert!(evaluator
-                .evaluate(&meta.tag, &TrustPolicy::TrustedPrincipals(everyone.clone()))
-                .is_accept());
-            prop_assert!(!evaluator
-                .evaluate(&meta.tag, &TrustPolicy::TrustedPrincipals(nobody.clone()))
-                .is_accept());
+            prop_assert_eq!(evaluator
+                .evaluate(&meta.tag, &TrustPolicy::TrustedPrincipals(everyone.clone())), TrustDecision::Accept);
+            prop_assert_ne!(evaluator
+                .evaluate(&meta.tag, &TrustPolicy::TrustedPrincipals(nobody.clone())), TrustDecision::Accept);
         }
     }
 

@@ -1,12 +1,17 @@
 //! Structural fences: what the tree must keep true of its own code, checked
 //! by reading the source.  Each test is one architectural decision or
 //! ratchet (a count that only goes down); the comment on each says what it
-//! protects.  Patterns are matched line by line as `grep` matches them, and
-//! "non-test code" is what precedes a file's first `#[cfg(test)]` line.
+//! protects.  Patterns are matched line by line as `grep` matches them.
+//!
+//! "Non-test code" ([`non_test`]) is a file up to its `#[cfg(test)]` line
+//! that is followed directly by `mod tests {`, and none of a file that its
+//! parent module declares as `#[cfg(test)] mod name;` (a test module kept in
+//! a file of its own, such as the engine's `runtime/tests.rs`).
 //!
 //! Scans skip build output (`target/` directories) and this file, which
 //! spells the patterns it forbids.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -50,12 +55,44 @@ fn rust_files_in(dir: &str) -> Vec<PathBuf> {
     found
 }
 
-/// `text` up to its first line that `stop` accepts: what `sed '/re/,$d'`
-/// keeps of a file.
-fn cut_at(text: &str, stop: impl Fn(&str) -> bool) -> &str {
+/// Whether the parent module of `path` declares it as `#[cfg(test)] mod
+/// name;`: a test module kept in a file of its own.
+fn is_test_module_file(path: &Path) -> bool {
+    let (Some(dir), Some(stem)) = (path.parent(), path.file_stem()) else {
+        return false;
+    };
+    let declaration = format!("mod {};", stem.to_string_lossy());
+    let mut parents: Vec<PathBuf> = ["mod.rs", "lib.rs", "main.rs"]
+        .iter()
+        .map(|name| dir.join(name))
+        .collect();
+    parents.push(dir.with_extension("rs"));
+    parents
+        .iter()
+        .filter(|parent| parent.as_path() != path && parent.is_file())
+        .any(|parent| {
+            let text = read(parent);
+            let lines: Vec<&str> = text.lines().map(str::trim).collect();
+            lines
+                .windows(2)
+                .any(|pair| pair == ["#[cfg(test)]", declaration.as_str()])
+        })
+}
+
+/// The non-test code of the file at `path`: nothing of a test module file,
+/// and otherwise everything before a `#[cfg(test)]` line that is followed
+/// directly by `mod tests {`.
+fn non_test<'a>(path: &Path, text: &'a str) -> &'a str {
+    if is_test_module_file(path) {
+        return "";
+    }
     let mut end = 0;
-    for line in text.split_inclusive('\n') {
-        if stop(line) {
+    let mut lines = text.split_inclusive('\n').peekable();
+    while let Some(line) = lines.next() {
+        let opens_tests = lines
+            .peek()
+            .is_some_and(|next| next.starts_with("mod tests {"));
+        if line.trim() == "#[cfg(test)]" && opens_tests {
             break;
         }
         end += line.len();
@@ -63,17 +100,7 @@ fn cut_at(text: &str, stop: impl Fn(&str) -> bool) -> &str {
     &text[..end]
 }
 
-/// The non-test code of a file: everything before its first `#[cfg(test)]`.
-fn non_test(text: &str) -> &str {
-    cut_at(text, |line| line.contains("#[cfg(test)]"))
-}
-
-/// The code before a file's first `mod tests {` line.
-fn before_mod_tests(text: &str) -> &str {
-    cut_at(text, |line| line.starts_with("mod tests {"))
-}
-
-fn whole(text: &str) -> &str {
+fn whole<'a>(_: &Path, text: &'a str) -> &'a str {
     text
 }
 
@@ -82,13 +109,16 @@ fn line_count(text: &str) -> usize {
     text.matches('\n').count()
 }
 
+/// Which part of a file a scan reads: [`non_test`] or [`whole`].
+type Part = for<'a> fn(&Path, &'a str) -> &'a str;
+
 /// `grep -n`: each `path:line: text` of `files`, cut by `part`, that
 /// `matches`.
-fn hits(files: &[PathBuf], part: fn(&str) -> &str, matches: impl Fn(&str) -> bool) -> Vec<String> {
+fn hits(files: &[PathBuf], part: Part, matches: impl Fn(&str) -> bool) -> Vec<String> {
     let mut found = Vec::new();
     for path in files {
         let text = read(path);
-        for (at, line) in part(&text).lines().enumerate() {
+        for (at, line) in part(path, &text).lines().enumerate() {
             if matches(line) {
                 found.push(format!("{}:{}: {line}", path.display(), at + 1));
             }
@@ -120,15 +150,15 @@ fn assert_none(found: Vec<String>, why: &str) {
 }
 
 /// How many lines of the `part` of `files` `matches` (`grep -c`).
-fn count(files: &[PathBuf], part: fn(&str) -> &str, matches: impl Fn(&str) -> bool) -> usize {
+fn count(files: &[PathBuf], part: Part, matches: impl Fn(&str) -> bool) -> usize {
     hits(files, part, matches).len()
 }
 
-/// Non-test lines across `files` (`sed -s '/#\[cfg(test)\]/,$d' … | wc -l`).
+/// Non-test lines across `files`.
 fn non_test_lines(files: &[PathBuf]) -> usize {
     files
         .iter()
-        .map(|path| line_count(non_test(&read(path))))
+        .map(|path| line_count(non_test(path, &read(path))))
         .sum()
 }
 
@@ -237,12 +267,9 @@ fn one_hasher() {
         "crates/provenance/src/tag.rs",
     ];
     let mut files = files_under(&roots, None);
-    files.retain(|path| path.extension().is_some_and(|e| e == "rs") && !path.ends_with("tests.rs"));
+    files.retain(|path| path.extension().is_some_and(|e| e == "rs"));
     let std_hashed = any_of(&["HashMap::new()", "HashSet::new()", "RandomState"]);
-    assert_none(
-        hits(&files, before_mod_tests, std_hashed),
-        "a std-hashed map",
-    );
+    assert_none(hits(&files, non_test, std_hashed), "a std-hashed map");
 }
 
 #[test]
@@ -581,4 +608,209 @@ fn no_argument_list_overflow_anywhere() {
     let files = files_under(&["crates", "shims", "tests", "examples"], None);
     let allowed = hits(&files, whole, any_of(&["too_many_arguments"]));
     assert_none(allowed, "a `too_many_arguments` allowance");
+}
+
+/// The `pub fn`s that no non-test code calls, and why each stays.  An entry
+/// leaves the list when its function is deleted or gains a caller
+/// (`the_uncalled_allowlist_is_current`).
+const UNCALLED_PUB_FNS: [(&str, &str); 34] = [
+    // Wire decoders and length-prefix helpers: ROADMAP item 14 puts them
+    // on a receive path or deletes them.
+    (
+        "put_len_prefixed",
+        "wire helper; item 14 calls or deletes it",
+    ),
+    (
+        "get_len_prefixed",
+        "wire helper; item 14 calls or deletes it",
+    ),
+    (
+        "len_prefixed_size",
+        "wire helper; item 14 calls or deletes it",
+    ),
+    (
+        "from_bytes",
+        "`SaysProof` decoder; item 14 calls or deletes it",
+    ),
+    // `NetworkSim` goes once hostbench stops timing it (ROADMAP item 2).
+    (
+        "is_idle",
+        "`NetworkSim` method; item 2 deletes `NetworkSim`",
+    ),
+    // Checkers and references that tests hold the engine against.
+    (
+        "check_index_consistency",
+        "the store's index invariant check",
+    ),
+    (
+        "shortest_path_costs",
+        "the Dijkstra oracle for Best-Path costs",
+    ),
+    (
+        "bellman_ford",
+        "the Bellman-Ford oracle for distance-vector costs",
+    ),
+    (
+        "is_strongly_connected",
+        "the topology generators' connectivity check",
+    ),
+    (
+        "entry_count",
+        "the pointer store's size, read by the store tests",
+    ),
+    // Public API whose callers are tests: builders and queries a user of
+    // the facade calls.
+    ("crash_node", "`FaultPlan` builder"),
+    ("cut_link", "`FaultPlan` builder"),
+    ("lossless", "`FaultPlan` builder"),
+    ("with_drop_per_mille", "`FaultPlan` builder"),
+    ("node_fail", "`ChurnEvent` builder"),
+    ("node_rejoin", "`ChurnEvent` builder"),
+    ("with_channel_rebind_frames", "`EngineConfig` builder"),
+    ("with_max_batch_tuples", "`EngineConfig` builder"),
+    ("with_walks", "`MoonwalkConfig` builder"),
+    ("with_ring", "`TraceConfig` builder"),
+    (
+        "retract_fact_at",
+        "engine API: retract a base fact at a time",
+    ),
+    (
+        "materialize_provenance",
+        "engine API: snapshot provenance stores",
+    ),
+    ("parse_rule", "datalog API: parse one rule"),
+    ("distance_vector", "built-in program parser"),
+    ("path_vector", "built-in program parser"),
+    ("reachability_sendlog", "built-in program parser"),
+    ("flat", "billing rate-plan constructor"),
+    ("tiered", "billing rate-plan constructor"),
+    ("compute", "billing API: price an accountability report"),
+    ("suspected_origin", "moonwalk result query"),
+    ("hit_rate", "moonwalk result query"),
+    ("uniform_as", "granularity constructor"),
+    ("anchor_at", "DNSSEC deployment API: anchor a zone's key"),
+    (
+        "dropped_events",
+        "flight recorder API: ring evictions so far",
+    ),
+];
+
+/// `text` with its `//` comments and its `use` declarations (however many
+/// lines each spans) blanked, line for line.
+fn code_without_uses(text: &str) -> Vec<&str> {
+    let mut in_use = false;
+    let mut lines = Vec::new();
+    for line in text.lines() {
+        let code = line.find("//").map_or(line, |at| &line[..at]);
+        let trimmed = code.trim_start();
+        let opens_use = ["use ", "pub use ", "pub(crate) use "]
+            .iter()
+            .any(|start| trimmed.starts_with(start));
+        if in_use || opens_use {
+            in_use = !code.contains(';');
+            lines.push("");
+        } else {
+            lines.push(code);
+        }
+    }
+    lines
+}
+
+/// The identifiers of `line`, each with whether it names the function that
+/// `fn` defines right there.
+fn identifiers(line: &str) -> impl Iterator<Item = (&str, bool)> {
+    let words = line
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|word| !word.is_empty());
+    let mut previous = "";
+    words.map(move |word| {
+        let defined = previous == "fn";
+        previous = word;
+        (word, defined)
+    })
+}
+
+/// Every `pub fn` name in the non-test code of the library crates (not
+/// hostbench), with where it is defined; and the names that non-test code
+/// under `crates/` (hostbench included; not `crates/*/tests/`),
+/// `examples/` and `src/` uses other than at a definition, in a `use`
+/// declaration or in a comment.
+fn pub_fns_and_uses() -> (BTreeMap<String, Vec<String>>, BTreeSet<String>) {
+    let mut defined: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    let crates = files_under(&["crates"], None);
+    let sources = crates.iter().filter(|path| {
+        let in_src = path
+            .components()
+            .nth(2)
+            .is_some_and(|dir| dir.as_os_str() == "src");
+        in_src && !path.components().any(|dir| dir.as_os_str() == "hostbench")
+    });
+    for path in sources.filter(|path| path.extension().is_some_and(|e| e == "rs")) {
+        let text = read(path);
+        for (at, line) in code_without_uses(non_test(path, &text)).iter().enumerate() {
+            for start in ["pub fn ", "pub const fn "] {
+                for (found, _) in line.match_indices(start) {
+                    let rest = &line[found + start.len()..];
+                    let name = identifiers(rest).next().map_or("", |(name, _)| name);
+                    let site = format!("{}:{}", path.display(), at + 1);
+                    defined.entry(name.to_string()).or_default().push(site);
+                }
+            }
+        }
+    }
+    let mut callers = files_under(&["crates", "examples", "src"], None);
+    callers.retain(|path| {
+        let integration_test = path
+            .components()
+            .nth(2)
+            .is_some_and(|dir| dir.as_os_str() == "tests");
+        path.extension().is_some_and(|e| e == "rs") && !integration_test
+    });
+    let mut used = BTreeSet::new();
+    for path in &callers {
+        let text = read(path);
+        for line in code_without_uses(non_test(path, &text)) {
+            let uses = identifiers(line)
+                .filter(|&(word, at_definition)| !at_definition && defined.contains_key(word));
+            used.extend(uses.map(|(word, _)| word.to_string()));
+        }
+    }
+    (defined, used)
+}
+
+#[test]
+fn every_pub_fn_has_a_caller() {
+    // A `pub fn` that only tests call is code kept for its own tests: delete
+    // it, or make it `pub(crate)` and let the dead-code lint decide.  The
+    // few that stay are listed in `UNCALLED_PUB_FNS`, each with its reason;
+    // no other may join them.
+    let (defined, used) = pub_fns_and_uses();
+    let listed: BTreeSet<&str> = UNCALLED_PUB_FNS.iter().map(|&(name, _)| name).collect();
+    let uncalled: Vec<String> = defined
+        .iter()
+        .filter(|(name, _)| !used.contains(*name) && !listed.contains(name.as_str()))
+        .map(|(name, sites)| format!("{name}: {}", sites.join(", ")))
+        .collect();
+    assert_none(uncalled, "a `pub fn` that no non-test code calls");
+}
+
+#[test]
+fn the_uncalled_allowlist_is_current() {
+    // Each `UNCALLED_PUB_FNS` entry still names a `pub fn`, and one that
+    // non-test code still does not call; a listed name that was deleted or
+    // gained a caller leaves the list, so the list only shrinks.
+    let (defined, used) = pub_fns_and_uses();
+    let stale: Vec<String> = UNCALLED_PUB_FNS
+        .iter()
+        .filter_map(|&(name, _)| {
+            if !defined.contains_key(name) {
+                Some(format!("{name}: no longer a `pub fn`"))
+            } else if used.contains(name) {
+                Some(format!("{name}: now has a non-test caller"))
+            } else {
+                None
+            }
+        })
+        .collect();
+    assert_none(stale, "a stale `UNCALLED_PUB_FNS` entry");
 }
