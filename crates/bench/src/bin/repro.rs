@@ -9,7 +9,7 @@
 //! SeNDLogProv, prints the Figure 3 and Figure 4 series as markdown tables,
 //! and reproduces the Section 6 summary statistics (average and at-max-N
 //! relative overheads).  Results are also appended to
-//! `target/repro_results.md` so they can be pasted into EXPERIMENTS.md.
+//! `target/repro_results.md`; PAPER.md describes what they reproduce.
 //!
 //! Every run additionally writes `BENCH_engine.json`, the engine's perf
 //! trajectory: one point per join, batching, session-channel, lossy, churn,
@@ -162,8 +162,11 @@ fn record_scale_trace(quick: bool, out: &str) {
             .with_batching()
             .with_tracing(TraceConfig::new().with_gauge_interval_us(1_000)),
     );
-    let metrics = net.run_streaming(events).expect("streaming fixpoint");
-    let trace = net.trace().expect("tracing enabled");
+    let metrics = net
+        .engine_mut()
+        .run_streaming(events)
+        .expect("streaming fixpoint");
+    let trace = net.engine().trace().expect("tracing enabled");
     eprintln!(
         "traced reachability workload ({} clusters, {} derivations): {} events in {:.1}s host time",
         clusters,
@@ -316,7 +319,7 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
     points.push(measured(
         "reachability_30",
         || pasn_bench::reachability_network(30, ndlog(), 7),
-        |net| net.run().expect("fixpoint"),
+        |net| net.engine_mut().run_to_fixpoint().expect("fixpoint"),
     ));
 
     // The same reachability deployment, authenticated and batched: one RSA
@@ -334,7 +337,7 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
                 7,
             )
         },
-        |net| net.run().expect("fixpoint"),
+        |net| net.engine_mut().run_to_fixpoint().expect("fixpoint"),
     ));
 
     // The same deployment again over session-keyed channels: RSA collapses
@@ -352,7 +355,7 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
     let session = measured(
         "session_reachability_30",
         || pasn_bench::reachability_network(30, session_config(), 7),
-        |net| net.run().expect("fixpoint"),
+        |net| net.engine_mut().run_to_fixpoint().expect("fixpoint"),
     );
 
     // trace_overhead: the flight recorder is observation only.  The traced
@@ -366,7 +369,7 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
             let config = session_config().with_tracing(TraceConfig::new());
             pasn_bench::reachability_network(30, config, 7)
         },
-        |net| net.run().expect("fixpoint"),
+        |net| net.engine_mut().run_to_fixpoint().expect("fixpoint"),
     );
     let what = "trace_overhead: tracing perturbed session_reachability_30";
     assert_same(&traced.metrics, &session.metrics, Scope::Layout, what);
@@ -398,7 +401,11 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
     let lossy = measured(
         "lossy_reachability_30",
         || pasn_bench::reachability_network(30, lossy_config(), 7),
-        |net| net.run().expect("post-loss fixpoint"),
+        |net| {
+            net.engine_mut()
+                .run_to_fixpoint()
+                .expect("post-loss fixpoint")
+        },
     );
 
     // `--trace PATH`: export the lossy run's flight-recorder trace — the
@@ -408,10 +415,13 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
     if let Some(path) = trace_path {
         let config = lossy_config().with_tracing(TraceConfig::new());
         let mut net = pasn_bench::reachability_network(30, config, 7);
-        let traced = net.run().expect("post-loss fixpoint");
+        let traced = net
+            .engine_mut()
+            .run_to_fixpoint()
+            .expect("post-loss fixpoint");
         let what = "tracing perturbed lossy_reachability_30";
         assert_same(&traced, &lossy.metrics, Scope::Layout, what);
-        let trace = net.trace().expect("tracing enabled");
+        let trace = net.engine().trace().expect("tracing enabled");
         let cycles = trace.link_lifecycles();
         let total = |f: fn(&pasn_engine::LinkLifecycle) -> u64| cycles.iter().map(f).sum::<u64>();
         assert_eq!(total(|c| c.shipped), traced.frames, "trace/frames mismatch");
@@ -458,7 +468,11 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
                 .link_up(10_000_000, src, dst);
             (net, script)
         },
-        |(net, script)| net.run_scenario(script).expect("post-churn fixpoint"),
+        |(net, script)| {
+            net.engine_mut()
+                .run_scenario(script)
+                .expect("post-churn fixpoint")
+        },
     ));
 
     // Modeled parallelism: 50 disjoint 20-node reachability clusters (1000
@@ -475,7 +489,7 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
                 let config = EngineConfig::ndlog().with_batching().with_workers(workers);
                 pasn_bench::clustered_reachability_network(50, 20, config)
             },
-            |net| net.run().expect("fixpoint"),
+            |net| net.engine_mut().run_to_fixpoint().expect("fixpoint"),
         ));
     }
 
@@ -550,7 +564,8 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
                 )
             },
             |(net, events)| {
-                net.run_streaming(events.clone())
+                net.engine_mut()
+                    .run_streaming(events.clone())
                     .expect("streaming fixpoint")
             },
         ));
@@ -567,7 +582,7 @@ fn engine_points(rows: u32, quick: bool, trace_path: Option<&str>) -> Vec<Point>
         2,
         || pasn_bench::chord_churn_deployment(chord_nodes, 96),
         |(dht, events)| {
-            let metrics = dht.net.run_streaming(events.clone());
+            let metrics = dht.net.engine_mut().run_streaming(events.clone());
             let metrics = metrics.expect("streaming fixpoint");
             pasn_bench::assert_lookups_end_at_their_owner(dht, events);
             metrics

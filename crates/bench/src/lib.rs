@@ -125,9 +125,10 @@ pub(crate) const GENERATION_TTL_US: u64 = 500_000;
 /// expiry cascading through provenance-guided deletion (base facts are
 /// deliberately hard state, so the TTL never touches the links).  The
 /// linear part — the links themselves — is retired by the scripted
-/// `LinkDown`s.  Fed through [`SecureNetwork::run_streaming`], every
-/// generation converges, expires and retires before more than a couple of
-/// younger generations have arrived, so total work grows with `clusters`
+/// `LinkDown`s.  Fed through
+/// [`pasn_engine::DistributedEngine::run_streaming`], every generation
+/// converges, expires and retires before more than a couple of younger
+/// generations have arrived, so total work grows with `clusters`
 /// while peak `store_bytes + index_bytes` stays O(live generations): the
 /// bounded-memory property the `reachability_10k` bench rows pin.  The
 /// returned event list is the stream; feeding it to `run_scenario` instead
@@ -361,14 +362,14 @@ mod tests {
     #[test]
     fn helpers_produce_runnable_networks() {
         let mut net = reachability_network(6, EngineConfig::ndlog(), 1);
-        assert!(net.run().unwrap().messages > 0);
+        assert!(net.engine_mut().run_to_fixpoint().unwrap().messages > 0);
     }
 
     #[test]
     fn generational_workload_expires_old_generations_mid_run() {
         let config = || EngineConfig::ndlog().with_batching();
         let (mut net, events) = generational_reachability_workload(6, 5, config());
-        let metrics = net.run_streaming(events.clone()).unwrap();
+        let metrics = net.engine_mut().run_streaming(events.clone()).unwrap();
         // Six 5-node clusters: each converged to its 25-tuple closure at
         // some point (at least one firing per derived row), then TTL expiry
         // killed the derived soft state and the scripted `LinkDown`s
@@ -376,8 +377,8 @@ mod tests {
         assert!(metrics.derivations >= 6 * 25);
         assert!(metrics.retractions > 0, "eviction must fire mid-run");
         assert_eq!(metrics.tuples_stored, 0);
-        assert_eq!(net.query(&Value::Addr(0), "reachable").len(), 0);
-        assert_eq!(net.query(&Value::Addr(0), "link").len(), 0);
+        assert_eq!(net.engine().query(&Value::Addr(0), "reachable").len(), 0);
+        assert_eq!(net.engine().query(&Value::Addr(0), "link").len(), 0);
         // The peak footprint was sampled and covers strictly more than the
         // (empty) final store.
         assert!(metrics.peak_store_bytes > metrics.store_bytes);
@@ -386,7 +387,7 @@ mod tests {
         let script = events.iter().fold(ChurnScript::new(), |s, (at, e)| {
             s.at(at.as_micros(), e.clone())
         });
-        let batch_metrics = batch.run_scenario(&script).unwrap();
+        let batch_metrics = batch.engine_mut().run_scenario(&script).unwrap();
         assert_eq!(metrics.derivations, batch_metrics.derivations);
         assert_eq!(metrics.tuples_stored, batch_metrics.tuples_stored);
         assert_eq!(metrics.frames, batch_metrics.frames);
@@ -415,12 +416,16 @@ mod tests {
     #[test]
     fn chord_churn_deployment_reroutes_every_standing_lookup() {
         let (mut dht, events) = chord_churn_deployment(32, 16);
-        let metrics = dht.net.run_streaming(events.clone()).expect("fixpoint");
+        let metrics = dht
+            .net
+            .engine_mut()
+            .run_streaming(events.clone())
+            .expect("fixpoint");
         // Four members left and came back; every lookup issued in any phase
         // ends at the successor of its key on the ring as it stands now.
         assert_eq!(dht.ring.members().len(), 32);
         assert_lookups_end_at_their_owner(&dht, &events);
-        assert_eq!(dht.net.query_all("owner").len(), 48);
+        assert_eq!(dht.net.engine().query_all("owner").len(), 48);
         assert_eq!(metrics.churn_events, events.len() as u64);
         assert!(metrics.retractions > 0 && metrics.rederivations > 0);
         assert!(metrics.tombstone_frames > 0 && metrics.hmac_ops > 0);
@@ -433,7 +438,11 @@ mod tests {
         let script = events.iter().fold(ChurnScript::new(), |s, (at, e)| {
             s.at(at.as_micros(), e.clone())
         });
-        let batch_metrics = batch.net.run_scenario(&script).expect("fixpoint");
+        let batch_metrics = batch
+            .net
+            .engine_mut()
+            .run_scenario(&script)
+            .expect("fixpoint");
         assert_eq!(
             metrics.diff(&batch_metrics, pasn_engine::Scope::Schedule),
             []
@@ -451,11 +460,11 @@ mod tests {
         let clustered = |workers: usize| {
             let config = EngineConfig::ndlog().with_batching().with_workers(workers);
             let mut net = clustered_reachability_network(4, 5, config);
-            let metrics = net.run().expect("fixpoint");
+            let metrics = net.engine_mut().run_to_fixpoint().expect("fixpoint");
             // Four disjoint 5-node clusters: each node reaches exactly its
             // own cluster, nothing across the cluster boundary.
-            assert_eq!(net.query(&Value::Addr(0), "reachable").len(), 5);
-            assert_eq!(net.query(&Value::Addr(19), "reachable").len(), 5);
+            assert_eq!(net.engine().query(&Value::Addr(0), "reachable").len(), 5);
+            assert_eq!(net.engine().query(&Value::Addr(19), "reachable").len(), 5);
             metrics
         };
         let best_path = |workers: usize| {
@@ -466,7 +475,7 @@ mod tests {
                 .config(config.with_workers(workers))
                 .build()
                 .expect("the Best-Path program compiles");
-            net.run().expect("fixpoint")
+            net.engine_mut().run_to_fixpoint().expect("fixpoint")
         };
         let shapes: [(&dyn Fn(usize) -> RunMetrics, _); 2] = [
             (&clustered, (4, 156, 15, 160_600)),

@@ -35,19 +35,16 @@ pub struct AccountabilityReport {
 impl AccountabilityReport {
     /// Builds the report from a finished deployment.
     pub fn collect(network: &SecureNetwork) -> Self {
-        let bytes = network.bytes_sent_per_node();
-        let mut usage: Vec<PrincipalUsage> = network
-            .engine()
+        let engine = network.engine();
+        let bytes = engine.bytes_sent_per_node();
+        let mut usage: Vec<PrincipalUsage> = engine
             .locations()
             .iter()
-            .map(|loc| {
-                let derivations = network.archive(loc).map_or(0, |a| a.len());
-                PrincipalUsage {
-                    location: loc.clone(),
-                    bytes_sent: bytes.get(loc).copied().unwrap_or(0),
-                    derivations,
-                    tuples_stored: network.engine().tuples_at(loc),
-                }
+            .map(|loc| PrincipalUsage {
+                location: loc.clone(),
+                bytes_sent: bytes.get(loc).copied().unwrap_or(0),
+                derivations: engine.archive(loc).map_or(0, |a| a.len()),
+                tuples_stored: engine.tuples_at(loc),
             })
             .collect();
         usage.sort_by(|a, b| {
@@ -102,7 +99,7 @@ mod tests {
             .config(config)
             .build()
             .unwrap();
-        net.run().unwrap();
+        net.engine_mut().run_to_fixpoint().unwrap();
         net
     }
 
@@ -120,7 +117,7 @@ mod tests {
         // rows are every relation's — the localized `link_at_z` copies too.
         assert!(report.usage.iter().all(|u| u.tuples_stored > 0));
         let stored: usize = report.usage.iter().map(|u| u.tuples_stored).sum();
-        assert_eq!(stored as u64, net.metrics().tuples_stored);
+        assert_eq!(stored as u64, net.engine().metrics().tuples_stored);
         assert!(report.usage.iter().all(|u| u.derivations > 0));
         let rendered = report.to_string();
         assert!(rendered.contains("principal"));

@@ -67,7 +67,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        net.run().unwrap();
+        net.engine_mut().run_to_fixpoint().unwrap();
         net
     }
 
@@ -97,7 +97,7 @@ mod tests {
     fn diagnosis_of_a_two_path_best_path_is_pinned() {
         let net = traced(programs::best_path(), Topology::ring(4));
         let at = Value::Addr(0);
-        let entries = net.query(&at, "bestPath");
+        let entries = net.engine().query(&at, "bestPath");
         let mut flapping = entries
             .iter()
             .filter(|(tuple, _)| tuple.value(1) == Some(&Value::Addr(2)))

@@ -10,10 +10,10 @@
 //! paper quotes (53% / 36% average SeNDLog overhead, 41% / 54% SeNDLogProv
 //! overhead, both shrinking at N = 100).
 
-use crate::network::{NetworkError, SecureNetwork};
+use crate::network::SecureNetwork;
 use crate::programs;
 use crate::workload::evaluation_topology;
-use pasn_engine::{EngineConfig, RunMetrics, SystemVariant};
+use pasn_engine::{EngineConfig, EngineError, RunMetrics, SystemVariant};
 use pasn_net::CostModel;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -83,7 +83,7 @@ pub fn run_point(
     variant: SystemVariant,
     config: &SweepConfig,
     cost_model: CostModel,
-) -> Result<ExperimentPoint, NetworkError> {
+) -> Result<ExperimentPoint, EngineError> {
     let mut completion = 0.0;
     let mut megabytes = 0.0;
     let mut messages = 0.0;
@@ -116,7 +116,7 @@ fn run_best_path_once(
     config: &SweepConfig,
     cost_model: CostModel,
     run: u64,
-) -> Result<RunMetrics, NetworkError> {
+) -> Result<RunMetrics, EngineError> {
     let topology_seed = config
         .seed
         .wrapping_mul(31)
@@ -132,12 +132,12 @@ fn run_best_path_once(
         .topology(topology)
         .config(engine_config)
         .build()?;
-    network.run()
+    network.engine_mut().run_to_fixpoint()
 }
 
 /// Runs the full sweep under the paper's cost model: every size × every
 /// variant.
-pub fn run_sweep(config: &SweepConfig) -> Result<Vec<ExperimentPoint>, NetworkError> {
+pub fn run_sweep(config: &SweepConfig) -> Result<Vec<ExperimentPoint>, EngineError> {
     let mut points = Vec::new();
     for &n in &config.sizes {
         for variant in SystemVariant::ALL {

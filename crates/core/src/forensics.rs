@@ -66,9 +66,10 @@ pub fn archived_activity(
     from: Option<u64>,
     to: Option<u64>,
 ) -> Vec<(Value, ArchivedEntry)> {
+    let engine = network.engine();
     let mut out = Vec::new();
-    for loc in network.engine().locations() {
-        if let Some(archive) = network.archive(loc) {
+    for loc in engine.locations() {
+        if let Some(archive) = engine.archive(loc) {
             for entry in archive.query(key_prefix, from, to) {
                 out.push((loc.clone(), entry.clone()));
             }
@@ -97,7 +98,7 @@ mod tests {
             .config(config)
             .build()
             .unwrap();
-        net.run().unwrap();
+        net.engine_mut().run_to_fixpoint().unwrap();
         net
     }
 
@@ -115,9 +116,9 @@ mod tests {
         let mut net = forensic_network();
         // Expire all derived soft state.
         let now = SimTime::from_secs_f64(100.0);
-        let dropped = net.expire(now);
+        let dropped = net.engine_mut().expire_all(now);
         assert!(dropped > 0);
-        assert!(net.query(&Value::Addr(0), "reachable").is_empty());
+        assert!(net.engine().query(&Value::Addr(0), "reachable").is_empty());
         // The archive still answers forensic queries.
         let activity = archived_activity(&net, "reachable", None, None);
         assert!(!activity.is_empty());
@@ -147,8 +148,8 @@ mod tests {
     fn a_complete_key_reads_what_the_prefix_sweep_reads() {
         let mut net = forensic_network();
         // Stamp some expiries so the entries compared are not all alike.
-        net.expire(SimTime::from_secs_f64(100.0));
-        for (loc, tuple, _) in net.query_all("link") {
+        net.engine_mut().expire_all(SimTime::from_secs_f64(100.0));
+        for (loc, tuple, _) in net.engine().query_all("link") {
             let key = tuple.render_located(Some(0));
             let report = investigate(&net, &loc, &key);
             assert!(report.archived.is_empty(), "base tuples are not archived");
@@ -179,7 +180,7 @@ mod tests {
             .config(config)
             .build()
             .unwrap();
-        net.run().unwrap();
+        net.engine_mut().run_to_fixpoint().unwrap();
         let keys = |prefix: &str| -> Vec<Arc<str>> {
             let swept = archived_activity(&net, prefix, None, None);
             swept.into_iter().map(|(_, entry)| entry.key).collect()

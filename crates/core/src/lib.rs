@@ -6,13 +6,16 @@
 //! The paper argues that network accountability and forensic analysis can be
 //! posed as **data provenance computations over distributed streams**, using
 //! declarative networks (NDlog) with security extensions (SeNDlog's `says`
-//! operator) as the unified substrate.  This crate is the public facade over
+//! operator) as the unified substrate.  This crate is the entry point to
 //! the full reproduction:
 //!
 //! * [`programs`] — the paper's declarative programs (reachability in NDlog
 //!   and SeNDlog form, the Best-Path evaluation query, a route monitor);
 //! * [`network`] — [`SecureNetwork`], a builder tying a topology, a program
-//!   and an [`pasn_engine::EngineConfig`] into a runnable deployment;
+//!   and an [`pasn_engine::EngineConfig`] into one
+//!   [`pasn_engine::DistributedEngine`]; every run, query and provenance
+//!   read is the engine's own, through [`SecureNetwork::engine`] /
+//!   [`SecureNetwork::engine_mut`];
 //! * [`workload`] — topology → base-fact generators and the evaluation
 //!   workload (N nodes, average out-degree three);
 //! * [`experiment`] — the harness regenerating Figures 3 and 4 and the
@@ -42,13 +45,14 @@
 //!     .config(EngineConfig::sendlog_prov().with_cost_model(CostModel::zero_cpu()))
 //!     .build()
 //!     .unwrap();
-//! let metrics = net.run().unwrap();
+//! let metrics = net.engine_mut().run_to_fixpoint().unwrap();
 //! assert!(metrics.messages > 0);
 //!
 //! // reachable(a, c) was derived both directly and via b; its condensed
 //! // provenance collapses to just principal a (the paper's `<a>`).
 //! let tuple = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)]);
-//! assert_eq!(net.render_provenance(&Value::Addr(0), &tuple).unwrap(), "<p0>");
+//! let tag = net.engine().render_provenance(&Value::Addr(0), &tuple);
+//! assert_eq!(tag.unwrap(), "<p0>");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -73,7 +77,7 @@ pub use experiment::{
     SweepConfig,
 };
 pub use forensics::{archived_activity, investigate, ForensicReport};
-pub use network::{NetworkError, SecureNetwork, SecureNetworkBuilder};
+pub use network::{SecureNetwork, SecureNetworkBuilder};
 pub use trust::{TrustDecision, TrustEvaluator, TrustPolicy};
 
 /// Commonly used items across the workspace, re-exported for convenience.

@@ -116,7 +116,6 @@ impl Keyring {
 /// 2-vCPU x86-64 host it is ~99 % of `hostbench`'s `deploy_s` on the keyed
 /// workloads (`bestpath_secprov`, `lossy_session`, `prov_query`).
 pub struct KeyAuthority {
-    modulus_bits: usize,
     keypairs: HashMap<PrincipalId, Arc<RsaKeyPair>>,
     directory: Arc<HashMap<PrincipalId, RsaPublicKey>>,
     mac_secrets: Arc<HashMap<PrincipalId, [u8; TAG_LEN]>>,
@@ -126,7 +125,6 @@ impl fmt::Debug for KeyAuthority {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("KeyAuthority")
             .field("principals", &self.keypairs.len())
-            .field("modulus_bits", &self.modulus_bits)
             .finish()
     }
 }
@@ -160,7 +158,6 @@ impl KeyAuthority {
             mac_secrets.insert(p.id, bound);
         }
         Ok(KeyAuthority {
-            modulus_bits,
             keypairs,
             directory: Arc::new(directory),
             mac_secrets: Arc::new(mac_secrets),

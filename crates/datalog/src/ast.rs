@@ -250,18 +250,6 @@ impl Atom {
     }
 
     /// Builder: sets the location-specifier argument index.
-    pub fn at(mut self, location: usize) -> Self {
-        assert!(location < self.args.len(), "location index out of range");
-        self.location = Some(location);
-        self
-    }
-
-    /// Builder: sets the SeNDlog `says` annotation.
-    pub fn said_by(mut self, principal: Term) -> Self {
-        self.says = Some(principal);
-        self
-    }
-
     /// The term occupying the location-specifier position, if declared.
     pub(crate) fn location_term(&self) -> Option<&Term> {
         self.location.map(|i| &self.args[i])
@@ -467,27 +455,38 @@ mod tests {
         })
     }
 
+    /// `predicate(@A,B)`: an atom over two variables, located at the first.
+    fn located(predicate: &str, a: &str, b: &str) -> Atom {
+        Atom {
+            location: Some(0),
+            ..Atom::new(predicate, vec![Term::var(a), Term::var(b)])
+        }
+    }
+
     fn reachable_rule() -> Rule {
         // r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).
         Rule {
             label: "r2".into(),
             context: None,
-            head: Atom::new("reachable", vec![Term::var("S"), Term::var("D")]).at(0),
+            head: located("reachable", "S", "D"),
             body: vec![
-                BodyLiteral::Atom(Atom::new("link", vec![Term::var("S"), Term::var("Z")]).at(0)),
-                BodyLiteral::Atom(
-                    Atom::new("reachable", vec![Term::var("Z"), Term::var("D")]).at(0),
-                ),
+                BodyLiteral::Atom(located("link", "S", "Z")),
+                BodyLiteral::Atom(located("reachable", "Z", "D")),
             ],
         }
     }
 
     #[test]
     fn atom_display_shows_location_and_annotations() {
-        let atom = Atom::new("reachable", vec![Term::var("S"), Term::var("D")]).at(0);
-        assert_eq!(atom.to_string(), "reachable(@S,D)");
+        assert_eq!(
+            located("reachable", "S", "D").to_string(),
+            "reachable(@S,D)"
+        );
 
-        let says = Atom::new("linkD", vec![Term::var("S"), Term::var("Z")]).said_by(Term::var("Z"));
+        let says = Atom {
+            says: Some(Term::var("Z")),
+            ..Atom::new("linkD", vec![Term::var("S"), Term::var("Z")])
+        };
         assert_eq!(says.to_string(), "Z says linkD(S,Z)");
 
         let mut exported = Atom::new("reachable", vec![Term::var("Z"), Term::var("Y")]);
@@ -601,11 +600,5 @@ mod tests {
     #[test]
     fn binop_metadata() {
         assert_eq!(BinOp::Ne.symbol(), "!=");
-    }
-
-    #[test]
-    #[should_panic(expected = "location index out of range")]
-    fn atom_location_bounds_checked() {
-        let _ = Atom::new("p", vec![Term::var("X")]).at(3);
     }
 }

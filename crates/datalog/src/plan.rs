@@ -768,7 +768,10 @@ mod tests {
         let rule = Rule {
             label: "weird".into(),
             context: None,
-            head: Atom::new("p", vec![Term::constant(1i64)]).at(0),
+            head: Atom {
+                location: Some(0),
+                ..Atom::new("p", vec![Term::constant(1i64)])
+            },
             body: vec![BodyLiteral::Filter(Expr::constant(true))],
         };
         let err = RulePlan::for_rule_in(&rule, &mut Symbols::new()).unwrap_err();

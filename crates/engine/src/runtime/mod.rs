@@ -47,7 +47,7 @@ use pasn_crypto::channel::{ChannelHandshake, ReceiverChannel, SenderChannel};
 use pasn_crypto::says::{Authenticator, SaysAssertion};
 use pasn_crypto::{KeyAuthority, Principal, PrincipalId, RsaPublicKey};
 use pasn_datalog::plan::CompiledProgram;
-use pasn_datalog::{compile_program, AggFunc, PlanError, PredId, Program, Term, Value};
+use pasn_datalog::{compile_program, AggFunc, ParseError, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
 use pasn_provenance::{
     moonwalk_with, traceback_with, ArchiveStore, DistributedStore, MaintenanceMode, MoonwalkConfig,
@@ -62,9 +62,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transport::LinkTransport;
 
-/// Errors raised while constructing or driving the engine.
+/// Errors raised while building a deployment or driving the engine.
 #[derive(Debug)]
 pub enum EngineError {
+    /// The program text failed to parse.
+    Parse(ParseError),
+    /// A deployment was built without a program.
+    MissingProgram,
+    /// A deployment was built with neither a topology nor explicit
+    /// locations.
+    MissingLocations,
     /// The program failed compilation (validation, localization or planning).
     Compile(PlanError),
     /// Key provisioning failed.
@@ -92,6 +99,11 @@ pub enum EngineError {
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            EngineError::Parse(e) => write!(f, "{e}"),
+            EngineError::MissingProgram => write!(f, "a program is required"),
+            EngineError::MissingLocations => {
+                write!(f, "either a topology or explicit locations are required")
+            }
             EngineError::Compile(e) => write!(f, "compilation failed: {e}"),
             EngineError::Crypto(e) => write!(f, "key provisioning failed: {e}"),
             EngineError::UnknownLocation(v) => write!(f, "unknown location {v}"),
@@ -114,6 +126,12 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<ParseError> for EngineError {
+    fn from(e: ParseError) -> Self {
+        EngineError::Parse(e)
+    }
+}
 
 impl From<PlanError> for EngineError {
     fn from(e: PlanError) -> Self {

@@ -28,7 +28,6 @@ pub struct Link {
 pub struct Topology {
     nodes: Vec<NodeId>,
     links: Vec<Link>,
-    adjacency: HashMap<NodeId, Vec<Link>>,
 }
 
 impl Topology {
@@ -40,14 +39,9 @@ impl Topology {
             node_set.insert(l.src);
             node_set.insert(l.dst);
         }
-        let mut adjacency: HashMap<NodeId, Vec<Link>> = HashMap::new();
-        for l in &links {
-            adjacency.entry(l.src).or_default().push(*l);
-        }
         Topology {
             nodes: node_set.into_iter().collect(),
             links,
-            adjacency,
         }
     }
 
@@ -190,14 +184,10 @@ impl Topology {
         }
     }
 
-    /// Outgoing links of `node`.
-    pub(crate) fn outgoing(&self, node: NodeId) -> &[Link] {
-        self.adjacency.get(&node).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Outgoing neighbour nodes of `node`.
-    pub(crate) fn neighbors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.outgoing(node).iter().map(|l| l.dst)
+    /// Outgoing links of `node`, found by a walk over every link: only the
+    /// test oracles below read it.
+    fn outgoing(&self, node: NodeId) -> impl Iterator<Item = &Link> + '_ {
+        self.links.iter().filter(move |l| l.src == node)
     }
 
     /// True if every node can reach every other node following directed
@@ -212,15 +202,11 @@ impl Topology {
             seen.insert(start);
             queue.push_back(start);
             while let Some(cur) = queue.pop_front() {
-                let next_nodes: Vec<NodeId> = if reverse {
-                    self.links
-                        .iter()
-                        .filter(|l| l.dst == cur)
-                        .map(|l| l.src)
-                        .collect()
-                } else {
-                    self.neighbors(cur).collect()
-                };
+                let next_nodes = self.links.iter().filter_map(|l| match reverse {
+                    false if l.src == cur => Some(l.dst),
+                    true if l.dst == cur => Some(l.src),
+                    _ => None,
+                });
                 for n in next_nodes {
                     if seen.insert(n) {
                         queue.push_back(n);
@@ -268,11 +254,10 @@ mod tests {
         let t = Topology::paper_figure1();
         assert_eq!(t.node_count(), 3);
         assert_eq!(t.link_count(), 3);
-        let a = NodeId(0);
-        let neighbors: Vec<NodeId> = t.neighbors(a).collect();
+        let neighbors: Vec<NodeId> = t.outgoing(NodeId(0)).map(|l| l.dst).collect();
         assert_eq!(neighbors, vec![NodeId(1), NodeId(2)]);
         // c has no outgoing links.
-        assert_eq!(t.outgoing(NodeId(2)).len(), 0);
+        assert_eq!(t.outgoing(NodeId(2)).count(), 0);
         assert!(!t.is_strongly_connected());
     }
 

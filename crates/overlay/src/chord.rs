@@ -297,8 +297,9 @@ impl ChordDeployment {
 
     /// Every answer `origin` holds for `key`: one on a consistent ring.
     pub fn lookups(&self, origin: u32, key: u64) -> Vec<Lookup> {
-        let trust = TrustEvaluator::new(self.net.var_table(), self.net.engine().config());
-        let rows = self.net.query(&Value::Addr(origin), "owner").into_iter();
+        let engine = self.net.engine();
+        let trust = TrustEvaluator::new(engine.var_table(), engine.config());
+        let rows = engine.query(&Value::Addr(origin), "owner").into_iter();
         let asked = rows.filter(|(t, _)| t.values[1] == int(key));
         let answer = asked.filter_map(|(t, meta)| {
             Some(Lookup {
@@ -313,7 +314,8 @@ impl ChordDeployment {
 
     /// The value `reader` fetched for `key`, with the inserter the owner named.
     pub fn value(&self, reader: u32, key: u64) -> Result<Fetched, ChordError> {
-        let rows = self.net.query(&Value::Addr(reader), "value").into_iter();
+        let rows = self.net.engine().query(&Value::Addr(reader), "value");
+        let rows = rows.into_iter();
         let mut fetched = rows.filter(|(t, _)| t.values[1] == int(key));
         let (row, meta) = fetched.next().ok_or(ChordError::NotFound(key))?;
         let inserted_by = row.values[3].as_addr().ok_or(ChordError::NotFound(key))?;

@@ -251,7 +251,8 @@ impl DnsDeployment {
     pub fn resolve(&self, name: &str) -> Result<Resolution, DnsError> {
         let chain = self.tree.delegation_chain(name);
         let zone = chain[chain.len() - 1];
-        let rows = |predicate: &str| self.net.query(&resolver(), predicate).into_iter();
+        let engine = self.net.engine();
+        let rows = |predicate: &str| engine.query(&resolver(), predicate).into_iter();
         let address = |t: &Tuple| t.values[2].as_int().and_then(|a| u32::try_from(a).ok());
         let said = |t: &Tuple| t.values[..2] == [node(zone), node(name)];
         let answer = rows("answer").find_map(|(t, _)| address(&t).filter(|_| said(&t)));
@@ -265,8 +266,8 @@ impl DnsDeployment {
         let said = [node(name), Value::Int(address.into())];
         let resolved = rows("resolved").find(|(t, _)| t.values[1..] == said);
         let (_, meta) = resolved.ok_or_else(|| DnsError::NotSaidByItsZone(name.to_string()))?;
-        let trust = TrustEvaluator::new(self.net.var_table(), self.net.engine().config());
-        let locations = self.net.engine().locations();
+        let trust = TrustEvaluator::new(engine.var_table(), engine.config());
+        let locations = engine.locations();
         let zones = trust.origins(&meta.tag).into_iter().filter(|p| *p != 0);
         let mut chain: Vec<String> = zones.map(|p| locations[p as usize].to_string()).collect();
         chain.sort_by_key(|z| (z != ".", z.len()));

@@ -41,7 +41,7 @@
 //!     .with_provenance(ProvenanceKind::Condensed);
 //! let mut dht = ring.deploy(config).unwrap();
 //! dht.request(get(3, key)).unwrap();
-//! let metrics = dht.net.run().unwrap();
+//! let metrics = dht.net.engine_mut().run_to_fixpoint().unwrap();
 //!
 //! let [lookup] = &dht.lookups(3, key)[..] else { panic!("one answer") };
 //! assert_eq!(lookup.owner, ring.successor_of(key));

@@ -23,16 +23,6 @@ pub enum MaintenanceMode {
     Reactive,
 }
 
-impl MaintenanceMode {
-    /// Human-readable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            MaintenanceMode::Proactive => "proactive",
-            MaintenanceMode::Reactive => "reactive",
-        }
-    }
-}
-
 /// Records provenance for one out of every `one_in` derivations,
 /// deterministically from the derivation's key hash so repeated runs sample
 /// the same derivations.
@@ -107,14 +97,6 @@ impl Granularity {
             }
         }
     }
-
-    /// Human-readable name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Granularity::Node => "node",
-            Granularity::As { .. } => "as",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,9 +104,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn maintenance_mode_names() {
-        assert_eq!(MaintenanceMode::Proactive.name(), "proactive");
-        assert_eq!(MaintenanceMode::Reactive.name(), "reactive");
+    fn maintenance_mode_defaults_to_proactive() {
         assert_eq!(MaintenanceMode::default(), MaintenanceMode::Proactive);
     }
 
@@ -154,7 +134,6 @@ mod tests {
     fn node_granularity_is_identity() {
         let g = Granularity::Node;
         assert_eq!(g.origin_of(PrincipalId(17)), PrincipalId(17));
-        assert_eq!(g.name(), "node");
     }
 
     #[test]
@@ -166,6 +145,5 @@ mod tests {
         assert_eq!(g.origin_of(PrincipalId(9)), PrincipalId(2));
         // Unknown principals land in AS 0.
         assert_eq!(g.origin_of(PrincipalId(99)), PrincipalId(0));
-        assert_eq!(g.name(), "as");
     }
 }

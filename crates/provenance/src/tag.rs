@@ -48,20 +48,6 @@ pub enum ProvenanceKind {
     Vote,
 }
 
-impl ProvenanceKind {
-    /// Human-readable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProvenanceKind::None => "none",
-            ProvenanceKind::Why => "why",
-            ProvenanceKind::Condensed => "condensed",
-            ProvenanceKind::Trust => "trust",
-            ProvenanceKind::Count => "count",
-            ProvenanceKind::Vote => "vote",
-        }
-    }
-}
-
 /// Maps provenance variables (principals and base-tuple keys) to BDD
 /// variables and owns the shared BDD manager used for condensation.
 #[derive(Debug, Default)]
@@ -922,18 +908,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_are_stable() {
-        assert_eq!(ProvenanceKind::Condensed.name(), "condensed");
+    fn kind_defaults_to_none() {
         assert_eq!(ProvenanceKind::default(), ProvenanceKind::None);
-        for kind in [
-            ProvenanceKind::None,
-            ProvenanceKind::Why,
-            ProvenanceKind::Condensed,
-            ProvenanceKind::Trust,
-            ProvenanceKind::Count,
-            ProvenanceKind::Vote,
-        ] {
-            assert!(!kind.name().is_empty());
-        }
     }
 }

@@ -33,7 +33,10 @@ fn main() {
             .config(variant.config())
             .build()
             .expect("program compiles");
-        let metrics = network.run().expect("fixpoint reached");
+        let metrics = network
+            .engine_mut()
+            .run_to_fixpoint()
+            .expect("fixpoint reached");
 
         print!(
             "{:<12} completion {:>8.2} s   bandwidth {:>8.3} MB   msgs {:>7}   sigs {:>7}",
@@ -58,10 +61,14 @@ fn main() {
         if variant == SystemVariant::SeNDLogProv {
             // Show a couple of best paths with their condensed provenance.
             println!("\n  sample best paths at n0 (with condensed provenance):");
-            let mut rows = network.query(&Value::Addr(0), "bestPath");
+            let mut rows = network.engine().query(&Value::Addr(0), "bestPath");
             rows.sort_by_key(|(t, _)| t.values[1].clone());
             for (tuple, meta) in rows.iter().take(5) {
-                println!("    {}  {}", tuple, meta.tag.render(network.var_table()));
+                println!(
+                    "    {}  {}",
+                    tuple,
+                    meta.tag.render(network.engine().var_table())
+                );
             }
         }
     }

@@ -25,10 +25,14 @@ fn main() {
         )
         .build()
         .expect("program compiles");
-    plain.run().expect("fixpoint reached");
+    plain
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
     let a = Value::Addr(0);
     let store = plain
+        .engine()
         .provenance_store(&a)
         .expect("local provenance recorded");
     let root = "reachable(@n0,n2)";
@@ -55,24 +59,33 @@ fn main() {
         )
         .build()
         .expect("program compiles");
-    secure.run().expect("fixpoint reached");
+    secure
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
     println!("== Figure 2: SeNDlog derivation tree with condensed provenance ==\n");
     let store = secure
+        .engine()
         .provenance_store(&a)
         .expect("local provenance recorded");
     assert!(!store.derivations_of(root).is_empty(), "derived");
     println!("{}", store.render_tree(root));
 
     println!("condensed annotations (the <...> field of Figure 2):");
-    for (tuple, meta) in secure.query(&a, "reachable") {
-        println!("  {}  {}", tuple, meta.tag.render(secure.var_table()));
+    for (tuple, meta) in secure.engine().query(&a, "reachable") {
+        println!(
+            "  {}  {}",
+            tuple,
+            meta.tag.render(secure.engine().var_table())
+        );
     }
     println!();
     println!(
         "reachable(a,c) has provenance a + a*b over principals, which the BDD\n\
          encoding condenses to {} — principal b is inconsequential once a is trusted.",
         secure
+            .engine()
             .render_provenance(
                 &a,
                 &Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)])

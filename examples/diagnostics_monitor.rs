@@ -53,9 +53,16 @@ fn main() {
             _ => "expires",
         };
         monitor
+            .engine_mut()
             .run_streaming([(at, event)])
             .expect("the monitor runs");
-        let rows = |pred: &str| monitor.query(&n0, pred).into_iter().map(|(tuple, _)| tuple);
+        let rows = |pred: &str| {
+            monitor
+                .engine()
+                .query(&n0, pred)
+                .into_iter()
+                .map(|(tuple, _)| tuple)
+        };
         let counts: Vec<String> = rows("updateCount")
             .map(|t| format!("{}:{}", t.values[1], t.values[2]))
             .collect();
@@ -70,7 +77,8 @@ fn main() {
     let (raised_at, alarm) = raised.expect("the burst to n3 raises an alarm");
     assert_eq!(alarm.values[1], Value::Addr(3), "only n3 flaps");
     assert!(
-        monitor.query(&n0, "alarm").is_empty() && monitor.query(&n0, "updateCount").is_empty(),
+        monitor.engine().query(&n0, "alarm").is_empty()
+            && monitor.engine().query(&n0, "updateCount").is_empty(),
         "the window slid past the burst: every count and the alarm are withdrawn"
     );
     println!("\nALARM {alarm} raised at {raised_at}, withdrawn once the window slid past\n");
@@ -89,7 +97,10 @@ fn main() {
         )
         .build()
         .expect("program compiles");
-    routing.run().expect("fixpoint reached");
+    routing
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
     let entry = Tuple::new("reachable", vec![n0.clone(), alarm.values[1].clone()]);
     let diagnosis = diagnose(&routing, &n0, &entry.render_located(Some(0)));
@@ -117,8 +128,11 @@ fn main() {
         )
         .build()
         .expect("program compiles");
-    let metrics = lossy.run().expect("fixpoint reached");
-    let trace = lossy.trace().expect("tracing enabled");
+    let metrics = lossy
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
+    let trace = lossy.engine().trace().expect("tracing enabled");
     println!("== flight recorder: lossy N=30 session run ==\n");
     println!(
         "{} trace events over {} of simulated time\n",

@@ -30,7 +30,7 @@ fn main() {
         .address("example.org", "www.example.org", 0x0a01_0001)
         .address("cdn.example.org", "edge1.cdn.example.org", 0x0a02_0001);
     let mut dns = deploy(&tree);
-    let m = dns.net.run().expect("fixpoint");
+    let m = dns.net.engine_mut().run_to_fixpoint().expect("fixpoint");
     let (signed, verified) = (m.signatures, m.verifications);
     println!(
         "{} derivations, {signed} frames signed, {verified} verified\n",
@@ -39,10 +39,14 @@ fn main() {
 
     for name in ["www.example.org", "edge1.cdn.example.org", "registry.com"] {
         let res = dns.resolve(name).expect("resolution validates");
-        let (address, tag) = (res.address, res.tag.render(dns.net.var_table()));
+        let (address, tag) = (res.address, res.tag.render(dns.net.engine().var_table()));
         println!("{name} -> {address:#010x} via {:?}, tag {tag}", res.chain);
         // The answer's provenance tree, rooted at the trust anchor.
-        let store = dns.net.provenance_store(&resolver()).expect("graph mode");
+        let store = dns
+            .net
+            .engine()
+            .provenance_store(&resolver())
+            .expect("graph mode");
         let answer = format!("resolved(n0,{name},{address})");
         assert!(!store.derivations_of(&answer).is_empty(), "answer derived");
         println!("{}", store.render_tree(&answer));
@@ -51,7 +55,7 @@ fn main() {
     // Trust management over the stored tag: the answer stands only while
     // every zone on its chain — the .org registry among them — is trusted.
     let res = dns.resolve("www.example.org").unwrap();
-    let evaluator = TrustEvaluator::new(dns.net.var_table(), dns.net.engine().config());
+    let evaluator = TrustEvaluator::new(dns.net.engine().var_table(), dns.net.engine().config());
     for distrusted in ["", "org"] {
         let zones = res.chain.iter().filter(|zone| *zone != distrusted);
         let trusted = zones.map(|zone| dns.principal_of(zone).unwrap().0);
@@ -63,7 +67,7 @@ fn main() {
 
     // Attacks are facts the rules refuse, not silently accepted answers.
     let mut dns = deploy(&tree.clone().substitute_key("example.org"));
-    dns.net.run().expect("fixpoint");
+    dns.net.engine_mut().run_to_fixpoint().expect("fixpoint");
     let err = dns.resolve("www.example.org").expect_err("unendorsed key");
     println!("after a key-substitution attack on example.org: {err}");
 
@@ -72,7 +76,11 @@ fn main() {
     let mut dns = deploy(&tree);
     let endorsed = ds("org", "example.org", &dns.fingerprint("example.org"));
     let script = ChurnScript::new().at(5_000_000, retract(endorsed));
-    let m = dns.net.run_scenario(&script).expect("fixpoint");
+    let m = dns
+        .net
+        .engine_mut()
+        .run_scenario(&script)
+        .expect("fixpoint");
     let (retractions, tombstones) = (m.retractions, m.tombstone_frames);
     let err = dns.resolve("www.example.org").expect_err("stale DS");
     println!("after org retracts its DS ({retractions} retractions, {tombstones} tombstone frames): {err}");

@@ -28,7 +28,10 @@ fn main() {
         .config(config)
         .build()
         .expect("program compiles");
-    let metrics = network.run().expect("fixpoint reached");
+    let metrics = network
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     println!("== forensic traceback over distributed + offline provenance ==\n");
     println!(
         "deployment ran to fixpoint: {} messages, {:.1} KB, {} derivations\n",
@@ -40,6 +43,7 @@ fn main() {
     // Pick a multi-hop routing entry at node n0 to investigate.
     let start = Value::Addr(0);
     let target = network
+        .engine()
         .query(&start, "reachable")
         .into_iter()
         .map(|(t, _)| t)
@@ -62,11 +66,13 @@ fn main() {
     println!("  archived derivation records: {}\n", report.archived.len());
 
     // Time passes; the soft-state routes expire.
-    let dropped = network.expire(SimTime::from_secs_f64(60.0));
+    let dropped = network
+        .engine_mut()
+        .expire_all(SimTime::from_secs_f64(60.0));
     println!("after 60 simulated seconds, {dropped} soft-state tuples expired");
     println!(
         "  live reachable tuples at n0: {}",
-        network.query(&start, "reachable").len()
+        network.engine().query(&start, "reachable").len()
     );
 
     // Offline investigation: the archive still answers.

@@ -33,15 +33,18 @@ fn main() {
         )
         .build()
         .expect("program compiles");
-    let metrics = network.run().expect("fixpoint reached");
+    let metrics = network
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     println!(
         "fixpoint in {} messages / {:.1} KB\n",
         metrics.messages,
         metrics.bytes as f64 / 1_000.0
     );
 
-    let learned = network.query(&Value::Addr(0), "route");
-    let accepted = network.query(&Value::Addr(0), "acceptedRoute");
+    let learned = network.engine().query(&Value::Addr(0), "route");
+    let accepted = network.engine().query(&Value::Addr(0), "acceptedRoute");
     println!(
         "node n0 learned {} routes, accepted {} after filtering paths through n{banned}\n",
         learned.len(),

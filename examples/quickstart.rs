@@ -24,7 +24,10 @@ fn main() {
         .build()
         .expect("the built-in program compiles");
 
-    let metrics = network.run().expect("fixpoint reached");
+    let metrics = network
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
     println!("== provenance-aware secure network: quickstart ==\n");
     println!(
@@ -42,8 +45,8 @@ fn main() {
     println!();
 
     println!("reachable tuples and their condensed provenance:");
-    for (location, tuple, meta) in network.query_all("reachable") {
-        let provenance = meta.tag.render(network.var_table());
+    for (location, tuple, meta) in network.engine().query_all("reachable") {
+        let provenance = meta.tag.render(network.engine().var_table());
         println!("  at {location}: {tuple}  {provenance}");
     }
     println!();
@@ -51,17 +54,18 @@ fn main() {
     // Trust management: node c trusts only principal a (p0).  The tuple
     // reachable(a, c) condenses to <p0>, so it is accepted even though one of
     // its derivations also passes through b.
-    let evaluator = TrustEvaluator::new(network.var_table(), network.engine().config());
+    let evaluator = TrustEvaluator::new(network.engine().var_table(), network.engine().config());
     let policy = TrustPolicy::TrustedPrincipals([0u32].into_iter().collect());
     let tuple = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)]);
     let (_, meta) = network
+        .engine()
         .query(&Value::Addr(0), "reachable")
         .into_iter()
         .find(|(t, _)| *t == tuple)
         .expect("reachable(a,c) derived");
     println!(
         "trust policy [{policy}] on {tuple} {} -> {:?}",
-        meta.tag.render(network.var_table()),
+        meta.tag.render(network.engine().var_table()),
         evaluator.evaluate(&meta.tag, &policy)
     );
 }

@@ -37,7 +37,7 @@ fn main() {
         dht
     };
     let mut stable = deploy();
-    let m = stable.net.run().expect("fixpoint");
+    let m = stable.net.engine_mut().run_to_fixpoint().expect("fixpoint");
     println!(
         "24 nodes on a 2^24 ring: {} derivations, {} frames, {} verified, {} failures\n",
         m.derivations, m.frames, m.verifications, m.verification_failures
@@ -45,7 +45,7 @@ fn main() {
 
     // The lookup: who owns the key, and who forwarded the question.
     let lookup = stable.lookups(reader, key).pop().expect("one answer");
-    let table = stable.net.var_table();
+    let table = stable.net.engine().var_table();
     println!(
         "n{reader} asked for {key:#x}: owner n{}, said by n{}, {} hop(s), tag {}",
         lookup.owner,
@@ -65,8 +65,17 @@ fn main() {
         fetched.tag.render(table)
     );
     let at = Value::Addr(reader);
-    let (row, _) = stable.net.query(&at, "value").pop().expect("value row");
-    let store = stable.net.provenance_store(&at).expect("graph mode");
+    let (row, _) = stable
+        .net
+        .engine()
+        .query(&at, "value")
+        .pop()
+        .expect("value row");
+    let store = stable
+        .net
+        .engine()
+        .provenance_store(&at)
+        .expect("graph mode");
     let root = row.to_string();
     assert!(!store.derivations_of(&root).is_empty(), "value derived");
     println!("\n{}", store.render_tree(&root));
@@ -97,7 +106,11 @@ fn main() {
     let script = departure
         .into_iter()
         .fold(script, |s, e| s.at(5_000_000, e));
-    let m = dht.net.run_scenario(&script).expect("fixpoint");
+    let m = dht
+        .net
+        .engine_mut()
+        .run_scenario(&script)
+        .expect("fixpoint");
     let rehomed = dht.lookups(reader, key).pop().expect("one answer");
     let fetched = dht.value(reader, key).expect("the new owner answers");
     println!(

@@ -31,9 +31,12 @@ fn main() {
         .config(config)
         .build()
         .expect("program compiles");
-    network.run().expect("fixpoint reached");
+    network
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
-    let evaluator = TrustEvaluator::new(network.var_table(), network.engine().config());
+    let evaluator = TrustEvaluator::new(network.engine().var_table(), network.engine().config());
 
     let trusted: BTreeSet<u32> = [0u32, 1, 2].into_iter().collect();
     let policies = vec![
@@ -45,7 +48,7 @@ fn main() {
     println!("== trust management over condensed provenance ==\n");
     println!("policies applied by node n0 to its own routing state:\n");
 
-    let entries = network.query(&Value::Addr(0), "reachable");
+    let entries = network.engine().query(&Value::Addr(0), "reachable");
     for policy in &policies {
         let mut accepted = 0usize;
         let mut rejected = 0usize;
@@ -59,7 +62,7 @@ fn main() {
             println!(
                 "  {:<22} {:<18} origins {:?} -> {:?}",
                 tuple.to_string(),
-                meta.tag.render(network.var_table()),
+                meta.tag.render(network.engine().var_table()),
                 evaluator.origins(&meta.tag),
                 decision
             );

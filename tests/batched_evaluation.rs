@@ -35,7 +35,8 @@ fn figure1(config: EngineConfig) -> SecureNetwork {
 }
 
 fn ordered(net: &SecureNetwork, loc: &str, predicate: &str) -> Vec<String> {
-    net.query(&str_val(loc), predicate)
+    net.engine()
+        .query(&str_val(loc), predicate)
         .into_iter()
         .map(|(t, _)| t.to_string())
         .collect()
@@ -56,7 +57,7 @@ fn batch_window_zero_matches_seed_counters_and_orderings() {
     for (config, bytes, auth, prov, sigs, prov_ops) in expected {
         assert_eq!(config.batch_window_us, 0, "per-tuple is the default");
         let mut net = figure1(config);
-        let m = net.run().unwrap();
+        let m = net.engine_mut().run_to_fixpoint().unwrap();
         assert_eq!(m.completion, SimTime::from_micros(2_000));
         assert_eq!(m.messages, 4);
         assert_eq!(m.bytes, bytes);
@@ -100,10 +101,10 @@ fn batched_frames_amortise_signatures_without_changing_the_fixpoint() {
             .unwrap()
     };
     let mut per_tuple = ring(EngineConfig::sendlog());
-    let baseline = per_tuple.run().unwrap();
+    let baseline = per_tuple.engine_mut().run_to_fixpoint().unwrap();
 
     let mut batched = ring(EngineConfig::sendlog().with_batching());
-    let m = batched.run().unwrap();
+    let m = batched.engine_mut().run_to_fixpoint().unwrap();
 
     assert_eq!(m.signatures, m.frames);
     assert_eq!(m.verifications, m.frames);
@@ -119,11 +120,13 @@ fn batched_frames_amortise_signatures_without_changing_the_fixpoint() {
     assert_eq!(m.derivations, baseline.derivations);
     for loc in per_tuple.engine().locations().to_vec() {
         let mut want: Vec<Tuple> = per_tuple
+            .engine()
             .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
         let mut got: Vec<Tuple> = batched
+            .engine()
             .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
@@ -167,7 +170,7 @@ fn in_frame_duplicates_are_deduped_before_signing() {
     // Per-tuple mode ships (and signs) the duplicate, only for the
     // receiver to drop it.
     let mut per_tuple = build(EngineConfig::sendlog());
-    let baseline = per_tuple.run().unwrap();
+    let baseline = per_tuple.engine_mut().run_to_fixpoint().unwrap();
     assert_eq!(baseline.derivations, 2);
     assert_eq!(baseline.messages, 2);
     assert_eq!(baseline.signatures, 2);
@@ -175,7 +178,7 @@ fn in_frame_duplicates_are_deduped_before_signing() {
     // Batched mode dedups inside the pending frame: one tuple, one
     // signature, one frame.
     let mut batched = build(EngineConfig::sendlog().with_batching());
-    let m = batched.run().unwrap();
+    let m = batched.engine_mut().run_to_fixpoint().unwrap();
     assert_eq!(m.derivations, 2, "both rule firings still happen");
     assert_eq!(m.frames, 1);
     assert_eq!(m.batched_tuples, 1, "the duplicate never hit the wire");
@@ -211,17 +214,18 @@ fn self_joins_do_not_double_derive_across_batch_siblings() {
         builder.build().unwrap()
     };
     let mut per_tuple = build(EngineConfig::ndlog());
-    let baseline = per_tuple.run().unwrap();
+    let baseline = per_tuple.engine_mut().run_to_fixpoint().unwrap();
     // All 3 e-rows land in one delta batch; without the seq visibility cap
     // each row would also join its later siblings and over-derive.
     let mut batched = build(EngineConfig::ndlog().with_batching());
-    let m = batched.run().unwrap();
+    let m = batched.engine_mut().run_to_fixpoint().unwrap();
     assert_eq!(m.derivations, baseline.derivations);
     assert_eq!(m.tuples_stored, baseline.tuples_stored);
     assert_eq!(ordered(&batched, "a", "two").len(), 9);
     // The pipelined count converges to the same value in both modes.
     let count_of = |net: &SecureNetwork| {
-        net.query(&str_val("a"), "cnt")
+        net.engine()
+            .query(&str_val("a"), "cnt")
             .into_iter()
             .map(|(t, _)| t.values[1].clone())
             .max_by_key(|v| v.as_int())
@@ -259,7 +263,7 @@ fn max_batch_tuples_is_a_hard_per_frame_cap() {
         )
         .build()
         .unwrap();
-    let m = net.run().unwrap();
+    let m = net.engine_mut().run_to_fixpoint().unwrap();
     assert_eq!(m.batched_tuples, 2);
     assert_eq!(m.frames, 2, "a cap of 1 must never co-batch two tuples");
     assert_eq!(m.signatures, 2);
@@ -271,14 +275,14 @@ fn max_batch_tuples_is_a_hard_per_frame_cap() {
 #[test]
 fn max_batch_tuples_seals_frames_early() {
     let mut per_tuple = figure1(EngineConfig::sendlog());
-    let baseline = per_tuple.run().unwrap();
+    let baseline = per_tuple.engine_mut().run_to_fixpoint().unwrap();
 
     let mut capped = figure1(
         EngineConfig::sendlog()
             .with_batching()
             .with_max_batch_tuples(1),
     );
-    let m = capped.run().unwrap();
+    let m = capped.engine_mut().run_to_fixpoint().unwrap();
     // Cap 1 means one tuple per frame again — but flushed on window
     // boundaries, so the tuple count is preserved.
     assert_eq!(m.batched_tuples, baseline.messages);

@@ -17,13 +17,15 @@ fn run_best_path(n: u32, seed: u64, variant: SystemVariant) -> (Topology, Secure
         .config(config)
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     (topology, net)
 }
 
 fn best_costs(net: &SecureNetwork, src: NodeId) -> HashMap<u32, i64> {
     let mut best: HashMap<u32, i64> = HashMap::new();
-    for (t, _) in net.query(&Value::Addr(src.0), "bestPathCost") {
+    for (t, _) in net.engine().query(&Value::Addr(src.0), "bestPathCost") {
         let dst = t.values[1].as_addr().expect("addr");
         let cost = t.values[2].as_int().expect("int");
         let entry = best.entry(dst).or_insert(i64::MAX);
@@ -76,7 +78,7 @@ fn best_path_vectors_are_real_paths_with_matching_cost() {
         .collect();
 
     let mut checked = 0;
-    for (loc, tuple, _) in net.query_all("bestPath") {
+    for (loc, tuple, _) in net.engine().query_all("bestPath") {
         let src = loc.as_addr().expect("addr location");
         let dst = tuple.values[1].as_addr().unwrap();
         let path = tuple.values[2].as_list().expect("path vector");
@@ -113,9 +115,9 @@ fn best_path_vectors_are_real_paths_with_matching_cost() {
 #[test]
 fn condensed_provenance_of_best_paths_names_only_on_path_principals() {
     let (_, net) = run_best_path(8, 11, SystemVariant::SeNDLogProv);
-    let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
+    let evaluator = TrustEvaluator::new(net.engine().var_table(), net.engine().config());
     let mut checked = 0;
-    for (loc, tuple, meta) in net.query_all("bestPath") {
+    for (loc, tuple, meta) in net.engine().query_all("bestPath") {
         let origins = evaluator.origins(&meta.tag);
         assert!(!origins.is_empty(), "bestPath at {loc} has provenance");
         // The asserting principals can only be nodes that contributed links —

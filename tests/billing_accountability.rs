@@ -18,7 +18,9 @@ fn run_best_path(n: u32, seed: u64) -> SecureNetwork {
         .config(config)
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     net
 }
 

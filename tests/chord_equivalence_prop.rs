@@ -101,7 +101,7 @@ proptest! {
         // first promises from-scratch's tags as well as its rows.
         let settled = knobs >> 40 & 1 == 1;
         let script = script(&events, &mut churned, if settled { 200_000 } else { 0 });
-        let metrics = churned.net.run_scenario(&script).unwrap();
+        let metrics = churned.net.engine_mut().run_scenario(&script).unwrap();
         let engine = churned.net.engine();
         prop_assert_eq!(metrics.churn_events, script.len() as u64);
         prop_assert_eq!(metrics.verification_failures, 0);
@@ -121,7 +121,7 @@ proptest! {
 
         // churn ≡ from-scratch: the final ring on a fresh deployment.
         let mut fresh = deploy(after, config(), &member);
-        let fresh_metrics = fresh.net.run().unwrap();
+        let fresh_metrics = fresh.net.engine_mut().run_to_fixpoint().unwrap();
         prop_assert_eq!(
             boolean_fixpoint(engine, &BASE, true),
             boolean_fixpoint(fresh.net.engine(), &BASE, true)
@@ -137,7 +137,7 @@ proptest! {
 
         // batch ≡ stream: the same script through the streaming driver.
         let mut streamed = deploy(&ring, config(), &|_| true);
-        let streamed_metrics = streamed.net.run_streaming(script.events().iter().cloned()).unwrap();
+        let streamed_metrics = streamed.net.engine_mut().run_streaming(script.events().iter().cloned()).unwrap();
         prop_assert_eq!(metrics.diff(&streamed_metrics, Scope::Schedule), vec![]);
         let all: Vec<&str> = BASE.iter().chain(&DERIVED).copied().collect();
         prop_assert_eq!(
@@ -153,7 +153,7 @@ proptest! {
         for seed in [41, 987_654_321] {
             let plan = FaultPlan::new(seed).with_drop_per_mille(150);
             let mut lossy = deploy(&ring, config().with_fault_plan(plan), &|_| true);
-            let lossy_metrics = lossy.net.run_scenario(&script).unwrap();
+            let lossy_metrics = lossy.net.engine_mut().run_scenario(&script).unwrap();
             prop_assert_eq!(lossy_metrics.verification_failures, 0);
             prop_assert_eq!(rows(lossy.net.engine(), &all), rows(engine, &all), "seed {}", seed);
             prop_assert_eq!(lossy.net.engine().check_ledger_consistency(), Ok(()));
@@ -200,11 +200,11 @@ fn fingers_forwarding_a_key_to_each_other_reach_a_fixpoint_without_an_answer() {
         // Withdrawing the request later leaves the two forwarded rows holding
         // each other up; the well-founded sweep collects the cycle.
         let script = ChurnScript::new().at(5_000_000, retract(asked.clone()));
-        let metrics = net.run_scenario(&script).unwrap();
+        let metrics = net.engine_mut().run_scenario(&script).unwrap();
         assert_eq!(metrics.derivations, 4, "c0, then c3 three times");
         assert_eq!(metrics.retractions, 4, "the request and its three lookups");
-        assert!(net.query_all("owner").is_empty());
-        assert!(net.query_all("lookup").is_empty());
+        assert!(net.engine().query_all("owner").is_empty());
+        assert!(net.engine().query_all("lookup").is_empty());
         assert_eq!(net.engine().check_ledger_consistency(), Ok(()));
     }
 }

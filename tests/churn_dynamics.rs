@@ -24,6 +24,7 @@ fn build_n30(config: EngineConfig) -> SecureNetwork {
 /// Canonically ordered `(values, tag)` renderings of `pred` at `loc`.
 fn sorted_rows(net: &SecureNetwork, loc: &Value, pred: &str) -> Vec<String> {
     let mut rows: Vec<String> = net
+        .engine()
         .query(loc, pred)
         .into_iter()
         .map(|(t, m)| format!("{:?} {}", t.values, m.tag))
@@ -41,7 +42,7 @@ fn sorted_rows(net: &SecureNetwork, loc: &Value, pred: &str) -> Vec<String> {
 fn churn_reachability_30_reconverges_bit_identically() {
     let config = || EngineConfig::sendlog_session().with_batching();
     let mut stat = build_n30(config());
-    let baseline = stat.run().expect("fixpoint");
+    let baseline = stat.engine_mut().run_to_fixpoint().expect("fixpoint");
 
     let link = stat.topology().expect("topology-built").links()[0];
     let (src, dst) = (Value::Addr(link.src.0), Value::Addr(link.dst.0));
@@ -50,7 +51,10 @@ fn churn_reachability_30_reconverges_bit_identically() {
         .link_up(10_000_000, src, dst);
 
     let mut flapped = build_n30(config());
-    let metrics = flapped.run_scenario(&script).expect("post-churn fixpoint");
+    let metrics = flapped
+        .engine_mut()
+        .run_scenario(&script)
+        .expect("post-churn fixpoint");
 
     for loc in flapped.engine().locations().to_vec() {
         assert_eq!(
@@ -96,9 +100,11 @@ fn retraction_decrements_derivation_counts() {
     let link_ac = Tuple::new("link", vec![Value::Addr(0), Value::Addr(2)]);
 
     let mut net = build();
-    net.run().unwrap();
+    net.engine_mut().run_to_fixpoint().unwrap();
     assert_eq!(
-        net.render_provenance(&Value::Addr(0), &reach_ac).unwrap(),
+        net.engine()
+            .render_provenance(&Value::Addr(0), &reach_ac)
+            .unwrap(),
         "<2 derivations>"
     );
 
@@ -110,9 +116,10 @@ fn retraction_decrements_derivation_counts() {
             tuple: link_ac,
         },
     );
-    churned.run_scenario(&script).unwrap();
+    churned.engine_mut().run_scenario(&script).unwrap();
     assert_eq!(
         churned
+            .engine()
             .render_provenance(&Value::Addr(0), &reach_ac)
             .unwrap(),
         "<1 derivations>",
@@ -132,11 +139,19 @@ fn soft_state_expires_mid_run_without_manual_sweeps() {
         .config(fast(EngineConfig::ndlog().with_default_ttl_us(2_000_000)))
         .build()
         .unwrap();
-    let metrics = net.run_scenario(&ChurnScript::new()).unwrap();
+    let metrics = net.engine_mut().run_scenario(&ChurnScript::new()).unwrap();
     for loc in net.engine().locations().to_vec() {
-        assert_eq!(net.query(&loc, "reachable").len(), 0, "soft state at {loc}");
+        assert_eq!(
+            net.engine().query(&loc, "reachable").len(),
+            0,
+            "soft state at {loc}"
+        );
         // A ring is bidirectional: each node keeps its two base links.
-        assert_eq!(net.query(&loc, "link").len(), 2, "hard state at {loc}");
+        assert_eq!(
+            net.engine().query(&loc, "link").len(),
+            2,
+            "hard state at {loc}"
+        );
     }
     assert!(metrics.retractions > 0);
 }
@@ -167,11 +182,12 @@ fn moonwalk_explains_a_tuple_deleted_mid_run() {
             tuple: Tuple::new("link", vec![Value::Addr(2), Value::Addr(3)]),
         },
     );
-    let metrics = net.run_scenario(&script).unwrap();
+    let metrics = net.engine_mut().run_scenario(&script).unwrap();
 
     // The tuple is really gone from the soft state...
     let reach_03 = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(3)]);
     assert!(!net
+        .engine()
         .query(&Value::Addr(0), "reachable")
         .iter()
         .any(|(t, _)| *t == reach_03));
@@ -179,7 +195,7 @@ fn moonwalk_explains_a_tuple_deleted_mid_run() {
 
     // ...but its provenance is still walkable: the moonwalk funnels back
     // to base links of the chain that derived it.
-    let stores = net.distributed_stores();
+    let stores = net.engine().distributed_stores();
     let key = reach_03.render_located(Some(0));
     let sampled = moonwalk_with(
         |name| stores.get(name).copied(),
@@ -195,7 +211,10 @@ fn moonwalk_explains_a_tuple_deleted_mid_run() {
     assert!(sampled.suspected_origin().is_some());
 
     // And the offline archive recorded the deletion itself.
-    let archive = net.archive(&Value::Addr(0)).expect("known location");
+    let archive = net
+        .engine()
+        .archive(&Value::Addr(0))
+        .expect("known location");
     let entries = archive.query(&key, None, None);
     assert!(!entries.is_empty(), "archive lost the deleted tuple");
     assert!(
@@ -217,13 +236,13 @@ fn node_failure_and_rejoin_restore_the_fixpoint() {
             .unwrap()
     };
     let mut stat = build();
-    let baseline = stat.run().unwrap();
+    let baseline = stat.engine_mut().run_to_fixpoint().unwrap();
 
     let script = ChurnScript::new()
         .node_fail(5_000_000, Value::Addr(2))
         .node_rejoin(10_000_000, Value::Addr(2));
     let mut churned = build();
-    let metrics = churned.run_scenario(&script).unwrap();
+    let metrics = churned.engine_mut().run_scenario(&script).unwrap();
 
     for loc in churned.engine().locations().to_vec() {
         assert_eq!(

@@ -48,7 +48,7 @@ fn levels() -> [EngineConfig; 4] {
 
 fn run(tree: &ZoneTree, config: EngineConfig) -> (DnsDeployment, RunMetrics) {
     let mut dns = tree.deploy(config).expect("hierarchy deploys");
-    let metrics = dns.net.run().expect("fixpoint");
+    let metrics = dns.net.engine_mut().run_to_fixpoint().expect("fixpoint");
     (dns, metrics)
 }
 
@@ -138,7 +138,7 @@ fn every_attack_vector_is_detected() {
         for tree in [anchored, hierarchy().substitute_key(".")] {
             let (dns, _) = run(&tree, config.clone());
             assert_eq!(dns.resolve("registry.com"), Err(DnsError::UntrustedRoot));
-            assert!(dns.net.query(&resolver(), "resolved").is_empty());
+            assert!(dns.net.engine().query(&resolver(), "resolved").is_empty());
         }
     }
 }
@@ -158,7 +158,7 @@ fn resolution_provenance_feeds_the_trust_management_api() {
         .iter()
         .map(|zone| VoteSet::principal(principal(zone)));
     let vote = ProvTag::Vote(Box::new(votes.fold(VoteSet::one(), |acc, v| acc.times(&v))));
-    let evaluator = TrustEvaluator::new(dns.net.var_table(), dns.net.engine().config());
+    let evaluator = TrustEvaluator::new(dns.net.engine().var_table(), dns.net.engine().config());
     assert_eq!(
         evaluator.evaluate(&vote, &TrustPolicy::KOfN(4)),
         TrustDecision::Accept
@@ -181,7 +181,7 @@ fn resolution_graph_has_one_delegation_step_per_zone() {
     let [cleartext, ..] = levels();
     let (dns, _) = run(&hierarchy(), cleartext.with_graph_mode(GraphMode::Local));
     let res = dns.resolve("www.example.org").unwrap();
-    let store = dns.net.provenance_store(&resolver()).unwrap();
+    let store = dns.net.engine().provenance_store(&resolver()).unwrap();
     let answer = format!("resolved(n0,www.example.org,{})", res.address);
     assert!(!store.derivations_of(&answer).is_empty());
     let rendered = store.render_tree(&answer);
@@ -193,7 +193,7 @@ fn resolution_graph_has_one_delegation_step_per_zone() {
     // Every witness includes the trust anchor — and grounds out in base
     // tuples at all: the anchor, per zone its key and the resolver it
     // serves, per delegation its endorsement, and the record.
-    let (_, anchor, _) = &dns.net.query_all("anchor")[0];
+    let (_, anchor, _) = &dns.net.engine().query_all("anchor")[0];
     let anchor = BaseTupleId(anchor.key_hash());
     let why = store.why_provenance(&answer);
     assert!(!why.witnesses().is_empty());
@@ -229,7 +229,7 @@ fn a_resolution_is_diagnosed_down_to_its_base_facts() {
     );
     let stored: Vec<String> = ["anchor", "dnskey", "ds", "resolver", "rr"]
         .iter()
-        .flat_map(|pred| dns.net.query_all(pred))
+        .flat_map(|pred| dns.net.engine().query_all(pred))
         .map(|(_, tuple, _)| tuple.to_string())
         .collect();
     assert!(
@@ -271,8 +271,8 @@ fn rollover(dns: &DnsDeployment, completed: bool) -> ChurnScript {
 
 /// Every `resolved` row at the validating node with its rendered tag.
 fn resolved(dns: &DnsDeployment) -> Vec<(Tuple, String)> {
-    let rows = dns.net.query(&resolver(), "resolved").into_iter();
-    let tagged = rows.map(|(tuple, meta)| (tuple, meta.tag.render(dns.net.var_table())));
+    let rows = dns.net.engine().query(&resolver(), "resolved").into_iter();
+    let tagged = rows.map(|(tuple, meta)| (tuple, meta.tag.render(dns.net.engine().var_table())));
     let mut rows: Vec<(Tuple, String)> = tagged.collect();
     rows.sort_by_key(|(tuple, _)| tuple.to_string());
     rows
@@ -288,7 +288,7 @@ fn dnssec_rollover_withdraws_the_zone_and_its_new_ds_restores_it() {
         // stops validating, withdrawn through the ordinary ledger.
         let mut botched = hierarchy().deploy(config.clone()).unwrap();
         let script = rollover(&botched, false);
-        let metrics = botched.net.run_scenario(&script).unwrap();
+        let metrics = botched.net.engine_mut().run_scenario(&script).unwrap();
         let broken = DnsError::BrokenChain("org".into(), ROLLED.into());
         for name in BELOW {
             assert!(before.resolve(name).is_ok(), "{name} validates before");
@@ -306,7 +306,7 @@ fn dnssec_rollover_withdraws_the_zone_and_its_new_ds_restores_it() {
         // Completed: the names validate again under the tags they had.
         let mut after = hierarchy().deploy(config).unwrap();
         let script = rollover(&after, true);
-        let metrics = after.net.run_scenario(&script).unwrap();
+        let metrics = after.net.engine_mut().run_scenario(&script).unwrap();
         assert_eq!(resolved(&after), resolved(&before));
         assert!(BELOW.iter().all(|name| after.resolve(name).is_ok()));
         assert!(metrics.retractions > 0 && metrics.rederivations > 0);
@@ -322,14 +322,14 @@ fn dnssec_rollover_over_lossy_links_ends_where_the_reliable_run_does() {
     let [.., session, _] = levels();
     let mut reliable = hierarchy().deploy(session.clone()).unwrap();
     let script = rollover(&reliable, true);
-    reliable.net.run_scenario(&script).unwrap();
+    reliable.net.engine_mut().run_scenario(&script).unwrap();
     for seed in [41, 987_654_321] {
         // Heavier loss than the default plan: the deployment ships few frames.
         let plan = FaultPlan::new(seed).with_drop_per_mille(250);
         let mut lossy = hierarchy()
             .deploy(session.clone().with_fault_plan(plan))
             .unwrap();
-        let metrics = lossy.net.run_scenario(&script).unwrap();
+        let metrics = lossy.net.engine_mut().run_scenario(&script).unwrap();
         assert!(metrics.frames_dropped > 0, "the fault plan must bite");
         assert_eq!(metrics.verification_failures, 0);
         assert_eq!(resolved(&lossy), resolved(&reliable), "seed {seed}");

@@ -47,7 +47,9 @@ fn zone_tree(words: &[u64]) -> (ZoneTree, Vec<(String, String)>) {
 
 /// The base facts a deployment holds, canonically ordered.
 fn base_facts(dns: &DnsDeployment) -> Vec<(Value, Tuple)> {
-    let rows = BASE.iter().flat_map(|pred| dns.net.query_all(pred));
+    let rows = BASE
+        .iter()
+        .flat_map(|pred| dns.net.engine().query_all(pred));
     let mut facts: Vec<_> = rows.map(|(at, tuple, _)| (at, tuple)).collect();
     facts.sort_by_key(|(at, tuple)| format!("{at} {tuple}"));
     facts
@@ -117,13 +119,13 @@ proptest! {
         // The facts the tree starts from, read off a static run; the script
         // edits them in step with the events it emits.
         let mut initial = deploy();
-        initial.net.run().unwrap();
+        initial.net.engine_mut().run_to_fixpoint().unwrap();
         let mut facts = base_facts(&initial);
         let script = script(&events, &zones, &mut facts);
         facts.sort_by_key(|(at, tuple)| format!("{at} {tuple}"));
 
         let mut churned = deploy();
-        let metrics = churned.net.run_scenario(&script).unwrap();
+        let metrics = churned.net.engine_mut().run_scenario(&script).unwrap();
         prop_assert_eq!(base_facts(&churned), facts.clone());
         prop_assert_eq!(metrics.churn_events, script.len() as u64);
         prop_assert_eq!(metrics.verification_failures, 0);
@@ -139,17 +141,17 @@ proptest! {
             fresh = fresh.fact(at, tuple);
         }
         let mut fresh = fresh.build().unwrap();
-        let fresh_metrics = fresh.run().unwrap();
+        let fresh_metrics = fresh.engine_mut().run_to_fixpoint().unwrap();
         prop_assert_eq!(
             boolean_fixpoint(churned.net.engine(), &DERIVED, true),
             boolean_fixpoint(fresh.engine(), &DERIVED, true)
         );
         prop_assert_eq!(metrics.tuples_stored, fresh_metrics.tuples_stored);
-        prop_assert!(!churned.net.query(&resolver(), "resolved").is_empty());
+        prop_assert!(!churned.net.engine().query(&resolver(), "resolved").is_empty());
 
         // batch ≡ stream: the same script through the streaming driver.
         let mut streamed = deploy();
-        let streamed_metrics = streamed.net.run_streaming(script.events().iter().cloned()).unwrap();
+        let streamed_metrics = streamed.net.engine_mut().run_streaming(script.events().iter().cloned()).unwrap();
         prop_assert_eq!(metrics.diff(&streamed_metrics, Scope::Schedule), vec![]);
         let all: Vec<&str> = BASE.iter().chain(&DERIVED).copied().collect();
         prop_assert_eq!(

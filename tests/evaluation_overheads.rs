@@ -62,7 +62,7 @@ fn variants_are_ordered_and_overheads_shrink_with_n() {
     // the small scales used in the test suite we check that the overhead at
     // the larger N stays within a modest factor of the sweep average (the
     // full-scale trend is produced by `cargo run --release -p pasn-bench
-    // --bin repro` and recorded in EXPERIMENTS.md).
+    // --bin repro`; PAPER.md describes what it reproduces).
     let summary = summarize(&points);
     assert_eq!(summary.max_n, 24);
     assert!(
@@ -92,7 +92,7 @@ fn extra_bandwidth_is_attributable_to_auth_and_provenance() {
             .config(config)
             .build()
             .unwrap();
-        net.run().unwrap()
+        net.engine_mut().run_to_fixpoint().unwrap()
     };
     let nd = run(SystemVariant::NDLog);
     let se = run(SystemVariant::SeNDLog);

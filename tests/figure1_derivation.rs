@@ -15,7 +15,9 @@ fn figure1_network(config: EngineConfig) -> SecureNetwork {
         )
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     net
 }
 
@@ -24,6 +26,7 @@ fn reachable_a_c_has_the_two_derivations_of_figure1() {
     let net = figure1_network(EngineConfig::ndlog());
     let a = Value::Addr(0);
     let store = net
+        .engine()
         .provenance_store(&a)
         .expect("local provenance maintained");
     let root = "reachable(@n0,n2)";
@@ -57,8 +60,8 @@ fn every_node_gets_locally_complete_provenance() {
     let net = figure1_network(EngineConfig::ndlog());
     // Node a reaches b and c; both tuples have complete local provenance.
     let a = Value::Addr(0);
-    let store = net.provenance_store(&a).unwrap();
-    for (tuple, _) in net.query(&a, "reachable") {
+    let store = net.engine().provenance_store(&a).unwrap();
+    for (tuple, _) in net.engine().query(&a, "reachable") {
         let key = tuple.render_located(Some(0));
         assert!(
             !store.derivations_of(&key).is_empty(),
@@ -75,9 +78,9 @@ fn every_node_gets_locally_complete_provenance() {
 fn reachability_results_match_the_example_topology() {
     let net = figure1_network(EngineConfig::ndlog());
     // a reaches {b, c}, b reaches {c}, c reaches nothing.
-    assert_eq!(net.query(&Value::Addr(0), "reachable").len(), 2);
-    assert_eq!(net.query(&Value::Addr(1), "reachable").len(), 1);
-    assert_eq!(net.query(&Value::Addr(2), "reachable").len(), 0);
+    assert_eq!(net.engine().query(&Value::Addr(0), "reachable").len(), 2);
+    assert_eq!(net.engine().query(&Value::Addr(1), "reachable").len(), 1);
+    assert_eq!(net.engine().query(&Value::Addr(2), "reachable").len(), 0);
     // The Figure 1 derivations above were produced through index probes:
     // both localized joins of r2 key on the shared location variable.
     let metrics = net.engine().metrics();
@@ -104,18 +107,20 @@ fn sendlog_provenance_grounds_out_in_both_graph_modes() {
             .config(config.with_graph_mode(mode))
             .build()
             .expect("program compiles");
-        net.run().expect("fixpoint reached");
+        net.engine_mut()
+            .run_to_fixpoint()
+            .expect("fixpoint reached");
         net
     };
     let (distributed, local) = (network(GraphMode::Distributed), network(GraphMode::Local));
-    let rows = distributed.query_all("reachable");
+    let rows = distributed.engine().query_all("reachable");
     assert_eq!(rows.len(), 3);
     for (location, tuple, _) in rows {
         let key = tuple.to_string();
         let report = pasn::forensics::investigate(&distributed, &location, &key);
         assert!(report.has_origin(), "{key}: {:?}", report.traceback);
         assert!(report.traceback.unresolved.is_empty(), "{key}");
-        let store = local.provenance_store(&location).unwrap();
+        let store = local.engine().provenance_store(&location).unwrap();
         assert!(!store.derivations_of(&key).is_empty(), "derived here too");
         assert!(!store.why_provenance(&key).witnesses().is_empty(), "{key}");
         assert_eq!(store.base_support(&key), report.traceback.base_tuples);

@@ -17,7 +17,9 @@ fn figure2_network() -> SecureNetwork {
         .config(config)
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     net
 }
 
@@ -26,6 +28,7 @@ fn condensed_provenance_collapses_a_plus_a_times_b_to_a() {
     let net = figure2_network();
     let tuple = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)]);
     let rendered = net
+        .engine()
         .render_provenance(&Value::Addr(0), &tuple)
         .expect("annotation recorded");
     assert_eq!(rendered, "<p0>", "a + a*b condenses to a");
@@ -46,10 +49,11 @@ fn every_remote_tuple_was_signed_and_verified() {
 #[test]
 fn trust_policies_follow_the_paper_example() {
     let net = figure2_network();
-    let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
+    let evaluator = TrustEvaluator::new(net.engine().var_table(), net.engine().config());
 
     let tuple = Tuple::new("reachable", vec![Value::Addr(0), Value::Addr(2)]);
     let (_, meta) = net
+        .engine()
         .query(&Value::Addr(0), "reachable")
         .into_iter()
         .find(|(t, _)| *t == tuple)
@@ -91,8 +95,11 @@ fn sendlog_surface_program_produces_equivalent_routes() {
         .config(EngineConfig::sendlog().with_cost_model(CostModel::zero_cpu()))
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     let mut at_a: Vec<Vec<Value>> = net
+        .engine()
         .query(&Value::Addr(0), "reachable")
         .into_iter()
         .map(|(t, _)| t.values.to_vec())

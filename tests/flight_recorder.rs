@@ -34,9 +34,9 @@ fn lossy_trace_reconstructs_counters_under(fault_seed: u64) {
             .with_fault_plan(FaultPlan::new(fault_seed))
             .with_tracing(TraceConfig::new()),
     );
-    let metrics = net.run().unwrap();
+    let metrics = net.engine_mut().run_to_fixpoint().unwrap();
     assert!(metrics.frames_dropped > 0, "the fault plan must bite");
-    let trace = net.trace().expect("tracing enabled");
+    let trace = net.engine().trace().expect("tracing enabled");
 
     let cycles = trace.link_lifecycles();
     let total = |f: fn(&pasn_engine::LinkLifecycle) -> u64| cycles.iter().map(f).sum::<u64>();
@@ -83,9 +83,9 @@ fn tracing_never_perturbs_the_run() {
             .with_batching()
     };
     let mut plain_net = reachability_30(config());
-    let plain = plain_net.run().unwrap();
+    let plain = plain_net.engine_mut().run_to_fixpoint().unwrap();
     let mut traced_net = reachability_30(config().with_tracing(TraceConfig::new()));
-    let traced = traced_net.run().unwrap();
+    let traced = traced_net.engine_mut().run_to_fixpoint().unwrap();
 
     // Everything but host time: same config, so even the layout rows match.
     let perturbed = traced.diff(&plain, pasn_engine::Scope::Layout);
@@ -93,11 +93,13 @@ fn tracing_never_perturbs_the_run() {
 
     for loc in plain_net.engine().locations().to_vec() {
         let want: Vec<Tuple> = plain_net
+            .engine()
             .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
         let got: Vec<Tuple> = traced_net
+            .engine()
             .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
@@ -117,8 +119,11 @@ fn trace_is_bit_identical_across_runs() {
                 .with_batching()
                 .with_tracing(TraceConfig::new()),
         );
-        net.run().unwrap();
-        net.trace().expect("tracing enabled").to_chrome_json()
+        net.engine_mut().run_to_fixpoint().unwrap();
+        net.engine()
+            .trace()
+            .expect("tracing enabled")
+            .to_chrome_json()
     };
     let first = export();
     assert!(
@@ -133,8 +138,8 @@ fn trace_is_bit_identical_across_runs() {
 #[test]
 fn hot_rule_profile_attributes_all_derivations() {
     let mut net = reachability_30(EngineConfig::ndlog().with_tracing(TraceConfig::new()));
-    let metrics = net.run().unwrap();
-    let trace = net.trace().expect("tracing enabled");
+    let metrics = net.engine_mut().run_to_fixpoint().unwrap();
+    let trace = net.engine().trace().expect("tracing enabled");
     let mut fired = 0u64;
     let mut cpu = 0u64;
     for event in trace.events() {
@@ -165,8 +170,8 @@ fn gauge_samples_land_on_interval_boundaries() {
     let mut net = reachability_30(
         EngineConfig::ndlog().with_tracing(TraceConfig::new().with_gauge_interval_us(interval)),
     );
-    net.run().unwrap();
-    let trace = net.trace().expect("tracing enabled");
+    net.engine_mut().run_to_fixpoint().unwrap();
+    let trace = net.engine().trace().expect("tracing enabled");
     let samples: Vec<(u64, u64)> = trace
         .events()
         .filter_map(|e| match e.kind {
@@ -192,8 +197,8 @@ fn gauge_samples_land_on_interval_boundaries() {
 fn ring_buffer_bounds_long_runs() {
     let mut net =
         reachability_30(EngineConfig::ndlog().with_tracing(TraceConfig::new().with_ring(64)));
-    net.run().unwrap();
-    let trace = net.trace().expect("tracing enabled");
+    net.engine_mut().run_to_fixpoint().unwrap();
+    let trace = net.engine().trace().expect("tracing enabled");
     assert_eq!(trace.len(), 64);
     assert!(trace.dropped_events() > 0);
     let json = trace.to_chrome_json();

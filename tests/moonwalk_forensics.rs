@@ -18,7 +18,9 @@ fn run_reachability(n: u32, seed: u64) -> SecureNetwork {
         )
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     net
 }
 
@@ -26,6 +28,7 @@ fn run_reachability(n: u32, seed: u64) -> SecureNetwork {
 fn deepest_tuple(net: &SecureNetwork) -> (Value, String) {
     let loc = Value::Addr(0);
     let tuple = net
+        .engine()
         .query(&loc, "reachable")
         .into_iter()
         .map(|(t, _)| t)
@@ -38,7 +41,7 @@ fn deepest_tuple(net: &SecureNetwork) -> (Value, String) {
 #[test]
 fn moonwalk_origins_are_a_subset_of_the_exhaustive_traceback() {
     let net = run_reachability(10, 41);
-    let stores = net.distributed_stores();
+    let stores = net.engine().distributed_stores();
     let (loc, key) = deepest_tuple(&net);
 
     let full = traceback(&stores, &loc.to_string(), &key);
@@ -64,7 +67,7 @@ fn moonwalk_origins_are_a_subset_of_the_exhaustive_traceback() {
 #[test]
 fn moonwalk_reads_fewer_records_than_exhaustive_traceback_on_large_graphs() {
     let net = run_reachability(16, 8);
-    let stores = net.distributed_stores();
+    let stores = net.engine().distributed_stores();
     let (loc, key) = deepest_tuple(&net);
 
     let full = traceback(&stores, &loc.to_string(), &key);
@@ -88,7 +91,7 @@ fn moonwalk_reads_fewer_records_than_exhaustive_traceback_on_large_graphs() {
 #[test]
 fn moonwalks_are_reproducible_and_respect_the_walk_budget() {
     let net = run_reachability(8, 2);
-    let stores = net.distributed_stores();
+    let stores = net.engine().distributed_stores();
     let (loc, key) = deepest_tuple(&net);
     let config = MoonwalkConfig::with_walks(32).seed(99);
     let by_name = |name: &str| stores.get(name).copied();
@@ -116,11 +119,11 @@ fn sampling_policy_reduces_recorded_provenance() {
             .config(config)
             .build()
             .unwrap();
-        net.run().unwrap();
+        net.engine_mut().run_to_fixpoint().unwrap();
         net
     };
     let entries = |net: &SecureNetwork| {
-        let stores = net.distributed_stores();
+        let stores = net.engine().distributed_stores();
         stores.values().map(|s| s.entry_count()).sum::<usize>()
     };
     let full = run(pasn_provenance::SamplingPolicy::always());
@@ -133,8 +136,9 @@ fn sampling_policy_reduces_recorded_provenance() {
     );
 
     let (loc, key) = deepest_tuple(&full);
-    let origins = traceback(&full.distributed_stores(), &loc.to_string(), &key).base_tuples;
-    let sampled_stores = sampled.distributed_stores();
+    let origins =
+        traceback(&full.engine().distributed_stores(), &loc.to_string(), &key).base_tuples;
+    let sampled_stores = sampled.engine().distributed_stores();
     let walked = moonwalk_with(
         |name| sampled_stores.get(name).copied(),
         &loc.to_string(),

@@ -7,7 +7,6 @@
 //! direction of effect the paper argues *and* pins the counters exactly, so a
 //! change to how provenance is recorded or shipped moves them knowingly.
 
-use pasn::network::NetworkError;
 use pasn::prelude::*;
 use pasn::workload;
 use pasn_crypto::says::SaysLevel;
@@ -25,13 +24,16 @@ fn builder(config: EngineConfig, n: u32, seed: u64) -> pasn::SecureNetworkBuilde
 
 fn deploy(config: EngineConfig, n: u32, seed: u64) -> (SecureNetwork, RunMetrics) {
     let mut net = builder(config, n, seed).build().expect("program compiles");
-    let metrics = net.run().expect("fixpoint reached");
+    let metrics = net
+        .engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     (net, metrics)
 }
 
 /// Pointer records held across every node's distributed store.
 fn pointer_entries(net: &SecureNetwork) -> usize {
-    let stores = net.distributed_stores();
+    let stores = net.engine().distributed_stores();
     stores.values().map(|s| s.entry_count()).sum()
 }
 
@@ -67,7 +69,7 @@ fn as_granularity_collapses_condensed_origins() {
         let mut config = EngineConfig::ndlog().with_provenance(ProvenanceKind::Condensed);
         config.granularity = granularity;
         let (net, metrics) = deploy(config, n, 9);
-        (metrics.provenance_bytes, net.var_table().len())
+        (metrics.provenance_bytes, net.engine().var_table().len())
     };
     let node = run(Granularity::Node);
     let as_of_4 = run(Granularity::uniform_as(n, 4));
@@ -93,7 +95,10 @@ fn local_graphs_ship_provenance_and_answer_without_remote_hops() {
     );
 
     // Local: n0's own store answers, no other node is asked.
-    let store = local.provenance_store(&n0).expect("n0 is deployed");
+    let store = local
+        .engine()
+        .provenance_store(&n0)
+        .expect("n0 is deployed");
     assert!(!store.derivations_of(TARGET).is_empty(), "derived at n0");
     let local_support = store.base_support(TARGET);
     // The same traceback over the Local deployment never leaves n0's store
@@ -115,7 +120,7 @@ fn local_graphs_ship_provenance_and_answer_without_remote_hops() {
         15,
         5,
     );
-    let mut rows = why.query(&n0, "reachable").into_iter();
+    let mut rows = why.engine().query(&n0, "reachable").into_iter();
     let (_, meta) = rows
         .find(|(t, _)| t.render_located(Some(0)) == TARGET)
         .expect("derived");
@@ -158,7 +163,7 @@ fn reactive_provenance_defers_work_until_materialisation() {
         let (mut net, _) = deploy(config, 15, 13);
         net.engine_mut().materialize_provenance();
         let node = |at| {
-            let archive = net.archive(&Value::Addr(at)).expect("deployed");
+            let archive = net.engine().archive(&Value::Addr(at)).expect("deployed");
             let entries = archive.entries().iter();
             let fields = |e: &ArchivedEntry| (e.key.clone(), e.annotation.clone(), e.derived_at);
             entries.map(fields).collect::<Vec<_>>()
@@ -177,7 +182,7 @@ fn reactive_provenance_defers_work_until_materialisation() {
     let mut local = EngineConfig::ndlog().with_graph_mode(GraphMode::Local);
     local.maintenance = MaintenanceMode::Reactive;
     match builder(local, 15, 13).build() {
-        Err(NetworkError::Engine(EngineError::ReactiveLocalGraphs)) => {}
+        Err(EngineError::ReactiveLocalGraphs) => {}
         Err(other) => panic!("expected the reactive + local rejection, got {other}"),
         Ok(_) => panic!("reactive maintenance of local graphs was accepted"),
     }
@@ -189,7 +194,7 @@ fn sampling_reduces_recorded_provenance() {
     let runs = [1, 4, 16].map(|k| run(SamplingPolicy::one_in(k)));
     // Sampling chooses what is recorded, never what is derived.
     let rows = |net: &SecureNetwork| {
-        let rows = net.query_all("reachable").into_iter();
+        let rows = net.engine().query_all("reachable").into_iter();
         rows.map(|(at, t, _)| (at, t)).collect::<Vec<_>>()
     };
     for (net, _) in &runs[1..] {
@@ -206,7 +211,7 @@ fn sampling_reduces_recorded_provenance() {
     // record it points at: over every row's traceback, (tracebacks that
     // ground out, pointers left unresolved).
     let tracebacks = runs.each_ref().map(|(net, _)| {
-        let rows = net.query_all("reachable").into_iter();
+        let rows = net.engine().query_all("reachable").into_iter();
         rows.map(|(at, t, _)| net.engine().traceback(&at, &t.render_located(Some(0))))
             .fold((0, 0), |(grounded, unresolved), tb| {
                 let grounded = grounded + usize::from(!tb.base_tuples.is_empty());
@@ -279,19 +284,19 @@ fn online_provenance_follows_soft_state_lifetimes() {
     let (mut net, _) = deploy(config, 6, 2);
 
     let loc = Value::Addr(0);
-    let live = net.query(&loc, "reachable").into_iter();
+    let live = net.engine().query(&loc, "reachable").into_iter();
     let live: Vec<String> = live.map(|(t, _)| t.render_located(Some(0))).collect();
     assert!(!live.is_empty());
-    let records_before = net.provenance_store(&loc).unwrap().entry_count();
+    let records_before = net.engine().provenance_store(&loc).unwrap().entry_count();
     assert!(records_before > 0);
 
     // After the TTL passes, both the tuples and their online provenance are
     // gone; base links (hard state) survive.
-    let dropped = net.expire(SimTime::from_secs_f64(30.0));
+    let dropped = net.engine_mut().expire_all(SimTime::from_secs_f64(30.0));
     assert!(dropped >= live.len());
-    assert_eq!(net.query(&loc, "reachable").len(), 0);
-    assert!(!net.query(&loc, "link").is_empty());
-    let store = net.provenance_store(&loc).unwrap();
+    assert_eq!(net.engine().query(&loc, "reachable").len(), 0);
+    assert!(!net.engine().query(&loc, "link").is_empty());
+    let store = net.engine().provenance_store(&loc).unwrap();
     assert!(store.entry_count() < records_before);
     for key in &live {
         assert!(store.derivations_of(key).is_empty(), "{key} forgotten");

@@ -38,7 +38,7 @@ fn run(
     for request in requests {
         dht.request(request).expect("member requests");
     }
-    let metrics = dht.net.run().expect("fixpoint");
+    let metrics = dht.net.engine_mut().run_to_fixpoint().expect("fixpoint");
     (dht, metrics)
 }
 
@@ -140,7 +140,11 @@ fn stored_values_survive_churn_and_keep_their_inserter_attribution() {
         for i in 0..8 {
             script = script.at(10_000_000, insert(get(querier, file(i))));
         }
-        let metrics = dht.net.run_scenario(&script).expect("post-churn fixpoint");
+        let metrics = dht
+            .net
+            .engine_mut()
+            .run_scenario(&script)
+            .expect("post-churn fixpoint");
         assert_eq!(metrics.verification_failures, 0);
         assert!(metrics.retractions > 0 && metrics.rederivations > 0);
 
@@ -152,7 +156,7 @@ fn stored_values_survive_churn_and_keep_their_inserter_attribution() {
             let departed = |node: &u32| victims.contains(node);
             assert!(!departed(&lookup.owner) && !lookup.path.iter().any(departed));
             assert_eq!(lookup.owner, dht.ring.successor_of(file(i)));
-            let stored = dht.net.query(&Value::Addr(lookup.owner), "stored");
+            let stored = dht.net.engine().query(&Value::Addr(lookup.owner), "stored");
             assert!(stored.iter().any(|(t, _)| t.values[1] == int(file(i))));
             if let Ok(fetched) = dht.value(querier, file(i)) {
                 assert_eq!(fetched.value, format!("payload-{i}"));
@@ -165,7 +169,11 @@ fn stored_values_survive_churn_and_keep_their_inserter_attribution() {
             "{says:?}: only {recovered}/8 values survived"
         );
         for victim in victims {
-            assert!(dht.net.query(&Value::Addr(victim), "stored").is_empty());
+            assert!(dht
+                .net
+                .engine()
+                .query(&Value::Addr(victim), "stored")
+                .is_empty());
         }
     }
 }
@@ -183,7 +191,7 @@ fn lookup_provenance_supports_kofn_trust_decisions() {
     let lookup = answer(&dht, origin, key);
     let hops = lookup.path.len();
     assert_eq!(lookup.path, reference_path(&ring, origin, key).0);
-    let evaluator = TrustEvaluator::new(dht.net.var_table(), dht.net.engine().config());
+    let evaluator = TrustEvaluator::new(dht.net.engine().var_table(), dht.net.engine().config());
     let decide = |tag: &ProvTag, policy| evaluator.evaluate(tag, &policy) == TrustDecision::Accept;
     assert!(decide(&lookup.tag, TrustPolicy::KOfN(1)));
     assert!(decide(&lookup.tag, TrustPolicy::KOfN(hops)));
@@ -192,7 +200,7 @@ fn lookup_provenance_supports_kofn_trust_decisions() {
     // The same on the stored tag: the nodes that forwarded the inserter's
     // lookup, the inserter first.
     let owner = Value::Addr(ring.successor_of(key));
-    let [(_, stored)] = &dht.net.query(&owner, "stored")[..] else {
+    let [(_, stored)] = &dht.net.engine().query(&owner, "stored")[..] else {
         panic!("one stored row");
     };
     let inserted_along = reference_path(&ring, inserter, key).0;
@@ -250,7 +258,8 @@ fn authenticated_lookup_graphs_verify_and_expose_forgery() {
         // no hop is attributed to a node that did not say it, and the policy
         // "every principal on the path" rejects it.
         assert_eq!((planted.owner, &planted.path), (rogue, &[rogue].into()));
-        let evaluator = TrustEvaluator::new(dht.net.var_table(), dht.net.engine().config());
+        let evaluator =
+            TrustEvaluator::new(dht.net.engine().var_table(), dht.net.engine().config());
         let on_path = TrustPolicy::TrustedPrincipals(path.clone());
         assert_eq!(
             evaluator.evaluate(&genuine.tag, &on_path),
@@ -268,7 +277,7 @@ fn authenticated_lookup_graphs_verify_and_expose_forgery() {
         let planted = (Value::Addr(origin), Tuple::new("owner", named));
         let (dht, _) = run(&ring, level(says), [get(origin, key + 1), planted]);
         assert_eq!(dht.lookups(origin, key + 1).len(), 2);
-        assert!(dht.net.query(&at, "fetch").is_empty());
+        assert!(dht.net.engine().query(&at, "fetch").is_empty());
     }
 }
 

@@ -3,7 +3,6 @@
 //! `SecureNetwork::builder().build()` instead of a run that already derived
 //! state.
 
-use pasn::network::NetworkError;
 use pasn::prelude::*;
 use pasn::programs;
 use pasn_datalog::{compile_program, parse_program, PlanError};
@@ -51,9 +50,7 @@ fn rejected_programs_fail_the_build_before_anything_runs() {
         assert!(
             matches!(
                 err,
-                NetworkError::Engine(EngineError::Compile(
-                    PlanError::Plan { .. } | PlanError::Validation(_)
-                ))
+                EngineError::Compile(PlanError::Plan { .. } | PlanError::Validation(_))
             ),
             "{source}: {err:?}"
         );

@@ -15,7 +15,9 @@ fn run_reachability(n: u32, seed: u64, config: EngineConfig) -> SecureNetwork {
         .config(config.with_cost_model(CostModel::zero_cpu()))
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     net
 }
 
@@ -27,10 +29,10 @@ proptest! {
     #[test]
     fn trust_policy_extremes(n in 4u32..10, seed in 0u64..500) {
         let net = run_reachability(n, seed, EngineConfig::ndlog().with_provenance(ProvenanceKind::Condensed));
-        let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
+        let evaluator = TrustEvaluator::new(net.engine().var_table(), net.engine().config());
         let everyone: BTreeSet<u32> = (0..n).collect();
         let nobody: BTreeSet<u32> = BTreeSet::new();
-        for (_, _, meta) in net.query_all("reachable") {
+        for (_, _, meta) in net.engine().query_all("reachable") {
             prop_assert_eq!(evaluator
                 .evaluate(&meta.tag, &TrustPolicy::TrustedPrincipals(everyone.clone())), TrustDecision::Accept);
             prop_assert_ne!(evaluator
@@ -44,8 +46,8 @@ proptest! {
     #[test]
     fn condensed_origins_are_well_formed(n in 4u32..10, seed in 0u64..500) {
         let net = run_reachability(n, seed, EngineConfig::ndlog().with_provenance(ProvenanceKind::Condensed));
-        let evaluator = TrustEvaluator::new(net.var_table(), net.engine().config());
-        for (loc, _, meta) in net.query_all("reachable") {
+        let evaluator = TrustEvaluator::new(net.engine().var_table(), net.engine().config());
+        for (loc, _, meta) in net.engine().query_all("reachable") {
             let origins = evaluator.origins(&meta.tag);
             prop_assert!(!origins.is_empty());
             prop_assert!(origins.iter().all(|p| *p < n));
@@ -60,14 +62,14 @@ proptest! {
     #[test]
     fn quantifiable_provenance_is_bounded(n in 4u32..9, seed in 0u64..500) {
         let vote_net = run_reachability(n, seed, EngineConfig::ndlog().with_provenance(ProvenanceKind::Vote));
-        for (_, _, meta) in vote_net.query_all("reachable") {
+        for (_, _, meta) in vote_net.engine().query_all("reachable") {
             match &meta.tag {
                 ProvTag::Vote(v) => prop_assert!(v.count() <= n as usize),
                 other => prop_assert!(false, "unexpected tag {other:?}"),
             }
         }
         let count_net = run_reachability(n, seed, EngineConfig::ndlog().with_provenance(ProvenanceKind::Count));
-        for (_, _, meta) in count_net.query_all("reachable") {
+        for (_, _, meta) in count_net.engine().query_all("reachable") {
             match &meta.tag {
                 ProvTag::Count(c) => prop_assert!(c.0 >= 1),
                 other => prop_assert!(false, "unexpected tag {other:?}"),
@@ -80,8 +82,8 @@ proptest! {
     #[test]
     fn traceback_always_grounds_out(n in 4u32..9, seed in 0u64..500) {
         let net = run_reachability(n, seed, EngineConfig::ndlog().with_graph_mode(GraphMode::Distributed));
-        let stores = net.distributed_stores();
-        for (loc, tuple, _) in net.query_all("reachable") {
+        let stores = net.engine().distributed_stores();
+        for (loc, tuple, _) in net.engine().query_all("reachable") {
             let key = tuple.render_located(Some(0));
             let result = pasn_provenance::traceback(&stores, &loc.to_string(), &key);
             prop_assert!(
@@ -100,6 +102,7 @@ fn authentication_does_not_change_results() {
     let secure = run_reachability(8, 99, EngineConfig::sendlog());
     let collect = |net: &SecureNetwork| {
         let mut rows: Vec<(String, Vec<Value>)> = net
+            .engine()
             .query_all("reachable")
             .into_iter()
             .map(|(l, t, _)| (l.to_string(), t.values.to_vec()))

@@ -93,13 +93,15 @@ fn relation_reads_allocate_once_per_query() {
         .fact(Value::Addr(0), probe(0))
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
     let locations = net.engine().locations().to_vec();
     let mut rows = 0;
     for at in &locations {
         for predicate in ["bestPathCost", "path", "link"] {
-            let (tuples, allocations) = counted(|| net.query(at, predicate));
+            let (tuples, allocations) = counted(|| net.engine().query(at, predicate));
             assert!(!tuples.is_empty(), "{predicate} at {at} holds rows");
             assert_eq!(
                 allocations,
@@ -109,27 +111,27 @@ fn relation_reads_allocate_once_per_query() {
             );
             rows += tuples.len();
         }
-        let (tuples, allocations) = counted(|| net.query(at, "probe"));
+        let (tuples, allocations) = counted(|| net.engine().query(at, "probe"));
         assert_eq!(tuples.len(), usize::from(*at == Value::Addr(0)));
         assert_eq!(allocations, u64::from(!tuples.is_empty()), "probe at {at}");
-        let (tuples, allocations) = counted(|| net.query(at, "bogus"));
+        let (tuples, allocations) = counted(|| net.engine().query(at, "bogus"));
         assert!(tuples.is_empty());
         assert_eq!(allocations, 0, "an unknown predicate at {at}");
     }
     // The reads must be worth counting: dozens of rows per query.
     assert!(rows >= 30 * 3 * locations.len(), "{rows} rows");
-    let (tuples, allocations) = counted(|| net.query(&Value::Addr(999), "bestPathCost"));
+    let (tuples, allocations) = counted(|| net.engine().query(&Value::Addr(999), "bestPathCost"));
     assert!(tuples.is_empty());
     assert_eq!(allocations, 0, "an unknown location");
 
-    let (tuples, allocations) = counted(|| net.query_all("bestPathCost"));
+    let (tuples, allocations) = counted(|| net.engine().query_all("bestPathCost"));
     assert!(
         tuples.len() >= locations.len() * 39,
         "{} rows",
         tuples.len()
     );
     assert!(allocations <= 1, "query_all: {allocations} allocations");
-    let (tuples, allocations) = counted(|| net.query_all("bogus"));
+    let (tuples, allocations) = counted(|| net.engine().query_all("bogus"));
     assert!(tuples.is_empty());
     assert_eq!(allocations, 0, "query_all of an unknown predicate");
 }
@@ -146,9 +148,11 @@ fn investigate_allocates_what_its_report_owns() {
         .config(config)
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
-    let rows = net.query_all("reachable");
+    let rows = net.engine().query_all("reachable");
     assert!(rows.len() >= (NODES * (NODES - 1)) as usize, "all pairs");
     let (mut visited, mut archived) = (0, 0);
     for (at, tuple, _) in &rows {

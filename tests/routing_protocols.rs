@@ -19,7 +19,9 @@ fn run_program(program: pasn_datalog::Program, topology: Topology) -> SecureNetw
         .config(fast(EngineConfig::ndlog()))
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
     net
 }
 
@@ -27,7 +29,7 @@ fn run_program(program: pasn_datalog::Program, topology: Topology) -> SecureNetw
 /// protocol's answer is the minimum per (source, destination).
 fn best_costs(net: &SecureNetwork, src: u32) -> HashMap<u32, i64> {
     let mut best: HashMap<u32, i64> = HashMap::new();
-    for (t, _) in net.query(&Value::Addr(src), "bestCost") {
+    for (t, _) in net.engine().query(&Value::Addr(src), "bestCost") {
         let dst = t.values[1].as_addr().expect("addr");
         let cost = t.values[2].as_int().expect("int");
         let entry = best.entry(dst).or_insert(i64::MAX);
@@ -71,7 +73,7 @@ fn distance_vector_agrees_with_best_path_on_costs() {
         let mut dv_costs = best_costs(&dv, src.0);
         dv_costs.remove(&src.0);
         let mut bp_costs: HashMap<u32, i64> = HashMap::new();
-        for (t, _) in bp.query(&Value::Addr(src.0), "bestPathCost") {
+        for (t, _) in bp.engine().query(&Value::Addr(src.0), "bestPathCost") {
             let dst = t.values[1].as_addr().unwrap();
             if dst == src.0 {
                 continue;
@@ -95,7 +97,7 @@ fn path_vector_routes_are_loop_free_real_paths() {
         .collect();
 
     let mut checked = 0;
-    for (loc, tuple, _) in net.query_all("route") {
+    for (loc, tuple, _) in net.engine().query_all("route") {
         let src = loc.as_addr().unwrap();
         let dst = tuple.values[1].as_addr().unwrap();
         let path = tuple.values[2].as_list().expect("path vector");
@@ -131,7 +133,8 @@ fn path_vector_reaches_exactly_the_reachable_pairs() {
     let reach = run_program(pasn::programs::reachability_ndlog(), topology);
 
     let pairs = |net: &SecureNetwork, predicate: &str| -> HashSet<(u32, u32)> {
-        net.query_all(predicate)
+        net.engine()
+            .query_all(predicate)
             .into_iter()
             .map(|(loc, t, _)| (loc.as_addr().unwrap(), t.values[1].as_addr().unwrap()))
             .collect()
@@ -159,10 +162,12 @@ fn path_vector_policy_filters_routes_through_banned_nodes() {
         )
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
 
     // a still learns both routes to c ...
-    let all_routes = net.query(&Value::Addr(0), "route");
+    let all_routes = net.engine().query(&Value::Addr(0), "route");
     let to_c: Vec<_> = all_routes
         .iter()
         .filter(|(t, _)| t.values[1] == Value::Addr(2))
@@ -174,7 +179,7 @@ fn path_vector_policy_filters_routes_through_banned_nodes() {
     );
 
     // ... but accepts only those avoiding b.
-    let accepted = net.query(&Value::Addr(0), "acceptedRoute");
+    let accepted = net.engine().query(&Value::Addr(0), "acceptedRoute");
     assert!(!accepted.is_empty());
     for (tuple, _) in &accepted {
         let path = tuple.values[2].as_list().unwrap();
@@ -201,9 +206,11 @@ fn path_vector_policy_with_no_ban_accepts_everything_at_that_node() {
         )
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
-    let routes = net.query(&Value::Addr(0), "route").len();
-    let accepted = net.query(&Value::Addr(0), "acceptedRoute").len();
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
+    let routes = net.engine().query(&Value::Addr(0), "route").len();
+    let accepted = net.engine().query(&Value::Addr(0), "acceptedRoute").len();
     assert_eq!(routes, accepted);
     assert_eq!(routes, 3, "a line of four nodes gives n0 three routes");
 }
@@ -219,10 +226,12 @@ fn distance_vector_provenance_grounds_in_link_facts() {
         .config(fast(EngineConfig::ndlog()).with_graph_mode(GraphMode::Distributed))
         .build()
         .expect("program compiles");
-    net.run().expect("fixpoint reached");
-    let stores = net.distributed_stores();
+    net.engine_mut()
+        .run_to_fixpoint()
+        .expect("fixpoint reached");
+    let stores = net.engine().distributed_stores();
     let mut checked = 0;
-    for (loc, tuple, _) in net.query_all("bestCost") {
+    for (loc, tuple, _) in net.engine().query_all("bestCost") {
         let key = tuple.render_located(Some(0));
         let result = pasn_provenance::traceback(&stores, &loc.to_string(), &key);
         assert!(!result.base_tuples.is_empty(), "no origin for {key}");

@@ -26,9 +26,9 @@ fn reachability_30(config: EngineConfig) -> SecureNetwork {
 #[test]
 fn session_channels_amortise_rsa_on_the_n30_deployment() {
     let mut rsa_net = reachability_30(EngineConfig::sendlog().with_batching());
-    let rsa = rsa_net.run().unwrap();
+    let rsa = rsa_net.engine_mut().run_to_fixpoint().unwrap();
     let mut session_net = reachability_30(EngineConfig::sendlog_session().with_batching());
-    let session = session_net.run().unwrap();
+    let session = session_net.engine_mut().run_to_fixpoint().unwrap();
 
     // The evaluation is unchanged, bit for bit.
     assert_eq!(session.derivations, rsa.derivations);
@@ -37,11 +37,13 @@ fn session_channels_amortise_rsa_on_the_n30_deployment() {
     assert_eq!(session.batched_tuples, rsa.batched_tuples);
     for loc in rsa_net.engine().locations().to_vec() {
         let want: Vec<Tuple> = rsa_net
+            .engine()
             .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
             .collect();
         let got: Vec<Tuple> = session_net
+            .engine()
             .query(&loc, "reachable")
             .into_iter()
             .map(|(t, _)| t)
@@ -92,12 +94,12 @@ fn session_channels_amortise_rsa_on_the_n30_deployment() {
 fn session_preset_and_counters_round_trip_through_the_facade() {
     let mut net = reachability_30(EngineConfig::sendlog_session().with_batching());
     assert_eq!(net.engine().config().says_level, Some(SaysLevel::Session));
-    let m = net.run().unwrap();
-    assert_eq!(net.metrics().rsa_sign_ops, m.rsa_sign_ops);
-    assert_eq!(net.metrics().rsa_verify_ops, m.rsa_verify_ops);
-    assert_eq!(net.metrics().hmac_ops, m.hmac_ops);
-    assert_eq!(net.metrics().handshakes, m.handshakes);
-    assert_eq!(net.metrics().frames, m.frames);
+    let m = net.engine_mut().run_to_fixpoint().unwrap();
+    assert_eq!(net.engine().metrics().rsa_sign_ops, m.rsa_sign_ops);
+    assert_eq!(net.engine().metrics().rsa_verify_ops, m.rsa_verify_ops);
+    assert_eq!(net.engine().metrics().hmac_ops, m.hmac_ops);
+    assert_eq!(net.engine().metrics().handshakes, m.handshakes);
+    assert_eq!(net.engine().metrics().frames, m.frames);
 }
 
 /// Forcing rebinds (tiny channel lifetime) degenerates to per-frame RSA
@@ -106,13 +108,13 @@ fn session_preset_and_counters_round_trip_through_the_facade() {
 #[test]
 fn rebinding_every_frame_degenerates_to_per_frame_rsa() {
     let mut unlimited = reachability_30(EngineConfig::sendlog_session().with_batching());
-    let base = unlimited.run().unwrap();
+    let base = unlimited.engine_mut().run_to_fixpoint().unwrap();
     let mut churny = reachability_30(
         EngineConfig::sendlog_session()
             .with_batching()
             .with_channel_rebind_frames(1),
     );
-    let m = churny.run().unwrap();
+    let m = churny.engine_mut().run_to_fixpoint().unwrap();
     assert_eq!(m.handshakes, m.frames);
     assert_eq!(m.rsa_sign_ops, m.frames);
     assert!(m.handshakes > base.handshakes);

@@ -814,3 +814,83 @@ fn the_uncalled_allowlist_is_current() {
         .collect();
     assert_none(stale, "a stale `UNCALLED_PUB_FNS` entry");
 }
+
+/// The engine forwarders `SecureNetwork` keeps because `hostbench` calls
+/// them; every other caller uses the engine's own names.  The benchmark's
+/// next revision (ROADMAP item 2) moves `hostbench` to the engine, and the
+/// list only shrinks (`the_forwarder_list_is_current`).
+const HOSTBENCH_FORWARDERS: [&str; 8] = [
+    "distributed_stores",
+    "query",
+    "query_all",
+    "render_provenance",
+    "run",
+    "run_streaming",
+    "trace",
+    "var_table",
+];
+
+/// Every `pub fn` in the non-test code of `crates/core/src` whose body is
+/// one expression (no `;`) calling a method of `self.engine`, with where it
+/// is defined.
+fn engine_forwarders() -> BTreeMap<String, String> {
+    let mut found = BTreeMap::new();
+    for path in files_under(&["crates/core/src"], None) {
+        let text = read(&path);
+        let lines = code_without_uses(non_test(&path, &text));
+        for (at, line) in lines.iter().enumerate() {
+            let Some(rest) = line.trim_start().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name = identifiers(rest).next().map_or("", |(name, _)| name);
+            // The body: from the first `{` of the definition to its match.
+            let mut body = String::new();
+            let mut depth = 0usize;
+            let chars = lines[at..].iter().flat_map(|line| line.chars());
+            for c in chars.skip_while(|&c| c != '{') {
+                match c {
+                    '{' => depth += 1,
+                    '}' => depth -= 1,
+                    _ => {}
+                }
+                body.push(c);
+                if depth == 0 {
+                    break;
+                }
+            }
+            if body.contains("self.engine.") && !body.contains(';') {
+                let site = format!("{}:{}", path.display(), at + 1);
+                found.insert(name.to_string(), site);
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn the_facade_forwards_nothing() {
+    // `SecureNetwork` builds an engine and steps aside: a caller reaches the
+    // engine's operations through `engine()` / `engine_mut()`, so no `pub
+    // fn` in the facade crate restates one, except the few `hostbench`
+    // still calls.
+    let listed: BTreeSet<&str> = HOSTBENCH_FORWARDERS.into_iter().collect();
+    let forwarders: Vec<String> = engine_forwarders()
+        .into_iter()
+        .filter(|(name, _)| !listed.contains(name.as_str()))
+        .map(|(name, site)| format!("{name}: {site}"))
+        .collect();
+    assert_none(forwarders, "a `pub fn` that only forwards to the engine");
+}
+
+#[test]
+fn the_forwarder_list_is_current() {
+    // Each `HOSTBENCH_FORWARDERS` entry still names a forwarder; one that was
+    // deleted or grew into more than a forwarder leaves the list.
+    let forwarders = engine_forwarders();
+    let stale: Vec<String> = HOSTBENCH_FORWARDERS
+        .iter()
+        .filter(|name| !forwarders.contains_key(**name))
+        .map(|name| format!("{name}: no longer an engine forwarder"))
+        .collect();
+    assert_none(stale, "a stale `HOSTBENCH_FORWARDERS` entry");
+}

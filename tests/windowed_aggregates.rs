@@ -7,7 +7,7 @@ use pasn::prelude::*;
 use pasn_engine::TupleMeta;
 
 fn rows(net: &SecureNetwork, at: &Value, pred: &str) -> Vec<String> {
-    let rows = net.query(at, pred).into_iter();
+    let rows = net.engine().query(at, pred).into_iter();
     rows.map(|(tuple, _)| tuple.render_located(Some(0)))
         .collect()
 }
@@ -50,12 +50,18 @@ fn the_route_monitor_window_is_two_rules() {
     let mut prefix = monitor();
     let until = SimTime::from_millis(4_200);
     let early = events.iter().filter(|(at, _)| *at <= until).cloned();
-    prefix.run_streaming(early).expect("stream prefix runs");
+    prefix
+        .engine_mut()
+        .run_streaming(early)
+        .expect("stream prefix runs");
     assert_eq!(rows(&prefix, &n0, "updateCount"), ["updateCount(@n0,n3,5)"]);
     assert_eq!(rows(&prefix, &n0, "alarm"), ["alarm(@n0,n3,5)"]);
 
     let mut whole = monitor();
-    whole.run_streaming(events).expect("stream runs");
+    whole
+        .engine_mut()
+        .run_streaming(events)
+        .expect("stream runs");
     assert_eq!(rows(&whole, &n0, "updateCount"), Vec::<String>::new());
     assert_eq!(rows(&whole, &n0, "alarm"), Vec::<String>::new());
     assert_eq!(whole.engine().check_ledger_consistency(), Ok(()));
@@ -93,12 +99,12 @@ fn an_a_sum_row_is_tagged_with_every_live_candidate() {
         builder.build().expect("program compiles")
     };
     let tagged = |net: &SecureNetwork, at: u32| -> Vec<String> {
-        let rows = net.query(&Value::Addr(at), "inbound").into_iter();
+        let rows = net.engine().query(&Value::Addr(at), "inbound").into_iter();
         let render = |(tuple, meta): (Tuple, TupleMeta)| {
             format!(
                 "{} {}",
                 tuple.render_located(Some(0)),
-                meta.tag.render(net.var_table())
+                meta.tag.render(net.engine().var_table())
             )
         };
         rows.map(render).collect()
@@ -107,18 +113,21 @@ fn an_a_sum_row_is_tagged_with_every_live_candidate() {
     // n1, n2 and n3 link into n0; n0 links into n1.
     let links = [(1, 0, 2), (2, 0, 3), (3, 0, 5), (0, 1, 7)];
     let mut net = deploy(&links);
-    net.run().expect("fixpoint");
+    net.engine_mut().run_to_fixpoint().expect("fixpoint");
     assert_eq!(tagged(&net, 0), ["inbound(@n0,10) <p1*p2*p3>"]);
     assert_eq!(tagged(&net, 1), ["inbound(@n1,7) <p0>"]);
 
     // n2's link goes down: the sum and the product both lose it.
     let mut churned = deploy(&links);
     let script = ChurnScript::new().link_down(5_000_000, Value::Addr(2), Value::Addr(0));
-    churned.run_scenario(&script).expect("post-churn fixpoint");
+    churned
+        .engine_mut()
+        .run_scenario(&script)
+        .expect("post-churn fixpoint");
     assert_eq!(tagged(&churned, 0), ["inbound(@n0,7) <p1*p3>"]);
     let fresh = {
         let mut net = deploy(&[(1, 0, 2), (3, 0, 5), (0, 1, 7)]);
-        net.run().expect("fixpoint");
+        net.engine_mut().run_to_fixpoint().expect("fixpoint");
         net
     };
     assert_eq!(tagged(&churned, 0), tagged(&fresh, 0));
