@@ -7,12 +7,21 @@
 //! [`EngineConfig`] exposes every underlying knob so an experiment can move
 //! one axis at a time (`tests/optimizations.rs` pins the effect of each
 //! provenance knob).
+//!
+//! What a configuration *means* is decided here and nowhere else: the
+//! builders are plain setters, and [`EngineConfig::validate`] — which
+//! `DistributedEngine::new` calls first — applies the one implication (a
+//! fault plan arms dynamics) and the one table of refusals.  A zero or
+//! out-of-range value is refused, never clamped;
+//! `crates/engine/tests/config_swarm_prop.rs` draws the fields and checks
+//! the table both ways.
 
 use crate::hash::FastMap;
 use pasn_crypto::says::SaysLevel;
-use pasn_net::{CostModel, FaultPlan};
+use pasn_net::{CostModel, FaultEvent, FaultPlan};
 use pasn_provenance::{Granularity, MaintenanceMode, ProvenanceKind, SamplingPolicy};
 use pasn_trace::TraceConfig;
+use std::fmt;
 
 /// Whether derivation records are kept, and where they live (Section 4.1's
 /// local-vs-distributed axis).  Both modes write the same pointer records
@@ -34,17 +43,6 @@ pub enum GraphMode {
     /// derivations it performed and a `recv` pointer back to the sender of
     /// each tuple it received; reconstruction is a traceback across nodes.
     Distributed,
-}
-
-impl GraphMode {
-    /// Human-readable name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            GraphMode::None => "none",
-            GraphMode::Local => "local",
-            GraphMode::Distributed => "distributed",
-        }
-    }
 }
 
 /// Default cap on tuples per delta batch / shipment frame when batching is
@@ -79,10 +77,12 @@ pub struct EngineConfig {
     /// Whether and where derivation records are kept.
     pub graph_mode: GraphMode,
     /// Proactive or reactive provenance maintenance.  Reactive maintenance
-    /// with [`GraphMode::Local`] is rejected when the engine is built.
+    /// with [`GraphMode::Local`] is refused
+    /// ([`ConfigError::ReactiveLocalGraphs`]).
     pub maintenance: MaintenanceMode,
     /// Sampling policy for provenance recording: a tuple's derivation record
-    /// and every `recv` pointer to it are kept or dropped together.
+    /// and every `recv` pointer to it are kept or dropped together.  A rate
+    /// of one in zero is refused ([`ConfigError::ZeroSamplingRate`]).
     pub sampling: SamplingPolicy,
     /// Node- or AS-level provenance granularity.
     pub granularity: Granularity,
@@ -129,13 +129,15 @@ pub struct EngineConfig {
     /// Maximum tuples per delta batch / shipment frame.  A batch that fills
     /// up stops accepting rows; later tuples of the same window open a new
     /// batch flushed at the same window boundary (after the full one, in
-    /// creation order).  Ignored while `batch_window_us` is `0`.
+    /// creation order).  Ignored while `batch_window_us` is `0`; zero is
+    /// refused ([`ConfigError::ZeroBatchCap`]).
     pub max_batch_tuples: usize,
     /// Frames a session channel may authenticate before it expires and the
     /// link must be rebound with a fresh RSA-signed handshake at the next
     /// epoch (only meaningful at [`SaysLevel::Session`]).  The default is
     /// high enough that ordinary runs perform exactly one handshake per
-    /// live directed link; lower it to exercise the rebind path.
+    /// live directed link; lower it to exercise the rebind path.  Zero is
+    /// refused ([`ConfigError::ZeroRebindHorizon`]).
     pub channel_rebind_frames: u64,
     /// Arms the network-dynamics machinery: the engine maintains the
     /// per-node deletion ledger (support counts and the firing log) that
@@ -145,17 +147,20 @@ pub struct EngineConfig {
     /// in-order delivery (retraction streams assume FIFO links, as the
     /// session-channel transport already does), and runs every aggregate
     /// as an election over its live candidates.  Off by default: static
-    /// runs pay no ledger memory and keep their exact schedules.
-    /// `DistributedEngine::run_scenario` arms it automatically on a fresh
-    /// engine.
+    /// runs pay no ledger memory and keep their exact schedules.  A fault
+    /// plan implies it (see [`EngineConfig::validate`]), and both scripted
+    /// runs — `DistributedEngine::run_scenario` and
+    /// `DistributedEngine::run_streaming` — arm it on a fresh engine.
     pub dynamics: bool,
     /// Unreliable-network mode: a deterministic, seeded fault plan the
     /// transport consults for every remote frame (drop / duplicate / extra
     /// delay decisions plus scheduled crash-without-drain events).
     /// Installing a plan arms the sender-side reliability layer — per-link
     /// send buffers, cumulative acks, timeout retransmission with
-    /// exponential backoff — and the network-dynamics machinery.  `None`
-    /// (the default) is today's reliable in-order transport, byte for byte.
+    /// exponential backoff — and implies `dynamics`.  A plan whose event
+    /// names a node outside the deployment, or whose rate exceeds 1000‰, is
+    /// refused.  `None` (the default) is today's reliable in-order
+    /// transport, byte for byte.
     pub fault_plan: Option<FaultPlan>,
     /// Size of the *modeled* worker pool — a cost-model input, not an
     /// execution strategy: evaluation is sequential at every value.  Nodes
@@ -163,7 +168,8 @@ pub struct EngineConfig {
     /// independent deliveries is charged only its busiest partition's CPU,
     /// which is what `RunMetrics::parallel_wall` and the other `Layout`
     /// rows report.  No fixpoint, schedule counter, wire byte or trace byte
-    /// depends on it.  `1` (the default) models no pool.
+    /// depends on it.  `1` (the default) models no pool; `0` is refused
+    /// ([`ConfigError::ZeroWorkers`]).
     pub workers: usize,
     /// Flight-recorder configuration.  `None` (the default) disables tracing
     /// entirely — the runtime takes a single `Option` check per hook and
@@ -270,7 +276,7 @@ impl EngineConfig {
     /// Builder: sets how many frames a session channel authenticates before
     /// it must be rebound with a fresh handshake.
     pub fn with_channel_rebind_frames(mut self, frames: u64) -> Self {
-        self.channel_rebind_frames = frames.max(1);
+        self.channel_rebind_frames = frames;
         self
     }
 
@@ -281,11 +287,10 @@ impl EngineConfig {
         self
     }
 
-    /// Builder: installs an unreliable-network fault plan (and arms
-    /// dynamics — reconciliation needs the deletion ledger).
+    /// Builder: installs an unreliable-network fault plan (which implies
+    /// dynamics when the engine is built).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self.dynamics = true;
         self
     }
 
@@ -314,9 +319,9 @@ impl EngineConfig {
     }
 
     /// Builder: sets the modeled worker-pool size (see
-    /// [`EngineConfig::workers`]; clamped to at least one worker).
+    /// [`EngineConfig::workers`]).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.workers = workers;
         self
     }
 
@@ -344,7 +349,157 @@ impl EngineConfig {
     pub(crate) fn tracks_provenance(&self) -> bool {
         self.provenance != ProvenanceKind::None || self.graph_mode != GraphMode::None
     }
+
+    /// What this configuration means on a deployment of `nodes` nodes: its
+    /// one implication applied, then refused by the first row of the table
+    /// that holds — one row per [`ConfigError`] variant but the two
+    /// run-time ones.  `DistributedEngine::new` calls it first and runs the
+    /// configuration it returns.
+    pub fn validate(mut self, nodes: usize) -> Result<Self, ConfigError> {
+        // A fault plan arms dynamics: reconciling a frame that died needs
+        // the deletion ledger.
+        self.dynamics |= self.fault_plan.is_some();
+        match REFUSALS.iter().find_map(|refuse| refuse(&self, nodes)) {
+            Some(refused) => Err(refused),
+            None => Ok(self),
+        }
+    }
+
+    /// The table's run-time implication: a scripted run (`entry_point`)
+    /// arms dynamics on a fresh engine.  Once evaluation has `started`
+    /// without them it is refused — the ledger would miss history.
+    pub(crate) fn arm_dynamics_for(
+        &mut self,
+        entry_point: &'static str,
+        started: bool,
+    ) -> Result<(), ConfigError> {
+        if !self.dynamics && started {
+            return Err(ConfigError::DynamicsAfterStart { entry_point });
+        }
+        self.dynamics = true;
+        Ok(())
+    }
+
+    /// A retraction is applied through the deletion ledger, so an engine
+    /// built without dynamics refuses it.
+    pub(crate) fn admit_retraction(&self) -> Result<(), ConfigError> {
+        if self.dynamics {
+            Ok(())
+        } else {
+            Err(ConfigError::RetractionWithoutDynamics)
+        }
+    }
 }
+
+/// A configuration the engine refuses, or a run its configuration cannot
+/// serve: one variant per refusal of the table [`EngineConfig::validate`]
+/// reads, plus the two run-time rows.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `workers` is zero: a modeled pool needs a worker.
+    ZeroWorkers,
+    /// `max_batch_tuples` is zero: a batch must hold a tuple.
+    ZeroBatchCap,
+    /// `channel_rebind_frames` is zero: a channel must carry a frame.
+    ZeroRebindHorizon,
+    /// `sampling.one_in` is zero: there is no "one in zero".
+    ZeroSamplingRate,
+    /// Reactive maintenance with [`GraphMode::Local`]: a node's store holds
+    /// no derivation until it is materialised, so nothing would be
+    /// piggybacked and every remote bundle would be lost.
+    ReactiveLocalGraphs,
+    /// A fault plan's scheduled event names a node the deployment lacks.
+    FaultEventOutsideDeployment {
+        /// The node index the event names.
+        node: u32,
+        /// How many nodes the deployment has.
+        nodes: usize,
+    },
+    /// A fault plan's drop, duplicate or delay rate exceeds 1000‰.
+    FaultRateOutOfRange {
+        /// The offending rate, in ‰.
+        per_mille: u16,
+    },
+    /// A retraction was scheduled on an engine built without dynamics.
+    RetractionWithoutDynamics,
+    /// A scripted run was asked of an engine that has evaluated without
+    /// dynamics.
+    DynamicsAfterStart {
+        /// The run that asked: `run_scenario` or `run_streaming`.
+        entry_point: &'static str,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ZeroWorkers => write!(f, "a modeled pool needs at least one worker"),
+            ConfigError::ZeroBatchCap => write!(f, "a batch must hold at least one tuple"),
+            ConfigError::ZeroRebindHorizon => write!(f, "a session channel must carry a frame"),
+            ConfigError::ZeroSamplingRate => write!(f, "a sampling rate of one in zero"),
+            ConfigError::ReactiveLocalGraphs => write!(
+                f,
+                "reactive maintenance cannot keep local provenance graphs: \
+                 use GraphMode::Distributed"
+            ),
+            ConfigError::FaultEventOutsideDeployment { node, nodes } => write!(
+                f,
+                "a fault event names node {node} of a {nodes}-node deployment"
+            ),
+            ConfigError::FaultRateOutOfRange { per_mille } => {
+                write!(f, "a fault rate of {per_mille}‰ exceeds 1000‰")
+            }
+            ConfigError::RetractionWithoutDynamics => write!(
+                f,
+                "retractions need the dynamics machinery: build with \
+                 EngineConfig::with_dynamics() or use run_scenario"
+            ),
+            ConfigError::DynamicsAfterStart { entry_point } => write!(
+                f,
+                "dynamics must be armed before the first evaluation: build with \
+                 EngineConfig::with_dynamics() or call {entry_point} on a fresh engine"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// One row of the table: the error a configuration gets on a deployment
+/// of the given size, or `None`.
+type Refusal = fn(&EngineConfig, usize) -> Option<ConfigError>;
+
+/// The table: every configuration the engine refuses, checked in this
+/// order.
+const REFUSALS: [Refusal; 7] = [
+    |c, _| (c.workers == 0).then_some(ConfigError::ZeroWorkers),
+    |c, _| (c.max_batch_tuples == 0).then_some(ConfigError::ZeroBatchCap),
+    |c, _| (c.channel_rebind_frames == 0).then_some(ConfigError::ZeroRebindHorizon),
+    |c, _| (c.sampling.one_in == 0).then_some(ConfigError::ZeroSamplingRate),
+    |c, _| {
+        let reactive = c.maintenance == MaintenanceMode::Reactive;
+        (reactive && c.graph_mode == GraphMode::Local).then_some(ConfigError::ReactiveLocalGraphs)
+    },
+    |c, nodes| {
+        let events = c.fault_plan.iter().flat_map(|plan| &plan.events);
+        let mut named = events.flat_map(|(_, event)| match *event {
+            FaultEvent::LinkCut { src, dst } => [src, dst],
+            FaultEvent::NodeCrash { node } => [node, node],
+        });
+        let outside = named.find(|&node| node as usize >= nodes);
+        outside.map(|node| ConfigError::FaultEventOutsideDeployment { node, nodes })
+    },
+    |c, _| {
+        let plan = c.fault_plan.as_ref()?;
+        let rates = [
+            plan.drop_per_mille,
+            plan.duplicate_per_mille,
+            plan.delay_per_mille,
+        ];
+        let over = rates.into_iter().find(|&rate| rate > 1000);
+        over.map(|per_mille| ConfigError::FaultRateOutOfRange { per_mille })
+    },
+];
 
 /// The three system variants of the paper's evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -387,6 +542,20 @@ impl SystemVariant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{DistributedEngine, EngineError};
+    use pasn_datalog::Value;
+
+    /// What `DistributedEngine::new` says to `config` on a four-node
+    /// deployment of a one-rule program.
+    fn refusal_at_new(config: EngineConfig) -> Option<ConfigError> {
+        let program = pasn_datalog::parse_program("r1 reachable(@S,D) :- link(@S,D).").unwrap();
+        let locations: Vec<Value> = (0..4).map(Value::Int).collect();
+        match DistributedEngine::new(&program, config, &locations) {
+            Ok(_) => None,
+            Err(EngineError::Config(refused)) => Some(refused),
+            Err(other) => panic!("expected a configuration refusal, got {other}"),
+        }
+    }
 
     #[test]
     fn presets_match_the_paper_variants() {
@@ -421,7 +590,6 @@ mod tests {
         assert_eq!(cfg.graph_mode, GraphMode::Distributed);
         assert_eq!(cfg.default_ttl_us, Some(5_000_000));
         assert_eq!(cfg.security_levels[&3], 4);
-        assert_eq!(GraphMode::Distributed.name(), "distributed");
         assert_eq!(GraphMode::default(), GraphMode::None);
     }
 
@@ -447,18 +615,58 @@ mod tests {
     }
 
     #[test]
-    fn worker_builder_clamps_to_at_least_one() {
+    fn zero_workers_are_refused() {
         let cfg = EngineConfig::ndlog().with_workers(4);
         assert_eq!(cfg.workers, 4);
+        assert_eq!(refusal_at_new(cfg), None);
         let cfg = EngineConfig::ndlog().with_workers(0);
-        assert_eq!(cfg.workers, 1, "a pool needs at least one worker");
+        assert_eq!(cfg.workers, 0, "a builder is a plain setter");
+        let refused = refusal_at_new(cfg);
+        assert_eq!(
+            refused,
+            Some(ConfigError::ZeroWorkers),
+            "a pool needs a worker"
+        );
     }
 
     #[test]
-    fn fault_plan_builder_arms_dynamics() {
+    fn a_fault_plan_implies_dynamics() {
         let cfg = EngineConfig::sendlog_session().with_fault_plan(FaultPlan::new(7));
+        assert!(!cfg.dynamics, "a builder is a plain setter");
+        let cfg = cfg.validate(4).unwrap();
         assert!(cfg.dynamics, "reconciliation needs the deletion ledger");
         assert!(cfg.fault_plan.is_some());
+    }
+
+    #[test]
+    fn a_fault_event_outside_the_deployment_is_refused() {
+        let plan = FaultPlan::lossless(7).crash_node(5_000_000, 7);
+        let refused = refusal_at_new(EngineConfig::ndlog().with_fault_plan(plan));
+        let outside = ConfigError::FaultEventOutsideDeployment { node: 7, nodes: 4 };
+        assert_eq!(refused, Some(outside));
+        let plan = FaultPlan::lossless(7).cut_link(5_000_000, 0, 3);
+        assert_eq!(
+            refusal_at_new(EngineConfig::ndlog().with_fault_plan(plan)),
+            None
+        );
+    }
+
+    #[test]
+    fn zeros_and_out_of_range_rates_are_refused() {
+        let zero_cap = EngineConfig::ndlog()
+            .with_batching()
+            .with_max_batch_tuples(0);
+        assert_eq!(refusal_at_new(zero_cap), Some(ConfigError::ZeroBatchCap));
+        let mut zero_rate = EngineConfig::ndlog();
+        zero_rate.sampling.one_in = 0;
+        assert_eq!(
+            refusal_at_new(zero_rate),
+            Some(ConfigError::ZeroSamplingRate)
+        );
+        let plan = FaultPlan::new(7).with_drop_per_mille(1001);
+        let refused = refusal_at_new(EngineConfig::ndlog().with_fault_plan(plan));
+        let over = ConfigError::FaultRateOutOfRange { per_mille: 1001 };
+        assert_eq!(refused, Some(over));
     }
 
     #[test]
@@ -470,7 +678,8 @@ mod tests {
             cfg.channel_rebind_frames,
             pasn_crypto::channel::DEFAULT_REBIND_AFTER_FRAMES
         );
-        let cfg = cfg.with_channel_rebind_frames(0);
-        assert_eq!(cfg.channel_rebind_frames, 1, "a channel must carry a frame");
+        let refused = refusal_at_new(cfg.with_channel_rebind_frames(0));
+        let why = "a channel must carry a frame";
+        assert_eq!(refused, Some(ConfigError::ZeroRebindHorizon), "{why}");
     }
 }

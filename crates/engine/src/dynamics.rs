@@ -87,9 +87,10 @@ pub enum ChurnEvent {
     /// (both epoch floors rise, so a later rebind starts a fresh epoch),
     /// the engine's ledger reconciliation withdraws exactly the supports
     /// whose carrier frames died, and the `link(src, dst, ...)` base tuples
-    /// are retracted.  Only meaningful with a fault plan installed — on a
-    /// reliable transport nothing is ever in flight at churn time and this
-    /// degenerates to [`ChurnEvent::LinkDown`].
+    /// are retracted.  Only meaningful with a fault plan installed — a
+    /// reliable transport discards nothing, so this degenerates to
+    /// [`ChurnEvent::LinkDown`], whose channel teardown waits for the
+    /// frames still in flight.
     LinkCut {
         /// Link source.
         src: Value,

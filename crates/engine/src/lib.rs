@@ -117,7 +117,7 @@ pub mod runtime;
 pub mod store;
 pub mod tuple;
 
-pub use config::{EngineConfig, GraphMode, SystemVariant, DEFAULT_RETRY_BUDGET};
+pub use config::{ConfigError, EngineConfig, GraphMode, SystemVariant, DEFAULT_RETRY_BUDGET};
 pub use dynamics::{ChurnEvent, ChurnScript};
 pub use metrics::{Counter, RunMetrics, Scope};
 pub use pasn_trace::{

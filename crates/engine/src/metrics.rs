@@ -295,7 +295,7 @@ impl RunMetrics {
     /// no mid-run peak was sampled.  The bounded-memory gauge of the scale
     /// workloads (`0.0` with nothing ever stored), in encoding bytes: 85 B
     /// per row on a converged Best-Path deployment whose store heap is
-    /// ≈155 B per row.
+    /// ≈130 B per row by capacity.
     pub fn bytes_per_tuple(&self) -> f64 {
         let tuples = self.peak_tuples.max(self.tuples_stored);
         if tuples == 0 {

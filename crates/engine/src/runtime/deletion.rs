@@ -6,6 +6,7 @@
 //! walks multiple nodes, reschedules queue work and raises the sweep flag)
 //! and never joins a wave.
 
+use super::eval::record_provenance;
 use super::queue::{BatchRow, GlobalWork, Polarity};
 use super::{ix, node_ids, DistributedEngine, EngineError};
 use crate::config::GraphMode;
@@ -459,7 +460,10 @@ impl DistributedEngine {
     /// Settles the provenance of a row `(pred, values, @ column)` that left
     /// `loc`'s store at `now`: a `Local` node forgets the tuple (a pointer
     /// store keeps its records, so a moonwalk still explains it) and an
-    /// offline archive stamps its entries with `reason`.
+    /// offline archive stamps its entries with `reason`.  Under reactive
+    /// maintenance the death is the event that materialises the row's
+    /// deferred records first, so the stamp lands on the entries proactive
+    /// maintenance would have archived.
     pub(super) fn forget_provenance(
         &mut self,
         loc: NodeId,
@@ -481,6 +485,14 @@ impl DistributedEngine {
         }
         if archive_offline {
             let (derived_at, expired_at) = (created_at.as_micros(), now.as_micros());
+            let (dying, deferred) = std::mem::take(&mut node.deferred)
+                .into_iter()
+                .partition::<Vec<_>, _>(|record| *record.head_key == *key);
+            node.deferred = deferred;
+            for record in &dying {
+                record_provenance(&self.shared, loc, node, record);
+            }
+            let key = tuple::render_into(&mut node.key_buf, pred_name, values, location);
             node.archive
                 .record_expiry(key, reason, derived_at, expired_at);
         }

@@ -34,7 +34,7 @@ mod ship;
 mod tests;
 mod transport;
 
-use crate::config::{EngineConfig, GraphMode};
+use crate::config::{ConfigError, EngineConfig};
 use crate::dynamics::{pools, ChurnEvent, ChurnScript, Ledger};
 use crate::eval::EvalError;
 use crate::hash::FastMap;
@@ -50,8 +50,8 @@ use pasn_datalog::plan::CompiledProgram;
 use pasn_datalog::{compile_program, AggFunc, ParseError, PlanError, PredId, Program, Term, Value};
 use pasn_net::{FaultEvent, NodeId, SimTime};
 use pasn_provenance::{
-    moonwalk_with, traceback_with, ArchiveStore, DistributedStore, MaintenanceMode, MoonwalkConfig,
-    MoonwalkResult, ProvKey, ProvTag, TracebackResult, VarTable,
+    moonwalk_with, traceback_with, ArchiveStore, DistributedStore, MoonwalkConfig, MoonwalkResult,
+    ProvKey, ProvTag, TracebackResult, VarTable,
 };
 use pasn_trace::{TraceEvent, TraceEventKind, TraceRecorder};
 use queue::{BatchKey, BatchRow, Bound, GlobalWork, NodeWork, Polarity, QueuedWork, WorkQueue};
@@ -90,10 +90,9 @@ pub enum EngineError {
     },
     /// A rule evaluation error (unbound variable, type mismatch, ...).
     Eval(String),
-    /// Reactive maintenance with [`GraphMode::Local`]: a node's store holds
-    /// no derivation until it is materialised, so nothing would be
-    /// piggybacked and every remote bundle would be lost.
-    ReactiveLocalGraphs,
+    /// The configuration was refused, or cannot serve the run asked of it
+    /// (see [`EngineConfig::validate`]).
+    Config(ConfigError),
 }
 
 impl fmt::Display for EngineError {
@@ -116,11 +115,7 @@ impl fmt::Display for EngineError {
                 "arity mismatch: predicate `{predicate}` declares {expected} arguments, tuple has {got}"
             ),
             EngineError::Eval(msg) => write!(f, "evaluation error: {msg}"),
-            EngineError::ReactiveLocalGraphs => write!(
-                f,
-                "reactive maintenance cannot keep local provenance graphs: \
-                 use GraphMode::Distributed"
-            ),
+            EngineError::Config(e) => write!(f, "invalid configuration: {e}"),
         }
     }
 }
@@ -136,6 +131,12 @@ impl From<ParseError> for EngineError {
 impl From<PlanError> for EngineError {
     fn from(e: PlanError) -> Self {
         EngineError::Compile(e)
+    }
+}
+
+impl From<ConfigError> for EngineError {
+    fn from(e: ConfigError) -> Self {
+        EngineError::Config(e)
     }
 }
 
@@ -264,6 +265,8 @@ struct Peer {
     /// in for would provide — and retraction streams likewise assume FIFO
     /// links (a tombstone must never overtake the assertion it withdraws).
     horizon: SimTime,
+    /// Whether a retraction is due on the outbound link at `horizon`.
+    horizon_retracts: bool,
 }
 
 impl Peer {
@@ -397,11 +400,20 @@ impl NodeRuntime {
 
     /// Clamps `deliver_at` to this node's previous delivery on the link to
     /// `dst` and advances the horizon.  Ties at one timestamp resolve by
-    /// work-queue seq, which is send order.
-    fn link_deliver(&mut self, dst: NodeId, deliver_at: SimTime) -> SimTime {
-        let horizon = &mut self.peers.entry(dst).or_default().horizon;
-        *horizon = deliver_at.max(*horizon);
-        *horizon
+    /// work-queue seq, which is send order — except that same-instant work
+    /// runs retractions after wave-safe work (`NodeWork::rank`), so a
+    /// wave-safe item (an assertion frame, a handshake) that ties with a
+    /// `retraction` already due on the link lands one microsecond later
+    /// instead of overtaking it.
+    fn link_deliver(&mut self, dst: NodeId, deliver_at: SimTime, retraction: bool) -> SimTime {
+        let peer = self.peers.entry(dst).or_default();
+        let mut at = deliver_at.max(peer.horizon);
+        if at == peer.horizon && peer.horizon_retracts && !retraction {
+            at += SimTime::from_micros(1);
+        }
+        peer.horizon_retracts = retraction || (at == peer.horizon && peer.horizon_retracts);
+        peer.horizon = at;
+        at
     }
 
     /// The link's current delivery horizon towards `dst` (ZERO when the
@@ -461,13 +473,10 @@ impl DistributedEngine {
     /// insertion at time zero.
     pub fn new(
         program: &Program,
-        mut config: EngineConfig,
+        config: EngineConfig,
         locations: &[Value],
     ) -> Result<Self, EngineError> {
-        if config.maintenance == MaintenanceMode::Reactive && config.graph_mode == GraphMode::Local
-        {
-            return Err(EngineError::ReactiveLocalGraphs);
-        }
+        let config = config.validate(locations.len())?;
         let compiled = compile_program(program)?;
         // What the provenance stores, key material and trace call each
         // node: rendered here, once, through one buffer, and shared.
@@ -559,12 +568,6 @@ impl DistributedEngine {
         let rule_ids: Vec<u32> = compiled.plans.iter().map(|p| intern(&p.label)).collect();
         let recv = intern("recv");
 
-        // Fault runs always arm dynamics — reconciling dead frames needs
-        // the deletion ledger — even with the plan set directly on the
-        // config, not via `with_fault_plan`.
-        config.dynamics |= config.fault_plan.is_some();
-        // `workers` is a public field: a hand-set 0 models no pool, like 1.
-        config.workers = config.workers.max(1);
         let recorder = config
             .trace
             .clone()
@@ -636,19 +639,18 @@ impl DistributedEngine {
             .as_ref()
             .map_or(Vec::new(), |plan| plan.events.clone());
         for (at_us, event) in events {
-            let location = |node: u32| locations.get(node as usize).cloned();
+            let location = |node: u32| locations[node as usize].clone();
             let churn = match event {
-                FaultEvent::LinkCut { src, dst } => location(src)
-                    .zip(location(dst))
-                    .map(|(src, dst)| ChurnEvent::LinkCut { src, dst }),
-                FaultEvent::NodeCrash { node } => {
-                    location(node).map(|node| ChurnEvent::NodeCrash { node })
-                }
+                FaultEvent::LinkCut { src, dst } => ChurnEvent::LinkCut {
+                    src: location(src),
+                    dst: location(dst),
+                },
+                FaultEvent::NodeCrash { node } => ChurnEvent::NodeCrash {
+                    node: location(node),
+                },
             };
-            if let Some(churn) = churn {
-                let at = SimTime::from_micros(at_us);
-                engine.queue.push_global(at, GlobalWork::Churn(churn));
-            }
+            let at = SimTime::from_micros(at_us);
+            engine.queue.push_global(at, GlobalWork::Churn(churn));
         }
         Ok(engine)
     }
@@ -774,13 +776,7 @@ impl DistributedEngine {
     ) -> Result<(), EngineError> {
         self.resolve(&location)?;
         self.known_pred(&tuple)?;
-        if !self.shared.config.dynamics {
-            return Err(EngineError::Eval(
-                "retractions need the dynamics machinery: build with \
-                 EngineConfig::with_dynamics() or use run_scenario"
-                    .to_string(),
-            ));
-        }
+        self.shared.config.admit_retraction()?;
         let retract = ChurnEvent::Retract { location, tuple };
         self.queue.push_global(at, GlobalWork::Churn(retract));
         Ok(())
@@ -833,21 +829,6 @@ impl DistributedEngine {
         let workers = self.shared.config.workers;
         self.metrics.worker_threads = workers as u64;
         self.metrics.partitions = workers.min(self.nodes.len().max(1)) as u64;
-    }
-
-    /// Arms the dynamics machinery for `entry_point` (a no-op when the
-    /// config already did): the deletion ledger records every support and
-    /// firing, TTL expiry is scheduled as simulator work, and links deliver
-    /// in order.
-    fn arm_dynamics(&mut self, entry_point: &str) -> Result<(), EngineError> {
-        if !self.shared.config.dynamics && self.started {
-            return Err(EngineError::Eval(format!(
-                "dynamics must be armed before the first evaluation: build with \
-                 EngineConfig::with_dynamics() or call {entry_point} on a fresh engine"
-            )));
-        }
-        self.shared.config.dynamics = true;
-        Ok(())
     }
 
     /// Runs until no work items remain (the distributed fixpoint) and returns
@@ -1156,7 +1137,8 @@ impl DistributedEngine {
     /// every derivation event from time zero for deletion to be
     /// provenance-exact.
     pub fn run_scenario(&mut self, script: &ChurnScript) -> Result<RunMetrics, EngineError> {
-        self.arm_dynamics("run_scenario")?;
+        let config = &mut self.shared.config;
+        config.arm_dynamics_for("run_scenario", self.started)?;
         for (at, event) in script.events() {
             let churn = GlobalWork::Churn(event.clone());
             self.queue.push_global(*at, churn);
@@ -1193,7 +1175,8 @@ impl DistributedEngine {
         I: IntoIterator<Item = (SimTime, ChurnEvent)>,
     {
         let started = Instant::now();
-        self.arm_dynamics("run_streaming")?;
+        let config = &mut self.shared.config;
+        config.arm_dynamics_for("run_streaming", self.started)?;
         self.begin_run();
         let horizon_seq = self.queue.next_seq();
         let mut last_at = SimTime::ZERO;
@@ -1289,10 +1272,11 @@ impl DistributedEngine {
     }
 
     /// The provenance store of `location`, in either graph mode: under
-    /// [`GraphMode::Local`] it is locally complete, so its own view
-    /// ([`DistributedStore::render_tree`], [`DistributedStore::why_provenance`])
-    /// answers; under [`GraphMode::Distributed`] its records point at other
-    /// nodes' ([`DistributedEngine::traceback`]).
+    /// [`GraphMode::Local`](crate::GraphMode::Local) it is locally
+    /// complete, so its own view ([`DistributedStore::render_tree`],
+    /// [`DistributedStore::why_provenance`]) answers; under
+    /// [`GraphMode::Distributed`](crate::GraphMode::Distributed) its
+    /// records point at other nodes' ([`DistributedEngine::traceback`]).
     pub fn provenance_store(&self, location: &Value) -> Option<&DistributedStore> {
         self.node_at(location).map(|n| &n.prov)
     }

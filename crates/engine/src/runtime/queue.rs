@@ -328,7 +328,8 @@ pub(super) struct WorkQueue {
     next_seq: u64,
     /// `EngineConfig::batch_window_us`.
     window_us: u64,
-    /// `EngineConfig::max_batch_tuples`, clamped to at least one.
+    /// `EngineConfig::max_batch_tuples` (at least one: `validate` refuses
+    /// zero).
     max_batch_tuples: usize,
 }
 
@@ -342,7 +343,7 @@ impl WorkQueue {
             batch_map_pool: Vec::new(),
             next_seq: 0,
             window_us,
-            max_batch_tuples: max_batch_tuples.max(1),
+            max_batch_tuples,
         }
     }
 
@@ -527,7 +528,10 @@ impl WorkQueue {
 /// still charges that receiver's lane *after* them all.  Handshake
 /// processing emits no effects and different receivers charge disjoint
 /// CPU lanes, so the coalescing leaves every simulated time and counter
-/// untouched — only the number of scheduling events shrinks.
+/// untouched — only the number of scheduling events shrinks.  The one
+/// handshake never moved is a rebind behind a frame from its own sender:
+/// installed ahead of it, the new epoch would refuse the frame MAC'd
+/// under the old one, so it opens a group of its own.
 fn coalesce_handshakes(wave: Vec<WaveItem>) -> Vec<WaveItem> {
     let mut out: Vec<WaveItem> = Vec::with_capacity(wave.len());
     for (at, seq, work) in wave {
@@ -539,13 +543,25 @@ fn coalesce_handshakes(wave: Vec<WaveItem>) -> Vec<WaveItem> {
             out.push((at, seq, work));
             continue;
         };
-        let earlier = out.iter_mut().find_map(|(_, _, work)| match work {
-            NodeWork::Handshakes {
-                destination: receiver,
-                handshakes,
-            } if *receiver == destination => Some(handshakes),
-            _ => None,
-        });
+        let rebinds = |from: NodeId| handshakes.iter().any(|h| h.transcript.src.0 == from.0);
+        let mut earlier = None;
+        for (_, _, work) in out.iter_mut().rev() {
+            match work {
+                NodeWork::Handshakes {
+                    destination: receiver,
+                    handshakes,
+                } if *receiver == destination => {
+                    earlier = Some(handshakes);
+                    break;
+                }
+                NodeWork::Deliver(DeltaBatch {
+                    destination: receiver,
+                    origin: Origin::Remote { from, .. },
+                    ..
+                }) if *receiver == destination && rebinds(*from) => break,
+                _ => {}
+            }
+        }
         match earlier {
             Some(merged) => merged.extend(handshakes),
             None => out.push((

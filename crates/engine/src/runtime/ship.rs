@@ -166,7 +166,8 @@ impl<'a> NodeCtx<'a> {
             wire_bytes,
         });
         if shared.config.says_level == Some(SaysLevel::Session) || shared.config.dynamics {
-            deliver_at = self.node.link_deliver(dst, deliver_at);
+            let retraction = polarity == Polarity::Retract;
+            deliver_at = self.node.link_deliver(dst, deliver_at, retraction);
         }
         self.metrics.frames += 1;
         self.metrics.batched_tuples += deduped.len() as u64;
@@ -226,7 +227,7 @@ impl<'a> NodeCtx<'a> {
             src: self.id,
             wire_bytes,
         });
-        let deliver_at = self.node.link_deliver(dst, deliver_at);
+        let deliver_at = self.node.link_deliver(dst, deliver_at, false);
         self.effects.push(Effect::Queue {
             at: deliver_at,
             work: NodeWork::Handshakes {

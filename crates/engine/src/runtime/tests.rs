@@ -452,6 +452,37 @@ fn reactive_maintenance_defers_graph_construction() {
     assert!(!stores["a"].derivations_of("reachable(@a,c)").is_empty());
 }
 
+/// Regression (found by `config_swarm_prop`): a row that died before
+/// reactive maintenance materialised its records left an archive entry
+/// that never learned of the death, where proactive maintenance stamps it.
+/// The death now materialises the row's deferred records first.
+#[test]
+fn a_reactive_archive_stamps_rows_that_died_before_materialisation() {
+    let program = parse_program(REACHABLE).unwrap();
+    let archive = |maintenance| {
+        let mut config = EngineConfig::ndlog().with_cost_model(fast_cost());
+        config.maintenance = maintenance;
+        config.archive_offline = true;
+        let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
+        insert_figure1_links(&mut engine);
+        let down = ChurnScript::new().link_down(5_000_000, str_val("a"), str_val("b"));
+        engine.run_scenario(&down).unwrap();
+        engine.materialize_provenance();
+        let entries = engine.archive(&str_val("a")).unwrap().entries().iter();
+        let mut entries: Vec<String> = entries.map(|entry| format!("{entry:?}")).collect();
+        entries.sort();
+        entries
+    };
+    let (lazy, eager) = (
+        archive(MaintenanceMode::Reactive),
+        archive(MaintenanceMode::Proactive),
+    );
+    assert!(eager
+        .iter()
+        .any(|e| e.contains("reachable(@a,b)") && e.contains("r1@a")));
+    assert_eq!(lazy, eager);
+}
+
 #[test]
 fn joins_probe_secondary_indexes() {
     let program = parse_program(REACHABLE).unwrap();
@@ -918,12 +949,28 @@ fn dynamics_cannot_be_armed_after_evaluation() {
     insert_figure1_links(&mut engine);
     engine.run_to_fixpoint().unwrap();
     let err = engine.run_scenario(&ChurnScript::new()).unwrap_err();
-    assert!(err.to_string().contains("dynamics"));
+    assert!(matches!(
+        err,
+        EngineError::Config(ConfigError::DynamicsAfterStart {
+            entry_point: "run_scenario"
+        })
+    ));
+    let err = engine.run_streaming(Vec::new()).unwrap_err();
+    assert!(matches!(
+        err,
+        EngineError::Config(ConfigError::DynamicsAfterStart {
+            entry_point: "run_streaming"
+        })
+    ));
     // And retractions without dynamics are refused up front.
     let err = engine
         .retract_fact_at(str_val("a"), link("a", "b"), SimTime::ZERO)
         .unwrap_err();
-    assert!(err.to_string().contains("dynamics"));
+    let without = matches!(
+        err,
+        EngineError::Config(ConfigError::RetractionWithoutDynamics)
+    );
+    assert!(without);
 }
 
 #[test]

@@ -472,8 +472,15 @@ impl DistributedEngine {
     /// order (see [`LinkTransport::cut`]), and the link's session channel
     /// is evicted immediately.  Future sends on the pair still work — only
     /// what was in the air is lost — which is what lets the cut's own
-    /// retraction cascade ship its tombstones.
+    /// retraction cascade ship its tombstones.  A reliable transport holds
+    /// nothing to discard: every frame already sent is queued and will
+    /// arrive, so its channel is torn down after them, as a link going down
+    /// tears it down.
     pub(super) fn cut_link_transport(&mut self, at: SimTime, src: NodeId, dst: NodeId) {
+        if self.shared.config.fault_plan.is_none() {
+            self.schedule_channel_eviction(at, src, dst);
+            return;
+        }
         for (seq, work) in self.transport.cut((src, dst)) {
             let dead = TraceEventKind::FrameDead {
                 src: src.0,

@@ -11,7 +11,7 @@
 //! session run performs exactly `handshakes` RSA signs (one per live
 //! directed link per epoch) instead of one per frame.
 
-use pasn_engine::{DistributedEngine, EngineConfig, Tuple};
+use pasn_engine::{ChurnEvent, ChurnScript, DistributedEngine, EngineConfig, Tuple};
 use pasn_net::{CostModel, SimTime};
 use proptest::prelude::*;
 
@@ -114,4 +114,78 @@ proptest! {
             prop_assert_eq!(session.messages, session.frames + session.handshakes);
         }
     }
+}
+
+/// Regression (found by `config_swarm_prop`): with every frame rebinding
+/// its link and zero CPU cost, a link's rebind handshake arrives in the
+/// same wave as the frame MAC'd under the epoch it replaces.  Coalesced
+/// ahead of that frame, it made the receiver refuse it, and `d` never
+/// learned `reachable(d,d)`.
+#[test]
+fn a_rebind_never_overtakes_a_frame_of_its_own_link() {
+    let facts = [(1, 3, 0), (0, 2, 0), (1, 2, 0), (3, 2, 0), (3, 1, 0)];
+    let (rsa, want) = run(&facts, EngineConfig::sendlog());
+    let session = EngineConfig::sendlog_session().with_channel_rebind_frames(1);
+    let (session, got) = run(&facts, session);
+    assert_eq!(got, want);
+    assert_eq!(session.verification_failures, 0);
+    assert_eq!(session.verifications, rsa.verifications);
+}
+
+/// Regression (found by `config_swarm_prop`): same-instant work runs
+/// retractions after wave-safe work, so a rebind handshake that tied with
+/// the tombstones sealed before it on its link was installed first, and
+/// the receiver refused the tombstones MAC'd under the old epoch.  The
+/// handshake now lands a microsecond after them.
+#[test]
+fn a_rebind_never_overtakes_a_tombstone_of_its_own_link() {
+    let program = pasn_datalog::parse_program(REACHABLE).unwrap();
+    let config = EngineConfig::sendlog_session()
+        .with_channel_rebind_frames(5)
+        .with_cost_model(CostModel::zero_cpu());
+    let mut engine = DistributedEngine::new(&program, config, &locations()).unwrap();
+    for (src, dst) in [(1, 0), (0, 2), (2, 1)] {
+        let link = Tuple::new("link", vec![str_val(NODES[src]), str_val(NODES[dst])]);
+        engine.insert_fact(str_val(NODES[src]), link).unwrap();
+    }
+    let (a, c) = (str_val("a"), str_val("c"));
+    let cut = ChurnEvent::LinkCut { src: a, dst: c };
+    let metrics = engine
+        .run_scenario(&ChurnScript::new().at(6_001_000, cut))
+        .unwrap();
+    assert!(metrics.tombstone_frames > 0 && metrics.handshakes > 3);
+    assert_eq!(metrics.verification_failures, 0);
+    assert_eq!(metrics.verifications, metrics.frames);
+    assert_eq!(engine.check_ledger_consistency(), Ok(()));
+}
+
+/// Regression (found by `config_swarm_prop`): on a reliable transport a
+/// link cut evicted the channel at once, under the tombstones an earlier
+/// cut's cascade still had in flight on it, and the receiver refused them.
+/// A reliable cut now tears the channel down after they arrive.
+#[test]
+fn a_cut_on_a_reliable_link_lets_its_frames_arrive() {
+    let program = pasn_datalog::parse_program(REACHABLE).unwrap();
+    let config = EngineConfig::sendlog_session().with_cost_model(CostModel::zero_cpu());
+    let mut engine = DistributedEngine::new(&program, config, &locations()).unwrap();
+    for (src, dst) in [(3, 2), (0, 2), (2, 3)] {
+        let link = Tuple::new("link", vec![str_val(NODES[src]), str_val(NODES[dst])]);
+        engine.insert_fact(str_val(NODES[src]), link).unwrap();
+    }
+    let (a, c, d) = (str_val("a"), str_val("c"), str_val("d"));
+    let script = ChurnScript::new()
+        .link_down(5_001_000, a, c.clone())
+        .at(
+            6_000_000,
+            ChurnEvent::LinkCut {
+                src: d.clone(),
+                dst: c.clone(),
+            },
+        )
+        .at(6_002_000, ChurnEvent::LinkCut { src: c, dst: d });
+    let metrics = engine.run_scenario(&script).unwrap();
+    assert!(metrics.tombstone_frames > 0);
+    assert_eq!(metrics.verification_failures, 0);
+    assert_eq!(metrics.verifications, metrics.frames);
+    assert_eq!(engine.check_ledger_consistency(), Ok(()));
 }

@@ -10,7 +10,7 @@
 use pasn::prelude::*;
 use pasn::workload;
 use pasn_crypto::says::SaysLevel;
-use pasn_engine::EngineError;
+use pasn_engine::{ConfigError, EngineError};
 use pasn_provenance::{
     ArchivedEntry, Granularity, MaintenanceMode, MoonwalkConfig, SamplingPolicy,
 };
@@ -182,7 +182,7 @@ fn reactive_provenance_defers_work_until_materialisation() {
     let mut local = EngineConfig::ndlog().with_graph_mode(GraphMode::Local);
     local.maintenance = MaintenanceMode::Reactive;
     match builder(local, 15, 13).build() {
-        Err(EngineError::ReactiveLocalGraphs) => {}
+        Err(EngineError::Config(ConfigError::ReactiveLocalGraphs)) => {}
         Err(other) => panic!("expected the reactive + local rejection, got {other}"),
         Ok(_) => panic!("reactive maintenance of local graphs was accepted"),
     }

@@ -579,6 +579,64 @@ fn security_levels_live_in_the_engine_config() {
     );
 }
 
+/// The twenty fields of `EngineConfig`.
+const CONFIG_FIELDS: [&str; 20] = [
+    "says_level",
+    "provenance",
+    "graph_mode",
+    "maintenance",
+    "sampling",
+    "granularity",
+    "archive_offline",
+    "default_ttl_us",
+    "cost_model",
+    "rsa_modulus_bits",
+    "key_seed",
+    "security_levels",
+    "use_secondary_indexes",
+    "batch_window_us",
+    "max_batch_tuples",
+    "channel_rebind_frames",
+    "dynamics",
+    "fault_plan",
+    "workers",
+    "trace",
+];
+
+#[test]
+fn one_place_decides_what_a_configuration_means() {
+    // `EngineConfig::validate` applies the one implication and the one
+    // table of refusals in `crates/engine/src/config.rs`, and the builders
+    // are plain setters.  So no other non-test code names a `ConfigError` variant (a
+    // refusal is built there, or nowhere), and no runtime file assigns to
+    // a configuration field or clamps one off zero (`field.max(1)`).
+    let mut sources = files_under(&["crates", "examples", "src"], None);
+    sources.retain(|path| {
+        let in_src = path.starts_with("examples")
+            || path.starts_with("src")
+            || path
+                .components()
+                .nth(2)
+                .is_some_and(|dir| dir.as_os_str() == "src");
+        let rust = path.extension().is_some_and(|e| e == "rs");
+        in_src && rust && path != Path::new("crates/engine/src/config.rs")
+    });
+    let refusals = hits(&sources, non_test, any_of(&["ConfigError::"]));
+    assert_none(refusals, "a configuration refused outside `config.rs`");
+    let runtime = files_under(&["crates/engine/src/runtime"], None);
+    let rewrites = hits(&runtime, non_test, |line| {
+        CONFIG_FIELDS.iter().any(|field| {
+            let written = ["=", "|=", "&=", "+=", "-="].iter().any(|op| {
+                let assignment = format!("config.{field} {op}");
+                line.match_indices(&assignment)
+                    .any(|(at, _)| !line[at + assignment.len()..].starts_with('='))
+            });
+            written || line.contains(&format!("{field}.max(1)"))
+        })
+    });
+    assert_none(rewrites, "a configuration field rewritten in `runtime/`");
+}
+
 #[test]
 fn a_read_shares_the_stored_row() {
     // A `Tuple` holds the interned predicate name and the stored row's
