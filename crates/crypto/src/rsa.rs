@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 /// Minimum supported modulus size.  PKCS#1 v1.5 padding of a SHA-256 digest
 /// requires at least 62 bytes of modulus.
-pub(crate) const MIN_MODULUS_BITS: usize = 512;
+pub const MIN_MODULUS_BITS: usize = 512;
 
 /// Default modulus size used by the simulator (a compromise between realism
 /// and the cost of signing every tuple in a 100-node in-process simulation;

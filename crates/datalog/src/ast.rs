@@ -249,10 +249,10 @@ impl Atom {
         }
     }
 
-    /// Builder: sets the location-specifier argument index.
-    /// The term occupying the location-specifier position, if declared.
+    /// The term occupying the location-specifier position, if declared (and
+    /// in range: validation refuses a specifier past the arguments).
     pub(crate) fn location_term(&self) -> Option<&Term> {
-        self.location.map(|i| &self.args[i])
+        self.args.get(self.location?)
     }
 
     /// Collects the variables appearing in the atom's arguments (including
@@ -349,24 +349,6 @@ impl Rule {
             BodyLiteral::Atom(a) => Some(a),
             _ => None,
         })
-    }
-
-    /// The set of variables bound by body atoms and assignments.
-    pub(crate) fn bound_variables(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for lit in &self.body {
-            match lit {
-                BodyLiteral::Atom(a) => out.extend(a.variables()),
-                BodyLiteral::Assign { var, .. } => {
-                    out.insert(var.clone());
-                }
-                BodyLiteral::Filter(_) => {}
-            }
-        }
-        if let Some(Term::Variable(v)) = &self.context {
-            out.insert(v.clone());
-        }
-        out
     }
 
     /// The distinct location-specifier variables used by body atoms.
@@ -505,8 +487,6 @@ mod tests {
     #[test]
     fn rule_variable_collection() {
         let rule = reachable_rule();
-        let bound = rule.bound_variables();
-        assert!(bound.contains("S") && bound.contains("Z") && bound.contains("D"));
         assert_eq!(
             rule.body_location_variables()
                 .into_iter()

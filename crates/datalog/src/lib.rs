@@ -13,12 +13,16 @@
 //! * [`value`] — the runtime value model shared by constants and tuples;
 //! * `ast` — programs, rules, atoms, expressions;
 //! * `lexer` / [`parser`] — the surface syntax of Section 2 of the paper;
-//! * [`validate`] — safety (range restriction), location-specifier and
-//!   aggregate checks;
+//! * `validate` — what the planner cannot see: location specifiers, `says`
+//!   outside a context block, one aggregate per head, one arity and one
+//!   `@` column per predicate;
 //! * `localize` — the localization rewrite that turns multi-site rule
 //!   bodies into single-site rules plus forwarding rules;
-//! * [`plan`] — per-rule delta plans for semi-naive evaluation, and
-//!   [`plan::compile_program`] tying the whole pipeline together.
+//! * [`plan`] — per-rule delta plans for semi-naive evaluation, whose
+//!   binding walk is the one safety (range restriction) check, and
+//!   [`plan::compile_program`] tying the whole pipeline together.  Every
+//!   refusal of every stage is a [`PlanError`] naming the rule; `plan`'s
+//!   module docs list them all.
 //!
 //! ```
 //! use pasn_datalog::prelude::*;
@@ -42,7 +46,7 @@ pub(crate) mod localize;
 pub mod parser;
 pub mod plan;
 pub mod symbols;
-pub mod validate;
+pub(crate) mod validate;
 pub mod value;
 
 pub use ast::{AggFunc, Atom, BinOp, BodyLiteral, Expr, Fact, Program, Rule, Term};

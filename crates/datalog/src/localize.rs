@@ -29,46 +29,55 @@
 //! SeNDlog rules are localized by construction — all body atoms live in the
 //! rule's context and exports are explicit `@` annotations — so the rewrite
 //! only applies to plain NDlog rules.
+//!
+//! An intermediate's name must be new to the program: a rewrite that would
+//! name it after a predicate the program already uses, or after an
+//! intermediate another rule's rewrite defines differently, is refused, so
+//! localization keeps a valid program valid.
 
 use crate::ast::{Atom, BodyLiteral, Program, Rule, Term};
-use std::collections::BTreeSet;
-use std::fmt;
+use crate::plan::PlanError;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// An error raised when a rule cannot be localized automatically.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct LocalizeError {
-    /// Label of the offending rule.
-    pub rule: String,
-    /// Explanation of the failure.
-    pub message: String,
-}
-
-impl fmt::Display for LocalizeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot localize rule {}: {}", self.rule, self.message)
-    }
-}
-
-impl std::error::Error for LocalizeError {}
+/// Every predicate name the program uses (mapped to `None`), and each
+/// intermediate a rewrite introduced, mapped to the head and body of the
+/// forwarding rule that defines it.
+type Names = BTreeMap<String, Option<(Atom, Vec<BodyLiteral>)>>;
 
 /// Rewrites every rule of `program` so that all body atoms of each rule share
-/// a single location specifier variable.  Facts are passed through unchanged.
-pub(crate) fn localize_program(program: &Program) -> Result<Program, LocalizeError> {
+/// a single location specifier variable.  Facts are passed through unchanged;
+/// a rule that cannot be rewritten is left out, its refusal pushed onto
+/// `refusals`.
+pub(crate) fn localize_program(program: &Program, refusals: &mut Vec<PlanError>) -> Program {
+    let rule_atoms = program
+        .rules
+        .iter()
+        .flat_map(|rule| std::iter::once(&rule.head).chain(rule.body_atoms()));
+    let facts = program.facts.iter().map(|fact| &fact.atom);
+    let mut names: Names = rule_atoms
+        .chain(facts)
+        .map(|a| (a.predicate.clone(), None))
+        .collect();
     let mut out = Program {
         rules: Vec::new(),
         facts: program.facts.clone(),
     };
     for rule in &program.rules {
-        let rewritten = localize_rule(rule)?;
-        out.rules.extend(rewritten);
+        match localize_rule(rule, &mut names) {
+            Ok(rewritten) => out.rules.extend(rewritten),
+            Err(message) => refusals.push(PlanError::Plan {
+                rule: rule.label.clone(),
+                message,
+            }),
+        }
     }
-    Ok(out)
+    out
 }
 
 /// Rewrites a single rule; returns the (possibly longer) list of localized
 /// rules that replace it.  The last rule in the returned list derives the
 /// original head.
-pub(crate) fn localize_rule(rule: &Rule) -> Result<Vec<Rule>, LocalizeError> {
+fn localize_rule(rule: &Rule, names: &mut Names) -> Result<Vec<Rule>, String> {
     // SeNDlog rules are localized by construction.
     if rule.context.is_some() {
         return Ok(vec![rule.clone()]);
@@ -84,13 +93,10 @@ pub(crate) fn localize_rule(rule: &Rule) -> Result<Vec<Rule>, LocalizeError> {
             break;
         }
         let Some((from, to)) = choose_shipment(&current, &locations) else {
-            return Err(LocalizeError {
-                rule: rule.label.clone(),
-                message: format!(
-                    "body spans locations {{{}}} but no atom connects them; rewrite it manually",
-                    locations.iter().cloned().collect::<Vec<_>>().join(", ")
-                ),
-            });
+            return Err(format!(
+                "body spans locations {{{}}} but no atom connects them; rewrite it manually",
+                locations.iter().cloned().collect::<Vec<_>>().join(", ")
+            ));
         };
         counter += 1;
 
@@ -148,12 +154,21 @@ pub(crate) fn localize_rule(rule: &Rule) -> Result<Vec<Rule>, LocalizeError> {
         intermediate.location = Some(loc_idx);
 
         // Forwarding rule: intermediate(@to, ...) :- group atoms (at `from`).
-        extra_rules.push(Rule {
+        let forward = Rule {
             label: format!("{}_loc{}", rule.label, counter),
             context: None,
             head: intermediate.clone(),
             body: group.into_iter().map(BodyLiteral::Atom).collect(),
-        });
+        };
+        let definition = Some((forward.head.clone(), forward.body.clone()));
+        let name = &forward.head.predicate;
+        if names.get(name).is_some_and(|taken| *taken != definition) {
+            return Err(format!(
+                "the rewrite's intermediate `{name}` already names another relation"
+            ));
+        }
+        names.insert(name.clone(), definition);
+        extra_rules.push(forward);
 
         // The main rule now joins the intermediate with the rest.
         let mut new_body = vec![BodyLiteral::Atom(intermediate)];
@@ -237,17 +252,28 @@ mod tests {
     use crate::parser::parse_program;
     use crate::validate::validate_program;
 
+    /// The localized program, or every refusal.
+    fn localize(program: &Program) -> Result<Program, Vec<PlanError>> {
+        let mut refusals = Vec::new();
+        let localized = localize_program(program, &mut refusals);
+        if refusals.is_empty() {
+            Ok(localized)
+        } else {
+            Err(refusals)
+        }
+    }
+
     #[test]
     fn single_site_rules_pass_through() {
         let program = parse_program("r1 reachable(@S,D) :- link(@S,D).").unwrap();
-        let localized = localize_program(&program).unwrap();
+        let localized = localize(&program).unwrap();
         assert_eq!(localized.rules, program.rules);
     }
 
     #[test]
     fn transitive_closure_rule_is_rewritten() {
         let program = parse_program("r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).").unwrap();
-        let localized = localize_program(&program).unwrap();
+        let localized = localize(&program).unwrap();
         assert_eq!(localized.rules.len(), 2, "{localized}");
 
         // First rule forwards link tuples to their destination end.
@@ -265,7 +291,7 @@ mod tests {
         assert_eq!(joined.head.location_term(), Some(&Term::var("S")));
 
         // The rewritten program is still valid.
-        assert!(validate_program(&localized).is_ok());
+        assert!(validate_program(&localized).is_empty());
     }
 
     #[test]
@@ -274,7 +300,7 @@ mod tests {
             "sp2 path(@S,D,P,C) :- link(@S,Z,C1), path(@Z,D,P2,C2), C := C1 + C2, P := f_concat(S,P2).",
         )
         .unwrap();
-        let localized = localize_program(&program).unwrap();
+        let localized = localize(&program).unwrap();
         assert_eq!(localized.rules.len(), 2);
         let joined = localized.rules.last().unwrap();
         assert_eq!(joined.body_location_variables().len(), 1);
@@ -291,7 +317,7 @@ mod tests {
         // forwarded link tuple must still carry it.
         let fwd = &localized.rules[0];
         assert!(fwd.head.variables().contains("C1"), "{fwd}");
-        assert!(validate_program(&localized).is_ok());
+        assert!(validate_program(&localized).is_empty());
     }
 
     #[test]
@@ -300,7 +326,7 @@ mod tests {
             "At S:\n s3 reachable(Z,Y)@Z :- Z says linkD(S,Z), W says reachable(S,Y).",
         )
         .unwrap();
-        let localized = localize_program(&program).unwrap();
+        let localized = localize(&program).unwrap();
         assert_eq!(localized.rules, program.rules);
     }
 
@@ -309,16 +335,70 @@ mod tests {
         // No body atom mentions both S and T, so the rewrite cannot find a
         // forwarding atom.
         let program = parse_program("r bad(@S,T) :- p(@S), q(@T).").unwrap();
-        let err = localize_program(&program).unwrap_err();
-        assert!(err.message.contains("manually"));
-        assert!(err.to_string().contains("cannot localize"));
+        let refusals = localize(&program).unwrap_err();
+        assert_eq!(refusals.len(), 1);
+        let text = refusals[0].to_string();
+        assert!(
+            text.starts_with("rule r:") && text.contains("manually"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn localization_keeps_a_valid_program_valid() {
+        // Every multi-site shape the rewrite stages: two sites, a carried
+        // assignment input, three sites, a shared forwarding rule, and
+        // multi-atom groups.
+        let programs = [
+            "r1 reachable(@S,D) :- link(@S,D).\n r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).",
+            "sp1 path(@S,D,P,C) :- link(@S,D,C), P := f_init(S,D).\n\
+             sp2 path(@S,D,P,C) :- link(@S,Z,C1), path(@Z,D,P2,C2), C := C1 + C2, P := f_concat(S,P2).\n\
+             sp3 best(@S,D,a_MIN<C>) :- path(@S,D,P,C).",
+            "r3 threeHop(@S,D) :- link(@S,A), link(@A,B), link(@B,D).",
+            "r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).\n r4 twice(@S,D) :- link(@S,Z), reachable(@Z,D).",
+            "r5 tri(@S,D) :- link(@S,Z), cost(@S,Z,C), reachable(@Z,D), up(@Z), C > 1.",
+        ];
+        for source in programs {
+            let program = parse_program(source).unwrap();
+            assert!(validate_program(&program).is_empty(), "{source}");
+            let localized = localize(&program).unwrap();
+            for rule in &localized.rules {
+                assert!(rule.body_location_variables().len() <= 1, "{rule}");
+            }
+            let refusals = validate_program(&localized);
+            assert!(refusals.is_empty(), "{source}: {refusals:?}\n{localized}");
+        }
+    }
+
+    #[test]
+    fn an_intermediate_never_takes_a_name_already_in_use() {
+        // The program's own `link_at_z`, of another arity, and two rules
+        // whose forwarding rules would define `link_at_z` differently (one
+        // carries the cost, one does not).
+        for (source, refused) in [
+            (
+                "r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).\n r3 q(@Z) :- link_at_z(@Z).",
+                "r2",
+            ),
+            (
+                "r1 a(@S,D) :- link(@S,Z,C), b(@Z,D).\n r2 c(@S,D,C) :- link(@S,Z,C), b(@Z,D).",
+                "r2",
+            ),
+        ] {
+            let program = parse_program(source).unwrap();
+            let refusals = localize(&program).unwrap_err();
+            assert_eq!(refusals.len(), 1, "{source}: {refusals:?}");
+            let text = refusals[0].to_string();
+            assert!(text.starts_with(&format!("rule {refused}:")), "{text}");
+            assert!(text.contains("`link_at_z`"), "{text}");
+        }
     }
 
     #[test]
     fn three_site_chain_localizes_to_single_site_rules() {
         let program =
             parse_program("r3 threeHop(@S,D) :- link(@S,A), link(@A,B), link(@B,D).").unwrap();
-        let localized = localize_program(&program).unwrap();
+        let localized = localize(&program).unwrap();
         for rule in &localized.rules {
             assert!(
                 rule.body_location_variables().len() <= 1,
@@ -327,7 +407,7 @@ mod tests {
         }
         // One intermediate per removed site, plus the final rule.
         assert_eq!(localized.rules.len(), 3, "{localized}");
-        assert!(validate_program(&localized).is_ok());
+        assert!(validate_program(&localized).is_empty());
     }
 
     #[test]
@@ -336,7 +416,7 @@ mod tests {
             "r2 reachable(@S,D) :- link(@S,Z), reachable(@Z,D).\n link(a,b).\n link(b,c).",
         )
         .unwrap();
-        let localized = localize_program(&program).unwrap();
+        let localized = localize(&program).unwrap();
         assert_eq!(localized.facts.len(), 2);
     }
 }

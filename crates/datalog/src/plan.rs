@@ -24,62 +24,67 @@
 //!   to maintain a secondary hash index: the join then probes the index with
 //!   the rendered key instead of scanning the whole relation.
 //!
-//! What [`PlanError::Plan`] rejects, naming the rule, before any tuple moves:
-//! a body without atoms, an unknown built-in or one called with the wrong
-//! argument count, a wildcard or aggregate inside an expression or a
-//! wildcard in a head, and any filter, assignment, head argument, aggregate
-//! or export annotation that reads a variable no body literal binds.  What
-//! stays a run-time `EvalError` is only what depends on the values: operand
-//! types, division by zero, `f_first` / `f_last` of an empty list.
+//! What a program may mean is decided once, each rule in one module, before
+//! any tuple moves.  Every refusal is a [`PlanError::Plan`] naming the
+//! user's rule (`<fact>` for a fact), and [`compile_program`] reports every
+//! one it finds, not only the first:
+//!
+//! * `validate` — what the planner cannot see: an NDlog head or body atom
+//!   without a location specifier, a wildcard or out-of-range `@` column, a
+//!   `says` outside an `At P:` block, more than one aggregate in a head, a
+//!   predicate used with two arities or located at two `@` columns, and a
+//!   fact that is not ground;
+//! * `localize` — a multi-site body no atom connects, and an intermediate
+//!   predicate whose name the program already uses for something else;
+//! * this module — a body without atoms, an unknown built-in or one called
+//!   with the wrong argument count, a wildcard or aggregate inside an
+//!   expression, a wildcard in a head, and any filter, assignment, head
+//!   argument, aggregate or export annotation that reads a variable no body
+//!   literal binds (the binding walk below; the message names the variable).
+//!
+//! What stays a run-time `EvalError` is only what depends on the values:
+//! operand types, division by zero, `f_first` / `f_last` of an empty list.
 
 use crate::ast::{AggFunc, BinOp, BodyLiteral, Expr, Program, Rule, Term};
-use crate::localize::{localize_program, LocalizeError};
+use crate::localize::localize_program;
 use crate::symbols::{PredId, Symbols};
-use crate::validate::{validate_program, ValidationError};
+use crate::validate::validate_program;
 use crate::value::Value;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-/// Errors produced while preparing a program for execution.
+/// A program the front end refuses (see the module docs for every refusal
+/// and the module that makes it).
 #[derive(Clone, Debug)]
 pub enum PlanError {
-    /// The program failed static validation.
-    Validation(Vec<ValidationError>),
-    /// A rule could not be localized.
-    Localize(LocalizeError),
-    /// A rule could not be compiled (see the module docs for what is
-    /// rejected).
+    /// One refusal.
     Plan {
-        /// Label of the offending rule.
+        /// Label of the offending rule (`<fact>` for a fact).
         rule: String,
         /// Explanation of the failure.
         message: String,
     },
+    /// A program refused for more than one reason: every refusal, each a
+    /// [`PlanError::Plan`], in the order they were found.
+    Validation(Vec<PlanError>),
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::Validation(errs) => {
-                writeln!(f, "program failed validation:")?;
-                for e in errs {
-                    writeln!(f, "  {e}")?;
+            PlanError::Plan { rule, message } => write!(f, "rule {rule}: {message}"),
+            PlanError::Validation(refusals) => {
+                writeln!(f, "program refused:")?;
+                for refusal in refusals {
+                    writeln!(f, "  {refusal}")?;
                 }
                 Ok(())
             }
-            PlanError::Localize(e) => write!(f, "{e}"),
-            PlanError::Plan { rule, message } => write!(f, "cannot plan rule {rule}: {message}"),
         }
     }
 }
 
 impl std::error::Error for PlanError {}
-
-impl From<LocalizeError> for PlanError {
-    fn from(e: LocalizeError) -> Self {
-        PlanError::Localize(e)
-    }
-}
 
 /// Planner-internal variable name → dense slot table of one rule, filled in
 /// deterministic first-occurrence order.
@@ -460,8 +465,14 @@ impl RulePlan {
                     // Only filters/assignments left but none is ready: their
                     // variables can never become bound.
                     let literal = pending_other[0].literal;
+                    let mut read = BTreeSet::new();
+                    if let BodyLiteral::Filter(expr) | BodyLiteral::Assign { expr, .. } = literal {
+                        expr.variables(&mut read);
+                    }
+                    read.retain(|var| !bound[slots.0[var]]);
+                    let unbound = Vec::from_iter(read).join("`, `");
                     return Err(fail(format!(
-                        "`{literal}` references variables never bound by the body"
+                        "`{unbound}` in `{literal}` is never bound by the body"
                     )));
                 }
                 let shares_bound = |a: &&BodyAtom| a.vars.iter().any(|&slot| bound[slot]);
@@ -512,16 +523,23 @@ impl RulePlan {
         // Every delta plan ends with the same slots bound — all atoms, all
         // assignments, the context — and the head may read only those.
         let head_terms = rule.head.args.iter().chain(&rule.head.export_to);
-        for (term, compiled) in head_terms.zip(head_args.iter().chain(&export_to)) {
-            match compiled {
-                SlotTerm::Const(_) => {}
-                SlotTerm::Slot(slot) if bound[*slot] => {}
-                SlotTerm::Slot(_) => {
+        let compiled = head_args.iter().chain(&export_to);
+        for (column, (term, compiled)) in head_terms.zip(compiled).enumerate() {
+            match (term, compiled) {
+                (_, SlotTerm::Const(_)) => {}
+                (_, SlotTerm::Slot(slot)) if bound[*slot] => {}
+                (_, SlotTerm::Slot(_)) => {
+                    let place = if column < head_args.len() {
+                        "head"
+                    } else {
+                        "export"
+                    };
+                    let var = term.variable_name().unwrap_or_default();
                     return Err(fail(format!(
-                        "head term `{term}` reads a variable never bound by the body"
-                    )))
+                        "{place} variable `{var}` is never bound by the body"
+                    )));
                 }
-                SlotTerm::Wildcard => {
+                (_, SlotTerm::Wildcard) => {
                     return Err(fail("wildcard `_` is not allowed in a rule head".into()))
                 }
             }
@@ -605,16 +623,23 @@ impl CompiledProgram {
     }
 }
 
-/// Validates, localizes, and plans an NDlog / SeNDlog program.
+/// Validates, localizes, and plans an NDlog / SeNDlog program, refusing it
+/// with every [`PlanError`] found (see the module docs).
 pub fn compile_program(program: &Program) -> Result<CompiledProgram, PlanError> {
-    validate_program(program).map_err(PlanError::Validation)?;
-    let localized = localize_program(program)?;
-    // The localized program must itself still be valid.
-    validate_program(&localized).map_err(PlanError::Validation)?;
+    let mut refusals = validate_program(program);
+    let localized = localize_program(program, &mut refusals);
     let mut symbols = Symbols::new();
     let mut plans = Vec::with_capacity(localized.rules.len());
     for rule in &localized.rules {
-        plans.push(RulePlan::for_rule_in(rule, &mut symbols)?);
+        match RulePlan::for_rule_in(rule, &mut symbols) {
+            Ok(plan) => plans.push(plan),
+            Err(refused) => refusals.push(refused),
+        }
+    }
+    match refusals.len() {
+        0 => {}
+        1 => return Err(refusals.remove(0)),
+        _ => return Err(PlanError::Validation(refusals)),
     }
     let rule_atoms = localized
         .rules
@@ -762,6 +787,73 @@ mod tests {
         }
     }
 
+    /// The `(rule, message)` of every refusal of `source`.
+    fn refusals(source: &str) -> Vec<(String, String)> {
+        let all = match compile(source) {
+            Ok(_) => return Vec::new(),
+            Err(PlanError::Validation(all)) => all,
+            Err(one) => vec![one],
+        };
+        let pair = |refusal| match refusal {
+            PlanError::Plan { rule, message } => (rule, message),
+            nested => panic!("a nested refusal: {nested:?}"),
+        };
+        all.into_iter().map(pair).collect()
+    }
+
+    #[test]
+    fn rejects_unsafe_head_variables() {
+        let errs = refusals("r1 reachable(@S,D) :- link(@S,Z).");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].0, "r1");
+        assert!(errs[0].1.contains("head variable `D`"), "{errs:?}");
+    }
+
+    #[test]
+    fn rejects_unbound_filter_variables() {
+        let errs = refusals("r1 p(@S) :- q(@S), N > 3.");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].1.starts_with("`N` in `"), "{errs:?}");
+        // A multi-site rule is refused under its own label, not a
+        // forwarding rule's, naming each unbound variable once.
+        let errs = refusals("r2 p(@S,D) :- link(@S,Z), q(@Z,D), X := Y + Y * W.");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].0, "r2");
+        assert!(errs[0].1.starts_with("`W`, `Y` in `X := "), "{errs:?}");
+    }
+
+    #[test]
+    fn rejects_wildcard_in_head() {
+        let errs = refusals("r1 p(@S,_) :- q(@S,X).");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].1.contains("wildcard"), "{errs:?}");
+    }
+
+    #[test]
+    fn rejects_unbound_export_annotation() {
+        let errs = refusals("At S:\n s1 p(S,D)@Z :- q(S,D).");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].1.contains("export variable `Z`"), "{errs:?}");
+    }
+
+    #[test]
+    fn every_bad_rule_is_reported_once_per_reason() {
+        // A validation refusal (r1: no head location), a localization one
+        // (r2: disconnected sites), a planner one (r3: unbound head
+        // variable) and a shape conflict between two rules (r5 places `p`
+        // at another column than r4): all four rules, each once.
+        let errs = refusals(
+            "r1 a(S) :- b(@S).\n r2 c(@S,T) :- d(@S), e(@T).\n r3 f(@S,D) :- g(@S).\n\
+             r4 p(@S,D) :- q(@S,D).\n r5 p(S,@D) :- q(@D,S).",
+        );
+        let rules: Vec<&str> = errs.iter().map(|(rule, _)| rule.as_str()).collect();
+        assert_eq!(rules, ["r1", "r5", "r2", "r3"], "{errs:?}");
+        let text = compile("r1 a(S) :- b(@S).\n r3 f(@S,D) :- g(@S).").unwrap_err();
+        let text = text.to_string();
+        assert!(text.starts_with("program refused:\n  rule r1: "), "{text}");
+        assert!(text.contains("\n  rule r3: head variable `D`"), "{text}");
+    }
+
     #[test]
     fn headless_body_is_rejected() {
         // A rule whose body is only a filter cannot be planned.
@@ -813,7 +905,7 @@ mod tests {
 
     #[test]
     fn never_bound_variables_are_rejected_naming_the_rule() {
-        // Through `compile_program` validation reports them first ...
+        // Through `compile_program` ...
         for source in [
             "bad best(@S,a_MIN<C>) :- path(@S,D).",
             "At S:\n bad p(S,D)@Z :- q(S,D).",

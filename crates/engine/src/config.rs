@@ -17,6 +17,7 @@
 //! the table both ways.
 
 use crate::hash::FastMap;
+use pasn_crypto::rsa::MIN_MODULUS_BITS;
 use pasn_crypto::says::SaysLevel;
 use pasn_net::{CostModel, FaultEvent, FaultPlan};
 use pasn_provenance::{Granularity, MaintenanceMode, ProvenanceKind, SamplingPolicy};
@@ -93,7 +94,9 @@ pub struct EngineConfig {
     pub default_ttl_us: Option<u64>,
     /// Cost model driving the simulated clock.
     pub cost_model: CostModel,
-    /// RSA modulus size used when `says_level` is `Rsa`.
+    /// RSA modulus size of the keys provisioned when `says_level` is set.
+    /// One below `pasn_crypto::rsa::MIN_MODULUS_BITS` is then refused
+    /// ([`ConfigError::ModulusTooSmall`]).
     pub rsa_modulus_bits: usize,
     /// Seed for key provisioning (kept separate from workload seeds so the
     /// same keys can be reused across a parameter sweep).
@@ -404,6 +407,12 @@ pub enum ConfigError {
     ZeroRebindHorizon,
     /// `sampling.one_in` is zero: there is no "one in zero".
     ZeroSamplingRate,
+    /// `rsa_modulus_bits` is below the smallest modulus a signature fits
+    /// in, and `says_level` asks for keys.
+    ModulusTooSmall {
+        /// The requested modulus size.
+        bits: usize,
+    },
     /// Reactive maintenance with [`GraphMode::Local`]: a node's store holds
     /// no derivation until it is materialised, so nothing would be
     /// piggybacked and every remote bundle would be lost.
@@ -437,6 +446,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroBatchCap => write!(f, "a batch must hold at least one tuple"),
             ConfigError::ZeroRebindHorizon => write!(f, "a session channel must carry a frame"),
             ConfigError::ZeroSamplingRate => write!(f, "a sampling rate of one in zero"),
+            ConfigError::ModulusTooSmall { bits } => write!(
+                f,
+                "an RSA modulus of {bits} bits is below the minimum of {MIN_MODULUS_BITS} bits"
+            ),
             ConfigError::ReactiveLocalGraphs => write!(
                 f,
                 "reactive maintenance cannot keep local provenance graphs: \
@@ -471,11 +484,17 @@ type Refusal = fn(&EngineConfig, usize) -> Option<ConfigError>;
 
 /// The table: every configuration the engine refuses, checked in this
 /// order.
-const REFUSALS: [Refusal; 7] = [
+const REFUSALS: [Refusal; 8] = [
     |c, _| (c.workers == 0).then_some(ConfigError::ZeroWorkers),
     |c, _| (c.max_batch_tuples == 0).then_some(ConfigError::ZeroBatchCap),
     |c, _| (c.channel_rebind_frames == 0).then_some(ConfigError::ZeroRebindHorizon),
     |c, _| (c.sampling.one_in == 0).then_some(ConfigError::ZeroSamplingRate),
+    |c, _| {
+        let small = c.says_level.is_some() && c.rsa_modulus_bits < MIN_MODULUS_BITS;
+        small.then_some(ConfigError::ModulusTooSmall {
+            bits: c.rsa_modulus_bits,
+        })
+    },
     |c, _| {
         let reactive = c.maintenance == MaintenanceMode::Reactive;
         (reactive && c.graph_mode == GraphMode::Local).then_some(ConfigError::ReactiveLocalGraphs)
@@ -667,6 +686,18 @@ mod tests {
         let refused = refusal_at_new(EngineConfig::ndlog().with_fault_plan(plan));
         let over = ConfigError::FaultRateOutOfRange { per_mille: 1001 };
         assert_eq!(refused, Some(over));
+    }
+
+    #[test]
+    fn a_small_modulus_is_refused_before_keygen() {
+        let mut small = EngineConfig::sendlog();
+        small.rsa_modulus_bits = MIN_MODULUS_BITS - 1;
+        let refused = refusal_at_new(small.clone());
+        let bits = MIN_MODULUS_BITS - 1;
+        assert_eq!(refused, Some(ConfigError::ModulusTooSmall { bits }));
+        // Without `says` no key is provisioned, so the size is never read.
+        small.says_level = None;
+        assert_eq!(refusal_at_new(small), None);
     }
 
     #[test]

@@ -149,9 +149,9 @@ macro_rules! config_fields {
 }
 
 /// Every field [`arb_config`] draws, in draw order.  `rsa_modulus_bits` is
-/// the one field left at its default: it sizes keys and signatures only,
-/// and every other size costs a key generation per case.
-pub const CONFIG_FIELDS: [ConfigField; 19] = config_fields![
+/// drawn as its default or a refused size only: every other size costs a
+/// key generation per case.
+pub const CONFIG_FIELDS: [ConfigField; 20] = config_fields![
     says_level,
     provenance,
     graph_mode,
@@ -171,6 +171,7 @@ pub const CONFIG_FIELDS: [ConfigField; 19] = config_fields![
     fault_plan,
     workers,
     trace,
+    rsa_modulus_bits,
 ];
 
 /// A random [`EngineConfig`] for a deployment over [`NODES`], drawn as a
@@ -178,7 +179,8 @@ pub const CONFIG_FIELDS: [ConfigField; 19] = config_fields![
 /// [`CONFIG_FIELDS`] is left at its default half the time, and otherwise
 /// drawn.  About one drawn value in sixteen is one the engine refuses — a
 /// zero, a fault rate above 1000‰, a fault event naming a node outside the
-/// deployment — and reactive maintenance meets local graphs by chance.
+/// deployment, an RSA modulus too small to sign with — and reactive
+/// maintenance meets local graphs by chance.
 /// Fault plans carry drop, duplicate and delay faults only: a property
 /// that wants crashes and cuts schedules them as churn.
 pub fn arb_config() -> impl Strategy<Value = EngineConfig> {
@@ -231,7 +233,7 @@ fn draw_config(seed: u64) -> EngineConfig {
             "maintenance" => config.maintenance = MaintenanceMode::Reactive,
             "sampling" => {
                 let one_in = if refused { 0 } else { of(&[2, 3, 4]) as u32 };
-                config.sampling = SamplingPolicy { one_in };
+                config.sampling = SamplingPolicy::one_in(one_in);
             }
             "granularity" => config.granularity = Granularity::uniform_as(NODES.len() as u32, 2),
             "archive_offline" => config.archive_offline = true,
@@ -276,6 +278,11 @@ fn draw_config(seed: u64) -> EngineConfig {
             "trace" => {
                 let trace = TraceConfig::new().with_ring(of(&[0, 16, 256]) as usize);
                 config.trace = Some(trace.with_gauge_interval_us(of(&[0, 1_000])));
+            }
+            "rsa_modulus_bits" => {
+                if refused {
+                    config.rsa_modulus_bits = of(&[0, 256, 511]) as usize;
+                }
             }
             _ => unreachable!("{name} is not drawn"),
         }

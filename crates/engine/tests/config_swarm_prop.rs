@@ -159,6 +159,10 @@ fn refusals(config: &EngineConfig, nodes: usize) -> Vec<ConfigError> {
     if config.sampling.one_in == 0 {
         refused.push(ConfigError::ZeroSamplingRate);
     }
+    let bits = config.rsa_modulus_bits;
+    if config.says_level.is_some() && bits < 512 {
+        refused.push(ConfigError::ModulusTooSmall { bits });
+    }
     if config.maintenance == MaintenanceMode::Reactive && config.graph_mode == GraphMode::Local {
         refused.push(ConfigError::ReactiveLocalGraphs);
     }

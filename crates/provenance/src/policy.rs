@@ -44,9 +44,10 @@ impl SamplingPolicy {
         SamplingPolicy { one_in: 1 }
     }
 
-    /// IP-traceback style sampling (the paper cites 1/20,000 packets).
+    /// IP-traceback style sampling (the paper cites 1/20,000 packets).  A
+    /// plain setter: the engine refuses `one_in(0)` when it is configured.
     pub fn one_in(n: u32) -> Self {
-        SamplingPolicy { one_in: n.max(1) }
+        SamplingPolicy { one_in: n }
     }
 
     /// Decides whether the derivation identified by `key_hash` is recorded.
@@ -126,8 +127,9 @@ mod tests {
         );
         // Deterministic across calls.
         assert_eq!(p.records(12345), p.records(12345));
-        // one_in(0) is clamped to 1.
-        assert!(SamplingPolicy::one_in(0).records(7));
+        // one_in(0) is kept as written, for the engine's configuration
+        // table to refuse.
+        assert_eq!(SamplingPolicy::one_in(0).one_in, 0);
     }
 
     #[test]

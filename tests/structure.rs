@@ -638,6 +638,48 @@ fn one_place_decides_what_a_configuration_means() {
 }
 
 #[test]
+fn one_place_decides_what_a_program_means() {
+    // Each well-formedness rule of the front end is made in one module and
+    // run once: `compile_program` validates once, before localization;
+    // whether a rule binds what it reads is the planner's binding walk
+    // alone; and every refusal is a `PlanError`.
+    let rust = |path: &PathBuf| path.extension().is_some_and(|e| e == "rs");
+    let mut crates = files_under(&["crates"], None);
+    crates.retain(rust);
+    let calls = hits(&crates, non_test, |line| {
+        line.contains("validate_program(") && !line.contains("fn validate_program(")
+    });
+    assert_eq!(
+        calls.len(),
+        1,
+        "`validate_program` runs once per compile:\n{}",
+        calls.join("\n")
+    );
+    let mut front_end = files_under(&["crates/datalog/src"], None);
+    front_end.retain(|path| rust(path) && path != Path::new("crates/datalog/src/plan.rs"));
+    let phrases = [
+        "never bound",
+        "not bound",
+        "unbound",
+        "unsafe rule",
+        "bound by",
+        "bound_variables",
+    ];
+    let binding = hits(&front_end, non_test, |line| {
+        phrases.iter().any(|phrase| bounded(line, phrase, true))
+    });
+    assert_none(binding, "a variable-binding refusal outside `plan.rs`");
+    let mut sources = files_under(&["crates", "src", "tests", "examples"], None);
+    sources.retain(rust);
+    let types = hits(&sources, whole, |line| {
+        ["ValidationError", "LocalizeError"]
+            .iter()
+            .any(|name| bounded(line, name, true))
+    });
+    assert_none(types, "a second front-end error type");
+}
+
+#[test]
 fn a_read_shares_the_stored_row() {
     // A `Tuple` holds the interned predicate name and the stored row's
     // `Arc`s, so `query`, `query_all` and `expire` hand out refcount bumps,
