@@ -7,8 +7,8 @@
 //! principal we report the bytes it pushed into the network and the number of
 //! derivations it asserted.
 
-use crate::network::SecureNetwork;
 use pasn_datalog::Value;
+use pasn_engine::DistributedEngine;
 use std::fmt;
 
 /// The audit record of one principal.
@@ -34,8 +34,7 @@ pub struct AccountabilityReport {
 
 impl AccountabilityReport {
     /// Builds the report from a finished deployment.
-    pub fn collect(network: &SecureNetwork) -> Self {
-        let engine = network.engine();
+    pub fn collect(engine: &DistributedEngine) -> Self {
         let bytes = engine.bytes_sent_per_node();
         let mut usage: Vec<PrincipalUsage> = engine
             .locations()
@@ -106,7 +105,7 @@ mod tests {
     #[test]
     fn report_covers_every_principal_and_sorts_by_bytes() {
         let net = run_network();
-        let report = AccountabilityReport::collect(&net);
+        let report = AccountabilityReport::collect(net.engine());
         assert_eq!(report.usage.len(), 5);
         assert!(report.usage.iter().any(|u| u.bytes_sent > 0));
         // Sorted descending.
@@ -127,7 +126,7 @@ mod tests {
     #[test]
     fn top_senders_and_totals() {
         let net = run_network();
-        let report = AccountabilityReport::collect(&net);
+        let report = AccountabilityReport::collect(net.engine());
         assert_eq!(report.top_senders(2).len(), 2);
         assert_eq!(report.top_senders(100).len(), 5);
         // Degenerate report.

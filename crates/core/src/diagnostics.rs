@@ -13,8 +13,8 @@
 //! `alarm` row while that number exceeds the threshold.  [`diagnose`] is the
 //! provenance lookup.
 
-use crate::network::SecureNetwork;
 use pasn_datalog::Value;
+use pasn_engine::DistributedEngine;
 
 /// The result of diagnosing a routing entry: its origins, obtained from the
 /// online provenance.
@@ -31,8 +31,7 @@ pub struct Diagnosis {
 
 /// Diagnoses the routing entry `key` by tracing its online distributed
 /// provenance from `location`.
-pub fn diagnose(network: &SecureNetwork, location: &Value, key: &str) -> Diagnosis {
-    let engine = network.engine();
+pub fn diagnose(engine: &DistributedEngine, location: &Value, key: &str) -> Diagnosis {
     // The deployed program is the localized one: a copy such as Best-Path's
     // `link_at_z` is derived, not an origin.
     let derived = engine.compiled().program.derived_predicates();
@@ -51,6 +50,7 @@ pub fn diagnose(network: &SecureNetwork, location: &Value, key: &str) -> Diagnos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::SecureNetwork;
     use crate::programs;
     use pasn_datalog::Program;
     use pasn_engine::{EngineConfig, GraphMode};
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn diagnose_traces_online_provenance() {
         let net = traced(programs::reachability_ndlog(), Topology::line(3));
-        let diagnosis = diagnose(&net, &Value::Addr(0), "reachable(@n0,n2)");
+        let diagnosis = diagnose(net.engine(), &Value::Addr(0), "reachable(@n0,n2)");
         assert_eq!(diagnosis.key, "reachable(@n0,n2)");
         // The line's links run both ways, so derivations through the
         // cycles back to `n0` and `n1` are recorded too.
@@ -100,10 +100,10 @@ mod tests {
         let entries = net.engine().query(&at, "bestPath");
         let mut flapping = entries
             .iter()
-            .filter(|(tuple, _)| tuple.value(1) == Some(&Value::Addr(2)))
+            .filter(|(tuple, _)| tuple.values.get(1) == Some(&Value::Addr(2)))
             .map(|(tuple, _)| tuple.render_located(Some(0)));
         let key = flapping.next().expect("n0 has a best path to n2");
-        let diagnosis = diagnose(&net, &at, &key);
+        let diagnosis = diagnose(net.engine(), &at, &key);
         assert_eq!(diagnosis.key, "bestPath(@n0,n2,[n0,n1,n2],2)");
         // Visit order.  The traceback also visits `link_at_z(1,n0,@n1)`,
         // the localized copy of `link(@n0,n1,1)` that rule `sp2` joins at

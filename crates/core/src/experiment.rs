@@ -44,18 +44,6 @@ impl Default for SweepConfig {
     }
 }
 
-impl SweepConfig {
-    /// A reduced sweep that finishes quickly (used by tests and CI): three
-    /// sizes, two runs per point.
-    pub fn quick() -> Self {
-        SweepConfig {
-            sizes: vec![10, 20, 30],
-            runs_per_point: 2,
-            ..SweepConfig::default()
-        }
-    }
-}
-
 /// One measured point of the evaluation.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ExperimentPoint {
@@ -359,10 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_sweep_config_is_small() {
-        let quick = SweepConfig::quick();
-        assert!(quick.sizes.len() <= 3);
-        assert!(quick.runs_per_point <= 2);
+    fn default_sweep_is_the_papers() {
         let full = SweepConfig::default();
         assert_eq!(full.sizes, vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100]);
         assert_eq!(full.runs_per_point, 10);

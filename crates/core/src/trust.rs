@@ -153,12 +153,6 @@ impl<'a> TrustEvaluator<'a> {
             _ => BTreeSet::new(),
         }
     }
-
-    /// Convenience: renders a tag's condensed expression through the shared
-    /// table (e.g. `<p0 + p1*p2>`).
-    pub fn render(&self, tag: &ProvTag) -> String {
-        tag.render(self.var_table)
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +198,7 @@ mod tests {
         assert_eq!(evaluator.evaluate(&tag, &trust_b), TrustDecision::Reject);
         // Origins reflect the condensation: only a remains.
         assert_eq!(evaluator.origins(&tag), [0u32].into_iter().collect());
-        assert_eq!(evaluator.render(&tag), "<p0>");
+        assert_eq!(tag.render(&table), "<p0>");
     }
 
     #[test]

@@ -386,35 +386,6 @@ impl BigUint {
         self.div_rem(modulus).1
     }
 
-    /// Modular exponentiation.  Uses Montgomery multiplication when the
-    /// modulus is odd (the RSA case) and falls back to multiply-and-reduce
-    /// otherwise.
-    pub fn mod_pow(&self, exponent: &BigUint, modulus: &BigUint) -> BigUint {
-        assert!(
-            !modulus.is_zero(),
-            "modular exponentiation with zero modulus"
-        );
-        if modulus.is_one() {
-            return BigUint::zero();
-        }
-        if let Some(ctx) = MontgomeryCtx::new(modulus) {
-            return ctx.mod_pow(self, exponent);
-        }
-        // Generic square-and-multiply with explicit reduction.
-        let mut base = self.rem(modulus);
-        let mut result = BigUint::one();
-        let bits = exponent.bit_len();
-        for i in 0..bits {
-            if exponent.bit(i) {
-                result = result.mul(&base).rem(modulus);
-            }
-            if i + 1 < bits {
-                base = base.mul(&base).rem(modulus);
-            }
-        }
-        result
-    }
-
     /// Modular multiplicative inverse: returns `x` with `self * x ≡ 1 (mod
     /// modulus)`, or `None` when `gcd(self, modulus) != 1`.
     pub(crate) fn mod_inverse(&self, modulus: &BigUint) -> Option<BigUint> {
@@ -1139,23 +1110,23 @@ mod tests {
         assert_eq!(a.mod_u64(2), 0);
     }
 
-    #[test]
-    fn mod_pow_small_cases() {
-        // 4^13 mod 497 = 445
-        assert_eq!(big(4).mod_pow(&big(13), &big(497)), big(445));
-        // base^0 = 1
-        assert_eq!(big(12345).mod_pow(&BigUint::zero(), &big(1000)), big(1));
-        // mod 1 = 0
-        assert_eq!(big(7).mod_pow(&big(3), &BigUint::one()), BigUint::zero());
-        // Fermat: 2^(p-1) mod p = 1 for prime p
-        let p = big(1_000_000_007);
-        assert_eq!(big(2).mod_pow(&p.sub(&BigUint::one()), &p), BigUint::one());
+    /// `base^exponent mod modulus` on the Montgomery kernel (odd moduli).
+    fn mod_pow(base: &BigUint, exponent: &BigUint, modulus: &BigUint) -> BigUint {
+        MontgomeryCtx::new(modulus).unwrap().mod_pow(base, exponent)
     }
 
     #[test]
-    fn mod_pow_even_modulus_falls_back() {
-        // 3^5 mod 16 = 243 mod 16 = 3
-        assert_eq!(big(3).mod_pow(&big(5), &big(16)), big(3));
+    fn mod_pow_small_cases() {
+        // 4^13 mod 497 = 445
+        assert_eq!(mod_pow(&big(4), &big(13), &big(497)), big(445));
+        // base^0 = 1
+        assert_eq!(mod_pow(&big(12345), &BigUint::zero(), &big(1001)), big(1));
+        // Fermat: 2^(p-1) mod p = 1 for prime p
+        let p = big(1_000_000_007);
+        assert_eq!(
+            mod_pow(&big(2), &p.sub(&BigUint::one()), &p),
+            BigUint::one()
+        );
     }
 
     #[test]
@@ -1372,8 +1343,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_mod_pow_matches_u128(base in 0u64..10_000, exp in 0u64..64, m in 3u64..100_000) {
-            // Only odd moduli exercise the Montgomery path; both are covered here.
+        fn prop_mod_pow_matches_u128(base in 0u64..10_000, exp in 0u64..64, m in (1u64..50_000).prop_map(|v| 2 * v + 1)) {
             let expected = {
                 let mut acc: u128 = 1;
                 for _ in 0..exp {
@@ -1381,7 +1351,7 @@ mod tests {
                 }
                 acc
             };
-            let got = BigUint::from_u64(base).mod_pow(&BigUint::from_u64(exp), &BigUint::from_u64(m));
+            let got = mod_pow(&BigUint::from_u64(base), &BigUint::from_u64(exp), &BigUint::from_u64(m));
             prop_assert_eq!(got, big(expected));
         }
 

@@ -102,12 +102,6 @@ pub struct ChannelHandshake {
 }
 
 impl ChannelHandshake {
-    /// Bytes this handshake occupies on the wire (transcript + signature);
-    /// the message header is charged separately by `net::wire`.
-    pub fn wire_len(&self) -> usize {
-        self.transcript.wire_len() + self.signature.len()
-    }
-
     /// Whether this handshake's epoch clears the receiver's epoch floor.
     ///
     /// Receivers raise the floor past every retired channel epoch —
@@ -297,7 +291,7 @@ mod tests {
         let (handshake, mut tx) = a.open_channel(PrincipalId(1), 0, 100);
         assert_eq!(handshake.transcript.src, PrincipalId(0));
         assert_eq!(handshake.transcript.dst, PrincipalId(1));
-        assert!(handshake.wire_len() > handshake.transcript.wire_len());
+        assert!(!handshake.signature.is_empty());
         let mut rx = b.accept_channel(&handshake).unwrap();
         assert_eq!(rx.peer(), PrincipalId(0));
 

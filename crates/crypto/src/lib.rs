@@ -43,9 +43,9 @@
 //! let bob = Authenticator::new(authority.keyring_for(PrincipalId(1)).unwrap(), SaysLevel::Rsa);
 //!
 //! // "a says reachable(a,c)"
-//! let assertion = alice.assert(b"reachable(a,c)");
-//! assert!(bob.verify(b"reachable(a,c)", &assertion).is_ok());
-//! assert!(bob.verify(b"reachable(a,d)", &assertion).is_err());
+//! let assertion = alice.assert_frame(&[b"reachable(a,c)"]);
+//! assert!(bob.verify_frame(&[b"reachable(a,c)"], &assertion).is_ok());
+//! assert!(bob.verify_frame(&[b"reachable(a,d)"], &assertion).is_err());
 //! ```
 
 // Unsafe is denied crate-wide with one documented exception: the

@@ -80,16 +80,6 @@ pub enum SaysProof {
 }
 
 impl SaysProof {
-    /// Number of bytes this proof adds to a message on the wire.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            SaysProof::Cleartext => 0,
-            SaysProof::Hmac(_) => TAG_LEN,
-            SaysProof::Session(_) => CHANNEL_PROOF_LEN,
-            SaysProof::Rsa(sig) => sig.len(),
-        }
-    }
-
     /// The level that produced this proof.
     pub fn level(&self) -> SaysLevel {
         match self {
@@ -225,9 +215,17 @@ pub struct SaysAssertion {
 }
 
 impl SaysAssertion {
-    /// Bytes this assertion adds to a message (principal id + proof).
+    /// Bytes this assertion adds to a message: the principal id and the
+    /// proof as [`SaysProof::to_bytes`] encodes it (tag byte, and the RSA
+    /// signature's length prefix), counted without building the bytes.
     pub fn wire_len(&self) -> usize {
-        4 + self.proof.to_bytes().len()
+        let proof = match &self.proof {
+            SaysProof::Cleartext => 1,
+            SaysProof::Hmac(_) => 1 + TAG_LEN,
+            SaysProof::Session(_) => 1 + CHANNEL_PROOF_LEN,
+            SaysProof::Rsa(sig) => 3 + sig.len(),
+        };
+        4 + proof
     }
 }
 
@@ -330,17 +328,15 @@ impl Authenticator {
         self.level
     }
 
-    /// The principal on whose behalf assertions are made.
-    pub fn principal(&self) -> PrincipalId {
-        self.keyring.owner()
-    }
-
     /// The keyring backing this authenticator.
     pub fn keyring(&self) -> &Keyring {
         &self.keyring
     }
 
-    /// Produces `self.principal() says payload`.
+    /// Produces `owner says frame` for a shipment frame, `owner` being the
+    /// keyring's: one proof over the frame's canonical payload (its tuple
+    /// encodings in order, read in place — see `frame_digest`) covers every
+    /// tuple.  A one-tuple frame proves exactly that tuple's encoding.
     ///
     /// # Panics
     ///
@@ -348,15 +344,6 @@ impl Authenticator {
     /// proof is bound to an established channel's key and counter.  Open a
     /// channel with [`Authenticator::open_channel`] and assert with
     /// [`Authenticator::assert_frame_on`] instead.
-    pub fn assert(&self, payload: &[u8]) -> SaysAssertion {
-        self.assert_frame(&[payload])
-    }
-
-    /// Produces `self.principal() says frame` for a multi-tuple shipment
-    /// frame: one proof over the frame's canonical payload (its tuple
-    /// encodings in order, read in place — see `frame_digest`) covers
-    /// every tuple.  Panics at [`SaysLevel::Session`], as
-    /// [`Authenticator::assert`] does.
     pub fn assert_frame<T: AsRef<[u8]>>(&self, tuples: &[T]) -> SaysAssertion {
         let proof = match self.level {
             SaysLevel::Cleartext => SaysProof::Cleartext,
@@ -477,7 +464,7 @@ impl Authenticator {
         ))
     }
 
-    /// Produces `self.principal() says frame` on an established session
+    /// Produces `owner says frame` on an established session
     /// channel: one HMAC over the frame's canonical payload (its tuple
     /// encodings, read in place), bound to the channel's epoch and next
     /// counter value.
@@ -517,24 +504,8 @@ impl Authenticator {
         channel.verify_frame(tuples, proof)
     }
 
-    /// Verifies that `assertion.principal says payload`, requiring at least
-    /// this authenticator's configured level.
-    pub fn verify(&self, payload: &[u8], assertion: &SaysAssertion) -> Result<(), SaysError> {
-        self.verify_at_level(payload, assertion, self.level)
-    }
-
-    /// Verifies an assertion against an explicit minimum level.
-    pub(crate) fn verify_at_level(
-        &self,
-        payload: &[u8],
-        assertion: &SaysAssertion,
-        required: SaysLevel,
-    ) -> Result<(), SaysError> {
-        self.verify_frame_at_level(&[payload], assertion, required)
-    }
-
-    /// [`Authenticator::verify_at_level`] over a frame's tuple encodings,
-    /// read in place.
+    /// Verifies that `assertion.principal says frame` against an explicit
+    /// minimum level, reading the frame's tuple encodings in place.
     fn verify_frame_at_level<T: AsRef<[u8]>>(
         &self,
         tuples: &[T],
@@ -589,35 +560,25 @@ mod tests {
         (a, b)
     }
 
-    /// Number of proof bytes `authenticator` adds per exported frame.
-    fn proof_overhead(authenticator: &Authenticator) -> usize {
-        match authenticator.level {
-            SaysLevel::Cleartext => 0,
-            SaysLevel::Hmac => TAG_LEN,
-            SaysLevel::Session => CHANNEL_PROOF_LEN,
-            SaysLevel::Rsa => authenticator.keyring.rsa_keypair().sign(b"").len(),
-        }
-    }
-
     #[test]
     fn cleartext_round_trip() {
         let (a, b) = setup(SaysLevel::Cleartext);
-        let assertion = a.assert(b"link(a,b)");
+        let assertion = a.assert_frame(&[b"link(a,b)"]);
         assert_eq!(assertion.proof, SaysProof::Cleartext);
-        assert_eq!(assertion.proof.wire_len(), 0);
-        assert!(b.verify(b"link(a,b)", &assertion).is_ok());
+        assert_eq!(assertion.wire_len(), 4 + 1);
+        assert!(b.verify_frame(&[b"link(a,b)"], &assertion).is_ok());
         // Cleartext offers no integrity: a different payload also "verifies".
-        assert!(b.verify(b"link(a,c)", &assertion).is_ok());
+        assert!(b.verify_frame(&[b"link(a,c)"], &assertion).is_ok());
     }
 
     #[test]
     fn hmac_round_trip_and_tamper_detection() {
         let (a, b) = setup(SaysLevel::Hmac);
-        let assertion = a.assert(b"reachable(a,c)");
-        assert_eq!(assertion.proof.wire_len(), TAG_LEN);
-        assert!(b.verify(b"reachable(a,c)", &assertion).is_ok());
+        let assertion = a.assert_frame(&[b"reachable(a,c)"]);
+        assert_eq!(assertion.wire_len(), 4 + 1 + TAG_LEN);
+        assert!(b.verify_frame(&[b"reachable(a,c)"], &assertion).is_ok());
         assert_eq!(
-            b.verify(b"reachable(a,d)", &assertion),
+            b.verify_frame(&[b"reachable(a,d)"], &assertion),
             Err(SaysError::InvalidProof(PrincipalId(0)))
         );
     }
@@ -625,9 +586,11 @@ mod tests {
     #[test]
     fn rsa_round_trip_and_spoof_detection() {
         let (a, b) = setup(SaysLevel::Rsa);
-        let assertion = a.assert(b"bestPath(a,c,[a,b,c],2)");
-        assert!(assertion.proof.wire_len() >= 64);
-        assert!(b.verify(b"bestPath(a,c,[a,b,c],2)", &assertion).is_ok());
+        let assertion = a.assert_frame(&[b"bestPath(a,c,[a,b,c],2)"]);
+        assert!(assertion.wire_len() >= 4 + 3 + 64);
+        assert!(b
+            .verify_frame(&[b"bestPath(a,c,[a,b,c],2)"], &assertion)
+            .is_ok());
 
         // A spoofed assertion claiming to come from b but signed by a fails.
         let spoofed = SaysAssertion {
@@ -635,7 +598,7 @@ mod tests {
             proof: assertion.proof.clone(),
         };
         assert_eq!(
-            b.verify(b"bestPath(a,c,[a,b,c],2)", &spoofed),
+            b.verify_frame(&[b"bestPath(a,c,[a,b,c],2)"], &spoofed),
             Err(SaysError::InvalidProof(PrincipalId(1)))
         );
     }
@@ -662,12 +625,12 @@ mod tests {
         }
         // Session channels: the polarity is folded into the MAC'd payload.
         let (a, b) = setup(SaysLevel::Session);
-        let (handshake, mut tx) = a.open_channel(b.principal(), 0, 16);
+        let (handshake, mut tx) = a.open_channel(PrincipalId(1), 0, 16);
         let mut rx = b.accept_channel(&handshake).unwrap();
         let proof = a.assert_frame_on(&mut tx, &tombstones);
         assert_eq!(
             b.verify_frame_on(&mut rx, &tuples, &proof, SaysLevel::Session),
-            Err(SaysError::InvalidProof(a.principal()))
+            Err(SaysError::InvalidProof(PrincipalId(0)))
         );
         // The genuine tombstone frame still verifies: the forged attempt
         // burned nothing (rejected frames do not advance the counter).
@@ -679,9 +642,9 @@ mod tests {
     #[test]
     fn level_ordering_is_enforced() {
         let (a, b) = setup(SaysLevel::Cleartext);
-        let weak = a.assert(b"x");
+        let weak = a.assert_frame(&[b"x"]);
         assert_eq!(
-            b.verify_at_level(b"x", &weak, SaysLevel::Rsa),
+            b.verify_frame_at_level(&[b"x"], &weak, SaysLevel::Rsa),
             Err(SaysError::InsufficientLevel {
                 required: SaysLevel::Rsa,
                 got: SaysLevel::Cleartext
@@ -689,9 +652,9 @@ mod tests {
         );
         // A stronger proof satisfies a weaker requirement.
         let (a_rsa, b_rsa) = setup(SaysLevel::Rsa);
-        let strong = a_rsa.assert(b"x");
+        let strong = a_rsa.assert_frame(&[b"x"]);
         assert!(b_rsa
-            .verify_at_level(b"x", &strong, SaysLevel::Hmac)
+            .verify_frame_at_level(&[b"x"], &strong, SaysLevel::Hmac)
             .is_ok());
     }
 
@@ -703,22 +666,22 @@ mod tests {
             if level == SaysLevel::Session {
                 // Session proofs live on a channel; one MAC still covers the
                 // whole frame.
-                let (handshake, mut tx) = a.open_channel(b.principal(), 0, 16);
+                let (handshake, mut tx) = a.open_channel(PrincipalId(1), 0, 16);
                 let mut rx = b.accept_channel(&handshake).unwrap();
                 let assertion = a.assert_frame_on(&mut tx, &tuples);
-                assert_eq!(assertion.proof.wire_len(), proof_overhead(&a));
+                assert_eq!(assertion.wire_len(), 4 + 1 + CHANNEL_PROOF_LEN);
                 assert!(b
                     .verify_frame_on(&mut rx, &tuples, &assertion, level)
                     .is_ok());
                 continue;
             }
             let assertion = a.assert_frame(&tuples);
-            // One proof; its size does not scale with the tuple count.
-            assert_eq!(assertion.proof.wire_len(), proof_overhead(&a));
             assert!(b.verify_frame(&tuples, &assertion).is_ok());
-            // A one-tuple frame signs exactly the per-tuple payload.
+            // One proof; its size does not scale with the tuple count.  A
+            // one-tuple frame signs exactly the per-tuple payload.
             let single = a.assert_frame(&tuples[..1]);
-            assert!(b.verify(b"link(a,b)", &single).is_ok());
+            assert_eq!(assertion.wire_len(), single.wire_len());
+            assert!(b.verify_frame(&[b"link(a,b)"], &single).is_ok());
         }
     }
 
@@ -754,7 +717,6 @@ mod tests {
                 let streamed = a.assert_frame(&tuples);
                 proptest::prop_assert_eq!(&streamed, &a.assert_frame(&concatenated));
                 proptest::prop_assert!(b.verify_frame(&concatenated, &streamed).is_ok());
-                proptest::prop_assert!(b.verify(&concatenated[0], &streamed).is_ok());
             }
             let (a, b) = setup(SaysLevel::Session);
             let channel = || a.open_channel(PrincipalId(1), 0, u64::MAX);
@@ -770,10 +732,10 @@ mod tests {
     #[test]
     fn unknown_principal_is_rejected() {
         let (a, b) = setup(SaysLevel::Rsa);
-        let mut assertion = a.assert(b"y");
+        let mut assertion = a.assert_frame(&[b"y"]);
         assertion.principal = PrincipalId(42);
         assert_eq!(
-            b.verify(b"y", &assertion),
+            b.verify_frame(&[b"y"], &assertion),
             Err(SaysError::UnknownPrincipal(PrincipalId(42)))
         );
     }
@@ -787,7 +749,7 @@ mod tests {
                 let (_, mut tx) = auth.open_channel(PrincipalId(1), 7, 16);
                 auth.assert_frame_on(&mut tx, &[b"payload"]).proof
             } else {
-                auth.assert(b"payload").proof
+                auth.assert_frame(&[b"payload"]).proof
             };
             let bytes = proof.to_bytes();
             let (parsed, consumed) = SaysProof::from_bytes(&bytes).unwrap();
@@ -803,18 +765,22 @@ mod tests {
 
     #[test]
     fn overhead_reflects_level() {
-        let (a_clear, _) = setup(SaysLevel::Cleartext);
-        let (a_hmac, _) = setup(SaysLevel::Hmac);
-        let (a_rsa, _) = setup(SaysLevel::Rsa);
-        assert_eq!(proof_overhead(&a_clear), 0);
-        assert_eq!(proof_overhead(&a_hmac), TAG_LEN);
-        let modulus = a_rsa.keyring.rsa_keypair().public_key().modulus();
-        assert_eq!(proof_overhead(&a_rsa), modulus.bit_len().div_ceil(8));
-        assert!(proof_overhead(&a_rsa) > proof_overhead(&a_hmac));
-        // Each level's proof is that many bytes on the wire.
-        for a in [&a_clear, &a_hmac, &a_rsa] {
-            assert_eq!(a.assert(b"x").proof.wire_len(), proof_overhead(a));
+        // What an assertion charges the wire is its encoding: the principal
+        // id, the proof's tag byte and payload, and the RSA signature's
+        // length prefix (a 512-bit modulus signs 64 bytes).
+        let mut charged = Vec::new();
+        for level in SaysLevel::ALL {
+            let (a, _) = setup(level);
+            let assertion = if level == SaysLevel::Session {
+                let (_, mut tx) = a.open_channel(PrincipalId(1), 0, 16);
+                a.assert_frame_on(&mut tx, &[b"x"])
+            } else {
+                a.assert_frame(&[b"x"])
+            };
+            assert_eq!(assertion.wire_len(), 4 + assertion.proof.to_bytes().len());
+            charged.push(assertion.wire_len());
         }
+        assert_eq!(charged, [5, 4 + 1 + TAG_LEN, 4 + 1 + CHANNEL_PROOF_LEN, 71]);
     }
 
     #[test]
@@ -831,7 +797,7 @@ mod tests {
     #[test]
     fn session_proofs_are_refused_where_rsa_is_demanded() {
         let (a, b) = setup(SaysLevel::Session);
-        let (handshake, mut tx) = a.open_channel(b.principal(), 0, 16);
+        let (handshake, mut tx) = a.open_channel(PrincipalId(1), 0, 16);
         let mut rx = b.accept_channel(&handshake).unwrap();
         let tuples: Vec<&[u8]> = vec![b"reachable(a,c)"];
         let assertion = a.assert_frame_on(&mut tx, &tuples);
@@ -846,7 +812,7 @@ mod tests {
         );
         // ...and the stateless verifier never accepts a channel proof.
         assert_eq!(
-            b.verify_at_level(b"reachable(a,c)", &assertion, SaysLevel::Hmac),
+            b.verify_frame_at_level(&[b"reachable(a,c)"], &assertion, SaysLevel::Hmac),
             Err(SaysError::NoChannel(PrincipalId(0)))
         );
         // A channel link accepts a stronger stateless (Rsa) proof.

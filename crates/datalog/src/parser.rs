@@ -13,7 +13,8 @@
 //!
 //! plus arithmetic, assignments (`C := C1 + C2`), comparisons, built-in
 //! function calls (`f_concat(S,P)`), aggregates in rule heads (`a_MIN<C>`)
-//! and ground facts (`link(a,b,1).`).
+//! and facts (`link(a,b,1).`).  What a program means — a fact being
+//! ground among it — is `compile_program`'s to decide, not the parser's.
 
 use crate::ast::{AggFunc, Atom, BinOp, BodyLiteral, Expr, Fact, Program, Rule, Term};
 use crate::lexer::{tokenize, LexError, Token, TokenKind};
@@ -181,11 +182,6 @@ impl Parser {
                 self.advance();
                 if label.is_some() {
                     return Err(self.error("facts cannot carry a rule label"));
-                }
-                if !head.is_ground() {
-                    return Err(self.error(format!(
-                        "fact `{head}` contains variables; facts must be ground"
-                    )));
                 }
                 program.facts.push(Fact { atom: head });
                 Ok(())
@@ -669,12 +665,6 @@ mod tests {
                 .into()
             ))
         );
-    }
-
-    #[test]
-    fn rejects_non_ground_facts() {
-        let err = parse_program("link(a, X).").unwrap_err();
-        assert!(err.message.contains("ground"), "{}", err.message);
     }
 
     #[test]

@@ -653,7 +653,13 @@ pub fn compile_program(program: &Program) -> Result<CompiledProgram, PlanError> 
             location_by_pred.resize(pred.index() + 1, None);
         }
         arity_by_pred[pred.index()] = Some(atom.args.len());
-        location_by_pred[pred.index()] = Some(atom.location);
+        // Validation refuses two different `@` columns, so any located
+        // occurrence decides; an unlocated one (a fact written without `@`,
+        // a SeNDlog context atom) decides only a predicate nobody locates.
+        let declared = &mut location_by_pred[pred.index()];
+        if atom.location.is_some() || declared.is_none() {
+            *declared = Some(atom.location);
+        }
     }
     Ok(CompiledProgram {
         program: localized,
@@ -834,6 +840,28 @@ mod tests {
         let errs = refusals("At S:\n s1 p(S,D)@Z :- q(S,D).");
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].1.contains("export variable `Z`"), "{errs:?}");
+    }
+
+    #[test]
+    fn rejects_non_ground_facts() {
+        let errs = refusals("link(a, X).");
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].0, "<fact>");
+        assert!(errs[0].1.contains("not ground"), "{errs:?}");
+    }
+
+    #[test]
+    fn a_located_occurrence_declares_the_location() {
+        // The fact carries no `@`; the rule reads `link` at column 0, and
+        // so do its base rows, wherever the fact sits in the source.
+        for source in [
+            "r1 reachable(@S,D) :- link(@S,D). link(a,b).",
+            "link(a,b). r1 reachable(@S,D) :- link(@S,D).",
+        ] {
+            let compiled = compile(source).unwrap();
+            let link = compiled.symbols.resolve("link").unwrap();
+            assert_eq!(compiled.location_of_pred(link), Some(Some(0)), "{source}");
+        }
     }
 
     #[test]

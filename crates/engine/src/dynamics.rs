@@ -199,16 +199,6 @@ impl ChurnScript {
     pub fn events(&self) -> &[(SimTime, ChurnEvent)] {
         &self.events
     }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// One contribution to a stored tuple's support: whether it came from a
@@ -571,15 +561,14 @@ mod tests {
                     tuple: Tuple::new("sensor", vec![Value::Int(1)]),
                 },
             );
-        assert_eq!(script.len(), 5);
-        assert!(!script.is_empty());
+        assert_eq!(script.events().len(), 5);
         assert_eq!(script.events()[0].0, SimTime::from_micros(1_000));
         assert!(matches!(
             script.events()[1].1,
             ChurnEvent::LinkUp { cost: None, .. }
         ));
         assert!(matches!(script.events()[2].1, ChurnEvent::NodeFail { .. }));
-        assert!(ChurnScript::new().is_empty());
+        assert!(ChurnScript::new().events().is_empty());
     }
 
     /// An untagged contribution said by node 0.

@@ -121,7 +121,7 @@ pub use config::{ConfigError, EngineConfig, GraphMode, SystemVariant, DEFAULT_RE
 pub use dynamics::{ChurnEvent, ChurnScript};
 pub use metrics::{Counter, RunMetrics, Scope};
 pub use pasn_trace::{
-    LinkLifecycle, RuleProfile, TraceConfig, TraceEvent, TraceEventKind, TraceQuery, TraceRecorder,
+    LinkLifecycle, RuleProfile, TraceConfig, TraceEvent, TraceEventKind, TraceRecorder,
 };
 pub use runtime::{DistributedEngine, EngineError};
 pub use store::{InsertOutcome, NodeStore, TupleMeta};

@@ -459,10 +459,13 @@ impl DistributedEngine {
 
     /// Settles the provenance of a row `(pred, values, @ column)` that left
     /// `loc`'s store at `now`: a `Local` node forgets the tuple (a pointer
-    /// store keeps its records, so a moonwalk still explains it) and an
-    /// offline archive stamps its entries with `reason`.  Under reactive
+    /// store keeps its records, so a moonwalk still explains it) and the
+    /// offline archives stamp its entries.  An entry is filed where the
+    /// rule that derived the row fired, so every node's archive stamps the
+    /// key's live entries; `loc`'s archive records the death with `reason`,
+    /// appending an entry of its own when it held none.  Under reactive
     /// maintenance the death is the event that materialises the row's
-    /// deferred records first, so the stamp lands on the entries proactive
+    /// deferred records first, so the stamps land on the entries proactive
     /// maintenance would have archived.
     pub(super) fn forget_provenance(
         &mut self,
@@ -484,17 +487,23 @@ impl DistributedEngine {
             node.prov.forget(key);
         }
         if archive_offline {
+            let key: Arc<str> = key.into();
             let (derived_at, expired_at) = (created_at.as_micros(), now.as_micros());
-            let (dying, deferred) = std::mem::take(&mut node.deferred)
-                .into_iter()
-                .partition::<Vec<_>, _>(|record| *record.head_key == *key);
-            node.deferred = deferred;
-            for record in &dying {
-                record_provenance(&self.shared, loc, node, record);
+            for (id, node) in node_ids(self.nodes.len()).zip(&mut self.nodes) {
+                let (dying, deferred) = std::mem::take(&mut node.deferred)
+                    .into_iter()
+                    .partition::<Vec<_>, _>(|record| record.head_key == key);
+                node.deferred = deferred;
+                for record in &dying {
+                    record_provenance(&self.shared, id, node, record);
+                }
+                if id == loc {
+                    node.archive
+                        .record_expiry(&key, reason, derived_at, expired_at);
+                } else {
+                    node.archive.stamp(&key, expired_at);
+                }
             }
-            let key = tuple::render_into(&mut node.key_buf, pred_name, values, location);
-            node.archive
-                .record_expiry(key, reason, derived_at, expired_at);
         }
     }
 

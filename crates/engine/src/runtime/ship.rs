@@ -93,9 +93,10 @@ impl<'a> NodeCtx<'a> {
         // the key-establishment handshake (`Peer::assert_frame`).
         // A tombstone's wire bytes are charged for the polarity-marked
         // payload its proof covers (see [`frame_payloads`]).
-        let (mut wire, marker_bytes) = match polarity {
-            Polarity::Assert => (Frame::new(), 0),
-            Polarity::Retract => (Frame::tombstone(), TOMBSTONE_MARKER.len()),
+        let mut wire = Frame::new();
+        let marker_bytes = match polarity {
+            Polarity::Assert => 0,
+            Polarity::Retract => TOMBSTONE_MARKER.len(),
         };
         let mut assertion = None;
         let mut handshake = None;

@@ -138,7 +138,10 @@ fn distributed_graph_mode_supports_traceback() {
     // The engine's own walks resolve nodes through its name directory and
     // agree with the walks over the snapshot — from a deployed location
     // and from a value that names no node.
-    let walks = MoonwalkConfig::with_walks(8);
+    let walks = MoonwalkConfig {
+        walks: 8,
+        ..MoonwalkConfig::default()
+    };
     for (start, name) in [(str_val("a"), "a"), (Value::Int(7), "7")] {
         assert_eq!(start.to_string(), name);
         let via_engine = engine.traceback(&start, "reachable(@a,c)");
@@ -217,7 +220,7 @@ fn manual_expiry_forgets_the_expired_keys_of_a_local_node() {
         .why_provenance("reachable(@a,c)")
         .witnesses()
         .is_empty());
-    assert!(store.base_id("link(@a,c)").is_some());
+    assert_eq!(store.base_support("link(@a,c)").len(), 1);
 }
 
 #[test]
@@ -468,8 +471,9 @@ fn a_reactive_archive_stamps_rows_that_died_before_materialisation() {
         let down = ChurnScript::new().link_down(5_000_000, str_val("a"), str_val("b"));
         engine.run_scenario(&down).unwrap();
         engine.materialize_provenance();
-        let entries = engine.archive(&str_val("a")).unwrap().entries().iter();
-        let mut entries: Vec<String> = entries.map(|entry| format!("{entry:?}")).collect();
+        let archive = engine.archive(&str_val("a")).unwrap();
+        let entries = ["link", "reachable"].map(|pred| archive.query(pred, None, None));
+        let mut entries: Vec<String> = entries.concat().iter().map(|e| format!("{e:?}")).collect();
         entries.sort();
         entries
     };
@@ -481,6 +485,29 @@ fn a_reactive_archive_stamps_rows_that_died_before_materialisation() {
         .iter()
         .any(|e| e.contains("reachable(@a,b)") && e.contains("r1@a")));
     assert_eq!(lazy, eager);
+}
+
+/// Regression: an archive entry is filed where the rule fired, and the
+/// row's death used to stamp only the archive of the node it died at.
+#[test]
+fn a_death_stamps_the_archive_of_the_node_that_derived_the_row() {
+    let program = parse_program(REACHABLE).unwrap();
+    let mut config = EngineConfig::ndlog().with_cost_model(fast_cost());
+    config.archive_offline = true;
+    let mut engine = DistributedEngine::new(&program, config, &figure1_locations()).unwrap();
+    insert_figure1_links(&mut engine);
+    let down = ChurnScript::new().link_down(5_000_000, str_val("a"), str_val("b"));
+    engine.run_scenario(&down).unwrap();
+    // `r2`'s localized first half fires at a and ships `link_at_z(a,@b)`
+    // to b, where it dies once the link is down.
+    assert!(engine.query(&str_val("b"), "link_at_z").is_empty());
+    let archive = engine.archive(&str_val("a")).unwrap();
+    let entries: Vec<_> = archive.entries_of("link_at_z(a,@b)").collect();
+    assert!(!entries.is_empty());
+    assert!(
+        entries.iter().all(|entry| entry.expired_at.is_some()),
+        "{entries:?}"
+    );
 }
 
 #[test]

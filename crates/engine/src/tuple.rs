@@ -12,8 +12,8 @@ use std::sync::Arc;
 /// Both parts are shared: the name is the interned predicate's `Arc<str>`
 /// and the values are the stored row's `Arc<[Value]>`, so a read hands out
 /// two refcount bumps per row instead of copying either.  Equality, hashing,
-/// [`Tuple::key_hash`], [`Tuple::encode`] and `Display` read the contents
-/// and are the same as for an owned `String` and `Vec<Value>`.
+/// [`Tuple::encode`] and `Display` read the contents and are the same as for
+/// an owned `String` and `Vec<Value>`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Tuple {
     /// Predicate name.
@@ -87,8 +87,9 @@ pub(crate) fn encoded_len_parts(predicate: &str, values: &[Value]) -> usize {
     2 + predicate.len() + 2 + values.iter().map(Value::encoded_len).sum::<usize>()
 }
 
-/// The stable 64-bit tuple key of a `(predicate, values)` pair — identical
-/// to [`Tuple::key_hash`] but borrowing its parts.
+/// The stable 64-bit tuple key of a `(predicate, values)` pair: the unique
+/// key of a base input tuple in provenance expressions, and what the
+/// sampling policy decides by.
 pub(crate) fn key_hash_parts(predicate: &str, values: &[Value]) -> u64 {
     let mut hasher = DefaultHasher::new();
     predicate.hash(&mut hasher);
@@ -149,27 +150,11 @@ impl Tuple {
         self.values.len()
     }
 
-    /// The value at the given attribute position, if in range.
-    pub fn value(&self, index: usize) -> Option<&Value> {
-        self.values.get(index)
-    }
-
-    /// A stable 64-bit key for this tuple, used as the "unique key of a base
-    /// input tuple" in provenance expressions and by the sampling policy.
-    pub fn key_hash(&self) -> u64 {
-        key_hash_parts(&self.predicate, &self.values)
-    }
-
     /// Canonical byte encoding: length-prefixed predicate, attribute count,
     /// then each value in the shared [`Value`] encoding.  This is what gets
     /// signed by `says` and what the bandwidth accounting charges.
     pub fn encode(&self) -> Vec<u8> {
         encode_parts(&self.predicate, &self.values)
-    }
-
-    /// Number of bytes [`Tuple::encode`] produces.
-    pub fn encoded_len(&self) -> usize {
-        encoded_len_parts(&self.predicate, &self.values)
     }
 
     /// Decodes a tuple previously produced by [`Tuple::encode`].
@@ -236,15 +221,13 @@ mod tests {
         assert_eq!(t.to_string(), "bestPath(n0,n3,[n0,n1,n3],7)");
         assert_eq!(t.render_located(Some(0)), "bestPath(@n0,n3,[n0,n1,n3],7)");
         assert_eq!(t.arity(), 4);
-        assert_eq!(t.value(3), Some(&Value::Int(7)));
-        assert_eq!(t.value(9), None);
     }
 
     #[test]
     fn encode_decode_roundtrip() {
         let t = sample();
         let bytes = t.encode();
-        assert_eq!(bytes.len(), t.encoded_len());
+        assert_eq!(bytes.len(), encoded_len_parts(&t.predicate, &t.values));
         let (decoded, used) = Tuple::decode(&bytes).unwrap();
         assert_eq!(decoded, t);
         assert_eq!(used, bytes.len());
@@ -283,8 +266,7 @@ mod tests {
         // Rendering has one definition for both, pinned by the proptest below.
         let t = sample();
         assert_eq!(encode_parts(&t.predicate, &t.values), t.encode());
-        assert_eq!(encoded_len_parts(&t.predicate, &t.values), t.encoded_len());
-        assert_eq!(key_hash_parts(&t.predicate, &t.values), t.key_hash());
+        assert_eq!(encoded_len_parts(&t.predicate, &t.values), t.encode().len());
     }
 
     #[test]
@@ -292,9 +274,10 @@ mod tests {
         let a = Tuple::new("link", vec![Value::Addr(0), Value::Addr(1)]);
         let b = Tuple::new("link", vec![Value::Addr(1), Value::Addr(0)]);
         let c = Tuple::new("linc", vec![Value::Addr(0), Value::Addr(1)]);
-        assert_eq!(a.key_hash(), a.clone().key_hash());
-        assert_ne!(a.key_hash(), b.key_hash());
-        assert_ne!(a.key_hash(), c.key_hash());
+        let key_hash = |t: &Tuple| key_hash_parts(&t.predicate, &t.values);
+        assert_eq!(key_hash(&a), key_hash(&a.clone()));
+        assert_ne!(key_hash(&a), key_hash(&b));
+        assert_ne!(key_hash(&a), key_hash(&c));
     }
 
     /// The renderer as it was defined before it wrote into one buffer: a
@@ -344,16 +327,8 @@ mod tests {
     }
 
     impl OwnedTuple {
-        fn key_hash(&self) -> u64 {
-            key_hash_parts(&self.predicate, &self.values)
-        }
-
         fn encode(&self) -> Vec<u8> {
             encode_parts(&self.predicate, &self.values)
-        }
-
-        fn encoded_len(&self) -> usize {
-            encoded_len_parts(&self.predicate, &self.values)
         }
 
         fn decode(bytes: &[u8]) -> Option<(OwnedTuple, usize)> {
@@ -406,12 +381,11 @@ mod tests {
         ) {
             let owned = OwnedTuple { predicate: predicate.clone(), values: values.clone() };
             let shared = Tuple::new(predicate, values);
-            prop_assert_eq!(shared.key_hash(), owned.key_hash());
             prop_assert_eq!(std_hash(&shared), std_hash(&owned));
             prop_assert_eq!(format!("{shared:?}"), format!("{owned:?}").replace("OwnedTuple", "Tuple"));
             let bytes = shared.encode();
             prop_assert_eq!(&bytes, &owned.encode());
-            prop_assert_eq!(shared.encoded_len(), owned.encoded_len());
+            prop_assert_eq!(bytes.len(), encoded_len_parts(&owned.predicate, &owned.values));
             prop_assert_eq!(shared.to_string(), owned.to_string());
             for loc in [None, Some(location)] {
                 prop_assert_eq!(shared.render_located(loc), owned.render_located(loc));

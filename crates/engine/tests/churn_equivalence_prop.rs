@@ -112,7 +112,7 @@ proptest! {
             downs
         );
         prop_assert_eq!(metrics.tuples_stored, fresh_metrics.tuples_stored);
-        prop_assert_eq!(metrics.churn_events, script.len() as u64);
+        prop_assert_eq!(metrics.churn_events, script.events().len() as u64);
         prop_assert_eq!(metrics.verification_failures, 0);
         if downs > 0 {
             prop_assert!(metrics.retractions > 0);

@@ -233,7 +233,7 @@ fn draw_config(seed: u64) -> EngineConfig {
             "maintenance" => config.maintenance = MaintenanceMode::Reactive,
             "sampling" => {
                 let one_in = if refused { 0 } else { of(&[2, 3, 4]) as u32 };
-                config.sampling = SamplingPolicy::one_in(one_in);
+                config.sampling = SamplingPolicy { one_in };
             }
             "granularity" => config.granularity = Granularity::uniform_as(NODES.len() as u32, 2),
             "archive_offline" => config.archive_offline = true,

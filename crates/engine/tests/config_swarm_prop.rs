@@ -41,7 +41,9 @@ use pasn_engine::{
     RunMetrics, Scope, TraceConfig, Tuple, TupleMeta,
 };
 use pasn_net::{FaultEvent, SimTime};
-use pasn_provenance::{AntecedentRef, MaintenanceMode, ProvenanceKind, SamplingPolicy};
+use pasn_provenance::{
+    AntecedentRef, ArchiveStore, ArchivedEntry, MaintenanceMode, ProvenanceKind, SamplingPolicy,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -329,15 +331,28 @@ fn check(case: &Case, config: &EngineConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// The keys the live `link` and `reachable` rows at `location` (each
-/// located at its first column) are recorded under.
+/// Every predicate of the localized program: the two of `REACHABLE` and
+/// the intermediate its localizer ships `r2`'s link under (`link_at_z`,
+/// located at its second column).
+const PREDICATES: [&str; 3] = ["link", "reachable", "link_at_z"];
+
+/// The keys the live rows at `location` are recorded under: each located
+/// at the column its predicate is declared with.
 fn live_keys(engine: &DistributedEngine, location: &Value) -> Vec<String> {
-    let rows = ["link", "reachable"].map(|pred| engine.query(location, pred));
-    let key = |(tuple, _): &(Tuple, TupleMeta)| {
-        let (at, to) = (&tuple.values[0], &tuple.values[1]);
-        format!("{}(@{at},{to})", tuple.predicate)
+    let compiled = engine.compiled();
+    let column = |pred: &str| {
+        let id = compiled.symbols.resolve(pred)?;
+        compiled.location_of_pred(id).flatten()
     };
+    let rows = PREDICATES.map(|pred| engine.query(location, pred));
+    let key = |(tuple, _): &(Tuple, TupleMeta)| tuple.render_located(column(&tuple.predicate));
     rows.concat().iter().map(key).collect()
+}
+
+/// Every entry of `archive`, predicate by predicate.
+fn archived(archive: &ArchiveStore) -> Vec<&ArchivedEntry> {
+    let swept = PREDICATES.map(|pred| archive.query(pred, None, None));
+    swept.concat()
 }
 
 /// Every node's provenance, as sorted text: its records for each live row,
@@ -349,12 +364,12 @@ fn records(engine: &DistributedEngine) -> Vec<Vec<String>> {
         let live = live_keys(engine, location).into_iter();
         let mut texts: Vec<String> = live
             .map(|key| {
-                let (base, records) = (store.base_id(&key), store.derivations_of(&key));
+                let (base, records) = (store.base_support(&key), store.derivations_of(&key));
                 format!("{key} {base:?} {records:?}")
             })
             .collect();
         texts.push(format!("{} records", store.entry_count()));
-        let archive = engine.archive(location).unwrap().entries().iter();
+        let archive = archived(engine.archive(location).unwrap()).into_iter();
         texts.extend(archive.map(|entry| format!("{entry:?}")));
         texts.sort();
         texts
@@ -365,13 +380,16 @@ fn records(engine: &DistributedEngine) -> Vec<Vec<String>> {
 /// What holds of every deployment's provenance stores and archives:
 /// - **a `recv` pointer never dangles** — the sender holds a record of the
 ///   key it points at, since sampling decides both ends from the key alone;
-/// - **a dead row's archive entries are stamped** — every entry of a
-///   `link` or `reachable` key that no longer lives at its node carries
-///   the time it died;
+/// - **a dead row's archive entries are stamped** — every archived entry,
+///   at whichever node the firing that derived it was filed, whose key no
+///   longer lives carries the time it died;
 /// - **a sweep reads one predicate** — `ArchiveStore::query` by a
-///   predicate name returns exactly the entries of that predicate.
+///   predicate name returns entries of that predicate only, and the
+///   program's predicates together return every entry.
 fn provenance_invariants(engine: &DistributedEngine) -> Result<(), String> {
     let store_of = |name: &str| engine.provenance_store(&str_val(name)).unwrap();
+    let locations = engine.locations().iter();
+    let everywhere: Vec<String> = locations.flat_map(|at| live_keys(engine, at)).collect();
     for location in engine.locations() {
         let store = engine.provenance_store(location).unwrap();
         let live = live_keys(engine, location);
@@ -385,8 +403,8 @@ fn provenance_invariants(engine: &DistributedEngine) -> Result<(), String> {
                     continue;
                 };
                 let sender = store_of(from);
-                let resolves =
-                    !sender.derivations_of(pointed).is_empty() || sender.base_id(pointed).is_some();
+                let resolves = !sender.derivations_of(pointed).is_empty()
+                    || !sender.base_support(pointed).is_empty();
                 if **pointed == **key && !resolves {
                     return Err(format!(
                         "{key} at {location}: its `recv` pointer to {from} dangles"
@@ -395,26 +413,23 @@ fn provenance_invariants(engine: &DistributedEngine) -> Result<(), String> {
             }
         }
         let archive = engine.archive(location).unwrap();
-        let home = format!("(@{location},");
-        for entry in archive.entries() {
-            let at_home = entry.key.contains(&home)
-                && ["link(", "reachable("]
-                    .iter()
-                    .any(|p| entry.key.starts_with(p));
-            if at_home && entry.expired_at.is_none() && !live.contains(&entry.key.to_string()) {
+        for entry in archived(archive) {
+            if entry.expired_at.is_none() && !everywhere.contains(&entry.key.to_string()) {
                 return Err(format!("{entry:?} at {location}: dead, and not stamped"));
             }
         }
-        for pred in ["link", "reachable", "link_at_z"] {
+        for pred in PREDICATES {
             let swept = archive.query(pred, None, None);
             let named = |key: &str| {
                 key.strip_prefix(pred)
                     .is_some_and(|rest| rest.starts_with('('))
             };
-            let expected: Vec<_> = archive.entries().iter().filter(|e| named(&e.key)).collect();
-            if swept != expected {
-                return Err(format!("a sweep of {pred} at {location} read {swept:?}"));
+            if let Some(stray) = swept.iter().find(|entry| !named(&entry.key)) {
+                return Err(format!("a sweep of {pred} at {location} read {stray:?}"));
             }
+        }
+        if archived(archive).len() != archive.len() {
+            return Err(format!("the sweeps at {location} miss an entry"));
         }
     }
     Ok(())

@@ -274,7 +274,7 @@ proptest! {
         }
         // Byte accounting stays coherent under churn: every slot, live or
         // dead, is charged its seq on top of the live rows' encodings.
-        let rows: usize = model.rows.iter().map(|(t, ..)| t.encoded_len()).sum();
+        let rows: usize = model.rows.iter().map(|(t, ..)| t.encode().len()).sum();
         prop_assert!(store.store_bytes() >= rows + 8 * model.rows.len());
     }
 

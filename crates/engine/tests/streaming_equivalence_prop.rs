@@ -97,7 +97,7 @@ proptest! {
             );
         }
         prop_assert_eq!(streaming_metrics.diff(&batch_metrics, Scope::Schedule), vec![]);
-        prop_assert_eq!(streaming_metrics.churn_events, script.len() as u64);
+        prop_assert_eq!(streaming_metrics.churn_events, script.events().len() as u64);
         // The sampled peaks must dominate the final footprint.
         prop_assert!(
             streaming_metrics.peak_store_bytes >= streaming_metrics.store_bytes

@@ -184,12 +184,6 @@ impl Topology {
         }
     }
 
-    /// Outgoing links of `node`, found by a walk over every link: only the
-    /// test oracles below read it.
-    fn outgoing(&self, node: NodeId) -> impl Iterator<Item = &Link> + '_ {
-        self.links.iter().filter(move |l| l.src == node)
-    }
-
     /// True if every node can reach every other node following directed
     /// links.
     pub fn is_strongly_connected(&self) -> bool {
@@ -232,7 +226,7 @@ impl Topology {
             if dist.get(&node).copied().unwrap_or(u64::MAX) < d {
                 continue;
             }
-            for link in self.outgoing(node) {
+            for link in self.links.iter().filter(|l| l.src == node) {
                 let nd = d + link.cost as u64;
                 if nd < dist.get(&link.dst).copied().unwrap_or(u64::MAX) {
                     dist.insert(link.dst, nd);
@@ -254,10 +248,11 @@ mod tests {
         let t = Topology::paper_figure1();
         assert_eq!(t.node_count(), 3);
         assert_eq!(t.link_count(), 3);
-        let neighbors: Vec<NodeId> = t.outgoing(NodeId(0)).map(|l| l.dst).collect();
+        let out_of = |node| t.links.iter().filter(move |l| l.src == node);
+        let neighbors: Vec<NodeId> = out_of(NodeId(0)).map(|l| l.dst).collect();
         assert_eq!(neighbors, vec![NodeId(1), NodeId(2)]);
         // c has no outgoing links.
-        assert_eq!(t.outgoing(NodeId(2)).count(), 0);
+        assert_eq!(out_of(NodeId(2)).count(), 0);
         assert!(!t.is_strongly_connected());
     }
 

@@ -20,29 +20,6 @@ pub fn message_wire_bytes(payload_len: usize) -> usize {
     MESSAGE_HEADER_BYTES + payload_len
 }
 
-/// What a [`Frame`] carries: data tuples, or a channel-setup handshake.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FrameKind {
-    /// A multi-tuple data shipment.
-    #[default]
-    Data,
-    /// A session-channel key-establishment handshake (transcript plus the
-    /// initiator's signature) — carried so channel setup shows up in the
-    /// bandwidth figures instead of hiding outside the accounting.
-    Handshake,
-    /// A multi-tuple retraction shipment: tombstones for tuples whose
-    /// remote derivations were withdrawn.  Charged exactly like a data
-    /// frame — one header, one frame-level proof, per-tuple payloads — so
-    /// deletion traffic shows up honestly in the bandwidth figures.
-    Tombstone,
-    /// A standalone cumulative acknowledgement for the reliability layer:
-    /// one header plus an 8-byte cumulative sequence number, no tuples.
-    /// Acks only exist when a fault plan is installed; on reliable links
-    /// they are never emitted, so the baseline bandwidth figures are
-    /// unchanged.
-    Ack,
-}
-
 /// Wire accounting for one multi-tuple shipment frame.
 ///
 /// A frame carries every tuple flushed for one `(source, destination,
@@ -56,64 +33,47 @@ pub enum FrameKind {
 /// no extra framing bytes sit between tuples and a one-tuple frame costs
 /// exactly what a per-tuple message used to.
 ///
-/// Session-channel setup messages use the same accounting through
-/// [`Frame::handshake`]: one header plus the transcript and signature bytes,
-/// zero tuples.
+/// A retraction (tombstone) shipment is charged exactly like a data frame —
+/// one header, one frame-level proof, per-tuple payloads — so deletion
+/// traffic shows up honestly in the bandwidth figures.  Session-channel
+/// setup messages use the same accounting through [`Frame::handshake`], and
+/// the reliability layer's acknowledgements through [`Frame::ack`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Frame {
-    kind: FrameKind,
-    tuple_count: usize,
     tuple_bytes: usize,
     frame_overhead: usize,
 }
 
 impl Frame {
-    /// An empty data frame with no frame-level overhead.
+    /// An empty data or tombstone frame with no frame-level overhead.
     pub fn new() -> Self {
         Frame::default()
     }
 
     /// A key-establishment handshake message: one header plus the signed
     /// transcript, charged honestly (`transcript_bytes + signature_bytes`
-    /// of payload, no tuples).
+    /// of payload, no tuples) — so channel setup shows up in the bandwidth
+    /// figures instead of hiding outside the accounting.
     pub fn handshake(transcript_bytes: usize, signature_bytes: usize) -> Self {
         Frame {
-            kind: FrameKind::Handshake,
-            tuple_count: 0,
             tuple_bytes: 0,
             frame_overhead: transcript_bytes + signature_bytes,
         }
     }
 
     /// A standalone cumulative-ack frame: one header plus an 8-byte
-    /// cumulative sequence number.
+    /// cumulative sequence number, no tuples.  Acks only exist when a fault
+    /// plan is installed; on reliable links they are never emitted, so the
+    /// baseline bandwidth figures are unchanged.
     pub fn ack() -> Self {
         Frame {
-            kind: FrameKind::Ack,
-            tuple_count: 0,
             tuple_bytes: 0,
             frame_overhead: 8,
         }
     }
 
-    /// An empty tombstone (retraction) frame: accounted like a data frame,
-    /// with each retracted tuple charged via [`Frame::push_tuple`] and the
-    /// frame proof via [`Frame::set_frame_overhead`].
-    pub fn tombstone() -> Self {
-        Frame {
-            kind: FrameKind::Tombstone,
-            ..Frame::default()
-        }
-    }
-
-    /// Whether this frame ships data tuples or a channel handshake.
-    pub fn kind(&self) -> FrameKind {
-        self.kind
-    }
-
     /// Charges one tuple's payload bytes (encoding plus annotations).
     pub fn push_tuple(&mut self, bytes: usize) {
-        self.tuple_count += 1;
         self.tuple_bytes += bytes;
     }
 
@@ -121,11 +81,6 @@ impl Frame {
     /// `says` proof that covers every tuple).
     pub fn set_frame_overhead(&mut self, bytes: usize) {
         self.frame_overhead = bytes;
-    }
-
-    /// Number of tuples in the frame.
-    pub fn tuples(&self) -> usize {
-        self.tuple_count
     }
 
     /// Payload bytes: the per-frame overhead plus every tuple's bytes.
@@ -175,13 +130,11 @@ mod tests {
     #[test]
     fn frame_accounting_charges_header_and_proof_once() {
         let mut frame = Frame::new();
-        assert_eq!(frame.tuples(), 0);
         assert_eq!(frame.wire_bytes(), MESSAGE_HEADER_BYTES);
         frame.set_frame_overhead(64);
         frame.push_tuple(30);
         frame.push_tuple(42);
         frame.push_tuple(30);
-        assert_eq!(frame.tuples(), 3);
         assert_eq!(frame.payload_bytes(), 64 + 30 + 42 + 30);
         assert_eq!(frame.wire_bytes(), MESSAGE_HEADER_BYTES + 64 + 102);
         // A one-tuple frame costs exactly what a per-tuple message did:
@@ -195,31 +148,13 @@ mod tests {
     #[test]
     fn handshake_frames_charge_transcript_and_signature() {
         let hs = Frame::handshake(20, 64);
-        assert_eq!(hs.kind(), FrameKind::Handshake);
-        assert_eq!(hs.tuples(), 0);
         assert_eq!(hs.payload_bytes(), 84);
         assert_eq!(hs.wire_bytes(), MESSAGE_HEADER_BYTES + 84);
-        assert_eq!(Frame::new().kind(), FrameKind::Data);
-    }
-
-    #[test]
-    fn tombstone_frames_use_data_frame_accounting() {
-        let mut tomb = Frame::tombstone();
-        assert_eq!(tomb.kind(), FrameKind::Tombstone);
-        tomb.set_frame_overhead(64);
-        tomb.push_tuple(30);
-        let mut data = Frame::new();
-        data.set_frame_overhead(64);
-        data.push_tuple(30);
-        assert_eq!(tomb.wire_bytes(), data.wire_bytes());
-        assert_eq!(tomb.tuples(), 1);
     }
 
     #[test]
     fn ack_frames_charge_header_plus_cumulative_seq() {
         let ack = Frame::ack();
-        assert_eq!(ack.kind(), FrameKind::Ack);
-        assert_eq!(ack.tuples(), 0);
         assert_eq!(ack.wire_bytes(), MESSAGE_HEADER_BYTES + 8);
     }
 

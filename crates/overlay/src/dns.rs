@@ -132,11 +132,6 @@ impl ZoneTree {
         self.fact(rr(zone, zone, owner, Value::Int(addr.into())))
     }
 
-    /// Adds a text record for `owner` in `zone`.
-    pub fn text(self, zone: &str, owner: &str, text: &str) -> Self {
-        self.fact(rr(zone, zone, owner, node(text)))
-    }
-
     /// Attack: `zone` publishes a key its parent never endorsed.
     pub fn substitute_key(mut self, zone: &str) -> Self {
         self.substituted.push(zone.into());

@@ -45,28 +45,6 @@ impl Default for MoonwalkConfig {
     }
 }
 
-impl MoonwalkConfig {
-    /// A configuration with `walks` walks and the default depth/seed.
-    pub fn with_walks(walks: usize) -> Self {
-        MoonwalkConfig {
-            walks,
-            ..MoonwalkConfig::default()
-        }
-    }
-
-    /// Builder: sets the walk depth limit.
-    pub fn max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = depth;
-        self
-    }
-
-    /// Builder: sets the random seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// Outcome of one backward walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Walk {
@@ -292,7 +270,11 @@ mod tests {
     #[test]
     fn walks_are_deterministic_for_a_seed() {
         let stores = epidemic_stores(6);
-        let config = MoonwalkConfig::with_walks(32).seed(7);
+        let config = MoonwalkConfig {
+            walks: 32,
+            seed: 7,
+            ..MoonwalkConfig::default()
+        };
         let a = walk(&stores, "n5", "infected(n5)", &config);
         let b = walk(&stores, "n5", "infected(n5)", &config);
         assert_eq!(a.base_frequency, b.base_frequency);
@@ -304,7 +286,11 @@ mod tests {
     fn different_seeds_still_find_the_origin() {
         let stores = epidemic_stores(5);
         for seed in [1, 2, 3, 99] {
-            let config = MoonwalkConfig::with_walks(200).seed(seed);
+            let config = MoonwalkConfig {
+                walks: 200,
+                seed,
+                ..MoonwalkConfig::default()
+            };
             let result = walk(&stores, "n4", "infected(n4)", &config);
             // Each walk flips a coin at every hop between continuing toward
             // the origin and stopping on a local benign base; with 200 walks
@@ -365,7 +351,11 @@ mod tests {
                 &stores,
                 &format!("n{i}"),
                 &format!("infected(n{i})"),
-                &MoonwalkConfig::with_walks(50).seed(i as u64),
+                &MoonwalkConfig {
+                    walks: 50,
+                    seed: i as u64,
+                    ..MoonwalkConfig::default()
+                },
             );
             for (base, count) in result.base_frequency {
                 *pooled.entry(base).or_default() += count;
@@ -406,7 +396,10 @@ mod tests {
             &stores,
             "n2",
             "no-such-tuple",
-            &MoonwalkConfig::with_walks(4),
+            &MoonwalkConfig {
+                walks: 4,
+                ..MoonwalkConfig::default()
+            },
         );
         assert!(result.base_frequency.is_empty());
         assert_eq!(result.hit_rate(), 0.0);
@@ -420,7 +413,10 @@ mod tests {
             &stores,
             "absent-node",
             "infected(n2)",
-            &MoonwalkConfig::with_walks(4),
+            &MoonwalkConfig {
+                walks: 4,
+                ..MoonwalkConfig::default()
+            },
         );
         assert!(result.base_frequency.is_empty());
         assert_eq!(result.records_read, 0);
@@ -442,7 +438,11 @@ mod tests {
         let config = MoonwalkConfig::default();
         assert!(config.walks >= 16);
         assert!(config.max_depth >= 8);
-        let tweaked = MoonwalkConfig::default().max_depth(3).seed(1);
+        let tweaked = MoonwalkConfig {
+            max_depth: 3,
+            seed: 1,
+            ..config
+        };
         assert_eq!(tweaked.max_depth, 3);
         assert_eq!(tweaked.seed, 1);
     }

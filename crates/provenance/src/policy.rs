@@ -25,10 +25,12 @@ pub enum MaintenanceMode {
 
 /// Records provenance for one out of every `one_in` derivations,
 /// deterministically from the derivation's key hash so repeated runs sample
-/// the same derivations.
+/// the same derivations: IP-traceback style sampling (the paper cites
+/// 1/20,000 packets).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SamplingPolicy {
-    /// Record one derivation out of this many (1 = record everything).
+    /// Record one derivation out of this many (1 = record everything; the
+    /// engine refuses 0 when it is configured).
     pub one_in: u32,
 }
 
@@ -42,12 +44,6 @@ impl SamplingPolicy {
     /// Records everything.
     pub fn always() -> Self {
         SamplingPolicy { one_in: 1 }
-    }
-
-    /// IP-traceback style sampling (the paper cites 1/20,000 packets).  A
-    /// plain setter: the engine refuses `one_in(0)` when it is configured.
-    pub fn one_in(n: u32) -> Self {
-        SamplingPolicy { one_in: n }
     }
 
     /// Decides whether the derivation identified by `key_hash` is recorded.
@@ -118,7 +114,7 @@ mod tests {
 
     #[test]
     fn sampling_rate_is_approximately_honoured() {
-        let p = SamplingPolicy::one_in(10);
+        let p = SamplingPolicy { one_in: 10 };
         let recorded = (0..100_000u64).filter(|h| p.records(*h)).count();
         let fraction = recorded as f64 / 100_000.0;
         assert!(
@@ -127,9 +123,6 @@ mod tests {
         );
         // Deterministic across calls.
         assert_eq!(p.records(12345), p.records(12345));
-        // one_in(0) is kept as written, for the engine's configuration
-        // table to refuse.
-        assert_eq!(SamplingPolicy::one_in(0).one_in, 0);
     }
 
     #[test]

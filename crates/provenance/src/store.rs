@@ -129,13 +129,8 @@ impl DistributedStore {
         self.entries.get(&key).map_or(&[], |d| &d.derivations)
     }
 
-    /// True if `key` is a base tuple at this node.
-    pub fn base_id(&self, key: &str) -> Option<BaseTupleId> {
-        self.base_at(ProvKey::from_rendered(key))
-    }
-
-    /// [`DistributedStore::base_id`] for a caller that already holds the
-    /// key's digest.
+    /// The base tuple id `key` (by its digest) is recorded under at this
+    /// node, if it is a base tuple here.
     pub(crate) fn base_at(&self, key: ProvKey) -> Option<BaseTupleId> {
         self.bases.get(&key).map(|&(id, _)| id)
     }
@@ -548,21 +543,10 @@ impl ArchiveStore {
             .filter(move |entry| *entry.key == *key)
     }
 
-    /// Records that the tuple behind `key` was deleted (retracted or
-    /// expired) at `expired_at`: every live entry for the key is stamped
-    /// with the expiry time, and if the archive held no entry yet — the
-    /// tuple was derived before archiving was enabled, or sampled out — a
-    /// fresh one is appended so the deletion itself is never lost.  Returns
-    /// the number of entries stamped or created.  This is the
-    /// archive-on-delete path: soft state dies mid-run, but its forensic
-    /// record (and hence moonwalk/traceback reachability) survives.
-    pub fn record_expiry(
-        &mut self,
-        key: &str,
-        annotation: &str,
-        derived_at: u64,
-        expired_at: u64,
-    ) -> usize {
+    /// Stamps every live entry for `key` with the time the tuple behind it
+    /// was deleted, `expired_at`; returns how many it stamped.  What a node
+    /// that derived a tuple stored elsewhere does when the tuple dies.
+    pub fn stamp(&mut self, key: &str, expired_at: u64) -> usize {
         let mut stamped = 0;
         self.update_entries_of(key, |e| {
             if e.expired_at.is_none() {
@@ -570,6 +554,26 @@ impl ArchiveStore {
                 stamped += 1;
             }
         });
+        stamped
+    }
+
+    /// Records that the tuple behind `key` was deleted (retracted or
+    /// expired) at `expired_at`: every live entry for the key is
+    /// [stamped](ArchiveStore::stamp), and if the archive held no entry
+    /// yet — the tuple was derived elsewhere or before archiving was
+    /// enabled, or sampled out — a fresh one is appended so the deletion
+    /// itself is never lost.  Returns the number of entries stamped or
+    /// created.  This is the archive-on-delete path: soft state dies
+    /// mid-run, but its forensic record (and hence moonwalk/traceback
+    /// reachability) survives.
+    pub fn record_expiry(
+        &mut self,
+        key: &str,
+        annotation: &str,
+        derived_at: u64,
+        expired_at: u64,
+    ) -> usize {
+        let mut stamped = self.stamp(key, expired_at);
         if stamped == 0 {
             self.record(ArchivedEntry {
                 key: key.into(),
@@ -580,11 +584,6 @@ impl ArchiveStore {
             stamped = 1;
         }
         stamped
-    }
-
-    /// All entries, oldest first.
-    pub fn entries(&self) -> &[ArchivedEntry] {
-        &self.entries
     }
 
     /// Entries whose rendered key starts with `key_prefix`, optionally
@@ -686,8 +685,11 @@ mod tests {
         assert_eq!(s.entry_count(), 6, "3 bases, 3 derivations");
         let root = s.derivations_of("reachable(@a,c)");
         assert_eq!(root.len(), 2, "union of r1 and r2");
-        assert_eq!(s.base_id("reachable(@a,c)"), None);
-        assert_eq!(s.base_id("link(@a,b)"), Some(BaseTupleId(1)));
+        assert_eq!(s.base_at(ProvKey::from_rendered("reachable(@a,c)")), None);
+        assert_eq!(
+            s.base_at(ProvKey::from_rendered("link(@a,b)")),
+            Some(BaseTupleId(1))
+        );
     }
 
     #[test]
@@ -742,7 +744,7 @@ mod tests {
         // Forgetting link(@a,c) removes the direct r1 derivation of
         // reachable(@a,c); the r2 path through b survives.
         assert!(s.forget("link(@a,c)"));
-        assert_eq!(s.base_id("link(@a,c)"), None);
+        assert_eq!(s.base_at(ProvKey::from_rendered("link(@a,c)")), None);
         let root = s.derivations_of("reachable(@a,c)");
         assert_eq!(root.len(), 1);
         assert_eq!(&*root[0].rule, "r2@a");
@@ -829,8 +831,8 @@ mod tests {
         s.record_base("x", BaseTupleId(9), P0);
         assert_eq!(s.derivations_of("p").len(), 1);
         assert_eq!(s.entry_count(), 2);
-        assert_eq!(s.base_id("x"), Some(BaseTupleId(9)));
-        assert_eq!(s.base_id("y"), None);
+        assert_eq!(s.base_at(ProvKey::from_rendered("x")), Some(BaseTupleId(9)));
+        assert_eq!(s.base_at(ProvKey::from_rendered("y")), None);
         assert!(s.derivations_of("missing").is_empty());
     }
 
@@ -868,7 +870,7 @@ mod tests {
             archive.record_expiry("reachable(@a,c)", "retracted", 100, 900),
             1
         );
-        assert_eq!(archive.entries()[0].expired_at, Some(900));
+        assert_eq!(archive.entries[0].expired_at, Some(900));
         assert_eq!(archive.len(), 1);
         // An already-stamped entry is left alone; the deletion of a tuple
         // the archive never saw appends a fresh record.
@@ -877,9 +879,12 @@ mod tests {
             1
         );
         assert_eq!(archive.len(), 2);
-        let fresh = &archive.entries()[1];
+        let fresh = &archive.entries[1];
         assert_eq!(&*fresh.key, "reachable(@a,d)");
         assert_eq!(&*fresh.annotation, "retracted");
         assert_eq!(fresh.expired_at, Some(950));
+        // A plain stamp never appends: a key without a live entry stamps none.
+        assert_eq!(archive.stamp("reachable(@a,c)", 990), 0);
+        assert_eq!(archive.len(), 2);
     }
 }

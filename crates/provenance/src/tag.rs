@@ -122,16 +122,6 @@ impl VarTable {
         &self.manager
     }
 
-    /// Number of interned variables.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True if no variables have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Renders a condensed BDD as the paper's `<...>` annotation: its
     /// minimal products (`min_products`) by variable name, `*` within a
     /// product and ` + ` between them, e.g. `<p0*p1 + p2>`; `<0>` for
@@ -903,8 +893,8 @@ mod tests {
         assert_eq!(table.name_of(v0), "p7");
         assert_eq!(table.name_of(v1), "link(a,b)");
         assert_eq!(table.name_of(99), "?");
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
+        assert_eq!(table.principal_of(v0), Some(p(7)));
+        assert_eq!(table.principal_of(v1), None);
     }
 
     #[test]

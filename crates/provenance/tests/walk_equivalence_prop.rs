@@ -29,16 +29,22 @@ fn key_name(i: u64) -> String {
     format!("k(@{i})")
 }
 
+/// The base tuple filed under each `(node, key)`, as the reference walks
+/// look it up: a model of the stores' base records, kept beside them.
+type Bases = HashMap<(String, String), BaseTupleId>;
+
 /// Files one packed record (the offline proptest shim has no tuple
 /// strategies): a base tuple one time in four, else a derivation with up to
 /// three antecedents.  Pointers draw from one more node and one more key
 /// than are ever recorded, so some dangle.
-fn file_record(stores: &mut HashMap<String, DistributedStore>, word: u64) {
+fn file_record(stores: &mut HashMap<String, DistributedStore>, bases: &mut Bases, word: u64) {
     let node = node_name(word % NODES);
     let key = key_name((word >> 8) % KEYS);
-    let store = stores.entry(node).or_default();
+    let store = stores.entry(node.clone()).or_default();
     if (word >> 4).is_multiple_of(4) {
-        store.record_base(&key, BaseTupleId((word >> 12) % 8), PrincipalId(0));
+        let id = BaseTupleId((word >> 12) % 8);
+        store.record_base(&key, id, PrincipalId(0));
+        bases.insert((node, key), id);
         return;
     }
     let antecedents = (0..(word >> 16) % 4)
@@ -59,12 +65,12 @@ fn file_record(stores: &mut HashMap<String, DistributedStore>, word: u64) {
     store.record_derivation(&key, PrincipalId(0), derivation);
 }
 
-fn graph(records: &[u64]) -> HashMap<String, DistributedStore> {
-    let mut stores = HashMap::new();
+fn graph(records: &[u64]) -> (HashMap<String, DistributedStore>, Bases) {
+    let (mut stores, mut bases) = (HashMap::new(), Bases::new());
     for word in records {
-        file_record(&mut stores, *word);
+        file_record(&mut stores, &mut bases, *word);
     }
-    stores
+    (stores, bases)
 }
 
 /// Where a query starts: possibly at the absent node, possibly on the key
@@ -79,6 +85,7 @@ fn start(word: u64) -> (String, String) {
 /// The breadth-first traceback as it was before the borrowing walk.
 fn reference_traceback(
     stores: &HashMap<String, DistributedStore>,
+    bases: &Bases,
     start_node: &str,
     key: &str,
 ) -> TracebackResult {
@@ -94,7 +101,7 @@ fn reference_traceback(
             result.unresolved.push(key);
             continue;
         };
-        if let Some(base) = store.base_id(&key) {
+        if let Some(&base) = bases.get(&(node.clone(), key.clone())) {
             result.base_tuples.insert(base);
             continue;
         }
@@ -140,6 +147,7 @@ impl SplitMix64 {
 /// The random walk as it was before the borrowing walk.
 fn reference_moonwalk(
     stores: &HashMap<String, DistributedStore>,
+    bases: &Bases,
     start_node: &str,
     key: &str,
     config: &MoonwalkConfig,
@@ -162,7 +170,7 @@ fn reference_moonwalk(
                 break;
             };
             result.records_read += 1;
-            if let Some(base) = store.base_id(&current) {
+            if let Some(&base) = bases.get(&(node.clone(), current.clone())) {
                 walk.terminal_base = Some(base);
                 break;
             }
@@ -218,9 +226,9 @@ proptest! {
         records in prop::collection::vec(any::<u64>(), 0..40),
         from in any::<u64>(),
     ) {
-        let stores = graph(&records);
+        let (stores, bases) = graph(&records);
         let (node, key) = start(from);
-        let want = reference_traceback(&stores, &node, &key);
+        let want = reference_traceback(&stores, &bases, &node, &key);
         prop_assert_eq!(&traceback(&stores, &node, &key), &want);
 
         let by_scan: Vec<(&String, &DistributedStore)> = stores.iter().collect();
@@ -237,10 +245,10 @@ proptest! {
         seed in any::<u64>(),
         depth in 0usize..12,
     ) {
-        let stores = graph(&records);
+        let (stores, bases) = graph(&records);
         let (node, key) = start(from);
-        let config = MoonwalkConfig::with_walks(8).max_depth(depth).seed(seed);
-        let want = reference_moonwalk(&stores, &node, &key, &config);
+        let config = MoonwalkConfig { walks: 8, max_depth: depth, seed };
+        let want = reference_moonwalk(&stores, &bases, &node, &key, &config);
         let by_name = |name: &str| stores.get(name);
         assert_same_moonwalk(&moonwalk_with(by_name, &node, &key, &config), &want);
 

@@ -30,8 +30,9 @@
 //! Storage is an optionally bounded ring buffer ([`TraceConfig::with_ring`]):
 //! long runs keep the most recent events and count the evictions.  The whole
 //! buffer exports to the Chrome/Perfetto JSON format via
-//! [`TraceRecorder::to_chrome_json`] and supports in-process filtering via
-//! [`TraceRecorder::query`].
+//! [`TraceRecorder::to_chrome_json`]; in process, [`TraceRecorder::events`]
+//! hands the events out to filter ([`TraceEventKind::link`] names a frame's
+//! link).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -311,8 +312,8 @@ struct WaveAccum {
 /// [`TraceEvent`]s plus the wave-span accumulator and gauge clock.
 ///
 /// The engine owns one recorder per run when tracing is enabled; tests and
-/// tools read it back through [`TraceRecorder::events`],
-/// [`TraceRecorder::query`] and the aggregation helpers.
+/// tools read it back through [`TraceRecorder::events`] and the aggregation
+/// helpers.
 #[derive(Debug)]
 pub struct TraceRecorder {
     config: TraceConfig,
@@ -336,11 +337,6 @@ impl TraceRecorder {
             wave: None,
             next_gauge_us,
         }
-    }
-
-    /// The configuration the recorder was built with.
-    pub fn config(&self) -> &TraceConfig {
-        &self.config
     }
 
     /// Append an event, evicting the oldest if the ring is full.
@@ -436,16 +432,6 @@ impl TraceRecorder {
     /// Events evicted by the ring bound.
     pub fn dropped_events(&self) -> u64 {
         self.dropped
-    }
-
-    /// Start a filtered query over the retained events.
-    pub fn query(&self) -> TraceQuery<'_> {
-        TraceQuery {
-            recorder: self,
-            link: None,
-            since_us: None,
-            until_us: None,
-        }
     }
 
     /// The `k` rules that burned the most simulated CPU, descending (ties
@@ -673,70 +659,6 @@ impl TraceRecorder {
         }
         let _ = write!(out, "\n],\"droppedEvents\":{}}}", self.dropped);
         out
-    }
-}
-
-/// A lazy filter over a recorder's events; build with
-/// [`TraceRecorder::query`], refine with [`TraceQuery::link`] /
-/// [`TraceQuery::between`], then materialise with [`TraceQuery::events`] or
-/// [`TraceQuery::count`].
-#[derive(Clone, Copy, Debug)]
-pub struct TraceQuery<'a> {
-    recorder: &'a TraceRecorder,
-    link: Option<(u32, u32)>,
-    since_us: Option<u64>,
-    until_us: Option<u64>,
-}
-
-impl<'a> TraceQuery<'a> {
-    /// Keep only events touching the directed link `(src, dst)`.
-    pub fn link(mut self, src: u32, dst: u32) -> Self {
-        self.link = Some((src, dst));
-        self
-    }
-
-    /// Keep only events with `t0 <= at_us <= t1` (inclusive).
-    pub fn between(mut self, t0_us: u64, t1_us: u64) -> Self {
-        self.since_us = Some(t0_us);
-        self.until_us = Some(t1_us);
-        self
-    }
-
-    fn matches(&self, event: &TraceEvent) -> bool {
-        if let Some(link) = self.link {
-            if event.kind.link() != Some(link) {
-                return false;
-            }
-        }
-        if let Some(t0) = self.since_us {
-            if event.at_us < t0 {
-                return false;
-            }
-        }
-        if let Some(t1) = self.until_us {
-            if event.at_us > t1 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// The matching events, in recording order.
-    pub fn events(self) -> Vec<&'a TraceEvent> {
-        self.recorder
-            .events
-            .iter()
-            .filter(|e| self.matches(e))
-            .collect()
-    }
-
-    /// Number of matching events.
-    pub fn count(self) -> usize {
-        self.recorder
-            .events
-            .iter()
-            .filter(|e| self.matches(e))
-            .count()
     }
 }
 
@@ -972,10 +894,12 @@ mod tests {
                 upto: 1,
             },
         });
-        assert_eq!(rec.query().link(0, 1).count(), 2);
-        assert_eq!(rec.query().link(0, 1).between(0, 15).count(), 1);
-        assert_eq!(rec.query().between(15, 30).count(), 2);
-        let hits = rec.query().link(1, 0).events();
+        let on = |link| rec.events().filter(move |e| e.kind.link() == Some(link));
+        let within = |t0, t1| move |e: &&TraceEvent| (t0..=t1).contains(&e.at_us);
+        assert_eq!(on((0, 1)).count(), 2);
+        assert_eq!(on((0, 1)).filter(within(0, 15)).count(), 1);
+        assert_eq!(rec.events().filter(within(15, 30)).count(), 2);
+        let hits: Vec<_> = on((1, 0)).collect();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].at_us, 20);
     }

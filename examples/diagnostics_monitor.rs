@@ -103,7 +103,7 @@ fn main() {
         .expect("fixpoint reached");
 
     let entry = Tuple::new("reachable", vec![n0.clone(), alarm.values[1].clone()]);
-    let diagnosis = diagnose(&routing, &n0, &entry.render_located(Some(0)));
+    let diagnosis = diagnose(routing.engine(), &n0, &entry.render_located(Some(0)));
     println!("diagnosis of {}:", diagnosis.key);
     println!("  provenance hops crossed : {}", diagnosis.provenance_hops);
     println!("  suspected origin links  :");

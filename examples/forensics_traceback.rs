@@ -83,7 +83,7 @@ fn main() {
     );
 
     // Accountability: who generated the traffic? (PlanetFlow analogue.)
-    let audit = AccountabilityReport::collect(&network);
+    let audit = AccountabilityReport::collect(network.engine());
     println!("per-principal accountability report (top 3 senders):");
     for usage in audit.top_senders(3) {
         println!(

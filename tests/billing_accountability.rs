@@ -27,7 +27,7 @@ fn run_best_path(n: u32, seed: u64) -> SecureNetwork {
 #[test]
 fn charges_track_attributed_bytes() {
     let net = run_best_path(10, 31);
-    let report = AccountabilityReport::collect(&net);
+    let report = AccountabilityReport::collect(net.engine());
     let total_bytes: u64 = report.usage.iter().map(|u| u.bytes_sent).sum();
     assert!(total_bytes > 0);
 
@@ -56,7 +56,7 @@ fn charges_track_attributed_bytes() {
 #[test]
 fn diverse_plans_change_the_ranking_but_not_the_attribution() {
     let net = run_best_path(8, 17);
-    let report = AccountabilityReport::collect(&net);
+    let report = AccountabilityReport::collect(net.engine());
     let standard = RatePlan::flat("standard", 1.0);
 
     // Put the *lightest* sender on a plan ten times more expensive.
@@ -91,7 +91,7 @@ fn diverse_plans_change_the_ranking_but_not_the_attribution() {
 #[test]
 fn tiered_plans_spare_light_senders() {
     let net = run_best_path(9, 7);
-    let report = AccountabilityReport::collect(&net);
+    let report = AccountabilityReport::collect(net.engine());
     // Every principal's usage fits inside the included volume of a generous
     // tiered plan, so everyone pays exactly the flat fee.
     let generous = RatePlan::tiered("generous", 5.0, u64::MAX, 100.0);

@@ -103,7 +103,7 @@ proptest! {
         let script = script(&events, &mut churned, if settled { 200_000 } else { 0 });
         let metrics = churned.net.engine_mut().run_scenario(&script).unwrap();
         let engine = churned.net.engine();
-        prop_assert_eq!(metrics.churn_events, script.len() as u64);
+        prop_assert_eq!(metrics.churn_events, script.events().len() as u64);
         prop_assert_eq!(metrics.verification_failures, 0);
         prop_assert_eq!(engine.check_ledger_consistency(), Ok(()));
         prop_assert_eq!(engine.check_speaker_consistency(), Ok(()));

@@ -201,7 +201,11 @@ fn moonwalk_explains_a_tuple_deleted_mid_run() {
         |name| stores.get(name).copied(),
         &Value::Addr(0).to_string(),
         &key,
-        &MoonwalkConfig::with_walks(64).seed(5),
+        &MoonwalkConfig {
+            walks: 64,
+            seed: 5,
+            ..MoonwalkConfig::default()
+        },
     );
     assert!(
         sampled.hit_rate() > 0.5,

@@ -12,7 +12,7 @@ use pasn_crypto::SaysLevel;
 use pasn_overlay::dns::{dnskey, ds, resolver, rr};
 use pasn_overlay::dns::{DnsDeployment, DnsError, ZoneTree};
 use pasn_overlay::{insert, retract};
-use pasn_provenance::{BaseTupleId, Semiring, VoteSet};
+use pasn_provenance::{Semiring, VoteSet};
 
 fn zones() -> ZoneTree {
     ZoneTree::default()
@@ -24,7 +24,12 @@ fn zones() -> ZoneTree {
         .address("com", "registry.com", 0xc0a8_0001)
         .address("example.org", "www.example.org", 0xc0a8_0201)
         .address("eu.example.org", "cdn.eu.example.org", 0xc0a8_0301)
-        .text("org", "org", "public interest registry")
+        .fact(rr(
+            "org",
+            "org",
+            "org",
+            Value::Str("public interest registry".into()),
+        ))
 }
 
 fn hierarchy() -> ZoneTree {
@@ -194,11 +199,12 @@ fn resolution_graph_has_one_delegation_step_per_zone() {
     // tuples at all: the anchor, per zone its key and the resolver it
     // serves, per delegation its endorsement, and the record.
     let (_, anchor, _) = &dns.net.engine().query_all("anchor")[0];
-    let anchor = BaseTupleId(anchor.key_hash());
+    let anchor = store.base_support(&anchor.to_string());
+    assert_eq!(anchor.len(), 1, "the anchor is its own support");
     let why = store.why_provenance(&answer);
     assert!(!why.witnesses().is_empty());
     for witness in why.witnesses() {
-        assert!(witness.contains(&anchor));
+        assert!(anchor.is_subset(witness));
         assert_eq!(witness.len(), 1 + 3 + 3 + 2 + 1);
     }
 }
@@ -216,7 +222,7 @@ fn a_resolution_is_diagnosed_down_to_its_base_facts() {
     );
     let res = dns.resolve("www.example.org").unwrap();
     let answer = format!("resolved(n0,www.example.org,{})", res.address);
-    let diagnosis = diagnose(&dns.net, &resolver(), &answer);
+    let diagnosis = diagnose(dns.net.engine(), &resolver(), &answer);
     let mut origins = diagnosis.suspected_origins;
     origins.sort();
     let predicates: Vec<&str> = origins.iter().filter_map(|o| o.split('(').next()).collect();
@@ -244,7 +250,7 @@ fn a_resolution_is_diagnosed_down_to_its_base_facts() {
 fn accountability_counts_every_dnssec_relation() {
     let [cleartext, ..] = levels();
     let (dns, metrics) = run(&hierarchy(), cleartext);
-    let report = AccountabilityReport::collect(&dns.net);
+    let report = AccountabilityReport::collect(dns.net.engine());
     let stored: usize = report.usage.iter().map(|u| u.tuples_stored).sum();
     assert_eq!(stored as u64, metrics.tuples_stored);
     assert!(report.usage.iter().all(|u| u.tuples_stored > 0));

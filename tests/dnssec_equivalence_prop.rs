@@ -127,7 +127,7 @@ proptest! {
         let mut churned = deploy();
         let metrics = churned.net.engine_mut().run_scenario(&script).unwrap();
         prop_assert_eq!(base_facts(&churned), facts.clone());
-        prop_assert_eq!(metrics.churn_events, script.len() as u64);
+        prop_assert_eq!(metrics.churn_events, script.events().len() as u64);
         prop_assert_eq!(metrics.verification_failures, 0);
         prop_assert_eq!(churned.net.engine().check_ledger_consistency(), Ok(()));
         prop_assert_eq!(churned.net.engine().check_link_consistency(), Ok(()));

@@ -51,7 +51,11 @@ fn moonwalk_origins_are_a_subset_of_the_exhaustive_traceback() {
         |name| stores.get(name).copied(),
         &loc.to_string(),
         &key,
-        &MoonwalkConfig::with_walks(128).seed(3),
+        &MoonwalkConfig {
+            walks: 128,
+            seed: 3,
+            ..MoonwalkConfig::default()
+        },
     );
     assert!(sampled.hit_rate() > 0.9);
     // Sampling can only surface true origins.
@@ -93,7 +97,11 @@ fn moonwalks_are_reproducible_and_respect_the_walk_budget() {
     let net = run_reachability(8, 2);
     let stores = net.engine().distributed_stores();
     let (loc, key) = deepest_tuple(&net);
-    let config = MoonwalkConfig::with_walks(32).seed(99);
+    let config = MoonwalkConfig {
+        walks: 32,
+        seed: 99,
+        ..MoonwalkConfig::default()
+    };
     let by_name = |name: &str| stores.get(name).copied();
     let a = moonwalk_with(by_name, &loc.to_string(), &key, &config);
     let b = moonwalk_with(by_name, &loc.to_string(), &key, &config);
@@ -127,7 +135,7 @@ fn sampling_policy_reduces_recorded_provenance() {
         stores.values().map(|s| s.entry_count()).sum::<usize>()
     };
     let full = run(pasn_provenance::SamplingPolicy::always());
-    let sampled = run(pasn_provenance::SamplingPolicy::one_in(8));
+    let sampled = run(pasn_provenance::SamplingPolicy { one_in: 8 });
     let (always, kept) = (entries(&full), entries(&sampled));
     assert!(always > 0);
     assert!(
@@ -143,7 +151,11 @@ fn sampling_policy_reduces_recorded_provenance() {
         |name| sampled_stores.get(name).copied(),
         &loc.to_string(),
         &key,
-        &MoonwalkConfig::with_walks(32).seed(5),
+        &MoonwalkConfig {
+            walks: 32,
+            seed: 5,
+            ..MoonwalkConfig::default()
+        },
     );
     for base in walked.base_frequency.keys() {
         assert!(

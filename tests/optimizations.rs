@@ -69,7 +69,10 @@ fn as_granularity_collapses_condensed_origins() {
         let mut config = EngineConfig::ndlog().with_provenance(ProvenanceKind::Condensed);
         config.granularity = granularity;
         let (net, metrics) = deploy(config, n, 9);
-        (metrics.provenance_bytes, net.engine().var_table().len())
+        // A condensed tag's variables are its origins, interned densely.
+        let table = net.engine().var_table();
+        let origins = (0..).take_while(|&v| table.principal_of(v).is_some());
+        (metrics.provenance_bytes, origins.count())
     };
     let node = run(Granularity::Node);
     let as_of_4 = run(Granularity::uniform_as(n, 4));
@@ -164,7 +167,8 @@ fn reactive_provenance_defers_work_until_materialisation() {
         net.engine_mut().materialize_provenance();
         let node = |at| {
             let archive = net.engine().archive(&Value::Addr(at)).expect("deployed");
-            let entries = archive.entries().iter();
+            let predicates = net.engine().compiled().symbols.iter();
+            let entries = predicates.flat_map(|(_, pred)| archive.query(pred, None, None));
             let fields = |e: &ArchivedEntry| (e.key.clone(), e.annotation.clone(), e.derived_at);
             entries.map(fields).collect::<Vec<_>>()
         };
@@ -191,7 +195,7 @@ fn reactive_provenance_defers_work_until_materialisation() {
 #[test]
 fn sampling_reduces_recorded_provenance() {
     let run = |policy| deploy(distributed(MaintenanceMode::Proactive, policy), 15, 5);
-    let runs = [1, 4, 16].map(|k| run(SamplingPolicy::one_in(k)));
+    let runs = [1, 4, 16].map(|k| run(SamplingPolicy { one_in: k }));
     // Sampling chooses what is recorded, never what is derived.
     let rows = |net: &SecureNetwork| {
         let rows = net.engine().query_all("reachable").into_iter();
@@ -227,9 +231,14 @@ fn sampling_reduces_recorded_provenance() {
     let traceback = full.engine().traceback(&n0, TARGET);
     assert_eq!(traceback.base_tuples.len(), 24);
     let walks = [8, 32, 128].map(|walks| {
-        let sampled = full
-            .engine()
-            .moonwalk(&n0, TARGET, &MoonwalkConfig::with_walks(walks));
+        let sampled = full.engine().moonwalk(
+            &n0,
+            TARGET,
+            &MoonwalkConfig {
+                walks,
+                ..MoonwalkConfig::default()
+            },
+        );
         let found = sampled.base_frequency.keys();
         assert!(found.into_iter().all(|b| traceback.base_tuples.contains(b)));
         (sampled.records_read, sampled.base_frequency.len())

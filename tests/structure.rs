@@ -710,87 +710,124 @@ fn no_argument_list_overflow_anywhere() {
     assert_none(allowed, "a `too_many_arguments` allowance");
 }
 
-/// The `pub fn`s that no non-test code calls, and why each stays.  An entry
-/// leaves the list when its function is deleted or gains a caller
-/// (`the_uncalled_allowlist_is_current`).
-const UNCALLED_PUB_FNS: [(&str, &str); 34] = [
-    // Wire decoders and length-prefix helpers: ROADMAP item 14 puts them
-    // on a receive path or deletes them.
+/// The `pub fn`s that no non-test code calls, each keyed by its owner
+/// (`Type::name`, or `module::name` for a free function), and why each
+/// stays.  An entry leaves the list when its function is deleted or gains a
+/// caller (`the_uncalled_allowlist_is_current`).
+const UNCALLED_PUB_FNS: [(&str, &str); 43] = [
+    // Wire encoders, decoders and length-prefix helpers: ROADMAP item 14
+    // puts them on a receive path or deletes them.
     (
-        "put_len_prefixed",
+        "wire::put_len_prefixed",
         "wire helper; item 14 calls or deletes it",
     ),
     (
-        "get_len_prefixed",
+        "wire::get_len_prefixed",
         "wire helper; item 14 calls or deletes it",
     ),
     (
-        "len_prefixed_size",
+        "wire::len_prefixed_size",
         "wire helper; item 14 calls or deletes it",
     ),
     (
-        "from_bytes",
+        "SaysProof::to_bytes",
+        "the proof encoding `SaysAssertion::wire_len` charges; item 14 ships it",
+    ),
+    (
+        "SaysProof::from_bytes",
         "`SaysProof` decoder; item 14 calls or deletes it",
     ),
-    // `NetworkSim` goes once hostbench stops timing it (ROADMAP item 2).
     (
-        "is_idle",
-        "`NetworkSim` method; item 2 deletes `NetworkSim`",
+        "Tuple::decode",
+        "`Tuple` decoder beside `SaysProof::from_bytes`; item 14 calls or deletes it",
     ),
-    // Checkers and references that tests hold the engine against.
+    // `NetworkSim` goes once hostbench stops timing it (ROADMAP item 2).
+    ("NetworkSim::cost_model", "item 2 deletes `NetworkSim`"),
+    ("NetworkSim::horizon", "item 2 deletes `NetworkSim`"),
+    ("NetworkSim::is_idle", "item 2 deletes `NetworkSim`"),
+    ("NetworkSim::pending", "item 2 deletes `NetworkSim`"),
+    ("NetworkSim::stats", "item 2 deletes `NetworkSim`"),
+    // Checkers, references and fixtures that tests hold the engine against.
     (
-        "check_index_consistency",
+        "NodeStore::check_index_consistency",
         "the store's index invariant check",
     ),
     (
-        "shortest_path_costs",
+        "Topology::shortest_path_costs",
         "the Dijkstra oracle for Best-Path costs",
     ),
     (
-        "bellman_ford",
+        "baseline::bellman_ford",
         "the Bellman-Ford oracle for distance-vector costs",
     ),
     (
-        "is_strongly_connected",
+        "Topology::is_strongly_connected",
         "the topology generators' connectivity check",
     ),
     (
-        "entry_count",
+        "DistributedStore::entry_count",
         "the pointer store's size, read by the store tests",
     ),
-    // Public API whose callers are tests: builders and queries a user of
-    // the facade calls.
-    ("crash_node", "`FaultPlan` builder"),
-    ("cut_link", "`FaultPlan` builder"),
-    ("lossless", "`FaultPlan` builder"),
-    ("with_drop_per_mille", "`FaultPlan` builder"),
-    ("node_fail", "`ChurnEvent` builder"),
-    ("node_rejoin", "`ChurnEvent` builder"),
-    ("with_channel_rebind_frames", "`EngineConfig` builder"),
-    ("with_max_batch_tuples", "`EngineConfig` builder"),
-    ("with_walks", "`MoonwalkConfig` builder"),
-    ("with_ring", "`TraceConfig` builder"),
     (
-        "retract_fact_at",
+        "Topology::ring",
+        "a topology fixture eight test files build on",
+    ),
+    (
+        "Topology::line",
+        "a topology fixture eight test files build on",
+    ),
+    // Public API whose callers are tests: builders and reads a user of the
+    // engine calls.
+    ("FaultPlan::crash_node", "`FaultPlan` builder"),
+    ("FaultPlan::cut_link", "`FaultPlan` builder"),
+    ("FaultPlan::lossless", "`FaultPlan` builder"),
+    ("FaultPlan::with_drop_per_mille", "`FaultPlan` builder"),
+    ("ChurnScript::node_fail", "`ChurnEvent` builder"),
+    ("ChurnScript::node_rejoin", "`ChurnEvent` builder"),
+    (
+        "EngineConfig::with_channel_rebind_frames",
+        "`EngineConfig` builder",
+    ),
+    (
+        "EngineConfig::with_max_batch_tuples",
+        "`EngineConfig` builder",
+    ),
+    ("TraceConfig::with_ring", "`TraceConfig` builder"),
+    (
+        "DistributedEngine::retract_fact_at",
         "engine API: retract a base fact at a time",
     ),
     (
-        "materialize_provenance",
+        "DistributedEngine::materialize_provenance",
         "engine API: snapshot provenance stores",
     ),
-    ("parse_rule", "datalog API: parse one rule"),
-    ("distance_vector", "built-in program parser"),
-    ("path_vector", "built-in program parser"),
-    ("reachability_sendlog", "built-in program parser"),
-    ("flat", "billing rate-plan constructor"),
-    ("tiered", "billing rate-plan constructor"),
-    ("compute", "billing API: price an accountability report"),
-    ("suspected_origin", "moonwalk result query"),
-    ("hit_rate", "moonwalk result query"),
-    ("uniform_as", "granularity constructor"),
-    ("anchor_at", "DNSSEC deployment API: anchor a zone's key"),
     (
-        "dropped_events",
+        "DistributedEngine::metrics",
+        "engine API: the counters of the runs so far",
+    ),
+    (
+        "DistributedEngine::moonwalk",
+        "engine API: sample a tuple's origins (Section 4.2)",
+    ),
+    ("parser::parse_rule", "datalog API: parse one rule"),
+    ("programs::distance_vector", "built-in program parser"),
+    ("programs::path_vector", "built-in program parser"),
+    ("programs::reachability_sendlog", "built-in program parser"),
+    ("RatePlan::flat", "billing rate-plan constructor"),
+    ("RatePlan::tiered", "billing rate-plan constructor"),
+    (
+        "BillingRun::compute",
+        "billing API: price an accountability report",
+    ),
+    ("MoonwalkResult::suspected_origin", "moonwalk result query"),
+    ("MoonwalkResult::hit_rate", "moonwalk result query"),
+    ("Granularity::uniform_as", "granularity constructor"),
+    (
+        "ZoneTree::anchor_at",
+        "DNSSEC deployment API: anchor a zone's key",
+    ),
+    (
+        "TraceRecorder::dropped_events",
         "flight recorder API: ring evictions so far",
     ),
 ];
@@ -816,66 +853,336 @@ fn code_without_uses(text: &str) -> Vec<&str> {
     lines
 }
 
-/// The identifiers of `line`, each with whether it names the function that
-/// `fn` defines right there.
-fn identifiers(line: &str) -> impl Iterator<Item = (&str, bool)> {
-    let words = line
-        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|word| !word.is_empty());
-    let mut previous = "";
-    words.map(move |word| {
-        let defined = previous == "fn";
-        previous = word;
-        (word, defined)
-    })
-}
-
-/// Every `pub fn` name in the non-test code of the library crates (not
-/// hostbench), with where it is defined; and the names that non-test code
-/// under `crates/` (hostbench included; not `crates/*/tests/`),
-/// `examples/` and `src/` uses other than at a definition, in a `use`
-/// declaration or in a comment.
-fn pub_fns_and_uses() -> (BTreeMap<String, Vec<String>>, BTreeSet<String>) {
-    let mut defined: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    let crates = files_under(&["crates"], None);
-    let sources = crates.iter().filter(|path| {
-        let in_src = path
-            .components()
-            .nth(2)
-            .is_some_and(|dir| dir.as_os_str() == "src");
-        in_src && !path.components().any(|dir| dir.as_os_str() == "hostbench")
-    });
-    for path in sources.filter(|path| path.extension().is_some_and(|e| e == "rs")) {
-        let text = read(path);
-        for (at, line) in code_without_uses(non_test(path, &text)).iter().enumerate() {
-            for start in ["pub fn ", "pub const fn "] {
-                for (found, _) in line.match_indices(start) {
-                    let rest = &line[found + start.len()..];
-                    let name = identifiers(rest).next().map_or("", |(name, _)| name);
-                    let site = format!("{}:{}", path.display(), at + 1);
-                    defined.entry(name.to_string()).or_default().push(site);
-                }
+/// `text` with every `//` comment blanked to spaces, and every string or
+/// character literal but its two delimiters, newlines kept: what the
+/// compiler reads as code, line for line.  Lifetimes (`'a`) are code.  (The
+/// tree has no block comments.)
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = String::with_capacity(text.len());
+    let blank = |out: &mut String, c: char| out.push(if c == '\n' { '\n' } else { ' ' });
+    let mut i = 0;
+    while i < chars.len() {
+        let (c, next) = (chars[i], chars.get(i + 1).copied());
+        let after_word = i > 0 && word(chars[i - 1]);
+        // The end (exclusive) of a comment or literal starting at `i`.
+        let end = if c == '/' && next == Some('/') {
+            (i..chars.len())
+                .find(|&j| chars[j] == '\n')
+                .unwrap_or(chars.len())
+        } else if c == 'r' && !after_word && matches!(next, Some('"' | '#')) {
+            let hashes = chars[i + 1..].iter().take_while(|&&h| h == '#').count();
+            let open = i + 1 + hashes;
+            if chars.get(open) != Some(&'"') {
+                out.push(c);
+                i += 1;
+                continue;
+            }
+            let close = (open + 1..chars.len()).find(|&j| {
+                chars[j] == '"'
+                    && chars[j + 1..].iter().take_while(|&&h| h == '#').count() >= hashes
+            });
+            close.map_or(chars.len(), |j| j + 1 + hashes)
+        } else if c == '"' {
+            let mut j = i + 1;
+            while j < chars.len() && chars[j] != '"' {
+                j += if chars[j] == '\\' { 2 } else { 1 };
+            }
+            j + 1
+        } else if c == '\'' && next == Some('\\') {
+            (i + 3..chars.len())
+                .find(|&j| chars[j] == '\'')
+                .map_or(chars.len(), |j| j + 1)
+        } else if c == '\'' && chars.get(i + 2) == Some(&'\'') {
+            i + 3
+        } else {
+            out.push(c);
+            i += 1;
+            continue;
+        };
+        let end = end.min(chars.len());
+        let literal = chars[i] != '/';
+        for (at, &c) in chars.iter().enumerate().take(end).skip(i) {
+            match literal && (at == i || at + 1 == end) {
+                true => out.push(c),
+                false => blank(&mut out, c),
             }
         }
+        i = end;
     }
-    let mut callers = files_under(&["crates", "examples", "src"], None);
-    callers.retain(|path| {
-        let integration_test = path
-            .components()
-            .nth(2)
-            .is_some_and(|dir| dir.as_os_str() == "tests");
-        path.extension().is_some_and(|e| e == "rs") && !integration_test
-    });
-    let mut used = BTreeSet::new();
-    for path in &callers {
-        let text = read(path);
-        for line in code_without_uses(non_test(path, &text)) {
-            let uses = identifiers(line)
-                .filter(|&(word, at_definition)| !at_definition && defined.contains_key(word));
-            used.extend(uses.map(|(word, _)| word.to_string()));
+    out
+}
+
+/// The tokens of `code` (see [`code_only`]): each word (an identifier,
+/// keyword or number, a lifetime with its quote) and each other character
+/// on its own, with its 1-based line.
+fn tokens(code: &str) -> Vec<(usize, &str)> {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    let mut line = 1;
+    let mut rest = code.char_indices().peekable();
+    while let Some((at, c)) = rest.next() {
+        if c == '\n' {
+            line += 1;
+        } else if word(c) || c == '\'' && rest.peek().is_some_and(|&(_, n)| word(n)) {
+            let mut end = at + c.len_utf8();
+            while let Some(&(next, n)) = rest.peek() {
+                if !word(n) {
+                    break;
+                }
+                end = next + n.len_utf8();
+                rest.next();
+            }
+            found.push((line, &code[at..end]));
+        } else if !c.is_whitespace() {
+            found.push((line, &code[at..at + c.len_utf8()]));
         }
     }
-    (defined, used)
+    found
+}
+
+/// The index just past the `<...>` group opening at `open` (an arrow's
+/// `>` does not close it).
+fn past_angles(toks: &[(usize, &str)], open: usize) -> usize {
+    let mut depth = 0;
+    for at in open..toks.len() {
+        match toks[at].1 {
+            "<" => depth += 1,
+            ">" if toks[at - 1].1 != "-" => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return at + 1;
+        }
+    }
+    toks.len()
+}
+
+/// How many arguments the list opening at `open` (a `(`) holds: its
+/// top-level commas, past nested brackets and, in a signature (`types`),
+/// generic arguments; a closure's `|…|` parameters are skipped.
+fn arguments(toks: &[(usize, &str)], open: usize, types: bool) -> usize {
+    let (mut depth, mut count, mut fresh, mut at) = (0, 0, true, open + 1);
+    while at < toks.len() {
+        match toks[at].1 {
+            ")" if depth == 0 => break,
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth -= 1,
+            "<" if types => depth += 1,
+            ">" if types && toks[at - 1].1 != "-" => depth -= 1,
+            "," if depth == 0 => {
+                count += 1;
+                fresh = true;
+                at += 1;
+                continue;
+            }
+            "move" => {
+                at += 1;
+                continue;
+            }
+            "|" if depth == 0 && fresh => {
+                at += 1;
+                while at < toks.len() && toks[at].1 != "|" {
+                    at += 1;
+                }
+            }
+            _ => {}
+        }
+        fresh = false;
+        at += 1;
+    }
+    count + usize::from(!fresh)
+}
+
+/// The type an `impl` header starting at `at` implements for: the last
+/// path segment of the self type (after `for`, if any) before its generics.
+fn impl_owner(toks: &[(usize, &str)], at: usize) -> String {
+    let mut from = at + 1;
+    if toks.get(from).is_some_and(|t| t.1 == "<") {
+        from = past_angles(toks, from);
+    }
+    let header = &toks[from..];
+    let end = header.iter().position(|t| t.1 == "{" || t.1 == "where");
+    let header = &header[..end.unwrap_or(header.len())];
+    let self_type = match header.iter().position(|t| t.1 == "for") {
+        Some(after) => &header[after + 1..],
+        None => header,
+    };
+    let path = self_type.iter().take_while(|t| t.1 != "<");
+    let segments = path.filter(|t| t.1.chars().all(|c| c.is_alphanumeric() || c == '_'));
+    segments.last().map_or(String::new(), |t| t.1.to_string())
+}
+
+/// How a `pub fn` is called: a method (it takes `self`) in call position,
+/// `.name(`, or by its owner's path; an associated function by its owner's
+/// path; a free function by a bare call or a path.
+#[derive(Clone, Copy)]
+enum Kind {
+    Method,
+    Associated,
+    Free,
+}
+
+/// A `pub fn` of the library crates: how it is called, how many arguments
+/// a call passes (`self` aside) and where it is defined.
+struct PubFn {
+    kind: Kind,
+    arity: usize,
+    sites: Vec<String>,
+}
+
+/// What the non-test callers name: methods in call position (`.name(`),
+/// with the number of arguments passed, `Owner::name` paths (`Self::name`
+/// resolved to its `impl`), and bare calls (`name(`).
+#[derive(Default)]
+struct Uses {
+    methods: BTreeSet<(String, usize)>,
+    paths: BTreeSet<(String, String)>,
+    calls: BTreeSet<String>,
+}
+
+/// The module a free function of `path` belongs to: the file's stem, the
+/// directory of a `mod.rs`, the crate directory of a `lib.rs`.
+fn module_of(path: &Path) -> String {
+    let stem = path
+        .file_stem()
+        .map_or(String::new(), |s| s.to_string_lossy().into());
+    let dir = |up: usize| {
+        let dir = path.ancestors().nth(up).and_then(|d| d.file_name());
+        dir.map_or(String::new(), |d| d.to_string_lossy().into())
+    };
+    match stem.as_str() {
+        "mod" => dir(1),
+        "lib" => dir(2),
+        _ => stem,
+    }
+}
+
+/// Reads the non-test code of `path`: records every `pub fn` it defines
+/// into `defined` (keyed `Owner::name`), when given, and every use into
+/// `uses`.  `use` declarations name nothing.
+fn scan(path: &Path, mut defined: Option<&mut BTreeMap<String, PubFn>>, uses: &mut Uses) {
+    let text = read(path);
+    let code = code_only(non_test(path, &text));
+    let toks = tokens(&code);
+    let name_at = |at: usize| toks.get(at).map_or("", |t| t.1);
+    let mut depth = 0;
+    let mut impls: Vec<(usize, String)> = Vec::new();
+    let mut pending: Option<String> = None;
+    let mut at = 0;
+    while at < toks.len() {
+        let (line, tok) = toks[at];
+        let owner = impls.last().map(|(_, owner)| owner.as_str());
+        match tok {
+            "use" => {
+                while at < toks.len() && toks[at].1 != ";" {
+                    at += 1;
+                }
+            }
+            "impl" => pending = Some(impl_owner(&toks, at)),
+            "{" => {
+                depth += 1;
+                if let Some(owner) = pending.take() {
+                    impls.push((depth, owner));
+                }
+            }
+            "}" => {
+                if impls.last().is_some_and(|(body, _)| *body == depth) {
+                    impls.pop();
+                }
+                depth -= 1;
+            }
+            "pub"
+                if name_at(at + 1) == "fn"
+                    || name_at(at + 1) == "const" && name_at(at + 2) == "fn" =>
+            {
+                let name_at_fn = at + if name_at(at + 1) == "fn" { 2 } else { 3 };
+                let name = name_at(name_at_fn);
+                let mut params = name_at_fn + 1;
+                if name_at(params) == "<" {
+                    params = past_angles(&toks, params);
+                }
+                let receiver = toks[params + 1..]
+                    .iter()
+                    .map(|t| t.1)
+                    .find(|t| !(*t == "&" || *t == "mut" || t.starts_with('\'')));
+                let arity = arguments(&toks, params, true) - usize::from(receiver == Some("self"));
+                let (scope, kind) = match impls.last().filter(|(body, _)| *body == depth) {
+                    Some((_, owner)) if receiver == Some("self") => (owner.clone(), Kind::Method),
+                    Some((_, owner)) => (owner.clone(), Kind::Associated),
+                    None => (module_of(path), Kind::Free),
+                };
+                if let Some(defined) = defined.as_deref_mut() {
+                    let sites = Vec::new();
+                    let entry = defined.entry(format!("{scope}::{name}"));
+                    let entry = entry.or_insert(PubFn { kind, arity, sites });
+                    entry.sites.push(format!("{}:{line}", path.display()));
+                }
+                at = name_at_fn;
+            }
+            "." if name_at(at + 2) == "(" || name_at(at + 2) == ":" && name_at(at + 4) == "<" => {
+                let open = match name_at(at + 2) {
+                    "(" => at + 2,
+                    _ => past_angles(&toks, at + 4),
+                };
+                let call = (name_at(at + 1).to_string(), arguments(&toks, open, false));
+                uses.methods.insert(call);
+            }
+            _ if name_at(at + 1) == ":" && name_at(at + 2) == ":" => {
+                let prefix = match tok {
+                    "Self" => owner.unwrap_or("Self"),
+                    _ => tok,
+                };
+                let path = (prefix.to_string(), name_at(at + 3).to_string());
+                uses.paths.insert(path);
+            }
+            _ if name_at(at + 1) == "(" && at > 0 && !matches!(toks[at - 1].1, "." | "fn") => {
+                uses.calls.insert(tok.to_string());
+            }
+            _ => {}
+        }
+        at += 1;
+    }
+}
+
+/// Every `pub fn` in the non-test code of the library crates (not
+/// hostbench), keyed by owner, and what non-test code under `crates/`
+/// (hostbench included; not `crates/*/tests/`), `examples/` and `src/`
+/// names.
+fn pub_fns_and_uses() -> (BTreeMap<String, PubFn>, Uses) {
+    let rust = |path: &PathBuf| path.extension().is_some_and(|e| e == "rs");
+    let in_dir = |path: &PathBuf, dir: &str| {
+        let component = path.components().nth(2);
+        component.is_some_and(|c| c.as_os_str() == dir)
+    };
+    let (mut defined, mut uses) = (BTreeMap::new(), Uses::default());
+    for path in files_under(&["crates", "examples", "src"], None) {
+        let library =
+            in_dir(&path, "src") && !path.components().any(|c| c.as_os_str() == "hostbench");
+        let defines = (path.starts_with("crates") && library).then_some(&mut defined);
+        if rust(&path) && !in_dir(&path, "tests") {
+            scan(&path, defines, &mut uses);
+        }
+    }
+    (defined, uses)
+}
+
+/// Whether non-test code calls the `pub fn` keyed `key` (see [`Kind`]): a
+/// method call counts only with as many arguments as the method takes.
+fn is_called(key: &str, pub_fn: &PubFn, defined: &BTreeMap<String, PubFn>, uses: &Uses) -> bool {
+    let (owner, name) = key.rsplit_once("::").expect("keys are `Owner::name`");
+    let by_path = uses.paths.contains(&(owner.to_string(), name.to_string()));
+    match pub_fn.kind {
+        // Clippy's `len_without_is_empty` asks for `is_empty` beside a
+        // `pub fn len`, called or not.
+        Kind::Method if name == "is_empty" && defined.contains_key(&format!("{owner}::len")) => {
+            true
+        }
+        Kind::Method => by_path || uses.methods.contains(&(name.to_string(), pub_fn.arity)),
+        Kind::Associated => by_path,
+        Kind::Free => uses.calls.contains(name) || uses.paths.iter().any(|(_, n)| n == name),
+    }
 }
 
 #[test]
@@ -883,13 +1190,23 @@ fn every_pub_fn_has_a_caller() {
     // A `pub fn` that only tests call is code kept for its own tests: delete
     // it, or make it `pub(crate)` and let the dead-code lint decide.  The
     // few that stay are listed in `UNCALLED_PUB_FNS`, each with its reason;
-    // no other may join them.
-    let (defined, used) = pub_fns_and_uses();
-    let listed: BTreeSet<&str> = UNCALLED_PUB_FNS.iter().map(|&(name, _)| name).collect();
+    // no other may join them.  A name counts as called only where the
+    // compiler could resolve it to its owner: a method in call position with
+    // as many arguments as it takes, an associated function by its type's
+    // path.  A macro of the same word, a field or a variable does not count.
+    // What the fence cannot resolve is the receiver's type: a method passes
+    // when any type's method of that name and arity is called (so do
+    // `TraceRecorder::events` and `TrafficStats::megabytes`, through
+    // `ChurnScript::events` and `RunMetrics::megabytes`); the compiler audit
+    // in ROADMAP's "The gate" finds those.
+    let (defined, uses) = pub_fns_and_uses();
+    let listed: BTreeSet<&str> = UNCALLED_PUB_FNS.iter().map(|&(key, _)| key).collect();
     let uncalled: Vec<String> = defined
         .iter()
-        .filter(|(name, _)| !used.contains(*name) && !listed.contains(name.as_str()))
-        .map(|(name, sites)| format!("{name}: {}", sites.join(", ")))
+        .filter(|(key, pub_fn)| {
+            !listed.contains(key.as_str()) && !is_called(key, pub_fn, &defined, &uses)
+        })
+        .map(|(key, pub_fn)| format!("{key}: {}", pub_fn.sites.join(", ")))
         .collect();
     assert_none(uncalled, "a `pub fn` that no non-test code calls");
 }
@@ -897,19 +1214,17 @@ fn every_pub_fn_has_a_caller() {
 #[test]
 fn the_uncalled_allowlist_is_current() {
     // Each `UNCALLED_PUB_FNS` entry still names a `pub fn`, and one that
-    // non-test code still does not call; a listed name that was deleted or
-    // gained a caller leaves the list, so the list only shrinks.
-    let (defined, used) = pub_fns_and_uses();
+    // non-test code still does not call; a listed function that was deleted
+    // or gained a caller leaves the list, so the list only shrinks.
+    let (defined, uses) = pub_fns_and_uses();
     let stale: Vec<String> = UNCALLED_PUB_FNS
         .iter()
-        .filter_map(|&(name, _)| {
-            if !defined.contains_key(name) {
-                Some(format!("{name}: no longer a `pub fn`"))
-            } else if used.contains(name) {
-                Some(format!("{name}: now has a non-test caller"))
-            } else {
-                None
+        .filter_map(|&(key, _)| match defined.get(key) {
+            None => Some(format!("{key}: no longer a `pub fn`")),
+            Some(pub_fn) if is_called(key, pub_fn, &defined, &uses) => {
+                Some(format!("{key}: now has a non-test caller"))
             }
+            Some(_) => None,
         })
         .collect();
     assert_none(stale, "a stale `UNCALLED_PUB_FNS` entry");
@@ -942,7 +1257,10 @@ fn engine_forwarders() -> BTreeMap<String, String> {
             let Some(rest) = line.trim_start().strip_prefix("pub fn ") else {
                 continue;
             };
-            let name = identifiers(rest).next().map_or("", |(name, _)| name);
+            let name = rest
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next();
+            let name = name.unwrap_or_default();
             // The body: from the first `{` of the definition to its match.
             let mut body = String::new();
             let mut depth = 0usize;
